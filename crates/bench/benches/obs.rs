@@ -1,11 +1,13 @@
 //! Overhead of the observability layer on its two hot paths:
 //!
-//! 1. the `simulate` pipeline — both streaming passes `lifepred
-//!    simulate --predictor db.json` runs over an `.lpt` image (records
+//! 1. the `simulate` pipeline — `simulate_file`, the function
+//!    `lifepred simulate --predictor db.json` runs per trace (records
 //!    → prediction bitmap, then events → arena replay), with vs
 //!    without `--metrics-out` recording. Per-event metrics batch into
 //!    plain local fields and publish once at end of stream, so the
-//!    added per-event cost is a handful of arithmetic ops.
+//!    added per-event cost is a handful of arithmetic ops (plus one
+//!    clock read per event in builds that enable `lifepred-obs/timing`,
+//!    as the CLI does; this bench does not).
 //! 2. the sharded runtime allocator (detached vs an attached registry;
 //!    metrics are plain per-shard deltas under the shard lock the fast
 //!    path already holds).
@@ -26,16 +28,12 @@
 //! `results/BENCH_obs.json` untouched — only full runs update the
 //! trajectory).
 
-use lifepred_core::{
-    train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, TrainConfig, DEFAULT_THRESHOLD,
-};
-use lifepred_heap::{
-    replay_arena_stream, replay_arena_stream_observed, ReplayConfig, ReplayEvent, ReplayMeta,
-    ReplayObs, ReplayReport,
-};
+use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
+use lifepred_heap::ArenaConfig;
 use lifepred_obs::Registry;
+use lifepred_sweep::{simulate_file, SimBackend};
 use lifepred_trace::{Trace, TraceSession};
-use lifepred_tracefile::{TraceEvent, TraceReader, TraceWriter};
+use lifepred_tracefile::save_trace;
 use std::alloc::Layout;
 use std::path::Path;
 use std::time::Instant;
@@ -80,53 +78,6 @@ fn workload(pairs: usize) -> Trace {
         s.free(id);
     }
     s.finish()
-}
-
-/// Adapts the on-disk event shape to the replay layer's, as the CLI's
-/// `simulate` does.
-fn to_replay_event(e: TraceEvent) -> ReplayEvent {
-    match e {
-        TraceEvent::Alloc { record, size, .. } => ReplayEvent::Alloc {
-            record: record as usize,
-            size,
-        },
-        TraceEvent::Free { record, .. } => ReplayEvent::Free {
-            record: record as usize,
-        },
-    }
-}
-
-/// One full offline-arena `simulate` run over an in-memory `.lpt`
-/// image, mirroring `cmd_simulate` pass for pass: stream the records
-/// into a prediction bitmap, then stream the events through the arena
-/// replay — observed (the `--metrics-out` configuration) or not.
-fn simulate_once(
-    bytes: &[u8],
-    db: &ShortLivedSet,
-    meta: &ReplayMeta,
-    cfg: &ReplayConfig,
-    obs: Option<&ReplayObs>,
-) -> ReplayReport {
-    // Pass 1: records → per-object predictions.
-    let reader = TraceReader::new(bytes).expect("trace header");
-    let chains = reader.chain_table().clone();
-    let mut extractor = SiteExtractor::from_chains(&chains, *db.config());
-    let mut predicted = Vec::new();
-    for record in reader.into_records().expect("records section") {
-        let record = record.expect("record");
-        predicted.push(db.predicts(&extractor.site_of(&record)));
-    }
-    // Pass 2: events → replay.
-    let events = TraceReader::new(bytes)
-        .expect("trace header")
-        .into_events()
-        .expect("events section")
-        .map(|e| e.map(to_replay_event));
-    match obs {
-        Some(obs) => replay_arena_stream_observed(meta, events, &predicted, cfg, obs),
-        None => replay_arena_stream(meta, events, &predicted, cfg),
-    }
-    .expect("valid")
 }
 
 /// Ops/sec for baseline `a` vs observed `b`, plus the observed
@@ -196,29 +147,27 @@ fn main() {
         &Profile::build(&trace, &SiteConfig::default(), DEFAULT_THRESHOLD),
         &TrainConfig::default(),
     );
-    let meta = ReplayMeta::of(&trace);
-    let cfg = ReplayConfig::default();
-    let bytes = TraceWriter::new(Vec::new())
-        .write(&trace)
-        .expect("encode trace");
     let n_events = trace.events().len() as u64;
-
-    let registry = Registry::new();
-    let obs = ReplayObs::register(&registry);
+    let lpt = std::env::temp_dir().join(format!("lifepred-bench-obs-{}.lpt", std::process::id()));
+    save_trace(&lpt, &trace).expect("write trace");
+    let lpt_path = lpt.to_str().expect("utf-8 temp path");
+    // One full `simulate` of the file, with (the `--metrics-out`
+    // configuration) or without metrics.
+    let backend = SimBackend::Arena(&db);
+    let simulate_once = |want_metrics: bool| {
+        simulate_file(lpt_path, &backend, ArenaConfig::default(), want_metrics).expect("simulate");
+    };
     // Warm both configurations once before timing.
-    simulate_once(&bytes, &db, &meta, &cfg, None);
-    simulate_once(&bytes, &db, &meta, &cfg, Some(&obs));
+    simulate_once(false);
+    simulate_once(true);
 
     let (replay_base, replay_obs, replay_overhead) = paired_overhead(
         sim_rounds,
         n_events,
-        || {
-            simulate_once(&bytes, &db, &meta, &cfg, None);
-        },
-        || {
-            simulate_once(&bytes, &db, &meta, &cfg, Some(&obs));
-        },
+        || simulate_once(false),
+        || simulate_once(true),
     );
+    std::fs::remove_file(&lpt).ok();
 
     // --- runtime allocator path ----------------------------------------
     let site = lifepred_alloc::site_key();

@@ -16,8 +16,8 @@
 //!    any timing, so the speedup is measured between *provably
 //!    equivalent* implementations.
 //! 3. **simulate** — the end-to-end `lifepred simulate` pipeline
-//!    (records → prediction bitmap, events → chunked arena replay)
-//!    over several trace images, fanned out with
+//!    ([`simulate_file`]: records → prediction bitmap, events →
+//!    chunked arena replay) over several copies of a trace, fanned out with
 //!    [`lifepred_bench::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
 //!    here is bounded by the host's core count, which is recorded in
 //!    the output.
@@ -42,14 +42,10 @@
 //! `LIFEPRED_BENCH_SMOKE=1` (or pass `--test`) for the short CI smoke
 //! run that leaves the recorded results untouched.
 
-use lifepred_core::{
-    train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, TrainConfig, DEFAULT_THRESHOLD,
-};
+use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred_heap::reference::LinearFirstFit;
-use lifepred_heap::{
-    replay_arena_chunks, replay_firstfit_chunks, Addr, FirstFit, ReplayConfig, ReplayMeta,
-    ReplayReport,
-};
+use lifepred_heap::{replay, Addr, ArenaConfig, FirstFit, ReplayMeta, ReplayPlan};
+use lifepred_sweep::{simulate_file, SimBackend};
 use lifepred_trace::{
     ChunkSource, EventChunk, EventKind, Trace, TraceSession, POOLED_CHUNK_EVENTS,
 };
@@ -235,31 +231,6 @@ fn replay_indexed(trace: &Trace) -> (u64, u64) {
     (heap.counts().search_steps, heap.max_heap_bytes())
 }
 
-/// One full offline-arena `simulate` pipeline over an in-memory `.lpt`
-/// image, mirroring `cmd_simulate`'s chunked path pass for pass.
-fn simulate_once(
-    bytes: &[u8],
-    db: &ShortLivedSet,
-    meta: &ReplayMeta,
-    cfg: &ReplayConfig,
-) -> ReplayReport {
-    // Pass 1: records → per-object predictions.
-    let reader = TraceReader::new(bytes).expect("trace header");
-    let chains = reader.chain_table().clone();
-    let mut extractor = SiteExtractor::from_chains(&chains, *db.config());
-    let mut predicted = Vec::new();
-    for record in reader.into_records().expect("records section") {
-        let record = record.expect("record");
-        predicted.push(db.predicts(&extractor.site_of(&record)));
-    }
-    // Pass 2: events → chunked arena replay.
-    let chunks = TraceReader::new(bytes)
-        .expect("trace header")
-        .into_event_chunks()
-        .expect("events section");
-    replay_arena_chunks(meta, chunks, &predicted, cfg).expect("valid")
-}
-
 /// Times `before` and `after` back to back within every round (order
 /// alternating) and reports median seconds for each plus the median of
 /// the paired per-round speedups `t_before / t_after`. Pairing keeps
@@ -390,7 +361,6 @@ fn main() {
     let (t_iter, t_chunk, chunk_speedup) =
         paired_speedup(rounds(ROUNDS), decode_iter, decode_chunks);
     let (_, t_mapped, mapped_speedup) = paired_speedup(rounds(ROUNDS), decode_iter, decode_mapped);
-    std::fs::remove_file(&decode_path).ok();
 
     // --- decode gate: mapped vs iterator on the lattice trace -----------
     // Always the full-size lattice: recording 40k events is cheap even
@@ -438,14 +408,13 @@ fn main() {
         &Profile::build(&trace, &SiteConfig::default(), DEFAULT_THRESHOLD),
         &TrainConfig::default(),
     );
-    let meta = ReplayMeta::of(&trace);
-    let cfg = ReplayConfig::default();
-    simulate_once(&bytes, &db, &meta, &cfg);
+    let sim_path = decode_path.to_str().expect("utf-8 temp path");
+    let backend = SimBackend::Arena(&db);
+    let simulate_once =
+        || simulate_file(sim_path, &backend, ArenaConfig::default(), false).expect("simulate");
+    simulate_once();
     let sweep = |jobs: usize| {
-        let images: Vec<&[u8]> = vec![bytes.as_slice(); SIM_TRACES];
-        let reports = lifepred_bench::run_jobs(images, jobs, |_, image| {
-            simulate_once(image, &db, &meta, &cfg)
-        });
+        let reports = lifepred_bench::run_jobs(vec![(); SIM_TRACES], jobs, |_, ()| simulate_once());
         assert_eq!(reports.len(), SIM_TRACES);
     };
     let sim_rounds = rounds(SIM_ROUNDS);
@@ -454,6 +423,7 @@ fn main() {
     let t_jobs4 = median_time(sim_rounds, || sweep(4));
     let s2 = t_jobs1 / t_jobs2;
     let s4 = t_jobs1 / t_jobs4;
+    std::fs::remove_file(&decode_path).ok();
 
     // --- scale + server: a streamed 10⁷-event synthetic trace -----------
     let scale_target = if smoke() {
@@ -498,11 +468,10 @@ fn main() {
             function_calls: mapped.stats().function_calls,
         }
     };
-    let replay_cfg = ReplayConfig::default();
     // The replay is ~30x slower than decode, so 3 rounds bound the run.
     let t_server = median_time(3, || {
         let mapped = MappedTrace::open_unverified(&scale_path).expect("mapped open");
-        let report = replay_firstfit_chunks(&server_meta, mapped.events(), &replay_cfg)
+        let report = replay(&server_meta, mapped.events(), &ReplayPlan::FirstFit, None)
             .expect("server replay");
         std::hint::black_box(report);
     });

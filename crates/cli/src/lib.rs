@@ -37,22 +37,17 @@
 
 use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_core::{
-    train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, SitePolicy, TrainConfig,
-    DEFAULT_THRESHOLD,
+    train, Profile, ShortLivedSet, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD,
 };
-use lifepred_heap::{
-    replay_arena_chunks, replay_arena_chunks_observed, replay_arena_online_chunks,
-    replay_arena_online_chunks_observed, replay_bsd_chunks, replay_bsd_chunks_observed,
-    replay_firstfit_chunks, replay_firstfit_chunks_observed, ReplayConfig, ReplayMeta, ReplayObs,
-    ReplayReport, ReplayStreamError,
-};
+use lifepred_heap::{ArenaConfig, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
 use lifepred_sweep::{
     diff_reports, install_shutdown_handlers, render_csv, render_json, render_table, run_sweep,
-    CancelFlag, GridSpec, ResultStore, Server, ServerConfig, SweepOptions,
+    simulate_file, CancelFlag, GridSpec, ResultStore, Server, ServerConfig, SimBackend,
+    SweepOptions,
 };
 use lifepred_trace::{shared_registry, AllocationRecord, Trace};
-use lifepred_tracefile::{load_trace, save_trace, MappedTrace, TraceFileError, TraceReader};
+use lifepred_tracefile::{load_trace, save_trace, MappedTrace, TraceReader};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use lifepred_workloads::{all_workloads, by_name, record as record_workload};
@@ -648,138 +643,6 @@ fn cmd_train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 // simulate
 // ---------------------------------------------------------------------
 
-fn replay_err(path: &str, e: ReplayStreamError<TraceFileError>) -> String {
-    file_err(path, e)
-}
-
-/// What `simulate` consults for lifetime predictions — resolved once,
-/// then shared read-only by every parallel job.
-enum SimPredictor {
-    /// Non-predicting allocators (first-fit, bsd).
-    None,
-    /// A database trained offline by `lifepred train`.
-    Db(ShortLivedSet),
-    /// The self-training online learner (one per trace).
-    Online {
-        sites: SiteConfig,
-        epoch: EpochConfig,
-    },
-}
-
-/// Everything one simulation job produces.
-struct SimOutput {
-    report: ReplayReport,
-    learner: Option<LearnerStats>,
-    metrics: Option<Snapshot>,
-}
-
-/// Streams one `.lpt` file through the configured allocator — the unit
-/// of work `lifepred simulate` fans out over `--jobs` threads. Each
-/// job records into its own registry; the caller merges the snapshots.
-fn simulate_one(
-    path: &str,
-    allocator: &str,
-    predictor: &SimPredictor,
-    config: &ReplayConfig,
-    want_metrics: bool,
-) -> Result<SimOutput, String> {
-    let registry = if want_metrics {
-        Some(Registry::new())
-    } else {
-        None
-    };
-    let obs = registry.as_ref().map(ReplayObs::register);
-    // One mmap (or heap read, where mapping is unavailable) serves
-    // both passes: the records walk borrows the mapped records
-    // section, the replay decodes event chunks straight out of the
-    // mapped events section. CRCs are checked once, up front.
-    let mapped = MappedTrace::open(path).map_err(|e| file_err(path, e))?;
-    let meta = ReplayMeta {
-        program: mapped.name().to_owned(),
-        function_calls: mapped.stats().function_calls,
-    };
-
-    match predictor {
-        // The online predictor trains itself while the trace replays —
-        // no JSON database involved.
-        SimPredictor::Online {
-            sites: site_config,
-            epoch,
-        } => {
-            // Pass 1: walk the records, fingerprinting each object's
-            // allocation site. Only the (small) chain table is held in
-            // memory, plus one u64 per object.
-            let mut extractor = SiteExtractor::from_chains(mapped.chain_table(), *site_config);
-            let mut sites = Vec::new();
-            for record in mapped.records().map_err(|e| file_err(path, e))? {
-                let record = record.map_err(|e| file_err(path, e))?;
-                sites.push(extractor.site_of(&record).fingerprint());
-            }
-            // Pass 2: stream the event chunks through the allocator,
-            // with the learner predicting and correcting as they go by.
-            let chunks = mapped.events();
-            let online = match &obs {
-                Some(obs) => {
-                    replay_arena_online_chunks_observed(&meta, chunks, &sites, epoch, config, obs)
-                }
-                None => replay_arena_online_chunks(&meta, chunks, &sites, epoch, config),
-            }
-            .map_err(|e| replay_err(path, e))?;
-            if let Some(registry) = &registry {
-                online.learner.export(registry);
-            }
-            Ok(SimOutput {
-                report: online.replay,
-                learner: Some(online.learner),
-                metrics: registry.map(|r| r.snapshot()),
-            })
-        }
-        SimPredictor::Db(db) => {
-            // Pass 1: walk the records, predicting each object from
-            // its allocation site. Only the (small) chain table is held
-            // in memory, plus one bit per object.
-            let mut extractor = SiteExtractor::from_chains(mapped.chain_table(), *db.config());
-            let mut predicted = Vec::new();
-            for record in mapped.records().map_err(|e| file_err(path, e))? {
-                let record = record.map_err(|e| file_err(path, e))?;
-                predicted.push(db.predicts(&extractor.site_of(&record)));
-            }
-            // Pass 2: stream the event chunks through the allocator.
-            let chunks = mapped.events();
-            let report = match &obs {
-                Some(obs) => replay_arena_chunks_observed(&meta, chunks, &predicted, config, obs),
-                None => replay_arena_chunks(&meta, chunks, &predicted, config),
-            }
-            .map_err(|e| replay_err(path, e))?;
-            Ok(SimOutput {
-                report,
-                learner: None,
-                metrics: registry.map(|r| r.snapshot()),
-            })
-        }
-        SimPredictor::None => {
-            let chunks = mapped.events();
-            let report = if allocator == "bsd" {
-                match &obs {
-                    Some(obs) => replay_bsd_chunks_observed(&meta, chunks, config, obs),
-                    None => replay_bsd_chunks(&meta, chunks, config),
-                }
-            } else {
-                match &obs {
-                    Some(obs) => replay_firstfit_chunks_observed(&meta, chunks, config, obs),
-                    None => replay_firstfit_chunks(&meta, chunks, config),
-                }
-            }
-            .map_err(|e| replay_err(path, e))?;
-            Ok(SimOutput {
-                report,
-                learner: None,
-                metrics: registry.map(|r| r.snapshot()),
-            })
-        }
-    }
-}
-
 fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let mut paths: Vec<String> = Vec::new();
     let mut predictor = None;
@@ -818,41 +681,43 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     if paths.is_empty() {
         return Err("simulate: at least one trace file is required".to_owned());
     }
-    let config = ReplayConfig::default();
-    let predictor = if predictor.as_deref() == Some("online") {
-        if allocator != "arena" {
+    // Resolved once, then shared read-only by every parallel job.
+    let db;
+    let backend = match (allocator.as_str(), predictor.as_deref()) {
+        (other, Some("online")) if other != "arena" => {
             return Err("simulate: --predictor online requires the arena allocator".to_owned());
         }
-        let epoch = EpochConfig {
-            threshold,
-            epoch_bytes: epoch_bytes.unwrap_or(2 * threshold),
-            requalify_epochs: requalify,
-            ..EpochConfig::default()
-        };
-        epoch.validate().map_err(|e| format!("simulate: {e}"))?;
-        SimPredictor::Online {
-            sites: SiteConfig {
-                policy,
-                size_rounding: rounding,
-            },
-            epoch,
+        ("arena", Some("online")) => {
+            let epoch = EpochConfig {
+                threshold,
+                epoch_bytes: epoch_bytes.unwrap_or(2 * threshold),
+                requalify_epochs: requalify,
+                ..EpochConfig::default()
+            };
+            epoch.validate().map_err(|e| format!("simulate: {e}"))?;
+            SimBackend::ArenaOnline {
+                sites: SiteConfig {
+                    policy,
+                    size_rounding: rounding,
+                },
+                epoch,
+            }
         }
-    } else {
-        match allocator.as_str() {
-            "arena" => {
-                let pred_path = predictor.ok_or("simulate: --predictor is required for arena")?;
-                let json =
-                    std::fs::read_to_string(&pred_path).map_err(|e| file_err(&pred_path, e))?;
-                SimPredictor::Db(
-                    ShortLivedSet::from_json(&json).map_err(|e| file_err(&pred_path, e))?,
-                )
-            }
-            "first-fit" | "firstfit" | "bsd" => SimPredictor::None,
-            other => {
-                return Err(format!(
-                    "unknown allocator {other:?} (expected arena, first-fit or bsd)"
-                ))
-            }
+        ("arena", Some(pred_path)) => {
+            let json = std::fs::read_to_string(pred_path).map_err(|e| file_err(pred_path, e))?;
+            db = ShortLivedSet::from_json(&json).map_err(|e| file_err(pred_path, e))?;
+            SimBackend::Arena(&db)
+        }
+        ("arena", None) => return Err("simulate: --predictor is required for arena".to_owned()),
+        ("first-fit" | "firstfit" | "bsd", Some(_)) => {
+            return Err("simulate: --predictor is only used by the arena allocator".to_owned());
+        }
+        ("first-fit" | "firstfit", None) => SimBackend::FirstFit,
+        ("bsd", None) => SimBackend::Bsd,
+        (other, _) => {
+            return Err(format!(
+                "unknown allocator {other:?} (expected arena, first-fit or bsd)"
+            ))
         }
     };
     // Refuse a doomed run up front: if the metrics dump would clobber
@@ -864,7 +729,7 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     // order, so the printed reports match a sequential run exactly.
     let want_metrics = metrics_out.is_some();
     let outcomes = lifepred_bench::run_jobs(paths, jobs, |_, path| {
-        simulate_one(&path, &allocator, &predictor, &config, want_metrics)
+        simulate_file(&path, &backend, ArenaConfig::default(), want_metrics)
     });
     let mut results = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {

@@ -244,6 +244,23 @@ fn online_simulation_needs_no_predictor_file() {
         "bsd"
     ])
     .is_err());
+    // Nor does a non-predicting allocator take a database: the flag
+    // would be silently ignored, so it is refused.
+    for allocator in ["bsd", "first-fit"] {
+        let err = run(&[
+            "simulate",
+            &trace,
+            "--allocator",
+            allocator,
+            "--predictor",
+            "pred.json",
+        ])
+        .expect_err("contradictory flags");
+        assert!(
+            err.contains("--predictor is only used by the arena allocator"),
+            "{err}"
+        );
+    }
 }
 
 #[test]

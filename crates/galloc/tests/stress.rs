@@ -10,17 +10,12 @@
 //! throughout; both counters are monotonic and process-wide, so the
 //! asserts are sound even with tests running concurrently.
 
-use lifepred_galloc::LifepredGlobal;
+mod common;
+
+use common::{assert_clean, ensure_active, Block};
 use std::alloc::{alloc, dealloc, realloc, Layout};
 use std::sync::mpsc;
 use std::thread;
-
-#[global_allocator]
-static GLOBAL: LifepredGlobal = LifepredGlobal::new();
-
-fn ensure_active() {
-    lifepred_galloc::activate().expect("default geometry");
-}
 
 /// Deterministic xorshift so storms are reproducible.
 struct Rng(u64);
@@ -32,62 +27,6 @@ impl Rng {
         self.0 ^= self.0 << 17;
         self.0
     }
-}
-
-/// A raw block plus the canary discipline: filled on alloc, checked
-/// on free.
-struct Block {
-    ptr: *mut u8,
-    layout: Layout,
-}
-
-// SAFETY: a Block is an exclusively-owned allocation; moving it
-// between threads is exactly the cross-thread traffic under test.
-unsafe impl Send for Block {}
-
-impl Block {
-    fn new(size: usize, align: usize) -> Block {
-        let layout = Layout::from_size_align(size, align).unwrap();
-        // SAFETY: layout has non-zero size by construction below.
-        let ptr = unsafe { alloc(layout) };
-        assert!(!ptr.is_null(), "allocation failed for {layout:?}");
-        let canary = Self::canary(ptr);
-        for i in 0..size {
-            // SAFETY: ptr points to `size` writable bytes.
-            unsafe { ptr.add(i).write(canary.wrapping_add(i as u8)) };
-        }
-        Block { ptr, layout }
-    }
-
-    fn canary(ptr: *mut u8) -> u8 {
-        let a = ptr as usize;
-        (a ^ (a >> 8) ^ (a >> 16)) as u8 | 1
-    }
-
-    fn verify_and_free(self) {
-        let canary = Self::canary(self.ptr);
-        for i in 0..self.layout.size() {
-            // SAFETY: the block is still live; ptr points to
-            // layout.size() initialized bytes.
-            let got = unsafe { self.ptr.add(i).read() };
-            assert_eq!(
-                got,
-                canary.wrapping_add(i as u8),
-                "canary mismatch at byte {i} of {:?} ({:?})",
-                self.ptr,
-                self.layout
-            );
-        }
-        // SAFETY: ptr was returned by alloc with this layout and is
-        // freed exactly once (self is consumed).
-        unsafe { dealloc(self.ptr, self.layout) };
-    }
-}
-
-fn assert_clean() {
-    let stats = lifepred_galloc::stats();
-    assert_eq!(stats.short_free_underflows, 0, "double free detected");
-    assert_eq!(stats.wild_frees, 0, "free into a dead segment");
 }
 
 /// Allocation storm: many threads, random sizes spanning every class
@@ -323,54 +262,5 @@ fn alloc_zeroed_is_zero() {
         // SAFETY: freed exactly once with its layout.
         unsafe { dealloc(ptr, layout) };
     }
-    assert_clean();
-}
-
-/// Leak accounting on a quiescent slice of traffic: a full
-/// alloc/free cycle of N blocks moves the alloc and free totals by
-/// the same amount.
-#[test]
-fn storm_balances_allocs_and_frees() {
-    ensure_active();
-    // Drain this thread's counter batch so before/after deltas are
-    // visible: cross the clock-flush threshold deliberately.
-    let flush = || {
-        for _ in 0..64 {
-            Block::new(1024, 8).verify_and_free();
-        }
-    };
-    flush();
-    let before = lifepred_galloc::stats();
-    // Rolling window of 256 live blocks so the live set stays well
-    // inside the reserved area even with one shard (the area-pressure
-    // fallback is exercised elsewhere; here every alloc must stay on
-    // the class path for the balance check to be exact).
-    let mut window: Vec<Block> = Vec::new();
-    for i in 0..4_096 {
-        window.push(Block::new(i % 2048 + 1, 8));
-        if window.len() > 256 {
-            window.remove(0).verify_and_free();
-        }
-    }
-    for b in window.drain(..) {
-        b.verify_and_free();
-    }
-    flush();
-    let after = lifepred_galloc::stats();
-    let allocated = after.small_allocs - before.small_allocs;
-    let freed = after.small_frees() - before.small_frees();
-    assert!(
-        allocated >= 4_096,
-        "expected ≥4096 small allocs, saw {allocated}"
-    );
-    // Other tests may run concurrently; the invariant that survives
-    // interleaving is that nothing we freed went missing: frees keep
-    // pace with allocs to within the transit buffers (magazines are
-    // bounded at 32 blocks x 16 classes per live thread).
-    let in_transit = 32 * 16 * 16;
-    assert!(
-        freed + in_transit >= allocated,
-        "freed {freed} lags allocated {allocated} beyond bounded caches"
-    );
     assert_clean();
 }

@@ -16,9 +16,13 @@
 //!
 //! Allocators operate on a synthetic address space — no real memory is
 //! touched — so heap sizes, fragmentation and operation counts are
-//! exactly reproducible. The `replay_*` functions drive a whole
-//! [`Trace`](lifepred_trace::Trace) through an allocator and produce
-//! the numbers behind Tables 7 and 8; the cost functions
+//! exactly reproducible. [`replay`] drives any source of event
+//! batches — a whole [`Trace`](lifepred_trace::Trace), the chunk
+//! decoder of a trace file — through the allocator a [`ReplayPlan`]
+//! names, optionally recording `lifepred_sim_*` metrics into a
+//! [`ReplayObs`], and produces the numbers behind Tables 7 and 8
+//! ([`replay_firstfit`] & co. are its shorthands for an in-memory
+//! trace); the cost functions
 //! ([`firstfit_costs`], [`bsd_costs`], [`arena_costs`]) convert
 //! operation counts into the per-operation instruction estimates of
 //! Table 9.
@@ -47,6 +51,7 @@ mod counts;
 mod firstfit;
 mod index;
 mod obs;
+mod predict;
 pub mod reference;
 mod replay;
 
@@ -58,14 +63,15 @@ pub use firstfit::FirstFit;
 pub use index::IndexStats;
 pub use obs::ReplayObs;
 pub use replay::{
-    prediction_bitmap, replay_arena, replay_arena_chunks, replay_arena_chunks_observed,
-    replay_arena_online, replay_arena_online_chunks, replay_arena_online_chunks_observed,
-    replay_arena_online_stream, replay_arena_online_stream_observed, replay_arena_stream,
-    replay_arena_stream_observed, replay_bsd, replay_bsd_chunks, replay_bsd_chunks_observed,
-    replay_bsd_stream, replay_bsd_stream_observed, replay_firstfit, replay_firstfit_chunks,
-    replay_firstfit_chunks_observed, replay_firstfit_stream, replay_firstfit_stream_observed,
-    site_fingerprints, OnlineReplayReport, ReplayConfig, ReplayEvent, ReplayMeta, ReplayReport,
-    ReplayStreamError,
+    prediction_bitmap, replay, replay_arena, replay_arena_online, replay_bsd, replay_firstfit,
+    site_fingerprints, OnlineReplayReport, ReplayConfig, ReplayMeta, ReplayPlan, ReplayReport,
+    ReplayStreamError, Replayed,
+};
+// Linked only by the frozen `benchmark/src/layers.rs`; see `replay.rs`.
+#[doc(hidden)]
+pub use replay::{
+    replay_arena_chunks, replay_arena_online_chunks, replay_bsd_chunks, replay_firstfit_chunks,
+    replay_firstfit_chunks_observed,
 };
 
 /// A simulated heap address (bytes from the bottom of the simulated

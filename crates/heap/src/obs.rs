@@ -1,16 +1,19 @@
 //! Observability wiring for trace-driven replays.
 //!
 //! [`ReplayObs`] bundles the `lifepred_sim_*` metric handles an
-//! observed replay (`replay_*_stream_observed`) records into: event
-//! counters, the object-size and lifetime histograms (lifetimes in
-//! allocated bytes, the paper's clock), the per-event wall-time
-//! histogram (empty unless `lifepred-obs` is built with its `timing`
-//! feature), and — for the online replay — one epoch-timeline sample
-//! per learner tick.
+//! observed replay ([`replay`](crate::replay) given `Some(obs)`)
+//! records into: event counters, the object-size and lifetime
+//! histograms (lifetimes in allocated bytes, the paper's clock), the
+//! per-event wall-time histogram (empty unless `lifepred-obs` is built
+//! with its `timing` feature), and — for the online replay — one
+//! epoch-timeline sample per learner tick. [`Observe`] is the seam the
+//! replay loop records through: [`ObsCtx`] when someone is watching,
+//! the zero-sized [`Unobserved`] when nobody is.
 
 use crate::index::IndexStats;
 use lifepred_obs::{
-    Counter, EpochTimeline, HistogramSnapshot, LogHistogram, Registry, Timer, TIMING_ENABLED,
+    Counter, EpochSample, EpochTimeline, HistogramSnapshot, LogHistogram, Registry, Timer,
+    TIMING_ENABLED,
 };
 use std::sync::Arc;
 
@@ -70,19 +73,67 @@ impl ReplayObs {
     }
 }
 
+/// What the replay loop tells whoever is watching it. The per-event
+/// stopwatch belongs to the observer: its reading is the associated
+/// [`Observe::Stamp`], so a replay nobody watches never reads a clock.
+pub(crate) trait Observe {
+    /// Whether anything is recorded. Gates what only an observed
+    /// replay does at all: epoch sampling and the flush (and their
+    /// flight events).
+    const ACTIVE: bool;
+
+    /// A stopwatch reading taken before an event is replayed.
+    type Stamp;
+
+    /// Reads the stopwatch.
+    fn stamp() -> Self::Stamp;
+
+    /// Records one allocation event; `arena` says whether the simulated
+    /// allocator served it from its arena area.
+    fn on_alloc(&mut self, record: usize, size: u32, arena: bool, stamp: Self::Stamp);
+
+    /// Records one free event.
+    fn on_free(&mut self, record: usize, stamp: Self::Stamp);
+
+    /// Records the online learner's state at an epoch boundary.
+    fn on_epoch(&mut self, sample: EpochSample);
+
+    /// The event stream ended: takes the simulated heap's end-of-run
+    /// work counters and the number of event batches consumed, and
+    /// publishes everything recorded.
+    fn flush(self, index: IndexStats, frees_invalid: u64, batch_refills: u64);
+}
+
+/// The observer of a replay nobody watches: zero-sized, its stamp is
+/// `()`, and every call monomorphises to nothing.
+#[derive(Debug)]
+pub(crate) struct Unobserved;
+
+impl Observe for Unobserved {
+    const ACTIVE: bool = false;
+    type Stamp = ();
+
+    fn stamp() {}
+    fn on_alloc(&mut self, _record: usize, _size: u32, _arena: bool, _stamp: ()) {}
+    fn on_free(&mut self, _record: usize, _stamp: ()) {}
+    fn on_epoch(&mut self, _sample: EpochSample) {}
+    fn flush(self, _index: IndexStats, _frees_invalid: u64, _batch_refills: u64) {}
+}
+
 /// Per-run recording state for one observed replay.
 ///
 /// A replay is single-threaded and owns its `ObsCtx` exclusively, so
 /// per-event recording goes into **plain local fields** — no atomics,
 /// no TLS, no shared cache lines on the event loop — and the whole
 /// batch is published into the shared [`ReplayObs`] handles once, by
-/// [`ObsCtx::flush`] at end of stream. Final registry values are
+/// [`Observe::flush`] at end of stream. Final registry values are
 /// identical to per-event publication; the per-event cost is a handful
 /// of arithmetic ops plus one birth-clock store/load for exact
-/// lifetimes, a few percent of replay throughput in the recorded
-/// `results/BENCH_obs.json` measurement. Epoch-timeline samples are
-/// the exception: they are rare (one per epoch) and pushed live via
-/// [`ObsCtx::obs`].
+/// lifetimes (and one clock read per event where `lifepred-obs` is
+/// built with `timing`), a few percent of replay throughput in the
+/// recorded `results/BENCH_obs.json` measurement. Epoch-timeline
+/// samples are the exception: they are rare (one per epoch) and pushed
+/// live.
 #[derive(Debug)]
 pub(crate) struct ObsCtx<'a> {
     obs: &'a ReplayObs,
@@ -101,21 +152,14 @@ pub(crate) struct ObsCtx<'a> {
     sizes: HistogramSnapshot,
     lifetimes: HistogramSnapshot,
     event_ns: HistogramSnapshot,
-    /// End-of-run heap counters, set once by
-    /// [`ObsCtx::set_heap_stats`] before the flush.
-    index: IndexStats,
-    frees_invalid: u64,
-    batch_refills: u64,
 }
 
 impl<'a> ObsCtx<'a> {
-    pub(crate) fn new(obs: &'a ReplayObs) -> ObsCtx<'a> {
-        ObsCtx::with_records_hint(obs, 0)
-    }
-
-    /// Like [`ObsCtx::new`], pre-sizing the birth table for `records`
-    /// objects so the event loop never pays a grow check.
-    pub(crate) fn with_records_hint(obs: &'a ReplayObs, records: usize) -> ObsCtx<'a> {
+    /// Recording state for one replay into `obs`, its birth table
+    /// pre-sized for `records` objects (0 = unknown, grow on demand) so
+    /// the event loop of a replay that knows its object count never
+    /// pays a grow check.
+    pub(crate) fn new(obs: &'a ReplayObs, records: usize) -> ObsCtx<'a> {
         ObsCtx {
             obs,
             births: vec![0; records],
@@ -124,16 +168,21 @@ impl<'a> ObsCtx<'a> {
             sizes: HistogramSnapshot::empty(),
             lifetimes: HistogramSnapshot::empty(),
             event_ns: HistogramSnapshot::empty(),
-            index: IndexStats::default(),
-            frees_invalid: 0,
-            batch_refills: 0,
         }
     }
+}
 
-    /// Records one allocation event; `arena` says whether the simulated
-    /// allocator served it from its arena area.
+impl Observe for ObsCtx<'_> {
+    const ACTIVE: bool = true;
+    type Stamp = Timer;
+
     #[inline]
-    pub(crate) fn on_alloc(&mut self, record: usize, size: u32, arena: bool, timer: Timer) {
+    fn stamp() -> Timer {
+        Timer::start()
+    }
+
+    #[inline]
+    fn on_alloc(&mut self, record: usize, size: u32, arena: bool, timer: Timer) {
         if !arena {
             self.general_allocs += 1;
         }
@@ -147,9 +196,9 @@ impl<'a> ObsCtx<'a> {
         }
     }
 
-    /// Records one free event, emitting the object's byte lifetime.
+    /// Emits the object's byte lifetime.
     #[inline]
-    pub(crate) fn on_free(&mut self, record: usize, timer: Timer) {
+    fn on_free(&mut self, record: usize, timer: Timer) {
         if let Some(&birth) = self.births.get(record) {
             self.lifetimes.record(self.sizes.sum.wrapping_sub(birth));
         } else {
@@ -160,25 +209,11 @@ impl<'a> ObsCtx<'a> {
         }
     }
 
-    pub(crate) fn obs(&self) -> &ReplayObs {
-        self.obs
+    fn on_epoch(&mut self, sample: EpochSample) {
+        self.obs.timeline.push(sample);
     }
 
-    /// Records the simulated heap's end-of-run work counters: the
-    /// free-index statistics and the invalid-free count.
-    pub(crate) fn set_heap_stats(&mut self, index: IndexStats, frees_invalid: u64) {
-        self.index = index;
-        self.frees_invalid = frees_invalid;
-    }
-
-    /// Records how many event batches the replay loop consumed.
-    pub(crate) fn set_batch_refills(&mut self, refills: u64) {
-        self.batch_refills = refills;
-    }
-
-    /// Publishes the locally accumulated batch into the shared metric
-    /// handles. Call exactly once, when the event stream ends.
-    pub(crate) fn flush(self) {
+    fn flush(self, index: IndexStats, frees_invalid: u64, batch_refills: u64) {
         self.obs.allocs_total.add(self.sizes.count);
         self.obs
             .arena_allocs_total
@@ -189,12 +224,10 @@ impl<'a> ObsCtx<'a> {
         self.obs.size_bytes.absorb(&self.sizes);
         self.obs.lifetime_bytes.absorb(&self.lifetimes);
         self.obs.event_ns.absorb(&self.event_ns);
-        self.obs.index_bin_hits_total.add(self.index.bin_hits);
-        self.obs
-            .index_bitmap_scans_total
-            .add(self.index.bitmap_scans);
-        self.obs.batch_refills_total.add(self.batch_refills);
-        self.obs.frees_invalid_total.add(self.frees_invalid);
+        self.obs.index_bin_hits_total.add(index.bin_hits);
+        self.obs.index_bitmap_scans_total.add(index.bitmap_scans);
+        self.obs.batch_refills_total.add(batch_refills);
+        self.obs.frees_invalid_total.add(frees_invalid);
     }
 }
 
@@ -206,7 +239,7 @@ mod tests {
     fn lifetimes_are_measured_in_allocation_bytes() {
         let reg = Registry::new();
         let obs = ReplayObs::register(&reg);
-        let mut ctx = ObsCtx::new(&obs);
+        let mut ctx = ObsCtx::new(&obs, 0);
         // Object 0 born at clock 0, object 1 at clock 100; freeing 0
         // after both lands a lifetime of 100 + 50 = 150 bytes.
         ctx.on_alloc(0, 100, true, Timer::start());
@@ -214,7 +247,7 @@ mod tests {
         ctx.on_free(0, Timer::start());
         // Nothing is shared until the batch is flushed.
         assert_eq!(reg.snapshot().counter("lifepred_sim_allocs_total"), Some(0));
-        ctx.flush();
+        ctx.flush(IndexStats::default(), 0, 1);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("lifepred_sim_allocs_total"), Some(2));
         assert_eq!(snap.counter("lifepred_sim_arena_allocs_total"), Some(1));
@@ -224,5 +257,13 @@ mod tests {
         assert_eq!(lifetimes.sum, 150);
         let sizes = snap.histogram("lifepred_sim_size_bytes").expect("hist");
         assert_eq!(sizes.sum, 150);
+    }
+
+    #[test]
+    fn the_unobserved_observer_is_zero_sized_and_starts_no_timer() {
+        assert_eq!(std::mem::size_of::<Unobserved>(), 0);
+        // Its stamp is `()`: there is no clock reading to carry.
+        assert_eq!(std::mem::size_of::<<Unobserved as Observe>::Stamp>(), 0);
+        let () = Unobserved::stamp();
     }
 }

@@ -1,62 +1,88 @@
 //! Trace-driven simulation: replaying traces through the allocators.
 //!
-//! Three entry points per allocator:
+//! The paper evaluates lifetime prediction by one procedure —
+//! trace-driven simulation with the allocator and the predictor as the
+//! only variables — and so does this module: [`replay`] pulls
+//! structure-of-arrays event batches from any [`ChunkSource`] (an
+//! in-memory [`Trace`], the mapped chunk decoder of an `.lpt` file) and
+//! runs them through the one loop, `drive`, with the backend a
+//! [`ReplayPlan`] names. A new allocator is one `SimHeap` impl, a new
+//! predictor one `Predict` impl; watching a replay (`Some(obs)`) swaps
+//! the loop's `Observe` parameter and nothing else, so observed and
+//! unobserved replays return identical reports.
 //!
-//! * the [`Trace`]-based functions ([`replay_firstfit`] & co.) take a
-//!   fully materialized trace,
-//! * the `_chunks` variants ([`replay_firstfit_chunks`] & co.) take
-//!   any [`ChunkSource`] of structure-of-arrays event batches — e.g.
-//!   the slab-buffered chunk decoder of an `.lpt` trace file — and
-//!   are the hot path every other entry point funnels into, and
-//! * the `_stream` variants take any fallible iterator of
-//!   [`ReplayEvent`]s, batching it internally.
-//!
-//! All paths produce bit-identical [`ReplayReport`]s for the same
-//! event sequence; the chunked core merely removes per-event dispatch
-//! (enum construction, `Result` wraps, iterator-adaptor calls) from
-//! the loop.
+//! [`replay_firstfit`], [`replay_bsd`], [`replay_arena`] and
+//! [`replay_arena_online`] are conveniences over [`replay`] for a
+//! materialized [`Trace`].
 
 use crate::arena::{ArenaAllocator, ArenaConfig};
 use crate::bsd::BsdMalloc;
 use crate::counts::OpCounts;
 use crate::firstfit::FirstFit;
-use crate::obs::{ObsCtx, ReplayObs};
+use crate::index::IndexStats;
+use crate::obs::{ObsCtx, Observe, ReplayObs, Unobserved};
+use crate::predict::{NoPrediction, Online, Predict};
 use crate::Addr;
-use lifepred_adaptive::{EpochConfig, LearnerStats, OnlineLearner};
+use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_core::{ShortLivedSet, SiteConfig, SiteExtractor};
-use lifepred_obs::{EpochSample, Timer};
+use lifepred_flight::catalog;
 use lifepred_trace::{
-    ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
+    ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, POOLED_CHUNK_EVENTS,
 };
-use std::collections::VecDeque;
-use std::convert::Infallible;
 use std::fmt;
 
-/// Configuration for a replay run.
+/// Configuration of the [`Trace`]-based convenience replays.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayConfig {
-    /// Arena geometry for [`replay_arena`].
+    /// Arena geometry for [`replay_arena`] and [`replay_arena_online`].
     pub arena: ArenaConfig,
 }
 
-/// One allocator demand in a replayable event stream.
+/// Which simulated allocator a [`replay`] runs, and where its lifetime
+/// predictions come from.
 ///
-/// `record` is the object's birth-order index — the index its
+/// Per-object inputs are indexed by `record`, the object's birth-order
+/// index — the index its
 /// [`AllocationRecord`](lifepred_trace::AllocationRecord) has in
 /// [`Trace::records`] — which keys all per-object replay state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayEvent {
-    /// Object `record` is allocated with `size` bytes.
-    Alloc {
-        /// Birth-order record index.
-        record: usize,
-        /// Requested size in bytes.
-        size: u32,
+#[derive(Debug, Clone, Copy)]
+pub enum ReplayPlan<'a> {
+    /// Knuth's first-fit (the paper's baseline for Table 8); predicts
+    /// nothing.
+    FirstFit,
+    /// The 4.2BSD bucket allocator (the Table 9 CPU baseline);
+    /// predicts nothing.
+    Bsd,
+    /// The lifetime-predicting arena allocator with a frozen,
+    /// offline-trained prediction per object — the simulation behind
+    /// Tables 7 and 8.
+    Arena {
+        /// `predicted[record]` says whether the predictor marked that
+        /// object short-lived (the hash-table lookup the deployed
+        /// allocator would perform at each allocation); see
+        /// [`prediction_bitmap`].
+        predicted: &'a [bool],
+        /// Arena-area geometry.
+        arena: ArenaConfig,
     },
-    /// Object `record` is freed.
-    Free {
-        /// Birth-order record index.
-        record: usize,
+    /// The arena allocator with **no offline training**: an
+    /// [`OnlineLearner`](lifepred_adaptive::OnlineLearner) decides
+    /// every prediction as the trace runs and keeps correcting itself
+    /// from the lifetimes it observes.
+    ///
+    /// A predicted-short object still live after `epoch.threshold`
+    /// bytes of allocation pins its arena; the replay reports it to the
+    /// learner at that moment (an aging queue, mirroring the runtime
+    /// allocator's epoch scan), demoting its site long before the free
+    /// arrives.
+    ArenaOnline {
+        /// `sites[record]` is the fingerprint of that object's
+        /// allocation site; see [`site_fingerprints`].
+        sites: &'a [u64],
+        /// The learner's thresholds and epoch length.
+        epoch: EpochConfig,
+        /// Arena-area geometry.
+        arena: ArenaConfig,
     },
 }
 
@@ -80,7 +106,7 @@ impl ReplayMeta {
     }
 }
 
-/// Why a streaming replay stopped early.
+/// Why a replay stopped early.
 #[derive(Debug)]
 pub enum ReplayStreamError<E> {
     /// The event source itself failed (e.g. a corrupt trace file).
@@ -100,6 +126,16 @@ impl<E: fmt::Display> fmt::Display for ReplayStreamError<E> {
 }
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for ReplayStreamError<E> {}
+
+/// An event sequence that is not a valid alloc/free history; becomes
+/// [`ReplayStreamError::Corrupt`] whatever the source's error type.
+pub(crate) struct Corrupt(pub(crate) String);
+
+impl<E> From<Corrupt> for ReplayStreamError<E> {
+    fn from(corrupt: Corrupt) -> Self {
+        ReplayStreamError::Corrupt(corrupt.0)
+    }
+}
 
 /// Results of replaying one trace through one allocator — the raw
 /// material for Tables 7, 8 and 9.
@@ -149,7 +185,7 @@ impl ReplayReport {
     }
 }
 
-fn pct(num: u64, den: u64) -> f64 {
+pub(crate) fn pct(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {
@@ -171,7 +207,7 @@ struct SlotTable {
 }
 
 impl SlotTable {
-    fn born<E>(&mut self, record: usize, addr: Addr) -> Result<(), ReplayStreamError<E>> {
+    fn born(&mut self, record: usize, addr: Addr) -> Result<(), Corrupt> {
         if record >= self.slots.len() {
             self.slots.resize(record + 1, Slot::Unborn);
         }
@@ -180,419 +216,179 @@ impl SlotTable {
                 self.slots[record] = Slot::Live(addr);
                 Ok(())
             }
-            _ => Err(ReplayStreamError::Corrupt(format!(
-                "object {record} allocated twice"
-            ))),
+            _ => Err(Corrupt(format!("object {record} allocated twice"))),
         }
     }
 
-    fn died<E>(&mut self, record: usize) -> Result<Addr, ReplayStreamError<E>> {
+    fn died(&mut self, record: usize) -> Result<Addr, Corrupt> {
         match self.slots.get(record) {
             Some(&Slot::Live(addr)) => {
                 self.slots[record] = Slot::Dead;
                 Ok(addr)
             }
-            _ => Err(ReplayStreamError::Corrupt(format!(
-                "free before alloc of object {record}"
-            ))),
+            _ => Err(Corrupt(format!("free before alloc of object {record}"))),
         }
     }
 }
 
-/// Adapts any fallible [`ReplayEvent`] iterator into a [`ChunkSource`]
-/// so the iterator-based `_stream` entry points share the batched
-/// replay core.
-struct IterChunks<I, E> {
-    iter: I,
-    /// An error met mid-batch; delivered on the *next* refill so the
-    /// events decoded before it are still replayed first (matching the
-    /// per-event streaming order exactly).
-    pending: Option<E>,
+/// A simulated allocator the replay loop can drive.
+trait SimHeap {
+    /// Allocates `size` bytes. `short` is the predictor's verdict; the
+    /// non-predicting allocators ignore it.
+    fn place(&mut self, size: u32, short: bool) -> Addr;
+    /// Frees a live allocation.
+    fn release(&mut self, addr: Addr);
+    /// Whether `addr` lies in an arena area.
+    fn in_arena(&self, _addr: Addr) -> bool {
+        false
+    }
+    fn high_water_bytes(&self) -> u64;
+    fn op_counts(&self) -> OpCounts;
+    /// Work counters of the first-fit free index inside, if there is
+    /// one (the BSD heap has none).
+    fn index_stats(&self) -> IndexStats {
+        IndexStats::default()
+    }
 }
 
-impl<I, E> IterChunks<I, E> {
-    fn new(iter: I) -> IterChunks<I, E> {
-        IterChunks {
-            iter,
-            pending: None,
+impl SimHeap for FirstFit {
+    fn place(&mut self, size: u32, _short: bool) -> Addr {
+        self.alloc(size)
+    }
+    fn release(&mut self, addr: Addr) {
+        self.free(addr);
+    }
+    fn high_water_bytes(&self) -> u64 {
+        self.max_heap_bytes()
+    }
+    fn op_counts(&self) -> OpCounts {
+        *self.counts()
+    }
+    fn index_stats(&self) -> IndexStats {
+        FirstFit::index_stats(self)
+    }
+}
+
+impl SimHeap for BsdMalloc {
+    fn place(&mut self, size: u32, _short: bool) -> Addr {
+        self.alloc(size)
+    }
+    fn release(&mut self, addr: Addr) {
+        self.free(addr);
+    }
+    fn high_water_bytes(&self) -> u64 {
+        self.max_heap_bytes()
+    }
+    fn op_counts(&self) -> OpCounts {
+        *self.counts()
+    }
+}
+
+impl SimHeap for ArenaAllocator {
+    fn place(&mut self, size: u32, short: bool) -> Addr {
+        self.alloc(size, short)
+    }
+    fn release(&mut self, addr: Addr) {
+        self.free(addr);
+    }
+    fn in_arena(&self, addr: Addr) -> bool {
+        self.is_arena_addr(addr)
+    }
+    fn high_water_bytes(&self) -> u64 {
+        self.max_heap_bytes()
+    }
+    fn op_counts(&self) -> OpCounts {
+        self.counts()
+    }
+    fn index_stats(&self) -> IndexStats {
+        self.general_heap().index_stats()
+    }
+}
+
+/// What a replay returns: the allocator-level report, plus the
+/// learner's counters when the plan had a learner in the loop.
+pub type Replayed = (ReplayReport, Option<LearnerStats>);
+
+/// Replays the event batches of `source` through the allocator `plan`
+/// names. With `Some(obs)` every event is additionally recorded into
+/// the `lifepred_sim_*` metrics of `obs` — including, for
+/// [`ReplayPlan::ArenaOnline`], one `lifepred_sim_epochs` timeline
+/// sample per learner epoch tick; the returned report is the same
+/// either way.
+///
+/// # Errors
+///
+/// [`ReplayStreamError::Source`] if the source fails (the batches
+/// before the failure are replayed first); [`ReplayStreamError::Corrupt`]
+/// on a double alloc, a free of an object that is not live, or an
+/// allocation whose record index has no entry in the plan's
+/// `predicted`/`sites`.
+pub fn replay<S: ChunkSource>(
+    meta: &ReplayMeta,
+    source: S,
+    plan: &ReplayPlan<'_>,
+    obs: Option<&ReplayObs>,
+) -> Result<Replayed, ReplayStreamError<S::Error>> {
+    match obs {
+        Some(obs) => {
+            let records = match *plan {
+                ReplayPlan::FirstFit | ReplayPlan::Bsd => 0,
+                ReplayPlan::Arena { predicted, .. } => predicted.len(),
+                ReplayPlan::ArenaOnline { sites, .. } => sites.len(),
+            };
+            replay_with(meta, source, plan, ObsCtx::new(obs, records))
+        }
+        None => replay_with(meta, source, plan, Unobserved),
+    }
+}
+
+fn replay_with<S: ChunkSource, O: Observe>(
+    meta: &ReplayMeta,
+    source: S,
+    plan: &ReplayPlan<'_>,
+    observer: O,
+) -> Result<Replayed, ReplayStreamError<S::Error>> {
+    match *plan {
+        ReplayPlan::FirstFit => {
+            let heap = FirstFit::new();
+            drive(meta, source, "first-fit", heap, NoPrediction, observer)
+        }
+        ReplayPlan::Bsd => {
+            let heap = BsdMalloc::new();
+            drive(meta, source, "bsd", heap, NoPrediction, observer)
+        }
+        ReplayPlan::Arena { predicted, arena } => {
+            let heap = ArenaAllocator::new(arena);
+            drive(meta, source, "arena", heap, predicted, observer)
+        }
+        ReplayPlan::ArenaOnline {
+            sites,
+            epoch,
+            arena,
+        } => {
+            let heap = ArenaAllocator::new(arena);
+            let online = Online::new(sites, epoch);
+            drive(meta, source, "arena-online", heap, online, observer)
         }
     }
 }
 
-impl<I, E> ChunkSource for IterChunks<I, E>
+/// The replay loop: pull a batch, look up each event's slot, predict,
+/// place or free, count.
+fn drive<S, H, P, O>(
+    meta: &ReplayMeta,
+    mut source: S,
+    allocator: &str,
+    mut heap: H,
+    mut predictor: P,
+    mut observer: O,
+) -> Result<Replayed, ReplayStreamError<S::Error>>
 where
-    I: Iterator<Item = Result<ReplayEvent, E>>,
+    S: ChunkSource,
+    H: SimHeap,
+    P: Predict<H>,
+    O: Observe,
 {
-    type Error = E;
-
-    fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, E> {
-        chunk.clear();
-        if let Some(e) = self.pending.take() {
-            return Err(e);
-        }
-        while chunk.len() < CHUNK_EVENTS {
-            match self.iter.next() {
-                Some(Ok(ReplayEvent::Alloc { record, size })) => {
-                    chunk.push_alloc(record as u64, size);
-                }
-                Some(Ok(ReplayEvent::Free { record })) => chunk.push_free(record as u64),
-                Some(Err(e)) => {
-                    if chunk.is_empty() {
-                        return Err(e);
-                    }
-                    self.pending = Some(e);
-                    break;
-                }
-                None => break,
-            }
-        }
-        Ok(!chunk.is_empty())
-    }
-}
-
-/// Replays an event stream through the first-fit allocator (the
-/// paper's baseline for Table 8).
-///
-/// # Errors
-///
-/// [`ReplayStreamError::Source`] if the iterator yields an error;
-/// [`ReplayStreamError::Corrupt`] on a double alloc/free or a free of
-/// a never-allocated object.
-pub fn replay_firstfit_stream<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<E>> {
-    firstfit_stream_impl(meta, IterChunks::new(events.into_iter()), config, None)
-}
-
-/// Replays a batched event stream through the first-fit allocator —
-/// the high-throughput path behind [`replay_firstfit_stream`].
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`].
-pub fn replay_firstfit_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    firstfit_stream_impl(meta, source, config, None)
-}
-
-/// [`replay_firstfit_chunks`], additionally recording every event into
-/// the `lifepred_sim_*` metrics of `obs`.
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`].
-pub fn replay_firstfit_chunks_observed<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    firstfit_stream_impl(meta, source, config, Some(ObsCtx::new(obs)))
-}
-
-/// [`replay_firstfit_stream`], additionally recording every event into
-/// the `lifepred_sim_*` metrics of `obs`.
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`].
-pub fn replay_firstfit_stream_observed<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<ReplayReport, ReplayStreamError<E>> {
-    firstfit_stream_impl(
-        meta,
-        IterChunks::new(events.into_iter()),
-        config,
-        Some(ObsCtx::new(obs)),
-    )
-}
-
-fn firstfit_stream_impl<S: ChunkSource>(
-    meta: &ReplayMeta,
-    mut source: S,
-    _config: &ReplayConfig,
-    mut ctx: Option<ObsCtx<'_>>,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    let mut heap = FirstFit::new();
-    let mut slots = SlotTable::default();
-    let (mut total_allocs, mut total_bytes) = (0u64, 0u64);
-    let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
-    let mut refills = 0u64;
-    loop {
-        let decoded = {
-            let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_DECODE);
-            source.next_chunk(&mut chunk)
-        };
-        match decoded {
-            Ok(true) => refills += 1,
-            Ok(false) => break,
-            Err(e) => return Err(ReplayStreamError::Source(e)),
-        }
-        let _place =
-            lifepred_flight::span_arg(lifepred_flight::catalog::REPLAY_PLACE, chunk.len() as u64);
-        for event in chunk.events() {
-            let timer = Timer::start();
-            match event {
-                ChunkEvent::Alloc { record, size } => {
-                    total_allocs += 1;
-                    total_bytes += u64::from(size);
-                    slots.born(record, heap.alloc(size))?;
-                    if let Some(ctx) = ctx.as_mut() {
-                        ctx.on_alloc(record, size, false, timer);
-                    }
-                }
-                ChunkEvent::Free { record } => {
-                    let addr = slots.died(record)?;
-                    heap.free(addr);
-                    if let Some(ctx) = ctx.as_mut() {
-                        ctx.on_free(record, timer);
-                    }
-                }
-            }
-        }
-    }
-    if let Some(mut ctx) = ctx {
-        ctx.set_heap_stats(heap.index_stats(), heap.counts().frees_invalid);
-        ctx.set_batch_refills(refills);
-        let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_OBS_FLUSH);
-        ctx.flush();
-    }
-    Ok(ReplayReport {
-        program: meta.program.clone(),
-        allocator: "first-fit".to_owned(),
-        total_allocs,
-        total_bytes,
-        arena_allocs: 0,
-        arena_bytes: 0,
-        max_heap_bytes: heap.max_heap_bytes(),
-        counts: *heap.counts(),
-        function_calls: meta.function_calls,
-    })
-}
-
-/// Replays an event stream through the BSD bucket allocator (the
-/// Table 9 CPU baseline).
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`].
-pub fn replay_bsd_stream<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<E>> {
-    bsd_stream_impl(meta, IterChunks::new(events.into_iter()), config, None)
-}
-
-/// Replays a batched event stream through the BSD bucket allocator —
-/// the high-throughput path behind [`replay_bsd_stream`].
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`].
-pub fn replay_bsd_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    bsd_stream_impl(meta, source, config, None)
-}
-
-/// [`replay_bsd_chunks`], additionally recording every event into the
-/// `lifepred_sim_*` metrics of `obs`.
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`].
-pub fn replay_bsd_chunks_observed<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    bsd_stream_impl(meta, source, config, Some(ObsCtx::new(obs)))
-}
-
-/// [`replay_bsd_stream`], additionally recording every event into the
-/// `lifepred_sim_*` metrics of `obs`.
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`].
-pub fn replay_bsd_stream_observed<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<ReplayReport, ReplayStreamError<E>> {
-    bsd_stream_impl(
-        meta,
-        IterChunks::new(events.into_iter()),
-        config,
-        Some(ObsCtx::new(obs)),
-    )
-}
-
-fn bsd_stream_impl<S: ChunkSource>(
-    meta: &ReplayMeta,
-    mut source: S,
-    _config: &ReplayConfig,
-    mut ctx: Option<ObsCtx<'_>>,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    let mut heap = BsdMalloc::new();
-    let mut slots = SlotTable::default();
-    let (mut total_allocs, mut total_bytes) = (0u64, 0u64);
-    let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
-    let mut refills = 0u64;
-    loop {
-        let decoded = {
-            let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_DECODE);
-            source.next_chunk(&mut chunk)
-        };
-        match decoded {
-            Ok(true) => refills += 1,
-            Ok(false) => break,
-            Err(e) => return Err(ReplayStreamError::Source(e)),
-        }
-        let _place =
-            lifepred_flight::span_arg(lifepred_flight::catalog::REPLAY_PLACE, chunk.len() as u64);
-        for event in chunk.events() {
-            let timer = Timer::start();
-            match event {
-                ChunkEvent::Alloc { record, size } => {
-                    total_allocs += 1;
-                    total_bytes += u64::from(size);
-                    slots.born(record, heap.alloc(size))?;
-                    if let Some(ctx) = ctx.as_mut() {
-                        ctx.on_alloc(record, size, false, timer);
-                    }
-                }
-                ChunkEvent::Free { record } => {
-                    let addr = slots.died(record)?;
-                    heap.free(addr);
-                    if let Some(ctx) = ctx.as_mut() {
-                        ctx.on_free(record, timer);
-                    }
-                }
-            }
-        }
-    }
-    if let Some(mut ctx) = ctx {
-        // The BSD heap has no free index; only the refill count is new.
-        ctx.set_batch_refills(refills);
-        let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_OBS_FLUSH);
-        ctx.flush();
-    }
-    Ok(ReplayReport {
-        program: meta.program.clone(),
-        allocator: "bsd".to_owned(),
-        total_allocs,
-        total_bytes,
-        arena_allocs: 0,
-        arena_bytes: 0,
-        max_heap_bytes: heap.max_heap_bytes(),
-        counts: *heap.counts(),
-        function_calls: meta.function_calls,
-    })
-}
-
-/// Replays an event stream through the lifetime-predicting arena
-/// allocator — the simulation behind Tables 7 and 8.
-///
-/// `predicted[record]` says whether the predictor marked that object
-/// short-lived (the hash-table lookup the deployed allocator would
-/// perform at each allocation).
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`]; additionally, an allocation whose
-/// record index has no entry in `predicted` is reported as corrupt.
-pub fn replay_arena_stream<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    predicted: &[bool],
-    config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<E>> {
-    arena_stream_impl(
-        meta,
-        IterChunks::new(events.into_iter()),
-        predicted,
-        config,
-        None,
-    )
-}
-
-/// Replays a batched event stream through the arena allocator — the
-/// high-throughput path behind [`replay_arena_stream`].
-///
-/// # Errors
-///
-/// See [`replay_arena_stream`].
-pub fn replay_arena_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    predicted: &[bool],
-    config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    arena_stream_impl(meta, source, predicted, config, None)
-}
-
-/// [`replay_arena_chunks`], additionally recording every event into
-/// the `lifepred_sim_*` metrics of `obs`.
-///
-/// # Errors
-///
-/// See [`replay_arena_stream`].
-pub fn replay_arena_chunks_observed<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    predicted: &[bool],
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    let ctx = ObsCtx::with_records_hint(obs, predicted.len());
-    arena_stream_impl(meta, source, predicted, config, Some(ctx))
-}
-
-/// [`replay_arena_stream`], additionally recording every event into
-/// the `lifepred_sim_*` metrics of `obs`.
-///
-/// # Errors
-///
-/// See [`replay_arena_stream`].
-pub fn replay_arena_stream_observed<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    predicted: &[bool],
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<ReplayReport, ReplayStreamError<E>> {
-    let ctx = ObsCtx::with_records_hint(obs, predicted.len());
-    arena_stream_impl(
-        meta,
-        IterChunks::new(events.into_iter()),
-        predicted,
-        config,
-        Some(ctx),
-    )
-}
-
-fn arena_stream_impl<S: ChunkSource>(
-    meta: &ReplayMeta,
-    mut source: S,
-    predicted: &[bool],
-    config: &ReplayConfig,
-    mut ctx: Option<ObsCtx<'_>>,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    let mut heap = ArenaAllocator::new(config.arena);
     let mut slots = SlotTable::default();
     let (mut total_allocs, mut total_bytes) = (0u64, 0u64);
     let (mut arena_allocs, mut arena_bytes) = (0u64, 0u64);
@@ -600,7 +396,7 @@ fn arena_stream_impl<S: ChunkSource>(
     let mut refills = 0u64;
     loop {
         let decoded = {
-            let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_DECODE);
+            let _span = lifepred_flight::span(catalog::REPLAY_DECODE);
             source.next_chunk(&mut chunk)
         };
         match decoded {
@@ -608,59 +404,55 @@ fn arena_stream_impl<S: ChunkSource>(
             Ok(false) => break,
             Err(e) => return Err(ReplayStreamError::Source(e)),
         }
-        let _place =
-            lifepred_flight::span_arg(lifepred_flight::catalog::REPLAY_PLACE, chunk.len() as u64);
+        let _place = lifepred_flight::span_arg(catalog::REPLAY_PLACE, chunk.len() as u64);
         for event in chunk.events() {
-            let timer = Timer::start();
+            let stamp = O::stamp();
             match event {
                 ChunkEvent::Alloc { record, size } => {
                     total_allocs += 1;
                     total_bytes += u64::from(size);
-                    let short = *predicted.get(record).ok_or_else(|| {
-                        ReplayStreamError::Corrupt(format!(
-                            "object {record} has no prediction ({} known)",
-                            predicted.len()
-                        ))
-                    })?;
-                    let addr = heap.alloc(size, short);
-                    let in_arena = heap.is_arena_addr(addr);
+                    let short = predictor.on_alloc(record, size)?;
+                    let addr = heap.place(size, short);
+                    let in_arena = heap.in_arena(addr);
                     if in_arena {
                         arena_allocs += 1;
                         arena_bytes += u64::from(size);
                     }
                     slots.born(record, addr)?;
-                    if let Some(ctx) = ctx.as_mut() {
-                        ctx.on_alloc(record, size, in_arena, timer);
+                    predictor.placed(size, in_arena);
+                    observer.on_alloc(record, size, in_arena, stamp);
+                    if O::ACTIVE {
+                        if let Some(sample) = predictor.epoch_sample(&heap) {
+                            observer.on_epoch(sample);
+                        }
                     }
                 }
                 ChunkEvent::Free { record } => {
                     let addr = slots.died(record)?;
-                    heap.free(addr);
-                    if let Some(ctx) = ctx.as_mut() {
-                        ctx.on_free(record, timer);
-                    }
+                    heap.release(addr);
+                    predictor.on_free(record, heap.in_arena(addr));
+                    observer.on_free(record, stamp);
                 }
             }
         }
     }
-    if let Some(mut ctx) = ctx {
-        let counts = heap.counts();
-        ctx.set_heap_stats(heap.general_heap().index_stats(), counts.frees_invalid);
-        ctx.set_batch_refills(refills);
-        let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_OBS_FLUSH);
-        ctx.flush();
+    let counts = heap.op_counts();
+    if O::ACTIVE {
+        let _span = lifepred_flight::span(catalog::REPLAY_OBS_FLUSH);
+        observer.flush(heap.index_stats(), counts.frees_invalid, refills);
     }
-    Ok(ReplayReport {
+    let report = ReplayReport {
         program: meta.program.clone(),
-        allocator: "arena".to_owned(),
+        allocator: allocator.to_owned(),
         total_allocs,
         total_bytes,
         arena_allocs,
         arena_bytes,
-        max_heap_bytes: heap.max_heap_bytes(),
-        counts: heap.counts(),
+        max_heap_bytes: heap.high_water_bytes(),
+        counts,
         function_calls: meta.function_calls,
-    })
+    };
+    Ok((report, predictor.learner_stats()))
 }
 
 /// Results of an **online** arena replay: the allocator-level numbers
@@ -674,303 +466,20 @@ pub struct OnlineReplayReport {
     pub learner: LearnerStats,
 }
 
-/// Per-object bookkeeping for the online replay.
-#[derive(Debug, Clone, Copy)]
-struct OnlineObj {
-    key: u64,
-    size: u32,
-    birth: u64,
-    predicted: bool,
-    reported: bool,
-    live: bool,
-}
-
-/// Pushes one timeline sample describing the learner and arena state
-/// at an epoch boundary of an observed online replay.
-fn push_epoch_sample(
-    obs: &ReplayObs,
-    learner: &OnlineLearner,
-    heap: &ArenaAllocator,
-    live_arena_bytes: u64,
-) {
-    let stats = learner.stats();
-    let used = heap.arena_used_bytes();
-    let total = heap.config().total_bytes();
-    obs.timeline.push(EpochSample {
-        epoch: stats.epochs,
-        clock_bytes: learner.clock(),
-        generation: learner.generation(),
-        short_sites: stats.short_sites,
-        sites: stats.sites,
-        live_bytes: live_arena_bytes,
-        max_heap_bytes: heap.max_heap_bytes(),
-        utilization_pct: if total == 0 {
-            0.0
-        } else {
-            100.0 * used as f64 / total as f64
-        },
-        // Bump-pointer bytes consumed by objects that are already dead
-        // but whose arena has not drained and reset yet.
-        fragmentation_pct: if used == 0 {
-            0.0
-        } else {
-            100.0 * used.saturating_sub(live_arena_bytes) as f64 / used as f64
-        },
-        mispredictions: stats.mispredictions,
-        demotions: stats.demotions,
-    });
-}
-
-/// Replays an event stream through the arena allocator with **no
-/// offline training**: an [`OnlineLearner`] decides every prediction
-/// as the trace runs and keeps correcting itself from the lifetimes it
-/// observes.
-///
-/// `sites[record]` is the site fingerprint
-/// ([`SiteKey::fingerprint`](lifepred_core::SiteKey::fingerprint)) of
-/// that object's allocation site — the online analogue of the
-/// `predicted` bitmap of [`replay_arena_stream`].
-///
-/// A predicted-short object still live after `epoch.threshold` bytes
-/// of allocation pins its arena; the replay reports it to the learner
-/// at that moment (an aging queue, mirroring the runtime allocator's
-/// epoch scan), demoting its site long before the free arrives.
-///
-/// # Errors
-///
-/// See [`replay_firstfit_stream`]; additionally, an allocation whose
-/// record index has no entry in `sites` is reported as corrupt.
-pub fn replay_arena_online_stream<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    sites: &[u64],
-    epoch: &EpochConfig,
-    config: &ReplayConfig,
-) -> Result<OnlineReplayReport, ReplayStreamError<E>> {
-    arena_online_stream_impl(
-        meta,
-        IterChunks::new(events.into_iter()),
-        sites,
-        epoch,
-        config,
-        None,
-    )
-}
-
-/// Replays a batched event stream through the arena allocator with the
-/// online learner deciding every prediction — the high-throughput path
-/// behind [`replay_arena_online_stream`].
-///
-/// # Errors
-///
-/// See [`replay_arena_online_stream`].
-pub fn replay_arena_online_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    sites: &[u64],
-    epoch: &EpochConfig,
-    config: &ReplayConfig,
-) -> Result<OnlineReplayReport, ReplayStreamError<S::Error>> {
-    arena_online_stream_impl(meta, source, sites, epoch, config, None)
-}
-
-/// [`replay_arena_online_chunks`], additionally recording every event
-/// into the `lifepred_sim_*` metrics of `obs`.
-///
-/// # Errors
-///
-/// See [`replay_arena_online_stream`].
-pub fn replay_arena_online_chunks_observed<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    sites: &[u64],
-    epoch: &EpochConfig,
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<OnlineReplayReport, ReplayStreamError<S::Error>> {
-    let ctx = ObsCtx::with_records_hint(obs, sites.len());
-    arena_online_stream_impl(meta, source, sites, epoch, config, Some(ctx))
-}
-
-/// [`replay_arena_online_stream`], additionally recording every event
-/// into the `lifepred_sim_*` metrics of `obs` — including one
-/// `lifepred_sim_epochs` timeline sample per learner epoch tick.
-///
-/// # Errors
-///
-/// See [`replay_arena_online_stream`].
-pub fn replay_arena_online_stream_observed<E>(
-    meta: &ReplayMeta,
-    events: impl IntoIterator<Item = Result<ReplayEvent, E>>,
-    sites: &[u64],
-    epoch: &EpochConfig,
-    config: &ReplayConfig,
-    obs: &ReplayObs,
-) -> Result<OnlineReplayReport, ReplayStreamError<E>> {
-    let ctx = ObsCtx::with_records_hint(obs, sites.len());
-    arena_online_stream_impl(
-        meta,
-        IterChunks::new(events.into_iter()),
-        sites,
-        epoch,
-        config,
-        Some(ctx),
-    )
-}
-
-fn arena_online_stream_impl<S: ChunkSource>(
-    meta: &ReplayMeta,
-    mut source: S,
-    sites: &[u64],
-    epoch: &EpochConfig,
-    config: &ReplayConfig,
-    mut ctx: Option<ObsCtx<'_>>,
-) -> Result<OnlineReplayReport, ReplayStreamError<S::Error>> {
-    let mut learner = OnlineLearner::new(*epoch);
-    let mut heap = ArenaAllocator::new(config.arena);
-    let mut slots = SlotTable::default();
-    let mut objs: Vec<Option<OnlineObj>> = Vec::new();
-    // Predicted objects in birth order; the front is always the oldest,
-    // so aging is O(1) amortized.
-    let mut aging: VecDeque<usize> = VecDeque::new();
-    let threshold = epoch.threshold;
-    let (mut total_allocs, mut total_bytes) = (0u64, 0u64);
-    let (mut arena_allocs, mut arena_bytes) = (0u64, 0u64);
-    // Observed-mode timeline state: the next clock reading at which a
-    // sample is due, and the bytes currently live in the arena area.
-    let mut next_tick = epoch.epoch_bytes;
-    let mut live_arena_bytes = 0u64;
-    let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
-    let mut refills = 0u64;
-    loop {
-        let decoded = {
-            let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_DECODE);
-            source.next_chunk(&mut chunk)
-        };
-        match decoded {
-            Ok(true) => refills += 1,
-            Ok(false) => break,
-            Err(e) => return Err(ReplayStreamError::Source(e)),
-        }
-        let _place =
-            lifepred_flight::span_arg(lifepred_flight::catalog::REPLAY_PLACE, chunk.len() as u64);
-        for event in chunk.events() {
-            let timer = Timer::start();
-            match event {
-                ChunkEvent::Alloc { record, size } => {
-                    total_allocs += 1;
-                    total_bytes += u64::from(size);
-                    let key = *sites.get(record).ok_or_else(|| {
-                        ReplayStreamError::Corrupt(format!(
-                            "object {record} has no site fingerprint ({} known)",
-                            sites.len()
-                        ))
-                    })?;
-                    let birth = learner.clock();
-                    let predicted = learner.record_alloc(key, u64::from(size));
-                    let addr = heap.alloc(size, predicted);
-                    let in_arena = heap.is_arena_addr(addr);
-                    if in_arena {
-                        arena_allocs += 1;
-                        arena_bytes += u64::from(size);
-                    }
-                    slots.born(record, addr)?;
-                    if record >= objs.len() {
-                        objs.resize(record + 1, None);
-                    }
-                    objs[record] = Some(OnlineObj {
-                        key,
-                        size,
-                        birth,
-                        predicted,
-                        reported: false,
-                        live: true,
-                    });
-                    if predicted {
-                        aging.push_back(record);
-                    }
-                    // Aging scan: a predicted object still live past the
-                    // threshold pins its arena — report it once.
-                    while let Some(&oldest) = aging.front() {
-                        let obj = objs[oldest].as_mut().expect("aging entry was allocated");
-                        if learner.clock().saturating_sub(obj.birth) < threshold {
-                            break;
-                        }
-                        aging.pop_front();
-                        if obj.live && !obj.reported {
-                            obj.reported = true;
-                            learner.note_pinned(obj.key, u64::from(obj.size));
-                        }
-                    }
-                    if let Some(ctx) = ctx.as_mut() {
-                        if in_arena {
-                            live_arena_bytes += u64::from(size);
-                        }
-                        ctx.on_alloc(record, size, in_arena, timer);
-                        if learner.clock() >= next_tick {
-                            push_epoch_sample(ctx.obs(), &learner, &heap, live_arena_bytes);
-                            lifepred_flight::instant(
-                                lifepred_flight::catalog::REPLAY_EPOCH,
-                                learner.clock(),
-                            );
-                            while next_tick <= learner.clock() {
-                                next_tick = next_tick.saturating_add(epoch.epoch_bytes);
-                            }
-                        }
-                    }
-                }
-                ChunkEvent::Free { record } => {
-                    let addr = slots.died(record)?;
-                    heap.free(addr);
-                    let obj = objs[record].as_mut().expect("slot table guards liveness");
-                    obj.live = false;
-                    // A pinning misprediction was already reported by the
-                    // aging scan; don't count its free a second time.
-                    let counts_as_misprediction = obj.predicted && !obj.reported;
-                    learner.record_free(
-                        obj.key,
-                        u64::from(obj.size),
-                        obj.birth,
-                        counts_as_misprediction,
-                    );
-                    if let Some(ctx) = ctx.as_mut() {
-                        if heap.is_arena_addr(addr) {
-                            live_arena_bytes = live_arena_bytes.saturating_sub(u64::from(obj.size));
-                        }
-                        ctx.on_free(record, timer);
-                    }
-                }
-            }
+impl OnlineReplayReport {
+    fn of((replay, learner): Replayed) -> OnlineReplayReport {
+        OnlineReplayReport {
+            replay,
+            learner: learner.expect("an online replay has a learner"),
         }
     }
-    if let Some(mut ctx) = ctx {
-        let counts = heap.counts();
-        ctx.set_heap_stats(heap.general_heap().index_stats(), counts.frees_invalid);
-        ctx.set_batch_refills(refills);
-        let _span = lifepred_flight::span(lifepred_flight::catalog::REPLAY_OBS_FLUSH);
-        ctx.flush();
-    }
-    Ok(OnlineReplayReport {
-        replay: ReplayReport {
-            program: meta.program.clone(),
-            allocator: "arena-online".to_owned(),
-            total_allocs,
-            total_bytes,
-            arena_allocs,
-            arena_bytes,
-            max_heap_bytes: heap.max_heap_bytes(),
-            counts: heap.counts(),
-            function_calls: meta.function_calls,
-        },
-        learner: learner.stats(),
-    })
 }
 
-/// Unwraps a stream-replay result for the in-memory path, where the
-/// source is infallible and a malformed sequence is a caller bug.
-fn expect_valid<T>(result: Result<T, ReplayStreamError<Infallible>>) -> T {
-    match result {
-        Ok(report) => report,
+/// [`replay`] for a materialized trace, where the source is infallible
+/// and a malformed sequence is a caller bug.
+fn replay_trace(trace: &Trace, plan: &ReplayPlan<'_>) -> Replayed {
+    match replay(&ReplayMeta::of(trace), TraceChunks::new(trace), plan, None) {
+        Ok(replayed) => replayed,
         Err(ReplayStreamError::Source(e)) => match e {},
         Err(ReplayStreamError::Corrupt(detail)) => panic!("{detail}"),
     }
@@ -978,26 +487,19 @@ fn expect_valid<T>(result: Result<T, ReplayStreamError<Infallible>>) -> T {
 
 /// Replays `trace` through the first-fit allocator (the paper's
 /// baseline for Table 8).
-pub fn replay_firstfit(trace: &Trace, config: &ReplayConfig) -> ReplayReport {
-    expect_valid(replay_firstfit_chunks(
-        &ReplayMeta::of(trace),
-        TraceChunks::new(trace),
-        config,
-    ))
+pub fn replay_firstfit(trace: &Trace, _config: &ReplayConfig) -> ReplayReport {
+    replay_trace(trace, &ReplayPlan::FirstFit).0
 }
 
 /// Replays `trace` through the BSD bucket allocator (the Table 9 CPU
 /// baseline).
-pub fn replay_bsd(trace: &Trace, config: &ReplayConfig) -> ReplayReport {
-    expect_valid(replay_bsd_chunks(
-        &ReplayMeta::of(trace),
-        TraceChunks::new(trace),
-        config,
-    ))
+pub fn replay_bsd(trace: &Trace, _config: &ReplayConfig) -> ReplayReport {
+    replay_trace(trace, &ReplayPlan::Bsd).0
 }
 
-/// Computes the per-record prediction bitmap `replay_arena*` consults:
-/// `result[i]` is the database's verdict for `trace.records()[i]`.
+/// Computes the per-record prediction bitmap [`ReplayPlan::Arena`]
+/// consults: `result[i]` is the database's verdict for
+/// `trace.records()[i]`.
 pub fn prediction_bitmap(trace: &Trace, db: &ShortLivedSet) -> Vec<bool> {
     let mut extractor = SiteExtractor::new(trace, *db.config());
     trace
@@ -1011,18 +513,17 @@ pub fn prediction_bitmap(trace: &Trace, db: &ShortLivedSet) -> Vec<bool> {
 /// consulting the trained database `db` for every allocation — the
 /// simulation behind Tables 7 and 8.
 pub fn replay_arena(trace: &Trace, db: &ShortLivedSet, config: &ReplayConfig) -> ReplayReport {
-    let predicted = prediction_bitmap(trace, db);
-    expect_valid(replay_arena_chunks(
-        &ReplayMeta::of(trace),
-        TraceChunks::new(trace),
-        &predicted,
-        config,
-    ))
+    let plan = ReplayPlan::Arena {
+        predicted: &prediction_bitmap(trace, db),
+        arena: config.arena,
+    };
+    replay_trace(trace, &plan).0
 }
 
-/// Computes the per-record site fingerprints `replay_arena_online*`
+/// Computes the per-record site fingerprints [`ReplayPlan::ArenaOnline`]
 /// consults: `result[i]` identifies `trace.records()[i]`'s site under
-/// `sites` as a stable `u64`.
+/// `sites` as a stable `u64`
+/// ([`SiteKey::fingerprint`](lifepred_core::SiteKey::fingerprint)).
 pub fn site_fingerprints(trace: &Trace, sites: &SiteConfig) -> Vec<u64> {
     let mut extractor = SiteExtractor::new(trace, *sites);
     trace
@@ -1041,35 +542,106 @@ pub fn replay_arena_online(
     epoch: &EpochConfig,
     config: &ReplayConfig,
 ) -> OnlineReplayReport {
-    let fingerprints = site_fingerprints(trace, sites);
-    expect_valid(replay_arena_online_chunks(
-        &ReplayMeta::of(trace),
-        TraceChunks::new(trace),
-        &fingerprints,
+    let plan = ReplayPlan::ArenaOnline {
+        sites: &site_fingerprints(trace, sites),
+        epoch: *epoch,
+        arena: config.arena,
+    };
+    OnlineReplayReport::of(replay_trace(trace, &plan))
+}
+
+// The five functions below are linked only by the frozen
+// `benchmark/src/layers.rs`, under the names and signatures they had
+// before `replay` existed. No workspace crate may call them; a later
+// `benchmark` PR moves that file onto `replay` and deletes them.
+
+#[doc(hidden)]
+pub fn replay_firstfit_chunks<S: ChunkSource>(
+    meta: &ReplayMeta,
+    source: S,
+    _config: &ReplayConfig,
+) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
+    replay(meta, source, &ReplayPlan::FirstFit, None).map(|r| r.0)
+}
+
+#[doc(hidden)]
+pub fn replay_firstfit_chunks_observed<S: ChunkSource>(
+    meta: &ReplayMeta,
+    source: S,
+    _config: &ReplayConfig,
+    obs: &ReplayObs,
+) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
+    replay(meta, source, &ReplayPlan::FirstFit, Some(obs)).map(|r| r.0)
+}
+
+#[doc(hidden)]
+pub fn replay_bsd_chunks<S: ChunkSource>(
+    meta: &ReplayMeta,
+    source: S,
+    _config: &ReplayConfig,
+) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
+    replay(meta, source, &ReplayPlan::Bsd, None).map(|r| r.0)
+}
+
+#[doc(hidden)]
+pub fn replay_arena_chunks<S: ChunkSource>(
+    meta: &ReplayMeta,
+    source: S,
+    predicted: &[bool],
+    &ReplayConfig { arena }: &ReplayConfig,
+) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
+    replay(meta, source, &ReplayPlan::Arena { predicted, arena }, None).map(|r| r.0)
+}
+
+#[doc(hidden)]
+pub fn replay_arena_online_chunks<S: ChunkSource>(
+    meta: &ReplayMeta,
+    source: S,
+    sites: &[u64],
+    &epoch: &EpochConfig,
+    &ReplayConfig { arena }: &ReplayConfig,
+) -> Result<OnlineReplayReport, ReplayStreamError<S::Error>> {
+    let plan = ReplayPlan::ArenaOnline {
+        sites,
         epoch,
-        config,
-    ))
+        arena,
+    };
+    replay(meta, source, &plan, None).map(OnlineReplayReport::of)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-    use lifepred_trace::{EventKind, TraceSession};
+    use lifepred_trace::TraceSession;
 
-    /// Adapts a materialized trace into the stream-event shape, for
-    /// exercising the iterator-based `_stream` entry points.
-    fn trace_events(trace: &Trace) -> impl Iterator<Item = Result<ReplayEvent, Infallible>> + '_ {
-        trace.events().into_iter().map(|e| {
-            Ok(match e.kind {
-                EventKind::Alloc => ReplayEvent::Alloc {
-                    record: e.record,
-                    size: trace.records()[e.record].size,
-                },
-                EventKind::Free => ReplayEvent::Free { record: e.record },
-            })
-        })
+    /// A fallible [`ChunkSource`] double: hands out scripted batches,
+    /// then fails if the script ends in an error.
+    struct Scripted(std::vec::IntoIter<Result<Vec<ChunkEvent>, &'static str>>);
+
+    fn scripted(batches: Vec<Result<Vec<ChunkEvent>, &'static str>>) -> Scripted {
+        Scripted(batches.into_iter())
     }
+
+    impl ChunkSource for Scripted {
+        type Error = &'static str;
+
+        fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, &'static str> {
+            chunk.clear();
+            let Some(batch) = self.0.next() else {
+                return Ok(false);
+            };
+            for event in batch? {
+                match event {
+                    ChunkEvent::Alloc { record, size } => chunk.push_alloc(record as u64, size),
+                    ChunkEvent::Free { record } => chunk.push_free(record as u64),
+                }
+            }
+            Ok(true)
+        }
+    }
+
+    const ALLOC_0: ChunkEvent = ChunkEvent::Alloc { record: 0, size: 8 };
 
     /// Mostly short-lived allocations from one site plus a set of
     /// long-lived allocations from another.
@@ -1190,21 +762,6 @@ mod tests {
         assert!((r.arena_byte_pct() + r.non_arena_byte_pct() - 100.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn stream_replay_matches_trace_replay() {
-        let t = workload();
-        let meta = ReplayMeta::of(&t);
-        let cfg = ReplayConfig::default();
-        let stream = replay_firstfit_stream(&meta, trace_events(&t), &cfg).expect("valid");
-        assert_eq!(stream, replay_firstfit(&t, &cfg));
-        let stream = replay_bsd_stream(&meta, trace_events(&t), &cfg).expect("valid");
-        assert_eq!(stream, replay_bsd(&t, &cfg));
-        let db = trained(&t);
-        let predicted = prediction_bitmap(&t, &db);
-        let stream = replay_arena_stream(&meta, trace_events(&t), &predicted, &cfg).expect("valid");
-        assert_eq!(stream, replay_arena(&t, &db, &cfg));
-    }
-
     fn small_epoch() -> EpochConfig {
         EpochConfig {
             threshold: 4096,
@@ -1278,23 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn online_replay_needs_no_second_pass_state() {
-        // Stream and trace paths agree bit-for-bit, like the offline
-        // replays.
-        let t = workload();
-        let sites = site_fingerprints(&t, &SiteConfig::default());
-        let meta = ReplayMeta::of(&t);
-        let cfg = ReplayConfig::default();
-        let epoch = small_epoch();
-        let stream = replay_arena_online_stream(&meta, trace_events(&t), &sites, &epoch, &cfg)
-            .expect("valid");
-        assert_eq!(
-            stream,
-            replay_arena_online(&t, &SiteConfig::default(), &epoch, &cfg)
-        );
-    }
-
-    #[test]
     fn observed_replay_matches_unobserved_and_fills_metrics() {
         let t = workload();
         let meta = ReplayMeta::of(&t);
@@ -1302,10 +842,13 @@ mod tests {
         let registry = lifepred_obs::Registry::new();
         let obs = ReplayObs::register(&registry);
         let db = trained(&t);
-        let predicted = prediction_bitmap(&t, &db);
-        let observed =
-            replay_arena_stream_observed(&meta, trace_events(&t), &predicted, &cfg, &obs)
-                .expect("valid");
+        let plan = ReplayPlan::Arena {
+            predicted: &prediction_bitmap(&t, &db),
+            arena: cfg.arena,
+        };
+        let (observed, learner) =
+            replay(&meta, TraceChunks::new(&t), &plan, Some(&obs)).expect("valid");
+        assert_eq!(learner, None, "a frozen bitmap has no learner");
         assert_eq!(
             observed,
             replay_arena(&t, &db, &cfg),
@@ -1348,21 +891,19 @@ mod tests {
     #[test]
     fn observed_online_replay_fills_epoch_timeline() {
         let t = workload();
-        let sites = site_fingerprints(&t, &SiteConfig::default());
         let meta = ReplayMeta::of(&t);
         let cfg = ReplayConfig::default();
         let epoch = small_epoch();
         let registry = lifepred_obs::Registry::new();
         let obs = ReplayObs::register(&registry);
-        let observed = replay_arena_online_stream_observed(
-            &meta,
-            trace_events(&t),
-            &sites,
-            &epoch,
-            &cfg,
-            &obs,
-        )
-        .expect("valid");
+        let plan = ReplayPlan::ArenaOnline {
+            sites: &site_fingerprints(&t, &SiteConfig::default()),
+            epoch,
+            arena: cfg.arena,
+        };
+        let observed = replay(&meta, TraceChunks::new(&t), &plan, Some(&obs))
+            .map(OnlineReplayReport::of)
+            .expect("valid");
         assert_eq!(
             observed,
             replay_arena_online(&t, &SiteConfig::default(), &epoch, &cfg),
@@ -1390,58 +931,55 @@ mod tests {
     }
 
     #[test]
-    fn online_replay_rejects_missing_fingerprints() {
+    fn replay_rejects_bad_sequences() {
         let meta = ReplayMeta::default();
-        let events: Vec<Result<ReplayEvent, Infallible>> =
-            vec![Ok(ReplayEvent::Alloc { record: 0, size: 8 })];
-        assert!(matches!(
-            replay_arena_online_stream(
-                &meta,
-                events,
-                &[],
-                &EpochConfig::default(),
-                &ReplayConfig::default()
-            ),
-            Err(ReplayStreamError::Corrupt(_))
-        ));
+        let arena = ArenaConfig::default();
+        let corrupt = |events: Vec<ChunkEvent>, plan: ReplayPlan<'_>| {
+            let result = replay(&meta, scripted(vec![Ok(events)]), &plan, None);
+            assert!(
+                matches!(result, Err(ReplayStreamError::Corrupt(_))),
+                "{plan:?}: {result:?}"
+            );
+        };
+        // Double alloc, free before alloc.
+        corrupt(vec![ALLOC_0, ALLOC_0], ReplayPlan::FirstFit);
+        corrupt(vec![ChunkEvent::Free { record: 3 }], ReplayPlan::Bsd);
+        corrupt(
+            vec![
+                ALLOC_0,
+                ChunkEvent::Free { record: 0 },
+                ChunkEvent::Free { record: 0 },
+            ],
+            ReplayPlan::FirstFit,
+        );
+        // An allocation the plan has no prediction / fingerprint for.
+        let predicted = &[];
+        corrupt(vec![ALLOC_0], ReplayPlan::Arena { predicted, arena });
+        let (sites, epoch) = (&[][..], EpochConfig::default());
+        corrupt(
+            vec![ALLOC_0],
+            ReplayPlan::ArenaOnline {
+                sites,
+                epoch,
+                arena,
+            },
+        );
     }
 
     #[test]
-    fn stream_replay_rejects_bad_sequences() {
+    fn replay_propagates_source_errors_after_the_events_before_them() {
         let meta = ReplayMeta::default();
-        let cfg = ReplayConfig::default();
-        let double_alloc: Vec<Result<ReplayEvent, Infallible>> = vec![
-            Ok(ReplayEvent::Alloc { record: 0, size: 8 }),
-            Ok(ReplayEvent::Alloc { record: 0, size: 8 }),
-        ];
-        assert!(matches!(
-            replay_firstfit_stream(&meta, double_alloc, &cfg),
-            Err(ReplayStreamError::Corrupt(_))
-        ));
-        let free_first: Vec<Result<ReplayEvent, Infallible>> =
-            vec![Ok(ReplayEvent::Free { record: 3 })];
-        assert!(matches!(
-            replay_bsd_stream(&meta, free_first, &cfg),
-            Err(ReplayStreamError::Corrupt(_))
-        ));
-        let unpredicted: Vec<Result<ReplayEvent, Infallible>> =
-            vec![Ok(ReplayEvent::Alloc { record: 0, size: 8 })];
-        assert!(matches!(
-            replay_arena_stream(&meta, unpredicted, &[], &cfg),
-            Err(ReplayStreamError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn stream_replay_propagates_source_errors() {
-        let meta = ReplayMeta::default();
-        let events: Vec<Result<ReplayEvent, &str>> = vec![
-            Ok(ReplayEvent::Alloc { record: 0, size: 8 }),
-            Err("disk on fire"),
-        ];
-        match replay_firstfit_stream(&meta, events, &ReplayConfig::default()) {
+        let failing = scripted(vec![Ok(vec![ALLOC_0]), Err("disk on fire")]);
+        match replay(&meta, failing, &ReplayPlan::FirstFit, None) {
             Err(ReplayStreamError::Source(e)) => assert_eq!(e, "disk on fire"),
             other => panic!("expected source error, got {other:?}"),
         }
+        // The batch before the failure is replayed first: its double
+        // alloc is what stops the replay, not the source error.
+        let failing = scripted(vec![Ok(vec![ALLOC_0, ALLOC_0]), Err("disk on fire")]);
+        assert!(matches!(
+            replay(&meta, failing, &ReplayPlan::Bsd, None),
+            Err(ReplayStreamError::Corrupt(_))
+        ));
     }
 }

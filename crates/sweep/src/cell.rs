@@ -1,25 +1,22 @@
 //! Executing one grid cell: train (when offline), replay, measure.
 //!
-//! The execution paths mirror `lifepred simulate` exactly — streaming
-//! two-pass replays that never materialize the event stream — so a
-//! sweep cell's numbers are bit-identical to the one-off CLI run with
-//! the same knobs. Offline cells additionally share their trained
+//! A cell's replay is [`simulate_file`] — the same function `lifepred
+//! simulate` calls for each of its trace files — so a sweep cell's
+//! numbers equal the one-off CLI run with the same knobs by
+//! construction. Offline cells additionally share their trained
 //! database through [`TrainedDb`]: the engine trains once per
 //! (trace, policy, rounding, threshold) combination and fans the
 //! `Arc` out to every arena geometry that replays against it.
 
 use crate::spec::{Backend, CellConfig};
 use crate::store::CellResult;
-use lifepred_adaptive::EpochConfig;
-use lifepred_core::{evaluate, train, Profile, ShortLivedSet, SiteConfig, TrainConfig};
-use lifepred_heap::{
-    replay_arena_chunks, replay_arena_chunks_observed, replay_arena_online_chunks,
-    replay_arena_online_chunks_observed, replay_bsd_chunks, replay_bsd_chunks_observed,
-    replay_firstfit_chunks, replay_firstfit_chunks_observed, ReplayConfig, ReplayMeta, ReplayObs,
-    ReplayReport,
+use lifepred_adaptive::{EpochConfig, LearnerStats};
+use lifepred_core::{
+    evaluate, train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, SiteKey, TrainConfig,
 };
+use lifepred_heap::{replay, ArenaConfig, ReplayMeta, ReplayObs, ReplayPlan, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
-use lifepred_tracefile::{load_trace, TraceReader};
+use lifepred_tracefile::{load_trace, MappedTrace};
 use std::time::Instant;
 
 /// A database trained offline for one (trace, policy, rounding,
@@ -93,37 +90,125 @@ pub fn train_for(key: &TrainKey) -> Result<TrainedDb, String> {
     })
 }
 
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        100.0 * num as f64 / den as f64
-    }
+/// Which simulated allocator [`simulate_file`] runs, and what it
+/// consults for lifetime predictions.
+#[derive(Debug, Clone, Copy)]
+pub enum SimBackend<'a> {
+    /// First-fit, no prediction.
+    FirstFit,
+    /// The BSD bucket allocator, no prediction.
+    Bsd,
+    /// The arena allocator consulting a database trained offline.
+    Arena(&'a ShortLivedSet),
+    /// The arena allocator with the self-training online learner (one
+    /// per trace) — no database involved.
+    ArenaOnline {
+        /// How allocation sites are keyed.
+        sites: SiteConfig,
+        /// The learner's thresholds and epoch length.
+        epoch: EpochConfig,
+    },
 }
 
-fn base_result(report: &ReplayReport, elapsed_ms: u64) -> CellResult {
-    CellResult {
-        program: report.program.clone(),
-        total_allocs: report.total_allocs,
-        total_bytes: report.total_bytes,
-        arena_allocs: report.arena_allocs,
-        arena_bytes: report.arena_bytes,
-        max_heap_bytes: report.max_heap_bytes,
-        short_alloc_pct: report.arena_alloc_pct(),
-        short_byte_pct: report.arena_byte_pct(),
-        error_byte_pct: 0.0,
-        epochs: 0,
-        elapsed_ms,
-    }
+/// Everything one file simulation produces.
+#[derive(Debug)]
+pub struct SimOutput {
+    /// The allocator-level replay report.
+    pub report: ReplayReport,
+    /// The online learner's counters ([`SimBackend::ArenaOnline`] only).
+    pub learner: Option<LearnerStats>,
+    /// The run's `lifepred_sim_*` (and, online, `lifepred_learner_*`)
+    /// metrics, when asked for.
+    pub metrics: Option<Snapshot>,
 }
 
-/// Runs one grid cell: streams the trace through the configured
-/// backend and folds the replay report into a [`CellResult`].
+/// One site-derived value per object of `mapped`, in record order: the
+/// records walk of a predicting simulation. Only the (small) chain
+/// table is held in memory besides the result.
+fn walk_sites<T>(
+    mapped: &MappedTrace,
+    sites: SiteConfig,
+    mut per_site: impl FnMut(&SiteKey) -> T,
+) -> Result<Vec<T>, lifepred_tracefile::TraceFileError> {
+    let mut extractor = SiteExtractor::from_chains(mapped.chain_table(), sites);
+    mapped
+        .records()?
+        .map(|record| Ok(per_site(&extractor.site_of(&record?))))
+        .collect()
+}
+
+/// Simulates one `.lpt` file on `backend`: the unit of work behind
+/// both `lifepred simulate` and a sweep cell.
+///
+/// One mmap (or heap read, where mapping is unavailable) serves both
+/// passes, its CRCs checked once, up front: a predicting backend first
+/// walks the mapped records section for one prediction (or site
+/// fingerprint) per object, then the replay decodes event chunks
+/// straight out of the mapped events section — the event stream is
+/// never materialized. With `want_metrics` the run records into a
+/// private registry whose snapshot is returned for the caller to merge.
+///
+/// # Errors
+///
+/// Returns a `path: reason` message for a missing or corrupt trace
+/// file or an invalid event sequence.
+pub fn simulate_file(
+    path: &str,
+    backend: &SimBackend<'_>,
+    arena: ArenaConfig,
+    want_metrics: bool,
+) -> Result<SimOutput, String> {
+    let registry = want_metrics.then(Registry::new);
+    let obs = registry.as_ref().map(ReplayObs::register);
+    let mapped = MappedTrace::open(path).map_err(|e| file_err(path, e))?;
+    let meta = ReplayMeta {
+        program: mapped.name().to_owned(),
+        function_calls: mapped.stats().function_calls,
+    };
+    let (predicted, sites);
+    let plan = match *backend {
+        SimBackend::FirstFit => ReplayPlan::FirstFit,
+        SimBackend::Bsd => ReplayPlan::Bsd,
+        SimBackend::Arena(db) => {
+            predicted = walk_sites(&mapped, *db.config(), |site| db.predicts(site))
+                .map_err(|e| file_err(path, e))?;
+            ReplayPlan::Arena {
+                predicted: &predicted,
+                arena,
+            }
+        }
+        SimBackend::ArenaOnline {
+            sites: config,
+            epoch,
+        } => {
+            sites =
+                walk_sites(&mapped, config, SiteKey::fingerprint).map_err(|e| file_err(path, e))?;
+            ReplayPlan::ArenaOnline {
+                sites: &sites,
+                epoch,
+                arena,
+            }
+        }
+    };
+    let (report, learner) =
+        replay(&meta, mapped.events(), &plan, obs.as_ref()).map_err(|e| file_err(path, e))?;
+    if let (Some(registry), Some(learner)) = (&registry, &learner) {
+        learner.export(registry);
+    }
+    Ok(SimOutput {
+        report,
+        learner,
+        metrics: registry.map(|r| r.snapshot()),
+    })
+}
+
+/// Runs one grid cell: simulates the trace on the configured backend
+/// and folds the replay report into a [`CellResult`].
 ///
 /// `trained` must be `Some` exactly when the backend is
-/// [`Backend::Offline`]. With `want_metrics`, the replay also records
-/// into a private registry whose snapshot is returned for the caller
-/// to merge (the serve endpoint's `lifepred_sim_*` feed).
+/// [`Backend::Offline`]. With `want_metrics`, the metrics snapshot of
+/// the run is returned for the caller to merge (the serve endpoint's
+/// `lifepred_sim_*` feed).
 ///
 /// # Errors
 ///
@@ -135,107 +220,50 @@ pub fn run_cell(
     want_metrics: bool,
 ) -> Result<(CellResult, Option<Snapshot>), String> {
     let started = Instant::now();
-    let registry = want_metrics.then(Registry::new);
-    let obs = registry.as_ref().map(ReplayObs::register);
     let path = cell.trace.as_str();
-    let open = || TraceReader::open(path).map_err(|e| file_err(path, e));
-    let meta_of = |reader: &TraceReader<std::io::BufReader<std::fs::File>>| ReplayMeta {
-        program: reader.name().to_owned(),
-        function_calls: reader.stats().function_calls,
-    };
-    let config = ReplayConfig { arena: cell.arena };
-    let elapsed = |s: Instant| s.elapsed().as_millis() as u64;
-
-    let result = match cell.backend {
-        Backend::Offline => {
-            let trained =
-                trained.ok_or_else(|| format!("{path}: offline cell ran without training"))?;
-            // Pass 1: predict every object from its allocation site.
-            let reader = open()?;
-            let chains = reader.chain_table().clone();
-            let mut extractor =
-                lifepred_core::SiteExtractor::from_chains(&chains, *trained.db.config());
-            let mut predicted = Vec::new();
-            for record in reader.into_records().map_err(|e| file_err(path, e))? {
-                let record = record.map_err(|e| file_err(path, e))?;
-                predicted.push(trained.db.predicts(&extractor.site_of(&record)));
-            }
-            // Pass 2: stream the event chunks through the arena heap.
-            let reader = open()?;
-            let meta = meta_of(&reader);
-            let chunks = reader.into_event_chunks().map_err(|e| file_err(path, e))?;
-            let report = match &obs {
-                Some(obs) => replay_arena_chunks_observed(&meta, chunks, &predicted, &config, obs),
-                None => replay_arena_chunks(&meta, chunks, &predicted, &config),
-            }
-            .map_err(|e| file_err(path, e))?;
-            CellResult {
-                error_byte_pct: trained.error_bytes_pct,
-                ..base_result(&report, elapsed(started))
-            }
+    let backend = match (cell.backend, trained) {
+        (Backend::Offline, Some(trained)) => SimBackend::Arena(&trained.db),
+        (Backend::Offline, None) => {
+            return Err(format!("{path}: offline cell ran without training"))
         }
-        Backend::Online => {
-            if trained.is_some() {
-                return Err(format!("{path}: online cell given an offline database"));
-            }
-            let sites_cfg = SiteConfig {
-                policy: cell.policy,
-                size_rounding: cell.rounding,
-            };
+        (Backend::Online, Some(_)) => {
+            return Err(format!("{path}: online cell given an offline database"))
+        }
+        (_, Some(_)) => return Err(format!("{path}: baseline cell given a database")),
+        (Backend::Online, None) => {
             let epoch = EpochConfig::for_threshold(cell.threshold, Some(cell.epoch));
             epoch.validate().map_err(|e| file_err(path, e))?;
-            // Pass 1: fingerprint every object's allocation site.
-            let reader = open()?;
-            let chains = reader.chain_table().clone();
-            let mut extractor = lifepred_core::SiteExtractor::from_chains(&chains, sites_cfg);
-            let mut sites = Vec::new();
-            for record in reader.into_records().map_err(|e| file_err(path, e))? {
-                let record = record.map_err(|e| file_err(path, e))?;
-                sites.push(extractor.site_of(&record).fingerprint());
-            }
-            // Pass 2: replay with the learner predicting as it goes.
-            let reader = open()?;
-            let meta = meta_of(&reader);
-            let chunks = reader.into_event_chunks().map_err(|e| file_err(path, e))?;
-            let online = match &obs {
-                Some(obs) => {
-                    replay_arena_online_chunks_observed(&meta, chunks, &sites, &epoch, &config, obs)
-                }
-                None => replay_arena_online_chunks(&meta, chunks, &sites, &epoch, &config),
-            }
-            .map_err(|e| file_err(path, e))?;
-            if let Some(registry) = &registry {
-                online.learner.export(registry);
-            }
-            CellResult {
-                error_byte_pct: pct(online.learner.error_bytes, online.learner.total_bytes),
-                epochs: online.learner.epochs,
-                ..base_result(&online.replay, elapsed(started))
+            SimBackend::ArenaOnline {
+                sites: SiteConfig {
+                    policy: cell.policy,
+                    size_rounding: cell.rounding,
+                },
+                epoch,
             }
         }
-        Backend::FirstFit | Backend::Bsd => {
-            if trained.is_some() {
-                return Err(format!("{path}: baseline cell given a database"));
-            }
-            let reader = open()?;
-            let meta = meta_of(&reader);
-            let chunks = reader.into_event_chunks().map_err(|e| file_err(path, e))?;
-            let report = if cell.backend == Backend::Bsd {
-                match &obs {
-                    Some(obs) => replay_bsd_chunks_observed(&meta, chunks, &config, obs),
-                    None => replay_bsd_chunks(&meta, chunks, &config),
-                }
-            } else {
-                match &obs {
-                    Some(obs) => replay_firstfit_chunks_observed(&meta, chunks, &config, obs),
-                    None => replay_firstfit_chunks(&meta, chunks, &config),
-                }
-            }
-            .map_err(|e| file_err(path, e))?;
-            base_result(&report, elapsed(started))
-        }
+        (Backend::FirstFit, None) => SimBackend::FirstFit,
+        (Backend::Bsd, None) => SimBackend::Bsd,
     };
-    Ok((result, registry.map(|r| r.snapshot())))
+    let sim = simulate_file(path, &backend, cell.arena, want_metrics)?;
+    let report = &sim.report;
+    let result = CellResult {
+        program: report.program.clone(),
+        total_allocs: report.total_allocs,
+        total_bytes: report.total_bytes,
+        arena_allocs: report.arena_allocs,
+        arena_bytes: report.arena_bytes,
+        max_heap_bytes: report.max_heap_bytes,
+        short_alloc_pct: report.arena_alloc_pct(),
+        short_byte_pct: report.arena_byte_pct(),
+        error_byte_pct: match (&sim.learner, trained) {
+            (Some(learner), _) => learner.error_byte_pct(),
+            (None, Some(trained)) => trained.error_bytes_pct,
+            (None, None) => 0.0,
+        },
+        epochs: sim.learner.map_or(0, |l| l.epochs),
+        elapsed_ms: started.elapsed().as_millis() as u64,
+    };
+    Ok((result, sim.metrics))
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ pub mod spec;
 pub mod store;
 pub mod table;
 
-pub use cell::{run_cell, train_for, TrainKey, TrainedDb};
+pub use cell::{run_cell, simulate_file, train_for, SimBackend, SimOutput, TrainKey, TrainedDb};
 pub use engine::{run_sweep, CancelFlag, CellOutcome, SweepOptions, SweepOutcome, SweepStats};
 pub use serve::{install_shutdown_handlers, Server, ServerConfig};
 pub use spec::{Backend, CellConfig, GridSpec, MAX_CELLS, SPEC_SCHEMA};

@@ -206,3 +206,43 @@ fn progress_across_kill_and_resume_covers_each_cell_once() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One damaged trace costs exactly its own cells: every cell opens its
+/// trace through the checksum-verifying mapped reader, so a flipped
+/// bit is a per-cell checksum error while the rest of the grid
+/// completes.
+#[test]
+fn bit_flipped_trace_fails_its_cells_and_spares_the_rest() {
+    let dir = scratch("bitflip");
+    let traces = write_traces(&dir, &["good", "bad"], 600);
+    let mut bytes = std::fs::read(&traces[1]).expect("read trace");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&traces[1], &bytes).expect("damage trace");
+    let spec = GridSpec {
+        name: "bitflip-test".into(),
+        traces,
+        backends: vec![Backend::FirstFit, Backend::Bsd, Backend::Online],
+        ..GridSpec::default()
+    };
+    let store = ResultStore::open(dir.join("store")).expect("store");
+    let opts = SweepOptions {
+        threads: 2,
+        want_metrics: false,
+    };
+    let outcome = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("sweep runs");
+    assert_eq!(outcome.outcomes.len(), 6);
+    for cell in &outcome.outcomes {
+        if cell.cell.trace == spec.traces[1] {
+            let error = cell.error.as_deref().expect("damaged trace must error");
+            assert!(cell.result.is_none());
+            assert!(error.contains("checksum mismatch"), "{error}");
+        } else {
+            assert_eq!(cell.error, None);
+            assert!(cell.result.is_some(), "{:?}", cell.cell);
+        }
+    }
+    assert_eq!(outcome.stats.errors, 3);
+    assert_eq!(outcome.stats.computed, 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}

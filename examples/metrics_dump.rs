@@ -7,15 +7,11 @@
 use lifepred::adaptive::EpochConfig;
 use lifepred::alloc::{ShardedAllocator, SiteKey};
 use lifepred::core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-use lifepred::heap::{
-    prediction_bitmap, replay_arena_stream_observed, ReplayConfig, ReplayEvent, ReplayMeta,
-    ReplayObs,
-};
+use lifepred::heap::{prediction_bitmap, replay, ArenaConfig, ReplayMeta, ReplayObs, ReplayPlan};
 use lifepred::obs::Registry;
-use lifepred::trace::{shared_registry, EventKind};
+use lifepred::trace::{shared_registry, TraceChunks};
 use lifepred::workloads::{by_name, record};
 use std::alloc::Layout;
-use std::convert::Infallible;
 
 fn main() {
     let registry = Registry::new();
@@ -26,23 +22,16 @@ fn main() {
     let trace = record(workload.as_ref(), 0, fn_registry);
     let profile = Profile::build(&trace, &SiteConfig::default(), DEFAULT_THRESHOLD);
     let db = train(&profile, &TrainConfig::default());
-    let predicted = prediction_bitmap(&trace, &db);
-    let events = trace.events().into_iter().map(|e| {
-        Ok::<_, Infallible>(match e.kind {
-            EventKind::Alloc => ReplayEvent::Alloc {
-                record: e.record,
-                size: trace.records()[e.record].size,
-            },
-            EventKind::Free => ReplayEvent::Free { record: e.record },
-        })
-    });
+    let plan = ReplayPlan::Arena {
+        predicted: &prediction_bitmap(&trace, &db),
+        arena: ArenaConfig::default(),
+    };
     let obs = ReplayObs::register(&registry);
-    let report = replay_arena_stream_observed(
+    let (report, _) = replay(
         &ReplayMeta::of(&trace),
-        events,
-        &predicted,
-        &ReplayConfig::default(),
-        &obs,
+        TraceChunks::new(&trace),
+        &plan,
+        Some(&obs),
     )
     .expect("valid trace");
     println!(
