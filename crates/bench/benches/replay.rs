@@ -8,10 +8,12 @@
 //!    front, SWAR varint batch decode straight out of the mapping).
 //!    Same bytes, same integrity checks, three cost models.
 //! 2. **firstfit** — the seed's linear first-fit scan
-//!    ([`LinearFirstFit`]) vs the size-segregated indexed [`FirstFit`]
-//!    on a fragmentation workload built to be the linear scan's worst
-//!    case: a lattice of small holes that every larger allocation must
-//!    walk past. Warmup asserts both heaps agree on every observable
+//!    ([`LinearFirstFit`]) vs the tree-indexed [`FirstFit`] on two
+//!    fragmentation workloads built to be the linear scan's worst
+//!    case: a lattice of holes that every larger allocation must walk
+//!    past — once with small holes, once with holes in the request's
+//!    own log2 size class (what a size-binned index cannot skip).
+//!    Warmup asserts both heaps agree on every observable
 //!    (`OpCounts` including `search_steps`, `max_heap_bytes`) before
 //!    any timing, so the speedup is measured between *provably
 //!    equivalent* implementations.
@@ -139,21 +141,23 @@ fn workload(pairs: usize) -> Trace {
 /// pointer is parked just past it.
 ///
 /// The lattice is `keepers` live 32-byte blocks alternating with
-/// 32-byte holes (freed fillers that cannot coalesce because both
-/// neighbours stay live). Block layout math (`HEADER = 8`, `ALIGN =
-/// 8`, `MIN_SPLIT = 16`): a 32-byte hole occupies 40 heap bytes and
-/// the 16384-byte victim 16392, so once the victim is freed and
-/// coalesces with the final hole, the slot holds 16432 bytes — exactly
-/// what a 16424-byte churn request needs. Churn placements therefore
-/// never split (any sub-`MIN_SPLIT` page-rounding slack is absorbed
-/// into the block), the rover lands on the live guard after each
-/// placement and stays there across the free (no coalesce can pull it
-/// back), and the wilderness above the guard stays under one
-/// 8192-byte page so it never satisfies a churn request. Every churn
-/// allocation thus wraps and walks the entire lattice before finding
-/// the slot; the indexed heap answers the same search from its size
-/// bins in O(log n).
-fn frag_workload(keepers: usize, churn: usize) -> Trace {
+/// `hole`-byte holes (freed fillers that cannot coalesce because both
+/// neighbours stay live). Once the `victim`-byte block after the last
+/// hole is freed the two coalesce into the slot, and the churn request
+/// is sized to need exactly that. Block layout math (`HEADER = 8`,
+/// `ALIGN = 8`, `MIN_SPLIT = 16`) for [`SMALL_HOLES`]: a 32-byte hole
+/// occupies 40 heap bytes and the 16384-byte victim 16392, so the slot
+/// holds 16432 bytes — what a 16424-byte churn request needs. Churn
+/// placements therefore never split, the rover lands on the live guard
+/// after each placement and stays there across the free (no coalesce
+/// can pull it back), and the wilderness above the guard stays under
+/// one 8192-byte page so it never satisfies a churn request (both
+/// lattices ask for more than a page). Every churn allocation thus
+/// wraps and walks the entire lattice before finding the slot; the
+/// tree-indexed heap answers the same search in O(log n).
+fn frag_workload(keepers: usize, churn: usize, (hole, victim): (u32, u32)) -> Trace {
+    let block = |size: u32| (size + 8).next_multiple_of(8);
+    let slot = block(hole) + block(victim);
     let s = TraceSession::new("bench-frag");
     let mut kept = Vec::new();
     let mut holes = Vec::new();
@@ -161,12 +165,12 @@ fn frag_workload(keepers: usize, churn: usize) -> Trace {
         let _g = s.enter("lattice");
         for _ in 0..keepers {
             kept.push(s.alloc(32));
-            holes.push(s.alloc(32));
+            holes.push(s.alloc(hole));
         }
     }
     let victim = {
         let _g = s.enter("victim");
-        s.alloc(16_384)
+        s.alloc(victim)
     };
     let guard = {
         let _g = s.enter("guard");
@@ -179,7 +183,7 @@ fn frag_workload(keepers: usize, churn: usize) -> Trace {
     {
         let _g = s.enter("churn");
         for _ in 0..churn {
-            let a = s.alloc(16_424);
+            let a = s.alloc(slot - 8);
             s.free(a);
         }
     }
@@ -189,6 +193,15 @@ fn frag_workload(keepers: usize, churn: usize) -> Trace {
     }
     s.finish()
 }
+
+/// `(hole, victim)` sizes of the original lattice: 40-byte holes, far
+/// below the 16432-byte request's size class.
+const SMALL_HOLES: (u32, u32) = (32, 16_384);
+
+/// `(hole, victim)` sizes of the lattice whose 8200-byte holes share
+/// the 12304-byte request's log2 size class (8192..16384) yet are all
+/// too small: an index binned by size class must walk every one.
+const SAME_CLASS_HOLES: (u32, u32) = (8192, 4096);
 
 /// Replays `trace` through the seed's linear first-fit, returning the
 /// observables the equivalence check compares.
@@ -366,7 +379,7 @@ fn main() {
     // Always the full-size lattice: recording 40k events is cheap even
     // in smoke mode, and gating on a smoke-sized trace would measure
     // file-open overhead, not decode bandwidth.
-    let gate_trace = frag_workload(KEEPERS, CHURN);
+    let gate_trace = frag_workload(KEEPERS, CHURN, SMALL_HOLES);
     let gate_events = gate_trace.events().len() as u64;
     let gate_path = temp_path("lattice");
     std::fs::write(
@@ -383,25 +396,32 @@ fn main() {
     );
     std::fs::remove_file(&gate_path).ok();
 
-    // --- firstfit: linear scan vs size-segregated index -----------------
-    let frag = frag_workload(keepers, churn);
-    let ff_events = frag.events().len() as u64;
-    // Equivalence before speed: both heaps must agree on every
-    // observable, or the comparison is meaningless.
-    assert_eq!(
-        replay_linear(&frag),
-        replay_indexed(&frag),
-        "linear and indexed first-fit diverged on the bench workload"
-    );
-    let (t_linear, t_indexed, ff_speedup) = paired_speedup(
-        rounds(FF_ROUNDS),
-        || {
-            std::hint::black_box(replay_linear(&frag));
-        },
-        || {
-            std::hint::black_box(replay_indexed(&frag));
-        },
-    );
+    // --- firstfit: linear scan vs the free-block tree -------------------
+    let time_lattice = |holes: (u32, u32)| {
+        let frag = frag_workload(keepers, churn, holes);
+        // Equivalence before speed: both heaps must agree on every
+        // observable, or the comparison is meaningless.
+        assert_eq!(
+            replay_linear(&frag),
+            replay_indexed(&frag),
+            "linear and indexed first-fit diverged on the bench workload"
+        );
+        let (t_linear, t_indexed, speedup) = paired_speedup(
+            rounds(FF_ROUNDS),
+            || {
+                std::hint::black_box(replay_linear(&frag));
+            },
+            || {
+                std::hint::black_box(replay_indexed(&frag));
+            },
+        );
+        let events = frag.events().len();
+        let (linear_rate, indexed_rate) = (events as f64 / t_linear, events as f64 / t_indexed);
+        (events, linear_rate, indexed_rate, speedup)
+    };
+    // Both lattices have the same number of events.
+    let (ff_events, linear_rate, indexed_rate, ff_speedup) = time_lattice(SMALL_HOLES);
+    let (_, sc_linear_rate, sc_indexed_rate, sc_speedup) = time_lattice(SAME_CLASS_HOLES);
 
     // --- simulate: end-to-end pipeline scaling over --jobs --------------
     let db = train(
@@ -501,7 +521,10 @@ fn main() {
              \"events\": {ff_events},\n    \
              \"linear_events_per_sec\": {linear_rate:.0},\n    \
              \"indexed_events_per_sec\": {indexed_rate:.0},\n    \
-             \"speedup\": {ff_speedup:.2}\n  \
+             \"speedup\": {ff_speedup:.2},\n    \
+             \"same_class_linear_events_per_sec\": {sc_linear_rate:.0},\n    \
+             \"same_class_indexed_events_per_sec\": {sc_indexed_rate:.0},\n    \
+             \"same_class_speedup\": {sc_speedup:.2}\n  \
            }},\n  \
            \"simulate\": {{\n    \
              \"traces\": {SIM_TRACES},\n    \
@@ -530,8 +553,6 @@ fn main() {
         mapped_rate = n_events as f64 / t_mapped,
         gate_iter_rate = gate_events as f64 / t_gate_iter,
         gate_mapped_rate = gate_events as f64 / t_gate_mapped,
-        linear_rate = ff_events as f64 / t_linear,
-        indexed_rate = ff_events as f64 / t_indexed,
         gen_rate = scale_events as f64 / gen_secs,
         scale_iter_rate = scale_events as f64 / t_scale_iter,
         scale_mapped_rate = scale_events as f64 / t_scale_mapped,
@@ -550,9 +571,9 @@ fn main() {
         gate_events as f64 / t_gate_mapped,
     );
     println!(
-        "firstfit: {:.0} events/s linear, {:.0} events/s indexed ({ff_speedup:.2}x)",
-        ff_events as f64 / t_linear,
-        ff_events as f64 / t_indexed,
+        "firstfit: {linear_rate:.0} events/s linear, {indexed_rate:.0} events/s indexed \
+         ({ff_speedup:.2}x); same-class holes {sc_linear_rate:.0} vs {sc_indexed_rate:.0} \
+         ({sc_speedup:.2}x)",
     );
     println!(
         "simulate: {SIM_TRACES} traces in {t_jobs1:.3}s @ jobs=1, {t_jobs2:.3}s @ jobs=2 \

@@ -1,7 +1,7 @@
 //! Knuth's first-fit allocator with boundary tags and a roving pointer.
 //!
-//! Since PR 5 the allocation path is answered by a size-segregated
-//! free-block index ([`FreeIndex`]) in O(log n) instead of the paper's
+//! The allocation path is answered by one address-ordered tree over
+//! the free blocks ([`FreeTree`]) in O(log n) instead of the paper's
 //! linear scan, while every observable — placements, heap growth and
 //! the [`OpCounts`] the Table 9 cost model consumes — stays
 //! byte-identical to the linear implementation (retained as
@@ -9,9 +9,9 @@
 //! proven equivalent by `tests/differential.rs`).
 
 use crate::counts::OpCounts;
-use crate::index::{FreeIndex, IndexStats};
+use crate::index::{FreeBlock, FreeTree, IndexStats};
 use crate::Addr;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Per-object header bytes (size + status word, boundary tag style).
 pub const HEADER: u64 = 8;
@@ -22,12 +22,6 @@ pub(crate) const MIN_SPLIT: u64 = 16;
 /// Heap growth quantum — an early-90s `sbrk` page multiple.
 pub const PAGE: u64 = 8192;
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Block {
-    pub(crate) size: u64,
-    pub(crate) free: bool,
-}
-
 /// A simulated first-fit heap (Knuth, TAOCP vol. 1 §2.5), the paper's
 /// baseline allocator and the general heap backing the arena
 /// allocator.
@@ -37,18 +31,18 @@ pub(crate) struct Block {
 /// one ended so small blocks don't accumulate at the front of the free
 /// list. The heap grows in `PAGE`-byte (8 KB) increments.
 ///
-/// The search itself runs on a log2 size-class index with an
-/// address-order-statistic set (`src/index.rs`): placements and
-/// all [`OpCounts`] — including `search_steps`, the number of free
-/// blocks the paper's *linear* scan would have examined — are
-/// identical to the linear implementation, only the wall-clock cost
-/// per allocation drops from O(free blocks) to O(log n).
+/// The search itself runs on an address-ordered tree of the free
+/// blocks augmented with subtree sizes and counts (`src/index.rs`):
+/// placements and all [`OpCounts`] — including `search_steps`, the
+/// number of free blocks the paper's *linear* scan would have examined
+/// — are identical to the linear implementation, only the wall-clock
+/// cost per allocation drops from O(free blocks) to O(log n).
 ///
 /// Freeing an address that is not a live allocation of this heap
 /// (never allocated, already freed, or pointing into the middle of a
 /// block) is a **documented no-op** counted in
 /// [`OpCounts::frees_invalid`], so a corrupted trace cannot poison the
-/// index or the boundary tags.
+/// tree or the boundary tags.
 ///
 /// # Examples
 ///
@@ -65,11 +59,11 @@ pub(crate) struct Block {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FirstFit {
-    /// Every block (allocated and free), keyed by start address; the
-    /// blocks exactly tile `[base, brk)`.
-    blocks: BTreeMap<u64, Block>,
-    /// Size-segregated index over the free blocks only.
-    index: FreeIndex,
+    /// The free blocks, by address. With `allocated` they exactly tile
+    /// `[base, brk)`, and no two of them touch.
+    free: FreeTree,
+    /// The allocated blocks: start address → block size.
+    allocated: HashMap<u64, u64>,
     base: u64,
     brk: u64,
     max_brk: u64,
@@ -93,8 +87,8 @@ impl FirstFit {
     /// allocator owns a disjoint part of the address space).
     pub fn with_base(base: u64) -> Self {
         FirstFit {
-            blocks: BTreeMap::new(),
-            index: FreeIndex::new(),
+            free: FreeTree::new(),
+            allocated: HashMap::new(),
             base,
             brk: base,
             max_brk: base,
@@ -107,13 +101,12 @@ impl FirstFit {
     pub fn alloc(&mut self, size: u32) -> Addr {
         self.counts.allocs += 1;
         let need = Self::block_size(size);
-
-        if let Some(addr) = self.search(need) {
-            return self.place(addr, need);
-        }
-        // No fit: grow the heap so the topmost free region fits `need`.
-        let addr = self.grow_for(need);
-        self.place(addr, need)
+        let (addr, have) = match self.search(need) {
+            Some(hit) => hit,
+            // No fit: grow the heap so the topmost free region fits.
+            None => self.grow_for(need),
+        };
+        self.place(addr, have, need)
     }
 
     /// Frees the block at `addr` (a value previously returned by
@@ -124,61 +117,44 @@ impl FirstFit {
     /// and counted in [`OpCounts::frees_invalid`], so replaying a
     /// corrupted trace cannot corrupt the heap structures.
     pub fn free(&mut self, addr: Addr) {
-        let Some(start) = addr.0.checked_sub(HEADER) else {
+        let start = addr.0.checked_sub(HEADER);
+        let Some((start, size)) = start.and_then(|s| Some((s, self.allocated.remove(&s)?))) else {
             self.counts.frees_invalid += 1;
             return;
         };
-        match self.blocks.get_mut(&start) {
-            Some(block) if !block.free => block.free = true,
-            _ => {
-                self.counts.frees_invalid += 1;
-                return;
-            }
-        }
         self.counts.frees += 1;
-        let mut start = start;
-        let mut size = self.blocks[&start].size;
-        self.index.insert(start, size);
-
-        // Coalesce with the next block.
-        let next = start + size;
-        if let Some(&Block {
-            size: nsize,
-            free: true,
-        }) = self.blocks.get(&next)
-        {
-            self.blocks.remove(&next);
-            self.index.remove(next, nsize);
-            self.index.resize(start, size, size + nsize);
-            size += nsize;
-            self.blocks.get_mut(&start).expect("block exists").size = size;
+        // The blocks tile the heap, so a free neighbour is adjacent
+        // exactly when its extent meets this block's.
+        let (pred, succ) = self.free.neighbours(start);
+        let next = succ.filter(|&(naddr, _)| naddr == start + size);
+        let prev = pred.filter(|&(paddr, psize)| paddr + psize == start);
+        // Same order as the linear scan: absorb the next block first,
+        // and pull a rover that pointed at an absorbed block back to
+        // the survivor's start.
+        let mut merged = size;
+        if let Some((naddr, nsize)) = next {
+            merged += nsize;
             self.counts.coalesces += 1;
-            if self.rover == next {
+            if self.rover == naddr {
                 self.rover = start;
             }
         }
-        // Coalesce with the previous block.
-        if let Some((
-            &paddr,
-            &Block {
-                size: psize,
-                free: true,
-            },
-        )) = self.blocks.range(..start).next_back()
-        {
-            if paddr + psize == start {
-                self.blocks.remove(&start);
-                self.index.remove(start, size);
-                self.index.resize(paddr, psize, psize + size);
-                self.blocks.get_mut(&paddr).expect("block exists").size = psize + size;
-                self.counts.coalesces += 1;
-                if self.rover == start {
-                    self.rover = paddr;
-                }
-                start = paddr;
+        if let Some((paddr, psize)) = prev {
+            merged += psize;
+            self.counts.coalesces += 1;
+            if self.rover == start {
+                self.rover = paddr;
             }
         }
-        let _ = start;
+        match (prev, next) {
+            (Some((paddr, _)), Some((naddr, _))) => {
+                self.free.remove(naddr);
+                self.free.update(paddr, paddr, merged);
+            }
+            (Some((paddr, _)), None) => self.free.update(paddr, paddr, merged),
+            (None, Some((naddr, _))) => self.free.update(naddr, start, merged),
+            (None, None) => self.free.insert(start, size),
+        }
     }
 
     /// Current heap extent in bytes.
@@ -196,24 +172,20 @@ impl FirstFit {
         &self.counts
     }
 
-    /// Work counters of the free-block index (no linear-scan
+    /// Work counters of the free-block tree (no linear-scan
     /// counterpart; exported as `lifepred_sim_*` metrics).
     pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
+        self.free.stats()
     }
 
     /// Number of currently allocated blocks.
     pub fn live_blocks(&self) -> usize {
-        self.blocks.values().filter(|b| !b.free).count()
+        self.allocated.len()
     }
 
     /// Bytes in allocated blocks, headers included.
     pub fn live_bytes(&self) -> u64 {
-        self.blocks
-            .values()
-            .filter(|b| !b.free)
-            .map(|b| b.size)
-            .sum()
+        self.allocated.values().sum()
     }
 
     pub(crate) fn block_size(size: u32) -> u64 {
@@ -223,7 +195,8 @@ impl FirstFit {
     }
 
     /// First-fit search from the roving pointer, wrapping once — the
-    /// indexed answer to the paper's linear scan.
+    /// tree's answer to the paper's linear scan: the free block to
+    /// place into.
     ///
     /// `search_steps` is charged with the number of free blocks the
     /// linear scan *would have examined*: every free block from the
@@ -231,100 +204,71 @@ impl FirstFit {
     /// heap top), or every free block when nothing fits. Both figures
     /// fall out of order statistics over the free-block addresses, so
     /// the Table 9 instruction model sees exactly the seed's numbers.
-    fn search(&mut self, need: u64) -> Option<u64> {
+    fn search(&mut self, need: u64) -> Option<FreeBlock> {
         let rover = self.rover;
-        let (found, wrapped) = match self.index.find_at_or_after(rover, need) {
+        let (found, wrapped) = match self.free.find_at_or_after(rover, need) {
             Some(hit) => (Some(hit), false),
             // Nothing at or above the rover fits; wrap to the base.
             // (A fitting block above the rover cannot exist, so the
             // unbounded second probe finds only below-rover blocks.)
-            None => (self.index.find_at_or_after(self.base, need), true),
+            None => (self.free.find_at_or_after(self.base, need), true),
         };
-        match found {
-            Some((addr, _size)) => {
-                let examined = if wrapped {
-                    // All free blocks at/above the rover failed, then
-                    // the linear scan re-starts at the base.
-                    (self.index.len() - self.index.rank(rover)) + self.index.rank(addr) + 1
-                } else {
-                    // Free blocks in [rover, addr].
-                    self.index.rank(addr) + 1 - self.index.rank(rover)
-                };
-                self.counts.search_steps += examined as u64;
-                Some(addr)
+        let examined = match found {
+            // All free blocks at/above the rover failed, then the
+            // linear scan re-starts at the base.
+            Some((addr, _)) if wrapped => {
+                (self.free.len() - self.free.rank(rover)) + self.free.rank(addr) + 1
             }
-            None => {
-                // The linear scan examines every free block once
-                // before giving up and growing the heap.
-                self.counts.search_steps += self.index.len() as u64;
-                None
-            }
-        }
+            // Free blocks in [rover, addr].
+            Some((addr, _)) => self.free.rank(addr) + 1 - self.free.rank(rover),
+            // The linear scan examines every free block once before
+            // giving up and growing the heap.
+            None => self.free.len(),
+        };
+        self.counts.search_steps += examined as u64;
+        found
     }
 
-    /// Allocates `need` bytes from the free block at `addr`, splitting
-    /// if the remainder is usable.
-    fn place(&mut self, addr: u64, need: u64) -> Addr {
-        let block = self.blocks[&addr];
-        debug_assert!(block.free && block.size >= need);
-        self.index.remove(addr, block.size);
-        if block.size - need >= MIN_SPLIT {
-            self.blocks.insert(
-                addr + need,
-                Block {
-                    size: block.size - need,
-                    free: true,
-                },
-            );
-            self.index.insert(addr + need, block.size - need);
-            self.blocks.insert(
-                addr,
-                Block {
-                    size: need,
-                    free: false,
-                },
-            );
+    /// Allocates `need` bytes from the free block `[addr, addr + have)`,
+    /// splitting if the remainder is usable.
+    fn place(&mut self, addr: u64, have: u64, need: u64) -> Addr {
+        debug_assert!(have >= need);
+        // Resume the next search after this allocation.
+        self.rover = addr + need;
+        if have - need >= MIN_SPLIT {
+            // The remainder keeps the block's place in address order.
+            self.free.update(addr, addr + need, have - need);
+            self.allocated.insert(addr, need);
             self.counts.splits += 1;
         } else {
-            self.blocks.get_mut(&addr).expect("block exists").free = false;
-        }
-        // Resume the next search after this block.
-        self.rover = addr + need;
-        if self.blocks.range(self.rover..).next().is_none() {
-            self.rover = self.base;
+            // The whole block goes, slack included — the rover stays at
+            // `addr + need`, up to 8 bytes short of the next block
+            // (exactly where the linear scan leaves it; the `rover ==`
+            // fix-ups in `free` depend on it). Nothing above? Wrap.
+            self.free.remove(addr);
+            self.allocated.insert(addr, have);
+            if addr + have == self.brk {
+                self.rover = self.base;
+            }
         }
         Addr(addr + HEADER)
     }
 
     /// Extends the heap until its topmost free block holds `need`
-    /// bytes, returning that block's address.
-    fn grow_for(&mut self, need: u64) -> u64 {
+    /// bytes, returning that block.
+    fn grow_for(&mut self, need: u64) -> FreeBlock {
         // Is the topmost block free? Then extend it, else append.
-        let top = self.blocks.iter().next_back().map(|(&a, b)| (a, *b));
-        let (start, existing) = match top {
-            Some((addr, block)) if block.free && addr + block.size == self.brk => {
-                (addr, block.size)
-            }
-            _ => (self.brk, 0),
-        };
-        let missing = need - existing;
-        let grow = missing.div_ceil(PAGE) * PAGE;
+        let top = self.free.last().filter(|&(a, s)| a + s == self.brk);
+        let (start, existing) = top.unwrap_or((self.brk, 0));
+        let grow = (need - existing).div_ceil(PAGE) * PAGE;
         self.counts.page_grows += grow / PAGE;
         self.brk += grow;
         self.max_brk = self.max_brk.max(self.brk);
-        self.blocks.insert(
-            start,
-            Block {
-                size: existing + grow,
-                free: true,
-            },
-        );
-        if existing > 0 {
-            self.index.resize(start, existing, existing + grow);
-        } else {
-            self.index.insert(start, grow);
+        match top {
+            Some(_) => self.free.update(start, start, existing + grow),
+            None => self.free.insert(start, grow),
         }
-        start
+        (start, existing + grow)
     }
 
     /// Verifies the structural invariants of the heap; used by tests.
@@ -332,29 +276,28 @@ impl FirstFit {
     /// # Panics
     ///
     /// Panics if blocks do not exactly tile `[base, brk)`, two free
-    /// blocks are adjacent, or the free-block index disagrees with the
-    /// boundary-tag map.
+    /// blocks are adjacent, or the free-block tree is malformed (key
+    /// order, priority heap order, a stale subtree `count` or `max`).
     pub fn check_invariants(&self) {
+        let free = self.free.check_invariants();
+        let mut blocks: Vec<(u64, u64, bool)> = (free.iter().map(|&(a, s)| (a, s, true)))
+            .chain(self.allocated.iter().map(|(&a, &s)| (a, s, false)))
+            .collect();
+        blocks.sort_unstable();
         let mut expected = self.base;
         let mut prev_free = false;
-        for (&addr, block) in &self.blocks {
+        for (addr, size, free) in blocks {
             assert_eq!(addr, expected, "gap or overlap at 0x{addr:x}");
-            assert!(block.size > 0, "empty block at 0x{addr:x}");
+            assert!(size > 0, "empty block at 0x{addr:x}");
             assert!(
-                !(prev_free && block.free),
+                !(prev_free && free),
                 "uncoalesced free blocks at 0x{addr:x}"
             );
-            prev_free = block.free;
-            expected = addr + block.size;
+            prev_free = free;
+            expected = addr + size;
         }
         assert_eq!(expected, self.brk, "blocks do not reach brk");
         assert!(self.max_brk >= self.brk);
-        self.index.check_consistency(
-            self.blocks
-                .iter()
-                .filter(|(_, b)| b.free)
-                .map(|(&a, b)| (a, b.size)),
-        );
     }
 }
 
@@ -374,7 +317,7 @@ mod tests {
         h.check_invariants();
         assert_eq!(h.live_blocks(), 0);
         // Everything coalesced back into one block.
-        assert_eq!(h.blocks.len(), 1);
+        assert_eq!(h.free.len(), 1);
     }
 
     #[test]
@@ -468,10 +411,10 @@ mod tests {
         let mut h = FirstFit::new();
         let a = h.alloc(100);
         h.free(a);
-        let _ = h.alloc(100); // served from the index
+        let _ = h.alloc(100); // served from the tree
         let stats = h.index_stats();
-        assert!(stats.bin_hits >= 1, "{stats:?}");
-        assert!(stats.bitmap_scans >= 1, "{stats:?}");
+        assert!(stats.hits >= 1, "{stats:?}");
+        assert!(stats.node_visits >= 1, "{stats:?}");
     }
 
     #[test]

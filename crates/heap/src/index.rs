@@ -1,226 +1,126 @@
-//! Size-segregated free-block index for the first-fit heap.
+//! Address-ordered free-block tree for the first-fit heap.
 //!
 //! The paper's first-fit allocator answers every allocation with a
 //! linear roving-pointer scan over the free list — O(free blocks) per
-//! request. [`FreeIndex`] answers the same query ("first free block at
-//! address ≥ the rover with size ≥ n, wrapping once") in O(log n):
+//! request. [`FreeTree`] holds the same free list as **one** balanced
+//! tree keyed by block address, each node carrying its block's `size`
+//! plus two subtree summaries:
 //!
-//! * **log2 size-class bins** — free blocks are binned by
-//!   ⌊log2(size)⌋ into 64 address-ordered maps, so a request only
-//!   inspects bins that *can* hold a fitting block;
-//! * **bin-occupancy bitmap** — one `u64` whose bit *b* says bin *b*
-//!   is non-empty, so empty bins cost one mask instruction, not a
-//!   probe;
-//! * **address order statistics** — an [`OrderSet`] (a deterministic
-//!   treap keyed by block address) over all free blocks, so the number
-//!   of free blocks the *linear* scan would have examined between the
-//!   rover and the found block is recoverable from two rank queries.
+//! * `max`, the largest block size below the node, so "lowest address
+//!   ≥ the rover with size ≥ n" is one descent that never enters a
+//!   subtree too small to hold a fit;
+//! * `count`, the number of blocks below the node, so the number of
+//!   free blocks the *linear* scan would have examined between the
+//!   rover and the found block is two [`rank`](FreeTree::rank) queries.
 //!   That keeps `OpCounts::search_steps` — the input to the Table 9
 //!   instruction-cost model — byte-identical to the paper's scan (see
 //!   `FirstFit::search` and DESIGN.md §11).
 //!
-//! The index is an *auxiliary* structure: the boundary-tag block map in
-//! `firstfit.rs` remains the source of truth, and
-//! `FirstFit::check_invariants` cross-checks the two on every test run.
+//! Address predecessor/successor (coalescing) and the topmost block
+//! (heap growth) are descents of the same tree. A block that shrinks
+//! from the front, grows, or absorbs a neighbour keeps its place in
+//! address order, so [`FreeTree::update`] edits the node where it sits
+//! and repairs the summaries along its root path; only a block that
+//! appears or disappears restructures the tree. The tree is a treap;
+//! because keys move, priorities are drawn from a per-tree generator
+//! rather than hashed from the key, which keeps the shape a pure
+//! function of the operation sequence (replays stay reproducible).
 
-use std::collections::BTreeMap;
-
-/// Number of log2 size classes (block sizes fit in a `u64`).
-const BIN_COUNT: usize = 64;
-
-/// Sentinel child index of the treap.
+/// Sentinel child index.
 const NIL: u32 = u32::MAX;
 
-/// Counters of the index's own work, exported as `lifepred_sim_*`
-/// metrics by observed replays (they have no counterpart in the
-/// paper's linear scan and therefore live outside
+/// Counters of the tree's own search work, exported as
+/// `lifepred_sim_index_*` metrics by observed replays (they have no
+/// counterpart in the paper's linear scan and therefore live outside
 /// [`OpCounts`](crate::OpCounts)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Searches satisfied from the size-class bins (every successful
-    /// first-fit placement that did not require growing the heap).
-    pub bin_hits: u64,
-    /// Candidate size-class bins probed via the occupancy bitmap.
-    pub bitmap_scans: u64,
+    /// Searches that found a fitting free block (every first-fit
+    /// placement that did not require growing the heap).
+    pub hits: u64,
+    /// Tree nodes visited by searches.
+    pub node_visits: u64,
 }
 
-impl IndexStats {
-    /// Sums two stat sets (mirrors `OpCounts::merged`).
-    pub fn merged(&self, other: &IndexStats) -> IndexStats {
-        IndexStats {
-            bin_hits: self.bin_hits + other.bin_hits,
-            bitmap_scans: self.bitmap_scans + other.bitmap_scans,
-        }
-    }
+/// A free block as `(address, size)`.
+pub(crate) type FreeBlock = (u64, u64);
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    addr: u64,
+    size: u64,
+    /// Largest `size` in this subtree.
+    max: u64,
+    prio: u32,
+    left: u32,
+    right: u32,
+    /// Nodes in this subtree.
+    count: u32,
 }
 
-/// The size class of a block: ⌊log2(size)⌋.
-#[inline]
-fn bin_of(size: u64) -> usize {
-    debug_assert!(size > 0, "free blocks are never empty");
-    (63 - size.leading_zeros()) as usize
-}
-
-/// An order-statistic set of `u64` keys: a treap whose priorities are
-/// a hash of the key, so its shape is deterministic for a given key
-/// set (replays stay reproducible) while remaining balanced in
-/// expectation for non-adversarial inputs.
-#[derive(Debug, Clone, Default)]
-struct OrderSet {
+/// The free blocks of one heap, ordered by address.
+#[derive(Debug, Clone)]
+pub(crate) struct FreeTree {
     nodes: Vec<Node>,
     /// Recycled node slots.
     spare: Vec<u32>,
     root: u32,
+    /// Scratch: the root path of the node being edited.
+    path: Vec<u32>,
+    /// State of the priority generator (SplitMix64).
+    prio_state: u64,
+    stats: IndexStats,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    key: u64,
-    prio: u64,
-    left: u32,
-    right: u32,
-    /// Subtree size, for rank queries.
-    count: u32,
-}
-
-/// SplitMix64: the key-to-priority hash. Any fixed bijective mixer
-/// works; this one is well distributed and dependency-free.
-#[inline]
-fn priority_of(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl OrderSet {
-    fn new() -> OrderSet {
-        OrderSet {
+impl FreeTree {
+    pub(crate) fn new() -> FreeTree {
+        FreeTree {
             nodes: Vec::new(),
             spare: Vec::new(),
             root: NIL,
+            path: Vec::new(),
+            prio_state: 0,
+            stats: IndexStats::default(),
         }
     }
 
-    fn len(&self) -> usize {
+    /// Total free blocks.
+    pub(crate) fn len(&self) -> usize {
         self.count(self.root) as usize
+    }
+
+    /// Search work counters.
+    pub(crate) fn stats(&self) -> IndexStats {
+        self.stats
     }
 
     #[inline]
     fn count(&self, t: u32) -> u32 {
-        if t == NIL {
-            0
-        } else {
-            self.nodes[t as usize].count
-        }
+        self.nodes.get(t as usize).map_or(0, |n| n.count)
     }
 
     #[inline]
+    fn max(&self, t: u32) -> u64 {
+        self.nodes.get(t as usize).map_or(0, |n| n.max)
+    }
+
+    /// Recomputes the summaries of `t` from its children.
+    #[inline]
     fn pull(&mut self, t: u32) {
-        let (l, r) = {
-            let n = &self.nodes[t as usize];
-            (n.left, n.right)
-        };
-        self.nodes[t as usize].count = 1 + self.count(l) + self.count(r);
+        let n = self.nodes[t as usize];
+        let count = 1 + self.count(n.left) + self.count(n.right);
+        let max = n.size.max(self.max(n.left)).max(self.max(n.right));
+        let n = &mut self.nodes[t as usize];
+        n.count = count;
+        n.max = max;
     }
 
-    /// Splits `t` into `(keys < key, keys >= key)`.
-    fn split(&mut self, t: u32, key: u64) -> (u32, u32) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.nodes[t as usize].key < key {
-            let right = self.nodes[t as usize].right;
-            let (l, r) = self.split(right, key);
-            self.nodes[t as usize].right = l;
-            self.pull(t);
-            (t, r)
-        } else {
-            let left = self.nodes[t as usize].left;
-            let (l, r) = self.split(left, key);
-            self.nodes[t as usize].left = r;
-            self.pull(t);
-            (l, t)
-        }
-    }
-
-    /// Merges `l` and `r`; every key of `l` is below every key of `r`.
-    fn merge(&mut self, l: u32, r: u32) -> u32 {
-        if l == NIL {
-            return r;
-        }
-        if r == NIL {
-            return l;
-        }
-        if self.nodes[l as usize].prio >= self.nodes[r as usize].prio {
-            let lr = self.nodes[l as usize].right;
-            let m = self.merge(lr, r);
-            self.nodes[l as usize].right = m;
-            self.pull(l);
-            l
-        } else {
-            let rl = self.nodes[r as usize].left;
-            let m = self.merge(l, rl);
-            self.nodes[r as usize].left = m;
-            self.pull(r);
-            r
-        }
-    }
-
-    fn alloc_node(&mut self, key: u64) -> u32 {
-        let node = Node {
-            key,
-            prio: priority_of(key),
-            left: NIL,
-            right: NIL,
-            count: 1,
-        };
-        match self.spare.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                assert!(self.nodes.len() < NIL as usize, "order set full");
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Inserts `key`; the caller guarantees it is absent (block start
-    /// addresses are unique by construction).
-    fn insert(&mut self, key: u64) {
-        let (l, r) = self.split(self.root, key);
-        debug_assert!(
-            r == NIL || self.min_key(r) != key,
-            "duplicate free address 0x{key:x}"
-        );
-        let n = self.alloc_node(key);
-        let lm = self.merge(l, n);
-        self.root = self.merge(lm, r);
-    }
-
-    /// Removes `key`; the caller guarantees it is present.
-    fn remove(&mut self, key: u64) {
-        let (l, rest) = self.split(self.root, key);
-        // `key + 1` cannot overflow: keys are block addresses far below
-        // u64::MAX (the arena base caps the simulated space at 2^40).
-        let (mid, r) = self.split(rest, key + 1);
-        debug_assert!(mid != NIL && self.nodes[mid as usize].count == 1);
-        if mid != NIL {
-            self.spare.push(mid);
-        }
-        self.root = self.merge(l, r);
-    }
-
-    /// Number of keys strictly below `key`.
-    fn rank(&self, key: u64) -> usize {
+    /// Number of free blocks at addresses strictly below `addr`.
+    pub(crate) fn rank(&self, addr: u64) -> usize {
         let mut t = self.root;
         let mut below = 0usize;
-        while t != NIL {
-            let n = &self.nodes[t as usize];
-            if key <= n.key {
+        while let Some(n) = self.nodes.get(t as usize) {
+            if addr <= n.addr {
                 t = n.left;
             } else {
                 below += self.count(n.left) as usize + 1;
@@ -230,270 +130,438 @@ impl OrderSet {
         below
     }
 
-    /// Smallest key in subtree `t` (debug-assertion support; the call
-    /// site is a `debug_assert!`, which still type-checks in release).
-    fn min_key(&self, mut t: u32) -> u64 {
+    /// First (lowest-address) free block at address ≥ `from` with size
+    /// ≥ `need`. One descent: only the boundary path of `from` can be
+    /// walked in vain; any other subtree is entered only when its
+    /// `max` promises a fit.
+    pub(crate) fn find_at_or_after(&mut self, from: u64, need: u64) -> Option<FreeBlock> {
+        let mut visits = 0;
+        let hit = self.find(self.root, from, need, &mut visits);
+        self.stats.node_visits += visits;
+        let n = self.nodes.get(hit as usize)?;
+        self.stats.hits += 1;
+        Some((n.addr, n.size))
+    }
+
+    fn find(&self, t: u32, from: u64, need: u64, visits: &mut u64) -> u32 {
+        let Some(n) = self.nodes.get(t as usize) else {
+            return NIL;
+        };
+        *visits += 1;
+        if n.max < need {
+            return NIL;
+        }
+        if n.addr >= from {
+            let hit = self.find(n.left, from, need, visits);
+            if hit != NIL {
+                return hit;
+            }
+            if n.size >= need {
+                return t;
+            }
+        }
+        self.find(n.right, from, need, visits)
+    }
+
+    /// The free blocks nearest below and above `addr`, which is not
+    /// itself a free block's address.
+    pub(crate) fn neighbours(&self, addr: u64) -> (Option<FreeBlock>, Option<FreeBlock>) {
+        let (mut pred, mut succ) = (None, None);
+        let mut t = self.root;
+        while let Some(n) = self.nodes.get(t as usize) {
+            debug_assert_ne!(n.addr, addr, "0x{addr:x} is a free block");
+            if n.addr < addr {
+                pred = Some((n.addr, n.size));
+                t = n.right;
+            } else {
+                succ = Some((n.addr, n.size));
+                t = n.left;
+            }
+        }
+        (pred, succ)
+    }
+
+    /// The highest-address free block.
+    pub(crate) fn last(&self) -> Option<FreeBlock> {
+        let mut n = self.nodes.get(self.root as usize)?;
+        while let Some(right) = self.nodes.get(n.right as usize) {
+            n = right;
+        }
+        Some((n.addr, n.size))
+    }
+
+    /// Fills `path` with the nodes from the root down to the block at
+    /// `addr`, which the caller guarantees is in the tree.
+    fn locate(&mut self, addr: u64) -> u32 {
+        self.path.clear();
+        let mut t = self.root;
         loop {
             let n = &self.nodes[t as usize];
-            if n.left == NIL {
-                return n.key;
+            self.path.push(t);
+            if n.addr == addr {
+                return t;
             }
-            t = n.left;
-        }
-    }
-}
-
-/// The size-segregated, address-ordered free-block index.
-#[derive(Debug, Clone)]
-pub(crate) struct FreeIndex {
-    /// Per size class: free blocks as address → size.
-    bins: Vec<BTreeMap<u64, u64>>,
-    /// Bit *b* set ⇔ `bins[b]` is non-empty.
-    occupancy: u64,
-    /// Address order statistics over all free blocks.
-    order: OrderSet,
-    stats: IndexStats,
-}
-
-impl FreeIndex {
-    pub(crate) fn new() -> FreeIndex {
-        FreeIndex {
-            bins: vec![BTreeMap::new(); BIN_COUNT],
-            occupancy: 0,
-            order: OrderSet::new(),
-            stats: IndexStats::default(),
+            t = if addr < n.addr { n.left } else { n.right };
         }
     }
 
-    /// Total free blocks tracked.
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
+    /// Recomputes the summaries of every node on `path`, deepest first.
+    fn repair_path(&mut self) {
+        for i in (0..self.path.len()).rev() {
+            self.pull(self.path[i]);
+        }
     }
 
-    /// Work counters (bin hits, bitmap scans).
-    pub(crate) fn stats(&self) -> IndexStats {
-        self.stats
+    /// Makes `child` the subtree that hangs off the last node of
+    /// `path` on the side `addr` sorts to (or the root, on an empty
+    /// path).
+    fn attach(&mut self, addr: u64, child: u32) {
+        match self.path.last() {
+            None => self.root = child,
+            Some(&p) => {
+                let parent = &mut self.nodes[p as usize];
+                if addr < parent.addr {
+                    parent.left = child;
+                } else {
+                    parent.right = child;
+                }
+            }
+        }
     }
 
-    /// Number of free blocks at addresses strictly below `addr`.
-    pub(crate) fn rank(&self, addr: u64) -> usize {
-        self.order.rank(addr)
+    /// Moves and/or resizes the free block at `addr` where it sits.
+    /// The caller guarantees the new extent stays between the block's
+    /// address neighbours (a front split, a coalesce or heap growth),
+    /// so the tree's shape is untouched.
+    pub(crate) fn update(&mut self, addr: u64, new_addr: u64, new_size: u64) {
+        let t = self.locate(addr);
+        let n = &mut self.nodes[t as usize];
+        n.addr = new_addr;
+        n.size = new_size;
+        self.repair_path();
     }
 
-    /// Registers the free block `[addr, addr + size)`.
+    fn next_prio(&mut self) -> u32 {
+        self.prio_state = self.prio_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.prio_state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 32) as u32
+    }
+
+    /// Registers the free block `[addr, addr + size)`; the caller
+    /// guarantees no free block starts at `addr`.
     pub(crate) fn insert(&mut self, addr: u64, size: u64) {
-        let b = bin_of(size);
-        let prev = self.bins[b].insert(addr, size);
-        debug_assert!(prev.is_none(), "re-inserted free block 0x{addr:x}");
-        self.occupancy |= 1 << b;
-        self.order.insert(addr);
-    }
-
-    /// Forgets the free block at `addr` (its current size is `size`).
-    pub(crate) fn remove(&mut self, addr: u64, size: u64) {
-        let b = bin_of(size);
-        let had = self.bins[b].remove(&addr);
-        debug_assert_eq!(had, Some(size), "index out of sync at 0x{addr:x}");
-        if self.bins[b].is_empty() {
-            self.occupancy &= !(1 << b);
-        }
-        self.order.remove(addr);
-    }
-
-    /// Re-sizes the free block at `addr` in place (coalescing and heap
-    /// growth change sizes without moving the block start).
-    pub(crate) fn resize(&mut self, addr: u64, old_size: u64, new_size: u64) {
-        let ob = bin_of(old_size);
-        let nb = bin_of(new_size);
-        if ob == nb {
-            let slot = self.bins[ob].get_mut(&addr).expect("index out of sync");
-            debug_assert_eq!(*slot, old_size);
-            *slot = new_size;
-            return;
-        }
-        let had = self.bins[ob].remove(&addr);
-        debug_assert_eq!(had, Some(old_size), "index out of sync at 0x{addr:x}");
-        if self.bins[ob].is_empty() {
-            self.occupancy &= !(1 << ob);
-        }
-        self.bins[nb].insert(addr, new_size);
-        self.occupancy |= 1 << nb;
-    }
-
-    /// First (lowest-address) free block at address ≥ `from` with size
-    /// ≥ `need`, or `None`. Cost: one bin probe per occupied class ≥
-    /// ⌊log2(need)⌋, each O(log n), plus a short bounded walk inside
-    /// `need`'s own class (whose entries are within a factor 2 of
-    /// `need`, so roughly half fit on average).
-    pub(crate) fn find_at_or_after(&mut self, from: u64, need: u64) -> Option<(u64, u64)> {
-        let nb = bin_of(need);
-        let mut best: Option<(u64, u64)> = None;
-        // Every block in a class above `need`'s fits; take each class's
-        // first block at/after `from` and keep the lowest address.
-        let mut mask = self.occupancy & (u64::MAX << nb) & !(1 << nb);
-        while mask != 0 {
-            let b = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            self.stats.bitmap_scans += 1;
-            if let Some((&addr, &size)) = self.bins[b].range(from..).next() {
-                if best.is_none_or(|(ba, _)| addr < ba) {
-                    best = Some((addr, size));
-                }
+        let prio = self.next_prio();
+        // Descend to the first node the new one outranks.
+        self.path.clear();
+        let mut t = self.root;
+        while let Some(n) = self.nodes.get(t as usize) {
+            if n.prio < prio {
+                break;
             }
+            debug_assert_ne!(n.addr, addr, "re-inserted free block 0x{addr:x}");
+            self.path.push(t);
+            t = if addr < n.addr { n.left } else { n.right };
         }
-        // `need`'s own class holds blocks both above and below `need`;
-        // walk it in address order, stopping at the candidate from the
-        // larger classes (beyond it, a fit can no longer win).
-        if self.occupancy & (1 << nb) != 0 {
-            self.stats.bitmap_scans += 1;
-            for (&addr, &size) in self.bins[nb].range(from..) {
-                if best.is_some_and(|(ba, _)| addr >= ba) {
-                    break;
-                }
-                if size >= need {
-                    best = Some((addr, size));
-                    break;
-                }
+        let (left, right) = self.split(t, addr);
+        let node = Node {
+            addr,
+            size,
+            max: size,
+            prio,
+            left,
+            right,
+            count: 1,
+        };
+        let slot = match self.spare.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
             }
-        }
-        if best.is_some() {
-            self.stats.bin_hits += 1;
-        }
-        best
+            None => {
+                assert!(self.nodes.len() < NIL as usize, "free tree full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.pull(slot);
+        self.attach(addr, slot);
+        self.repair_path();
     }
 
-    /// Panics unless the index exactly mirrors `free_blocks` (the
-    /// boundary-tag map's free entries); used by
-    /// `FirstFit::check_invariants`.
-    pub(crate) fn check_consistency(&self, free_blocks: impl Iterator<Item = (u64, u64)>) {
-        let mut expected = 0usize;
-        for (addr, size) in free_blocks {
-            expected += 1;
-            let b = bin_of(size);
-            assert_eq!(
-                self.bins[b].get(&addr),
-                Some(&size),
-                "free block 0x{addr:x} (size {size}) missing from bin {b}"
-            );
-            assert_eq!(
-                self.order.rank(addr + 1) - self.order.rank(addr),
-                1,
-                "free block 0x{addr:x} missing from the order set"
-            );
+    /// Forgets the free block at `addr`.
+    pub(crate) fn remove(&mut self, addr: u64) {
+        let t = self.locate(addr);
+        self.path.pop();
+        let Node { left, right, .. } = self.nodes[t as usize];
+        let merged = self.merge(left, right);
+        self.attach(addr, merged);
+        self.spare.push(t);
+        self.repair_path();
+    }
+
+    /// Splits `t` into `(addresses < addr, addresses > addr)`.
+    fn split(&mut self, t: u32, addr: u64) -> (u32, u32) {
+        if t == NIL {
+            return (NIL, NIL);
         }
-        let indexed: usize = self.bins.iter().map(BTreeMap::len).sum();
-        assert_eq!(indexed, expected, "index holds stale blocks");
-        assert_eq!(self.order.len(), expected, "order set holds stale blocks");
-        for (b, bin) in self.bins.iter().enumerate() {
-            assert_eq!(
-                self.occupancy & (1 << b) != 0,
-                !bin.is_empty(),
-                "occupancy bit {b} out of sync"
-            );
-            for (&addr, &size) in bin {
-                assert_eq!(bin_of(size), b, "block 0x{addr:x} in wrong bin");
-            }
+        if self.nodes[t as usize].addr < addr {
+            let (l, r) = self.split(self.nodes[t as usize].right, addr);
+            self.nodes[t as usize].right = l;
+            self.pull(t);
+            (t, r)
+        } else {
+            let (l, r) = self.split(self.nodes[t as usize].left, addr);
+            self.nodes[t as usize].left = r;
+            self.pull(t);
+            (l, t)
         }
+    }
+
+    /// Merges `l` and `r`; every address of `l` is below every address
+    /// of `r`.
+    fn merge(&mut self, l: u32, r: u32) -> u32 {
+        if l == NIL {
+            return r;
+        }
+        if r == NIL {
+            return l;
+        }
+        if self.nodes[l as usize].prio >= self.nodes[r as usize].prio {
+            let m = self.merge(self.nodes[l as usize].right, r);
+            self.nodes[l as usize].right = m;
+            self.pull(l);
+            l
+        } else {
+            let m = self.merge(l, self.nodes[r as usize].left);
+            self.nodes[r as usize].left = m;
+            self.pull(r);
+            r
+        }
+    }
+
+    /// Panics unless the tree is a well-formed treap with correct
+    /// summaries (address order, heap order of priorities, `count` and
+    /// `max` of every node, no leaked slot); returns the free blocks in
+    /// address order. Used by `FirstFit::check_invariants`.
+    pub(crate) fn check_invariants(&self) -> Vec<FreeBlock> {
+        let mut blocks = Vec::with_capacity(self.len());
+        self.check_subtree(self.root, u32::MAX, &mut blocks);
+        assert!(
+            blocks.windows(2).all(|w| w[0].0 < w[1].0),
+            "free tree out of address order"
+        );
+        assert_eq!(
+            blocks.len() + self.spare.len(),
+            self.nodes.len(),
+            "free tree leaked a node slot"
+        );
+        blocks
+    }
+
+    /// Checks subtree `t` (whose parent has priority `parent_prio`),
+    /// appending its blocks in order; returns its `(count, max)`.
+    fn check_subtree(&self, t: u32, parent_prio: u32, out: &mut Vec<FreeBlock>) -> (u32, u64) {
+        let Some(n) = self.nodes.get(t as usize) else {
+            return (0, 0);
+        };
+        assert!(n.prio <= parent_prio, "heap order broken at 0x{:x}", n.addr);
+        assert!(n.size > 0, "empty free block at 0x{:x}", n.addr);
+        let (lcount, lmax) = self.check_subtree(n.left, n.prio, out);
+        out.push((n.addr, n.size));
+        let (rcount, rmax) = self.check_subtree(n.right, n.prio, out);
+        let (count, max) = (1 + lcount + rcount, n.size.max(lmax).max(rmax));
+        assert_eq!(n.count, count, "stale count at 0x{:x}", n.addr);
+        assert_eq!(n.max, max, "stale max at 0x{:x}", n.addr);
+        (count, max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn bin_of_is_floor_log2() {
-        assert_eq!(bin_of(1), 0);
-        assert_eq!(bin_of(16), 4);
-        assert_eq!(bin_of(31), 4);
-        assert_eq!(bin_of(32), 5);
-        assert_eq!(bin_of(u64::MAX), 63);
-    }
-
-    #[test]
-    fn order_set_ranks_match_sorted_position() {
-        let mut s = OrderSet::new();
-        let keys = [40u64, 8, 96, 16, 72, 64, 24];
-        for &k in &keys {
-            s.insert(k);
+    fn tree_of(blocks: &[(u64, u64)]) -> FreeTree {
+        let mut tree = FreeTree::new();
+        for &(addr, size) in blocks {
+            tree.insert(addr, size);
         }
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable();
-        for (i, &k) in sorted.iter().enumerate() {
-            assert_eq!(s.rank(k), i, "rank of {k}");
-            assert_eq!(s.rank(k + 1), i + 1, "rank past {k}");
-        }
-        assert_eq!(s.len(), keys.len());
-        s.remove(64);
-        assert_eq!(s.rank(96), 5);
-        assert_eq!(s.len(), keys.len() - 1);
-    }
-
-    #[test]
-    fn order_set_recycles_slots() {
-        let mut s = OrderSet::new();
-        for k in 0..100u64 {
-            s.insert(k * 16);
-        }
-        for k in 0..100u64 {
-            s.remove(k * 16);
-        }
-        let allocated = s.nodes.len();
-        for k in 0..100u64 {
-            s.insert(k * 16 + 8);
-        }
-        assert_eq!(s.nodes.len(), allocated, "slots must be recycled");
-        assert_eq!(s.len(), 100);
+        tree
     }
 
     #[test]
     fn find_prefers_lowest_address_not_best_fit() {
-        let mut ix = FreeIndex::new();
-        ix.insert(0, 4096); // big block at the bottom
-        ix.insert(8192, 64); // snug block higher up
-                             // First-fit from the base takes the big low block even though
-                             // the high one fits more tightly.
-        assert_eq!(ix.find_at_or_after(0, 64), Some((0, 4096)));
+        // A big block at the bottom, a snug one higher up: first-fit
+        // from the base takes the big low block even though the high
+        // one fits more tightly.
+        let mut tree = tree_of(&[(0, 4096), (8192, 64)]);
+        assert_eq!(tree.find_at_or_after(0, 64), Some((0, 4096)));
         // From above the big block, the snug one wins.
-        assert_eq!(ix.find_at_or_after(4096, 64), Some((8192, 64)));
-        assert_eq!(ix.find_at_or_after(8193, 64), None);
+        assert_eq!(tree.find_at_or_after(4096, 64), Some((8192, 64)));
+        assert_eq!(tree.find_at_or_after(8193, 64), None);
+        assert_eq!(tree.stats().hits, 2);
     }
 
     #[test]
-    fn same_bin_smaller_blocks_are_skipped() {
-        let mut ix = FreeIndex::new();
-        // All three share bin 5 (sizes 32..63).
-        ix.insert(0, 40);
-        ix.insert(1000, 33);
-        ix.insert(2000, 63);
-        assert_eq!(ix.find_at_or_after(0, 48), Some((2000, 63)));
-        assert_eq!(ix.find_at_or_after(0, 40), Some((0, 40)));
-        assert_eq!(ix.find_at_or_after(1, 40), Some((2000, 63)));
+    fn smaller_blocks_of_the_same_size_class_are_skipped() {
+        let mut tree = tree_of(&[(0, 40), (1000, 33), (2000, 63)]);
+        assert_eq!(tree.find_at_or_after(0, 48), Some((2000, 63)));
+        assert_eq!(tree.find_at_or_after(0, 40), Some((0, 40)));
+        assert_eq!(tree.find_at_or_after(1, 40), Some((2000, 63)));
     }
 
     #[test]
-    fn resize_moves_between_bins() {
-        let mut ix = FreeIndex::new();
-        ix.insert(64, 48);
-        ix.resize(64, 48, 130); // bin 5 -> bin 7
-        assert_eq!(ix.find_at_or_after(0, 128), Some((64, 130)));
-        assert_eq!(ix.len(), 1);
-        ix.resize(64, 130, 140); // same bin
-        assert_eq!(ix.find_at_or_after(0, 140), Some((64, 140)));
-        ix.remove(64, 140);
-        assert_eq!(ix.len(), 0);
-        assert_eq!(ix.find_at_or_after(0, 1), None);
+    fn update_moves_and_resizes_in_place() {
+        let mut tree = tree_of(&[(0, 16), (64, 48), (256, 16)]);
+        tree.update(64, 80, 32); // front split
+        assert_eq!(tree.find_at_or_after(0, 32), Some((80, 32)));
+        tree.update(80, 32, 224); // absorbed the space on both sides
+        assert_eq!(tree.find_at_or_after(0, 200), Some((32, 224)));
+        assert_eq!(tree.check_invariants(), [(0, 16), (32, 224), (256, 16)]);
+        tree.remove(32);
+        assert_eq!(tree.find_at_or_after(0, 17), None);
+        assert_eq!(tree.len(), 2);
     }
 
     #[test]
-    fn rank_counts_free_blocks_below() {
-        let mut ix = FreeIndex::new();
-        for addr in [16u64, 48, 96, 128] {
-            ix.insert(addr, 16);
+    fn node_slots_are_recycled() {
+        let mut tree = FreeTree::new();
+        for k in 0..100u64 {
+            tree.insert(k * 32, 16);
         }
-        assert_eq!(ix.rank(0), 0);
-        assert_eq!(ix.rank(48), 1);
-        assert_eq!(ix.rank(49), 2);
-        assert_eq!(ix.rank(1000), 4);
+        for k in 0..100u64 {
+            tree.remove(k * 32);
+        }
+        let allocated = tree.nodes.len();
+        for k in 0..100u64 {
+            tree.insert(k * 32 + 8, 16);
+        }
+        assert_eq!(tree.nodes.len(), allocated, "slots must be recycled");
+        assert_eq!(tree.check_invariants().len(), 100);
+    }
+
+    /// The old in-bin walk was O(holes) when every hole shared the
+    /// request's log2 size class but was too small; the tree's `max`
+    /// answers without looking at them.
+    #[test]
+    fn too_small_holes_of_the_right_size_class_cost_log_n() {
+        const HOLES: u64 = 60_000;
+        let mut tree = FreeTree::new();
+        for k in 0..HOLES {
+            tree.insert(k * 256, 64 + (k % 6) * 8); // 64..=104: class 6
+        }
+        tree.insert(HOLES * 256, 4096);
+        let log2 = u64::from(HOLES.ilog2());
+        for (from, need, expect) in [
+            (0, 120, Some((HOLES * 256, 4096))), // class 6, fits no hole
+            (HOLES * 128, 112, Some((HOLES * 256, 4096))),
+            (0, 8192, None),
+        ] {
+            let before = tree.stats().node_visits;
+            assert_eq!(tree.find_at_or_after(from, need), expect);
+            let visits = tree.stats().node_visits - before;
+            assert!(visits <= 6 * log2, "{visits} node visits for {HOLES} holes");
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A new block `gap` bytes above block `i - 1`.
+        Insert(usize, u64, u64),
+        Remove(usize),
+        /// Shrink from the front (a split).
+        Shrink(usize, u64),
+        /// Grow downwards and upwards, as far as the neighbours allow.
+        Grow(usize, u64, u64),
+        Find(u64, u64),
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let block = || 0usize..1000;
+        proptest::collection::vec(
+            prop_oneof![
+                (block(), 0u64..300, 1u64..200).prop_map(|(i, gap, s)| Op::Insert(i, gap, s)),
+                (block(), 0u64..300, 1u64..200).prop_map(|(i, gap, s)| Op::Insert(i, gap, s)),
+                block().prop_map(Op::Remove),
+                (block(), 1u64..200).prop_map(|(i, by)| Op::Shrink(i, by)),
+                (block(), 0u64..200, 0u64..200).prop_map(|(i, d, u)| Op::Grow(i, d, u)),
+                (0u64..40_000, 1u64..400).prop_map(|(from, need)| Op::Find(from, need)),
+            ],
+            1..300,
+        )
+    }
+
+    /// What the tree must answer, computed from a sorted `Vec`.
+    fn check_against(tree: &mut FreeTree, model: &[(u64, u64)], probes: &[(u64, u64)]) {
+        assert_eq!(tree.check_invariants(), model);
+        assert_eq!(tree.last(), model.last().copied());
+        for &(from, need) in probes {
+            let expect = model.iter().find(|b| b.0 >= from && b.1 >= need).copied();
+            assert_eq!(tree.find_at_or_after(from, need), expect);
+            assert_eq!(tree.rank(from), model.iter().filter(|b| b.0 < from).count());
+            if model.iter().all(|b| b.0 != from) {
+                let pred = model.iter().rev().find(|b| b.0 < from).copied();
+                let succ = model.iter().find(|b| b.0 > from).copied();
+                assert_eq!(tree.neighbours(from), (pred, succ));
+            }
+        }
+    }
+
+    proptest! {
+        /// Inserts, removals and in-place moves/resizes keep the tree
+        /// answering exactly like a sorted vector of blocks.
+        #[test]
+        fn tree_matches_sorted_vec_model(script in ops()) {
+            let mut tree = FreeTree::new();
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            // Where the block before / after `model[i]` ends / starts.
+            let end_below = |model: &[(u64, u64)], i: usize| match i {
+                0 => 0,
+                _ => model[i - 1].0 + model[i - 1].1,
+            };
+            let start_above = |model: &[(u64, u64)], i: usize| model.get(i + 1).map_or(u64::MAX, |b| b.0);
+            for op in script {
+                let mut probes = vec![(0, 1), (0, 150), (20_000, 50)];
+                match op {
+                    Op::Insert(i, gap, size) => {
+                        let i = i % (model.len() + 1);
+                        let addr = end_below(&model, i) + gap;
+                        if model.get(i).is_none_or(|b| addr + size <= b.0) {
+                            tree.insert(addr, size);
+                            model.insert(i, (addr, size));
+                            probes.push((addr, size));
+                        }
+                    }
+                    Op::Remove(i) if !model.is_empty() => {
+                        let (addr, _) = model.remove(i % model.len());
+                        tree.remove(addr);
+                        probes.push((addr, 1));
+                    }
+                    Op::Shrink(i, by) if !model.is_empty() => {
+                        let i = i % model.len();
+                        let b = &mut model[i];
+                        if by < b.1 {
+                            tree.update(b.0, b.0 + by, b.1 - by);
+                            *b = (b.0 + by, b.1 - by);
+                            probes.push(*b);
+                        }
+                    }
+                    Op::Grow(i, down, up) if !model.is_empty() => {
+                        let i = i % model.len();
+                        let (addr, size) = model[i];
+                        let lo = addr.saturating_sub(down).max(end_below(&model, i));
+                        let hi = (addr + size + up).min(start_above(&model, i));
+                        tree.update(addr, lo, hi - lo);
+                        model[i] = (lo, hi - lo);
+                        probes.push((lo + 1, hi - lo));
+                    }
+                    Op::Find(from, need) => probes.push((from, need)),
+                    _ => {}
+                }
+                check_against(&mut tree, &model, &probes);
+            }
+        }
     }
 }

@@ -39,13 +39,13 @@ pub struct ReplayObs {
     /// `lifepred_sim_epochs` — one sample per online-learner epoch
     /// tick (empty for the offline replays).
     pub timeline: Arc<EpochTimeline>,
-    /// `lifepred_sim_index_bin_hits_total` — free-index searches
-    /// answered from a size-class bin (first-fit heaps only; zero for
-    /// the BSD replay).
-    pub index_bin_hits_total: Arc<Counter>,
-    /// `lifepred_sim_index_bitmap_scans_total` — occupancy-bitmap
-    /// probes performed by the free index.
-    pub index_bitmap_scans_total: Arc<Counter>,
+    /// `lifepred_sim_index_hits_total` — free-tree searches that
+    /// found a fitting block (first-fit heaps only; zero for the BSD
+    /// replay).
+    pub index_hits_total: Arc<Counter>,
+    /// `lifepred_sim_index_node_visits_total` — free-tree nodes
+    /// visited by those searches.
+    pub index_node_visits_total: Arc<Counter>,
     /// `lifepred_sim_batch_refills_total` — event-chunk refills the
     /// replay loop consumed (one per up-to-4096-event batch).
     pub batch_refills_total: Arc<Counter>,
@@ -65,8 +65,8 @@ impl ReplayObs {
             lifetime_bytes: registry.histogram("lifepred_sim_lifetime_bytes"),
             event_ns: registry.histogram("lifepred_sim_event_ns"),
             timeline: registry.timeline("lifepred_sim_epochs"),
-            index_bin_hits_total: registry.counter("lifepred_sim_index_bin_hits_total"),
-            index_bitmap_scans_total: registry.counter("lifepred_sim_index_bitmap_scans_total"),
+            index_hits_total: registry.counter("lifepred_sim_index_hits_total"),
+            index_node_visits_total: registry.counter("lifepred_sim_index_node_visits_total"),
             batch_refills_total: registry.counter("lifepred_sim_batch_refills_total"),
             frees_invalid_total: registry.counter("lifepred_sim_frees_invalid_total"),
         }
@@ -224,8 +224,8 @@ impl Observe for ObsCtx<'_> {
         self.obs.size_bytes.absorb(&self.sizes);
         self.obs.lifetime_bytes.absorb(&self.lifetimes);
         self.obs.event_ns.absorb(&self.event_ns);
-        self.obs.index_bin_hits_total.add(index.bin_hits);
-        self.obs.index_bitmap_scans_total.add(index.bitmap_scans);
+        self.obs.index_hits_total.add(index.hits);
+        self.obs.index_node_visits_total.add(index.node_visits);
         self.obs.batch_refills_total.add(batch_refills);
         self.obs.frees_invalid_total.add(frees_invalid);
     }

@@ -2,10 +2,10 @@
 //! differential oracle.
 //!
 //! [`LinearFirstFit`] is the paper-faithful O(free blocks) roving scan
-//! that [`FirstFit`](crate::FirstFit) replaced with an indexed search.
+//! that [`FirstFit`](crate::FirstFit) replaced with a tree search.
 //! It exists so the equivalence claim stays *testable* forever:
-//! `tests/differential.rs` replays randomized traces and all five
-//! workload traces through both implementations and asserts identical
+//! `tests/differential.rs` replays randomized traces and every
+//! workload trace through both implementations and asserts identical
 //! placements, [`OpCounts`] and high-water marks, and
 //! `benches/replay.rs` uses it as the "before" side of the recorded
 //! speedup. It is not part of the simulation API proper — use
@@ -144,6 +144,12 @@ impl LinearFirstFit {
     /// Number of currently allocated blocks.
     pub fn live_blocks(&self) -> usize {
         self.blocks.values().filter(|b| !b.free).count()
+    }
+
+    /// Bytes in allocated blocks, headers included.
+    pub fn live_bytes(&self) -> u64 {
+        let live = self.blocks.values().filter(|b| !b.free);
+        live.map(|b| b.size).sum()
     }
 
     fn block_size(size: u32) -> u64 {

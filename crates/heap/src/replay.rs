@@ -193,38 +193,40 @@ pub(crate) fn pct(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Per-object address slots, grown as allocations stream in.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Unborn,
-    Live(Addr),
-    Dead,
-}
-
+/// Per-object address slots, grown as allocations stream in: one
+/// `u64` per object ever born, holding its address while it lives.
+///
+/// [`UNBORN`] and [`DEAD`] are reserved: no simulated heap returns
+/// them, because every general-heap block starts with an 8-byte header
+/// and the arenas sit at `1 << 40`.
 #[derive(Debug, Default)]
 struct SlotTable {
-    slots: Vec<Slot>,
+    slots: Vec<u64>,
 }
+
+const UNBORN: u64 = 0;
+const DEAD: u64 = u64::MAX;
 
 impl SlotTable {
     fn born(&mut self, record: usize, addr: Addr) -> Result<(), Corrupt> {
+        assert!(
+            addr.0 != UNBORN && addr.0 != DEAD,
+            "allocator returned the reserved address {addr}"
+        );
         if record >= self.slots.len() {
-            self.slots.resize(record + 1, Slot::Unborn);
+            self.slots.resize(record + 1, UNBORN);
         }
-        match self.slots[record] {
-            Slot::Unborn => {
-                self.slots[record] = Slot::Live(addr);
-                Ok(())
-            }
-            _ => Err(Corrupt(format!("object {record} allocated twice"))),
+        if self.slots[record] != UNBORN {
+            return Err(Corrupt(format!("object {record} allocated twice")));
         }
+        self.slots[record] = addr.0;
+        Ok(())
     }
 
     fn died(&mut self, record: usize) -> Result<Addr, Corrupt> {
-        match self.slots.get(record) {
-            Some(&Slot::Live(addr)) => {
-                self.slots[record] = Slot::Dead;
-                Ok(addr)
+        match self.slots.get_mut(record) {
+            Some(slot) if *slot != UNBORN && *slot != DEAD => {
+                Ok(Addr(std::mem::replace(slot, DEAD)))
             }
             _ => Err(Corrupt(format!("free before alloc of object {record}"))),
         }
@@ -244,7 +246,7 @@ trait SimHeap {
     }
     fn high_water_bytes(&self) -> u64;
     fn op_counts(&self) -> OpCounts;
-    /// Work counters of the first-fit free index inside, if there is
+    /// Work counters of the first-fit free-block tree inside, if there is
     /// one (the BSD heap has none).
     fn index_stats(&self) -> IndexStats {
         IndexStats::default()

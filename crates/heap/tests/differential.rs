@@ -67,6 +67,7 @@ impl Lockstep {
         );
         assert_eq!(self.indexed.heap_bytes(), self.linear.heap_bytes());
         assert_eq!(self.indexed.live_blocks(), self.linear.live_blocks());
+        assert_eq!(self.indexed.live_bytes(), self.linear.live_bytes());
         self.indexed.check_invariants();
     }
 }
@@ -141,6 +142,35 @@ fn fragmentation_stress_replays_identically() {
     for a in live.into_iter().chain(keepers) {
         step.free(a);
     }
+    step.finish();
+}
+
+/// A placement that takes a whole block with 8 bytes of slack leaves
+/// the rover at `addr + need`, *inside* the block, not at the next
+/// block's start — so when the next block is freed and the two
+/// coalesce, the `rover == next` fix-up does not fire and the
+/// following search starts above the merged hole and has to wrap.
+#[test]
+fn rover_stays_inside_an_unsplit_block_with_slack() {
+    let mut step = Lockstep::new();
+    // 256 blocks of 32 bytes fill the first page exactly; the last one
+    // is placed at the heap top, which wraps the rover to the base.
+    let blocks: Vec<Addr> = (0..256).map(|_| step.alloc(24)).collect();
+    assert_eq!(step.indexed.heap_bytes(), 8192);
+    step.free(blocks[0]);
+    // Needs 24 of the 32-byte hole at the base: no split, rover = 24.
+    let snug = step.alloc(16);
+    assert_eq!(snug, blocks[0]);
+    step.free(blocks[10]); // a 32-byte hole above the rover
+    step.free(blocks[1]); // the next block: nothing to coalesce with yet
+    step.free(snug); // absorbs [32, 64); the rover is 24, not 32: no fix-up
+    let before = step.indexed.counts().search_steps;
+    // Needs 48: the scan from 24 sees only the small hole, wraps, and
+    // takes the merged [0, 64) — two blocks examined, where a rover
+    // parked on the next block's start would have been pulled back to
+    // the base by the coalesce and examined one.
+    assert_eq!(step.alloc(40), blocks[0]);
+    assert_eq!(step.indexed.counts().search_steps - before, 2);
     step.finish();
 }
 

@@ -24,8 +24,8 @@ const SIM_COUNTERS: &[&str] = &[
     "lifepred_sim_allocs_total",
     "lifepred_sim_arena_allocs_total",
     "lifepred_sim_frees_total",
-    "lifepred_sim_index_bin_hits_total",
-    "lifepred_sim_index_bitmap_scans_total",
+    "lifepred_sim_index_hits_total",
+    "lifepred_sim_index_node_visits_total",
     "lifepred_sim_batch_refills_total",
     "lifepred_sim_frees_invalid_total",
 ];
