@@ -1,10 +1,16 @@
 //! Microbenchmarks of prediction machinery: site extraction, database
-//! lookup, P² maintenance and chain keying.
+//! lookup, P² maintenance, chain keying, and the per-object cost of a
+//! whole `Profile::build` / `evaluate` over a generated server trace.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lifepred_core::{train, Profile, SiteConfig, SiteExtractor, TrainConfig, DEFAULT_THRESHOLD};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use lifepred_core::{
+    evaluate, train, Profile, SiteConfig, SiteExtractor, TrainConfig, DEFAULT_THRESHOLD,
+};
 use lifepred_quantile::P2Histogram;
 use lifepred_trace::{eliminate_cycles, shared_registry, Trace};
+use lifepred_tracefile::trace_from_bytes;
+use lifepred_workloads::server::sim::SimConfig;
+use lifepred_workloads::server::synth::generate_lpt;
 use lifepred_workloads::{by_name, record};
 
 fn sample_trace() -> Trace {
@@ -24,7 +30,7 @@ fn site_extraction(c: &mut Criterion) {
         ("size_only", SiteConfig::size_only()),
     ] {
         group.bench_function(label, |b| {
-            let mut extractor = SiteExtractor::new(&trace, cfg);
+            let mut extractor = SiteExtractor::from_chains(trace.chains(), cfg);
             let mut i = 0usize;
             b.iter(|| {
                 let key = extractor.site_of(&records[i % records.len()]);
@@ -34,6 +40,53 @@ fn site_extraction(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The dense id the walks use: no key is built or cloned once a
+    // site has been seen.
+    let mut group = c.benchmark_group("site_id");
+    for (label, cfg) in [
+        ("complete", SiteConfig::default()),
+        ("len4", SiteConfig::last_n(4)),
+        ("cce", SiteConfig::encrypted()),
+        ("size_only", SiteConfig::size_only()),
+    ] {
+        group.bench_function(label, |b| {
+            let mut extractor = SiteExtractor::from_chains(trace.chains(), cfg);
+            let mut i = 0usize;
+            b.iter(|| {
+                let id = extractor.site_id(&records[i % records.len()]);
+                black_box(id);
+                i += 1;
+            });
+        });
+    }
+    group.finish();
+}
+
+/// What `lifepred gen --events 1m --seed 1` writes, loaded: the
+/// benchmark's training trace (464 247 objects, 11 588 sites).
+fn server_trace() -> Trace {
+    let config = SimConfig::for_events(1_000_000, 1);
+    let (_, lpt) = generate_lpt(&config, std::io::Cursor::new(Vec::new())).expect("generate");
+    trace_from_bytes(lpt.get_ref()).expect("decode generated trace")
+}
+
+fn train_walks(c: &mut Criterion) {
+    let trace = server_trace();
+    let cfg = SiteConfig::default();
+    let db = train(
+        &Profile::build(&trace, &cfg, DEFAULT_THRESHOLD),
+        &TrainConfig::default(),
+    );
+    let mut group = c.benchmark_group("server_1m");
+    group.throughput(Throughput::Elements(trace.records().len() as u64));
+    group.bench_function("profile_build", |b| {
+        b.iter(|| Profile::build(&trace, &cfg, DEFAULT_THRESHOLD).total_sites());
+    });
+    group.bench_function("evaluate", |b| {
+        b.iter(|| evaluate(&db, &trace).sites_used);
+    });
+    group.finish();
 }
 
 fn database_lookup(c: &mut Criterion) {
@@ -41,7 +94,7 @@ fn database_lookup(c: &mut Criterion) {
     let cfg = SiteConfig::default();
     let profile = Profile::build(&trace, &cfg, DEFAULT_THRESHOLD);
     let db = train(&profile, &TrainConfig::default());
-    let mut extractor = SiteExtractor::new(&trace, cfg);
+    let mut extractor = SiteExtractor::from_chains(trace.chains(), cfg);
     let keys: Vec<_> = trace
         .records()
         .iter()
@@ -96,6 +149,7 @@ fn chain_keying(c: &mut Criterion) {
 criterion_group!(
     benches,
     site_extraction,
+    train_walks,
     database_lookup,
     quantile_maintenance,
     chain_keying

@@ -115,8 +115,8 @@ fn cce_collisions(suite: &[SuiteEntry]) {
     for e in suite {
         let mut full_sites: HashSet<SiteKey> = HashSet::new();
         let mut cce_of_full: HashMap<SiteKey, HashSet<SiteKey>> = HashMap::new();
-        let mut full_ex = SiteExtractor::new(&e.test, SiteConfig::default());
-        let mut cce_ex = SiteExtractor::new(&e.test, SiteConfig::encrypted());
+        let mut full_ex = SiteExtractor::from_chains(e.test.chains(), SiteConfig::default());
+        let mut cce_ex = SiteExtractor::from_chains(e.test.chains(), SiteConfig::encrypted());
         for record in e.test.records() {
             let full = full_ex.site_of(record);
             let cce = cce_ex.site_of(record);

@@ -2,7 +2,8 @@
 
 use lifepred_bench::{analyze, build_suite, f1, f2, print_table, Analysis, SuiteEntry};
 use lifepred_core::{
-    evaluate, train, Profile, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD,
+    evaluate, train, LifetimeDistribution, Profile, SiteConfig, SitePolicy, TrainConfig,
+    DEFAULT_THRESHOLD,
 };
 use lifepred_heap::{
     arena_costs, bsd_costs, firstfit_costs, replay_arena, replay_bsd, replay_firstfit,
@@ -20,7 +21,7 @@ fn main() {
 
     table1(&suite);
     table2(&suite);
-    table3(&suite, &analyses);
+    table3(&suite);
     table4(&suite, &analyses);
     table5(&suite, &analyses);
     table6(&suite);
@@ -70,11 +71,12 @@ fn table2(suite: &[SuiteEntry]) {
     );
 }
 
-fn table3(suite: &[SuiteEntry], analyses: &[Analysis]) {
+fn table3(suite: &[SuiteEntry]) {
     let mut rows = Vec::new();
-    for (e, a) in suite.iter().zip(analyses) {
-        let q = a.self_profile.lifetimes().quartiles_p2();
-        let qe = a.self_profile.lifetimes().quartiles_exact();
+    for e in suite {
+        let lifetimes = LifetimeDistribution::from_trace(&e.test);
+        let q = lifetimes.quartiles_p2();
+        let qe = lifetimes.quartiles_exact();
         rows.push(vec![
             e.name.to_uppercase(),
             q[0].to_string(),

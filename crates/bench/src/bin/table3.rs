@@ -1,15 +1,15 @@
 //! Table 3: quantile histograms of object lifetimes (byte-weighted).
 
 use lifepred_bench::{build_suite, print_table};
-use lifepred_core::{Profile, SiteConfig, DEFAULT_THRESHOLD};
+use lifepred_core::LifetimeDistribution;
 
 fn main() {
     let suite = build_suite();
     let mut rows = Vec::new();
     let mut exact_rows = Vec::new();
     for e in &suite {
-        let p = Profile::build(&e.test, &SiteConfig::default(), DEFAULT_THRESHOLD);
-        let q = p.lifetimes().quartiles_p2();
+        let lifetimes = LifetimeDistribution::from_trace(&e.test);
+        let q = lifetimes.quartiles_p2();
         rows.push(vec![
             e.name.to_uppercase(),
             q[0].to_string(),
@@ -18,7 +18,7 @@ fn main() {
             q[3].to_string(),
             q[4].to_string(),
         ]);
-        let qe = p.lifetimes().quartiles_exact();
+        let qe = lifetimes.quartiles_exact();
         exact_rows.push(vec![
             e.name.to_uppercase(),
             qe[0].to_string(),

@@ -18,7 +18,7 @@ pub use host::BenchHost;
 
 use lifepred_adaptive::EpochConfig;
 use lifepred_core::{
-    evaluate, train, PredictionReport, Profile, ShortLivedSet, SiteConfig, TrainConfig,
+    evaluate_profile, train, PredictionReport, Profile, ShortLivedSet, SiteConfig, TrainConfig,
     DEFAULT_THRESHOLD,
 };
 use lifepred_heap::{replay_arena_online, OnlineReplayReport, ReplayConfig};
@@ -82,8 +82,10 @@ pub fn analyze(entry: &SuiteEntry, config: &SiteConfig) -> Analysis {
     let train_profile = Profile::build(&entry.train, config, DEFAULT_THRESHOLD);
     let self_db = train(&self_profile, &tc);
     let true_db = train(&train_profile, &tc);
-    let self_report = evaluate(&self_db, &entry.test);
-    let true_report = evaluate(&true_db, &entry.test);
+    // Both databases are judged on the test trace, whose profile is
+    // already at hand.
+    let self_report = evaluate_profile(&self_db, &self_profile);
+    let true_report = evaluate_profile(&true_db, &self_profile);
     Analysis {
         self_profile,
         train_profile,

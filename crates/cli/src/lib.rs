@@ -46,8 +46,8 @@ use lifepred_sweep::{
     simulate_file, CancelFlag, GridSpec, ResultStore, Server, ServerConfig, SimBackend,
     SweepOptions,
 };
-use lifepred_trace::{shared_registry, AllocationRecord, Trace};
-use lifepred_tracefile::{load_trace, save_trace, MappedTrace, TraceReader};
+use lifepred_trace::{shared_registry, AllocationRecord};
+use lifepred_tracefile::{save_trace, MappedTrace, TraceReader};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use lifepred_workloads::{all_workloads, by_name, record as record_workload};
@@ -609,15 +609,20 @@ fn cmd_train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         return Err("train: at least one trace file is required".to_owned());
     }
     let output = output.ok_or("train: -o is required")?;
-    let mut traces: Vec<Trace> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        traces.push(load_trace(path).map_err(|e| file_err(path, e))?);
-    }
     let config = SiteConfig {
         policy,
         size_rounding: rounding,
     };
-    let profile = Profile::build_many(traces.iter(), &config, threshold);
+    // Each file is profiled straight off its verified mapping; nothing
+    // is written until every file has streamed through.
+    let mut profile = Profile::new(&config, threshold);
+    for path in &paths {
+        let mapped = MappedTrace::open(path).map_err(|e| file_err(path, e))?;
+        profile = mapped
+            .record_source()
+            .and_then(|records| profile.absorb(records))
+            .map_err(|e| file_err(path, e))?;
+    }
     let db = train(
         &profile,
         &TrainConfig {

@@ -4,7 +4,7 @@
 
 use lifepred_heap::{replay_arena, replay_bsd, replay_firstfit, ReplayConfig};
 use lifepred_trace::shared_registry;
-use lifepred_tracefile::load_trace;
+use lifepred_tracefile::{load_trace, MappedTrace};
 use lifepred_workloads::{by_name, record};
 use std::path::PathBuf;
 
@@ -415,6 +415,92 @@ fn corrupted_and_missing_files_error_cleanly() {
     let junk = dir.path("junk.json");
     std::fs::write(&junk, "{not json").expect("write");
     assert!(run(&["simulate", &trace, "--predictor", &junk]).is_err());
+}
+
+/// Byte range of the records section's payload in an `.lpt` image
+/// (its CRC is the four bytes after): 8 header bytes, then per section
+/// an id byte, a LEB128 payload length, the payload and a CRC.
+fn records_payload(bytes: &[u8]) -> std::ops::Range<usize> {
+    let mut pos = 8;
+    for id in 1..=4 {
+        assert_eq!(bytes[pos], id);
+        pos += 1;
+        let (mut len, mut shift) = (0usize, 0);
+        loop {
+            let b = bytes[pos];
+            pos += 1;
+            len |= usize::from(b & 0x7f) << shift;
+            shift += 7;
+            if b & 0x80 == 0 {
+                break;
+            }
+        }
+        if id == 4 {
+            return pos..pos + len;
+        }
+        pos += len + 4;
+    }
+    unreachable!()
+}
+
+/// `train` profiles each file straight off its mapping, so a damaged
+/// records section is found by `MappedTrace::open` or, where the CRC
+/// still matches, by the records stream itself — not by `load_trace`.
+/// Either way it must be reported as `path: reason` with exit code 1,
+/// for the second file of `train a.lpt b.lpt` too, and `-o` must not
+/// appear, not even partially.
+#[test]
+fn train_on_a_damaged_records_section_names_the_file_and_writes_nothing() {
+    use std::process::Command;
+    let dir = Scratch::new("train-hostile");
+    let good = dir.path("good.lpt");
+    run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
+    let bytes = std::fs::read(&good).expect("read");
+    let records = records_payload(&bytes);
+    let mid = records.start + records.len() / 2;
+
+    let flipped = dir.path("flipped.lpt");
+    let mut damaged = bytes.clone();
+    damaged[mid] ^= 0x04;
+    std::fs::write(&flipped, &damaged).expect("write");
+
+    let truncated = dir.path("truncated.lpt");
+    std::fs::write(&truncated, &bytes[..mid]).expect("write");
+
+    // One record more promised than present, under a matching CRC:
+    // the file opens, and the stream fails after the last real record.
+    let recounted = dir.path("recounted.lpt");
+    let mut damaged = bytes.clone();
+    assert_ne!(damaged[records.start] & 0x7f, 0x7f, "count + 1 carries");
+    damaged[records.start] += 1;
+    let mut crc = lifepred_tracefile::Crc32::new();
+    crc.update(&damaged[records.clone()]);
+    damaged[records.end..records.end + 4].copy_from_slice(&crc.finish().to_le_bytes());
+    std::fs::write(&recounted, &damaged).expect("write");
+    MappedTrace::open(&recounted).expect("the recounted file passes its checksums");
+
+    let pred = dir.path("pred.json");
+    for bad in [&flipped, &truncated, &recounted] {
+        for files in [vec![bad], vec![&good, bad]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_lifepred"))
+                .arg("train")
+                .args(&files)
+                .args(["-o", &pred])
+                .output()
+                .expect("spawn lifepred");
+            assert_eq!(out.status.code(), Some(1), "{files:?}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.starts_with(&format!("lifepred: {bad}: ")), "{err}");
+            assert!(!err.contains("panicked"), "{err}");
+            assert!(
+                !std::path::Path::new(&pred).exists(),
+                "{files:?}: a failed train left {pred} behind"
+            );
+        }
+    }
+    // The same command over undamaged files does write it.
+    run(&["train", &good, &good, "-o", &pred]).expect("train");
+    assert!(std::path::Path::new(&pred).exists());
 }
 
 #[test]

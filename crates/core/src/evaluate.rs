@@ -1,9 +1,10 @@
 //! Evaluating a trained predictor against a trace (Tables 4–6).
 
-use crate::site::{SiteExtractor, SitePolicy};
+use crate::pct;
+use crate::profile::Profile;
+use crate::site::SitePolicy;
 use crate::train::ShortLivedSet;
 use lifepred_trace::Trace;
-use std::collections::HashSet;
 
 /// The prediction-quality metrics of Tables 4, 5 and 6.
 ///
@@ -48,7 +49,9 @@ pub struct PredictionReport {
 /// Every allocation record is keyed under the database's
 /// [`SiteConfig`](crate::SiteConfig); a predicted object is one whose
 /// key is in the database. Correctness is judged by the object's true
-/// lifetime versus the database threshold.
+/// lifetime versus the database threshold. All objects of a site share
+/// its verdict, so this is [`evaluate_profile`] of the trace's profile
+/// — a caller that already holds that profile should pass it instead.
 ///
 /// # Examples
 ///
@@ -66,58 +69,45 @@ pub struct PredictionReport {
 /// assert_eq!(report.error_bytes_pct, 0.0);
 /// ```
 pub fn evaluate(db: &ShortLivedSet, trace: &Trace) -> PredictionReport {
-    let mut extractor = SiteExtractor::new(trace, *db.config());
-    let threshold = db.threshold();
-    let end = trace.end_clock();
+    evaluate_profile(db, &Profile::build(trace, db.config(), db.threshold()))
+}
 
-    let mut seen_sites = HashSet::new();
-    let mut used_sites = HashSet::new();
-    let mut actual_short_bytes = 0u64;
-    let mut correct_bytes = 0u64;
-    let mut error_bytes = 0u64;
-    let mut predicted_objects = 0u64;
-    let mut predicted_refs = 0u64;
-    let mut total_refs = 0u64;
-
-    for record in trace.records() {
-        let key = extractor.site_of(record);
-        let lifetime = record.lifetime(end);
-        let short = lifetime < threshold;
-        let predicted = db.predicts(&key);
-        let size = u64::from(record.size);
-        total_refs += record.refs;
-        if short {
-            actual_short_bytes += size;
+/// Measures `db`'s prediction quality on the trace(s) `profile` was
+/// built from: the per-site sums of a profile are all [`evaluate`]
+/// needs, so no record is read again.
+///
+/// # Panics
+///
+/// Panics if `profile` was built under another [`SiteConfig`](crate::SiteConfig)
+/// or threshold than `db` (its keys and short counters would not be
+/// the database's).
+pub fn evaluate_profile(db: &ShortLivedSet, profile: &Profile) -> PredictionReport {
+    assert_eq!(
+        (profile.config(), profile.threshold()),
+        (db.config(), db.threshold()),
+        "profile and database disagree on site configuration or threshold"
+    );
+    let (mut sites_used, mut predicted_objects, mut predicted_refs) = (0u64, 0u64, 0u64);
+    let (mut correct_bytes, mut error_bytes) = (0u64, 0u64);
+    let (mut actual_short_bytes, mut total_refs) = (0u64, 0u64);
+    for (key, stats) in profile.sites() {
+        actual_short_bytes += stats.short_bytes;
+        total_refs += stats.refs;
+        if db.predicts(key) {
+            sites_used += 1;
+            predicted_objects += stats.objects;
+            predicted_refs += stats.refs;
+            correct_bytes += stats.short_bytes;
+            error_bytes += stats.bytes - stats.short_bytes;
         }
-        if predicted {
-            predicted_objects += 1;
-            predicted_refs += record.refs;
-            if short {
-                correct_bytes += size;
-            } else {
-                error_bytes += size;
-            }
-            used_sites.insert(key.clone());
-        }
-        seen_sites.insert(key);
     }
-
-    let total_bytes = trace.stats().total_bytes;
-    let total_objects = trace.stats().total_objects;
-    let pct = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            100.0 * num as f64 / den as f64
-        }
-    };
-
+    let (total_bytes, total_objects) = (profile.total_bytes(), profile.total_objects());
     PredictionReport {
-        program: trace.name().to_owned(),
+        program: profile.program().to_owned(),
         policy: db.config().policy,
-        total_sites: seen_sites.len() as u64,
+        total_sites: profile.total_sites() as u64,
         actual_short_bytes_pct: pct(actual_short_bytes, total_bytes),
-        sites_used: used_sites.len() as u64,
+        sites_used,
         predicted_short_bytes_pct: pct(correct_bytes, total_bytes),
         error_bytes_pct: pct(error_bytes, total_bytes),
         predicted_objects_pct: pct(predicted_objects, total_objects),
@@ -130,7 +120,6 @@ pub fn evaluate(db: &ShortLivedSet, trace: &Trace) -> PredictionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::Profile;
     use crate::site::SiteConfig;
     use crate::train::{train, TrainConfig};
     use crate::DEFAULT_THRESHOLD;
@@ -216,6 +205,15 @@ mod tests {
         let r = evaluate(&db, &t);
         // All touched objects came from predicted sites.
         assert!((r.new_ref_pct - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree")]
+    fn a_profile_under_another_config_is_refused() {
+        let t = run(registry(), "other", false);
+        let p = Profile::build(&t, &SiteConfig::size_only(), DEFAULT_THRESHOLD);
+        let db = ShortLivedSet::empty(SiteConfig::default(), DEFAULT_THRESHOLD);
+        let _ = evaluate_profile(&db, &p);
     }
 
     #[test]

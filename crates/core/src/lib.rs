@@ -9,14 +9,15 @@
 //!    always combined with the (rounded) object size unless the
 //!    size-only policy is selected.
 //! 2. [`Profile::build`] scans a training [`Trace`](lifepred_trace::Trace)
-//!    and accumulates per-site lifetime statistics, including a P²
-//!    quantile histogram per site and for the whole program.
+//!    (or [`Profile::absorb`] any streamed records source) and
+//!    accumulates per-site lifetime statistics, including a P²
+//!    quantile histogram per site.
 //! 3. [`train`] applies the paper's *all-short* rule — a site enters
 //!    the short-lived database only if **every** object it allocated
 //!    lived less than the threshold (32 KB by default) — producing a
 //!    [`ShortLivedSet`].
-//! 4. [`evaluate`] replays a (same or different) trace against the
-//!    database and reports the Table 4/5/6 metrics: correctly
+//! 4. [`evaluate`] judges the database on a (same or different) trace
+//!    and reports the Table 4/5/6 metrics: correctly
 //!    predicted short-lived bytes, erroneously predicted bytes, sites
 //!    used, and the fraction of heap references to predicted objects.
 //!
@@ -53,11 +54,20 @@ mod profile;
 mod site;
 mod train;
 
-pub use evaluate::{evaluate, PredictionReport};
+pub use evaluate::{evaluate, evaluate_profile, PredictionReport};
 pub use lifetimes::LifetimeDistribution;
 pub use profile::{Profile, SiteStats};
-pub use site::{SiteConfig, SiteExtractor, SiteKey, SitePolicy};
+pub use site::{map_sites, SiteConfig, SiteExtractor, SiteId, SiteKey, SitePolicy};
 pub use train::{train, ShortLivedSet, TrainConfig};
+
+/// `num` as a percentage of `den`; 0 of nothing is 0.
+fn pct(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        100.0 * num as f64 / den as f64
+    }
+}
 
 /// The paper's short-lived threshold: 32 kilobytes of allocation.
 pub const DEFAULT_THRESHOLD: u64 = 32 * 1024;

@@ -1,6 +1,7 @@
 //! Byte-weighted lifetime distributions (the paper's Table 3).
 
 use lifepred_quantile::P2Histogram;
+use lifepred_trace::Trace;
 
 /// Granularity of byte-weighted sampling into the P² histogram: one
 /// observation per this many bytes of object size.
@@ -56,6 +57,17 @@ impl LifetimeDistribution {
         }
     }
 
+    /// The distribution of `trace`'s objects, observed in record order
+    /// (P² estimates depend on the order). Table 3's printers build it;
+    /// training never reads it.
+    pub fn from_trace(trace: &Trace) -> Self {
+        let mut d = LifetimeDistribution::new();
+        for record in trace.records() {
+            d.observe(record.lifetime(trace.end_clock()), record.size);
+        }
+        d
+    }
+
     /// Records an object of `size` bytes that lived `lifetime` bytes.
     pub fn observe(&mut self, lifetime: u64, size: u32) {
         let weight = (u64::from(size) / WEIGHT_GRANULE).clamp(1, MAX_OBS_PER_OBJECT);
@@ -90,24 +102,30 @@ impl LifetimeDistribution {
     ///
     /// Panics if `p` is outside `[0, 1]`.
     pub fn quantile_exact(&self, p: f64) -> u64 {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "quantile must be in [0, 1], got {p}"
-        );
-        if self.pairs.is_empty() {
-            return 0;
+        self.quantiles_exact([p])[0]
+    }
+
+    /// [`quantile_exact`](Self::quantile_exact) of each of `ps`, from
+    /// one sort of the observations.
+    fn quantiles_exact<const N: usize>(&self, ps: [f64; N]) -> [u64; N] {
+        // (lifetime, bytes of this and every shorter-lived object)
+        let mut cumulative = self.pairs.clone();
+        cumulative.sort_unstable_by_key(|&(lifetime, _)| lifetime);
+        let mut bytes = 0u64;
+        for pair in &mut cumulative {
+            bytes += pair.1;
+            pair.1 = bytes;
         }
-        let mut sorted = self.pairs.clone();
-        sorted.sort_unstable_by_key(|&(l, _)| l);
-        let target = (p * self.total_bytes as f64).ceil() as u64;
-        let mut cum = 0u64;
-        for &(lifetime, bytes) in &sorted {
-            cum += bytes;
-            if cum >= target {
-                return lifetime;
-            }
-        }
-        sorted.last().map(|&(l, _)| l).unwrap_or(0)
+        ps.map(|p| {
+            assert!(
+                (0.0..=1.0).contains(&p),
+                "quantile must be in [0, 1], got {p}"
+            );
+            let target = (p * self.total_bytes as f64).ceil() as u64;
+            let at = cumulative.partition_point(|&(_, below)| below < target);
+            let pair = cumulative.get(at).or(cumulative.last());
+            pair.map_or(0, |&(lifetime, _)| lifetime)
+        })
     }
 
     /// Convenience: the five quartile values `(min, 25%, 50%, 75%, max)`
@@ -124,13 +142,7 @@ impl LifetimeDistribution {
 
     /// Convenience: the exact quartiles `(min, 25%, 50%, 75%, max)`.
     pub fn quartiles_exact(&self) -> [u64; 5] {
-        [
-            self.quantile_exact(0.0),
-            self.quantile_exact(0.25),
-            self.quantile_exact(0.5),
-            self.quantile_exact(0.75),
-            self.quantile_exact(1.0),
-        ]
+        self.quantiles_exact([0.0, 0.25, 0.5, 0.75, 1.0])
     }
 }
 

@@ -1,9 +1,10 @@
 //! Per-site lifetime profiles built from training traces.
 
-use crate::lifetimes::LifetimeDistribution;
-use crate::site::{SiteConfig, SiteExtractor, SiteKey};
+use crate::pct;
+use crate::site::{walk_sites, SiteConfig, SiteKey};
 use lifepred_quantile::P2Histogram;
-use lifepred_trace::Trace;
+use lifepred_trace::{AllocationRecord, RecordSource, Trace};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Lifetime statistics accumulated for one allocation site.
@@ -57,7 +58,7 @@ impl SiteStats {
 }
 
 /// A training profile: the mapping from allocation sites to lifetime
-/// statistics, plus program-wide aggregates.
+/// statistics. Program-wide totals are sums over the sites.
 ///
 /// # Examples
 ///
@@ -78,11 +79,7 @@ pub struct Profile {
     config: SiteConfig,
     threshold: u64,
     sites: HashMap<SiteKey, SiteStats>,
-    lifetimes: LifetimeDistribution,
-    total_bytes: u64,
-    total_objects: u64,
-    short_bytes: u64,
-    short_objects: u64,
+    traces: usize,
 }
 
 impl Profile {
@@ -92,9 +89,7 @@ impl Profile {
     /// 32 KB); it determines the `short_*` counters and must match the
     /// threshold later passed to training.
     pub fn build(trace: &Trace, config: &SiteConfig, threshold: u64) -> Profile {
-        let mut profile = Profile::blank(config, threshold);
-        profile.absorb(trace);
-        profile
+        Profile::build_many([trace], config, threshold)
     }
 
     /// Builds one merged profile over several training traces — the
@@ -113,55 +108,63 @@ impl Profile {
         config: &SiteConfig,
         threshold: u64,
     ) -> Profile {
-        let mut profile = Profile::blank(config, threshold);
-        let mut names = Vec::new();
+        let mut profile = Profile::new(config, threshold);
         for trace in traces {
-            profile.absorb(trace);
-            names.push(trace.name().to_owned());
+            profile = profile.absorb(trace.into()).unwrap_or_else(|e| match e {});
         }
-        assert!(!names.is_empty(), "build_many needs at least one trace");
-        profile.program = names.join("+");
+        assert!(profile.traces > 0, "build_many needs at least one trace");
         profile
     }
 
-    fn blank(config: &SiteConfig, threshold: u64) -> Profile {
+    /// An empty profile, for [`absorb`](Profile::absorb) to fill.
+    pub fn new(config: &SiteConfig, threshold: u64) -> Profile {
         Profile {
             program: String::new(),
             config: *config,
             threshold,
             sites: HashMap::new(),
-            lifetimes: LifetimeDistribution::new(),
-            total_bytes: 0,
-            total_objects: 0,
-            short_bytes: 0,
-            short_objects: 0,
+            traces: 0,
         }
     }
 
-    /// Accumulates one trace's records into this profile.
-    fn absorb(&mut self, trace: &Trace) {
-        let mut extractor = SiteExtractor::new(trace, self.config);
-        let end = trace.end_clock();
-        for record in trace.records() {
-            let key = extractor.site_of(record);
-            let lifetime = record.lifetime(end);
-            let stats = self.sites.entry(key).or_insert_with(SiteStats::new);
-            stats.objects += 1;
-            stats.bytes += u64::from(record.size);
-            stats.max_lifetime = stats.max_lifetime.max(lifetime);
-            stats.refs += record.refs;
-            stats.histogram.observe(lifetime as f64);
-            if lifetime < self.threshold {
-                stats.short_objects += 1;
-                stats.short_bytes += u64::from(record.size);
-                self.short_objects += 1;
-                self.short_bytes += u64::from(record.size);
-            }
-            self.lifetimes.observe(lifetime, record.size);
+    /// Accumulates one trace's records. A site an earlier trace already
+    /// reached continues its statistics (site *keys* cross traces; the
+    /// walk's dense ids do not). The program name becomes the absorbed
+    /// names joined with `+`.
+    ///
+    /// # Errors
+    ///
+    /// The first error `source.records` yields; the half-updated
+    /// profile is dropped with it.
+    pub fn absorb<R: Borrow<AllocationRecord>, E>(
+        mut self,
+        source: RecordSource<'_, impl Iterator<Item = Result<R, E>>>,
+    ) -> Result<Profile, E> {
+        if self.traces > 0 {
+            self.program.push('+');
         }
-        self.program = trace.name().to_owned();
-        self.total_bytes += trace.stats().total_bytes;
-        self.total_objects += trace.stats().total_objects;
+        self.program.push_str(source.name);
+        self.traces += 1;
+        let sites = &mut self.sites;
+        let walked = walk_sites(
+            source,
+            self.config,
+            |key| sites.remove(key).unwrap_or_else(SiteStats::new),
+            |stats, record, lifetime| {
+                let size = u64::from(record.size);
+                stats.objects += 1;
+                stats.bytes += size;
+                stats.max_lifetime = stats.max_lifetime.max(lifetime);
+                stats.refs += record.refs;
+                stats.histogram.observe(lifetime as f64);
+                if lifetime < self.threshold {
+                    stats.short_objects += 1;
+                    stats.short_bytes += size;
+                }
+            },
+        )?;
+        self.sites.extend(walked);
+        Ok(self)
     }
 
     /// The profiled program's name.
@@ -184,48 +187,26 @@ impl Profile {
         &self.sites
     }
 
-    /// Statistics for one site, if seen.
-    pub fn site(&self, key: &SiteKey) -> Option<&SiteStats> {
-        self.sites.get(key)
-    }
-
     /// Number of distinct allocation sites (Table 4's "Total Sites").
     pub fn total_sites(&self) -> usize {
         self.sites.len()
     }
 
-    /// The program-wide byte-weighted lifetime distribution (Table 3).
-    pub fn lifetimes(&self) -> &LifetimeDistribution {
-        &self.lifetimes
-    }
-
     /// Total bytes allocated in the profiled run.
     pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
+        self.sites.values().map(|s| s.bytes).sum()
     }
 
     /// Total objects allocated in the profiled run.
     pub fn total_objects(&self) -> u64 {
-        self.total_objects
+        self.sites.values().map(|s| s.objects).sum()
     }
 
     /// Percentage of all bytes that were actually short-lived
     /// (Table 4's "Actual Short-lived Bytes").
     pub fn actual_short_bytes_pct(&self) -> f64 {
-        if self.total_bytes == 0 {
-            0.0
-        } else {
-            100.0 * self.short_bytes as f64 / self.total_bytes as f64
-        }
-    }
-
-    /// Percentage of all objects that were actually short-lived.
-    pub fn actual_short_objects_pct(&self) -> f64 {
-        if self.total_objects == 0 {
-            0.0
-        } else {
-            100.0 * self.short_objects as f64 / self.total_objects as f64
-        }
+        let short = self.sites.values().map(|s| s.short_bytes).sum();
+        pct(short, self.total_bytes())
     }
 }
 
@@ -233,12 +214,23 @@ impl Profile {
 mod tests {
     use super::*;
     use crate::DEFAULT_THRESHOLD;
-    use lifepred_trace::TraceSession;
+    use lifepred_trace::{shared_registry, ChainId, SharedRegistry, TraceSession};
 
     /// Two sites: one allocating only short-lived objects, one keeping
     /// objects alive past the threshold.
     fn mixed_trace() -> Trace {
-        let s = TraceSession::new("mixed");
+        mixed_trace_in(shared_registry(), false)
+    }
+
+    /// `mixed_trace` against `registry`; with `short_first`, one extra
+    /// early `short_site` object gives the chains other ids.
+    fn mixed_trace_in(registry: SharedRegistry, short_first: bool) -> Trace {
+        let s = TraceSession::with_registry("mixed", registry);
+        if short_first {
+            let _g = s.enter("short_site");
+            let id = s.alloc(50);
+            s.free(id);
+        }
         let mut long_lived = Vec::new();
         {
             let _g = s.enter("long_site");
@@ -314,22 +306,33 @@ mod tests {
 
     #[test]
     fn build_many_merges_site_stats() {
-        let t1 = mixed_trace();
-        let t2 = mixed_trace();
-        let single = Profile::build(&t1, &SiteConfig::default(), DEFAULT_THRESHOLD);
-        let merged = Profile::build_many([&t1, &t2], &SiteConfig::default(), DEFAULT_THRESHOLD);
-        // Identical runs recorded against identical registries share
-        // sites, so the merged profile has the same sites with doubled
-        // counters.
-        assert_eq!(merged.total_sites(), single.total_sites());
-        assert_eq!(merged.total_objects(), 2 * single.total_objects());
-        assert_eq!(merged.total_bytes(), 2 * single.total_bytes());
+        let config = SiteConfig::default();
+        let registry = shared_registry();
+        let t1 = mixed_trace_in(registry.clone(), false);
+        let t2 = mixed_trace_in(registry, true);
+        // One registry, so keys are comparable — but the chain tables
+        // number the same chains differently, as two files' would.
+        let first = ChainId::from_index(0);
+        assert_ne!(t1.chain(first), t2.chain(first));
+        let (p1, p2) = (
+            Profile::build(&t1, &config, DEFAULT_THRESHOLD),
+            Profile::build(&t2, &config, DEFAULT_THRESHOLD),
+        );
+        let merged = Profile::build_many([&t1, &t2], &config, DEFAULT_THRESHOLD);
+        assert_eq!(merged.total_sites(), p1.total_sites());
+        assert_eq!(merged.total_sites(), p2.total_sites());
+        assert_eq!(
+            merged.total_objects(),
+            p1.total_objects() + p2.total_objects()
+        );
+        assert_eq!(merged.total_bytes(), p1.total_bytes() + p2.total_bytes());
         assert_eq!(merged.program(), "mixed+mixed");
-        for (key, stats) in single.sites() {
-            assert_eq!(
-                merged.site(key).expect("shared site").objects,
-                2 * stats.objects
-            );
+        for (key, a) in p1.sites() {
+            let (b, m) = (&p2.sites()[key], &merged.sites()[key]);
+            assert_eq!(m.objects, a.objects + b.objects);
+            assert_eq!(m.short_bytes, a.short_bytes + b.short_bytes);
+            assert_eq!(m.max_lifetime, a.max_lifetime.max(b.max_lifetime));
+            assert_eq!(m.histogram.count() as u64, m.objects);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Allocation-site identity: what the predictor keys on.
 
-use lifepred_trace::{AllocationRecord, CallChain, ChainId, ChainTable, FnId, Trace};
+use lifepred_trace::{AllocationRecord, ChainId, ChainTable, FnId, RecordSource};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -229,63 +230,161 @@ impl SiteKey {
     }
 }
 
-/// Extracts [`SiteKey`]s from trace records, memoizing per-chain work.
+/// The dense identity of an allocation site within one
+/// [`SiteExtractor`], numbered from 0 in first-seen order. Unlike a
+/// [`SiteKey`], an id means nothing to another extractor (or trace).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SiteId(pub u32);
+
+/// Resolves trace records to allocation sites, memoizing per-site work.
 ///
-/// Chain processing (cycle elimination, truncation, encryption) depends
-/// only on the interned [`ChainId`], so the extractor caches it — a
-/// trace has millions of records but few distinct chains.
+/// A trace has millions of records but few distinct chains and sites:
+/// chain processing (cycle elimination, truncation, encryption) runs
+/// once per [`ChainId`], after which a record costs one lookup of two
+/// integers; a [`SiteKey`] is only built when one is asked for.
 #[derive(Debug)]
 pub struct SiteExtractor<'t> {
     config: SiteConfig,
     chains: &'t ChainTable,
-    chain_cache: HashMap<ChainId, ChainPart>,
-}
-
-#[derive(Debug, Clone)]
-enum ChainPart {
-    Frames(Vec<FnId>),
-    Key(u16),
-    Nothing,
+    /// The distinct processed chains, as keys at size 0.
+    templates: Vec<SiteKey>,
+    template_ids: HashMap<SiteKey, u32>,
+    /// Each chain's template, indexed by `ChainId` (ids are dense).
+    template_of: Vec<Option<u32>>,
+    /// Each chain's latest rounded size and its site, indexed by
+    /// `ChainId`: most chains allocate one size, and skip the hashing.
+    latest: Vec<Option<(u32, SiteId)>>,
+    /// Each site's template and rounded size, indexed by `SiteId`.
+    sites: Vec<(u32, u32)>,
+    ids: HashMap<(u32, u32), SiteId>,
 }
 
 impl<'t> SiteExtractor<'t> {
-    /// Creates an extractor for `trace` under `config`.
-    pub fn new(trace: &'t Trace, config: SiteConfig) -> Self {
-        SiteExtractor::from_chains(trace.chains(), config)
-    }
-
-    /// Creates an extractor directly over a chain table, for callers
-    /// that stream records without materializing a whole [`Trace`]
-    /// (e.g. trace-file readers, which parse the chain table up front).
+    /// Creates an extractor over a trace's chain table — all of a trace
+    /// it reads, so records may stream past without a whole
+    /// [`Trace`](lifepred_trace::Trace) ever being materialized.
     pub fn from_chains(chains: &'t ChainTable, config: SiteConfig) -> Self {
         SiteExtractor {
             config,
             chains,
-            chain_cache: HashMap::new(),
+            templates: Vec::new(),
+            template_ids: HashMap::new(),
+            template_of: vec![None; chains.len()],
+            latest: vec![None; chains.len()],
+            sites: Vec::new(),
+            ids: HashMap::new(),
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &SiteConfig {
-        &self.config
+    /// The site of one allocation record. A site not seen before gets
+    /// the next id, so a table indexed by id grows by pushing.
+    pub fn site_id(&mut self, record: &AllocationRecord) -> SiteId {
+        let size = self.config.round_size(record.size);
+        let chain = record.chain.index() as usize;
+        if let Some((_, id)) = self.latest[chain].filter(|&(latest, _)| latest == size) {
+            return id;
+        }
+        let site = (self.template(record.chain), size);
+        let id = *self.ids.entry(site).or_insert_with(|| {
+            self.sites.push(site);
+            SiteId(u32::try_from(self.sites.len() - 1).expect("more than u32::MAX sites"))
+        });
+        self.latest[chain] = Some((size, id));
+        id
+    }
+
+    /// The key of a site [`site_id`](Self::site_id) has handed out.
+    pub fn key(&self, id: SiteId) -> SiteKey {
+        let (template, size) = self.sites[id.0 as usize];
+        self.key_at(template, size)
     }
 
     /// Computes the site key for one allocation record.
     pub fn site_of(&mut self, record: &AllocationRecord) -> SiteKey {
-        let size = self.config.round_size(record.size);
-        let part = self
-            .chain_cache
-            .entry(record.chain)
-            .or_insert_with(|| process_chain(self.chains.get(record.chain), self.config.policy));
-        match part {
-            ChainPart::Frames(frames) => SiteKey::Chain {
-                frames: frames.clone(),
-                size,
-            },
-            ChainPart::Key(key) => SiteKey::Encrypted { key: *key, size },
-            ChainPart::Nothing => SiteKey::Size { size },
-        }
+        let template = self.template(record.chain);
+        self.key_at(template, self.config.round_size(record.size))
     }
+
+    fn key_at(&self, template: u32, rounded: u32) -> SiteKey {
+        let mut key = self.templates[template as usize].clone();
+        let (SiteKey::Chain { size, .. }
+        | SiteKey::Encrypted { size, .. }
+        | SiteKey::Size { size }) = &mut key;
+        *size = rounded;
+        key
+    }
+
+    /// Distinct chains can process to the same template.
+    fn template(&mut self, id: ChainId) -> u32 {
+        if let Some(template) = self.template_of[id.index() as usize] {
+            return template;
+        }
+        let chain = self.chains.get(id);
+        let key = match self.config.policy {
+            SitePolicy::Complete => SiteKey::Chain {
+                frames: chain.without_cycles().frames().to_vec(),
+                size: 0,
+            },
+            SitePolicy::LastN(n) => SiteKey::Chain {
+                frames: chain.sub_chain(n).frames().to_vec(),
+                size: 0,
+            },
+            SitePolicy::Encrypted => SiteKey::Encrypted {
+                key: chain.encryption_key(),
+                size: 0,
+            },
+            SitePolicy::SizeOnly => SiteKey::Size { size: 0 },
+        };
+        let template = *self.template_ids.entry(key).or_insert_with_key(|key| {
+            self.templates.push(key.clone());
+            self.templates.len() as u32 - 1
+        });
+        self.template_of[id.index() as usize] = Some(template);
+        template
+    }
+}
+
+/// The records walk: resolves each record of `source` to its site under
+/// `config`, in record order. `enter` makes a site's state on its first
+/// record; `visit` sees that state, the record and its lifetime for
+/// every record. Returns each site's key and final state, or the first
+/// error `source.records` yields.
+pub(crate) fn walk_sites<T, R: Borrow<AllocationRecord>, E>(
+    source: RecordSource<'_, impl Iterator<Item = Result<R, E>>>,
+    config: SiteConfig,
+    mut enter: impl FnMut(&SiteKey) -> T,
+    mut visit: impl FnMut(&mut T, &AllocationRecord, u64),
+) -> Result<Vec<(SiteKey, T)>, E> {
+    let mut extractor = SiteExtractor::from_chains(source.chains, config);
+    let mut table = Vec::new();
+    for record in source.records {
+        let record = record?;
+        let record = record.borrow();
+        let id = extractor.site_id(record);
+        if id.0 as usize == table.len() {
+            table.push(enter(&extractor.key(id)));
+        }
+        let lifetime = record.lifetime(source.end_clock);
+        visit(&mut table[id.0 as usize], record, lifetime);
+    }
+    let keys = (0..).map(|id| extractor.key(SiteId(id)));
+    Ok(keys.zip(table).collect())
+}
+
+/// One value per record of `source`, in record order: `per_site` of the
+/// record's site, evaluated once per distinct site.
+///
+/// # Errors
+///
+/// The first error `source.records` yields.
+pub fn map_sites<T: Copy, R: Borrow<AllocationRecord>, E>(
+    source: RecordSource<'_, impl Iterator<Item = Result<R, E>>>,
+    config: SiteConfig,
+    per_site: impl FnMut(&SiteKey) -> T,
+) -> Result<Vec<T>, E> {
+    let mut out = Vec::with_capacity(source.records.size_hint().0);
+    walk_sites(source, config, per_site, |value, _, _| out.push(*value))?;
+    Ok(out)
 }
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
@@ -296,19 +395,10 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-fn process_chain(chain: &CallChain, policy: SitePolicy) -> ChainPart {
-    match policy {
-        SitePolicy::Complete => ChainPart::Frames(chain.without_cycles().frames().to_vec()),
-        SitePolicy::LastN(n) => ChainPart::Frames(chain.sub_chain(n).frames().to_vec()),
-        SitePolicy::Encrypted => ChainPart::Key(chain.encryption_key()),
-        SitePolicy::SizeOnly => ChainPart::Nothing,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifepred_trace::TraceSession;
+    use lifepred_trace::{Trace, TraceSession};
 
     fn tiny_trace() -> Trace {
         let s = TraceSession::new("t");
@@ -341,7 +431,7 @@ mod tests {
     #[test]
     fn complete_policy_eliminates_recursion() {
         let trace = tiny_trace();
-        let mut ex = SiteExtractor::new(&trace, SiteConfig::default());
+        let mut ex = SiteExtractor::from_chains(trace.chains(), SiteConfig::default());
         let k1 = ex.site_of(&trace.records()[0]);
         let k2 = ex.site_of(&trace.records()[1]);
         // After cycle elimination both allocations are at chain a>b
@@ -350,9 +440,36 @@ mod tests {
     }
 
     #[test]
+    fn distinct_chains_of_one_site_share_an_id() {
+        let trace = tiny_trace();
+        let [r0, r1] = trace.records() else {
+            panic!("two records")
+        };
+        assert_ne!(r0.chain, r1.chain);
+        let mut ex = SiteExtractor::from_chains(trace.chains(), SiteConfig::default());
+        assert_eq!(ex.site_id(r0), SiteId(0));
+        assert_eq!(ex.site_id(r1), SiteId(0));
+        let mut ex = SiteExtractor::from_chains(trace.chains(), SiteConfig::last_n(2));
+        assert_eq!((ex.site_id(r0), ex.site_id(r1)), (SiteId(0), SiteId(1)));
+        assert_eq!(ex.key(SiteId(1)), ex.site_of(r1));
+    }
+
+    #[test]
+    fn map_sites_asks_once_per_site() {
+        let trace = tiny_trace();
+        let mut asked = 0;
+        let sizes = map_sites((&trace).into(), SiteConfig::default(), |key| {
+            asked += 1;
+            key.size()
+        });
+        assert_eq!(sizes, Ok::<_, std::convert::Infallible>(vec![8, 8]));
+        assert_eq!(asked, 1);
+    }
+
+    #[test]
     fn last_n_keeps_recursion() {
         let trace = tiny_trace();
-        let mut ex = SiteExtractor::new(&trace, SiteConfig::last_n(2));
+        let mut ex = SiteExtractor::from_chains(trace.chains(), SiteConfig::last_n(2));
         let k1 = ex.site_of(&trace.records()[0]);
         let k2 = ex.site_of(&trace.records()[1]);
         // Sub-chains are a>b vs b>b — distinct sites.
@@ -362,7 +479,7 @@ mod tests {
     #[test]
     fn size_only_collapses_everything() {
         let trace = tiny_trace();
-        let mut ex = SiteExtractor::new(&trace, SiteConfig::size_only());
+        let mut ex = SiteExtractor::from_chains(trace.chains(), SiteConfig::size_only());
         let k1 = ex.site_of(&trace.records()[0]);
         let k2 = ex.site_of(&trace.records()[1]);
         assert_eq!(k1, k2);
@@ -372,7 +489,7 @@ mod tests {
     #[test]
     fn encrypted_policy_produces_16_bit_keys() {
         let trace = tiny_trace();
-        let mut ex = SiteExtractor::new(&trace, SiteConfig::encrypted());
+        let mut ex = SiteExtractor::from_chains(trace.chains(), SiteConfig::encrypted());
         let k = ex.site_of(&trace.records()[0]);
         assert!(matches!(k, SiteKey::Encrypted { .. }));
     }
@@ -445,15 +562,5 @@ mod tests {
         assert_eq!(SitePolicy::parse("len-abc"), None);
         assert_eq!(SitePolicy::parse("bogus"), None);
         assert_eq!(SitePolicy::parse(""), None);
-    }
-
-    #[test]
-    fn from_chains_matches_trace_extractor() {
-        let trace = tiny_trace();
-        let mut by_trace = SiteExtractor::new(&trace, SiteConfig::default());
-        let mut by_chains = SiteExtractor::from_chains(trace.chains(), SiteConfig::default());
-        for r in trace.records() {
-            assert_eq!(by_trace.site_of(r), by_chains.site_of(r));
-        }
     }
 }

@@ -24,7 +24,7 @@ use crate::obs::{ObsCtx, Observe, ReplayObs, Unobserved};
 use crate::predict::{NoPrediction, Online, Predict};
 use crate::Addr;
 use lifepred_adaptive::{EpochConfig, LearnerStats};
-use lifepred_core::{ShortLivedSet, SiteConfig, SiteExtractor};
+use lifepred_core::{map_sites, ShortLivedSet, SiteConfig, SiteKey};
 use lifepred_flight::catalog;
 use lifepred_trace::{
     ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, POOLED_CHUNK_EVENTS,
@@ -503,12 +503,7 @@ pub fn replay_bsd(trace: &Trace, _config: &ReplayConfig) -> ReplayReport {
 /// consults: `result[i]` is the database's verdict for
 /// `trace.records()[i]`.
 pub fn prediction_bitmap(trace: &Trace, db: &ShortLivedSet) -> Vec<bool> {
-    let mut extractor = SiteExtractor::new(trace, *db.config());
-    trace
-        .records()
-        .iter()
-        .map(|r| db.predicts(&extractor.site_of(r)))
-        .collect()
+    map_sites(trace.into(), *db.config(), |site| db.predicts(site)).unwrap_or_else(|e| match e {})
 }
 
 /// Replays `trace` through the lifetime-predicting arena allocator,
@@ -527,12 +522,7 @@ pub fn replay_arena(trace: &Trace, db: &ShortLivedSet, config: &ReplayConfig) ->
 /// `sites` as a stable `u64`
 /// ([`SiteKey::fingerprint`](lifepred_core::SiteKey::fingerprint)).
 pub fn site_fingerprints(trace: &Trace, sites: &SiteConfig) -> Vec<u64> {
-    let mut extractor = SiteExtractor::new(trace, *sites);
-    trace
-        .records()
-        .iter()
-        .map(|r| extractor.site_of(r).fingerprint())
-        .collect()
+    map_sites(trace.into(), *sites, SiteKey::fingerprint).unwrap_or_else(|e| match e {})
 }
 
 /// Replays `trace` through the arena allocator with the online learner

@@ -12,11 +12,11 @@ use crate::spec::{Backend, CellConfig};
 use crate::store::CellResult;
 use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_core::{
-    evaluate, train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, SiteKey, TrainConfig,
+    evaluate_profile, map_sites, train, Profile, ShortLivedSet, SiteConfig, SiteKey, TrainConfig,
 };
 use lifepred_heap::{replay, ArenaConfig, ReplayMeta, ReplayObs, ReplayPlan, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
-use lifepred_tracefile::{load_trace, MappedTrace};
+use lifepred_tracefile::MappedTrace;
 use std::time::Instant;
 
 /// A database trained offline for one (trace, policy, rounding,
@@ -63,19 +63,22 @@ fn file_err(path: &str, e: impl std::fmt::Display) -> String {
     format!("{path}: {e}")
 }
 
-/// Trains the database `key` describes: loads the trace, profiles it,
-/// trains, and self-evaluates.
+/// Trains the database `key` describes: maps the trace, profiles its
+/// streamed records, trains, and self-evaluates from the same profile.
 ///
 /// # Errors
 ///
 /// Returns a message for an unreadable or corrupt trace file.
 pub fn train_for(key: &TrainKey) -> Result<TrainedDb, String> {
-    let trace = load_trace(&key.trace).map_err(|e| file_err(&key.trace, e))?;
+    let mapped = MappedTrace::open(&key.trace).map_err(|e| file_err(&key.trace, e))?;
     let sites = SiteConfig {
         policy: key.policy,
         size_rounding: key.rounding,
     };
-    let profile = Profile::build(&trace, &sites, key.threshold);
+    let profile = mapped
+        .record_source()
+        .and_then(|records| Profile::new(&sites, key.threshold).absorb(records))
+        .map_err(|e| file_err(&key.trace, e))?;
     let db = train(
         &profile,
         &TrainConfig {
@@ -83,10 +86,10 @@ pub fn train_for(key: &TrainKey) -> Result<TrainedDb, String> {
             ..TrainConfig::default()
         },
     );
-    let report = evaluate(&db, &trace);
+    let error_bytes_pct = evaluate_profile(&db, &profile).error_bytes_pct;
     Ok(TrainedDb {
         db,
-        error_bytes_pct: report.error_bytes_pct,
+        error_bytes_pct,
     })
 }
 
@@ -122,21 +125,6 @@ pub struct SimOutput {
     pub metrics: Option<Snapshot>,
 }
 
-/// One site-derived value per object of `mapped`, in record order: the
-/// records walk of a predicting simulation. Only the (small) chain
-/// table is held in memory besides the result.
-fn walk_sites<T>(
-    mapped: &MappedTrace,
-    sites: SiteConfig,
-    mut per_site: impl FnMut(&SiteKey) -> T,
-) -> Result<Vec<T>, lifepred_tracefile::TraceFileError> {
-    let mut extractor = SiteExtractor::from_chains(mapped.chain_table(), sites);
-    mapped
-        .records()?
-        .map(|record| Ok(per_site(&extractor.site_of(&record?))))
-        .collect()
-}
-
 /// Simulates one `.lpt` file on `backend`: the unit of work behind
 /// both `lifepred simulate` and a sweep cell.
 ///
@@ -170,7 +158,9 @@ pub fn simulate_file(
         SimBackend::FirstFit => ReplayPlan::FirstFit,
         SimBackend::Bsd => ReplayPlan::Bsd,
         SimBackend::Arena(db) => {
-            predicted = walk_sites(&mapped, *db.config(), |site| db.predicts(site))
+            predicted = mapped
+                .record_source()
+                .and_then(|records| map_sites(records, *db.config(), |site| db.predicts(site)))
                 .map_err(|e| file_err(path, e))?;
             ReplayPlan::Arena {
                 predicted: &predicted,
@@ -181,8 +171,10 @@ pub fn simulate_file(
             sites: config,
             epoch,
         } => {
-            sites =
-                walk_sites(&mapped, config, SiteKey::fingerprint).map_err(|e| file_err(path, e))?;
+            sites = mapped
+                .record_source()
+                .and_then(|records| map_sites(records, config, SiteKey::fingerprint))
+                .map_err(|e| file_err(path, e))?;
             ReplayPlan::ArenaOnline {
                 sites: &sites,
                 epoch,

@@ -1,6 +1,8 @@
 //! Per-object allocation records.
 
-use crate::chain::ChainId;
+use crate::chain::{ChainId, ChainTable};
+use crate::session::Trace;
+use std::convert::Infallible;
 use std::fmt;
 
 /// Identity of a traced heap object, unique within one session.
@@ -84,6 +86,42 @@ impl AllocationRecord {
         match self.last_ref_clock {
             Some(last) => death.saturating_sub(last),
             None => self.lifetime(end_clock),
+        }
+    }
+}
+
+/// What a walk over a trace's allocation records reads, wherever the
+/// records live — the records-side counterpart of
+/// [`ChunkSource`](crate::ChunkSource). A `&Trace` converts with `From`
+/// (and cannot fail); a trace-file reader supplies its parsed chain
+/// table, end clock and a streaming records iterator, so no [`Trace`]
+/// is materialized.
+#[derive(Debug)]
+pub struct RecordSource<'a, I> {
+    /// The traced program's name.
+    pub name: &'a str,
+    /// The table the records' chain ids index.
+    pub chains: &'a ChainTable,
+    /// Byte clock at trace end, when immortal objects are deemed dead.
+    pub end_clock: u64,
+    /// The records in birth order: `Result<R, E>` items with
+    /// `R: Borrow<AllocationRecord>`.
+    pub records: I,
+}
+
+/// The records iterator of an in-memory [`Trace`].
+pub type TraceRecords<'a> = std::iter::Map<
+    std::slice::Iter<'a, AllocationRecord>,
+    fn(&'a AllocationRecord) -> Result<&'a AllocationRecord, Infallible>,
+>;
+
+impl<'a> From<&'a Trace> for RecordSource<'a, TraceRecords<'a>> {
+    fn from(trace: &'a Trace) -> Self {
+        RecordSource {
+            name: trace.name(),
+            chains: trace.chains(),
+            end_clock: trace.end_clock(),
+            records: trace.records().iter().map(Ok),
         }
     }
 }

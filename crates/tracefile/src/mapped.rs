@@ -26,7 +26,9 @@ use crate::format::{
 };
 use crate::map::TraceMap;
 use crate::reader::{HeaderParts, RecordsIter, TraceReader};
-use lifepred_trace::{ChainTable, ChunkSource, EventChunk, FunctionRegistry, TraceStats};
+use lifepred_trace::{
+    ChainTable, ChunkSource, EventChunk, FunctionRegistry, RecordSource, TraceStats,
+};
 use std::ops::Range;
 use std::path::Path;
 
@@ -352,6 +354,22 @@ impl MappedTrace {
             self.chains.len() as u64,
             self.version,
         )
+    }
+
+    /// [`records`](Self::records) with the chain table and end clock a
+    /// records walk needs beside them: the streamed counterpart of
+    /// `RecordSource::from(&trace)`.
+    ///
+    /// # Errors
+    ///
+    /// A malformed record-count varint.
+    pub fn record_source(&self) -> Result<RecordSource<'_, RecordsIter<&[u8]>>, TraceFileError> {
+        Ok(RecordSource {
+            name: &self.name,
+            chains: &self.chains,
+            end_clock: self.end_clock,
+            records: self.records()?,
+        })
     }
 
     /// The zero-copy batch event source: decodes straight from the

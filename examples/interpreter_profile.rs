@@ -6,7 +6,8 @@
 //! where `name` is one of cfrac, espresso, gawk, ghost, perl.
 
 use lifepred::core::{
-    evaluate, train, Profile, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD,
+    evaluate, train, LifetimeDistribution, Profile, SiteConfig, SitePolicy, TrainConfig,
+    DEFAULT_THRESHOLD,
 };
 use lifepred::trace::shared_registry;
 use lifepred::workloads::{by_name, record};
@@ -35,7 +36,7 @@ fn main() {
 
     // Byte-weighted lifetime quartiles (Table 3 for this program).
     let profile = Profile::build(&trace, &SiteConfig::default(), DEFAULT_THRESHOLD);
-    let q = profile.lifetimes().quartiles_p2();
+    let q = LifetimeDistribution::from_trace(&trace).quartiles_p2();
     println!(
         "lifetime quartiles (bytes): min {} | 25% {} | median {} | 75% {} | max {}",
         q[0], q[1], q[2], q[3], q[4]
