@@ -154,6 +154,7 @@ enum Phase {
 
 #[derive(Debug)]
 struct SiteEntry {
+    key: u64,
     phase: Phase,
     /// Consecutive clean active epochs in the current streak.
     clean_run: u32,
@@ -166,8 +167,9 @@ struct SiteEntry {
 }
 
 impl SiteEntry {
-    fn new(quantile: f64) -> Self {
+    fn new(key: u64, quantile: f64) -> Self {
         SiteEntry {
+            key,
             phase: Phase::Observing,
             clean_run: 0,
             tail: P2Quantile::new(quantile),
@@ -217,8 +219,33 @@ pub struct OnlineLearner {
     /// Bumped whenever the predicted-short set changes; lets cached
     /// snapshots detect staleness with one integer compare.
     generation: u64,
-    sites: HashMap<u64, SiteEntry>,
+    /// Site key → its row in `rows`.
+    index: HashMap<u64, u32>,
+    rows: Vec<SiteEntry>,
+    /// The rows with activity this epoch, each listed once: all an
+    /// epoch roll visits. The epoch rule reads and writes one row at a
+    /// time and every counter is a sum, so neither the order of this
+    /// list nor skipping the idle rows can change any output.
+    active: Vec<u32>,
+    /// `sites` is filled in by [`OnlineLearner::stats`]; `short_sites`
+    /// is kept current wherever a phase enters or leaves `Short`.
     stats: LearnerStats,
+    /// Rows visited by epoch rolls so far.
+    #[cfg(test)]
+    row_visits: u64,
+}
+
+/// Adds activity to `entry`'s current epoch, listing `row` for the
+/// next epoch roll if it was idle until now.
+fn note_activity(entry: &mut SiteEntry, active: &mut Vec<u32>, row: u32, frees: u64, long: u64) {
+    if frees == 0 && long == 0 {
+        return;
+    }
+    if entry.epoch_frees == 0 && entry.epoch_long == 0 {
+        active.push(row);
+    }
+    entry.epoch_frees += frees;
+    entry.epoch_long += long;
 }
 
 impl OnlineLearner {
@@ -235,8 +262,12 @@ impl OnlineLearner {
             clock: 0,
             next_epoch_at: config.epoch_bytes,
             generation: 0,
-            sites: HashMap::new(),
+            index: HashMap::new(),
+            rows: Vec::new(),
+            active: Vec::new(),
             stats: LearnerStats::default(),
+            #[cfg(test)]
+            row_visits: 0,
         }
     }
 
@@ -262,44 +293,60 @@ impl OnlineLearner {
 
     /// Whether `key` is currently predicted short-lived.
     pub fn predicts(&self, key: u64) -> bool {
-        self.sites
+        self.index
             .get(&key)
-            .is_some_and(|e| e.phase == Phase::Short)
+            .is_some_and(|&row| self.rows[row as usize].phase == Phase::Short)
     }
 
-    /// Counters so far (short-site count recomputed on the fly).
+    /// Counters so far.
     pub fn stats(&self) -> LearnerStats {
-        let mut s = self.stats;
-        s.sites = self.sites.len() as u64;
-        s.short_sites = self
-            .sites
-            .values()
-            .filter(|e| e.phase == Phase::Short)
-            .count() as u64;
-        s
+        LearnerStats {
+            sites: self.rows.len() as u64,
+            ..self.stats
+        }
     }
 
     /// The current predicted-short set, for publication to concurrent
     /// readers.
     pub fn snapshot(&self) -> HashSet<u64> {
-        self.sites
+        let short: HashSet<u64> = self
+            .rows
             .iter()
-            .filter(|(_, e)| e.phase == Phase::Short)
-            .map(|(&k, _)| k)
-            .collect()
+            .filter(|e| e.phase == Phase::Short)
+            .map(|e| e.key)
+            .collect();
+        debug_assert_eq!(short.len() as u64, self.stats.short_sites);
+        short
+    }
+
+    /// The row of `key`'s site, interned on first sight. A row stays
+    /// valid for the learner's lifetime: a caller that keeps it with
+    /// each object hashes the key once per object, and reports the
+    /// object's later events through [`OnlineLearner::record_free_at`]
+    /// and [`OnlineLearner::note_pinned_at`].
+    pub fn site_row(&mut self, key: u64) -> u32 {
+        let rows = &mut self.rows;
+        let quantile = self.config.tail_quantile;
+        *self.index.entry(key).or_insert_with(|| {
+            let row = u32::try_from(rows.len()).expect("fewer than 2^32 sites");
+            rows.push(SiteEntry::new(key, quantile));
+            row
+        })
     }
 
     /// Records an allocation: advances the byte clock (rolling any due
     /// epochs first) and returns the prediction for this object.
     pub fn record_alloc(&mut self, key: u64, size: u64) -> bool {
+        let row = self.site_row(key);
+        self.record_alloc_at(row, size)
+    }
+
+    /// [`OnlineLearner::record_alloc`] for a site already resolved to
+    /// its [`OnlineLearner::site_row`].
+    pub fn record_alloc_at(&mut self, row: u32, size: u64) -> bool {
         self.clock += size;
         self.roll_due();
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
-        let predicted = entry.phase == Phase::Short;
+        let predicted = self.rows[row as usize].phase == Phase::Short;
         self.stats.total_allocs += 1;
         self.stats.total_bytes += size;
         if predicted {
@@ -316,28 +363,26 @@ impl OnlineLearner {
     /// misprediction: its site is demoted immediately, not at the next
     /// epoch boundary.
     pub fn record_free(&mut self, key: u64, size: u64, birth_clock: u64, predicted: bool) {
+        let row = self.site_row(key);
+        self.record_free_at(row, size, birth_clock, predicted);
+    }
+
+    /// [`OnlineLearner::record_free`] for a site already resolved to
+    /// its [`OnlineLearner::site_row`].
+    pub fn record_free_at(&mut self, row: u32, size: u64, birth_clock: u64, predicted: bool) {
         let lifetime = self.clock.saturating_sub(birth_clock);
         let long = lifetime >= self.config.threshold;
         self.stats.total_frees += 1;
-        if long {
-            self.stats.long_frees += 1;
-        }
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
-        entry.epoch_frees += 1;
+        let entry = &mut self.rows[row as usize];
+        note_activity(entry, &mut self.active, row, 1, u64::from(long));
         entry.tail.observe(lifetime as f64);
         if long {
-            entry.epoch_long += 1;
+            self.stats.long_frees += 1;
             if predicted {
                 self.stats.mispredictions += 1;
                 self.stats.error_bytes += size;
             }
-            if entry.phase == Phase::Short {
-                Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
-            }
+            self.demote_if_short(row);
         }
     }
 
@@ -345,17 +390,17 @@ impl OnlineLearner {
     /// threshold (e.g. it pins an arena). Demotes the site immediately
     /// and counts a misprediction; the current epoch becomes dirty.
     pub fn note_pinned(&mut self, key: u64, size: u64) {
+        let row = self.site_row(key);
+        self.note_pinned_at(row, size);
+    }
+
+    /// [`OnlineLearner::note_pinned`] for a site already resolved to
+    /// its [`OnlineLearner::site_row`].
+    pub fn note_pinned_at(&mut self, row: u32, size: u64) {
         self.stats.mispredictions += 1;
         self.stats.error_bytes += size;
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
-        entry.epoch_long += 1;
-        if entry.phase == Phase::Short {
-            Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
-        }
+        note_activity(&mut self.rows[row as usize], &mut self.active, row, 0, 1);
+        self.demote_if_short(row);
     }
 
     /// Merges feedback accumulated elsewhere (per-shard buffers) into
@@ -368,18 +413,14 @@ impl OnlineLearner {
         self.stats.predicted_bytes += agg.predicted_bytes;
         self.stats.total_frees += agg.frees;
         self.stats.long_frees += agg.long_frees;
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
-        entry.epoch_frees += agg.frees;
-        entry.epoch_long += agg.long_frees;
+        let row = self.site_row(key);
+        let entry = &mut self.rows[row as usize];
+        note_activity(entry, &mut self.active, row, agg.frees, agg.long_frees);
         for &lifetime in &agg.samples {
             entry.tail.observe(lifetime as f64);
         }
-        if agg.long_frees > 0 && entry.phase == Phase::Short {
-            Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
+        if agg.long_frees > 0 {
+            self.demote_if_short(row);
         }
     }
 
@@ -406,64 +447,77 @@ impl OnlineLearner {
         }
     }
 
-    fn demote(
-        entry: &mut SiteEntry,
-        quantile: f64,
-        stats: &mut LearnerStats,
-        generation: &mut u64,
-    ) {
-        entry.phase = Phase::Demoted;
-        entry.clean_run = 0;
-        // The streak evidence restarts: the site must prove itself
-        // again on fresh observations.
-        entry.tail = P2Quantile::new(quantile);
-        stats.demotions += 1;
-        *generation += 1;
+    /// A site caught allocating long-lived data stops being predicted
+    /// on the spot, and its streak evidence restarts: it must prove
+    /// itself again on fresh observations.
+    fn demote_if_short(&mut self, row: u32) {
+        let entry = &mut self.rows[row as usize];
+        if entry.phase == Phase::Short {
+            entry.phase = Phase::Demoted;
+            entry.clean_run = 0;
+            entry.tail = P2Quantile::new(self.config.tail_quantile);
+            self.stats.short_sites -= 1;
+            self.stats.demotions += 1;
+            self.generation += 1;
+        }
     }
 
-    /// Applies the per-epoch all-short rule to every active site.
+    /// Applies the per-epoch all-short rule to every site that was
+    /// active this epoch; an idle site's state does not change at a
+    /// roll, so it is not visited.
     fn end_epoch(&mut self) {
         let cfg = self.config;
-        for entry in self.sites.values_mut() {
-            let active = entry.epoch_frees > 0 || entry.epoch_long > 0;
-            if active {
-                if entry.epoch_long > 0 {
-                    // Dirty epoch: the streak restarts. (A mispredicted
-                    // Short site was already demoted on the spot; this
-                    // also catches batched feedback.)
-                    entry.clean_run = 0;
-                    entry.tail = P2Quantile::new(cfg.tail_quantile);
-                    if entry.phase == Phase::Short {
-                        entry.phase = Phase::Demoted;
-                        self.stats.demotions += 1;
+        for &row in &self.active {
+            let entry = &mut self.rows[row as usize];
+            // Holds unless a row was listed twice (its first visit
+            // cleared it) or listed without activity.
+            debug_assert!(entry.epoch_frees > 0 || entry.epoch_long > 0);
+            #[cfg(test)]
+            {
+                self.row_visits += 1;
+            }
+            if entry.epoch_long > 0 {
+                // Dirty epoch: the streak restarts. Every call that
+                // reports a long lifetime demotes a Short site on the
+                // spot, so none is left to demote here.
+                debug_assert!(entry.phase != Phase::Short);
+                entry.clean_run = 0;
+                entry.tail = P2Quantile::new(cfg.tail_quantile);
+            } else if entry.epoch_frees >= cfg.min_epoch_frees {
+                // Clean epoch: every free died short.
+                entry.clean_run = entry.clean_run.saturating_add(1);
+                let tail_ok =
+                    entry.tail.count() < 5 || entry.tail.estimate() < cfg.threshold as f64;
+                let needed = match entry.phase {
+                    Phase::Observing => Some(cfg.promote_epochs),
+                    Phase::Demoted => Some(cfg.requalify_epochs),
+                    Phase::Short => None,
+                };
+                if let Some(needed) = needed {
+                    if entry.clean_run >= needed && tail_ok {
+                        entry.phase = Phase::Short;
+                        entry.clean_run = 0;
+                        self.stats.short_sites += 1;
+                        self.stats.promotions += 1;
                         self.generation += 1;
                     }
-                } else if entry.epoch_frees >= cfg.min_epoch_frees {
-                    // Clean epoch: every free died short.
-                    entry.clean_run = entry.clean_run.saturating_add(1);
-                    let tail_ok =
-                        entry.tail.count() < 5 || entry.tail.estimate() < cfg.threshold as f64;
-                    let needed = match entry.phase {
-                        Phase::Observing => Some(cfg.promote_epochs),
-                        Phase::Demoted => Some(cfg.requalify_epochs),
-                        Phase::Short => None,
-                    };
-                    if let Some(needed) = needed {
-                        if entry.clean_run >= needed && tail_ok {
-                            entry.phase = Phase::Short;
-                            entry.clean_run = 0;
-                            self.stats.promotions += 1;
-                            self.generation += 1;
-                        }
-                    }
                 }
-                // else: a trickle under min_epoch_frees — no evidence
-                // either way.
             }
+            // else: a trickle under min_epoch_frees — no evidence
+            // either way.
             entry.epoch_frees = 0;
             entry.epoch_long = 0;
         }
+        self.active.clear();
         self.stats.epochs += 1;
+        // A recount is what this counter replaces; checking it at the
+        // power-of-two epochs keeps debug runs proportional to events
+        // too.
+        debug_assert!(
+            !self.stats.epochs.is_power_of_two()
+                || self.stats.short_sites
+                    == self.rows.iter().filter(|e| e.phase == Phase::Short).count() as u64
+        );
     }
 }
 
@@ -635,5 +689,38 @@ mod tests {
             l.roll_epoch();
         }
         assert!(!l.predicts(7));
+    }
+
+    /// The cost model, pinned without a stopwatch: an epoch roll
+    /// visits the rows that had activity in that epoch and no others.
+    #[test]
+    fn epoch_rolls_visit_only_active_rows() {
+        const IDLE: u64 = 50_000;
+        const EPOCHS: u64 = 10_000;
+        // Zero-byte objects hold the clock still: every roll below is
+        // one of the explicit ones.
+        let mut l = OnlineLearner::new(tiny());
+        for key in 0..IDLE {
+            l.record_alloc(key, 0);
+        }
+        l.roll_epoch();
+        assert_eq!(l.row_visits, 0, "allocations alone are not activity");
+        let mut active_pairs = 0;
+        for epoch in 0..EPOCHS {
+            // Three frees, one pin and an alloc-only aggregate in one
+            // epoch still list the site once.
+            if epoch % 2 == 0 {
+                churn(&mut l, IDLE, 0, 3);
+                l.note_pinned(IDLE, 0);
+                active_pairs += 1;
+            }
+            let mut allocs_only = EpochAgg::default();
+            allocs_only.on_alloc(0, false);
+            l.absorb(epoch % IDLE, &allocs_only);
+            l.roll_epoch();
+        }
+        assert_eq!(l.row_visits, active_pairs);
+        assert_eq!(l.stats().sites, IDLE + 1);
+        assert_eq!(l.stats().epochs, 1 + EPOCHS);
     }
 }

@@ -1,13 +1,16 @@
 //! Microbenchmarks of prediction machinery: site extraction, database
-//! lookup, P² maintenance, chain keying, and the per-object cost of a
-//! whole `Profile::build` / `evaluate` over a generated server trace.
+//! lookup, P² maintenance, chain keying, the online learner's epoch
+//! roll, and the per-object cost of a whole `Profile::build` /
+//! `evaluate` / online replay over a generated server trace.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use lifepred_adaptive::{EpochConfig, OnlineLearner};
 use lifepred_core::{
     evaluate, train, Profile, SiteConfig, SiteExtractor, TrainConfig, DEFAULT_THRESHOLD,
 };
+use lifepred_heap::{replay, site_fingerprints, ReplayConfig, ReplayMeta, ReplayPlan};
 use lifepred_quantile::P2Histogram;
-use lifepred_trace::{eliminate_cycles, shared_registry, Trace};
+use lifepred_trace::{eliminate_cycles, shared_registry, Trace, TraceChunks};
 use lifepred_tracefile::trace_from_bytes;
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
@@ -86,7 +89,44 @@ fn train_walks(c: &mut Criterion) {
     group.bench_function("evaluate", |b| {
         b.iter(|| evaluate(&db, &trace).sites_used);
     });
+    // The learner in the loop: what `simulate --predictor online` runs
+    // once the site fingerprints are known.
+    let meta = ReplayMeta::of(&trace);
+    let plan = ReplayPlan::ArenaOnline {
+        sites: &site_fingerprints(&trace, &cfg),
+        epoch: EpochConfig::default(),
+        arena: ReplayConfig::default().arena,
+    };
+    group.bench_function("replay_online", |b| {
+        b.iter(|| replay(&meta, TraceChunks::new(&trace), &plan, None).expect("valid trace"));
+    });
     group.finish();
+}
+
+/// One epoch of the server trace's shape: some 12 000 sites known, a
+/// few dozen of them freeing anything before the epoch rolls. The roll
+/// must cost what the active sites cost.
+fn epoch_roll(c: &mut Criterion) {
+    const SITES: u64 = 12_000;
+    const ACTIVE: u64 = 32;
+    let mut learner = OnlineLearner::new(EpochConfig::default());
+    for key in 0..SITES {
+        learner.record_alloc(key, 64);
+    }
+    let mut group = c.benchmark_group("online/epoch_roll");
+    group.throughput(Throughput::Elements(ACTIVE));
+    group.bench_function("sites=12k,active=32", |b| {
+        let mut first = 0;
+        b.iter(|| {
+            for key in first..first + ACTIVE {
+                learner.record_free(key % SITES, 64, learner.clock(), false);
+            }
+            first = (first + ACTIVE) % SITES;
+            learner.roll_epoch();
+        });
+    });
+    group.finish();
+    black_box(learner.stats());
 }
 
 fn database_lookup(c: &mut Criterion) {
@@ -150,6 +190,7 @@ criterion_group!(
     benches,
     site_extraction,
     train_walks,
+    epoch_roll,
     database_lookup,
     quantile_maintenance,
     chain_keying

@@ -2,8 +2,11 @@
 //! simulate pipeline, cross-checks between the streaming and in-memory
 //! replay paths, and error handling on damaged inputs.
 
-use lifepred_heap::{replay_arena, replay_bsd, replay_firstfit, ReplayConfig};
-use lifepred_trace::shared_registry;
+#[path = "../../adaptive/tests/support/scan_all.rs"]
+mod scan_all;
+
+use lifepred_heap::{replay_arena, replay_bsd, replay_firstfit, site_fingerprints, ReplayConfig};
+use lifepred_trace::{shared_registry, EventKind};
 use lifepred_tracefile::{load_trace, MappedTrace};
 use lifepred_workloads::{by_name, record};
 use std::path::PathBuf;
@@ -357,6 +360,80 @@ fn simulate_metrics_out_dumps_registry_and_stats_renders_it() {
     assert!(run(&["stats", &junk]).is_err());
     assert!(run(&["stats", &metrics, "--format", "xml"]).is_err());
     assert!(run(&["stats"]).is_err(), "stats needs a file");
+}
+
+/// The observed replay samples `stats()` at every epoch tick, so its
+/// timeline is where a maintained `short_sites` counter drifting from a
+/// recount would show: it must be the oracle learner's series.
+#[test]
+fn observed_online_timeline_is_the_scan_all_oracles() {
+    let dir = Scratch::new("timeline");
+    let trace = dir.path("gen.lpt");
+    let metrics = dir.path("metrics.json");
+    run(&["gen", "--events", "100k", "--seed", "1", "-o", &trace]).expect("gen");
+    run(&[
+        "simulate",
+        &trace,
+        "--predictor",
+        "online",
+        "--metrics-out",
+        &metrics,
+    ])
+    .expect("observed simulate");
+    let snap = lifepred_obs::Snapshot::from_json(
+        &std::fs::read_to_string(&metrics).expect("metrics written"),
+    )
+    .expect("valid metrics JSON");
+    let timeline = snap.timeline("lifepred_sim_epochs").expect("timeline");
+
+    let loaded = load_trace(&trace).expect("load");
+    let sites = site_fingerprints(&loaded, &lifepred_core::SiteConfig::default());
+    let mut oracle = scan_all::ScanAllReplay::new(lifepred_adaptive::EpochConfig::default());
+    for event in loaded.events() {
+        match event.kind {
+            EventKind::Alloc => {
+                let size = loaded.records()[event.record].size;
+                oracle.alloc(event.record, sites[event.record], size);
+            }
+            EventKind::Free => oracle.free(event.record),
+        }
+    }
+    // The timeline is a ring: it holds the newest samples.
+    let kept = oracle
+        .samples
+        .len()
+        .min(lifepred_obs::DEFAULT_TIMELINE_CAPACITY);
+    assert!(kept > 100, "only {kept} epoch ticks: not much of a series");
+    assert_eq!(timeline.len(), kept);
+    let expected: Vec<_> = oracle.samples[oracle.samples.len() - kept..]
+        .iter()
+        .map(|s| {
+            (
+                s.epochs,
+                s.sites,
+                s.short_sites,
+                s.demotions,
+                s.mispredictions,
+            )
+        })
+        .collect();
+    let got: Vec<_> = timeline
+        .iter()
+        .map(|s| {
+            (
+                s.epoch,
+                s.sites,
+                s.short_sites,
+                s.demotions,
+                s.mispredictions,
+            )
+        })
+        .collect();
+    assert_eq!(got, expected);
+    assert_eq!(
+        snap.gauge("lifepred_learner_short_sites"),
+        Some(oracle.learner.stats().short_sites)
+    );
 }
 
 #[test]

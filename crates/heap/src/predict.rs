@@ -54,16 +54,22 @@ impl<H> Predict<H> for &[bool] {
     }
 }
 
-/// Per-object bookkeeping for the online replay.
-#[derive(Debug, Clone, Copy)]
+/// Per-object bookkeeping for the online replay: 16 bytes for every
+/// object ever born, so the flags share a word with the site row.
+#[derive(Debug, Clone, Copy, Default)]
 struct OnlineObj {
-    key: u64,
-    size: u32,
     birth: u64,
-    predicted: bool,
-    reported: bool,
-    live: bool,
+    size: u32,
+    /// The site's row in the learner (`ROW_MASK`) and the flags below.
+    site: u32,
 }
+
+/// Predicted short-lived at allocation.
+const PREDICTED: u32 = 1 << 31;
+/// Already reported to the learner as pinning its arena.
+const REPORTED: u32 = 1 << 30;
+const LIVE: u32 = 1 << 29;
+const ROW_MASK: u32 = LIVE - 1;
 
 /// The self-training predictor of [`ReplayPlan::ArenaOnline`]: the
 /// learner, plus the per-object table and aging queue that turn the
@@ -72,7 +78,8 @@ pub(crate) struct Online<'a> {
     sites: &'a [u64],
     learner: OnlineLearner,
     epoch: EpochConfig,
-    objs: Vec<Option<OnlineObj>>,
+    /// Indexed by record; rows of objects not born yet are never read.
+    objs: Vec<OnlineObj>,
     /// Predicted objects in birth order; the front is always the oldest,
     /// so aging is O(1) amortized.
     aging: VecDeque<usize>,
@@ -104,35 +111,39 @@ impl Predict<ArenaAllocator> for Online<'_> {
                 self.sites.len()
             ))
         })?;
-        let birth = self.learner.clock();
-        let predicted = self.learner.record_alloc(key, u64::from(size));
-        if record >= self.objs.len() {
-            self.objs.resize(record + 1, None);
+        // The one hash this object costs: its free and a pin report
+        // hand the row back.
+        let row = self.learner.site_row(key);
+        if row > ROW_MASK {
+            return Err(Corrupt(format!(
+                "object {record} is at allocation site {row}; at most {ROW_MASK} sites are supported"
+            )));
         }
-        self.objs[record] = Some(OnlineObj {
-            key,
-            size,
+        let birth = self.learner.clock();
+        let predicted = self.learner.record_alloc_at(row, u64::from(size));
+        if record >= self.objs.len() {
+            self.objs.resize(record + 1, OnlineObj::default());
+        }
+        self.objs[record] = OnlineObj {
             birth,
-            predicted,
-            reported: false,
-            live: true,
-        });
+            size,
+            site: row | LIVE | if predicted { PREDICTED } else { 0 },
+        };
         if predicted {
             self.aging.push_back(record);
         }
         // Aging scan: a predicted object still live past the threshold
-        // pins its arena — report it once.
+        // pins its arena — report it once (it leaves the queue here).
         while let Some(&oldest) = self.aging.front() {
-            let obj = self.objs[oldest]
-                .as_mut()
-                .expect("aging entry was allocated");
+            let obj = &mut self.objs[oldest];
             if self.learner.clock().saturating_sub(obj.birth) < self.epoch.threshold {
                 break;
             }
             self.aging.pop_front();
-            if obj.live && !obj.reported {
-                obj.reported = true;
-                self.learner.note_pinned(obj.key, u64::from(obj.size));
+            if obj.site & LIVE != 0 {
+                obj.site |= REPORTED;
+                self.learner
+                    .note_pinned_at(obj.site & ROW_MASK, u64::from(obj.size));
             }
         }
         Ok(predicted)
@@ -145,18 +156,17 @@ impl Predict<ArenaAllocator> for Online<'_> {
     }
 
     fn on_free(&mut self, record: usize, was_in_arena: bool) {
-        let obj = self.objs[record]
-            .as_mut()
-            .expect("slot table guards liveness");
-        obj.live = false;
+        // The slot table has checked that the object was live.
+        let obj = &mut self.objs[record];
+        obj.site &= !LIVE;
         if was_in_arena {
             self.live_arena_bytes = self.live_arena_bytes.saturating_sub(u64::from(obj.size));
         }
         // A pinning misprediction was already reported by the aging
         // scan; don't count its free a second time.
-        let counts_as_misprediction = obj.predicted && !obj.reported;
-        self.learner.record_free(
-            obj.key,
+        let counts_as_misprediction = obj.site & (PREDICTED | REPORTED) == PREDICTED;
+        self.learner.record_free_at(
+            obj.site & ROW_MASK,
             u64::from(obj.size),
             obj.birth,
             counts_as_misprediction,
@@ -195,5 +205,15 @@ impl Predict<ArenaAllocator> for Online<'_> {
 
     fn learner_stats(&self) -> Option<LearnerStats> {
         Some(self.learner.stats())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_per_object_row_is_sixteen_bytes() {
+        assert!(std::mem::size_of::<OnlineObj>() <= 16);
     }
 }

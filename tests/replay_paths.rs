@@ -2,7 +2,12 @@
 //! every backend, a watched replay, an unwatched replay and the
 //! [`Trace`]-based convenience function return the same report — and
 //! watching registers exactly the `lifepred_sim_*` names the golden
-//! metrics snapshot pins.
+//! metrics snapshot pins. The online replay's learner counters are
+//! additionally those of the scan-everything oracle learner fed the
+//! same events.
+
+#[path = "../crates/adaptive/tests/support/scan_all.rs"]
+mod scan_all;
 
 use lifepred::adaptive::EpochConfig;
 use lifepred::core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
@@ -11,7 +16,7 @@ use lifepred::heap::{
     site_fingerprints, ReplayConfig, ReplayMeta, ReplayObs, ReplayPlan,
 };
 use lifepred::obs::{Registry, Snapshot};
-use lifepred::trace::{shared_registry, Trace, TraceChunks};
+use lifepred::trace::{shared_registry, EventKind, Trace, TraceChunks};
 use lifepred::workloads::{all_workloads, record};
 
 /// Every metric name of `snapshot` under the replay prefix, sorted.
@@ -51,6 +56,23 @@ fn every_backend_replays_identically_watched_or_not() {
         let predicted = prediction_bitmap(&trace, &db);
         let sites = site_fingerprints(&trace, &sites_cfg);
         let online = replay_arena_online(&trace, &sites_cfg, &epoch, &cfg);
+        let mut oracle = scan_all::ScanAllReplay::new(epoch);
+        for event in trace.events() {
+            match event.kind {
+                EventKind::Alloc => {
+                    let size = trace.records()[event.record].size;
+                    oracle.alloc(event.record, sites[event.record], size);
+                }
+                EventKind::Free => oracle.free(event.record),
+            }
+        }
+        assert_eq!(
+            online.learner,
+            oracle.learner.stats(),
+            "{}: the learner left its scan-all oracle",
+            w.name()
+        );
+        assert!(online.learner.epochs > 0, "{}: no epoch rolled", w.name());
         let cases = [
             (ReplayPlan::FirstFit, (replay_firstfit(&trace, &cfg), None)),
             (ReplayPlan::Bsd, (replay_bsd(&trace, &cfg), None)),
