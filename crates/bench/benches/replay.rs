@@ -1,13 +1,7 @@
 //! The replay performance ledger: measured evidence for the
-//! optimisations of the decode and indexed-replay stack.
+//! optimisations of the indexed-replay stack.
 //!
-//! 1. **decode** — a three-way comparison over the same on-disk `.lpt`
-//!    file: per-event `into_events()` iteration, the chunked SoA
-//!    decoder (`into_event_chunks()`) with pooled 16Ki-event chunks,
-//!    and the mmap-backed zero-copy [`MappedTrace`] path (bulk CRC up
-//!    front, SWAR varint batch decode straight out of the mapping).
-//!    Same bytes, same integrity checks, three cost models.
-//! 2. **firstfit** — the seed's linear first-fit scan
+//! 1. **firstfit** — the seed's linear first-fit scan
 //!    ([`LinearFirstFit`]) vs the tree-indexed [`FirstFit`] on two
 //!    fragmentation workloads built to be the linear scan's worst
 //!    case: a lattice of holes that every larger allocation must walk
@@ -17,25 +11,20 @@
 //!    (`OpCounts` including `search_steps`, `max_heap_bytes`) before
 //!    any timing, so the speedup is measured between *provably
 //!    equivalent* implementations.
-//! 3. **simulate** — the end-to-end `lifepred simulate` pipeline
+//! 2. **simulate** — the end-to-end `lifepred simulate` pipeline
 //!    ([`simulate_file`]: records → prediction bitmap, events →
 //!    chunked arena replay) over several copies of a trace, fanned out with
 //!    [`lifepred_bench::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
 //!    here is bounded by the host's core count, which is recorded in
 //!    the output.
-//! 4. **decode gate** — mapped vs iterator decode on the lattice
-//!    trace, with a 1.5x floor. Advisory by default; the CI `decode`
-//!    job exports `LIFEPRED_BENCH_REQUIRE_DECODE` to make a miss fail.
-//! 5. **scale + server** — `lifepred gen` streams a synthetic server
-//!    trace (10⁷ events on full runs), then the iterator and mapped
-//!    decoders race over it and the first-fit allocator replays it
-//!    end to end. The trace is verified once up front (recorded as
-//!    `verify_once_secs`); decode rounds then measure the
-//!    repeated-pass price of each path — the iterator re-checksums
-//!    inline on every pass by construction, the mapped path decodes
-//!    zero-copy out of the verified mapping. This is where the
-//!    memory-bandwidth story is told: at this size the trace no
-//!    longer fits any cache.
+//! 3. **server** — `lifepred gen` streams a synthetic server trace
+//!    (10⁷ events on full runs); the file is verified once up front
+//!    (recorded as `verify_once_secs`), then [`MappedTrace`] decodes it
+//!    zero-copy out of the verified mapping and the first-fit allocator
+//!    replays it end to end. At this size the trace no longer fits any
+//!    cache. Decode has one implementation, so nothing races it here;
+//!    the frozen benchmark's `tracefile.*` layer metrics are its
+//!    yardstick.
 //!
 //! The harness mirrors `benches/obs.rs`: self-timed paired rounds,
 //! median-of-rounds throughputs, median-of-paired-ratios speedups, and
@@ -51,14 +40,13 @@ use lifepred_sweep::{simulate_file, SimBackend};
 use lifepred_trace::{
     ChunkSource, EventChunk, EventKind, Trace, TraceSession, POOLED_CHUNK_EVENTS,
 };
-use lifepred_tracefile::{MappedTrace, TraceReader, TraceWriter};
+use lifepred_tracefile::{MappedTrace, TraceWriter};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Alloc/free pairs in the decode trace (divided by 10 in smoke mode)
-/// and in the simulate trace (never divided).
+/// Alloc/free pairs in the simulate trace.
 const PAIRS: usize = 50_000;
 
 /// Kept blocks in the fragmentation lattice; every churn allocation
@@ -70,9 +58,6 @@ const CHURN: usize = 8_000;
 
 /// Trace images fanned out by the simulate-scaling section.
 const SIM_TRACES: usize = 4;
-
-/// Paired rounds for the decode comparison.
-const ROUNDS: usize = 31;
 
 /// Paired rounds for the firstfit comparison (each round replays the
 /// full quadratic linear scan, so fewer rounds keep the run bounded).
@@ -86,15 +71,8 @@ const SIM_ROUNDS: usize = 11;
 /// (divided by 100 in smoke mode).
 const SCALE_EVENTS: u64 = 10_000_000;
 
-/// Paired rounds over the scale trace; each round decodes it twice.
+/// Decode rounds over the scale trace.
 const SCALE_ROUNDS: usize = 7;
-
-/// Floor for mapped-vs-iterator decode on the lattice trace (enforced
-/// when `LIFEPRED_BENCH_REQUIRE_DECODE` is set).
-const DECODE_FLOOR: f64 = 1.5;
-
-/// Target for mapped-vs-iterator decode at scale (recorded; advisory).
-const SCALE_TARGET: f64 = 3.0;
 
 fn smoke() -> bool {
     // `cargo bench -- --test` asks every bench for a functional check,
@@ -111,8 +89,8 @@ fn rounds(full: usize) -> usize {
 }
 
 /// The obs-bench workload shape: mostly short-lived pairs with a
-/// drizzle of keepers — representative input for decode and the
-/// end-to-end pipeline.
+/// drizzle of keepers — representative input for the end-to-end
+/// pipeline.
 fn workload(pairs: usize) -> Trace {
     let s = TraceSession::new("bench-replay");
     let mut kept = Vec::new();
@@ -278,63 +256,23 @@ fn paired_speedup(
     (median(&mut tb), median(&mut ta), median(&mut ratios))
 }
 
-/// A per-run temp path for an on-disk trace; every decode path reads
-/// the same file so page-cache state is shared fairly.
+/// A per-run temp path for an on-disk trace.
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lifepred-bench-{tag}-{}.lpt", std::process::id()))
 }
 
-/// Drains a chunk source into a pooled chunk, returning the event count.
-fn drain_events<C: ChunkSource>(mut chunks: C) -> u64
-where
-    C::Error: std::fmt::Debug,
-{
+/// Mapped decode without the bulk CRC pass — the repeated-decode cost
+/// once a trace has been verified at ingest; the server section
+/// records the one-time verify cost alongside.
+fn file_mapped_events_unverified(path: &Path) -> u64 {
+    let mapped = MappedTrace::open_unverified(path).expect("mapped open");
+    let mut chunks = mapped.events();
     let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
     let mut n = 0u64;
     while chunks.next_chunk(&mut chunk).expect("chunk") {
         n += chunk.len() as u64;
     }
     std::hint::black_box(n)
-}
-
-/// Counts events through the buffered per-event iterator (inline CRC).
-fn file_iter_events(path: &Path) -> u64 {
-    let mut n = 0u64;
-    for event in TraceReader::open(path)
-        .expect("trace header")
-        .into_events()
-        .expect("events section")
-    {
-        event.expect("event");
-        n += 1;
-    }
-    std::hint::black_box(n)
-}
-
-/// Counts events through the buffered chunked SoA decoder.
-fn file_chunked_events(path: &Path) -> u64 {
-    let chunks = TraceReader::open(path)
-        .expect("trace header")
-        .into_event_chunks()
-        .expect("events section");
-    drain_events(chunks)
-}
-
-/// Opens the file through [`MappedTrace`] — bulk CRC over the mapping
-/// up front, then the SWAR batch decoder straight out of the mapped
-/// bytes. The open is timed inside the round so the comparison against
-/// the iterator (which checksums inline) stays honest.
-fn file_mapped_events(path: &Path) -> u64 {
-    let mapped = MappedTrace::open(path).expect("mapped open");
-    drain_events(mapped.events())
-}
-
-/// Mapped decode without the bulk CRC pass — the repeated-decode cost
-/// once a trace has been verified at ingest. Only the scale section
-/// uses this, and it records the one-time verify cost alongside.
-fn file_mapped_events_unverified(path: &Path) -> u64 {
-    let mapped = MappedTrace::open_unverified(path).expect("mapped open");
-    drain_events(mapped.events())
 }
 
 /// Median seconds of `f` over `rounds` runs.
@@ -351,50 +289,10 @@ fn median_time(rounds: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let pairs = if smoke() { PAIRS / 10 } else { PAIRS };
     let keepers = if smoke() { KEEPERS / 10 } else { KEEPERS };
     let churn = if smoke() { CHURN / 10 } else { CHURN };
     let host = lifepred_bench::BenchHost::probe();
     let cores = host.cores;
-
-    // --- decode: iterator vs chunked vs mmap over the same file ---------
-    let trace = workload(pairs);
-    let bytes = TraceWriter::new(Vec::new())
-        .write(&trace)
-        .expect("encode trace");
-    let n_events = trace.events().len() as u64;
-    let decode_path = temp_path("decode");
-    std::fs::write(&decode_path, &bytes).expect("write decode trace");
-    let decode_iter = || assert_eq!(file_iter_events(&decode_path), n_events);
-    let decode_chunks = || assert_eq!(file_chunked_events(&decode_path), n_events);
-    let decode_mapped = || assert_eq!(file_mapped_events(&decode_path), n_events);
-    decode_iter();
-    decode_chunks();
-    decode_mapped();
-    let (t_iter, t_chunk, chunk_speedup) =
-        paired_speedup(rounds(ROUNDS), decode_iter, decode_chunks);
-    let (_, t_mapped, mapped_speedup) = paired_speedup(rounds(ROUNDS), decode_iter, decode_mapped);
-
-    // --- decode gate: mapped vs iterator on the lattice trace -----------
-    // Always the full-size lattice: recording 40k events is cheap even
-    // in smoke mode, and gating on a smoke-sized trace would measure
-    // file-open overhead, not decode bandwidth.
-    let gate_trace = frag_workload(KEEPERS, CHURN, SMALL_HOLES);
-    let gate_events = gate_trace.events().len() as u64;
-    let gate_path = temp_path("lattice");
-    std::fs::write(
-        &gate_path,
-        TraceWriter::new(Vec::new())
-            .write(&gate_trace)
-            .expect("encode lattice trace"),
-    )
-    .expect("write lattice trace");
-    let (t_gate_iter, t_gate_mapped, gate_speedup) = paired_speedup(
-        FF_ROUNDS,
-        || assert_eq!(file_iter_events(&gate_path), gate_events),
-        || assert_eq!(file_mapped_events(&gate_path), gate_events),
-    );
-    std::fs::remove_file(&gate_path).ok();
 
     // --- firstfit: linear scan vs the free-block tree -------------------
     let time_lattice = |holes: (u32, u32)| {
@@ -424,10 +322,9 @@ fn main() {
     let (_, sc_linear_rate, sc_indexed_rate, sc_speedup) = time_lattice(SAME_CLASS_HOLES);
 
     // --- simulate: end-to-end pipeline scaling over --jobs --------------
-    // Always the full-size trace and round count, like the decode
-    // gate: a smoke-sized sweep is 4 ms of work, and gating on it would
-    // measure thread start-up, not scaling.
-    std::fs::remove_file(&decode_path).ok();
+    // Always the full-size trace and round count: a smoke-sized sweep
+    // is 4 ms of work, and gating on it would measure thread start-up,
+    // not scaling.
     let sim_trace = workload(PAIRS);
     let sim_events = sim_trace.events().len() as u64;
     let sim_file = temp_path("simulate");
@@ -456,7 +353,7 @@ fn main() {
     let s4 = t_jobs1 / t_jobs4;
     std::fs::remove_file(&sim_file).ok();
 
-    // --- scale + server: a streamed 10⁷-event synthetic trace -----------
+    // --- server: a streamed 10⁷-event synthetic trace -------------------
     let scale_target = if smoke() {
         SCALE_EVENTS / 100
     } else {
@@ -478,17 +375,13 @@ fn main() {
         .len();
     // Verify once, decode many: the bulk CRC is a property of the file,
     // paid at ingest and recorded below as its own cost. The decode
-    // rounds then measure the repeated-pass price of each path — the
-    // iterator re-checksums inline on every pass because it cannot
-    // carry verified state across opens; the mapped path can.
+    // rounds then measure the repeated-pass price.
     let verify_start = Instant::now();
     drop(MappedTrace::open(&scale_path).expect("verify scale trace"));
     let verify_secs = verify_start.elapsed().as_secs_f64();
-    let (t_scale_iter, t_scale_mapped, scale_speedup) = paired_speedup(
-        rounds(SCALE_ROUNDS),
-        || assert_eq!(file_iter_events(&scale_path), scale_events),
-        || assert_eq!(file_mapped_events_unverified(&scale_path), scale_events),
-    );
+    let t_scale_mapped = median_time(rounds(SCALE_ROUNDS), || {
+        assert_eq!(file_mapped_events_unverified(&scale_path), scale_events);
+    });
     // End-to-end server row: first-fit replay straight off the mapping
     // (the file was verified once above, so the replay opens
     // unverified, same as the decode rounds).
@@ -510,24 +403,9 @@ fn main() {
 
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-replay-v2\",\n  \
+           \"schema\": \"lifepred-bench-replay-v3\",\n  \
            \"smoke\": {smoke},\n  \
            {host_fields},\n  \
-           \"decode\": {{\n    \
-             \"events\": {n_events},\n    \
-             \"iter_events_per_sec\": {iter_rate:.0},\n    \
-             \"chunk_events_per_sec\": {chunk_rate:.0},\n    \
-             \"mapped_events_per_sec\": {mapped_rate:.0},\n    \
-             \"chunk_speedup\": {chunk_speedup:.2},\n    \
-             \"mapped_speedup\": {mapped_speedup:.2}\n  \
-           }},\n  \
-           \"decode_lattice\": {{\n    \
-             \"events\": {gate_events},\n    \
-             \"iter_events_per_sec\": {gate_iter_rate:.0},\n    \
-             \"mapped_events_per_sec\": {gate_mapped_rate:.0},\n    \
-             \"speedup\": {gate_speedup:.2},\n    \
-             \"floor\": {DECODE_FLOOR}\n  \
-           }},\n  \
            \"firstfit\": {{\n    \
              \"events\": {ff_events},\n    \
              \"linear_events_per_sec\": {linear_rate:.0},\n    \
@@ -551,35 +429,14 @@ fn main() {
              \"file_bytes\": {scale_file_bytes},\n    \
              \"gen_events_per_sec\": {gen_rate:.0},\n    \
              \"verify_once_secs\": {verify_secs:.4},\n    \
-             \"iter_events_per_sec\": {scale_iter_rate:.0},\n    \
              \"mapped_events_per_sec\": {scale_mapped_rate:.0},\n    \
-             \"decode_speedup\": {scale_speedup:.2},\n    \
-             \"decode_target\": {SCALE_TARGET},\n    \
              \"replay_events_per_sec\": {server_rate:.0}\n  \
            }}\n}}\n",
         smoke = smoke(),
         host_fields = host.json_fields(),
-        iter_rate = n_events as f64 / t_iter,
-        chunk_rate = n_events as f64 / t_chunk,
-        mapped_rate = n_events as f64 / t_mapped,
-        gate_iter_rate = gate_events as f64 / t_gate_iter,
-        gate_mapped_rate = gate_events as f64 / t_gate_mapped,
         gen_rate = scale_events as f64 / gen_secs,
-        scale_iter_rate = scale_events as f64 / t_scale_iter,
         scale_mapped_rate = scale_events as f64 / t_scale_mapped,
         server_rate = scale_events as f64 / t_server,
-    );
-    println!(
-        "decode:   {:.0} events/s per-event, {:.0} events/s chunked ({chunk_speedup:.2}x), \
-         {:.0} events/s mapped ({mapped_speedup:.2}x)",
-        n_events as f64 / t_iter,
-        n_events as f64 / t_chunk,
-        n_events as f64 / t_mapped,
-    );
-    println!(
-        "lattice:  {:.0} events/s per-event, {:.0} events/s mapped ({gate_speedup:.2}x)",
-        gate_events as f64 / t_gate_iter,
-        gate_events as f64 / t_gate_mapped,
     );
     println!(
         "firstfit: {linear_rate:.0} events/s linear, {indexed_rate:.0} events/s indexed \
@@ -592,30 +449,12 @@ fn main() {
     );
     println!(
         "server:   {scale_events} events generated at {:.1}M events/s ({scale_file_bytes} file \
-         bytes); verified once in {verify_secs:.3}s; decode {:.1}M events/s per-event vs \
-         {:.1}M events/s mapped ({scale_speedup:.2}x, target {SCALE_TARGET}x); first-fit \
+         bytes); verified once in {verify_secs:.3}s; decode {:.1}M events/s mapped; first-fit \
          replay {:.1}M events/s",
         scale_events as f64 / gen_secs / 1e6,
-        scale_events as f64 / t_scale_iter / 1e6,
         scale_events as f64 / t_scale_mapped / 1e6,
         scale_events as f64 / t_server / 1e6,
     );
-    // Decode floor: the mapped SWAR path must beat per-event iteration
-    // by DECODE_FLOOR on the lattice trace. This check runs in smoke
-    // mode too (the gate trace never shrinks); the CI `decode` job
-    // exports LIFEPRED_BENCH_REQUIRE_DECODE to turn a miss into a
-    // failure.
-    if gate_speedup < DECODE_FLOOR {
-        println!(
-            "warning: mapped decode speedup {gate_speedup:.2}x is below the {DECODE_FLOOR}x \
-             floor on the lattice trace"
-        );
-        if std::env::var_os("LIFEPRED_BENCH_REQUIRE_DECODE").is_some() {
-            std::process::exit(1);
-        }
-    } else {
-        println!("decode check: mapped speedup {gate_speedup:.2}x meets the {DECODE_FLOOR}x floor");
-    }
     // Scaling floor: on a machine with a second core, `--jobs 2` must
     // be at least 1.5x faster than sequential (BENCH_replay.json
     // records 2.15x on 2 cores). The CI `test` job exports

@@ -1,13 +1,11 @@
-//! Throughput benchmarks for the `.lpt` binary trace format: encode,
-//! full decode, and streaming event replay over the CFRAC and PERL
-//! workload traces (events/sec via `Throughput::Elements`, plus a
-//! bytes-per-event line per trace).
+//! Throughput benchmarks for the `.lpt` binary trace format: encode
+//! and full decode over the CFRAC and PERL workload traces (events/sec
+//! via `Throughput::Elements`, plus a bytes-per-event line per trace).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lifepred_trace::{shared_registry, Trace};
-use lifepred_tracefile::{trace_from_bytes, trace_to_vec, TraceReader};
+use lifepred_tracefile::{trace_from_bytes, trace_to_vec};
 use lifepred_workloads::{by_name, record};
-use std::io::Cursor;
 
 fn workload_trace(name: &str) -> Trace {
     let w = by_name(name).expect("workload exists");
@@ -49,21 +47,6 @@ fn tracefile_codec(c: &mut Criterion) {
         group.throughput(Throughput::Elements(events));
         group.bench_function("events", |b| {
             b.iter(|| trace_from_bytes(black_box(&bytes)).expect("decode"));
-        });
-        group.finish();
-
-        let mut group = c.benchmark_group(format!("tracefile_stream_events/{name}"));
-        group.throughput(Throughput::Elements(events));
-        group.bench_function("events", |b| {
-            b.iter(|| {
-                let reader = TraceReader::new(Cursor::new(black_box(&bytes[..]))).expect("header");
-                let mut n = 0u64;
-                for e in reader.into_events().expect("events section") {
-                    e.expect("valid event");
-                    n += 1;
-                }
-                n
-            });
         });
         group.finish();
     }

@@ -47,7 +47,7 @@ use lifepred_sweep::{
     SweepOptions,
 };
 use lifepred_trace::{shared_registry, AllocationRecord};
-use lifepred_tracefile::{save_trace, MappedTrace, TraceReader};
+use lifepred_tracefile::{save_trace, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use lifepred_workloads::{all_workloads, by_name, record as record_workload};
@@ -113,7 +113,8 @@ OPTIONS:
     --seed <n>            gen: simulation seed (default 1)
     --functions           inspect: list the function registry
     --chains              inspect: list the interned call chains
-    --verify              inspect: stream every section, checking CRCs
+    --verify              inspect: check all five section CRCs at open,
+                          then decode every record and every event
     --sections            inspect: list section framing and sizes only
                           (maps the file; decodes no events)
     --head <n>            inspect: print the first n events (maps the
@@ -447,8 +448,16 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         }
     }
     let path = path.ok_or("inspect: a trace file is required")?;
-    let reader = TraceReader::open(&path).map_err(|e| file_err(&path, e))?;
-    let stats = reader.stats();
+    // Every view but `--verify` reads header sections and framing (and
+    // at most a prefix of the events): skip the bulk CRC of the two
+    // large sections unless the user asked for it.
+    let mapped = if verify {
+        MappedTrace::open(&path)
+    } else {
+        MappedTrace::open_unverified(&path)
+    }
+    .map_err(|e| file_err(&path, e))?;
+    let stats = mapped.stats();
     let mut text = format!(
         "program:         {}\n\
          objects:         {}\n\
@@ -460,7 +469,7 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
          functions:       {}\n\
          call chains:     {}\n\
          end clock/seq:   {} / {}\n",
-        reader.name(),
+        mapped.name(),
         stats.total_objects,
         stats.total_bytes,
         stats.max_live_bytes,
@@ -469,14 +478,14 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         stats.function_calls,
         stats.heap_refs,
         stats.heap_ref_pct(),
-        reader.registry().len(),
-        reader.chain_table().len(),
-        reader.end_clock(),
-        reader.end_seq(),
+        mapped.registry().len(),
+        mapped.chain_table().len(),
+        mapped.end_clock(),
+        mapped.end_seq(),
     );
     if functions {
         text.push_str("\nfunctions:\n");
-        for name in reader.registry().names() {
+        for name in mapped.registry().names() {
             text.push_str("  ");
             text.push_str(name);
             text.push('\n');
@@ -484,11 +493,11 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
     if chains {
         text.push_str("\ncall chains:\n");
-        for (_, chain) in reader.chain_table().iter() {
+        for (_, chain) in mapped.chain_table().iter() {
             let rendered: Vec<&str> = chain
                 .frames()
                 .iter()
-                .map(|f| reader.registry().name(*f).unwrap_or("?"))
+                .map(|f| mapped.registry().name(*f).unwrap_or("?"))
                 .collect();
             let line = if rendered.is_empty() {
                 "(empty)".to_owned()
@@ -501,78 +510,69 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         }
     }
     write_out(out, &text)?;
-    // The mapped fast paths: frame the file (and optionally decode a
-    // prefix of the events) without streaming or checksumming the two
-    // large sections.
-    if sections || head.is_some() {
-        let mapped = MappedTrace::open_unverified(&path).map_err(|e| file_err(&path, e))?;
-        if sections {
-            let mut text = format!(
-                "\nsections ({}, {} file bytes):\n",
-                if mapped.is_mapped() { "mmap" } else { "heap" },
-                mapped.file_len(),
-            );
-            for info in mapped.sections() {
-                match info.entries {
-                    Some(n) => text.push_str(&format!(
-                        "  {:<10} {:>12} bytes  {:>12} entries\n",
-                        info.name, info.payload_bytes, n
-                    )),
-                    None => text.push_str(&format!(
-                        "  {:<10} {:>12} bytes\n",
-                        info.name, info.payload_bytes
-                    )),
-                }
+    if sections {
+        let mut text = format!(
+            "\nsections ({}, {} file bytes):\n",
+            if mapped.is_mapped() { "mmap" } else { "heap" },
+            mapped.file_len(),
+        );
+        for info in mapped.sections() {
+            match info.entries {
+                Some(n) => text.push_str(&format!(
+                    "  {:<10} {:>12} bytes  {:>12} entries\n",
+                    info.name, info.payload_bytes, n
+                )),
+                None => text.push_str(&format!(
+                    "  {:<10} {:>12} bytes\n",
+                    info.name, info.payload_bytes
+                )),
             }
-            write_out(out, &text)?;
         }
-        if let Some(head) = head {
-            use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk};
-            let mut text = format!("\nevents (first {head} of {}):\n", mapped.event_count());
-            let mut source = mapped.events();
-            let mut chunk = EventChunk::new();
-            let mut seq = 0u64;
-            'outer: while seq < head
-                && source
-                    .next_chunk(&mut chunk)
-                    .map_err(|e| file_err(&path, e))?
-            {
-                for event in chunk.events() {
-                    if seq == head {
-                        break 'outer;
-                    }
-                    match event {
-                        ChunkEvent::Alloc { record, size } => text.push_str(&format!(
-                            "  seq {seq:<10} alloc record {record:<12} size {size}\n"
-                        )),
-                        ChunkEvent::Free { record } => {
-                            text.push_str(&format!("  seq {seq:<10} free  record {record}\n"))
-                        }
-                    }
-                    seq += 1;
+        write_out(out, &text)?;
+    }
+    if let Some(head) = head {
+        use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk};
+        let mut text = format!("\nevents (first {head} of {}):\n", mapped.event_count());
+        let mut source = mapped.events();
+        let mut chunk = EventChunk::new();
+        let mut seq = 0u64;
+        'outer: while seq < head
+            && source
+                .next_chunk(&mut chunk)
+                .map_err(|e| file_err(&path, e))?
+        {
+            for event in chunk.events() {
+                if seq == head {
+                    break 'outer;
                 }
+                match event {
+                    ChunkEvent::Alloc { record, size } => text.push_str(&format!(
+                        "  seq {seq:<10} alloc record {record:<12} size {size}\n"
+                    )),
+                    ChunkEvent::Free { record } => {
+                        text.push_str(&format!("  seq {seq:<10} free  record {record}\n"))
+                    }
+                }
+                seq += 1;
             }
-            write_out(out, &text)?;
         }
+        write_out(out, &text)?;
     }
     if verify {
-        let records = TraceReader::open(&path)
-            .map_err(|e| file_err(&path, e))?
-            .into_records()
-            .map_err(|e| file_err(&path, e))?;
+        use lifepred_trace::{ChunkSource, EventChunk, POOLED_CHUNK_EVENTS};
         let mut n_records = 0u64;
-        for r in records {
+        for r in mapped.records().map_err(|e| file_err(&path, e))? {
             r.map_err(|e| file_err(&path, e))?;
             n_records += 1;
         }
-        let events = TraceReader::open(&path)
-            .map_err(|e| file_err(&path, e))?
-            .into_events()
-            .map_err(|e| file_err(&path, e))?;
+        let mut source = mapped.events();
+        let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
         let mut n_events = 0u64;
-        for e in events {
-            e.map_err(|e| file_err(&path, e))?;
-            n_events += 1;
+        while source
+            .next_chunk(&mut chunk)
+            .map_err(|e| file_err(&path, e))?
+        {
+            n_events += chunk.len() as u64;
         }
         write_out(
             out,

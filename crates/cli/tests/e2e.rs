@@ -494,6 +494,130 @@ fn corrupted_and_missing_files_error_cleanly() {
     assert!(run(&["simulate", &trace, "--predictor", &junk]).is_err());
 }
 
+/// `inspect`'s text is a header block plus one block per flag, in a
+/// fixed order: pin each block, then every one of the 32 flag
+/// combinations must print exactly the blocks it selects.
+#[test]
+fn inspect_text_is_pinned_for_every_flag_combination() {
+    let dir = Scratch::new("inspect-pin");
+    let path = dir.path("pinned.lpt");
+    let s = lifepred_trace::TraceSession::new("pinned");
+    {
+        let _main = s.enter("main");
+        let a = {
+            let _make = s.enter("make");
+            s.alloc(24)
+        };
+        s.touch(a, 3);
+        s.alloc(100);
+        s.free(a);
+        s.work(50);
+    }
+    s.alloc(7);
+    lifepred_tracefile::save_trace(&path, &s.finish()).expect("save");
+
+    let header = "\
+program:         pinned
+objects:         3
+bytes allocated: 131
+max live:        124 bytes / 2 objects
+instructions:    59
+function calls:  2
+heap refs:       3 (20.0% of all refs)
+functions:       2
+call chains:     3
+end clock/seq:   131 / 4
+";
+    let backing = if MappedTrace::open(&path).expect("open").is_mapped() {
+        "mmap"
+    } else {
+        "heap"
+    };
+    let sections = format!(
+        "
+sections ({backing}, 109 file bytes):
+  meta                 19 bytes
+  functions            11 bytes             2 entries
+  chains                7 bytes             3 entries
+  records              24 bytes             3 entries
+  events               10 bytes             4 entries
+"
+    );
+    let blocks = [
+        ("--functions", "\nfunctions:\n  main\n  make\n"),
+        (
+            "--chains",
+            "\ncall chains:\n  main>make\n  main\n  (empty)\n",
+        ),
+        ("--sections", sections.as_str()),
+        (
+            "--head=3",
+            "
+events (first 3 of 4):
+  seq 0          alloc record 0            size 24
+  seq 1          alloc record 1            size 100
+  seq 2          free  record 0
+",
+        ),
+        (
+            "--verify",
+            "\nverified: 3 records, 4 events, all checksums good\n",
+        ),
+    ];
+    for mask in 0..1u32 << blocks.len() {
+        let mut args = vec!["inspect", path.as_str()];
+        let mut expected = header.to_owned();
+        // Flags are given last-first: the block order is the
+        // program's, not the command line's.
+        for (i, (flag, text)) in blocks.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                args.insert(2, flag);
+                expected.push_str(text);
+            }
+        }
+        assert_eq!(run(&args).expect("inspect"), expected, "{args:?}");
+    }
+}
+
+/// A truncated file is refused by every `inspect` view (nothing else
+/// could read it either); a flipped payload byte leaves the framing
+/// intact, so only `--verify` pays for the CRC pass that finds it.
+#[test]
+fn inspect_reports_truncation_and_verifies_on_request() {
+    let dir = Scratch::new("inspect-hostile");
+    let good = dir.path("good.lpt");
+    run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
+    let bytes = std::fs::read(&good).expect("read");
+    let records = records_payload(&bytes);
+
+    let truncated = dir.path("truncated.lpt");
+    for cut in [3, 7, records.start - 1, records.start + 5, bytes.len() - 1] {
+        std::fs::write(&truncated, &bytes[..cut]).expect("write");
+        for flags in [&[][..], &["--sections"], &["--head", "2"], &["--verify"]] {
+            let args = [&["inspect", truncated.as_str()], flags].concat();
+            let err = run(&args).expect_err("a truncated file is refused");
+            assert!(
+                err.contains("truncated.lpt: truncated trace file while reading"),
+                "cut at {cut}, {flags:?}: {err}"
+            );
+        }
+    }
+
+    let flipped = dir.path("flipped.lpt");
+    let mut damaged = bytes.clone();
+    damaged[records.start + records.len() / 2] ^= 0x04;
+    std::fs::write(&flipped, &damaged).expect("write");
+    assert_eq!(
+        run(&["inspect", &flipped, "--sections"]).expect("framing is intact"),
+        run(&["inspect", &good, "--sections"]).expect("inspect")
+    );
+    let err = run(&["inspect", &flipped, "--verify"]).expect_err("--verify pays for the CRCs");
+    assert!(
+        err.contains("flipped.lpt: checksum mismatch in records section"),
+        "{err}"
+    );
+}
+
 /// Byte range of the records section's payload in an `.lpt` image
 /// (its CRC is the four bytes after): 8 header bytes, then per section
 /// an id byte, a LEB128 payload length, the payload and a CRC.

@@ -1,6 +1,6 @@
-//! Component-level timing for the mapped decode path: where does a
-//! round go — the open (header + section walk), the bulk CRC, or the
-//! SWAR batch decode? Run against a generated trace:
+//! Component-level timing for the reader: where does a round go — the
+//! open (header + section walk), the bulk CRC, the SWAR batch decode of
+//! the events, or the records walk? Run against a generated trace:
 //!
 //! ```text
 //! lifepred gen --events 10m -o /tmp/t.lpt
@@ -8,7 +8,7 @@
 //! ```
 
 use lifepred_trace::{ChunkSource, EventChunk, POOLED_CHUNK_EVENTS};
-use lifepred_tracefile::{MappedTrace, TraceReader};
+use lifepred_tracefile::MappedTrace;
 use std::time::Instant;
 
 fn main() {
@@ -34,31 +34,22 @@ fn main() {
         let t = Instant::now();
         let verified = MappedTrace::open(&path).expect("open verified");
         let crc_secs = t.elapsed().as_secs_f64() - open_secs;
-        drop(verified);
 
         let t = Instant::now();
-        let mut iter_n = 0u64;
-        for event in TraceReader::open(&path)
-            .expect("header")
-            .into_events()
-            .expect("events")
-        {
-            event.expect("event");
-            iter_n += 1;
-        }
-        let iter_secs = t.elapsed().as_secs_f64();
-        assert_eq!(n, iter_n);
+        let records = verified.records().expect("records").count() as u64;
+        let records_secs = t.elapsed().as_secs_f64();
+        assert_eq!(records, verified.record_count());
 
         println!(
             "round {round}: open {:.1}ms, crc {:.1}ms ({:.2} GB/s), decode {:.1}ms \
-             ({:.1}M ev/s), iter {:.1}ms ({:.1}M ev/s)",
+             ({:.1}M ev/s), records {:.1}ms ({:.1}M rec/s)",
             open_secs * 1e3,
             crc_secs * 1e3,
             file_len as f64 / crc_secs / 1e9,
             decode_secs * 1e3,
             n as f64 / decode_secs / 1e6,
-            iter_secs * 1e3,
-            n as f64 / iter_secs / 1e6,
+            records_secs * 1e3,
+            records as f64 / records_secs / 1e6,
         );
     }
 }

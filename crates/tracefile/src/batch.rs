@@ -1,24 +1,22 @@
 //! Branch-reduced varint + event batch decoding over in-memory bytes.
 //!
-//! Both high-throughput decode paths — the slab-buffered
-//! [`EventChunks`](crate::EventChunks) source and the zero-copy
-//! [`MappedTrace`](crate::MappedTrace) events source — bottom out in
-//! this module. The decoder is SWAR (SIMD-within-a-register): one
-//! unaligned 8-byte little-endian load covers every encoding the
-//! events section produces in practice, the terminator byte is found
-//! with a single `trailing_zeros` on the inverted continuation-bit
-//! mask, and the payload bits are compacted with three shift/mask
-//! steps instead of a data-dependent byte loop. Encodings of nine or
-//! ten bytes — and the last few bytes of a buffer, where an 8-byte
-//! load would run off the end — fall back to the scalar loop, which
-//! mirrors [`crate::varint::read_varint`]'s validation byte for byte:
-//! at most [`MAX_VARINT_LEN`] bytes, the tenth byte may only carry the
-//! single remaining bit, and non-canonical zero padding is accepted.
+//! Every varint [`MappedTrace`](crate::MappedTrace) reads — framing,
+//! header sections, records, events — goes through [`take_varint`].
+//! The decoder is SWAR (SIMD-within-a-register): one unaligned 8-byte
+//! little-endian load covers every encoding the events section
+//! produces in practice, the terminator byte is found with a single
+//! `trailing_zeros` on the inverted continuation-bit mask, and the
+//! payload bits are compacted with three shift/mask steps instead of a
+//! data-dependent byte loop. Encodings of nine or ten bytes — and the
+//! last few bytes of a buffer, where an 8-byte load would run off the
+//! end — fall back to the scalar loop, which mirrors the test oracle
+//! `varint::read_varint`'s validation byte for byte: at most
+//! [`MAX_VARINT_LEN`] bytes, the tenth byte may only carry the single
+//! remaining bit, and non-canonical zero padding is accepted.
 //!
-//! The event decode loop itself ([`decode_event`]) is shared so the
-//! slab and mapped paths cannot drift: the same structural checks
-//! (size bounds, allocation-count overflow, free back-references) and
-//! the same error strings come out of both.
+//! [`decode_event`] is the batch decoder of one chunk event, with the
+//! structural checks replay depends on (size bounds, allocation-count
+//! overflow, free back-references).
 
 use crate::error::TraceFileError;
 use crate::varint::MAX_VARINT_LEN;
@@ -37,10 +35,10 @@ pub(crate) enum VarintErr {
 }
 
 impl VarintErr {
-    /// The events-section error the chunked and mapped paths report.
-    pub(crate) fn into_events_error(self) -> TraceFileError {
+    /// The error for a varint read inside `section`'s payload.
+    pub(crate) fn into_error(self, section: &'static str) -> TraceFileError {
         TraceFileError::malformed(
-            "events",
+            section,
             match self {
                 VarintErr::OutOfBytes => "value runs past the section payload",
                 VarintErr::Invalid => "invalid varint",
@@ -68,7 +66,7 @@ fn fold(word: u64, n: usize) -> u64 {
 }
 
 /// Scalar decode, byte for byte the same validation as
-/// [`crate::varint::read_varint`]. Used for buffer tails and 9–10-byte
+/// `varint::read_varint`. Used for buffer tails and 9–10-byte
 /// encodings.
 #[inline]
 fn take_varint_scalar(buf: &[u8], pos: &mut usize) -> Result<u64, VarintErr> {
@@ -111,7 +109,7 @@ fn take_varint_long(buf: &[u8], pos: &mut usize, lo: u64) -> Result<u64, VarintE
 
 /// Decodes one LEB128 varint from `buf` starting at `*pos`, advancing
 /// `*pos` past it. Accepts exactly the encodings
-/// [`crate::varint::read_varint`] accepts (including non-canonical
+/// `varint::read_varint` accepts (including non-canonical
 /// zero padding) and rejects exactly the ones it rejects.
 #[inline]
 pub(crate) fn take_varint(buf: &[u8], pos: &mut usize) -> Result<u64, VarintErr> {
@@ -170,8 +168,7 @@ fn fused_key(buf: &[u8], pos: usize) -> Option<(u64, usize)> {
 
 /// Decodes one event (sequence delta + key) from `buf` at `*pos` into
 /// `chunk`, maintaining the running allocation count that free
-/// back-references resolve against. Both batch decode paths call this,
-/// so structural checks and error strings stay identical between them.
+/// back-references resolve against.
 #[inline]
 pub(crate) fn decode_event(
     buf: &[u8],
@@ -186,8 +183,8 @@ pub(crate) fn decode_event(
     } else {
         // Sequence-number delta: length-validated and checksummed, but
         // replay has no use for the reconstructed value.
-        skip_varint(buf, pos).map_err(VarintErr::into_events_error)?;
-        take_varint(buf, pos).map_err(VarintErr::into_events_error)?
+        skip_varint(buf, pos).map_err(|e| e.into_error("events"))?;
+        take_varint(buf, pos).map_err(|e| e.into_error("events"))?
     };
     if key & 1 == 0 {
         let size = u32::try_from(key >> 1).map_err(|_| bad("event size exceeds u32"))?;

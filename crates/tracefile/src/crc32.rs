@@ -8,8 +8,8 @@
 //! twelve are pure data loads the core can issue ahead, which is what
 //! lifts this loop over slice-by-8 on wide machines. The
 //! byte-at-a-time table is kept for the sub-16-byte tail, and the
-//! incremental API is unchanged — streaming readers still feed
-//! arbitrary fragments.
+//! incremental API takes arbitrary fragments — the stream writer feeds
+//! it one flushed buffer at a time.
 
 /// Reflected IEEE polynomial.
 const POLY: u32 = 0xedb8_8320;

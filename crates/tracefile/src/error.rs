@@ -7,7 +7,7 @@ use std::io;
 /// trace file.
 ///
 /// Corrupted or truncated inputs always surface as one of these
-/// variants — readers never panic on untrusted bytes.
+/// variants — the reader never panics on untrusted bytes.
 #[derive(Debug)]
 pub enum TraceFileError {
     /// An underlying I/O operation failed.

@@ -19,21 +19,24 @@
 //!
 //! # Reading
 //!
-//! * [`TraceReader::read_trace`] / [`load_trace`] rebuild a full
-//!   in-memory [`Trace`], validating every
-//!   section checksum and cross-checking the event stream against the
-//!   records.
-//! * [`TraceReader::into_events`] streams the event stream in constant
-//!   memory — enough to drive the heap simulators without ever
-//!   materializing the trace.
-//! * [`TraceReader::into_event_chunks`] streams the same events in
-//!   structure-of-arrays batches ([`EventChunks`]) — the
-//!   high-throughput replay path.
-//! * [`TraceReader::into_records`] streams allocation records one at a
-//!   time — enough to train a predictor.
+//! There is one reader, [`MappedTrace`], and one thing it decodes: a
+//! `&[u8]` image of the whole file (an `mmap`, or a heap copy — see
+//! [`TraceMap`]). [`MappedTrace::open`] checks the framing and all five
+//! section CRCs once, in bulk, and parses the header sections; after
+//! that
+//!
+//! * [`MappedTrace::events`] decodes the event stream in
+//!   structure-of-arrays batches ([`MappedEvents`], a
+//!   [`ChunkSource`](lifepred_trace::ChunkSource)) — what drives the
+//!   heap simulators without ever materializing the trace;
+//! * [`MappedTrace::records`] streams allocation records one at a time
+//!   ([`MappedRecords`]) — enough to train a predictor;
+//! * [`load_trace`] / [`trace_from_bytes`] collect the records,
+//!   cross-check the event stream against them and rebuild a full
+//!   in-memory [`Trace`].
 //!
 //! Corrupted or truncated input is always reported as a
-//! [`TraceFileError`]; no input sequence panics the readers.
+//! [`TraceFileError`]; no input sequence panics the reader.
 //!
 //! # Examples
 //!
@@ -61,23 +64,19 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod chunked;
 mod crc32;
 mod error;
 mod format;
 mod map;
 mod mapped;
-mod reader;
 mod stream;
 mod varint;
 mod writer;
 
-pub use chunked::EventChunks;
 pub use crc32::Crc32;
 pub use error::TraceFileError;
 pub use map::{TraceMap, NO_MMAP_ENV};
-pub use mapped::{MappedEvents, MappedTrace, SectionInfo};
-pub use reader::{EventsIter, RecordsIter, TraceEvent, TraceReader};
+pub use mapped::{MappedEvents, MappedRecords, MappedTrace, SectionInfo};
 pub use stream::{StreamMeta, StreamTraceWriter};
 pub use writer::TraceWriter;
 
@@ -92,9 +91,11 @@ pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<(), TraceFile
     TraceWriter::create(path)?.write(trace).map(drop)
 }
 
-/// Loads, validates and rebuilds the trace stored at `path`.
+/// Loads, validates and rebuilds the trace stored at `path`: every
+/// check of [`MappedTrace::open`], then the events section must be
+/// exactly the stream the records imply.
 pub fn load_trace(path: impl AsRef<Path>) -> Result<Trace, TraceFileError> {
-    TraceReader::open(path)?.read_trace()
+    MappedTrace::open(path)?.into_trace()
 }
 
 /// Encodes `trace` into an in-memory `.lpt` image.
@@ -102,15 +103,17 @@ pub fn trace_to_vec(trace: &Trace) -> Result<Vec<u8>, TraceFileError> {
     TraceWriter::new(Vec::new()).write(trace)
 }
 
-/// Decodes a trace from an in-memory `.lpt` image.
+/// Decodes a trace from an in-memory `.lpt` image (copied once, into
+/// the [`TraceMap`] the reader borrows from), with [`load_trace`]'s
+/// checks.
 pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, TraceFileError> {
-    TraceReader::new(bytes)?.read_trace()
+    MappedTrace::from_map(TraceMap::from_vec(bytes.to_vec()))?.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifepred_trace::{EventKind, TraceSession};
+    use lifepred_trace::{ChunkSource, EventChunk, TraceSession};
 
     /// A trace exercising every feature: nested chains, recursion,
     /// interleaved frees, immortal objects, refs and work.
@@ -173,66 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_roundtrips() {
-        let trace = TraceSession::new("empty").finish();
-        let bytes = trace_to_vec(&trace).expect("encode");
-        let loaded = trace_from_bytes(&bytes).expect("decode");
-        assert_eq!(loaded.records().len(), 0);
-        assert_eq!(loaded.name(), "empty");
-    }
-
-    #[test]
-    fn streaming_records_match_eager_load() {
-        let trace = sample_trace();
-        let bytes = trace_to_vec(&trace).expect("encode");
-        let streamed: Result<Vec<_>, _> = TraceReader::new(&bytes[..])
-            .expect("open")
-            .into_records()
-            .expect("records section")
-            .collect();
-        assert_eq!(streamed.expect("stream"), trace.records());
-    }
-
-    #[test]
-    fn streaming_events_match_trace_events() {
-        let trace = sample_trace();
-        let bytes = trace_to_vec(&trace).expect("encode");
-        let streamed: Vec<TraceEvent> = TraceReader::new(&bytes[..])
-            .expect("open")
-            .into_events()
-            .expect("events section")
-            .collect::<Result<_, _>>()
-            .expect("stream");
-        let expected: Vec<TraceEvent> = trace
-            .events()
-            .into_iter()
-            .map(|e| match e.kind {
-                EventKind::Alloc => TraceEvent::Alloc {
-                    seq: e.seq,
-                    record: e.record as u64,
-                    size: trace.records()[e.record].size,
-                },
-                EventKind::Free => TraceEvent::Free {
-                    seq: e.seq,
-                    record: e.record as u64,
-                },
-            })
-            .collect();
-        assert_eq!(streamed, expected);
-    }
-
-    #[test]
-    fn reader_exposes_header_without_touching_bodies() {
-        let trace = sample_trace();
-        let bytes = trace_to_vec(&trace).expect("encode");
-        let reader = TraceReader::new(&bytes[..]).expect("open");
-        assert_eq!(reader.name(), "sample");
-        assert_eq!(reader.stats(), trace.stats());
-        assert_eq!(reader.registry().len(), trace.registry().len());
-        assert_eq!(reader.chain_table().len(), trace.chains().len());
-    }
-
-    #[test]
     fn file_roundtrip() {
         let trace = sample_trace();
         let dir = std::env::temp_dir().join(format!("lpt-test-{}", std::process::id()));
@@ -241,6 +184,21 @@ mod tests {
         save_trace(&path, &trace).expect("save");
         let loaded = load_trace(&path).expect("load");
         assert_eq!(loaded.records(), trace.records());
+        // Both ways of opening the file itself (an mmap, unless
+        // LIFEPRED_NO_MMAP is set).
+        for mapped in [
+            MappedTrace::open(&path),
+            MappedTrace::open_unverified(&path),
+        ] {
+            let mapped = mapped.expect("open");
+            let records: Result<Vec<_>, _> = mapped.records().expect("records").collect();
+            assert_eq!(records.expect("decode"), trace.records());
+            let (mut source, mut chunk, mut events) = (mapped.events(), EventChunk::new(), 0);
+            while source.next_chunk(&mut chunk).expect("chunk") {
+                events += chunk.len() as u64;
+            }
+            assert_eq!(events, trace.end_seq());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -260,52 +218,6 @@ mod tests {
             matches!(err, TraceFileError::UnsupportedVersion(_)),
             "{err}"
         );
-    }
-
-    #[test]
-    fn version1_files_decode_with_no_ref_clocks() {
-        // A version-1 image built by hand: one chain, one immortal
-        // 16-byte record with 5 refs. v1 records end at the ref count —
-        // no first/last-ref fields — and must decode to `None` clocks.
-        fn section(out: &mut Vec<u8>, id: u8, payload: &[u8]) {
-            out.push(id);
-            crate::varint::write_varint(out, payload.len() as u64);
-            out.extend_from_slice(payload);
-            out.extend_from_slice(&crate::crc32::crc32(payload).to_le_bytes());
-        }
-        fn varints(values: &[u64]) -> Vec<u8> {
-            let mut out = Vec::new();
-            for &v in values {
-                crate::varint::write_varint(&mut out, v);
-            }
-            out
-        }
-        let mut meta = varints(&[2]); // name length
-        meta.extend_from_slice(b"v1");
-        // end clock, end seq, then the eight stats counters.
-        meta.extend_from_slice(&varints(&[16, 1, 16, 1, 16, 1, 0, 0, 5, 0]));
-        let functions = varints(&[0]);
-        // One empty chain.
-        let chains = varints(&[1, 0]);
-        // count, then: size, chain, clock delta, seq delta, death code,
-        // refs — and nothing else (the v2 first-ref code is absent).
-        let records = varints(&[1, 16, 0, 0, 0, 0, 5]);
-        let events = varints(&[1, 0, 16 << 1]); // one alloc of 16 bytes
-        let mut bytes = vec![0x89, b'L', b'P', b'T', 1, 0, 5, 0];
-        section(&mut bytes, 1, &meta);
-        section(&mut bytes, 2, &functions);
-        section(&mut bytes, 3, &chains);
-        section(&mut bytes, 4, &records);
-        section(&mut bytes, 5, &events);
-
-        let reader = TraceReader::new(&bytes[..]).expect("open v1");
-        assert_eq!(reader.version(), 1);
-        let loaded = reader.read_trace().expect("decode v1");
-        let r = &loaded.records()[0];
-        assert_eq!(r.size, 16);
-        assert_eq!(r.refs, 5);
-        assert_eq!(r.first_ref_clock, None);
-        assert_eq!(r.last_ref_clock, None);
     }
 
     #[test]

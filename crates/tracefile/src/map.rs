@@ -31,8 +31,10 @@ use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 
-/// Environment variable that forces the heap fallback, for exercising
-/// both code paths in CI and for debugging.
+/// Environment variable that forces the heap fallback: for exercising
+/// both code paths in CI, for debugging, and for reading a file another
+/// process may truncate (a mapping shrunk underneath its reader raises
+/// SIGBUS; a heap copy made at open cannot).
 pub const NO_MMAP_ENV: &str = "LIFEPRED_NO_MMAP";
 
 /// A whole file as one immutable byte slice: `mmap`-backed when the

@@ -1,33 +1,39 @@
-//! Zero-copy `.lpt` decoding over a [`TraceMap`].
+//! The `.lpt` reader: one slice decoder over a [`TraceMap`].
 //!
-//! The streaming readers pull payload bytes through `Read`, which
-//! costs a copy into a slab plus per-call dispatch. [`MappedTrace`]
-//! removes the copies: it scans the section framing once, verifies
-//! every section checksum with one bulk slice-by-8 CRC pass, and then
-//! hands the decode loops *borrowed* sub-slices of the mapping. The
-//! borrow is what makes this safe — every slice carries the
+//! An `.lpt` image is only ever decoded from a checked `&[u8]`.
+//! [`MappedTrace::open`] frames the five sections once (ids, lengths,
+//! trailer), verifies every section checksum with one bulk CRC pass
+//! each, parses the three small sections (meta, functions, chains) and
+//! remembers where the two large ones live. The decode
+//! loops — [`MappedEvents`] for the event stream, [`MappedRecords`] for
+//! the allocation records — then read *borrowed* sub-slices of the
+//! mapping. The borrow is what makes this safe: every slice carries the
 //! `MappedTrace`'s lifetime, so the mapping cannot be unmapped while a
-//! decoder can still read it (see `map.rs` for the mapping's own
-//! safety argument).
+//! decoder can still read it (see `map.rs` for the mapping's own safety
+//! argument).
 //!
-//! Integrity checks match the streaming paths exactly, they just run
-//! at different times: framing, trailer and all five CRCs are checked
-//! up front in [`MappedTrace::open`], while structural event checks
-//! (size bounds, free back-references, count-vs-payload agreement)
-//! still run per event in [`MappedEvents`]. Truncation and corruption
-//! therefore surface the same typed [`TraceFileError`] variants as
-//! [`TraceReader`](crate::TraceReader), only earlier.
+//! Integrity is checked in two layers. Framing, the trailer and the
+//! CRCs are checked up front at open; structural checks (id ranges,
+//! clock/seq overflow, free back-references, count-vs-payload
+//! agreement) run per entry as it is decoded. Every read is bounded by
+//! its section's payload, so no input panics, slices out of bounds or
+//! sizes an allocation by a count the file merely claims.
+//! [`MappedTrace::open_unverified`] skips only the bulk CRC of the two
+//! large sections: [`MappedTrace::records`] then checks the records CRC
+//! itself before yielding anything, and [`MappedTrace::events`] decodes
+//! unchecked bytes under the structural checks alone.
 
 use crate::batch;
 use crate::crc32::crc32;
 use crate::error::TraceFileError;
 use crate::format::{
-    SECTION_CHAINS, SECTION_EVENTS, SECTION_FUNCTIONS, SECTION_META, SECTION_RECORDS,
+    MAGIC, SECTION_CHAINS, SECTION_COUNT, SECTION_EVENTS, SECTION_FUNCTIONS, SECTION_META,
+    SECTION_RECORDS, VERSION, VERSION_MIN,
 };
 use crate::map::TraceMap;
-use crate::reader::{HeaderParts, RecordsIter, TraceReader};
 use lifepred_trace::{
-    ChainTable, ChunkSource, EventChunk, FunctionRegistry, RecordSource, TraceStats,
+    AllocationRecord, ChainId, ChainTable, ChunkSource, EventChunk, FnId, FunctionRegistry,
+    ObjectId, RecordSource, Trace, TraceStats,
 };
 use std::ops::Range;
 use std::path::Path;
@@ -35,12 +41,39 @@ use std::path::Path;
 /// Fixed header size: magic + version + section count.
 const HEADER_BYTES: usize = 8;
 
-/// Byte layout of one section inside the file.
-#[derive(Debug, Clone)]
+/// The sections in file order: id byte and the name errors report.
+const SECTIONS: [(u8, &str); 5] = [
+    (SECTION_META, "meta"),
+    (SECTION_FUNCTIONS, "functions"),
+    (SECTION_CHAINS, "chains"),
+    (SECTION_RECORDS, "records"),
+    (SECTION_EVENTS, "events"),
+];
+
+/// A v1 record is six varints, a v2 record seven: no payload holds
+/// more records than a sixth of its bytes.
+const MIN_RECORD_BYTES: usize = 6;
+
+/// Where one section's payload lies in the file, and the CRC stored
+/// after it.
+#[derive(Debug, Clone, Default)]
 struct Section {
-    name: &'static str,
-    /// Payload bytes (the stored CRC is the 4 bytes after this range).
     payload: Range<usize>,
+    stored_crc: u32,
+}
+
+impl Section {
+    fn verify(&self, bytes: &[u8], name: &'static str) -> Result<(), TraceFileError> {
+        let computed = crc32(&bytes[self.payload.clone()]);
+        if computed != self.stored_crc {
+            return Err(TraceFileError::ChecksumMismatch {
+                section: name,
+                stored: self.stored_crc,
+                computed,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Framing and counts of one section, as reported by
@@ -58,10 +91,131 @@ pub struct SectionInfo {
     pub entries: Option<u64>,
 }
 
-/// A fully-framed `.lpt` image: header parsed, section ranges known,
-/// checksums verified (unless opened with
-/// [`MappedTrace::open_unverified`]), bodies borrowed straight from
-/// the underlying [`TraceMap`].
+/// Read position inside one section's payload. Every read is bounded
+/// by the payload: a value that would run into the stored CRC or the
+/// next section is `Malformed`, never an out-of-bounds slice.
+#[derive(Debug)]
+struct Cursor<'a> {
+    section: &'static str,
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(section: &'static str, buf: &'a [u8]) -> Cursor<'a> {
+        Cursor {
+            section,
+            buf,
+            pos: 0,
+        }
+    }
+
+    #[inline]
+    fn varint(&mut self) -> Result<u64, TraceFileError> {
+        batch::take_varint(self.buf, &mut self.pos).map_err(|e| e.into_error(self.section))
+    }
+
+    fn bytes(&mut self, len: u64) -> Result<&'a [u8], TraceFileError> {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.pos.checked_add(len))
+            .filter(|&end| end <= self.buf.len())
+            .ok_or_else(|| batch::VarintErr::OutOfBytes.into_error(self.section))?;
+        let bytes = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Drops the rest of the payload, fusing whatever reads it.
+    fn skip_rest(&mut self) {
+        self.pos = self.buf.len();
+    }
+
+    /// Errors unless the payload was consumed exactly.
+    fn finish(&self) -> Result<(), TraceFileError> {
+        match self.left() {
+            0 => Ok(()),
+            n => Err(TraceFileError::malformed(
+                self.section,
+                format!("{n} unread bytes at end of section"),
+            )),
+        }
+    }
+}
+
+/// Checks the file header, then walks the five section frames (id,
+/// length, payload, stored CRC) and the trailer. Returns the format
+/// version and each section's extent; no payload byte is read.
+fn frame(bytes: &[u8]) -> Result<(u16, [Section; 5]), TraceFileError> {
+    let truncated = |section| TraceFileError::Truncated { section };
+    let magic = bytes.get(..4).ok_or(truncated("header"))?;
+    if magic != MAGIC {
+        return Err(TraceFileError::BadMagic([
+            magic[0], magic[1], magic[2], magic[3],
+        ]));
+    }
+    let rest = bytes.get(4..HEADER_BYTES).ok_or(truncated("header"))?;
+    let version = u16::from_le_bytes([rest[0], rest[1]]);
+    if !(VERSION_MIN..=VERSION).contains(&version) {
+        return Err(TraceFileError::UnsupportedVersion(version));
+    }
+    let declared = u16::from_le_bytes([rest[2], rest[3]]);
+    if declared != SECTION_COUNT {
+        return Err(TraceFileError::malformed(
+            "header",
+            format!("version {version} carries {SECTION_COUNT} sections, header says {declared}"),
+        ));
+    }
+
+    let mut pos = HEADER_BYTES;
+    let mut sections: [Section; 5] = Default::default();
+    for ((expected_id, name), section) in SECTIONS.into_iter().zip(&mut sections) {
+        let id = *bytes.get(pos).ok_or(truncated(name))?;
+        if id != expected_id {
+            return Err(TraceFileError::malformed(
+                name,
+                format!("expected section id {expected_id}, found {id}"),
+            ));
+        }
+        pos += 1;
+        // A length varint may be non-canonical: the stream writer
+        // patches five-byte zero-padded ones.
+        let len = batch::take_varint(bytes, &mut pos).map_err(|e| match e {
+            batch::VarintErr::OutOfBytes => truncated(name),
+            batch::VarintErr::Invalid => {
+                TraceFileError::malformed(name, "invalid section length varint")
+            }
+        })?;
+        // The payload and its four CRC bytes must lie inside the file.
+        let rest = &bytes[pos..];
+        let len = usize::try_from(len)
+            .ok()
+            .filter(|len| len.checked_add(4).is_some_and(|end| end <= rest.len()))
+            .ok_or(truncated(name))?;
+        let stored = &rest[len..len + 4];
+        *section = Section {
+            payload: pos..pos + len,
+            stored_crc: u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]]),
+        };
+        pos += len + 4;
+    }
+    if pos != bytes.len() {
+        return Err(TraceFileError::malformed(
+            "trailer",
+            "trailing data after the final section",
+        ));
+    }
+    Ok((version, sections))
+}
+
+/// A fully-framed `.lpt` image: header sections parsed and verified,
+/// the two large sections located and (unless opened with
+/// [`MappedTrace::open_unverified`]) CRC-checked, their bodies borrowed
+/// straight from the underlying [`TraceMap`].
 #[derive(Debug)]
 pub struct MappedTrace {
     map: TraceMap,
@@ -72,24 +226,27 @@ pub struct MappedTrace {
     end_seq: u64,
     registry: FunctionRegistry,
     chains: ChainTable,
+    sections: [SectionInfo; 5],
+    /// The records section's extent, for the CRC check an unverified
+    /// trace still owes before its records are read.
     records: Section,
-    events: Section,
     record_count: u64,
     event_count: u64,
-    /// Offset of the first event, past the events section's count
-    /// varint.
-    events_body: usize,
+    /// The records and the events, past their sections' count varints.
+    records_body: Range<usize>,
+    events_body: Range<usize>,
     verified: bool,
 }
 
 impl MappedTrace {
     /// Opens and fully verifies the `.lpt` file at `path`: framing,
-    /// trailer, and all five section CRCs (one bulk pass per section).
+    /// trailer, all five section CRCs (one bulk pass per section) and
+    /// the structure of the three header sections.
     ///
     /// # Errors
     ///
-    /// I/O failures, or any of the [`TraceFileError`] variants the
-    /// streaming reader reports for a damaged file.
+    /// I/O failures, or the [`TraceFileError`] variant naming the
+    /// damage.
     pub fn open(path: impl AsRef<Path>) -> Result<MappedTrace, TraceFileError> {
         MappedTrace::from_map(TraceMap::open(path)?)
     }
@@ -107,115 +264,130 @@ impl MappedTrace {
         MappedTrace::build(map, true)
     }
 
-    fn build(map: TraceMap, verify: bool) -> Result<MappedTrace, TraceFileError> {
-        // The streaming reader parses and CRC-checks the header and the
-        // three small sections (meta, functions, chains); reusing it
-        // keeps one source of truth for their encodings.
+    /// The one parser of the header sections.
+    pub(crate) fn build(map: TraceMap, verify: bool) -> Result<MappedTrace, TraceFileError> {
         let bytes = map.as_bytes();
-        let header = TraceReader::new(bytes)?.into_parts();
-
-        // Frame all five sections from the map. The small ones were
-        // just parsed, but walking them again costs microseconds and
-        // yields their exact byte ranges for `sections()`.
-        let mut pos = HEADER_BYTES;
-        let mut frame = |expected_id: u8, name: &'static str| -> Result<Section, TraceFileError> {
-            let id = *bytes
-                .get(pos)
-                .ok_or(TraceFileError::Truncated { section: name })?;
-            if id != expected_id {
-                return Err(TraceFileError::malformed(
-                    name,
-                    format!("expected section id {expected_id}, found {id}"),
-                ));
+        let (version, framed) = frame(bytes)?;
+        let [meta, functions, chains, records, events] = &framed;
+        {
+            // The header sections are always checked; the two large
+            // ones unless the caller vouches for them.
+            let _span = verify.then(|| {
+                lifepred_flight::span_arg(
+                    lifepred_flight::catalog::TRACEFILE_MAP_VERIFY,
+                    (records.payload.len() + events.payload.len()) as u64,
+                )
+            });
+            for (i, (section, (_, name))) in framed.iter().zip(SECTIONS).enumerate() {
+                if i < 3 || verify {
+                    section.verify(bytes, name)?;
+                }
             }
-            pos += 1;
-            let len = match batch::take_varint(bytes, &mut pos) {
-                Ok(v) => v,
-                Err(batch::VarintErr::OutOfBytes) => {
-                    return Err(TraceFileError::Truncated { section: name })
-                }
-                Err(batch::VarintErr::Invalid) => {
-                    return Err(TraceFileError::malformed(
-                        name,
-                        "invalid section length varint",
-                    ))
-                }
-            };
-            let start = pos;
-            let end = u64::try_from(start)
-                .ok()
-                .and_then(|s| s.checked_add(len))
-                .and_then(|e| usize::try_from(e).ok())
-                .filter(|&e| e.checked_add(4).is_some_and(|c| c <= bytes.len()))
-                .ok_or(TraceFileError::Truncated { section: name })?;
-            pos = end + 4;
-            Ok(Section {
-                name,
-                payload: start..end,
-            })
+        }
+
+        let mut cur = Cursor::new("meta", &bytes[meta.payload.clone()]);
+        let name_len = cur.varint()?;
+        let name = std::str::from_utf8(cur.bytes(name_len)?)
+            .map_err(|_| TraceFileError::malformed("meta", "program name is not UTF-8"))?
+            .to_owned();
+        let end_clock = cur.varint()?;
+        let end_seq = cur.varint()?;
+        let mut counters = [0u64; 8];
+        for slot in &mut counters {
+            *slot = cur.varint()?;
+        }
+        cur.finish()?;
+        let stats = TraceStats {
+            total_bytes: counters[0],
+            total_objects: counters[1],
+            max_live_bytes: counters[2],
+            max_live_objects: counters[3],
+            instructions: counters[4],
+            function_calls: counters[5],
+            heap_refs: counters[6],
+            other_refs: counters[7],
         };
-        let _meta = frame(SECTION_META, "meta")?;
-        let _functions = frame(SECTION_FUNCTIONS, "functions")?;
-        let _chains = frame(SECTION_CHAINS, "chains")?;
-        let records = frame(SECTION_RECORDS, "records")?;
-        let events = frame(SECTION_EVENTS, "events")?;
-        if pos != bytes.len() {
+
+        // A forged count cannot size anything: the loops below consume
+        // payload bytes per entry and stop at the first that is missing.
+        let mut cur = Cursor::new("functions", &bytes[functions.payload.clone()]);
+        let fn_count = cur.varint()?;
+        if fn_count > u64::from(u32::MAX) {
             return Err(TraceFileError::malformed(
-                "trailer",
-                "trailing data after the final section",
+                "functions",
+                "function count exceeds u32",
             ));
         }
-
-        if verify {
-            let _span = lifepred_flight::span_arg(
-                lifepred_flight::catalog::TRACEFILE_MAP_VERIFY,
-                (records.payload.len() + events.payload.len()) as u64,
-            );
-            for section in [&records, &events] {
-                let stored_at = section.payload.end;
-                let stored = u32::from_le_bytes(
-                    bytes[stored_at..stored_at + 4]
-                        .try_into()
-                        .expect("4 crc bytes framed above"),
-                );
-                let computed = crc32(&bytes[section.payload.clone()]);
-                if stored != computed {
-                    return Err(TraceFileError::ChecksumMismatch {
-                        section: section.name,
-                        stored,
-                        computed,
-                    });
-                }
+        let mut registry = FunctionRegistry::new();
+        for i in 0..fn_count {
+            let len = cur.varint()?;
+            let fname = std::str::from_utf8(cur.bytes(len)?).map_err(|_| {
+                TraceFileError::malformed("functions", format!("function {i} name is not UTF-8"))
+            })?;
+            // Interning dedups, which would silently renumber every
+            // later id — reject instead.
+            if u64::from(registry.intern(fname).index()) != i {
+                return Err(TraceFileError::malformed(
+                    "functions",
+                    format!("duplicate function name {fname:?}"),
+                ));
             }
         }
+        cur.finish()?;
 
-        // Section entry counts live at the head of each payload.
-        let take_count = |section: &Section| -> Result<(u64, usize), TraceFileError> {
-            let payload = &bytes[section.payload.clone()];
-            let mut at = 0usize;
-            match batch::take_varint(payload, &mut at) {
-                Ok(v) => Ok((v, section.payload.start + at)),
-                Err(batch::VarintErr::OutOfBytes) => Err(TraceFileError::malformed(
-                    section.name,
-                    "value runs past the section payload",
-                )),
-                Err(batch::VarintErr::Invalid) => {
-                    Err(TraceFileError::malformed(section.name, "invalid varint"))
+        let mut cur = Cursor::new("chains", &bytes[chains.payload.clone()]);
+        let chain_count = cur.varint()?;
+        if chain_count > u64::from(u32::MAX) {
+            return Err(TraceFileError::malformed(
+                "chains",
+                "chain count exceeds u32",
+            ));
+        }
+        let mut table = ChainTable::new();
+        let mut frames: Vec<FnId> = Vec::new();
+        for i in 0..chain_count {
+            let depth = cur.varint()?;
+            frames.clear();
+            for _ in 0..depth {
+                let f = cur.varint()?;
+                if f >= fn_count {
+                    return Err(TraceFileError::malformed(
+                        "chains",
+                        format!("chain {i} references function id {f}, registry has {fn_count}"),
+                    ));
                 }
+                frames.push(FnId::from_index(f as u32));
             }
-        };
-        let (record_count, _) = take_count(&records)?;
-        let (event_count, events_body) = take_count(&events)?;
+            if u64::from(table.intern(&frames).index()) != i {
+                return Err(TraceFileError::malformed(
+                    "chains",
+                    format!("chain {i} duplicates an earlier chain"),
+                ));
+            }
+        }
+        cur.finish()?;
 
-        let HeaderParts {
-            version,
-            name,
-            stats,
-            end_clock,
-            end_seq,
-            registry,
-            chains,
-        } = header;
+        // Entry counts live at the head of the two large payloads.
+        let mut cur = Cursor::new("records", &bytes[records.payload.clone()]);
+        let record_count = cur.varint()?;
+        let records_body = records.payload.start + cur.pos..records.payload.end;
+        let mut cur = Cursor::new("events", &bytes[events.payload.clone()]);
+        let event_count = cur.varint()?;
+        let events_body = events.payload.start + cur.pos..events.payload.end;
+
+        let entries = [
+            None,
+            Some(fn_count),
+            Some(chain_count),
+            Some(record_count),
+            Some(event_count),
+        ];
+        let sections = std::array::from_fn(|i| SectionInfo {
+            name: SECTIONS[i].1,
+            payload_bytes: framed[i].payload.len() as u64,
+            entries: entries[i],
+        });
+        let [_, _, _, records, _] = framed;
         Ok(MappedTrace {
             map,
             version,
@@ -224,11 +396,12 @@ impl MappedTrace {
             end_clock,
             end_seq,
             registry,
-            chains,
+            chains: table,
+            sections,
             records,
-            events,
             record_count,
             event_count,
+            records_body,
             events_body,
             verified: verify,
         })
@@ -297,63 +470,33 @@ impl MappedTrace {
 
     /// Per-section framing and counts, in file order.
     pub fn sections(&self) -> [SectionInfo; 5] {
-        // Re-walk the framing for the three small sections' sizes; the
-        // walk cannot fail after `build` succeeded.
-        let bytes = self.map.as_bytes();
-        let mut pos = HEADER_BYTES;
-        let mut small = |name: &'static str| -> SectionInfo {
-            pos += 1;
-            let len = batch::take_varint(bytes, &mut pos).expect("framed at open");
-            let start = pos;
-            pos += len as usize + 4;
-            let payload = &bytes[start..start + len as usize];
-            let entries = (name != "meta").then(|| {
-                let mut at = 0;
-                batch::take_varint(payload, &mut at).expect("counted at open")
-            });
-            SectionInfo {
-                name,
-                payload_bytes: len,
-                entries,
-            }
-        };
-        let meta = small("meta");
-        let functions = small("functions");
-        let chains = small("chains");
-        [
-            meta,
-            functions,
-            chains,
-            SectionInfo {
-                name: "records",
-                payload_bytes: self.records.payload.len() as u64,
-                entries: Some(self.record_count),
-            },
-            SectionInfo {
-                name: "events",
-                payload_bytes: self.events.payload.len() as u64,
-                entries: Some(self.event_count),
-            },
-        ]
+        self.sections
     }
 
     /// Streams the records section from the mapping, one
-    /// [`AllocationRecord`](lifepred_trace::AllocationRecord) at a
-    /// time, with the same decode checks and final CRC verification as
-    /// [`TraceReader::into_records`](crate::TraceReader::into_records).
+    /// [`AllocationRecord`] at a time, under the per-record structural
+    /// checks. The section CRC was verified at open; a trace from
+    /// [`open_unverified`](Self::open_unverified) verifies it here, on
+    /// every call, so no record is ever yielded from an unchecked
+    /// section.
     ///
     /// # Errors
     ///
-    /// A malformed record-count varint.
-    pub fn records(&self) -> Result<RecordsIter<&[u8]>, TraceFileError> {
+    /// A records checksum mismatch (unverified traces only).
+    pub fn records(&self) -> Result<MappedRecords<'_>, TraceFileError> {
         let bytes = self.map.as_bytes();
-        let body = &bytes[self.records.payload.start..self.records.payload.end + 4];
-        RecordsIter::over_slice(
-            body,
-            self.records.payload.len() as u64,
-            self.chains.len() as u64,
-            self.version,
-        )
+        if !self.verified {
+            self.records.verify(bytes, "records")?;
+        }
+        Ok(MappedRecords {
+            cur: Cursor::new("records", &bytes[self.records_body.clone()]),
+            remaining: self.record_count,
+            chain_count: self.chains.len() as u64,
+            version: self.version,
+            next_index: 0,
+            prev_clock: 0,
+            prev_seq: None,
+        })
     }
 
     /// [`records`](Self::records) with the chain table and end clock a
@@ -362,8 +505,8 @@ impl MappedTrace {
     ///
     /// # Errors
     ///
-    /// A malformed record-count varint.
-    pub fn record_source(&self) -> Result<RecordSource<'_, RecordsIter<&[u8]>>, TraceFileError> {
+    /// As [`records`](Self::records).
+    pub fn record_source(&self) -> Result<RecordSource<'_, MappedRecords<'_>>, TraceFileError> {
         Ok(RecordSource {
             name: &self.name,
             chains: &self.chains,
@@ -380,12 +523,209 @@ impl MappedTrace {
     /// structural checks still run per event.
     pub fn events(&self) -> MappedEvents<'_> {
         MappedEvents {
-            buf: &self.map.as_bytes()[self.events_body..self.events.payload.end],
-            pos: 0,
+            cur: self.events_cursor(),
             remaining: self.event_count,
             allocs: 0,
             done: false,
         }
+    }
+
+    fn events_cursor(&self) -> Cursor<'_> {
+        Cursor::new("events", &self.map.as_bytes()[self.events_body.clone()])
+    }
+
+    /// Rebuilds the full in-memory [`Trace`]: collects the records,
+    /// then cross-validates the events section against them.
+    pub(crate) fn into_trace(self) -> Result<Trace, TraceFileError> {
+        // The iterator's lower bound is capped by the payload's size,
+        // so a lying count cannot force a large reservation.
+        let stream = self.records()?;
+        let mut records = Vec::with_capacity(stream.size_hint().0);
+        for record in stream {
+            records.push(record?);
+        }
+        check_events(self.events_cursor(), self.event_count, &records)?;
+        Ok(Trace::from_parts(
+            self.name,
+            self.registry,
+            self.chains,
+            records,
+            self.stats,
+            self.end_clock,
+            self.end_seq,
+        ))
+    }
+}
+
+/// The scalar, seq-reconstructing walk over an events payload: checks
+/// that the stream is exactly the one `records` implies (`birth_seq`
+/// and `size` per allocation, `death_seq` per free, `events == records
+/// + deaths`). Besides [`decode_event`](batch::decode_event) this is
+/// the only code that knows the event encoding, kept on purpose as the
+/// batch decoder's reference: a `Trace` it accepted has
+/// [`Trace::events`] equal to what the section encodes.
+fn check_events(
+    mut cur: Cursor<'_>,
+    count: u64,
+    records: &[AllocationRecord],
+) -> Result<(), TraceFileError> {
+    let bad = |detail: &str| TraceFileError::malformed("events", detail);
+    let deaths = records.iter().filter(|r| r.death_seq.is_some()).count();
+    if count != (records.len() + deaths) as u64 {
+        return Err(bad(&format!(
+            "{count} events for {} records with {deaths} deaths",
+            records.len()
+        )));
+    }
+    let mut prev_seq = None::<u64>;
+    let mut allocs = 0usize;
+    for _ in 0..count {
+        let field = cur.varint()?;
+        let seq = match prev_seq {
+            None => Some(field),
+            Some(prev) => prev.checked_add(1).and_then(|s| s.checked_add(field)),
+        }
+        .ok_or_else(|| bad("event seq overflows"))?;
+        prev_seq = Some(seq);
+        let key = cur.varint()?;
+        let agrees = if key & 1 == 0 {
+            let size = u32::try_from(key >> 1).map_err(|_| bad("event size exceeds u32"))?;
+            let record = records
+                .get(allocs)
+                .ok_or_else(|| bad("too many allocations"))?;
+            allocs += 1;
+            record.birth_seq == seq && record.size == size
+        } else {
+            let back = usize::try_from(key >> 1).unwrap_or(usize::MAX);
+            let record = allocs
+                .checked_sub(1)
+                .and_then(|last| last.checked_sub(back))
+                .ok_or_else(|| bad("free references an object never allocated"))?;
+            records[record].death_seq == Some(seq)
+        };
+        if !agrees {
+            return Err(bad("event stream disagrees with records"));
+        }
+    }
+    cur.finish()
+}
+
+/// Borrowed iterator over a [`MappedTrace`]'s records section, from
+/// [`MappedTrace::records`]. Yields `Err` at most once (a structural
+/// violation, a count the payload does not hold, or bytes left over
+/// after the last record) and is fused afterwards.
+#[derive(Debug)]
+pub struct MappedRecords<'a> {
+    /// Records payload, past the count varint.
+    cur: Cursor<'a>,
+    /// Records left per the declared count; zeroed to fuse.
+    remaining: u64,
+    chain_count: u64,
+    version: u16,
+    next_index: u64,
+    prev_clock: u64,
+    prev_seq: Option<u64>,
+}
+
+impl MappedRecords<'_> {
+    /// The one record decoder: delta-decodes the next record.
+    fn decode(&mut self) -> Result<AllocationRecord, TraceFileError> {
+        let cur = &mut self.cur;
+        let i = self.next_index;
+        let bad = |detail: String| TraceFileError::malformed("records", detail);
+        let size = cur.varint()?;
+        let size = u32::try_from(size).map_err(|_| bad(format!("record {i} size exceeds u32")))?;
+        let chain = cur.varint()?;
+        if chain >= self.chain_count {
+            return Err(bad(format!(
+                "record {i} references chain {chain}, table has {}",
+                self.chain_count
+            )));
+        }
+        let clock_delta = cur.varint()?;
+        let birth_clock = self
+            .prev_clock
+            .checked_add(clock_delta)
+            .ok_or_else(|| bad(format!("record {i} birth clock overflows")))?;
+        let seq_field = cur.varint()?;
+        let birth_seq = match self.prev_seq {
+            None => Some(seq_field),
+            Some(prev) => prev.checked_add(1).and_then(|s| s.checked_add(seq_field)),
+        }
+        .ok_or_else(|| bad(format!("record {i} birth seq overflows")))?;
+        let death_code = cur.varint()?;
+        let (death_clock, death_seq) = if death_code == 0 {
+            (None, None)
+        } else {
+            let ds = birth_seq
+                .checked_add(death_code)
+                .ok_or_else(|| bad(format!("record {i} death seq overflows")))?;
+            let dc = birth_clock
+                .checked_add(cur.varint()?)
+                .ok_or_else(|| bad(format!("record {i} death clock overflows")))?;
+            (Some(dc), Some(ds))
+        };
+        let refs = cur.varint()?;
+        // Version 1 predates reference clocks; its records decode with
+        // `None` so old traces stay loadable (they just carry no
+        // liveness signal for `report --drag`).
+        let first_code = if self.version >= 2 { cur.varint()? } else { 0 };
+        let (first_ref_clock, last_ref_clock) = if first_code == 0 {
+            (None, None)
+        } else {
+            let first = birth_clock
+                .checked_add(first_code - 1)
+                .ok_or_else(|| bad(format!("record {i} first ref clock overflows")))?;
+            let last = first
+                .checked_add(cur.varint()?)
+                .ok_or_else(|| bad(format!("record {i} last ref clock overflows")))?;
+            (Some(first), Some(last))
+        };
+        self.prev_clock = birth_clock;
+        self.prev_seq = Some(birth_seq);
+        self.next_index += 1;
+        Ok(AllocationRecord {
+            object: ObjectId::from_index(i),
+            size,
+            chain: ChainId::from_index(chain as u32),
+            birth_clock,
+            death_clock,
+            birth_seq,
+            death_seq,
+            refs,
+            first_ref_clock,
+            last_ref_clock,
+        })
+    }
+}
+
+impl Iterator for MappedRecords<'_> {
+    type Item = Result<AllocationRecord, TraceFileError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 {
+            // Bytes left over after the last record are reported once.
+            let leftover = self.cur.finish().err();
+            self.cur.skip_rest();
+            return leftover.map(Err);
+        }
+        self.remaining -= 1;
+        let record = self.decode();
+        if record.is_err() {
+            self.remaining = 0;
+            self.cur.skip_rest();
+        }
+        Some(record)
+    }
+
+    /// The lower bound is what a well-formed payload yields —
+    /// `min(declared, bytes left / 6)` — so one `with_capacity` suffices
+    /// and is sized by bytes present, never by the declared count alone.
+    /// (A malformed payload ends earlier, with its one `Err`.)
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let by_bytes = (self.cur.left() / MIN_RECORD_BYTES) as u64;
+        let n = self.remaining.min(by_bytes) as usize;
+        (n, n.checked_add(1))
     }
 }
 
@@ -396,8 +736,7 @@ impl MappedTrace {
 #[derive(Debug)]
 pub struct MappedEvents<'a> {
     /// Events payload, past the count varint.
-    buf: &'a [u8],
-    pos: usize,
+    cur: Cursor<'a>,
     remaining: u64,
     /// Allocation events decoded so far — the base free back-references
     /// resolve against.
@@ -417,27 +756,23 @@ impl ChunkSource for MappedEvents<'_> {
         // decode_event pushes exactly one event, so the chunk fill is a
         // counted loop with no per-event field round-trips.
         let n = (chunk.target() as u64).min(self.remaining);
-        let mut pos = self.pos;
+        let mut pos = self.cur.pos;
         let mut allocs = self.allocs;
         for _ in 0..n {
-            if let Err(e) = batch::decode_event(self.buf, &mut pos, &mut allocs, chunk) {
+            if let Err(e) = batch::decode_event(self.cur.buf, &mut pos, &mut allocs, chunk) {
                 self.done = true;
                 chunk.clear();
                 return Err(e);
             }
         }
-        self.pos = pos;
+        self.cur.pos = pos;
         self.allocs = allocs;
         self.remaining -= n;
         if self.remaining == 0 {
             self.done = true;
-            let leftover = self.buf.len() - self.pos;
-            if leftover != 0 {
+            if let Err(e) = self.cur.finish() {
                 chunk.clear();
-                return Err(TraceFileError::malformed(
-                    "events",
-                    format!("{leftover} unread bytes at end of section"),
-                ));
+                return Err(e);
             }
         }
         Ok(!chunk.is_empty())
@@ -445,191 +780,4 @@ impl ChunkSource for MappedEvents<'_> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{trace_to_vec, TraceEvent, TraceReader};
-    use lifepred_trace::{ChunkEvent, TraceSession};
-
-    fn sample_bytes(objects: u32) -> Vec<u8> {
-        let s = TraceSession::new("mapped");
-        let mut held = Vec::new();
-        {
-            let _g = s.enter("site");
-            for i in 0..objects {
-                let id = s.alloc(i % 900 + 1);
-                if i % 4 == 0 {
-                    held.push(id);
-                } else {
-                    s.free(id);
-                }
-            }
-        }
-        for id in held {
-            s.free(id);
-        }
-        trace_to_vec(&s.finish()).expect("encode")
-    }
-
-    fn collect_mapped(bytes: &[u8]) -> Result<Vec<ChunkEvent>, TraceFileError> {
-        let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes.to_vec()))?;
-        let mut src = mapped.events();
-        let mut chunk = EventChunk::new();
-        let mut events = Vec::new();
-        while src.next_chunk(&mut chunk)? {
-            events.extend(chunk.events());
-        }
-        Ok(events)
-    }
-
-    #[test]
-    fn mapped_decode_matches_the_event_iterator() {
-        let bytes = sample_bytes(20_000);
-        let mapped = collect_mapped(&bytes).expect("mapped decode");
-        let streamed: Vec<TraceEvent> = TraceReader::new(&bytes[..])
-            .expect("open")
-            .into_events()
-            .expect("events")
-            .collect::<Result<_, _>>()
-            .expect("stream");
-        assert_eq!(mapped.len(), streamed.len());
-        for (m, s) in mapped.iter().zip(&streamed) {
-            match (*m, *s) {
-                (
-                    ChunkEvent::Alloc { record, size },
-                    TraceEvent::Alloc {
-                        record: r,
-                        size: sz,
-                        ..
-                    },
-                ) => {
-                    assert_eq!(record as u64, r);
-                    assert_eq!(size, sz);
-                }
-                (ChunkEvent::Free { record }, TraceEvent::Free { record: r, .. }) => {
-                    assert_eq!(record as u64, r);
-                }
-                other => panic!("event kind mismatch: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn mapped_records_match_streaming_records() {
-        let bytes = sample_bytes(2_000);
-        let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes.clone())).expect("open");
-        let from_map: Vec<_> = mapped
-            .records()
-            .expect("records")
-            .collect::<Result<_, _>>()
-            .expect("decode");
-        let streamed: Vec<_> = TraceReader::new(&bytes[..])
-            .expect("open")
-            .into_records()
-            .expect("records")
-            .collect::<Result<_, _>>()
-            .expect("decode");
-        assert_eq!(from_map, streamed);
-        assert_eq!(mapped.record_count(), streamed.len() as u64);
-    }
-
-    #[test]
-    fn header_and_sections_are_exposed() {
-        let bytes = sample_bytes(500);
-        let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes.clone())).expect("open");
-        assert_eq!(mapped.name(), "mapped");
-        assert_eq!(mapped.version(), 2);
-        assert!(mapped.is_verified());
-        assert_eq!(mapped.file_len(), bytes.len());
-        let sections = mapped.sections();
-        assert_eq!(
-            sections.map(|s| s.name),
-            ["meta", "functions", "chains", "records", "events"]
-        );
-        assert_eq!(sections[4].entries, Some(mapped.event_count()));
-        assert_eq!(sections[3].entries, Some(mapped.record_count()));
-        assert_eq!(sections[1].entries, Some(mapped.registry().len() as u64));
-        // Framing overhead only: 8 header bytes + 5 x (id + len varint
-        // + crc). Payload bytes must account for the rest of the file.
-        let payload_total: u64 = sections.iter().map(|s| s.payload_bytes).sum();
-        assert!(payload_total < bytes.len() as u64);
-        assert_eq!(mapped.event_count(), mapped.stats().total_objects * 2);
-    }
-
-    #[test]
-    fn flipped_byte_fails_at_open_not_at_decode() {
-        let bytes = sample_bytes(1_000);
-        let mut corrupt = bytes.clone();
-        let idx = corrupt.len() - 12;
-        corrupt[idx] ^= 0x40;
-        let err = MappedTrace::from_map(TraceMap::from_vec(corrupt.clone()))
-            .expect_err("corruption detected at open");
-        assert!(
-            matches!(err, TraceFileError::ChecksumMismatch { .. }),
-            "{err}"
-        );
-        // Unverified mode defers to the structural checks, which may or
-        // may not notice a flipped payload byte — but must never panic.
-        let unverified = MappedTrace::build(TraceMap::from_vec(corrupt), false);
-        if let Ok(m) = unverified {
-            let mut src = m.events();
-            let mut chunk = EventChunk::new();
-            while matches!(src.next_chunk(&mut chunk), Ok(true)) {}
-        }
-    }
-
-    #[test]
-    fn truncation_is_reported_at_every_length() {
-        let bytes = sample_bytes(100);
-        for len in 0..bytes.len() {
-            assert!(
-                MappedTrace::from_map(TraceMap::from_vec(bytes[..len].to_vec())).is_err(),
-                "prefix of {len} bytes opened successfully"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = sample_bytes(10);
-        bytes.push(0);
-        let err = MappedTrace::from_map(TraceMap::from_vec(bytes)).unwrap_err();
-        assert!(matches!(err, TraceFileError::Malformed { .. }), "{err}");
-    }
-
-    #[test]
-    fn source_fuses_after_the_final_chunk() {
-        let bytes = sample_bytes(10);
-        let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes)).expect("open");
-        let mut src = mapped.events();
-        let mut chunk = EventChunk::new();
-        assert!(src.next_chunk(&mut chunk).expect("first"));
-        assert!(!src.next_chunk(&mut chunk).expect("fused"));
-        assert!(!src.next_chunk(&mut chunk).expect("still fused"));
-        assert!(chunk.is_empty());
-    }
-
-    #[test]
-    fn empty_trace_decodes_to_no_chunks() {
-        let bytes = trace_to_vec(&TraceSession::new("empty").finish()).expect("encode");
-        assert_eq!(collect_mapped(&bytes).expect("decode"), Vec::new());
-    }
-
-    #[test]
-    fn mapped_file_roundtrip() {
-        let bytes = sample_bytes(5_000);
-        let dir = std::env::temp_dir().join(format!("lpt-mapped-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tempdir");
-        let path = dir.join("roundtrip.lpt");
-        std::fs::write(&path, &bytes).expect("write");
-        let mapped = MappedTrace::open(&path).expect("open");
-        let mut src = mapped.events();
-        let mut chunk = EventChunk::new();
-        let mut total = 0usize;
-        while src.next_chunk(&mut chunk).expect("decode") {
-            total += chunk.len();
-        }
-        assert_eq!(total as u64, mapped.event_count());
-        drop(mapped);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
+mod tests;

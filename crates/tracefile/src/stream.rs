@@ -7,11 +7,11 @@
 //! [`StreamTraceWriter`] writes those two sections incrementally
 //! instead. The trick is the section length, which the format puts
 //! *before* the payload: the writer reserves a fixed five-byte
-//! zero-padded varint (a non-canonical encoding every reader in this
-//! crate accepts, covering payloads up to 32 GiB), streams the payload
-//! while accumulating its CRC, and then seeks back to patch the real
-//! length — one seek per large section, everything else a forward
-//! write through the caller's `BufWriter`.
+//! zero-padded varint (a non-canonical encoding the reader accepts,
+//! covering payloads up to 32 GiB), streams the payload while
+//! accumulating its CRC, and then seeks back to patch the real length —
+//! one seek per large section, everything else a forward write through
+//! the caller's `BufWriter`.
 //!
 //! Encoding and validation are shared with the buffering writer (the
 //! `RecordEncoder`/`EventEncoder` in `writer.rs`), so a streamed file
@@ -356,14 +356,14 @@ fn write_section<W: Write>(sink: &mut W, id: u8, payload: &[u8]) -> Result<(), T
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{trace_from_bytes, trace_to_vec, MappedTrace, TraceMap};
     use lifepred_trace::{EventKind, TraceSession};
     use std::io::Cursor;
 
     /// Streams an in-memory trace through the incremental writer.
-    fn stream_copy(trace: &lifepred_trace::Trace) -> Vec<u8> {
+    pub(crate) fn stream_copy(trace: &lifepred_trace::Trace) -> Vec<u8> {
         let meta = StreamMeta {
             name: trace.name(),
             stats: *trace.stats(),

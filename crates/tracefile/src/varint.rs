@@ -21,10 +21,12 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
-/// Decodes one LEB128 integer via a byte source.
+/// Decodes one LEB128 integer via a byte source — the byte-at-a-time
+/// oracle the property tests hold `batch::take_varint` to.
 ///
 /// Returns `None` when the encoding is over-long or overflows 64 bits;
 /// byte-source errors propagate as `Err`.
+#[cfg(test)]
 pub fn read_varint<E>(mut next_byte: impl FnMut() -> Result<u8, E>) -> Result<Option<u64>, E> {
     let mut value: u64 = 0;
     for i in 0..MAX_VARINT_LEN {

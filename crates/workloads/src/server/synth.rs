@@ -209,9 +209,7 @@ fn intern_sites() -> (FunctionRegistry, ChainTable, Vec<lifepred_trace::ChainId>
 
 /// Streams a synthetic server trace shaped by `config` into `sink`.
 ///
-/// The file decodes with every reader in `lifepred-tracefile`
-/// (iterator, chunked, and mapped). Peak memory is ~8 bytes per
-/// object regardless of file size.
+/// Peak memory is ~8 bytes per object regardless of file size.
 ///
 /// # Errors
 ///

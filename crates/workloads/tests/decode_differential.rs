@@ -1,107 +1,100 @@
-//! Differential oracle: every `.lpt` decode path must agree.
+//! Ground truth for the `.lpt` reader: what it decodes is what was
+//! recorded.
 //!
-//! For each of the six workload families, the recorded trace is
-//! serialized once and decoded three ways — the streaming event
-//! iterator, the chunked SoA decoder, and the mmap-backed zero-copy
-//! reader — and the decoded event streams must be identical. The CI
-//! `decode` job runs this suite twice, with and without
-//! `LIFEPRED_NO_MMAP=1`, so both the mapped and heap-fallback flavors
-//! of [`TraceMap`] are covered.
+//! For each of the six workload families the recorded [`Trace`] is
+//! serialized once and read back through [`MappedTrace`]: the chunked
+//! event stream must equal [`Trace::events`] of the recorded trace at
+//! every chunk capacity, and [`load_trace`] / [`trace_from_bytes`] must
+//! return the recorded records and stats. The CI `decode` job runs this
+//! suite twice, with and without `LIFEPRED_NO_MMAP=1`, so both the
+//! mapped and heap-fallback flavors of [`TraceMap`] are covered.
 
-use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk, CHUNK_EVENTS, POOLED_CHUNK_EVENTS};
-use lifepred_tracefile::{trace_to_vec, MappedTrace, TraceEvent, TraceMap, TraceReader};
+use lifepred_trace::{
+    ChunkEvent, ChunkSource, EventChunk, EventKind, Trace, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
+};
+use lifepred_tracefile::{load_trace, trace_from_bytes, trace_to_vec, MappedTrace, TraceMap};
 use lifepred_workloads::{all_workloads, record};
+use std::path::PathBuf;
 
-/// One decoded event in path-neutral form: `(is_alloc, record, size)`.
-type Flat = (bool, u64, u32);
-
-fn via_iterator(bytes: &[u8]) -> Vec<Flat> {
-    let events = TraceReader::new(bytes)
-        .expect("open")
-        .into_events()
-        .expect("events");
-    events
-        .map(|event| match event.expect("decode") {
-            TraceEvent::Alloc { record, size, .. } => (true, record, size),
-            TraceEvent::Free { record, .. } => (false, record, 0),
-        })
-        .collect()
+/// The event stream `trace` stands for, as a chunk source yields it.
+fn events_of(trace: &Trace) -> Vec<ChunkEvent> {
+    let events = trace.events().into_iter().map(|e| match e.kind {
+        EventKind::Alloc => ChunkEvent::Alloc {
+            record: e.record,
+            size: trace.records()[e.record].size,
+        },
+        EventKind::Free => ChunkEvent::Free { record: e.record },
+    });
+    events.collect()
 }
 
-fn drain<C: ChunkSource>(mut source: C, chunk_capacity: usize) -> Vec<Flat>
-where
-    C::Error: std::fmt::Debug,
-{
+fn drain(mapped: &MappedTrace, chunk_capacity: usize) -> Vec<ChunkEvent> {
+    let mut source = mapped.events();
     let mut chunk = EventChunk::with_capacity(chunk_capacity);
-    let mut flat = Vec::new();
+    let mut events = Vec::new();
     while source.next_chunk(&mut chunk).expect("chunk") {
         assert!(chunk.len() <= chunk.target());
-        for event in chunk.events() {
-            flat.push(match event {
-                ChunkEvent::Alloc { record, size } => (true, record as u64, size),
-                ChunkEvent::Free { record } => (false, record as u64, 0),
-            });
-        }
+        events.extend(chunk.events());
     }
-    flat
+    events
 }
 
-fn via_chunked(bytes: &[u8], chunk_capacity: usize) -> Vec<Flat> {
-    let chunks = TraceReader::new(bytes)
-        .expect("open")
-        .into_event_chunks()
-        .expect("chunks");
-    drain(chunks, chunk_capacity)
-}
-
-fn via_mapped(bytes: &[u8], chunk_capacity: usize) -> Vec<Flat> {
-    let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes.to_vec())).expect("open");
-    drain(mapped.events(), chunk_capacity)
+/// A per-test temp path: a real file, so `TraceMap::open` exercises
+/// the mmap syscall path (or its heap fallback under LIFEPRED_NO_MMAP).
+fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("lifepred-diff-{tag}-{}.lpt", std::process::id()))
 }
 
 #[test]
-fn all_decode_paths_agree_on_every_workload() {
+fn every_workload_decodes_to_what_was_recorded() {
     for workload in all_workloads() {
+        let name = workload.name();
         let trace = record(workload.as_ref(), 0, lifepred_trace::shared_registry());
         let bytes = trace_to_vec(&trace).expect("encode");
+        let expected = events_of(&trace);
+        assert_eq!(expected.len() as u64, trace.end_seq(), "{name}");
 
-        let iterator = via_iterator(&bytes);
-        assert_eq!(
-            iterator.len() as u64,
-            trace.end_seq(),
-            "{}: iterator decodes every event",
-            workload.name()
-        );
-        for (label, decoded) in [
-            ("chunked/default", via_chunked(&bytes, CHUNK_EVENTS)),
-            ("chunked/pooled", via_chunked(&bytes, POOLED_CHUNK_EVENTS)),
-            ("chunked/tiny", via_chunked(&bytes, 3)),
-            ("mapped/default", via_mapped(&bytes, CHUNK_EVENTS)),
-            ("mapped/pooled", via_mapped(&bytes, POOLED_CHUNK_EVENTS)),
-            ("mapped/tiny", via_mapped(&bytes, 3)),
+        let path = temp_path(name);
+        std::fs::write(&path, &bytes).expect("write temp trace");
+        for (flavor, mapped) in [
+            ("file", MappedTrace::open(&path).expect("open")),
+            (
+                "image",
+                MappedTrace::from_map(TraceMap::from_vec(bytes.clone())).expect("open"),
+            ),
         ] {
-            assert_eq!(decoded, iterator, "{}: {label} diverges", workload.name());
+            for capacity in [3, CHUNK_EVENTS, POOLED_CHUNK_EVENTS] {
+                assert_eq!(
+                    drain(&mapped, capacity),
+                    expected,
+                    "{name}: {flavor} events at chunk capacity {capacity}"
+                );
+            }
+            let records: Vec<_> = mapped
+                .records()
+                .expect("records")
+                .collect::<Result<_, _>>()
+                .expect("decode");
+            assert_eq!(records, trace.records(), "{name}: {flavor} records");
         }
+        for loaded in [
+            load_trace(&path).expect("load"),
+            trace_from_bytes(&bytes).expect("decode"),
+        ] {
+            assert_eq!(loaded.records(), trace.records(), "{name}");
+            assert_eq!(loaded.stats(), trace.stats(), "{name}");
+            assert_eq!(loaded.name(), trace.name(), "{name}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
+/// The streamed synthetic server file is never a [`Trace`] in memory,
+/// so its ground truth is `load_trace`: events rebuilt from the records
+/// section, which the loader's scalar walk has checked, event for
+/// event, against the independently encoded events section.
 #[test]
-fn mapped_records_agree_on_every_workload() {
-    for workload in all_workloads() {
-        let trace = record(workload.as_ref(), 0, lifepred_trace::shared_registry());
-        let bytes = trace_to_vec(&trace).expect("encode");
-        let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes)).expect("open");
-        let records: Vec<_> = mapped
-            .records()
-            .expect("records")
-            .collect::<Result<_, _>>()
-            .expect("decode");
-        assert_eq!(records, trace.records(), "{}", workload.name());
-    }
-}
-
-#[test]
-fn decode_paths_agree_on_a_streamed_synthetic_trace_file() {
+fn a_streamed_synthetic_trace_file_decodes_to_its_loaded_events() {
     use lifepred_workloads::server::sim::SimConfig;
     use lifepred_workloads::server::synth::generate_lpt;
 
@@ -111,21 +104,17 @@ fn decode_paths_agree_on_a_streamed_synthetic_trace_file() {
         sessions: 256,
         seed: 0x5e4e,
     };
-    let (summary, sink) =
-        generate_lpt(&config, std::io::Cursor::new(Vec::new())).expect("generate");
-    let bytes = sink.into_inner();
+    let path = temp_path("synth");
+    let sink = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
+    let (summary, sink) = generate_lpt(&config, sink).expect("generate");
+    sink.into_inner().expect("flush");
 
-    // Round-trip through a real file so `TraceMap::open` exercises the
-    // mmap syscall path (or its heap fallback under LIFEPRED_NO_MMAP).
-    let path = std::env::temp_dir().join(format!("lifepred-diff-{}.lpt", std::process::id()));
-    std::fs::write(&path, &bytes).expect("write temp trace");
+    let loaded = load_trace(&path).expect("load");
+    let expected = events_of(&loaded);
+    assert_eq!(expected.len() as u64, summary.events);
     let mapped = MappedTrace::open(&path).expect("mapped open");
-    let from_file = drain(mapped.events(), POOLED_CHUNK_EVENTS);
+    assert_eq!(drain(&mapped, POOLED_CHUNK_EVENTS), expected);
+    assert_eq!(drain(&mapped, 3), expected);
     drop(mapped);
     std::fs::remove_file(&path).ok();
-
-    let iterator = via_iterator(&bytes);
-    assert_eq!(iterator.len() as u64, summary.events);
-    assert_eq!(from_file, iterator);
-    assert_eq!(via_chunked(&bytes, POOLED_CHUNK_EVENTS), iterator);
 }
