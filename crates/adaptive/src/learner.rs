@@ -192,7 +192,7 @@ impl SiteEntry {
 ///
 /// Keys are caller-defined `u64` site fingerprints, so the same learner
 /// serves the trace-replay simulator (hashed call-chain site keys) and
-/// the runtime allocator (its native 64-bit chain keys).
+/// the runtime allocator (galloc's return-address fingerprints).
 ///
 /// # Examples
 ///

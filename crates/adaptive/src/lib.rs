@@ -20,8 +20,8 @@
 //!
 //! [`OnlineLearner`] is the single-threaded core, driven directly by
 //! the trace-replay simulator (`lifepred-heap`) and the CLI.
-//! [`SharedPredictor`] wraps it for the sharded runtime allocator
-//! (`lifepred-alloc`): the learner's mutex is only taken at epoch
+//! [`SharedPredictor`] wraps it for the runtime global allocator
+//! (`lifepred-galloc`): the learner's mutex is only taken at epoch
 //! boundaries and on mispredictions, while readers consult an
 //! atomically versioned [`std::sync::Arc`] snapshot of the
 //! predicted-short set.

@@ -94,10 +94,10 @@ fn generation_and_snapshot_stay_coherent() {
     });
 }
 
-/// Replica of `ShardedAllocator::maybe_roll_epoch`'s claim protocol
-/// (crates/alloc/src/sharded.rs): threads race an AcqRel
-/// compare_exchange on the due boundary; for every due value that is
-/// ever claimed, exactly one thread may win the tick.
+/// Replica of the epoch-tick claim protocol in galloc's
+/// `Inner::flush_clock` (crates/galloc/src/inner.rs): threads race an
+/// AcqRel compare_exchange on the due boundary; for every due value
+/// that is ever claimed, exactly one thread may win the tick.
 #[test]
 fn epoch_tick_cas_elects_exactly_one_winner_per_due_value() {
     const EPOCH: u64 = 100;

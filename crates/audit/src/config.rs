@@ -36,9 +36,9 @@ pub struct RuleConfig {
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
     pub rule: String,
-    /// Site id to match: a module id (`alloc/profiler`), a per-site id
-    /// (`alloc/sharded::NEXT_THREAD`, `galloc/feedback::record`), or a
-    /// lock pair (`adaptive/learner->alloc/meta`).
+    /// Site id to match: a module id (`flight/recorder`), a per-site id
+    /// (`galloc/tls::NEXT_THREAD`, `galloc/feedback::record`), or a
+    /// lock pair (`adaptive/learner->galloc/inner`).
     pub site: String,
     pub reason: String,
     /// 1-based line of the `[[allow]]` header in `audit.toml`, so
@@ -331,16 +331,16 @@ severity = "deny"
 include_tests = false
 
 [rule.raw-ptr-ops]
-modules = ["alloc/runtime", "alloc/sharded"]
+modules = ["galloc/inner", "galloc/tls"]
 
 [[allow]]
 rule = "relaxed-publish"
-site = "alloc/sharded::NEXT_THREAD"
+site = "galloc/tls::NEXT_THREAD"
 reason = "monotonic counter"
 
 [[allow]]
 rule = "relaxed-publish"
-site = "alloc/profiler::clock"
+site = "galloc/inner::clock"
 reason = "byte clock"
 "#,
         )
@@ -349,11 +349,11 @@ reason = "byte clock"
         assert_eq!(cfg.severity("unconfigured"), Severity::Deny);
         assert_eq!(
             cfg.modules("raw-ptr-ops"),
-            &["alloc/runtime".to_string(), "alloc/sharded".to_string()]
+            &["galloc/inner".to_string(), "galloc/tls".to_string()]
         );
         assert_eq!(cfg.allows.len(), 2);
-        assert!(cfg.is_allowed("relaxed-publish", "alloc/sharded::NEXT_THREAD"));
-        assert!(!cfg.is_allowed("relaxed-publish", "alloc/sharded::clock"));
+        assert!(cfg.is_allowed("relaxed-publish", "galloc/tls::NEXT_THREAD"));
+        assert!(!cfg.is_allowed("relaxed-publish", "galloc/tls::clock"));
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub struct FileCtx {
     pub test_spans: Vec<(usize, usize)>,
     /// All `unsafe` regions in the file.
     pub unsafe_spans: Vec<UnsafeSpan>,
-    /// Module id: `<crate-dir>/<path-under-src>`, e.g. `alloc/sharded`
-    /// for `crates/alloc/src/sharded.rs` (see [`module_id`]).
+    /// Module id: `<crate-dir>/<path-under-src>`, e.g. `galloc/inner`
+    /// for `crates/galloc/src/inner.rs` (see [`module_id`]).
     pub module: String,
 }
 
@@ -290,7 +290,7 @@ fn find_unsafe_spans(toks: &[Tok]) -> Vec<UnsafeSpan> {
 }
 
 /// Derives the module id used by allowlists from a repo-relative
-/// path: `crates/alloc/src/sharded.rs` → `alloc/sharded`,
+/// path: `crates/galloc/src/inner.rs` → `galloc/inner`,
 /// `src/lib.rs` → `lifepred/lib`, nested files keep their directories
 /// (`crates/workloads/src/cfrac/bignum.rs` → `workloads/cfrac/bignum`).
 pub fn module_id(rel: &Path) -> String {
@@ -386,8 +386,8 @@ mod tests {
     #[test]
     fn module_ids() {
         assert_eq!(
-            module_id(Path::new("crates/alloc/src/sharded.rs")),
-            "alloc/sharded"
+            module_id(Path::new("crates/galloc/src/inner.rs")),
+            "galloc/inner"
         );
         assert_eq!(module_id(Path::new("src/lib.rs")), "lifepred/lib");
         assert_eq!(

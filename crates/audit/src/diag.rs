@@ -175,11 +175,11 @@ mod tests {
         Diagnostic {
             rule: "safety-comment",
             severity: Severity::Deny,
-            file: "crates/alloc/src/sharded.rs".into(),
+            file: "crates/galloc/src/inner.rs".into(),
             line: 7,
             col: 9,
             message: "undocumented `unsafe` block".into(),
-            site: "alloc/sharded".into(),
+            site: "galloc/inner".into(),
         }
     }
 
@@ -187,7 +187,7 @@ mod tests {
     fn human_format() {
         assert_eq!(
             diag().render_human(),
-            "crates/alloc/src/sharded.rs:7:9: deny[safety-comment]: undocumented `unsafe` block"
+            "crates/galloc/src/inner.rs:7:9: deny[safety-comment]: undocumented `unsafe` block"
         );
     }
 
@@ -211,7 +211,7 @@ mod tests {
         assert!(s.contains("\"level\":\"error\""));
         assert!(s.contains("\"level\":\"warning\""));
         assert!(s.contains("\"startLine\":7"));
-        assert!(s.contains("\"uri\":\"crates/alloc/src/sharded.rs\""));
+        assert!(s.contains("\"uri\":\"crates/galloc/src/inner.rs\""));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! lifepred workspace.
 //!
 //! The hot path of this repo is lock-free and `unsafe`-heavy
-//! (`crates/alloc/src/sharded.rs`, TLS slots, snapshot publishing);
+//! (`crates/galloc/src/inner.rs`, TLS slots, snapshot publishing);
 //! PR 2's review caught two latent UB bugs in it by hand. This crate
 //! machine-checks the invariants those reviews checked, on every CI
 //! run, as deny-by-default diagnostics with file:line spans:

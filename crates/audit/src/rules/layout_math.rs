@@ -20,8 +20,9 @@ pub struct LayoutMath;
 const ID: &str = "layout-math";
 
 /// Modules checked when `audit.toml` does not configure its own list:
-/// the arena cores, where offset math becomes pointers.
-pub const DEFAULT_MODULES: &[&str] = &["alloc/runtime", "alloc/sharded", "heap/arena"];
+/// the allocator cores, where offset math becomes pointers (the same
+/// set `audit.toml` spells out).
+pub const DEFAULT_MODULES: &[&str] = &["heap/arena", "galloc/inner", "galloc/tls"];
 
 /// Identifier fragments that mark a value as layout arithmetic.
 const LAYOUTISH: &[&str] = &[
@@ -266,7 +267,7 @@ mod tests {
     #[test]
     fn mask_idiom_is_flagged_in_scope() {
         let d = run_in(
-            "alloc/runtime",
+            "galloc/tls",
             "fn align_up(offset: usize, align: usize) -> usize { (offset + align - 1) & !(align - 1) }",
         );
         assert!(d.iter().any(|d| d.message.contains("mask-based")), "{d:?}");
@@ -284,18 +285,15 @@ mod tests {
 
     #[test]
     fn bare_plus_on_offset_and_size() {
-        let d = run_in(
-            "alloc/sharded",
-            "fn f() -> usize { offset + layout.size() }",
-        );
+        let d = run_in("galloc/inner", "fn f() -> usize { offset + layout.size() }");
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].site, "alloc/sharded::offset");
+        assert_eq!(d[0].site, "galloc/inner::offset");
     }
 
     #[test]
     fn bare_mul_on_index_times_size() {
         let d = run_in(
-            "alloc/sharded",
+            "galloc/inner",
             "fn f() -> usize { idx * config.arena_size }",
         );
         assert_eq!(d.len(), 1);
@@ -304,12 +302,12 @@ mod tests {
     #[test]
     fn checked_helpers_are_clean() {
         assert!(run_in(
-            "alloc/sharded",
+            "galloc/inner",
             "fn f() -> Option<usize> { idx.checked_mul(config.arena_size)?.checked_add(offset) }"
         )
         .is_empty());
         assert!(run_in(
-            "alloc/runtime",
+            "galloc/tls",
             "fn g(offset: usize, align: usize) -> Option<usize> { offset.checked_next_multiple_of(align) }"
         )
         .is_empty());
@@ -317,9 +315,9 @@ mod tests {
 
     #[test]
     fn non_layout_arithmetic_is_untouched() {
-        assert!(run_in("alloc/sharded", "fn f(a: u64, b: u64) -> u64 { a + b }").is_empty());
+        assert!(run_in("galloc/inner", "fn f(a: u64, b: u64) -> u64 { a + b }").is_empty());
         assert!(run_in(
-            "alloc/runtime",
+            "galloc/tls",
             "fn pct(num: u64) -> f64 { 100.0 * num as f64 }"
         )
         .is_empty());
@@ -327,17 +325,13 @@ mod tests {
 
     #[test]
     fn logical_and_not_is_not_a_mask() {
-        assert!(run_in(
-            "alloc/sharded",
-            "fn f(a: bool, b: bool) -> bool { a && !b }"
-        )
-        .is_empty());
+        assert!(run_in("galloc/inner", "fn f(a: bool, b: bool) -> bool { a && !b }").is_empty());
     }
 
     #[test]
     fn compound_add_assign_is_exempt() {
         assert!(run_in(
-            "alloc/sharded",
+            "galloc/inner",
             "fn f(s: &mut S, size: u64) { s.total_bytes += size; }"
         )
         .is_empty());
@@ -345,7 +339,7 @@ mod tests {
 
     #[test]
     fn deref_and_ref_are_not_binary_ops() {
-        assert!(run_in("alloc/sharded", "fn f(p: &usize) -> usize { *p }").is_empty());
-        assert!(run_in("alloc/sharded", "fn f(size: &usize) -> usize { *size }").is_empty());
+        assert!(run_in("galloc/inner", "fn f(p: &usize) -> usize { *p }").is_empty());
+        assert!(run_in("galloc/inner", "fn f(size: &usize) -> usize { *size }").is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //! property that actually prevents deadlock.
 //!
 //! Locks are named `crate/field` by receiver-chain resolution, so two
-//! same-named shard locks (`alloc/meta` taken per shard, one at a
+//! same-named shard locks (`galloc/inner` taken per shard, one at a
 //! time) can false-positive as a self-edge if ever held nested —
 //! waive with a rationale explaining why the instances are distinct
 //! and ordered.

@@ -18,8 +18,10 @@ pub struct RawPtrOps;
 const ID: &str = "raw-ptr-ops";
 
 /// Modules allowed to do pointer arithmetic when `audit.toml` does not
-/// configure its own list: the arena cores.
-pub const DEFAULT_ALLOWED_MODULES: &[&str] = &["alloc/runtime", "alloc/sharded", "heap/arena"];
+/// configure its own list: the allocator cores and the trace mapping
+/// (the same set `audit.toml` spells out).
+pub const DEFAULT_ALLOWED_MODULES: &[&str] =
+    &["heap/arena", "galloc/inner", "galloc/tls", "tracefile/map"];
 
 const PTR_METHODS: &[&str] = &[
     "add",
@@ -151,7 +153,7 @@ mod tests {
 
     #[test]
     fn allowlisted_module_is_exempt() {
-        assert!(run_in("alloc/sharded", "fn f(p: *mut u8) { unsafe { p.add(4) }; }").is_empty());
+        assert!(run_in("galloc/inner", "fn f(p: *mut u8) { unsafe { p.add(4) }; }").is_empty());
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Microbenchmarks of the simulated allocators' hot paths and the
-//! runtime predictive allocator.
+//! Microbenchmarks of the simulated allocators' hot paths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lifepred_alloc::{site_key, PredictiveAllocator, RuntimeSiteDb};
 use lifepred_heap::{ArenaAllocator, ArenaConfig, BsdMalloc, FirstFit};
-use std::alloc::Layout;
 
 /// One allocate-then-free cycle per iteration, the allocator's fast
 /// path (sizes cycle through a small realistic mix).
@@ -51,34 +48,5 @@ fn sim_allocators(c: &mut Criterion) {
     group.finish();
 }
 
-/// The runtime allocator against real memory.
-fn runtime_allocator(c: &mut Criterion) {
-    let site = site_key();
-    let layout = Layout::from_size_align(48, 8).expect("layout");
-
-    let mut group = c.benchmark_group("runtime_alloc_free");
-    group.bench_function("arena_hit", |b| {
-        let mut db = RuntimeSiteDb::new(32 * 1024);
-        db.insert(site.with_size(layout.size()));
-        let heap = PredictiveAllocator::with_database(db);
-        b.iter(|| {
-            let p = heap.allocate(site, layout);
-            // SAFETY: p came from heap.allocate with this layout and
-            // is freed exactly once per iteration.
-            unsafe { heap.deallocate(black_box(p), layout) };
-        });
-    });
-    group.bench_function("system_fallback", |b| {
-        let heap = PredictiveAllocator::new();
-        b.iter(|| {
-            let p = heap.allocate(site, layout);
-            // SAFETY: p came from heap.allocate with this layout and
-            // is freed exactly once per iteration.
-            unsafe { heap.deallocate(black_box(p), layout) };
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, sim_allocators, runtime_allocator);
+criterion_group!(benches, sim_allocators);
 criterion_main!(benches);

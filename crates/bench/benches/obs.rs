@@ -1,26 +1,20 @@
-//! Overhead of the observability layer on its two hot paths:
-//!
-//! 1. the `simulate` pipeline — `simulate_file`, the function
-//!    `lifepred simulate --predictor db.json` runs per trace (records
-//!    → prediction bitmap, then events → arena replay), with vs
-//!    without `--metrics-out` recording. Per-event metrics batch into
-//!    plain local fields and publish once at end of stream, so the
-//!    added per-event cost is a handful of arithmetic ops (plus one
-//!    clock read per event in builds that enable `lifepred-obs/timing`,
-//!    as the CLI does; this bench does not).
-//! 2. the sharded runtime allocator (detached vs an attached registry;
-//!    metrics are plain per-shard deltas under the shard lock the fast
-//!    path already holds).
+//! Overhead of the observability layer on the `simulate` pipeline:
+//! `simulate_file`, the function `lifepred simulate --predictor
+//! db.json` runs per trace (records → prediction bitmap, then events →
+//! arena replay), with vs without `--metrics-out` recording. Per-event
+//! metrics batch into plain local fields and publish once at end of
+//! stream, so the added per-event cost is a handful of arithmetic ops
+//! plus exact per-object lifetime tracking (a birth-clock table the
+//! bare replay does not keep), and one clock read per event in builds
+//! that enable `lifepred-obs/timing`, as the CLI does; this bench does
+//! not.
 //!
 //! A self-timed harness (criterion adds nothing here — we want two
 //! directly comparable ops/sec numbers) times the two configurations
 //! back to back within every round, reports the median of the paired
 //! per-round overhead ratios, and writes `results/BENCH_obs.json` at
-//! the workspace root so the claimed overhead is a recorded
-//! measurement, not prose. The < 2% budget gates the allocator
-//! comparison; the simulate comparison additionally pays for exact
-//! per-object lifetime tracking (a birth-clock table the bare replay
-//! does not keep), which lands it a point or two higher.
+//! the workspace root so the overhead is a recorded measurement, not
+//! prose. Nothing gates it; the file records what was measured.
 //!
 //! Run with `cargo bench -p lifepred-bench --bench obs`; set
 //! `LIFEPRED_BENCH_SMOKE=1` for a fast CI smoke run (it exercises the
@@ -30,25 +24,17 @@
 
 use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred_heap::ArenaConfig;
-use lifepred_obs::Registry;
 use lifepred_sweep::{simulate_file, SimBackend};
 use lifepred_trace::{Trace, TraceSession};
 use lifepred_tracefile::save_trace;
-use std::alloc::Layout;
 use std::path::Path;
 use std::time::Instant;
 
 /// Alloc/free pairs in the synthetic trace (divided by 10 in smoke mode).
 const PAIRS: usize = 50_000;
 
-/// Paired measurement rounds for the simulate comparison.
+/// Paired measurement rounds.
 const SIM_ROUNDS: usize = 101;
-
-/// Allocate/free cycles for the runtime-allocator comparison.
-const ALLOC_OPS: usize = 100_000;
-
-/// Paired measurement rounds for the allocator comparison.
-const ALLOC_ROUNDS: usize = 201;
 
 fn smoke() -> bool {
     // `cargo bench -- --test` asks every bench for a functional check,
@@ -131,15 +117,8 @@ fn main() {
     // `cargo test --benches` passes harness flags; a smoke run of the
     // real measurement is what we want there too, just shorter.
     let pairs = if smoke() { PAIRS / 10 } else { PAIRS };
-    let alloc_ops = if smoke() { ALLOC_OPS / 10 } else { ALLOC_OPS };
     let sim_rounds = if smoke() { SIM_ROUNDS / 10 } else { SIM_ROUNDS };
-    let alloc_rounds = if smoke() {
-        ALLOC_ROUNDS / 10
-    } else {
-        ALLOC_ROUNDS
-    };
 
-    // --- simulate pipeline ---------------------------------------------
     // Offline training happens once, before the measured region — the
     // CLI does it in a separate `train` invocation.
     let trace = workload(pairs);
@@ -169,36 +148,10 @@ fn main() {
     );
     std::fs::remove_file(&lpt).ok();
 
-    // --- runtime allocator path ----------------------------------------
-    let site = lifepred_alloc::site_key();
-    let layout = Layout::from_size_align(48, 8).expect("layout");
-    let mut db = lifepred_alloc::RuntimeSiteDb::new(32 * 1024);
-    db.insert(site.with_size(48));
-    let churn = |heap: &lifepred_alloc::ShardedAllocator| {
-        for _ in 0..alloc_ops {
-            let p = heap.allocate(site, layout);
-            // SAFETY: p came from this heap's allocate with the same
-            // layout and is freed exactly once.
-            unsafe { heap.deallocate(p, layout) };
-        }
-    };
-    let detached = lifepred_alloc::ShardedAllocator::frozen(db.clone(), 1, Default::default());
-    let mut attached = lifepred_alloc::ShardedAllocator::frozen(db, 1, Default::default());
-    let alloc_registry = Registry::new();
-    attached.attach_registry(&alloc_registry);
-    churn(&detached);
-    churn(&attached);
-    let (alloc_base, alloc_obs, alloc_overhead) = paired_overhead(
-        alloc_rounds,
-        alloc_ops as u64,
-        || churn(&detached),
-        || churn(&attached),
-    );
-
     let host = lifepred_bench::BenchHost::probe();
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-obs-v1\",\n  \
+           \"schema\": \"lifepred-bench-obs-v2\",\n  \
            \"smoke\": {},\n  \
            {host_fields},\n  \
            \"simulate\": {{\n    \
@@ -206,18 +159,11 @@ fn main() {
              \"baseline_ops_per_sec\": {replay_base:.0},\n    \
              \"observed_ops_per_sec\": {replay_obs:.0},\n    \
              \"overhead_pct\": {replay_overhead:.2}\n  \
-           }},\n  \
-           \"alloc\": {{\n    \
-             \"ops\": {alloc_ops},\n    \
-             \"baseline_ops_per_sec\": {alloc_base:.0},\n    \
-             \"observed_ops_per_sec\": {alloc_obs:.0},\n    \
-             \"overhead_pct\": {alloc_overhead:.2}\n  \
            }}\n}}\n",
         smoke(),
         host_fields = host.json_fields(),
     );
     println!("simulate: {replay_base:.0} events/s bare, {replay_obs:.0} observed ({replay_overhead:+.2}% overhead)");
-    println!("alloc:    {alloc_base:.0} ops/s bare, {alloc_obs:.0} observed ({alloc_overhead:+.2}% overhead)");
     // A smoke run exercises the harness but is far too short to
     // measure overhead; only full runs update the recorded trajectory.
     if smoke() {

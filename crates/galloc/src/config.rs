@@ -1,7 +1,6 @@
 //! Startup geometry for the global allocator.
 //!
-//! Mirrors the `LIFEPRED_ARENAS` policy from `lifepred-alloc`: a
-//! set-but-malformed override is a loud startup error naming the
+//! A set-but-malformed override is a loud startup error naming the
 //! offending field, never a silent fall back to defaults.
 
 use lifepred_adaptive::EpochConfig;

@@ -39,8 +39,7 @@ fn return_address() -> usize {
     0
 }
 
-/// Fibonacci-hashing constant (2^64 / phi), as used by
-/// `lifepred-alloc`'s site keys.
+/// Fibonacci-hashing constant (2^64 / phi).
 const PHI: u64 = 0x9e77_9b97_f4a7_c15f;
 
 /// Fingerprints the current allocation site: the captured return

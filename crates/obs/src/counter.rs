@@ -20,9 +20,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// to sum on every read.
 pub const COUNTER_CELLS: usize = 16;
 
-/// Monotonic thread numbering for cell assignment (same scheme as the
-/// sharded allocator's thread slots, but private to the metrics layer
-/// so the two never couple).
+/// Monotonic thread numbering for cell assignment (same scheme as
+/// galloc's home-shard assignment, but private to the metrics layer so
+/// the two never couple).
 static NEXT_CELL: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {

@@ -30,8 +30,7 @@
 //! | prefix               | producer                                  |
 //! |----------------------|-------------------------------------------|
 //! | `lifepred_sim_`      | replay/simulation paths (`lifepred-heap`) |
-//! | `lifepred_alloc_`    | runtime allocators (`lifepred-alloc`)     |
-//! | `lifepred_runtime_`  | `RuntimeStats` export gauges              |
+//! | `lifepred_galloc_`   | global allocator (`lifepred-galloc`)      |
 //! | `lifepred_learner_`  | `OnlineLearner`/`LearnerStats` export     |
 //!
 //! Counters end in `_total`; histograms name their unit

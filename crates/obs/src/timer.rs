@@ -6,7 +6,7 @@
 //! written with timing *in place* and pay nothing unless the `timing`
 //! feature is enabled. The CLI turns the feature on (a `simulate` run
 //! wants the latency histogram); the bench and allocator builds leave
-//! it off, which is how the < 2% observability-overhead budget is met.
+//! it off and pay no clock read per event.
 //!
 //! Feature unification is per build graph: enabling `timing` for the
 //! CLI binary does not switch it on for an independently built bench.

@@ -2,9 +2,9 @@
 //!
 //! The registry below carries every canonical metric name the
 //! workspace registers — the `lifepred_sim_*` replay set
-//! (`lifepred-heap`), the `lifepred_alloc_*` allocator set and
-//! `lifepred_runtime_*` gauges (`lifepred-alloc`), and the
-//! `lifepred_learner_*` gauges (`lifepred-adaptive`) — with fixed
+//! (`lifepred-heap`), the `lifepred_galloc_*` global-allocator set
+//! (`lifepred-galloc`), and the `lifepred_learner_*` gauges
+//! (`lifepred-adaptive`) — with fixed
 //! values, rendered to JSON and Prometheus text and diffed against
 //! `tests/golden/metrics.{json,prom}`. Renaming a metric, changing a
 //! kind, or perturbing either renderer's output is a schema change and
@@ -35,31 +35,40 @@ const SIM_HISTOGRAMS: &[&str] = &[
     "lifepred_sim_event_ns",
 ];
 
-/// Allocator counters/histograms/timeline registered by `lifepred-alloc`.
-const ALLOC_COUNTERS: &[&str] = &[
-    "lifepred_alloc_allocs_total",
-    "lifepred_alloc_arena_allocs_total",
-    "lifepred_alloc_general_allocs_total",
-    "lifepred_alloc_frees_total",
-    "lifepred_alloc_overflows_total",
-    "lifepred_alloc_double_frees_total",
+/// Counters exported by `GallocStats::export` (`lifepred-galloc`), in
+/// its field order; galloc's own test checks it registers exactly
+/// these names.
+const GALLOC_COUNTERS: &[&str] = &[
+    "lifepred_galloc_small_allocs_total",
+    "lifepred_galloc_lock_allocs_total",
+    "lifepred_galloc_refills_total",
+    "lifepred_galloc_flushes_total",
+    "lifepred_galloc_short_refills_total",
+    "lifepred_galloc_short_allocs_total",
+    "lifepred_galloc_small_bytes_total",
+    "lifepred_galloc_mag_frees_total",
+    "lifepred_galloc_remote_frees_total",
+    "lifepred_galloc_remote_drained_total",
+    "lifepred_galloc_short_frees_total",
+    "lifepred_galloc_seg_resets_total",
+    "lifepred_galloc_central_frees_total",
+    "lifepred_galloc_reentrant_allocs_total",
+    "lifepred_galloc_fallback_large_total",
+    "lifepred_galloc_fallback_align_total",
+    "lifepred_galloc_fallback_exhausted_total",
+    "lifepred_galloc_system_frees_total",
+    "lifepred_galloc_sampled_allocs_total",
+    "lifepred_galloc_sampled_frees_total",
+    "lifepred_galloc_sample_drops_total",
+    "lifepred_galloc_mispredict_frees_total",
+    "lifepred_galloc_pinned_noted_total",
+    "lifepred_galloc_short_free_underflows_total",
+    "lifepred_galloc_wild_frees_total",
+    "lifepred_galloc_epoch_ticks_total",
 ];
-const ALLOC_HISTOGRAMS: &[&str] = &["lifepred_alloc_size_bytes", "lifepred_alloc_latency_ns"];
 
-/// Snapshot gauges exported by `RuntimeStats::export` (`lifepred-alloc`).
-const RUNTIME_GAUGES: &[&str] = &[
-    "lifepred_runtime_arena_allocs",
-    "lifepred_runtime_arena_count",
-    "lifepred_runtime_arena_frees",
-    "lifepred_runtime_arena_resets",
-    "lifepred_runtime_arena_total_bytes",
-    "lifepred_runtime_arena_used_bytes",
-    "lifepred_runtime_double_frees",
-    "lifepred_runtime_general_allocs",
-    "lifepred_runtime_general_frees",
-    "lifepred_runtime_overflows",
-    "lifepred_runtime_pinned_arena_bytes",
-];
+/// The gauge exported next to them.
+const GALLOC_GAUGES: &[&str] = &["lifepred_galloc_magazine_hit_rate_pct"];
 
 /// Snapshot gauges exported by `LearnerStats::export` (`lifepred-adaptive`).
 const LEARNER_GAUGES: &[&str] = &[
@@ -78,20 +87,22 @@ const LEARNER_GAUGES: &[&str] = &[
     "lifepred_learner_long_frees",
 ];
 
-const TIMELINES: &[&str] = &["lifepred_sim_epochs", "lifepred_alloc_epochs"];
+const TIMELINES: &[&str] = &["lifepred_sim_epochs"];
 
 /// Builds the full canonical registry with deterministic values: each
 /// metric's value is derived from its position so every entry is
 /// distinguishable in the rendered output.
 fn canonical_registry() -> Registry {
     let registry = Registry::new();
-    for (i, name) in SIM_COUNTERS.iter().chain(ALLOC_COUNTERS).enumerate() {
+    for (i, name) in SIM_COUNTERS.iter().chain(GALLOC_COUNTERS).enumerate() {
         registry.counter(name).add(100 + i as u64);
     }
-    for (i, name) in RUNTIME_GAUGES.iter().chain(LEARNER_GAUGES).enumerate() {
-        registry.gauge(name).set(200 + i as u64);
+    // Gauges start at 210 so the learner set keeps the values (211..)
+    // it was blessed with before the galloc gauge joined.
+    for (i, name) in GALLOC_GAUGES.iter().chain(LEARNER_GAUGES).enumerate() {
+        registry.gauge(name).set(210 + i as u64);
     }
-    for (i, name) in SIM_HISTOGRAMS.iter().chain(ALLOC_HISTOGRAMS).enumerate() {
+    for (i, name) in SIM_HISTOGRAMS.iter().enumerate() {
         let h = registry.histogram(name);
         // Spread observations across buckets, including 0 and a large
         // outlier, so sparse bucket serialization is exercised.

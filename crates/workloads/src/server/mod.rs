@@ -12,8 +12,7 @@
 //!
 //! The same simulation has two faces:
 //!
-//! * [`Server`] records it into a
-//!   [`TraceSession`](lifepred_trace::TraceSession) like every other
+//! * [`Server`] records it into a [`TraceSession`] like every other
 //!   workload, so the predictor pipeline and `lifepred run` treat it
 //!   as family number six;
 //! * [`synth::generate_lpt`] streams it straight into a `.lpt` file

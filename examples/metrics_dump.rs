@@ -1,17 +1,17 @@
-//! The unified telemetry layer end to end: attach one registry to an
-//! observed trace replay *and* a live sharded allocator, then dump the
-//! merged snapshot as JSON and Prometheus text.
+//! The unified telemetry layer end to end: one registry collects an
+//! observed trace replay *and* the live global allocator, then the
+//! merged snapshot is dumped as JSON and Prometheus text.
 //!
 //! Run with `cargo run --release --example metrics_dump`.
 
 use lifepred::adaptive::EpochConfig;
-use lifepred::alloc::{ShardedAllocator, SiteKey};
 use lifepred::core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
+use lifepred::galloc::{GallocConfig, LifepredGlobal};
 use lifepred::heap::{prediction_bitmap, replay, ArenaConfig, ReplayMeta, ReplayObs, ReplayPlan};
 use lifepred::obs::Registry;
 use lifepred::trace::{shared_registry, TraceChunks};
 use lifepred::workloads::{by_name, record};
-use std::alloc::Layout;
+use std::alloc::{GlobalAlloc, Layout};
 
 fn main() {
     let registry = Registry::new();
@@ -39,28 +39,36 @@ fn main() {
         report.total_allocs, report.arena_allocs
     );
 
-    // --- 2. A live allocator fills lifepred_alloc_* + the timeline. ----
-    let cfg = EpochConfig {
-        threshold: 32 * 1024,
-        epoch_bytes: 64 * 1024,
-        ..EpochConfig::default()
+    // --- 2. The global allocator fills lifepred_galloc_* and, through
+    // its online learner, lifepred_learner_*. It is driven through
+    // `GlobalAlloc` directly rather than installed, so only this loop's
+    // traffic is counted; short epochs let it roll a few and learn the
+    // loop's site.
+    let config = GallocConfig {
+        epoch: EpochConfig {
+            threshold: 32 * 1024,
+            epoch_bytes: 64 * 1024,
+            ..EpochConfig::default()
+        },
+        ..GallocConfig::default()
     };
-    let mut heap = ShardedAllocator::adaptive(cfg, 2, Default::default());
-    heap.attach_registry(&registry);
-    let site = SiteKey(0xC0FFEE);
+    let galloc = LifepredGlobal::new();
+    lifepred::galloc::activate_with(config).expect("allocator geometry");
     let layout = Layout::from_size_align(64, 8).expect("layout");
-    for _ in 0..10_000 {
-        let p = heap.allocate(site, layout);
-        assert!(!p.is_null());
-        // SAFETY: p came from this heap's allocate with the same
-        // layout and is freed exactly once.
-        unsafe { heap.deallocate(p, layout) };
-    }
-    // Point-in-time gauges + drain of the pending per-shard deltas.
-    heap.export_metrics(&registry);
-    if let Some(learned) = heap.adaptive_stats() {
-        learned.export(&registry);
-    }
+    // A worker thread: its counter batch is flushed when it exits.
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..10_000 {
+                // SAFETY: non-zero size.
+                let p = unsafe { galloc.alloc(layout) };
+                assert!(!p.is_null());
+                // SAFETY: p came from this allocator with the same
+                // layout and is freed exactly once.
+                unsafe { galloc.dealloc(p, layout) };
+            }
+        });
+    });
+    lifepred::galloc::export_metrics(&registry);
 
     // --- 3. One snapshot, both renderings. ------------------------------
     let snap = registry.snapshot();

@@ -18,16 +18,17 @@
 //!   instruction cost model;
 //! * [`workloads`] — traced mini-implementations of the paper's five
 //!   programs (cfrac, espresso, gawk, ghost, perl);
-//! * [`alloc`] — *runtime* predictive allocators over real memory
-//!   (profiler, trained site database, arena-backed `GlobalAlloc`,
-//!   and the sharded per-thread variant);
 //! * [`adaptive`] — the online self-correcting predictor: epoch-based
 //!   training, misprediction-driven demotion with hysteresis, and the
-//!   lock-free-reader snapshot the sharded allocator consults;
-//! * [`galloc`] — the deployable `#[global_allocator]`: per-thread
-//!   magazine caches over the sharded heap, return-address site
-//!   fingerprinting into the adaptive predictor, and segregated
-//!   short-lived segments that reset wholesale.
+//!   lock-free-reader snapshot the runtime allocator consults;
+//! * [`galloc`] — the runtime allocator over real memory, a deployable
+//!   `#[global_allocator]`: per-thread magazine caches over a sharded
+//!   heap, return-address site fingerprinting into the adaptive
+//!   predictor, and segregated short-lived segments that reset
+//!   wholesale;
+//! * [`obs`] — the metrics layer every simulator and allocator
+//!   reports through (counters, histograms, epoch timelines, JSON and
+//!   Prometheus renderings).
 //!
 //! # Quickstart
 //!
@@ -53,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub use lifepred_adaptive as adaptive;
-pub use lifepred_alloc as alloc;
 pub use lifepred_core as core;
 pub use lifepred_galloc as galloc;
 pub use lifepred_heap as heap;
