@@ -6,7 +6,7 @@ use std::collections::{HashMap, HashSet};
 
 /// How many individual lifetimes an [`EpochAgg`] carries to feed the
 /// per-site P² estimator when feedback arrives in batches.
-pub const AGG_SAMPLE_CAP: usize = 8;
+pub(crate) const AGG_SAMPLE_CAP: usize = 8;
 
 /// Per-site feedback accumulated away from the learner (e.g. under a
 /// shard lock) and merged in at epoch boundaries with
@@ -30,7 +30,7 @@ pub struct EpochAgg {
     pub long_frees: u64,
     /// Largest lifetime freed this epoch.
     pub max_lifetime: u64,
-    /// Up to [`AGG_SAMPLE_CAP`] individual lifetimes, for the per-site
+    /// Up to 8 individual lifetimes, for the per-site
     /// quantile estimator.
     pub samples: Vec<u64>,
 }

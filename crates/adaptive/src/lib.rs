@@ -62,5 +62,5 @@ mod learner;
 mod shared;
 
 pub use config::EpochConfig;
-pub use learner::{EpochAgg, LearnerStats, OnlineLearner, AGG_SAMPLE_CAP};
+pub use learner::{EpochAgg, LearnerStats, OnlineLearner};
 pub use shared::SharedPredictor;

@@ -1,8 +1,8 @@
 //! The experiment harness: shared code for regenerating every table of
 //! the paper's evaluation.
 //!
-//! Each `table*` binary in `src/bin/` rebuilds the corresponding table
-//! of Barrett & Zorn (PLDI'93) on our substrate: five traced workloads
+//! The `all_tables` binary in `src/bin/` rebuilds Tables 1–9 of
+//! Barrett & Zorn (PLDI'93) on our substrate: five traced workloads
 //! with a training and a (larger) test input each. [`build_suite`]
 //! produces the trace pairs; the binaries derive profiles, train
 //! predictors, replay allocator simulations and print the rows.

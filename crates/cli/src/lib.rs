@@ -22,8 +22,6 @@
 //! * `sweep` expands a declarative grid spec into the paper's
 //!   design-space evaluation ([`lifepred_sweep`]), caching every cell
 //!   so re-runs and resumes recompute only what changed;
-//! * `serve` exposes the sweep engine and a Prometheus `/metrics`
-//!   endpoint over a dependency-free HTTP/1.1 server;
 //! * `audit` runs the allocator-safety static analysis
 //!   ([`lifepred_audit`]) — the same engine as the standalone
 //!   `lifepred-audit` binary — with the documented exit-code contract
@@ -43,8 +41,7 @@ use lifepred_heap::{ArenaConfig, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
 use lifepred_sweep::{
     diff_reports, install_shutdown_handlers, render_csv, render_json, render_table, run_sweep,
-    simulate_file, CancelFlag, GridSpec, ResultStore, Server, ServerConfig, SimBackend,
-    SweepOptions,
+    simulate_file, CancelFlag, GridSpec, ResultStore, SimBackend,
 };
 use lifepred_trace::{shared_registry, AllocationRecord};
 use lifepred_tracefile::{save_trace, MappedTrace};
@@ -75,8 +72,6 @@ USAGE:
     lifepred sweep run|resume|render --spec <grid.json> [--store <dir>]
                       [--jobs <n>] [--format <table|csv|json>] [--out <file>]
     lifepred sweep diff <before.json> <after.json>
-    lifepred serve [--addr <host:port>] [--store <dir>] [--threads <n>]
-                   [--jobs <n>]
     lifepred audit check [--root <dir>] [--config <audit.toml>]
                    [--format <human|json|sarif>] [--strict] [FILES...]
     lifepred audit rules
@@ -103,7 +98,7 @@ OPTIONS:
                           merged into one dump
     --force               simulate/native: allow --metrics-out to
                           overwrite an existing file
-    --jobs <n>            simulate/report/sweep/serve: worker threads
+    --jobs <n>            simulate/report/sweep: worker threads
                           for independent runs (default 1)
     --format <f>          stats: prometheus (default) or json;
                           sweep: table (default), csv or json
@@ -121,13 +116,10 @@ OPTIONS:
                           file; decodes only what it prints)
     --spec <grid.json>    sweep: declarative grid spec (schema
                           lifepred-sweep-v1; see DESIGN.md section 13)
-    --store <dir>         sweep/serve: content-addressed result cache
+    --store <dir>         sweep: content-addressed result cache
                           directory (default sweep-cache)
     --out <file>          sweep: write the rendered report to a file
                           instead of stdout
-    --addr <host:port>    serve: listen address (default 127.0.0.1:7878;
-                          port 0 picks an ephemeral port)
-    --threads <n>         serve: HTTP worker threads (default 4)
     --drag                report: per-arena liveness timelines and object
                           drag (bytes between last touch and free) instead
                           of prediction quality
@@ -158,7 +150,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         Some("native") => cmd_native(&args[1..], out),
         Some("trace") => cmd_trace(&args[1..], out),
         Some("sweep") => cmd_sweep(&args[1..], out),
-        Some("serve") => cmd_serve(&args[1..], out),
         Some("audit") => cmd_audit(&args[1..], out),
         Some(other) => Err(format!("unknown command {other:?} (try `lifepred --help`)")),
     }
@@ -1351,19 +1342,15 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let text = std::fs::read_to_string(&spec_path).map_err(|e| file_err(&spec_path, e))?;
     let spec = GridSpec::from_json(&text).map_err(|e| file_err(&spec_path, e))?;
     let store = ResultStore::open(&store_dir).map_err(|e| file_err(&store_dir, e))?;
-    let opts = SweepOptions {
-        threads: jobs.max(1),
-        want_metrics: false,
-    };
     // SIGTERM/ctrl-c cancels between cells: everything finished so far
     // is already in the cache, so `sweep resume` picks up the rest.
     let cancel = CancelFlag::new();
-    let _ = install_shutdown_handlers(&cancel);
+    install_shutdown_handlers(&cancel);
     // Progress goes to stderr so table/CSV/JSON on stdout stay clean.
     let progress = |done: usize, total: usize| {
         eprintln!("sweep: computed {done}/{total} cells");
     };
-    let outcome = run_sweep(&spec, &store, &opts, &cancel, Some(&progress))
+    let outcome = run_sweep(&spec, &store, jobs, &cancel, Some(&progress))
         .map_err(|e| format!("sweep: {e}"))?;
 
     let st = &outcome.stats;
@@ -1430,53 +1417,6 @@ fn sweep_diff(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let a = std::fs::read_to_string(before).map_err(|e| file_err(before, e))?;
     let b = std::fs::read_to_string(after).map_err(|e| file_err(after, e))?;
     write_out(out, diff_reports(&a, &b)?)
-}
-
-// ---------------------------------------------------------------------
-// serve
-// ---------------------------------------------------------------------
-
-/// Binds the blocking HTTP endpoint and runs it until SIGTERM/ctrl-c.
-fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut addr = "127.0.0.1:7878".to_owned();
-    let mut store = "sweep-cache".to_owned();
-    let mut threads = 4usize;
-    let mut jobs = 1usize;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("addr", v) => addr = s.value("addr", v)?.to_owned(),
-            Arg::Opt("store", v) => store = s.value("store", v)?.to_owned(),
-            Arg::Opt("threads", v) => threads = parse_num("threads", s.value("threads", v)?)?,
-            Arg::Opt("jobs", v) => jobs = parse_num("jobs", s.value("jobs", v)?)?,
-            Arg::Opt(o, _) => return Err(format!("serve: unknown option --{o}")),
-            Arg::Positional(p) => return Err(format!("serve: unexpected argument {p:?}")),
-        }
-    }
-    let server = Server::bind(&ServerConfig {
-        addr,
-        store: store.clone().into(),
-        threads: threads.max(1),
-        jobs: jobs.max(1),
-    })
-    .map_err(|e| format!("serve: {e}"))?;
-    let local = server.local_addr().map_err(|e| format!("serve: {e}"))?;
-    let handled = install_shutdown_handlers(&server.shutdown_handle());
-    write_out(
-        out,
-        format!(
-            "serving on http://{local}/ (store {store}, {} http threads, {} sweep jobs)\n\
-             routes: GET /healthz, GET /metrics, GET /trace, GET /sweeps, GET /sweeps/<id>, POST /sweeps\n",
-            threads.max(1),
-            jobs.max(1),
-        ),
-    )?;
-    if !handled {
-        write_out(out, "note: no signal handlers on this platform\n")?;
-    }
-    out.flush().map_err(|e| format!("write failed: {e}"))?;
-    server.run().map_err(|e| format!("serve: {e}"))?;
-    write_out(out, "shutdown: drained and stopped\n")
 }
 
 fn write_table(

@@ -832,7 +832,102 @@ fn sweep_run_resume_render_and_diff() {
     std::fs::write(&junk, "{not json").expect("write");
     assert!(run(&["sweep", "run", "--spec", &junk, "--store", &store]).is_err());
     assert!(run(&["sweep", "diff", &a, &junk]).is_err());
-    assert!(run(&["serve", "--addr", "not-an-address"]).is_err());
+    let err = run(&["serve"]).expect_err("serve is gone");
+    assert!(err.starts_with("unknown command \"serve\""), "{err}");
+}
+
+/// SIGTERM delivered to a real `sweep run` process cancels it between
+/// cells: it exits 1 and points at `sweep resume`, which then answers
+/// the finished cells from the cache and renders the same table as an
+/// uninterrupted run.
+#[cfg(unix)]
+#[test]
+fn sweep_run_cancels_on_sigterm_and_resumes_identically() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let dir = Scratch::new("sigterm");
+    let trace = dir.path("gen.lpt");
+    let spec = dir.path("grid.json");
+    let store = dir.path("store");
+    // Big enough that the nine cells still queued when the signal is
+    // sent take about ten seconds in a debug build (a third of a second
+    // in release), far longer than spawning `kill`: the child cannot
+    // finish the grid before SIGTERM lands.
+    run(&["gen", "--events", "200k", "-o", &trace]).expect("gen");
+    // 4 offline + 4 online + first-fit + bsd = 10 unique cells.
+    std::fs::write(
+        &spec,
+        format!(
+            r#"{{"schema": "lifepred-sweep-v1", "name": "sigterm-grid",
+                "traces": [{trace:?}],
+                "backends": ["offline", "online", "firstfit", "bsd"],
+                "thresholds": [8192, 16384, 32768, 65536]}}"#
+        ),
+    )
+    .expect("write spec");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lifepred"))
+        .args([
+            "sweep", "run", "--jobs", "1", "--spec", &spec, "--store", &store,
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lifepred");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let n = stderr.read_line(&mut line).expect("read stderr");
+        assert!(n > 0, "sweep exited before computing a cell");
+        if line.starts_with("sweep: computed 1/") {
+            break;
+        }
+    }
+    let killed = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("spawn kill");
+    assert!(killed.success());
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut rest).expect("drain stderr");
+    let status = child.wait().expect("wait");
+    assert_eq!(status.code(), Some(1), "{rest}");
+    assert!(rest.contains("cancelled after"), "{rest}");
+    assert!(rest.contains("rerun `lifepred sweep resume`"), "{rest}");
+
+    let resumed = dir.path("resumed.txt");
+    // The table is the same at any --jobs; two workers halve the wait.
+    let out = run(&[
+        "sweep", "resume", "--jobs", "2", "--spec", &spec, "--store", &store, "--out", &resumed,
+    ])
+    .expect("resume");
+    let cached: usize = out
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" cached"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no cached count: {out}"));
+    assert!(cached > 0, "{out}");
+
+    let fresh = dir.path("fresh.txt");
+    let fresh_store = dir.path("fresh-store");
+    run(&[
+        "sweep",
+        "run",
+        "--jobs",
+        "2",
+        "--spec",
+        &spec,
+        "--store",
+        &fresh_store,
+        "--out",
+        &fresh,
+    ])
+    .expect("uninterrupted run");
+    assert_eq!(
+        std::fs::read(&resumed).expect("resumed table"),
+        std::fs::read(&fresh).expect("fresh table")
+    );
 }
 
 #[test]

@@ -32,7 +32,7 @@ const MAX_OBS_PER_OBJECT: u64 = 1024;
 ///     d.observe(48, 16); // lifetime 48 bytes, size 16
 /// }
 /// d.observe(1_000_000, 16); // one long-lived object
-/// assert_eq!(d.quantile_exact(0.5), 48);
+/// assert_eq!(d.quartiles_exact()[2], 48); // the median byte
 /// ```
 #[derive(Debug, Clone)]
 pub struct LifetimeDistribution {
@@ -78,35 +78,20 @@ impl LifetimeDistribution {
         self.total_bytes += u64::from(size);
     }
 
-    /// Number of objects observed.
-    pub fn objects(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Total bytes observed.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
     /// The P² (approximate) byte-weighted quantile, as the paper's
     /// Table 3 reports.
-    pub fn quantile_p2(&self, p: f64) -> u64 {
+    pub(crate) fn quantile_p2(&self, p: f64) -> u64 {
         self.p2.quantile(p).round().max(0.0) as u64
     }
 
-    /// The exact byte-weighted quantile: the smallest lifetime `L`
-    /// such that at least `p` of all bytes belong to objects with
-    /// lifetime ≤ `L`. Returns 0 on an empty distribution.
+    /// The exact byte-weighted quantile of each of `ps`, from one sort
+    /// of the observations: the smallest lifetime `L` such that at
+    /// least `p` of all bytes belong to objects with lifetime ≤ `L`.
+    /// 0 on an empty distribution.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn quantile_exact(&self, p: f64) -> u64 {
-        self.quantiles_exact([p])[0]
-    }
-
-    /// [`quantile_exact`](Self::quantile_exact) of each of `ps`, from
-    /// one sort of the observations.
+    /// Panics if a `p` is outside `[0, 1]`.
     fn quantiles_exact<const N: usize>(&self, ps: [f64; N]) -> [u64; N] {
         // (lifetime, bytes of this and every shorter-lived object)
         let mut cumulative = self.pairs.clone();
@@ -159,8 +144,7 @@ mod tests {
         }
         d.observe(1000, 900);
         // Only 10% of bytes live ≤ 10; the median byte lives 1000.
-        assert_eq!(d.quantile_exact(0.05), 10);
-        assert_eq!(d.quantile_exact(0.5), 1000);
+        assert_eq!(d.quantiles_exact([0.05, 0.5]), [10, 1000]);
     }
 
     #[test]
@@ -169,7 +153,7 @@ mod tests {
         for i in 0..5000u64 {
             d.observe(i % 1000, 64);
         }
-        let exact = d.quantile_exact(0.5);
+        let [exact] = d.quantiles_exact([0.5]);
         let approx = d.quantile_p2(0.5);
         assert!(
             (approx as i64 - exact as i64).abs() < 100,
@@ -180,9 +164,8 @@ mod tests {
     #[test]
     fn empty_distribution() {
         let d = LifetimeDistribution::new();
-        assert_eq!(d.quantile_exact(0.5), 0);
-        assert_eq!(d.objects(), 0);
-        assert_eq!(d.total_bytes(), 0);
+        assert_eq!(d.quantiles_exact([0.5]), [0]);
+        assert_eq!(d.quartiles_p2(), [0; 5]);
     }
 
     #[test]

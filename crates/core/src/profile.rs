@@ -43,12 +43,12 @@ impl SiteStats {
 
     /// Returns `true` if every object observed at this site was
     /// short-lived under `threshold` — the paper's admission rule.
-    pub fn all_short(&self, threshold: u64) -> bool {
+    pub(crate) fn all_short(&self, threshold: u64) -> bool {
         self.objects > 0 && self.max_lifetime < threshold
     }
 
     /// Fraction of this site's bytes that were long-lived, in `[0, 1]`.
-    pub fn long_byte_fraction(&self) -> f64 {
+    pub(crate) fn long_byte_fraction(&self) -> f64 {
         if self.bytes == 0 {
             0.0
         } else {
@@ -173,12 +173,12 @@ impl Profile {
     }
 
     /// The site configuration the profile was built under.
-    pub fn config(&self) -> &SiteConfig {
+    pub(crate) fn config(&self) -> &SiteConfig {
         &self.config
     }
 
     /// The short-lived threshold in bytes.
-    pub fn threshold(&self) -> u64 {
+    pub(crate) fn threshold(&self) -> u64 {
         self.threshold
     }
 

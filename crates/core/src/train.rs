@@ -100,7 +100,7 @@ impl ShortLivedSet {
     }
 
     /// Iterates over the admitted sites.
-    pub fn iter(&self) -> impl Iterator<Item = &SiteKey> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SiteKey> {
         self.sites.iter()
     }
 

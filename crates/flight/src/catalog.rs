@@ -10,7 +10,7 @@
 /// Static description of one event id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventDesc {
-    /// The id instrumented code passes to `span`/`instant`/`counter`.
+    /// The id instrumented code passes to `span`/`instant`.
     pub id: u16,
     /// Dotted display name (`subsystem.event`), stable across releases
     /// — the Chrome-trace golden pins these strings.
@@ -58,12 +58,6 @@ pub const SWEEP_CACHE_HIT: u16 = 0x0305;
 /// `sweep`: a cell missed the result store and must compute (instant).
 pub const SWEEP_CACHE_MISS: u16 = 0x0306;
 
-/// `serve`: one HTTP request, accept to response (span).
-pub const SERVE_REQUEST: u16 = 0x0401;
-/// `serve`: a `GET /trace` snapshot was taken (instant; `arg` =
-/// events in the snapshot).
-pub const SERVE_TRACE_SNAPSHOT: u16 = 0x0402;
-
 /// `cli`: one native workload run (span; `arg` = workload ordinal).
 pub const CLI_WORKLOAD: u16 = 0x0501;
 
@@ -75,7 +69,7 @@ pub const TRACEFILE_MAP_VERIFY: u16 = 0x0601;
 pub const TRACEFILE_GEN_SECTION: u16 = 0x0602;
 
 /// The full catalogue, sorted by id.
-pub const CATALOG: &[EventDesc] = &[
+pub(crate) const CATALOG: &[EventDesc] = &[
     EventDesc {
         id: GALLOC_MAG_REFILL,
         name: "galloc.mag_refill",
@@ -157,16 +151,6 @@ pub const CATALOG: &[EventDesc] = &[
         cat: "sweep",
     },
     EventDesc {
-        id: SERVE_REQUEST,
-        name: "serve.request",
-        cat: "serve",
-    },
-    EventDesc {
-        id: SERVE_TRACE_SNAPSHOT,
-        name: "serve.trace_snapshot",
-        cat: "serve",
-    },
-    EventDesc {
         id: CLI_WORKLOAD,
         name: "cli.workload",
         cat: "cli",
@@ -184,7 +168,7 @@ pub const CATALOG: &[EventDesc] = &[
 ];
 
 /// Resolves an id to its catalogue row, if it has one.
-pub fn lookup(id: u16) -> Option<&'static EventDesc> {
+pub(crate) fn lookup(id: u16) -> Option<&'static EventDesc> {
     CATALOG
         .binary_search_by_key(&id, |d| d.id)
         .ok()
@@ -193,7 +177,7 @@ pub fn lookup(id: u16) -> Option<&'static EventDesc> {
 
 /// Display name for an id; unknown ids render as `unknown.0xNNNN` so a
 /// stale trace never panics an exporter.
-pub fn name_of(id: u16) -> std::borrow::Cow<'static, str> {
+pub(crate) fn name_of(id: u16) -> std::borrow::Cow<'static, str> {
     match lookup(id) {
         Some(d) => std::borrow::Cow::Borrowed(d.name),
         None => std::borrow::Cow::Owned(format!("unknown.0x{id:04x}")),
@@ -201,7 +185,7 @@ pub fn name_of(id: u16) -> std::borrow::Cow<'static, str> {
 }
 
 /// Category for an id (`"unknown"` when uncatalogued).
-pub fn cat_of(id: u16) -> &'static str {
+pub(crate) fn cat_of(id: u16) -> &'static str {
     lookup(id).map_or("unknown", |d| d.cat)
 }
 

@@ -1,8 +1,8 @@
 //! Chrome Trace Event export (Perfetto-loadable).
 //!
 //! Produces the JSON object form of the [Trace Event Format]: a
-//! `traceEvents` array of `B`/`E` span pairs, `i` instants, `C`
-//! counters and `M` metadata records. `chrome://tracing` and
+//! `traceEvents` array of `B`/`E` span pairs, `i` instants and `M`
+//! metadata records. `chrome://tracing` and
 //! [ui.perfetto.dev](https://ui.perfetto.dev) both open it directly.
 //!
 //! The output is deterministic for a given event slice — one event
@@ -54,10 +54,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 "{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"i\", \"s\": \"t\", \
                  \"pid\": {PID}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"arg\": {arg}}}}}"
             ),
-            EventKind::Counter => format!(
-                "{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"C\", \"pid\": {PID}, \
-                 \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"value\": {arg}}}}}"
-            ),
         });
     }
     format!(
@@ -93,24 +89,15 @@ mod tests {
         let events = [
             ev(EventKind::SpanBegin, catalog::SWEEP_JOB, 1_500, 1, 3),
             ev(EventKind::Instant, catalog::SWEEP_STEAL, 2_000, 2, 1),
-            ev(
-                EventKind::Counter,
-                catalog::SERVE_TRACE_SNAPSHOT,
-                2_500,
-                1,
-                88,
-            ),
             ev(EventKind::SpanEnd, catalog::SWEEP_JOB, 9_000, 1, 0),
         ];
         let json = chrome_trace_json(&events);
         assert!(json.contains("\"ph\": \"B\""));
         assert!(json.contains("\"ph\": \"E\""));
         assert!(json.contains("\"ph\": \"i\""));
-        assert!(json.contains("\"ph\": \"C\""));
         assert!(json.contains("\"name\": \"sweep.job\""));
         assert!(json.contains("\"ts\": 1.500"));
         assert!(json.contains("\"ts\": 9.000"));
-        assert!(json.contains("\"value\": 88"));
         assert!(json.contains("\"name\": \"thread-2\""));
         // Balanced structure: as many opens as closes.
         assert_eq!(

@@ -11,8 +11,6 @@ pub enum EventKind {
     SpanEnd = 1,
     /// A point-in-time marker.
     Instant = 2,
-    /// A sampled counter value (`arg` carries the sample).
-    Counter = 3,
 }
 
 /// One flight-recorder event: 24 bytes, `Copy`, no heap pointers.
@@ -25,7 +23,7 @@ pub enum EventKind {
 pub struct Event {
     /// Monotonic nanoseconds since the recorder's process-local epoch.
     pub ts_ns: u64,
-    /// Kind-specific payload: counter sample, instant argument, or 0.
+    /// Kind-specific payload: span or instant argument, or 0.
     pub arg: u64,
     /// Static event id from the compile-time [catalogue](crate::catalog).
     pub id: u16,

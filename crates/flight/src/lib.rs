@@ -3,7 +3,7 @@
 //!
 //! The metrics layer (`lifepred-obs`) answers *how much*; this crate
 //! answers *when* and *why*: per-thread lock-free rings of fixed-size
-//! binary events — span begin/end, instants, counter samples — with
+//! binary events — span begin/end and instants — with
 //! monotonic timestamps, drained without stopping writers and exported
 //! as Chrome Trace Event JSON (Perfetto-loadable) or a deterministic
 //! text summary.
@@ -11,7 +11,7 @@
 //! # The `flight` feature
 //!
 //! Event *capture* is compiled out by default. Without the feature,
-//! [`span`], [`instant`] and [`counter`] are empty `#[inline]`
+//! [`span`] and [`instant`] are empty `#[inline]`
 //! functions and [`Span`] is a zero-sized guard with no `Drop` — an
 //! instrumented hot path costs nothing (the paired bench in
 //! `bench/benches/flight.rs` holds this to ≤ 0.5 %). With the feature,
@@ -60,7 +60,6 @@ mod recorder;
 #[cfg(feature = "flight")]
 mod ring;
 
-pub use catalog::{cat_of, lookup, name_of, EventDesc, CATALOG};
 pub use event::{Event, EventKind};
 
 /// `true` when this build can capture events (the `flight` feature).
@@ -68,7 +67,7 @@ pub const COMPILED: bool = cfg!(feature = "flight");
 
 #[cfg(feature = "flight")]
 pub use recorder::{
-    drain, dropped_events, recording, ring_capacity, set_recording, DEFAULT_RING_EVENTS, RING_ENV,
+    drain, dropped_events, ring_capacity, set_recording, DEFAULT_RING_EVENTS, RING_ENV,
 };
 
 /// RAII span guard: emits `SpanEnd` for its id when dropped. Created
@@ -112,13 +111,6 @@ pub fn instant(id: u16, arg: u64) {
     recorder::emit(EventKind::Instant, id, arg);
 }
 
-/// Records a counter sample.
-#[cfg(feature = "flight")]
-#[inline]
-pub fn counter(id: u16, value: u64) {
-    recorder::emit(EventKind::Counter, id, value);
-}
-
 // --- compiled-out stubs -------------------------------------------------
 //
 // Same API, zero cost: every function is an empty `#[inline]` body and
@@ -149,18 +141,6 @@ pub fn span_arg(_id: u16, _arg: u64) -> Span {
 #[cfg(not(feature = "flight"))]
 #[inline(always)]
 pub fn instant(_id: u16, _arg: u64) {}
-
-/// Records a counter sample (compiled-out stub).
-#[cfg(not(feature = "flight"))]
-#[inline(always)]
-pub fn counter(_id: u16, _value: u64) {}
-
-/// Is recording on? (compiled-out stub: always `false`).
-#[cfg(not(feature = "flight"))]
-#[inline(always)]
-pub fn recording() -> bool {
-    false
-}
 
 /// Turns recording on/off (compiled-out stub: ignored).
 #[cfg(not(feature = "flight"))]
@@ -207,13 +187,11 @@ mod tests {
         {
             let _guard = span(catalog::SWEEP_JOB);
             instant(catalog::SWEEP_STEAL, 1);
-            counter(catalog::SERVE_TRACE_SNAPSHOT, 2);
         }
         if !COMPILED {
-            assert!(!recording());
             set_recording(true);
-            assert!(!recording(), "stub recording can never turn on");
-            assert!(drain().is_empty());
+            instant(catalog::SWEEP_STEAL, 2);
+            assert!(drain().is_empty(), "stub recording can never turn on");
             assert_eq!(dropped_events(), 0);
             assert_eq!(ring_capacity(), 0);
             assert_eq!(std::mem::size_of::<Span>(), 0);

@@ -66,7 +66,7 @@ pub fn now_ns() -> u64 {
 
 /// Is recording currently on?
 #[inline]
-pub fn recording() -> bool {
+pub(crate) fn recording() -> bool {
     RECORDING.load(Ordering::Acquire)
 }
 

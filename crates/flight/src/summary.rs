@@ -3,8 +3,8 @@
 //! Pairs `SpanBegin`/`SpanEnd` events per thread (innermost-first, the
 //! way the RAII guards nest), attributes each span's duration to its
 //! event id, and subtracts child time to get *self* time — the number
-//! that says where the wall clock actually went. Instants and
-//! counters get occurrence counts.
+//! that says where the wall clock actually went. Instants get
+//! occurrence counts.
 
 use crate::catalog::name_of;
 use crate::event::{Event, EventKind};
@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// Aggregated timing for one span id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanStat {
+pub(crate) struct SpanStat {
     /// Completed (or force-closed at trace end) spans.
     pub count: u64,
     /// Wall nanoseconds inside the span, children included.
@@ -27,7 +27,7 @@ pub struct SpanStat {
 /// thread (intervening unmatched spans are closed at the same
 /// timestamp, keeping totals conservative). Spans still open when the
 /// events run out are closed at the last timestamp seen.
-pub fn span_stats(events: &[Event]) -> BTreeMap<u16, SpanStat> {
+pub(crate) fn span_stats(events: &[Event]) -> BTreeMap<u16, SpanStat> {
     let mut stats: BTreeMap<u16, SpanStat> = BTreeMap::new();
     // Per-thread stack of (id, begin_ts, child_ns).
     let mut stacks: BTreeMap<u32, Vec<(u16, u64, u64)>> = BTreeMap::new();
@@ -58,7 +58,7 @@ pub fn span_stats(events: &[Event]) -> BTreeMap<u16, SpanStat> {
                     close(stack, &mut stats, e.ts_ns);
                 }
             }
-            EventKind::Instant | EventKind::Counter => {}
+            EventKind::Instant => {}
         }
     }
     for stack in stacks.values_mut() {
@@ -70,7 +70,7 @@ pub fn span_stats(events: &[Event]) -> BTreeMap<u16, SpanStat> {
 }
 
 /// Renders the full deterministic text summary: span table sorted by
-/// total time (descending, ties by name), then instant/counter counts.
+/// total time (descending, ties by name), then instant counts.
 pub fn render_summary(events: &[Event]) -> String {
     let stats = span_stats(events);
     let mut rows: Vec<(String, SpanStat)> = stats
@@ -96,7 +96,7 @@ pub fn render_summary(events: &[Event]) -> String {
 
     let mut marks: BTreeMap<String, u64> = BTreeMap::new();
     for e in events {
-        if matches!(e.kind, EventKind::Instant | EventKind::Counter) {
+        if e.kind == EventKind::Instant {
             *marks.entry(name_of(e.id).into_owned()).or_default() += 1;
         }
     }
@@ -166,11 +166,11 @@ mod tests {
     #[test]
     fn unclosed_spans_close_at_trace_end() {
         let events = [
-            ev(EventKind::SpanBegin, catalog::SERVE_REQUEST, 10, 1),
+            ev(EventKind::SpanBegin, catalog::SWEEP_PARK, 10, 1),
             ev(EventKind::Instant, catalog::SWEEP_STEAL, 500, 1),
         ];
         let stats = span_stats(&events);
-        assert_eq!(stats[&catalog::SERVE_REQUEST].total_ns, 490);
+        assert_eq!(stats[&catalog::SWEEP_PARK].total_ns, 490);
     }
 
     #[test]

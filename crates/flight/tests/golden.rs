@@ -3,7 +3,7 @@
 //!
 //! A synthetic event sequence with fixed timestamps — covering every
 //! event kind and at least one catalogue id per instrumented subsystem
-//! (galloc, replay, sweep, serve, CLI) — renders to Chrome Trace Event
+//! (galloc, replay, sweep, CLI) — renders to Chrome Trace Event
 //! JSON and to the text summary and is diffed against
 //! `tests/golden/trace.{json,txt}`. Renaming a catalogue entry,
 //! changing a category, or perturbing either renderer's key order,
@@ -29,8 +29,8 @@ fn ev(kind: EventKind, id: u16, ts_ns: u64, tid: u32, arg: u64) -> Event {
     }
 }
 
-/// The pinned scenario: two threads, nested and sibling spans, an
-/// instant, a counter, and sub-microsecond timestamps that exercise
+/// The pinned scenario: two threads, nested and sibling spans,
+/// instants, and sub-microsecond timestamps that exercise
 /// the exact three-decimal rendering.
 fn canonical_events() -> Vec<Event> {
     vec![
@@ -55,15 +55,8 @@ fn canonical_events() -> Vec<Event> {
         ev(EventKind::SpanBegin, catalog::REPLAY_DECODE, 3_500, 2, 0),
         ev(EventKind::SpanEnd, catalog::REPLAY_DECODE, 10_000, 2, 0),
         ev(EventKind::SpanEnd, catalog::SWEEP_JOB, 12_345, 2, 0),
-        ev(EventKind::SpanBegin, catalog::SERVE_REQUEST, 20_000, 1, 0),
-        ev(
-            EventKind::Counter,
-            catalog::SERVE_TRACE_SNAPSHOT,
-            21_000,
-            1,
-            88,
-        ),
-        ev(EventKind::SpanEnd, catalog::SERVE_REQUEST, 33_003, 1, 0),
+        ev(EventKind::SpanBegin, catalog::SWEEP_PARK, 20_000, 1, 0),
+        ev(EventKind::SpanEnd, catalog::SWEEP_PARK, 33_003, 1, 0),
         ev(EventKind::SpanEnd, catalog::CLI_WORKLOAD, 40_000, 1, 0),
     ]
 }

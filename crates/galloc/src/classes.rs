@@ -9,13 +9,13 @@
 //! [`class_for`]).
 
 /// Number of size classes.
-pub const NUM_CLASSES: usize = 16;
+pub(crate) const NUM_CLASSES: usize = 16;
 
 /// Largest size (bytes) served by the size-class path.
 pub const SMALL_MAX: usize = 2048;
 
 /// Block size of each class, ascending.
-pub const CLASS_SIZES: [usize; NUM_CLASSES] = [
+pub(crate) const CLASS_SIZES: [usize; NUM_CLASSES] = [
     8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048,
 ];
 
@@ -42,7 +42,7 @@ static LOOKUP: [u8; LOOKUP_LEN] = build_lookup();
 /// The smallest class whose block size is `>= size`, or `None` when
 /// `size > SMALL_MAX`. Zero-sized requests map to class 0.
 #[inline]
-pub fn class_for_size(size: usize) -> Option<usize> {
+pub(crate) fn class_for_size(size: usize) -> Option<usize> {
     if size > SMALL_MAX {
         return None;
     }
@@ -63,7 +63,7 @@ pub fn class_for_size(size: usize) -> Option<usize> {
 /// `3·2^(k-1)` midpoint (that midpoint only beats a power of two for
 /// sizes that are not multiples of `align`).
 #[inline]
-pub fn class_for(size: usize, align: usize) -> Option<usize> {
+pub(crate) fn class_for(size: usize, align: usize) -> Option<usize> {
     if align <= 8 {
         return class_for_size(size);
     }

@@ -7,13 +7,13 @@ use lifepred_adaptive::EpochConfig;
 
 /// Environment variable overriding the galloc geometry, as
 /// `shards,segs_per_shard` (both powers of two).
-pub const GALLOC_ENV: &str = "LIFEPRED_GALLOC";
+pub(crate) const GALLOC_ENV: &str = "LIFEPRED_GALLOC";
 
 /// Bytes per segment (the unit of carving and short-lived reclaim).
-pub const SEG_SIZE: usize = 64 * 1024;
+pub(crate) const SEG_SIZE: usize = 64 * 1024;
 
 /// `log2(SEG_SIZE)`.
-pub const SEG_SHIFT: u32 = 16;
+pub(crate) const SEG_SHIFT: u32 = 16;
 
 /// Geometry and prediction tuning for [`crate::LifepredGlobal`].
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +62,7 @@ impl GallocConfig {
     ///
     /// Returns a message naming the offending field when the spec is
     /// malformed.
-    pub fn parse_spec(spec: &str) -> Result<Self, String> {
+    pub(crate) fn parse_spec(spec: &str) -> Result<Self, String> {
         let (shards, segs) = spec
             .split_once(',')
             .ok_or_else(|| format!("{GALLOC_ENV}: expected shards,segs_per_shard, got {spec:?}"))?;
@@ -90,7 +90,7 @@ impl GallocConfig {
     /// Returns the [`GallocConfig::parse_spec`] message when the
     /// variable is set but malformed, and a dedicated message when it
     /// is set but not valid Unicode (never a silent default).
-    pub fn from_env() -> Result<Option<Self>, String> {
+    pub(crate) fn from_env() -> Result<Option<Self>, String> {
         match std::env::var(GALLOC_ENV) {
             Ok(spec) => GallocConfig::parse_spec(&spec).map(Some),
             Err(std::env::VarError::NotPresent) => Ok(None),
@@ -107,7 +107,7 @@ impl GallocConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.shards.is_power_of_two() || self.shards > 256 {
             return Err(format!(
                 "{GALLOC_ENV}: shard count must be a power of two in 1..=256, got {}",
@@ -139,22 +139,8 @@ impl GallocConfig {
         self.epoch.validate()
     }
 
-    /// The startup geometry: the [`GALLOC_ENV`] override when set,
-    /// hardware-sized defaults otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but malformed — a misconfigured
-    /// allocator should fail loudly at startup, not run with silently
-    /// substituted geometry.
-    pub fn startup() -> Self {
-        GallocConfig::from_env()
-            .expect("malformed LIFEPRED_GALLOC")
-            .unwrap_or_default()
-    }
-
     /// Total reserved bytes.
-    pub fn area_len(&self) -> usize {
+    pub(crate) fn area_len(&self) -> usize {
         self.shards * self.segs_per_shard * SEG_SIZE
     }
 }

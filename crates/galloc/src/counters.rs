@@ -9,16 +9,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! gcounters {
-    ($(#[$structmeta:meta])* pub struct $name:ident / $snap:ident {
+    ($(#[$structmeta:meta])* $vis:vis struct $name:ident / $snap:ident {
         $($(#[$meta:meta])* pub $field:ident),* $(,)?
     }) => {
         $(#[$structmeta])*
         #[derive(Debug, Default)]
-        pub struct $name {
+        $vis struct $name {
             $($(#[$meta])* pub $field: AtomicU64,)*
         }
 
-        /// A plain-integer snapshot of [`GCounters`].
+        /// A plain-integer snapshot of the allocator's counters.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct $snap {
             $($(#[$meta])* pub $field: u64,)*
@@ -38,7 +38,7 @@ macro_rules! gcounters {
 
 gcounters! {
     /// The process-wide counter set for the global allocator.
-    pub struct GCounters / GallocStats {
+    pub(crate) struct GCounters / GallocStats {
         /// Small allocations served by the size-class path.
         pub small_allocs,
         /// Small allocations that needed a shard lock (magazine
@@ -170,7 +170,7 @@ impl GallocStats {
 /// flushes and thread exit so the hot path never touches a shared
 /// cache line.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TlsCounters {
+pub(crate) struct TlsCounters {
     /// Mirrors [`GCounters::small_allocs`].
     pub small_allocs: u64,
     /// Mirrors [`GCounters::lock_allocs`].

@@ -49,15 +49,15 @@
 
 #![warn(missing_docs)]
 
-pub mod classes;
-pub mod config;
-pub mod counters;
+mod classes;
+mod config;
+mod counters;
 mod feedback;
 mod inner;
 mod site;
 mod tls;
 
-pub use config::{GallocConfig, GALLOC_ENV, SEG_SIZE};
+pub use config::GallocConfig;
 pub use counters::GallocStats;
 pub use lifepred_adaptive::LearnerStats;
 
@@ -86,21 +86,21 @@ pub(crate) fn active_inner() -> Option<&'static inner::Inner> {
 
 /// Builds the allocator core and switches [`LifepredGlobal`] from
 /// system passthrough to the size-class path. Geometry comes from
-/// [`GALLOC_ENV`] when set, hardware-sized defaults otherwise.
+/// `LIFEPRED_GALLOC` when set, hardware-sized defaults otherwise.
 ///
 /// Returns `Ok(true)` when this call performed the activation and
 /// `Ok(false)` when the allocator was already active.
 ///
 /// # Errors
 ///
-/// Returns a message when [`GALLOC_ENV`] is set but malformed, or
+/// Returns a message when `LIFEPRED_GALLOC` is set but malformed, or
 /// when the area reservation fails. A failed activation leaves the
 /// allocator in passthrough mode.
 pub fn activate() -> Result<bool, String> {
     activate_with(GallocConfig::from_env()?.unwrap_or_default())
 }
 
-/// [`activate`] with an explicit geometry (ignoring [`GALLOC_ENV`]).
+/// [`activate`] with an explicit geometry (ignoring `LIFEPRED_GALLOC`).
 ///
 /// # Errors
 ///

@@ -129,7 +129,7 @@ impl ArenaAllocator {
     }
 
     /// The geometry in use.
-    pub fn config(&self) -> &ArenaConfig {
+    pub(crate) fn config(&self) -> &ArenaConfig {
         &self.config
     }
 
@@ -193,19 +193,19 @@ impl ArenaAllocator {
     /// High-water heap size: the general heap's high-water mark plus
     /// the whole arena area (Table 8 "include the 64-kilobyte arena
     /// area in the total").
-    pub fn max_heap_bytes(&self) -> u64 {
+    pub(crate) fn max_heap_bytes(&self) -> u64 {
         self.fallback
             .max_heap_bytes()
             .saturating_add(self.config.total_bytes())
     }
 
     /// Merged operation counters (arena side + general heap).
-    pub fn counts(&self) -> OpCounts {
+    pub(crate) fn counts(&self) -> OpCounts {
         self.counts.merged(self.fallback.counts())
     }
 
     /// The embedded general heap.
-    pub fn general_heap(&self) -> &FirstFit {
+    pub(crate) fn general_heap(&self) -> &FirstFit {
         &self.fallback
     }
 
@@ -217,7 +217,7 @@ impl ArenaAllocator {
     /// Bytes currently consumed by arena bump pointers (dead objects
     /// included until their arena resets) — the numerator of arena-area
     /// utilization.
-    pub fn arena_used_bytes(&self) -> u64 {
+    pub(crate) fn arena_used_bytes(&self) -> u64 {
         self.arenas.iter().map(|a| u64::from(a.used)).sum()
     }
 

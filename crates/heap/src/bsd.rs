@@ -105,12 +105,12 @@ impl BsdMalloc {
     }
 
     /// High-water heap extent in bytes.
-    pub fn max_heap_bytes(&self) -> u64 {
+    pub(crate) fn max_heap_bytes(&self) -> u64 {
         self.max_brk
     }
 
     /// Operation counters.
-    pub fn counts(&self) -> &OpCounts {
+    pub(crate) fn counts(&self) -> &OpCounts {
         &self.counts
     }
 

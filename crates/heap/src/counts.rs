@@ -42,7 +42,7 @@ pub struct OpCounts {
 impl OpCounts {
     /// Sums two count sets (used when an allocator embeds another,
     /// e.g. the arena allocator's first-fit fallback).
-    pub fn merged(&self, other: &OpCounts) -> OpCounts {
+    pub(crate) fn merged(&self, other: &OpCounts) -> OpCounts {
         OpCounts {
             allocs: self.allocs + other.allocs,
             frees: self.frees + other.frees,

@@ -85,7 +85,7 @@ impl FirstFit {
 
     /// Creates an empty heap based at `base` (used when another
     /// allocator owns a disjoint part of the address space).
-    pub fn with_base(base: u64) -> Self {
+    pub(crate) fn with_base(base: u64) -> Self {
         FirstFit {
             free: FreeTree::new(),
             allocated: HashMap::new(),
@@ -174,7 +174,7 @@ impl FirstFit {
 
     /// Work counters of the free-block tree (no linear-scan
     /// counterpart; exported as `lifepred_sim_*` metrics).
-    pub fn index_stats(&self) -> IndexStats {
+    pub(crate) fn index_stats(&self) -> IndexStats {
         self.free.stats()
     }
 

@@ -34,7 +34,7 @@ const NIL: u32 = u32::MAX;
 /// counterpart in the paper's linear scan and therefore live outside
 /// [`OpCounts`](crate::OpCounts)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexStats {
+pub(crate) struct IndexStats {
     /// Searches that found a fitting free block (every first-fit
     /// placement that did not require growing the heap).
     pub hits: u64,

@@ -60,12 +60,11 @@ pub use bsd::BsdMalloc;
 pub use costmodel::{arena_costs, bsd_costs, firstfit_costs, CostReport, PredictorKind};
 pub use counts::OpCounts;
 pub use firstfit::FirstFit;
-pub use index::IndexStats;
 pub use obs::ReplayObs;
 pub use replay::{
     prediction_bitmap, replay, replay_arena, replay_arena_online, replay_bsd, replay_firstfit,
     site_fingerprints, OnlineReplayReport, ReplayConfig, ReplayMeta, ReplayPlan, ReplayReport,
-    ReplayStreamError, Replayed,
+    ReplayStreamError,
 };
 // Linked only by the frozen `benchmark/src/layers.rs`; see `replay.rs`.
 #[doc(hidden)]

@@ -309,7 +309,7 @@ impl SimHeap for ArenaAllocator {
 
 /// What a replay returns: the allocator-level report, plus the
 /// learner's counters when the plan had a learner in the loop.
-pub type Replayed = (ReplayReport, Option<LearnerStats>);
+pub(crate) type Replayed = (ReplayReport, Option<LearnerStats>);
 
 /// Replays the event batches of `source` through the allocator `plan`
 /// names. With `Some(obs)` every event is additionally recorded into

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Number of counter cells. A small power of two: enough to separate
 /// the handful of threads an allocator shard set serves, cheap enough
 /// to sum on every read.
-pub const COUNTER_CELLS: usize = 16;
+pub(crate) const COUNTER_CELLS: usize = 16;
 
 /// Monotonic thread numbering for cell assignment (same scheme as
 /// galloc's home-shard assignment, but private to the metrics layer so
@@ -67,7 +67,7 @@ struct Cell {
 /// use lifepred_obs::Counter;
 ///
 /// let c = Counter::new();
-/// c.inc();
+/// c.add(1);
 /// c.add(41);
 /// assert_eq!(c.get(), 42);
 /// ```
@@ -82,12 +82,6 @@ impl Counter {
         Counter {
             cells: (0..COUNTER_CELLS).map(|_| Cell::default()).collect(),
         }
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     /// Adds `n`.
@@ -113,12 +107,11 @@ impl Default for Counter {
     }
 }
 
-/// A point-in-time value that can move both ways.
+/// A point-in-time value, replaced wholesale at export time.
 ///
 /// `set` publishes with `Release` (it is an export-time operation, not
-/// a fast-path one); [`Gauge::add`] and [`Gauge::sub`] are Relaxed
-/// fast-path updates for live-object style gauges. Unlike [`Counter`]
-/// a gauge is a single cell: set semantics cannot shard.
+/// a fast-path one). Unlike [`Counter`] a gauge is a single cell: set
+/// semantics cannot shard.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct Gauge {
@@ -127,27 +120,13 @@ pub struct Gauge {
 
 impl Gauge {
     /// Creates a zeroed gauge.
-    pub fn new() -> Gauge {
+    pub(crate) fn new() -> Gauge {
         Gauge::default()
     }
 
     /// Replaces the value (export-time path).
     pub fn set(&self, v: u64) {
         self.level.store(v, Ordering::Release);
-    }
-
-    /// Adds `n` (fast path).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.level.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n`, saturating at zero on concurrent underflow is
-    /// *not* attempted: callers pair `sub` with an earlier `add` for
-    /// the same quantity, so the level cannot go negative.
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        self.level.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -164,7 +143,7 @@ mod tests {
     fn counter_counts() {
         let c = Counter::new();
         assert_eq!(c.get(), 0);
-        c.inc();
+        c.add(1);
         c.add(9);
         assert_eq!(c.get(), 10);
     }
@@ -176,7 +155,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        c.inc();
+                        c.add(1);
                     }
                 });
             }
@@ -185,11 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn gauge_moves_both_ways() {
+    fn gauge_holds_the_last_set() {
         let g = Gauge::new();
         g.set(10);
-        g.add(5);
-        g.sub(3);
+        g.set(12);
         assert_eq!(g.get(), 12);
     }
 }

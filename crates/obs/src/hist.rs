@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets in every [`LogHistogram`].
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// Sharding factor: rows of buckets, one per thread slot. Smaller than
 /// [`COUNTER_CELLS`](crate::COUNTER_CELLS) because a histogram row is
@@ -25,7 +25,7 @@ const HIST_SHARDS: usize = 8;
 
 /// The bucket a value falls into.
 #[inline]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -35,7 +35,7 @@ pub fn bucket_of(v: u64) -> usize {
 
 /// The inclusive upper bound of bucket `i`, or `None` for the overflow
 /// bucket (Prometheus `+Inf`).
-pub fn bucket_le(i: usize) -> Option<u64> {
+pub(crate) fn bucket_le(i: usize) -> Option<u64> {
     if i + 1 >= HIST_BUCKETS {
         None
     } else if i == 0 {
@@ -173,7 +173,8 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Largest observed value (0 when empty).
     pub max: u64,
-    /// Per-bucket observation counts (see [`bucket_of`]).
+    /// Per-bucket observation counts: bucket 0 holds 0, bucket `i`
+    /// holds `[2^(i-1), 2^i)`, and the last bucket everything above.
     pub buckets: [u64; HIST_BUCKETS],
 }
 
@@ -227,15 +228,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Arithmetic mean of the observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// An upper bound for the `q`-quantile (0 ≤ q ≤ 1): the inclusive
     /// upper bound of the bucket holding that rank, clamped to the
     /// observed maximum. Resolution is the bucket width (a factor of
@@ -253,11 +245,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// Whether any observation has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 }
 
@@ -305,7 +292,6 @@ mod tests {
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 5050);
         assert_eq!(s.max, 100);
-        assert!((s.mean() - 50.5).abs() < 1e-9);
     }
 
     #[test]

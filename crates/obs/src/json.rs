@@ -27,7 +27,7 @@ pub struct ParseError {
 
 impl ParseError {
     /// Builds an error at `pos`.
-    pub fn new(msg: impl Into<String>, pos: usize) -> ParseError {
+    pub(crate) fn new(msg: impl Into<String>, pos: usize) -> ParseError {
         ParseError {
             msg: msg.into(),
             pos,

@@ -43,18 +43,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counter;
-pub mod hist;
+mod counter;
+mod hist;
 pub mod json;
-pub mod registry;
-pub mod render;
-pub mod timeline;
-pub mod timer;
+mod registry;
+mod render;
+mod timeline;
+mod timer;
 
-pub use counter::{Counter, Gauge, COUNTER_CELLS};
-pub use hist::{bucket_le, bucket_of, HistogramSnapshot, LogHistogram, HIST_BUCKETS};
+pub use counter::{Counter, Gauge};
+pub use hist::{HistogramSnapshot, LogHistogram};
 pub use json::ParseError;
-pub use registry::{valid_name, Registry, Snapshot, MERGE_NAME_MISSES_METRIC};
-pub use render::JSON_SCHEMA;
+pub use registry::{Registry, Snapshot, MERGE_NAME_MISSES_METRIC};
 pub use timeline::{EpochSample, EpochTimeline, DEFAULT_TIMELINE_CAPACITY};
 pub use timer::{Timer, TIMING_ENABLED};

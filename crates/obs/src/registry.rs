@@ -28,7 +28,7 @@ use crate::timeline::{EpochSample, EpochTimeline};
 ///
 /// let reg = Registry::new();
 /// let allocs = reg.counter("demo_allocs_total");
-/// allocs.inc();
+/// allocs.add(1);
 /// // The same name returns the same underlying metric.
 /// reg.counter("demo_allocs_total").add(2);
 /// assert_eq!(reg.snapshot().counters[0].1, 3);
@@ -60,7 +60,7 @@ impl Metric {
 /// Whether `name` is a valid metric name: `[a-z_][a-z0-9_]*`, the
 /// intersection of Prometheus's metric-name grammar and what reads
 /// naturally in JSON keys.
-pub fn valid_name(name: &str) -> bool {
+pub(crate) fn valid_name(name: &str) -> bool {
     let mut chars = name.chars();
     let Some(first) = chars.next() else {
         return false;
@@ -73,12 +73,6 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// Creates an empty registry behind an `Arc`, the shape every
-    /// wired component stores.
-    pub fn shared() -> Arc<Registry> {
-        Arc::new(Registry::new())
     }
 
     fn get_or_insert<T>(
@@ -175,12 +169,6 @@ impl Registry {
         )
     }
 
-    /// All registered names with their kinds, sorted by name.
-    pub fn names(&self) -> Vec<(String, &'static str)> {
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
-        metrics.iter().map(|(n, m)| (n.clone(), m.kind())).collect()
-    }
-
     /// Reads every metric into a plain, renderable snapshot. Values
     /// are read per-metric while writers may be active, so the
     /// snapshot is consistent per metric, not across metrics — the
@@ -226,7 +214,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Whether the snapshot holds no metrics at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
@@ -388,8 +376,8 @@ mod tests {
     #[test]
     fn same_name_same_metric() {
         let reg = Registry::new();
-        reg.counter("a_total").inc();
-        reg.counter("a_total").inc();
+        reg.counter("a_total").add(1);
+        reg.counter("a_total").add(1);
         assert_eq!(reg.snapshot().counter("a_total"), Some(2));
     }
 
@@ -469,7 +457,7 @@ mod tests {
     #[test]
     fn merge_counts_misses_in_both_directions_and_every_kind() {
         let a = Registry::new();
-        a.counter("only_a_total").inc();
+        a.counter("only_a_total").add(1);
         a.histogram("h_shared").observe(1);
         let b = Registry::new();
         b.gauge("only_b_bytes").set(2);
@@ -486,10 +474,10 @@ mod tests {
     #[test]
     fn merge_miss_counter_does_not_count_itself() {
         let a = Registry::new();
-        a.counter("c_total").inc();
+        a.counter("c_total").add(1);
         let b = Registry::new();
-        b.counter("c_total").inc();
-        b.counter("d_total").inc();
+        b.counter("c_total").add(1);
+        b.counter("d_total").add(1);
         // First mismatched merge plants the warning counter…
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
@@ -506,7 +494,7 @@ mod tests {
         let reg = Registry::new();
         reg.gauge("z_gauge").set(7);
         reg.counter("b_total").add(3);
-        reg.counter("a_total").inc();
+        reg.counter("a_total").add(1);
         reg.histogram("h_bytes").observe(42);
         reg.timeline("t_epochs").push(EpochSample::default());
         let snap = reg.snapshot();
@@ -516,15 +504,5 @@ mod tests {
         assert_eq!(snap.histogram("h_bytes").map(|h| h.count), Some(1));
         assert_eq!(snap.timeline("t_epochs").map(<[EpochSample]>::len), Some(1));
         assert!(!snap.is_empty());
-        assert_eq!(
-            reg.names(),
-            vec![
-                ("a_total".to_string(), "counter"),
-                ("b_total".to_string(), "counter"),
-                ("h_bytes".to_string(), "histogram"),
-                ("t_epochs".to_string(), "timeline"),
-                ("z_gauge".to_string(), "gauge"),
-            ]
-        );
     }
 }

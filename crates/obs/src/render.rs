@@ -22,7 +22,7 @@ use crate::registry::Snapshot;
 use crate::timeline::EpochSample;
 
 /// Schema tag written into every JSON document.
-pub const JSON_SCHEMA: &str = "lifepred-metrics-v1";
+pub(crate) const JSON_SCHEMA: &str = "lifepred-metrics-v1";
 
 /// Formats an `f64` for JSON/Prometheus: shortest roundtrip form,
 /// never NaN/inf (clamped to 0, which no percentage field can

@@ -78,7 +78,7 @@ struct Ring {
 
 impl EpochTimeline {
     /// Creates a timeline with [`DEFAULT_TIMELINE_CAPACITY`].
-    pub fn new() -> EpochTimeline {
+    pub(crate) fn new() -> EpochTimeline {
         EpochTimeline::with_capacity(DEFAULT_TIMELINE_CAPACITY)
     }
 
@@ -111,28 +111,9 @@ impl EpochTimeline {
         ring.samples.iter().copied().collect()
     }
 
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("timeline lock poisoned")
-            .samples
-            .len()
-    }
-
-    /// Whether no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Samples evicted from the front since creation.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().expect("timeline lock poisoned").dropped
-    }
-
-    /// Maximum retained samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -163,7 +144,6 @@ mod tests {
         let got: Vec<u64> = t.samples().iter().map(|s| s.epoch).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert_eq!(t.dropped(), 0);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -175,7 +155,6 @@ mod tests {
         let got: Vec<u64> = t.samples().iter().map(|s| s.epoch).collect();
         assert_eq!(got, vec![7, 8, 9]);
         assert_eq!(t.dropped(), 7);
-        assert_eq!(t.capacity(), 3);
     }
 
     #[test]
@@ -183,7 +162,7 @@ mod tests {
         let t = EpochTimeline::with_capacity(0);
         t.push(sample(1));
         t.push(sample(2));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.samples()[0].epoch, 2);
+        let got: Vec<u64> = t.samples().iter().map(|s| s.epoch).collect();
+        assert_eq!(got, vec![2]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The default build compiles [`Timer`] down to a zero-sized no-op:
 //! `Timer::start()` returns a unit-like value and
-//! [`Timer::observe_ns`] discards it, so an allocator hot path can be
+//! [`Timer::elapsed_ns`] reads 0, so an allocator hot path can be
 //! written with timing *in place* and pay nothing unless the `timing`
 //! feature is enabled. The CLI turns the feature on (a `simulate` run
 //! wants the latency histogram); the bench and allocator builds leave
@@ -14,8 +14,6 @@
 #[cfg(feature = "timing")]
 use std::time::Instant;
 
-use crate::hist::LogHistogram;
-
 /// Whether this build measures time. Mirrors the `timing` feature so
 /// consumers can annotate output ("latency histogram disabled in this
 /// build") instead of printing an all-zero histogram unexplained.
@@ -26,12 +24,14 @@ pub const TIMING_ENABLED: bool = cfg!(feature = "timing");
 /// # Examples
 ///
 /// ```
-/// use lifepred_obs::{LogHistogram, Timer};
+/// use lifepred_obs::{LogHistogram, Timer, TIMING_ENABLED};
 ///
 /// let latency = LogHistogram::new();
 /// let t = Timer::start();
 /// // ... the operation being measured ...
-/// t.observe_ns(&latency);
+/// if TIMING_ENABLED {
+///     latency.observe(t.elapsed_ns());
+/// }
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Timer {
@@ -66,15 +66,6 @@ impl Timer {
             0
         }
     }
-
-    /// Records the elapsed nanoseconds into `hist` (no-op without the
-    /// `timing` feature — the histogram stays empty).
-    #[inline]
-    pub fn observe_ns(self, hist: &LogHistogram) {
-        if TIMING_ENABLED {
-            hist.observe(self.elapsed_ns());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -83,14 +74,12 @@ mod tests {
 
     #[test]
     fn timer_matches_feature() {
-        let hist = LogHistogram::new();
         let t = Timer::start();
-        t.observe_ns(&hist);
-        let snap = hist.snapshot();
+        std::thread::sleep(std::time::Duration::from_millis(1));
         if TIMING_ENABLED {
-            assert_eq!(snap.count, 1);
+            assert!(t.elapsed_ns() > 0);
         } else {
-            assert!(snap.is_empty());
+            assert_eq!(t.elapsed_ns(), 0);
             // The disabled timer must stay zero-sized: that is the
             // "zero cost by default" contract.
             assert_eq!(std::mem::size_of::<Timer>(), 0);

@@ -34,16 +34,6 @@ impl ExactQuantiles {
         self.sorted = false;
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if no observations have been fed.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Exact quantile `p` in `[0, 1]` (nearest-rank with interpolation
     /// matching the convention used by [`crate::P2Histogram`]).
     ///
@@ -113,6 +103,5 @@ mod tests {
     fn empty_reads_zero() {
         let mut e = ExactQuantiles::new();
         assert_eq!(e.quantile(0.5), 0.0);
-        assert!(e.is_empty());
     }
 }

@@ -57,11 +57,6 @@ impl P2Histogram {
         P2Histogram::new(4)
     }
 
-    /// Number of cells.
-    pub fn cells(&self) -> usize {
-        self.q.len() - 1
-    }
-
     /// Number of observations seen so far.
     pub fn count(&self) -> usize {
         self.count

@@ -54,11 +54,6 @@ impl P2Quantile {
         }
     }
 
-    /// The quantile this estimator tracks.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Number of observations seen so far.
     pub fn count(&self) -> usize {
         self.count
@@ -138,34 +133,6 @@ impl P2Quantile {
         }
         self.q[2]
     }
-
-    /// Smallest observation seen.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else if self.count < 5 {
-            self.init[..self.count]
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min)
-        } else {
-            self.q[0]
-        }
-    }
-
-    /// Largest observation seen.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else if self.count < 5 {
-            self.init[..self.count]
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
-        } else {
-            self.q[4]
-        }
-    }
 }
 
 /// Piecewise-parabolic marker height prediction (formula from the paper).
@@ -210,16 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max_exact() {
-        let mut q = P2Quantile::new(0.9);
-        for i in (0..100).rev() {
-            q.observe(i as f64 * 3.0);
-        }
-        assert_eq!(q.min(), 0.0);
-        assert_eq!(q.max(), 297.0);
-    }
-
-    #[test]
     fn few_observations_fall_back_to_sorted_prefix() {
         let mut q = P2Quantile::new(0.5);
         q.observe(10.0);
@@ -227,8 +184,6 @@ mod tests {
         q.observe(7.0);
         assert_eq!(q.estimate(), 7.0);
         assert_eq!(q.count(), 3);
-        assert_eq!(q.min(), 2.0);
-        assert_eq!(q.max(), 10.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::Instant;
 /// threshold) combination, plus the self-prediction quality the
 /// training trace showed (the sweep's "Error Bytes" column).
 #[derive(Debug)]
-pub struct TrainedDb {
+pub(crate) struct TrainedDb {
     /// The trained short-lived site set.
     pub db: ShortLivedSet,
     /// Self-prediction error bytes percentage from
@@ -35,7 +35,7 @@ pub struct TrainedDb {
 /// in arena geometry (or the ignored epoch axis) map to the same key
 /// and share one [`TrainedDb`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TrainKey {
+pub(crate) struct TrainKey {
     /// Trace file path.
     pub trace: String,
     /// Site policy.
@@ -69,7 +69,7 @@ fn file_err(path: &str, e: impl std::fmt::Display) -> String {
 /// # Errors
 ///
 /// Returns a message for an unreadable or corrupt trace file.
-pub fn train_for(key: &TrainKey) -> Result<TrainedDb, String> {
+pub(crate) fn train_for(key: &TrainKey) -> Result<TrainedDb, String> {
     let mapped = MappedTrace::open(&key.trace).map_err(|e| file_err(&key.trace, e))?;
     let sites = SiteConfig {
         policy: key.policy,
@@ -198,19 +198,16 @@ pub fn simulate_file(
 /// and folds the replay report into a [`CellResult`].
 ///
 /// `trained` must be `Some` exactly when the backend is
-/// [`Backend::Offline`]. With `want_metrics`, the metrics snapshot of
-/// the run is returned for the caller to merge (the serve endpoint's
-/// `lifepred_sim_*` feed).
+/// [`Backend::Offline`].
 ///
 /// # Errors
 ///
 /// Returns a message for a missing/corrupt trace file, an invalid
 /// event sequence, or a `trained`/backend mismatch.
-pub fn run_cell(
+pub(crate) fn run_cell(
     cell: &CellConfig,
     trained: Option<&TrainedDb>,
-    want_metrics: bool,
-) -> Result<(CellResult, Option<Snapshot>), String> {
+) -> Result<CellResult, String> {
     let started = Instant::now();
     let path = cell.trace.as_str();
     let backend = match (cell.backend, trained) {
@@ -236,9 +233,9 @@ pub fn run_cell(
         (Backend::FirstFit, None) => SimBackend::FirstFit,
         (Backend::Bsd, None) => SimBackend::Bsd,
     };
-    let sim = simulate_file(path, &backend, cell.arena, want_metrics)?;
+    let sim = simulate_file(path, &backend, cell.arena, false)?;
     let report = &sim.report;
-    let result = CellResult {
+    Ok(CellResult {
         program: report.program.clone(),
         total_allocs: report.total_allocs,
         total_bytes: report.total_bytes,
@@ -254,8 +251,7 @@ pub fn run_cell(
         },
         epochs: sim.learner.map_or(0, |l| l.epochs),
         elapsed_ms: started.elapsed().as_millis() as u64,
-    };
-    Ok((result, sim.metrics))
+    })
 }
 
 #[cfg(test)]
@@ -317,8 +313,7 @@ mod tests {
         let cell = cell_for(&path, Backend::Offline);
         let key = TrainKey::of(&cell).expect("offline trains");
         let trained = train_for(&key).expect("train");
-        let (result, metrics) = run_cell(&cell, Some(&trained), false).expect("run");
-        assert!(metrics.is_none());
+        let result = run_cell(&cell, Some(&trained)).expect("run");
         assert!(result.total_allocs > 0);
         assert!(
             result.short_alloc_pct > 50.0,
@@ -334,23 +329,18 @@ mod tests {
         let path = write_demo_trace("baseline");
         let cell = cell_for(&path, Backend::FirstFit);
         assert_eq!(TrainKey::of(&cell), None);
-        let (result, _) = run_cell(&cell, None, false).expect("run");
+        let result = run_cell(&cell, None).expect("run");
         assert_eq!(result.arena_allocs, 0);
         assert!(result.max_heap_bytes > 0);
         let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
     }
 
     #[test]
-    fn online_cell_reports_epochs_and_metrics() {
+    fn online_cell_reports_epochs() {
         let path = write_demo_trace("online");
         let mut cell = cell_for(&path, Backend::Online);
         cell.threshold = 4096; // small epochs so the learner ticks
-        let (result, metrics) = run_cell(&cell, None, true).expect("run");
-        let snap = metrics.expect("metrics requested");
-        assert_eq!(
-            snap.counter("lifepred_sim_allocs_total"),
-            Some(result.total_allocs)
-        );
+        let result = run_cell(&cell, None).expect("run");
         assert!(result.epochs > 0, "learner must tick: {result:?}");
         let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
     }
@@ -359,10 +349,10 @@ mod tests {
     fn mismatched_training_is_rejected() {
         let path = write_demo_trace("mismatch");
         let offline = cell_for(&path, Backend::Offline);
-        assert!(run_cell(&offline, None, false).is_err());
+        assert!(run_cell(&offline, None).is_err());
         let trained = train_for(&TrainKey::of(&offline).expect("key")).expect("train");
         let baseline = cell_for(&path, Backend::Bsd);
-        assert!(run_cell(&baseline, Some(&trained), false).is_err());
+        assert!(run_cell(&baseline, Some(&trained)).is_err());
         let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
     }
 }

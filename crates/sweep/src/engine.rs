@@ -29,7 +29,6 @@
 use crate::cell::{run_cell, train_for, TrainKey, TrainedDb};
 use crate::spec::{CellConfig, GridSpec};
 use crate::store::{cell_key, trace_identity, CellKey, CellResult, ResultStore};
-use lifepred_obs::Snapshot;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -37,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Cooperative cancellation: cloned into the scheduler and flipped by
-/// a signal handler, an HTTP DELETE, or a test.
+/// a signal handler ([`install_shutdown_handlers`]) or a test.
 #[derive(Debug, Clone, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 
@@ -53,26 +52,55 @@ impl CancelFlag {
     }
 
     /// Whether cancellation was requested.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
 
-/// Tuning for one [`run_sweep`] call.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Worker threads (clamped to at least 1).
-    pub threads: usize,
-    /// Record `lifepred_sim_*` metrics for every computed cell and
-    /// merge them into [`SweepOutcome::metrics`].
-    pub want_metrics: bool,
+/// The flag [`install_shutdown_handlers`] registered; read by the
+/// signal handler. `OnceLock::get` is a lock-free atomic load, so the
+/// handler never takes a lock.
+static SHUTDOWN_FLAG: std::sync::OnceLock<CancelFlag> = std::sync::OnceLock::new();
+
+#[cfg(unix)]
+extern "C" fn on_signal(_signum: i32) {
+    // Async-signal-safe: one atomic load (OnceLock::get on an
+    // already-initialized cell) and one atomic store (CancelFlag).
+    if let Some(flag) = SHUTDOWN_FLAG.get() {
+        flag.cancel();
+    }
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            threads: 1,
-            want_metrics: false,
+/// Registers `flag` to be cancelled on SIGINT (ctrl-c) or SIGTERM, so
+/// a running [`run_sweep`] stops between cells: everything finished is
+/// already persisted, and `sweep resume` picks up the rest.
+///
+/// Only the first registered flag wins; later calls do nothing. On
+/// non-Unix targets this is a no-op.
+pub fn install_shutdown_handlers(flag: &CancelFlag) {
+    if SHUTDOWN_FLAG.set(flag.clone()).is_err() {
+        return;
+    }
+    #[cfg(unix)]
+    {
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        extern "C" {
+            /// `signal(2)`. Declared here instead of pulling in a
+            /// bindings crate: the workspace is dependency-free and
+            /// this is the one libc call the sweep engine needs.
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        }
+        // SAFETY: `signal` is the C standard library's handler
+        // registration. The handler we install (`on_signal`) is an
+        // `extern "C" fn(i32)` matching the expected ABI, performs
+        // only async-signal-safe operations (two atomic accesses, no
+        // locks, no allocation), and lives for the whole program
+        // (a static item). SIGINT/SIGTERM are valid signal numbers on
+        // every Unix this crate targets.
+        unsafe {
+            signal(SIGINT, on_signal);
+            signal(SIGTERM, on_signal);
         }
     }
 }
@@ -118,15 +146,11 @@ pub struct SweepStats {
 pub struct SweepOutcome {
     /// The spec that ran.
     pub spec: GridSpec,
-    /// Per-cell outcomes, in grid order
-    /// ([`GridSpec::cells`] order — the table renderer's contract).
+    /// Per-cell outcomes, in grid order (trace → backend → policy →
+    /// threshold → epoch → arena — the table renderer's contract).
     pub outcomes: Vec<CellOutcome>,
     /// Aggregate accounting.
     pub stats: SweepStats,
-    /// Merged `lifepred_sim_*` metrics of every *computed* cell
-    /// (empty unless [`SweepOptions::want_metrics`]; cached cells
-    /// contribute nothing — their work was never re-done).
-    pub metrics: Snapshot,
 }
 
 /// One unique execution: a representative cell plus its key.
@@ -206,12 +230,12 @@ impl Scheduler {
     }
 }
 
-/// Runs `spec` against `store`, recomputing only what the cache
-/// cannot answer.
+/// Runs `spec` against `store` on `threads` workers (at least one),
+/// recomputing only what the cache cannot answer.
 ///
 /// `progress` is invoked with `(computed_cells, cells_to_compute)`
-/// after every freshly computed cell — the hook the serve endpoint's
-/// status and the resume test's cancel-after-N both build on.
+/// after every freshly computed cell — the hook the CLI's progress
+/// lines and the resume test's cancel-after-N both build on.
 ///
 /// # Errors
 ///
@@ -221,7 +245,7 @@ impl Scheduler {
 pub fn run_sweep(
     spec: &GridSpec,
     store: &ResultStore,
-    opts: &SweepOptions,
+    threads: usize,
     cancel: &CancelFlag,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> Result<SweepOutcome, String> {
@@ -309,7 +333,7 @@ pub fn run_sweep(
         });
     }
 
-    let threads = opts.threads.max(1).min(jobs.len().max(1));
+    let threads = threads.max(1).min(jobs.len().max(1));
     let sched = Scheduler {
         jobs,
         deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -335,7 +359,6 @@ pub fn run_sweep(
         (0..trains.len()).map(|_| Mutex::new(None)).collect();
     let exec_results: Vec<ResultSlot<CellResult>> =
         (0..execs.len()).map(|_| Mutex::new(None)).collect();
-    let metrics = Mutex::new(Snapshot::default());
     let total_cells_to_compute = to_compute.len();
 
     std::thread::scope(|scope| {
@@ -345,7 +368,6 @@ pub fn run_sweep(
             let execs = &execs;
             let train_results = &train_results;
             let exec_results = &exec_results;
-            let metrics = &metrics;
             scope.spawn(move || {
                 let total = sched.jobs.len();
                 loop {
@@ -395,15 +417,9 @@ pub fn run_sweep(
                                 });
                             let outcome = match trained {
                                 Some(Err(e)) => Err(e),
-                                Some(Ok(db)) => run_cell(&exec.cell, Some(&db), opts.want_metrics),
-                                None => run_cell(&exec.cell, None, opts.want_metrics),
+                                Some(Ok(db)) => run_cell(&exec.cell, Some(&db)),
+                                None => run_cell(&exec.cell, None),
                             }
-                            .map(|(result, snap)| {
-                                if let Some(snap) = snap {
-                                    metrics.lock().expect("metrics lock").merge(&snap);
-                                }
-                                result
-                            })
                             .and_then(|result| {
                                 store
                                     .save(exec.key, &exec.cell, &result)
@@ -508,7 +524,6 @@ pub fn run_sweep(
             elapsed_ms: started.elapsed().as_millis() as u64,
         },
         outcomes,
-        metrics: metrics.into_inner().expect("metrics lock"),
     })
 }
 
@@ -561,11 +576,7 @@ mod tests {
         let dir = scratch("warm");
         let spec = demo_spec(&dir);
         let store = ResultStore::open(dir.join("store")).expect("store");
-        let opts = SweepOptions {
-            threads: 2,
-            want_metrics: false,
-        };
-        let cold = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("cold run");
+        let cold = run_sweep(&spec, &store, 2, &CancelFlag::new(), None).expect("cold run");
         // 2 traces × (offline × 2 thresholds + firstfit collapsed) = 6
         assert_eq!(cold.stats.cells, 8);
         assert_eq!(cold.stats.unique, 6);
@@ -574,7 +585,7 @@ mod tests {
         assert_eq!(cold.stats.errors, 0);
         assert!(cold.outcomes.iter().all(|o| o.result.is_some()));
 
-        let warm = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("warm run");
+        let warm = run_sweep(&spec, &store, 2, &CancelFlag::new(), None).expect("warm run");
         assert_eq!(warm.stats.cache_hits, 6, "warm run is all hits");
         assert_eq!(warm.stats.computed, 0);
         for (a, b) in cold.outcomes.iter().zip(&warm.outcomes) {
@@ -591,14 +602,7 @@ mod tests {
         spec.traces
             .push(dir.join("ghost.lpt").to_string_lossy().into_owned());
         let store = ResultStore::open(dir.join("store")).expect("store");
-        let out = run_sweep(
-            &spec,
-            &store,
-            &SweepOptions::default(),
-            &CancelFlag::new(),
-            None,
-        )
-        .expect("sweep runs");
+        let out = run_sweep(&spec, &store, 1, &CancelFlag::new(), None).expect("sweep runs");
         let (bad, good): (Vec<_>, Vec<_>) = out
             .outcomes
             .iter()
@@ -624,26 +628,12 @@ mod tests {
                 }
             }
         };
-        let out = run_sweep(
-            &spec,
-            &store,
-            &SweepOptions::default(),
-            &cancel,
-            Some(&hook),
-        )
-        .expect("sweep runs");
+        let out = run_sweep(&spec, &store, 1, &cancel, Some(&hook)).expect("sweep runs");
         assert!(out.stats.cancelled);
         assert!(out.stats.computed >= cancel_at);
         assert!(out.stats.computed < out.stats.unique, "cancel left work");
         // Everything computed before the cancel is persisted.
-        let resumed = run_sweep(
-            &spec,
-            &store,
-            &SweepOptions::default(),
-            &CancelFlag::new(),
-            None,
-        )
-        .expect("resume");
+        let resumed = run_sweep(&spec, &store, 1, &CancelFlag::new(), None).expect("resume");
         assert_eq!(resumed.stats.cache_hits, out.stats.computed);
         assert_eq!(
             resumed.stats.computed,
@@ -661,70 +651,13 @@ mod tests {
         let hook = |done: usize, total: usize| {
             seen.lock().expect("seen").push((done, total));
         };
-        let out = run_sweep(
-            &spec,
-            &store,
-            &SweepOptions {
-                threads: 3,
-                want_metrics: false,
-            },
-            &CancelFlag::new(),
-            Some(&hook),
-        )
-        .expect("sweep");
+        let out = run_sweep(&spec, &store, 3, &CancelFlag::new(), Some(&hook)).expect("sweep");
         let seen = seen.into_inner().expect("seen");
         assert_eq!(seen.len(), out.stats.computed);
         assert!(seen.iter().all(|&(_, t)| t == out.stats.unique));
         let mut counts: Vec<usize> = seen.iter().map(|&(d, _)| d).collect();
         counts.sort_unstable();
         assert_eq!(counts, (1..=out.stats.computed).collect::<Vec<_>>());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn metrics_merge_across_computed_cells() {
-        let dir = scratch("metrics");
-        let spec = demo_spec(&dir);
-        let store = ResultStore::open(dir.join("store")).expect("store");
-        let out = run_sweep(
-            &spec,
-            &store,
-            &SweepOptions {
-                threads: 2,
-                want_metrics: true,
-            },
-            &CancelFlag::new(),
-            None,
-        )
-        .expect("sweep");
-        let total: u64 = {
-            // Each unique execution replays every alloc of its trace.
-            let mut sum = 0;
-            let mut seen = std::collections::HashSet::new();
-            for o in &out.outcomes {
-                if seen.insert(o.key) {
-                    sum += o.result.as_ref().expect("result").total_allocs;
-                }
-            }
-            sum
-        };
-        assert_eq!(
-            out.metrics.counter("lifepred_sim_allocs_total"),
-            Some(total)
-        );
-        // A warm re-run does no work, so no metrics either.
-        let warm = run_sweep(
-            &spec,
-            &store,
-            &SweepOptions {
-                threads: 2,
-                want_metrics: true,
-            },
-            &CancelFlag::new(),
-            None,
-        )
-        .expect("warm");
-        assert_eq!(warm.metrics.counter("lifepred_sim_allocs_total"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

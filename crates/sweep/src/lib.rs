@@ -5,23 +5,21 @@
 //! as a first-class object:
 //!
 //! * [`GridSpec`] — a declarative JSON grid spec, expanded into
-//!   [`CellConfig`] cells ([`spec`]);
+//!   [`CellConfig`] cells;
 //! * [`ResultStore`] — a content-addressed on-disk cache keyed by
 //!   trace identity + canonical cell config, with crash-safe atomic
-//!   writes ([`store`]);
+//!   writes;
 //! * [`run_sweep`] — a dependency-aware work-stealing scheduler that
-//!   trains once per database and recomputes only dirty cells
-//!   ([`engine`]);
+//!   trains once per database and recomputes only dirty cells;
 //! * [`render_table`] / [`render_csv`] / [`render_json`] /
-//!   [`diff_reports`] — deterministic paper-style renders and exports
-//!   ([`table`]);
-//! * [`Server`] — a dependency-free blocking HTTP/1.1 endpoint
-//!   exposing metrics and sweep control ([`serve`]).
+//!   [`diff_reports`] — deterministic paper-style renders and exports;
+//! * [`simulate_file`] — the one file-level simulation behind both a
+//!   grid cell and `lifepred simulate`.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use lifepred_sweep::{run_sweep, CancelFlag, GridSpec, ResultStore, SweepOptions};
+//! use lifepred_sweep::{run_sweep, CancelFlag, GridSpec, ResultStore};
 //!
 //! let spec = GridSpec {
 //!     traces: vec!["traces/cfrac.lpt".into()],
@@ -31,7 +29,7 @@
 //! let outcome = run_sweep(
 //!     &spec,
 //!     &store,
-//!     &SweepOptions { threads: 4, want_metrics: false },
+//!     4,
 //!     &CancelFlag::new(),
 //!     None,
 //! )
@@ -41,19 +39,16 @@
 
 #![warn(missing_docs)]
 
-pub mod cell;
-pub mod engine;
-pub mod http;
-pub mod serve;
-pub mod spec;
-pub mod store;
-pub mod table;
+mod cell;
+mod engine;
+mod spec;
+mod store;
+mod table;
 
-pub use cell::{run_cell, simulate_file, train_for, SimBackend, SimOutput, TrainKey, TrainedDb};
-pub use engine::{run_sweep, CancelFlag, CellOutcome, SweepOptions, SweepOutcome, SweepStats};
-pub use serve::{install_shutdown_handlers, Server, ServerConfig};
-pub use spec::{Backend, CellConfig, GridSpec, MAX_CELLS, SPEC_SCHEMA};
-pub use store::{
-    cell_key, trace_identity, CellKey, CellResult, ResultStore, TraceIdentity, RESULT_SCHEMA,
+pub use cell::{simulate_file, SimBackend, SimOutput};
+pub use engine::{
+    install_shutdown_handlers, run_sweep, CancelFlag, CellOutcome, SweepOutcome, SweepStats,
 };
-pub use table::{diff_reports, render_csv, render_json, render_table, REPORT_SCHEMA};
+pub use spec::{Backend, CellConfig, GridSpec};
+pub use store::{CellKey, CellResult, ResultStore};
+pub use table::{diff_reports, render_csv, render_json, render_table};

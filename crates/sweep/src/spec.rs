@@ -4,8 +4,8 @@
 //! paper's Tables 4–9 generalized: which traces to replay, which
 //! predictor backends to drive, and the threshold / epoch /
 //! call-chain-depth / arena-geometry values to cross. The spec is a
-//! small JSON document (schema [`SPEC_SCHEMA`]) so the same bytes
-//! work as a CLI input file and as a `POST /sweeps` body.
+//! small JSON document (schema [`SPEC_SCHEMA`]), the input file of
+//! `lifepred sweep run/resume/render`.
 //!
 //! [`GridSpec::cells`] expands the axes into the full cartesian
 //! product of [`CellConfig`]s, in a deterministic nested order
@@ -19,15 +19,14 @@
 use lifepred_core::SitePolicy;
 use lifepred_heap::ArenaConfig;
 use lifepred_obs::json::{self, Value};
-use std::fmt::Write as _;
 
 /// Schema tag of the grid-spec JSON document.
-pub const SPEC_SCHEMA: &str = "lifepred-sweep-v1";
+pub(crate) const SPEC_SCHEMA: &str = "lifepred-sweep-v1";
 
 /// Hard ceiling on expanded grid size: a sweep is a batch of
 /// simulations, not a fuzzer; past this the spec is almost certainly
 /// a typo (e.g. a threshold list pasted twice).
-pub const MAX_CELLS: usize = 65_536;
+pub(crate) const MAX_CELLS: usize = 65_536;
 
 /// Which allocator/predictor pipeline a cell drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,7 +45,7 @@ pub enum Backend {
 
 impl Backend {
     /// Canonical lower-case name (also the JSON spelling).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Backend::Offline => "offline",
             Backend::Online => "online",
@@ -57,7 +56,7 @@ impl Backend {
 
     /// Parses a backend name; `first-fit` is accepted as an alias to
     /// match the `lifepred simulate --allocator` spelling.
-    pub fn parse(text: &str) -> Option<Backend> {
+    pub(crate) fn parse(text: &str) -> Option<Backend> {
         match text {
             "offline" => Some(Backend::Offline),
             "online" => Some(Backend::Online),
@@ -69,7 +68,7 @@ impl Backend {
 
     /// Whether this backend consults a lifetime predictor (and thus
     /// the threshold / policy / arena axes).
-    pub fn predicts(self) -> bool {
+    pub(crate) fn predicts(self) -> bool {
         matches!(self, Backend::Offline | Backend::Online)
     }
 }
@@ -83,7 +82,7 @@ impl std::fmt::Display for Backend {
 /// A declarative sweep grid: every axis crossed with every other.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
-    /// Human-readable sweep name (table titles, `/sweeps` listings).
+    /// Human-readable sweep name (table titles).
     pub name: String,
     /// `.lpt` trace files to replay — the workload axis.
     pub traces: Vec<String>,
@@ -132,7 +131,6 @@ pub struct CellConfig {
     /// Short-lived threshold in bytes.
     pub threshold: u64,
     /// Raw epoch axis value; `0` selects the 2×-threshold default.
-    /// Use [`CellConfig::epoch_bytes`] for the resolved length.
     pub epoch: u64,
     /// Arena geometry.
     pub arena: ArenaConfig,
@@ -140,7 +138,7 @@ pub struct CellConfig {
 
 impl CellConfig {
     /// The epoch length this cell actually runs with.
-    pub fn epoch_bytes(&self) -> u64 {
+    pub(crate) fn epoch_bytes(&self) -> u64 {
         if self.epoch == 0 {
             self.threshold.saturating_mul(2)
         } else {
@@ -215,14 +213,14 @@ fn str_list<'v>(val: &'v Value, what: &str) -> Result<Vec<&'v str>, String> {
 }
 
 impl GridSpec {
-    /// Parses a spec document (see [`SPEC_SCHEMA`]); unknown keys are
+    /// Parses a `lifepred-sweep-v1` spec document; unknown keys are
     /// rejected so a typoed axis name cannot silently shrink a grid.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for malformed JSON, a wrong
-    /// schema tag, a bad axis value, or a grid that fails
-    /// [`validate`](GridSpec::validate).
+    /// schema tag, an empty axis, a zero threshold, or a grid larger
+    /// than 65 536 cells.
     pub fn from_json(text: &str) -> Result<GridSpec, String> {
         let doc = json::parse(text).map_err(|e| spec_err(e.to_string()))?;
         let top = doc
@@ -307,68 +305,13 @@ impl GridSpec {
         Ok(spec)
     }
 
-    /// Renders the spec back to its JSON document form.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SPEC_SCHEMA}\",");
-        let _ = writeln!(out, "  \"name\": \"{}\",", json::escape(&self.name));
-        let list = |items: &[String]| {
-            items
-                .iter()
-                .map(|s| format!("\"{}\"", json::escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = writeln!(out, "  \"traces\": [{}],", list(&self.traces));
-        let _ = writeln!(
-            out,
-            "  \"backends\": [{}],",
-            list(
-                &self
-                    .backends
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-            )
-        );
-        let nums = |ns: &[u64]| ns.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-        let _ = writeln!(out, "  \"thresholds\": [{}],", nums(&self.thresholds));
-        let _ = writeln!(out, "  \"epochs\": [{}],", nums(&self.epochs));
-        let _ = writeln!(
-            out,
-            "  \"policies\": [{}],",
-            list(
-                &self
-                    .policies
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-            )
-        );
-        let _ = writeln!(out, "  \"rounding\": {},", self.rounding);
-        let _ = writeln!(
-            out,
-            "  \"arenas\": [{}]",
-            list(
-                &self
-                    .arenas
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-            )
-        );
-        out.push_str("}\n");
-        out
-    }
-
     /// Checks the axes describe a runnable, sanely-sized grid.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first empty axis, zero threshold,
-    /// or a grid larger than [`MAX_CELLS`].
-    pub fn validate(&self) -> Result<(), String> {
+    /// or a grid larger than 65 536 cells.
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.traces.is_empty() {
             return Err(spec_err("`traces` must name at least one .lpt file"));
         }
@@ -408,7 +351,7 @@ impl GridSpec {
 
     /// Expands the axes into every grid cell, in the fixed nested
     /// order trace → backend → policy → threshold → epoch → arena.
-    pub fn cells(&self) -> Vec<CellConfig> {
+    pub(crate) fn cells(&self) -> Vec<CellConfig> {
         let mut out = Vec::with_capacity(self.cell_count());
         for trace in &self.traces {
             for &backend in &self.backends {
@@ -465,13 +408,6 @@ mod tests {
         // Nested order: trace is the outermost axis.
         assert!(cells[..8].iter().all(|c| c.trace == "a.lpt"));
         assert_eq!(cells[0].backend, Backend::Offline);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let spec = GridSpec::from_json(&demo_json()).expect("parses");
-        let back = GridSpec::from_json(&spec.to_json()).expect("reparses");
-        assert_eq!(back, spec);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Schema tag of a cached cell-result document.
-pub const RESULT_SCHEMA: &str = "lifepred-sweep-result-v1";
+pub(crate) const RESULT_SCHEMA: &str = "lifepred-sweep-result-v1";
 
 /// A cache key: 64-bit content hash, rendered as 16 hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,7 +47,7 @@ impl std::fmt::Display for CellKey {
 
 /// Identity of a trace file for cache-key purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceIdentity {
+pub(crate) struct TraceIdentity {
     /// 64-bit FNV-1a of the file bytes (see the module docs for why
     /// this is not a CRC).
     pub hash: u64,
@@ -60,7 +60,7 @@ pub struct TraceIdentity {
 /// # Errors
 ///
 /// Any I/O error opening or reading the file.
-pub fn trace_identity(path: impl AsRef<Path>) -> io::Result<TraceIdentity> {
+pub(crate) fn trace_identity(path: impl AsRef<Path>) -> io::Result<TraceIdentity> {
     let mut file = fs::File::open(path)?;
     let mut hash = Fnv64::new();
     let mut len = 0u64;
@@ -116,7 +116,7 @@ fn fnv1a64(parts: &[&[u8]]) -> u64 {
 }
 
 /// Derives the cache key for `cell` given its trace's identity.
-pub fn cell_key(identity: TraceIdentity, cell: &CellConfig) -> CellKey {
+pub(crate) fn cell_key(identity: TraceIdentity, cell: &CellConfig) -> CellKey {
     CellKey(fnv1a64(&[
         RESULT_SCHEMA.as_bytes(),
         &identity.hash.to_le_bytes(),
@@ -169,7 +169,7 @@ fn fmt_f64(v: f64) -> String {
 impl CellResult {
     /// Renders the result (echoing its cell config) as the stored
     /// JSON object document.
-    pub fn to_json(&self, cell: &CellConfig) -> String {
+    pub(crate) fn to_json(&self, cell: &CellConfig) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"{RESULT_SCHEMA}\",");
@@ -217,7 +217,7 @@ impl CellResult {
     ///
     /// Returns a message for malformed JSON, a wrong schema tag, or a
     /// missing metric field.
-    pub fn from_json(text: &str) -> Result<CellResult, String> {
+    pub(crate) fn from_json(text: &str) -> Result<CellResult, String> {
         let doc = json::parse(text).map_err(|e| format!("result object: {e}"))?;
         let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
         if schema != RESULT_SCHEMA {
@@ -278,13 +278,8 @@ impl ResultStore {
         Ok(ResultStore { root })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// On-disk path of `key`'s object.
-    pub fn object_path(&self, key: CellKey) -> PathBuf {
+    pub(crate) fn object_path(&self, key: CellKey) -> PathBuf {
         let hex = key.to_string();
         self.root
             .join("objects")
@@ -294,7 +289,7 @@ impl ResultStore {
 
     /// Loads the cached result under `key`. A missing, torn or
     /// corrupt object reads as `None` — a cache miss, never an error.
-    pub fn load(&self, key: CellKey) -> Option<CellResult> {
+    pub(crate) fn load(&self, key: CellKey) -> Option<CellResult> {
         let text = fs::read_to_string(self.object_path(key)).ok()?;
         CellResult::from_json(&text).ok()
     }
@@ -305,7 +300,12 @@ impl ResultStore {
     /// # Errors
     ///
     /// Any I/O error on the write, sync or rename.
-    pub fn save(&self, key: CellKey, cell: &CellConfig, result: &CellResult) -> io::Result<()> {
+    pub(crate) fn save(
+        &self,
+        key: CellKey,
+        cell: &CellConfig,
+        result: &CellResult,
+    ) -> io::Result<()> {
         let path = self.object_path(key);
         let dir = path.parent().expect("object path has a parent");
         fs::create_dir_all(dir)?;

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema tag of the JSON report document.
-pub const REPORT_SCHEMA: &str = "lifepred-sweep-report-v1";
+pub(crate) const REPORT_SCHEMA: &str = "lifepred-sweep-report-v1";
 
 fn fmt_pct(v: f64) -> String {
     format!("{v:.1}")
@@ -258,7 +258,8 @@ pub fn render_csv(outcome: &SweepOutcome) -> String {
     out
 }
 
-/// Renders the full structured report (schema [`REPORT_SCHEMA`]): the
+/// Renders the full structured report (schema
+/// `lifepred-sweep-report-v1`): the
 /// spec, a `run` section with this run's accounting, and one entry
 /// per grid cell. Only the `run` section varies between a cold run
 /// and its cached re-run.
@@ -377,7 +378,7 @@ fn metric_text(metrics: Option<&Value>, name: &str) -> String {
 /// # Errors
 ///
 /// Returns a message when either document is not a
-/// [`REPORT_SCHEMA`] report.
+/// `lifepred-sweep-report-v1` report.
 pub fn diff_reports(before: &str, after: &str) -> Result<String, String> {
     let load = |text: &str, which: &str| -> Result<BTreeMap<String, Value>, String> {
         let doc = json::parse(text).map_err(|e| format!("{which} report: {e}"))?;
@@ -494,7 +495,6 @@ mod tests {
                 elapsed_ms: 7,
             },
             outcomes,
-            metrics: Default::default(),
         }
     }
 

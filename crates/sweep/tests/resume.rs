@@ -3,7 +3,7 @@
 //! rendered table cannot tell the difference.
 
 use lifepred_sweep::{
-    render_csv, render_table, run_sweep, Backend, CancelFlag, GridSpec, ResultStore, SweepOptions,
+    render_csv, render_table, run_sweep, Backend, CancelFlag, GridSpec, ResultStore,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,10 +63,7 @@ fn killed_sweep_resumes_without_recomputing() {
         ..GridSpec::default()
     };
     let store = ResultStore::open(dir.join("store")).expect("store");
-    let opts = SweepOptions {
-        threads: 1, // deterministic cell count at the cancel point
-        want_metrics: false,
-    };
+    let threads = 1; // deterministic cell count at the cancel point
 
     // "Kill" after 4 of the 9 cells: the cancel flag stands in for
     // SIGTERM — both stop workers between cells, never mid-cell.
@@ -80,7 +77,7 @@ fn killed_sweep_resumes_without_recomputing() {
             }
         }
     };
-    let killed = run_sweep(&spec, &store, &opts, &cancel, Some(&hook)).expect("killed run");
+    let killed = run_sweep(&spec, &store, threads, &cancel, Some(&hook)).expect("killed run");
     assert!(killed.stats.cancelled);
     assert_eq!(killed.stats.unique, 9, "{:?}", killed.stats);
     assert_eq!(
@@ -92,7 +89,7 @@ fn killed_sweep_resumes_without_recomputing() {
     // Resume: the cache answers exactly the finished cells (the
     // cache-hit counter is pinned, not just bounded) and only the
     // remainder recomputes.
-    let resumed = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("resume");
+    let resumed = run_sweep(&spec, &store, threads, &CancelFlag::new(), None).expect("resume");
     assert_eq!(resumed.stats.cache_hits, cancel_at);
     assert_eq!(resumed.stats.computed, 9 - cancel_at);
     assert_eq!(resumed.stats.errors, 0);
@@ -100,7 +97,7 @@ fn killed_sweep_resumes_without_recomputing() {
 
     // A fully-cached rerun renders byte-identically to the resumed
     // run: cache provenance must not leak into tables or CSV.
-    let warm = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("warm");
+    let warm = run_sweep(&spec, &store, threads, &CancelFlag::new(), None).expect("warm");
     assert_eq!(warm.stats.cache_hits, 9);
     assert_eq!(render_table(&resumed), render_table(&warm));
     assert_eq!(render_csv(&resumed), render_csv(&warm));
@@ -125,20 +122,17 @@ fn warm_rerun_is_hits_and_fast() {
     };
     assert!(spec.cell_count() >= 24, "grid is {}", spec.cell_count());
     let store = ResultStore::open(dir.join("store")).expect("store");
-    let opts = SweepOptions {
-        threads: 2,
-        want_metrics: false,
-    };
+    let threads = 2;
 
     let cold_started = Instant::now();
-    let cold = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("cold");
+    let cold = run_sweep(&spec, &store, threads, &CancelFlag::new(), None).expect("cold");
     let cold_ms = cold_started.elapsed().as_millis().max(1);
     assert_eq!(cold.stats.cache_hits, 0);
     assert_eq!(cold.stats.errors, 0);
     assert_eq!(cold.stats.computed, cold.stats.unique);
 
     let warm_started = Instant::now();
-    let warm = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("warm");
+    let warm = run_sweep(&spec, &store, threads, &CancelFlag::new(), None).expect("warm");
     let warm_ms = warm_started.elapsed().as_millis().max(1);
     assert_eq!(warm.stats.computed, 0);
     assert!(
@@ -154,7 +148,7 @@ fn warm_rerun_is_hits_and_fast() {
     // Editing one axis value dirties only the touched column.
     let mut edited = spec.clone();
     edited.thresholds = vec![8 * 1024, 16 * 1024, 48 * 1024];
-    let partial = run_sweep(&edited, &store, &opts, &CancelFlag::new(), None).expect("edited");
+    let partial = run_sweep(&edited, &store, threads, &CancelFlag::new(), None).expect("edited");
     assert!(partial.stats.cache_hits > 0, "{:?}", partial.stats);
     assert!(
         partial.stats.computed < partial.stats.unique,
@@ -177,10 +171,7 @@ fn progress_across_kill_and_resume_covers_each_cell_once() {
         ..GridSpec::default()
     };
     let store = ResultStore::open(dir.join("store")).expect("store");
-    let opts = SweepOptions {
-        threads: 1,
-        want_metrics: false,
-    };
+    let threads = 1;
     let fired = AtomicUsize::new(0);
     let cancel = CancelFlag::new();
     {
@@ -190,14 +181,14 @@ fn progress_across_kill_and_resume_covers_each_cell_once() {
                 cancel.cancel();
             }
         };
-        let killed = run_sweep(&spec, &store, &opts, &cancel, Some(&hook)).expect("killed");
+        let killed = run_sweep(&spec, &store, threads, &cancel, Some(&hook)).expect("killed");
         assert_eq!(killed.stats.computed, 2);
     }
     let hook = |_done: usize, _total: usize| {
         fired.fetch_add(1, Ordering::Relaxed);
     };
     let resumed =
-        run_sweep(&spec, &store, &opts, &CancelFlag::new(), Some(&hook)).expect("resumed");
+        run_sweep(&spec, &store, threads, &CancelFlag::new(), Some(&hook)).expect("resumed");
     assert_eq!(resumed.stats.cache_hits, 2);
     assert_eq!(
         fired.load(Ordering::Relaxed),
@@ -226,11 +217,8 @@ fn bit_flipped_trace_fails_its_cells_and_spares_the_rest() {
         ..GridSpec::default()
     };
     let store = ResultStore::open(dir.join("store")).expect("store");
-    let opts = SweepOptions {
-        threads: 2,
-        want_metrics: false,
-    };
-    let outcome = run_sweep(&spec, &store, &opts, &CancelFlag::new(), None).expect("sweep runs");
+    let threads = 2;
+    let outcome = run_sweep(&spec, &store, threads, &CancelFlag::new(), None).expect("sweep runs");
     assert_eq!(outcome.outcomes.len(), 6);
     for cell in &outcome.outcomes {
         if cell.cell.trace == spec.traces[1] {

@@ -1,8 +1,7 @@
 //! Call-chains: ordered lists of functions on the shadow stack.
 
-use crate::registry::{FnId, FunctionRegistry};
+use crate::registry::FnId;
 use std::collections::HashMap;
-use std::fmt;
 
 /// A compact identifier for an interned call-chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,11 +62,6 @@ impl CallChain {
         self.0.is_empty()
     }
 
-    /// The innermost frame: the direct caller of the allocator.
-    pub fn innermost(&self) -> Option<FnId> {
-        self.0.last().copied()
-    }
-
     /// The paper's *length-N sub-chain*: the last `n` callers.
     ///
     /// Per the paper, no recursion elimination is applied to length-N
@@ -91,41 +85,11 @@ impl CallChain {
     pub fn encryption_key(&self) -> u16 {
         self.0.iter().fold(0u16, |k, f| k ^ f.encryption_key())
     }
-
-    /// Renders the chain as `a>b>c` using `registry` for names.
-    pub fn display<'a>(&'a self, registry: &'a FunctionRegistry) -> ChainDisplay<'a> {
-        ChainDisplay {
-            chain: self,
-            registry,
-        }
-    }
 }
 
 impl From<Vec<FnId>> for CallChain {
     fn from(frames: Vec<FnId>) -> Self {
         CallChain::new(frames)
-    }
-}
-
-/// Helper returned by [`CallChain::display`].
-#[derive(Debug)]
-pub struct ChainDisplay<'a> {
-    chain: &'a CallChain,
-    registry: &'a FunctionRegistry,
-}
-
-impl fmt::Display for ChainDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, &fid) in self.chain.frames().iter().enumerate() {
-            if i > 0 {
-                write!(f, ">")?;
-            }
-            match self.registry.name(fid) {
-                Some(name) => write!(f, "{name}")?,
-                None => write!(f, "{fid}")?,
-            }
-        }
-        Ok(())
     }
 }
 
@@ -237,7 +201,6 @@ mod tests {
         assert_eq!(c.sub_chain(1).frames(), &ids(&[4])[..]);
         assert_eq!(c.sub_chain(2).frames(), &ids(&[3, 4])[..]);
         assert_eq!(c.sub_chain(10).frames(), &ids(&[1, 2, 3, 4])[..]);
-        assert_eq!(c.innermost(), Some(FnId(4)));
     }
 
     #[test]
@@ -293,14 +256,5 @@ mod tests {
         // But chains with different member sets almost surely differ.
         let c3 = CallChain::new(ids(&[1, 2, 4]));
         assert_ne!(c1.encryption_key(), c3.encryption_key());
-    }
-
-    #[test]
-    fn display_uses_names() {
-        let mut reg = FunctionRegistry::new();
-        let a = reg.intern("main");
-        let b = reg.intern("parse");
-        let c = CallChain::new(vec![a, b]);
-        assert_eq!(c.display(&reg).to_string(), "main>parse");
     }
 }

@@ -47,7 +47,7 @@ pub use chunk::{
     ChunkEvent, ChunkSource, EventChunk, TraceChunks, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
 };
 pub use events::{Event, EventKind};
-pub use record::{AllocationRecord, ObjectId, RecordSource, TraceRecords};
+pub use record::{AllocationRecord, ObjectId, RecordSource};
 pub use registry::{shared_registry, FnId, FunctionRegistry, SharedRegistry};
 pub use session::{CallGuard, Trace, TraceSession, Traced};
 pub use stats::TraceStats;

@@ -110,7 +110,7 @@ pub struct RecordSource<'a, I> {
 }
 
 /// The records iterator of an in-memory [`Trace`].
-pub type TraceRecords<'a> = std::iter::Map<
+pub(crate) type TraceRecords<'a> = std::iter::Map<
     std::slice::Iter<'a, AllocationRecord>,
     fn(&'a AllocationRecord) -> Result<&'a AllocationRecord, Infallible>,
 >;

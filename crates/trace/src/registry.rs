@@ -10,7 +10,7 @@ use std::rc::Rc;
 /// The paper's call-chains are chains *of functions*, so the shadow
 /// stack stores these ids rather than strings. Carter's call-chain
 /// encryption additionally relies on per-function 16-bit ids, which
-/// [`FnId::encryption_key`] derives deterministically.
+/// each id derives deterministically from its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FnId(pub(crate) u32);
 
@@ -30,7 +30,7 @@ impl FnId {
     /// as used by call-chain encryption (the paper's §5.1, after
     /// Carter). A multiplicative hash spreads consecutive indices so
     /// XOR-combined keys along a chain are unlikely to collide.
-    pub fn encryption_key(self) -> u16 {
+    pub(crate) fn encryption_key(self) -> u16 {
         let h = (self.0 as u64)
             .wrapping_add(0x9e37_79b9_7f4a_7c15)
             .wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -100,11 +100,6 @@ impl TraceSession {
         }
     }
 
-    /// The shared function registry.
-    pub fn registry(&self) -> &SharedRegistry {
-        &self.registry
-    }
-
     /// Pushes `function` onto the shadow stack, returning a guard that
     /// pops it when dropped.
     pub fn enter(&self, function: &str) -> CallGuard {
@@ -224,23 +219,13 @@ impl TraceSession {
         Traced {
             id: self.alloc(size),
             session: self.clone(),
-            value: Some(value),
+            value,
         }
-    }
-
-    /// Current byte clock (total bytes allocated so far).
-    pub fn clock(&self) -> u64 {
-        self.inner.borrow().clock
     }
 
     /// Number of objects allocated so far.
     pub fn objects(&self) -> u64 {
         self.inner.borrow().records.len() as u64
-    }
-
-    /// Current shadow-stack depth.
-    pub fn depth(&self) -> usize {
-        self.inner.borrow().stack.len()
     }
 
     /// Finishes the session, producing the immutable [`Trace`].
@@ -305,8 +290,7 @@ impl Drop for CallGuard {
 /// assert_eq!(trace.records()[0].refs, 4);
 /// ```
 pub struct Traced<T> {
-    /// `None` only after `into_inner` extracted the payload.
-    value: Option<T>,
+    value: T,
     id: ObjectId,
     session: TraceSession,
 }
@@ -321,34 +305,25 @@ impl<T> Traced<T> {
     pub fn touch(this: &Traced<T>, n: u64) {
         this.session.touch(this.id, n);
     }
-
-    /// Consumes the wrapper, freeing the trace record now and
-    /// returning the payload.
-    pub fn into_inner(mut this: Traced<T>) -> T {
-        this.session.free(this.id);
-        this.value.take().expect("payload already extracted")
-    }
 }
 
 impl<T> Deref for Traced<T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        self.value.as_ref().expect("payload already extracted")
+        &self.value
     }
 }
 
 impl<T> DerefMut for Traced<T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.value.as_mut().expect("payload already extracted")
+        &mut self.value
     }
 }
 
 impl<T> Drop for Traced<T> {
     fn drop(&mut self) {
-        if self.value.is_some() {
-            self.session.free(self.id);
-        }
+        self.session.free(self.id);
     }
 }
 
@@ -472,11 +447,14 @@ mod tests {
             let _b = s.enter("inner");
             obj = s.alloc(8);
         }
-        assert_eq!(s.depth(), 0);
         let t = s.finish();
         let chain = t.chain(t.records()[0].chain);
-        let reg = t.registry();
-        assert_eq!(chain.display(reg).to_string(), "outer>inner");
+        let names: Vec<_> = chain
+            .frames()
+            .iter()
+            .map(|&f| t.registry().name(f).expect("interned"))
+            .collect();
+        assert_eq!(names, ["outer", "inner"]);
         let _ = obj;
     }
 

@@ -112,7 +112,7 @@ impl Crc32 {
 }
 
 /// One-shot CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()

@@ -75,16 +75,13 @@ mod writer;
 
 pub use crc32::Crc32;
 pub use error::TraceFileError;
-pub use map::{TraceMap, NO_MMAP_ENV};
+pub use map::TraceMap;
 pub use mapped::{MappedEvents, MappedRecords, MappedTrace, SectionInfo};
 pub use stream::{StreamMeta, StreamTraceWriter};
 pub use writer::TraceWriter;
 
 use lifepred_trace::Trace;
 use std::path::Path;
-
-/// Conventional file extension for trace files (no leading dot).
-pub const FILE_EXTENSION: &str = "lpt";
 
 /// Writes `trace` to a new file at `path`.
 pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<(), TraceFileError> {

@@ -35,7 +35,7 @@ use std::path::Path;
 /// both code paths in CI, for debugging, and for reading a file another
 /// process may truncate (a mapping shrunk underneath its reader raises
 /// SIGBUS; a heap copy made at open cannot).
-pub const NO_MMAP_ENV: &str = "LIFEPRED_NO_MMAP";
+pub(crate) const NO_MMAP_ENV: &str = "LIFEPRED_NO_MMAP";
 
 /// A whole file as one immutable byte slice: `mmap`-backed when the
 /// platform supports it, a heap copy otherwise.
@@ -60,12 +60,12 @@ unsafe impl Sync for TraceMap {}
 impl TraceMap {
     /// Opens `path`, mapping it when possible and falling back to a
     /// full read into memory otherwise (unsupported platform, empty
-    /// file, mapping failure, or [`NO_MMAP_ENV`] set).
+    /// file, mapping failure, or `LIFEPRED_NO_MMAP` set).
     ///
     /// # Errors
     ///
     /// Any I/O error opening or reading the file.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<TraceMap> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> io::Result<TraceMap> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
         if let Ok(len) = usize::try_from(len) {
@@ -95,7 +95,7 @@ impl TraceMap {
     }
 
     /// The file contents.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match &self.heap {
             Some(bytes) => bytes,
             // SAFETY: in mapped mode `ptr` is the non-null base of a
@@ -106,18 +106,13 @@ impl TraceMap {
     }
 
     /// Length of the file in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// `true` when the bytes come from an `mmap` rather than a heap
     /// copy.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         self.heap.is_none()
     }
 }
@@ -270,7 +265,7 @@ mod tests {
         let path = temp_path("empty.bin");
         File::create(&path).expect("create");
         let map = TraceMap::open(&path).expect("open");
-        assert!(map.is_empty());
+        assert_eq!(map.len(), 0);
         assert!(!map.is_mapped());
         assert_eq!(map.as_bytes(), b"");
         std::fs::remove_file(&path).ok();

@@ -407,11 +407,6 @@ impl MappedTrace {
         })
     }
 
-    /// The file's format version (1 or 2).
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
     /// The traced program's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -458,14 +453,9 @@ impl MappedTrace {
     }
 
     /// Whether the bytes are `mmap`-backed (as opposed to a heap
-    /// copy) — see [`TraceMap::is_mapped`].
+    /// copy).
     pub fn is_mapped(&self) -> bool {
         self.map.is_mapped()
-    }
-
-    /// Whether the records/events checksums were verified at open.
-    pub fn is_verified(&self) -> bool {
-        self.verified
     }
 
     /// Per-section framing and counts, in file order.

@@ -167,7 +167,7 @@ fn header_records_and_events_are_the_recorded_traces_own() {
 #[test]
 fn version1_files_decode_with_no_ref_clocks() {
     let mapped = open(&image(1, &tiny(1))).expect("open v1");
-    assert_eq!(mapped.version(), 1);
+    assert_eq!(mapped.version, 1);
     let loaded = mapped.into_trace().expect("decode v1");
     let r = &loaded.records()[0];
     assert_eq!((r.size, r.refs, r.death_seq), (8, 5, Some(2)));
@@ -181,8 +181,8 @@ fn version1_files_decode_with_no_ref_clocks() {
 fn header_and_sections_are_exposed() {
     let bytes = trace_to_vec(&sample_trace(500)).expect("encode");
     let mapped = open(&bytes).expect("open");
-    assert_eq!(mapped.version(), 2);
-    assert!(mapped.is_verified() && !mapped.is_mapped());
+    assert_eq!(mapped.version, 2);
+    assert!(mapped.verified && !mapped.is_mapped());
     assert_eq!(mapped.file_len(), bytes.len());
     let sections = mapped.sections();
     assert_eq!(

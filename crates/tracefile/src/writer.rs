@@ -62,7 +62,7 @@ pub struct TraceWriter<W: Write> {
 impl TraceWriter<BufWriter<File>> {
     /// Creates (or truncates) the file at `path` behind a buffered
     /// writer.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
+    pub(crate) fn create(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         Ok(TraceWriter::new(BufWriter::new(File::create(path)?)))
     }
 }

@@ -53,29 +53,19 @@ impl Big {
         Some(v)
     }
 
-    /// Number of limbs (0 for zero).
-    pub fn limb_count(&self) -> usize {
-        self.limbs.len()
-    }
-
     /// Whether the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
-    /// Whether the value is even (zero counts as even).
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l % 2 == 0)
-    }
-
     /// Deep copy (a fresh traced allocation, like the C original).
-    pub fn clone_in(&self, session: &TraceSession) -> Big {
+    pub(crate) fn clone_in(&self, session: &TraceSession) -> Big {
         let _g = session.enter("big_copy");
         big_alloc(session, self.limbs.to_vec())
     }
 
     /// Three-way comparison.
-    pub fn cmp_big(&self, other: &Big) -> Ordering {
+    pub(crate) fn cmp_big(&self, other: &Big) -> Ordering {
         let (a, b) = (&*self.limbs, &*other.limbs);
         if a.len() != b.len() {
             return a.len().cmp(&b.len());
@@ -163,7 +153,7 @@ impl Big {
     }
 
     /// `self * m` for a small factor.
-    pub fn mul_u32(&self, session: &TraceSession, m: u32) -> Big {
+    pub(crate) fn mul_u32(&self, session: &TraceSession, m: u32) -> Big {
         let _g = session.enter("big_mul_small");
         let mut out = Vec::with_capacity(self.limbs.len() + 1);
         let mut carry = 0u64;
@@ -275,7 +265,7 @@ impl Big {
     }
 
     /// `self % other`.
-    pub fn rem(&self, session: &TraceSession, other: &Big) -> Big {
+    pub(crate) fn rem(&self, session: &TraceSession, other: &Big) -> Big {
         let _g = session.enter("big_mod");
         let (_, r) = self.div_rem(session, other);
         r
@@ -283,7 +273,7 @@ impl Big {
 
     /// `self % m` for a small modulus (no allocation for the result
     /// value; still allocates the temporary quotient like the C code).
-    pub fn rem_u32(&self, m: u32) -> u32 {
+    pub(crate) fn rem_u32(&self, m: u32) -> u32 {
         let mut rem = 0u64;
         for &l in self.limbs.iter().rev() {
             rem = ((rem << 32) | u64::from(l)) % u64::from(m);
@@ -462,14 +452,6 @@ mod tests {
         let s = s();
         let a = Big::from_u128(&s, 10u128.pow(25) + 3);
         assert_eq!(u128::from(a.rem_u32(97)), (10u128.pow(25) + 3) % 97);
-    }
-
-    #[test]
-    fn parity() {
-        let s = s();
-        assert!(Big::from_u128(&s, 0).is_even());
-        assert!(Big::from_u128(&s, 4).is_even());
-        assert!(!Big::from_u128(&s, 7).is_even());
     }
 
     #[test]

@@ -21,7 +21,7 @@ const MAX_ITERATIONS: usize = 1500;
 
 /// The CFRAC workload.
 #[derive(Debug, Default, Clone)]
-pub struct Cfrac;
+pub(crate) struct Cfrac;
 
 /// One input: a list of semiprimes to factor.
 fn numbers_for(input: usize) -> Vec<u128> {
@@ -72,7 +72,7 @@ struct Relation {
 }
 
 /// Attempts to factor `n`; returns a nontrivial factor if found.
-pub fn factor(session: &TraceSession, n: u128) -> Option<u128> {
+pub(crate) fn factor(session: &TraceSession, n: u128) -> Option<u128> {
     let _g = session.enter("factor");
     if n.is_multiple_of(2) {
         return Some(2);

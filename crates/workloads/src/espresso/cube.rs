@@ -20,7 +20,7 @@ pub struct Cube {
 }
 
 /// The single allocation layer all cubes pass through.
-pub fn cube_alloc(session: &TraceSession, vars: Vec<u8>) -> Cube {
+pub(crate) fn cube_alloc(session: &TraceSession, vars: Vec<u8>) -> Cube {
     let _g = session.enter("cube_alloc");
     let size = vars.len().max(1) as u32;
     let traced = session.traced(vars, size);
@@ -30,7 +30,7 @@ pub fn cube_alloc(session: &TraceSession, vars: Vec<u8>) -> Cube {
 
 impl Cube {
     /// The universal cube (all don't-cares) over `n` variables.
-    pub fn universe(session: &TraceSession, n: usize) -> Cube {
+    pub(crate) fn universe(session: &TraceSession, n: usize) -> Cube {
         cube_alloc(session, vec![DC; n])
     }
 
@@ -43,7 +43,7 @@ impl Cube {
     /// Parses a PLA pattern like `01-0-`.
     ///
     /// Returns `None` if a character is not `0`, `1` or `-`.
-    pub fn parse(session: &TraceSession, pattern: &str) -> Option<Cube> {
+    pub(crate) fn parse(session: &TraceSession, pattern: &str) -> Option<Cube> {
         let mut vars = Vec::with_capacity(pattern.len());
         for ch in pattern.chars() {
             vars.push(match ch {
@@ -57,33 +57,33 @@ impl Cube {
     }
 
     /// Number of variables.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.vars.len()
     }
 
     /// The literal at position `i`.
-    pub fn var(&self, i: usize) -> u8 {
+    pub(crate) fn var(&self, i: usize) -> u8 {
         self.vars[i]
     }
 
     /// Number of non-don't-care literals.
-    pub fn literals(&self) -> usize {
+    pub(crate) fn literals(&self) -> usize {
         self.vars.iter().filter(|&&v| v != DC).count()
     }
 
     /// Whether the cube is the universal cube.
-    pub fn is_universe(&self) -> bool {
+    pub(crate) fn is_universe(&self) -> bool {
         self.vars.iter().all(|&v| v == DC)
     }
 
     /// Deep copy (fresh traced allocation).
-    pub fn clone_in(&self, session: &TraceSession) -> Cube {
+    pub(crate) fn clone_in(&self, session: &TraceSession) -> Cube {
         let _g = session.enter("cube_copy");
         cube_alloc(session, self.vars.to_vec())
     }
 
     /// A copy with position `i` set to `value`.
-    pub fn with_var(&self, session: &TraceSession, i: usize, value: u8) -> Cube {
+    pub(crate) fn with_var(&self, session: &TraceSession, i: usize, value: u8) -> Cube {
         let mut vars = self.vars.to_vec();
         vars[i] = value;
         cube_alloc(session, vars)
@@ -98,22 +98,8 @@ impl Cube {
             .all(|(&a, &b)| a == DC || a == b)
     }
 
-    /// The intersection of two cubes, or `None` if they are disjoint.
-    pub fn intersect(&self, session: &TraceSession, other: &Cube) -> Option<Cube> {
-        let _g = session.enter("cube_intersect");
-        let mut vars = Vec::with_capacity(self.vars.len());
-        for (&a, &b) in self.vars.iter().zip(other.vars.iter()) {
-            match (a, b) {
-                (DC, v) | (v, DC) => vars.push(v),
-                (x, y) if x == y => vars.push(x),
-                _ => return None,
-            }
-        }
-        Some(cube_alloc(session, vars))
-    }
-
     /// Whether two cubes share at least one minterm.
-    pub fn intersects(&self, other: &Cube) -> bool {
+    pub(crate) fn intersects(&self, other: &Cube) -> bool {
         self.vars
             .iter()
             .zip(other.vars.iter())
@@ -121,7 +107,8 @@ impl Cube {
     }
 
     /// Renders the cube as a PLA pattern.
-    pub fn pattern(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn pattern(&self) -> String {
         self.vars
             .iter()
             .map(|&v| match v {
@@ -167,10 +154,7 @@ mod tests {
         let s = s();
         let a = Cube::parse(&s, "1--").expect("valid");
         let b = Cube::parse(&s, "-0-").expect("valid");
-        let i = a.intersect(&s, &b).expect("overlap");
-        assert_eq!(i.pattern(), "10-");
         let c = Cube::parse(&s, "0--").expect("valid");
-        assert!(a.intersect(&s, &c).is_none());
         assert!(!a.intersects(&c));
         assert!(a.intersects(&b));
     }

@@ -9,7 +9,8 @@
 
 mod cube;
 
-pub use cube::{cube_alloc, Cube, DC, ONE, ZERO};
+use cube::cube_alloc;
+pub use cube::{Cube, DC, ONE, ZERO};
 
 use crate::input;
 use crate::Workload;
@@ -18,7 +19,7 @@ use rand::Rng;
 
 /// The ESPRESSO workload.
 #[derive(Debug, Default, Clone)]
-pub struct Espresso;
+pub(crate) struct Espresso;
 
 impl Workload for Espresso {
     fn name(&self) -> &'static str {
@@ -58,7 +59,7 @@ impl Workload for Espresso {
 }
 
 /// Generates a PLA description with `terms` random product terms.
-pub fn generate_pla(seed: u64, nvars: usize, terms: usize) -> String {
+pub(crate) fn generate_pla(seed: u64, nvars: usize, terms: usize) -> String {
     let mut r = input::rng(seed);
     let mut out = format!(".i {nvars}\n.o 1\n");
     for _ in 0..terms {
@@ -80,7 +81,7 @@ pub fn generate_pla(seed: u64, nvars: usize, terms: usize) -> String {
 /// # Errors
 ///
 /// Returns a message on malformed input.
-pub fn parse_pla(session: &TraceSession, text: &str) -> Result<Vec<Cube>, String> {
+pub(crate) fn parse_pla(session: &TraceSession, text: &str) -> Result<Vec<Cube>, String> {
     let _g = session.enter("parse_pla");
     let mut nvars = None;
     let mut cover = Vec::new();
@@ -113,7 +114,7 @@ pub fn parse_pla(session: &TraceSession, text: &str) -> Result<Vec<Cube>, String
 
 /// Statistics of one minimization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinimizeResult {
+pub(crate) struct MinimizeResult {
     /// Cubes in the input cover.
     pub cubes_in: usize,
     /// Cubes in the minimized cover.
@@ -127,13 +128,13 @@ pub struct MinimizeResult {
 /// # Errors
 ///
 /// Propagates parse errors.
-pub fn minimize_pla(session: &TraceSession, text: &str) -> Result<MinimizeResult, String> {
+pub(crate) fn minimize_pla(session: &TraceSession, text: &str) -> Result<MinimizeResult, String> {
     let on_set = parse_pla(session, text)?;
     Ok(minimize(session, on_set))
 }
 
 /// The espresso loop over an ON-set cover.
-pub fn minimize(session: &TraceSession, on_set: Vec<Cube>) -> MinimizeResult {
+pub(crate) fn minimize(session: &TraceSession, on_set: Vec<Cube>) -> MinimizeResult {
     let _g = session.enter("minimize");
     let cubes_in = on_set.len();
     if on_set.is_empty() {
@@ -280,7 +281,7 @@ pub fn tautology(session: &TraceSession, cover: &[Cube], n: usize) -> bool {
 
 /// Whether `cube` is covered by `cover` (container check via
 /// tautology of the cofactor).
-pub fn covered_by(session: &TraceSession, cube: &Cube, cover: &[Cube]) -> bool {
+pub(crate) fn covered_by(session: &TraceSession, cube: &Cube, cover: &[Cube]) -> bool {
     let _g = session.enter("covered_by");
     if cover.iter().any(|c| c.covers(cube)) {
         return true;
@@ -291,7 +292,7 @@ pub fn covered_by(session: &TraceSession, cube: &Cube, cover: &[Cube]) -> bool {
 
 /// EXPAND: raise literals to don't-care while staying off the OFF-set,
 /// then drop cubes covered by the newly expanded cube.
-pub fn expand(session: &TraceSession, cover: Vec<Cube>, off_set: &[Cube]) -> Vec<Cube> {
+pub(crate) fn expand(session: &TraceSession, cover: Vec<Cube>, off_set: &[Cube]) -> Vec<Cube> {
     let _g = session.enter("expand");
     let mut result: Vec<Cube> = Vec::with_capacity(cover.len());
     for cube in &cover {
@@ -316,7 +317,7 @@ pub fn expand(session: &TraceSession, cover: Vec<Cube>, off_set: &[Cube]) -> Vec
 }
 
 /// IRREDUNDANT: remove cubes covered by the union of the others.
-pub fn irredundant(session: &TraceSession, cover: Vec<Cube>) -> Vec<Cube> {
+pub(crate) fn irredundant(session: &TraceSession, cover: Vec<Cube>) -> Vec<Cube> {
     let _g = session.enter("irredundant");
     let mut keep: Vec<Cube> = cover;
     let mut i = 0;
@@ -343,7 +344,7 @@ pub fn irredundant(session: &TraceSession, cover: Vec<Cube>) -> Vec<Cube> {
 /// (earlier cubes in their already-reduced form), which keeps the
 /// cover's function unchanged: a point leaves a cube only while some
 /// other cube in the current cover still holds it.
-pub fn reduce(session: &TraceSession, cover: Vec<Cube>) -> Vec<Cube> {
+pub(crate) fn reduce(session: &TraceSession, cover: Vec<Cube>) -> Vec<Cube> {
     let _g = session.enter("reduce");
     let mut current: Vec<Cube> = cover;
     for i in 0..current.len() {

@@ -674,11 +674,6 @@ impl<'s> Interp<'s> {
             Value::Str(s) => (***s).clone(),
         }
     }
-
-    /// Output accumulated so far (for tests).
-    pub fn output(&self) -> &str {
-        &self.output
-    }
 }
 
 fn compare<T: PartialOrd + PartialEq>(op: &str, a: &T, b: &T) -> bool {

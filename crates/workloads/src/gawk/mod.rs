@@ -12,9 +12,8 @@ mod interp;
 mod lexer;
 mod parser;
 
-pub use interp::{num_to_string, Interp, Value};
-pub use lexer::{tokenize, Token};
-pub use parser::{parse, Expr, Lvalue, Pattern, Program, Rule, Stmt};
+use interp::Interp;
+use parser::parse;
 
 use crate::input;
 use crate::Workload;

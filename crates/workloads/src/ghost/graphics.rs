@@ -100,16 +100,6 @@ impl Path {
         Path::default()
     }
 
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// Whether the path is empty.
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
     /// The current point, if any.
     pub fn current_point(&self) -> Option<(f64, f64)> {
         self.current
@@ -217,8 +207,6 @@ impl Path {
 /// The product of rasterizing one painted path.
 #[derive(Debug)]
 pub struct RasterOutput {
-    /// Device-space bounding box `(x0, y0, x1, y1)`.
-    pub bbox: (f64, f64, f64, f64),
     /// Scanline spans, kept in the page display list until `showpage`
     /// (NODISPLAY still builds the bands before discarding them).
     pub spans: Vec<Traced<(u32, u32)>>,
@@ -249,10 +237,7 @@ pub fn rasterize(
         bbox.3 = bbox.3.max(y);
     }
     if chords.is_empty() {
-        return RasterOutput {
-            bbox: (0.0, 0.0, 0.0, 0.0),
-            spans: Vec::new(),
-        };
+        return RasterOutput { spans: Vec::new() };
     }
     // One span buffer per scanline touched.
     let lines = ((bbox.3 - bbox.1).abs().ceil() as usize).clamp(1, 256);
@@ -265,7 +250,7 @@ pub fn rasterize(
         spans.push(span);
     }
     session.work(lines as u64 * (2.0 + width) as u64);
-    RasterOutput { bbox, spans }
+    RasterOutput { spans }
 }
 
 #[cfg(test)]
@@ -290,7 +275,7 @@ mod tests {
         p.line_to(&s, 10.0, 0.0);
         p.curve_to(&s, 10.0, 5.0, 5.0, 10.0, 0.0, 10.0);
         p.close(&s);
-        assert_eq!(p.len(), 4);
+        assert_eq!(p.segs.len(), 4);
         assert_eq!(p.current_point(), Some((0.0, 0.0)));
         let chords = p.flatten(&s);
         // move + line + 8 curve chords + close-return.
@@ -300,15 +285,15 @@ mod tests {
     }
 
     #[test]
-    fn rasterize_reports_bbox() {
+    fn rasterize_spans_the_bbox_height() {
         let s = TraceSession::new("raster");
         let mut p = Path::new();
         p.move_to(&s, 1.0, 2.0);
         p.line_to(&s, 11.0, 22.0);
         let chords = p.flatten(&s);
         let out = rasterize(&s, &chords, 1.0);
-        assert_eq!(out.bbox, (1.0, 2.0, 11.0, 22.0));
-        assert!(!out.spans.is_empty());
+        // One span per scanline from y = 2 to y = 22.
+        assert_eq!(out.spans.len(), 20);
     }
 
     #[test]
@@ -318,7 +303,7 @@ mod tests {
         p.move_to(&s, 0.0, 0.0);
         p.line_to(&s, 1.0, 1.0);
         p.clear();
-        assert!(p.is_empty());
+        assert!(p.segs.is_empty());
         let t = s.finish();
         assert!(t.records().iter().all(|r| !r.is_immortal()));
     }

@@ -28,8 +28,6 @@ pub enum Obj {
     Real(f64),
     /// Boolean.
     Bool(bool),
-    /// Executable name.
-    Name(String),
     /// Literal name (`/x`).
     LitName(String),
     /// String (traced).
@@ -260,7 +258,7 @@ impl<'s> PsInterp<'s> {
 
     fn pop_name(&mut self) -> Result<String, String> {
         match self.pop()? {
-            Obj::LitName(n) | Obj::Name(n) => Ok(n),
+            Obj::LitName(n) => Ok(n),
             other => Err(format!("expected name, got {other:?}")),
         }
     }
@@ -736,11 +734,6 @@ impl<'s> PsInterp<'s> {
             self.stats.glyphs_shown += 1;
         }
         self.session.work(text.len() as u64 * 3);
-    }
-
-    /// Operand-stack depth (for tests).
-    pub fn stack_depth(&self) -> usize {
-        self.stack.len()
     }
 }
 

@@ -11,9 +11,8 @@ mod graphics;
 mod interp;
 mod scanner;
 
-pub use graphics::{rasterize, Matrix, Path, Seg};
-pub use interp::{Obj, PageStats, PsInterp};
-pub use scanner::{scan, PsToken};
+use interp::PsInterp;
+use scanner::scan;
 
 use crate::input;
 use crate::Workload;

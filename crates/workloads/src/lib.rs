@@ -10,12 +10,12 @@
 //!   arbitrary-precision arithmetic;
 //! * [`espresso`] — a cube-based two-level logic minimizer
 //!   (expand / irredundant / reduce loop);
-//! * [`gawk`] — an AWK-subset interpreter (lexer, parser, evaluator,
+//! * `gawk` — an AWK-subset interpreter (lexer, parser, evaluator,
 //!   field splitting, associative arrays);
-//! * [`ghost`] — a PostScript-subset interpreter (scanner, operand and
+//! * `ghost` — a PostScript-subset interpreter (scanner, operand and
 //!   dictionary stacks, path construction and flattening, NODISPLAY
 //!   rasterization, a glyph cache with large bitmaps);
-//! * [`perl`] — a report-extraction language (line processing, hashes,
+//! * `perl` — a report-extraction language (line processing, hashes,
 //!   sorting, a small regex engine, paragraph filling).
 //!
 //! A sixth family extends the set beyond the paper's batch jobs:
@@ -51,10 +51,10 @@
 
 pub mod cfrac;
 pub mod espresso;
-pub mod gawk;
-pub mod ghost;
-pub mod input;
-pub mod perl;
+mod gawk;
+mod ghost;
+mod input;
+mod perl;
 pub mod regexlite;
 pub mod server;
 

@@ -10,9 +10,8 @@ mod interp;
 mod lexer;
 mod parser;
 
-pub use interp::{PerlInterp, Scalar};
-pub use lexer::{lex, Tok};
-pub use parser::{parse, PExpr, PStmt};
+use interp::PerlInterp;
+use parser::parse;
 
 use crate::input;
 use crate::Workload;

@@ -8,11 +8,11 @@
 //! deterministically — per-connection read buffers that grow by
 //! doubling, bimodal request/response bodies, a session cache with TTL
 //! churn, slab-shaped burst batches, and batched access-log flushes —
-//! over eight fixed allocation sites (see [`sim::Site`]).
+//! over eight fixed allocation sites.
 //!
 //! The same simulation has two faces:
 //!
-//! * [`Server`] records it into a [`TraceSession`] like every other
+//! * the `Server` workload records it into a [`TraceSession`] like every other
 //!   workload, so the predictor pipeline and `lifepred run` treat it
 //!   as family number six;
 //! * [`synth::generate_lpt`] streams it straight into a `.lpt` file
@@ -30,7 +30,7 @@ use sim::{run_sim, AllocSink, SimConfig, Site};
 
 /// The SERVER workload.
 #[derive(Debug, Default, Clone)]
-pub struct Server;
+pub(crate) struct Server;
 
 /// Request counts for the two inputs: training first.
 const INPUTS: &[(&str, u64)] = &[("light-qps", 2_000), ("heavy-qps", 10_000)];

@@ -23,7 +23,7 @@ use lifepred_tracefile::TraceFileError;
 /// in-memory sinks never fail.
 ///
 /// [`alloc`]: AllocSink::alloc
-pub trait AllocSink {
+pub(crate) trait AllocSink {
     /// Records an allocation of `size` bytes at `site`; returns the
     /// object's birth index.
     fn alloc(&mut self, site: Site, size: u32) -> Result<u64, TraceFileError>;
@@ -39,7 +39,7 @@ pub trait AllocSink {
 /// session state dies on TTL expiry, connection buffers live until
 /// teardown, and the routing table is immortal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Site {
+pub(crate) enum Site {
     /// Per-connection read buffer, reallocated as requests outgrow it.
     ConnBuf,
     /// Request parse scratch; dies at end of request (bimodal sizes).
@@ -59,7 +59,7 @@ pub enum Site {
 }
 
 /// Every site, in a fixed order (indexable by `site as usize`).
-pub const SITES: &[Site] = &[
+pub(crate) const SITES: &[Site] = &[
     Site::ConnBuf,
     Site::RequestParse,
     Site::ResponseBody,
@@ -120,7 +120,7 @@ impl SimConfig {
 
 /// Long-run average events per request (allocs + frees), used to turn
 /// an event target into a request count.
-pub const EVENTS_PER_REQUEST_ESTIMATE: u64 = 11;
+pub(crate) const EVENTS_PER_REQUEST_ESTIMATE: u64 = 11;
 
 /// A touched session is evicted with probability 1/this.
 const SESSION_TTL: u64 = 64;
@@ -170,7 +170,7 @@ struct Session {
 /// # Errors
 ///
 /// Only errors surfaced by the sink (I/O on the streaming paths).
-pub fn run_sim(config: &SimConfig, sink: &mut dyn AllocSink) -> Result<(), TraceFileError> {
+pub(crate) fn run_sim(config: &SimConfig, sink: &mut dyn AllocSink) -> Result<(), TraceFileError> {
     let mut rng = Rng(config.seed ^ 0x5eed_5eed_5eed_5eed);
     let connections = config.connections.max(1);
     let sessions = config.sessions.max(1);
