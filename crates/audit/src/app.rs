@@ -12,7 +12,7 @@
 
 use crate::config::AuditConfig;
 use crate::diag::{render_json_report, render_sarif, Severity};
-use crate::{default_scan_set, load_config, rules, run_check_opts, CheckOptions};
+use crate::{default_scan_set, load_config, rules, run_check};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -21,17 +21,9 @@ pub fn run_app(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> u8 
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..], out, err),
         Some("rules") => {
-            for rule in rules::all_rules() {
-                let _ = writeln!(out, "{:<22} {}", rule.id(), rule.description());
+            for (id, description) in rules::catalogue() {
+                let _ = writeln!(out, "{id:<22} {description}");
             }
-            for rule in rules::all_workspace_rules() {
-                let _ = writeln!(out, "{:<22} {}", rule.id(), rule.description());
-            }
-            let _ = writeln!(
-                out,
-                "{:<22} [[allow]] entries in audit.toml must match a finding",
-                "stale-waiver"
-            );
             0
         }
         Some("--help") | Some("-h") | None => {
@@ -138,7 +130,7 @@ fn check(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> u8 {
         let _ = writeln!(err, "no .rs files found under {}", root.display());
         return 2;
     }
-    let report = match run_check_opts(&root, &files, &cfg, CheckOptions { strict }) {
+    let report = match run_check(&root, &files, &cfg, strict) {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(err, "error: {e}");
@@ -150,17 +142,7 @@ fn check(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> u8 {
             let _ = writeln!(out, "{}", render_json_report(&report.diagnostics));
         }
         "sarif" => {
-            let mut meta: Vec<(&'static str, &'static str)> = Vec::new();
-            for rule in rules::all_rules() {
-                meta.push((rule.id(), rule.description()));
-            }
-            for rule in rules::all_workspace_rules() {
-                meta.push((rule.id(), rule.description()));
-            }
-            meta.push((
-                "stale-waiver",
-                "[[allow]] entries in audit.toml must match a finding",
-            ));
+            let meta = rules::catalogue();
             let _ = writeln!(out, "{}", render_sarif(&report.diagnostics, &meta));
         }
         _ => {

@@ -8,6 +8,7 @@
 //! deliberately all `audit.toml` is allowed to need.
 
 use crate::diag::Severity;
+use crate::rules::is_registered;
 use std::collections::HashMap;
 
 /// Per-rule configuration.
@@ -16,18 +17,11 @@ pub struct RuleConfig {
     /// Overridden severity, if any (rules are deny-by-default).
     pub severity: Option<Severity>,
     /// Whether the rule also runs over `#[cfg(test)]`/`#[test]` code
-    /// (default false: test code is covered by clippy's
-    /// `undocumented_unsafe_blocks` instead).
+    /// (default false).
     pub include_tests: bool,
-    /// Module ids the rule treats as allowlisted (R2) or as its scope
-    /// (R4); for `panic-surface`, entries without `/` are crate names.
+    /// The rule's scope: module ids for `layout-math`; for
+    /// `panic-surface`, entries without `/` are crate names.
     pub modules: Vec<String>,
-    /// Lock names `alloc-reentrancy` treats as critical beyond the
-    /// GlobalAlloc-crate default (`pending`, `learner`, ...).
-    pub locks: Vec<String>,
-    /// Panicking-construct kinds `panic-surface` checks (default:
-    /// unwrap, expect, panic-macro, index).
-    pub constructs: Vec<String>,
 }
 
 /// One `[[allow]]` entry: suppresses diagnostics of `rule` whose site
@@ -36,9 +30,8 @@ pub struct RuleConfig {
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
     pub rule: String,
-    /// Site id to match: a module id (`flight/recorder`), a per-site id
-    /// (`galloc/tls::NEXT_THREAD`, `galloc/feedback::record`), or a
-    /// lock pair (`adaptive/learner->galloc/inner`).
+    /// Site id to match: a module id (`galloc/inner`) or a per-site id
+    /// (`galloc/inner::size`, `galloc/inner::seg_of`).
     pub site: String,
     pub reason: String,
     /// 1-based line of the `[[allow]]` header in `audit.toml`, so
@@ -78,34 +71,14 @@ impl AuditConfig {
             .unwrap_or(&[])
     }
 
-    /// The critical-lock list configured for a rule (empty if none).
-    pub fn locks(&self, rule: &str) -> &[String] {
-        self.rules
-            .get(rule)
-            .map(|r| r.locks.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The construct list configured for a rule (empty if none).
-    pub fn constructs(&self, rule: &str) -> &[String] {
-        self.rules
-            .get(rule)
-            .map(|r| r.constructs.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Whether an `[[allow]]` entry suppresses (rule, site).
-    pub fn is_allowed(&self, rule: &str, site: &str) -> bool {
-        self.allows.iter().any(|a| a.rule == rule && a.site == site)
-    }
-
     /// Parses the config text.
     ///
     /// # Errors
     ///
     /// Returns a message for syntax outside the supported subset, an
-    /// unknown severity, or an `[[allow]]` entry missing `rule`,
-    /// `site`, or a nonempty `reason`.
+    /// unknown severity, a rule id no registered rule has (in a
+    /// `[rule.<id>]` header or an `[[allow]]` entry), or an `[[allow]]`
+    /// entry missing `rule`, `site`, or a nonempty `reason`.
     pub fn parse(text: &str) -> Result<AuditConfig, String> {
         let mut cfg = AuditConfig::default();
         // Current section: None (top level), a rule table, or an
@@ -130,6 +103,11 @@ impl AuditConfig {
             };
             let rule = get("rule").ok_or("[[allow]] entry missing `rule`")?;
             let site = get("site").ok_or("[[allow]] entry missing `site`")?;
+            if !is_registered(&rule) {
+                return Err(format!(
+                    "audit.toml:{line}: [[allow]] names unknown rule `{rule}`"
+                ));
+            }
             let reason = get("reason").unwrap_or_default();
             if reason.trim().is_empty() {
                 return Err(format!(
@@ -168,6 +146,9 @@ impl AuditConfig {
                 let rule = header.strip_prefix("rule.").ok_or_else(|| {
                     err(&format!("unknown table [{header}] (expected [rule.<id>])"))
                 })?;
+                if !is_registered(rule) {
+                    return Err(err(&format!("unknown rule [rule.{rule}]")));
+                }
                 section = Section::Rule(rule.to_string());
                 cfg.rules.entry(rule.to_string()).or_default();
                 continue;
@@ -195,8 +176,6 @@ impl AuditConfig {
                         }
                         ("include_tests", Value::Bool(b)) => rc.include_tests = b,
                         ("modules", Value::Array(items)) => rc.modules = items,
-                        ("locks", Value::Array(items)) => rc.locks = items,
-                        ("constructs", Value::Array(items)) => rc.constructs = items,
                         (k, _) => {
                             return Err(err(&format!("unsupported rule key `{k}`")));
                         }
@@ -326,42 +305,45 @@ mod tests {
         let cfg = AuditConfig::parse(
             r#"
 # severities
-[rule.safety-comment]
+[rule.panic-surface]
 severity = "deny"
 include_tests = false
 
-[rule.raw-ptr-ops]
+[rule.layout-math]
 modules = ["galloc/inner", "galloc/tls"]
 
 [[allow]]
-rule = "relaxed-publish"
-site = "galloc/tls::NEXT_THREAD"
-reason = "monotonic counter"
+rule = "layout-math"
+site = "galloc/inner::size"
+reason = "bounded by the carve loop"
 
 [[allow]]
-rule = "relaxed-publish"
-site = "galloc/inner::clock"
-reason = "byte clock"
+rule = "panic-surface"
+site = "galloc/inner::seg_of"
+reason = "index bounded by contains()"
 "#,
         )
         .expect("parse");
-        assert_eq!(cfg.severity("safety-comment"), Severity::Deny);
+        assert_eq!(cfg.severity("panic-surface"), Severity::Deny);
         assert_eq!(cfg.severity("unconfigured"), Severity::Deny);
         assert_eq!(
-            cfg.modules("raw-ptr-ops"),
+            cfg.modules("layout-math"),
             &["galloc/inner".to_string(), "galloc/tls".to_string()]
         );
         assert_eq!(cfg.allows.len(), 2);
-        assert!(cfg.is_allowed("relaxed-publish", "galloc/tls::NEXT_THREAD"));
-        assert!(!cfg.is_allowed("relaxed-publish", "galloc/tls::clock"));
+        assert_eq!(cfg.allows[1].site, "galloc/inner::seg_of");
+        assert_eq!(cfg.allows[1].line, 15, "line of the [[allow]] header");
     }
 
     #[test]
     fn allow_without_reason_is_an_error() {
-        let e = AuditConfig::parse("[[allow]]\nrule = \"x\"\nsite = \"m\"\nreason = \"  \"\n")
-            .unwrap_err();
+        let e = AuditConfig::parse(
+            "[[allow]]\nrule = \"layout-math\"\nsite = \"m\"\nreason = \"  \"\n",
+        )
+        .unwrap_err();
         assert!(e.contains("reason"), "{e}");
-        let e = AuditConfig::parse("[[allow]]\nrule = \"x\"\nsite = \"m\"\n").unwrap_err();
+        let e =
+            AuditConfig::parse("[[allow]]\nrule = \"layout-math\"\nsite = \"m\"\n").unwrap_err();
         assert!(e.contains("reason"), "{e}");
     }
 
@@ -369,36 +351,16 @@ reason = "byte clock"
     fn rejects_unknown_syntax() {
         assert!(AuditConfig::parse("[weird]\n").is_err());
         assert!(AuditConfig::parse("loose = \"key\"\n").is_err());
-        assert!(AuditConfig::parse("[rule.x]\nseverity = \"fatal\"\n").is_err());
-        assert!(AuditConfig::parse("[rule.x]\nmystery = true\n").is_err());
+        assert!(AuditConfig::parse("[rule.layout-math]\nseverity = \"fatal\"\n").is_err());
+        assert!(AuditConfig::parse("[rule.layout-math]\nmystery = true\n").is_err());
     }
 
     #[test]
     fn comments_and_hash_in_strings() {
-        let cfg = AuditConfig::parse("[rule.x] # trailing\nmodules = [\"a#b\"] # comment\n")
-            .expect("parse");
-        assert_eq!(cfg.modules("x"), &["a#b".to_string()]);
-    }
-
-    #[test]
-    fn locks_constructs_and_allow_lines() {
-        let cfg = AuditConfig::parse(
-            "[rule.alloc-reentrancy]\nlocks = [\"pending\", \"learner\"]\n\
-             [rule.panic-surface]\nconstructs = [\"unwrap\", \"index\"]\n\
-             \n\
-             [[allow]]\nrule = \"lock-order\"\nsite = \"a/x->b/y\"\nreason = \"distinct instances\"\n",
-        )
-        .unwrap();
-        assert_eq!(
-            cfg.locks("alloc-reentrancy"),
-            &["pending".to_string(), "learner".to_string()]
-        );
-        assert_eq!(
-            cfg.constructs("panic-surface"),
-            &["unwrap".to_string(), "index".to_string()]
-        );
-        assert_eq!(cfg.allows.len(), 1);
-        assert_eq!(cfg.allows[0].line, 6, "line of the [[allow]] header");
+        let cfg =
+            AuditConfig::parse("[rule.layout-math] # trailing\nmodules = [\"a#b\"] # comment\n")
+                .expect("parse");
+        assert_eq!(cfg.modules("layout-math"), &["a#b".to_string()]);
     }
 
     #[test]

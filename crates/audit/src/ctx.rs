@@ -1,49 +1,19 @@
 //! Per-file analysis context shared by all rules: the token stream,
-//! line mapping, the spans of `unsafe` code, and the spans of
-//! `#[cfg(test)]` / `#[test]` items (which most rules skip).
+//! line mapping, and the spans of `#[cfg(test)]` / `#[test]` items
+//! (which the rules skip).
 
 use crate::lex::{lex, Tok, TokKind};
 use std::path::{Path, PathBuf};
-
-/// Kind of an `unsafe` region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { ... }` block.
-    Block,
-    /// `unsafe impl Trait for T { ... }`.
-    Impl,
-    /// `unsafe fn f(...) { ... }` (span covers the body).
-    Fn,
-    /// `unsafe extern "C" { ... }` and friends.
-    Extern,
-}
-
-/// One `unsafe` region: the `unsafe` keyword token and the byte span
-/// of its braced body.
-#[derive(Debug, Clone, Copy)]
-pub struct UnsafeSpan {
-    pub kind: UnsafeKind,
-    /// Index of the `unsafe` token in [`FileCtx::toks`].
-    pub kw_tok: usize,
-    /// Byte span of the braced region (including the braces), or of
-    /// the keyword alone when no body was found (e.g. a trait method
-    /// declaration).
-    pub start: usize,
-    pub end: usize,
-}
 
 /// Analysis context for one source file.
 #[derive(Debug)]
 pub struct FileCtx {
     pub path: PathBuf,
-    pub src: String,
     pub toks: Vec<Tok>,
     /// Byte offset of the start of each line.
     line_starts: Vec<usize>,
     /// Byte spans of `#[cfg(test)] mod`/items and `#[test]` fns.
     pub test_spans: Vec<(usize, usize)>,
-    /// All `unsafe` regions in the file.
-    pub unsafe_spans: Vec<UnsafeSpan>,
     /// Module id: `<crate-dir>/<path-under-src>`, e.g. `galloc/inner`
     /// for `crates/galloc/src/inner.rs` (see [`module_id`]).
     pub module: String,
@@ -56,14 +26,11 @@ impl FileCtx {
         let toks = lex(&src);
         let line_starts = compute_line_starts(&src);
         let test_spans = find_test_spans(&toks);
-        let unsafe_spans = find_unsafe_spans(&toks);
         FileCtx {
             path,
-            src,
             toks,
             line_starts,
             test_spans,
-            unsafe_spans,
             module,
         }
     }
@@ -82,29 +49,11 @@ impl FileCtx {
         self.line_col(offset).0
     }
 
-    /// Byte span of a 1-based line (excluding the newline).
-    pub fn line_span(&self, line: usize) -> (usize, usize) {
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map(|&e| e.saturating_sub(1))
-            .unwrap_or(self.src.len());
-        (start, end)
-    }
-
     /// Whether a byte offset falls inside test code.
     pub fn in_test(&self, offset: usize) -> bool {
         self.test_spans
             .iter()
             .any(|&(s, e)| offset >= s && offset < e)
-    }
-
-    /// Whether a byte offset falls inside an `unsafe` region.
-    pub fn in_unsafe(&self, offset: usize) -> bool {
-        self.unsafe_spans
-            .iter()
-            .any(|u| offset >= u.start && offset < u.end)
     }
 
     /// Index of the first non-comment token at or after `from`.
@@ -240,55 +189,6 @@ fn next_code(toks: &[Tok], from: usize) -> Option<usize> {
     (from..toks.len()).find(|&i| !toks[i].is_comment())
 }
 
-/// Finds every `unsafe` region: blocks, impls, fns, externs.
-fn find_unsafe_spans(toks: &[Tok]) -> Vec<UnsafeSpan> {
-    let mut spans = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("unsafe") {
-            continue;
-        }
-        let Some(nxt) = next_code(toks, i + 1) else {
-            continue;
-        };
-        let (kind, search_from) = match &toks[nxt].kind {
-            TokKind::Punct('{') => (UnsafeKind::Block, nxt),
-            TokKind::Ident(s) if s == "impl" => (UnsafeKind::Impl, nxt + 1),
-            TokKind::Ident(s) if s == "fn" => (UnsafeKind::Fn, nxt + 1),
-            TokKind::Ident(s) if s == "extern" => (UnsafeKind::Extern, nxt + 1),
-            _ => continue,
-        };
-        // Find the opening brace (stopping at `;` for bodyless decls).
-        let mut open = None;
-        let mut m = search_from;
-        while m < toks.len() {
-            match toks[m].kind {
-                TokKind::Punct('{') => {
-                    open = Some(m);
-                    break;
-                }
-                TokKind::Punct(';') => break,
-                _ => {}
-            }
-            m += 1;
-        }
-        let (start, end) = match open {
-            Some(open) => {
-                let close = match_brace(toks, open);
-                (toks[open].start, toks[close].end)
-            }
-            // Bodyless (trait method decl): span just the keyword.
-            None => (toks[i].start, toks[i].end),
-        };
-        spans.push(UnsafeSpan {
-            kind,
-            kw_tok: i,
-            start,
-            end,
-        });
-    }
-    spans
-}
-
 /// Derives the module id used by allowlists from a repo-relative
 /// path: `crates/galloc/src/inner.rs` → `galloc/inner`,
 /// `src/lib.rs` → `lifepred/lib`, nested files keep their directories
@@ -333,30 +233,6 @@ mod tests {
         assert_eq!(c.line_col(0), (1, 1));
         assert_eq!(c.line_col(3), (2, 1));
         assert_eq!(c.line_col(7), (3, 2));
-    }
-
-    #[test]
-    fn unsafe_block_span() {
-        let c = ctx("fn f() { let x = unsafe { g() }; }");
-        assert_eq!(c.unsafe_spans.len(), 1);
-        let u = &c.unsafe_spans[0];
-        assert_eq!(u.kind, UnsafeKind::Block);
-        assert_eq!(&c.src[u.start..u.end], "{ g() }");
-    }
-
-    #[test]
-    fn unsafe_impl_and_fn_spans() {
-        let c = ctx("unsafe impl Send for X {}\nunsafe fn f() { body() }\n");
-        assert_eq!(c.unsafe_spans.len(), 2);
-        assert_eq!(c.unsafe_spans[0].kind, UnsafeKind::Impl);
-        assert_eq!(c.unsafe_spans[1].kind, UnsafeKind::Fn);
-        assert!(c.in_unsafe(c.src.find("body").unwrap()));
-    }
-
-    #[test]
-    fn bodyless_unsafe_fn_decl() {
-        let c = ctx("trait T { unsafe fn f(); }");
-        assert_eq!(c.unsafe_spans.len(), 1);
     }
 
     #[test]

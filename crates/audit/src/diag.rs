@@ -36,7 +36,7 @@ impl fmt::Display for Severity {
 /// One finding, pinned to a file:line:col span.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id, e.g. `safety-comment`.
+    /// Rule id, e.g. `layout-math`.
     pub rule: &'static str,
     pub severity: Severity,
     /// Repo-relative path.
@@ -173,13 +173,13 @@ mod tests {
 
     fn diag() -> Diagnostic {
         Diagnostic {
-            rule: "safety-comment",
+            rule: "layout-math",
             severity: Severity::Deny,
             file: "crates/galloc/src/inner.rs".into(),
             line: 7,
             col: 9,
-            message: "undocumented `unsafe` block".into(),
-            site: "galloc/inner".into(),
+            message: "bare `+` on layout/size values".into(),
+            site: "galloc/inner::size".into(),
         }
     }
 
@@ -187,7 +187,7 @@ mod tests {
     fn human_format() {
         assert_eq!(
             diag().render_human(),
-            "crates/galloc/src/inner.rs:7:9: deny[safety-comment]: undocumented `unsafe` block"
+            "crates/galloc/src/inner.rs:7:9: deny[layout-math]: bare `+` on layout/size values"
         );
     }
 
@@ -202,11 +202,11 @@ mod tests {
         w.severity = Severity::Warn;
         let s = render_sarif(
             &[diag(), w],
-            &[("safety-comment", "every unsafe block carries // SAFETY:")],
+            &[("layout-math", "layout/size arithmetic uses checked helpers")],
         );
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("\"name\":\"lifepred-audit\""));
-        assert!(s.contains("\"ruleId\":\"safety-comment\""));
+        assert!(s.contains("\"ruleId\":\"layout-math\""));
         assert!(s.contains("\"ruleIndex\":0"));
         assert!(s.contains("\"level\":\"error\""));
         assert!(s.contains("\"level\":\"warning\""));

@@ -1,39 +1,34 @@
 //! `lifepred-audit` — allocator-safety static analysis for the
 //! lifepred workspace.
 //!
-//! The hot path of this repo is lock-free and `unsafe`-heavy
-//! (`crates/galloc/src/inner.rs`, TLS slots, snapshot publishing);
-//! PR 2's review caught two latent UB bugs in it by hand. This crate
-//! machine-checks the invariants those reviews checked, on every CI
-//! run, as deny-by-default diagnostics with file:line spans:
+//! Two rules, each kept because it changed code in the repo's history
+//! (the census is in DESIGN.md §9), run as deny-by-default diagnostics
+//! with file:line spans:
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | `safety-comment` | every `unsafe` block / `unsafe impl` carries `// SAFETY:` |
-//! | `raw-ptr-ops` | pointer arithmetic & raw casts only in allowlisted modules |
-//! | `relaxed-publish` | no `Ordering::Relaxed` on atomic writes that publish state |
 //! | `layout-math` | size/offset math in arena cores uses checked helpers |
-//! | `forbidden-constructs` | no `static mut` / `transmute` / `Box::leak` |
+//! | `panic-surface` | no panics reachable from `GlobalAlloc`/`Drop` or under allocator locks |
 //!
-//! Rules are registered in [`rules::all_rules`] and run over the token
-//! stream plus a per-file context ([`ctx::FileCtx`]) — `syn` is not
-//! available offline, so the parsing layer is the small sound lexer in
-//! [`lex`]. Configuration (severities, module scopes, per-site
-//! `[[allow]]` entries with mandatory written rationales) comes from
-//! `audit.toml`; one-off suppressions can use an
-//! `// audit:allow(rule-id)` comment on the flagged line or the line
-//! above. Run `cargo run -p lifepred-audit -- check` from the repo
-//! root; see DESIGN.md §9 for the invariant catalogue.
+//! `layout-math` runs per file over the token stream plus a per-file
+//! context (`ctx::FileCtx`) — `syn` is not available offline, so the
+//! parsing layer is a small lexer. `panic-surface` runs once over the
+//! cross-file call graph (`callgraph::Workspace`). Configuration
+//! (severities, module scopes, per-site `[[allow]]` entries with
+//! mandatory written rationales) comes from `audit.toml`; one-off
+//! suppressions can use an `// audit:allow(rule-id)` comment on the
+//! flagged line or the line above. Run `cargo run -p lifepred-audit --
+//! check` from the repo root.
 
 pub mod app;
-pub mod callgraph;
-pub mod config;
-pub mod ctx;
-pub mod diag;
-pub mod lex;
-pub mod parse;
-pub mod rules;
-pub mod summary;
+mod callgraph;
+mod config;
+mod ctx;
+mod diag;
+mod lex;
+mod parse;
+mod rules;
+mod summary;
 
 use config::AuditConfig;
 use ctx::{module_id, FileCtx};
@@ -44,16 +39,16 @@ use std::path::{Path, PathBuf};
 
 /// Result of a check run.
 #[derive(Debug)]
-pub struct CheckReport {
+struct CheckReport {
     /// All diagnostics, sorted by (file, line, col).
-    pub diagnostics: Vec<Diagnostic>,
+    diagnostics: Vec<Diagnostic>,
     /// Number of files scanned.
-    pub files_scanned: usize,
+    files_scanned: usize,
 }
 
 impl CheckReport {
     /// Whether any deny-severity diagnostic was produced.
-    pub fn has_denials(&self) -> bool {
+    fn has_denials(&self) -> bool {
         self.diagnostics
             .iter()
             .any(|d| d.severity == Severity::Deny)
@@ -64,7 +59,7 @@ impl CheckReport {
 /// `crates/*/src` and the facade's `src/`, sorted for deterministic
 /// output. Fixture trees (`tests/fixtures`) and vendored shims are
 /// outside these directories and thus never scanned by default.
-pub fn default_scan_set(root: &Path) -> Vec<PathBuf> {
+fn default_scan_set(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     if let Ok(entries) = fs::read_dir(&crates_dir) {
@@ -105,7 +100,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 ///
 /// Returns the parse error message when the file exists but is
 /// malformed (including `[[allow]]` entries missing a written reason).
-pub fn load_config(root: &Path) -> Result<AuditConfig, String> {
+fn load_config(root: &Path) -> Result<AuditConfig, String> {
     let path = root.join("audit.toml");
     match fs::read_to_string(&path) {
         Ok(text) => AuditConfig::parse(&text),
@@ -113,23 +108,9 @@ pub fn load_config(root: &Path) -> Result<AuditConfig, String> {
     }
 }
 
-/// Options for [`run_check_opts`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CheckOptions {
-    /// Escalate stale `[[allow]]` waivers from warnings to denials.
-    pub strict: bool,
-}
-
 /// Runs every registered rule over `files` (repo-relative to `root`).
-///
-/// # Errors
-///
-/// Returns a message when a file cannot be read.
-pub fn run_check(root: &Path, files: &[PathBuf], cfg: &AuditConfig) -> Result<CheckReport, String> {
-    run_check_opts(root, files, cfg, CheckOptions::default())
-}
-
-/// [`run_check`] with explicit [`CheckOptions`].
+/// `strict` escalates stale `[[allow]]` waivers from warnings to
+/// denials.
 ///
 /// Per-file rules run first; then the whole file set is handed to
 /// [`callgraph::Workspace::build`] and the cross-file rules run once
@@ -140,11 +121,11 @@ pub fn run_check(root: &Path, files: &[PathBuf], cfg: &AuditConfig) -> Result<Ch
 /// # Errors
 ///
 /// Returns a message when a file cannot be read.
-pub fn run_check_opts(
+fn run_check(
     root: &Path,
     files: &[PathBuf],
     cfg: &AuditConfig,
-    opts: CheckOptions,
+    strict: bool,
 ) -> Result<CheckReport, String> {
     let mut ctxs = Vec::with_capacity(files.len());
     for file in files {
@@ -199,8 +180,8 @@ pub fn run_check_opts(
     // dead weight — a warning normally, a denial under --strict.
     for (a, _) in cfg.allows.iter().zip(&used).filter(|(_, &u)| !u) {
         diagnostics.push(Diagnostic {
-            rule: "stale-waiver",
-            severity: if opts.strict {
+            rule: rules::STALE_WAIVER,
+            severity: if strict {
                 Severity::Deny
             } else {
                 Severity::Warn
@@ -307,33 +288,28 @@ mod tests {
     #[test]
     fn run_check_reports_and_sorts() {
         let root = write_tree(&[(
-            "crates/a/src/lib.rs",
-            "pub fn f(p: *mut u8) {\n    unsafe { p.add(1) };\n}\nstatic mut X: u8 = 0;\n",
+            "crates/galloc/src/inner.rs",
+            "pub fn f(offset: usize, size: usize) -> usize {\n    offset * 2 + size\n}\n",
         )]);
         let files = default_scan_set(&root);
-        let report = run_check(&root, &files, &AuditConfig::default()).unwrap();
+        let report = run_check(&root, &files, &AuditConfig::default(), false).unwrap();
         assert!(report.has_denials());
-        let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
-        assert!(rules.contains(&"safety-comment"));
-        assert!(rules.contains(&"raw-ptr-ops"));
-        assert!(rules.contains(&"forbidden-constructs"));
-        // Sorted by line.
-        let lines: Vec<usize> = report.diagnostics.iter().map(|d| d.line).collect();
-        let mut sorted = lines.clone();
-        sorted.sort();
-        assert_eq!(lines, sorted);
+        let cols: Vec<(usize, usize)> =
+            report.diagnostics.iter().map(|d| (d.line, d.col)).collect();
+        assert_eq!(cols, [(2, 12), (2, 16)], "{:?}", report.diagnostics);
+        assert!(report.diagnostics.iter().all(|d| d.rule == "layout-math"));
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn inline_allow_suppresses_one_line() {
         let root = write_tree(&[(
-            "crates/a/src/lib.rs",
-            "// audit:allow(forbidden-constructs): FFI scratch used by the bench harness\n\
-             static mut X: u8 = 0;\nstatic mut Y: u8 = 0;\n",
+            "crates/galloc/src/inner.rs",
+            "// audit:allow(layout-math): fixture exercises inline allows\n\
+             pub fn a(size: usize) -> usize { size + 1 }\npub fn b(size: usize) -> usize { size + 1 }\n",
         )]);
         let files = default_scan_set(&root);
-        let report = run_check(&root, &files, &AuditConfig::default()).unwrap();
+        let report = run_check(&root, &files, &AuditConfig::default(), false).unwrap();
         assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
         assert_eq!(report.diagnostics[0].line, 3);
         let _ = fs::remove_dir_all(&root);

@@ -1,4 +1,4 @@
-//! R4 `layout-math`: inside the allocator-core modules, size/offset
+//! `layout-math`: inside the allocator-core modules, size/offset
 //! arithmetic must go through checked helpers (`checked_add`,
 //! `checked_mul`, `checked_next_multiple_of`, `saturating_*`) instead
 //! of bare `+`/`*` or the `(x + a - 1) & !(a - 1)` mask idiom.
@@ -9,7 +9,7 @@
 //! via `modules` in `audit.toml`) so ordinary counter arithmetic
 //! elsewhere is untouched.
 
-use super::{emit, skip_tests, Rule};
+use super::{emit, Rule};
 use crate::config::AuditConfig;
 use crate::ctx::FileCtx;
 use crate::diag::Diagnostic;
@@ -55,9 +55,10 @@ impl Rule for LayoutMath {
         if !scoped.iter().any(|m| m == &ctx.module) {
             return;
         }
+        let include_tests = cfg.include_tests(ID);
         let toks = &ctx.toks;
         for i in 0..toks.len() {
-            if skip_tests(ID, ctx, cfg, toks[i].start) {
+            if !include_tests && ctx.in_test(toks[i].start) {
                 continue;
             }
             // Mask-rounding idiom: binary `&` followed by `!`.

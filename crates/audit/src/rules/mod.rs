@@ -1,37 +1,23 @@
-//! The rule registry: every audit rule is a small visitor over a
-//! [`FileCtx`], registered in [`all_rules`] (the same shape as vex's
-//! scriptlet registry — adding a rule is adding a module and one line
-//! here).
+//! The rule registry: a per-file rule is a small visitor over a
+//! [`FileCtx`], registered in [`all_rules`]; a cross-file rule runs
+//! once over the [`Workspace`], registered in [`all_workspace_rules`].
+//! Adding a rule is adding a module and one line here.
 
 use crate::callgraph::Workspace;
 use crate::config::AuditConfig;
 use crate::ctx::FileCtx;
 use crate::diag::{Diagnostic, Severity};
 
-mod alloc_reentrancy;
-mod atomic_pairing;
-mod forbidden;
 mod layout_math;
-mod lock_order;
 mod panic_surface;
-mod raw_ptr;
-mod relaxed_publish;
-mod safety_comment;
 
-pub use alloc_reentrancy::AllocReentrancy;
-pub use atomic_pairing::AtomicPairing;
-pub use forbidden::ForbiddenConstructs;
-pub use layout_math::LayoutMath;
-pub use lock_order::LockOrder;
-pub use panic_surface::PanicSurface;
-pub use raw_ptr::RawPtrOps;
-pub use relaxed_publish::RelaxedPublish;
-pub use safety_comment::SafetyComment;
+use layout_math::LayoutMath;
+use panic_surface::PanicSurface;
 
 /// One audit rule.
 pub trait Rule {
     /// Stable id used in config, allowlists, and output
-    /// (kebab-case, e.g. `safety-comment`).
+    /// (kebab-case, e.g. `layout-math`).
     fn id(&self) -> &'static str;
     /// One-line description for `lifepred-audit rules`.
     fn description(&self) -> &'static str;
@@ -41,13 +27,7 @@ pub trait Rule {
 
 /// All registered per-file rules, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(SafetyComment),
-        Box::new(RawPtrOps),
-        Box::new(RelaxedPublish),
-        Box::new(LayoutMath),
-        Box::new(ForbiddenConstructs),
-    ]
+    vec![Box::new(LayoutMath)]
 }
 
 /// One cross-file rule: runs once over the whole workspace after the
@@ -63,12 +43,33 @@ pub trait WorkspaceRule {
 
 /// All registered workspace rules, in reporting order.
 pub fn all_workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
-        Box::new(LockOrder),
-        Box::new(AllocReentrancy),
-        Box::new(AtomicPairing),
-        Box::new(PanicSurface),
-    ]
+    vec![Box::new(PanicSurface)]
+}
+
+/// The id of the runner's own check: an `[[allow]]` entry that matched
+/// no finding.
+pub const STALE_WAIVER: &str = "stale-waiver";
+
+/// Every registered rule as `(id, description)`, in reporting order,
+/// followed by [`STALE_WAIVER`].
+pub fn catalogue() -> Vec<(&'static str, &'static str)> {
+    let per_file = all_rules().into_iter().map(|r| (r.id(), r.description()));
+    let workspace = all_workspace_rules()
+        .into_iter()
+        .map(|r| (r.id(), r.description()));
+    per_file
+        .chain(workspace)
+        .chain([(
+            STALE_WAIVER,
+            "[[allow]] entries in audit.toml must match a finding",
+        )])
+        .collect()
+}
+
+/// Whether `id` names a registered rule (`stale-waiver` is not one: it
+/// cannot be configured or waived).
+pub fn is_registered(id: &str) -> bool {
+    id != STALE_WAIVER && catalogue().iter().any(|&(known, _)| known == id)
 }
 
 /// Shared diagnostic constructor: positions the finding at `offset`
@@ -96,26 +97,4 @@ pub(crate) fn emit(
         message,
         site,
     });
-}
-
-/// Whether a rule should skip this offset (test code, unless the rule
-/// is configured to include tests).
-pub(crate) fn skip_tests(rule: &str, ctx: &FileCtx, cfg: &AuditConfig, offset: usize) -> bool {
-    !cfg.include_tests(rule) && ctx.in_test(offset)
-}
-
-/// [`emit`] for workspace rules: the file is an index into
-/// [`Workspace::ctxs`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_ws(
-    rule: &'static str,
-    ws: &Workspace,
-    cfg: &AuditConfig,
-    file: usize,
-    offset: usize,
-    site: String,
-    message: String,
-    out: &mut Vec<Diagnostic>,
-) {
-    emit(rule, &ws.ctxs[file], cfg, offset, site, message, out);
 }

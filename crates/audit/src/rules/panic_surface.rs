@@ -1,4 +1,4 @@
-//! R9 `panic-surface`: panicking constructs must not be reachable
+//! `panic-surface`: panicking constructs must not be reachable
 //! from the allocator's entry points or run while an allocator lock is
 //! held.
 //!
@@ -9,10 +9,8 @@
 //! `GlobalAlloc` and `Drop` impl fn of the in-scope crates and flags:
 //!
 //! * direct panicking constructs (`unwrap`/`expect`, `panic!`-family
-//!   macros, expression indexing; overflow arithmetic is implemented
-//!   but off by default — `layout-math` already forces checked helpers
-//!   where it matters, and unchecked counters are idiomatic) in every
-//!   reachable fn — one diagnostic per (fn, construct kind);
+//!   macros, expression indexing) in every reachable fn — one
+//!   diagnostic per (fn, construct kind);
 //! * calls into *other* crates whose transitive summary panics
 //!   (reported at the call site, since the callee crate may be
 //!   general-purpose code that is fine to panic elsewhere);
@@ -21,12 +19,11 @@
 //!
 //! In-scope crates come from `modules = [...]` (entries without `/`
 //! are crate names); by default, every crate with a `GlobalAlloc`
-//! impl. `constructs = [...]` picks the construct kinds (default:
-//! unwrap, expect, panic-macro, index). `debug_assert!` is exempt by
+//! impl. `debug_assert!` is exempt by
 //! construction — it compiles out of release builds and is the
 //! sanctioned invariant-check idiom.
 
-use super::{emit_ws, WorkspaceRule};
+use super::{emit, WorkspaceRule};
 use crate::callgraph::Workspace;
 use crate::config::AuditConfig;
 use crate::diag::Diagnostic;
@@ -36,8 +33,6 @@ use std::collections::BTreeSet;
 pub struct PanicSurface;
 
 const ID: &str = "panic-surface";
-
-const DEFAULT_CONSTRUCTS: &[&str] = &["unwrap", "expect", "panic-macro", "index"];
 
 impl WorkspaceRule for PanicSurface {
     fn id(&self) -> &'static str {
@@ -49,13 +44,6 @@ impl WorkspaceRule for PanicSurface {
     }
 
     fn check(&self, ws: &Workspace, cfg: &AuditConfig, out: &mut Vec<Diagnostic>) {
-        let configured = cfg.constructs(ID);
-        let constructs: BTreeSet<&str> = if configured.is_empty() {
-            DEFAULT_CONSTRUCTS.iter().copied().collect()
-        } else {
-            configured.iter().map(String::as_str).collect()
-        };
-        let enabled = |k: PanicKind| constructs.contains(k.config_name());
         let cfg_modules = cfg.modules(ID);
         let in_scope = |krate: &str| -> bool {
             if cfg_modules.is_empty() {
@@ -108,23 +96,22 @@ impl WorkspaceRule for PanicSurface {
             if reachable[i] {
                 let mut kinds_done: BTreeSet<PanicKind> = BTreeSet::new();
                 for p in &f.summary.panics {
-                    if !enabled(p.kind) || ctx.in_test(p.offset) || !kinds_done.insert(p.kind) {
+                    if ctx.in_test(p.offset) || !kinds_done.insert(p.kind) {
                         continue;
                     }
                     if !seen_offsets.insert((f.file, p.offset)) {
                         continue;
                     }
-                    emit_ws(
+                    emit(
                         ID,
-                        ws,
+                        ctx,
                         cfg,
-                        f.file,
                         p.offset,
                         site.clone(),
                         format!(
                             "`{}` in `{}` is reachable from the GlobalAlloc/Drop surface \
                              of crate `{}`: a panic here aborts or wedges the allocator",
-                            p.kind.config_name(),
+                            p.kind.name(),
                             f.item.name,
                             f.krate
                         ),
@@ -136,21 +123,20 @@ impl WorkspaceRule for PanicSurface {
                     if ctx.in_test(c.offset) {
                         continue;
                     }
-                    let foreign_panics = ws.callees(i, ci).iter().any(|&j| {
-                        ws.fns[j].krate != f.krate
-                            && ws.fns[j].panic_kinds.iter().any(|&k| enabled(k))
-                    });
+                    let foreign_panics = ws
+                        .callees(i, ci)
+                        .iter()
+                        .any(|&j| ws.fns[j].krate != f.krate && !ws.fns[j].panic_kinds.is_empty());
                     if !foreign_panics || !callees_done.insert(c.name.as_str()) {
                         continue;
                     }
                     if !seen_offsets.insert((f.file, c.offset)) {
                         continue;
                     }
-                    emit_ws(
+                    emit(
                         ID,
-                        ws,
+                        ctx,
                         cfg,
-                        f.file,
                         c.offset,
                         site.clone(),
                         format!(
@@ -166,31 +152,26 @@ impl WorkspaceRule for PanicSurface {
             // Panics while a lock of an in-scope crate is held.
             if in_scope(&f.krate) {
                 for s in &f.eff_scopes {
-                    if s.whole_body || ctx.in_test(s.offset) {
+                    if ctx.in_test(s.offset) {
                         continue;
                     }
                     for p in &f.summary.panics {
-                        if !enabled(p.kind)
-                            || p.offset <= s.bytes.0
-                            || p.offset >= s.bytes.1
-                            || ctx.in_test(p.offset)
-                        {
+                        if p.offset <= s.bytes.0 || p.offset >= s.bytes.1 || ctx.in_test(p.offset) {
                             continue;
                         }
                         if !seen_offsets.insert((f.file, p.offset)) {
                             continue;
                         }
-                        emit_ws(
+                        emit(
                             ID,
-                            ws,
+                            ctx,
                             cfg,
-                            f.file,
                             p.offset,
                             site.clone(),
                             format!(
                                 "`{}` in `{}` can panic while `{}` is held: other \
                                  threads wedge on the poisoned lock",
-                                p.kind.config_name(),
+                                p.kind.name(),
                                 f.item.name,
                                 s.qual
                             ),

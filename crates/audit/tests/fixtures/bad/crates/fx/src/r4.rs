@@ -1,4 +1,4 @@
-//! R4 fixture: unchecked layout arithmetic (in scope via audit.toml).
+//! layout-math fixture: unchecked layout arithmetic (in scope via audit.toml).
 pub fn end_offset(offset: usize, size: usize) -> usize {
     offset + size
 }

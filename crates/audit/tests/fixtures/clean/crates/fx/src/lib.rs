@@ -1,14 +1,11 @@
-//! Clean fixture: everything documented, allowlisted, or inline-allowed.
-use std::sync::atomic::{AtomicU64, Ordering};
-pub static TICKETS: AtomicU64 = AtomicU64::new(0);
-pub fn next_ticket() -> u64 {
-    TICKETS.fetch_add(1, Ordering::Relaxed)
+//! Clean fixture: everything checked, allowlisted, or inline-allowed.
+pub fn end(offset: usize, size: usize) -> Option<usize> {
+    offset.checked_add(size)
 }
-pub fn read(p: *const u8) -> u8 {
-    // SAFETY: caller guarantees p is valid for reads.
-    unsafe { *p }
+pub fn next(len: usize) -> usize {
+    len + 1
 }
-pub fn pin(b: Box<u32>) -> &'static mut u32 {
-    // audit:allow(forbidden-constructs): fixture exercises inline allows
-    Box::leak(b)
+pub fn double(bytes: usize) -> usize {
+    // audit:allow(layout-math): fixture exercises inline allows
+    bytes * 2
 }

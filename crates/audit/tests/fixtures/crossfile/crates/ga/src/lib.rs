@@ -1,9 +1,5 @@
-//! Crossfile fixture: a deployable allocator whose feedback path
-//! reproduces the PR 6 self-deadlock shape — an allocation under the
-//! pending lock, reached from inside the `GlobalAlloc` surface.
-//! `dealloc` is the fixed twin: the bookkeeping flag precedes the
-//! `record_free` call (the shipped PR 6 fix), so the allocation it
-//! reaches is sanctioned and must NOT be flagged.
+//! Crossfile fixture: a deployable allocator whose `dealloc` reaches
+//! two panicking helpers in another file (util.rs).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -11,13 +7,10 @@ pub struct FixtureAlloc;
 
 unsafe impl GlobalAlloc for FixtureAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _g = enter_bookkeeping();
-        record_free(layout.size());
         let _class = seg_class(ptr as usize);
         let _meta = checked_meta(ptr as usize);
         unsafe { System.dealloc(ptr, layout) }

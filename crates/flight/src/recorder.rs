@@ -143,7 +143,10 @@ pub(crate) fn emit(kind: EventKind, id: u16, arg: u64) {
                     // First event on this thread: build and leak its
                     // ring. The allocation may re-enter emit through
                     // an instrumented global allocator; the latch
-                    // turns that inner call into a no-op.
+                    // turns that inner call into a no-op. The leak is
+                    // deliberate: drains read a ring after its thread
+                    // exits, and there are at most one per thread.
+                    // Relaxed: tids need only be unique.
                     let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
                     let ring: &'static Ring = Box::leak(Box::new(Ring::new(ring_capacity(), tid)));
                     register(ring);

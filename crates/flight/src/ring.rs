@@ -91,6 +91,7 @@ impl Ring {
         // drainer's reads of a recycled slot happen-before our write.
         let tail = self.tail.load(Ordering::Acquire);
         if head.wrapping_sub(tail) >= self.slots.len() {
+            // Relaxed: a statistical count; no slot is written to publish.
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }

@@ -145,6 +145,7 @@ impl Inner {
                 // Chain this shard's segments into its free list.
                 let first = s * per_shard;
                 for i in first..first + per_shard - 1 {
+                    // Relaxed: the area is not shared until `build` returns.
                     segs[i].next.store((i + 2) as u32, Ordering::Relaxed);
                 }
                 CacheLine(Shard {
@@ -221,6 +222,8 @@ impl Inner {
             head = meta.next.load(Ordering::Relaxed);
             debug_assert_eq!(meta.state.load(Ordering::Relaxed), SEG_SHORT_RECLAIM);
             debug_assert_eq!(meta.live.load(Ordering::Relaxed), 0);
+            // Relaxed: no other thread can reach this segment until
+            // pop_free_seg republishes it with a Release store of state.
             meta.state.store(SEG_FREE, Ordering::Relaxed);
             meta.next.store(guard.free_segs, Ordering::Relaxed);
             guard.free_segs = (seg + 1) as u32;
@@ -427,7 +430,8 @@ impl Inner {
         let seg = bump.seg - 1;
         // Pre-count the whole run; the thread cache hands blocks out
         // without touching the segment again and returns any unused
-        // tail via short_unused() at thread exit.
+        // tail via short_unused() at thread exit. Relaxed: `live` only
+        // counts; the zero-crossing hand-off is the AcqRel CAS on `state`.
         self.segs[seg as usize]
             .live
             .fetch_add(take as u32, Ordering::Relaxed);
@@ -474,6 +478,7 @@ impl Inner {
         let shard = &self.shards[(seg as usize) >> self.seg_shard_shift].0;
         let mut head = shard.reclaim.load(Ordering::Relaxed);
         loop {
+            // Relaxed: the Release CAS on the list head publishes the link.
             meta.next.store(head, Ordering::Relaxed);
             match shard.reclaim.compare_exchange_weak(
                 head,
@@ -547,6 +552,8 @@ impl Inner {
     /// and drives an epoch tick when one is due. Must not be called
     /// while holding a thread-cache borrow (the tick allocates).
     pub fn flush_clock(&self, bytes: u64) {
+        // Relaxed: birth stamps tolerate one batch of staleness; the
+        // epoch rollover consumers act on is the AcqRel CAS below.
         let now = self.clock.fetch_add(bytes, Ordering::Relaxed) + bytes;
         let due = self.next_epoch.load(Ordering::Relaxed);
         if now < due {

@@ -153,6 +153,7 @@ impl Tls {
 
     fn home(&mut self, inner: &Inner) -> usize {
         if self.home_shard == usize::MAX {
+            // Relaxed: a round-robin pick needs no ordering.
             self.home_shard =
                 NEXT_THREAD.fetch_add(1, Ordering::Relaxed) & (inner.shard_count() - 1);
         }

@@ -8,10 +8,9 @@
 //! consistent* totals — exactly the jemalloc `stats`/epoch trade-off:
 //! cheap writes, approximate point-in-time reads.
 //!
-//! The Relaxed orderings are deliberate and audited (see the
-//! `relaxed-publish` entries in `audit.toml`): a statistics cell
-//! publishes no state another thread acts on — readers only ever sum
-//! the cells into a report.
+//! The Relaxed orderings are deliberate: a statistics cell publishes
+//! no state another thread acts on — readers only ever sum the cells
+//! into a report.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -39,6 +38,7 @@ pub(crate) fn thread_cell() -> usize {
         if v != usize::MAX {
             v
         } else {
+            // Relaxed: a cell index needs only be spread, not ordered.
             let v = NEXT_CELL.fetch_add(1, Ordering::Relaxed) % COUNTER_CELLS;
             s.set(v);
             v

@@ -9,7 +9,8 @@
 //! always bucket-compatible.
 //!
 //! Like [`Counter`](crate::Counter), observations shard across padded
-//! per-thread rows with Relaxed adds (audited in `audit.toml`);
+//! per-thread rows with Relaxed adds — the tallies are statistical,
+//! and no reader acts on one bucket's value;
 //! [`LogHistogram::snapshot`] folds the rows into a plain
 //! [`HistogramSnapshot`].
 

@@ -6,7 +6,7 @@
 //! through one cheap pipeline instead of ad-hoc snapshot structs:
 //!
 //! - [`Counter`] / [`Gauge`] — cache-line-padded sharded cells, safe
-//!   on the sharded-allocator fast path (Relaxed increments, audited;
+//!   on the sharded-allocator fast path (Relaxed increments;
 //!   aggregated reads).
 //! - [`LogHistogram`] — fixed 64-bucket log2 histograms for object
 //!   lifetimes, sizes, and (feature-gated) allocation latency.

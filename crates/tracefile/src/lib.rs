@@ -58,8 +58,8 @@
 
 // `deny` rather than `forbid`: the crate is safe code except for the
 // one module that owns the mmap lifecycle (`map`), which opts back in
-// explicitly and is covered by the allocator-safety audit
-// (audit.toml `raw-ptr-ops` scope) plus per-block SAFETY comments.
+// explicitly, with a SAFETY comment on every unsafe block (clippy
+// `undocumented_unsafe_blocks`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
