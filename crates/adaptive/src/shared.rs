@@ -5,9 +5,9 @@ use crate::config::EpochConfig;
 use crate::learner::{LearnerStats, OnlineLearner};
 use std::collections::HashSet;
 
-// Model-check builds swap the sync primitives for loom's so the
-// publish protocol below can be explored schedule-by-schedule; see
-// tests/loom.rs and DESIGN.md §9.
+// Loom builds swap the sync primitives for loom's so the publish
+// protocol below runs under the stub's perturbed stress schedules; see
+// tests/loom.rs and DESIGN.md §9.4.
 #[cfg(all(loom, feature = "loom-test"))]
 use loom::sync::atomic::{AtomicU64, Ordering};
 #[cfg(all(loom, feature = "loom-test"))]

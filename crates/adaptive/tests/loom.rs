@@ -1,5 +1,5 @@
-//! Model-check tests for the `SharedPredictor` publish protocol and
-//! the epoch-tick CAS, run under loom's scheduler:
+//! Loom tests for the `SharedPredictor` publish protocol and the
+//! epoch-tick CAS:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p lifepred-adaptive --features loom-test

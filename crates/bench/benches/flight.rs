@@ -75,7 +75,7 @@ fn churn<const STUB: bool>(a: &LifepredGlobal, ops: usize) {
         let r = rng.next();
         let _guard = if STUB {
             let g = lifepred_flight::span_arg(lifepred_flight::catalog::CLI_WORKLOAD, r & 0xff);
-            lifepred_flight::instant(lifepred_flight::catalog::SWEEP_STEAL, r & 0xff);
+            lifepred_flight::instant(lifepred_flight::catalog::SWEEP_CACHE_HIT, r & 0xff);
             Some(g)
         } else {
             None
@@ -204,7 +204,7 @@ fn main() {
         for _ in 0..EMIT_ROUNDS {
             let t = Instant::now();
             for i in 0..batch {
-                lifepred_flight::instant(lifepred_flight::catalog::SWEEP_STEAL, i as u64);
+                lifepred_flight::instant(lifepred_flight::catalog::SWEEP_CACHE_HIT, i as u64);
             }
             ns.push(t.elapsed().as_nanos() as f64 / batch as f64);
             drained += lifepred_flight::drain().len() as u64;

@@ -14,7 +14,7 @@
 //! 2. **simulate** — the end-to-end `lifepred simulate` pipeline
 //!    ([`simulate_file`]: records → prediction bitmap, events →
 //!    chunked arena replay) over several copies of a trace, fanned out with
-//!    [`lifepred_bench::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
+//!    [`lifepred_sweep::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
 //!    here is bounded by the host's core count, which is recorded in
 //!    the output.
 //! 3. **server** — `lifepred gen` streams a synthetic server trace
@@ -345,7 +345,7 @@ fn main() {
         || simulate_file(sim_path, &backend, ArenaConfig::default(), false).expect("simulate");
     simulate_once();
     let sweep = |jobs: usize| {
-        let reports = lifepred_bench::run_jobs(vec![(); SIM_TRACES], jobs, |_, ()| simulate_once());
+        let reports = lifepred_sweep::run_jobs(vec![(); SIM_TRACES], jobs, |_, ()| simulate_once());
         assert_eq!(reports.len(), SIM_TRACES);
     };
     let (t_jobs1, t_jobs2, s2) = paired_speedup(SIM_ROUNDS, || sweep(1), || sweep(2));

@@ -10,10 +10,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod driver;
 mod host;
 
-pub use driver::run_jobs;
 pub use host::BenchHost;
 
 use lifepred_adaptive::EpochConfig;
@@ -110,32 +108,35 @@ pub fn analyze_online(
     replay_arena_online(&entry.test, config, epoch, &ReplayConfig::default())
 }
 
-/// Prints an aligned text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+/// Formats an aligned text table: a `== title ==` line, right-aligned
+/// headers, a dash rule as wide as the header line, then the rows.
+pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+    fn aligned<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
+        let cells: Vec<String> = cells
+            .iter()
+            .zip(widths)
+            .map(|(c, &w)| format!("{:>w$}", c.as_ref()))
+            .collect();
+        cells.join("  ")
+    }
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let line: Vec<String> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{h:>w$}", w = widths[i]))
-        .collect();
-    println!("{}", line.join("  "));
-    println!("{}", "-".repeat(line.join("  ").len()));
+    let header = aligned(headers, &widths);
+    let mut text = format!("== {title} ==\n{header}\n{}\n", "-".repeat(header.len()));
     for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect();
-        println!("{}", line.join("  "));
+        text.push_str(&aligned(row, &widths));
+        text.push('\n');
     }
+    text
+}
+
+/// Prints [`format_table`] after a blank line.
+pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    print!("\n{}", format_table(title, headers, rows));
 }
 
 /// Formats a float with one decimal.

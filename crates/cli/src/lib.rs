@@ -34,20 +34,21 @@
 #![warn(missing_docs)]
 
 use lifepred_adaptive::{EpochConfig, LearnerStats};
+use lifepred_bench::format_table;
 use lifepred_core::{
     train, Profile, ShortLivedSet, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD,
 };
 use lifepred_heap::{ArenaConfig, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
 use lifepred_sweep::{
-    diff_reports, install_shutdown_handlers, render_csv, render_json, render_table, run_sweep,
-    simulate_file, CancelFlag, GridSpec, ResultStore, SimBackend,
+    diff_reports, install_shutdown_handlers, render_csv, render_json, render_table, run_jobs,
+    run_sweep, simulate_file, CancelFlag, GridSpec, ResultStore, SimBackend,
 };
 use lifepred_trace::{shared_registry, AllocationRecord};
 use lifepred_tracefile::{save_trace, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
-use lifepred_workloads::{all_workloads, by_name, record as record_workload};
+use lifepred_workloads::{all_workloads, by_name, record as record_workload, Workload};
 use std::fmt::Display;
 use std::io::Write;
 
@@ -286,10 +287,7 @@ fn cmd_record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
     let name = workload.ok_or("record: --workload is required")?;
     let output = output.ok_or("record: -o is required")?;
-    let w = by_name(&name).ok_or_else(|| {
-        let known: Vec<&str> = all_workloads().iter().map(|w| w.name()).collect();
-        format!("unknown workload {name:?} (known: {})", known.join(", "))
-    })?;
+    let w = workload_named(&name)?;
     if inputs.is_empty() {
         inputs.push(0);
     }
@@ -724,7 +722,7 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     // Fan the traces over the worker pool; results come back in input
     // order, so the printed reports match a sequential run exactly.
     let want_metrics = metrics_out.is_some();
-    let outcomes = lifepred_bench::run_jobs(paths, jobs, |_, path| {
+    let outcomes = run_jobs(paths, jobs, |_, path| {
         simulate_file(&path, &backend, ArenaConfig::default(), want_metrics)
     });
     let mut results = Vec::with_capacity(outcomes.len());
@@ -874,12 +872,12 @@ fn write_online_stats(out: &mut dyn Write, l: &LearnerStats) -> Result<(), Strin
 
 /// Builds one row of the `report` table — the per-workload unit of
 /// work `lifepred report` fans out over `--jobs` threads.
-fn report_row(name: &str, config: &SiteConfig) -> Result<Vec<String>, String> {
-    let w = by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
+fn report_row(w: &dyn Workload, config: &SiteConfig) -> Vec<String> {
+    let name = w.name();
     let registry = shared_registry();
     let n = w.inputs().len();
-    let train_trace = record_workload(w.as_ref(), 0, registry.clone());
-    let test_trace = record_workload(w.as_ref(), n - 1, registry);
+    let train_trace = record_workload(w, 0, registry.clone());
+    let test_trace = record_workload(w, n - 1, registry);
     let entry = lifepred_bench::SuiteEntry {
         name: name.to_owned(),
         description: String::new(),
@@ -907,7 +905,7 @@ fn report_row(name: &str, config: &SiteConfig) -> Result<Vec<String>, String> {
         }
     };
     let total_bytes = gauge("lifepred_learner_total_bytes");
-    Ok(vec![
+    vec![
         name.to_owned(),
         a.self_report.total_sites.to_string(),
         a.true_report.sites_used.to_string(),
@@ -925,16 +923,16 @@ fn report_row(name: &str, config: &SiteConfig) -> Result<Vec<String>, String> {
             ratio_pct(gauge("lifepred_learner_error_bytes"), total_bytes)
         ),
         gauge("lifepred_learner_epochs").to_string(),
-    ])
+    ]
 }
 
 /// One workload's drag analysis: a liveness-timeline block plus two
 /// per-arena table rows. Arenas are the *oracle* split — objects whose
 /// actual lifetime stayed under `threshold` versus the rest — so the
 /// table bounds what a perfect predictor could reclaim promptly.
-fn drag_row(name: &str, threshold: u64) -> Result<(String, Vec<Vec<String>>), String> {
-    let w = by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
-    let trace = record_workload(w.as_ref(), 0, shared_registry());
+fn drag_row(w: &dyn Workload, threshold: u64) -> (String, Vec<Vec<String>>) {
+    let name = w.name();
+    let trace = record_workload(w, 0, shared_registry());
     let end = trace.end_clock();
     let records = trace.records();
     let is_short = |r: &AllocationRecord| r.lifetime(end) < threshold;
@@ -1010,7 +1008,7 @@ fn drag_row(name: &str, threshold: u64) -> Result<(String, Vec<Vec<String>>), St
             format!("{:.1}", pct(drag_sum, life_sum)),
         ]
     };
-    Ok((block, vec![arena(true, "short"), arena(false, "long")]))
+    (block, vec![arena(true, "short"), arena(false, "long")])
 }
 
 /// `report --drag`: how much of each workload's heap was *useful* over
@@ -1018,7 +1016,7 @@ fn drag_row(name: &str, threshold: u64) -> Result<(String, Vec<Vec<String>>), St
 /// arena at ten byte-clock points; the table aggregates per-object
 /// drag (clock between an object's last touch and its free).
 fn report_drag(
-    names: Vec<String>,
+    workloads: Vec<Box<dyn Workload>>,
     threshold: u64,
     jobs: usize,
     out: &mut dyn Write,
@@ -1030,27 +1028,28 @@ fn report_drag(
              clocks in allocated bytes)\n\n"
         ),
     )?;
-    let outcomes = lifepred_bench::run_jobs(names, jobs, |_, name| drag_row(&name, threshold));
+    let outcomes = run_jobs(workloads, jobs, |_, w| drag_row(w.as_ref(), threshold));
     let mut rows = Vec::new();
-    for outcome in outcomes {
-        let (block, arena_rows) = outcome?;
+    for (block, arena_rows) in outcomes {
         write_out(out, block)?;
         write_out(out, "\n")?;
         rows.extend(arena_rows);
     }
-    write_table(
+    write_out(
         out,
-        "object drag (byte clock held past the last touch)",
-        &[
-            "program",
-            "arena",
-            "objects",
-            "bytes",
-            "untouched%",
-            "mean drag",
-            "drag%",
-        ],
-        &rows,
+        format_table(
+            "object drag (byte clock held past the last touch)",
+            &[
+                "program",
+                "arena",
+                "objects",
+                "bytes",
+                "untouched%",
+                "mean drag",
+                "drag%",
+            ],
+            &rows,
+        ),
     )
 }
 
@@ -1074,14 +1073,9 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             Arg::Positional(p) => return Err(format!("report: unexpected argument {p:?}")),
         }
     }
-    if names.is_empty() {
-        names = all_workloads()
-            .iter()
-            .map(|w| w.name().to_owned())
-            .collect();
-    }
+    let workloads = resolve_workloads(&names)?;
     if drag {
-        return report_drag(names, threshold, jobs, out);
+        return report_drag(workloads, threshold, jobs, out);
     }
     let config = SiteConfig {
         policy,
@@ -1093,16 +1087,14 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     ];
     // Row order follows the workload list regardless of which worker
     // finishes first, so the table is reproducible at any --jobs.
-    let outcomes = lifepred_bench::run_jobs(names, jobs, |_, name| report_row(&name, &config));
-    let mut rows = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        rows.push(outcome?);
-    }
-    write_table(
+    let rows = run_jobs(workloads, jobs, |_, w| report_row(w.as_ref(), &config));
+    write_out(
         out,
-        &format!("prediction quality, offline vs online (policy {policy})"),
-        &headers,
-        &rows,
+        format_table(
+            &format!("prediction quality, offline vs online (policy {policy})"),
+            &headers,
+            &rows,
+        ),
     )
 }
 
@@ -1110,23 +1102,22 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 // native
 // ---------------------------------------------------------------------
 
-/// Resolves positional workload names into the suite's workloads,
-/// defaulting to all five when none are named.
-fn resolve_workloads(
-    names: &[String],
-) -> Result<Vec<Box<dyn lifepred_workloads::Workload>>, String> {
+/// Looks up one workload, naming every known one when `name` is not.
+fn workload_named(name: &str) -> Result<Box<dyn Workload>, String> {
+    by_name(name).ok_or_else(|| {
+        let known: Vec<&str> = all_workloads().iter().map(|w| w.name()).collect();
+        format!("unknown workload {name:?} (known: {})", known.join(", "))
+    })
+}
+
+/// Resolves workload names into the suite's workloads, defaulting to
+/// all of them when none are named. Commands resolve before doing any
+/// work, so a typo in the last name fails the run up front.
+fn resolve_workloads(names: &[String]) -> Result<Vec<Box<dyn Workload>>, String> {
     if names.is_empty() {
         return Ok(all_workloads());
     }
-    names
-        .iter()
-        .map(|n| {
-            by_name(n).ok_or_else(|| {
-                let known: Vec<&str> = all_workloads().iter().map(|w| w.name()).collect();
-                format!("unknown workload {n:?} (known: {})", known.join(", "))
-            })
-        })
-        .collect()
+    names.iter().map(|n| workload_named(n)).collect()
 }
 
 /// Runs workloads with the binary's own global allocator switched to
@@ -1173,17 +1164,19 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             ),
         ]);
     }
-    write_table(
+    write_out(
         out,
-        "native runs (allocations served by LifepredGlobal)",
-        &[
-            "workload",
-            "traced",
-            "small allocs",
-            "short-lived",
-            "fallbacks",
-        ],
-        &rows,
+        format_table(
+            "native runs (allocations served by LifepredGlobal)",
+            &[
+                "workload",
+                "traced",
+                "small allocs",
+                "short-lived",
+                "fallbacks",
+            ],
+            &rows,
+        ),
     )?;
     let stats = lifepred_galloc::stats();
     if stats.small_allocs == 0 {
@@ -1417,41 +1410,4 @@ fn sweep_diff(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let a = std::fs::read_to_string(before).map_err(|e| file_err(before, e))?;
     let b = std::fs::read_to_string(after).map_err(|e| file_err(after, e))?;
     write_out(out, diff_reports(&a, &b)?)
-}
-
-fn write_table(
-    out: &mut dyn Write,
-    title: &str,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> Result<(), String> {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut text = format!("== {title} ==\n");
-    let header_line: Vec<String> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{h:>w$}", w = widths[i]))
-        .collect();
-    let header_line = header_line.join("  ");
-    text.push_str(&header_line);
-    text.push('\n');
-    text.push_str(&"-".repeat(header_line.len()));
-    text.push('\n');
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect();
-        text.push_str(&line.join("  "));
-        text.push('\n');
-    }
-    write_out(out, &text)
 }

@@ -471,6 +471,21 @@ fn report_compares_offline_and_online_predictors() {
     assert!(out.contains("espresso"), "report output: {out}");
 }
 
+/// Every command that takes workload names checks them all before it
+/// runs any, and names the known workloads when one is wrong.
+#[test]
+fn unknown_workloads_are_refused_up_front_with_the_known_list() {
+    let want = "unknown workload \"nosuch\" (known: cfrac, espresso, gawk, ghost, perl, server)";
+    let names = ["--workload", "cfrac", "--workload", "nosuch"];
+    for args in [
+        [&["report"][..], &names].concat(),
+        [&["report", "--drag"][..], &names].concat(),
+        vec!["record", "--workload", "nosuch", "-o", "x.lpt"],
+    ] {
+        assert_eq!(run(&args).expect_err("unknown workload"), want, "{args:?}");
+    }
+}
+
 #[test]
 fn corrupted_and_missing_files_error_cleanly() {
     let dir = Scratch::new("corrupt");

@@ -46,13 +46,6 @@ pub const REPLAY_EPOCH: u16 = 0x0204;
 /// `sweep`: one grid-cell job, train or simulate (span; `arg` = job
 /// sequence number).
 pub const SWEEP_JOB: u16 = 0x0301;
-/// `sweep`: a worker stole a job from another deque (instant; `arg` =
-/// victim worker index).
-pub const SWEEP_STEAL: u16 = 0x0302;
-/// `sweep`: a worker parked waiting for work (span covers the wait).
-pub const SWEEP_PARK: u16 = 0x0303;
-/// `sweep`: a parked worker was woken (instant).
-pub const SWEEP_UNPARK: u16 = 0x0304;
 /// `sweep`: a cell was answered from the result store (instant).
 pub const SWEEP_CACHE_HIT: u16 = 0x0305;
 /// `sweep`: a cell missed the result store and must compute (instant).
@@ -123,21 +116,6 @@ pub(crate) const CATALOG: &[EventDesc] = &[
     EventDesc {
         id: SWEEP_JOB,
         name: "sweep.job",
-        cat: "sweep",
-    },
-    EventDesc {
-        id: SWEEP_STEAL,
-        name: "sweep.steal",
-        cat: "sweep",
-    },
-    EventDesc {
-        id: SWEEP_PARK,
-        name: "sweep.park",
-        cat: "sweep",
-    },
-    EventDesc {
-        id: SWEEP_UNPARK,
-        name: "sweep.unpark",
         cat: "sweep",
     },
     EventDesc {

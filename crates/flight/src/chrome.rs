@@ -88,7 +88,7 @@ mod tests {
     fn exports_every_phase_kind() {
         let events = [
             ev(EventKind::SpanBegin, catalog::SWEEP_JOB, 1_500, 1, 3),
-            ev(EventKind::Instant, catalog::SWEEP_STEAL, 2_000, 2, 1),
+            ev(EventKind::Instant, catalog::SWEEP_CACHE_HIT, 2_000, 2, 1),
             ev(EventKind::SpanEnd, catalog::SWEEP_JOB, 9_000, 1, 0),
         ];
         let json = chrome_trace_json(&events);

@@ -39,7 +39,7 @@
 //! // recording is on):
 //! {
 //!     let _guard = flight::span(flight::catalog::SWEEP_JOB);
-//!     flight::instant(flight::catalog::SWEEP_STEAL, 2);
+//!     flight::instant(flight::catalog::SWEEP_CACHE_HIT, 2);
 //! }
 //!
 //! // Analysis works on plain events regardless of the feature:
@@ -186,11 +186,11 @@ mod tests {
         // state.
         {
             let _guard = span(catalog::SWEEP_JOB);
-            instant(catalog::SWEEP_STEAL, 1);
+            instant(catalog::SWEEP_CACHE_HIT, 1);
         }
         if !COMPILED {
             set_recording(true);
-            instant(catalog::SWEEP_STEAL, 2);
+            instant(catalog::SWEEP_CACHE_HIT, 2);
             assert!(drain().is_empty(), "stub recording can never turn on");
             assert_eq!(dropped_events(), 0);
             assert_eq!(ring_capacity(), 0);

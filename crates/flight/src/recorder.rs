@@ -197,16 +197,16 @@ mod tests {
     fn record_drain_roundtrip() {
         assert!(!recording());
         // Disabled: nothing is captured.
-        emit(EventKind::Instant, catalog::SWEEP_STEAL, 0);
+        emit(EventKind::Instant, catalog::SWEEP_CACHE_HIT, 0);
         set_recording(true);
         emit(EventKind::SpanBegin, catalog::SWEEP_JOB, 42);
         emit(EventKind::SpanEnd, catalog::SWEEP_JOB, 0);
         let worker = std::thread::spawn(|| {
-            emit(EventKind::Instant, catalog::SWEEP_UNPARK, 7);
+            emit(EventKind::Instant, catalog::SWEEP_CACHE_MISS, 7);
         });
         worker.join().expect("worker");
         set_recording(false);
-        emit(EventKind::Instant, catalog::SWEEP_STEAL, 0);
+        emit(EventKind::Instant, catalog::SWEEP_CACHE_HIT, 0);
 
         let events = drain();
         assert_eq!(events.len(), 3, "{events:?}");
@@ -215,7 +215,7 @@ mod tests {
         assert_eq!(tids.len(), 2, "two threads recorded");
         assert!(events
             .iter()
-            .any(|e| e.id == catalog::SWEEP_UNPARK && e.arg == 7));
+            .any(|e| e.id == catalog::SWEEP_CACHE_MISS && e.arg == 7));
         // A second drain finds the rings empty.
         assert!(drain().is_empty());
         assert_eq!(dropped_events(), 0);

@@ -166,11 +166,11 @@ mod tests {
     #[test]
     fn unclosed_spans_close_at_trace_end() {
         let events = [
-            ev(EventKind::SpanBegin, catalog::SWEEP_PARK, 10, 1),
-            ev(EventKind::Instant, catalog::SWEEP_STEAL, 500, 1),
+            ev(EventKind::SpanBegin, catalog::SWEEP_JOB, 10, 1),
+            ev(EventKind::Instant, catalog::SWEEP_CACHE_HIT, 500, 1),
         ];
         let stats = span_stats(&events);
-        assert_eq!(stats[&catalog::SWEEP_PARK].total_ns, 490);
+        assert_eq!(stats[&catalog::SWEEP_JOB].total_ns, 490);
     }
 
     #[test]
@@ -186,14 +186,14 @@ mod tests {
             ev(EventKind::SpanEnd, catalog::REPLAY_PLACE, 5_000_000, 1),
             ev(EventKind::SpanBegin, catalog::REPLAY_DECODE, 5_000_000, 1),
             ev(EventKind::SpanEnd, catalog::REPLAY_DECODE, 6_000_000, 1),
-            ev(EventKind::Instant, catalog::SWEEP_STEAL, 100, 2),
+            ev(EventKind::Instant, catalog::SWEEP_CACHE_MISS, 100, 2),
         ];
         let text = render_summary(&events);
         assert_eq!(text, render_summary(&events));
         let place = text.find("replay.place").expect("place row");
         let decode = text.find("replay.decode").expect("decode row");
         assert!(place < decode, "longest span first:\n{text}");
-        assert!(text.contains("sweep.steal"));
+        assert!(text.contains("sweep.cache_miss"));
         assert!(text.contains("5.000000"));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A synthetic event sequence with fixed timestamps — covering every
 //! event kind and at least one catalogue id per instrumented subsystem
-//! (galloc, replay, sweep, CLI) — renders to Chrome Trace Event
+//! (galloc, replay, sweep, CLI, tracefile) — renders to Chrome Trace Event
 //! JSON and to the text summary and is diffed against
 //! `tests/golden/trace.{json,txt}`. Renaming a catalogue entry,
 //! changing a category, or perturbing either renderer's key order,
@@ -55,8 +55,20 @@ fn canonical_events() -> Vec<Event> {
         ev(EventKind::SpanBegin, catalog::REPLAY_DECODE, 3_500, 2, 0),
         ev(EventKind::SpanEnd, catalog::REPLAY_DECODE, 10_000, 2, 0),
         ev(EventKind::SpanEnd, catalog::SWEEP_JOB, 12_345, 2, 0),
-        ev(EventKind::SpanBegin, catalog::SWEEP_PARK, 20_000, 1, 0),
-        ev(EventKind::SpanEnd, catalog::SWEEP_PARK, 33_003, 1, 0),
+        ev(
+            EventKind::SpanBegin,
+            catalog::TRACEFILE_MAP_VERIFY,
+            20_000,
+            1,
+            0,
+        ),
+        ev(
+            EventKind::SpanEnd,
+            catalog::TRACEFILE_MAP_VERIFY,
+            33_003,
+            1,
+            0,
+        ),
         ev(EventKind::SpanEnd, catalog::CLI_WORKLOAD, 40_000, 1, 0),
     ]
 }

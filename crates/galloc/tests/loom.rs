@@ -1,5 +1,6 @@
-//! Model-check tests for the galloc cross-thread protocols, run under
-//! loom's scheduler:
+//! Loom tests for the galloc cross-thread protocols. With the vendored
+//! loom stub they are many-schedule stress runs with yield perturbation
+//! at every atomic op, not an exhaustive exploration:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p lifepred-galloc --features loom-test --test loom

@@ -5,8 +5,8 @@
 //! numbers equal the one-off CLI run with the same knobs by
 //! construction. Offline cells additionally share their trained
 //! database through [`TrainedDb`]: the engine trains once per
-//! (trace, policy, rounding, threshold) combination and fans the
-//! `Arc` out to every arena geometry that replays against it.
+//! (trace, policy, rounding, threshold) combination and lends it to
+//! every arena geometry that replays against it.
 
 use crate::spec::{Backend, CellConfig};
 use crate::store::CellResult;

@@ -1,42 +1,41 @@
-//! The sweep engine: expand a grid, probe the cache, and fan the
-//! remaining work across a work-stealing scheduler.
+//! The sweep engine: expand a grid, probe the cache, and run what the
+//! cache cannot answer in two phases on [`run_jobs`].
 //!
-//! # Job DAG
+//! # Two phases
 //!
 //! A grid expands into *unique executions* — cells deduplicated by
 //! cache key, so a first-fit baseline crossed with three thresholds
-//! runs once. Each uncached offline execution depends on a TRAIN job
-//! (one per distinct trace × policy × rounding × threshold), shared
-//! by every arena geometry replaying against the same database. Jobs
-//! carry a dependency counter; a job becomes runnable when it drops
-//! to zero.
+//! runs once. Phase 1 trains one database per distinct trace × policy
+//! × rounding × threshold that an uncached offline execution needs.
+//! Phase 2 runs every uncached execution; an offline one borrows its
+//! phase-1 database, so every arena geometry replaying against the
+//! same database shares one training.
 //!
-//! # Scheduler invariants
+//! # Guarantees
 //!
-//! * Every worker owns a deque. The owner pushes and pops at the
-//!   **back** (LIFO — freshly unblocked work is cache-hot); thieves
-//!   lock a victim and take half its queue from the **front** (FIFO —
-//!   the oldest, most dependency-fertile jobs migrate).
-//! * A job index appears in at most one deque at a time; it is pushed
-//!   exactly once, when its dependency counter reaches zero.
-//! * Workers park on a condvar with a short timeout when every deque
-//!   is empty; any job completion or newly-ready job notifies.
-//! * Termination: a shared done-counter reaching the job total, or
-//!   the [`CancelFlag`] firing. Cancellation is checked between jobs,
-//!   never mid-replay, so finished cells are always fully persisted —
+//! * Cancellation ([`CancelFlag`]) is checked before each training and
+//!   each cell, never mid-replay: a skipped job reports "cancelled
+//!   before running", and finished cells are always fully persisted —
 //!   that is what makes `sweep resume` sound after a kill.
+//! * Every job body runs under `catch_unwind`: a panic becomes that
+//!   job's "training panicked" / "cell execution panicked" error, and
+//!   every other job still runs.
+//! * A cell is saved to the store before the progress hook fires.
 
 use crate::cell::{run_cell, train_for, TrainKey, TrainedDb};
+use crate::driver::run_jobs;
 use crate::spec::{CellConfig, GridSpec};
 use crate::store::{cell_key, trace_identity, CellKey, CellResult, ResultStore};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Cooperative cancellation: cloned into the scheduler and flipped by
-/// a signal handler ([`install_shutdown_handlers`]) or a test.
+/// The error of a job that cancellation skipped.
+const CANCELLED: &str = "cancelled before running";
+
+/// Cooperative cancellation: cloned into the engine and flipped by a
+/// signal handler ([`install_shutdown_handlers`]) or a test.
 #[derive(Debug, Clone, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 
@@ -157,77 +156,37 @@ pub struct SweepOutcome {
 struct Exec {
     cell: CellConfig,
     key: CellKey,
-    /// Index into the train-job table, for offline cells.
+    /// Index into the training table, for offline cells.
     train: Option<usize>,
 }
 
-enum JobKind {
-    Train(usize),
-    Cell(usize),
-}
-
-struct Job {
-    kind: JobKind,
-    /// Unresolved dependencies; the job is pushed when this hits 0.
-    deps: AtomicUsize,
-    /// Jobs to decrement when this one completes.
-    dependents: Vec<usize>,
-}
-
-/// Shared scheduler state.
-struct Scheduler {
-    jobs: Vec<Job>,
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Completed job count; termination at `jobs.len()`.
-    done: AtomicUsize,
-    /// Computed *cell* count, fed to the progress callback.
-    cells_done: AtomicUsize,
-    park: Mutex<()>,
-    bell: Condvar,
-}
-
-impl Scheduler {
-    /// Makes `job` runnable on worker `me`'s deque and rings the bell.
-    fn push(&self, me: usize, job: usize) {
-        self.deques[me].lock().expect("deque lock").push_back(job);
-        self.bell.notify_all();
-    }
-
-    /// Owner pop: newest first.
-    fn pop_own(&self, me: usize) -> Option<usize> {
-        self.deques[me].lock().expect("deque lock").pop_back()
-    }
-
-    /// Steal half of `victim`'s queue (front first), returning one job
-    /// to run now; the rest lands on `me`'s deque.
-    fn steal(&self, me: usize, victim: usize) -> Option<usize> {
-        let stolen: Vec<usize> = {
-            let mut v = self.deques[victim].lock().expect("deque lock");
-            let take = v.len().div_ceil(2);
-            v.drain(..take).collect()
-        };
-        let mut iter = stolen.into_iter();
-        let first = iter.next()?;
-        let rest: Vec<usize> = iter.collect();
-        if !rest.is_empty() {
-            let mut mine = self.deques[me].lock().expect("deque lock");
-            mine.extend(rest);
-            drop(mine);
-            self.bell.notify_all();
+/// Runs `body` over `items` on `threads` workers as sweep jobs, one
+/// slot per item in input order. Once `cancel` has fired, the jobs not
+/// yet started are skipped (`None`). A job that runs does so inside a
+/// `SWEEP_JOB` span numbered from `first_job`, and a panic in `body`
+/// becomes `Err(panicked)` for that job alone.
+fn run_guarded<I, T, F>(
+    items: Vec<I>,
+    threads: usize,
+    cancel: &CancelFlag,
+    first_job: usize,
+    panicked: &str,
+    body: F,
+) -> Vec<Option<Result<T, String>>>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> Result<T, String> + Sync,
+{
+    run_jobs(items, threads, |i, item| {
+        if cancel.is_cancelled() {
+            return None;
         }
-        Some(first)
-    }
-
-    /// Marks `job` complete and wakes dependents whose counters hit 0.
-    fn complete(&self, me: usize, job: usize) {
-        for &dep in &self.jobs[job].dependents {
-            if self.jobs[dep].deps.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.push(me, dep);
-            }
-        }
-        self.done.fetch_add(1, Ordering::AcqRel);
-        self.bell.notify_all();
-    }
+        let _job =
+            lifepred_flight::span_arg(lifepred_flight::catalog::SWEEP_JOB, (first_job + i) as u64);
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(item)));
+        Some(ran.unwrap_or_else(|_| Err(panicked.to_owned())))
+    })
 }
 
 /// Runs `spec` against `store` on `threads` workers (at least one),
@@ -311,176 +270,70 @@ pub fn run_sweep(
     let cache_hits = cached.iter().filter(|c| c.is_some()).count();
     let to_compute: Vec<usize> = (0..execs.len()).filter(|&i| cached[i].is_none()).collect();
 
-    // Build the job DAG: trains first, then the uncached cells.
-    let mut jobs: Vec<Job> = Vec::with_capacity(trains.len() + to_compute.len());
-    for _ in &trains {
-        jobs.push(Job {
-            kind: JobKind::Train(jobs.len()),
-            deps: AtomicUsize::new(0),
-            dependents: Vec::new(),
-        });
-    }
-    for &exec in &to_compute {
-        let job_idx = jobs.len();
-        let deps = usize::from(execs[exec].train.is_some());
-        if let Some(train) = execs[exec].train {
-            jobs[train].dependents.push(job_idx);
-        }
-        jobs.push(Job {
-            kind: JobKind::Cell(exec),
-            deps: AtomicUsize::new(deps),
-            dependents: Vec::new(),
-        });
-    }
+    // Phase 1: every training an uncached offline cell needs.
+    let first_cell_job = trains.len();
+    let trained: Vec<Result<TrainedDb, String>> =
+        run_guarded(trains, threads, cancel, 0, "training panicked", |key| {
+            train_for(&key)
+        })
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| Err(CANCELLED.to_owned())))
+        .collect();
 
-    let threads = threads.max(1).min(jobs.len().max(1));
-    let sched = Scheduler {
-        jobs,
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        done: AtomicUsize::new(0),
-        cells_done: AtomicUsize::new(0),
-        park: Mutex::new(()),
-        bell: Condvar::new(),
-    };
-    // Seed the deques round-robin with the initially-ready jobs.
-    for (i, job) in sched.jobs.iter().enumerate() {
-        if job.deps.load(Ordering::Acquire) == 0 {
-            sched.deques[i % threads]
-                .lock()
-                .expect("deque lock")
-                .push_back(i);
-        }
-    }
-
-    // Shared result slots, one mutex each (jobs are milliseconds to
-    // seconds of replay; slot contention is negligible).
-    type ResultSlot<T> = Mutex<Option<Result<T, String>>>;
-    let train_results: Vec<ResultSlot<Arc<TrainedDb>>> =
-        (0..trains.len()).map(|_| Mutex::new(None)).collect();
-    let exec_results: Vec<ResultSlot<CellResult>> =
-        (0..execs.len()).map(|_| Mutex::new(None)).collect();
+    // Phase 2: every uncached cell, saved before progress reports it.
     let total_cells_to_compute = to_compute.len();
-
-    std::thread::scope(|scope| {
-        for me in 0..threads {
-            let sched = &sched;
-            let trains = &trains;
-            let execs = &execs;
-            let train_results = &train_results;
-            let exec_results = &exec_results;
-            scope.spawn(move || {
-                let total = sched.jobs.len();
-                loop {
-                    if cancel.is_cancelled() || sched.done.load(Ordering::Acquire) >= total {
-                        return;
-                    }
-                    let job = sched.pop_own(me).or_else(|| {
-                        (1..threads)
-                            .find_map(|d| sched.steal(me, (me + d) % threads))
-                            .inspect(|&stolen| {
-                                lifepred_flight::instant(
-                                    lifepred_flight::catalog::SWEEP_STEAL,
-                                    stolen as u64,
-                                );
-                            })
-                    });
-                    let Some(job) = job else {
-                        let _park = lifepred_flight::span(lifepred_flight::catalog::SWEEP_PARK);
-                        let guard = sched.park.lock().expect("park lock");
-                        let _unused = sched
-                            .bell
-                            .wait_timeout(guard, std::time::Duration::from_millis(1))
-                            .expect("park wait");
-                        lifepred_flight::instant(lifepred_flight::catalog::SWEEP_UNPARK, 0);
-                        continue;
-                    };
-                    let _job_span =
-                        lifepred_flight::span_arg(lifepred_flight::catalog::SWEEP_JOB, job as u64);
-                    // A panicking job must still count as done: with the
-                    // unwind swallowed here, `done` keeps advancing and the
-                    // other workers cannot wedge waiting for a completion
-                    // that will never come.
-                    let body = std::panic::AssertUnwindSafe(|| match sched.jobs[job].kind {
-                        JobKind::Train(t) => {
-                            let outcome = train_for(&trains[t]).map(Arc::new);
-                            *train_results[t].lock().expect("train slot") = Some(outcome);
-                        }
-                        JobKind::Cell(e) => {
-                            let exec = &execs[e];
-                            let trained: Option<Result<Arc<TrainedDb>, String>> =
-                                exec.train.map(|t| {
-                                    train_results[t]
-                                        .lock()
-                                        .expect("train slot")
-                                        .clone()
-                                        .expect("train job completed before dependent")
-                                });
-                            let outcome = match trained {
-                                Some(Err(e)) => Err(e),
-                                Some(Ok(db)) => run_cell(&exec.cell, Some(&db)),
-                                None => run_cell(&exec.cell, None),
-                            }
-                            .and_then(|result| {
-                                store
-                                    .save(exec.key, &exec.cell, &result)
-                                    .map_err(|e| format!("cache write {}: {e}", exec.key))
-                                    .map(|()| result)
-                            });
-                            *exec_results[e].lock().expect("exec slot") = Some(outcome);
-                            let done_cells = sched.cells_done.fetch_add(1, Ordering::AcqRel) + 1;
-                            if let Some(progress) = progress {
-                                progress(done_cells, total_cells_to_compute);
-                            }
-                        }
-                    });
-                    if std::panic::catch_unwind(body).is_err() {
-                        match sched.jobs[job].kind {
-                            JobKind::Train(t) => {
-                                let mut slot = train_results[t].lock().expect("train slot");
-                                if slot.is_none() {
-                                    *slot = Some(Err("training panicked".to_owned()));
-                                }
-                            }
-                            JobKind::Cell(e) => {
-                                let mut slot = exec_results[e].lock().expect("exec slot");
-                                if slot.is_none() {
-                                    *slot = Some(Err("cell execution panicked".to_owned()));
-                                    drop(slot);
-                                    sched.cells_done.fetch_add(1, Ordering::AcqRel);
-                                }
-                            }
-                        }
-                    }
-                    sched.complete(me, job);
-                }
+    let cells_done = AtomicUsize::new(0);
+    let fresh = run_guarded(
+        to_compute,
+        threads,
+        cancel,
+        first_cell_job,
+        "cell execution panicked",
+        |e| {
+            let exec = &execs[e];
+            let outcome = match exec.train {
+                Some(t) => trained[t]
+                    .as_ref()
+                    .map_err(Clone::clone)
+                    .and_then(|db| run_cell(&exec.cell, Some(db))),
+                None => run_cell(&exec.cell, None),
+            }
+            .and_then(|result| {
+                store
+                    .save(exec.key, &exec.cell, &result)
+                    .map_err(|e| format!("cache write {}: {e}", exec.key))
+                    .map(|()| result)
             });
-        }
-    });
+            let done_cells = cells_done.fetch_add(1, Ordering::AcqRel) + 1;
+            if let Some(progress) = progress {
+                progress(done_cells, total_cells_to_compute);
+            }
+            outcome
+        },
+    );
+    let cancelled = fresh.iter().any(Option::is_none);
 
-    let cancelled = cancel.is_cancelled() && sched.done.load(Ordering::Acquire) < sched.jobs.len();
-
-    // Assemble grid-order outcomes from the cache hits and job slots.
+    // Assemble grid-order outcomes from the cache hits and fresh runs.
     let mut computed = 0usize;
     let mut errors = 0usize;
-    let mut exec_outcome: Vec<(Option<CellResult>, bool, Option<String>)> =
-        Vec::with_capacity(execs.len());
-    for (i, hit) in cached.iter().enumerate() {
-        if let Some(result) = hit {
-            exec_outcome.push((Some(result.clone()), true, None));
-            continue;
-        }
-        match exec_results[i].lock().expect("exec slot").take() {
-            Some(Ok(result)) => {
-                computed += 1;
-                exec_outcome.push((Some(result), false, None));
-            }
-            Some(Err(e)) => {
-                errors += 1;
-                exec_outcome.push((None, false, Some(e)));
-            }
-            None => exec_outcome.push((None, false, Some("cancelled before running".to_owned()))),
-        }
-    }
+    let mut fresh = fresh.into_iter();
+    let exec_outcome: Vec<(Option<CellResult>, bool, Option<String>)> = cached
+        .into_iter()
+        .map(|hit| match hit {
+            Some(result) => (Some(result), true, None),
+            None => match fresh.next().flatten() {
+                Some(Ok(result)) => {
+                    computed += 1;
+                    (Some(result), false, None)
+                }
+                Some(Err(e)) => {
+                    errors += 1;
+                    (None, false, Some(e))
+                }
+                None => (None, false, Some(CANCELLED.to_owned())),
+            },
+        })
+        .collect();
 
     let outcomes: Vec<CellOutcome> = cells
         .into_iter()
@@ -532,6 +385,7 @@ mod tests {
     use super::*;
     use crate::spec::Backend;
     use std::path::PathBuf;
+    use std::sync::Mutex;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -659,5 +513,32 @@ mod tests {
         counts.sort_unstable();
         assert_eq!(counts, (1..=out.stats.computed).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_alone() {
+        for threads in [1, 2] {
+            let out = run_guarded(
+                (0..6).collect(),
+                threads,
+                &CancelFlag::new(),
+                0,
+                "cell execution panicked",
+                |cell: usize| {
+                    assert_ne!(cell, 2, "cell 2 panics");
+                    Ok(cell * 10)
+                },
+            );
+            let expected: Vec<_> = (0..6)
+                .map(|cell| {
+                    Some(if cell == 2 {
+                        Err("cell execution panicked".to_owned())
+                    } else {
+                        Ok(cell * 10)
+                    })
+                })
+                .collect();
+            assert_eq!(out, expected, "at {threads} worker(s)");
+        }
     }
 }

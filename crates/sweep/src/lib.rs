@@ -9,12 +9,14 @@
 //! * [`ResultStore`] — a content-addressed on-disk cache keyed by
 //!   trace identity + canonical cell config, with crash-safe atomic
 //!   writes;
-//! * [`run_sweep`] — a dependency-aware work-stealing scheduler that
-//!   trains once per database and recomputes only dirty cells;
+//! * [`run_sweep`] — trains once per database, then recomputes only
+//!   dirty cells, each phase fanned out with [`run_jobs`];
 //! * [`render_table`] / [`render_csv`] / [`render_json`] /
 //!   [`diff_reports`] — deterministic paper-style renders and exports;
 //! * [`simulate_file`] — the one file-level simulation behind both a
-//!   grid cell and `lifepred simulate`.
+//!   grid cell and `lifepred simulate`;
+//! * [`run_jobs`] — the workspace's one thread pool: independent jobs
+//!   on scoped threads, results in input order.
 //!
 //! # Examples
 //!
@@ -40,12 +42,14 @@
 #![warn(missing_docs)]
 
 mod cell;
+mod driver;
 mod engine;
 mod spec;
 mod store;
 mod table;
 
 pub use cell::{simulate_file, SimBackend, SimOutput};
+pub use driver::run_jobs;
 pub use engine::{
     install_shutdown_handlers, run_sweep, CancelFlag, CellOutcome, SweepOutcome, SweepStats,
 };

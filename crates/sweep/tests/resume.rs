@@ -1,6 +1,7 @@
 //! Sweep resume semantics, end to end: a killed run keeps every cell
 //! it finished, a resume recomputes only the dirty remainder, and the
-//! rendered table cannot tell the difference.
+//! rendered table cannot tell the difference — nor can it tell how
+//! many workers computed it.
 
 use lifepred_sweep::{
     render_csv, render_table, run_sweep, Backend, CancelFlag, GridSpec, ResultStore,
@@ -101,6 +102,39 @@ fn killed_sweep_resumes_without_recomputing() {
     assert_eq!(warm.stats.cache_hits, 9);
     assert_eq!(render_table(&resumed), render_table(&warm));
     assert_eq!(render_csv(&resumed), render_csv(&warm));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cold sweep renders byte-identically at one worker and at four:
+/// each training is shared by two arena geometries, and online and
+/// first-fit cells run beside the offline ones.
+#[test]
+fn cold_sweep_output_is_the_same_at_any_thread_count() {
+    let dir = scratch("threads");
+    let spec = GridSpec {
+        name: "threads-test".into(),
+        traces: write_traces(&dir, &["alpha", "beta"], 600),
+        backends: vec![Backend::Offline, Backend::Online, Backend::FirstFit],
+        thresholds: vec![8 * 1024, 32 * 1024],
+        arenas: vec![
+            lifepred_heap::ArenaConfig::parse("16x4096").expect("arena"),
+            lifepred_heap::ArenaConfig::parse("32x8192").expect("arena"),
+        ],
+        ..GridSpec::default()
+    };
+    let runs: Vec<_> = [1, 4]
+        .into_iter()
+        .map(|threads| {
+            let store = ResultStore::open(dir.join(format!("store-{threads}"))).expect("store");
+            let out = run_sweep(&spec, &store, threads, &CancelFlag::new(), None).expect("cold");
+            // 2 traces × (4 offline + 4 online + 1 first-fit).
+            assert_eq!(out.stats.unique, 18, "{:?}", out.stats);
+            assert_eq!(out.stats.computed, 18, "{:?}", out.stats);
+            out
+        })
+        .collect();
+    assert_eq!(render_table(&runs[0]), render_table(&runs[1]));
+    assert_eq!(render_csv(&runs[0]), render_csv(&runs[1]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

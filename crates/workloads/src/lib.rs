@@ -60,8 +60,9 @@ pub mod server;
 
 use lifepred_trace::{SharedRegistry, Trace, TraceSession};
 
-/// A traced program with a fixed set of generated inputs.
-pub trait Workload {
+/// A traced program with a fixed set of generated inputs. `Send`, so a
+/// batch of workloads can be handed to worker threads.
+pub trait Workload: Send {
     /// Short program name (matches the paper's, lower-case).
     fn name(&self) -> &'static str;
 
