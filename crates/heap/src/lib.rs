@@ -50,6 +50,7 @@ mod costmodel;
 mod counts;
 mod firstfit;
 mod index;
+mod live;
 mod obs;
 mod predict;
 pub mod reference;

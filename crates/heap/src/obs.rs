@@ -11,6 +11,7 @@
 //! the zero-sized [`Unobserved`] when nobody is.
 
 use crate::index::IndexStats;
+use crate::live::LiveObj;
 use lifepred_obs::{
     Counter, EpochSample, EpochTimeline, HistogramSnapshot, LogHistogram, Registry, Timer,
     TIMING_ENABLED,
@@ -90,10 +91,10 @@ pub(crate) trait Observe {
 
     /// Records one allocation event; `arena` says whether the simulated
     /// allocator served it from its arena area.
-    fn on_alloc(&mut self, record: usize, size: u32, arena: bool, stamp: Self::Stamp);
+    fn on_alloc(&mut self, size: u32, arena: bool, stamp: Self::Stamp);
 
-    /// Records one free event.
-    fn on_free(&mut self, record: usize, stamp: Self::Stamp);
+    /// Records one free event: `dead` is the object's live-table entry.
+    fn on_free(&mut self, dead: &LiveObj, stamp: Self::Stamp);
 
     /// Records the online learner's state at an epoch boundary.
     fn on_epoch(&mut self, sample: EpochSample);
@@ -114,8 +115,8 @@ impl Observe for Unobserved {
     type Stamp = ();
 
     fn stamp() {}
-    fn on_alloc(&mut self, _record: usize, _size: u32, _arena: bool, _stamp: ()) {}
-    fn on_free(&mut self, _record: usize, _stamp: ()) {}
+    fn on_alloc(&mut self, _size: u32, _arena: bool, _stamp: ()) {}
+    fn on_free(&mut self, _dead: &LiveObj, _stamp: ()) {}
     fn on_epoch(&mut self, _sample: EpochSample) {}
     fn flush(self, _index: IndexStats, _frees_invalid: u64, _batch_refills: u64) {}
 }
@@ -128,43 +129,33 @@ impl Observe for Unobserved {
 /// batch is published into the shared [`ReplayObs`] handles once, by
 /// [`Observe::flush`] at end of stream. Final registry values are
 /// identical to per-event publication; the per-event cost is a handful
-/// of arithmetic ops plus one birth-clock store/load for exact
-/// lifetimes (and one clock read per event where `lifepred-obs` is
-/// built with `timing`), a few percent of replay throughput in the
+/// of arithmetic ops (and one clock read per event where `lifepred-obs`
+/// is built with `timing`), a few percent of replay throughput in the
 /// recorded `results/BENCH_obs.json` measurement. Epoch-timeline
 /// samples are the exception: they are rare (one per epoch) and pushed
 /// live.
 #[derive(Debug)]
 pub(crate) struct ObsCtx<'a> {
     obs: &'a ReplayObs,
-    /// Birth clock per record index, filled on its alloc event. The
-    /// clock itself is the size histogram's running byte sum — bytes
-    /// allocated so far, exactly the paper's lifetime unit — so no
-    /// separate counter is advanced per event.
-    births: Vec<u64>,
     /// Allocations *not* served from the arena area — the rare branch
     /// in arena-friendly workloads; the totals are derived at flush
     /// time (`allocs` = size-histogram count, `arena` = allocs − this).
     general_allocs: u64,
-    /// Frees whose record never allocated (malformed stream); frees =
-    /// lifetime-histogram count + this.
-    free_misses: u64,
+    /// Sizes allocated so far. Its running sum is the byte clock a dead
+    /// object's [`birth`](LiveObj::birth) was read from, so no separate
+    /// counter is advanced per event.
     sizes: HistogramSnapshot,
+    /// One lifetime per free: frees = this histogram's count.
     lifetimes: HistogramSnapshot,
     event_ns: HistogramSnapshot,
 }
 
 impl<'a> ObsCtx<'a> {
-    /// Recording state for one replay into `obs`, its birth table
-    /// pre-sized for `records` objects (0 = unknown, grow on demand) so
-    /// the event loop of a replay that knows its object count never
-    /// pays a grow check.
-    pub(crate) fn new(obs: &'a ReplayObs, records: usize) -> ObsCtx<'a> {
+    /// Recording state for one replay into `obs`.
+    pub(crate) fn new(obs: &'a ReplayObs) -> ObsCtx<'a> {
         ObsCtx {
             obs,
-            births: vec![0; records],
             general_allocs: 0,
-            free_misses: 0,
             sizes: HistogramSnapshot::empty(),
             lifetimes: HistogramSnapshot::empty(),
             event_ns: HistogramSnapshot::empty(),
@@ -182,14 +173,10 @@ impl Observe for ObsCtx<'_> {
     }
 
     #[inline]
-    fn on_alloc(&mut self, record: usize, size: u32, arena: bool, timer: Timer) {
+    fn on_alloc(&mut self, size: u32, arena: bool, timer: Timer) {
         if !arena {
             self.general_allocs += 1;
         }
-        if record >= self.births.len() {
-            self.births.resize(record + 1, 0);
-        }
-        self.births[record] = self.sizes.sum;
         self.sizes.record(u64::from(size));
         if TIMING_ENABLED {
             self.event_ns.record(timer.elapsed_ns());
@@ -198,12 +185,9 @@ impl Observe for ObsCtx<'_> {
 
     /// Emits the object's byte lifetime.
     #[inline]
-    fn on_free(&mut self, record: usize, timer: Timer) {
-        if let Some(&birth) = self.births.get(record) {
-            self.lifetimes.record(self.sizes.sum.wrapping_sub(birth));
-        } else {
-            self.free_misses += 1;
-        }
+    fn on_free(&mut self, dead: &LiveObj, timer: Timer) {
+        self.lifetimes
+            .record(self.sizes.sum.wrapping_sub(dead.birth));
         if TIMING_ENABLED {
             self.event_ns.record(timer.elapsed_ns());
         }
@@ -218,9 +202,7 @@ impl Observe for ObsCtx<'_> {
         self.obs
             .arena_allocs_total
             .add(self.sizes.count - self.general_allocs);
-        self.obs
-            .frees_total
-            .add(self.lifetimes.count + self.free_misses);
+        self.obs.frees_total.add(self.lifetimes.count);
         self.obs.size_bytes.absorb(&self.sizes);
         self.obs.lifetime_bytes.absorb(&self.lifetimes);
         self.obs.event_ns.absorb(&self.event_ns);
@@ -239,12 +221,18 @@ mod tests {
     fn lifetimes_are_measured_in_allocation_bytes() {
         let reg = Registry::new();
         let obs = ReplayObs::register(&reg);
-        let mut ctx = ObsCtx::new(&obs, 0);
+        let mut ctx = ObsCtx::new(&obs);
         // Object 0 born at clock 0, object 1 at clock 100; freeing 0
         // after both lands a lifetime of 100 + 50 = 150 bytes.
-        ctx.on_alloc(0, 100, true, Timer::start());
-        ctx.on_alloc(1, 50, false, Timer::start());
-        ctx.on_free(0, Timer::start());
+        ctx.on_alloc(100, true, Timer::start());
+        ctx.on_alloc(50, false, Timer::start());
+        let first = LiveObj {
+            addr: crate::Addr(8),
+            birth: 0,
+            size: 100,
+            tag: 0,
+        };
+        ctx.on_free(&first, Timer::start());
         // Nothing is shared until the batch is flushed.
         assert_eq!(reg.snapshot().counter("lifepred_sim_allocs_total"), Some(0));
         ctx.flush(IndexStats::default(), 0, 1);

@@ -4,6 +4,7 @@
 //! [`ReplayPlan`](crate::ReplayPlan) variant naming it.
 
 use crate::arena::ArenaAllocator;
+use crate::live::{LiveObj, LiveTable};
 use crate::replay::{pct, Corrupt};
 use lifepred_adaptive::{EpochConfig, LearnerStats, OnlineLearner};
 use lifepred_flight::catalog;
@@ -15,13 +16,15 @@ use std::collections::VecDeque;
 /// the heap the predictor works with.
 pub(crate) trait Predict<H> {
     /// The verdict for object `record`, about to be allocated with
-    /// `size` bytes: is it short-lived?
-    fn on_alloc(&mut self, record: usize, size: u32) -> Result<bool, Corrupt>;
-    /// That allocation was placed, in the arena area or outside it.
-    fn placed(&mut self, _size: u32, _in_arena: bool) {}
-    /// Object `record` was freed; the slot table has already checked
-    /// that it was live.
-    fn on_free(&mut self, _record: usize, _was_in_arena: bool) {}
+    /// `size` bytes — is it short-lived? — and the
+    /// [`tag`](LiveObj::tag) its live-table entry carries.
+    fn on_alloc(&mut self, record: usize, size: u32) -> Result<(bool, u32), Corrupt>;
+    /// That allocation was placed, in the arena area or outside it, and
+    /// entered `live`.
+    fn placed(&mut self, _size: u32, _in_arena: bool, _live: &mut LiveTable) {}
+    /// Object `dead` was freed; the live table has already checked that
+    /// it was live.
+    fn on_free(&mut self, _dead: &LiveObj, _was_in_arena: bool) {}
     /// A timeline sample, if an epoch boundary was crossed since the
     /// last call. Only an observed replay asks.
     fn epoch_sample(&mut self, _heap: &H) -> Option<EpochSample> {
@@ -37,49 +40,38 @@ pub(crate) trait Predict<H> {
 pub(crate) struct NoPrediction;
 
 impl<H> Predict<H> for NoPrediction {
-    fn on_alloc(&mut self, _record: usize, _size: u32) -> Result<bool, Corrupt> {
-        Ok(false)
+    fn on_alloc(&mut self, _record: usize, _size: u32) -> Result<(bool, u32), Corrupt> {
+        Ok((false, 0))
     }
 }
 
 /// The frozen per-object bitmap of an offline-trained database.
 impl<H> Predict<H> for &[bool] {
-    fn on_alloc(&mut self, record: usize, _size: u32) -> Result<bool, Corrupt> {
-        self.get(record).copied().ok_or_else(|| {
+    fn on_alloc(&mut self, record: usize, _size: u32) -> Result<(bool, u32), Corrupt> {
+        let short = self.get(record).copied().ok_or_else(|| {
             Corrupt(format!(
                 "object {record} has no prediction ({} known)",
                 self.len()
             ))
-        })
+        })?;
+        Ok((short, 0))
     }
-}
-
-/// Per-object bookkeeping for the online replay: 16 bytes for every
-/// object ever born, so the flags share a word with the site row.
-#[derive(Debug, Clone, Copy, Default)]
-struct OnlineObj {
-    birth: u64,
-    size: u32,
-    /// The site's row in the learner (`ROW_MASK`) and the flags below.
-    site: u32,
 }
 
 /// Predicted short-lived at allocation.
 const PREDICTED: u32 = 1 << 31;
 /// Already reported to the learner as pinning its arena.
 const REPORTED: u32 = 1 << 30;
-const LIVE: u32 = 1 << 29;
-const ROW_MASK: u32 = LIVE - 1;
+/// The site's row in the learner: the rest of the live entry's tag.
+const ROW_MASK: u32 = REPORTED - 1;
 
 /// The self-training predictor of [`ReplayPlan::ArenaOnline`]: the
-/// learner, plus the per-object table and aging queue that turn the
-/// event stream into the lifetimes it learns from.
+/// learner, plus the aging queue that, with the live table's entries,
+/// turns the event stream into the lifetimes it learns from.
 pub(crate) struct Online<'a> {
     sites: &'a [u64],
     learner: OnlineLearner,
     epoch: EpochConfig,
-    /// Indexed by record; rows of objects not born yet are never read.
-    objs: Vec<OnlineObj>,
     /// Predicted objects in birth order; the front is always the oldest,
     /// so aging is O(1) amortized.
     aging: VecDeque<usize>,
@@ -95,7 +87,6 @@ impl<'a> Online<'a> {
             sites,
             learner: OnlineLearner::new(epoch),
             epoch,
-            objs: Vec::new(),
             aging: VecDeque::new(),
             next_tick: epoch.epoch_bytes,
             live_arena_bytes: 0,
@@ -104,7 +95,7 @@ impl<'a> Online<'a> {
 }
 
 impl Predict<ArenaAllocator> for Online<'_> {
-    fn on_alloc(&mut self, record: usize, size: u32) -> Result<bool, Corrupt> {
+    fn on_alloc(&mut self, record: usize, size: u32) -> Result<(bool, u32), Corrupt> {
         let key = *self.sites.get(record).ok_or_else(|| {
             Corrupt(format!(
                 "object {record} has no site fingerprint ({} known)",
@@ -119,56 +110,47 @@ impl Predict<ArenaAllocator> for Online<'_> {
                 "object {record} is at allocation site {row}; at most {ROW_MASK} sites are supported"
             )));
         }
-        let birth = self.learner.clock();
         let predicted = self.learner.record_alloc_at(row, u64::from(size));
-        if record >= self.objs.len() {
-            self.objs.resize(record + 1, OnlineObj::default());
-        }
-        self.objs[record] = OnlineObj {
-            birth,
-            size,
-            site: row | LIVE | if predicted { PREDICTED } else { 0 },
-        };
         if predicted {
             self.aging.push_back(record);
         }
+        Ok((predicted, row | if predicted { PREDICTED } else { 0 }))
+    }
+
+    fn placed(&mut self, size: u32, in_arena: bool, live: &mut LiveTable) {
+        if in_arena {
+            self.live_arena_bytes += u64::from(size);
+        }
         // Aging scan: a predicted object still live past the threshold
-        // pins its arena — report it once (it leaves the queue here).
+        // pins its arena — report it once (it leaves the queue here). A
+        // dead one leaves whatever its age: the queue is in birth
+        // order, so no live object behind it is older.
         while let Some(&oldest) = self.aging.front() {
-            let obj = &mut self.objs[oldest];
+            let Some(obj) = live.get_mut(oldest) else {
+                self.aging.pop_front();
+                continue;
+            };
             if self.learner.clock().saturating_sub(obj.birth) < self.epoch.threshold {
                 break;
             }
             self.aging.pop_front();
-            if obj.site & LIVE != 0 {
-                obj.site |= REPORTED;
-                self.learner
-                    .note_pinned_at(obj.site & ROW_MASK, u64::from(obj.size));
-            }
-        }
-        Ok(predicted)
-    }
-
-    fn placed(&mut self, size: u32, in_arena: bool) {
-        if in_arena {
-            self.live_arena_bytes += u64::from(size);
+            obj.tag |= REPORTED;
+            self.learner
+                .note_pinned_at(obj.tag & ROW_MASK, u64::from(obj.size));
         }
     }
 
-    fn on_free(&mut self, record: usize, was_in_arena: bool) {
-        // The slot table has checked that the object was live.
-        let obj = &mut self.objs[record];
-        obj.site &= !LIVE;
+    fn on_free(&mut self, dead: &LiveObj, was_in_arena: bool) {
         if was_in_arena {
-            self.live_arena_bytes = self.live_arena_bytes.saturating_sub(u64::from(obj.size));
+            self.live_arena_bytes = self.live_arena_bytes.saturating_sub(u64::from(dead.size));
         }
         // A pinning misprediction was already reported by the aging
         // scan; don't count its free a second time.
-        let counts_as_misprediction = obj.site & (PREDICTED | REPORTED) == PREDICTED;
+        let counts_as_misprediction = dead.tag & (PREDICTED | REPORTED) == PREDICTED;
         self.learner.record_free_at(
-            obj.site & ROW_MASK,
-            u64::from(obj.size),
-            obj.birth,
+            dead.tag & ROW_MASK,
+            u64::from(dead.size),
+            dead.birth,
             counts_as_misprediction,
         );
     }
@@ -205,15 +187,5 @@ impl Predict<ArenaAllocator> for Online<'_> {
 
     fn learner_stats(&self) -> Option<LearnerStats> {
         Some(self.learner.stats())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn the_per_object_row_is_sixteen_bytes() {
-        assert!(std::mem::size_of::<OnlineObj>() <= 16);
     }
 }

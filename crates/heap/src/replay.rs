@@ -20,6 +20,7 @@ use crate::bsd::BsdMalloc;
 use crate::counts::OpCounts;
 use crate::firstfit::FirstFit;
 use crate::index::IndexStats;
+use crate::live::{LiveObj, LiveTable};
 use crate::obs::{ObsCtx, Observe, ReplayObs, Unobserved};
 use crate::predict::{NoPrediction, Online, Predict};
 use crate::Addr;
@@ -44,7 +45,7 @@ pub struct ReplayConfig {
 /// Per-object inputs are indexed by `record`, the object's birth-order
 /// index — the index its
 /// [`AllocationRecord`](lifepred_trace::AllocationRecord) has in
-/// [`Trace::records`] — which keys all per-object replay state.
+/// [`Trace::records`].
 #[derive(Debug, Clone, Copy)]
 pub enum ReplayPlan<'a> {
     /// Knuth's first-fit (the paper's baseline for Table 8); predicts
@@ -129,6 +130,7 @@ impl<E: fmt::Debug + fmt::Display> std::error::Error for ReplayStreamError<E> {}
 
 /// An event sequence that is not a valid alloc/free history; becomes
 /// [`ReplayStreamError::Corrupt`] whatever the source's error type.
+#[derive(Debug)]
 pub(crate) struct Corrupt(pub(crate) String);
 
 impl<E> From<Corrupt> for ReplayStreamError<E> {
@@ -190,46 +192,6 @@ pub(crate) fn pct(num: u64, den: u64) -> f64 {
         0.0
     } else {
         100.0 * num as f64 / den as f64
-    }
-}
-
-/// Per-object address slots, grown as allocations stream in: one
-/// `u64` per object ever born, holding its address while it lives.
-///
-/// [`UNBORN`] and [`DEAD`] are reserved: no simulated heap returns
-/// them, because every general-heap block starts with an 8-byte header
-/// and the arenas sit at `1 << 40`.
-#[derive(Debug, Default)]
-struct SlotTable {
-    slots: Vec<u64>,
-}
-
-const UNBORN: u64 = 0;
-const DEAD: u64 = u64::MAX;
-
-impl SlotTable {
-    fn born(&mut self, record: usize, addr: Addr) -> Result<(), Corrupt> {
-        assert!(
-            addr.0 != UNBORN && addr.0 != DEAD,
-            "allocator returned the reserved address {addr}"
-        );
-        if record >= self.slots.len() {
-            self.slots.resize(record + 1, UNBORN);
-        }
-        if self.slots[record] != UNBORN {
-            return Err(Corrupt(format!("object {record} allocated twice")));
-        }
-        self.slots[record] = addr.0;
-        Ok(())
-    }
-
-    fn died(&mut self, record: usize) -> Result<Addr, Corrupt> {
-        match self.slots.get_mut(record) {
-            Some(slot) if *slot != UNBORN && *slot != DEAD => {
-                Ok(Addr(std::mem::replace(slot, DEAD)))
-            }
-            _ => Err(Corrupt(format!("free before alloc of object {record}"))),
-        }
     }
 }
 
@@ -322,8 +284,8 @@ pub(crate) type Replayed = (ReplayReport, Option<LearnerStats>);
 ///
 /// [`ReplayStreamError::Source`] if the source fails (the batches
 /// before the failure are replayed first); [`ReplayStreamError::Corrupt`]
-/// on a double alloc, a free of an object that is not live, or an
-/// allocation whose record index has no entry in the plan's
+/// on an allocation out of birth order, a free of an object that is not
+/// live, or an allocation whose record index has no entry in the plan's
 /// `predicted`/`sites`.
 pub fn replay<S: ChunkSource>(
     meta: &ReplayMeta,
@@ -332,14 +294,7 @@ pub fn replay<S: ChunkSource>(
     obs: Option<&ReplayObs>,
 ) -> Result<Replayed, ReplayStreamError<S::Error>> {
     match obs {
-        Some(obs) => {
-            let records = match *plan {
-                ReplayPlan::FirstFit | ReplayPlan::Bsd => 0,
-                ReplayPlan::Arena { predicted, .. } => predicted.len(),
-                ReplayPlan::ArenaOnline { sites, .. } => sites.len(),
-            };
-            replay_with(meta, source, plan, ObsCtx::new(obs, records))
-        }
+        Some(obs) => replay_with(meta, source, plan, ObsCtx::new(obs)),
         None => replay_with(meta, source, plan, Unobserved),
     }
 }
@@ -375,8 +330,8 @@ fn replay_with<S: ChunkSource, O: Observe>(
     }
 }
 
-/// The replay loop: pull a batch, look up each event's slot, predict,
-/// place or free, count.
+/// The replay loop: pull a batch, predict, place or free, keep each
+/// live object's entry in the [`LiveTable`], count.
 fn drive<S, H, P, O>(
     meta: &ReplayMeta,
     mut source: S,
@@ -391,7 +346,7 @@ where
     P: Predict<H>,
     O: Observe,
 {
-    let mut slots = SlotTable::default();
+    let mut live = LiveTable::default();
     let (mut total_allocs, mut total_bytes) = (0u64, 0u64);
     let (mut arena_allocs, mut arena_bytes) = (0u64, 0u64);
     let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
@@ -411,18 +366,25 @@ where
             let stamp = O::stamp();
             match event {
                 ChunkEvent::Alloc { record, size } => {
+                    live.expect_birth(record)?;
+                    let birth = total_bytes;
                     total_allocs += 1;
                     total_bytes += u64::from(size);
-                    let short = predictor.on_alloc(record, size)?;
+                    let (short, tag) = predictor.on_alloc(record, size)?;
                     let addr = heap.place(size, short);
                     let in_arena = heap.in_arena(addr);
                     if in_arena {
                         arena_allocs += 1;
                         arena_bytes += u64::from(size);
                     }
-                    slots.born(record, addr)?;
-                    predictor.placed(size, in_arena);
-                    observer.on_alloc(record, size, in_arena, stamp);
+                    live.born(LiveObj {
+                        addr,
+                        birth,
+                        size,
+                        tag,
+                    });
+                    predictor.placed(size, in_arena, &mut live);
+                    observer.on_alloc(size, in_arena, stamp);
                     if O::ACTIVE {
                         if let Some(sample) = predictor.epoch_sample(&heap) {
                             observer.on_epoch(sample);
@@ -430,10 +392,10 @@ where
                     }
                 }
                 ChunkEvent::Free { record } => {
-                    let addr = slots.died(record)?;
-                    heap.release(addr);
-                    predictor.on_free(record, heap.in_arena(addr));
-                    observer.on_free(record, stamp);
+                    let dead = live.died(record)?;
+                    heap.release(dead.addr);
+                    predictor.on_free(&dead, heap.in_arena(dead.addr));
+                    observer.on_free(&dead, stamp);
                 }
             }
         }
@@ -933,8 +895,12 @@ mod tests {
                 "{plan:?}: {result:?}"
             );
         };
-        // Double alloc, free before alloc.
+        // Double alloc, out-of-order alloc, free before alloc.
         corrupt(vec![ALLOC_0, ALLOC_0], ReplayPlan::FirstFit);
+        corrupt(
+            vec![ChunkEvent::Alloc { record: 1, size: 8 }],
+            ReplayPlan::Bsd,
+        );
         corrupt(vec![ChunkEvent::Free { record: 3 }], ReplayPlan::Bsd);
         corrupt(
             vec![

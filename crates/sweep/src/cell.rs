@@ -133,8 +133,12 @@ pub struct SimOutput {
 /// walks the mapped records section for one prediction (or site
 /// fingerprint) per object, then the replay decodes event chunks
 /// straight out of the mapped events section — the event stream is
-/// never materialized. With `want_metrics` the run records into a
-/// private registry whose snapshot is returned for the caller to merge.
+/// never materialized. Every pass releases the mapped pages behind it,
+/// and the replay keeps state for live objects only, so what still
+/// grows with the trace is the pre-pass's per-object slice (1 B of
+/// prediction or 8 B of fingerprint per object); the baselines have
+/// none. With `want_metrics` the run records into a private registry
+/// whose snapshot is returned for the caller to merge.
 ///
 /// # Errors
 ///

@@ -4,8 +4,9 @@
 //! A [`TraceMap`] hands out one `&[u8]` covering the whole file. On
 //! Linux (x86_64 / aarch64) that slice is a private read-only `mmap`
 //! issued directly via the `syscall` instruction — the workspace
-//! vendors no `libc` — so a multi-gigabyte `.lpt` costs no heap and is
-//! paged in by the decode loop's own sequential access. Everywhere
+//! vendors no `libc` — so a multi-gigabyte `.lpt` costs no heap, is
+//! paged in by the decode loop's own sequential access, and is handed
+//! back behind it ([`TraceMap::release`]). Everywhere
 //! else, when mapping fails, or when `LIFEPRED_NO_MMAP` is set, the
 //! file is read into a `Vec<u8>` instead; callers cannot observe the
 //! difference except through [`TraceMap::is_mapped`].
@@ -21,6 +22,14 @@
 //! * the pointer/length pair never outlives the [`TraceMap`]; borrowed
 //!   section slices carry its lifetime, so `munmap` in `Drop` cannot
 //!   race a live reader;
+//! * [`TraceMap::release`] (`madvise(MADV_DONTNEED)`) only drops this
+//!   process's page-table entries for part of the mapping, clamped to
+//!   it. The pages were never written (`PROT_READ`), so no private copy
+//!   exists to lose: the next read of a released byte faults the same
+//!   file page back in, and a live `&[u8]` over it sees the same bytes.
+//!   If the file changed underneath meanwhile, the re-read sees the
+//!   change — the contract the mapping already has under concurrent
+//!   modification, not a new one;
 //! * `u8` has alignment 1, so any page-aligned base is aligned for the
 //!   slice — multi-byte loads in the decoder go through
 //!   `from_le_bytes` on byte slices, never through `&u64` casts.
@@ -29,6 +38,7 @@
 
 use std::fs::File;
 use std::io::{self, Read};
+use std::ops::Range;
 use std::path::Path;
 
 /// Environment variable that forces the heap fallback: for exercising
@@ -36,6 +46,11 @@ use std::path::Path;
 /// process may truncate (a mapping shrunk underneath its reader raises
 /// SIGBUS; a heap copy made at open cannot).
 pub(crate) const NO_MMAP_ENV: &str = "LIFEPRED_NO_MMAP";
+
+/// Granularity of [`TraceMap::release`]: a multiple of every page size
+/// the supported targets run with (4 KiB on x86_64, up to 64 KiB on
+/// aarch64).
+const RELEASE_ALIGN: usize = 64 << 10;
 
 /// A whole file as one immutable byte slice: `mmap`-backed when the
 /// platform supports it, a heap copy otherwise.
@@ -50,9 +65,10 @@ pub struct TraceMap {
 }
 
 // SAFETY: the mapped bytes are immutable for the life of the value
-// (PROT_READ, and no API exposes mutation), so shared references can
-// cross threads; the munmap in Drop requires exclusive ownership,
-// which the borrow checker already guarantees.
+// (PROT_READ, and no API exposes mutation; `release` drops page-table
+// entries only, and the bytes fault back unchanged), so shared
+// references can cross threads; the munmap in Drop requires exclusive
+// ownership, which the borrow checker already guarantees.
 unsafe impl Send for TraceMap {}
 // SAFETY: as above — &TraceMap only permits reads of immutable memory.
 unsafe impl Sync for TraceMap {}
@@ -115,6 +131,25 @@ impl TraceMap {
     pub(crate) fn is_mapped(&self) -> bool {
         self.heap.is_none()
     }
+
+    /// Drops the resident pages of file bytes `range` from this
+    /// process, for a reader that has moved past them. Both ends round
+    /// down to a 64 KiB boundary (the start never below the mapping),
+    /// so back-to-back calls over adjacent ranges leave no gap and no
+    /// byte at or past `range.end` is dropped. Reading a released byte
+    /// again faults it back in from the file (see the module doc). A
+    /// no-op in heap mode.
+    pub(crate) fn release(&self, range: Range<usize>) {
+        if self.heap.is_some() {
+            return;
+        }
+        let base = self.ptr as usize;
+        let align_down = |offset: usize| (base + offset.min(self.len)) & !(RELEASE_ALIGN - 1);
+        let (start, end) = (align_down(range.start).max(base), align_down(range.end));
+        if start < end {
+            sys::release(start, end - start);
+        }
+    }
 }
 
 impl Drop for TraceMap {
@@ -125,7 +160,8 @@ impl Drop for TraceMap {
     }
 }
 
-/// Raw `mmap`/`munmap` syscalls for the supported Linux targets.
+/// Raw `mmap`/`munmap`/`madvise` syscalls for the supported Linux
+/// targets.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -136,15 +172,20 @@ mod sys {
 
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
+    const MADV_DONTNEED: usize = 4;
 
     #[cfg(target_arch = "x86_64")]
     const SYS_MMAP: usize = 9;
     #[cfg(target_arch = "x86_64")]
     const SYS_MUNMAP: usize = 11;
+    #[cfg(target_arch = "x86_64")]
+    const SYS_MADVISE: usize = 28;
     #[cfg(target_arch = "aarch64")]
     const SYS_MMAP: usize = 222;
     #[cfg(target_arch = "aarch64")]
     const SYS_MUNMAP: usize = 215;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_MADVISE: usize = 233;
 
     /// Issues a raw 6-argument syscall. Returns the kernel's value;
     /// errors are encoded as `-errno` in `[-4095, -1]`.
@@ -208,6 +249,14 @@ mod sys {
         // the only safe response in Drop, so the result is ignored.
         let _ = syscall6(SYS_MUNMAP, ptr as usize, len, 0, 0, 0, 0);
     }
+
+    /// `madvise(MADV_DONTNEED)` over `len` bytes at the page-aligned
+    /// `addr`, inside a mapping produced by [`map`].
+    pub(super) fn release(addr: usize, len: usize) {
+        // Advice only: a failure leaves the pages resident, which is
+        // what not asking would have done, so the result is ignored.
+        let _ = syscall6(SYS_MADVISE, addr, len, MADV_DONTNEED, 0, 0, 0);
+    }
 }
 
 /// Fallback for platforms without a raw-syscall mmap port: `map` never
@@ -224,6 +273,10 @@ mod sys {
     }
 
     pub(super) fn unmap(_ptr: *const u8, _len: usize) {
+        unreachable!("no mapping can exist on this platform");
+    }
+
+    pub(super) fn release(_addr: usize, _len: usize) {
         unreachable!("no mapping can exist on this platform");
     }
 }
@@ -256,6 +309,26 @@ mod tests {
         {
             assert!(map.is_mapped(), "expected the mmap path on this platform");
         }
+        drop(map);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn released_pages_read_back_the_same_bytes() {
+        let path = temp_path("released.bin");
+        let data: Vec<u8> = (0..1_000_000u32).map(|i| (i % 253) as u8).collect();
+        File::create(&path)
+            .and_then(|mut f| f.write_all(&data))
+            .expect("write");
+        let map = TraceMap::open(&path).expect("open");
+        let bytes = map.as_bytes();
+        assert_eq!(bytes, &data[..]);
+        let (ahead, behind) = (300_000, 200_000);
+        map.release(0..map.len());
+        map.release(ahead..behind);
+        map.release(999_999..usize::MAX);
+        assert_eq!(bytes, &data[..], "re-faulted pages hold the file's bytes");
+        TraceMap::from_vec(data.clone()).release(0..data.len());
         drop(map);
         std::fs::remove_file(&path).ok();
     }

@@ -12,6 +12,11 @@
 //! decoder can still read it (see `map.rs` for the mapping's own safety
 //! argument).
 //!
+//! Every sequential pass — each CRC pass and both decode loops — hands
+//! the mapped pages behind it back to the kernel every
+//! [`RELEASE_WINDOW`] bytes, so a trace's resident footprint is a few
+//! windows, not the file.
+//!
 //! Integrity is checked in two layers. Framing, the trailer and the
 //! CRCs are checked up front at open; structural checks (id ranges,
 //! clock/seq overflow, free back-references, count-vs-payload
@@ -24,7 +29,7 @@
 //! unchecked bytes under the structural checks alone.
 
 use crate::batch;
-use crate::crc32::crc32;
+use crate::crc32::Crc32;
 use crate::error::TraceFileError;
 use crate::format::{
     MAGIC, SECTION_CHAINS, SECTION_COUNT, SECTION_EVENTS, SECTION_FUNCTIONS, SECTION_META,
@@ -54,6 +59,10 @@ const SECTIONS: [(u8, &str); 5] = [
 /// more records than a sixth of its bytes.
 const MIN_RECORD_BYTES: usize = 6;
 
+/// How far a sequential pass reads past the last mapped page it
+/// released before it releases again.
+const RELEASE_WINDOW: usize = 4 << 20;
+
 /// Where one section's payload lies in the file, and the CRC stored
 /// after it.
 #[derive(Debug, Clone, Default)]
@@ -63,8 +72,17 @@ struct Section {
 }
 
 impl Section {
-    fn verify(&self, bytes: &[u8], name: &'static str) -> Result<(), TraceFileError> {
-        let computed = crc32(&bytes[self.payload.clone()]);
+    /// Checks the stored CRC, one [`RELEASE_WINDOW`] at a time, releasing
+    /// each window once it is summed.
+    fn verify(&self, map: &TraceMap, name: &'static str) -> Result<(), TraceFileError> {
+        let bytes = map.as_bytes();
+        let mut crc = Crc32::new();
+        for start in self.payload.clone().step_by(RELEASE_WINDOW) {
+            let window = start..(start + RELEASE_WINDOW).min(self.payload.end);
+            crc.update(&bytes[window.clone()]);
+            map.release(window);
+        }
+        let computed = crc.finish();
         if computed != self.stored_crc {
             return Err(TraceFileError::ChecksumMismatch {
                 section: name,
@@ -280,7 +298,7 @@ impl MappedTrace {
             });
             for (i, (section, (_, name))) in framed.iter().zip(SECTIONS).enumerate() {
                 if i < 3 || verify {
-                    section.verify(bytes, name)?;
+                    section.verify(&map, name)?;
                 }
             }
         }
@@ -474,12 +492,12 @@ impl MappedTrace {
     ///
     /// A records checksum mismatch (unverified traces only).
     pub fn records(&self) -> Result<MappedRecords<'_>, TraceFileError> {
-        let bytes = self.map.as_bytes();
         if !self.verified {
-            self.records.verify(bytes, "records")?;
+            self.records.verify(&self.map, "records")?;
         }
         Ok(MappedRecords {
-            cur: Cursor::new("records", &bytes[self.records_body.clone()]),
+            cur: Cursor::new("records", &self.map.as_bytes()[self.records_body.clone()]),
+            trail: Trail::new(&self.map, self.records_body.start),
             remaining: self.record_count,
             chain_count: self.chains.len() as u64,
             version: self.version,
@@ -514,6 +532,7 @@ impl MappedTrace {
     pub fn events(&self) -> MappedEvents<'_> {
         MappedEvents {
             cur: self.events_cursor(),
+            trail: Trail::new(&self.map, self.events_body.start),
             remaining: self.event_count,
             allocs: 0,
             done: false,
@@ -600,6 +619,42 @@ fn check_events(
     cur.finish()
 }
 
+/// The mapped pages a sequential reader has left behind, released one
+/// [`RELEASE_WINDOW`] at a time.
+#[derive(Debug)]
+struct Trail<'a> {
+    map: &'a TraceMap,
+    /// File offset of the reader's payload.
+    base: usize,
+    /// Payload offset up to which pages were released.
+    released: usize,
+}
+
+impl<'a> Trail<'a> {
+    fn new(map: &'a TraceMap, base: usize) -> Trail<'a> {
+        Trail {
+            map,
+            base,
+            released: 0,
+        }
+    }
+
+    /// The reader is at payload offset `pos`: release what lies behind
+    /// it once that is a whole window.
+    #[inline]
+    fn behind(&mut self, pos: usize) {
+        if pos - self.released >= RELEASE_WINDOW {
+            self.release_to(pos);
+        }
+    }
+
+    /// Releases everything before payload offset `pos`.
+    fn release_to(&mut self, pos: usize) {
+        self.map.release(self.base + self.released..self.base + pos);
+        self.released = pos;
+    }
+}
+
 /// Borrowed iterator over a [`MappedTrace`]'s records section, from
 /// [`MappedTrace::records`]. Yields `Err` at most once (a structural
 /// violation, a count the payload does not hold, or bytes left over
@@ -608,6 +663,7 @@ fn check_events(
 pub struct MappedRecords<'a> {
     /// Records payload, past the count varint.
     cur: Cursor<'a>,
+    trail: Trail<'a>,
     /// Records left per the declared count; zeroed to fuse.
     remaining: u64,
     chain_count: u64,
@@ -697,6 +753,7 @@ impl Iterator for MappedRecords<'_> {
             // Bytes left over after the last record are reported once.
             let leftover = self.cur.finish().err();
             self.cur.skip_rest();
+            self.trail.release_to(self.cur.pos);
             return leftover.map(Err);
         }
         self.remaining -= 1;
@@ -705,6 +762,7 @@ impl Iterator for MappedRecords<'_> {
             self.remaining = 0;
             self.cur.skip_rest();
         }
+        self.trail.behind(self.cur.pos);
         Some(record)
     }
 
@@ -727,6 +785,7 @@ impl Iterator for MappedRecords<'_> {
 pub struct MappedEvents<'a> {
     /// Events payload, past the count varint.
     cur: Cursor<'a>,
+    trail: Trail<'a>,
     remaining: u64,
     /// Allocation events decoded so far — the base free back-references
     /// resolve against.
@@ -758,8 +817,10 @@ impl ChunkSource for MappedEvents<'_> {
         self.cur.pos = pos;
         self.allocs = allocs;
         self.remaining -= n;
+        self.trail.behind(pos);
         if self.remaining == 0 {
             self.done = true;
+            self.trail.release_to(pos);
             if let Err(e) = self.cur.finish() {
                 chunk.clear();
                 return Err(e);

@@ -5,6 +5,7 @@
 //! lengths) and a hand-built v1 image.
 
 use super::*;
+use crate::crc32::crc32;
 use crate::stream::tests::stream_copy;
 use crate::varint::write_varint;
 use crate::{trace_from_bytes, trace_to_vec};

@@ -5,15 +5,19 @@
 //! serialized once and read back through [`MappedTrace`]: the chunked
 //! event stream must equal [`Trace::events`] of the recorded trace at
 //! every chunk capacity, and [`load_trace`] / [`trace_from_bytes`] must
-//! return the recorded records and stats. The CI `decode` job runs this
-//! suite twice, with and without `LIFEPRED_NO_MMAP=1`, so both the
-//! mapped and heap-fallback flavors of [`TraceMap`] are covered.
+//! return the recorded records and stats; a streamed synthetic trace
+//! large enough that the reader releases mapped pages behind every pass
+//! must decode to what `load_trace` makes of it. The CI `decode` job
+//! runs this suite twice, with and without `LIFEPRED_NO_MMAP=1`, so both
+//! the mapped and heap-fallback flavors of [`TraceMap`] are covered.
 
 use lifepred_trace::{
     ChunkEvent, ChunkSource, EventChunk, EventKind, Trace, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
 };
 use lifepred_tracefile::{load_trace, trace_from_bytes, trace_to_vec, MappedTrace, TraceMap};
 use lifepred_workloads::{all_workloads, record};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::path::PathBuf;
 
 /// The event stream `trace` stands for, as a chunk source yields it.
@@ -89,32 +93,103 @@ fn every_workload_decodes_to_what_was_recorded() {
     }
 }
 
+/// The reader releases mapped pages behind each sequential pass every
+/// 4 MiB (`RELEASE_WINDOW` in `tracefile/src/mapped.rs`).
+const RELEASE_WINDOW: u64 = 4 << 20;
+
+/// [`events_of`] as a stream, for traces too large to hold twice:
+/// births in record order, each preceded by the deaths due before it.
+fn events_in_order(trace: &Trace) -> impl Iterator<Item = ChunkEvent> + '_ {
+    let records = trace.records();
+    let mut deaths = BinaryHeap::new();
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        let birth_seq = records.get(next).map(|r| r.birth_seq);
+        if let Some(&Reverse((death_seq, record))) = deaths.peek() {
+            if birth_seq.is_none_or(|birth| death_seq < birth) {
+                deaths.pop();
+                return Some(ChunkEvent::Free { record });
+            }
+        }
+        let born = records.get(next)?;
+        if let Some(death_seq) = born.death_seq {
+            deaths.push(Reverse((death_seq, next)));
+        }
+        next += 1;
+        Some(ChunkEvent::Alloc {
+            record: next - 1,
+            size: born.size,
+        })
+    })
+}
+
+/// Drains `mapped` at `capacity`, comparing event for event against
+/// `expected`; returns the event count.
+fn drain_equals(
+    mapped: &MappedTrace,
+    capacity: usize,
+    mut expected: impl Iterator<Item = ChunkEvent>,
+) -> u64 {
+    let mut source = mapped.events();
+    let mut chunk = EventChunk::with_capacity(capacity);
+    let mut n = 0u64;
+    while source.next_chunk(&mut chunk).expect("chunk") {
+        for event in chunk.events() {
+            assert_eq!(
+                Some(event),
+                expected.next(),
+                "event {n}, capacity {capacity}"
+            );
+            n += 1;
+        }
+    }
+    assert_eq!(
+        expected.next(),
+        None,
+        "capacity {capacity}: stream ended early"
+    );
+    n
+}
+
 /// The streamed synthetic server file is never a [`Trace`] in memory,
 /// so its ground truth is `load_trace`: events rebuilt from the records
 /// section, which the loader's scalar walk has checked, event for
-/// event, against the independently encoded events section.
+/// event, against the independently encoded events section. Its records
+/// and events sections each span at least three release windows, so
+/// every pass below reads pages the open's CRC pass released, and the
+/// second drain and the records walk re-fault pages the passes before
+/// them released.
 #[test]
 fn a_streamed_synthetic_trace_file_decodes_to_its_loaded_events() {
     use lifepred_workloads::server::sim::SimConfig;
     use lifepred_workloads::server::synth::generate_lpt;
 
-    let config = SimConfig {
-        requests: 4_000,
-        connections: 32,
-        sessions: 256,
-        seed: 0x5e4e,
-    };
     let path = temp_path("synth");
     let sink = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
-    let (summary, sink) = generate_lpt(&config, sink).expect("generate");
+    let (summary, sink) =
+        generate_lpt(&SimConfig::for_events(4_200_000, 0x5e4e), sink).expect("generate");
     sink.into_inner().expect("flush");
 
     let loaded = load_trace(&path).expect("load");
-    let expected = events_of(&loaded);
-    assert_eq!(expected.len() as u64, summary.events);
     let mapped = MappedTrace::open(&path).expect("mapped open");
-    assert_eq!(drain(&mapped, POOLED_CHUNK_EVENTS), expected);
-    assert_eq!(drain(&mapped, 3), expected);
+    for section in &mapped.sections()[3..] {
+        assert!(
+            section.payload_bytes > 2 * RELEASE_WINDOW,
+            "{} spans fewer than three release windows: {section:?}",
+            section.name
+        );
+    }
+    for capacity in [POOLED_CHUNK_EVENTS, 3] {
+        let drained = drain_equals(&mapped, capacity, events_in_order(&loaded));
+        assert_eq!(drained, summary.events);
+    }
+    let mut walked = 0;
+    for (record, expected) in mapped.records().expect("records").zip(loaded.records()) {
+        assert_eq!(&record.expect("record"), expected, "record {walked}");
+        walked += 1;
+    }
+    assert_eq!(walked, loaded.records().len());
+    assert_eq!(walked as u64, summary.objects);
     drop(mapped);
     std::fs::remove_file(&path).ok();
 }
