@@ -40,7 +40,7 @@ use lifepred_sweep::{simulate_file, SimBackend};
 use lifepred_trace::{
     ChunkSource, EventChunk, EventKind, Trace, TraceSession, POOLED_CHUNK_EVENTS,
 };
-use lifepred_tracefile::{MappedTrace, TraceWriter};
+use lifepred_tracefile::{trace_to_vec, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use std::path::{Path, PathBuf};
@@ -330,9 +330,7 @@ fn main() {
     let sim_file = temp_path("simulate");
     std::fs::write(
         &sim_file,
-        TraceWriter::new(Vec::new())
-            .write(&sim_trace)
-            .expect("encode simulate trace"),
+        trace_to_vec(&sim_trace).expect("encode simulate trace"),
     )
     .expect("write simulate trace");
     let db = train(

@@ -548,9 +548,11 @@ end clock/seq:   131 / 4
     } else {
         "heap"
     };
+    // 117 file bytes: the records and events lengths are the writer's
+    // five-byte padded varints (24 and 10 would fit one byte each).
     let sections = format!(
         "
-sections ({backing}, 109 file bytes):
+sections ({backing}, 117 file bytes):
   meta                 19 bytes
   functions            11 bytes             2 entries
   chains                7 bytes             3 entries
@@ -967,6 +969,30 @@ fn argument_errors_are_reported() {
     assert!(usage.contains("USAGE"));
     let usage = run(&[]).expect("no args prints usage");
     assert!(usage.contains("lifepred"));
+}
+
+/// Every JSON input refuses nesting too deep for the recursive parser
+/// with a typed message. Only the real binary shows it: a stack
+/// overflow aborts the process, test harness included.
+#[test]
+fn deeply_nested_json_is_refused_not_a_stack_overflow() {
+    let dir = Scratch::new("deep-json");
+    let deep = dir.path("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("write");
+    let store = dir.path("store");
+    for args in [
+        vec!["stats", &deep],
+        vec!["sweep", "run", "--spec", &deep, "--store", &store],
+        vec!["sweep", "diff", &deep, &deep],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lifepred"))
+            .args(&args)
+            .output()
+            .expect("spawn lifepred");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("value nested too deeply"), "{args:?}: {err}");
+    }
 }
 
 /// The `audit` subcommand must honor the documented exit-code

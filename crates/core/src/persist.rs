@@ -4,9 +4,10 @@
 //! carries the site policy and size rounding alongside the threshold
 //! and the site keys, so `lifepred simulate` can reload a predictor
 //! without being told how it was trained. The format is deliberately
-//! small (one object, scalar fields, one string array), and both the
-//! emitter and the parser live here — the build environment has no
-//! crates.io access, so no serde.
+//! small (one object, scalar fields, one string array). The emitter
+//! lives here; documents are read with `lifepred_obs::json`, the
+//! workspace's one JSON reader (no serde: the workspace has no
+//! crates.io dependencies).
 //!
 //! ```json
 //! {
@@ -25,6 +26,7 @@
 
 use crate::site::{SiteConfig, SiteKey, SitePolicy};
 use crate::train::ShortLivedSet;
+use lifepred_obs::json::{self, Value};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -47,8 +49,7 @@ impl ShortLivedSet {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    ");
-            write_json_string(&mut out, line);
+            let _ = write!(out, "\n    \"{}\"", json::escape(line));
         }
         if !lines.is_empty() {
             out.push_str("\n  ");
@@ -65,37 +66,40 @@ impl ShortLivedSet {
     /// `format`/`version`, or malformed policy/site entries. Never
     /// panics, whatever the input.
     pub fn from_json(text: &str) -> Result<ShortLivedSet, String> {
-        let value = parse_json(text)?;
-        let obj = value
-            .as_object()
-            .ok_or("top-level value is not an object")?;
-        let format = get(obj, "format")?
+        let value = json::parse(text).map_err(|e| e.to_string())?;
+        if value.as_obj().is_none() {
+            return Err("top-level value is not an object".to_owned());
+        }
+        let get = |key: &str| {
+            value
+                .get(key)
+                .ok_or_else(|| format!("missing field {key:?}"))
+        };
+        // Only `Value::Int`: a float, a negative or an out-of-range
+        // number is not a count.
+        let int = |key: &str| match get(key)? {
+            Value::Int(n) => Ok(*n),
+            _ => Err(format!("{key:?} is not an integer")),
+        };
+        let format = get("format")?
             .as_str()
             .ok_or("\"format\" is not a string")?;
         if format != "lifepred-predictor" {
             return Err(format!("not a predictor file (format {format:?})"));
         }
-        let version = get(obj, "version")?
-            .as_u64()
-            .ok_or("\"version\" is not an integer")?;
+        let version = int("version")?;
         if version != 1 {
             return Err(format!("unsupported predictor version {version}"));
         }
-        let policy_str = get(obj, "policy")?
+        let policy_str = get("policy")?
             .as_str()
             .ok_or("\"policy\" is not a string")?;
         let policy = SitePolicy::parse(policy_str)
             .ok_or_else(|| format!("unknown site policy {policy_str:?}"))?;
-        let size_rounding = get(obj, "size_rounding")?
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or("\"size_rounding\" is not a 32-bit integer")?;
-        let threshold = get(obj, "threshold")?
-            .as_u64()
-            .ok_or("\"threshold\" is not an integer")?;
-        let site_values = get(obj, "sites")?
-            .as_array()
-            .ok_or("\"sites\" is not an array")?;
+        let size_rounding = u32::try_from(int("size_rounding")?)
+            .map_err(|_| "\"size_rounding\" is not a 32-bit integer")?;
+        let threshold = int("threshold")?;
+        let site_values = get("sites")?.as_arr().ok_or("\"sites\" is not an array")?;
         let mut sites = HashSet::with_capacity(site_values.len());
         for (i, v) in site_values.iter().enumerate() {
             let line = v
@@ -121,298 +125,6 @@ impl ShortLivedSet {
             size_rounding,
         };
         Ok(ShortLivedSet::from_parts(config, threshold, sites))
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parsed JSON value. Numbers are restricted to unsigned integers —
-/// the only kind this format emits.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document, requiring it to span the whole input.
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: u32,
-}
-
-/// Nesting depth limit: keeps hostile input from exhausting the stack.
-const MAX_DEPTH: u32 = 64;
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        if self.depth >= MAX_DEPTH {
-            return Err("value nested too deeply".to_owned());
-        }
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => Err(format!("unexpected character at byte {}", self.pos)),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        self.depth += 1;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate field {key:?}"));
-            }
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        self.depth += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(format!(
-                "only unsigned integers are supported (byte {start})"
-            ));
-        }
-        // Safe: the scanned range is ASCII digits.
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("number out of range at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogates never appear in this format;
-                            // reject rather than mis-decode.
-                            let c = char::from_u32(u32::from(code))
-                                .ok_or_else(|| format!("lone surrogate \\u{code:04x} in string"))?;
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(format!("control byte {c:#04x} in string"));
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar: the input is a
-                    // &str, so boundaries are already valid.
-                    let rest = &self.bytes[self.pos..];
-                    let len = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if b < 0xe0 => 2,
-                        b if b < 0xf0 => 3,
-                        _ => 4,
-                    };
-                    let chunk = std::str::from_utf8(&rest[..len.min(rest.len())])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u16, String> {
-        let end = self
-            .pos
-            .checked_add(4)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .ok()
-            .and_then(|s| u16::from_str_radix(s, 16).ok())
-            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(hex)
     }
 }
 
@@ -496,6 +208,10 @@ mod tests {
              \"size_rounding\": 4, \"threshold\": 1, \"sites\": [\"S 8\"]}",
             "{\"format\": \"lifepred-predictor\", \"version\": 1, \"policy\": \"complete\", \
              \"size_rounding\": 4, \"threshold\": -3, \"sites\": []}",
+            "{\"format\": \"lifepred-predictor\", \"version\": 1, \"policy\": \"complete\", \
+             \"size_rounding\": 4, \"threshold\": 1.5, \"sites\": []}",
+            "{\"format\": \"lifepred-predictor\", \"version\": 1.0, \"policy\": \"complete\", \
+             \"size_rounding\": 4, \"threshold\": 1, \"sites\": []}",
         ] {
             assert!(ShortLivedSet::from_json(bad).is_err(), "accepted: {bad}");
         }
@@ -506,28 +222,5 @@ mod tests {
         for cut in 0..good.len() {
             assert!(ShortLivedSet::from_json(&good[..cut]).is_err());
         }
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_rejects_junk() {
-        assert_eq!(
-            parse_json(r#""a\"b\\c\nA""#),
-            Ok(Json::Str("a\"b\\c\nA".to_owned()))
-        );
-        assert!(parse_json(r#""\ud800""#).is_err());
-        assert!(parse_json("{\"a\": 1, \"a\": 2}").is_err());
-        assert!(parse_json("1.5").is_err());
-        assert!(parse_json("-1").is_err());
-        assert!(parse_json("{} {}").is_err());
-        assert!(parse_json(&("[".repeat(100) + &"]".repeat(100))).is_err());
-        assert_eq!(
-            parse_json("[true, false, null, 7]"),
-            Ok(Json::Arr(vec![
-                Json::Bool(true),
-                Json::Bool(false),
-                Json::Null,
-                Json::Num(7),
-            ]))
-        );
     }
 }

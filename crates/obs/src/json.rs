@@ -3,17 +3,22 @@
 //!
 //! The crate stays dependency-free, so this module provides the small
 //! JSON surface everything else builds on: a recursive-descent
-//! [`parse`] into a [`Value`] tree, and [`escape`] for writers. It
-//! started life as the private parser behind
-//! [`Snapshot::from_json`](crate::Snapshot::from_json) and is public
-//! so sibling crates (the sweep engine's grid specs and result store,
-//! the HTTP control endpoint) can read their own JSON documents
-//! without growing parsers of their own.
+//! [`parse`] into a [`Value`] tree, and [`escape`] for writers. It is
+//! the workspace's one JSON reader: behind
+//! [`Snapshot::from_json`](crate::Snapshot::from_json), the sweep
+//! engine's grid specs, result store and report diff, and the trained
+//! predictor files of `lifepred-core`.
 //!
 //! The dialect is deliberately small: objects, arrays, strings with
 //! the common escapes (no surrogate pairs), `u64` integers parsed
 //! losslessly, everything else as `f64`, `true`/`false`/`null`.
 //! Writers in this workspace emit exactly this subset.
+//!
+//! Every document it reads may come from outside the program, so it
+//! refuses nesting deeper than 64 arrays and objects (the parser
+//! recurses once per level, and deeper input would overflow the stack),
+//! a key repeated within one object, and raw control bytes inside
+//! strings.
 
 /// A JSON parse failure: message plus byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,8 +63,8 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object as a key/value list in document order (keys are not
-    /// deduplicated — writers in this workspace never repeat keys).
+    /// An object as a key/value list in document order (keys are
+    /// unique: the parser refuses a repeated key).
     Obj(Vec<(String, Value)>),
 }
 
@@ -148,9 +153,14 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
     Parser::new(text).parse_document()
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -158,6 +168,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -203,8 +214,17 @@ impl<'a> Parser<'a> {
             .peek()
             .ok_or_else(|| self.err("unexpected end of input"))?
         {
-            b'{' => self.parse_obj(),
-            b'[' => self.parse_arr(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => Err(self.err("value nested too deeply")),
+            open @ (b'{' | b'[') => {
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_obj()
+                } else {
+                    self.parse_arr()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Value::Str(self.parse_string()?)),
             b't' => self.parse_lit("true", Value::Bool(true)),
             b'f' => self.parse_lit("false", Value::Bool(false)),
@@ -233,6 +253,9 @@ impl<'a> Parser<'a> {
             let key = self.parse_string()?;
             self.expect(b':')?;
             let val = self.parse_value()?;
+            if entries.iter().any(|(k, _)| *k == key) {
+                return Err(self.err(format!("duplicate key `{key}`")));
+            }
             entries.push((key, val));
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -306,6 +329,9 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                b if b < 0x20 => {
+                    return Err(self.err(format!("control byte {b:#04x} in string")));
+                }
                 _ => {
                     // Consume the full UTF-8 sequence this byte starts.
                     let start = self.pos - 1;
@@ -378,6 +404,20 @@ mod tests {
     #[test]
     fn trailing_garbage_rejected() {
         assert!(parse("{} x").is_err());
+        assert!(parse("{} {}").is_err());
+    }
+
+    #[test]
+    fn hostile_input_is_refused() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        parse(&deep(MAX_DEPTH)).expect("at the limit");
+        let err = parse(&deep(100)).unwrap_err();
+        assert_eq!(err.msg, "value nested too deeply");
+        let err = parse(r#"{"a": 1, "a": 2}"#).unwrap_err();
+        assert_eq!(err.msg, "duplicate key `a`");
+        let err = parse("\"a\u{1}b\"").unwrap_err();
+        assert_eq!(err.msg, "control byte 0x01 in string");
+        assert!(parse(r#""\ud800""#).is_err(), "lone surrogate");
     }
 
     #[test]

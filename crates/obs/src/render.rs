@@ -9,8 +9,8 @@
 //!
 //! The crate stays dependency-free, so the JSON emitter is hand-rolled
 //! (same style as `lifepred-core`'s persistence layer) and
-//! [`Snapshot::from_json`] is a minimal recursive-descent parser that
-//! accepts exactly the documents [`Snapshot::to_json`] writes — plus
+//! [`Snapshot::from_json`], built on [`crate::json::parse`], accepts
+//! exactly the documents [`Snapshot::to_json`] writes — plus
 //! ordinary JSON whitespace and key reordering, so hand-edited files
 //! still load.
 

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Sections appear in id order: meta, functions, chains, records,
-//! events. Payload encodings are documented in `writer.rs` next to the
+//! events. Payload encodings are documented in `stream.rs` next to the
 //! code that produces them.
 
 /// File magic: a non-ASCII lead byte (like PNG's) so text tools do not

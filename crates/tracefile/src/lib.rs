@@ -71,21 +71,28 @@ mod map;
 mod mapped;
 mod stream;
 mod varint;
-mod writer;
 
 pub use crc32::Crc32;
 pub use error::TraceFileError;
 pub use map::TraceMap;
 pub use mapped::{MappedEvents, MappedRecords, MappedTrace, SectionInfo};
 pub use stream::{StreamMeta, StreamTraceWriter};
-pub use writer::TraceWriter;
 
 use lifepred_trace::Trace;
+use std::fs::File;
+use std::io::{BufWriter, Cursor};
 use std::path::Path;
 
-/// Writes `trace` to a new file at `path`.
+/// Writes `trace` to a new file at `path` (created or truncated).
+///
+/// # Errors
+///
+/// I/O failures, or [`TraceFileError::Malformed`] if `trace` violates
+/// the invariants documented on
+/// [`Trace::from_parts`](lifepred_trace::Trace::from_parts) or its
+/// event seqs are not `0, 1, 2, …`.
 pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<(), TraceFileError> {
-    TraceWriter::create(path)?.write(trace).map(drop)
+    stream::write_trace(trace, BufWriter::new(File::create(path)?)).map(drop)
 }
 
 /// Loads, validates and rebuilds the trace stored at `path`: every
@@ -95,9 +102,10 @@ pub fn load_trace(path: impl AsRef<Path>) -> Result<Trace, TraceFileError> {
     MappedTrace::open(path)?.into_trace()
 }
 
-/// Encodes `trace` into an in-memory `.lpt` image.
+/// Encodes `trace` into an in-memory `.lpt` image, with
+/// [`save_trace`]'s checks.
 pub fn trace_to_vec(trace: &Trace) -> Result<Vec<u8>, TraceFileError> {
-    TraceWriter::new(Vec::new()).write(trace)
+    stream::write_trace(trace, Cursor::new(Vec::new())).map(Cursor::into_inner)
 }
 
 /// Decodes a trace from an in-memory `.lpt` image (copied once, into
@@ -197,6 +205,33 @@ mod tests {
             assert_eq!(events, trace.end_seq());
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The writer numbers events itself, so a trace whose event seqs
+    /// skip a value cannot be written as it is.
+    #[test]
+    fn an_event_seq_gap_is_refused() {
+        let s = TraceSession::new("gap");
+        let id = s.alloc(8);
+        s.free(id);
+        let t = s.finish();
+        let mut records = t.records().to_vec();
+        records[0].death_seq = Some(2);
+        let gap = Trace::from_parts(
+            t.name().to_owned(),
+            t.registry().clone(),
+            t.chains().clone(),
+            records,
+            *t.stats(),
+            t.end_clock(),
+            3,
+        );
+        let err = trace_to_vec(&gap).unwrap_err();
+        assert!(matches!(err, TraceFileError::Malformed { .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "malformed events section: event seq 2 is not its index 1"
+        );
     }
 
     #[test]

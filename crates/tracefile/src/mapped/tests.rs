@@ -1,12 +1,11 @@
 //! Tests of the one reader: ground truth on well-formed images, and
 //! hostile input (truncations, bit flips, lying lengths and counts,
-//! every structural violation) on three small fixtures — a v2 image
-//! from `TraceWriter`, one from `StreamTraceWriter` (five-byte padded
-//! lengths) and a hand-built v1 image.
+//! every structural violation) on two small fixtures — a v2 image from
+//! the writer (five-byte padded large-section lengths) and a hand-built
+//! v1 image.
 
 use super::*;
 use crate::crc32::crc32;
-use crate::stream::tests::stream_copy;
 use crate::varint::write_varint;
 use crate::{trace_from_bytes, trace_to_vec};
 use lifepred_trace::{ChunkEvent, EventKind, TraceSession};
@@ -130,12 +129,13 @@ fn tiny(version: u16) -> [Vec<u8>; 5] {
     [meta, functions, chains, varints(&records), events]
 }
 
-/// The three fixtures every hostile sweep runs over.
-fn fixtures() -> [(&'static str, Vec<u8>); 3] {
-    let small = sample_trace(12);
+/// The two fixtures every hostile sweep runs over.
+fn fixtures() -> [(&'static str, Vec<u8>); 2] {
     [
-        ("writer v2", trace_to_vec(&small).expect("encode")),
-        ("stream v2", stream_copy(&small)),
+        (
+            "writer v2",
+            trace_to_vec(&sample_trace(12)).expect("encode"),
+        ),
         ("hand-built v1", image(1, &tiny(1))),
     ]
 }
@@ -144,24 +144,22 @@ fn fixtures() -> [(&'static str, Vec<u8>); 3] {
 fn header_records_and_events_are_the_recorded_traces_own() {
     let empty = TraceSession::new("empty").finish();
     for trace in [sample_trace(20_000), empty] {
-        for bytes in [trace_to_vec(&trace).expect("encode"), stream_copy(&trace)] {
-            let mapped = open(&bytes).expect("open");
-            assert_eq!(mapped.name(), trace.name());
-            assert_eq!(mapped.stats(), trace.stats());
-            assert_eq!(mapped.registry().len(), trace.registry().len());
-            assert_eq!(mapped.chain_table().len(), trace.chains().len());
-            let records = mapped.records().expect("records");
-            assert_eq!(records.size_hint().0, trace.records().len());
-            let records: Vec<_> = records.collect::<Result<_, _>>().expect("decode");
-            assert_eq!(records, trace.records());
-            let expected = expected_events(&trace);
-            for capacity in [3, lifepred_trace::POOLED_CHUNK_EVENTS] {
-                assert_eq!(drain_events(&mapped, capacity).expect("decode"), expected);
-            }
-            let loaded = mapped.into_trace().expect("load");
-            assert_eq!(loaded.records(), trace.records());
-            assert_eq!(loaded.events(), trace.events());
+        let mapped = open(&trace_to_vec(&trace).expect("encode")).expect("open");
+        assert_eq!(mapped.name(), trace.name());
+        assert_eq!(mapped.stats(), trace.stats());
+        assert_eq!(mapped.registry().len(), trace.registry().len());
+        assert_eq!(mapped.chain_table().len(), trace.chains().len());
+        let records = mapped.records().expect("records");
+        assert_eq!(records.size_hint().0, trace.records().len());
+        let records: Vec<_> = records.collect::<Result<_, _>>().expect("decode");
+        assert_eq!(records, trace.records());
+        let expected = expected_events(&trace);
+        for capacity in [3, lifepred_trace::POOLED_CHUNK_EVENTS] {
+            assert_eq!(drain_events(&mapped, capacity).expect("decode"), expected);
         }
+        let loaded = mapped.into_trace().expect("load");
+        assert_eq!(loaded.records(), trace.records());
+        assert_eq!(loaded.events(), trace.events());
     }
 }
 
@@ -198,11 +196,11 @@ fn header_and_sections_are_exposed() {
         Some(mapped.event_count()),
     ];
     assert_eq!(sections.map(|s| s.entries), entries);
-    // 8 header bytes + 5 x (id + one-to-three-byte length + crc) of
-    // framing; payload bytes account for the rest of the file.
+    // 8 header bytes + 5 x (id + crc) + three one-byte lengths + the
+    // two large sections' five-byte padded lengths of framing; payload
+    // bytes account for the rest of the file.
     let payload_total: u64 = sections.iter().map(|s| s.payload_bytes).sum();
-    let framing = bytes.len() as u64 - payload_total;
-    assert!((8 + 5 * 6..=8 + 5 * 8).contains(&framing), "{framing}");
+    assert_eq!(bytes.len() as u64 - payload_total, 8 + 5 * 5 + 3 + 2 * 5);
     assert_eq!(mapped.event_count(), mapped.stats().total_objects * 2 - 1);
 }
 
@@ -287,10 +285,10 @@ fn every_single_bit_flip_is_an_error() {
 
 #[test]
 fn section_length_lies_are_errors() {
-    let bytes = fixtures()[1].1.clone();
+    let bytes = fixtures()[0].1.clone();
     let (_, framed) = frame(&bytes).expect("frame");
     let [_, _, chains, records, events] = framed;
-    // The stream writer's five-byte padded length field.
+    // The writer's five-byte padded length field.
     let len_at = chains.payload.end + 4 + 1;
     let body_at = records.payload.start;
     assert_eq!(len_at + 5, body_at);

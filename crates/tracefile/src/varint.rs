@@ -9,6 +9,12 @@
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Appends the LEB128 encoding of `value` to `out`.
+///
+/// `#[inline]` because the writer's per-entry methods are generic over
+/// the sink, so they are compiled in the crate that names the sink
+/// (`lifepred-workloads` for `gen`), where a plain function from this
+/// crate could not be inlined.
+#[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
