@@ -21,11 +21,7 @@
 //!   counters are reported afterwards;
 //! * `sweep` expands a declarative grid spec into the paper's
 //!   design-space evaluation ([`lifepred_sweep`]), caching every cell
-//!   so re-runs and resumes recompute only what changed;
-//! * `audit` runs the allocator-safety static analysis
-//!   ([`lifepred_audit`]) — the same engine as the standalone
-//!   `lifepred-audit` binary — with the documented exit-code contract
-//!   (0 clean, 1 deny findings, 2 usage/config error).
+//!   so re-runs and resumes recompute only what changed.
 //!
 //! Everything routes through [`run`], which writes to a caller-provided
 //! sink so integration tests can capture output.
@@ -73,9 +69,6 @@ USAGE:
     lifepred sweep run|resume|render --spec <grid.json> [--store <dir>]
                       [--jobs <n>] [--format <table|csv|json>] [--out <file>]
     lifepred sweep diff <before.json> <after.json>
-    lifepred audit check [--root <dir>] [--config <audit.toml>]
-                   [--format <human|json|sarif>] [--strict] [FILES...]
-    lifepred audit rules
 
 OPTIONS:
     --workload <name>     one of: cfrac, espresso, gawk, ghost, perl, server
@@ -151,7 +144,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         Some("native") => cmd_native(&args[1..], out),
         Some("trace") => cmd_trace(&args[1..], out),
         Some("sweep") => cmd_sweep(&args[1..], out),
-        Some("audit") => cmd_audit(&args[1..], out),
         Some(other) => Err(format!("unknown command {other:?} (try `lifepred --help`)")),
     }
 }
@@ -231,39 +223,13 @@ fn file_err(path: &str, e: impl Display) -> String {
 
 /// Maps a [`run`] error message to a process exit code: usage and
 /// configuration errors (messages starting with `usage:`) exit 2,
-/// everything else — including audit deny findings — exits 1.
+/// everything else exits 1.
 #[must_use]
 pub fn exit_code(err: &str) -> u8 {
     if err.starts_with("usage:") {
         2
     } else {
         1
-    }
-}
-
-// ---------------------------------------------------------------------
-// audit
-// ---------------------------------------------------------------------
-
-fn cmd_audit(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut err_buf: Vec<u8> = Vec::new();
-    let code = lifepred_audit::app::run_app(args, out, &mut err_buf);
-    let err_text = String::from_utf8_lossy(&err_buf).trim_end().to_string();
-    match code {
-        0 => {
-            // Help text and warnings land on the driver's error
-            // stream even on success; surface them.
-            if !err_text.is_empty() {
-                write_out(out, format_args!("{err_text}\n"))?;
-            }
-            Ok(())
-        }
-        1 => Err(
-            "audit: deny diagnostics found (report above); fix the code or add \
-             a reasoned [[allow]] to audit.toml"
-                .into(),
-        ),
-        _ => Err(format!("usage: {err_text}")),
     }
 }
 

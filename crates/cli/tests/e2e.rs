@@ -994,52 +994,3 @@ fn deeply_nested_json_is_refused_not_a_stack_overflow() {
         assert!(err.contains("value nested too deeply"), "{args:?}: {err}");
     }
 }
-
-/// The `audit` subcommand must honor the documented exit-code
-/// contract end to end — 0 clean, 1 deny findings, 2 usage error —
-/// which only the real binary can pin (the in-process harness maps
-/// everything to `Result`).
-#[test]
-fn audit_subcommand_exit_code_contract() {
-    use std::process::Command;
-    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../audit/tests/fixtures");
-    let bin = env!("CARGO_BIN_EXE_lifepred");
-
-    // 0: a clean tree.
-    let clean = fixtures.join("clean");
-    let out = Command::new(bin)
-        .args(["audit", "check", "--root", clean.to_str().unwrap()])
-        .output()
-        .expect("spawn lifepred");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("0 deny, 0 warn"), "{text}");
-
-    // 1: the cross-file fixture's seeded violations.
-    let bad = fixtures.join("crossfile");
-    let out = Command::new(bin)
-        .args(["audit", "check", "--root", bad.to_str().unwrap()])
-        .output()
-        .expect("spawn lifepred");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("deny[panic-surface]"), "{text}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("lifepred: audit:"), "{err}");
-
-    // 2: a usage error.
-    let out = Command::new(bin)
-        .args(["audit", "check", "--frobnicate"])
-        .output()
-        .expect("spawn lifepred");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-
-    // The rule registry is reachable through the subcommand too.
-    let out = Command::new(bin)
-        .args(["audit", "rules"])
-        .output()
-        .expect("spawn lifepred");
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("panic-surface"), "{text}");
-}

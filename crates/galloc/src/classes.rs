@@ -22,6 +22,11 @@ pub(crate) const CLASS_SIZES: [usize; NUM_CLASSES] = [
 /// `class_of_rounded[(size + 7) / 8]` for `size` in `0..=SMALL_MAX`.
 const LOOKUP_LEN: usize = SMALL_MAX / 8 + 1;
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "Evaluated at compile time for the LOOKUP static: an out-of-range index fails the \
+              build, it cannot panic in a running allocator."
+)]
 const fn build_lookup() -> [u8; LOOKUP_LEN] {
     let mut table = [0u8; LOOKUP_LEN];
     let mut i = 0;
@@ -42,6 +47,11 @@ static LOOKUP: [u8; LOOKUP_LEN] = build_lookup();
 /// The smallest class whose block size is `>= size`, or `None` when
 /// `size > SMALL_MAX`. Zero-sized requests map to class 0.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`size <= SMALL_MAX` is checked above, so `size.div_ceil(8) <= SMALL_MAX / 8 < \
+              LOOKUP_LEN`."
+)]
 pub(crate) fn class_for_size(size: usize) -> Option<usize> {
     if size > SMALL_MAX {
         return None;
@@ -63,6 +73,11 @@ pub(crate) fn class_for_size(size: usize) -> Option<usize> {
 /// `3·2^(k-1)` midpoint (that midpoint only beats a power of two for
 /// sizes that are not multiples of `align`).
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`CLASS_SIZES[class]` in a debug assertion, with `class` a class_for_size result: a \
+              LOOKUP entry, below NUM_CLASSES."
+)]
 pub(crate) fn class_for(size: usize, align: usize) -> Option<usize> {
     if align <= 8 {
         return class_for_size(size);

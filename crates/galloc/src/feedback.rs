@@ -94,6 +94,11 @@ impl Feedback {
     /// Tries to sample an allocation. Returns `false` when the slot
     /// is occupied (the opportunity is dropped, not retried — the
     /// probe on free must stay a single slot check).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slots[slot_index(ptr)]`, the slot on_free probes: slot_index masks with \
+                  TABLE_LEN - 1 and the table holds TABLE_LEN slots."
+    )]
     pub fn try_sample(
         &self,
         ptr: *mut u8,
@@ -130,6 +135,13 @@ impl Feedback {
 
     /// Probes the table for a freed pointer and, on a hit, records
     /// the observed lifetime into the pending aggregates.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slots[slot_index(ptr)]`: slot_index masks the pointer hash with (slots.len() \
+                  - 1) and the table is built with a power-of-two length, so the index is always \
+                  in range. Kept as a checked index so a corrupted mask aborts rather than \
+                  probing wild memory."
+    )]
     pub fn on_free(&self, ptr: *mut u8, clock: u64, threshold: u64) -> Probe {
         let slot = &self.slots[slot_index(ptr as usize)];
         if slot.ptr.load(Ordering::Acquire) != ptr as usize {

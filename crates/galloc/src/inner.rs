@@ -9,6 +9,9 @@
 //! (a free block's first word links to the next), so a nested
 //! allocation can never deadlock on the lock its caller holds.
 
+// Library code only: in-file `#[cfg(test)]` modules are exempt.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use crate::classes::{CLASS_SIZES, NUM_CLASSES};
 use crate::config::{GallocConfig, SEG_SHIFT, SEG_SIZE};
 use crate::counters::GCounters;
@@ -119,6 +122,18 @@ impl Inner {
     ///
     /// Returns a message when `config` is invalid or the area
     /// reservation fails.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "Build-time geometry: validate() caps the area at 1 GiB, so there are at most \
+                  2^14 segments, and `s * per_shard`, `first + per_shard - 1`, `i + 2` and \
+                  `first + 1` are segment indices (or index + 1 links) far below u32::MAX."
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`segs[i]` walks shard `s`'s own run, `first..first + per_shard - 1`, which \
+                  lies below `shards * per_shard`, the length of the `segs` table built just \
+                  above."
+    )]
     pub fn build(config: GallocConfig) -> Result<Inner, String> {
         config.validate()?;
         let area_len = config.area_len();
@@ -191,6 +206,11 @@ impl Inner {
 
     /// Segment index of an owned pointer.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`ptr - base` on an owned pointer: every caller has passed `contains(ptr)` \
+                  (debug-asserted here), so ptr >= base and the offset is below area_len."
+    )]
     fn seg_index(&self, ptr: *mut u8) -> usize {
         debug_assert!(self.contains(ptr));
         ((ptr as usize) - self.base) >> SEG_SHIFT
@@ -198,6 +218,13 @@ impl Inner {
 
     /// Segment metadata of an owned pointer.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`segs[seg_index(ptr)]`: every caller has already passed `contains(ptr)` (the \
+                  ownership range check that routes foreign pointers to System), so the shifted \
+                  offset is < the segment count the table was built with. Out-of-range here \
+                  means a wild free; aborting is the designed response."
+    )]
     pub fn seg_of(&self, ptr: *mut u8) -> &SegMeta {
         &self.segs[self.seg_index(ptr)]
     }
@@ -208,12 +235,28 @@ impl Inner {
         self.seg_index(ptr) >> self.seg_shard_shift
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`base + (seg << SEG_SHIFT)` with `seg` an index into the segment table, so the \
+                  sum is a segment start inside the reserved area (at most 1 GiB)."
+    )]
     fn seg_base(&self, seg: usize) -> usize {
         self.base + (seg << SEG_SHIFT)
     }
 
     /// Pops reclaimed and free segments into `guard.free_segs`,
     /// resetting reclaimed short segments to [`SEG_FREE`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shards[shard]` is the caller's home shard, below the shard count; `segs[seg]` \
+                  takes ids off the reclaim stack, which try_reclaim only ever links as a real \
+                  segment index + 1."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`head - 1` runs only under `head != 0`, and `seg + 1` re-links an index below \
+                  the segment count (at most 2^14)."
+    )]
     fn drain_reclaim(&self, shard: usize, guard: &mut ShardInner) {
         let mut head = self.shards[shard].0.reclaim.swap(0, Ordering::Acquire);
         while head != 0 {
@@ -233,6 +276,13 @@ impl Inner {
 
     /// Takes a free segment for `class`, in `state` (`SEG_REGULAR` or
     /// `SEG_SHORT`). Returns its index.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`free_segs - 1` runs after the `free_segs == 0` return, and the result indexes \
+                  `segs` because the free-segment list only ever links a real segment index + 1 \
+                  (build, drain_reclaim)."
+    )]
     fn pop_free_seg(
         &self,
         shard: usize,
@@ -259,6 +309,15 @@ impl Inner {
     /// how many blocks came across. Runs under the shard lock, so it
     /// must not emit flight events itself — callers report the count
     /// after the lock drops.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shards[shard]` is the caller's home shard, below the shard count."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`drained` counts the blocks popped off one remote stack, at most the blocks of \
+                  a 1 GiB area."
+    )]
     fn drain_remote(&self, shard: usize, guard: &mut ShardInner) -> u64 {
         let mut head = self.shards[shard].0.remote.swap(0, Ordering::Acquire);
         let mut drained = 0u64;
@@ -287,6 +346,28 @@ impl Inner {
     /// exhausted). Order of supply: central free list, then the
     /// remote-free stack, then bump carving (taking fresh segments as
     /// needed).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`out[n]` is guarded by the `n < out.len()` loop condition on every arm; \
+                  `guard.regular[class]` and `CLASS_SIZES[class]` index [_; N_CLASSES] arrays \
+                  with a class the caller derived from class_for (< N_CLASSES by construction). \
+                  All arms dead unless a class invariant broke — aborting under the shard lock \
+                  beats carving blocks with a wild size. `self.shards[shard]` is the caller's \
+                  home shard, below the shard count."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "Bump-cursor advances inside one 64 KiB segment: `size` is a CLASS_SIZES entry \
+                  (<= 2048), the cursor is an address inside the reserved area, and the carve \
+                  loop re-checks `cursor + size <= end` before every step, so the sum can \
+                  neither overflow usize nor escape the segment. A checked_add here would guard \
+                  against a state the preceding bound check already excludes. Segment-boundary \
+                  math: `seg_start + SEG_SIZE` with seg_start derived from the validated area \
+                  base and a segment index bounded by the segment table length; the area itself \
+                  was sized with checked multiplication at build time, so every segment end is a \
+                  valid in-area address. `n` counts up to out.len() and `remote` sums drained \
+                  blocks, both bounded by the blocks in the area."
+    )]
     pub fn refill(&self, shard: usize, class: usize, out: &mut [*mut u8]) -> usize {
         let size = CLASS_SIZES[class];
         let mut remote = 0u64;
@@ -350,6 +431,19 @@ impl Inner {
     /// magazine) to their owners: home-shard blocks go to the central
     /// list under one lock, foreign blocks to their owners' remote
     /// stacks. Returns `(home, foreign)` counts.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`deferred[home_n]` is bounded by blocks.len() <= MAG_CAP (callers pass \
+                  magazine slices, deferred is [_; MAG_CAP]); `shards[home]` is the caller's \
+                  home shard, produced modulo the shard count. Both arms are dead unless a \
+                  magazine invariant broke, in which case aborting under the shard lock beats \
+                  corrupting its free list."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`home_n` and `foreign` count the blocks of one magazine slice, at most \
+                  MAG_CAP."
+    )]
     pub fn flush_blocks(&self, home: usize, blocks: &[*mut u8]) -> (u64, u64) {
         let mut foreign = 0u64;
         let mut deferred = [std::ptr::null_mut(); crate::tls::MAG_CAP];
@@ -375,6 +469,11 @@ impl Inner {
 
     /// Pushes one free regular block onto its owning shard's
     /// remote-free stack (lock-free; any thread).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shards[shard_of(block)]`: shard_of reduces the segment index modulo the shard \
+                  count, so the index is in range by arithmetic."
+    )]
     pub fn remote_push(&self, block: *mut u8) {
         let shard = &self.shards[self.shard_of(block)].0;
         let mut head = shard.remote.load(Ordering::Relaxed);
@@ -399,6 +498,28 @@ impl Inner {
     /// Carves a run of up to `want` short-lived blocks of `class`
     /// from `shard`, pre-counting them into the segment's live count.
     /// Returns `(run_start, block_count, seg_index)`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`class` comes from class_for (< NUM_CLASSES) and indexes CLASS_SIZES and the \
+                  [_; NUM_CLASSES] bump arrays; `shards[shard]` is the caller's home shard; \
+                  `segs[seg]` takes the index pop_free_seg just returned or the live bump's own \
+                  `seg - 1`."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "Bump-cursor advances inside one 64 KiB segment: `size` is a CLASS_SIZES entry \
+                  (<= 2048), the cursor is an address inside the reserved area, and the carve \
+                  loop re-checks `cursor + size <= end` before every step, so the sum can \
+                  neither overflow usize nor escape the segment. A checked_add here would guard \
+                  against a state the preceding bound check already excludes. Segment-boundary \
+                  math: `seg_start + SEG_SIZE` with seg_start derived from the validated area \
+                  base and a segment index bounded by the segment table length; the area itself \
+                  was sized with checked multiplication at build time, so every segment end is a \
+                  valid in-area address. `retired - 1` and `bump.seg - 1` run only on a bump \
+                  that holds a segment (seg != 0), `seg + 1` links an index below the segment \
+                  count, and `(end - cursor) / size` divides a span with cursor <= end by a \
+                  nonzero class size."
+    )]
     pub fn short_refill(
         &self,
         shard: usize,
@@ -447,6 +568,11 @@ impl Inner {
 
     /// Marks a short segment fully carved. If every block already came
     /// back, queue it for reclaim immediately.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`segs[seg]`: `seg` is the short segment the caller's bump was carving, an \
+                  index pop_free_seg minted."
+    )]
     fn retire_short(&self, seg: u32) {
         let meta = &self.segs[seg as usize];
         meta.state.store(SEG_SHORT_FULL, Ordering::Release);
@@ -461,6 +587,18 @@ impl Inner {
     /// on winning, pushes the segment onto the owner's reclaim stack.
     /// Both the last freeing thread and the retiring owner race here;
     /// the CAS picks exactly one. Returns whether this caller won.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`segs[seg as usize]`: the seg id was produced by seg_index on an owned pointer \
+                  (range-checked by contains) and stored in run/slot bookkeeping; it cannot \
+                  exceed the segment table built for the same area. `shards[seg >> \
+                  seg_shard_shift]` maps that segment to its owning shard, below the shard count \
+                  by the same bound."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`seg + 1` encodes a segment index (at most 2^14) as a nonzero stack link."
+    )]
     fn try_reclaim(&self, seg: u32) -> bool {
         let meta = &self.segs[seg as usize];
         if meta
@@ -496,6 +634,13 @@ impl Inner {
     /// count and queue the segment for reclaim when it empties.
     /// Lock-free; any thread. Returns `false` on live-count underflow
     /// (a double free).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`segs[seg_index(ptr)]` on a pointer dealloc routed here after `contains(ptr)`, \
+                  so the index is below the segment count; `live - 1` runs only after the `live \
+                  == 0` underflow check."
+    )]
     pub fn short_free(&self, ptr: *mut u8) -> bool {
         let seg = self.seg_index(ptr);
         let meta = &self.segs[seg];
@@ -529,6 +674,12 @@ impl Inner {
 
     /// Returns `n` never-handed-out blocks of a short run (thread
     /// exit with a partial run): drop them from the live count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`segs[seg as usize]`: same provenance as try_reclaim — the seg id comes from \
+                  the thread's own short-run bookkeeping, which only ever holds ids minted by \
+                  seg_index."
+    )]
     pub fn short_unused(&self, seg: u32, n: u32) {
         if n == 0 {
             return;
@@ -551,6 +702,25 @@ impl Inner {
     /// Advances the allocation byte clock by a thread's flushed batch
     /// and drives an epoch tick when one is due. Must not be called
     /// while holding a thread-cache borrow (the tick allocates).
+    // Clippy does not follow calls into other crates, so the panic
+    // lints cannot see the learner calls below. Why they cannot panic
+    // here: Cross-crate calls into the adaptive learner (advance_clock
+    // / note_pinned). Their may-panic paths are debug_asserts and
+    // checked-arithmetic expects on learner invariants — corruption
+    // detectors, not reachable-by-input panics — and the learner's
+    // lock() helper recovers poisoned mutexes (into_inner), so a
+    // hypothetical abort cannot wedge other threads. flush_clock
+    // additionally runs under enter_bookkeeping, so any unwind-path
+    // allocation takes the System route.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "The u64 allocation byte clock: `fetch_add(bytes) + bytes` recomputes this \
+                  thread's post-advance reading. Wrapping needs 2^64 bytes of real allocation \
+                  traffic; the clock is a timestamp source, not a size used for memory access. \
+                  `now + epoch_bytes` schedules the next epoch boundary on the u64 byte clock \
+                  (epoch_bytes is a validated config in the KiB..GiB range); overflow needs 2^64 \
+                  allocated bytes and the value only gates a compare, never an access."
+    )]
     pub fn flush_clock(&self, bytes: u64) {
         // Relaxed: birth stamps tolerate one batch of staleness; the
         // epoch rollover consumers act on is the AcqRel CAS below.
@@ -623,6 +793,10 @@ impl Drop for Inner {
 /// the alignment-widening cast below is sound.
 #[inline]
 #[expect(clippy::cast_ptr_alignment)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`% align_of::<usize>()` divides by a nonzero constant, inside a debug assertion."
+)]
 unsafe fn link_read(block: *mut u8) -> usize {
     debug_assert_eq!(block as usize % std::mem::align_of::<usize>(), 0);
     // SAFETY: per the contract above; alignment by segment geometry.
@@ -637,6 +811,10 @@ unsafe fn link_read(block: *mut u8) -> usize {
 /// word-aligned by segment geometry.
 #[inline]
 #[expect(clippy::cast_ptr_alignment)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`% align_of::<usize>()` divides by a nonzero constant, inside a debug assertion."
+)]
 unsafe fn link_write(block: *mut u8, next: usize) {
     debug_assert_eq!(block as usize % std::mem::align_of::<usize>(), 0);
     // SAFETY: per the contract above; alignment by segment geometry.
@@ -645,6 +823,13 @@ unsafe fn link_write(block: *mut u8, next: usize) {
 
 /// Pops a block from a central free list.
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    reason = "`class` is the class refill was asked for, a class_for result below NUM_CLASSES, \
+              and both lists are [_; NUM_CLASSES]; `free_len[class] -= 1` pops a non-empty list \
+              (head != 0) whose every block push_block counted in."
+)]
 fn pop_block(guard: &mut ShardInner, class: usize) -> Option<*mut u8> {
     let head = guard.free_head[class];
     if head == 0 {
@@ -661,6 +846,17 @@ fn pop_block(guard: &mut ShardInner, class: usize) -> Option<*mut u8> {
 
 /// Pushes a free block onto a central free list.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`free_head[class]` / `free_len[class]`: class is read from the owning segment's \
+              metadata, which is only ever written with a CLASS_SIZES index (< N_CLASSES) while \
+              carving the segment; both arrays are [_; N_CLASSES]."
+)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`free_len[class] += 1` counts the blocks on one class list, at most the 2^27 \
+              8-byte blocks of a 1 GiB area, below u32::MAX."
+)]
 fn push_block(guard: &mut ShardInner, class: usize, block: *mut u8) {
     // SAFETY: the caller owns this just-freed block (at least
     // word-sized, inside the reserved area); it becomes reachable

@@ -48,6 +48,16 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library code only: in-file `#[cfg(test)]` modules are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
 
 mod classes;
 mod config;

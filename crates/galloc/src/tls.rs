@@ -14,6 +14,9 @@
 //! destructor already run) and degrades to the lock-direct path —
 //! never a deadlock, never a panic.
 
+// Library code only: in-file `#[cfg(test)]` modules are exempt.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use crate::classes::{CLASS_SIZES, NUM_CLASSES};
 use crate::counters::TlsCounters;
 use crate::inner::Inner;
@@ -37,6 +40,12 @@ const CLOCK_FLUSH: u64 = 16 * 1024;
 /// Blocks per short-lived run pulled into a thread: ~16 KiB worth,
 /// clamped so tiny classes refill rarely and big classes do not pin
 /// most of a segment per thread.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    reason = "`class` is a class_for result below NUM_CLASSES, and every CLASS_SIZES entry is \
+              nonzero, so the division is defined."
+)]
 const fn run_blocks(class: usize) -> usize {
     let n = (16 * 1024) / CLASS_SIZES[class];
     if n < 8 {
@@ -151,6 +160,11 @@ impl Tls {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`shard_count() - 1`: validate() admits only power-of-two shard counts, so the \
+                  count is at least 1 and the mask at least 0."
+    )]
     fn home(&mut self, inner: &Inner) -> usize {
         if self.home_shard == usize::MAX {
             // Relaxed: a round-robin pick needs no ordering.
@@ -163,6 +177,11 @@ impl Tls {
     /// Consults the published predicted-short set through the
     /// per-thread cache: one atomic generation load per call, a table
     /// lookup only on cache misses or generation changes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pred[idx]`: idx is masked with PRED_CACHE - 1 and `pred` is [_; PRED_CACHE], \
+                  PRED_CACHE a power of two."
+    )]
     fn predict(&mut self, inner: &Inner, fp: u64) -> bool {
         let gen = inner.predictor.generation();
         let idx = (fp ^ (fp >> 32)) as usize & (PRED_CACHE - 1);
@@ -181,6 +200,18 @@ impl Tls {
         short
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`class` is a class_for result indexing [_; NUM_CLASSES]; `slots[mag.len]` \
+                  follows the decrement of a nonzero len <= MAG_CAP, `slots[..MAG_BATCH]` is a \
+                  constant prefix of a MAG_CAP array, and `slots[n - 1]` reads one of the n <= \
+                  MAG_BATCH blocks refill just wrote."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`mag.len -= 1` and `n - 1` run after their zero checks; the counters are u64 \
+                  tallies drained at every clock flush."
+    )]
     fn alloc_mag(&mut self, inner: &Inner, class: usize) -> Option<*mut u8> {
         let mag = &mut self.mags[class];
         if mag.len > 0 {
@@ -204,6 +235,20 @@ impl Tls {
         Some(mag.slots[n - 1])
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`class` is a class_for result indexing CLASS_SIZES and the [_; NUM_CLASSES] \
+                  run array."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "Short-run bump arithmetic: `start + size` and `start + n * size` with size a \
+                  CLASS_SIZES entry (<= 2048) and n = run_blocks(class) (<= 64), both clamped, \
+                  so the span is <= 128 KiB added to an in-area address handed out by \
+                  short_refill, which already bounded the run to its segment. `seg + 1` links a \
+                  segment index below the segment count, and the counters are u64 tallies \
+                  drained at every clock flush."
+    )]
     fn alloc_short(&mut self, inner: &Inner, class: usize) -> Option<*mut u8> {
         let size = CLASS_SIZES[class];
         let run = &mut self.runs[class];
@@ -225,6 +270,19 @@ impl Tls {
 }
 
 impl Drop for Tls {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slots[..mag.len]` in the thread-exit flush: len <= MAG_CAP is the magazine's \
+                  fill invariant (every push decrements capacity headroom first). A violated \
+                  invariant aborting at thread exit beats flushing garbage pointers into the \
+                  shard free lists. `mags[class]` and `runs[class]` walk CLASS_SIZES' own \
+                  indices."
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`end - cursor` runs under `cursor < end` and divides by a nonzero class size, \
+                  `seg - 1` runs under `seg != 0`, and the counters are u64 tallies."
+    )]
     fn drop(&mut self) {
         let Some(inner) = crate::active_inner() else {
             return;
@@ -266,6 +324,11 @@ impl Drop for Tls {
 
 /// Allocates one block of `class`. `fp` is the site fingerprint and
 /// `req` the requested (pre-rounding) size in bytes.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "Per-thread u64 tallies of allocations and requested bytes, drained at every \
+              CLOCK_FLUSH of bytes: wrapping needs 2^64 allocations."
+)]
 pub fn alloc_small(inner: &Inner, class: usize, fp: u64, req: usize) -> SmallAlloc {
     let mut served = None;
     let mut sample = false;
@@ -363,6 +426,17 @@ pub fn alloc_small(inner: &Inner, class: usize, fp: u64, req: usize) -> SmallAll
 
 /// Frees one regular block of `class` into the thread magazine (or
 /// the owner's remote stack when the thread cache is unavailable).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`class` comes from the owning segment's metadata (< NUM_CLASSES); a full magazine \
+              is flushed down to MAG_CAP - MAG_BATCH first, so `slots[mag.len]` is below \
+              MAG_CAP, and `slots[..MAG_BATCH]` is a constant prefix."
+)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`mag.len += 1` stays <= MAG_CAP because the flush above runs at MAG_CAP; the \
+              counters are u64 tallies."
+)]
 pub fn free_small(inner: &Inner, ptr: *mut u8, class: usize) {
     let handled = TLS
         .try_with(|cell| {
@@ -398,6 +472,10 @@ pub fn free_small(inner: &Inner, ptr: *mut u8, class: usize) {
 }
 
 /// Frees one short-lived block (live-count decrement; lock-free).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`short_frees += 1` is a per-thread u64 tally, drained at every clock flush."
+)]
 pub fn free_short(inner: &Inner, ptr: *mut u8) {
     inner.short_free(ptr);
     let counted = TLS

@@ -1,5 +1,8 @@
 //! Hanson-style short-lived arenas driven by lifetime prediction.
 
+// Library code only: in-file `#[cfg(test)]` modules are exempt.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use crate::counts::OpCounts;
 use crate::firstfit::FirstFit;
 use crate::Addr;
@@ -135,6 +138,10 @@ impl ArenaAllocator {
 
     /// Allocates `size` bytes; `predicted_short` is the prediction for
     /// this allocation's site.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "OpCounts fields are u64 event tallies: wrapping needs 2^64 operations."
+    )]
     pub fn alloc(&mut self, size: u32, predicted_short: bool) -> Addr {
         // Checked rounding: a size within ARENA_ALIGN of u32::MAX must
         // overflow to the general heap, not wrap to a tiny request.
@@ -167,17 +174,29 @@ impl ArenaAllocator {
 
     /// Frees `addr`, routing by address range.
     ///
-    /// # Panics
-    ///
-    /// Panics if a general-heap address is not a live allocation.
+    /// A free the heap cannot match is ignored and counted in
+    /// [`OpCounts::frees_invalid`]: an arena address whose arena has
+    /// no live object (a double free, or a free after that arena
+    /// reset), or a general-heap address that is not a live
+    /// allocation (see [`FirstFit::free`]).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`addr - ARENA_BASE` runs after is_arena_addr proved addr >= ARENA_BASE, the \
+                  divisor is the arena size new() asserted nonzero, and the rest are u64 \
+                  OpCounts tallies."
+    )]
     pub fn free(&mut self, addr: Addr) {
         if self.is_arena_addr(addr) {
             let idx = ((addr.0 - ARENA_BASE) / u64::from(self.config.arena_size)) as usize;
             let arena = &mut self.arenas[idx];
-            debug_assert!(arena.live > 0, "arena free with zero live count");
-            arena.live -= 1;
-            self.counts.arena_frees += 1;
-            self.counts.frees += 1;
+            match arena.live.checked_sub(1) {
+                Some(live) => {
+                    arena.live = live;
+                    self.counts.arena_frees += 1;
+                    self.counts.frees += 1;
+                }
+                None => self.counts.frees_invalid += 1,
+            }
         } else {
             self.fallback.free(addr);
         }
@@ -221,10 +240,21 @@ impl ArenaAllocator {
         self.arenas.iter().map(|a| u64::from(a.used)).sum()
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`arena_size - used`: bump only advances `used` by an `aligned` that arena_fits \
+                  has just admitted, and a reset zeroes it, so used <= arena_size."
+    )]
     fn arena_fits(&self, idx: usize, aligned: u32) -> bool {
         self.config.arena_size - self.arenas[idx].used >= aligned
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`used + aligned <= arena_size` (every caller checked arena_fits); `live` counts \
+                  one arena's live objects, so wrapping it needs 2^32 of them at once (only \
+                  zero-byte ones fit); the rest are u64 OpCounts tallies."
+    )]
     fn bump(&mut self, idx: usize, aligned: u32) -> Addr {
         let arena = &mut self.arenas[idx];
         // idx * arena_size + used <= total_bytes (checked above), and
@@ -242,6 +272,10 @@ impl ArenaAllocator {
         Addr(addr)
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`arena_scan_steps` is a u64 OpCounts tally."
+    )]
     fn find_empty(&mut self) -> Option<usize> {
         for (i, arena) in self.arenas.iter().enumerate() {
             self.counts.arena_scan_steps += 1;
@@ -304,6 +338,22 @@ mod tests {
         let a = h.alloc(64, true);
         assert!(h.is_arena_addr(a));
         assert_eq!(h.counts().arena_resets, before + 1);
+    }
+
+    #[test]
+    fn double_arena_free_is_counted_and_the_arena_still_resets() {
+        let mut h = small();
+        let a = h.alloc(8, true);
+        h.free(a);
+        h.free(a);
+        assert_eq!(h.counts().frees_invalid, 1);
+        assert_eq!(h.counts().arena_frees, 1);
+        assert_eq!(h.arena_live_objects(), 0);
+        // Arena 0 holds no live object, so a request it cannot fit
+        // resets it and is served from its base again.
+        let b = h.alloc(64, true);
+        assert_eq!(b, a);
+        assert_eq!(h.counts().arena_resets, 1);
     }
 
     #[test]
