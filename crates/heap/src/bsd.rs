@@ -1,8 +1,8 @@
 //! The 4.2BSD power-of-two bucket allocator.
 
 use crate::counts::OpCounts;
+use crate::hash::AddrMap;
 use crate::Addr;
-use std::collections::HashMap;
 
 /// Per-object header bytes (the classic BSD `union overhead`).
 const HEADER: u64 = 4;
@@ -35,7 +35,7 @@ pub struct BsdMalloc {
     /// Free chunks per bucket index (bucket = MIN_BUCKET << index).
     free_lists: Vec<Vec<u64>>,
     /// Live chunk → bucket index (simulates reading the header).
-    live: HashMap<u64, usize>,
+    live: AddrMap<u64, usize>,
     brk: u64,
     max_brk: u64,
     counts: OpCounts,
@@ -86,16 +86,16 @@ impl BsdMalloc {
 
     /// Frees a chunk returned by [`BsdMalloc::alloc`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not a live allocation of this heap.
+    /// An `addr` that is not a live allocation of this heap — never
+    /// allocated, already freed, or not a chunk start — is ignored and
+    /// counted in [`OpCounts::frees_invalid`].
     pub fn free(&mut self, addr: Addr) {
+        let start = addr.0.checked_sub(HEADER);
+        let Some((start, idx)) = start.and_then(|s| Some((s, self.live.remove(&s)?))) else {
+            self.counts.frees_invalid += 1;
+            return;
+        };
         self.counts.frees += 1;
-        let start = addr.0 - HEADER;
-        let idx = self
-            .live
-            .remove(&start)
-            .expect("free of unknown or dead address");
         self.free_lists[idx].push(start);
     }
 
@@ -180,11 +180,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown or dead")]
-    fn double_free_panics() {
+    fn invalid_frees_are_counted_noops() {
         let mut h = BsdMalloc::new();
         let a = h.alloc(8);
+        let b = h.alloc(8);
         h.free(a);
-        h.free(a);
+        h.free(a); // double free
+        h.free(Addr(b.0 + 4)); // not a chunk start
+        h.free(Addr(1 << 30)); // never allocated
+        h.free(Addr(HEADER - 1)); // below the header offset
+        assert_eq!(h.counts().frees, 1);
+        assert_eq!(h.counts().frees_invalid, 4);
+        // The chunk went back to its free list once, and `b` is intact.
+        assert_eq!(h.alloc(8), a);
+        assert_ne!(h.alloc(8), a);
+        h.free(b);
+        assert_eq!(h.counts().frees, 2);
+        assert_eq!(h.live_blocks(), 2);
     }
 }

@@ -9,9 +9,9 @@
 //! proven equivalent by `tests/differential.rs`).
 
 use crate::counts::OpCounts;
-use crate::index::{FreeBlock, FreeTree, IndexStats};
+use crate::hash::AddrMap;
+use crate::index::{Found, FreeTree, IndexStats};
 use crate::Addr;
-use std::collections::HashMap;
 
 /// Per-object header bytes (size + status word, boundary tag style).
 pub const HEADER: u64 = 8;
@@ -63,7 +63,7 @@ pub struct FirstFit {
     /// `[base, brk)`, and no two of them touch.
     free: FreeTree,
     /// The allocated blocks: start address → block size.
-    allocated: HashMap<u64, u64>,
+    allocated: AddrMap<u64, u64>,
     base: u64,
     brk: u64,
     max_brk: u64,
@@ -88,7 +88,7 @@ impl FirstFit {
     pub(crate) fn with_base(base: u64) -> Self {
         FirstFit {
             free: FreeTree::new(),
-            allocated: HashMap::new(),
+            allocated: AddrMap::default(),
             base,
             brk: base,
             max_brk: base,
@@ -101,12 +101,12 @@ impl FirstFit {
     pub fn alloc(&mut self, size: u32) -> Addr {
         self.counts.allocs += 1;
         let need = Self::block_size(size);
-        let (addr, have) = match self.search(need) {
+        let hit = match self.search(need) {
             Some(hit) => hit,
             // No fit: grow the heap so the topmost free region fits.
             None => self.grow_for(need),
         };
-        self.place(addr, have, need)
+        self.place(hit, need)
     }
 
     /// Frees the block at `addr` (a value previously returned by
@@ -124,36 +124,45 @@ impl FirstFit {
         };
         self.counts.frees += 1;
         // The blocks tile the heap, so a free neighbour is adjacent
-        // exactly when its extent meets this block's.
-        let (pred, succ) = self.free.neighbours(start);
-        let next = succ.filter(|&(naddr, _)| naddr == start + size);
-        let prev = pred.filter(|&(paddr, psize)| paddr + psize == start);
+        // exactly when its extent meets this block's. Both lie on the
+        // walk's path, which the coalesce below edits through.
+        let (pred, succ) = self.free.neighbours_path(start);
+        let next = succ.filter(|n| n.addr == start + size);
+        let prev = pred.filter(|p| p.addr + p.size == start);
         // Same order as the linear scan: absorb the next block first,
         // and pull a rover that pointed at an absorbed block back to
         // the survivor's start.
         let mut merged = size;
-        if let Some((naddr, nsize)) = next {
-            merged += nsize;
+        if let Some(next) = next {
+            merged += next.size;
             self.counts.coalesces += 1;
-            if self.rover == naddr {
+            if self.rover == next.addr {
                 self.rover = start;
             }
         }
-        if let Some((paddr, psize)) = prev {
-            merged += psize;
+        if let Some(prev) = prev {
+            merged += prev.size;
             self.counts.coalesces += 1;
             if self.rover == start {
-                self.rover = paddr;
+                self.rover = prev.addr;
             }
         }
         match (prev, next) {
-            (Some((paddr, _)), Some((naddr, _))) => {
-                self.free.remove(naddr);
-                self.free.update(paddr, paddr, merged);
+            // Grow the lower block first: an in-place edit leaves the
+            // upper block's path intact for its removal.
+            (Some(prev), Some(next)) => {
+                self.free.update_on_path(prev, prev.addr, merged);
+                self.free.remove_on_path(next);
             }
-            (Some((paddr, _)), None) => self.free.update(paddr, paddr, merged),
-            (None, Some((naddr, _))) => self.free.update(naddr, start, merged),
-            (None, None) => self.free.insert(start, size),
+            (Some(prev), None) => {
+                self.free.update_on_path(prev, prev.addr, merged);
+            }
+            (None, Some(next)) => {
+                self.free.update_on_path(next, start, merged);
+            }
+            (None, None) => {
+                self.free.insert(start, size);
+            }
         }
     }
 
@@ -196,48 +205,45 @@ impl FirstFit {
 
     /// First-fit search from the roving pointer, wrapping once — the
     /// tree's answer to the paper's linear scan: the free block to
-    /// place into.
+    /// place into, its root path left for [`place`](Self::place).
     ///
     /// `search_steps` is charged with the number of free blocks the
     /// linear scan *would have examined*: every free block from the
     /// rover up to and including the found block (wrapping through the
     /// heap top), or every free block when nothing fits. Both figures
-    /// fall out of order statistics over the free-block addresses, so
-    /// the Table 9 instruction model sees exactly the seed's numbers.
-    fn search(&mut self, need: u64) -> Option<FreeBlock> {
-        let rover = self.rover;
-        let (found, wrapped) = match self.free.find_at_or_after(rover, need) {
-            Some(hit) => (Some(hit), false),
+    /// fall out of the ranks the search walk sums, so the Table 9
+    /// instruction model sees exactly the seed's numbers.
+    fn search(&mut self, need: u64) -> Option<Found> {
+        let (rover_rank, hit) = self.free.first_fit(self.rover, need);
+        let (examined, hit) = match hit {
+            // Free blocks in [rover, hit].
+            Some((hit, rank)) => (rank + 1 - rover_rank, Some(hit)),
             // Nothing at or above the rover fits; wrap to the base.
             // (A fitting block above the rover cannot exist, so the
-            // unbounded second probe finds only below-rover blocks.)
-            None => (self.free.find_at_or_after(self.base, need), true),
-        };
-        let examined = match found {
-            // All free blocks at/above the rover failed, then the
-            // linear scan re-starts at the base.
-            Some((addr, _)) if wrapped => {
-                (self.free.len() - self.free.rank(rover)) + self.free.rank(addr) + 1
-            }
-            // Free blocks in [rover, addr].
-            Some((addr, _)) => self.free.rank(addr) + 1 - self.free.rank(rover),
-            // The linear scan examines every free block once before
-            // giving up and growing the heap.
-            None => self.free.len(),
+            // unbounded second walk finds only below-rover blocks.)
+            None => match self.free.first_fit(self.base, need).1 {
+                // All free blocks at/above the rover failed, then the
+                // linear scan re-starts at the base.
+                Some((hit, rank)) => (self.free.len() - rover_rank + rank + 1, Some(hit)),
+                // The linear scan examines every free block once
+                // before giving up and growing the heap.
+                None => (self.free.len(), None),
+            },
         };
         self.counts.search_steps += examined as u64;
-        found
+        hit
     }
 
-    /// Allocates `need` bytes from the free block `[addr, addr + have)`,
-    /// splitting if the remainder is usable.
-    fn place(&mut self, addr: u64, have: u64, need: u64) -> Addr {
+    /// Allocates `need` bytes from the free block `hit`, splitting if
+    /// the remainder is usable.
+    fn place(&mut self, hit: Found, need: u64) -> Addr {
+        let (addr, have) = (hit.addr, hit.size);
         debug_assert!(have >= need);
         // Resume the next search after this allocation.
         self.rover = addr + need;
         if have - need >= MIN_SPLIT {
             // The remainder keeps the block's place in address order.
-            self.free.update(addr, addr + need, have - need);
+            self.free.update_on_path(hit, addr + need, have - need);
             self.allocated.insert(addr, need);
             self.counts.splits += 1;
         } else {
@@ -245,7 +251,7 @@ impl FirstFit {
             // `addr + need`, up to 8 bytes short of the next block
             // (exactly where the linear scan leaves it; the `rover ==`
             // fix-ups in `free` depend on it). Nothing above? Wrap.
-            self.free.remove(addr);
+            self.free.remove_on_path(hit);
             self.allocated.insert(addr, have);
             if addr + have == self.brk {
                 self.rover = self.base;
@@ -256,19 +262,19 @@ impl FirstFit {
 
     /// Extends the heap until its topmost free block holds `need`
     /// bytes, returning that block.
-    fn grow_for(&mut self, need: u64) -> FreeBlock {
+    fn grow_for(&mut self, need: u64) -> Found {
         // Is the topmost block free? Then extend it, else append.
-        let top = self.free.last().filter(|&(a, s)| a + s == self.brk);
-        let (start, existing) = top.unwrap_or((self.brk, 0));
+        let top = self.free.last().filter(|t| t.addr + t.size == self.brk);
+        let existing = top.map_or(0, |t| t.size);
         let grow = (need - existing).div_ceil(PAGE) * PAGE;
         self.counts.page_grows += grow / PAGE;
+        let start = self.brk;
         self.brk += grow;
         self.max_brk = self.max_brk.max(self.brk);
         match top {
-            Some(_) => self.free.update(start, start, existing + grow),
+            Some(top) => self.free.update_on_path(top, top.addr, existing + grow),
             None => self.free.insert(start, grow),
         }
-        (start, existing + grow)
     }
 
     /// Verifies the structural invariants of the heap; used by tests.

@@ -11,17 +11,19 @@
 //!   subtree too small to hold a fit;
 //! * `count`, the number of blocks below the node, so the number of
 //!   free blocks the *linear* scan would have examined between the
-//!   rover and the found block is two [`rank`](FreeTree::rank) queries.
-//!   That keeps `OpCounts::search_steps` — the input to the Table 9
-//!   instruction-cost model — byte-identical to the paper's scan (see
-//!   `FirstFit::search` and DESIGN.md §11).
+//!   rover and the found block is the difference of two ranks, summed
+//!   by that same descent. That keeps `OpCounts::search_steps` — the
+//!   input to the Table 9 instruction-cost model — byte-identical to
+//!   the paper's scan (see `FirstFit::search` and DESIGN.md §11).
 //!
 //! Address predecessor/successor (coalescing) and the topmost block
-//! (heap growth) are descents of the same tree. A block that shrinks
+//! (heap growth) are descents of the same tree. Every walk records its
+//! root path and hands back a [`Found`], so the edit that follows it
+//! repairs that path instead of descending again. A block that shrinks
 //! from the front, grows, or absorbs a neighbour keeps its place in
-//! address order, so [`FreeTree::update`] edits the node where it sits
-//! and repairs the summaries along its root path; only a block that
-//! appears or disappears restructures the tree. The tree is a treap;
+//! address order, so [`FreeTree::update_on_path`] edits the node where
+//! it sits; only a block that appears or disappears restructures the
+//! tree. The tree is a treap;
 //! because keys move, priorities are drawn from a per-tree generator
 //! rather than hashed from the key, which keeps the shape a pure
 //! function of the operation sequence (replays stay reproducible).
@@ -38,12 +40,28 @@ pub(crate) struct IndexStats {
     /// Searches that found a fitting free block (every first-fit
     /// placement that did not require growing the heap).
     pub hits: u64,
-    /// Tree nodes visited by searches.
+    /// Tree nodes visited by [`FreeTree::first_fit`] walks: the start
+    /// address's whole boundary path, plus the nodes of the subtree
+    /// descent that resolves a hit below it.
     pub node_visits: u64,
 }
 
 /// A free block as `(address, size)`.
 pub(crate) type FreeBlock = (u64, u64);
+
+/// A free block a walk of the tree reached, and its depth on the walk's
+/// root path. [`FreeTree::update_on_path`] and
+/// [`FreeTree::remove_on_path`] edit it through that path without
+/// descending again. In-place edits keep every path intact, so it stays
+/// valid until the tree is walked or a block is inserted, until it is
+/// edited (the edit returns its successor), or until it or a block
+/// above it on the path is removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Found {
+    pub(crate) addr: u64,
+    pub(crate) size: u64,
+    depth: usize,
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -115,99 +133,131 @@ impl FreeTree {
         n.max = max;
     }
 
-    /// Number of free blocks at addresses strictly below `addr`.
-    pub(crate) fn rank(&self, addr: u64) -> usize {
+    /// First (lowest-address) free block at address ≥ `from` with size
+    /// ≥ `need`, with the order statistics the linear scan's step count
+    /// needs: returns `rank(from)`, the number of free blocks below
+    /// `from`, and on a hit the block and its own rank.
+    ///
+    /// One walk: `from`'s boundary path yields `rank(from)`, and the
+    /// blocks at or after `from` are, in address order, each node on
+    /// that path that is ≥ `from` (deepest first) followed by its right
+    /// subtree. The hit is the first of those that fits; a subtree is
+    /// entered only when its `max` promises one. The scratch path is
+    /// left as the hit's root path, for an edit through the returned
+    /// [`Found`].
+    pub(crate) fn first_fit(&mut self, from: u64, need: u64) -> (usize, Option<(Found, usize)>) {
+        self.path.clear();
+        let mut rank_from = 0usize;
         let mut t = self.root;
-        let mut below = 0usize;
         while let Some(n) = self.nodes.get(t as usize) {
-            if addr <= n.addr {
+            self.path.push(t);
+            if from <= n.addr {
                 t = n.left;
             } else {
-                below += self.count(n.left) as usize + 1;
+                rank_from += self.count(n.left) as usize + 1;
                 t = n.right;
             }
         }
-        below
-    }
-
-    /// First (lowest-address) free block at address ≥ `from` with size
-    /// ≥ `need`. One descent: only the boundary path of `from` can be
-    /// walked in vain; any other subtree is entered only when its
-    /// `max` promises a fit.
-    pub(crate) fn find_at_or_after(&mut self, from: u64, need: u64) -> Option<FreeBlock> {
-        let mut visits = 0;
-        let hit = self.find(self.root, from, need, &mut visits);
-        self.stats.node_visits += visits;
-        let n = self.nodes.get(hit as usize)?;
-        self.stats.hits += 1;
-        Some((n.addr, n.size))
-    }
-
-    fn find(&self, t: u32, from: u64, need: u64, visits: &mut u64) -> u32 {
-        let Some(n) = self.nodes.get(t as usize) else {
-            return NIL;
-        };
-        *visits += 1;
-        if n.max < need {
-            return NIL;
-        }
-        if n.addr >= from {
-            let hit = self.find(n.left, from, need, visits);
-            if hit != NIL {
-                return hit;
+        let (mut rank, mut visits) = (rank_from, self.path.len() as u64);
+        let mut hit = None;
+        for depth in (0..self.path.len()).rev() {
+            let n = self.nodes[self.path[depth] as usize];
+            if n.addr < from {
+                continue;
             }
             if n.size >= need {
-                return t;
+                self.path.truncate(depth + 1);
+                hit = Some(depth);
+                break;
             }
+            rank += 1;
+            if self.max(n.right) < need {
+                rank += self.count(n.right) as usize;
+                continue;
+            }
+            // The fit is the lowest-addressed one in the right subtree.
+            self.path.truncate(depth + 1);
+            let mut t = n.right;
+            loop {
+                let n = self.nodes[t as usize];
+                self.path.push(t);
+                visits += 1;
+                if self.max(n.left) >= need {
+                    t = n.left;
+                    continue;
+                }
+                rank += self.count(n.left) as usize;
+                if n.size >= need {
+                    break;
+                }
+                rank += 1;
+                t = n.right;
+            }
+            hit = Some(self.path.len() - 1);
+            break;
         }
-        self.find(n.right, from, need, visits)
+        self.stats.node_visits += visits;
+        let hit = hit.map(|depth| {
+            self.stats.hits += 1;
+            (self.found(depth), rank)
+        });
+        (rank_from, hit)
+    }
+
+    /// The free block at `depth` on the scratch path.
+    fn found(&self, depth: usize) -> Found {
+        let n = &self.nodes[self.path[depth] as usize];
+        Found {
+            addr: n.addr,
+            size: n.size,
+            depth,
+        }
     }
 
     /// The free blocks nearest below and above `addr`, which is not
-    /// itself a free block's address.
-    pub(crate) fn neighbours(&self, addr: u64) -> (Option<FreeBlock>, Option<FreeBlock>) {
+    /// itself a free block's address. Both lie on `addr`'s boundary
+    /// path, which the walk leaves as the scratch path, so either can
+    /// be edited through the returned [`Found`].
+    pub(crate) fn neighbours_path(&mut self, addr: u64) -> (Option<Found>, Option<Found>) {
+        self.path.clear();
         let (mut pred, mut succ) = (None, None);
         let mut t = self.root;
         while let Some(n) = self.nodes.get(t as usize) {
             debug_assert_ne!(n.addr, addr, "0x{addr:x} is a free block");
+            let at = Found {
+                addr: n.addr,
+                size: n.size,
+                depth: self.path.len(),
+            };
+            self.path.push(t);
             if n.addr < addr {
-                pred = Some((n.addr, n.size));
+                pred = Some(at);
                 t = n.right;
             } else {
-                succ = Some((n.addr, n.size));
+                succ = Some(at);
                 t = n.left;
             }
         }
         (pred, succ)
     }
 
-    /// The highest-address free block.
-    pub(crate) fn last(&self) -> Option<FreeBlock> {
-        let mut n = self.nodes.get(self.root as usize)?;
-        while let Some(right) = self.nodes.get(n.right as usize) {
-            n = right;
-        }
-        Some((n.addr, n.size))
-    }
-
-    /// Fills `path` with the nodes from the root down to the block at
-    /// `addr`, which the caller guarantees is in the tree.
-    fn locate(&mut self, addr: u64) -> u32 {
+    /// The highest-address free block, leaving its root path (the right
+    /// spine) as the scratch path.
+    pub(crate) fn last(&mut self) -> Option<Found> {
         self.path.clear();
         let mut t = self.root;
-        loop {
-            let n = &self.nodes[t as usize];
+        while let Some(n) = self.nodes.get(t as usize) {
             self.path.push(t);
-            if n.addr == addr {
-                return t;
-            }
-            t = if addr < n.addr { n.left } else { n.right };
+            t = n.right;
         }
+        let depth = self.path.len().checked_sub(1)?;
+        Some(self.found(depth))
     }
 
-    /// Recomputes the summaries of every node on `path`, deepest first.
-    fn repair_path(&mut self) {
-        for i in (0..self.path.len()).rev() {
+    /// Recomputes the summaries of the first `len` nodes on `path`,
+    /// deepest first.
+    fn repair_path(&mut self, len: usize) {
+        for i in (0..len).rev() {
             self.pull(self.path[i]);
         }
     }
@@ -229,16 +279,31 @@ impl FreeTree {
         }
     }
 
-    /// Moves and/or resizes the free block at `addr` where it sits.
-    /// The caller guarantees the new extent stays between the block's
-    /// address neighbours (a front split, a coalesce or heap growth),
-    /// so the tree's shape is untouched.
-    pub(crate) fn update(&mut self, addr: u64, new_addr: u64, new_size: u64) {
-        let t = self.locate(addr);
+    /// The node `at` names, which the caller guarantees is still where
+    /// the walk that found it left it.
+    fn node_at(&self, at: Found) -> u32 {
+        let t = self.path[at.depth];
+        debug_assert_eq!(self.nodes[t as usize].addr, at.addr, "stale path");
+        t
+    }
+
+    /// Moves and/or resizes the free block `at` where it sits and
+    /// repairs the summaries along its root path; returns the block as
+    /// it now is. The caller guarantees the new extent stays between
+    /// the block's address neighbours (a front split, a coalesce or heap
+    /// growth), so the tree's shape — and with it the scratch path — is
+    /// untouched.
+    pub(crate) fn update_on_path(&mut self, at: Found, new_addr: u64, new_size: u64) -> Found {
+        let t = self.node_at(at);
         let n = &mut self.nodes[t as usize];
         n.addr = new_addr;
         n.size = new_size;
-        self.repair_path();
+        self.repair_path(at.depth + 1);
+        Found {
+            addr: new_addr,
+            size: new_size,
+            depth: at.depth,
+        }
     }
 
     fn next_prio(&mut self) -> u32 {
@@ -249,9 +314,10 @@ impl FreeTree {
         ((z ^ (z >> 31)) >> 32) as u32
     }
 
-    /// Registers the free block `[addr, addr + size)`; the caller
-    /// guarantees no free block starts at `addr`.
-    pub(crate) fn insert(&mut self, addr: u64, size: u64) {
+    /// Registers the free block `[addr, addr + size)`, leaving its root
+    /// path as the scratch path; the caller guarantees no free block
+    /// starts at `addr`.
+    pub(crate) fn insert(&mut self, addr: u64, size: u64) -> Found {
         let prio = self.next_prio();
         // Descend to the first node the new one outranks.
         self.path.clear();
@@ -287,18 +353,21 @@ impl FreeTree {
         };
         self.pull(slot);
         self.attach(addr, slot);
-        self.repair_path();
+        self.repair_path(self.path.len());
+        self.path.push(slot);
+        self.found(self.path.len() - 1)
     }
 
-    /// Forgets the free block at `addr`.
-    pub(crate) fn remove(&mut self, addr: u64) {
-        let t = self.locate(addr);
-        self.path.pop();
+    /// Forgets the free block `at`. Only the nodes above it stay on the
+    /// scratch path.
+    pub(crate) fn remove_on_path(&mut self, at: Found) {
+        let t = self.node_at(at);
         let Node { left, right, .. } = self.nodes[t as usize];
         let merged = self.merge(left, right);
-        self.attach(addr, merged);
+        self.path.truncate(at.depth);
+        self.attach(at.addr, merged);
         self.spare.push(t);
-        self.repair_path();
+        self.repair_path(at.depth);
     }
 
     /// Splits `t` into `(addresses < addr, addresses > addr)`.
@@ -391,48 +460,71 @@ mod tests {
         tree
     }
 
+    fn block(found: Found) -> FreeBlock {
+        (found.addr, found.size)
+    }
+
+    /// The first-fit hit alone.
+    fn fit(tree: &mut FreeTree, from: u64, need: u64) -> Option<FreeBlock> {
+        tree.first_fit(from, need).1.map(|(hit, _)| block(hit))
+    }
+
     #[test]
-    fn find_prefers_lowest_address_not_best_fit() {
+    fn first_fit_prefers_lowest_address_not_best_fit() {
         // A big block at the bottom, a snug one higher up: first-fit
         // from the base takes the big low block even though the high
         // one fits more tightly.
         let mut tree = tree_of(&[(0, 4096), (8192, 64)]);
-        assert_eq!(tree.find_at_or_after(0, 64), Some((0, 4096)));
+        assert_eq!(fit(&mut tree, 0, 64), Some((0, 4096)));
         // From above the big block, the snug one wins.
-        assert_eq!(tree.find_at_or_after(4096, 64), Some((8192, 64)));
-        assert_eq!(tree.find_at_or_after(8193, 64), None);
+        assert_eq!(fit(&mut tree, 4096, 64), Some((8192, 64)));
+        assert_eq!(fit(&mut tree, 8193, 64), None);
         assert_eq!(tree.stats().hits, 2);
     }
 
     #[test]
     fn smaller_blocks_of_the_same_size_class_are_skipped() {
         let mut tree = tree_of(&[(0, 40), (1000, 33), (2000, 63)]);
-        assert_eq!(tree.find_at_or_after(0, 48), Some((2000, 63)));
-        assert_eq!(tree.find_at_or_after(0, 40), Some((0, 40)));
-        assert_eq!(tree.find_at_or_after(1, 40), Some((2000, 63)));
+        assert_eq!(fit(&mut tree, 0, 48), Some((2000, 63)));
+        assert_eq!(fit(&mut tree, 0, 40), Some((0, 40)));
+        assert_eq!(fit(&mut tree, 1, 40), Some((2000, 63)));
+        // Ranks: one block below 1, and the hit has two below it.
+        assert_eq!(tree.first_fit(1, 40).0, 1);
+        assert_eq!(tree.first_fit(1, 40).1.map(|(_, rank)| rank), Some(2));
     }
 
     #[test]
-    fn update_moves_and_resizes_in_place() {
+    fn edits_reuse_the_walks_path() {
         let mut tree = tree_of(&[(0, 16), (64, 48), (256, 16)]);
-        tree.update(64, 80, 32); // front split
-        assert_eq!(tree.find_at_or_after(0, 32), Some((80, 32)));
-        tree.update(80, 32, 224); // absorbed the space on both sides
-        assert_eq!(tree.find_at_or_after(0, 200), Some((32, 224)));
-        assert_eq!(tree.check_invariants(), [(0, 16), (32, 224), (256, 16)]);
-        tree.remove(32);
-        assert_eq!(tree.find_at_or_after(0, 17), None);
-        assert_eq!(tree.len(), 2);
+        let (_, hit) = tree.first_fit(1, 32);
+        let (hit, _) = hit.expect("a fit");
+        tree.update_on_path(hit, 80, 32); // front split
+        assert_eq!(fit(&mut tree, 0, 32), Some((80, 32)));
+        // The block freed between the first two absorbs both.
+        let (pred, succ) = tree.neighbours_path(32);
+        let (pred, succ) = (pred.expect("pred"), succ.expect("succ"));
+        assert_eq!((block(pred), block(succ)), ((0, 16), (80, 32)));
+        tree.update_on_path(pred, 0, 112);
+        tree.remove_on_path(succ);
+        assert_eq!(tree.check_invariants(), [(0, 112), (256, 16)]);
+        let top = tree.last().expect("a block");
+        tree.remove_on_path(top);
+        assert_eq!(fit(&mut tree, 0, 17), Some((0, 112)));
+        assert_eq!(tree.len(), 1);
     }
 
     #[test]
     fn node_slots_are_recycled() {
         let mut tree = FreeTree::new();
-        for k in 0..100u64 {
-            tree.insert(k * 32, 16);
-        }
-        for k in 0..100u64 {
-            tree.remove(k * 32);
+        let found: Vec<_> = (0..100u64).map(|k| tree.insert(k * 32, 16)).collect();
+        for f in found {
+            let (pred, succ) = tree.neighbours_path(f.addr + 1);
+            assert_eq!(
+                succ.map(|s| s.addr),
+                Some(f.addr + 32).filter(|&a| a < 3200)
+            );
+            let pred = pred.expect("the block itself");
+            tree.remove_on_path(pred);
         }
         let allocated = tree.nodes.len();
         for k in 0..100u64 {
@@ -460,7 +552,7 @@ mod tests {
             (0, 8192, None),
         ] {
             let before = tree.stats().node_visits;
-            assert_eq!(tree.find_at_or_after(from, need), expect);
+            assert_eq!(fit(&mut tree, from, need), expect);
             let visits = tree.stats().node_visits - before;
             assert!(visits <= 6 * log2, "{visits} node visits for {HOLES} holes");
         }
@@ -468,8 +560,9 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// A new block `gap` bytes above block `i - 1`.
-        Insert(usize, u64, u64),
+        /// A new block `gap` bytes above block `i - 1`, or above the
+        /// topmost block for `None`.
+        Insert(Option<usize>, u64, u64),
         Remove(usize),
         /// Shrink from the front (a split).
         Shrink(usize, u64),
@@ -482,8 +575,10 @@ mod tests {
         let block = || 0usize..1000;
         proptest::collection::vec(
             prop_oneof![
-                (block(), 0u64..300, 1u64..200).prop_map(|(i, gap, s)| Op::Insert(i, gap, s)),
-                (block(), 0u64..300, 1u64..200).prop_map(|(i, gap, s)| Op::Insert(i, gap, s)),
+                (block(), 0u64..300, 1u64..200).prop_map(|(i, gap, s)| Op::Insert(Some(i), gap, s)),
+                (block(), 0u64..300, 1u64..200).prop_map(|(i, gap, s)| Op::Insert(Some(i), gap, s)),
+                (0u64..300, 1u64..200).prop_map(|(gap, s)| Op::Insert(None, gap, s)),
+                (0u64..300, 1u64..200).prop_map(|(gap, s)| Op::Insert(None, gap, s)),
                 block().prop_map(Op::Remove),
                 (block(), 1u64..200).prop_map(|(i, by)| Op::Shrink(i, by)),
                 (block(), 0u64..200, 0u64..200).prop_map(|(i, d, u)| Op::Grow(i, d, u)),
@@ -493,40 +588,92 @@ mod tests {
         )
     }
 
-    /// What the tree must answer, computed from a sorted `Vec`.
-    fn check_against(tree: &mut FreeTree, model: &[(u64, u64)], probes: &[(u64, u64)]) {
-        assert_eq!(tree.check_invariants(), model);
-        assert_eq!(tree.last(), model.last().copied());
-        for &(from, need) in probes {
-            let expect = model.iter().find(|b| b.0 >= from && b.1 >= need).copied();
-            assert_eq!(tree.find_at_or_after(from, need), expect);
-            assert_eq!(tree.rank(from), model.iter().filter(|b| b.0 < from).count());
-            if model.iter().all(|b| b.0 != from) {
-                let pred = model.iter().rev().find(|b| b.0 < from).copied();
-                let succ = model.iter().find(|b| b.0 > from).copied();
-                assert_eq!(tree.neighbours(from), (pred, succ));
-            }
+    /// Where the block before / after `model[i]` ends / starts.
+    fn end_below(model: &[(u64, u64)], i: usize) -> u64 {
+        match i {
+            0 => 0,
+            _ => model[i - 1].0 + model[i - 1].1,
         }
+    }
+
+    fn start_above(model: &[(u64, u64)], i: usize) -> u64 {
+        model.get(i + 1).map_or(u64::MAX, |b| b.0)
+    }
+
+    /// Checks one probe's walks against the sorted `Vec`, then edits a
+    /// copy of the tree (and of the model) through each walk's path, so
+    /// the script's own tree keeps growing.
+    fn probe(tree: &FreeTree, model: &[(u64, u64)], from: u64, need: u64) {
+        let (mut tree, mut model) = (tree.clone(), model.to_vec());
+        let below = |model: &[(u64, u64)], addr: u64| model.iter().filter(|b| b.0 < addr).count();
+        // First fit: the hit, rank(from) and rank(hit).
+        let expect = model.iter().position(|b| b.0 >= from && b.1 >= need);
+        let (rank_from, hit) = tree.first_fit(from, need);
+        assert_eq!(rank_from, below(&model, from), "rank({from})");
+        assert_eq!(
+            hit.map(|(f, rank)| (block(f), rank)),
+            expect.map(|i| (model[i], i))
+        );
+        if let (Some((hit, _)), Some(i)) = (hit, expect) {
+            // A placement: split the front off, or take the whole block.
+            if need < hit.size {
+                tree.update_on_path(hit, hit.addr + need, hit.size - need);
+                model[i] = (hit.addr + need, hit.size - need);
+            } else {
+                tree.remove_on_path(hit);
+                model.remove(i);
+            }
+            assert_eq!(tree.check_invariants(), model);
+        }
+        // Address neighbours of a non-block address.
+        if model.iter().any(|b| b.0 == from) {
+            return;
+        }
+        let i = below(&model, from);
+        let (pred, succ) = tree.neighbours_path(from);
+        assert_eq!(pred.map(block), i.checked_sub(1).map(|p| model[p]));
+        assert_eq!(succ.map(block), model.get(i).copied());
+        match (pred, succ) {
+            // A two-sided coalesce: the lower block absorbs the upper.
+            (Some(pred), Some(succ)) => {
+                let end = succ.addr + succ.size;
+                tree.update_on_path(pred, pred.addr, end - pred.addr);
+                tree.remove_on_path(succ);
+                model[i - 1] = (pred.addr, end - pred.addr);
+                model.remove(i);
+            }
+            // The upper block grows down to `from`.
+            (None, Some(succ)) => {
+                let end = succ.addr + succ.size;
+                tree.update_on_path(succ, from, end - from);
+                model[i] = (from, end - from);
+            }
+            // The topmost block grows by `need`.
+            (Some(pred), None) => {
+                tree.update_on_path(pred, pred.addr, pred.size + need);
+                model[i - 1].1 += need;
+            }
+            (None, None) => {}
+        }
+        assert_eq!(tree.check_invariants(), model);
     }
 
     proptest! {
         /// Inserts, removals and in-place moves/resizes keep the tree
-        /// answering exactly like a sorted vector of blocks.
+        /// answering exactly like a sorted vector of blocks, and an edit
+        /// through the path a walk left behind keeps it well-formed.
+        /// Inserts above the topmost block always land, so a script of
+        /// 250+ ops grows the tree to about 50 blocks (28 to 76 over
+        /// 256 cases).
         #[test]
         fn tree_matches_sorted_vec_model(script in ops()) {
             let mut tree = FreeTree::new();
             let mut model: Vec<(u64, u64)> = Vec::new();
-            // Where the block before / after `model[i]` ends / starts.
-            let end_below = |model: &[(u64, u64)], i: usize| match i {
-                0 => 0,
-                _ => model[i - 1].0 + model[i - 1].1,
-            };
-            let start_above = |model: &[(u64, u64)], i: usize| model.get(i + 1).map_or(u64::MAX, |b| b.0);
             for op in script {
                 let mut probes = vec![(0, 1), (0, 150), (20_000, 50)];
                 match op {
                     Op::Insert(i, gap, size) => {
-                        let i = i % (model.len() + 1);
+                        let i = i.map_or(model.len(), |i| i % (model.len() + 1));
                         let addr = end_below(&model, i) + gap;
                         if model.get(i).is_none_or(|b| addr + size <= b.0) {
                             tree.insert(addr, size);
@@ -536,14 +683,17 @@ mod tests {
                     }
                     Op::Remove(i) if !model.is_empty() => {
                         let (addr, _) = model.remove(i % model.len());
-                        tree.remove(addr);
+                        let (_, hit) = tree.first_fit(addr, 1);
+                        tree.remove_on_path(hit.expect("the block itself").0);
                         probes.push((addr, 1));
                     }
                     Op::Shrink(i, by) if !model.is_empty() => {
                         let i = i % model.len();
                         let b = &mut model[i];
                         if by < b.1 {
-                            tree.update(b.0, b.0 + by, b.1 - by);
+                            let (_, hit) = tree.first_fit(b.0, 1);
+                            let (hit, _) = hit.expect("the block itself");
+                            tree.update_on_path(hit, b.0 + by, b.1 - by);
                             *b = (b.0 + by, b.1 - by);
                             probes.push(*b);
                         }
@@ -553,14 +703,20 @@ mod tests {
                         let (addr, size) = model[i];
                         let lo = addr.saturating_sub(down).max(end_below(&model, i));
                         let hi = (addr + size + up).min(start_above(&model, i));
-                        tree.update(addr, lo, hi - lo);
+                        let (_, hit) = tree.first_fit(addr, 1);
+                        let (hit, _) = hit.expect("the block itself");
+                        tree.update_on_path(hit, lo, hi - lo);
                         model[i] = (lo, hi - lo);
                         probes.push((lo + 1, hi - lo));
                     }
                     Op::Find(from, need) => probes.push((from, need)),
                     _ => {}
                 }
-                check_against(&mut tree, &model, &probes);
+                assert_eq!(tree.check_invariants(), model);
+                assert_eq!(tree.last().map(block), model.last().copied());
+                for (from, need) in probes {
+                    probe(&tree, &model, from, need);
+                }
             }
         }
     }

@@ -49,6 +49,7 @@ mod bsd;
 mod costmodel;
 mod counts;
 mod firstfit;
+mod hash;
 mod index;
 mod live;
 mod obs;

@@ -12,9 +12,9 @@
 //! that outlived `RING` later births — never more than the peak number
 //! of live objects.
 
+use crate::hash::AddrMap;
 use crate::replay::Corrupt;
 use crate::Addr;
-use std::collections::HashMap;
 
 /// Ring capacity in entries, a power of two: 2¹⁶ × 24 B = 1.5 MiB.
 pub(crate) const RING: usize = 1 << 16;
@@ -47,7 +47,7 @@ pub(crate) struct LiveTable {
     /// hold [`VACANT`].
     ring: Vec<LiveObj>,
     /// Live objects more than `RING` births old.
-    survivors: HashMap<usize, LiveObj>,
+    survivors: AddrMap<usize, LiveObj>,
     /// Records born so far: the next birth's record index.
     births: usize,
 }
@@ -127,13 +127,13 @@ impl LiveTable {
 
 #[cold]
 #[inline(never)]
-fn survive(survivors: &mut HashMap<usize, LiveObj>, record: usize, obj: LiveObj) {
+fn survive(survivors: &mut AddrMap<usize, LiveObj>, record: usize, obj: LiveObj) {
     survivors.insert(record, obj);
 }
 
 #[cold]
 #[inline(never)]
-fn outlived(survivors: &mut HashMap<usize, LiveObj>, record: usize) -> Result<LiveObj, Corrupt> {
+fn outlived(survivors: &mut AddrMap<usize, LiveObj>, record: usize) -> Result<LiveObj, Corrupt> {
     survivors.remove(&record).ok_or_else(|| not_live(record))
 }
 

@@ -45,7 +45,9 @@ pub struct ReplayObs {
     /// replay).
     pub index_hits_total: Arc<Counter>,
     /// `lifepred_sim_index_node_visits_total` — free-tree nodes
-    /// visited by those searches.
+    /// visited by first-fit search walks: the start address's whole
+    /// boundary path, plus the nodes of the descent into a right subtree
+    /// that finds a hit below it.
     pub index_node_visits_total: Arc<Counter>,
     /// `lifepred_sim_batch_refills_total` — event-chunk refills the
     /// replay loop consumed (one per up-to-4096-event batch).
