@@ -4,6 +4,8 @@
 //!
 //! * `record` runs an instrumented workload and persists the trace as
 //!   an `.lpt` file ([`lifepred_tracefile`]);
+//! * `gen` streams a synthetic `server` trace of any size straight to
+//!   an `.lpt` file;
 //! * `inspect` prints an `.lpt` header (and, on request, verifies the
 //!   whole file) in constant memory;
 //! * `train` profiles one or more traces and saves the short-lived
@@ -65,7 +67,6 @@ USAGE:
     lifepred report [--workload <name>]... [--policy <p>] [--jobs <n>]
     lifepred report --drag [--workload <name>]... [--threshold <bytes>] [--jobs <n>]
     lifepred native [<workload>]... [--metrics-out <m.json>]
-    lifepred trace [<workload>]... [-o <trace.json>] [--force]
     lifepred sweep run|resume|render --spec <grid.json> [--store <dir>]
                       [--jobs <n>] [--format <table|csv|json>] [--out <file>]
     lifepred sweep diff <before.json> <after.json>
@@ -130,23 +131,29 @@ OPTIONS:
 /// malformed input file.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     match args.first().map(String::as_str) {
-        None | Some("--help" | "-h" | "help") => {
-            write_out(out, USAGE)?;
-            Ok(())
-        }
-        Some("record") => cmd_record(&args[1..], out),
-        Some("gen") => cmd_gen(&args[1..], out),
-        Some("inspect") => cmd_inspect(&args[1..], out),
-        Some("train") => cmd_train(&args[1..], out),
-        Some("simulate") => cmd_simulate(&args[1..], out),
-        Some("stats") => cmd_stats(&args[1..], out),
-        Some("report") => cmd_report(&args[1..], out),
-        Some("native") => cmd_native(&args[1..], out),
-        Some("trace") => cmd_trace(&args[1..], out),
-        Some("sweep") => cmd_sweep(&args[1..], out),
-        Some(other) => Err(format!("unknown command {other:?} (try `lifepred --help`)")),
+        None | Some("--help" | "-h" | "help") => write_out(out, USAGE),
+        Some(name) => match COMMANDS.iter().find(|(n, _)| *n == name) {
+            Some((_, command)) => command(&args[1..], out),
+            None => Err(format!("unknown command {name:?} (try `lifepred --help`)")),
+        },
     }
 }
+
+/// A subcommand: its arguments (after the name) and the output sink.
+type Command = fn(&[String], &mut dyn Write) -> Result<(), String>;
+
+/// Every subcommand [`run`] dispatches, in the order USAGE lists them.
+const COMMANDS: &[(&str, Command)] = &[
+    ("record", cmd_record),
+    ("gen", cmd_gen),
+    ("inspect", cmd_inspect),
+    ("train", cmd_train),
+    ("simulate", cmd_simulate),
+    ("stats", cmd_stats),
+    ("report", cmd_report),
+    ("native", cmd_native),
+    ("sweep", cmd_sweep),
+];
 
 // ---------------------------------------------------------------------
 // Argument scanning
@@ -607,11 +614,11 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let mut paths: Vec<String> = Vec::new();
     let mut predictor = None;
     let mut allocator = "arena".to_owned();
-    let mut policy = SitePolicy::Complete;
-    let mut rounding = 4u32;
-    let mut threshold: u64 = DEFAULT_THRESHOLD;
-    let mut epoch_bytes: Option<u64> = None;
-    let mut requalify = 3u32;
+    let mut policy = None;
+    let mut rounding = None;
+    let mut threshold = None;
+    let mut epoch_bytes = None;
+    let mut requalify = None;
     let mut metrics_out: Option<String> = None;
     let mut force = false;
     let mut jobs = 1usize;
@@ -620,14 +627,16 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         match arg {
             Arg::Opt("predictor", v) => predictor = Some(s.value("predictor", v)?.to_owned()),
             Arg::Opt("allocator", v) => allocator = s.value("allocator", v)?.to_owned(),
-            Arg::Opt("policy", v) => policy = parse_policy(s.value("policy", v)?)?,
-            Arg::Opt("rounding", v) => rounding = parse_num("rounding", s.value("rounding", v)?)?,
+            Arg::Opt("policy", v) => policy = Some(parse_policy(s.value("policy", v)?)?),
+            Arg::Opt("rounding", v) => {
+                rounding = Some(parse_num("rounding", s.value("rounding", v)?)?);
+            }
             Arg::Opt("threshold", v) => {
-                threshold = parse_num("threshold", s.value("threshold", v)?)?;
+                threshold = Some(parse_num("threshold", s.value("threshold", v)?)?);
             }
             Arg::Opt("epoch", v) => epoch_bytes = Some(parse_num("epoch", s.value("epoch", v)?)?),
             Arg::Opt("requalify", v) => {
-                requalify = parse_num("requalify", s.value("requalify", v)?)?;
+                requalify = Some(parse_num("requalify", s.value("requalify", v)?)?);
             }
             Arg::Opt("metrics-out", v) => {
                 metrics_out = Some(s.value("metrics-out", v)?.to_owned());
@@ -641,6 +650,23 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     if paths.is_empty() {
         return Err("simulate: at least one trace file is required".to_owned());
     }
+    // A trained predictor carries its own site policy, rounding and
+    // threshold, and the baselines predict nothing: the learner's knobs
+    // would be silently ignored, so they are refused.
+    if predictor.as_deref() != Some("online") {
+        let given = [
+            ("policy", policy.is_some()),
+            ("rounding", rounding.is_some()),
+            ("threshold", threshold.is_some()),
+            ("epoch", epoch_bytes.is_some()),
+            ("requalify", requalify.is_some()),
+        ];
+        if let Some((flag, _)) = given.iter().find(|(_, set)| *set) {
+            return Err(format!(
+                "simulate: --{flag} is only used by --predictor online"
+            ));
+        }
+    }
     // Resolved once, then shared read-only by every parallel job.
     let db;
     let backend = match (allocator.as_str(), predictor.as_deref()) {
@@ -648,17 +674,18 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             return Err("simulate: --predictor online requires the arena allocator".to_owned());
         }
         ("arena", Some("online")) => {
+            let threshold = threshold.unwrap_or(DEFAULT_THRESHOLD);
             let epoch = EpochConfig {
                 threshold,
                 epoch_bytes: epoch_bytes.unwrap_or(2 * threshold),
-                requalify_epochs: requalify,
+                requalify_epochs: requalify.unwrap_or(3),
                 ..EpochConfig::default()
             };
             epoch.validate().map_err(|e| format!("simulate: {e}"))?;
             SimBackend::ArenaOnline {
                 sites: SiteConfig {
-                    policy,
-                    size_rounding: rounding,
+                    policy: policy.unwrap_or(SitePolicy::Complete),
+                    size_rounding: rounding.unwrap_or(4),
                 },
                 epoch,
             }
@@ -1021,28 +1048,37 @@ fn report_drag(
 
 fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let mut names: Vec<String> = Vec::new();
-    let mut policy = SitePolicy::Complete;
+    let mut policy = None;
     let mut jobs = 1usize;
     let mut drag = false;
-    let mut threshold: u64 = 32 * 1024;
+    let mut threshold = None;
     let mut s = Scanner::new(args);
     while let Some(arg) = s.next() {
         match arg {
             Arg::Opt("workload", v) => names.push(s.value("workload", v)?.to_owned()),
-            Arg::Opt("policy", v) => policy = parse_policy(s.value("policy", v)?)?,
+            Arg::Opt("policy", v) => policy = Some(parse_policy(s.value("policy", v)?)?),
             Arg::Opt("jobs", v) => jobs = parse_num("jobs", s.value("jobs", v)?)?,
             Arg::Opt("drag", _) => drag = true,
             Arg::Opt("threshold", v) => {
-                threshold = parse_num("threshold", s.value("threshold", v)?)?;
+                threshold = Some(parse_num("threshold", s.value("threshold", v)?)?);
             }
             Arg::Opt(o, _) => return Err(format!("report: unknown option --{o}")),
             Arg::Positional(p) => return Err(format!("report: unexpected argument {p:?}")),
         }
     }
+    // Each flag belongs to one of the two reports; given to the other,
+    // it would be silently ignored, so it is refused.
+    if drag && policy.is_some() {
+        return Err("report: --policy is not used by --drag".to_owned());
+    }
+    if !drag && threshold.is_some() {
+        return Err("report: --threshold is only used by --drag".to_owned());
+    }
     let workloads = resolve_workloads(&names)?;
     if drag {
-        return report_drag(workloads, threshold, jobs, out);
+        return report_drag(workloads, threshold.unwrap_or(DEFAULT_THRESHOLD), jobs, out);
     }
+    let policy = policy.unwrap_or(SitePolicy::Complete);
     let config = SiteConfig {
         policy,
         ..SiteConfig::default()
@@ -1191,73 +1227,6 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// trace
-// ---------------------------------------------------------------------
-
-/// Runs the workload suite natively with the flight recorder on, then
-/// exports the captured events as Chrome-trace JSON (`-o`, loadable in
-/// Perfetto or `chrome://tracing`) and prints the span summary.
-fn cmd_trace(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut names: Vec<String> = Vec::new();
-    let mut out_path: Option<String> = None;
-    let mut force = false;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("o" | "output", v) => out_path = Some(s.value("output", v)?.to_owned()),
-            Arg::Opt("force", _) => force = true,
-            Arg::Opt(o, _) => return Err(format!("trace: unknown option --{o}")),
-            Arg::Positional(p) => names.push(p.to_owned()),
-        }
-    }
-    if !lifepred_flight::COMPILED {
-        return Err(
-            "trace: this build cannot capture flight events (the `flight` \
-             feature is off); rebuild with `cargo build -p lifepred-cli \
-             --features flight` and re-run"
-                .into(),
-        );
-    }
-    if let Some(path) = out_path.as_deref() {
-        guard_overwrite(path, force)?;
-    }
-    let workloads = resolve_workloads(&names)?;
-    lifepred_galloc::activate().map_err(|e| format!("trace: {e}"))?;
-    lifepred_flight::set_recording(true);
-    for (i, w) in workloads.iter().enumerate() {
-        let _span = lifepred_flight::span_arg(lifepred_flight::catalog::CLI_WORKLOAD, i as u64);
-        let registry = shared_registry();
-        let inputs = w.inputs().len();
-        let train = record_workload(w.as_ref(), 0, registry.clone());
-        let test = record_workload(w.as_ref(), inputs - 1, registry);
-        // The traces themselves are byproducts here; the run exists to
-        // drive the instrumented allocator and replay layers.
-        drop((train, test));
-    }
-    lifepred_flight::set_recording(false);
-    let events = lifepred_flight::drain();
-    if let Some(path) = out_path.as_deref() {
-        std::fs::write(path, lifepred_flight::chrome::chrome_trace_json(&events))
-            .map_err(|e| file_err(path, e))?;
-        write_out(out, format!("wrote {} events to {path}\n\n", events.len()))?;
-    }
-    write_out(out, lifepred_flight::summary::render_summary(&events))?;
-    let dropped = lifepred_flight::dropped_events();
-    if dropped > 0 {
-        write_out(
-            out,
-            format!(
-                "\nwarning: {dropped} events dropped (per-thread ring full); \
-                 set {}=<events> to enlarge (default {})\n",
-                lifepred_flight::RING_ENV,
-                lifepred_flight::DEFAULT_RING_EVENTS,
-            ),
-        )?;
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // sweep
 // ---------------------------------------------------------------------
 
@@ -1376,4 +1345,32 @@ fn sweep_diff(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let a = std::fs::read_to_string(before).map_err(|e| file_err(before, e))?;
     let b = std::fs::read_to_string(after).map_err(|e| file_err(after, e))?;
     write_out(out, diff_reports(&a, &b)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// USAGE names exactly the commands `run` dispatches, in the same
+    /// order, and each named command is reached: a bogus flag is that
+    /// command's error, never `unknown command`.
+    #[test]
+    fn usage_and_dispatch_agree() {
+        let mut listed: Vec<&str> = Vec::new();
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("    lifepred ") {
+                let name = rest.split_whitespace().next().unwrap_or_default();
+                if !listed.contains(&name) {
+                    listed.push(name);
+                }
+            }
+        }
+        let dispatched: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(listed, dispatched);
+        for name in listed {
+            let args = [name.to_owned(), "--no-such-flag".to_owned()];
+            let err = run(&args, &mut Vec::new()).expect_err(name);
+            assert!(!err.starts_with("unknown command"), "{name}: {err}");
+        }
+    }
 }

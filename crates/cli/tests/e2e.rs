@@ -471,6 +471,38 @@ fn report_compares_offline_and_online_predictors() {
     assert!(out.contains("espresso"), "report output: {out}");
 }
 
+/// `report --drag` is a pure function of the workload: pin its whole
+/// text, at one worker and at two.
+#[test]
+fn report_drag_text_is_pinned() {
+    let expected = "\
+liveness timelines (oracle arenas at threshold 32768 bytes; clocks in allocated bytes)
+
+cfrac: 20836 objects, end clock 150908 bytes
+    t%   short.alloc    short.live     short.ref    long.alloc     long.live      long.ref
+    10         12128          5988          2932          2964          2964          1704
+    20         27356         13960         10736          2964          2964          1704
+    30         38104           288           252          7172          4208          3412
+    40         53320          8500          6344          7172          4208          3412
+    50         68284         12928          3176          7172          4208          1708
+    60         81500          6024          4392          9144          1972          1704
+    70         96492         15160          9764          9144          1972          1220
+    80        109116          1292           736         11612          2468          1704
+    90        124216         10488          7564         11612          2468          1704
+   100        139296             0             0         11612             0             0
+
+== object drag (byte clock held past the last touch) ==
+program  arena  objects   bytes  untouched%  mean drag  drag%
+-------------------------------------------------------------
+  cfrac  short    20749  139296         0.3        419   75.3
+  cfrac   long       87   11612        13.8      22815   64.6
+";
+    for jobs in ["1", "2"] {
+        let out = run(&["report", "--drag", "--workload", "cfrac", "--jobs", jobs]);
+        assert_eq!(out.expect("report --drag"), expected, "--jobs {jobs}");
+    }
+}
+
 /// Every command that takes workload names checks them all before it
 /// runs any, and names the known workloads when one is wrong.
 #[test]
@@ -965,6 +997,50 @@ fn argument_errors_are_reported() {
     assert!(run(&["train", "-o", "x.json"]).is_err(), "no traces");
     assert!(run(&["simulate"]).is_err(), "no file");
     assert!(run(&["train", "a.lpt", "-o", "x.json", "--policy", "bogus"]).is_err());
+    assert_eq!(
+        run(&["trace", "cfrac"]).expect_err("no trace command"),
+        "unknown command \"trace\" (try `lifepred --help`)"
+    );
+    // Flags a run would silently ignore are refused, before any file is
+    // read. A trained predictor carries its own policy, rounding and
+    // threshold; the baselines take no learner knobs at all.
+    let learner_flags = [
+        ["--policy", "len-2"],
+        ["--rounding", "8"],
+        ["--threshold", "4096"],
+        ["--epoch", "8192"],
+        ["--requalify", "2"],
+    ];
+    for backend in [
+        ["--predictor", "pred.json"],
+        ["--allocator", "first-fit"],
+        ["--allocator", "bsd"],
+    ] {
+        for flag in learner_flags {
+            let args = [&["simulate", "t.lpt"][..], &backend, &flag].concat();
+            assert_eq!(
+                run(&args).expect_err("ignored flag"),
+                format!("simulate: {} is only used by --predictor online", flag[0]),
+                "{args:?}"
+            );
+        }
+    }
+    assert_eq!(
+        run(&["report", "--workload", "cfrac", "--threshold", "4096"]).expect_err("no --drag"),
+        "report: --threshold is only used by --drag"
+    );
+    assert_eq!(
+        run(&[
+            "report",
+            "--drag",
+            "--workload",
+            "cfrac",
+            "--policy",
+            "len-2"
+        ])
+        .expect_err("--drag"),
+        "report: --policy is not used by --drag"
+    );
     let usage = run(&["--help"]).expect("help");
     assert!(usage.contains("USAGE"));
     let usage = run(&[]).expect("no args prints usage");

@@ -9,9 +9,9 @@
 //! are drained into the learner at epoch ticks.
 
 use lifepred_adaptive::EpochAgg;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Sample-table capacity (power of two). At the default 1-in-64
 /// sampling a table this size tracks the live sampled set of a few
@@ -124,7 +124,7 @@ impl Feedback {
         );
         // Publish: a probe that sees this pointer also sees the fields.
         slot.ptr.store(ptr as usize, Ordering::Release);
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         pending
             .aggs
             .entry(fp)
@@ -168,7 +168,7 @@ impl Feedback {
         let predicted = flags & FLAG_PREDICTED != 0;
         let noted = flags & FLAG_NOTED != 0;
         let mispredicted = predicted && long && !noted;
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         let agg = pending.aggs.entry(fp).or_default();
         // Mispredicted (or already-noted) long lifetimes must not go
         // through long_frees; note_pinned carries the demotion.
@@ -213,7 +213,7 @@ impl Feedback {
 
     /// Takes everything accumulated since the last drain.
     pub fn drain(&self) -> (HashMap<u64, EpochAgg>, Vec<(u64, u32)>) {
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         (
             std::mem::take(&mut pending.aggs),
             std::mem::take(&mut pending.mispredicts),

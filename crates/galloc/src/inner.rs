@@ -17,9 +17,9 @@ use crate::config::{GallocConfig, SEG_SHIFT, SEG_SIZE};
 use crate::counters::GCounters;
 use crate::feedback::Feedback;
 use lifepred_adaptive::SharedPredictor;
-use parking_lot::Mutex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Segment is unassigned (on a shard's free-segment list).
 pub const SEG_FREE: u8 = 0;
@@ -305,10 +305,8 @@ impl Inner {
         Some(seg)
     }
 
-    /// Drains the remote-free stack into the central lists, returning
-    /// how many blocks came across. Runs under the shard lock, so it
-    /// must not emit flight events itself — callers report the count
-    /// after the lock drops.
+    /// Drains the remote-free stack into the central lists. Runs under
+    /// the shard lock.
     #[expect(
         clippy::indexing_slicing,
         reason = "`shards[shard]` is the caller's home shard, below the shard count."
@@ -318,7 +316,7 @@ impl Inner {
         reason = "`drained` counts the blocks popped off one remote stack, at most the blocks of \
                   a 1 GiB area."
     )]
-    fn drain_remote(&self, shard: usize, guard: &mut ShardInner) -> u64 {
+    fn drain_remote(&self, shard: usize, guard: &mut ShardInner) {
         let mut head = self.shards[shard].0.remote.swap(0, Ordering::Acquire);
         let mut drained = 0u64;
         while head != 0 {
@@ -338,7 +336,6 @@ impl Inner {
                 .remote_drained
                 .fetch_add(drained, Ordering::Relaxed);
         }
-        drained
     }
 
     /// Refills `out` with blocks of `class` from `shard`, returning
@@ -365,51 +362,45 @@ impl Inner {
                   math: `seg_start + SEG_SIZE` with seg_start derived from the validated area \
                   base and a segment index bounded by the segment table length; the area itself \
                   was sized with checked multiplication at build time, so every segment end is a \
-                  valid in-area address. `n` counts up to out.len() and `remote` sums drained \
-                  blocks, both bounded by the blocks in the area."
+                  valid in-area address. `n` counts up to out.len()."
     )]
     pub fn refill(&self, shard: usize, class: usize, out: &mut [*mut u8]) -> usize {
         let size = CLASS_SIZES[class];
-        let mut remote = 0u64;
-        let n = {
-            let mut guard = self.shards[shard].0.inner.lock();
-            let guard = &mut *guard;
-            let mut n = 0;
-            while n < out.len() {
-                if let Some(block) = pop_block(guard, class) {
-                    out[n] = block;
-                    n += 1;
-                    continue;
-                }
-                // Central list empty: pull in remote frees once, then carve.
-                remote += self.drain_remote(shard, guard);
-                if let Some(block) = pop_block(guard, class) {
-                    out[n] = block;
-                    n += 1;
-                    continue;
-                }
-                if guard.regular[class].cursor + size > guard.regular[class].end {
-                    match self.pop_free_seg(shard, guard, class, SEG_REGULAR) {
-                        Some(seg) => {
-                            let bump = &mut guard.regular[class];
-                            bump.cursor = self.seg_base(seg);
-                            bump.end = bump.cursor + SEG_SIZE;
-                            bump.seg = 0;
-                        }
-                        None => break,
-                    }
-                }
-                let bump = &mut guard.regular[class];
-                out[n] = bump.cursor as *mut u8;
-                bump.cursor += size;
+        let mut guard = self.shards[shard]
+            .0
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let guard = &mut *guard;
+        let mut n = 0;
+        while n < out.len() {
+            if let Some(block) = pop_block(guard, class) {
+                out[n] = block;
                 n += 1;
+                continue;
             }
-            n
-        };
-        // Report outside the shard lock: a first-ever emit on this
-        // thread allocates its ring, which re-enters the allocator.
-        if remote > 0 {
-            lifepred_flight::instant(lifepred_flight::catalog::GALLOC_REMOTE_DRAIN, remote);
+            // Central list empty: pull in remote frees once, then carve.
+            self.drain_remote(shard, guard);
+            if let Some(block) = pop_block(guard, class) {
+                out[n] = block;
+                n += 1;
+                continue;
+            }
+            if guard.regular[class].cursor + size > guard.regular[class].end {
+                match self.pop_free_seg(shard, guard, class, SEG_REGULAR) {
+                    Some(seg) => {
+                        let bump = &mut guard.regular[class];
+                        bump.cursor = self.seg_base(seg);
+                        bump.end = bump.cursor + SEG_SIZE;
+                        bump.seg = 0;
+                    }
+                    None => break,
+                }
+            }
+            let bump = &mut guard.regular[class];
+            out[n] = bump.cursor as *mut u8;
+            bump.cursor += size;
+            n += 1;
         }
         n
     }
@@ -458,7 +449,11 @@ impl Inner {
             }
         }
         if home_n > 0 {
-            let mut guard = self.shards[home].0.inner.lock();
+            let mut guard = self.shards[home]
+                .0
+                .inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             for &block in &deferred[..home_n] {
                 let class = self.seg_of(block).class.load(Ordering::Relaxed) as usize;
                 push_block(&mut guard, class, block);
@@ -527,7 +522,11 @@ impl Inner {
         want: usize,
     ) -> Option<(usize, usize, u32)> {
         let size = CLASS_SIZES[class];
-        let mut guard = self.shards[shard].0.inner.lock();
+        let mut guard = self.shards[shard]
+            .0
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let guard = &mut *guard;
         if guard.short[class].cursor + size > guard.short[class].end {
             let retired = guard.short[class].seg;
@@ -577,16 +576,14 @@ impl Inner {
         let meta = &self.segs[seg as usize];
         meta.state.store(SEG_SHORT_FULL, Ordering::Release);
         if meta.live.load(Ordering::Acquire) == 0 {
-            // Runs under the shard lock (short_refill): swallow the
-            // election result rather than emit a flight event here.
-            let _ = self.try_reclaim(seg);
+            self.try_reclaim(seg);
         }
     }
 
     /// Attempts the `SEG_SHORT_FULL -> SEG_SHORT_RECLAIM` claim and,
     /// on winning, pushes the segment onto the owner's reclaim stack.
     /// Both the last freeing thread and the retiring owner race here;
-    /// the CAS picks exactly one. Returns whether this caller won.
+    /// the CAS picks exactly one.
     #[expect(
         clippy::indexing_slicing,
         reason = "`segs[seg as usize]`: the seg id was produced by seg_index on an owned pointer \
@@ -599,7 +596,7 @@ impl Inner {
         clippy::arithmetic_side_effects,
         reason = "`seg + 1` encodes a segment index (at most 2^14) as a nonzero stack link."
     )]
-    fn try_reclaim(&self, seg: u32) -> bool {
+    fn try_reclaim(&self, seg: u32) {
         let meta = &self.segs[seg as usize];
         if meta
             .state
@@ -611,7 +608,7 @@ impl Inner {
             )
             .is_err()
         {
-            return false;
+            return;
         }
         let shard = &self.shards[(seg as usize) >> self.seg_shard_shift].0;
         let mut head = shard.reclaim.load(Ordering::Relaxed);
@@ -624,7 +621,7 @@ impl Inner {
                 Ordering::Release,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return true,
+                Ok(_) => return,
                 Err(actual) => head = actual,
             }
         }
@@ -662,12 +659,8 @@ impl Inner {
                 Err(actual) => live = actual,
             }
         }
-        if live == 1
-            && meta.state.load(Ordering::Acquire) == SEG_SHORT_FULL
-            && self.try_reclaim(seg as u32)
-        {
-            // Lock-free path: safe to emit (a first emit allocates).
-            lifepred_flight::instant(lifepred_flight::catalog::GALLOC_SHORT_RECLAIM, seg as u64);
+        if live == 1 && meta.state.load(Ordering::Acquire) == SEG_SHORT_FULL {
+            self.try_reclaim(seg as u32);
         }
         true
     }
@@ -687,15 +680,8 @@ impl Inner {
         let meta = &self.segs[seg as usize];
         let prev = meta.live.fetch_sub(n, Ordering::AcqRel);
         debug_assert!(prev >= n);
-        if prev == n
-            && meta.state.load(Ordering::Acquire) == SEG_SHORT_FULL
-            && self.try_reclaim(seg)
-        {
-            // Lock-free path: safe to emit (a first emit allocates).
-            lifepred_flight::instant(
-                lifepred_flight::catalog::GALLOC_SHORT_RECLAIM,
-                u64::from(seg),
-            );
+        if prev == n && meta.state.load(Ordering::Acquire) == SEG_SHORT_FULL {
+            self.try_reclaim(seg);
         }
     }
 
@@ -742,9 +728,6 @@ impl Inner {
             return;
         }
         self.counters.epoch_ticks.fetch_add(1, Ordering::Relaxed);
-        // Allocation is explicitly permitted here (the tick itself
-        // allocates), so a first-emit ring creation is safe.
-        let _span = lifepred_flight::span_arg(lifepred_flight::catalog::GALLOC_EPOCH_TICK, now);
         // The tick allocates inside the learner and the aging scan
         // while holding bookkeeping locks: mark the section so those
         // nested allocations skip sampling, probing, and re-ticking.

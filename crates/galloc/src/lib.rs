@@ -210,10 +210,6 @@ unsafe impl GlobalAlloc for LifepredGlobal {
                             .counters
                             .fallback_exhausted
                             .fetch_add(1, Ordering::Relaxed);
-                        lifepred_flight::instant(
-                            lifepred_flight::catalog::GALLOC_SYS_FALLBACK,
-                            layout.size() as u64,
-                        );
                         // SAFETY: caller upholds the GlobalAlloc contract.
                         unsafe { System.alloc(layout) }
                     }
@@ -226,10 +222,6 @@ unsafe impl GlobalAlloc for LifepredGlobal {
                     &inner.counters.fallback_large
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                lifepred_flight::instant(
-                    lifepred_flight::catalog::GALLOC_SYS_FALLBACK,
-                    layout.size() as u64,
-                );
                 // SAFETY: caller upholds the GlobalAlloc contract.
                 unsafe { System.alloc(layout) }
             }
@@ -306,10 +298,6 @@ unsafe impl GlobalAlloc for LifepredGlobal {
                     &inner.counters.fallback_large
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                lifepred_flight::instant(
-                    lifepred_flight::catalog::GALLOC_SYS_FALLBACK,
-                    layout.size() as u64,
-                );
             }
             // SAFETY: caller upholds the GlobalAlloc contract.
             unsafe { System.alloc_zeroed(layout) }

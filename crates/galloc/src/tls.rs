@@ -219,12 +219,7 @@ impl Tls {
             return Some(mag.slots[mag.len]);
         }
         let home = self.home(inner);
-        // No shard lock is held at this point (refill takes it
-        // internally), so a first-emit ring allocation cannot deadlock.
-        let n = {
-            let _span = lifepred_flight::span(lifepred_flight::catalog::GALLOC_MAG_REFILL);
-            inner.refill(home, class, &mut self.mags[class].slots[..MAG_BATCH])
-        };
+        let n = inner.refill(home, class, &mut self.mags[class].slots[..MAG_BATCH]);
         if n == 0 {
             return None;
         }
@@ -295,10 +290,7 @@ impl Drop for Tls {
         for (class, &size) in CLASS_SIZES.iter().enumerate() {
             let mag = &self.mags[class];
             if mag.len > 0 {
-                let (_, foreign) = {
-                    let _span = lifepred_flight::span(lifepred_flight::catalog::GALLOC_MAG_FLUSH);
-                    inner.flush_blocks(home, &mag.slots[..mag.len])
-                };
+                let (_, foreign) = inner.flush_blocks(home, &mag.slots[..mag.len]);
                 self.counters.flushes += 1;
                 self.counters.remote_frees += foreign;
             }
@@ -446,12 +438,7 @@ pub fn free_small(inner: &Inner, ptr: *mut u8, class: usize) {
             let t = &mut *borrow;
             if t.mags[class].len == MAG_CAP {
                 let home = t.home(inner);
-                // No shard lock held yet (flush_blocks takes it
-                // internally): first-emit ring allocation is safe.
-                let (_, foreign) = {
-                    let _span = lifepred_flight::span(lifepred_flight::catalog::GALLOC_MAG_FLUSH);
-                    inner.flush_blocks(home, &t.mags[class].slots[..MAG_BATCH])
-                };
+                let (_, foreign) = inner.flush_blocks(home, &t.mags[class].slots[..MAG_BATCH]);
                 t.counters.flushes += 1;
                 t.counters.remote_frees += foreign;
                 let mag = &mut t.mags[class];

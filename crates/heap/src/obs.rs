@@ -81,8 +81,7 @@ impl ReplayObs {
 /// [`Observe::Stamp`], so a replay nobody watches never reads a clock.
 pub(crate) trait Observe {
     /// Whether anything is recorded. Gates what only an observed
-    /// replay does at all: epoch sampling and the flush (and their
-    /// flight events).
+    /// replay does at all: epoch sampling and the flush.
     const ACTIVE: bool;
 
     /// A stopwatch reading taken before an event is replayed.

@@ -7,7 +7,6 @@ use crate::arena::ArenaAllocator;
 use crate::live::{LiveObj, LiveTable};
 use crate::replay::{pct, Corrupt};
 use lifepred_adaptive::{EpochConfig, LearnerStats, OnlineLearner};
-use lifepred_flight::catalog;
 use lifepred_obs::EpochSample;
 use std::collections::VecDeque;
 
@@ -161,7 +160,6 @@ impl Predict<ArenaAllocator> for Online<'_> {
         if clock < self.next_tick {
             return None;
         }
-        lifepred_flight::instant(catalog::REPLAY_EPOCH, clock);
         while self.next_tick <= clock {
             self.next_tick = self.next_tick.saturating_add(self.epoch.epoch_bytes);
         }

@@ -26,7 +26,6 @@ use crate::predict::{NoPrediction, Online, Predict};
 use crate::Addr;
 use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_core::{map_sites, ShortLivedSet, SiteConfig, SiteKey};
-use lifepred_flight::catalog;
 use lifepred_trace::{
     ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, POOLED_CHUNK_EVENTS,
 };
@@ -352,16 +351,11 @@ where
     let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
     let mut refills = 0u64;
     loop {
-        let decoded = {
-            let _span = lifepred_flight::span(catalog::REPLAY_DECODE);
-            source.next_chunk(&mut chunk)
-        };
-        match decoded {
+        match source.next_chunk(&mut chunk) {
             Ok(true) => refills += 1,
             Ok(false) => break,
             Err(e) => return Err(ReplayStreamError::Source(e)),
         }
-        let _place = lifepred_flight::span_arg(catalog::REPLAY_PLACE, chunk.len() as u64);
         for event in chunk.events() {
             let stamp = O::stamp();
             match event {
@@ -402,7 +396,6 @@ where
     }
     let counts = heap.op_counts();
     if O::ACTIVE {
-        let _span = lifepred_flight::span(catalog::REPLAY_OBS_FLUSH);
         observer.flush(heap.index_stats(), counts.frees_invalid, refills);
     }
     let report = ReplayReport {

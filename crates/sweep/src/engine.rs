@@ -162,14 +162,12 @@ struct Exec {
 
 /// Runs `body` over `items` on `threads` workers as sweep jobs, one
 /// slot per item in input order. Once `cancel` has fired, the jobs not
-/// yet started are skipped (`None`). A job that runs does so inside a
-/// `SWEEP_JOB` span numbered from `first_job`, and a panic in `body`
-/// becomes `Err(panicked)` for that job alone.
+/// yet started are skipped (`None`). A panic in `body` becomes
+/// `Err(panicked)` for that job alone.
 fn run_guarded<I, T, F>(
     items: Vec<I>,
     threads: usize,
     cancel: &CancelFlag,
-    first_job: usize,
     panicked: &str,
     body: F,
 ) -> Vec<Option<Result<T, String>>>
@@ -178,12 +176,10 @@ where
     T: Send,
     F: Fn(I) -> Result<T, String> + Sync,
 {
-    run_jobs(items, threads, |i, item| {
+    run_jobs(items, threads, |_, item| {
         if cancel.is_cancelled() {
             return None;
         }
-        let _job =
-            lifepred_flight::span_arg(lifepred_flight::catalog::SWEEP_JOB, (first_job + i) as u64);
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(item)));
         Some(ran.unwrap_or_else(|_| Err(panicked.to_owned())))
     })
@@ -236,14 +232,6 @@ pub fn run_sweep(
                 let key = cell_key(*identity, cell);
                 let exec = *exec_of_key.entry(key).or_insert_with(|| {
                     let hit = store.load(key);
-                    lifepred_flight::instant(
-                        if hit.is_some() {
-                            lifepred_flight::catalog::SWEEP_CACHE_HIT
-                        } else {
-                            lifepred_flight::catalog::SWEEP_CACHE_MISS
-                        },
-                        execs.len() as u64,
-                    );
                     let train = if hit.is_none() {
                         TrainKey::of(cell).map(|tk| {
                             *train_of_key.entry(tk.clone()).or_insert_with(|| {
@@ -271,9 +259,8 @@ pub fn run_sweep(
     let to_compute: Vec<usize> = (0..execs.len()).filter(|&i| cached[i].is_none()).collect();
 
     // Phase 1: every training an uncached offline cell needs.
-    let first_cell_job = trains.len();
     let trained: Vec<Result<TrainedDb, String>> =
-        run_guarded(trains, threads, cancel, 0, "training panicked", |key| {
+        run_guarded(trains, threads, cancel, "training panicked", |key| {
             train_for(&key)
         })
         .into_iter()
@@ -287,7 +274,6 @@ pub fn run_sweep(
         to_compute,
         threads,
         cancel,
-        first_cell_job,
         "cell execution panicked",
         |e| {
             let exec = &execs[e];
@@ -522,7 +508,6 @@ mod tests {
                 (0..6).collect(),
                 threads,
                 &CancelFlag::new(),
-                0,
                 "cell execution panicked",
                 |cell: usize| {
                     assert_ne!(cell, 2, "cell 2 panics");

@@ -31,7 +31,7 @@ pub const CHUNK_EVENTS: usize = 4096;
 
 /// Events per chunk for long-lived, pooled replay loops. 16384 events
 /// is ~192 KB of chunk storage — still L2-resident on current parts —
-/// and quarters the per-refill overhead (source dispatch, flight span,
+/// and quarters the per-refill overhead (source dispatch,
 /// loop restart) relative to [`CHUNK_EVENTS`]. Drivers that keep one
 /// chunk alive for a whole replay should size it with this.
 pub const POOLED_CHUNK_EVENTS: usize = 16 * 1024;

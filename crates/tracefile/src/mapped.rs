@@ -287,19 +287,11 @@ impl MappedTrace {
         let bytes = map.as_bytes();
         let (version, framed) = frame(bytes)?;
         let [meta, functions, chains, records, events] = &framed;
-        {
-            // The header sections are always checked; the two large
-            // ones unless the caller vouches for them.
-            let _span = verify.then(|| {
-                lifepred_flight::span_arg(
-                    lifepred_flight::catalog::TRACEFILE_MAP_VERIFY,
-                    (records.payload.len() + events.payload.len()) as u64,
-                )
-            });
-            for (i, (section, (_, name))) in framed.iter().zip(SECTIONS).enumerate() {
-                if i < 3 || verify {
-                    section.verify(&map, name)?;
-                }
+        // The header sections are always checked; the two large ones
+        // unless the caller vouches for them.
+        for (i, (section, (_, name))) in framed.iter().zip(SECTIONS).enumerate() {
+            if i < 3 || verify {
+                section.verify(&map, name)?;
             }
         }
 

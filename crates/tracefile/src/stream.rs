@@ -531,10 +531,6 @@ fn out_of_order(section: &'static str) -> TraceFileError {
 
 /// Writes one fully-buffered section (id + length + payload + CRC).
 fn write_section<W: Write>(sink: &mut W, id: u8, payload: &[u8]) -> Result<(), TraceFileError> {
-    let _span = lifepred_flight::span_arg(
-        lifepred_flight::catalog::TRACEFILE_GEN_SECTION,
-        u64::from(id),
-    );
     sink.write_all(&[id])?;
     let mut len = Vec::with_capacity(crate::varint::MAX_VARINT_LEN);
     write_varint(&mut len, payload.len() as u64);
