@@ -25,6 +25,14 @@
 //!    cache. Decode has one implementation, so nothing races it here;
 //!    the frozen benchmark's `tracefile.*` layer metrics are its
 //!    yardstick.
+//! 4. **arena** — where an arena replay's time goes: the 10⁶-event
+//!    `lifepred gen --seed 2` trace replayed through
+//!    [`ReplayPlan::Arena`] with its self-trained prediction bitmap,
+//!    against [`ReplayPlan::FirstFit`] over a copy that keeps only the
+//!    objects the bitmap leaves unpredicted (re-recorded in birth
+//!    order). The copy is what the arena allocator's general heap sees,
+//!    bar the arena overflows, so the time ratio bounds the general
+//!    heap's share of the arena replay.
 //!
 //! The harness mirrors `benches/obs.rs`: self-timed paired rounds,
 //! median-of-rounds throughputs, median-of-paired-ratios speedups, and
@@ -38,9 +46,9 @@ use lifepred_heap::reference::LinearFirstFit;
 use lifepred_heap::{replay, Addr, ArenaConfig, FirstFit, ReplayMeta, ReplayPlan};
 use lifepred_sweep::{simulate_file, SimBackend};
 use lifepred_trace::{
-    ChunkSource, EventChunk, EventKind, Trace, TraceSession, POOLED_CHUNK_EVENTS,
+    ChunkSource, EventChunk, EventKind, Trace, TraceChunks, TraceSession, POOLED_CHUNK_EVENTS,
 };
-use lifepred_tracefile::{trace_to_vec, MappedTrace};
+use lifepred_tracefile::{load_trace, trace_to_vec, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use std::path::{Path, PathBuf};
@@ -73,6 +81,14 @@ const SCALE_EVENTS: u64 = 10_000_000;
 
 /// Decode rounds over the scale trace.
 const SCALE_ROUNDS: usize = 7;
+
+/// Events in the arena section's trace (divided by 100 in smoke mode),
+/// and its seed: the input of the frozen benchmark's `replay_firstfit`.
+const ARENA_EVENTS: u64 = 1_000_000;
+const ARENA_SEED: u64 = 2;
+
+/// Paired rounds for the arena section.
+const ARENA_ROUNDS: usize = 11;
 
 fn smoke() -> bool {
     // `cargo bench -- --test` asks every bench for a functional check,
@@ -222,6 +238,51 @@ fn replay_indexed(trace: &Trace) -> (u64, u64) {
     (heap.counts().search_steps, heap.max_heap_bytes())
 }
 
+/// Writes the synthetic server trace of about `events` events for
+/// `seed` (what `lifepred gen` writes) to `path`; returns the time it
+/// took and the event count.
+fn gen_trace(path: &Path, events: u64, seed: u64) -> (f64, u64) {
+    let start = Instant::now();
+    let sink = std::io::BufWriter::with_capacity(
+        1 << 20,
+        std::fs::File::create(path).expect("create trace"),
+    );
+    let (summary, sink) =
+        generate_lpt(&SimConfig::for_events(events, seed), sink).expect("generate trace");
+    sink.into_inner().expect("flush trace");
+    (start.elapsed().as_secs_f64(), summary.events)
+}
+
+/// The objects of `trace` that `predicted` leaves to the general heap,
+/// re-recorded in birth order.
+fn unpredicted_copy(trace: &Trace, predicted: &[bool]) -> Trace {
+    let s = TraceSession::new("bench-general-heap");
+    let guard = s.enter("unpredicted");
+    let records = trace.records();
+    let mut ids = vec![None; records.len()];
+    for event in trace.events() {
+        if predicted[event.record] {
+            continue;
+        }
+        match event.kind {
+            EventKind::Alloc => ids[event.record] = Some(s.alloc(records[event.record].size)),
+            EventKind::Free => s.free(ids[event.record].take().expect("freed once")),
+        }
+    }
+    drop(guard);
+    s.finish()
+}
+
+/// A replay of `trace` under `plan`, each call over a copy of the
+/// event stream packed once up front.
+fn in_memory_replay<'a>(trace: &Trace, plan: ReplayPlan<'a>) -> impl FnMut() + 'a {
+    let (meta, events) = (ReplayMeta::of(trace), TraceChunks::new(trace));
+    move || {
+        let report = replay(&meta, events.clone(), &plan, None).expect("in-memory replay");
+        std::hint::black_box(report);
+    }
+}
+
 /// Times `before` and `after` back to back within every round (order
 /// alternating) and reports median seconds for each plus the median of
 /// the paired per-round speedups `t_before / t_after`. Pairing keeps
@@ -357,17 +418,8 @@ fn main() {
     } else {
         SCALE_EVENTS
     };
-    let scale_config = SimConfig::for_events(scale_target, 0x1993);
     let scale_path = temp_path("scale");
-    let gen_start = Instant::now();
-    let sink = std::io::BufWriter::with_capacity(
-        1 << 20,
-        std::fs::File::create(&scale_path).expect("create scale trace"),
-    );
-    let (summary, sink) = generate_lpt(&scale_config, sink).expect("generate scale trace");
-    sink.into_inner().expect("flush scale trace");
-    let gen_secs = gen_start.elapsed().as_secs_f64();
-    let scale_events = summary.events;
+    let (gen_secs, scale_events) = gen_trace(&scale_path, scale_target, 0x1993);
     let scale_file_bytes = std::fs::metadata(&scale_path)
         .expect("stat scale trace")
         .len();
@@ -399,9 +451,37 @@ fn main() {
     });
     std::fs::remove_file(&scale_path).ok();
 
+    // --- arena: the general heap's share of an arena replay ----------
+    let arena_target = if smoke() {
+        ARENA_EVENTS / 100
+    } else {
+        ARENA_EVENTS
+    };
+    let arena_path = temp_path("arena");
+    gen_trace(&arena_path, arena_target, ARENA_SEED);
+    let arena_trace = load_trace(&arena_path).expect("load arena trace");
+    std::fs::remove_file(&arena_path).ok();
+    let arena_db = train(
+        &Profile::build(&arena_trace, &SiteConfig::default(), DEFAULT_THRESHOLD),
+        &TrainConfig::default(),
+    );
+    let predicted = lifepred_heap::prediction_bitmap(&arena_trace, &arena_db);
+    let general = unpredicted_copy(&arena_trace, &predicted);
+    let (arena_events, general_events) = (arena_trace.events().len(), general.events().len());
+    let arena_plan = ReplayPlan::Arena {
+        predicted: &predicted,
+        arena: ArenaConfig::default(),
+    };
+    let (t_arena, t_general, _) = paired_speedup(
+        rounds(ARENA_ROUNDS),
+        in_memory_replay(&arena_trace, arena_plan),
+        in_memory_replay(&general, ReplayPlan::FirstFit),
+    );
+    let general_share = t_general / t_arena;
+
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-replay-v3\",\n  \
+           \"schema\": \"lifepred-bench-replay-v4\",\n  \
            \"smoke\": {smoke},\n  \
            {host_fields},\n  \
            \"firstfit\": {{\n    \
@@ -429,12 +509,21 @@ fn main() {
              \"verify_once_secs\": {verify_secs:.4},\n    \
              \"mapped_events_per_sec\": {scale_mapped_rate:.0},\n    \
              \"replay_events_per_sec\": {server_rate:.0}\n  \
+           }},\n  \
+           \"arena\": {{\n    \
+             \"events\": {arena_events},\n    \
+             \"general_heap_events\": {general_events},\n    \
+             \"arena_replay_events_per_sec\": {arena_rate:.0},\n    \
+             \"general_heap_replay_events_per_sec\": {general_rate:.0},\n    \
+             \"general_heap_time_share\": {general_share:.3}\n  \
            }}\n}}\n",
         smoke = smoke(),
         host_fields = host.json_fields(),
         gen_rate = scale_events as f64 / gen_secs,
         scale_mapped_rate = scale_events as f64 / t_scale_mapped,
         server_rate = scale_events as f64 / t_server,
+        arena_rate = arena_events as f64 / t_arena,
+        general_rate = general_events as f64 / t_general,
     );
     println!(
         "firstfit: {linear_rate:.0} events/s linear, {indexed_rate:.0} events/s indexed \
@@ -453,9 +542,16 @@ fn main() {
         scale_events as f64 / t_scale_mapped / 1e6,
         scale_events as f64 / t_server / 1e6,
     );
+    println!(
+        "arena:    {arena_events} events replayed in {:.1} ms with the self-trained bitmap; \
+         first-fit over its {general_events} unpredicted events {:.1} ms ({:.0}% of it)",
+        t_arena * 1e3,
+        t_general * 1e3,
+        general_share * 100.0,
+    );
     // Scaling floor: on a machine with a second core, `--jobs 2` must
-    // be at least 1.5x faster than sequential (BENCH_replay.json
-    // records 2.15x on 2 cores). The CI `test` job exports
+    // be at least 1.5x faster than sequential (BENCH_replay.json has
+    // recorded 1.67x-2.15x on 2 cores). The CI `test` job exports
     // LIFEPRED_BENCH_REQUIRE_SCALING to turn a miss into a failure.
     const SCALING_FLOOR: f64 = 1.5;
     if cores >= 2 {

@@ -19,11 +19,20 @@
 //! Address predecessor/successor (coalescing) and the topmost block
 //! (heap growth) are descents of the same tree. Every walk records its
 //! root path and hands back a [`Found`], so the edit that follows it
-//! repairs that path instead of descending again. A block that shrinks
-//! from the front, grows, or absorbs a neighbour keeps its place in
-//! address order, so [`FreeTree::update_on_path`] edits the node where
-//! it sits; only a block that appears or disappears restructures the
-//! tree. The tree is a treap;
+//! repairs that path instead of descending again; a block freed between
+//! two allocated ones is inserted through the path its neighbour walk
+//! left. A block that shrinks from the front, grows, or absorbs a
+//! neighbour keeps its place in address order, so
+//! [`FreeTree::update_on_path`] edits the node where it sits; only a
+//! block that appears or disappears restructures the tree.
+//!
+//! Each edit repairs only the summaries it changes. An in-place edit
+//! never changes a `count`, and its `max` change stops at the first
+//! ancestor whose `max` does not move. An insert adds one to each
+//! ancestor's `count` and folds its size into their `max` without
+//! looking at their children; a removal subtracts one from each
+//! ancestor's `count` and repairs `max` only as far as it moves. The
+//! tree is a treap;
 //! because keys move, priorities are drawn from a per-tree generator
 //! rather than hashed from the key, which keeps the shape a pure
 //! function of the operation sequence (replays stay reproducible).
@@ -44,6 +53,11 @@ pub(crate) struct IndexStats {
     /// address's whole boundary path, plus the nodes of the subtree
     /// descent that resolves a hit below it.
     pub node_visits: u64,
+    /// Node summaries recomputed from their children: the new node of an
+    /// insert, the nodes a split or merge rebuilds, and each node whose
+    /// `max` an edit lowered to a value only its children can tell. Not
+    /// exported; it pins that edits repair only what they change.
+    pub(crate) recomputes: u64,
 }
 
 /// A free block as `(address, size)`.
@@ -125,12 +139,38 @@ impl FreeTree {
     /// Recomputes the summaries of `t` from its children.
     #[inline]
     fn pull(&mut self, t: u32) {
+        self.stats.recomputes += 1;
         let n = self.nodes[t as usize];
         let count = 1 + self.count(n.left) + self.count(n.right);
         let max = n.size.max(self.max(n.left)).max(self.max(n.right));
         let n = &mut self.nodes[t as usize];
         n.count = count;
         n.max = max;
+    }
+
+    /// Carries a change of one term of a `max` — from `old` to `new` —
+    /// up the first `len` nodes of the scratch path, deepest first: the
+    /// term is the block's own size at `len` (an in-place edit) or the
+    /// `max` of the subtree hanging there (a removal). Stops at the
+    /// first node whose `max` does not move; only a node whose `max`
+    /// was the term and shrank recomputes it from its children.
+    fn repair_max(&mut self, mut len: usize, mut old: u64, mut new: u64) {
+        while old != new && len > 0 {
+            len -= 1;
+            let t = self.path[len];
+            let was = self.nodes[t as usize].max;
+            let now = if new >= was {
+                new
+            } else if old < was {
+                was
+            } else {
+                self.stats.recomputes += 1;
+                let n = self.nodes[t as usize];
+                n.size.max(self.max(n.left)).max(self.max(n.right))
+            };
+            self.nodes[t as usize].max = now;
+            (old, new) = (was, now);
+        }
     }
 
     /// First (lowest-address) free block at address ≥ `from` with size
@@ -254,14 +294,6 @@ impl FreeTree {
         Some(self.found(depth))
     }
 
-    /// Recomputes the summaries of the first `len` nodes on `path`,
-    /// deepest first.
-    fn repair_path(&mut self, len: usize) {
-        for i in (0..len).rev() {
-            self.pull(self.path[i]);
-        }
-    }
-
     /// Makes `child` the subtree that hangs off the last node of
     /// `path` on the side `addr` sorts to (or the root, on an empty
     /// path).
@@ -288,17 +320,18 @@ impl FreeTree {
     }
 
     /// Moves and/or resizes the free block `at` where it sits and
-    /// repairs the summaries along its root path; returns the block as
-    /// it now is. The caller guarantees the new extent stays between
-    /// the block's address neighbours (a front split, a coalesce or heap
-    /// growth), so the tree's shape — and with it the scratch path — is
-    /// untouched.
+    /// repairs `max` up its root path as far as it moves; returns the
+    /// block as it now is. The caller guarantees the new extent stays
+    /// between the block's address neighbours (a front split, a coalesce
+    /// or heap growth), so the tree's shape — and with it the scratch
+    /// path and every `count` — is untouched.
     pub(crate) fn update_on_path(&mut self, at: Found, new_addr: u64, new_size: u64) -> Found {
         let t = self.node_at(at);
         let n = &mut self.nodes[t as usize];
+        let old_size = n.size;
         n.addr = new_addr;
         n.size = new_size;
-        self.repair_path(at.depth + 1);
+        self.repair_max(at.depth + 1, old_size, new_size);
         Found {
             addr: new_addr,
             size: new_size,
@@ -314,21 +347,45 @@ impl FreeTree {
         ((z ^ (z >> 31)) >> 32) as u32
     }
 
+    /// [`insert_on_path`](Self::insert_on_path) after a walk of its own.
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, addr: u64, size: u64) -> Found {
+        self.neighbours_path(addr);
+        self.insert_on_path(addr, size)
+    }
+
     /// Registers the free block `[addr, addr + size)`, leaving its root
     /// path as the scratch path; the caller guarantees no free block
-    /// starts at `addr`.
-    pub(crate) fn insert(&mut self, addr: u64, size: u64) -> Found {
+    /// starts at `addr`, and that the scratch path is `addr`'s whole
+    /// boundary path: the walk of
+    /// [`neighbours_path`](Self::neighbours_path) at `addr`, or of
+    /// [`last`](Self::last) when `addr` is above every free block. The
+    /// treap places the new node at the first node on that path it
+    /// outranks, so no second descent is needed.
+    pub(crate) fn insert_on_path(&mut self, addr: u64, size: u64) -> Found {
+        debug_assert_eq!(
+            self.path.last().map_or(self.root, |&p| {
+                let n = &self.nodes[p as usize];
+                if addr < n.addr {
+                    n.left
+                } else {
+                    n.right
+                }
+            }),
+            NIL,
+            "0x{addr:x}'s boundary path does not reach the bottom"
+        );
         let prio = self.next_prio();
-        // Descend to the first node the new one outranks.
-        self.path.clear();
-        let mut t = self.root;
-        while let Some(n) = self.nodes.get(t as usize) {
-            if n.prio < prio {
-                break;
-            }
-            debug_assert_ne!(n.addr, addr, "re-inserted free block 0x{addr:x}");
-            self.path.push(t);
-            t = if addr < n.addr { n.left } else { n.right };
+        let at = (self.path.iter())
+            .position(|&t| self.nodes[t as usize].prio < prio)
+            .unwrap_or(self.path.len());
+        let t = self.path.get(at).copied().unwrap_or(NIL);
+        self.path.truncate(at);
+        // Every node above gains the new block.
+        for &p in &self.path {
+            let n = &mut self.nodes[p as usize];
+            n.count += 1;
+            n.max = n.max.max(size);
         }
         let (left, right) = self.split(t, addr);
         let node = Node {
@@ -353,21 +410,26 @@ impl FreeTree {
         };
         self.pull(slot);
         self.attach(addr, slot);
-        self.repair_path(self.path.len());
         self.path.push(slot);
         self.found(self.path.len() - 1)
     }
 
     /// Forgets the free block `at`. Only the nodes above it stay on the
-    /// scratch path.
+    /// scratch path; each loses one from its `count`, and `max` is
+    /// repaired as far as it moves.
     pub(crate) fn remove_on_path(&mut self, at: Found) {
         let t = self.node_at(at);
-        let Node { left, right, .. } = self.nodes[t as usize];
+        let Node {
+            left, right, max, ..
+        } = self.nodes[t as usize];
         let merged = self.merge(left, right);
         self.path.truncate(at.depth);
         self.attach(at.addr, merged);
         self.spare.push(t);
-        self.repair_path(at.depth);
+        for &p in &self.path {
+            self.nodes[p as usize].count -= 1;
+        }
+        self.repair_max(at.depth, max, self.max(merged));
     }
 
     /// Splits `t` into `(addresses < addr, addresses > addr)`.
@@ -532,6 +594,78 @@ mod tests {
         }
         assert_eq!(tree.nodes.len(), allocated, "slots must be recycled");
         assert_eq!(tree.check_invariants().len(), 100);
+    }
+
+    /// Blocks `k * 1024` of distinct sizes `100 + k`, in a scrambled
+    /// insertion order.
+    fn scrambled_tree(n: u64) -> FreeTree {
+        let mut tree = FreeTree::new();
+        for k in (0..n).map(|i| i * 7919 % n) {
+            tree.insert(k * 1024, 100 + k);
+        }
+        tree
+    }
+
+    fn is_leaf(tree: &FreeTree, at: Found) -> bool {
+        let n = tree.nodes[tree.path[at.depth] as usize];
+        n.left == NIL && n.right == NIL
+    }
+
+    #[test]
+    fn front_split_below_its_ancestors_max_recomputes_one_node() {
+        let mut tree = scrambled_tree(200);
+        let mut splits = 0;
+        for k in 0..200u64 {
+            let (_, hit) = tree.first_fit(k * 1024, 1);
+            let (hit, _) = hit.expect("the block itself");
+            let parent_max = match hit.depth {
+                0 => continue,
+                d => tree.nodes[tree.path[d - 1] as usize].max,
+            };
+            // A leaf is its own subtree's `max`; its parent's is larger.
+            if !is_leaf(&tree, hit) || parent_max <= hit.size {
+                continue;
+            }
+            let before = tree.stats().recomputes;
+            tree.update_on_path(hit, hit.addr + 16, hit.size - 16);
+            assert_eq!(
+                tree.stats().recomputes - before,
+                1,
+                "split of 0x{:x}",
+                hit.addr
+            );
+            splits += 1;
+        }
+        assert!(splits > 20, "only {splits} leaf splits");
+        tree.check_invariants();
+        // Growing never looks at a child.
+        let (_, hit) = tree.first_fit(0, 1);
+        let before = tree.stats().recomputes;
+        tree.update_on_path(hit.expect("a block").0, 0, 1 << 20);
+        assert_eq!(tree.stats().recomputes, before);
+        tree.check_invariants();
+    }
+
+    #[test]
+    fn insert_recomputes_only_the_new_node() {
+        let mut tree = FreeTree::new();
+        let mut leaves = 0;
+        for k in (0..1000u64).map(|i| i * 7919 % 1000) {
+            let before = tree.stats().recomputes;
+            let found = tree.insert(k * 1024, 100 + k);
+            // A new leaf split nothing below it.
+            if is_leaf(&tree, found) {
+                assert_eq!(
+                    tree.stats().recomputes - before,
+                    1,
+                    "insert of 0x{:x}",
+                    found.addr
+                );
+                leaves += 1;
+            }
+        }
+        assert!(leaves > 200, "only {leaves} leaf inserts");
+        tree.check_invariants();
     }
 
     /// The old in-bin walk was O(holes) when every hole shared the

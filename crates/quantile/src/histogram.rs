@@ -3,17 +3,20 @@
 /// An equiprobable-cell quantile histogram maintained in constant space.
 ///
 /// This is the "quantile histogram" the paper attaches to every
-/// allocation site: `cells` equiprobable cells are delimited by
-/// `cells + 1` markers whose heights approximate the `i / cells`
+/// allocation site: `MARKERS - 1` equiprobable cells are delimited by
+/// `MARKERS` markers whose heights approximate the `i / (MARKERS - 1)`
 /// quantiles of the observation stream. Any quantile can then be read
-/// with [`P2Histogram::quantile`] by interpolating between markers.
+/// with [`P2Histogram::quantile`] by interpolating between markers. The
+/// marker count is part of the type, so the whole state lives inline:
+/// one histogram per site costs no heap allocation. The default, five
+/// markers, is [`P2Histogram::quartiles`].
 ///
 /// # Examples
 ///
 /// ```
 /// use lifepred_quantile::P2Histogram;
 ///
-/// let mut h = P2Histogram::new(8);
+/// let mut h = P2Histogram::<9>::new(); // 8 cells
 /// for i in 0..10_000 {
 ///     h.observe((i % 100) as f64);
 /// }
@@ -22,39 +25,50 @@
 /// assert_eq!(h.quantile(1.0), 99.0);  // exact maximum
 /// ```
 #[derive(Debug, Clone)]
-pub struct P2Histogram {
+pub struct P2Histogram<const MARKERS: usize = 5> {
     /// Marker heights (approximate quantile values).
-    q: Vec<f64>,
-    /// Actual marker positions (1-based ranks).
-    n: Vec<f64>,
+    q: [f64; MARKERS],
+    /// Actual marker positions (1-based ranks). Until the first
+    /// `MARKERS` observations seed the markers, it buffers them instead.
+    n: [f64; MARKERS],
     /// Desired marker positions.
-    np: Vec<f64>,
+    np: [f64; MARKERS],
     count: usize,
-    /// Buffered observations until we have `markers` of them.
-    init: Vec<f64>,
 }
 
 impl P2Histogram {
-    /// Creates a histogram with `cells` equiprobable cells.
+    /// A 4-cell histogram: exactly the quartile summaries of Table 3.
+    pub fn quartiles() -> Self {
+        P2Histogram::new()
+    }
+}
+
+impl<const MARKERS: usize> Default for P2Histogram<MARKERS> {
+    fn default() -> Self {
+        P2Histogram::new()
+    }
+}
+
+impl<const MARKERS: usize> P2Histogram<MARKERS> {
+    /// Creates a histogram with `MARKERS - 1` equiprobable cells.
     ///
     /// # Panics
     ///
-    /// Panics if `cells < 2`.
-    pub fn new(cells: usize) -> Self {
+    /// Panics if `MARKERS < 3` (fewer than 2 cells).
+    pub fn new() -> Self {
+        let cells = MARKERS.saturating_sub(1);
         assert!(cells >= 2, "histogram needs at least 2 cells, got {cells}");
-        let markers = cells + 1;
         P2Histogram {
-            q: vec![0.0; markers],
-            n: (0..markers).map(|i| (i + 1) as f64).collect(),
-            np: (0..markers).map(|i| (i + 1) as f64).collect(),
+            q: [0.0; MARKERS],
+            n: Self::ranks(),
+            np: Self::ranks(),
             count: 0,
-            init: Vec::with_capacity(markers),
         }
     }
 
-    /// A 4-cell histogram: exactly the quartile summaries of Table 3.
-    pub fn quartiles() -> Self {
-        P2Histogram::new(4)
+    /// The 1-based ranks every marker position starts at.
+    fn ranks() -> [f64; MARKERS] {
+        std::array::from_fn(|i| (i + 1) as f64)
     }
 
     /// Number of observations seen so far.
@@ -64,21 +78,21 @@ impl P2Histogram {
 
     /// Feeds one observation into the histogram.
     pub fn observe(&mut self, x: f64) {
-        let markers = self.q.len();
-        if self.count < markers {
-            self.init.push(x);
+        if self.count < MARKERS {
+            self.n[self.count] = x;
             self.count += 1;
-            if self.count == markers {
-                self.init
+            if self.count == MARKERS {
+                self.n
                     .sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-                self.q.copy_from_slice(&self.init);
+                self.q = self.n;
+                self.n = Self::ranks();
             }
             return;
         }
         self.count += 1;
 
         // Locate the cell containing x, updating extremes.
-        let last = markers - 1;
+        let last = MARKERS - 1;
         let k = if x < self.q[0] {
             self.q[0] = x;
             0
@@ -153,17 +167,18 @@ impl P2Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        let markers = self.q.len();
-        if self.count < markers {
-            let mut v = self.init.clone();
+        if self.count < MARKERS {
+            let mut v = self.n;
+            let v = &mut v[..self.count];
             v.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
             let idx = ((v.len() as f64 - 1.0) * p).round() as usize;
             return v[idx.min(v.len() - 1)];
         }
-        let pos = p * (markers - 1) as f64;
+        let last = MARKERS - 1;
+        let pos = p * last as f64;
         let lo = pos.floor() as usize;
-        if lo >= markers - 1 {
-            return self.q[markers - 1];
+        if lo >= last {
+            return self.q[last];
         }
         let frac = pos - lo as f64;
         self.q[lo] + frac * (self.q[lo + 1] - self.q[lo])
@@ -189,6 +204,12 @@ impl P2Histogram {
 mod tests {
     use super::*;
 
+    /// The state is inline: no heap, and no slot beyond the markers.
+    #[test]
+    fn quartiles_fit_in_three_marker_arrays() {
+        assert_eq!(size_of::<P2Histogram>(), 3 * 5 * 8 + 8);
+    }
+
     #[test]
     fn quartiles_of_uniform() {
         let mut h = P2Histogram::quartiles();
@@ -202,7 +223,7 @@ mod tests {
 
     #[test]
     fn extremes_are_exact() {
-        let mut h = P2Histogram::new(4);
+        let mut h = P2Histogram::<5>::new();
         for i in 0..1000 {
             h.observe(i as f64);
         }
@@ -212,7 +233,7 @@ mod tests {
 
     #[test]
     fn small_streams_use_exact_prefix() {
-        let mut h = P2Histogram::new(10);
+        let mut h = P2Histogram::<11>::new();
         for x in [5.0, 1.0, 3.0] {
             h.observe(x);
         }
@@ -223,13 +244,13 @@ mod tests {
 
     #[test]
     fn empty_histogram_reads_zero() {
-        let h = P2Histogram::new(4);
+        let h = P2Histogram::<5>::new();
         assert_eq!(h.quantile(0.5), 0.0);
     }
 
     #[test]
     fn marker_heights_monotone() {
-        let mut h = P2Histogram::new(8);
+        let mut h = P2Histogram::<9>::new();
         for i in 0..50_000 {
             // Lifetime-like skew.
             let x = if i % 50 == 0 {
@@ -248,6 +269,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2 cells")]
     fn rejects_tiny_histogram() {
-        let _ = P2Histogram::new(1);
+        let _ = P2Histogram::<2>::new();
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`P2Quantile`] tracks a single quantile `p` with five markers.
 //! * [`P2Histogram`] tracks a whole equiprobable-cell histogram
-//!   (`cells + 1` markers), from which any quantile can be read — this
-//!   is the "quantile histogram" of the paper's Table 3.
+//!   (`MARKERS` markers, held inline), from which any quantile can be
+//!   read — this is the "quantile histogram" of the paper's Table 3.
 //! * [`ExactQuantiles`] is a store-everything oracle used by tests and
 //!   by experiments that want to quantify the P² approximation error
 //!   (the paper itself notes GHOST's 75% quantile is over-approximated).

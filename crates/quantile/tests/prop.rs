@@ -25,7 +25,7 @@ proptest! {
     /// Histogram extremes are always exact, and markers are sorted.
     #[test]
     fn histogram_invariants(xs in proptest::collection::vec(0.0f64..1e9, 1..500)) {
-        let mut h = P2Histogram::new(4);
+        let mut h = P2Histogram::<5>::new();
         for &x in &xs {
             h.observe(x);
         }
@@ -44,7 +44,7 @@ proptest! {
     /// Quantile reads are monotone in p.
     #[test]
     fn quantile_monotone_in_p(xs in proptest::collection::vec(0.0f64..1e6, 10..300)) {
-        let mut h = P2Histogram::new(8);
+        let mut h = P2Histogram::<9>::new();
         for &x in &xs {
             h.observe(x);
         }

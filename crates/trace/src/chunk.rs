@@ -174,7 +174,7 @@ pub trait ChunkSource {
 /// The interleaved stream is computed once at construction; each
 /// [`ChunkSource::next_chunk`] call then copies a [`CHUNK_EVENTS`]-sized
 /// window into the caller's chunk.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceChunks {
     /// Pre-packed `(record << 1) | is_free` tags in program order.
     tags: Vec<u64>,
