@@ -33,6 +33,15 @@
 //!    order). The copy is what the arena allocator's general heap sees,
 //!    bar the arena overflows, so the time ratio bounds the general
 //!    heap's share of the arena replay.
+//! 5. **tables** — where a `lifepred report` run's time goes: per paper
+//!    program, its train and test recordings, the two
+//!    [`Profile::build`]s, training and evaluating both databases, and
+//!    the online replay of the test trace (the in-memory event stream
+//!    built apart from the replay itself), timed one stage at a time;
+//!    their serial sum (of per-stage medians) is printed beside the
+//!    median wall time of the same per-program work fanned out on two
+//!    workers, as `report --jobs 2` runs it. Smoke runs time the two
+//!    smallest programs only.
 //!
 //! The harness mirrors `benches/obs.rs`: self-timed paired rounds,
 //! median-of-rounds throughputs, median-of-paired-ratios speedups, and
@@ -41,16 +50,21 @@
 //! `LIFEPRED_BENCH_SMOKE=1` (or pass `--test`) for the short CI smoke
 //! run that leaves the recorded results untouched.
 
-use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
+use lifepred_adaptive::EpochConfig;
+use lifepred_core::{evaluate_profile, train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred_heap::reference::LinearFirstFit;
-use lifepred_heap::{replay, Addr, ArenaConfig, FirstFit, ReplayMeta, ReplayPlan};
-use lifepred_sweep::{simulate_file, SimBackend};
+use lifepred_heap::{
+    replay, site_fingerprints, Addr, ArenaConfig, FirstFit, ReplayMeta, ReplayPlan,
+};
+use lifepred_sweep::{run_jobs, simulate_file, SimBackend};
 use lifepred_trace::{
-    ChunkSource, EventChunk, EventKind, Trace, TraceChunks, TraceSession, POOLED_CHUNK_EVENTS,
+    shared_registry, ChunkSource, EventChunk, EventKind, Trace, TraceChunks, TraceSession,
+    POOLED_CHUNK_EVENTS,
 };
 use lifepred_tracefile::{load_trace, trace_to_vec, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
+use lifepred_workloads::{all_workloads, by_name, record, Workload};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -89,6 +103,14 @@ const ARENA_SEED: u64 = 2;
 
 /// Paired rounds for the arena section.
 const ARENA_ROUNDS: usize = 11;
+
+/// Rounds for the tables section: each program's stages serially (the
+/// median of each stage is recorded), then all of them on two workers.
+const TABLES_ROUNDS: usize = 5;
+
+/// The programs a smoke run of the tables section times: the two
+/// smallest.
+const TABLES_SMOKE: [&str; 2] = ["cfrac", "server"];
 
 fn smoke() -> bool {
     // `cargo bench -- --test` asks every bench for a functional check,
@@ -336,6 +358,85 @@ fn file_mapped_events_unverified(path: &Path) -> u64 {
     std::hint::black_box(n)
 }
 
+/// Seconds per stage of one program's share of `lifepred report`.
+#[derive(Debug, Default, Clone, Copy)]
+struct TableStages {
+    record_train: f64,
+    record_test: f64,
+    /// Both `Profile::build`s.
+    profile: f64,
+    /// Training both databases and evaluating both on the test trace.
+    train_evaluate: f64,
+    /// `TraceChunks::new` over the test trace.
+    online_stream: f64,
+    /// Site fingerprints plus the online-learner replay.
+    online_replay: f64,
+}
+
+impl TableStages {
+    fn record(&self) -> f64 {
+        self.record_train + self.record_test
+    }
+
+    fn total(&self) -> f64 {
+        self.record() + self.profile + self.train_evaluate + self.online_stream + self.online_replay
+    }
+
+    /// The stage-by-stage median of `runs`.
+    fn median(runs: &[TableStages]) -> TableStages {
+        let median = |stage: fn(&TableStages) -> f64| {
+            let mut times: Vec<f64> = runs.iter().map(stage).collect();
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        };
+        TableStages {
+            record_train: median(|s| s.record_train),
+            record_test: median(|s| s.record_test),
+            profile: median(|s| s.profile),
+            train_evaluate: median(|s| s.train_evaluate),
+            online_stream: median(|s| s.online_stream),
+            online_replay: median(|s| s.online_replay),
+        }
+    }
+}
+
+/// Runs one program's `report` row work (what `report_row` in the CLI
+/// does, bar rendering), timing each stage.
+fn table_stages(w: &dyn Workload) -> TableStages {
+    let mut stages = TableStages::default();
+    let mut lap = Instant::now();
+    let mut split = |stage: &mut f64| {
+        *stage = lap.elapsed().as_secs_f64();
+        lap = Instant::now();
+    };
+    let (config, tc) = (SiteConfig::default(), TrainConfig::default());
+    let registry = shared_registry();
+    let train_trace = record(w, 0, registry.clone());
+    split(&mut stages.record_train);
+    let test = record(w, w.inputs().len() - 1, registry);
+    split(&mut stages.record_test);
+    let self_profile = Profile::build(&test, &config, DEFAULT_THRESHOLD);
+    let train_profile = Profile::build(&train_trace, &config, DEFAULT_THRESHOLD);
+    split(&mut stages.profile);
+    let (self_db, true_db) = (train(&self_profile, &tc), train(&train_profile, &tc));
+    std::hint::black_box((
+        evaluate_profile(&self_db, &self_profile),
+        evaluate_profile(&true_db, &self_profile),
+    ));
+    split(&mut stages.train_evaluate);
+    let events = TraceChunks::new(&test);
+    split(&mut stages.online_stream);
+    let plan = ReplayPlan::ArenaOnline {
+        sites: &site_fingerprints(&test, &config),
+        epoch: EpochConfig::default(),
+        arena: ArenaConfig::default(),
+    };
+    let report = replay(&ReplayMeta::of(&test), events, &plan, None).expect("online replay");
+    std::hint::black_box(report);
+    split(&mut stages.online_replay);
+    stages
+}
+
 /// Median seconds of `f` over `rounds` runs.
 fn median_time(rounds: usize, mut f: impl FnMut()) -> f64 {
     let mut times: Vec<f64> = (0..rounds)
@@ -479,9 +580,47 @@ fn main() {
     );
     let general_share = t_general / t_arena;
 
+    // --- tables: where a `report` run's time goes ----------------------
+    let programs: Vec<Box<dyn Workload>> = (all_workloads().into_iter())
+        .filter(|w| !smoke() || TABLES_SMOKE.contains(&w.name()))
+        .collect();
+    let stages: Vec<(String, TableStages)> = (programs.iter())
+        .map(|w| {
+            let runs: Vec<_> = (0..rounds(TABLES_ROUNDS))
+                .map(|_| table_stages(w.as_ref()))
+                .collect();
+            (w.name().to_owned(), TableStages::median(&runs))
+        })
+        .collect();
+    let t_tables2 = median_time(rounds(TABLES_ROUNDS), || {
+        let names = programs.iter().map(|w| w.name()).collect();
+        let rows = run_jobs(names, 2, |_, name| {
+            table_stages(by_name(name).expect("a paper program").as_ref())
+        });
+        assert_eq!(rows.len(), programs.len());
+    });
+    let serial: f64 = stages.iter().map(|(_, s)| s.total()).sum();
+    let recording: f64 = stages.iter().map(|(_, s)| s.record()).sum();
+    let tables_rows: Vec<String> = (stages.iter())
+        .map(|(name, s)| {
+            format!(
+                "      \"{name}\": {{\"record_train_secs\": {:.5}, \"record_test_secs\": {:.5}, \
+                 \"profile_secs\": {:.5}, \"train_evaluate_secs\": {:.5}, \
+                 \"online_stream_secs\": {:.5}, \"online_replay_secs\": {:.5}}}",
+                s.record_train,
+                s.record_test,
+                s.profile,
+                s.train_evaluate,
+                s.online_stream,
+                s.online_replay,
+            )
+        })
+        .collect();
+    let tables_rows = tables_rows.join(",\n");
+
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-replay-v4\",\n  \
+           \"schema\": \"lifepred-bench-replay-v5\",\n  \
            \"smoke\": {smoke},\n  \
            {host_fields},\n  \
            \"firstfit\": {{\n    \
@@ -516,6 +655,13 @@ fn main() {
              \"arena_replay_events_per_sec\": {arena_rate:.0},\n    \
              \"general_heap_replay_events_per_sec\": {general_rate:.0},\n    \
              \"general_heap_time_share\": {general_share:.3}\n  \
+           }},\n  \
+           \"tables\": {{\n    \
+             \"programs\": {{\n{tables_rows}\n    }},\n    \
+             \"serial_secs\": {serial:.4},\n    \
+             \"recording_share\": {recording_share:.3},\n    \
+             \"jobs2_secs\": {t_tables2:.4},\n    \
+             \"jobs2_speedup\": {tables_speedup:.2}\n  \
            }}\n}}\n",
         smoke = smoke(),
         host_fields = host.json_fields(),
@@ -524,6 +670,8 @@ fn main() {
         server_rate = scale_events as f64 / t_server,
         arena_rate = arena_events as f64 / t_arena,
         general_rate = general_events as f64 / t_general,
+        recording_share = recording / serial,
+        tables_speedup = serial / t_tables2,
     );
     println!(
         "firstfit: {linear_rate:.0} events/s linear, {indexed_rate:.0} events/s indexed \
@@ -548,6 +696,27 @@ fn main() {
         t_arena * 1e3,
         t_general * 1e3,
         general_share * 100.0,
+    );
+    for (name, s) in &stages {
+        println!(
+            "tables:   {name:<8} record {:.1}+{:.1} ms, profile {:.1} ms, train+evaluate {:.2} ms, \
+             online stream {:.1} ms + replay {:.1} ms",
+            s.record_train * 1e3,
+            s.record_test * 1e3,
+            s.profile * 1e3,
+            s.train_evaluate * 1e3,
+            s.online_stream * 1e3,
+            s.online_replay * 1e3,
+        );
+    }
+    println!(
+        "tables:   {} programs {:.1} ms serial ({:.0}% recording) vs {:.1} ms on 2 workers \
+         ({:.2}x)",
+        stages.len(),
+        serial * 1e3,
+        recording / serial * 100.0,
+        t_tables2 * 1e3,
+        serial / t_tables2,
     );
     // Scaling floor: on a machine with a second core, `--jobs 2` must
     // be at least 1.5x faster than sequential (BENCH_replay.json has

@@ -36,11 +36,12 @@ pub const PAGE: u64 = 8192;
 /// The heap grows in `PAGE`-byte (8 KB) increments.
 ///
 /// The search itself runs on the same address-ordered tree of the free
-/// blocks, augmented with subtree sizes and counts (`src/index.rs`):
-/// placements and all [`OpCounts`] — including `search_steps`, the
-/// number of free blocks the paper's *linear* scan would have examined
-/// — are identical to the linear implementation, only the wall-clock
-/// cost per allocation drops from O(free blocks) to O(log n).
+/// blocks, a B+-tree whose internal entries carry each subtree's
+/// largest block size and block count (`src/index.rs`): placements and
+/// all [`OpCounts`] — including `search_steps`, the number of free
+/// blocks the paper's *linear* scan would have examined — are identical
+/// to the linear implementation, only the wall-clock cost per
+/// allocation drops from O(free blocks) to O(log n).
 ///
 /// Freeing an address that is not a live allocation of this heap
 /// (never allocated, already freed, or pointing into the middle of a
@@ -72,6 +73,10 @@ pub struct FirstFit {
     brk: u64,
     max_brk: u64,
     rover: u64,
+    /// The slot the rover pointed into when the last placement left
+    /// it: the split's remainder, or the block after a block taken
+    /// whole. A hint that lets the next search skip its descent.
+    rover_at: Option<Found>,
     counts: OpCounts,
 }
 
@@ -97,6 +102,7 @@ impl FirstFit {
             brk: base,
             max_brk: base,
             rover: base,
+            rover_at: None,
             counts: OpCounts::default(),
         }
     }
@@ -128,8 +134,9 @@ impl FirstFit {
         };
         self.counts.frees += 1;
         // The blocks tile the heap, so a free neighbour is adjacent
-        // exactly when its extent meets this block's. Both lie on the
-        // walk's path, which the coalesce below edits through.
+        // exactly when its extent meets this block's. The walk returns
+        // both with their leaf slots, which the coalesce below edits
+        // through.
         let (pred, succ) = self.free.neighbours_path(start);
         let next = succ.filter(|n| n.addr == start + size);
         let prev = pred.filter(|p| p.addr + p.size == start);
@@ -152,8 +159,9 @@ impl FirstFit {
             }
         }
         match (prev, next) {
-            // Grow the lower block first: an in-place edit leaves the
-            // upper block's path intact for its removal.
+            // Grow the lower block first: an in-place edit moves no
+            // slot, so the upper block's position stays valid for its
+            // removal.
             (Some(prev), Some(next)) => {
                 self.free.update_on_path(prev, prev.addr, merged);
                 self.free.remove_on_path(next);
@@ -164,7 +172,7 @@ impl FirstFit {
             (None, Some(next)) => {
                 self.free.update_on_path(next, start, merged);
             }
-            // No free neighbour: the walk's path is `start`'s own.
+            // No free neighbour: the walk left `start`'s slot.
             (None, None) => {
                 self.free.insert_on_path(start, size);
             }
@@ -219,14 +227,14 @@ impl FirstFit {
     /// fall out of the ranks the search walk sums, so the Table 9
     /// instruction model sees exactly the seed's numbers.
     fn search(&mut self, need: u64) -> Option<Found> {
-        let (rover_rank, hit) = self.free.first_fit(self.rover, need);
+        let (rover_rank, hit) = self.free.first_fit(self.rover, need, self.rover_at);
         let (examined, hit) = match hit {
             // Free blocks in [rover, hit].
             Some((hit, rank)) => (rank + 1 - rover_rank, Some(hit)),
             // Nothing at or above the rover fits; wrap to the base.
             // (A fitting block above the rover cannot exist, so the
             // unbounded second walk finds only below-rover blocks.)
-            None => match self.free.first_fit(self.base, need).1 {
+            None => match self.free.first_fit(self.base, need, None).1 {
                 // All free blocks at/above the rover failed, then the
                 // linear scan re-starts at the base.
                 Some((hit, rank)) => (self.free.len() - rover_rank + rank + 1, Some(hit)),
@@ -247,8 +255,9 @@ impl FirstFit {
         // Resume the next search after this allocation.
         self.rover = addr + need;
         if have - need >= MIN_SPLIT {
-            // The remainder keeps the block's place in address order.
-            self.free.update_on_path(hit, addr + need, have - need);
+            // The remainder keeps the block's place in address order,
+            // and the rover points at it.
+            self.rover_at = Some(self.free.update_on_path(hit, addr + need, have - need));
             self.allocated.insert(addr, need);
             self.counts.splits += 1;
         } else {
@@ -257,6 +266,7 @@ impl FirstFit {
             // (exactly where the linear scan leaves it; the `rover ==`
             // fix-ups in `free` depend on it). Nothing above? Wrap.
             self.free.remove_on_path(hit);
+            self.rover_at = Some(hit);
             self.allocated.insert(addr, have);
             if addr + have == self.brk {
                 self.rover = self.base;
@@ -278,8 +288,7 @@ impl FirstFit {
         self.max_brk = self.max_brk.max(self.brk);
         match top {
             Some(top) => self.free.update_on_path(top, top.addr, existing + grow),
-            // `last` left the right spine, the path of any address
-            // above every free block.
+            // `last` left the slot past the topmost free block.
             None => self.free.insert_on_path(start, grow),
         }
     }
@@ -289,8 +298,9 @@ impl FirstFit {
     /// # Panics
     ///
     /// Panics if blocks do not exactly tile `[base, brk)`, two free
-    /// blocks are adjacent, or the free-block tree is malformed (key
-    /// order, priority heap order, a stale subtree `count` or `max`).
+    /// blocks are adjacent, or the free-block tree is malformed (address
+    /// order, node occupancy, parent links, a stale first address,
+    /// `count` or `max`).
     pub fn check_invariants(&self) {
         let free = self.free.check_invariants();
         let mut blocks: Vec<(u64, u64, bool)> = (free.iter().map(|&(a, s)| (a, s, true)))
@@ -431,13 +441,13 @@ mod tests {
     }
 
     /// Edits repair only the summaries that change: a churn of 2¹⁴
-    /// alloc/free pairs over about 1000 live blocks recomputes a few
-    /// node summaries per pair. Repairing each edit's whole root path
-    /// (as a treap edit naively does) costs several times the bound.
+    /// alloc/free pairs over about 1000 live blocks rescans a node's
+    /// entries about once every five pairs. Rescanning every ancestor
+    /// of every edit costs about two per pair, twice the bound.
     #[test]
     fn churn_recomputes_few_summaries_per_pair() {
         const PAIRS: u64 = 1 << 14;
-        const BOUND: u64 = 8;
+        const BOUND: u64 = 1;
         let mut h = FirstFit::new();
         let mut live = Vec::new();
         let mut x = 0x5eed_u64;

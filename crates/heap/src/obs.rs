@@ -44,10 +44,12 @@ pub struct ReplayObs {
     /// found a fitting block (first-fit heaps only; zero for the BSD
     /// replay).
     pub index_hits_total: Arc<Counter>,
-    /// `lifepred_sim_index_node_visits_total` — free-tree nodes
-    /// visited by first-fit search walks: the start address's whole
-    /// boundary path, plus the nodes of the descent into a right subtree
-    /// that finds a hit below it.
+    /// `lifepred_sim_index_node_visits_total` — free-tree nodes,
+    /// leaves and internal nodes alike, touched by first-fit search
+    /// walks: the start address's root-to-leaf path, plus each node the
+    /// walk enters below an ancestor to reach a hit in a later subtree.
+    /// A search that starts below every free block touches only the
+    /// root and the nodes it enters.
     pub index_node_visits_total: Arc<Counter>,
     /// `lifepred_sim_batch_refills_total` — event-chunk refills the
     /// replay loop consumed (one per up-to-4096-event batch).

@@ -188,21 +188,15 @@ impl TraceChunks {
     /// Prepares the batched event stream of `trace`.
     pub fn new(trace: &Trace) -> TraceChunks {
         let records = trace.records();
-        let events = trace.events();
-        let mut tags = Vec::with_capacity(events.len());
-        let mut sizes = Vec::with_capacity(events.len());
-        for e in &events {
-            match e.kind {
-                EventKind::Alloc => {
-                    tags.push((e.record as u64) << 1);
-                    sizes.push(records[e.record].size);
-                }
-                EventKind::Free => {
-                    tags.push(((e.record as u64) << 1) | 1);
-                    sizes.push(0);
-                }
+        let n = trace.event_count();
+        let (mut tags, mut sizes) = (vec![0; n], vec![0; n]);
+        trace.place_events(|at, _, record, kind| match kind {
+            EventKind::Alloc => {
+                tags[at] = (record as u64) << 1;
+                sizes[at] = records[record].size;
             }
-        }
+            EventKind::Free => tags[at] = ((record as u64) << 1) | 1,
+        });
         TraceChunks {
             tags,
             sizes,

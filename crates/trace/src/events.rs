@@ -34,25 +34,62 @@ impl Trace {
     /// Heap simulators replay this stream to reproduce exactly the
     /// sequence of demands the traced program placed on its allocator.
     pub fn events(&self) -> Vec<Event> {
-        let mut events = Vec::with_capacity(self.records().len() * 2);
-        for (idx, r) in self.records().iter().enumerate() {
-            events.push(Event {
-                seq: r.birth_seq,
-                kind: EventKind::Alloc,
-                record: idx,
-                object: r.object,
-            });
-            if let Some(death_seq) = r.death_seq {
-                events.push(Event {
-                    seq: death_seq,
-                    kind: EventKind::Free,
-                    record: idx,
-                    object: r.object,
-                });
+        let records = self.records();
+        let blank = Event {
+            seq: 0,
+            kind: EventKind::Alloc,
+            record: 0,
+            object: ObjectId(0),
+        };
+        let mut events = vec![blank; self.event_count()];
+        self.place_events(|at, seq, record, kind| {
+            let object = records[record].object;
+            events[at] = Event {
+                seq,
+                kind,
+                record,
+                object,
+            };
+        });
+        events
+    }
+
+    /// Allocations plus frees.
+    pub(crate) fn event_count(&self) -> usize {
+        let frees = self.records().iter().filter(|r| r.death_seq.is_some());
+        self.records().len() + frees.count()
+    }
+
+    /// Calls `place(at, seq, record, kind)` once per event, where `at`
+    /// is the event's index in program order. [`TraceSession`] and the
+    /// `.lpt` reader number events densely from 0, so `at` is the
+    /// event's `seq` and the stream is built in O(n); a trace whose seqs
+    /// are not `0..n` is sorted by `seq` instead.
+    ///
+    /// [`TraceSession`]: crate::TraceSession
+    pub(crate) fn place_events(&self, mut place: impl FnMut(usize, u64, usize, EventKind)) {
+        let n = self.event_count();
+        let events = || {
+            let records = self.records().iter().enumerate();
+            records.flat_map(|(i, r)| {
+                let free = r.death_seq.map(|seq| (seq, i, EventKind::Free));
+                std::iter::once((r.birth_seq, i, EventKind::Alloc)).chain(free)
+            })
+        };
+        let mut seen = vec![false; n];
+        let dense = events().all(|(seq, ..)| {
+            let slot = usize::try_from(seq).ok().and_then(|at| seen.get_mut(at));
+            slot.is_some_and(|seen| !std::mem::replace(seen, true))
+        });
+        if dense {
+            events().for_each(|(seq, record, kind)| place(seq as usize, seq, record, kind));
+        } else {
+            let mut sorted: Vec<_> = events().collect();
+            sorted.sort_unstable_by_key(|&(seq, ..)| seq);
+            for (at, (seq, record, kind)) in sorted.into_iter().enumerate() {
+                place(at, seq, record, kind);
             }
         }
-        events.sort_unstable_by_key(|e| e.seq);
-        events
     }
 }
 
@@ -80,6 +117,56 @@ mod tests {
         for (i, e) in ev.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
         }
+    }
+
+    /// The stream as the seq sort builds it: the oracle for the dense
+    /// placement.
+    fn sorted_events(t: &Trace) -> Vec<(u64, EventKind, usize)> {
+        let mut events: Vec<_> = (t.records().iter().enumerate())
+            .flat_map(|(i, r)| {
+                let free = r.death_seq.map(|seq| (seq, EventKind::Free, i));
+                std::iter::once((r.birth_seq, EventKind::Alloc, i)).chain(free)
+            })
+            .collect();
+        events.sort_unstable_by_key(|e| e.0);
+        events
+    }
+
+    fn stream(t: &Trace) -> Vec<(u64, EventKind, usize)> {
+        t.events()
+            .iter()
+            .map(|e| (e.seq, e.kind, e.record))
+            .collect()
+    }
+
+    #[test]
+    fn a_trace_with_a_seq_gap_is_sorted_instead() {
+        let s = TraceSession::new("t");
+        let ids: Vec<_> = (0..40).map(|k| s.alloc(8 + k)).collect();
+        for id in ids.into_iter().rev().step_by(3) {
+            s.free(id);
+        }
+        let t = s.finish();
+        assert_eq!(stream(&t), sorted_events(&t));
+        // Every seq from the 10th on moves up by 1000: no longer `0..n`,
+        // and most of them past the end of a dense placement.
+        let mut records = t.records().to_vec();
+        let shift = |seq: u64| if seq >= 10 { seq + 1000 } else { seq };
+        for r in &mut records {
+            r.birth_seq = shift(r.birth_seq);
+            r.death_seq = r.death_seq.map(shift);
+        }
+        let gapped = Trace::from_parts(
+            "gapped".into(),
+            t.registry().clone(),
+            t.chains().clone(),
+            records,
+            *t.stats(),
+            t.end_clock(),
+            t.end_seq() + 1000,
+        );
+        assert_eq!(stream(&gapped), sorted_events(&gapped));
+        assert_eq!(gapped.events().len(), t.events().len());
     }
 
     #[test]
