@@ -118,7 +118,7 @@ impl LearnerStats {
             ("lifepred_learner_long_frees", self.long_frees),
         ];
         for (name, value) in fields {
-            registry.gauge(name).set(value);
+            registry.set(name, value);
         }
     }
 

@@ -3,11 +3,10 @@
 //! db.json` runs per trace (records → prediction bitmap, then events →
 //! arena replay), with vs without `--metrics-out` recording. Per-event
 //! metrics batch into plain local fields and publish once at end of
-//! stream, so the added per-event cost is a handful of arithmetic ops
-//! plus exact per-object lifetime tracking (a birth-clock table the
-//! bare replay does not keep), and one clock read per event in builds
-//! that enable `lifepred-obs/timing`, as the CLI does; this bench does
-//! not.
+//! stream, so the added per-event cost is two clock reads for the
+//! latency histogram — most of it — plus a handful of arithmetic ops
+//! and exact per-object lifetime tracking (a birth-clock table the
+//! bare replay does not keep). This is the build `lifepred` runs.
 //!
 //! A self-timed harness (criterion adds nothing here — we want two
 //! directly comparable ops/sec numbers) times the two configurations

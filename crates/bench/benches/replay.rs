@@ -50,9 +50,11 @@
 //! `LIFEPRED_BENCH_SMOKE=1` (or pass `--test`) for the short CI smoke
 //! run that leaves the recorded results untouched.
 
+#[path = "../../heap/tests/support/linear.rs"]
+mod linear;
+
 use lifepred_adaptive::EpochConfig;
 use lifepred_core::{evaluate_profile, train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-use lifepred_heap::reference::LinearFirstFit;
 use lifepred_heap::{
     replay, site_fingerprints, Addr, ArenaConfig, FirstFit, ReplayMeta, ReplayPlan,
 };
@@ -65,6 +67,7 @@ use lifepred_tracefile::{load_trace, trace_to_vec, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use lifepred_workloads::{all_workloads, by_name, record, Workload};
+use linear::LinearFirstFit;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 

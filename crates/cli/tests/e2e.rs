@@ -6,7 +6,7 @@
 mod scan_all;
 
 use lifepred_heap::{replay_arena, replay_bsd, replay_firstfit, site_fingerprints, ReplayConfig};
-use lifepred_trace::{shared_registry, EventKind};
+use lifepred_trace::{shared_registry, EventKind, POOLED_CHUNK_EVENTS};
 use lifepred_tracefile::{load_trace, MappedTrace};
 use lifepred_workloads::{by_name, record};
 use std::path::PathBuf;
@@ -305,12 +305,22 @@ fn simulate_metrics_out_dumps_registry_and_stats_renders_it() {
         snap.histogram("lifepred_sim_size_bytes").map(|h| h.count),
         Some(allocs)
     );
-    // The CLI builds lifepred-obs with `timing`, so event wall times
-    // really land.
+    // An observed replay times every event.
+    let events = load_trace(&trace).expect("load trace").events().len() as u64;
+    assert_eq!(
+        snap.histogram("lifepred_sim_event_ns").map(|h| h.count),
+        Some(events),
+        "one latency observation per event"
+    );
+    // The mapped replay refills one chunk of up to POOLED_CHUNK_EVENTS
+    // per batch.
     assert!(
-        snap.histogram("lifepred_sim_event_ns")
-            .is_some_and(|h| h.count > 0),
-        "timing feature must fill the latency histogram"
+        events > POOLED_CHUNK_EVENTS as u64,
+        "{events} events fit one chunk"
+    );
+    assert_eq!(
+        snap.counter("lifepred_sim_batch_refills_total"),
+        Some(events.div_ceil(POOLED_CHUNK_EVENTS as u64))
     );
     let timeline = snap.timeline("lifepred_sim_epochs").expect("timeline");
     assert!(!timeline.is_empty(), "online run must sample epochs");

@@ -103,51 +103,6 @@ impl ShortLivedSet {
     pub(crate) fn iter(&self) -> impl Iterator<Item = &SiteKey> {
         self.sites.iter()
     }
-
-    /// Serializes the database to a line-oriented text format.
-    ///
-    /// The format is `threshold`, then one encoded [`SiteKey`] per
-    /// line, sorted for determinism.
-    pub fn save_to_string(&self) -> String {
-        let mut lines: Vec<String> = self.sites.iter().map(SiteKey::encode).collect();
-        lines.sort();
-        let mut out = format!("lifepred-sites v1 threshold={}\n", self.threshold);
-        for l in lines {
-            out.push_str(&l);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a database saved by [`ShortLivedSet::save_to_string`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message if the header or any site line
-    /// is malformed.
-    pub fn load_from_str(text: &str, config: SiteConfig) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty site database")?;
-        let threshold = header
-            .strip_prefix("lifepred-sites v1 threshold=")
-            .ok_or_else(|| format!("bad header: {header}"))?
-            .parse::<u64>()
-            .map_err(|e| format!("bad threshold: {e}"))?;
-        let mut sites = HashSet::new();
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let key = SiteKey::decode(line)
-                .ok_or_else(|| format!("bad site on line {}: {line}", i + 2))?;
-            sites.insert(key);
-        }
-        Ok(ShortLivedSet {
-            config,
-            threshold,
-            sites,
-        })
-    }
 }
 
 /// Trains a short-lived site database from `profile`.
@@ -251,30 +206,6 @@ mod tests {
                 ..TrainConfig::default()
             },
         );
-    }
-
-    #[test]
-    fn database_roundtrip() {
-        let p = two_site_profile();
-        let db = train(&p, &TrainConfig::default());
-        let text = db.save_to_string();
-        let loaded = ShortLivedSet::load_from_str(&text, *db.config()).expect("parse");
-        assert_eq!(loaded.len(), db.len());
-        assert_eq!(loaded.threshold(), db.threshold());
-        for site in db.iter() {
-            assert!(loaded.predicts(site));
-        }
-    }
-
-    #[test]
-    fn load_rejects_bad_input() {
-        assert!(ShortLivedSet::load_from_str("", SiteConfig::default()).is_err());
-        assert!(ShortLivedSet::load_from_str("garbage\n", SiteConfig::default()).is_err());
-        assert!(ShortLivedSet::load_from_str(
-            "lifepred-sites v1 threshold=100\nnot a site\n",
-            SiteConfig::default()
-        )
-        .is_err());
     }
 
     #[test]

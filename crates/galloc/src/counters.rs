@@ -127,9 +127,10 @@ impl GallocStats {
     pub fn export(&self, registry: &lifepred_obs::Registry) {
         macro_rules! emit {
             ($($field:ident),* $(,)?) => {
-                $(registry
-                    .counter(concat!("lifepred_galloc_", stringify!($field), "_total"))
-                    .add(self.$field);)*
+                $(registry.add(
+                    concat!("lifepred_galloc_", stringify!($field), "_total"),
+                    self.$field,
+                );)*
             };
         }
         emit!(
@@ -160,9 +161,10 @@ impl GallocStats {
             wild_frees,
             epoch_ticks,
         );
-        registry
-            .gauge("lifepred_galloc_magazine_hit_rate_pct")
-            .set((self.hit_rate() * 100.0) as u64);
+        registry.set(
+            "lifepred_galloc_magazine_hit_rate_pct",
+            (self.hit_rate() * 100.0) as u64,
+        );
     }
 }
 

@@ -4,9 +4,9 @@
 //! the free blocks ([`FreeTree`]) in O(log n) instead of the paper's
 //! linear scan, while every observable — placements, heap growth and
 //! the [`OpCounts`] the Table 9 cost model consumes — stays
-//! byte-identical to the linear implementation (retained as
-//! [`reference::LinearFirstFit`](crate::reference::LinearFirstFit) and
-//! proven equivalent by `tests/differential.rs`).
+//! byte-identical to the linear implementation (retained as the test
+//! oracle `LinearFirstFit` in `tests/support/linear.rs` and proven
+//! equivalent by `tests/differential.rs`).
 
 use crate::counts::OpCounts;
 use crate::hash::AddrMap;

@@ -54,7 +54,6 @@ mod index;
 mod live;
 mod obs;
 mod predict;
-pub mod reference;
 mod replay;
 
 pub use arena::{ArenaAllocator, ArenaConfig};

@@ -1,80 +1,84 @@
 //! Observability wiring for trace-driven replays.
 //!
-//! [`ReplayObs`] bundles the `lifepred_sim_*` metric handles an
-//! observed replay ([`replay`](crate::replay) given `Some(obs)`)
-//! records into: event counters, the object-size and lifetime
-//! histograms (lifetimes in allocated bytes, the paper's clock), the
-//! per-event wall-time histogram (empty unless `lifepred-obs` is built
-//! with its `timing` feature), and — for the online replay — one
-//! epoch-timeline sample per learner tick. [`Observe`] is the seam the
-//! replay loop records through: [`ObsCtx`] when someone is watching,
-//! the zero-sized [`Unobserved`] when nobody is.
+//! [`ReplayObs`] is the `lifepred_sim_*` metric set an observed replay
+//! ([`replay`](crate::replay) given `Some(obs)`) publishes into: event
+//! counters, the object-size and lifetime histograms (lifetimes in
+//! allocated bytes, the paper's clock), the per-event wall-time
+//! histogram, and — for the online replay — one epoch-timeline sample
+//! per learner tick. [`Observe`] is the seam the replay loop records
+//! through: [`ObsCtx`] when someone is watching, the zero-sized
+//! [`Unobserved`] when nobody is.
 
 use crate::index::IndexStats;
 use crate::live::LiveObj;
-use lifepred_obs::{
-    Counter, EpochSample, EpochTimeline, HistogramSnapshot, LogHistogram, Registry, Timer,
-    TIMING_ENABLED,
-};
-use std::sync::Arc;
+use lifepred_obs::{EpochSample, HistogramSnapshot, Registry};
+use std::time::Instant;
 
-/// Metric handles for one replay run, registered under the
-/// `lifepred_sim_*` names.
-#[derive(Debug, Clone)]
-pub struct ReplayObs {
-    /// `lifepred_sim_allocs_total` — allocation events replayed.
-    pub allocs_total: Arc<Counter>,
-    /// `lifepred_sim_frees_total` — free events replayed.
-    pub frees_total: Arc<Counter>,
-    /// `lifepred_sim_arena_allocs_total` — allocations the simulated
-    /// allocator served from its arena area.
-    pub arena_allocs_total: Arc<Counter>,
-    /// `lifepred_sim_size_bytes` — requested object sizes.
-    pub size_bytes: Arc<LogHistogram>,
-    /// `lifepred_sim_lifetime_bytes` — object lifetimes measured in
-    /// bytes of allocation between birth and free.
-    pub lifetime_bytes: Arc<LogHistogram>,
-    /// `lifepred_sim_event_ns` — wall time per replayed event; stays
-    /// empty unless `lifepred-obs` is built with its `timing` feature.
-    pub event_ns: Arc<LogHistogram>,
-    /// `lifepred_sim_epochs` — one sample per online-learner epoch
-    /// tick (empty for the offline replays).
-    pub timeline: Arc<EpochTimeline>,
-    /// `lifepred_sim_index_hits_total` — free-tree searches that
-    /// found a fitting block (first-fit heaps only; zero for the BSD
-    /// replay).
-    pub index_hits_total: Arc<Counter>,
-    /// `lifepred_sim_index_node_visits_total` — free-tree nodes,
-    /// leaves and internal nodes alike, touched by first-fit search
-    /// walks: the start address's root-to-leaf path, plus each node the
-    /// walk enters below an ancestor to reach a hit in a later subtree.
-    /// A search that starts below every free block touches only the
-    /// root and the nodes it enters.
-    pub index_node_visits_total: Arc<Counter>,
-    /// `lifepred_sim_batch_refills_total` — event-chunk refills the
-    /// replay loop consumed (one per up-to-4096-event batch).
-    pub batch_refills_total: Arc<Counter>,
-    /// `lifepred_sim_frees_invalid_total` — free events ignored because
-    /// their address was not a live allocation (corrupt traces).
-    pub frees_invalid_total: Arc<Counter>,
+const ALLOCS_TOTAL: &str = "lifepred_sim_allocs_total";
+const FREES_TOTAL: &str = "lifepred_sim_frees_total";
+const ARENA_ALLOCS_TOTAL: &str = "lifepred_sim_arena_allocs_total";
+const INDEX_HITS_TOTAL: &str = "lifepred_sim_index_hits_total";
+const INDEX_NODE_VISITS_TOTAL: &str = "lifepred_sim_index_node_visits_total";
+const BATCH_REFILLS_TOTAL: &str = "lifepred_sim_batch_refills_total";
+const FREES_INVALID_TOTAL: &str = "lifepred_sim_frees_invalid_total";
+const SIZE_BYTES: &str = "lifepred_sim_size_bytes";
+const LIFETIME_BYTES: &str = "lifepred_sim_lifetime_bytes";
+const EVENT_NS: &str = "lifepred_sim_event_ns";
+const EPOCHS: &str = "lifepred_sim_epochs";
+
+/// The registry one replay run publishes its `lifepred_sim_*` metrics
+/// into:
+///
+/// - `lifepred_sim_allocs_total` — allocation events replayed;
+/// - `lifepred_sim_frees_total` — free events replayed;
+/// - `lifepred_sim_arena_allocs_total` — allocations the simulated
+///   allocator served from its arena area;
+/// - `lifepred_sim_size_bytes` — requested object sizes;
+/// - `lifepred_sim_lifetime_bytes` — object lifetimes measured in
+///   bytes of allocation between birth and free;
+/// - `lifepred_sim_event_ns` — wall time per replayed event;
+/// - `lifepred_sim_epochs` — one sample per online-learner epoch tick
+///   (empty for the offline replays);
+/// - `lifepred_sim_index_hits_total` — free-tree searches that found a
+///   fitting block (first-fit heaps only; zero for the BSD replay);
+/// - `lifepred_sim_index_node_visits_total` — free-tree nodes, leaves
+///   and internal nodes alike, touched by first-fit search walks: the
+///   start address's root-to-leaf path, plus each node the walk enters
+///   below an ancestor to reach a hit in a later subtree. A search that
+///   starts below every free block touches only the root and the nodes
+///   it enters;
+/// - `lifepred_sim_batch_refills_total` — event chunks the replay loop
+///   consumed, one per refill of up to
+///   [`POOLED_CHUNK_EVENTS`](lifepred_trace::POOLED_CHUNK_EVENTS)
+///   events;
+/// - `lifepred_sim_frees_invalid_total` — free events ignored because
+///   their address was not a live allocation (corrupt traces).
+#[derive(Debug, Clone, Copy)]
+pub struct ReplayObs<'a> {
+    registry: &'a Registry,
 }
 
-impl ReplayObs {
-    /// Registers (or re-fetches) the replay metric set in `registry`.
-    pub fn register(registry: &Registry) -> ReplayObs {
-        ReplayObs {
-            allocs_total: registry.counter("lifepred_sim_allocs_total"),
-            frees_total: registry.counter("lifepred_sim_frees_total"),
-            arena_allocs_total: registry.counter("lifepred_sim_arena_allocs_total"),
-            size_bytes: registry.histogram("lifepred_sim_size_bytes"),
-            lifetime_bytes: registry.histogram("lifepred_sim_lifetime_bytes"),
-            event_ns: registry.histogram("lifepred_sim_event_ns"),
-            timeline: registry.timeline("lifepred_sim_epochs"),
-            index_hits_total: registry.counter("lifepred_sim_index_hits_total"),
-            index_node_visits_total: registry.counter("lifepred_sim_index_node_visits_total"),
-            batch_refills_total: registry.counter("lifepred_sim_batch_refills_total"),
-            frees_invalid_total: registry.counter("lifepred_sim_frees_invalid_total"),
+impl ReplayObs<'_> {
+    /// Registers the replay metric set in `registry`, every name at
+    /// zero, so even a replay that records nothing exports the whole
+    /// set.
+    pub fn register(registry: &Registry) -> ReplayObs<'_> {
+        for name in [
+            ALLOCS_TOTAL,
+            FREES_TOTAL,
+            ARENA_ALLOCS_TOTAL,
+            INDEX_HITS_TOTAL,
+            INDEX_NODE_VISITS_TOTAL,
+            BATCH_REFILLS_TOTAL,
+            FREES_INVALID_TOTAL,
+        ] {
+            registry.add(name, 0);
         }
+        for name in [SIZE_BYTES, LIFETIME_BYTES, EVENT_NS] {
+            registry.absorb(name, &HistogramSnapshot::empty());
+        }
+        registry.push(EPOCHS, &[]);
+        ReplayObs { registry }
     }
 }
 
@@ -127,19 +131,15 @@ impl Observe for Unobserved {
 /// Per-run recording state for one observed replay.
 ///
 /// A replay is single-threaded and owns its `ObsCtx` exclusively, so
-/// per-event recording goes into **plain local fields** — no atomics,
-/// no TLS, no shared cache lines on the event loop — and the whole
-/// batch is published into the shared [`ReplayObs`] handles once, by
-/// [`Observe::flush`] at end of stream. Final registry values are
-/// identical to per-event publication; the per-event cost is a handful
-/// of arithmetic ops (and one clock read per event where `lifepred-obs`
-/// is built with `timing`), a few percent of replay throughput in the
-/// recorded `results/BENCH_obs.json` measurement. Epoch-timeline
-/// samples are the exception: they are rare (one per epoch) and pushed
-/// live.
+/// per-event recording goes into **plain local fields**, and the whole
+/// batch is published into the [`ReplayObs`] registry once, by
+/// [`Observe::flush`] at end of stream. The per-event cost is a handful
+/// of arithmetic ops and two clock reads; the clock reads are most of
+/// it (`results/BENCH_obs.json`). Epoch-timeline samples are the
+/// exception: they are rare (one per epoch) and pushed as they come.
 #[derive(Debug)]
 pub(crate) struct ObsCtx<'a> {
-    obs: &'a ReplayObs,
+    obs: ReplayObs<'a>,
     /// Allocations *not* served from the arena area — the rare branch
     /// in arena-friendly workloads; the totals are derived at flush
     /// time (`allocs` = size-histogram count, `arena` = allocs − this).
@@ -155,9 +155,9 @@ pub(crate) struct ObsCtx<'a> {
 
 impl<'a> ObsCtx<'a> {
     /// Recording state for one replay into `obs`.
-    pub(crate) fn new(obs: &'a ReplayObs) -> ObsCtx<'a> {
+    pub(crate) fn new(obs: &ReplayObs<'a>) -> ObsCtx<'a> {
         ObsCtx {
-            obs,
+            obs: *obs,
             general_allocs: 0,
             sizes: HistogramSnapshot::empty(),
             lifetimes: HistogramSnapshot::empty(),
@@ -168,52 +168,53 @@ impl<'a> ObsCtx<'a> {
 
 impl Observe for ObsCtx<'_> {
     const ACTIVE: bool = true;
-    type Stamp = Timer;
+    type Stamp = Instant;
 
     #[inline]
-    fn stamp() -> Timer {
-        Timer::start()
+    fn stamp() -> Instant {
+        Instant::now()
     }
 
     #[inline]
-    fn on_alloc(&mut self, size: u32, arena: bool, timer: Timer) {
+    fn on_alloc(&mut self, size: u32, arena: bool, stamp: Instant) {
         if !arena {
             self.general_allocs += 1;
         }
         self.sizes.record(u64::from(size));
-        if TIMING_ENABLED {
-            self.event_ns.record(timer.elapsed_ns());
-        }
+        self.event_ns.record(elapsed_ns(stamp));
     }
 
     /// Emits the object's byte lifetime.
     #[inline]
-    fn on_free(&mut self, dead: &LiveObj, timer: Timer) {
+    fn on_free(&mut self, dead: &LiveObj, stamp: Instant) {
         self.lifetimes
             .record(self.sizes.sum.wrapping_sub(dead.birth));
-        if TIMING_ENABLED {
-            self.event_ns.record(timer.elapsed_ns());
-        }
+        self.event_ns.record(elapsed_ns(stamp));
     }
 
     fn on_epoch(&mut self, sample: EpochSample) {
-        self.obs.timeline.push(sample);
+        self.obs.registry.push(EPOCHS, &[sample]);
     }
 
     fn flush(self, index: IndexStats, frees_invalid: u64, batch_refills: u64) {
-        self.obs.allocs_total.add(self.sizes.count);
-        self.obs
-            .arena_allocs_total
-            .add(self.sizes.count - self.general_allocs);
-        self.obs.frees_total.add(self.lifetimes.count);
-        self.obs.size_bytes.absorb(&self.sizes);
-        self.obs.lifetime_bytes.absorb(&self.lifetimes);
-        self.obs.event_ns.absorb(&self.event_ns);
-        self.obs.index_hits_total.add(index.hits);
-        self.obs.index_node_visits_total.add(index.node_visits);
-        self.obs.batch_refills_total.add(batch_refills);
-        self.obs.frees_invalid_total.add(frees_invalid);
+        let registry = self.obs.registry;
+        registry.add(ALLOCS_TOTAL, self.sizes.count);
+        registry.add(ARENA_ALLOCS_TOTAL, self.sizes.count - self.general_allocs);
+        registry.add(FREES_TOTAL, self.lifetimes.count);
+        registry.absorb(SIZE_BYTES, &self.sizes);
+        registry.absorb(LIFETIME_BYTES, &self.lifetimes);
+        registry.absorb(EVENT_NS, &self.event_ns);
+        registry.add(INDEX_HITS_TOTAL, index.hits);
+        registry.add(INDEX_NODE_VISITS_TOTAL, index.node_visits);
+        registry.add(BATCH_REFILLS_TOTAL, batch_refills);
+        registry.add(FREES_INVALID_TOTAL, frees_invalid);
     }
+}
+
+/// Nanoseconds since `stamp`, saturating at `u64::MAX`.
+#[inline]
+fn elapsed_ns(stamp: Instant) -> u64 {
+    u64::try_from(stamp.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -227,15 +228,15 @@ mod tests {
         let mut ctx = ObsCtx::new(&obs);
         // Object 0 born at clock 0, object 1 at clock 100; freeing 0
         // after both lands a lifetime of 100 + 50 = 150 bytes.
-        ctx.on_alloc(100, true, Timer::start());
-        ctx.on_alloc(50, false, Timer::start());
+        ctx.on_alloc(100, true, Instant::now());
+        ctx.on_alloc(50, false, Instant::now());
         let first = LiveObj {
             addr: crate::Addr(8),
             birth: 0,
             size: 100,
             tag: 0,
         };
-        ctx.on_free(&first, Timer::start());
+        ctx.on_free(&first, Instant::now());
         // Nothing is shared until the batch is flushed.
         assert_eq!(reg.snapshot().counter("lifepred_sim_allocs_total"), Some(0));
         ctx.flush(IndexStats::default(), 0, 1);

@@ -290,7 +290,7 @@ pub fn replay<S: ChunkSource>(
     meta: &ReplayMeta,
     source: S,
     plan: &ReplayPlan<'_>,
-    obs: Option<&ReplayObs>,
+    obs: Option<&ReplayObs<'_>>,
 ) -> Result<Replayed, ReplayStreamError<S::Error>> {
     match obs {
         Some(obs) => replay_with(meta, source, plan, ObsCtx::new(obs)),
@@ -516,7 +516,7 @@ pub fn replay_firstfit_chunks_observed<S: ChunkSource>(
     meta: &ReplayMeta,
     source: S,
     _config: &ReplayConfig,
-    obs: &ReplayObs,
+    obs: &ReplayObs<'_>,
 ) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
     replay(meta, source, &ReplayPlan::FirstFit, Some(obs)).map(|r| r.0)
 }

@@ -10,10 +10,13 @@
 //! order-statistic `search_steps` reconstruction, or in the
 //! invalid-free handling fails here.
 
-use lifepred_heap::reference::LinearFirstFit;
+#[path = "support/linear.rs"]
+mod linear;
+
 use lifepred_heap::{Addr, FirstFit};
 use lifepred_trace::{shared_registry, EventKind, Trace};
 use lifepred_workloads::{all_workloads, record};
+use linear::LinearFirstFit;
 use proptest::prelude::*;
 
 /// Drives both implementations through the same alloc/free sequence,
@@ -172,6 +175,27 @@ fn rover_stays_inside_an_unsplit_block_with_slack() {
     assert_eq!(step.alloc(40), blocks[0]);
     assert_eq!(step.indexed.counts().search_steps - before, 2);
     step.finish();
+}
+
+#[test]
+fn linear_reference_basic_roundtrip() {
+    let mut h = LinearFirstFit::new();
+    let a = h.alloc(100);
+    let b = h.alloc(50);
+    h.free(a);
+    h.free(b);
+    assert_eq!(h.live_blocks(), 0);
+    assert_eq!(h.heap_bytes(), 8192, "one page");
+}
+
+#[test]
+fn linear_reference_counts_invalid_frees() {
+    let mut h = LinearFirstFit::new();
+    let a = h.alloc(8);
+    h.free(a);
+    h.free(a);
+    assert_eq!(h.counts().frees, 1);
+    assert_eq!(h.counts().frees_invalid, 1);
 }
 
 #[derive(Debug, Clone)]

@@ -2,19 +2,33 @@
 //! differential oracle.
 //!
 //! [`LinearFirstFit`] is the paper-faithful O(free blocks) roving scan
-//! that [`FirstFit`](crate::FirstFit) replaced with a tree search.
-//! It exists so the equivalence claim stays *testable* forever:
-//! `tests/differential.rs` replays randomized traces and every
-//! workload trace through both implementations and asserts identical
-//! placements, [`OpCounts`] and high-water marks, and
-//! `benches/replay.rs` uses it as the "before" side of the recorded
-//! speedup. It is not part of the simulation API proper — use
-//! [`FirstFit`](crate::FirstFit).
+//! that [`FirstFit`](lifepred_heap::FirstFit) replaced with a tree
+//! search. It exists so the equivalence claim stays *testable*
+//! forever: `crates/heap/tests/differential.rs` replays randomized
+//! traces and every workload trace through both implementations and
+//! asserts identical placements, [`OpCounts`] and high-water marks,
+//! and `crates/bench/benches/replay.rs` uses it as the "before" side
+//! of the recorded speedup. It is not part of the simulation API.
+//!
+//! Shared by path (`#[path = ...]`) with both, so it names its
+//! dependencies by their crate names and nothing else. It keeps its
+//! own copies of the first-fit block geometry below: if they ever
+//! disagree with `FirstFit`'s, the differential fails.
 
-use crate::counts::OpCounts;
-use crate::firstfit::{ALIGN, HEADER, MIN_SPLIT, PAGE};
-use crate::Addr;
+// Each includer drives a different part of the oracle.
+#![allow(dead_code)]
+
+use lifepred_heap::{Addr, OpCounts};
 use std::collections::BTreeMap;
+
+/// Per-object header bytes (size + status word, boundary tag style).
+const HEADER: u64 = 8;
+/// Allocation alignment.
+const ALIGN: u64 = 8;
+/// Smallest splittable remainder (header plus one aligned word).
+const MIN_SPLIT: u64 = 16;
+/// Heap growth quantum.
+const PAGE: u64 = 8192;
 
 #[derive(Debug, Clone, Copy)]
 struct Block {
@@ -23,7 +37,7 @@ struct Block {
 }
 
 /// The pre-index first-fit heap: identical observable behaviour to
-/// [`FirstFit`](crate::FirstFit), linear search cost.
+/// [`FirstFit`](lifepred_heap::FirstFit), linear search cost.
 #[derive(Debug, Clone)]
 pub struct LinearFirstFit {
     blocks: BTreeMap<u64, Block>,
@@ -72,7 +86,7 @@ impl LinearFirstFit {
 
     /// Frees the block at `addr`, coalescing with free neighbours.
     /// Invalid addresses are counted no-ops, exactly as in
-    /// [`FirstFit::free`](crate::FirstFit::free).
+    /// [`FirstFit::free`](lifepred_heap::FirstFit::free).
     pub fn free(&mut self, addr: Addr) {
         let Some(start) = addr.0.checked_sub(HEADER) else {
             self.counts.frees_invalid += 1;
@@ -241,31 +255,5 @@ impl LinearFirstFit {
             },
         );
         start
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn linear_reference_basic_roundtrip() {
-        let mut h = LinearFirstFit::new();
-        let a = h.alloc(100);
-        let b = h.alloc(50);
-        h.free(a);
-        h.free(b);
-        assert_eq!(h.live_blocks(), 0);
-        assert_eq!(h.heap_bytes(), PAGE);
-    }
-
-    #[test]
-    fn linear_reference_counts_invalid_frees() {
-        let mut h = LinearFirstFit::new();
-        let a = h.alloc(8);
-        h.free(a);
-        h.free(a);
-        assert_eq!(h.counts().frees, 1);
-        assert_eq!(h.counts().frees_invalid, 1);
     }
 }

@@ -1,28 +1,18 @@
 //! Fixed-bucket log2 histograms.
 //!
-//! A [`LogHistogram`] has 64 power-of-two buckets: bucket 0 holds the
-//! value 0, bucket `i` (1 ≤ i < 63) holds values in
+//! A [`HistogramSnapshot`] has 64 power-of-two buckets: bucket 0 holds
+//! the value 0, bucket `i` (1 ≤ i < 63) holds values in
 //! `[2^(i-1), 2^i - 1]`, and bucket 63 is the overflow tail. The
 //! mapping is one `leading_zeros` — no search, no configuration, no
 //! floats — which is why every lifetime/size/latency metric in the
 //! workspace shares this one shape: snapshots from different runs are
 //! always bucket-compatible.
 //!
-//! Like [`Counter`](crate::Counter), observations shard across padded
-//! per-thread rows with Relaxed adds — the tallies are statistical,
-//! and no reader acts on one bucket's value;
-//! [`LogHistogram::snapshot`] folds the rows into a plain
-//! [`HistogramSnapshot`].
+//! A producer records into its own snapshot and publishes it with
+//! [`Registry::absorb`](crate::Registry::absorb).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of buckets in every [`LogHistogram`].
+/// Number of buckets in every [`HistogramSnapshot`].
 pub(crate) const HIST_BUCKETS: usize = 64;
-
-/// Sharding factor: rows of buckets, one per thread slot. Smaller than
-/// [`COUNTER_CELLS`](crate::COUNTER_CELLS) because a histogram row is
-/// a whole array, not one word.
-const HIST_SHARDS: usize = 8;
 
 /// The bucket a value falls into.
 #[inline]
@@ -47,125 +37,23 @@ pub(crate) fn bucket_le(i: usize) -> Option<u64> {
     }
 }
 
-/// One thread-slot's row of buckets, padded so concurrent rows never
-/// share a cache line at their boundary.
-#[repr(align(64))]
-struct Row {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    sum: AtomicU64,
-}
-
-impl Row {
-    fn new() -> Row {
-        Row {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for Row {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Row").finish_non_exhaustive()
-    }
-}
-
-/// A concurrent fixed-bucket log2 histogram.
+/// A log2 histogram: what producers record into, and what renders and
+/// persists.
 ///
 /// # Examples
 ///
 /// ```
-/// use lifepred_obs::LogHistogram;
+/// use lifepred_obs::HistogramSnapshot;
 ///
-/// let h = LogHistogram::new();
+/// let mut h = HistogramSnapshot::empty();
 /// for v in [0u64, 1, 5, 5, 300] {
-///     h.observe(v);
+///     h.record(v);
 /// }
-/// let s = h.snapshot();
-/// assert_eq!(s.count, 5);
-/// assert_eq!(s.sum, 311);
-/// assert_eq!(s.max, 300);
-/// assert!(s.quantile(0.5) >= 5);
+/// assert_eq!(h.count, 5);
+/// assert_eq!(h.sum, 311);
+/// assert_eq!(h.max, 300);
+/// assert!(h.quantile(0.5) >= 5);
 /// ```
-#[derive(Debug)]
-pub struct LogHistogram {
-    rows: Box<[Row]>,
-    max: AtomicU64,
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> LogHistogram {
-        LogHistogram {
-            rows: (0..HIST_SHARDS).map(|_| Row::new()).collect(),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        let row = &self.rows[crate::counter::thread_cell() % HIST_SHARDS];
-        let bucket = &row.buckets[bucket_of(v)];
-        bucket.fetch_add(1, Ordering::Relaxed);
-        row.sum.fetch_add(v, Ordering::Relaxed);
-        // Guarded: `fetch_max` is a CAS loop on a line every thread
-        // shares, but once the maximum is established the plain load
-        // short-circuits — repeated-size workloads never touch it.
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds a locally accumulated [`HistogramSnapshot`] into this
-    /// histogram in one pass — the batch counterpart of
-    /// [`observe`](Self::observe) for single-threaded producers (a
-    /// trace replay, a drained per-shard delta) that record into plain
-    /// memory and publish once.
-    pub fn absorb(&self, local: &HistogramSnapshot) {
-        if local.count == 0 {
-            return;
-        }
-        let row = &self.rows[crate::counter::thread_cell() % HIST_SHARDS];
-        for (bucket, &n) in row.buckets.iter().zip(local.buckets.iter()) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        row.sum.fetch_add(local.sum, Ordering::Relaxed);
-        if local.max > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(local.max, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds the shard rows into a plain snapshot. Taken while writers
-    /// are active it may miss in-flight observations; it never tears an
-    /// individual bucket.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        let mut sum = 0u64;
-        for row in self.rows.iter() {
-            for (acc, b) in buckets.iter_mut().zip(row.buckets.iter()) {
-                *acc = acc.wrapping_add(b.load(Ordering::Relaxed));
-            }
-            sum = sum.wrapping_add(row.sum.load(Ordering::Relaxed));
-        }
-        HistogramSnapshot {
-            count: buckets.iter().sum(),
-            sum,
-            max: self.max.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
-/// A plain (non-atomic) histogram state: what renders and persists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -196,9 +84,9 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Records one observation into this plain snapshot — the local
-    /// half of the batch pattern: accumulate here (no atomics, no
-    /// sharing), then [`LogHistogram::absorb`] the result.
+    /// Records one observation — the local half of the batch pattern:
+    /// accumulate here, then
+    /// [`Registry::absorb`](crate::Registry::absorb) the result.
     #[inline]
     pub fn record(&mut self, v: u64) {
         self.count += 1;
@@ -283,13 +171,17 @@ mod tests {
         assert_eq!(bucket_le(HIST_BUCKETS - 1), None);
     }
 
-    #[test]
-    fn snapshot_aggregates_counts_and_sum() {
-        let h = LogHistogram::new();
-        for v in 1..=100u64 {
-            h.observe(v);
+    fn of(values: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::empty();
+        for v in values {
+            h.record(v);
         }
-        let s = h.snapshot();
+        h
+    }
+
+    #[test]
+    fn record_aggregates_counts_and_sum() {
+        let s = of(1..=100);
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 5050);
         assert_eq!(s.max, 100);
@@ -297,50 +189,9 @@ mod tests {
 
     #[test]
     fn quantiles_walk_the_buckets() {
-        let h = LogHistogram::new();
-        for _ in 0..90 {
-            h.observe(8);
-        }
-        for _ in 0..10 {
-            h.observe(100_000);
-        }
-        let s = h.snapshot();
+        let s = of(std::iter::repeat_n(8, 90).chain(std::iter::repeat_n(100_000, 10)));
         assert!(s.quantile(0.5) < 16, "median {}", s.quantile(0.5));
         assert!(s.quantile(0.99) >= 65536, "p99 {}", s.quantile(0.99));
         assert_eq!(s.quantile(1.0), 100_000);
-    }
-
-    #[test]
-    fn local_record_then_absorb_matches_direct_observe() {
-        let direct = LogHistogram::new();
-        let batched = LogHistogram::new();
-        let mut local = HistogramSnapshot::empty();
-        for v in [0u64, 1, 5, 5, 300, 1 << 40] {
-            direct.observe(v);
-            local.record(v);
-        }
-        assert_eq!(local, direct.snapshot(), "local recording must agree");
-        batched.absorb(&local);
-        assert_eq!(batched.snapshot(), direct.snapshot());
-        // Absorbing an empty snapshot is a no-op.
-        batched.absorb(&HistogramSnapshot::empty());
-        assert_eq!(batched.snapshot(), direct.snapshot());
-    }
-
-    #[test]
-    fn concurrent_observations_all_land() {
-        let h = LogHistogram::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for v in 0..500u64 {
-                        h.observe(v);
-                    }
-                });
-            }
-        });
-        let s = h.snapshot();
-        assert_eq!(s.count, 4000);
-        assert_eq!(s.max, 499);
     }
 }

@@ -5,22 +5,22 @@
 //! cost — so every allocator, predictor, and replay path here reports
 //! through one cheap pipeline instead of ad-hoc snapshot structs:
 //!
-//! - [`Counter`] / [`Gauge`] — cache-line-padded sharded cells, safe
-//!   on the sharded-allocator fast path (Relaxed increments;
-//!   aggregated reads).
-//! - [`LogHistogram`] — fixed 64-bucket log2 histograms for object
-//!   lifetimes, sizes, and (feature-gated) allocation latency.
-//! - [`EpochTimeline`] — a bounded ring of per-epoch
-//!   [`EpochSample`]s: predictor generation, predicted-short set
-//!   size, arena utilization/fragmentation, demotions,
-//!   mispredictions.
-//! - [`Registry`] — stable names to live handles;
-//!   [`Registry::snapshot`] produces a plain [`Snapshot`] that
-//!   renders to JSON ([`Snapshot::to_json`], parse it back with
+//! - [`Registry`] — stable names to plain values behind one mutex.
+//!   Producers count in their own memory and publish once per run,
+//!   epoch or dump: [`Registry::add`] (counters), [`Registry::set`]
+//!   (gauges), [`Registry::absorb`] (histograms) and
+//!   [`Registry::push`] (epoch timelines).
+//! - [`HistogramSnapshot`] — a fixed 64-bucket log2 histogram for
+//!   object lifetimes, sizes and event latency, recorded locally and
+//!   absorbed.
+//! - [`EpochSample`] — one epoch boundary's predictor generation,
+//!   predicted-short set size, arena utilization/fragmentation,
+//!   demotions and mispredictions; a timeline keeps the newest
+//!   [`DEFAULT_TIMELINE_CAPACITY`].
+//! - [`Snapshot`] — what [`Registry::snapshot`] returns: it renders to
+//!   JSON ([`Snapshot::to_json`], parse it back with
 //!   [`Snapshot::from_json`]) or Prometheus text
 //!   ([`Snapshot::to_prometheus`]).
-//! - [`Timer`] — wall-clock latency measurement that compiles to a
-//!   zero-sized no-op unless the `timing` feature is on.
 //!
 //! # Naming convention
 //!
@@ -43,17 +43,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counter;
 mod hist;
 pub mod json;
 mod registry;
 mod render;
 mod timeline;
-mod timer;
 
-pub use counter::{Counter, Gauge};
-pub use hist::{HistogramSnapshot, LogHistogram};
+pub use hist::HistogramSnapshot;
 pub use json::ParseError;
 pub use registry::{Registry, Snapshot, MERGE_NAME_MISSES_METRIC};
-pub use timeline::{EpochSample, EpochTimeline, DEFAULT_TIMELINE_CAPACITY};
-pub use timer::{Timer, TIMING_ENABLED};
+pub use timeline::{EpochSample, DEFAULT_TIMELINE_CAPACITY};

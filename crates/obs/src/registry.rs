@@ -1,25 +1,31 @@
-//! Metric registry: stable names → live metric handles.
+//! Metric registry: stable names → published values.
 //!
-//! A [`Registry`] is the one place metric names exist. Producers ask
-//! for a handle (`registry.counter("lifepred_sim_allocs_total")`) and
-//! keep the returned `Arc` on their hot path — the registry lock is
-//! taken only at registration and export time, never per-increment.
-//! Exporters call [`Registry::snapshot`] to get a plain [`Snapshot`]
-//! that renders to JSON or Prometheus text (see the crate root docs
-//! for the naming convention).
+//! A [`Registry`] is the one place metric names exist, and it stores
+//! plain values behind one mutex. Producers count into their own
+//! memory — a replay's local histograms, galloc's counter words, the
+//! learner's stats — and publish when they are done, one call per
+//! metric kind: [`Registry::add`] to a counter, [`Registry::set`] a
+//! gauge, [`Registry::absorb`] a histogram, [`Registry::push`] epoch
+//! samples onto a timeline. Every call takes the lock, so nothing
+//! publishes per event. Exporters call [`Registry::snapshot`] to get a
+//! plain [`Snapshot`] that renders to JSON or Prometheus text (see the
+//! crate root docs for the naming convention).
 //!
 //! Names are validated eagerly and kind mismatches panic: both are
 //! programmer errors on compile-time string constants, and failing
-//! loudly at registration beats exporting a silently-wrong schema.
+//! loudly at the first publish beats exporting a silently-wrong schema.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Mutex, MutexGuard};
 
-use crate::counter::{Counter, Gauge};
-use crate::hist::{HistogramSnapshot, LogHistogram};
-use crate::timeline::{EpochSample, EpochTimeline};
+use crate::hist::HistogramSnapshot;
+use crate::timeline::{EpochSample, DEFAULT_TIMELINE_CAPACITY};
 
-/// A named collection of live metrics.
+/// A named collection of published metric values.
+///
+/// Publishing the identity of a kind — adding 0, absorbing an empty
+/// histogram, pushing no samples — registers the name at its zero
+/// value, so a producer can declare its whole metric set up front.
 ///
 /// # Examples
 ///
@@ -27,10 +33,9 @@ use crate::timeline::{EpochSample, EpochTimeline};
 /// use lifepred_obs::Registry;
 ///
 /// let reg = Registry::new();
-/// let allocs = reg.counter("demo_allocs_total");
-/// allocs.add(1);
-/// // The same name returns the same underlying metric.
-/// reg.counter("demo_allocs_total").add(2);
+/// reg.add("demo_allocs_total", 1);
+/// // The same name accumulates into the same counter.
+/// reg.add("demo_allocs_total", 2);
 /// assert_eq!(reg.snapshot().counters[0].1, 3);
 /// ```
 #[derive(Debug, Default)]
@@ -38,12 +43,13 @@ pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<LogHistogram>),
-    Timeline(Arc<EpochTimeline>),
+    Counter(u64),
+    Gauge(u64),
+    Histogram(Box<HistogramSnapshot>),
+    /// The newest [`DEFAULT_TIMELINE_CAPACITY`] samples, oldest first.
+    Timeline(VecDeque<EpochSample>),
 }
 
 impl Metric {
@@ -69,127 +75,111 @@ pub(crate) fn valid_name(name: &str) -> bool {
         && chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
+/// The metric stored under `name`, created as `fresh` on first use.
+///
+/// # Panics
+///
+/// If `name` is invalid or already holds another kind of metric.
+fn slot<'m>(
+    metrics: &'m mut BTreeMap<String, Metric>,
+    name: &str,
+    fresh: Metric,
+) -> &'m mut Metric {
+    assert!(
+        valid_name(name),
+        "invalid metric name `{name}` (want [a-z_][a-z0-9_]*)"
+    );
+    let want = fresh.kind();
+    let metric = metrics.entry(name.to_owned()).or_insert(fresh);
+    assert!(
+        metric.kind() == want,
+        "metric `{name}` already registered as a {}, requested as a {want}",
+        metric.kind()
+    );
+    metric
+}
+
+/// Appends `samples` to `ring`, dropping the oldest beyond `capacity`.
+fn push_bounded(ring: &mut VecDeque<EpochSample>, samples: &[EpochSample], capacity: usize) {
+    ring.extend(samples);
+    let excess = ring.len().saturating_sub(capacity);
+    ring.drain(..excess);
+}
+
 impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
     }
 
-    fn get_or_insert<T>(
-        &self,
-        name: &str,
-        wrap: impl FnOnce() -> Metric,
-        unwrap: impl Fn(&Metric) -> Option<Arc<T>>,
-        want: &'static str,
-    ) -> Arc<T> {
-        assert!(
-            valid_name(name),
-            "invalid metric name `{name}` (want [a-z_][a-z0-9_]*)"
-        );
-        let mut metrics = self.metrics.lock().expect("registry lock poisoned");
-        let entry = metrics.entry(name.to_string()).or_insert_with(wrap);
-        match unwrap(entry) {
-            Some(m) => m,
-            None => panic!(
-                "metric `{name}` already registered as a {}, requested as a {want}",
-                entry.kind()
-            ),
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.metrics.lock().expect("registry lock poisoned")
+    }
+
+    /// Adds `n` to the counter `name` (wrapping), creating it at 0.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is invalid or already registered as another kind.
+    pub fn add(&self, name: &str, n: u64) {
+        let mut metrics = self.lock();
+        if let Metric::Counter(total) = slot(&mut metrics, name, Metric::Counter(0)) {
+            *total = total.wrapping_add(n);
         }
     }
 
-    /// Returns the counter registered under `name`, creating it on
-    /// first use.
+    /// Sets the gauge `name` to `level`.
     ///
     /// # Panics
     ///
     /// If `name` is invalid or already registered as another kind.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.get_or_insert(
-            name,
-            || Metric::Counter(Arc::new(Counter::new())),
-            |m| match m {
-                Metric::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-            "counter",
-        )
+    pub fn set(&self, name: &str, level: u64) {
+        let mut metrics = self.lock();
+        if let Metric::Gauge(gauge) = slot(&mut metrics, name, Metric::Gauge(0)) {
+            *gauge = level;
+        }
     }
 
-    /// Returns the gauge registered under `name`, creating it on
-    /// first use.
+    /// Folds `local`, a histogram recorded in the producer's own
+    /// memory, into the histogram `name`.
     ///
     /// # Panics
     ///
     /// If `name` is invalid or already registered as another kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.get_or_insert(
-            name,
-            || Metric::Gauge(Arc::new(Gauge::new())),
-            |m| match m {
-                Metric::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-            "gauge",
-        )
+    pub fn absorb(&self, name: &str, local: &HistogramSnapshot) {
+        let mut metrics = self.lock();
+        let fresh = Metric::Histogram(Box::default());
+        if let Metric::Histogram(hist) = slot(&mut metrics, name, fresh) {
+            hist.merge(local);
+        }
     }
 
-    /// Returns the histogram registered under `name`, creating it on
-    /// first use.
+    /// Appends `samples`, oldest first, to the epoch timeline `name`.
+    /// The timeline keeps the newest [`DEFAULT_TIMELINE_CAPACITY`]
+    /// samples; older ones fall off the front.
     ///
     /// # Panics
     ///
     /// If `name` is invalid or already registered as another kind.
-    pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
-        self.get_or_insert(
-            name,
-            || Metric::Histogram(Arc::new(LogHistogram::new())),
-            |m| match m {
-                Metric::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            "histogram",
-        )
+    pub fn push(&self, name: &str, samples: &[EpochSample]) {
+        let mut metrics = self.lock();
+        if let Metric::Timeline(ring) = slot(&mut metrics, name, Metric::Timeline(VecDeque::new()))
+        {
+            push_bounded(ring, samples, DEFAULT_TIMELINE_CAPACITY);
+        }
     }
 
-    /// Returns the epoch timeline registered under `name`, creating it
-    /// (at the default capacity) on first use.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is invalid or already registered as another kind.
-    pub fn timeline(&self, name: &str) -> Arc<EpochTimeline> {
-        self.get_or_insert(
-            name,
-            || Metric::Timeline(Arc::new(EpochTimeline::new())),
-            |m| match m {
-                Metric::Timeline(t) => Some(Arc::clone(t)),
-                _ => None,
-            },
-            "timeline",
-        )
-    }
-
-    /// Reads every metric into a plain, renderable snapshot. Values
-    /// are read per-metric while writers may be active, so the
-    /// snapshot is consistent per metric, not across metrics — the
-    /// same contract as the underlying counters.
+    /// Copies every metric into a plain, renderable snapshot, all under
+    /// one lock: a point-in-time view across metrics.
     pub fn snapshot(&self) -> Snapshot {
-        // Clone the handles out so metric reads (which may sum shards
-        // or lock a timeline) happen outside the registry lock.
-        let metrics: Vec<(String, Metric)> = {
-            let metrics = self.metrics.lock().expect("registry lock poisoned");
-            metrics
-                .iter()
-                .map(|(n, m)| (n.clone(), m.clone()))
-                .collect()
-        };
         let mut snap = Snapshot::default();
-        for (name, metric) in metrics {
+        for (name, metric) in self.lock().iter() {
+            let name = name.clone();
             match metric {
-                Metric::Counter(c) => snap.counters.push((name, c.get())),
-                Metric::Gauge(g) => snap.gauges.push((name, g.get())),
-                Metric::Histogram(h) => snap.histograms.push((name, h.snapshot())),
-                Metric::Timeline(t) => snap.timelines.push((name, t.samples())),
+                Metric::Counter(c) => snap.counters.push((name, *c)),
+                Metric::Gauge(g) => snap.gauges.push((name, *g)),
+                Metric::Histogram(h) => snap.histograms.push((name, **h)),
+                Metric::Timeline(t) => snap.timelines.push((name, t.iter().copied().collect())),
             }
         }
         snap
@@ -373,47 +363,100 @@ mod tests {
         assert!(!valid_name("Upper"));
     }
 
+    fn sample(epoch: u64) -> EpochSample {
+        EpochSample {
+            epoch,
+            ..EpochSample::default()
+        }
+    }
+
+    fn hist(values: &[u64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::empty();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn same_name_same_metric() {
         let reg = Registry::new();
-        reg.counter("a_total").add(1);
-        reg.counter("a_total").add(1);
-        assert_eq!(reg.snapshot().counter("a_total"), Some(2));
+        reg.add("a_total", 1);
+        reg.add("a_total", 1);
+        reg.set("g_bytes", 10);
+        reg.set("g_bytes", 12);
+        reg.absorb("h_bytes", &hist(&[0, 1, 5]));
+        reg.absorb("h_bytes", &hist(&[5, 300]));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("a_total"), Some(2));
+        assert_eq!(
+            snap.gauge("g_bytes"),
+            Some(12),
+            "a gauge holds the last set"
+        );
+        assert_eq!(snap.histogram("h_bytes"), Some(&hist(&[0, 1, 5, 5, 300])));
+    }
+
+    #[test]
+    fn publishing_the_identity_registers_at_zero() {
+        let reg = Registry::new();
+        reg.add("c_total", 0);
+        reg.absorb("h_bytes", &HistogramSnapshot::empty());
+        reg.push("t_epochs", &[]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("c_total"), Some(0));
+        assert_eq!(snap.histogram("h_bytes"), Some(&HistogramSnapshot::empty()));
+        assert_eq!(snap.timeline("t_epochs"), Some(&[][..]));
+    }
+
+    #[test]
+    fn timeline_evicts_oldest_when_full() {
+        let mut ring = VecDeque::new();
+        for e in 0..10 {
+            push_bounded(&mut ring, &[sample(e)], 3);
+        }
+        let got: Vec<u64> = ring.iter().map(|s| s.epoch).collect();
+        assert_eq!(got, vec![7, 8, 9]);
+        // The registry's rings hold DEFAULT_TIMELINE_CAPACITY.
+        let reg = Registry::new();
+        let pushed = DEFAULT_TIMELINE_CAPACITY as u64 + 7;
+        for e in 0..pushed {
+            reg.push("t_epochs", &[sample(e)]);
+        }
+        let snap = reg.snapshot();
+        let kept = snap.timeline("t_epochs").expect("timeline");
+        assert_eq!(kept.len(), DEFAULT_TIMELINE_CAPACITY);
+        assert_eq!(kept[0].epoch, 7);
+        assert_eq!(kept[kept.len() - 1].epoch, pushed - 1);
     }
 
     #[test]
     #[should_panic(expected = "already registered as a counter")]
     fn kind_mismatch_panics() {
         let reg = Registry::new();
-        reg.counter("x");
-        reg.gauge("x");
+        reg.add("x", 0);
+        reg.set("x", 0);
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_name_panics() {
-        Registry::new().counter("not ok");
+        Registry::new().add("not ok", 1);
     }
 
     #[test]
     fn merge_folds_every_metric_kind() {
         let a = Registry::new();
-        a.counter("c_total").add(3);
-        a.gauge("g_bytes").set(10);
-        a.histogram("h_bytes").observe(4);
-        a.timeline("t_epochs").push(EpochSample {
-            epoch: 1,
-            ..EpochSample::default()
-        });
+        a.add("c_total", 3);
+        a.set("g_bytes", 10);
+        a.absorb("h_bytes", &hist(&[4]));
+        a.push("t_epochs", &[sample(1)]);
         let b = Registry::new();
-        b.counter("c_total").add(2);
-        b.counter("only_b_total").add(7);
-        b.gauge("g_bytes").set(5);
-        b.histogram("h_bytes").observe(4096);
-        b.timeline("t_epochs").push(EpochSample {
-            epoch: 2,
-            ..EpochSample::default()
-        });
+        b.add("c_total", 2);
+        b.add("only_b_total", 7);
+        b.set("g_bytes", 5);
+        b.absorb("h_bytes", &hist(&[4096]));
+        b.push("t_epochs", &[sample(2)]);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.counter("c_total"), Some(5));
@@ -443,8 +486,8 @@ mod tests {
         // The standard fold loop starts from `Snapshot::default()`;
         // adopting the first job's snapshot is not a name mismatch.
         let a = Registry::new();
-        a.counter("c_total").add(3);
-        a.gauge("g_bytes").set(1);
+        a.add("c_total", 3);
+        a.set("g_bytes", 1);
         let mut merged = Snapshot::default();
         merged.merge(&a.snapshot());
         assert_eq!(merged.counter(MERGE_NAME_MISSES_METRIC), None);
@@ -457,12 +500,12 @@ mod tests {
     #[test]
     fn merge_counts_misses_in_both_directions_and_every_kind() {
         let a = Registry::new();
-        a.counter("only_a_total").add(1);
-        a.histogram("h_shared").observe(1);
+        a.add("only_a_total", 1);
+        a.absorb("h_shared", &hist(&[1]));
         let b = Registry::new();
-        b.gauge("only_b_bytes").set(2);
-        b.histogram("h_shared").observe(2);
-        b.timeline("only_b_epochs").push(EpochSample::default());
+        b.set("only_b_bytes", 2);
+        b.absorb("h_shared", &hist(&[2]));
+        b.push("only_b_epochs", &[EpochSample::default()]);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         // only_a_total, only_b_bytes, only_b_epochs are unpaired;
@@ -474,10 +517,10 @@ mod tests {
     #[test]
     fn merge_miss_counter_does_not_count_itself() {
         let a = Registry::new();
-        a.counter("c_total").add(1);
+        a.add("c_total", 1);
         let b = Registry::new();
-        b.counter("c_total").add(1);
-        b.counter("d_total").add(1);
+        b.add("c_total", 1);
+        b.add("d_total", 1);
         // First mismatched merge plants the warning counter…
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
@@ -492,11 +535,11 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let reg = Registry::new();
-        reg.gauge("z_gauge").set(7);
-        reg.counter("b_total").add(3);
-        reg.counter("a_total").add(1);
-        reg.histogram("h_bytes").observe(42);
-        reg.timeline("t_epochs").push(EpochSample::default());
+        reg.set("z_gauge", 7);
+        reg.add("b_total", 3);
+        reg.add("a_total", 1);
+        reg.absorb("h_bytes", &hist(&[42]));
+        reg.push("t_epochs", &[EpochSample::default()]);
         let snap = reg.snapshot();
         let counter_names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(counter_names, vec!["a_total", "b_total"]);

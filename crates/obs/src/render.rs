@@ -329,27 +329,30 @@ mod tests {
 
     fn demo_snapshot() -> Snapshot {
         let reg = Registry::new();
-        reg.counter("sim_allocs_total").add(5);
-        reg.counter("sim_frees_total").add(4);
-        reg.gauge("live_bytes").set(96);
-        let h = reg.histogram("object_size_bytes");
+        reg.add("sim_allocs_total", 5);
+        reg.add("sim_frees_total", 4);
+        reg.set("live_bytes", 96);
+        let mut h = HistogramSnapshot::empty();
         for v in [8u64, 8, 16, 300] {
-            h.observe(v);
+            h.record(v);
         }
-        let t = reg.timeline("epochs");
-        t.push(EpochSample {
-            epoch: 0,
-            clock_bytes: 65536,
-            generation: 1,
-            short_sites: 3,
-            sites: 5,
-            live_bytes: 96,
-            max_heap_bytes: 128,
-            utilization_pct: 75.5,
-            fragmentation_pct: 2.25,
-            mispredictions: 1,
-            demotions: 0,
-        });
+        reg.absorb("object_size_bytes", &h);
+        reg.push(
+            "epochs",
+            &[EpochSample {
+                epoch: 0,
+                clock_bytes: 65536,
+                generation: 1,
+                short_sites: 3,
+                sites: 5,
+                live_bytes: 96,
+                max_heap_bytes: 128,
+                utilization_pct: 75.5,
+                fragmentation_pct: 2.25,
+                mispredictions: 1,
+                demotions: 0,
+            }],
+        );
         reg.snapshot()
     }
 

@@ -16,7 +16,7 @@
 //! LIFEPRED_REGEN_GOLDEN=1 cargo test -p lifepred-obs --test golden
 //! ```
 
-use lifepred_obs::{EpochSample, Registry, Snapshot};
+use lifepred_obs::{EpochSample, HistogramSnapshot, Registry, Snapshot};
 use std::path::PathBuf;
 
 /// Replay counters/histograms/timeline registered by `lifepred-heap`.
@@ -95,39 +95,37 @@ const TIMELINES: &[&str] = &["lifepred_sim_epochs"];
 fn canonical_registry() -> Registry {
     let registry = Registry::new();
     for (i, name) in SIM_COUNTERS.iter().chain(GALLOC_COUNTERS).enumerate() {
-        registry.counter(name).add(100 + i as u64);
+        registry.add(name, 100 + i as u64);
     }
     // Gauges start at 210 so the learner set keeps the values (211..)
     // it was blessed with before the galloc gauge joined.
     for (i, name) in GALLOC_GAUGES.iter().chain(LEARNER_GAUGES).enumerate() {
-        registry.gauge(name).set(210 + i as u64);
+        registry.set(name, 210 + i as u64);
     }
     for (i, name) in SIM_HISTOGRAMS.iter().enumerate() {
-        let h = registry.histogram(name);
         // Spread observations across buckets, including 0 and a large
         // outlier, so sparse bucket serialization is exercised.
-        h.observe(0);
-        h.observe(1 + i as u64);
-        h.observe(48);
-        h.observe(1 << (20 + i));
+        let mut h = HistogramSnapshot::empty();
+        for v in [0, 1 + i as u64, 48, 1 << (20 + i)] {
+            h.record(v);
+        }
+        registry.absorb(name, &h);
     }
     for (i, name) in TIMELINES.iter().enumerate() {
-        let t = registry.timeline(name);
-        for epoch in 0..2u64 {
-            t.push(EpochSample {
-                epoch,
-                clock_bytes: 4096 * (epoch + 1),
-                generation: epoch,
-                short_sites: 3 + i as u64,
-                sites: 10,
-                live_bytes: 512,
-                max_heap_bytes: 8192,
-                utilization_pct: 75.5,
-                fragmentation_pct: 2.25,
-                mispredictions: epoch,
-                demotions: 0,
-            });
-        }
+        let samples = (0..2u64).map(|epoch| EpochSample {
+            epoch,
+            clock_bytes: 4096 * (epoch + 1),
+            generation: epoch,
+            short_sites: 3 + i as u64,
+            sites: 10,
+            live_bytes: 512,
+            max_heap_bytes: 8192,
+            utilization_pct: 75.5,
+            fragmentation_pct: 2.25,
+            mispredictions: epoch,
+            demotions: 0,
+        });
+        registry.push(name, &samples.collect::<Vec<_>>());
     }
     registry
 }

@@ -1,88 +1,81 @@
-//! Property-based tests for the metrics core: concurrent sharded
-//! aggregation must equal a serial oracle, and snapshots must survive
-//! a JSON round trip.
+//! Property-based tests for the metrics core: concurrent publishes
+//! into one registry must equal a serial oracle, and snapshots must
+//! survive a JSON round trip.
 
-use lifepred_obs::{HistogramSnapshot, LogHistogram, Registry, Snapshot, MERGE_NAME_MISSES_METRIC};
+use lifepred_obs::{HistogramSnapshot, Registry, Snapshot, MERGE_NAME_MISSES_METRIC};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 proptest! {
-    /// A sharded counter incremented from many threads totals exactly
-    /// the serial sum of all contributions, regardless of how the work
-    /// is split.
+    /// Counters, gauges and histograms published from eight threads
+    /// into one `Registry` snapshot to exactly the serial oracle:
+    /// counters total every `add` (the threads share a small name
+    /// pool), each thread's own gauge holds its last `set`, and each
+    /// shared histogram holds every value of every batch absorbed into
+    /// it, whatever the interleaving.
     #[test]
-    fn sharded_counter_aggregates_exactly(
+    fn concurrent_publishes_match_the_serial_oracle(
         per_thread in proptest::collection::vec(
-            proptest::collection::vec(0u64..1000, 0..50),
-            1..8,
+            proptest::collection::vec(
+                // (metric kind, name index, value)
+                (0u8..3, 0usize..3, 0u64..1_000_000),
+                0..40,
+            ),
+            8,
         )
     ) {
         let registry = Registry::new();
-        let counter = registry.counter("lifepred_test_total");
-        let expected: u64 = per_thread.iter().flatten().sum();
-        let threads: Vec<_> = per_thread
-            .into_iter()
-            .map(|amounts| {
-                let counter = Arc::clone(&counter);
-                std::thread::spawn(move || {
-                    for v in amounts {
-                        counter.add(v);
+        let mut counter_oracle: BTreeMap<String, u64> = BTreeMap::new();
+        let mut gauge_oracle: BTreeMap<String, u64> = BTreeMap::new();
+        let mut hist_oracle: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
+        for (thread, entries) in per_thread.iter().enumerate() {
+            for &(kind, idx, v) in entries {
+                match kind {
+                    0 => *counter_oracle.entry(format!("lifepred_c{idx}_total")).or_default() += v,
+                    1 => {
+                        gauge_oracle.insert(format!("lifepred_g{thread}_bytes"), v);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("worker");
-        }
-        prop_assert_eq!(counter.get(), expected);
-        prop_assert_eq!(
-            registry.snapshot().counter("lifepred_test_total"),
-            Some(expected)
-        );
-    }
-
-    /// A histogram fed concurrently — some threads observing live, some
-    /// absorbing locally recorded batches — aggregates to exactly the
-    /// serial oracle built from every value.
-    #[test]
-    fn histogram_absorb_matches_serial_oracle(
-        per_thread in proptest::collection::vec(
-            (any::<bool>(), proptest::collection::vec(0u64..1_000_000, 0..50)),
-            1..8,
-        )
-    ) {
-        let registry = Registry::new();
-        let hist = registry.histogram("lifepred_test_values");
-        let mut oracle = HistogramSnapshot::empty();
-        for (_, values) in &per_thread {
-            for &v in values {
-                oracle.record(v);
+                    _ => hist_oracle.entry(format!("lifepred_h{idx}_ns")).or_default().record(v),
+                }
             }
         }
-        let threads: Vec<_> = per_thread
-            .into_iter()
-            .map(|(batched, values)| {
-                let hist: Arc<LogHistogram> = Arc::clone(&hist);
-                std::thread::spawn(move || {
-                    if batched {
-                        let mut local = HistogramSnapshot::empty();
-                        for v in values {
-                            local.record(v);
-                        }
-                        hist.absorb(&local);
-                    } else {
-                        for v in values {
-                            hist.observe(v);
+        std::thread::scope(|scope| {
+            for (thread, entries) in per_thread.iter().enumerate() {
+                let registry = &registry;
+                scope.spawn(move || {
+                    // Histogram values go out in batches of up to
+                    // four, recorded locally first.
+                    let mut local: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
+                    for &(kind, idx, v) in entries {
+                        match kind {
+                            0 => registry.add(&format!("lifepred_c{idx}_total"), v),
+                            1 => registry.set(&format!("lifepred_g{thread}_bytes"), v),
+                            _ => {
+                                let name = format!("lifepred_h{idx}_ns");
+                                let batch = local.entry(name.clone()).or_default();
+                                batch.record(v);
+                                if batch.count == 4 {
+                                    registry.absorb(&name, &std::mem::take(batch));
+                                }
+                            }
                         }
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("worker");
-        }
-        prop_assert_eq!(hist.snapshot(), oracle);
+                    for (name, batch) in &local {
+                        registry.absorb(name, batch);
+                    }
+                });
+            }
+        });
+        let snap = registry.snapshot();
+        let expect = |oracle: &BTreeMap<String, u64>| -> Vec<(String, u64)> {
+            oracle.iter().map(|(n, &v)| (n.clone(), v)).collect()
+        };
+        prop_assert_eq!(&snap.counters, &expect(&counter_oracle));
+        prop_assert_eq!(&snap.gauges, &expect(&gauge_oracle));
+        let hists: Vec<(String, HistogramSnapshot)> =
+            hist_oracle.into_iter().collect();
+        prop_assert_eq!(&snap.histograms, &hists);
+        prop_assert!(snap.timelines.is_empty());
     }
 
     /// `to_json` → `from_json` reproduces the snapshot bit-for-bit for
@@ -95,15 +88,16 @@ proptest! {
     ) {
         let registry = Registry::new();
         for (i, v) in counters.iter().enumerate() {
-            registry.counter(&format!("lifepred_c{i}_total")).add(*v);
+            registry.add(&format!("lifepred_c{i}_total"), *v);
         }
         for (i, v) in gauges.iter().enumerate() {
-            registry.gauge(&format!("lifepred_g{i}")).set(*v);
+            registry.set(&format!("lifepred_g{i}"), *v);
         }
-        let hist = registry.histogram("lifepred_h_bytes");
+        let mut hist = HistogramSnapshot::empty();
         for &v in &observations {
-            hist.observe(v);
+            hist.record(v);
         }
+        registry.absorb("lifepred_h_bytes", &hist);
         let snap = registry.snapshot();
         let parsed = Snapshot::from_json(&snap.to_json()).expect("own JSON parses");
         prop_assert_eq!(parsed, snap);
@@ -156,23 +150,28 @@ proptest! {
         let mut merged = Snapshot::default();
         for entries in &jobs {
             let registry = Registry::new();
+            // This job's gauge levels: merged gauges sum across jobs by
+            // contract, so each job publishes its own running total.
+            let mut levels: BTreeMap<String, u64> = BTreeMap::new();
             for &(kind, idx, v) in entries {
                 match kind {
                     0 => {
                         let name = format!("lifepred_pc{idx}_total");
-                        registry.counter(&name).add(v);
+                        registry.add(&name, v);
                         *counter_oracle.entry(name).or_default() += v;
                     }
                     1 => {
-                        // Merged gauges sum across jobs by contract.
                         let name = format!("lifepred_pg{idx}_bytes");
-                        let prior = registry.gauge(&name).get();
-                        registry.gauge(&name).set(prior + v);
+                        let level = levels.entry(name.clone()).or_default();
+                        *level += v;
+                        registry.set(&name, *level);
                         *gauge_oracle.entry(name).or_default() += v;
                     }
                     _ => {
                         let name = format!("lifepred_ph{idx}_ns");
-                        registry.histogram(&name).observe(v);
+                        let mut one = HistogramSnapshot::empty();
+                        one.record(v);
+                        registry.absorb(&name, &one);
                         hist_oracle.entry(name).or_default().record(v);
                     }
                 }

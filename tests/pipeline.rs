@@ -82,8 +82,7 @@ fn database_text_roundtrip_preserves_predictions() {
     let (training, test) = quick_pair("gawk");
     let profile = Profile::build(&training, &SiteConfig::default(), DEFAULT_THRESHOLD);
     let db = train(&profile, &TrainConfig::default());
-    let text = db.save_to_string();
-    let loaded = ShortLivedSet::load_from_str(&text, *db.config()).expect("parse");
+    let loaded = ShortLivedSet::from_json(&db.to_json()).expect("parse");
     let before = evaluate(&db, &test);
     let after = evaluate(&loaded, &test);
     assert_eq!(before, after);
