@@ -1,7 +1,7 @@
 //! Overhead of the observability layer on the `simulate` pipeline:
 //! `simulate_file`, the function `lifepred simulate --predictor
-//! db.json` runs per trace (records → prediction bitmap, then events →
-//! arena replay), with vs without `--metrics-out` recording. Per-event
+//! db.json` runs per trace (one `replay`: the records walk for each
+//! object's prediction, then events → arena replay), with vs without `--metrics-out` recording. Per-event
 //! metrics batch into plain local fields and publish once at end of
 //! stream, so the added per-event cost is two clock reads for the
 //! latency histogram — most of it — plus a handful of arithmetic ops
@@ -22,8 +22,8 @@
 //! trajectory).
 
 use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-use lifepred_heap::ArenaConfig;
-use lifepred_sweep::{simulate_file, SimBackend};
+use lifepred_heap::{ArenaConfig, ReplayPlan};
+use lifepred_sweep::simulate_file;
 use lifepred_trace::{Trace, TraceSession};
 use lifepred_tracefile::save_trace;
 use std::path::Path;
@@ -131,9 +131,10 @@ fn main() {
     let lpt_path = lpt.to_str().expect("utf-8 temp path");
     // One full `simulate` of the file, with (the `--metrics-out`
     // configuration) or without metrics.
-    let backend = SimBackend::Arena(&db);
+    let arena = ArenaConfig::default();
+    let plan = ReplayPlan::Arena { db: &db, arena };
     let simulate_once = |want_metrics: bool| {
-        simulate_file(lpt_path, &backend, ArenaConfig::default(), want_metrics).expect("simulate");
+        simulate_file(lpt_path, &plan, want_metrics).expect("simulate");
     };
     // Warm both configurations once before timing.
     simulate_once(false);

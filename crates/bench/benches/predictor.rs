@@ -8,9 +8,9 @@ use lifepred_adaptive::{EpochConfig, OnlineLearner};
 use lifepred_core::{
     evaluate, train, Profile, SiteConfig, SiteExtractor, TrainConfig, DEFAULT_THRESHOLD,
 };
-use lifepred_heap::{replay, site_fingerprints, ReplayConfig, ReplayMeta, ReplayPlan};
+use lifepred_heap::{replay, ArenaConfig, ReplayPlan};
 use lifepred_quantile::P2Histogram;
-use lifepred_trace::{eliminate_cycles, shared_registry, Trace, TraceChunks};
+use lifepred_trace::{eliminate_cycles, shared_registry, Trace};
 use lifepred_tracefile::trace_from_bytes;
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
@@ -89,16 +89,15 @@ fn train_walks(c: &mut Criterion) {
     group.bench_function("evaluate", |b| {
         b.iter(|| evaluate(&db, &trace).sites_used);
     });
-    // The learner in the loop: what `simulate --predictor online` runs
-    // once the site fingerprints are known.
-    let meta = ReplayMeta::of(&trace);
+    // What `simulate --predictor online` runs: the site-fingerprint
+    // walk, then the learner in the loop.
     let plan = ReplayPlan::ArenaOnline {
-        sites: &site_fingerprints(&trace, &cfg),
+        sites: cfg,
         epoch: EpochConfig::default(),
-        arena: ReplayConfig::default().arena,
+        arena: ArenaConfig::default(),
     };
     group.bench_function("replay_online", |b| {
-        b.iter(|| replay(&meta, TraceChunks::new(&trace), &plan, None).expect("valid trace"));
+        b.iter(|| replay(&trace, &plan, None).expect("valid trace"));
     });
     group.finish();
 }

@@ -12,8 +12,8 @@
 //!    any timing, so the speedup is measured between *provably
 //!    equivalent* implementations.
 //! 2. **simulate** — the end-to-end `lifepred simulate` pipeline
-//!    ([`simulate_file`]: records → prediction bitmap, events →
-//!    chunked arena replay) over several copies of a trace, fanned out with
+//!    ([`simulate_file`]: one [`replay`] — records → one prediction per
+//!    object, events → chunked arena replay) over several copies of a trace, fanned out with
 //!    [`lifepred_sweep::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
 //!    here is bounded by the host's core count, which is recorded in
 //!    the output.
@@ -27,17 +27,17 @@
 //!    yardstick.
 //! 4. **arena** — where an arena replay's time goes: the 10⁶-event
 //!    `lifepred gen --seed 2` trace replayed through
-//!    [`ReplayPlan::Arena`] with its self-trained prediction bitmap,
-//!    against [`ReplayPlan::FirstFit`] over a copy that keeps only the
-//!    objects the bitmap leaves unpredicted (re-recorded in birth
-//!    order). The copy is what the arena allocator's general heap sees,
+//!    [`ReplayPlan::Arena`] with its self-trained database (the records
+//!    walk for its predictions included), against
+//!    [`ReplayPlan::FirstFit`] over a copy that keeps only the objects
+//!    the database leaves unpredicted (re-recorded in birth order). The copy is what the arena allocator's general heap sees,
 //!    bar the arena overflows, so the time ratio bounds the general
 //!    heap's share of the arena replay.
 //! 5. **tables** — where a `lifepred report` run's time goes: per paper
 //!    program, its train and test recordings, the two
 //!    [`Profile::build`]s, training and evaluating both databases, and
-//!    the online replay of the test trace (the in-memory event stream
-//!    built apart from the replay itself), timed one stage at a time;
+//!    the online replay of the test trace (`TraceChunks::new`, the
+//!    packing that replay starts with, also timed alone), timed one stage at a time;
 //!    their serial sum (of per-stage medians) is printed beside the
 //!    median wall time of the same per-program work fanned out on two
 //!    workers, as `report --jobs 2` runs it. Smoke runs time the two
@@ -54,11 +54,12 @@
 mod linear;
 
 use lifepred_adaptive::EpochConfig;
-use lifepred_core::{evaluate_profile, train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-use lifepred_heap::{
-    replay, site_fingerprints, Addr, ArenaConfig, FirstFit, ReplayMeta, ReplayPlan,
+use lifepred_core::{
+    evaluate_profile, train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, TrainConfig,
+    DEFAULT_THRESHOLD,
 };
-use lifepred_sweep::{run_jobs, simulate_file, SimBackend};
+use lifepred_heap::{replay, Addr, ArenaConfig, FirstFit, ReplayPlan};
+use lifepred_sweep::{run_jobs, simulate_file};
 use lifepred_trace::{
     shared_registry, ChunkSource, EventChunk, EventKind, Trace, TraceChunks, TraceSession,
     POOLED_CHUNK_EVENTS,
@@ -100,7 +101,7 @@ const SCALE_EVENTS: u64 = 10_000_000;
 const SCALE_ROUNDS: usize = 7;
 
 /// Events in the arena section's trace (divided by 100 in smoke mode),
-/// and its seed: the input of the frozen benchmark's `replay_firstfit`.
+/// and its seed: the input of the frozen benchmark's first-fit workload.
 const ARENA_EVENTS: u64 = 1_000_000;
 const ARENA_SEED: u64 = 2;
 
@@ -278,12 +279,16 @@ fn gen_trace(path: &Path, events: u64, seed: u64) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), summary.events)
 }
 
-/// The objects of `trace` that `predicted` leaves to the general heap,
+/// The objects of `trace` that `db` leaves to the general heap,
 /// re-recorded in birth order.
-fn unpredicted_copy(trace: &Trace, predicted: &[bool]) -> Trace {
+fn unpredicted_copy(trace: &Trace, db: &ShortLivedSet) -> Trace {
     let s = TraceSession::new("bench-general-heap");
     let guard = s.enter("unpredicted");
     let records = trace.records();
+    let mut sites = SiteExtractor::from_chains(trace.chains(), *db.config());
+    let predicted: Vec<bool> = (records.iter())
+        .map(|record| db.predicts(&sites.site_of(record)))
+        .collect();
     let mut ids = vec![None; records.len()];
     for event in trace.events() {
         if predicted[event.record] {
@@ -298,13 +303,11 @@ fn unpredicted_copy(trace: &Trace, predicted: &[bool]) -> Trace {
     s.finish()
 }
 
-/// A replay of `trace` under `plan`, each call over a copy of the
-/// event stream packed once up front.
-fn in_memory_replay<'a>(trace: &Trace, plan: ReplayPlan<'a>) -> impl FnMut() + 'a {
-    let (meta, events) = (ReplayMeta::of(trace), TraceChunks::new(trace));
+/// A replay of `trace` under `plan`, the whole of [`replay`]: records
+/// walk (for a predicting plan), event packing and the loop.
+fn in_memory_replay<'a>(trace: &'a Trace, plan: ReplayPlan<'a>) -> impl FnMut() + 'a {
     move || {
-        let report = replay(&meta, events.clone(), &plan, None).expect("in-memory replay");
-        std::hint::black_box(report);
+        std::hint::black_box(replay(trace, &plan, None).expect("in-memory replay"));
     }
 }
 
@@ -370,9 +373,11 @@ struct TableStages {
     profile: f64,
     /// Training both databases and evaluating both on the test trace.
     train_evaluate: f64,
-    /// `TraceChunks::new` over the test trace.
+    /// `TraceChunks::new` over the test trace, timed alone; the online
+    /// replay packs its own copy.
     online_stream: f64,
-    /// Site fingerprints plus the online-learner replay.
+    /// The online replay: packing, the site-fingerprint walk and the
+    /// learner in the loop.
     online_replay: f64,
 }
 
@@ -427,14 +432,14 @@ fn table_stages(w: &dyn Workload) -> TableStages {
         evaluate_profile(&true_db, &self_profile),
     ));
     split(&mut stages.train_evaluate);
-    let events = TraceChunks::new(&test);
+    std::hint::black_box(TraceChunks::new(&test));
     split(&mut stages.online_stream);
     let plan = ReplayPlan::ArenaOnline {
-        sites: &site_fingerprints(&test, &config),
+        sites: config,
         epoch: EpochConfig::default(),
         arena: ArenaConfig::default(),
     };
-    let report = replay(&ReplayMeta::of(&test), events, &plan, None).expect("online replay");
+    let report = replay(&test, &plan, None).expect("online replay");
     std::hint::black_box(report);
     split(&mut stages.online_replay);
     stages
@@ -503,9 +508,9 @@ fn main() {
         &TrainConfig::default(),
     );
     let sim_path = sim_file.to_str().expect("utf-8 temp path");
-    let backend = SimBackend::Arena(&db);
-    let simulate_once =
-        || simulate_file(sim_path, &backend, ArenaConfig::default(), false).expect("simulate");
+    let arena = ArenaConfig::default();
+    let plan = ReplayPlan::Arena { db: &db, arena };
+    let simulate_once = || simulate_file(sim_path, &plan, false).expect("simulate");
     simulate_once();
     let sweep = |jobs: usize| {
         let reports = lifepred_sweep::run_jobs(vec![(); SIM_TRACES], jobs, |_, ()| simulate_once());
@@ -539,18 +544,10 @@ fn main() {
     // End-to-end server row: first-fit replay straight off the mapping
     // (the file was verified once above, so the replay opens
     // unverified, same as the decode rounds).
-    let server_meta = {
-        let mapped = MappedTrace::open_unverified(&scale_path).expect("mapped open");
-        ReplayMeta {
-            program: mapped.name().to_owned(),
-            function_calls: mapped.stats().function_calls,
-        }
-    };
     // The replay is ~30x slower than decode, so 3 rounds bound the run.
     let t_server = median_time(3, || {
         let mapped = MappedTrace::open_unverified(&scale_path).expect("mapped open");
-        let report = replay(&server_meta, mapped.events(), &ReplayPlan::FirstFit, None)
-            .expect("server replay");
+        let report = replay(&mapped, &ReplayPlan::FirstFit, None).expect("server replay");
         std::hint::black_box(report);
     });
     std::fs::remove_file(&scale_path).ok();
@@ -569,11 +566,10 @@ fn main() {
         &Profile::build(&arena_trace, &SiteConfig::default(), DEFAULT_THRESHOLD),
         &TrainConfig::default(),
     );
-    let predicted = lifepred_heap::prediction_bitmap(&arena_trace, &arena_db);
-    let general = unpredicted_copy(&arena_trace, &predicted);
+    let general = unpredicted_copy(&arena_trace, &arena_db);
     let (arena_events, general_events) = (arena_trace.events().len(), general.events().len());
     let arena_plan = ReplayPlan::Arena {
-        predicted: &predicted,
+        db: &arena_db,
         arena: ArenaConfig::default(),
     };
     let (t_arena, t_general, _) = paired_speedup(

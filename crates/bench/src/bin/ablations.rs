@@ -3,7 +3,7 @@
 
 use lifepred_bench::{build_suite, f1, print_table, SuiteEntry};
 use lifepred_core::{evaluate, train, Profile, SiteConfig, SiteExtractor, SiteKey, TrainConfig};
-use lifepred_heap::{replay_arena, ArenaConfig, ReplayConfig};
+use lifepred_heap::{replay, ArenaConfig, ReplayPlan};
 use std::collections::{HashMap, HashSet};
 
 fn main() {
@@ -58,13 +58,12 @@ fn arena_geometry_sweep(suite: &[SuiteEntry]) {
         let db = train(&p, &TrainConfig::default());
         let mut row = vec![e.name.to_uppercase()];
         for &(count, size) in &geometries {
-            let cfg = ReplayConfig {
-                arena: ArenaConfig {
-                    arena_count: count,
-                    arena_size: size,
-                },
+            let arena = ArenaConfig {
+                arena_count: count,
+                arena_size: size,
             };
-            let r = replay_arena(&e.test, &db, &cfg);
+            let plan = ReplayPlan::Arena { db: &db, arena };
+            let (r, _) = replay(&e.test, &plan, None).expect("a recorded trace replays");
             row.push(format!("{:.0}", r.arena_alloc_pct()));
         }
         rows.push(row);

@@ -2,13 +2,14 @@
 
 use lifepred_bench::{analyze, build_suite, f1, f2, print_table, Analysis, SuiteEntry};
 use lifepred_core::{
-    evaluate, train, LifetimeDistribution, Profile, SiteConfig, SitePolicy, TrainConfig,
-    DEFAULT_THRESHOLD,
+    evaluate, train, LifetimeDistribution, Profile, ShortLivedSet, SiteConfig, SitePolicy,
+    TrainConfig, DEFAULT_THRESHOLD,
 };
 use lifepred_heap::{
-    arena_costs, bsd_costs, firstfit_costs, replay_arena, replay_bsd, replay_firstfit,
-    PredictorKind, ReplayConfig,
+    arena_costs, bsd_costs, firstfit_costs, replay, ArenaConfig, PredictorKind, ReplayPlan,
+    ReplayReport,
 };
+use lifepred_trace::Trace;
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -191,12 +192,22 @@ fn table6(suite: &[SuiteEntry]) {
     );
 }
 
+fn replayed(trace: &Trace, plan: ReplayPlan<'_>) -> ReplayReport {
+    replay(trace, &plan, None).expect("valid trace").0
+}
+
+/// The paper's arena allocator (16 x 4 KB) consulting `db`.
+fn arena(db: &ShortLivedSet) -> ReplayPlan<'_> {
+    let arena = ArenaConfig::default();
+    ReplayPlan::Arena { db, arena }
+}
+
 fn table7(suite: &[SuiteEntry], analyses: &[Analysis]) {
     let rows: Vec<Vec<String>> = suite
         .iter()
         .zip(analyses)
         .map(|(e, a)| {
-            let r = replay_arena(&e.test, &a.true_db, &ReplayConfig::default());
+            let r = replayed(&e.test, arena(&a.true_db));
             vec![
                 e.name.to_uppercase(),
                 f1(r.total_allocs as f64 / 1000.0),
@@ -224,14 +235,13 @@ fn table7(suite: &[SuiteEntry], analyses: &[Analysis]) {
 }
 
 fn table8(suite: &[SuiteEntry], analyses: &[Analysis]) {
-    let cfg = ReplayConfig::default();
     let rows: Vec<Vec<String>> = suite
         .iter()
         .zip(analyses)
         .map(|(e, a)| {
-            let ff = replay_firstfit(&e.test, &cfg);
-            let self_arena = replay_arena(&e.test, &a.self_db, &cfg);
-            let true_arena = replay_arena(&e.test, &a.true_db, &cfg);
+            let ff = replayed(&e.test, ReplayPlan::FirstFit);
+            let self_arena = replayed(&e.test, arena(&a.self_db));
+            let true_arena = replayed(&e.test, arena(&a.true_db));
             let pct = |x: u64| 100.0 * x as f64 / ff.max_heap_bytes as f64;
             vec![
                 e.name.to_uppercase(),
@@ -258,14 +268,13 @@ fn table8(suite: &[SuiteEntry], analyses: &[Analysis]) {
 }
 
 fn table9(suite: &[SuiteEntry], analyses: &[Analysis]) {
-    let cfg = ReplayConfig::default();
     let rows: Vec<Vec<String>> = suite
         .iter()
         .zip(analyses)
         .map(|(e, a)| {
-            let bsd = bsd_costs(&replay_bsd(&e.test, &cfg));
-            let ff = firstfit_costs(&replay_firstfit(&e.test, &cfg));
-            let ar = replay_arena(&e.test, &a.true_db, &cfg);
+            let bsd = bsd_costs(&replayed(&e.test, ReplayPlan::Bsd));
+            let ff = firstfit_costs(&replayed(&e.test, ReplayPlan::FirstFit));
+            let ar = replayed(&e.test, arena(&a.true_db));
             let len4 = arena_costs(&ar, PredictorKind::Len4);
             let cce = arena_costs(&ar, PredictorKind::Cce);
             let c = |x: f64| format!("{x:.0}");

@@ -14,12 +14,12 @@ mod host;
 
 pub use host::BenchHost;
 
-use lifepred_adaptive::EpochConfig;
+use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_core::{
     evaluate_profile, train, PredictionReport, Profile, ShortLivedSet, SiteConfig, TrainConfig,
     DEFAULT_THRESHOLD,
 };
-use lifepred_heap::{replay_arena_online, OnlineReplayReport, ReplayConfig};
+use lifepred_heap::{replay, ArenaConfig, ReplayPlan, ReplayReport};
 use lifepred_trace::{shared_registry, Trace};
 use lifepred_workloads::{all_workloads, record};
 
@@ -104,8 +104,14 @@ pub fn analyze_online(
     entry: &SuiteEntry,
     config: &SiteConfig,
     epoch: &EpochConfig,
-) -> OnlineReplayReport {
-    replay_arena_online(&entry.test, config, epoch, &ReplayConfig::default())
+) -> (ReplayReport, LearnerStats) {
+    let plan = ReplayPlan::ArenaOnline {
+        sites: *config,
+        epoch: *epoch,
+        arena: ArenaConfig::default(),
+    };
+    let (report, learner) = replay(&entry.test, &plan, None).expect("a recorded trace replays");
+    (report, learner.expect("an online replay has a learner"))
 }
 
 /// Formats an aligned text table: a `== title ==` line, right-aligned
@@ -178,13 +184,11 @@ mod tests {
 
         // The online learner, starting blind on the same test trace,
         // still finds predictable sites and reports its own coverage.
-        let online = analyze_online(&entry, &SiteConfig::default(), &EpochConfig::default());
-        assert_eq!(online.replay.total_allocs, entry.test.stats().total_objects);
-        assert!(online.learner.epochs > 0);
-        assert!(online.learner.sites > 0);
-        assert!(
-            online.learner.coverage_byte_pct() <= 100.0
-                && online.learner.coverage_byte_pct() >= 0.0
-        );
+        let (online, learner) =
+            analyze_online(&entry, &SiteConfig::default(), &EpochConfig::default());
+        assert_eq!(online.total_allocs, entry.test.stats().total_objects);
+        assert!(learner.epochs > 0);
+        assert!(learner.sites > 0);
+        assert!(learner.coverage_byte_pct() <= 100.0 && learner.coverage_byte_pct() >= 0.0);
     }
 }

@@ -36,13 +36,13 @@ use lifepred_bench::format_table;
 use lifepred_core::{
     train, Profile, ShortLivedSet, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD,
 };
-use lifepred_heap::{ArenaConfig, ReplayReport};
+use lifepred_heap::{ArenaConfig, ReplayPlan, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
 use lifepred_sweep::{
     diff_reports, install_shutdown_handlers, render_csv, render_json, render_table, run_jobs,
-    run_sweep, simulate_file, CancelFlag, GridSpec, ResultStore, SimBackend,
+    run_sweep, simulate_file, CancelFlag, GridSpec, ResultStore,
 };
-use lifepred_trace::{shared_registry, AllocationRecord};
+use lifepred_trace::{shared_registry, AllocationRecord, TraceSource};
 use lifepred_tracefile::{save_trace, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
@@ -252,7 +252,10 @@ fn cmd_record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     while let Some(arg) = s.next() {
         match arg {
             Arg::Opt("workload", v) => workload = Some(s.value("workload", v)?.to_owned()),
-            Arg::Opt("input", v) => inputs.push(parse_num("input", s.value("input", v)?)?),
+            Arg::Opt("input", v) => match parse_num("input", s.value("input", v)?)? {
+                i if inputs.contains(&i) => return Err(format!("record: --input {i} is repeated")),
+                i => inputs.push(i),
+            },
             Arg::Opt("o" | "output", v) => output = Some(s.value("output", v)?.to_owned()),
             Arg::Opt(o, _) => return Err(format!("record: unknown option --{o}")),
             Arg::Positional(p) => return Err(format!("record: unexpected argument {p:?}")),
@@ -669,7 +672,8 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
     // Resolved once, then shared read-only by every parallel job.
     let db;
-    let backend = match (allocator.as_str(), predictor.as_deref()) {
+    let arena = ArenaConfig::default();
+    let plan = match (allocator.as_str(), predictor.as_deref()) {
         (other, Some("online")) if other != "arena" => {
             return Err("simulate: --predictor online requires the arena allocator".to_owned());
         }
@@ -682,25 +686,26 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 ..EpochConfig::default()
             };
             epoch.validate().map_err(|e| format!("simulate: {e}"))?;
-            SimBackend::ArenaOnline {
+            ReplayPlan::ArenaOnline {
                 sites: SiteConfig {
                     policy: policy.unwrap_or(SitePolicy::Complete),
                     size_rounding: rounding.unwrap_or(4),
                 },
                 epoch,
+                arena,
             }
         }
         ("arena", Some(pred_path)) => {
             let json = std::fs::read_to_string(pred_path).map_err(|e| file_err(pred_path, e))?;
             db = ShortLivedSet::from_json(&json).map_err(|e| file_err(pred_path, e))?;
-            SimBackend::Arena(&db)
+            ReplayPlan::Arena { db: &db, arena }
         }
         ("arena", None) => return Err("simulate: --predictor is required for arena".to_owned()),
         ("first-fit" | "firstfit" | "bsd", Some(_)) => {
             return Err("simulate: --predictor is only used by the arena allocator".to_owned());
         }
-        ("first-fit" | "firstfit", None) => SimBackend::FirstFit,
-        ("bsd", None) => SimBackend::Bsd,
+        ("first-fit" | "firstfit", None) => ReplayPlan::FirstFit,
+        ("bsd", None) => ReplayPlan::Bsd,
         (other, _) => {
             return Err(format!(
                 "unknown allocator {other:?} (expected arena, first-fit or bsd)"
@@ -716,7 +721,7 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     // order, so the printed reports match a sequential run exactly.
     let want_metrics = metrics_out.is_some();
     let outcomes = run_jobs(paths, jobs, |_, path| {
-        simulate_file(&path, &backend, ArenaConfig::default(), want_metrics)
+        simulate_file(&path, &plan, want_metrics)
     });
     let mut results = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
@@ -881,13 +886,13 @@ fn report_row(w: &dyn Workload, config: &SiteConfig) -> Vec<String> {
     // Offline columns answer "train on one input, test on another";
     // the online columns answer "start blind on the test input and
     // learn while it runs".
-    let online = lifepred_bench::analyze_online(&entry, config, &EpochConfig::default());
+    let (_, learner) = lifepred_bench::analyze_online(&entry, config, &EpochConfig::default());
     // The online columns go through the metric registry: the
     // learner's counters are exported as `lifepred_learner_*`
     // gauges and read back from the snapshot, so the table renders
     // exactly what `simulate --metrics-out` would persist.
     let registry = Registry::new();
-    online.learner.export(&registry);
+    learner.export(&registry);
     let snap = registry.snapshot();
     let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
     let ratio_pct = |num: u64, den: u64| {

@@ -5,8 +5,9 @@
 #[path = "../../adaptive/tests/support/scan_all.rs"]
 mod scan_all;
 
-use lifepred_heap::{replay_arena, replay_bsd, replay_firstfit, site_fingerprints, ReplayConfig};
-use lifepred_trace::{shared_registry, EventKind, POOLED_CHUNK_EVENTS};
+use lifepred_core::{ShortLivedSet, SiteConfig, SiteExtractor};
+use lifepred_heap::{replay, ArenaConfig, ReplayPlan, ReplayReport, ReplayStreamError};
+use lifepred_trace::{shared_registry, EventKind, Trace, POOLED_CHUNK_EVENTS};
 use lifepred_tracefile::{load_trace, MappedTrace};
 use lifepred_workloads::{by_name, record};
 use std::path::PathBuf;
@@ -30,6 +31,10 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+fn replayed(trace: &Trace, plan: ReplayPlan<'_>) -> ReplayReport {
+    replay(trace, &plan, None).expect("valid trace").0
 }
 
 fn run(args: &[&str]) -> Result<String, String> {
@@ -88,20 +93,18 @@ fn streamed_simulation_matches_in_memory_replay() {
     let w = by_name("espresso").expect("workload");
     let in_memory = record(w.as_ref(), 0, shared_registry());
     let reloaded = load_trace(&trace_path).expect("reload");
-    let cfg = ReplayConfig::default();
-    assert_eq!(
-        replay_firstfit(&in_memory, &cfg),
-        replay_firstfit(&reloaded, &cfg)
-    );
-    assert_eq!(replay_bsd(&in_memory, &cfg), replay_bsd(&reloaded, &cfg));
+    for plan in [ReplayPlan::FirstFit, ReplayPlan::Bsd] {
+        assert_eq!(replayed(&in_memory, plan), replayed(&reloaded, plan));
+    }
 
     // And the streaming simulate path must agree with both: simulate
     // under an empty-equivalent and a real predictor.
     let pred = dir.path("pred.json");
     run(&["train", &trace_path, "-o", &pred]).expect("train");
     let json = std::fs::read_to_string(&pred).expect("read predictor");
-    let db = lifepred_core::ShortLivedSet::from_json(&json).expect("parse predictor");
-    let expected = replay_arena(&in_memory, &db, &cfg);
+    let db = ShortLivedSet::from_json(&json).expect("parse predictor");
+    let arena = ArenaConfig::default();
+    let expected = replayed(&in_memory, ReplayPlan::Arena { db: &db, arena });
     let out = run(&["simulate", &trace_path, "--predictor", &pred]).expect("simulate");
     assert!(
         out.contains(&format!("max heap bytes: {}", expected.max_heap_bytes)),
@@ -115,10 +118,10 @@ fn streamed_simulation_matches_in_memory_replay() {
 
     // The non-predicting allocators are streamable too.
     let out = run(&["simulate", &trace_path, "--allocator", "first-fit"]).expect("first-fit");
-    let expected = replay_firstfit(&in_memory, &cfg);
+    let expected = replayed(&in_memory, ReplayPlan::FirstFit);
     assert!(out.contains(&format!("max heap bytes: {}", expected.max_heap_bytes)));
     let out = run(&["simulate", &trace_path, "--allocator", "bsd"]).expect("bsd");
-    let expected = replay_bsd(&in_memory, &cfg);
+    let expected = replayed(&in_memory, ReplayPlan::Bsd);
     assert!(out.contains(&format!("max heap bytes: {}", expected.max_heap_bytes)));
 }
 
@@ -397,13 +400,14 @@ fn observed_online_timeline_is_the_scan_all_oracles() {
     let timeline = snap.timeline("lifepred_sim_epochs").expect("timeline");
 
     let loaded = load_trace(&trace).expect("load");
-    let sites = site_fingerprints(&loaded, &lifepred_core::SiteConfig::default());
+    let mut sites = SiteExtractor::from_chains(loaded.chains(), SiteConfig::default());
     let mut oracle = scan_all::ScanAllReplay::new(lifepred_adaptive::EpochConfig::default());
     for event in loaded.events() {
         match event.kind {
             EventKind::Alloc => {
-                let size = loaded.records()[event.record].size;
-                oracle.alloc(event.record, sites[event.record], size);
+                let record = &loaded.records()[event.record];
+                let site = sites.site_of(record).fingerprint();
+                oracle.alloc(event.record, site, record.size);
             }
             EventKind::Free => oracle.free(event.record),
         }
@@ -763,6 +767,91 @@ fn train_on_a_damaged_records_section_names_the_file_and_writes_nothing() {
     assert!(std::path::Path::new(&pred).exists());
 }
 
+/// A CRC-valid trace whose events allocate one object more than its
+/// records section holds: the predicting replays find the allocation
+/// with no record behind it and refuse the file; `simulate` names it
+/// and exits 1.
+#[test]
+fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
+    use lifepred_tracefile::{StreamMeta, StreamTraceWriter};
+    use std::process::Command;
+    let dir = Scratch::new("past-records");
+    let short = dir.path("short.lpt");
+    let mut registry = lifepred_trace::FunctionRegistry::new();
+    let main = registry.intern("main");
+    let mut chains = lifepred_trace::ChainTable::new();
+    let chain = chains.intern(&[main]);
+    let meta = StreamMeta {
+        name: "short",
+        stats: lifepred_trace::TraceStats {
+            total_bytes: 16,
+            total_objects: 1,
+            max_live_bytes: 8,
+            max_live_objects: 1,
+            ..Default::default()
+        },
+        end_clock: 16,
+        end_seq: 4,
+    };
+    let file = std::fs::File::create(&short).expect("create");
+    let mut w = StreamTraceWriter::new(file, &meta, &registry, &chains).expect("writer");
+    w.begin_records(1).expect("records");
+    w.write_record(&lifepred_trace::AllocationRecord {
+        object: lifepred_trace::ObjectId::from_index(0),
+        size: 8,
+        chain,
+        birth_clock: 0,
+        death_clock: Some(8),
+        birth_seq: 0,
+        death_seq: Some(1),
+        refs: 0,
+        first_ref_clock: None,
+        last_ref_clock: None,
+    })
+    .expect("record");
+    w.end_records().expect("records end");
+    w.begin_events(4).expect("events");
+    for (i, event) in [Some(8), None, Some(8), None].into_iter().enumerate() {
+        match event {
+            Some(size) => w.write_alloc(size),
+            None => w.write_free(i as u64 / 2),
+        }
+        .expect("event");
+    }
+    w.end_events().expect("events end");
+    w.finish().expect("finish");
+
+    let mapped = MappedTrace::open(&short).expect("the file passes its checksums");
+    let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
+    let arena = ArenaConfig::default();
+    let online = ReplayPlan::ArenaOnline {
+        sites: SiteConfig::default(),
+        epoch: lifepred_adaptive::EpochConfig::default(),
+        arena,
+    };
+    for plan in [ReplayPlan::Arena { db: &db, arena }, online] {
+        let result = replay(&mapped, &plan, None);
+        assert!(
+            matches!(result, Err(ReplayStreamError::Corrupt(_))),
+            "{plan:?}: {result:?}"
+        );
+    }
+
+    let pred = dir.path("pred.json");
+    std::fs::write(&pred, db.to_json()).expect("write predictor");
+    for predictor in [pred.as_str(), "online"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lifepred"))
+            .args(["simulate", &short, "--predictor", predictor])
+            .output()
+            .expect("spawn lifepred");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{predictor}: {err}");
+        assert!(err.starts_with(&format!("lifepred: {short}: ")), "{err}");
+        assert!(err.contains("invalid event stream"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
 #[test]
 fn metrics_out_refuses_overwrite_without_force() {
     let dir = Scratch::new("force");
@@ -1004,6 +1093,21 @@ fn argument_errors_are_reported() {
         "x.lpt"
     ])
     .is_err());
+    assert_eq!(
+        run(&[
+            "record",
+            "--workload",
+            "cfrac",
+            "--input",
+            "1",
+            "--input",
+            "1",
+            "-o",
+            "c{}.lpt"
+        ])
+        .expect_err("repeated --input"),
+        "record: --input 1 is repeated"
+    );
     assert!(run(&["train", "-o", "x.json"]).is_err(), "no traces");
     assert!(run(&["simulate"]).is_err(), "no file");
     assert!(run(&["train", "a.lpt", "-o", "x.json", "--policy", "bogus"]).is_err());

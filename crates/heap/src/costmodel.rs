@@ -88,7 +88,7 @@ fn per(num: f64, den: u64) -> f64 {
     }
 }
 
-/// Costs of a [`replay_bsd`](crate::replay_bsd) run.
+/// Costs of a [`ReplayPlan::Bsd`](crate::ReplayPlan::Bsd) replay.
 pub fn bsd_costs(r: &ReplayReport) -> CostReport {
     CostReport {
         allocator: "bsd".to_owned(),
@@ -97,7 +97,7 @@ pub fn bsd_costs(r: &ReplayReport) -> CostReport {
     }
 }
 
-/// Costs of a [`replay_firstfit`](crate::replay_firstfit) run.
+/// Costs of a [`ReplayPlan::FirstFit`](crate::ReplayPlan::FirstFit) replay.
 pub fn firstfit_costs(r: &ReplayReport) -> CostReport {
     let c = &r.counts;
     let variable = FF_SEARCH_STEP * c.search_steps as f64
@@ -110,8 +110,8 @@ pub fn firstfit_costs(r: &ReplayReport) -> CostReport {
     }
 }
 
-/// Costs of a [`replay_arena`](crate::replay_arena) run under the given
-/// predictor strategy.
+/// Costs of a [`ReplayPlan::Arena`](crate::ReplayPlan::Arena) replay
+/// under the given predictor strategy.
 ///
 /// Every allocation pays the prediction attempt; arena allocations then
 /// take the bump path while the rest take the embedded first-fit path.

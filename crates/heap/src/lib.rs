@@ -16,29 +16,30 @@
 //!
 //! Allocators operate on a synthetic address space — no real memory is
 //! touched — so heap sizes, fragmentation and operation counts are
-//! exactly reproducible. [`replay`] drives any source of event
-//! batches — a whole [`Trace`](lifepred_trace::Trace), the chunk
-//! decoder of a trace file — through the allocator a [`ReplayPlan`]
-//! names, optionally recording `lifepred_sim_*` metrics into a
-//! [`ReplayObs`], and produces the numbers behind Tables 7 and 8
-//! ([`replay_firstfit`] & co. are its shorthands for an in-memory
-//! trace); the cost functions
-//! ([`firstfit_costs`], [`bsd_costs`], [`arena_costs`]) convert
-//! operation counts into the per-operation instruction estimates of
-//! Table 9.
+//! exactly reproducible. [`replay`] is the one way to run them: it
+//! reads a trace — an in-memory [`Trace`](lifepred_trace::Trace) or a
+//! mapped trace file, any [`TraceSource`](lifepred_trace::TraceSource)
+//! — through the allocator a [`ReplayPlan`] names, the plan naming the
+//! trained database (or the online learner's site keying) a predicting
+//! allocator consults. Optionally recording `lifepred_sim_*` metrics
+//! into a [`ReplayObs`], it produces the numbers behind Tables 7 and 8;
+//! the cost functions ([`firstfit_costs`], [`bsd_costs`],
+//! [`arena_costs`]) convert operation counts into the per-operation
+//! instruction estimates of Table 9.
 //!
 //! # Examples
 //!
 //! ```
-//! use lifepred_heap::{replay_firstfit, ReplayConfig};
+//! use lifepred_heap::{replay, ReplayPlan};
 //! use lifepred_trace::TraceSession;
 //!
 //! let s = TraceSession::new("demo");
 //! let id = s.alloc(100);
 //! s.free(id);
 //! let trace = s.finish();
-//! let report = replay_firstfit(&trace, &ReplayConfig::default());
+//! let (report, learner) = replay(&trace, &ReplayPlan::FirstFit, None).unwrap();
 //! assert!(report.max_heap_bytes >= 100);
+//! assert!(learner.is_none());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,6 +50,8 @@ mod bsd;
 mod costmodel;
 mod counts;
 mod firstfit;
+#[doc(hidden)]
+pub mod frozen;
 mod hash;
 mod index;
 mod live;
@@ -62,17 +65,10 @@ pub use costmodel::{arena_costs, bsd_costs, firstfit_costs, CostReport, Predicto
 pub use counts::OpCounts;
 pub use firstfit::FirstFit;
 pub use obs::ReplayObs;
-pub use replay::{
-    prediction_bitmap, replay, replay_arena, replay_arena_online, replay_bsd, replay_firstfit,
-    site_fingerprints, OnlineReplayReport, ReplayConfig, ReplayMeta, ReplayPlan, ReplayReport,
-    ReplayStreamError,
-};
-// Linked only by the frozen `benchmark/src/layers.rs`; see `replay.rs`.
+pub use replay::{replay, ReplayPlan, ReplayReport, ReplayStreamError};
+// Linked only by the frozen benchmark, at these paths; see `frozen.rs`.
 #[doc(hidden)]
-pub use replay::{
-    replay_arena_chunks, replay_arena_online_chunks, replay_bsd_chunks, replay_firstfit_chunks,
-    replay_firstfit_chunks_observed,
-};
+pub use frozen::*;
 
 /// A simulated heap address (bytes from the bottom of the simulated
 /// address space).

@@ -2,18 +2,16 @@
 //!
 //! The paper evaluates lifetime prediction by one procedure —
 //! trace-driven simulation with the allocator and the predictor as the
-//! only variables — and so does this module: [`replay`] pulls
-//! structure-of-arrays event batches from any [`ChunkSource`] (an
-//! in-memory [`Trace`], the mapped chunk decoder of an `.lpt` file) and
-//! runs them through the one loop, `drive`, with the backend a
-//! [`ReplayPlan`] names. A new allocator is one `SimHeap` impl, a new
-//! predictor one `Predict` impl; watching a replay (`Some(obs)`) swaps
-//! the loop's `Observe` parameter and nothing else, so observed and
-//! unobserved replays return identical reports.
-//!
-//! [`replay_firstfit`], [`replay_bsd`], [`replay_arena`] and
-//! [`replay_arena_online`] are conveniences over [`replay`] for a
-//! materialized [`Trace`].
+//! only variables — and so does this module: [`replay`] reads any
+//! [`TraceSource`] (an in-memory [`Trace`](lifepred_trace::Trace), a
+//! mapped `.lpt` file) and runs its event batches through the one loop,
+//! `drive`, with the backend a [`ReplayPlan`] names. A predicting plan
+//! names its database (or, online, its site keying), and the per-object
+//! inputs `replay` derives from it never leave this module. A new
+//! allocator is one `SimHeap` impl, a new predictor one `Predict` impl;
+//! watching a replay (`Some(obs)`) swaps the loop's `Observe` parameter
+//! and nothing else, so observed and unobserved replays return
+//! identical reports.
 
 use crate::arena::{ArenaAllocator, ArenaConfig};
 use crate::bsd::BsdMalloc;
@@ -26,25 +24,11 @@ use crate::predict::{NoPrediction, Online, Predict};
 use crate::Addr;
 use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_core::{map_sites, ShortLivedSet, SiteConfig, SiteKey};
-use lifepred_trace::{
-    ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, POOLED_CHUNK_EVENTS,
-};
+use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk, TraceSource, POOLED_CHUNK_EVENTS};
 use std::fmt;
-
-/// Configuration of the [`Trace`]-based convenience replays.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayConfig {
-    /// Arena geometry for [`replay_arena`] and [`replay_arena_online`].
-    pub arena: ArenaConfig,
-}
 
 /// Which simulated allocator a [`replay`] runs, and where its lifetime
 /// predictions come from.
-///
-/// Per-object inputs are indexed by `record`, the object's birth-order
-/// index — the index its
-/// [`AllocationRecord`](lifepred_trace::AllocationRecord) has in
-/// [`Trace::records`].
 #[derive(Debug, Clone, Copy)]
 pub enum ReplayPlan<'a> {
     /// Knuth's first-fit (the paper's baseline for Table 8); predicts
@@ -53,15 +37,13 @@ pub enum ReplayPlan<'a> {
     /// The 4.2BSD bucket allocator (the Table 9 CPU baseline);
     /// predicts nothing.
     Bsd,
-    /// The lifetime-predicting arena allocator with a frozen,
-    /// offline-trained prediction per object — the simulation behind
-    /// Tables 7 and 8.
+    /// The lifetime-predicting arena allocator consulting a frozen,
+    /// offline-trained database at every allocation — the simulation
+    /// behind Tables 7 and 8.
     Arena {
-        /// `predicted[record]` says whether the predictor marked that
-        /// object short-lived (the hash-table lookup the deployed
-        /// allocator would perform at each allocation); see
-        /// [`prediction_bitmap`].
-        predicted: &'a [bool],
+        /// The trained short-lived site set; its own site
+        /// configuration keys the trace's allocation sites.
+        db: &'a ShortLivedSet,
         /// Arena-area geometry.
         arena: ArenaConfig,
     },
@@ -76,9 +58,8 @@ pub enum ReplayPlan<'a> {
     /// allocator's epoch scan), demoting its site long before the free
     /// arrives.
     ArenaOnline {
-        /// `sites[record]` is the fingerprint of that object's
-        /// allocation site; see [`site_fingerprints`].
-        sites: &'a [u64],
+        /// How allocation sites are keyed.
+        sites: SiteConfig,
         /// The learner's thresholds and epoch length.
         epoch: EpochConfig,
         /// Arena-area geometry.
@@ -86,30 +67,10 @@ pub enum ReplayPlan<'a> {
     },
 }
 
-/// Identity of the traced run, carried into the [`ReplayReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplayMeta {
-    /// Program name from the trace.
-    pub program: String,
-    /// Function calls in the original execution (amortizes call-chain
-    /// encryption cost in Table 9).
-    pub function_calls: u64,
-}
-
-impl ReplayMeta {
-    /// The metadata of a materialized trace.
-    pub fn of(trace: &Trace) -> ReplayMeta {
-        ReplayMeta {
-            program: trace.name().to_owned(),
-            function_calls: trace.stats().function_calls,
-        }
-    }
-}
-
 /// Why a replay stopped early.
 #[derive(Debug)]
 pub enum ReplayStreamError<E> {
-    /// The event source itself failed (e.g. a corrupt trace file).
+    /// The trace itself failed (e.g. a corrupt trace file).
     Source(E),
     /// The events decoded fine but do not form a valid alloc/free
     /// sequence.
@@ -195,7 +156,7 @@ pub(crate) fn pct(num: u64, den: u64) -> f64 {
 }
 
 /// A simulated allocator the replay loop can drive.
-trait SimHeap {
+pub(crate) trait SimHeap {
     /// Allocates `size` bytes. `short` is the predictor's verdict; the
     /// non-predicting allocators ignore it.
     fn place(&mut self, size: u32, short: bool) -> Addr;
@@ -272,67 +233,80 @@ impl SimHeap for ArenaAllocator {
 /// learner's counters when the plan had a learner in the loop.
 pub(crate) type Replayed = (ReplayReport, Option<LearnerStats>);
 
-/// Replays the event batches of `source` through the allocator `plan`
-/// names. With `Some(obs)` every event is additionally recorded into
-/// the `lifepred_sim_*` metrics of `obs` — including, for
+/// Replays `input` through the allocator `plan` names. With
+/// `Some(obs)` every event is additionally recorded into the
+/// `lifepred_sim_*` metrics of `obs` — including, for
 /// [`ReplayPlan::ArenaOnline`], one `lifepred_sim_epochs` timeline
 /// sample per learner epoch tick; the returned report is the same
-/// either way.
+/// either way. A predicting plan first walks the records once, for one
+/// prediction (1 B) or site fingerprint (8 B) per object.
 ///
 /// # Errors
 ///
-/// [`ReplayStreamError::Source`] if the source fails (the batches
-/// before the failure are replayed first); [`ReplayStreamError::Corrupt`]
-/// on an allocation out of birth order, a free of an object that is not
-/// live, or an allocation whose record index has no entry in the plan's
-/// `predicted`/`sites`.
-pub fn replay<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
+/// [`ReplayStreamError::Source`] if the input fails (the batches before
+/// the failure are replayed first); [`ReplayStreamError::Corrupt`] on an
+/// allocation out of birth order, a free of an object that is not live,
+/// or an allocation with no record behind it.
+pub fn replay<T: TraceSource>(
+    input: &T,
     plan: &ReplayPlan<'_>,
     obs: Option<&ReplayObs<'_>>,
-) -> Result<Replayed, ReplayStreamError<S::Error>> {
-    match obs {
-        Some(obs) => replay_with(meta, source, plan, ObsCtx::new(obs)),
-        None => replay_with(meta, source, plan, Unobserved),
-    }
-}
-
-fn replay_with<S: ChunkSource, O: Observe>(
-    meta: &ReplayMeta,
-    source: S,
-    plan: &ReplayPlan<'_>,
-    observer: O,
-) -> Result<Replayed, ReplayStreamError<S::Error>> {
+) -> Result<Replayed, ReplayStreamError<T::Error>> {
+    let meta = (input.name(), input.function_calls());
     match *plan {
         ReplayPlan::FirstFit => {
             let heap = FirstFit::new();
-            drive(meta, source, "first-fit", heap, NoPrediction, observer)
+            run(meta, input.events(), "first-fit", heap, NoPrediction, obs)
         }
         ReplayPlan::Bsd => {
             let heap = BsdMalloc::new();
-            drive(meta, source, "bsd", heap, NoPrediction, observer)
+            run(meta, input.events(), "bsd", heap, NoPrediction, obs)
         }
-        ReplayPlan::Arena { predicted, arena } => {
+        ReplayPlan::Arena { db, arena } => {
+            let predicted = input
+                .record_source()
+                .and_then(|records| map_sites(records, *db.config(), |site| db.predicts(site)))
+                .map_err(ReplayStreamError::Source)?;
             let heap = ArenaAllocator::new(arena);
-            drive(meta, source, "arena", heap, predicted, observer)
+            run(meta, input.events(), "arena", heap, &predicted[..], obs)
         }
         ReplayPlan::ArenaOnline {
             sites,
             epoch,
             arena,
         } => {
+            let fingerprints = input
+                .record_source()
+                .and_then(|records| map_sites(records, sites, SiteKey::fingerprint))
+                .map_err(ReplayStreamError::Source)?;
+            let online = Online::new(&fingerprints, epoch);
             let heap = ArenaAllocator::new(arena);
-            let online = Online::new(sites, epoch);
-            drive(meta, source, "arena-online", heap, online, observer)
+            run(meta, input.events(), "arena-online", heap, online, obs)
         }
+    }
+}
+
+/// The engine: replays the batches of `source` through `heap`, asking
+/// `predictor`, for a report naming `allocator`; `meta` is the traced
+/// program's name and function calls.
+pub(crate) fn run<S: ChunkSource, H: SimHeap, P: Predict<H>>(
+    meta: (&str, u64),
+    source: S,
+    allocator: &str,
+    heap: H,
+    predictor: P,
+    obs: Option<&ReplayObs<'_>>,
+) -> Result<Replayed, ReplayStreamError<S::Error>> {
+    match obs {
+        Some(obs) => drive(meta, source, allocator, heap, predictor, ObsCtx::new(obs)),
+        None => drive(meta, source, allocator, heap, predictor, Unobserved),
     }
 }
 
 /// The replay loop: pull a batch, predict, place or free, keep each
 /// live object's entry in the [`LiveTable`], count.
 fn drive<S, H, P, O>(
-    meta: &ReplayMeta,
+    (program, function_calls): (&str, u64),
     mut source: S,
     allocator: &str,
     mut heap: H,
@@ -399,7 +373,7 @@ where
         observer.flush(heap.index_stats(), counts.frees_invalid, refills);
     }
     let report = ReplayReport {
-        program: meta.program.clone(),
+        program: program.to_owned(),
         allocator: allocator.to_owned(),
         total_allocs,
         total_bytes,
@@ -407,160 +381,16 @@ where
         arena_bytes,
         max_heap_bytes: heap.high_water_bytes(),
         counts,
-        function_calls: meta.function_calls,
+        function_calls,
     };
     Ok((report, predictor.learner_stats()))
-}
-
-/// Results of an **online** arena replay: the allocator-level numbers
-/// plus the counters of the learner that made every prediction while
-/// the trace was running.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineReplayReport {
-    /// Allocator-level results (allocator name `arena-online`).
-    pub replay: ReplayReport,
-    /// Counters of the self-training predictor.
-    pub learner: LearnerStats,
-}
-
-impl OnlineReplayReport {
-    fn of((replay, learner): Replayed) -> OnlineReplayReport {
-        OnlineReplayReport {
-            replay,
-            learner: learner.expect("an online replay has a learner"),
-        }
-    }
-}
-
-/// [`replay`] for a materialized trace, where the source is infallible
-/// and a malformed sequence is a caller bug.
-fn replay_trace(trace: &Trace, plan: &ReplayPlan<'_>) -> Replayed {
-    match replay(&ReplayMeta::of(trace), TraceChunks::new(trace), plan, None) {
-        Ok(replayed) => replayed,
-        Err(ReplayStreamError::Source(e)) => match e {},
-        Err(ReplayStreamError::Corrupt(detail)) => panic!("{detail}"),
-    }
-}
-
-/// Replays `trace` through the first-fit allocator (the paper's
-/// baseline for Table 8).
-pub fn replay_firstfit(trace: &Trace, _config: &ReplayConfig) -> ReplayReport {
-    replay_trace(trace, &ReplayPlan::FirstFit).0
-}
-
-/// Replays `trace` through the BSD bucket allocator (the Table 9 CPU
-/// baseline).
-pub fn replay_bsd(trace: &Trace, _config: &ReplayConfig) -> ReplayReport {
-    replay_trace(trace, &ReplayPlan::Bsd).0
-}
-
-/// Computes the per-record prediction bitmap [`ReplayPlan::Arena`]
-/// consults: `result[i]` is the database's verdict for
-/// `trace.records()[i]`.
-pub fn prediction_bitmap(trace: &Trace, db: &ShortLivedSet) -> Vec<bool> {
-    map_sites(trace.into(), *db.config(), |site| db.predicts(site)).unwrap_or_else(|e| match e {})
-}
-
-/// Replays `trace` through the lifetime-predicting arena allocator,
-/// consulting the trained database `db` for every allocation — the
-/// simulation behind Tables 7 and 8.
-pub fn replay_arena(trace: &Trace, db: &ShortLivedSet, config: &ReplayConfig) -> ReplayReport {
-    let plan = ReplayPlan::Arena {
-        predicted: &prediction_bitmap(trace, db),
-        arena: config.arena,
-    };
-    replay_trace(trace, &plan).0
-}
-
-/// Computes the per-record site fingerprints [`ReplayPlan::ArenaOnline`]
-/// consults: `result[i]` identifies `trace.records()[i]`'s site under
-/// `sites` as a stable `u64`
-/// ([`SiteKey::fingerprint`](lifepred_core::SiteKey::fingerprint)).
-pub fn site_fingerprints(trace: &Trace, sites: &SiteConfig) -> Vec<u64> {
-    map_sites(trace.into(), *sites, SiteKey::fingerprint).unwrap_or_else(|e| match e {})
-}
-
-/// Replays `trace` through the arena allocator with the online learner
-/// deciding (and correcting) every prediction — no offline training
-/// run, no frozen database.
-pub fn replay_arena_online(
-    trace: &Trace,
-    sites: &SiteConfig,
-    epoch: &EpochConfig,
-    config: &ReplayConfig,
-) -> OnlineReplayReport {
-    let plan = ReplayPlan::ArenaOnline {
-        sites: &site_fingerprints(trace, sites),
-        epoch: *epoch,
-        arena: config.arena,
-    };
-    OnlineReplayReport::of(replay_trace(trace, &plan))
-}
-
-// The five functions below are linked only by the frozen
-// `benchmark/src/layers.rs`, under the names and signatures they had
-// before `replay` existed. No workspace crate may call them; a later
-// `benchmark` PR moves that file onto `replay` and deletes them.
-
-#[doc(hidden)]
-pub fn replay_firstfit_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    _config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    replay(meta, source, &ReplayPlan::FirstFit, None).map(|r| r.0)
-}
-
-#[doc(hidden)]
-pub fn replay_firstfit_chunks_observed<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    _config: &ReplayConfig,
-    obs: &ReplayObs<'_>,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    replay(meta, source, &ReplayPlan::FirstFit, Some(obs)).map(|r| r.0)
-}
-
-#[doc(hidden)]
-pub fn replay_bsd_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    _config: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    replay(meta, source, &ReplayPlan::Bsd, None).map(|r| r.0)
-}
-
-#[doc(hidden)]
-pub fn replay_arena_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    predicted: &[bool],
-    &ReplayConfig { arena }: &ReplayConfig,
-) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    replay(meta, source, &ReplayPlan::Arena { predicted, arena }, None).map(|r| r.0)
-}
-
-#[doc(hidden)]
-pub fn replay_arena_online_chunks<S: ChunkSource>(
-    meta: &ReplayMeta,
-    source: S,
-    sites: &[u64],
-    &epoch: &EpochConfig,
-    &ReplayConfig { arena }: &ReplayConfig,
-) -> Result<OnlineReplayReport, ReplayStreamError<S::Error>> {
-    let plan = ReplayPlan::ArenaOnline {
-        sites,
-        epoch,
-        arena,
-    };
-    replay(meta, source, &plan, None).map(OnlineReplayReport::of)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-    use lifepred_trace::TraceSession;
+    use lifepred_trace::{Trace, TraceSession};
 
     /// A fallible [`ChunkSource`] double: hands out scripted batches,
     /// then fails if the script ends in an error.
@@ -621,10 +451,33 @@ mod tests {
         train(&p, &TrainConfig::default())
     }
 
+    fn replayed(trace: &Trace, plan: ReplayPlan<'_>) -> Replayed {
+        replay(trace, &plan, None).expect("valid trace")
+    }
+
+    fn firstfit(trace: &Trace) -> ReplayReport {
+        replayed(trace, ReplayPlan::FirstFit).0
+    }
+
+    fn arena(trace: &Trace, db: &ShortLivedSet) -> ReplayReport {
+        let arena = ArenaConfig::default();
+        replayed(trace, ReplayPlan::Arena { db, arena }).0
+    }
+
+    fn online(trace: &Trace, epoch: EpochConfig) -> (ReplayReport, LearnerStats) {
+        let plan = ReplayPlan::ArenaOnline {
+            sites: SiteConfig::default(),
+            epoch,
+            arena: ArenaConfig::default(),
+        };
+        let (report, learner) = replayed(trace, plan);
+        (report, learner.expect("an online replay has a learner"))
+    }
+
     #[test]
     fn firstfit_replay_counts_everything() {
         let t = workload();
-        let r = replay_firstfit(&t, &ReplayConfig::default());
+        let r = firstfit(&t);
         assert_eq!(r.total_allocs, t.stats().total_objects);
         assert_eq!(r.counts.allocs, r.total_allocs);
         assert_eq!(r.counts.frees, r.total_allocs); // everything freed
@@ -636,7 +489,7 @@ mod tests {
     fn arena_replay_puts_short_objects_in_arenas() {
         let t = workload();
         let db = trained(&t);
-        let r = replay_arena(&t, &db, &ReplayConfig::default());
+        let r = arena(&t, &db);
         // The 4000 short-lived allocations dominate.
         assert!(
             r.arena_alloc_pct() > 95.0,
@@ -651,13 +504,12 @@ mod tests {
     fn empty_database_degenerates_to_firstfit_heap() {
         let t = workload();
         let db = ShortLivedSet::empty(SiteConfig::default(), DEFAULT_THRESHOLD);
-        let ra = replay_arena(&t, &db, &ReplayConfig::default());
-        let rf = replay_firstfit(&t, &ReplayConfig::default());
+        let (ra, rf) = (arena(&t, &db), firstfit(&t));
         assert_eq!(ra.arena_allocs, 0);
         // Same general-heap demands, plus the 64 KB arena area.
         assert_eq!(
             ra.max_heap_bytes,
-            rf.max_heap_bytes + ReplayConfig::default().arena.total_bytes()
+            rf.max_heap_bytes + ArenaConfig::default().total_bytes()
         );
     }
 
@@ -683,20 +535,17 @@ mod tests {
         }
         let t = s.finish();
         let db = trained(&t);
-        let ra = replay_arena(&t, &db, &ReplayConfig::default());
-        let rf = replay_firstfit(&t, &ReplayConfig::default());
+        let (ra, rf) = (arena(&t, &db), firstfit(&t));
         // The short-lived objects all fit in the arena area, so the
         // general heap only holds the long-lived survivors.
         assert!(ra.counts.arena_allocs > 0);
-        assert!(
-            ra.max_heap_bytes <= rf.max_heap_bytes + ReplayConfig::default().arena.total_bytes()
-        );
+        assert!(ra.max_heap_bytes <= rf.max_heap_bytes + ArenaConfig::default().total_bytes());
     }
 
     #[test]
     fn bsd_replay_reuses_buckets() {
         let t = workload();
-        let r = replay_bsd(&t, &ReplayConfig::default());
+        let (r, _) = replayed(&t, ReplayPlan::Bsd);
         assert!(r.counts.bucket_pops > r.counts.page_carves);
     }
 
@@ -704,7 +553,7 @@ mod tests {
     fn percentages_are_consistent() {
         let t = workload();
         let db = trained(&t);
-        let r = replay_arena(&t, &db, &ReplayConfig::default());
+        let r = arena(&t, &db);
         assert!((r.arena_alloc_pct() + r.non_arena_alloc_pct() - 100.0).abs() < 1e-9);
         assert!((r.arena_byte_pct() + r.non_arena_byte_pct() - 100.0).abs() < 1e-9);
     }
@@ -720,25 +569,20 @@ mod tests {
     #[test]
     fn online_replay_learns_short_sites_mid_trace() {
         let t = workload();
-        let r = replay_arena_online(
-            &t,
-            &SiteConfig::default(),
-            &small_epoch(),
-            &ReplayConfig::default(),
-        );
-        assert_eq!(r.replay.allocator, "arena-online");
-        assert_eq!(r.replay.total_allocs, t.stats().total_objects);
+        let (r, learner) = online(&t, small_epoch());
+        assert_eq!(r.allocator, "arena-online");
+        assert_eq!(r.total_allocs, t.stats().total_objects);
         // The short-lived site is learned after a warmup and routed to
         // arenas from then on.
-        assert!(r.learner.promotions >= 1, "{:?}", r.learner);
+        assert!(learner.promotions >= 1, "{learner:?}");
         assert!(
-            r.replay.arena_alloc_pct() > 50.0,
+            r.arena_alloc_pct() > 50.0,
             "arena alloc pct {}",
-            r.replay.arena_alloc_pct()
+            r.arena_alloc_pct()
         );
         // Warmup means online coverage trails the offline oracle.
-        let offline = replay_arena(&t, &trained(&t), &ReplayConfig::default());
-        assert!(r.replay.arena_allocs <= offline.arena_allocs);
+        let offline = arena(&t, &trained(&t));
+        assert!(r.arena_allocs <= offline.arena_allocs);
     }
 
     #[test]
@@ -770,37 +614,25 @@ mod tests {
             s.free(id);
         }
         let t = s.finish();
-        let r = replay_arena_online(
-            &t,
-            &SiteConfig::default(),
-            &small_epoch(),
-            &ReplayConfig::default(),
-        );
-        assert!(r.learner.promotions >= 1, "{:?}", r.learner);
-        assert!(r.learner.mispredictions >= 1, "{:?}", r.learner);
-        assert!(r.learner.demotions >= 1, "{:?}", r.learner);
+        let (_, learner) = online(&t, small_epoch());
+        assert!(learner.promotions >= 1, "{learner:?}");
+        assert!(learner.mispredictions >= 1, "{learner:?}");
+        assert!(learner.demotions >= 1, "{learner:?}");
     }
 
     #[test]
     fn observed_replay_matches_unobserved_and_fills_metrics() {
         let t = workload();
-        let meta = ReplayMeta::of(&t);
-        let cfg = ReplayConfig::default();
         let registry = lifepred_obs::Registry::new();
         let obs = ReplayObs::register(&registry);
         let db = trained(&t);
         let plan = ReplayPlan::Arena {
-            predicted: &prediction_bitmap(&t, &db),
-            arena: cfg.arena,
+            db: &db,
+            arena: ArenaConfig::default(),
         };
-        let (observed, learner) =
-            replay(&meta, TraceChunks::new(&t), &plan, Some(&obs)).expect("valid");
-        assert_eq!(learner, None, "a frozen bitmap has no learner");
-        assert_eq!(
-            observed,
-            replay_arena(&t, &db, &cfg),
-            "obs must not perturb"
-        );
+        let (observed, learner) = replay(&t, &plan, Some(&obs)).expect("valid");
+        assert_eq!(learner, None, "a frozen database has no learner");
+        assert_eq!(observed, arena(&t, &db), "obs must not perturb");
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("lifepred_sim_allocs_total"),
@@ -838,22 +670,18 @@ mod tests {
     #[test]
     fn observed_online_replay_fills_epoch_timeline() {
         let t = workload();
-        let meta = ReplayMeta::of(&t);
-        let cfg = ReplayConfig::default();
         let epoch = small_epoch();
         let registry = lifepred_obs::Registry::new();
         let obs = ReplayObs::register(&registry);
         let plan = ReplayPlan::ArenaOnline {
-            sites: &site_fingerprints(&t, &SiteConfig::default()),
+            sites: SiteConfig::default(),
             epoch,
-            arena: cfg.arena,
+            arena: ArenaConfig::default(),
         };
-        let observed = replay(&meta, TraceChunks::new(&t), &plan, Some(&obs))
-            .map(OnlineReplayReport::of)
-            .expect("valid");
+        let (observed, learner) = replay(&t, &plan, Some(&obs)).expect("valid");
         assert_eq!(
-            observed,
-            replay_arena_online(&t, &SiteConfig::default(), &epoch, &cfg),
+            (observed.clone(), learner.expect("learner")),
+            online(&t, epoch),
             "obs must not perturb the learner"
         );
         let snap = registry.snapshot();
@@ -864,7 +692,7 @@ mod tests {
         assert!(last.clock_bytes > first.clock_bytes, "clock advances");
         assert!(last.epoch >= first.epoch, "epochs only grow");
         assert_eq!(
-            last.max_heap_bytes, observed.replay.max_heap_bytes,
+            last.max_heap_bytes, observed.max_heap_bytes,
             "final sample sees the final high-water mark"
         );
         assert!(
@@ -877,51 +705,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_rejects_bad_sequences() {
-        let meta = ReplayMeta::default();
-        let arena = ArenaConfig::default();
-        let corrupt = |events: Vec<ChunkEvent>, plan: ReplayPlan<'_>| {
-            let result = replay(&meta, scripted(vec![Ok(events)]), &plan, None);
-            assert!(
-                matches!(result, Err(ReplayStreamError::Corrupt(_))),
-                "{plan:?}: {result:?}"
-            );
-        };
-        // Double alloc, out-of-order alloc, free before alloc.
-        corrupt(vec![ALLOC_0, ALLOC_0], ReplayPlan::FirstFit);
-        corrupt(
-            vec![ChunkEvent::Alloc { record: 1, size: 8 }],
-            ReplayPlan::Bsd,
+    fn corrupt<H: SimHeap, P: Predict<H>>(events: Vec<ChunkEvent>, heap: H, predictor: P) {
+        let result = run(
+            ("", 0),
+            scripted(vec![Ok(events)]),
+            "",
+            heap,
+            predictor,
+            None,
         );
-        corrupt(vec![ChunkEvent::Free { record: 3 }], ReplayPlan::Bsd);
-        corrupt(
-            vec![
-                ALLOC_0,
-                ChunkEvent::Free { record: 0 },
-                ChunkEvent::Free { record: 0 },
-            ],
-            ReplayPlan::FirstFit,
-        );
-        // An allocation the plan has no prediction / fingerprint for.
-        let predicted = &[];
-        corrupt(vec![ALLOC_0], ReplayPlan::Arena { predicted, arena });
-        let (sites, epoch) = (&[][..], EpochConfig::default());
-        corrupt(
-            vec![ALLOC_0],
-            ReplayPlan::ArenaOnline {
-                sites,
-                epoch,
-                arena,
-            },
+        assert!(
+            matches!(result, Err(ReplayStreamError::Corrupt(_))),
+            "{result:?}"
         );
     }
 
     #[test]
+    fn replay_rejects_bad_sequences() {
+        // Double alloc, out-of-order alloc, free before alloc.
+        corrupt(vec![ALLOC_0, ALLOC_0], FirstFit::new(), NoPrediction);
+        let out_of_order = ChunkEvent::Alloc { record: 1, size: 8 };
+        corrupt(vec![out_of_order], BsdMalloc::new(), NoPrediction);
+        corrupt(
+            vec![ChunkEvent::Free { record: 3 }],
+            BsdMalloc::new(),
+            NoPrediction,
+        );
+        let double_free = vec![
+            ALLOC_0,
+            ChunkEvent::Free { record: 0 },
+            ChunkEvent::Free { record: 0 },
+        ];
+        corrupt(double_free, FirstFit::new(), NoPrediction);
+        // An allocation with no prediction / fingerprint behind it.
+        let arena = || ArenaAllocator::new(ArenaConfig::default());
+        corrupt(vec![ALLOC_0], arena(), &[][..]);
+        let online = Online::new(&[], EpochConfig::default());
+        corrupt(vec![ALLOC_0], arena(), online);
+    }
+
+    #[test]
     fn replay_propagates_source_errors_after_the_events_before_them() {
-        let meta = ReplayMeta::default();
         let failing = scripted(vec![Ok(vec![ALLOC_0]), Err("disk on fire")]);
-        match replay(&meta, failing, &ReplayPlan::FirstFit, None) {
+        match run(("", 0), failing, "", FirstFit::new(), NoPrediction, None) {
             Err(ReplayStreamError::Source(e)) => assert_eq!(e, "disk on fire"),
             other => panic!("expected source error, got {other:?}"),
         }
@@ -929,7 +755,7 @@ mod tests {
         // alloc is what stops the replay, not the source error.
         let failing = scripted(vec![Ok(vec![ALLOC_0, ALLOC_0]), Err("disk on fire")]);
         assert!(matches!(
-            replay(&meta, failing, &ReplayPlan::Bsd, None),
+            run(("", 0), failing, "", BsdMalloc::new(), NoPrediction, None),
             Err(ReplayStreamError::Corrupt(_))
         ));
     }

@@ -11,11 +11,10 @@
 use crate::spec::{Backend, CellConfig};
 use crate::store::CellResult;
 use lifepred_adaptive::{EpochConfig, LearnerStats};
-use lifepred_core::{
-    evaluate_profile, map_sites, train, Profile, ShortLivedSet, SiteConfig, SiteKey, TrainConfig,
-};
-use lifepred_heap::{replay, ArenaConfig, ReplayMeta, ReplayObs, ReplayPlan, ReplayReport};
+use lifepred_core::{evaluate_profile, train, Profile, ShortLivedSet, SiteConfig, TrainConfig};
+use lifepred_heap::{replay, ReplayObs, ReplayPlan, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
+use lifepred_trace::TraceSource;
 use lifepred_tracefile::MappedTrace;
 use std::time::Instant;
 
@@ -93,52 +92,25 @@ pub(crate) fn train_for(key: &TrainKey) -> Result<TrainedDb, String> {
     })
 }
 
-/// Which simulated allocator [`simulate_file`] runs, and what it
-/// consults for lifetime predictions.
-#[derive(Debug, Clone, Copy)]
-pub enum SimBackend<'a> {
-    /// First-fit, no prediction.
-    FirstFit,
-    /// The BSD bucket allocator, no prediction.
-    Bsd,
-    /// The arena allocator consulting a database trained offline.
-    Arena(&'a ShortLivedSet),
-    /// The arena allocator with the self-training online learner (one
-    /// per trace) — no database involved.
-    ArenaOnline {
-        /// How allocation sites are keyed.
-        sites: SiteConfig,
-        /// The learner's thresholds and epoch length.
-        epoch: EpochConfig,
-    },
-}
-
 /// Everything one file simulation produces.
 #[derive(Debug)]
 pub struct SimOutput {
     /// The allocator-level replay report.
     pub report: ReplayReport,
-    /// The online learner's counters ([`SimBackend::ArenaOnline`] only).
+    /// The online learner's counters ([`ReplayPlan::ArenaOnline`] only).
     pub learner: Option<LearnerStats>,
     /// The run's `lifepred_sim_*` (and, online, `lifepred_learner_*`)
     /// metrics, when asked for.
     pub metrics: Option<Snapshot>,
 }
 
-/// Simulates one `.lpt` file on `backend`: the unit of work behind
+/// Simulates one `.lpt` file under `plan`: the unit of work behind
 /// both `lifepred simulate` and a sweep cell.
 ///
-/// One mmap (or heap read, where mapping is unavailable) serves both
-/// passes, its CRCs checked once, up front: a predicting backend first
-/// walks the mapped records section for one prediction (or site
-/// fingerprint) per object, then the replay decodes event chunks
-/// straight out of the mapped events section — the event stream is
-/// never materialized. Every pass releases the mapped pages behind it,
-/// and the replay keeps state for live objects only, so what still
-/// grows with the trace is the pre-pass's per-object slice (1 B of
-/// prediction or 8 B of fingerprint per object); the baselines have
-/// none. With `want_metrics` the run records into a private registry
-/// whose snapshot is returned for the caller to merge.
+/// One mmap (or heap read, where mapping is unavailable) serves the
+/// whole [`replay`], its CRCs checked once, up front; the trace is never
+/// materialized. With `want_metrics` the run records into a private
+/// registry whose snapshot is returned for the caller to merge.
 ///
 /// # Errors
 ///
@@ -146,48 +118,13 @@ pub struct SimOutput {
 /// file or an invalid event sequence.
 pub fn simulate_file(
     path: &str,
-    backend: &SimBackend<'_>,
-    arena: ArenaConfig,
+    plan: &ReplayPlan<'_>,
     want_metrics: bool,
 ) -> Result<SimOutput, String> {
     let registry = want_metrics.then(Registry::new);
     let obs = registry.as_ref().map(ReplayObs::register);
     let mapped = MappedTrace::open(path).map_err(|e| file_err(path, e))?;
-    let meta = ReplayMeta {
-        program: mapped.name().to_owned(),
-        function_calls: mapped.stats().function_calls,
-    };
-    let (predicted, sites);
-    let plan = match *backend {
-        SimBackend::FirstFit => ReplayPlan::FirstFit,
-        SimBackend::Bsd => ReplayPlan::Bsd,
-        SimBackend::Arena(db) => {
-            predicted = mapped
-                .record_source()
-                .and_then(|records| map_sites(records, *db.config(), |site| db.predicts(site)))
-                .map_err(|e| file_err(path, e))?;
-            ReplayPlan::Arena {
-                predicted: &predicted,
-                arena,
-            }
-        }
-        SimBackend::ArenaOnline {
-            sites: config,
-            epoch,
-        } => {
-            sites = mapped
-                .record_source()
-                .and_then(|records| map_sites(records, config, SiteKey::fingerprint))
-                .map_err(|e| file_err(path, e))?;
-            ReplayPlan::ArenaOnline {
-                sites: &sites,
-                epoch,
-                arena,
-            }
-        }
-    };
-    let (report, learner) =
-        replay(&meta, mapped.events(), &plan, obs.as_ref()).map_err(|e| file_err(path, e))?;
+    let (report, learner) = replay(&mapped, plan, obs.as_ref()).map_err(|e| file_err(path, e))?;
     if let (Some(registry), Some(learner)) = (&registry, &learner) {
         learner.export(registry);
     }
@@ -214,8 +151,12 @@ pub(crate) fn run_cell(
 ) -> Result<CellResult, String> {
     let started = Instant::now();
     let path = cell.trace.as_str();
-    let backend = match (cell.backend, trained) {
-        (Backend::Offline, Some(trained)) => SimBackend::Arena(&trained.db),
+    let arena = cell.arena;
+    let plan = match (cell.backend, trained) {
+        (Backend::Offline, Some(trained)) => ReplayPlan::Arena {
+            db: &trained.db,
+            arena,
+        },
         (Backend::Offline, None) => {
             return Err(format!("{path}: offline cell ran without training"))
         }
@@ -226,18 +167,19 @@ pub(crate) fn run_cell(
         (Backend::Online, None) => {
             let epoch = EpochConfig::for_threshold(cell.threshold, Some(cell.epoch));
             epoch.validate().map_err(|e| file_err(path, e))?;
-            SimBackend::ArenaOnline {
+            ReplayPlan::ArenaOnline {
                 sites: SiteConfig {
                     policy: cell.policy,
                     size_rounding: cell.rounding,
                 },
                 epoch,
+                arena,
             }
         }
-        (Backend::FirstFit, None) => SimBackend::FirstFit,
-        (Backend::Bsd, None) => SimBackend::Bsd,
+        (Backend::FirstFit, None) => ReplayPlan::FirstFit,
+        (Backend::Bsd, None) => ReplayPlan::Bsd,
     };
-    let sim = simulate_file(path, &backend, cell.arena, false)?;
+    let sim = simulate_file(path, &plan, false)?;
     let report = &sim.report;
     Ok(CellResult {
         program: report.program.clone(),

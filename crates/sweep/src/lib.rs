@@ -48,7 +48,7 @@ mod spec;
 mod store;
 mod table;
 
-pub use cell::{simulate_file, SimBackend, SimOutput};
+pub use cell::{simulate_file, SimOutput};
 pub use driver::run_jobs;
 pub use engine::{
     install_shutdown_handlers, run_sweep, CancelFlag, CellOutcome, SweepOutcome, SweepStats,

@@ -10,8 +10,8 @@
 
 #![cfg(target_os = "linux")]
 
-use lifepred_heap::ArenaConfig;
-use lifepred_sweep::{simulate_file, SimBackend};
+use lifepred_heap::ReplayPlan;
+use lifepred_sweep::simulate_file;
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use std::fs::File;
@@ -56,7 +56,7 @@ fn a_bsd_replay_grows_peak_rss_by_under_a_quarter_of_the_file() {
     }
     let before = peak_rss_bytes();
     let path_str = path.to_str().expect("UTF-8 temp path");
-    let sim = simulate_file(path_str, &SimBackend::Bsd, ArenaConfig::default(), false);
+    let sim = simulate_file(path_str, &ReplayPlan::Bsd, false);
     let growth = peak_rss_bytes().saturating_sub(before);
     std::fs::remove_file(&path).ok();
 

@@ -21,7 +21,9 @@
 //! per-event values.
 
 use crate::events::EventKind;
+use crate::record::{AllocationRecord, RecordSource, TraceRecords};
 use crate::session::Trace;
+use std::borrow::Borrow;
 use std::convert::Infallible;
 
 /// Events per chunk. 4096 events is ~48 KB of chunk storage — well
@@ -218,6 +220,59 @@ impl ChunkSource for TraceChunks {
         chunk.sizes.extend_from_slice(&self.sizes[self.pos..end]);
         self.pos = end;
         Ok(true)
+    }
+}
+
+/// A whole trace, wherever it lives: what a replay reads of it. The
+/// event batches drive the simulated heap; the records, walked once in
+/// birth order, give each allocation its site. A [`Trace`] cannot fail;
+/// a trace-file reader fails with its decode error.
+pub trait TraceSource {
+    /// Why reading the trace can fail ([`Infallible`] in memory).
+    type Error;
+    /// One allocation record as the records walk yields it.
+    type Record<'a>: Borrow<AllocationRecord>
+    where
+        Self: 'a;
+    /// The records walk, in birth order.
+    type Records<'a>: Iterator<Item = Result<Self::Record<'a>, Self::Error>>
+    where
+        Self: 'a;
+    /// The event batches, in program order.
+    type Events<'a>: ChunkSource<Error = Self::Error>
+    where
+        Self: 'a;
+
+    /// The traced program's name.
+    fn name(&self) -> &str;
+    /// Function calls in the traced execution.
+    fn function_calls(&self) -> u64;
+    /// A fresh pass over the event stream.
+    fn events(&self) -> Self::Events<'_>;
+    /// A fresh pass over the records; fails if the walk cannot start.
+    fn record_source(&self) -> Result<RecordSource<'_, Self::Records<'_>>, Self::Error>;
+}
+
+impl TraceSource for Trace {
+    type Error = Infallible;
+    type Record<'a> = &'a AllocationRecord;
+    type Records<'a> = TraceRecords<'a>;
+    type Events<'a> = TraceChunks;
+
+    fn name(&self) -> &str {
+        Trace::name(self)
+    }
+
+    fn function_calls(&self) -> u64 {
+        self.stats().function_calls
+    }
+
+    fn events(&self) -> TraceChunks {
+        TraceChunks::new(self)
+    }
+
+    fn record_source(&self) -> Result<RecordSource<'_, TraceRecords<'_>>, Infallible> {
+        Ok(self.into())
     }
 }
 

@@ -44,7 +44,8 @@ mod stats;
 
 pub use chain::{eliminate_cycles, CallChain, ChainId, ChainTable};
 pub use chunk::{
-    ChunkEvent, ChunkSource, EventChunk, TraceChunks, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
+    ChunkEvent, ChunkSource, EventChunk, TraceChunks, TraceSource, CHUNK_EVENTS,
+    POOLED_CHUNK_EVENTS,
 };
 pub use events::{Event, EventKind};
 pub use record::{AllocationRecord, ObjectId, RecordSource};

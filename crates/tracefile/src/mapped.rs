@@ -38,7 +38,7 @@ use crate::format::{
 use crate::map::TraceMap;
 use lifepred_trace::{
     AllocationRecord, ChainId, ChainTable, ChunkSource, EventChunk, FnId, FunctionRegistry,
-    ObjectId, RecordSource, Trace, TraceStats,
+    ObjectId, RecordSource, Trace, TraceSource, TraceStats,
 };
 use std::ops::Range;
 use std::path::Path;
@@ -499,22 +499,6 @@ impl MappedTrace {
         })
     }
 
-    /// [`records`](Self::records) with the chain table and end clock a
-    /// records walk needs beside them: the streamed counterpart of
-    /// `RecordSource::from(&trace)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`records`](Self::records).
-    pub fn record_source(&self) -> Result<RecordSource<'_, MappedRecords<'_>>, TraceFileError> {
-        Ok(RecordSource {
-            name: &self.name,
-            chains: &self.chains,
-            end_clock: self.end_clock,
-            records: self.records()?,
-        })
-    }
-
     /// The zero-copy batch event source: decodes straight from the
     /// mapped events payload into the caller's
     /// [`EventChunk`](lifepred_trace::EventChunk)s with the SWAR
@@ -783,6 +767,36 @@ pub struct MappedEvents<'a> {
     /// resolve against.
     allocs: u64,
     done: bool,
+}
+
+/// A mapped trace read straight off the verified mapping; its records
+/// stream fails as [`MappedTrace::records`] does.
+impl TraceSource for MappedTrace {
+    type Error = TraceFileError;
+    type Record<'a> = AllocationRecord;
+    type Records<'a> = MappedRecords<'a>;
+    type Events<'a> = MappedEvents<'a>;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn function_calls(&self) -> u64 {
+        self.stats.function_calls
+    }
+
+    fn events(&self) -> MappedEvents<'_> {
+        MappedTrace::events(self)
+    }
+
+    fn record_source(&self) -> Result<RecordSource<'_, MappedRecords<'_>>, TraceFileError> {
+        Ok(RecordSource {
+            name: &self.name,
+            chains: &self.chains,
+            end_clock: self.end_clock,
+            records: self.records()?,
+        })
+    }
 }
 
 impl ChunkSource for MappedEvents<'_> {

@@ -6,8 +6,7 @@
 
 use lifepred::core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred::heap::{
-    arena_costs, bsd_costs, firstfit_costs, replay_arena, replay_bsd, replay_firstfit,
-    PredictorKind, ReplayConfig,
+    arena_costs, bsd_costs, firstfit_costs, replay, ArenaConfig, PredictorKind, ReplayPlan,
 };
 use lifepred::trace::shared_registry;
 use lifepred::workloads::{all_workloads, record};
@@ -17,7 +16,6 @@ fn main() {
         "{:<10} {:>10} {:>10} {:>10} {:>8} {:>9} {:>9} {:>9}",
         "program", "bsd KB", "ff KB", "arena KB", "arena%", "bsd a+f", "ff a+f", "arena a+f"
     );
-    let cfg = ReplayConfig::default();
     for workload in all_workloads() {
         let registry = shared_registry();
         let training = record(workload.as_ref(), 0, registry.clone());
@@ -25,9 +23,11 @@ fn main() {
         let profile = Profile::build(&training, &SiteConfig::default(), DEFAULT_THRESHOLD);
         let db = train(&profile, &TrainConfig::default());
 
-        let bsd = replay_bsd(&test, &cfg);
-        let ff = replay_firstfit(&test, &cfg);
-        let arena = replay_arena(&test, &db, &cfg);
+        let run = |plan| replay(&test, &plan, None).expect("valid trace").0;
+        let bsd = run(ReplayPlan::Bsd);
+        let ff = run(ReplayPlan::FirstFit);
+        let arena = ArenaConfig::default();
+        let arena = run(ReplayPlan::Arena { db: &db, arena });
 
         println!(
             "{:<10} {:>10} {:>10} {:>10} {:>7.1}% {:>9.0} {:>9.0} {:>9.0}",

@@ -7,9 +7,9 @@
 use lifepred::adaptive::EpochConfig;
 use lifepred::core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred::galloc::{GallocConfig, LifepredGlobal};
-use lifepred::heap::{prediction_bitmap, replay, ArenaConfig, ReplayMeta, ReplayObs, ReplayPlan};
+use lifepred::heap::{replay, ArenaConfig, ReplayObs, ReplayPlan};
 use lifepred::obs::Registry;
-use lifepred::trace::{shared_registry, TraceChunks};
+use lifepred::trace::shared_registry;
 use lifepred::workloads::{by_name, record};
 use std::alloc::{GlobalAlloc, Layout};
 
@@ -22,18 +22,10 @@ fn main() {
     let trace = record(workload.as_ref(), 0, fn_registry);
     let profile = Profile::build(&trace, &SiteConfig::default(), DEFAULT_THRESHOLD);
     let db = train(&profile, &TrainConfig::default());
-    let plan = ReplayPlan::Arena {
-        predicted: &prediction_bitmap(&trace, &db),
-        arena: ArenaConfig::default(),
-    };
+    let arena = ArenaConfig::default();
+    let plan = ReplayPlan::Arena { db: &db, arena };
     let obs = ReplayObs::register(&registry);
-    let (report, _) = replay(
-        &ReplayMeta::of(&trace),
-        TraceChunks::new(&trace),
-        &plan,
-        Some(&obs),
-    )
-    .expect("valid trace");
+    let (report, _) = replay(&trace, &plan, Some(&obs)).expect("valid trace");
     println!(
         "replayed {} allocs ({} from arenas)\n",
         report.total_allocs, report.arena_allocs

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use lifepred::core::{evaluate, train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-use lifepred::heap::{replay_arena, replay_firstfit, ReplayConfig};
+use lifepred::heap::{replay, ArenaConfig, ReplayPlan};
 use lifepred::trace::shared_registry;
 use lifepred::workloads::{by_name, record};
 
@@ -43,9 +43,10 @@ fn main() {
 
     // 4. Replay the test trace through the baseline first-fit heap and
     //    the lifetime-predicting arena allocator.
-    let cfg = ReplayConfig::default();
-    let ff = replay_firstfit(&test, &cfg);
-    let arena = replay_arena(&test, &db, &cfg);
+    let (ff, _) = replay(&test, &ReplayPlan::FirstFit, None).expect("valid trace");
+    let arena = ArenaConfig::default();
+    let plan = ReplayPlan::Arena { db: &db, arena };
+    let (arena, _) = replay(&test, &plan, None).expect("valid trace");
     println!(
         "first-fit heap: {} KB; arena allocator heap: {} KB \
          ({:.1}% of allocations served from 16 x 4 KB arenas)",

@@ -4,7 +4,7 @@
 use lifepred::core::{
     evaluate, train, Profile, ShortLivedSet, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD,
 };
-use lifepred::heap::{replay_arena, replay_bsd, replay_firstfit, ReplayConfig};
+use lifepred::heap::{replay, ArenaConfig, ReplayPlan, ReplayReport};
 use lifepred::trace::{shared_registry, Trace};
 use lifepred::workloads::{all_workloads, by_name, record};
 
@@ -14,6 +14,15 @@ fn quick_pair(name: &str) -> (Trace, Trace) {
     let train_trace = record(w.as_ref(), 0, registry.clone());
     let test_trace = record(w.as_ref(), w.inputs().len() - 1, registry);
     (train_trace, test_trace)
+}
+
+fn replayed(trace: &Trace, plan: ReplayPlan<'_>) -> ReplayReport {
+    replay(trace, &plan, None).expect("valid trace").0
+}
+
+fn arena_plan(db: &ShortLivedSet) -> ReplayPlan<'_> {
+    let arena = ArenaConfig::default();
+    ReplayPlan::Arena { db, arena }
 }
 
 #[test]
@@ -41,9 +50,9 @@ fn full_pipeline_on_every_workload() {
             w.name()
         );
 
-        let replay = replay_arena(&test, &db, &ReplayConfig::default());
-        assert_eq!(replay.total_allocs, test.stats().total_objects);
-        assert!(replay.arena_allocs <= replay.total_allocs);
+        let report = replayed(&test, arena_plan(&db));
+        assert_eq!(report.total_allocs, test.stats().total_objects);
+        assert!(report.arena_allocs <= report.total_allocs);
     }
 }
 
@@ -92,12 +101,12 @@ fn database_text_roundtrip_preserves_predictions() {
 fn empty_database_degenerates_cleanly() {
     let (_, test) = quick_pair("espresso");
     let db = ShortLivedSet::empty(SiteConfig::default(), DEFAULT_THRESHOLD);
-    let arena = replay_arena(&test, &db, &ReplayConfig::default());
-    let ff = replay_firstfit(&test, &ReplayConfig::default());
+    let arena = replayed(&test, arena_plan(&db));
+    let ff = replayed(&test, ReplayPlan::FirstFit);
     assert_eq!(arena.arena_allocs, 0);
     assert_eq!(
         arena.max_heap_bytes,
-        ff.max_heap_bytes + ReplayConfig::default().arena.total_bytes(),
+        ff.max_heap_bytes + ArenaConfig::default().total_bytes(),
         "no-prediction arena allocator must equal first-fit plus the arena area"
     );
 }
@@ -105,9 +114,8 @@ fn empty_database_degenerates_cleanly() {
 #[test]
 fn replays_agree_on_totals() {
     let (_, test) = quick_pair("perl");
-    let cfg = ReplayConfig::default();
-    let ff = replay_firstfit(&test, &cfg);
-    let bsd = replay_bsd(&test, &cfg);
+    let ff = replayed(&test, ReplayPlan::FirstFit);
+    let bsd = replayed(&test, ReplayPlan::Bsd);
     assert_eq!(ff.total_allocs, bsd.total_allocs);
     assert_eq!(ff.total_bytes, bsd.total_bytes);
     // Both heaps must hold at least the maximum live bytes.

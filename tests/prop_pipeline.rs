@@ -3,7 +3,7 @@
 //! behaviour, not just the built-in workloads.
 
 use lifepred::core::{evaluate, train, Profile, SiteConfig, SitePolicy, TrainConfig};
-use lifepred::heap::{replay_arena, replay_firstfit, ReplayConfig};
+use lifepred::heap::{replay, ArenaConfig, ReplayPlan};
 use lifepred::trace::{Trace, TraceSession};
 use proptest::prelude::*;
 
@@ -96,13 +96,12 @@ proptest! {
         let cfg = SiteConfig::default();
         let profile = Profile::build(&trace, &cfg, 32 * 1024);
         let db = train(&profile, &TrainConfig::default());
-        let rcfg = ReplayConfig::default();
-
-        let ff = replay_firstfit(&trace, &rcfg);
+        let (ff, _) = replay(&trace, &ReplayPlan::FirstFit, None).expect("valid trace");
         prop_assert!(ff.max_heap_bytes >= trace.stats().max_live_bytes);
         prop_assert_eq!(ff.counts.allocs, trace.stats().total_objects);
 
-        let ar = replay_arena(&trace, &db, &rcfg);
+        let plan = ReplayPlan::Arena { db: &db, arena: ArenaConfig::default() };
+        let (ar, _) = replay(&trace, &plan, None).expect("valid trace");
         prop_assert!(ar.arena_allocs <= ar.total_allocs);
         prop_assert!(ar.arena_bytes <= ar.total_bytes);
         prop_assert_eq!(ar.counts.allocs, trace.stats().total_objects);

@@ -6,7 +6,7 @@ use lifepred::core::{
     evaluate, train, PredictionReport, Profile, ShortLivedSet, SiteConfig, SiteExtractor, SiteId,
     SiteKey, TrainConfig, DEFAULT_THRESHOLD,
 };
-use lifepred::trace::{shared_registry, Trace};
+use lifepred::trace::{shared_registry, Trace, TraceSource};
 use lifepred::workloads::{all_workloads, record};
 use lifepred_tracefile::{load_trace, save_trace, MappedTrace};
 use std::collections::{HashMap, HashSet};
