@@ -4,62 +4,6 @@ use crate::config::EpochConfig;
 use lifepred_quantile::P2Quantile;
 use std::collections::{HashMap, HashSet};
 
-/// How many individual lifetimes an [`EpochAgg`] carries to feed the
-/// per-site P² estimator when feedback arrives in batches.
-pub(crate) const AGG_SAMPLE_CAP: usize = 8;
-
-/// Per-site feedback accumulated away from the learner (e.g. under a
-/// shard lock) and merged in at epoch boundaries with
-/// [`OnlineLearner::absorb`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EpochAgg {
-    /// Allocations observed at the site this epoch.
-    pub allocs: u64,
-    /// Bytes allocated at the site this epoch.
-    pub alloc_bytes: u64,
-    /// Allocations that were predicted short-lived at allocation time.
-    pub predicted_allocs: u64,
-    /// Bytes that were predicted short-lived at allocation time.
-    pub predicted_bytes: u64,
-    /// Frees observed this epoch.
-    pub frees: u64,
-    /// Frees whose lifetime reached the threshold. Mispredicted
-    /// (predicted-short) long frees must *not* be counted here — report
-    /// those through [`OnlineLearner::note_pinned`] instead, which also
-    /// dirties the epoch.
-    pub long_frees: u64,
-    /// Largest lifetime freed this epoch.
-    pub max_lifetime: u64,
-    /// Up to 8 individual lifetimes, for the per-site
-    /// quantile estimator.
-    pub samples: Vec<u64>,
-}
-
-impl EpochAgg {
-    /// Records one allocation into the aggregate.
-    pub fn on_alloc(&mut self, size: u64, predicted: bool) {
-        self.allocs += 1;
-        self.alloc_bytes += size;
-        if predicted {
-            self.predicted_allocs += 1;
-            self.predicted_bytes += size;
-        }
-    }
-
-    /// Records one free into the aggregate. `long` marks lifetimes at
-    /// or past the threshold (for *unpredicted* objects).
-    pub fn on_free(&mut self, lifetime: u64, long: bool) {
-        self.frees += 1;
-        self.max_lifetime = self.max_lifetime.max(lifetime);
-        if long {
-            self.long_frees += 1;
-        }
-        if self.samples.len() < AGG_SAMPLE_CAP {
-            self.samples.push(lifetime);
-        }
-    }
-}
-
 /// Counters describing the learner's behaviour so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LearnerStats {
@@ -190,9 +134,8 @@ impl SiteEntry {
 /// the demoted phase, where only `requalify_epochs` consecutive clean
 /// epochs restore it.
 ///
-/// Keys are caller-defined `u64` site fingerprints, so the same learner
-/// serves the trace-replay simulator (hashed call-chain site keys) and
-/// the runtime allocator (galloc's return-address fingerprints).
+/// Keys are caller-defined `u64` site fingerprints (the trace-replay
+/// simulator hashes call-chain site keys).
 ///
 /// # Examples
 ///
@@ -306,8 +249,7 @@ impl OnlineLearner {
         }
     }
 
-    /// The current predicted-short set, for publication to concurrent
-    /// readers.
+    /// The current predicted-short set.
     pub fn snapshot(&self) -> HashSet<u64> {
         let short: HashSet<u64> = self
             .rows
@@ -401,36 +343,6 @@ impl OnlineLearner {
         self.stats.error_bytes += size;
         note_activity(&mut self.rows[row as usize], &mut self.active, row, 0, 1);
         self.demote_if_short(row);
-    }
-
-    /// Merges feedback accumulated elsewhere (per-shard buffers) into
-    /// the learner. Mispredicted long frees must have been reported via
-    /// [`OnlineLearner::note_pinned`] instead of `agg.long_frees`.
-    pub fn absorb(&mut self, key: u64, agg: &EpochAgg) {
-        self.stats.total_allocs += agg.allocs;
-        self.stats.total_bytes += agg.alloc_bytes;
-        self.stats.predicted_allocs += agg.predicted_allocs;
-        self.stats.predicted_bytes += agg.predicted_bytes;
-        self.stats.total_frees += agg.frees;
-        self.stats.long_frees += agg.long_frees;
-        let row = self.site_row(key);
-        let entry = &mut self.rows[row as usize];
-        note_activity(entry, &mut self.active, row, agg.frees, agg.long_frees);
-        for &lifetime in &agg.samples {
-            entry.tail.observe(lifetime as f64);
-        }
-        if agg.long_frees > 0 {
-            self.demote_if_short(row);
-        }
-    }
-
-    /// Advances the byte clock to `to` (callers with their own atomic
-    /// clock), rolling any epochs that became due.
-    pub fn advance_clock(&mut self, to: u64) {
-        if to > self.clock {
-            self.clock = to;
-        }
-        self.roll_due();
     }
 
     /// Ends the current epoch unconditionally and reschedules the next
@@ -634,23 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_matches_direct_counting() {
-        let mut l = OnlineLearner::new(tiny());
-        let mut agg = EpochAgg::default();
-        agg.on_alloc(64, false);
-        agg.on_alloc(64, false);
-        agg.on_free(64, false);
-        l.absorb(7, &agg);
-        let s = l.stats();
-        assert_eq!(s.total_allocs, 2);
-        assert_eq!(s.total_bytes, 128);
-        assert_eq!(s.total_frees, 1);
-        // Clean evidence promotes at the next roll.
-        l.advance_clock(4096);
-        assert!(l.predicts(7));
-    }
-
-    #[test]
     fn snapshot_and_generation_track_the_short_set() {
         let mut l = OnlineLearner::new(tiny());
         assert!(l.snapshot().is_empty());
@@ -707,16 +602,14 @@ mod tests {
         assert_eq!(l.row_visits, 0, "allocations alone are not activity");
         let mut active_pairs = 0;
         for epoch in 0..EPOCHS {
-            // Three frees, one pin and an alloc-only aggregate in one
-            // epoch still list the site once.
+            // Three frees and one pin in one epoch still list the site
+            // once; an allocation lists nothing.
             if epoch % 2 == 0 {
                 churn(&mut l, IDLE, 0, 3);
                 l.note_pinned(IDLE, 0);
                 active_pairs += 1;
             }
-            let mut allocs_only = EpochAgg::default();
-            allocs_only.on_alloc(0, false);
-            l.absorb(epoch % IDLE, &allocs_only);
+            l.record_alloc(epoch % IDLE, 0);
             l.roll_epoch();
         }
         assert_eq!(l.row_visits, active_pairs);

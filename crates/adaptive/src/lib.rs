@@ -18,13 +18,8 @@
 //!    only after `requalify_epochs` consecutive clean epochs of
 //!    hysteresis.
 //!
-//! [`OnlineLearner`] is the single-threaded core, driven directly by
-//! the trace-replay simulator (`lifepred-heap`) and the CLI.
-//! [`SharedPredictor`] wraps it for the runtime global allocator
-//! (`lifepred-galloc`): the learner's mutex is only taken at epoch
-//! boundaries and on mispredictions, while readers consult an
-//! atomically versioned [`std::sync::Arc`] snapshot of the
-//! predicted-short set.
+//! [`OnlineLearner`] is single-threaded, driven by the trace-replay
+//! simulator (`lifepred-heap`) and the CLI.
 //!
 //! # Examples
 //!
@@ -59,8 +54,6 @@
 
 mod config;
 mod learner;
-mod shared;
 
 pub use config::EpochConfig;
-pub use learner::{EpochAgg, LearnerStats, OnlineLearner};
-pub use shared::SharedPredictor;
+pub use learner::{LearnerStats, OnlineLearner};

@@ -8,7 +8,7 @@
 #[path = "support/scan_all.rs"]
 mod scan_all;
 
-use lifepred_adaptive::{EpochAgg, EpochConfig, OnlineLearner};
+use lifepred_adaptive::{EpochConfig, OnlineLearner};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scan_all::ScanAllLearner;
@@ -37,38 +37,7 @@ enum Op {
         key: u64,
         size: u64,
     },
-    Absorb {
-        key: u64,
-        agg: EpochAgg,
-    },
-    /// Jump the clock, possibly across many epochs.
-    Advance {
-        by: u64,
-    },
     Roll,
-}
-
-fn agg() -> impl Strategy<Value = EpochAgg> {
-    (
-        0u64..4,
-        0u64..4,
-        0u64..3,
-        vec(0u64..3000, 0..4),
-        any::<bool>(),
-    )
-        .prop_map(|(allocs, frees, long_frees, samples, allocs_only)| {
-            let mut agg = EpochAgg::default();
-            for _ in 0..allocs {
-                agg.on_alloc(64, false);
-            }
-            if !allocs_only {
-                agg.frees = frees + long_frees;
-                agg.long_frees = long_frees;
-                agg.max_lifetime = samples.iter().copied().max().unwrap_or(0);
-                agg.samples = samples;
-            }
-            agg
-        })
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -81,8 +50,8 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(|pick| Op::Free { pick }),
         (key(), size(), 0u64..3000).prop_map(|(key, size, age)| Op::StrayFree { key, size, age }),
         (key(), size()).prop_map(|(key, size)| Op::Pin { key, size }),
-        (key(), agg()).prop_map(|(key, agg)| Op::Absorb { key, agg }),
-        (0u64..20_000).prop_map(|by| Op::Advance { by }),
+        // A big allocation jumps the clock, possibly across many epochs.
+        (key(), 0u64..20_000).prop_map(|(key, size)| Op::Alloc { key, size }),
         Just(Op::Roll),
     ]
 }
@@ -141,15 +110,6 @@ proptest! {
                 Op::Pin { key, size } => {
                     learner.note_pinned(key, size);
                     oracle.note_pinned(key, size);
-                }
-                Op::Absorb { key, agg } => {
-                    learner.absorb(key, &agg);
-                    oracle.absorb(key, &agg);
-                }
-                Op::Advance { by } => {
-                    let to = learner.clock() + by;
-                    learner.advance_clock(to);
-                    oracle.advance_clock(to);
                 }
                 Op::Roll => {
                     learner.roll_epoch();

@@ -11,7 +11,7 @@
 // Each suite drives a different part of the oracle.
 #![allow(dead_code)]
 
-use lifepred_adaptive::{EpochAgg, EpochConfig, LearnerStats};
+use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_quantile::P2Quantile;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -198,40 +198,6 @@ impl ScanAllLearner {
         if entry.phase == Phase::Short {
             Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
         }
-    }
-
-    /// Merges feedback accumulated elsewhere (per-shard buffers) into
-    /// the learner. Mispredicted long frees must have been reported via
-    /// [`ScanAllLearner::note_pinned`] instead of `agg.long_frees`.
-    pub fn absorb(&mut self, key: u64, agg: &EpochAgg) {
-        self.stats.total_allocs += agg.allocs;
-        self.stats.total_bytes += agg.alloc_bytes;
-        self.stats.predicted_allocs += agg.predicted_allocs;
-        self.stats.predicted_bytes += agg.predicted_bytes;
-        self.stats.total_frees += agg.frees;
-        self.stats.long_frees += agg.long_frees;
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
-        entry.epoch_frees += agg.frees;
-        entry.epoch_long += agg.long_frees;
-        for &lifetime in &agg.samples {
-            entry.tail.observe(lifetime as f64);
-        }
-        if agg.long_frees > 0 && entry.phase == Phase::Short {
-            Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
-        }
-    }
-
-    /// Advances the byte clock to `to` (callers with their own atomic
-    /// clock), rolling any epochs that became due.
-    pub fn advance_clock(&mut self, to: u64) {
-        if to > self.clock {
-            self.clock = to;
-        }
-        self.roll_due();
     }
 
     /// Ends the current epoch unconditionally and reschedules the next

@@ -19,8 +19,7 @@
 //! * `native` activates [`lifepred_galloc`]'s `LifepredGlobal` (the
 //!   binary's `#[global_allocator]`) and runs workloads through it for
 //!   real — every allocation the workload makes is served by the
-//!   lifetime-predicting allocator, and the magazine/prediction
-//!   counters are reported afterwards;
+//!   size-class allocator, and its counters are reported afterwards;
 //! * `sweep` expands a declarative grid spec into the paper's
 //!   design-space evaluation ([`lifepred_sweep`]), caching every cell
 //!   so re-runs and resumes recompute only what changed.
@@ -1129,8 +1128,8 @@ fn resolve_workloads(names: &[String]) -> Result<Vec<Box<dyn Workload>>, String>
 
 /// Runs workloads with the binary's own global allocator switched to
 /// [`lifepred_galloc::LifepredGlobal`]: the traced programs allocate
-/// through the lifetime-predicting allocator for real, and the
-/// magazine/prediction counters tell the story afterwards.
+/// through the size-class allocator for real, and its counters tell
+/// the story afterwards.
 fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let mut names: Vec<String> = Vec::new();
     let mut metrics_out: Option<String> = None;
@@ -1163,7 +1162,6 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             w.name().to_owned(),
             format!("{}", train.records().len() + test.records().len()),
             format!("{}", after.small_allocs - before.small_allocs),
-            format!("{}", after.short_allocs - before.short_allocs),
             format!(
                 "{}",
                 (after.fallback_large + after.fallback_exhausted)
@@ -1175,13 +1173,7 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         out,
         format_table(
             "native runs (allocations served by LifepredGlobal)",
-            &[
-                "workload",
-                "traced",
-                "small allocs",
-                "short-lived",
-                "fallbacks",
-            ],
+            &["workload", "traced", "small allocs", "fallbacks"],
             &rows,
         ),
     )?;
@@ -1199,33 +1191,21 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             "\nallocator totals:\n\
              small allocs:     {} ({} bytes)\n\
              magazine hit rate:{:>7.2}%\n\
-             short-lived:      {} allocs, {} segment resets\n\
              remote frees:     {} ({} drained)\n\
-             system fallbacks: {} large, {} align, {} exhausted\n\
-             sampling:         {} sampled, {} frees seen, {} mispredicted\n\
-             epoch ticks:      {}\n",
+             system fallbacks: {} large, {} align, {} exhausted\n",
             stats.small_allocs,
             stats.small_bytes,
             stats.hit_rate() * 100.0,
-            stats.short_allocs,
-            stats.seg_resets,
             stats.remote_frees,
             stats.remote_drained,
             stats.fallback_large,
             stats.fallback_align,
             stats.fallback_exhausted,
-            stats.sampled_allocs,
-            stats.sampled_frees,
-            stats.mispredict_frees,
-            stats.epoch_ticks,
         ),
     )?;
-    if let Some(l) = lifepred_galloc::learner_stats() {
-        write_online_stats(out, &l)?;
-    }
     if let Some(path) = metrics_out.as_deref() {
         let registry = Registry::new();
-        lifepred_galloc::export_metrics(&registry);
+        stats.export(&registry);
         write_metrics(out, path, &registry.snapshot(), force)?;
     }
     Ok(())

@@ -517,6 +517,56 @@ program  arena  objects   bytes  untouched%  mean drag  drag%
     }
 }
 
+/// `native cfrac` run by the binary, whose global allocator is
+/// `LifepredGlobal`: the counts vary from run to run, the labels do
+/// not. Every number becomes `#`, and a run of spaces or dashes (whose
+/// lengths follow the numbers' widths) becomes one.
+#[test]
+fn native_text_labels_are_pinned() {
+    fn labels(text: &str) -> String {
+        let mut out = String::new();
+        for line in text.lines() {
+            let mut prev = None;
+            for c in line.trim().chars() {
+                let c = if c.is_ascii_digit() || (c == '.' && prev == Some('#')) {
+                    '#'
+                } else {
+                    c
+                };
+                if matches!(c, '#' | ' ' | '-') && prev == Some(c) {
+                    continue;
+                }
+                out.push(c);
+                prev = Some(c);
+            }
+            out.push('\n');
+        }
+        out
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lifepred"))
+        .args(["native", "cfrac"])
+        .output()
+        .expect("spawn lifepred");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf8 output");
+    assert_eq!(
+        labels(&text),
+        "\
+== native runs (allocations served by LifepredGlobal) ==
+workload traced small allocs fallbacks
+-
+cfrac # # #
+
+allocator totals:
+small allocs: # (# bytes)
+magazine hit rate: #%
+remote frees: # (# drained)
+system fallbacks: # large, # align, # exhausted
+",
+        "{text}"
+    );
+}
+
 /// Every command that takes workload names checks them all before it
 /// runs any, and names the known workloads when one is wrong.
 #[test]

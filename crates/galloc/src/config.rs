@@ -3,19 +3,17 @@
 //! A set-but-malformed override is a loud startup error naming the
 //! offending field, never a silent fall back to defaults.
 
-use lifepred_adaptive::EpochConfig;
-
 /// Environment variable overriding the galloc geometry, as
 /// `shards,segs_per_shard` (both powers of two).
 pub(crate) const GALLOC_ENV: &str = "LIFEPRED_GALLOC";
 
-/// Bytes per segment (the unit of carving and short-lived reclaim).
+/// Bytes per segment (the unit of carving).
 pub(crate) const SEG_SIZE: usize = 64 * 1024;
 
 /// `log2(SEG_SIZE)`.
 pub(crate) const SEG_SHIFT: u32 = 16;
 
-/// Geometry and prediction tuning for [`crate::LifepredGlobal`].
+/// Geometry of [`crate::LifepredGlobal`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GallocConfig {
     /// Number of shards (power of two). Each shard owns a contiguous
@@ -24,13 +22,6 @@ pub struct GallocConfig {
     /// Segments per shard (power of two). Total reserved area is
     /// `shards * segs_per_shard * SEG_SIZE`.
     pub segs_per_shard: usize,
-    /// Sample one in `sample_every` small allocations for lifetime
-    /// feedback (power of two).
-    pub sample_every: u32,
-    /// Epoch/threshold tuning for the online learner. Lifetimes are
-    /// measured on the allocation byte clock, so the defaults here are
-    /// larger than the trace-replay defaults.
-    pub epoch: EpochConfig,
 }
 
 impl Default for GallocConfig {
@@ -44,19 +35,13 @@ impl Default for GallocConfig {
             // shard; a small live set never touches most of it, and a
             // big one stays off the exhaustion fallback.
             segs_per_shard: 256,
-            sample_every: 64,
-            epoch: EpochConfig {
-                threshold: 256 * 1024,
-                epoch_bytes: 4 * 1024 * 1024,
-                ..EpochConfig::default()
-            },
         }
     }
 }
 
 impl GallocConfig {
     /// Parses a `shards,segs_per_shard` spec (the [`GALLOC_ENV`]
-    /// format); unspecified fields keep their defaults.
+    /// format).
     ///
     /// # Errors
     ///
@@ -77,7 +62,6 @@ impl GallocConfig {
         let config = GallocConfig {
             shards,
             segs_per_shard,
-            ..GallocConfig::default()
         };
         config.validate()?;
         Ok(config)
@@ -130,13 +114,7 @@ impl GallocConfig {
                 self.shards, self.segs_per_shard
             ));
         }
-        if !self.sample_every.is_power_of_two() {
-            return Err(format!(
-                "sample_every must be a power of two, got {}",
-                self.sample_every
-            ));
-        }
-        self.epoch.validate()
+        Ok(())
     }
 
     /// Total reserved bytes.

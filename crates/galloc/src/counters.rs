@@ -2,7 +2,7 @@
 //!
 //! Hot-path events (magazine hits, byte throughput) are counted in
 //! plain per-thread integers and flushed here in batches; rare events
-//! (fallbacks, remote frees, segment resets) add directly to these
+//! (fallbacks, remote drains, wild frees) add directly to these
 //! atomics. Everything is monotonic, so relaxed ordering is enough —
 //! readers only ever see a slightly stale total.
 
@@ -11,6 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 macro_rules! gcounters {
     ($(#[$structmeta:meta])* $vis:vis struct $name:ident / $snap:ident {
         $($(#[$meta:meta])* pub $field:ident),* $(,)?
+    }
+    always_zero {
+        $($(#[$zmeta:meta])* pub $zero:ident),* $(,)?
     }) => {
         $(#[$structmeta])*
         #[derive(Debug, Default)]
@@ -22,6 +25,7 @@ macro_rules! gcounters {
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct $snap {
             $($(#[$meta])* pub $field: u64,)*
+            $($(#[$zmeta])* pub $zero: u64,)*
         }
 
         impl $name {
@@ -30,6 +34,7 @@ macro_rules! gcounters {
             pub fn snapshot(&self) -> $snap {
                 $snap {
                     $($field: self.$field.load(Ordering::Relaxed),)*
+                    $($zero: 0,)*
                 }
             }
         }
@@ -42,16 +47,12 @@ gcounters! {
         /// Small allocations served by the size-class path.
         pub small_allocs,
         /// Small allocations that needed a shard lock (magazine
-        /// refills, short-run refills, and lock-direct allocations).
+        /// refills and lock-direct allocations).
         pub lock_allocs,
         /// Magazine refill events (batch pulls from a shard).
         pub refills,
         /// Magazine flush events (batch returns to shards).
         pub flushes,
-        /// Short-lived run refill events.
-        pub short_refills,
-        /// Small allocations steered to short-lived segments.
-        pub short_allocs,
         /// Bytes requested through the size-class path.
         pub small_bytes,
         /// Small frees that went back into a thread magazine.
@@ -60,11 +61,6 @@ gcounters! {
         pub remote_frees,
         /// Remote-freed blocks drained back into central lists.
         pub remote_drained,
-        /// Short-lived frees (live-count decrements).
-        pub short_frees,
-        /// Short segments reset for reuse after their live count hit
-        /// zero.
-        pub seg_resets,
         /// Frees routed straight to a central list (allocator
         /// re-entry or TLS already torn down).
         pub central_frees,
@@ -83,34 +79,30 @@ gcounters! {
         /// Frees forwarded to the system allocator (ownership check
         /// said the pointer is not ours).
         pub system_frees,
-        /// Allocations sampled for lifetime feedback.
-        pub sampled_allocs,
-        /// Sampled objects whose free was observed.
-        pub sampled_frees,
-        /// Sampling opportunities dropped because the table slot was
-        /// occupied.
-        pub sample_drops,
-        /// Sampled predicted-short objects that lived past the
-        /// threshold (observed at free).
-        pub mispredict_frees,
-        /// Sampled predicted-short objects demoted by the aging scan
-        /// while still live.
-        pub pinned_noted,
-        /// Short-lived live-count underflows (would-be double frees;
-        /// always 0 in a correct program).
-        pub short_free_underflows,
-        /// Frees of in-area pointers whose segment is not live
-        /// (double free after a segment reset; always 0 in a correct
-        /// program).
+        /// Frees of in-area pointers whose segment was never carved
+        /// (always 0 in a correct program).
         pub wild_frees,
-        /// Epoch ticks driven from the allocation byte clock.
+    }
+    always_zero {
+        /// Always 0 and not exported: no segment is ever reset. Kept
+        /// because the frozen benchmark reads it
+        /// (`benchmark/src/layers.rs:651`).
+        pub seg_resets,
+        /// Always 0 and not exported: there is no epoch tick. Kept
+        /// because the frozen benchmark reads it
+        /// (`benchmark/src/layers.rs:653`).
         pub epoch_ticks,
+        /// Always 0 and not exported: there is no short-lived live
+        /// count to underflow. Kept because the frozen benchmark reads
+        /// it (`benchmark/src/layers.rs:656–667`,
+        /// `benchmark/src/child.rs:53`).
+        pub short_free_underflows,
     }
 }
 
 impl GallocStats {
     /// Fraction of size-class allocations served without taking any
-    /// lock (the magazine/short-run hit rate). `1.0` when idle.
+    /// lock (the magazine hit rate). `1.0` when idle.
     pub fn hit_rate(&self) -> f64 {
         if self.small_allocs == 0 {
             return 1.0;
@@ -120,10 +112,10 @@ impl GallocStats {
 
     /// Small frees observed on any path.
     pub fn small_frees(&self) -> u64 {
-        self.mag_frees + self.remote_frees + self.short_frees + self.central_frees
+        self.mag_frees + self.remote_frees + self.central_frees
     }
 
-    /// Exports every counter as `lifepred_galloc_*` metrics.
+    /// Exports every live counter as `lifepred_galloc_*` metrics.
     pub fn export(&self, registry: &lifepred_obs::Registry) {
         macro_rules! emit {
             ($($field:ident),* $(,)?) => {
@@ -138,28 +130,17 @@ impl GallocStats {
             lock_allocs,
             refills,
             flushes,
-            short_refills,
-            short_allocs,
             small_bytes,
             mag_frees,
             remote_frees,
             remote_drained,
-            short_frees,
-            seg_resets,
             central_frees,
             reentrant_allocs,
             fallback_large,
             fallback_align,
             fallback_exhausted,
             system_frees,
-            sampled_allocs,
-            sampled_frees,
-            sample_drops,
-            mispredict_frees,
-            pinned_noted,
-            short_free_underflows,
             wild_frees,
-            epoch_ticks,
         );
         registry.set(
             "lifepred_galloc_magazine_hit_rate_pct",
@@ -168,8 +149,8 @@ impl GallocStats {
     }
 }
 
-/// Per-thread counter batch, merged into [`GCounters`] on clock
-/// flushes and thread exit so the hot path never touches a shared
+/// Per-thread counter batch, merged into [`GCounters`] every few KiB
+/// of allocation and at thread exit so the hot path never touches a shared
 /// cache line.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct TlsCounters {
@@ -181,18 +162,12 @@ pub(crate) struct TlsCounters {
     pub refills: u64,
     /// Mirrors [`GCounters::flushes`].
     pub flushes: u64,
-    /// Mirrors [`GCounters::short_refills`].
-    pub short_refills: u64,
-    /// Mirrors [`GCounters::short_allocs`].
-    pub short_allocs: u64,
     /// Mirrors [`GCounters::small_bytes`].
     pub small_bytes: u64,
     /// Mirrors [`GCounters::mag_frees`].
     pub mag_frees: u64,
     /// Mirrors [`GCounters::remote_frees`].
     pub remote_frees: u64,
-    /// Mirrors [`GCounters::short_frees`].
-    pub short_frees: u64,
 }
 
 impl TlsCounters {
@@ -211,12 +186,9 @@ impl TlsCounters {
             lock_allocs,
             refills,
             flushes,
-            short_refills,
-            short_allocs,
             small_bytes,
             mag_frees,
             remote_frees,
-            short_frees,
         );
     }
 }

@@ -1,6 +1,6 @@
 //! The process-wide allocator core: one reserved area split into
-//! per-shard segment runs, central per-class free lists, lock-free
-//! remote-free stacks, and bump-carved short-lived segments.
+//! per-shard segment runs, central per-class free lists and lock-free
+//! remote-free stacks.
 //!
 //! Everything here runs under a shard lock or over atomics; the
 //! lock-free *hot* path lives in [`crate::tls`] and only calls down
@@ -15,39 +15,27 @@
 use crate::classes::{CLASS_SIZES, NUM_CLASSES};
 use crate::config::{GallocConfig, SEG_SHIFT, SEG_SIZE};
 use crate::counters::GCounters;
-use crate::feedback::Feedback;
-use lifepred_adaptive::SharedPredictor;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Segment is unassigned (on a shard's free-segment list).
 pub const SEG_FREE: u8 = 0;
 /// Segment is carved into regular blocks recycled via free lists.
 pub const SEG_REGULAR: u8 = 1;
-/// Short-lived segment currently being carved.
-pub const SEG_SHORT: u8 = 2;
-/// Short-lived segment fully carved; resets when its live count
-/// reaches zero.
-pub const SEG_SHORT_FULL: u8 = 3;
-/// Short-lived segment claimed for the owner's reclaim stack.
-pub const SEG_SHORT_RECLAIM: u8 = 4;
 
 /// Per-segment metadata, indexed by `(addr - base) >> SEG_SHIFT`.
 ///
-/// All fields are atomics because the free path reads `state`/`class`
-/// and decrements `live` without taking the owning shard's lock.
+/// `state` and `class` are atomics because the free path reads them
+/// without taking the owning shard's lock.
 #[derive(Debug)]
 pub struct SegMeta {
     /// One of the `SEG_*` states.
     pub state: AtomicU8,
     /// Size class the segment is carved for.
     pub class: AtomicU8,
-    /// Outstanding blocks in a short segment (pre-counted per carved
-    /// run; see [`Inner::short_refill`]).
-    pub live: AtomicU32,
-    /// Intrusive link (segment index + 1, 0 = nil) for the free list
-    /// and the reclaim stack.
+    /// Intrusive link (segment index + 1, 0 = nil) for the
+    /// free-segment list.
     pub next: AtomicU32,
 }
 
@@ -61,10 +49,6 @@ struct CacheLine<T>(T);
 struct Bump {
     cursor: usize,
     end: usize,
-    /// Segment index + 1 of the segment under the cursor (0 = none);
-    /// only meaningful for short-lived bumps, whose segment must be
-    /// retired when exhausted.
-    seg: u32,
 }
 
 /// The lock-protected half of a shard.
@@ -76,8 +60,7 @@ struct ShardInner {
     free_len: [u32; NUM_CLASSES],
     /// Head of the free-segment list (segment index + 1, 0 = nil).
     free_segs: u32,
-    regular: [Bump; NUM_CLASSES],
-    short: [Bump; NUM_CLASSES],
+    bump: [Bump; NUM_CLASSES],
 }
 
 /// One shard: a contiguous run of segments with central free lists.
@@ -88,9 +71,6 @@ pub struct Shard {
     /// block address, 0 = empty). Pushers CAS the head; only the
     /// owner drains, with a single `swap`, so the stack is ABA-free.
     remote: AtomicUsize,
-    /// Treiber stack of short segments whose live count hit zero
-    /// (segment index + 1), drained by the owner under its lock.
-    reclaim: AtomicU32,
 }
 
 /// The allocator core behind [`crate::LifepredGlobal`].
@@ -104,15 +84,6 @@ pub struct Inner {
     seg_shard_shift: u32,
     /// Process-wide counters.
     pub counters: GCounters,
-    /// The online lifetime predictor fed by [`Feedback`].
-    pub predictor: SharedPredictor,
-    /// Allocation byte clock (lifetimes are measured against it).
-    pub clock: AtomicU64,
-    next_epoch: AtomicU64,
-    /// Lifetime-feedback sampling state.
-    pub feedback: Feedback,
-    /// The geometry this core was built with.
-    pub config: GallocConfig,
 }
 
 impl Inner {
@@ -150,7 +121,6 @@ impl Inner {
             .map(|_| SegMeta {
                 state: AtomicU8::new(SEG_FREE),
                 class: AtomicU8::new(0),
-                live: AtomicU32::new(0),
                 next: AtomicU32::new(0),
             })
             .collect();
@@ -168,11 +138,9 @@ impl Inner {
                         free_head: [0; NUM_CLASSES],
                         free_len: [0; NUM_CLASSES],
                         free_segs: (first + 1) as u32,
-                        regular: [Bump::default(); NUM_CLASSES],
-                        short: [Bump::default(); NUM_CLASSES],
+                        bump: [Bump::default(); NUM_CLASSES],
                     }),
                     remote: AtomicUsize::new(0),
-                    reclaim: AtomicU32::new(0),
                 })
             })
             .collect();
@@ -183,11 +151,6 @@ impl Inner {
             segs,
             seg_shard_shift: per_shard.trailing_zeros(),
             counters: GCounters::default(),
-            predictor: SharedPredictor::new(config.epoch),
-            clock: AtomicU64::new(0),
-            next_epoch: AtomicU64::new(config.epoch.epoch_bytes),
-            feedback: Feedback::new(),
-            config,
         })
     }
 
@@ -244,55 +207,16 @@ impl Inner {
         self.base + (seg << SEG_SHIFT)
     }
 
-    /// Pops reclaimed and free segments into `guard.free_segs`,
-    /// resetting reclaimed short segments to [`SEG_FREE`].
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`shards[shard]` is the caller's home shard, below the shard count; `segs[seg]` \
-                  takes ids off the reclaim stack, which try_reclaim only ever links as a real \
-                  segment index + 1."
-    )]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "`head - 1` runs only under `head != 0`, and `seg + 1` re-links an index below \
-                  the segment count (at most 2^14)."
-    )]
-    fn drain_reclaim(&self, shard: usize, guard: &mut ShardInner) {
-        let mut head = self.shards[shard].0.reclaim.swap(0, Ordering::Acquire);
-        while head != 0 {
-            let seg = (head - 1) as usize;
-            let meta = &self.segs[seg];
-            head = meta.next.load(Ordering::Relaxed);
-            debug_assert_eq!(meta.state.load(Ordering::Relaxed), SEG_SHORT_RECLAIM);
-            debug_assert_eq!(meta.live.load(Ordering::Relaxed), 0);
-            // Relaxed: no other thread can reach this segment until
-            // pop_free_seg republishes it with a Release store of state.
-            meta.state.store(SEG_FREE, Ordering::Relaxed);
-            meta.next.store(guard.free_segs, Ordering::Relaxed);
-            guard.free_segs = (seg + 1) as u32;
-            self.counters.seg_resets.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Takes a free segment for `class`, in `state` (`SEG_REGULAR` or
-    /// `SEG_SHORT`). Returns its index.
+    /// Takes a free segment of `guard`'s shard and carves it for
+    /// `class`. Returns its index.
     #[expect(
         clippy::arithmetic_side_effects,
         clippy::indexing_slicing,
         reason = "`free_segs - 1` runs after the `free_segs == 0` return, and the result indexes \
                   `segs` because the free-segment list only ever links a real segment index + 1 \
-                  (build, drain_reclaim)."
+                  (build)."
     )]
-    fn pop_free_seg(
-        &self,
-        shard: usize,
-        guard: &mut ShardInner,
-        class: usize,
-        state: u8,
-    ) -> Option<usize> {
-        if guard.free_segs == 0 {
-            self.drain_reclaim(shard, guard);
-        }
+    fn pop_free_seg(&self, guard: &mut ShardInner, class: usize) -> Option<usize> {
         if guard.free_segs == 0 {
             return None;
         }
@@ -301,7 +225,7 @@ impl Inner {
         guard.free_segs = meta.next.load(Ordering::Relaxed);
         meta.class.store(class as u8, Ordering::Relaxed);
         // Release: the free path reads state/class without the lock.
-        meta.state.store(state, Ordering::Release);
+        meta.state.store(SEG_REGULAR, Ordering::Release);
         Some(seg)
     }
 
@@ -346,7 +270,7 @@ impl Inner {
     #[expect(
         clippy::indexing_slicing,
         reason = "`out[n]` is guarded by the `n < out.len()` loop condition on every arm; \
-                  `guard.regular[class]` and `CLASS_SIZES[class]` index [_; N_CLASSES] arrays \
+                  `guard.bump[class]` and `CLASS_SIZES[class]` index [_; N_CLASSES] arrays \
                   with a class the caller derived from class_for (< N_CLASSES by construction). \
                   All arms dead unless a class invariant broke — aborting under the shard lock \
                   beats carving blocks with a wild size. `self.shards[shard]` is the caller's \
@@ -386,18 +310,17 @@ impl Inner {
                 n += 1;
                 continue;
             }
-            if guard.regular[class].cursor + size > guard.regular[class].end {
-                match self.pop_free_seg(shard, guard, class, SEG_REGULAR) {
+            if guard.bump[class].cursor + size > guard.bump[class].end {
+                match self.pop_free_seg(guard, class) {
                     Some(seg) => {
-                        let bump = &mut guard.regular[class];
+                        let bump = &mut guard.bump[class];
                         bump.cursor = self.seg_base(seg);
                         bump.end = bump.cursor + SEG_SIZE;
-                        bump.seg = 0;
                     }
                     None => break,
                 }
             }
-            let bump = &mut guard.regular[class];
+            let bump = &mut guard.bump[class];
             out[n] = bump.cursor as *mut u8;
             bump.cursor += size;
             n += 1;
@@ -462,6 +385,19 @@ impl Inner {
         (home_n as u64, foreign)
     }
 
+    /// Frees an in-area pointer: into the thread cache when its
+    /// segment is carved, otherwise counted in `wild_frees` and
+    /// dropped (no block of this allocator lives in an uncarved
+    /// segment, so dropping it is the safest response).
+    pub fn free(&self, ptr: *mut u8) {
+        let meta = self.seg_of(ptr);
+        if meta.state.load(Ordering::Acquire) == SEG_REGULAR {
+            crate::tls::free_small(self, ptr, meta.class.load(Ordering::Relaxed) as usize);
+        } else {
+            self.counters.wild_frees.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Pushes one free regular block onto its owning shard's
     /// remote-free stack (lock-free; any thread).
     #[expect(
@@ -488,265 +424,6 @@ impl Inner {
                 Err(actual) => head = actual,
             }
         }
-    }
-
-    /// Carves a run of up to `want` short-lived blocks of `class`
-    /// from `shard`, pre-counting them into the segment's live count.
-    /// Returns `(run_start, block_count, seg_index)`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`class` comes from class_for (< NUM_CLASSES) and indexes CLASS_SIZES and the \
-                  [_; NUM_CLASSES] bump arrays; `shards[shard]` is the caller's home shard; \
-                  `segs[seg]` takes the index pop_free_seg just returned or the live bump's own \
-                  `seg - 1`."
-    )]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "Bump-cursor advances inside one 64 KiB segment: `size` is a CLASS_SIZES entry \
-                  (<= 2048), the cursor is an address inside the reserved area, and the carve \
-                  loop re-checks `cursor + size <= end` before every step, so the sum can \
-                  neither overflow usize nor escape the segment. A checked_add here would guard \
-                  against a state the preceding bound check already excludes. Segment-boundary \
-                  math: `seg_start + SEG_SIZE` with seg_start derived from the validated area \
-                  base and a segment index bounded by the segment table length; the area itself \
-                  was sized with checked multiplication at build time, so every segment end is a \
-                  valid in-area address. `retired - 1` and `bump.seg - 1` run only on a bump \
-                  that holds a segment (seg != 0), `seg + 1` links an index below the segment \
-                  count, and `(end - cursor) / size` divides a span with cursor <= end by a \
-                  nonzero class size."
-    )]
-    pub fn short_refill(
-        &self,
-        shard: usize,
-        class: usize,
-        want: usize,
-    ) -> Option<(usize, usize, u32)> {
-        let size = CLASS_SIZES[class];
-        let mut guard = self.shards[shard]
-            .0
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let guard = &mut *guard;
-        if guard.short[class].cursor + size > guard.short[class].end {
-            let retired = guard.short[class].seg;
-            if retired != 0 {
-                // Clear before retiring so a failed segment grab below
-                // can never retire the same segment twice.
-                guard.short[class] = Bump::default();
-                self.retire_short(retired - 1);
-            }
-            let seg = self.pop_free_seg(shard, guard, class, SEG_SHORT)?;
-            let bump = &mut guard.short[class];
-            bump.cursor = self.seg_base(seg);
-            bump.end = bump.cursor + SEG_SIZE;
-            bump.seg = (seg + 1) as u32;
-        }
-        let bump = &mut guard.short[class];
-        let avail = (bump.end - bump.cursor) / size;
-        let take = want.min(avail);
-        let start = bump.cursor;
-        bump.cursor += take * size;
-        let seg = bump.seg - 1;
-        // Pre-count the whole run; the thread cache hands blocks out
-        // without touching the segment again and returns any unused
-        // tail via short_unused() at thread exit. Relaxed: `live` only
-        // counts; the zero-crossing hand-off is the AcqRel CAS on `state`.
-        self.segs[seg as usize]
-            .live
-            .fetch_add(take as u32, Ordering::Relaxed);
-        if bump.cursor + size > bump.end {
-            // Run consumed the tail: retire now so the live count can
-            // release the segment.
-            self.retire_short(seg);
-            let bump = &mut guard.short[class];
-            *bump = Bump::default();
-        }
-        Some((start, take, seg))
-    }
-
-    /// Marks a short segment fully carved. If every block already came
-    /// back, queue it for reclaim immediately.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`segs[seg]`: `seg` is the short segment the caller's bump was carving, an \
-                  index pop_free_seg minted."
-    )]
-    fn retire_short(&self, seg: u32) {
-        let meta = &self.segs[seg as usize];
-        meta.state.store(SEG_SHORT_FULL, Ordering::Release);
-        if meta.live.load(Ordering::Acquire) == 0 {
-            self.try_reclaim(seg);
-        }
-    }
-
-    /// Attempts the `SEG_SHORT_FULL -> SEG_SHORT_RECLAIM` claim and,
-    /// on winning, pushes the segment onto the owner's reclaim stack.
-    /// Both the last freeing thread and the retiring owner race here;
-    /// the CAS picks exactly one.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`segs[seg as usize]`: the seg id was produced by seg_index on an owned pointer \
-                  (range-checked by contains) and stored in run/slot bookkeeping; it cannot \
-                  exceed the segment table built for the same area. `shards[seg >> \
-                  seg_shard_shift]` maps that segment to its owning shard, below the shard count \
-                  by the same bound."
-    )]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "`seg + 1` encodes a segment index (at most 2^14) as a nonzero stack link."
-    )]
-    fn try_reclaim(&self, seg: u32) {
-        let meta = &self.segs[seg as usize];
-        if meta
-            .state
-            .compare_exchange(
-                SEG_SHORT_FULL,
-                SEG_SHORT_RECLAIM,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return;
-        }
-        let shard = &self.shards[(seg as usize) >> self.seg_shard_shift].0;
-        let mut head = shard.reclaim.load(Ordering::Relaxed);
-        loop {
-            // Relaxed: the Release CAS on the list head publishes the link.
-            meta.next.store(head, Ordering::Relaxed);
-            match shard.reclaim.compare_exchange_weak(
-                head,
-                seg + 1,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => head = actual,
-            }
-        }
-    }
-
-    /// Frees one short-lived block: decrement the segment's live
-    /// count and queue the segment for reclaim when it empties.
-    /// Lock-free; any thread. Returns `false` on live-count underflow
-    /// (a double free).
-    #[expect(
-        clippy::arithmetic_side_effects,
-        clippy::indexing_slicing,
-        reason = "`segs[seg_index(ptr)]` on a pointer dealloc routed here after `contains(ptr)`, \
-                  so the index is below the segment count; `live - 1` runs only after the `live \
-                  == 0` underflow check."
-    )]
-    pub fn short_free(&self, ptr: *mut u8) -> bool {
-        let seg = self.seg_index(ptr);
-        let meta = &self.segs[seg];
-        let mut live = meta.live.load(Ordering::Relaxed);
-        loop {
-            if live == 0 {
-                self.counters
-                    .short_free_underflows
-                    .fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            match meta.live.compare_exchange_weak(
-                live,
-                live - 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => live = actual,
-            }
-        }
-        if live == 1 && meta.state.load(Ordering::Acquire) == SEG_SHORT_FULL {
-            self.try_reclaim(seg as u32);
-        }
-        true
-    }
-
-    /// Returns `n` never-handed-out blocks of a short run (thread
-    /// exit with a partial run): drop them from the live count.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`segs[seg as usize]`: same provenance as try_reclaim — the seg id comes from \
-                  the thread's own short-run bookkeeping, which only ever holds ids minted by \
-                  seg_index."
-    )]
-    pub fn short_unused(&self, seg: u32, n: u32) {
-        if n == 0 {
-            return;
-        }
-        let meta = &self.segs[seg as usize];
-        let prev = meta.live.fetch_sub(n, Ordering::AcqRel);
-        debug_assert!(prev >= n);
-        if prev == n && meta.state.load(Ordering::Acquire) == SEG_SHORT_FULL {
-            self.try_reclaim(seg);
-        }
-    }
-
-    /// Advances the allocation byte clock by a thread's flushed batch
-    /// and drives an epoch tick when one is due. Must not be called
-    /// while holding a thread-cache borrow (the tick allocates).
-    // Clippy does not follow calls into other crates, so the panic
-    // lints cannot see the learner calls below. Why they cannot panic
-    // here: Cross-crate calls into the adaptive learner (advance_clock
-    // / note_pinned). Their may-panic paths are debug_asserts and
-    // checked-arithmetic expects on learner invariants — corruption
-    // detectors, not reachable-by-input panics — and the learner's
-    // lock() helper recovers poisoned mutexes (into_inner), so a
-    // hypothetical abort cannot wedge other threads. flush_clock
-    // additionally runs under enter_bookkeeping, so any unwind-path
-    // allocation takes the System route.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "The u64 allocation byte clock: `fetch_add(bytes) + bytes` recomputes this \
-                  thread's post-advance reading. Wrapping needs 2^64 bytes of real allocation \
-                  traffic; the clock is a timestamp source, not a size used for memory access. \
-                  `now + epoch_bytes` schedules the next epoch boundary on the u64 byte clock \
-                  (epoch_bytes is a validated config in the KiB..GiB range); overflow needs 2^64 \
-                  allocated bytes and the value only gates a compare, never an access."
-    )]
-    pub fn flush_clock(&self, bytes: u64) {
-        // Relaxed: birth stamps tolerate one batch of staleness; the
-        // epoch rollover consumers act on is the AcqRel CAS below.
-        let now = self.clock.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        let due = self.next_epoch.load(Ordering::Relaxed);
-        if now < due {
-            return;
-        }
-        if self
-            .next_epoch
-            .compare_exchange(
-                due,
-                now + self.config.epoch.epoch_bytes,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return;
-        }
-        self.counters.epoch_ticks.fetch_add(1, Ordering::Relaxed);
-        // The tick allocates inside the learner and the aging scan
-        // while holding bookkeeping locks: mark the section so those
-        // nested allocations skip sampling, probing, and re-ticking.
-        let _guard = crate::tls::enter_bookkeeping();
-        let threshold = self.config.epoch.threshold;
-        let pinned = self.feedback.aging_scan(now, threshold);
-        self.counters
-            .pinned_noted
-            .fetch_add(pinned.len() as u64, Ordering::Relaxed);
-        let (aggs, mispredicts) = self.feedback.drain();
-        self.predictor.with_learner(|l| {
-            l.advance_clock(now);
-            for (fp, agg) in &aggs {
-                l.absorb(*fp, agg);
-            }
-            for (fp, size) in mispredicts.iter().chain(&pinned) {
-                l.note_pinned(*fp, *size as u64);
-            }
-        });
     }
 }
 
@@ -858,7 +535,6 @@ mod tests {
         Inner::build(GallocConfig {
             shards: 2,
             segs_per_shard: 4,
-            ..GallocConfig::default()
         })
         .expect("build")
     }
@@ -949,68 +625,20 @@ mod tests {
     }
 
     #[test]
-    fn short_runs_recycle_segments_when_live_hits_zero() {
+    fn free_into_an_uncarved_segment_is_a_counted_wild_free() {
         let inner = tiny();
-        let class = class_for_size(1024).unwrap();
-        let (start, n, seg) = inner.short_refill(0, class, 16).expect("run");
-        assert_eq!(n, 16);
-        let meta = &inner.segs[seg as usize];
-        assert_eq!(meta.state.load(Ordering::Relaxed), SEG_SHORT);
-        assert_eq!(meta.live.load(Ordering::Relaxed), 16);
-
-        // Free every block in the run; the segment is still the carve
-        // target, so it must NOT reset.
-        for i in 0..n {
-            assert!(inner.short_free((start + i * 1024) as *mut u8));
-        }
-        assert_eq!(meta.live.load(Ordering::Relaxed), 0);
-        assert_ne!(meta.state.load(Ordering::Relaxed), SEG_FREE);
-
-        // Carve the rest of the segment out, free it all, and the
-        // segment must make it back to the free list.
-        let blocks_per_seg = SEG_SIZE / 1024;
-        let (start2, n2, seg2) = inner
-            .short_refill(0, class, blocks_per_seg - 16)
-            .expect("rest of the segment");
-        assert_eq!(seg2, seg, "same segment continues");
-        assert_eq!(n2, blocks_per_seg - 16);
-        for i in 0..n2 {
-            assert!(inner.short_free((start2 + i * 1024) as *mut u8));
-        }
-        // Retired + live==0: reclaim was queued; the next refill that
-        // needs a segment drains it.
-        assert_eq!(meta.state.load(Ordering::Relaxed), SEG_SHORT_RECLAIM);
-        let before = inner.counters.snapshot().seg_resets;
-        // Exhaust the remaining free segs so the reclaim drain runs.
-        for _ in 0..8 {
-            let _ = inner.short_refill(0, class, blocks_per_seg);
-        }
-        assert!(inner.counters.snapshot().seg_resets > before);
-    }
-
-    #[test]
-    fn short_free_underflow_is_counted_not_corrupting() {
-        let inner = tiny();
-        let class = class_for_size(512).unwrap();
-        let (start, _, _) = inner.short_refill(0, class, 4).expect("run");
-        let p = start as *mut u8;
-        assert!(inner.short_free(p));
-        assert!(inner.short_free(p)); // 3 blocks still live
-        assert!(inner.short_free(p));
-        assert!(inner.short_free(p)); // live hits 0
-        assert!(!inner.short_free(p), "fifth free underflows");
-        assert_eq!(inner.counters.snapshot().short_free_underflows, 1);
-    }
-
-    #[test]
-    fn clock_flush_drives_epoch_ticks() {
-        let inner = tiny();
-        let epoch = inner.config.epoch.epoch_bytes;
-        inner.flush_clock(epoch / 2);
-        assert_eq!(inner.counters.snapshot().epoch_ticks, 0);
-        inner.flush_clock(epoch);
-        assert_eq!(inner.counters.snapshot().epoch_ticks, 1);
-        // The learner saw the clock.
-        assert!(inner.predictor.with_learner(|l| l.clock()) >= epoch);
+        let class = class_for_size(64).unwrap();
+        // Shard 0's last segment: the free-segment list hands out its
+        // first segment first, so nothing has carved this one.
+        let wild = (inner.seg_base(3) + 64) as *mut u8;
+        assert!(inner.contains(wild));
+        assert_eq!(inner.seg_of(wild).state.load(Ordering::Relaxed), SEG_FREE);
+        inner.free(wild);
+        assert_eq!(inner.counters.snapshot().wild_frees, 1);
+        assert_eq!(inner.seg_of(wild).state.load(Ordering::Relaxed), SEG_FREE);
+        // The dropped pointer left the shard intact.
+        let p = inner.alloc_lock_direct(class).expect("still served");
+        assert!(inner.contains(p));
+        assert_eq!(inner.seg_of(p).state.load(Ordering::Relaxed), SEG_REGULAR);
     }
 }

@@ -1,27 +1,28 @@
-//! **lifepred-galloc** — a deployable `#[global_allocator]` built on
-//! the lifetime-prediction stack.
+//! **lifepred-galloc** — a deployable `#[global_allocator]` with
+//! per-thread caches over size-classed segments.
 //!
-//! [`LifepredGlobal`] is a production-shaped global allocator in the
-//! spirit of the paper's lifetime-predicting allocator, Chapter 12 of
+//! [`LifepredGlobal`] is a plain size-class allocator; Chapter 12 of
 //! DESIGN.md describes the architecture:
 //!
 //! * **per-thread magazines** — bounded per-size-class free stacks
 //!   refilled and flushed in batches from the owning shard, so the
 //!   allocation hot path is thread-local and lock-free;
 //! * **size-class fast paths** — sixteen classes up to 2 KiB with a
-//!   constant-time class map;
-//! * **return-address site fingerprinting** — feeding the online
-//!   [`lifepred_adaptive`] predictor through sampled lifetime
-//!   feedback on an allocation byte clock;
-//! * **predicted-short segregation** — allocations from
-//!   predicted-short sites bump through dedicated segments that reset
-//!   wholesale when their live count reaches zero (the paper's
-//!   arena-reset win, without per-block recycling);
+//!   constant-time class map, carved from 64 KiB segments;
+//! * **shard central lists and remote-free stacks** — each shard owns
+//!   a run of segments; blocks freed by a foreign thread go back to
+//!   their owner over a lock-free stack;
 //! * **system fallback with an ownership check** — large or
 //!   over-aligned requests, pre-activation traffic, and area
 //!   exhaustion go to [`std::alloc::System`]; `dealloc` routes by a
 //!   single range check, so mixed pointers are always freed by the
 //!   allocator that produced them.
+//!
+//! Lifetime prediction is not part of it: an A/B against a version
+//! that steered predicted-short sites to resettable segments found
+//! prediction cost time and peak RSS on every program (EXPERIMENTS.md,
+//! "Does prediction pay inside galloc?"). The paper's method lives in
+//! the simulator (`lifepred-heap`).
 //!
 //! # Deploying as the global allocator
 //!
@@ -62,16 +63,12 @@
 mod classes;
 mod config;
 mod counters;
-mod feedback;
 mod inner;
-mod site;
 mod tls;
 
 pub use config::GallocConfig;
 pub use counters::GallocStats;
-pub use lifepred_adaptive::LearnerStats;
 
-use feedback::Probe;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
 use tls::SmallAlloc;
@@ -159,21 +156,7 @@ pub fn stats() -> GallocStats {
         .unwrap_or_default()
 }
 
-/// The online learner's counters, when active.
-pub fn learner_stats() -> Option<LearnerStats> {
-    active_inner().map(|i| i.predictor.stats())
-}
-
-/// Exports allocator counters as `lifepred_galloc_*` metrics and the
-/// learner's as `lifepred_learner_*`.
-pub fn export_metrics(registry: &lifepred_obs::Registry) {
-    stats().export(registry);
-    if let Some(stats) = learner_stats() {
-        stats.export(registry);
-    }
-}
-
-/// The lifetime-predicting global allocator.
+/// The size-class global allocator.
 ///
 /// Usable as `#[global_allocator]`; behaves as a zero-cost system
 /// passthrough until [`activate`] is called. See the crate docs for
@@ -201,20 +184,17 @@ unsafe impl GlobalAlloc for LifepredGlobal {
             return unsafe { System.alloc(layout) };
         };
         match classes::class_for(layout.size(), layout.align()) {
-            Some(class) => {
-                let fp = site::fingerprint(class);
-                match tls::alloc_small(inner, class, fp, layout.size()) {
-                    SmallAlloc::Served(p) => p,
-                    SmallAlloc::Exhausted => {
-                        inner
-                            .counters
-                            .fallback_exhausted
-                            .fetch_add(1, Ordering::Relaxed);
-                        // SAFETY: caller upholds the GlobalAlloc contract.
-                        unsafe { System.alloc(layout) }
-                    }
+            Some(class) => match tls::alloc_small(inner, class, layout.size()) {
+                SmallAlloc::Served(p) => p,
+                SmallAlloc::Exhausted => {
+                    inner
+                        .counters
+                        .fallback_exhausted
+                        .fetch_add(1, Ordering::Relaxed);
+                    // SAFETY: caller upholds the GlobalAlloc contract.
+                    unsafe { System.alloc(layout) }
                 }
-            }
+            },
             None => {
                 let counter = if layout.align() > classes::SMALL_MAX {
                     &inner.counters.fallback_align
@@ -240,42 +220,7 @@ unsafe impl GlobalAlloc for LifepredGlobal {
             // the system fallback (or pre-activation) path.
             return unsafe { System.dealloc(ptr, layout) };
         }
-        // Frees made by allocator bookkeeping (a hash-map shrink
-        // inside a feedback update) must not probe: the outer frame
-        // may hold the pending mutex the probe would re-take.
-        if !tls::in_bookkeeping() {
-            let _guard = tls::enter_bookkeeping();
-            let clock = inner.clock.load(Ordering::Relaxed);
-            match inner
-                .feedback
-                .on_free(ptr, clock, inner.config.epoch.threshold)
-            {
-                Probe::Freed { mispredicted } => {
-                    inner.counters.sampled_frees.fetch_add(1, Ordering::Relaxed);
-                    if mispredicted {
-                        inner
-                            .counters
-                            .mispredict_frees
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Probe::Miss => {}
-            }
-        }
-        let meta = inner.seg_of(ptr);
-        match meta.state.load(Ordering::Acquire) {
-            inner::SEG_REGULAR => {
-                tls::free_small(inner, ptr, meta.class.load(Ordering::Relaxed) as usize);
-            }
-            inner::SEG_SHORT | inner::SEG_SHORT_FULL => tls::free_short(inner, ptr),
-            _ => {
-                // A free into a segment that is FREE or queued for
-                // reclaim: the pointer was already returned (double
-                // free after a segment reset). Dropping it is the
-                // safest response; the counter keeps it visible.
-                inner.counters.wild_frees.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        inner.free(ptr);
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {

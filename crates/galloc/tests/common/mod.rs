@@ -64,6 +64,5 @@ impl Block {
 
 pub fn assert_clean() {
     let stats = lifepred_galloc::stats();
-    assert_eq!(stats.short_free_underflows, 0, "double free detected");
-    assert_eq!(stats.wild_frees, 0, "free into a dead segment");
+    assert_eq!(stats.wild_frees, 0, "free into an uncarved segment");
 }

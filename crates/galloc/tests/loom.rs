@@ -1,31 +1,24 @@
-//! Loom tests for the galloc cross-thread protocols. With the vendored
-//! loom stub they are many-schedule stress runs with yield perturbation
+//! Loom test for galloc's one cross-thread protocol. With the vendored
+//! loom stub it is a many-schedule stress run with yield perturbation
 //! at every atomic op, not an exhaustive exploration:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p lifepred-galloc --features loom-test --test loom
 //! ```
 //!
-//! Two protocols from `crates/galloc/src/inner.rs` are replicated here
-//! over loom atomics (the production code works on real memory blocks
-//! whose first words are the intrusive links; the models use an index
-//! array, which is the same data structure without the `unsafe`):
+//! The **remote-free Treiber stack** from `crates/galloc/src/inner.rs`
+//! is replicated here over loom atomics: threads freeing blocks owned
+//! by a foreign shard push them with a CAS loop; the owner drains with
+//! a single `swap(0)`. (The production code works on real memory
+//! blocks whose first words are the intrusive links; the model uses an
+//! index array, which is the same data structure without the
+//! `unsafe`.)
 //!
-//! 1. the **remote-free Treiber stack** — threads freeing blocks owned
-//!    by a foreign shard push them with a CAS loop; the owner drains
-//!    with a single `swap(0)`;
-//! 2. the **short-segment reclaim claim** — racing freers decrement
-//!    the live count with a CAS loop, and whoever moves it to zero on
-//!    a full segment races the CAS `SHORT_FULL -> SHORT_RECLAIM`;
-//!    exactly one claimant may win.
-//!
-//! With the vendored loom stub these are many-schedule stress runs
-//! with yield perturbation at every atomic op; pointing the
-//! workspace's `loom` dependency at the real crate makes them
-//! exhaustive.
+//! Pointing the workspace's `loom` dependency at the real crate makes
+//! the run exhaustive.
 #![cfg(all(loom, feature = "loom-test"))]
 
-use loom::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -108,80 +101,5 @@ fn remote_free_hand_off_loses_nothing() {
         seen.sort_unstable();
         let expect: Vec<usize> = (0..2 * PER_THREAD).collect();
         assert_eq!(seen, expect, "blocks lost or duplicated in hand-off");
-    });
-}
-
-const SEG_SHORT_FULL: u32 = 3;
-const SEG_SHORT_RECLAIM: u32 = 4;
-
-/// `Inner::short_free`'s CAS-loop decrement: returns true when this
-/// call moved the live count to zero.
-fn dec_live(live: &AtomicU32) -> bool {
-    let mut cur = live.load(Ordering::Acquire);
-    loop {
-        if cur == 0 {
-            // Production counts this as an underflow and bails; the
-            // model never double-frees, so this must be unreachable.
-            panic!("live count underflow");
-        }
-        match live.compare_exchange(cur, cur - 1, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return cur == 1,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// `Inner::try_reclaim`'s claim: only the FULL -> RECLAIM CAS winner
-/// may reset the segment.
-fn try_reclaim(state: &AtomicU32, resets: &AtomicUsize) {
-    if state
-        .compare_exchange(
-            SEG_SHORT_FULL,
-            SEG_SHORT_RECLAIM,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        )
-        .is_ok()
-    {
-        resets.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Racing last-freers (and a retiring owner calling the same claim
-/// path via `short_unused`) elect exactly one segment resetter, and
-/// the live count never underflows.
-#[test]
-fn short_segment_reclaim_elects_one_resetter() {
-    loom::model(|| {
-        let live = Arc::new(AtomicU32::new(3));
-        let state = Arc::new(AtomicU32::new(SEG_SHORT_FULL));
-        let resets = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let live = Arc::clone(&live);
-                let state = Arc::clone(&state);
-                let resets = Arc::clone(&resets);
-                thread::spawn(move || {
-                    if dec_live(&live) {
-                        try_reclaim(&state, &resets);
-                    } else {
-                        // A non-final freer may still observe FULL and
-                        // race the claim, exactly as a retiring owner
-                        // does; the CAS must keep it single-winner.
-                        try_reclaim(&state, &resets);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("freer");
-        }
-        assert_eq!(live.load(Ordering::Relaxed), 0);
-        assert_eq!(
-            resets.load(Ordering::Relaxed),
-            1,
-            "exactly one thread may reset the segment"
-        );
-        assert_eq!(state.load(Ordering::Relaxed), SEG_SHORT_RECLAIM);
     });
 }

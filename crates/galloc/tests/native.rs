@@ -4,8 +4,8 @@
 //! Unlike the replay path (which simulates traced allocations), these
 //! tests route every real allocation the workload generators make —
 //! trace buffers, site registries, workload state — through the
-//! lifetime-predicting allocator itself, then check the magazine hit
-//! rate and accounting invariants under that organic traffic.
+//! allocator itself, then check the magazine hit rate and accounting
+//! invariants under that organic traffic.
 
 use lifepred_galloc::LifepredGlobal;
 use lifepred_trace::shared_registry;
@@ -39,8 +39,7 @@ fn run_native(name: &str) {
         "{name} generated no small allocations through the class path"
     );
     // Accounting invariants must hold no matter what the workload did.
-    assert_eq!(after.short_free_underflows, 0, "{name}: double free seen");
-    assert_eq!(after.wild_frees, 0, "{name}: free into a reset segment");
+    assert_eq!(after.wild_frees, 0, "{name}: free into an uncarved segment");
 }
 
 #[test]
@@ -69,7 +68,7 @@ fn native_perl() {
 }
 
 /// The acceptance bar: after all five workloads run natively, the
-/// magazine/short-run hit rate stays at or above 90% — the class-path
+/// magazine hit rate stays at or above 90% — the class-path
 /// hot path is overwhelmingly lock-free.
 #[test]
 fn native_all_workloads_hit_rate() {
@@ -95,10 +94,5 @@ fn native_all_workloads_hit_rate() {
         stats.lock_allocs,
         stats.small_allocs
     );
-    assert_eq!(stats.short_free_underflows, 0);
     assert_eq!(stats.wild_frees, 0);
-    // The learner is actually receiving feedback through the sampled
-    // path: ticks fire and samples land.
-    assert!(stats.sampled_allocs > 0, "sampling never triggered");
-    assert!(stats.epoch_ticks > 0, "the byte clock never ticked");
 }

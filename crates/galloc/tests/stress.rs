@@ -3,12 +3,11 @@
 //!
 //! Every test keeps a per-test pointer ledger (each block is written
 //! with a canary derived from its address and verified before free)
-//! so corruption — a block handed out twice, a premature segment
-//! reset, a flush to the wrong shard list — surfaces as a canary
-//! mismatch, not silent memory reuse. Allocator-level invariants
-//! (`short_free_underflows`, `wild_frees`) are asserted to stay zero
-//! throughout; both counters are monotonic and process-wide, so the
-//! asserts are sound even with tests running concurrently.
+//! so corruption — a block handed out twice, a flush to the wrong
+//! shard list — surfaces as a canary mismatch, not silent memory
+//! reuse. The allocator-level invariant `wild_frees == 0` is asserted
+//! throughout; the counter is monotonic and process-wide, so the
+//! assert is sound even with tests running concurrently.
 
 mod common;
 
@@ -205,10 +204,10 @@ fn realloc_ladders() {
     assert_clean();
 }
 
-/// Threads that die with full magazines and live short runs: their
-/// TLS destructors must flush every cached block back without losing
-/// or duplicating any (verified by the surviving blocks' canaries and
-/// the zero-invariants).
+/// Threads that die with full magazines: their TLS destructors must
+/// flush every cached block back without losing or duplicating any
+/// (verified by the surviving blocks' canaries and the zero
+/// invariant).
 #[test]
 fn tls_teardown_returns_cached_blocks() {
     ensure_active();
@@ -230,8 +229,8 @@ fn tls_teardown_returns_cached_blocks() {
             for b in keep {
                 tx.send(b).unwrap();
             }
-            // Thread exits with warm magazines and partial short runs;
-            // Drop for Tls must hand everything back.
+            // Thread exits with warm magazines; Drop for Tls must hand
+            // everything back.
         });
         let survivors: Vec<Block> = rx.into_iter().collect();
         t.join().unwrap();

@@ -37,34 +37,24 @@ const SIM_HISTOGRAMS: &[&str] = &[
 
 /// Counters exported by `GallocStats::export` (`lifepred-galloc`), in
 /// its field order; galloc's own test checks it registers exactly
-/// these names.
-const GALLOC_COUNTERS: &[&str] = &[
-    "lifepred_galloc_small_allocs_total",
-    "lifepred_galloc_lock_allocs_total",
-    "lifepred_galloc_refills_total",
-    "lifepred_galloc_flushes_total",
-    "lifepred_galloc_short_refills_total",
-    "lifepred_galloc_short_allocs_total",
-    "lifepred_galloc_small_bytes_total",
-    "lifepred_galloc_mag_frees_total",
-    "lifepred_galloc_remote_frees_total",
-    "lifepred_galloc_remote_drained_total",
-    "lifepred_galloc_short_frees_total",
-    "lifepred_galloc_seg_resets_total",
-    "lifepred_galloc_central_frees_total",
-    "lifepred_galloc_reentrant_allocs_total",
-    "lifepred_galloc_fallback_large_total",
-    "lifepred_galloc_fallback_align_total",
-    "lifepred_galloc_fallback_exhausted_total",
-    "lifepred_galloc_system_frees_total",
-    "lifepred_galloc_sampled_allocs_total",
-    "lifepred_galloc_sampled_frees_total",
-    "lifepred_galloc_sample_drops_total",
-    "lifepred_galloc_mispredict_frees_total",
-    "lifepred_galloc_pinned_noted_total",
-    "lifepred_galloc_short_free_underflows_total",
-    "lifepred_galloc_wild_frees_total",
-    "lifepred_galloc_epoch_ticks_total",
+/// these names. Each carries the value it was blessed with when the set
+/// was 26 counters long, so the survivors' golden lines stay put.
+const GALLOC_COUNTERS: &[(&str, u64)] = &[
+    ("lifepred_galloc_small_allocs_total", 107),
+    ("lifepred_galloc_lock_allocs_total", 108),
+    ("lifepred_galloc_refills_total", 109),
+    ("lifepred_galloc_flushes_total", 110),
+    ("lifepred_galloc_small_bytes_total", 113),
+    ("lifepred_galloc_mag_frees_total", 114),
+    ("lifepred_galloc_remote_frees_total", 115),
+    ("lifepred_galloc_remote_drained_total", 116),
+    ("lifepred_galloc_central_frees_total", 119),
+    ("lifepred_galloc_reentrant_allocs_total", 120),
+    ("lifepred_galloc_fallback_large_total", 121),
+    ("lifepred_galloc_fallback_align_total", 122),
+    ("lifepred_galloc_fallback_exhausted_total", 123),
+    ("lifepred_galloc_system_frees_total", 124),
+    ("lifepred_galloc_wild_frees_total", 131),
 ];
 
 /// The gauge exported next to them.
@@ -94,8 +84,11 @@ const TIMELINES: &[&str] = &["lifepred_sim_epochs"];
 /// distinguishable in the rendered output.
 fn canonical_registry() -> Registry {
     let registry = Registry::new();
-    for (i, name) in SIM_COUNTERS.iter().chain(GALLOC_COUNTERS).enumerate() {
+    for (i, name) in SIM_COUNTERS.iter().enumerate() {
         registry.add(name, 100 + i as u64);
+    }
+    for &(name, value) in GALLOC_COUNTERS {
+        registry.add(name, value);
     }
     // Gauges start at 210 so the learner set keeps the values (211..)
     // it was blessed with before the galloc gauge joined.

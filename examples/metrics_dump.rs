@@ -1,11 +1,11 @@
 //! The unified telemetry layer end to end: one registry collects an
-//! observed trace replay *and* the live global allocator, then the
-//! merged snapshot is dumped as JSON and Prometheus text.
+//! observed online trace replay *and* the live global allocator, then
+//! the merged snapshot is dumped as JSON and Prometheus text.
 //!
 //! Run with `cargo run --release --example metrics_dump`.
 
 use lifepred::adaptive::EpochConfig;
-use lifepred::core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
+use lifepred::core::SiteConfig;
 use lifepred::galloc::{GallocConfig, LifepredGlobal};
 use lifepred::heap::{replay, ArenaConfig, ReplayObs, ReplayPlan};
 use lifepred::obs::Registry;
@@ -16,36 +16,29 @@ use std::alloc::{GlobalAlloc, Layout};
 fn main() {
     let registry = Registry::new();
 
-    // --- 1. An observed simulation fills the lifepred_sim_* set. -------
+    // --- 1. An observed online simulation fills the lifepred_sim_* set,
+    // and its learner's counters the lifepred_learner_* set. ------------
     let workload = by_name("cfrac").expect("built-in workload");
-    let fn_registry = shared_registry();
-    let trace = record(workload.as_ref(), 0, fn_registry);
-    let profile = Profile::build(&trace, &SiteConfig::default(), DEFAULT_THRESHOLD);
-    let db = train(&profile, &TrainConfig::default());
-    let arena = ArenaConfig::default();
-    let plan = ReplayPlan::Arena { db: &db, arena };
+    let trace = record(workload.as_ref(), 0, shared_registry());
+    let plan = ReplayPlan::ArenaOnline {
+        sites: SiteConfig::default(),
+        epoch: EpochConfig::default(),
+        arena: ArenaConfig::default(),
+    };
     let obs = ReplayObs::register(&registry);
-    let (report, _) = replay(&trace, &plan, Some(&obs)).expect("valid trace");
+    let (report, learner) = replay(&trace, &plan, Some(&obs)).expect("valid trace");
+    let learner = learner.expect("an online replay has a learner");
+    learner.export(&registry);
     println!(
-        "replayed {} allocs ({} from arenas)\n",
-        report.total_allocs, report.arena_allocs
+        "replayed {} allocs ({} from arenas, {} learner epochs)\n",
+        report.total_allocs, report.arena_allocs, learner.epochs
     );
 
-    // --- 2. The global allocator fills lifepred_galloc_* and, through
-    // its online learner, lifepred_learner_*. It is driven through
-    // `GlobalAlloc` directly rather than installed, so only this loop's
-    // traffic is counted; short epochs let it roll a few and learn the
-    // loop's site.
-    let config = GallocConfig {
-        epoch: EpochConfig {
-            threshold: 32 * 1024,
-            epoch_bytes: 64 * 1024,
-            ..EpochConfig::default()
-        },
-        ..GallocConfig::default()
-    };
+    // --- 2. The global allocator fills lifepred_galloc_*. It is driven
+    // through `GlobalAlloc` directly rather than installed, so only this
+    // loop's traffic is counted.
     let galloc = LifepredGlobal::new();
-    lifepred::galloc::activate_with(config).expect("allocator geometry");
+    lifepred::galloc::activate_with(GallocConfig::default()).expect("allocator geometry");
     let layout = Layout::from_size_align(64, 8).expect("layout");
     // A worker thread: its counter batch is flushed when it exits.
     std::thread::scope(|s| {
@@ -60,7 +53,7 @@ fn main() {
             }
         });
     });
-    lifepred::galloc::export_metrics(&registry);
+    lifepred::galloc::stats().export(&registry);
 
     // --- 3. One snapshot, both renderings. ------------------------------
     let snap = registry.snapshot();

@@ -19,13 +19,11 @@
 //! * [`workloads`] — traced mini-implementations of the paper's five
 //!   programs (cfrac, espresso, gawk, ghost, perl);
 //! * [`adaptive`] — the online self-correcting predictor: epoch-based
-//!   training, misprediction-driven demotion with hysteresis, and the
-//!   lock-free-reader snapshot the runtime allocator consults;
-//! * [`galloc`] — the runtime allocator over real memory, a deployable
+//!   training and misprediction-driven demotion with hysteresis;
+//! * [`galloc`] — a runtime allocator over real memory, a deployable
 //!   `#[global_allocator]`: per-thread magazine caches over a sharded
-//!   heap, return-address site fingerprinting into the adaptive
-//!   predictor, and segregated short-lived segments that reset
-//!   wholesale;
+//!   size-class heap (no lifetime prediction: EXPERIMENTS.md measures
+//!   why);
 //! * [`obs`] — the metrics layer every simulator and allocator
 //!   reports through (counters, histograms, epoch timelines, JSON and
 //!   Prometheus renderings).
