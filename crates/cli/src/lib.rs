@@ -1191,13 +1191,12 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             "\nallocator totals:\n\
              small allocs:     {} ({} bytes)\n\
              magazine hit rate:{:>7.2}%\n\
-             remote frees:     {} ({} drained)\n\
+             remote frees:     {}\n\
              system fallbacks: {} large, {} align, {} exhausted\n",
             stats.small_allocs,
             stats.small_bytes,
             stats.hit_rate() * 100.0,
             stats.remote_frees,
-            stats.remote_drained,
             stats.fallback_large,
             stats.fallback_align,
             stats.fallback_exhausted,

@@ -560,7 +560,7 @@ cfrac # # #
 allocator totals:
 small allocs: # (# bytes)
 magazine hit rate: #%
-remote frees: # (# drained)
+remote frees: #
 system fallbacks: # large, # align, # exhausted
 ",
         "{text}"

@@ -2,7 +2,7 @@
 //!
 //! Hot-path events (magazine hits, byte throughput) are counted in
 //! plain per-thread integers and flushed here in batches; rare events
-//! (fallbacks, remote drains, wild frees) add directly to these
+//! (fallbacks, lock-direct frees, wild frees) add directly to these
 //! atomics. Everything is monotonic, so relaxed ordering is enough —
 //! readers only ever see a slightly stale total.
 
@@ -57,10 +57,9 @@ gcounters! {
         pub small_bytes,
         /// Small frees that went back into a thread magazine.
         pub mag_frees,
-        /// Small frees pushed to a foreign shard's remote-free stack.
+        /// Small blocks a magazine flush handed to a foreign shard's
+        /// central list.
         pub remote_frees,
-        /// Remote-freed blocks drained back into central lists.
-        pub remote_drained,
         /// Frees routed straight to a central list (allocator
         /// re-entry or TLS already torn down).
         pub central_frees,
@@ -110,9 +109,10 @@ impl GallocStats {
         1.0 - (self.lock_allocs as f64) / (self.small_allocs as f64)
     }
 
-    /// Small frees observed on any path.
+    /// Small frees observed on any path. `remote_frees` is not one:
+    /// it counts blocks a flush handed on after their free was counted.
     pub fn small_frees(&self) -> u64 {
-        self.mag_frees + self.remote_frees + self.central_frees
+        self.mag_frees + self.central_frees
     }
 
     /// Exports every live counter as `lifepred_galloc_*` metrics.
@@ -133,7 +133,6 @@ impl GallocStats {
             small_bytes,
             mag_frees,
             remote_frees,
-            remote_drained,
             central_frees,
             reentrant_allocs,
             fallback_large,

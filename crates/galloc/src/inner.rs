@@ -1,13 +1,15 @@
 //! The process-wide allocator core: one reserved area split into
-//! per-shard segment runs, central per-class free lists and lock-free
-//! remote-free stacks.
+//! per-shard segment runs, each with central per-class free lists
+//! behind its shard's `Mutex`.
 //!
-//! Everything here runs under a shard lock or over atomics; the
-//! lock-free *hot* path lives in [`crate::tls`] and only calls down
-//! here on magazine refills/flushes. No function in this module
-//! allocates while holding a shard lock — central lists are intrusive
-//! (a free block's first word links to the next), so a nested
-//! allocation can never deadlock on the lock its caller holds.
+//! Every free list here is touched only under its shard's lock, and a
+//! freed block always goes back to its owning shard's list, whichever
+//! thread frees it. The lock-free *hot* path lives in [`crate::tls`]
+//! and only calls down here on magazine refills/flushes. No function
+//! in this module allocates while holding a shard lock — central
+//! lists are intrusive (a free block's first word links to the next),
+//! so a nested allocation can never deadlock on the lock its caller
+//! holds.
 
 // Library code only: in-file `#[cfg(test)]` modules are exempt.
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
@@ -16,8 +18,8 @@ use crate::classes::{CLASS_SIZES, NUM_CLASSES};
 use crate::config::{GallocConfig, SEG_SHIFT, SEG_SIZE};
 use crate::counters::GCounters;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Segment is unassigned (on a shard's free-segment list).
 pub const SEG_FREE: u8 = 0;
@@ -63,22 +65,14 @@ struct ShardInner {
     bump: [Bump; NUM_CLASSES],
 }
 
-/// One shard: a contiguous run of segments with central free lists.
-#[derive(Debug)]
-pub struct Shard {
-    inner: Mutex<ShardInner>,
-    /// Treiber stack of cross-thread-freed regular blocks (head =
-    /// block address, 0 = empty). Pushers CAS the head; only the
-    /// owner drains, with a single `swap`, so the stack is ABA-free.
-    remote: AtomicUsize,
-}
-
 /// The allocator core behind [`crate::LifepredGlobal`].
 #[derive(Debug)]
 pub struct Inner {
     base: usize,
     area_len: usize,
-    shards: Box<[CacheLine<Shard>]>,
+    /// Per shard, one lock over the state of its contiguous run of
+    /// segments: central free lists, bump cursors, free segments.
+    shards: Box<[CacheLine<Mutex<ShardInner>>]>,
     segs: Box<[SegMeta]>,
     /// `log2(segs_per_shard)`: segment index → shard index.
     seg_shard_shift: u32,
@@ -125,7 +119,7 @@ impl Inner {
             })
             .collect();
         let per_shard = config.segs_per_shard;
-        let shards: Box<[CacheLine<Shard>]> = (0..config.shards)
+        let shards: Box<[CacheLine<Mutex<ShardInner>>]> = (0..config.shards)
             .map(|s| {
                 // Chain this shard's segments into its free list.
                 let first = s * per_shard;
@@ -133,15 +127,12 @@ impl Inner {
                     // Relaxed: the area is not shared until `build` returns.
                     segs[i].next.store((i + 2) as u32, Ordering::Relaxed);
                 }
-                CacheLine(Shard {
-                    inner: Mutex::new(ShardInner {
-                        free_head: [0; NUM_CLASSES],
-                        free_len: [0; NUM_CLASSES],
-                        free_segs: (first + 1) as u32,
-                        bump: [Bump::default(); NUM_CLASSES],
-                    }),
-                    remote: AtomicUsize::new(0),
-                })
+                CacheLine(Mutex::new(ShardInner {
+                    free_head: [0; NUM_CLASSES],
+                    free_len: [0; NUM_CLASSES],
+                    free_segs: (first + 1) as u32,
+                    bump: [Bump::default(); NUM_CLASSES],
+                }))
             })
             .collect();
         Ok(Inner {
@@ -229,52 +220,18 @@ impl Inner {
         Some(seg)
     }
 
-    /// Drains the remote-free stack into the central lists. Runs under
-    /// the shard lock.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`shards[shard]` is the caller's home shard, below the shard count."
-    )]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "`drained` counts the blocks popped off one remote stack, at most the blocks of \
-                  a 1 GiB area."
-    )]
-    fn drain_remote(&self, shard: usize, guard: &mut ShardInner) {
-        let mut head = self.shards[shard].0.remote.swap(0, Ordering::Acquire);
-        let mut drained = 0u64;
-        while head != 0 {
-            let block = head as *mut u8;
-            // SAFETY: blocks on the remote stack are free, exclusively
-            // owned by this drain (the swap took the whole stack), and
-            // at least word-sized; their first word holds the next
-            // link written by the pusher (visible via the Acquire
-            // swap pairing with the pusher's Release CAS).
-            head = unsafe { link_read(block) };
-            let class = self.seg_of(block).class.load(Ordering::Relaxed) as usize;
-            push_block(guard, class, block);
-            drained += 1;
-        }
-        if drained > 0 {
-            self.counters
-                .remote_drained
-                .fetch_add(drained, Ordering::Relaxed);
-        }
-    }
-
     /// Refills `out` with blocks of `class` from `shard`, returning
     /// how many were produced (possibly 0 when the area is
-    /// exhausted). Order of supply: central free list, then the
-    /// remote-free stack, then bump carving (taking fresh segments as
-    /// needed).
+    /// exhausted). Order of supply: central free list (which also holds
+    /// the blocks foreign threads freed), then bump carving (taking
+    /// fresh segments as needed).
     #[expect(
         clippy::indexing_slicing,
         reason = "`out[n]` is guarded by the `n < out.len()` loop condition on every arm; \
                   `guard.bump[class]` and `CLASS_SIZES[class]` index [_; N_CLASSES] arrays \
                   with a class the caller derived from class_for (< N_CLASSES by construction). \
                   All arms dead unless a class invariant broke — aborting under the shard lock \
-                  beats carving blocks with a wild size. `self.shards[shard]` is the caller's \
-                  home shard, below the shard count."
+                  beats carving blocks with a wild size."
     )]
     #[expect(
         clippy::arithmetic_side_effects,
@@ -290,21 +247,10 @@ impl Inner {
     )]
     pub fn refill(&self, shard: usize, class: usize, out: &mut [*mut u8]) -> usize {
         let size = CLASS_SIZES[class];
-        let mut guard = self.shards[shard]
-            .0
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.lock(shard);
         let guard = &mut *guard;
         let mut n = 0;
         while n < out.len() {
-            if let Some(block) = pop_block(guard, class) {
-                out[n] = block;
-                n += 1;
-                continue;
-            }
-            // Central list empty: pull in remote frees once, then carve.
-            self.drain_remote(shard, guard);
             if let Some(block) = pop_block(guard, class) {
                 out[n] = block;
                 n += 1;
@@ -341,48 +287,56 @@ impl Inner {
         }
     }
 
-    /// Returns freed `blocks` (all of class `class`'s shard-agnostic
-    /// magazine) to their owners: home-shard blocks go to the central
-    /// list under one lock, foreign blocks to their owners' remote
-    /// stacks. Returns `(home, foreign)` counts.
+    /// Returns freed `blocks` (at most a magazine's worth) to their
+    /// owners' central lists: one lock per owning shard, home shard
+    /// included. Returns how many blocks went to a shard other than
+    /// `home`.
     #[expect(
         clippy::indexing_slicing,
-        reason = "`deferred[home_n]` is bounded by blocks.len() <= MAG_CAP (callers pass \
-                  magazine slices, deferred is [_; MAG_CAP]); `shards[home]` is the caller's \
-                  home shard, produced modulo the shard count. Both arms are dead unless a \
-                  magazine invariant broke, in which case aborting under the shard lock beats \
-                  corrupting its free list."
+        reason = "`pending[..n]` and `pending[kept]`: n starts at blocks.len() <= MAG_CAP \
+                  (callers pass magazine slices; copy_from_slice panics otherwise), only shrinks, \
+                  and kept < n. A broken magazine invariant aborts before any list is touched."
     )]
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "`home_n` and `foreign` count the blocks of one magazine slice, at most \
-                  MAG_CAP."
+        reason = "`kept` and `foreign` count blocks of one magazine slice, at most MAG_CAP, and \
+                  `n - kept` is non-negative because kept only counts blocks of pending[..n]."
     )]
-    pub fn flush_blocks(&self, home: usize, blocks: &[*mut u8]) -> (u64, u64) {
-        let mut foreign = 0u64;
-        let mut deferred = [std::ptr::null_mut(); crate::tls::MAG_CAP];
-        let mut home_n = 0;
-        for &block in blocks {
-            if self.shard_of(block) == home {
-                deferred[home_n] = block;
-                home_n += 1;
-            } else {
-                self.remote_push(block);
-                foreign += 1;
+    pub fn flush_blocks(&self, home: usize, blocks: &[*mut u8]) -> u64 {
+        let mut pending = [std::ptr::null_mut(); crate::tls::MAG_CAP];
+        let mut n = blocks.len();
+        pending[..n].copy_from_slice(blocks);
+        let mut foreign = 0;
+        // Each pass locks the owner of the first pending block, returns
+        // every block that shard owns, and keeps the rest for the next.
+        while n > 0 {
+            let owner = self.shard_of(pending[0]);
+            let mut guard = self.lock(owner);
+            let mut kept = 0;
+            for i in 0..n {
+                let block = pending[i];
+                if self.shard_of(block) == owner {
+                    let class = self.seg_of(block).class.load(Ordering::Relaxed) as usize;
+                    push_block(&mut guard, class, block);
+                } else {
+                    pending[kept] = block;
+                    kept += 1;
+                }
             }
-        }
-        if home_n > 0 {
-            let mut guard = self.shards[home]
-                .0
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for &block in &deferred[..home_n] {
-                let class = self.seg_of(block).class.load(Ordering::Relaxed) as usize;
-                push_block(&mut guard, class, block);
+            drop(guard);
+            if owner != home {
+                foreign += (n - kept) as u64;
             }
+            n = kept;
         }
-        (home_n as u64, foreign)
+        foreign
+    }
+
+    /// Returns one freed block to its owner's central list without
+    /// touching thread-local state (allocator re-entry and
+    /// TLS-teardown path).
+    pub fn free_lock_direct(&self, block: *mut u8) {
+        self.flush_blocks(self.shard_of(block), &[block]);
     }
 
     /// Frees an in-area pointer: into the thread cache when its
@@ -398,32 +352,19 @@ impl Inner {
         }
     }
 
-    /// Pushes one free regular block onto its owning shard's
-    /// remote-free stack (lock-free; any thread).
+    /// Locks shard `shard`'s central lists, poisoned or not: the
+    /// allocator must not panic.
     #[expect(
         clippy::indexing_slicing,
-        reason = "`shards[shard_of(block)]`: shard_of reduces the segment index modulo the shard \
-                  count, so the index is in range by arithmetic."
+        reason = "`shards[shard]`: callers pass a home shard (reduced modulo the shard count) or \
+                  a shard_of result (a segment index shifted down to its shard), both below the \
+                  shard count."
     )]
-    pub fn remote_push(&self, block: *mut u8) {
-        let shard = &self.shards[self.shard_of(block)].0;
-        let mut head = shard.remote.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: the caller owns this just-freed block; it is at
-            // least word-sized (minimum class is 8 bytes), inside the
-            // reserved area, and not reachable by any other thread
-            // until the CAS below publishes it.
-            unsafe { link_write(block, head) };
-            match shard.remote.compare_exchange_weak(
-                head,
-                block as usize,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => head = actual,
-            }
-        }
+    fn lock(&self, shard: usize) -> MutexGuard<'_, ShardInner> {
+        self.shards[shard]
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -530,6 +471,7 @@ fn push_block(guard: &mut ShardInner, class: usize, block: *mut u8) {
 mod tests {
     use super::*;
     use crate::classes::class_for_size;
+    use crate::tls::{MAG_BATCH, MAG_CAP};
 
     fn tiny() -> Inner {
         Inner::build(GallocConfig {
@@ -562,30 +504,36 @@ mod tests {
 
         // Return them via the flush path and refill again: recycled,
         // not freshly carved.
-        let (home, foreign) = inner.flush_blocks(0, &out);
-        assert_eq!((home, foreign), (8, 0));
+        assert_eq!(inner.flush_blocks(0, &out), 0);
         let mut again = [std::ptr::null_mut(); 8];
         assert_eq!(inner.refill(0, class, &mut again), 8);
-        let mut a: Vec<usize> = out.iter().map(|&p| p as usize).collect();
-        let mut b: Vec<usize> = again.iter().map(|&p| p as usize).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "central list recycles the same blocks");
+        assert_eq!(
+            sorted(&out),
+            sorted(&again),
+            "central list recycles the same blocks"
+        );
+    }
+
+    fn sorted(blocks: &[*mut u8]) -> Vec<usize> {
+        let mut v: Vec<usize> = blocks.iter().map(|&p| p as usize).collect();
+        v.sort_unstable();
+        v
     }
 
     #[test]
-    fn remote_push_reaches_the_owner() {
+    fn a_lone_free_reaches_its_owner() {
         let inner = tiny();
         let class = class_for_size(128).unwrap();
         let mut out = [std::ptr::null_mut(); 4];
         assert_eq!(inner.refill(1, class, &mut out), 4);
-        // "Another thread" frees them remotely.
-        for &p in &out {
-            inner.remote_push(p);
-        }
-        let mut again = [std::ptr::null_mut(); 4];
-        assert_eq!(inner.refill(1, class, &mut again), 4);
-        assert_eq!(inner.counters.snapshot().remote_drained, 4);
+        // A thread without a usable cache frees one of shard 1's blocks.
+        inner.free_lock_direct(out[2]);
+        let mut again = [std::ptr::null_mut(); 1];
+        assert_eq!(inner.refill(1, class, &mut again), 1);
+        assert_eq!(
+            again[0], out[2],
+            "the owner's next refill hands the block back"
+        );
     }
 
     #[test]
@@ -597,8 +545,99 @@ mod tests {
         assert_eq!(inner.refill(0, class, &mut own), 2);
         assert_eq!(inner.refill(1, class, &mut other), 2);
         let mixed = [own[0], other[0], own[1], other[1]];
-        let (home, foreign) = inner.flush_blocks(0, &mixed);
-        assert_eq!((home, foreign), (2, 2));
+        assert_eq!(
+            inner.flush_blocks(0, &mixed),
+            2,
+            "two blocks went to a foreign shard"
+        );
+        // Each owner's central list holds its blocks at once: the next
+        // refills return exactly them, with nothing carved.
+        let mut back = [std::ptr::null_mut(); 2];
+        assert_eq!(inner.refill(1, class, &mut back), 2);
+        assert_eq!(sorted(&back), sorted(&other));
+        assert_eq!(inner.refill(0, class, &mut back), 2);
+        assert_eq!(sorted(&back), sorted(&own));
+    }
+
+    /// Four threads, each refilling from its own shard and flushing
+    /// batches that mix its own blocks with blocks its peers handed it.
+    /// Afterwards every shard is refilled until dry: each block of the
+    /// area must come back exactly once.
+    #[test]
+    fn concurrent_flushes_conserve_every_block() {
+        const SHARDS: usize = 4;
+        const SEGS: usize = 4;
+        const ROUNDS: usize = 4000;
+        let inner = Inner::build(GallocConfig {
+            shards: SHARDS,
+            segs_per_shard: SEGS,
+        })
+        .expect("build");
+        let class = class_for_size(64).unwrap();
+        // Blocks in flight to each thread, as addresses.
+        let inboxes: Vec<Mutex<Vec<usize>>> = (0..SHARDS).map(|_| Mutex::default()).collect();
+        std::thread::scope(|s| {
+            for home in 0..SHARDS {
+                let (inner, inboxes) = (&inner, &inboxes);
+                s.spawn(move || {
+                    let mut rng = (home as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut batch = [std::ptr::null_mut(); MAG_CAP];
+                    for _ in 0..ROUNDS {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let n = inner.refill(home, class, &mut batch[..MAG_BATCH]);
+                        assert_eq!(n, MAG_BATCH);
+                        assert!(batch[..n].iter().all(|&p| inner.shard_of(p) == home));
+                        // Half go to a peer unless its inbox is full (a
+                        // finished peer drains nothing); the rest are
+                        // flushed with whatever the peers sent here.
+                        let peer = (home + 1 + rng as usize % (SHARDS - 1)) % SHARDS;
+                        let mut outbox = inboxes[peer].lock().unwrap();
+                        let keep = if outbox.len() < 2 * MAG_CAP { n / 2 } else { n };
+                        outbox.extend(batch[keep..n].iter().map(|&p| p as usize));
+                        drop(outbox);
+                        let mut len = keep;
+                        let mut inbox = inboxes[home].lock().unwrap();
+                        while len < MAG_CAP {
+                            let Some(addr) = inbox.pop() else { break };
+                            batch[len] = addr as *mut u8;
+                            len += 1;
+                        }
+                        drop(inbox);
+                        let foreign = inner.flush_blocks(home, &batch[..len]);
+                        assert_eq!(foreign, (len - keep) as u64);
+                    }
+                });
+            }
+        });
+        for inbox in inboxes {
+            let rest: Vec<*mut u8> = inbox
+                .into_inner()
+                .unwrap()
+                .into_iter()
+                .map(|a| a as *mut u8)
+                .collect();
+            for chunk in rest.chunks(MAG_CAP) {
+                inner.flush_blocks(0, chunk);
+            }
+        }
+        let capacity = SHARDS * SEGS * (SEG_SIZE / 64);
+        let mut seen = std::collections::HashSet::new();
+        let mut out = [std::ptr::null_mut(); 64];
+        for shard in 0..SHARDS {
+            loop {
+                let n = inner.refill(shard, class, &mut out);
+                if n == 0 {
+                    break;
+                }
+                for &p in &out[..n] {
+                    assert_eq!(inner.shard_of(p), shard);
+                    assert!(seen.insert(p as usize), "block {p:?} came back twice");
+                }
+            }
+        }
+        assert_eq!(seen.len(), capacity, "every block of the area comes back");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   allocation hot path is thread-local and lock-free;
 //! * **size-class fast paths** — sixteen classes up to 2 KiB with a
 //!   constant-time class map, carved from 64 KiB segments;
-//! * **shard central lists and remote-free stacks** — each shard owns
-//!   a run of segments; blocks freed by a foreign thread go back to
-//!   their owner over a lock-free stack;
+//! * **shard central lists** — each shard owns a run of segments and
+//!   a `Mutex` over its free lists; blocks freed by a foreign thread go
+//!   back to their owner's list under that lock;
 //! * **system fallback with an ownership check** — large or
 //!   over-aligned requests, pre-activation traffic, and area
 //!   exhaustion go to [`std::alloc::System`]; `dealloc` routes by a

@@ -142,9 +142,8 @@ impl Drop for Tls {
         };
         for mag in &self.mags {
             if mag.len > 0 {
-                let (_, foreign) = inner.flush_blocks(home, &mag.slots[..mag.len]);
                 self.counters.flushes += 1;
-                self.counters.remote_frees += foreign;
+                self.counters.remote_frees += inner.flush_blocks(home, &mag.slots[..mag.len]);
             }
         }
         self.counters.drain_into(&inner.counters);
@@ -199,7 +198,8 @@ pub fn alloc_small(inner: &Inner, class: usize, req: usize) -> SmallAlloc {
 }
 
 /// Frees one regular block of `class` into the thread magazine (or
-/// the owner's remote stack when the thread cache is unavailable).
+/// straight to its owner's central list when the thread cache is
+/// unavailable).
 #[expect(
     clippy::indexing_slicing,
     reason = "`class` comes from the owning segment's metadata (< NUM_CLASSES); a full magazine \
@@ -220,9 +220,9 @@ pub fn free_small(inner: &Inner, ptr: *mut u8, class: usize) {
             let t = &mut *borrow;
             if t.mags[class].len == MAG_CAP {
                 let home = t.home(inner);
-                let (_, foreign) = inner.flush_blocks(home, &t.mags[class].slots[..MAG_BATCH]);
                 t.counters.flushes += 1;
-                t.counters.remote_frees += foreign;
+                t.counters.remote_frees +=
+                    inner.flush_blocks(home, &t.mags[class].slots[..MAG_BATCH]);
                 let mag = &mut t.mags[class];
                 mag.slots.copy_within(MAG_BATCH..MAG_CAP, 0);
                 mag.len = MAG_CAP - MAG_BATCH;
@@ -235,7 +235,7 @@ pub fn free_small(inner: &Inner, ptr: *mut u8, class: usize) {
         })
         .unwrap_or(false);
     if !handled {
-        inner.remote_push(ptr);
+        inner.free_lock_direct(ptr);
         inner.counters.central_frees.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A replayed event stream allocates records strictly in birth order
 //! (an even `.lpt` event key allocates "the next record in birth
-//! order", DESIGN §7.1), and most objects die young. So [`LiveTable`]
+//! order", DESIGN §14), and most objects die young. So [`LiveTable`]
 //! keeps the last [`RING`] births in a ring indexed by
 //! `record & (RING - 1)`; a birth that lands on a still-live entry moves
 //! that entry to a survivor map first. A free looks in the ring when the

@@ -47,7 +47,6 @@ const GALLOC_COUNTERS: &[(&str, u64)] = &[
     ("lifepred_galloc_small_bytes_total", 113),
     ("lifepred_galloc_mag_frees_total", 114),
     ("lifepred_galloc_remote_frees_total", 115),
-    ("lifepred_galloc_remote_drained_total", 116),
     ("lifepred_galloc_central_frees_total", 119),
     ("lifepred_galloc_reentrant_allocs_total", 120),
     ("lifepred_galloc_fallback_large_total", 121),
