@@ -37,7 +37,8 @@
 //!    program, its train and test recordings, the two
 //!    [`Profile::build`]s, training and evaluating both databases, and
 //!    the online replay of the test trace (`TraceChunks::new`, the
-//!    packing that replay starts with, also timed alone), timed one stage at a time;
+//!    packing that replay starts with, also timed alone), timed one stage at a time,
+//!    with the test recording's calling-context tree nodes beside its chain count;
 //!    their serial sum (of per-stage medians) is printed beside the
 //!    median wall time of the same per-program work fanned out on two
 //!    workers, as `report --jobs 2` runs it. Smoke runs time the two
@@ -364,7 +365,8 @@ fn file_mapped_events_unverified(path: &Path) -> u64 {
     std::hint::black_box(n)
 }
 
-/// Seconds per stage of one program's share of `lifepred report`.
+/// Seconds per stage of one program's share of `lifepred report`, and
+/// the size of its test recording's calling-context tree.
 #[derive(Debug, Default, Clone, Copy)]
 struct TableStages {
     record_train: f64,
@@ -379,6 +381,10 @@ struct TableStages {
     /// The online replay: packing, the site-fingerprint walk and the
     /// learner in the loop.
     online_replay: f64,
+    /// Calling-context tree nodes of the test recording.
+    context_nodes: usize,
+    /// Distinct call chains of the test recording.
+    chains: usize,
 }
 
 impl TableStages {
@@ -404,6 +410,8 @@ impl TableStages {
             train_evaluate: median(|s| s.train_evaluate),
             online_stream: median(|s| s.online_stream),
             online_replay: median(|s| s.online_replay),
+            context_nodes: runs[0].context_nodes,
+            chains: runs[0].chains,
         }
     }
 }
@@ -421,7 +429,13 @@ fn table_stages(w: &dyn Workload) -> TableStages {
     let registry = shared_registry();
     let train_trace = record(w, 0, registry.clone());
     split(&mut stages.record_train);
-    let test = record(w, w.inputs().len() - 1, registry);
+    let last = w.inputs().len() - 1;
+    let session =
+        TraceSession::with_registry(&format!("{}:{}", w.name(), w.inputs()[last]), registry);
+    w.run(last, &session);
+    stages.context_nodes = session.context_nodes();
+    let test = session.finish();
+    stages.chains = test.chains().len();
     split(&mut stages.record_test);
     let self_profile = Profile::build(&test, &config, DEFAULT_THRESHOLD);
     let train_profile = Profile::build(&train_trace, &config, DEFAULT_THRESHOLD);
@@ -605,13 +619,16 @@ fn main() {
             format!(
                 "      \"{name}\": {{\"record_train_secs\": {:.5}, \"record_test_secs\": {:.5}, \
                  \"profile_secs\": {:.5}, \"train_evaluate_secs\": {:.5}, \
-                 \"online_stream_secs\": {:.5}, \"online_replay_secs\": {:.5}}}",
+                 \"online_stream_secs\": {:.5}, \"online_replay_secs\": {:.5}, \
+                 \"context_nodes\": {}, \"chains\": {}}}",
                 s.record_train,
                 s.record_test,
                 s.profile,
                 s.train_evaluate,
                 s.online_stream,
                 s.online_replay,
+                s.context_nodes,
+                s.chains,
             )
         })
         .collect();
@@ -619,7 +636,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-replay-v5\",\n  \
+           \"schema\": \"lifepred-bench-replay-v6\",\n  \
            \"smoke\": {smoke},\n  \
            {host_fields},\n  \
            \"firstfit\": {{\n    \
@@ -699,13 +716,15 @@ fn main() {
     for (name, s) in &stages {
         println!(
             "tables:   {name:<8} record {:.1}+{:.1} ms, profile {:.1} ms, train+evaluate {:.2} ms, \
-             online stream {:.1} ms + replay {:.1} ms",
+             online stream {:.1} ms + replay {:.1} ms; {} context nodes, {} chains",
             s.record_train * 1e3,
             s.record_test * 1e3,
             s.profile * 1e3,
             s.train_evaluate * 1e3,
             s.online_stream * 1e3,
             s.online_replay * 1e3,
+            s.context_nodes,
+            s.chains,
         );
     }
     println!(

@@ -75,9 +75,16 @@ pub struct Analysis {
 
 /// Profiles, trains and evaluates one entry under `config`.
 pub fn analyze(entry: &SuiteEntry, config: &SiteConfig) -> Analysis {
+    analyze_profiles(
+        Profile::build(&entry.test, config, DEFAULT_THRESHOLD),
+        Profile::build(&entry.train, config, DEFAULT_THRESHOLD),
+    )
+}
+
+/// Trains and evaluates from the two profiles [`analyze`] builds, for a
+/// caller that frees each trace once it is profiled.
+pub fn analyze_profiles(self_profile: Profile, train_profile: Profile) -> Analysis {
     let tc = TrainConfig::default();
-    let self_profile = Profile::build(&entry.test, config, DEFAULT_THRESHOLD);
-    let train_profile = Profile::build(&entry.train, config, DEFAULT_THRESHOLD);
     let self_db = train(&self_profile, &tc);
     let true_db = train(&train_profile, &tc);
     // Both databases are judged on the test trace, whose profile is
@@ -94,14 +101,14 @@ pub fn analyze(entry: &SuiteEntry, config: &SiteConfig) -> Analysis {
     }
 }
 
-/// Replays the entry's **test** trace with the online learner deciding
+/// Replays a **test** trace with the online learner deciding
 /// every prediction as it goes — the no-training-run counterpart to
 /// [`analyze`]'s true-prediction path. Where `analyze` asks "how good
 /// is a predictor trained on another input?", this asks "how good is a
 /// predictor that has never seen any input and corrects itself while
 /// the program runs?".
 pub fn analyze_online(
-    entry: &SuiteEntry,
+    test: &Trace,
     config: &SiteConfig,
     epoch: &EpochConfig,
 ) -> (ReplayReport, LearnerStats) {
@@ -110,7 +117,7 @@ pub fn analyze_online(
         epoch: *epoch,
         arena: ArenaConfig::default(),
     };
-    let (report, learner) = replay(&entry.test, &plan, None).expect("a recorded trace replays");
+    let (report, learner) = replay(test, &plan, None).expect("a recorded trace replays");
     (report, learner.expect("an online replay has a learner"))
 }
 
@@ -185,7 +192,7 @@ mod tests {
         // The online learner, starting blind on the same test trace,
         // still finds predictable sites and reports its own coverage.
         let (online, learner) =
-            analyze_online(&entry, &SiteConfig::default(), &EpochConfig::default());
+            analyze_online(&entry.test, &SiteConfig::default(), &EpochConfig::default());
         assert_eq!(online.total_allocs, entry.test.stats().total_objects);
         assert!(learner.epochs > 0);
         assert!(learner.sites > 0);

@@ -873,19 +873,22 @@ fn report_row(w: &dyn Workload, config: &SiteConfig) -> Vec<String> {
     let name = w.name();
     let registry = shared_registry();
     let n = w.inputs().len();
-    let train_trace = record_workload(w, 0, registry.clone());
-    let test_trace = record_workload(w, n - 1, registry);
-    let entry = lifepred_bench::SuiteEntry {
-        name: name.to_owned(),
-        description: String::new(),
-        train: train_trace,
-        test: test_trace,
-    };
-    let a = lifepred_bench::analyze(&entry, config);
+    // The training trace is freed once profiled, before the test input
+    // is recorded: a row holds one recorded trace at a time.
+    let train_profile = Profile::build(
+        &record_workload(w, 0, registry.clone()),
+        config,
+        DEFAULT_THRESHOLD,
+    );
+    let test = record_workload(w, n - 1, registry);
+    let a = lifepred_bench::analyze_profiles(
+        Profile::build(&test, config, DEFAULT_THRESHOLD),
+        train_profile,
+    );
     // Offline columns answer "train on one input, test on another";
     // the online columns answer "start blind on the test input and
     // learn while it runs".
-    let (_, learner) = lifepred_bench::analyze_online(&entry, config, &EpochConfig::default());
+    let (_, learner) = lifepred_bench::analyze_online(&test, config, &EpochConfig::default());
     // The online columns go through the metric registry: the
     // learner's counters are exported as `lifepred_learner_*`
     // gauges and read back from the snapshot, so the table renders

@@ -1,4 +1,4 @@
-//! Call-chains: ordered lists of functions on the shadow stack.
+//! Call-chains: ordered lists of functions on the call stack.
 
 use crate::registry::FnId;
 use std::collections::HashMap;

@@ -2,10 +2,12 @@
 //! abstract-execution tool.
 //!
 //! Instrumented workloads run against a [`TraceSession`], which keeps a
-//! *shadow call-stack* and records, for every heap object, its
-//! allocation site (the call-chain at birth plus the object size), its
-//! lifetime measured in **bytes allocated** between birth and death
-//! (the paper's clock), and the number of heap references made to it.
+//! *calling-context tree* (one node per raw call stack, each caching
+//! its interned call-chain from its first allocation) and records, for
+//! every heap object, its allocation site (the call-chain at birth plus
+//! the object size), its lifetime measured in **bytes allocated**
+//! between birth and death (the paper's clock), and the number of heap
+//! references made to it.
 //!
 //! The finished [`Trace`] is the unit of exchange for the rest of the
 //! system: the predictor trains on traces, and the heap simulators

@@ -7,10 +7,11 @@ use std::rc::Rc;
 
 /// A compact identifier for an interned function name.
 ///
-/// The paper's call-chains are chains *of functions*, so the shadow
-/// stack stores these ids rather than strings. Carter's call-chain
-/// encryption additionally relies on per-function 16-bit ids, which
-/// each id derives deterministically from its index.
+/// The paper's call-chains are chains *of functions*, so the
+/// calling-context tree and the chains store these ids rather than
+/// strings. Carter's call-chain encryption additionally relies on
+/// per-function 16-bit ids, which each id derives deterministically
+/// from its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FnId(pub(crate) u32);
 

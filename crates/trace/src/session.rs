@@ -1,4 +1,19 @@
-//! The recording session: shadow stack + allocation recorder.
+//! The recording session: a calling-context tree + allocation recorder.
+//!
+//! The session keeps one tree per recording. A node stands for one
+//! *raw* stack (recursion not collapsed; cycle elimination happens
+//! later, in [`CallChain::without_cycles`]), and the session's current
+//! node is the stack the program is in. [`TraceSession::enter`] moves to
+//! a child: it finds the child by the name's address and length, so a
+//! call that has been made from this node before hashes nothing. A
+//! `&'static str` lives for the whole program, so its address is never
+//! reused for another name. A name met under a new address (the same
+//! text from another literal) is interned in the registry and joins the
+//! child that has its [`FnId`] as one more key. A node interns its chain
+//! in the [`ChainTable`] at its first allocation and keeps the
+//! [`ChainId`], so later allocations there hash nothing either. Function
+//! ids keep first-`enter` order and chain ids first-allocation order, so
+//! a recorded trace does not depend on the tree.
 
 use crate::chain::{CallChain, ChainId, ChainTable};
 use crate::record::{AllocationRecord, ObjectId};
@@ -16,10 +31,42 @@ const CALL_INSTRUCTIONS: u64 = 3;
 /// (stack and globals), expressed as a divisor.
 const WORK_REF_DIVISOR: u64 = 4;
 
+/// The index of a calling-context tree node in [`Inner::nodes`].
+type NodeId = u32;
+
+/// The root: the empty stack, before any `enter`.
+const ROOT: NodeId = 0;
+
+/// One node of the calling-context tree: the raw stack from the root
+/// down to here.
+#[derive(Debug)]
+struct Node {
+    parent: NodeId,
+    /// The innermost frame (unused at the root).
+    func: FnId,
+    /// Interned at the node's first allocation.
+    chain: Option<ChainId>,
+    /// Children keyed by the entered name's `(address, length)`; two
+    /// keys lead to one child when the same name has two addresses.
+    kids: Vec<((usize, usize), NodeId)>,
+}
+
+impl Node {
+    fn new(parent: NodeId, func: FnId) -> Node {
+        Node {
+            parent,
+            func,
+            chain: None,
+            kids: Vec::new(),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     name: String,
-    stack: Vec<FnId>,
+    nodes: Vec<Node>,
+    cur: NodeId,
     chains: ChainTable,
     records: Vec<AllocationRecord>,
     clock: u64,
@@ -36,7 +83,7 @@ struct Inner {
 /// sequential; so are our workloads). Workloads:
 ///
 /// * bracket every function body with [`TraceSession::enter`], which
-///   maintains the shadow call-stack;
+///   moves down the calling-context tree;
 /// * allocate with [`TraceSession::alloc`] (or the RAII
 ///   [`TraceSession::traced`] wrapper) and free with
 ///   [`TraceSession::free`];
@@ -86,7 +133,8 @@ impl TraceSession {
         TraceSession {
             inner: Rc::new(RefCell::new(Inner {
                 name: name.to_owned(),
-                stack: Vec::with_capacity(64),
+                nodes: vec![Node::new(ROOT, FnId(u32::MAX))],
+                cur: ROOT,
                 chains: ChainTable::new(),
                 records: Vec::new(),
                 clock: 0,
@@ -100,17 +148,33 @@ impl TraceSession {
         }
     }
 
-    /// Pushes `function` onto the shadow stack, returning a guard that
-    /// pops it when dropped.
-    pub fn enter(&self, function: &str) -> CallGuard {
-        let id = self.registry.borrow_mut().intern(function);
-        let mut inner = self.inner.borrow_mut();
-        inner.stack.push(id);
+    /// Calls `function` from the current stack, returning a guard that
+    /// returns from it when dropped.
+    ///
+    /// The name is looked up among the current node's children by
+    /// address; it is interned in the registry only the first time this
+    /// address is entered from this node.
+    pub fn enter(&self, function: &'static str) -> CallGuard {
+        let key = (function.as_ptr() as usize, function.len());
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let cur = inner.cur;
+        let kids = &inner.nodes[cur as usize].kids;
+        let node = match kids.iter().find(|&&(k, _)| k == key) {
+            Some(&(_, kid)) => kid,
+            None => {
+                let func = self.registry.borrow_mut().intern(function);
+                let kid = inner.child(cur, func);
+                inner.nodes[cur as usize].kids.push((key, kid));
+                kid
+            }
+        };
+        inner.cur = node;
         inner.stats.function_calls += 1;
         inner.stats.instructions += CALL_INSTRUCTIONS;
         CallGuard {
             session: self.inner.clone(),
-            expected: id,
+            node,
         }
     }
 
@@ -125,11 +189,9 @@ impl TraceSession {
     pub fn alloc(&self, size: u32) -> ObjectId {
         let mut inner = self.inner.borrow_mut();
         assert!(!inner.finished, "alloc on a finished session");
-        let chain = {
-            let stack = std::mem::take(&mut inner.stack);
-            let id = inner.chains.intern(&stack);
-            inner.stack = stack;
-            id
+        let chain = match inner.nodes[inner.cur as usize].chain {
+            Some(id) => id,
+            None => inner.intern_chain(),
         };
         let object = ObjectId(inner.records.len() as u64);
         let record = AllocationRecord {
@@ -228,6 +290,13 @@ impl TraceSession {
         self.inner.borrow().records.len() as u64
     }
 
+    /// Number of calling-context tree nodes so far, the root included:
+    /// one per distinct raw stack entered. Unlike the chain count it
+    /// grows with recursion depth, so it prices the tree's memory.
+    pub fn context_nodes(&self) -> usize {
+        self.inner.borrow().nodes.len()
+    }
+
     /// Finishes the session, producing the immutable [`Trace`].
     ///
     /// Objects still live become *immortal* records whose lifetime runs
@@ -248,24 +317,64 @@ impl TraceSession {
     }
 }
 
-/// RAII guard returned by [`TraceSession::enter`]; pops its frame from
-/// the shadow stack on drop.
+impl Inner {
+    /// The child of `parent` for `func`, created if there is none.
+    fn child(&mut self, parent: NodeId, func: FnId) -> NodeId {
+        let kids = &self.nodes[parent as usize].kids;
+        if let Some(&(_, kid)) = kids
+            .iter()
+            .find(|&&(_, kid)| self.nodes[kid as usize].func == func)
+        {
+            return kid;
+        }
+        let kid = NodeId::try_from(self.nodes.len()).expect("more than u32::MAX call contexts");
+        self.nodes.push(Node::new(parent, func));
+        kid
+    }
+
+    /// Interns the current node's raw stack, outermost first, and
+    /// caches its id on the node.
+    #[cold]
+    fn intern_chain(&mut self) -> ChainId {
+        let mut frames = Vec::new();
+        let mut node = self.cur;
+        while node != ROOT {
+            let n = &self.nodes[node as usize];
+            frames.push(n.func);
+            node = n.parent;
+        }
+        frames.reverse();
+        let id = self.chains.intern(&frames);
+        self.nodes[self.cur as usize].chain = Some(id);
+        id
+    }
+}
+
+/// RAII guard returned by [`TraceSession::enter`]; returns to the
+/// caller's node on drop.
+///
+/// # Panics
+///
+/// Dropping a guard other than the innermost live one panics, in every
+/// build: it would otherwise record later allocations at a wrong chain.
+/// While the thread is already unwinding the check is skipped, since a
+/// second panic would abort the process.
 #[derive(Debug)]
 pub struct CallGuard {
     session: Rc<RefCell<Inner>>,
-    expected: FnId,
+    node: NodeId,
 }
 
 impl Drop for CallGuard {
     fn drop(&mut self) {
         let mut inner = self.session.borrow_mut();
-        let popped = inner.stack.pop();
-        debug_assert_eq!(
-            popped,
-            Some(self.expected),
-            "shadow stack imbalance: popped {popped:?}, expected {:?}",
-            self.expected
+        assert!(
+            inner.cur == self.node || std::thread::panicking(),
+            "call guard dropped out of order: it entered context {}, the current one is {}",
+            self.node,
+            inner.cur
         );
+        inner.cur = inner.nodes[self.node as usize].parent;
     }
 }
 
@@ -439,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn shadow_stack_shapes_chains() {
+    fn call_stack_shapes_chains() {
         let s = TraceSession::new("t");
         let obj;
         {
@@ -456,6 +565,15 @@ mod tests {
             .collect();
         assert_eq!(names, ["outer", "inner"]);
         let _ = obj;
+    }
+
+    #[test]
+    #[should_panic(expected = "call guard dropped out of order")]
+    fn misordered_guard_drop_panics() {
+        let s = TraceSession::new("t");
+        let outer = s.enter("outer");
+        let _inner = s.enter("inner");
+        drop(outer);
     }
 
     #[test]

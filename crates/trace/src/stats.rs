@@ -17,7 +17,7 @@ pub struct TraceStats {
     pub max_live_objects: u64,
     /// Virtual instructions executed (workload-reported work units).
     pub instructions: u64,
-    /// Function calls observed on the shadow stack.
+    /// Function calls observed ([`TraceSession::enter`](crate::TraceSession::enter)s).
     pub function_calls: u64,
     /// Memory references made to heap objects.
     pub heap_refs: u64,

@@ -1,8 +1,24 @@
 //! Property tests over random session scripts: the tracer's clocks,
 //! stats and event streams must stay consistent for any program shape.
 
-use lifepred_trace::{EventKind, ObjectId, TraceSession};
+use lifepred_trace::{shared_registry, ChainTable, EventKind, FnId, ObjectId, TraceSession};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
+/// The function names scripts enter, indexed by `Action::Enter`.
+const NAMES: [&str; 8] = ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"];
+
+/// The same texts as [`NAMES`] at other addresses, as a second literal
+/// of one name would be.
+fn twins() -> &'static [&'static str] {
+    static TWINS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    TWINS.get_or_init(|| {
+        (NAMES.iter())
+            .map(|n| &*Box::leak(n.to_string().into_boxed_str()))
+            .collect()
+    })
+}
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -35,7 +51,7 @@ fn run(script: &[Action]) -> (lifepred_trace::Trace, usize) {
     let mut freed = 0usize;
     for a in script {
         match a {
-            Action::Enter(n) => guards.push(session.enter(&format!("f{n}"))),
+            Action::Enter(n) => guards.push(session.enter(NAMES[usize::from(*n)])),
             Action::Leave => {
                 guards.pop();
             }
@@ -60,7 +76,78 @@ fn run(script: &[Action]) -> (lifepred_trace::Trace, usize) {
     (session.finish(), freed)
 }
 
+/// A call, return or allocation; `Call`'s flag picks the name's twin.
+#[derive(Debug, Clone)]
+enum Step {
+    Call(u8, bool),
+    Return,
+    Alloc,
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        prop_oneof![
+            ((0u8..8), any::<bool>()).prop_map(|(n, twin)| Step::Call(n, twin)),
+            Just(Step::Return),
+            Just(Step::Alloc),
+        ],
+        0..400,
+    )
+}
+
 proptest! {
+    /// The calling-context tree against a raw stack of `FnId`s, with a
+    /// `ChainTable` as the oracle: every record's chain is the raw
+    /// stack at its birth, chain ids come in first-allocation order,
+    /// function ids in first-call order, and there is one tree node per
+    /// distinct stack.
+    #[test]
+    fn context_tree_records_the_raw_stack(script in steps()) {
+        let registry = shared_registry();
+        let session = TraceSession::with_registry("oracle", registry.clone());
+        let mut guards = Vec::new();
+        let mut stack: Vec<FnId> = Vec::new();
+        let mut oracle = ChainTable::new();
+        let mut births = Vec::new();
+        let mut first_calls: Vec<&str> = Vec::new();
+        let mut stacks: HashSet<Vec<FnId>> = HashSet::from([Vec::new()]);
+        for step in &script {
+            match *step {
+                Step::Call(n, twin) => {
+                    let name = if twin { twins()[usize::from(n)] } else { NAMES[usize::from(n)] };
+                    guards.push(session.enter(name));
+                    stack.push(registry.borrow().get(name).expect("entered names are interned"));
+                    if !first_calls.contains(&name) {
+                        first_calls.push(name);
+                    }
+                    stacks.insert(stack.clone());
+                }
+                Step::Return => {
+                    if guards.pop().is_some() {
+                        stack.pop();
+                    }
+                }
+                Step::Alloc => {
+                    births.push(oracle.intern(&stack));
+                    session.alloc(8);
+                }
+            }
+        }
+        let nodes = session.context_nodes();
+        // Return innermost first before any assertion can end the case.
+        while guards.pop().is_some() {}
+        prop_assert_eq!(nodes, stacks.len());
+        let trace = session.finish();
+        let chains: Vec<_> = trace.records().iter().map(|r| r.chain).collect();
+        prop_assert_eq!(chains, births);
+        prop_assert_eq!(trace.chains().len(), oracle.len());
+        for (id, chain) in oracle.iter() {
+            prop_assert_eq!(trace.chain(id), chain);
+        }
+        let names: Vec<&str> = trace.registry().names().collect();
+        prop_assert_eq!(names, first_calls);
+    }
+
     /// The byte clock equals the sum of all sizes; totals agree.
     #[test]
     fn clock_and_totals_consistent(script in actions()) {

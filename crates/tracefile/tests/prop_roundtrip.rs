@@ -40,13 +40,23 @@ fn sites() -> impl Strategy<Value = Vec<SyntheticSite>> {
     )
 }
 
+/// The function names, indexed by `SyntheticSite::name` and then by
+/// frame depth.
+const NAMES: [[&str; 3]; 5] = [
+    ["fn0_0", "fn0_1", "fn0_2"],
+    ["fn1_0", "fn1_1", "fn1_2"],
+    ["fn2_0", "fn2_1", "fn2_2"],
+    ["fn3_0", "fn3_1", "fn3_2"],
+    ["fn4_0", "fn4_1", "fn4_2"],
+];
+
 /// Allocates under `site.depth` nested function frames. Recursion (not
-/// a Vec of guards) so the shadow-stack guards drop in LIFO order.
+/// a Vec of guards) so the call guards drop in LIFO order.
 fn alloc_nested(s: &TraceSession, site: &SyntheticSite, d: usize) -> ObjectId {
     if d == site.depth {
         s.alloc(site.size)
     } else {
-        let _g = s.enter(&format!("fn{}_{d}", site.name));
+        let _g = s.enter(NAMES[site.name][d]);
         alloc_nested(s, site, d + 1)
     }
 }

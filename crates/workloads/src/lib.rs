@@ -30,9 +30,9 @@
 //! Every workload offers at least two deterministic, generated inputs:
 //! input 0 trains the predictor, the last input is the larger test run
 //! (the paper reports results for the largest input). Each workload
-//! brackets its functions with shadow-stack guards so allocation sites
-//! carry realistic layered call-chains (`xmalloc`-style wrappers
-//! included, deliberately).
+//! brackets its functions with call guards (`TraceSession::enter`) so
+//! allocation sites carry realistic layered call-chains
+//! (`xmalloc`-style wrappers included, deliberately).
 //!
 //! # Examples
 //!

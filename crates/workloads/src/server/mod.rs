@@ -82,7 +82,7 @@ impl AllocSink for SessionSink<'_> {
             .map(|name| self.session.enter(name))
             .collect();
         let id = self.session.alloc(size);
-        // The shadow stack pops LIFO; a Vec drops front-to-back.
+        // Guards must drop innermost first; a Vec drops front-to-back.
         while let Some(guard) = guards.pop() {
             drop(guard);
         }

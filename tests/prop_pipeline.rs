@@ -31,6 +31,9 @@ fn sites() -> impl Strategy<Value = Vec<SyntheticSite>> {
     )
 }
 
+/// The sites' function names, indexed by `SyntheticSite::name`.
+const NAMES: [&str; 6] = ["fn0", "fn1", "fn2", "fn3", "fn4", "fn5"];
+
 /// Runs the synthetic program, interleaving the sites round-robin.
 fn run_synthetic(spec: &[SyntheticSite]) -> Trace {
     let s = TraceSession::new("synthetic");
@@ -46,7 +49,7 @@ fn run_synthetic(spec: &[SyntheticSite]) -> Trace {
             any = true;
             remaining[i] -= 1;
             let id = {
-                let _g = s.enter(&format!("fn{}", site.name));
+                let _g = s.enter(NAMES[site.name]);
                 s.alloc(site.size)
             };
             s.touch(id, 2);
