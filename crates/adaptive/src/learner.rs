@@ -2,7 +2,6 @@
 
 use crate::config::EpochConfig;
 use lifepred_quantile::P2Quantile;
-use std::collections::{HashMap, HashSet};
 
 /// Counters describing the learner's behaviour so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -98,7 +97,6 @@ enum Phase {
 
 #[derive(Debug)]
 struct SiteEntry {
-    key: u64,
     phase: Phase,
     /// Consecutive clean active epochs in the current streak.
     clean_run: u32,
@@ -111,9 +109,8 @@ struct SiteEntry {
 }
 
 impl SiteEntry {
-    fn new(key: u64, quantile: f64) -> Self {
+    fn new(quantile: f64) -> Self {
         SiteEntry {
-            key,
             phase: Phase::Observing,
             clean_run: 0,
             tail: P2Quantile::new(quantile),
@@ -134,8 +131,9 @@ impl SiteEntry {
 /// the demoted phase, where only `requalify_epochs` consecutive clean
 /// epochs restore it.
 ///
-/// Keys are caller-defined `u64` site fingerprints (the trace-replay
-/// simulator hashes call-chain site keys).
+/// Sites are dense `u32` ids numbered from 0 in first-seen order, as a
+/// `lifepred_core::SiteExtractor` hands them out: a site's row is made
+/// when its id first appears, which must be as the next id.
 ///
 /// # Examples
 ///
@@ -144,7 +142,7 @@ impl SiteEntry {
 ///
 /// let cfg = EpochConfig::default();
 /// let mut l = OnlineLearner::new(cfg);
-/// let site = 0xfeed;
+/// let site = 0;
 /// // A fresh site is not predicted; short frees through one epoch
 /// // promote it.
 /// while l.epochs() < 2 {
@@ -159,11 +157,9 @@ pub struct OnlineLearner {
     config: EpochConfig,
     clock: u64,
     next_epoch_at: u64,
-    /// Bumped whenever the predicted-short set changes; lets cached
-    /// snapshots detect staleness with one integer compare.
+    /// Bumped whenever the predicted-short set changes.
     generation: u64,
-    /// Site key → its row in `rows`.
-    index: HashMap<u64, u32>,
+    /// One row per site, indexed by site id.
     rows: Vec<SiteEntry>,
     /// The rows with activity this epoch, each listed once: all an
     /// epoch roll visits. The epoch rule reads and writes one row at a
@@ -205,7 +201,6 @@ impl OnlineLearner {
             clock: 0,
             next_epoch_at: config.epoch_bytes,
             generation: 0,
-            index: HashMap::new(),
             rows: Vec::new(),
             active: Vec::new(),
             stats: LearnerStats::default(),
@@ -234,11 +229,9 @@ impl OnlineLearner {
         self.generation
     }
 
-    /// Whether `key` is currently predicted short-lived.
-    pub fn predicts(&self, key: u64) -> bool {
-        self.index
-            .get(&key)
-            .is_some_and(|&row| self.rows[row as usize].phase == Phase::Short)
+    /// Whether `site` is currently predicted short-lived.
+    pub fn predicts(&self, site: u32) -> bool {
+        (self.rows.get(site as usize)).is_some_and(|e| e.phase == Phase::Short)
     }
 
     /// Counters so far.
@@ -249,46 +242,27 @@ impl OnlineLearner {
         }
     }
 
-    /// The current predicted-short set.
-    pub fn snapshot(&self) -> HashSet<u64> {
-        let short: HashSet<u64> = self
-            .rows
-            .iter()
-            .filter(|e| e.phase == Phase::Short)
-            .map(|e| e.key)
-            .collect();
-        debug_assert_eq!(short.len() as u64, self.stats.short_sites);
-        short
+    /// The index of `site`'s row, created if `site` is the next new id
+    /// (an id past that panics).
+    fn row(&mut self, site: u32) -> usize {
+        let row = site as usize;
+        if row == self.rows.len() {
+            self.rows.push(SiteEntry::new(self.config.tail_quantile));
+        }
+        assert!(
+            row < self.rows.len(),
+            "site {site} skips past the sites seen"
+        );
+        row
     }
 
-    /// The row of `key`'s site, interned on first sight. A row stays
-    /// valid for the learner's lifetime: a caller that keeps it with
-    /// each object hashes the key once per object, and reports the
-    /// object's later events through [`OnlineLearner::record_free_at`]
-    /// and [`OnlineLearner::note_pinned_at`].
-    pub fn site_row(&mut self, key: u64) -> u32 {
-        let rows = &mut self.rows;
-        let quantile = self.config.tail_quantile;
-        *self.index.entry(key).or_insert_with(|| {
-            let row = u32::try_from(rows.len()).expect("fewer than 2^32 sites");
-            rows.push(SiteEntry::new(key, quantile));
-            row
-        })
-    }
-
-    /// Records an allocation: advances the byte clock (rolling any due
-    /// epochs first) and returns the prediction for this object.
-    pub fn record_alloc(&mut self, key: u64, size: u64) -> bool {
-        let row = self.site_row(key);
-        self.record_alloc_at(row, size)
-    }
-
-    /// [`OnlineLearner::record_alloc`] for a site already resolved to
-    /// its [`OnlineLearner::site_row`].
-    pub fn record_alloc_at(&mut self, row: u32, size: u64) -> bool {
+    /// Records an allocation at `site`: advances the byte clock (rolling
+    /// any due epochs first) and returns the prediction for this object.
+    pub fn record_alloc(&mut self, site: u32, size: u64) -> bool {
         self.clock += size;
         self.roll_due();
-        let predicted = self.rows[row as usize].phase == Phase::Short;
+        let row = self.row(site);
+        let predicted = self.rows[row].phase == Phase::Short;
         self.stats.total_allocs += 1;
         self.stats.total_bytes += size;
         if predicted {
@@ -304,19 +278,13 @@ impl OnlineLearner {
     /// A predicted object whose lifetime reached the threshold is a
     /// misprediction: its site is demoted immediately, not at the next
     /// epoch boundary.
-    pub fn record_free(&mut self, key: u64, size: u64, birth_clock: u64, predicted: bool) {
-        let row = self.site_row(key);
-        self.record_free_at(row, size, birth_clock, predicted);
-    }
-
-    /// [`OnlineLearner::record_free`] for a site already resolved to
-    /// its [`OnlineLearner::site_row`].
-    pub fn record_free_at(&mut self, row: u32, size: u64, birth_clock: u64, predicted: bool) {
+    pub fn record_free(&mut self, site: u32, size: u64, birth_clock: u64, predicted: bool) {
         let lifetime = self.clock.saturating_sub(birth_clock);
         let long = lifetime >= self.config.threshold;
         self.stats.total_frees += 1;
-        let entry = &mut self.rows[row as usize];
-        note_activity(entry, &mut self.active, row, 1, u64::from(long));
+        let row = self.row(site);
+        let entry = &mut self.rows[row];
+        note_activity(entry, &mut self.active, site, 1, u64::from(long));
         entry.tail.observe(lifetime as f64);
         if long {
             self.stats.long_frees += 1;
@@ -324,25 +292,20 @@ impl OnlineLearner {
                 self.stats.mispredictions += 1;
                 self.stats.error_bytes += size;
             }
-            self.demote_if_short(row);
+            self.demote_if_short(site);
         }
     }
 
-    /// Reports a predicted-short object that is still live past the
-    /// threshold (e.g. it pins an arena). Demotes the site immediately
-    /// and counts a misprediction; the current epoch becomes dirty.
-    pub fn note_pinned(&mut self, key: u64, size: u64) {
-        let row = self.site_row(key);
-        self.note_pinned_at(row, size);
-    }
-
-    /// [`OnlineLearner::note_pinned`] for a site already resolved to
-    /// its [`OnlineLearner::site_row`].
-    pub fn note_pinned_at(&mut self, row: u32, size: u64) {
+    /// Reports a predicted-short object of `site` that is still live
+    /// past the threshold (e.g. it pins an arena). Demotes the site
+    /// immediately and counts a misprediction; the current epoch
+    /// becomes dirty.
+    pub fn note_pinned(&mut self, site: u32, size: u64) {
         self.stats.mispredictions += 1;
         self.stats.error_bytes += size;
-        note_activity(&mut self.rows[row as usize], &mut self.active, row, 0, 1);
-        self.demote_if_short(row);
+        let row = self.row(site);
+        note_activity(&mut self.rows[row], &mut self.active, site, 0, 1);
+        self.demote_if_short(site);
     }
 
     /// Ends the current epoch unconditionally and reschedules the next
@@ -448,27 +411,28 @@ mod tests {
         }
     }
 
-    /// Allocates and immediately frees `n` objects of `size` at `key`.
-    fn churn(l: &mut OnlineLearner, key: u64, size: u64, n: usize) {
+    /// Allocates and immediately frees `n` objects of `size` at `site`.
+    fn churn(l: &mut OnlineLearner, site: u32, size: u64, n: usize) {
         for _ in 0..n {
             let birth = l.clock();
-            let p = l.record_alloc(key, size);
-            l.record_free(key, size, birth, p);
+            let p = l.record_alloc(site, size);
+            l.record_free(site, size, birth, p);
         }
     }
 
     #[test]
     fn fresh_site_is_not_predicted() {
         let mut l = OnlineLearner::new(tiny());
-        assert!(!l.record_alloc(7, 16));
-        assert!(!l.predicts(7));
+        assert!(!l.record_alloc(0, 16));
+        assert!(!l.predicts(0));
+        assert!(!l.predicts(1), "an unseen site is not predicted");
     }
 
     #[test]
     fn clean_epoch_promotes() {
         let mut l = OnlineLearner::new(tiny());
-        churn(&mut l, 7, 64, 64); // 4 KiB: two epochs
-        assert!(l.predicts(7), "site should be promoted");
+        churn(&mut l, 0, 64, 64); // 4 KiB: two epochs
+        assert!(l.predicts(0), "site should be promoted");
         assert!(l.stats().promotions >= 1);
         assert!(l.stats().predicted_allocs > 0, "later allocs predicted");
     }
@@ -479,26 +443,26 @@ mod tests {
         // Every object outlives the threshold: never promoted.
         for _ in 0..64 {
             let birth = l.clock();
-            let p = l.record_alloc(9, 64);
+            let p = l.record_alloc(0, 64);
             // Age the object past the threshold with other traffic.
-            churn(&mut l, 1000, 64, 32);
-            l.record_free(9, 64, birth, p);
+            churn(&mut l, 1, 64, 32);
+            l.record_free(0, 64, birth, p);
         }
-        assert!(!l.predicts(9));
+        assert!(!l.predicts(0));
         assert_eq!(l.stats().mispredictions, 0);
     }
 
     #[test]
     fn misprediction_demotes_immediately() {
         let mut l = OnlineLearner::new(tiny());
-        churn(&mut l, 7, 64, 64);
-        assert!(l.predicts(7));
+        churn(&mut l, 0, 64, 64);
+        assert!(l.predicts(0));
         let birth = l.clock();
-        let p = l.record_alloc(7, 64);
+        let p = l.record_alloc(0, 64);
         assert!(p);
-        churn(&mut l, 1000, 64, 32); // age it past the threshold
-        l.record_free(7, 64, birth, p);
-        assert!(!l.predicts(7), "demotion must not wait for epoch end");
+        churn(&mut l, 1, 64, 32); // age it past the threshold
+        l.record_free(0, 64, birth, p);
+        assert!(!l.predicts(0), "demotion must not wait for epoch end");
         let s = l.stats();
         assert_eq!(s.mispredictions, 1);
         assert!(s.demotions >= 1);
@@ -509,16 +473,16 @@ mod tests {
     fn demoted_site_requalifies_after_k_clean_epochs() {
         let cfg = tiny();
         let mut l = OnlineLearner::new(cfg);
-        churn(&mut l, 7, 64, 64);
-        assert!(l.predicts(7));
-        l.note_pinned(7, 64); // demote
-        assert!(!l.predicts(7));
+        churn(&mut l, 0, 64, 64);
+        assert!(l.predicts(0));
+        l.note_pinned(0, 64); // demote
+        assert!(!l.predicts(0));
         let demoted_at = l.epochs();
         // Clean churn until requalified; must take >= requalify_epochs.
         let mut requalified_at = None;
         for _ in 0..20_000 {
-            churn(&mut l, 7, 64, 1);
-            if l.predicts(7) {
+            churn(&mut l, 0, 64, 1);
+            if l.predicts(0) {
                 requalified_at = Some(l.epochs());
                 break;
             }
@@ -535,37 +499,56 @@ mod tests {
     #[test]
     fn note_pinned_counts_and_dirties() {
         let mut l = OnlineLearner::new(tiny());
-        churn(&mut l, 7, 64, 64);
-        assert!(l.predicts(7));
+        churn(&mut l, 0, 64, 64);
+        assert!(l.predicts(0));
         let gen = l.generation();
-        l.note_pinned(7, 128);
-        assert!(!l.predicts(7));
+        l.note_pinned(0, 128);
+        assert!(!l.predicts(0));
         assert_eq!(l.stats().mispredictions, 1);
         assert_eq!(l.stats().error_bytes, 128);
         assert!(l.generation() > gen);
     }
 
     #[test]
-    fn snapshot_and_generation_track_the_short_set() {
+    fn generation_tracks_the_short_set() {
         let mut l = OnlineLearner::new(tiny());
-        assert!(l.snapshot().is_empty());
         let g0 = l.generation();
-        churn(&mut l, 7, 64, 64);
+        churn(&mut l, 0, 64, 64);
         assert!(l.generation() > g0);
-        assert!(l.snapshot().contains(&7));
-        l.note_pinned(7, 64);
-        assert!(!l.snapshot().contains(&7));
+        assert_eq!(l.stats().short_sites, 1);
+        let g1 = l.generation();
+        l.note_pinned(0, 64);
+        assert!(l.generation() > g1);
+        assert_eq!(l.stats().short_sites, 0);
+    }
+
+    #[test]
+    fn any_call_creates_the_next_sites_row() {
+        let mut l = OnlineLearner::new(tiny());
+        l.record_free(0, 8, 0, false);
+        l.note_pinned(1, 8);
+        l.record_alloc(2, 8);
+        assert_eq!(l.stats().sites, 3);
+        l.record_alloc(1, 8);
+        assert_eq!(l.stats().sites, 3, "a seen site keeps its row");
+    }
+
+    #[test]
+    #[should_panic(expected = "skips past")]
+    fn a_site_id_that_skips_ahead_panics() {
+        let mut l = OnlineLearner::new(tiny());
+        l.record_alloc(1, 8);
     }
 
     #[test]
     fn roll_epoch_reschedules() {
         let mut l = OnlineLearner::new(tiny());
-        churn(&mut l, 7, 64, 4);
+        churn(&mut l, 0, 64, 4);
         let e = l.epochs();
         l.roll_epoch();
         assert_eq!(l.epochs(), e + 1);
         // The manual roll pushed the next automatic roll out.
-        churn(&mut l, 7, 64, 1);
+        churn(&mut l, 0, 64, 1);
         assert_eq!(l.epochs(), e + 1);
     }
 
@@ -579,24 +562,24 @@ mod tests {
         // One free per epoch: under min_epoch_frees, never promoted.
         for _ in 0..16 {
             let birth = l.clock();
-            let p = l.record_alloc(7, 64);
-            l.record_free(7, 64, birth, p);
+            let p = l.record_alloc(0, 64);
+            l.record_free(0, 64, birth, p);
             l.roll_epoch();
         }
-        assert!(!l.predicts(7));
+        assert!(!l.predicts(0));
     }
 
     /// The cost model, pinned without a stopwatch: an epoch roll
     /// visits the rows that had activity in that epoch and no others.
     #[test]
     fn epoch_rolls_visit_only_active_rows() {
-        const IDLE: u64 = 50_000;
+        const IDLE: u32 = 50_000;
         const EPOCHS: u64 = 10_000;
         // Zero-byte objects hold the clock still: every roll below is
         // one of the explicit ones.
         let mut l = OnlineLearner::new(tiny());
-        for key in 0..IDLE {
-            l.record_alloc(key, 0);
+        for site in 0..IDLE {
+            l.record_alloc(site, 0);
         }
         l.roll_epoch();
         assert_eq!(l.row_visits, 0, "allocations alone are not activity");
@@ -609,11 +592,11 @@ mod tests {
                 l.note_pinned(IDLE, 0);
                 active_pairs += 1;
             }
-            l.record_alloc(epoch % IDLE, 0);
+            l.record_alloc(epoch as u32 % IDLE, 0);
             l.roll_epoch();
         }
         assert_eq!(l.row_visits, active_pairs);
-        assert_eq!(l.stats().sites, IDLE + 1);
+        assert_eq!(l.stats().sites, u64::from(IDLE) + 1);
         assert_eq!(l.stats().epochs, 1 + EPOCHS);
     }
 }

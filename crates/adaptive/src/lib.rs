@@ -19,7 +19,8 @@
 //!    hysteresis.
 //!
 //! [`OnlineLearner`] is single-threaded, driven by the trace-replay
-//! simulator (`lifepred-heap`) and the CLI.
+//! simulator (`lifepred-heap`) and the CLI, and knows sites by the
+//! dense ids `lifepred_core::SiteExtractor` hands out.
 //!
 //! # Examples
 //!
@@ -27,7 +28,7 @@
 //! use lifepred_adaptive::{EpochConfig, OnlineLearner};
 //!
 //! let mut learner = OnlineLearner::new(EpochConfig::default());
-//! let site = 42u64;
+//! let (site, other) = (0, 1);
 //!
 //! // Phase 1: the site allocates short-lived objects and is learned.
 //! while learner.epochs() < 2 {
@@ -42,7 +43,7 @@
 //! let birth = learner.clock();
 //! let predicted = learner.record_alloc(site, 64);
 //! while learner.clock() - birth < learner.config().threshold {
-//!     learner.record_alloc(999, 4096); // unrelated traffic ages it
+//!     learner.record_alloc(other, 4096); // unrelated traffic ages it
 //! }
 //! learner.record_free(site, 64, birth, predicted);
 //! assert!(!learner.predicts(site));

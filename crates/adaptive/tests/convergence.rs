@@ -15,8 +15,9 @@ fn cfg() -> EpochConfig {
     }
 }
 
-const SITE: u64 = 0xabcd;
-const NOISE: u64 = 0x9999;
+// Dense site ids, in the order every test first uses them.
+const SITE: u32 = 0;
+const NOISE: u32 = 1;
 
 /// One short-lived allocation at SITE plus background noise traffic.
 fn short_op(l: &mut OnlineLearner) {
@@ -135,7 +136,7 @@ fn mixed_sites_are_separated() {
         short_op(&mut l); // SITE and NOISE short-lived
     }
     // A third site allocates only long-lived objects.
-    const HOARDER: u64 = 0x1111;
+    const HOARDER: u32 = 2;
     for _ in 0..4 {
         let birth = l.clock();
         let p = l.record_alloc(HOARDER, 256);

@@ -13,7 +13,7 @@
 
 use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_quantile::P2Quantile;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Where a site currently sits in the promotion/demotion cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,16 +119,6 @@ impl ScanAllLearner {
             .filter(|e| e.phase == Phase::Short)
             .count() as u64;
         s
-    }
-
-    /// The current predicted-short set, for publication to concurrent
-    /// readers.
-    pub fn snapshot(&self) -> HashSet<u64> {
-        self.sites
-            .iter()
-            .filter(|(_, e)| e.phase == Phase::Short)
-            .map(|(&k, _)| k)
-            .collect()
     }
 
     /// Records an allocation: advances the byte clock (rolling any due

@@ -89,8 +89,8 @@ fn train_walks(c: &mut Criterion) {
     group.bench_function("evaluate", |b| {
         b.iter(|| evaluate(&db, &trace).sites_used);
     });
-    // What `simulate --predictor online` runs: the site-fingerprint
-    // walk, then the learner in the loop.
+    // What `simulate --predictor online` runs: the learner in the loop,
+    // each allocation's site read off the records as it comes.
     let plan = ReplayPlan::ArenaOnline {
         sites: cfg,
         epoch: EpochConfig::default(),
@@ -106,19 +106,19 @@ fn train_walks(c: &mut Criterion) {
 /// few dozen of them freeing anything before the epoch rolls. The roll
 /// must cost what the active sites cost.
 fn epoch_roll(c: &mut Criterion) {
-    const SITES: u64 = 12_000;
-    const ACTIVE: u64 = 32;
+    const SITES: u32 = 12_000;
+    const ACTIVE: u32 = 32;
     let mut learner = OnlineLearner::new(EpochConfig::default());
-    for key in 0..SITES {
-        learner.record_alloc(key, 64);
+    for site in 0..SITES {
+        learner.record_alloc(site, 64);
     }
     let mut group = c.benchmark_group("online/epoch_roll");
-    group.throughput(Throughput::Elements(ACTIVE));
+    group.throughput(Throughput::Elements(u64::from(ACTIVE)));
     group.bench_function("sites=12k,active=32", |b| {
         let mut first = 0;
         b.iter(|| {
-            for key in first..first + ACTIVE {
-                learner.record_free(key % SITES, 64, learner.clock(), false);
+            for site in first..first + ACTIVE {
+                learner.record_free(site % SITES, 64, learner.clock(), false);
             }
             first = (first + ACTIVE) % SITES;
             learner.roll_epoch();

@@ -378,7 +378,7 @@ struct TableStages {
     /// `TraceChunks::new` over the test trace, timed alone; the online
     /// replay packs its own copy.
     online_stream: f64,
-    /// The online replay: packing, the site-fingerprint walk and the
+    /// The online replay: packing, the lock-step site lookups and the
     /// learner in the loop.
     online_replay: f64,
     /// Calling-context tree nodes of the test recording.

@@ -817,16 +817,11 @@ fn train_on_a_damaged_records_section_names_the_file_and_writes_nothing() {
     assert!(std::path::Path::new(&pred).exists());
 }
 
-/// A CRC-valid trace whose events allocate one object more than its
-/// records section holds: the predicting replays find the allocation
-/// with no record behind it and refuse the file; `simulate` names it
-/// and exits 1.
-#[test]
-fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
+/// Writes a CRC-valid trace of `records` 8-byte records (record `i`
+/// born at clock `8 i`, dead 8 bytes later) whose events allocate and
+/// free two objects: alloc, free 0, alloc, free 1.
+fn write_two_allocation_trace(path: &str, records: u64) {
     use lifepred_tracefile::{StreamMeta, StreamTraceWriter};
-    use std::process::Command;
-    let dir = Scratch::new("past-records");
-    let short = dir.path("short.lpt");
     let mut registry = lifepred_trace::FunctionRegistry::new();
     let main = registry.intern("main");
     let mut chains = lifepred_trace::ChainTable::new();
@@ -835,7 +830,7 @@ fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
         name: "short",
         stats: lifepred_trace::TraceStats {
             total_bytes: 16,
-            total_objects: 1,
+            total_objects: records,
             max_live_bytes: 8,
             max_live_objects: 1,
             ..Default::default()
@@ -843,22 +838,24 @@ fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
         end_clock: 16,
         end_seq: 4,
     };
-    let file = std::fs::File::create(&short).expect("create");
+    let file = std::fs::File::create(path).expect("create");
     let mut w = StreamTraceWriter::new(file, &meta, &registry, &chains).expect("writer");
-    w.begin_records(1).expect("records");
-    w.write_record(&lifepred_trace::AllocationRecord {
-        object: lifepred_trace::ObjectId::from_index(0),
-        size: 8,
-        chain,
-        birth_clock: 0,
-        death_clock: Some(8),
-        birth_seq: 0,
-        death_seq: Some(1),
-        refs: 0,
-        first_ref_clock: None,
-        last_ref_clock: None,
-    })
-    .expect("record");
+    w.begin_records(records).expect("records");
+    for i in 0..records {
+        w.write_record(&lifepred_trace::AllocationRecord {
+            object: lifepred_trace::ObjectId::from_index(i),
+            size: 8,
+            chain,
+            birth_clock: 8 * i,
+            death_clock: Some(8 * i + 8),
+            birth_seq: 2 * i,
+            death_seq: Some(2 * i + 1),
+            refs: 0,
+            first_ref_clock: None,
+            last_ref_clock: None,
+        })
+        .expect("record");
+    }
     w.end_records().expect("records end");
     w.begin_events(4).expect("events");
     for (i, event) in [Some(8), None, Some(8), None].into_iter().enumerate() {
@@ -870,6 +867,18 @@ fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
     }
     w.end_events().expect("events end");
     w.finish().expect("finish");
+}
+
+/// A CRC-valid trace whose events allocate one object more than its
+/// records section holds: the predicting replays find the allocation
+/// with no record behind it and refuse the file; `simulate` names it
+/// and exits 1.
+#[test]
+fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
+    use std::process::Command;
+    let dir = Scratch::new("past-records");
+    let short = dir.path("short.lpt");
+    write_two_allocation_trace(&short, 1);
 
     let mapped = MappedTrace::open(&short).expect("the file passes its checksums");
     let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
@@ -899,6 +908,45 @@ fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
         assert!(err.starts_with(&format!("lifepred: {short}: ")), "{err}");
         assert!(err.contains("invalid event stream"), "{err}");
         assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+/// The predicting replays read each allocation's record as the events
+/// reach it, so a records section that fails partway fails the replay
+/// there: with the source's error, not a panic and not `Corrupt`.
+#[test]
+fn a_records_section_failing_partway_fails_the_replay_with_its_error() {
+    let dir = Scratch::new("records-partway");
+    let path = dir.path("two.lpt");
+    write_two_allocation_trace(&path, 2);
+    let mut bytes = std::fs::read(&path).expect("read");
+    let records = records_payload(&bytes);
+    // The last byte of record 1 now continues a varint past the end of
+    // the payload; the CRC is recomputed to match.
+    bytes[records.end - 1] |= 0x80;
+    let mut crc = lifepred_tracefile::Crc32::new();
+    crc.update(&bytes[records.clone()]);
+    bytes[records.end..records.end + 4].copy_from_slice(&crc.finish().to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write");
+
+    let mapped = MappedTrace::open_unverified(&path).expect("framing and header are intact");
+    let mut walk = mapped.records().expect("the records CRC matches");
+    assert!(matches!(walk.next(), Some(Ok(_))), "record 0 decodes");
+    assert!(matches!(walk.next(), Some(Err(_))), "record 1 does not");
+    let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
+    let arena = ArenaConfig::default();
+    let online = ReplayPlan::ArenaOnline {
+        sites: SiteConfig::default(),
+        epoch: lifepred_adaptive::EpochConfig::default(),
+        arena,
+    };
+    for plan in [ReplayPlan::Arena { db: &db, arena }, online] {
+        match replay(&mapped, &plan, None) {
+            Err(ReplayStreamError::Source(e)) => {
+                assert!(e.to_string().contains("records"), "{plan:?}: {e}")
+            }
+            other => panic!("{plan:?}: expected the records' error, got {other:?}"),
+        }
     }
 }
 

@@ -57,7 +57,7 @@ mod train;
 pub use evaluate::{evaluate, evaluate_profile, PredictionReport};
 pub use lifetimes::LifetimeDistribution;
 pub use profile::{Profile, SiteStats};
-pub use site::{map_sites, SiteConfig, SiteExtractor, SiteId, SiteKey, SitePolicy};
+pub use site::{SiteConfig, SiteExtractor, SiteId, SiteKey, SitePolicy};
 pub use train::{train, ShortLivedSet, TrainConfig};
 
 /// `num` as a percentage of `den`; 0 of nothing is 0.

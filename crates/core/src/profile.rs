@@ -1,7 +1,7 @@
 //! Per-site lifetime profiles built from training traces.
 
 use crate::pct;
-use crate::site::{walk_sites, SiteConfig, SiteKey};
+use crate::site::{SiteConfig, SiteExtractor, SiteId, SiteKey};
 use lifepred_quantile::P2Histogram;
 use lifepred_trace::{AllocationRecord, RecordSource, Trace};
 use std::borrow::Borrow;
@@ -145,25 +145,31 @@ impl Profile {
         }
         self.program.push_str(source.name);
         self.traces += 1;
-        let sites = &mut self.sites;
-        let walked = walk_sites(
-            source,
-            self.config,
-            |key| sites.remove(key).unwrap_or_else(SiteStats::new),
-            |stats, record, lifetime| {
-                let size = u64::from(record.size);
-                stats.objects += 1;
-                stats.bytes += size;
-                stats.max_lifetime = stats.max_lifetime.max(lifetime);
-                stats.refs += record.refs;
-                stats.histogram.observe(lifetime as f64);
-                if lifetime < self.threshold {
-                    stats.short_objects += 1;
-                    stats.short_bytes += size;
-                }
-            },
-        )?;
-        self.sites.extend(walked);
+        let mut extractor = SiteExtractor::from_chains(source.chains, self.config);
+        let mut table: Vec<SiteStats> = Vec::new();
+        for record in source.records {
+            let record = record?;
+            let record = record.borrow();
+            let id = extractor.site_id(record);
+            if id.0 as usize == table.len() {
+                let key = extractor.key(id);
+                table.push(self.sites.remove(&key).unwrap_or_else(SiteStats::new));
+            }
+            let stats = &mut table[id.0 as usize];
+            let lifetime = record.lifetime(source.end_clock);
+            let size = u64::from(record.size);
+            stats.objects += 1;
+            stats.bytes += size;
+            stats.max_lifetime = stats.max_lifetime.max(lifetime);
+            stats.refs += record.refs;
+            stats.histogram.observe(lifetime as f64);
+            if lifetime < self.threshold {
+                stats.short_objects += 1;
+                stats.short_bytes += size;
+            }
+        }
+        let keys = (0..).map(|id| extractor.key(SiteId(id)));
+        self.sites.extend(keys.zip(table));
         Ok(self)
     }
 

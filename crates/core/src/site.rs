@@ -1,7 +1,6 @@
 //! Allocation-site identity: what the predictor keys on.
 
-use lifepred_trace::{AllocationRecord, ChainId, ChainTable, FnId, RecordSource};
-use std::borrow::Borrow;
+use lifepred_trace::{AllocationRecord, ChainId, ChainTable, FnId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -163,13 +162,9 @@ impl SiteKey {
     }
 
     /// A stable 64-bit fingerprint of the key: FNV-1a over the variant
-    /// discriminant and fields.
-    ///
-    /// This is the integer identity consumers that can't carry the full
-    /// key use — e.g. the online learner in `lifepred-adaptive`, which
-    /// keys its per-site state by `u64`. It is deterministic across
-    /// runs for the same interned function ids; as with any 64-bit
-    /// hash, distinct keys may collide.
+    /// discriminant and fields, deterministic across runs for the same
+    /// interned function ids. Distinct keys may collide, so the replay
+    /// keys per-site state by [`SiteId`] instead.
     pub fn fingerprint(&self) -> u64 {
         const SEED: u64 = 0xcbf2_9ce4_8422_2325;
         match self {
@@ -335,49 +330,6 @@ impl<'t> SiteExtractor<'t> {
     }
 }
 
-/// The records walk: resolves each record of `source` to its site under
-/// `config`, in record order. `enter` makes a site's state on its first
-/// record; `visit` sees that state, the record and its lifetime for
-/// every record. Returns each site's key and final state, or the first
-/// error `source.records` yields.
-pub(crate) fn walk_sites<T, R: Borrow<AllocationRecord>, E>(
-    source: RecordSource<'_, impl Iterator<Item = Result<R, E>>>,
-    config: SiteConfig,
-    mut enter: impl FnMut(&SiteKey) -> T,
-    mut visit: impl FnMut(&mut T, &AllocationRecord, u64),
-) -> Result<Vec<(SiteKey, T)>, E> {
-    let mut extractor = SiteExtractor::from_chains(source.chains, config);
-    let mut table = Vec::new();
-    for record in source.records {
-        let record = record?;
-        let record = record.borrow();
-        let id = extractor.site_id(record);
-        if id.0 as usize == table.len() {
-            table.push(enter(&extractor.key(id)));
-        }
-        let lifetime = record.lifetime(source.end_clock);
-        visit(&mut table[id.0 as usize], record, lifetime);
-    }
-    let keys = (0..).map(|id| extractor.key(SiteId(id)));
-    Ok(keys.zip(table).collect())
-}
-
-/// One value per record of `source`, in record order: `per_site` of the
-/// record's site, evaluated once per distinct site.
-///
-/// # Errors
-///
-/// The first error `source.records` yields.
-pub fn map_sites<T: Copy, R: Borrow<AllocationRecord>, E>(
-    source: RecordSource<'_, impl Iterator<Item = Result<R, E>>>,
-    config: SiteConfig,
-    per_site: impl FnMut(&SiteKey) -> T,
-) -> Result<Vec<T>, E> {
-    let mut out = Vec::with_capacity(source.records.size_hint().0);
-    walk_sites(source, config, per_site, |value, _, _| out.push(*value))?;
-    Ok(out)
-}
-
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
@@ -443,20 +395,6 @@ mod tests {
         let mut ex = SiteExtractor::from_chains(trace.chains(), SiteConfig::last_n(2));
         assert_eq!((ex.site_id(r0), ex.site_id(r1)), (SiteId(0), SiteId(1)));
         assert_eq!(ex.key(SiteId(1)), ex.site_of(r1));
-    }
-
-    #[test]
-    fn map_sites_asks_once_per_site() {
-        let trace = tiny_trace();
-        let mut asked = 0;
-        let prints = map_sites((&trace).into(), SiteConfig::default(), |key| {
-            asked += 1;
-            key.fingerprint()
-        })
-        .unwrap_or_else(|e: std::convert::Infallible| match e {});
-        assert_eq!(prints.len(), 2);
-        assert_eq!(prints[0], prints[1]);
-        assert_eq!(asked, 1);
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! [`replay`] alone: CI fails on these names outside this file,
 //! `benchmark/` and the test pinning them to [`replay`].
 
-use crate::predict::{NoPrediction, Online};
-use crate::replay::{replay, run, Replayed};
+use crate::predict::{NoPrediction, Online, SiteCursor};
+use crate::replay::{missing, replay, run, Replayed};
 use crate::{ArenaAllocator, ArenaConfig, BsdMalloc, FirstFit, ReplayObs, ReplayPlan};
 use crate::{ReplayReport, ReplayStreamError};
 use lifepred_adaptive::{EpochConfig, LearnerStats};
-use lifepred_core::{map_sites, ShortLivedSet, SiteConfig};
+use lifepred_core::{ShortLivedSet, SiteConfig};
 use lifepred_trace::{ChunkSource, Trace};
+use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Arena geometry for the adapters below; `layers.rs:315` and
 /// `layers.rs:525` build the default.
@@ -89,12 +91,15 @@ pub fn replay_arena_online(
     OnlineReplayReport::of(replay(trace, &plan, None).expect("valid trace"))
 }
 
-/// `db`'s verdict for each record of `trace`, in birth order — the
-/// per-object input [`replay`] builds for [`ReplayPlan::Arena`];
-/// `layers.rs:491`.
+/// `db`'s verdict for each record of `trace`, in birth order, asking
+/// `db` once per site; `layers.rs:491`.
 pub fn prediction_bitmap(trace: &Trace, db: &ShortLivedSet) -> Vec<bool> {
-    let predicts = |site: &_| db.predicts(site);
-    map_sites(trace.into(), *db.config(), predicts).unwrap_or_else(|e| match e {})
+    let mut sites = SiteCursor::new(trace.into(), *db.config());
+    let mut verdicts = Vec::new();
+    let mut predicts = |record| sites.verdict(record, &mut verdicts, |site| db.predicts(site));
+    let bitmap: Result<_, ReplayStreamError<Infallible>> =
+        (0..trace.records().len()).map(&mut predicts).collect();
+    bitmap.expect("every index of a trace's records has a record")
 }
 
 /// First-fit over `source`; `layers.rs:318`.
@@ -135,12 +140,17 @@ pub fn replay_arena_chunks<S: ChunkSource>(
     predicted: &[bool],
     &ReplayConfig { arena }: &ReplayConfig,
 ) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
+    let predicts = |record| {
+        let short = predicted.get(record).copied();
+        short.ok_or_else(|| missing(record, "prediction", predicted.len()))
+    };
     let heap = ArenaAllocator::new(arena);
-    run(meta(m), source, "arena", heap, predicted, None).map(|r| r.0)
+    run(meta(m), source, "arena", heap, predicts, None).map(|r| r.0)
 }
 
-/// The online arena replay over `source`, `sites[record]` keying each
-/// object; `layers.rs:458`.
+/// The online arena replay over `source`, the fingerprint `sites[record]`
+/// keying each object; `layers.rs:458`. Fingerprints are numbered in
+/// first-seen order into the dense site ids the learner takes.
 pub fn replay_arena_online_chunks<S: ChunkSource>(
     m: &ReplayMeta,
     source: S,
@@ -148,6 +158,13 @@ pub fn replay_arena_online_chunks<S: ChunkSource>(
     &epoch: &EpochConfig,
     &ReplayConfig { arena }: &ReplayConfig,
 ) -> Result<OnlineReplayReport, ReplayStreamError<S::Error>> {
-    let (heap, online) = (ArenaAllocator::new(arena), Online::new(sites, epoch));
+    let mut ids = HashMap::new();
+    let site_id = |record: usize| {
+        let fingerprint =
+            (sites.get(record)).ok_or_else(|| missing(record, "site fingerprint", sites.len()))?;
+        let next = ids.len() as u32;
+        Ok(*ids.entry(*fingerprint).or_insert(next))
+    };
+    let (heap, online) = (ArenaAllocator::new(arena), Online::new(site_id, epoch));
     run(meta(m), source, "arena-online", heap, online, None).map(OnlineReplayReport::of)
 }

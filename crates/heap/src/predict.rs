@@ -1,23 +1,29 @@
-//! The predictors a replay can consult: none, a frozen per-object
-//! bitmap from an offline-trained database, or the online learner. A
-//! new predictor is one [`Predict`] impl here and one
-//! [`ReplayPlan`](crate::ReplayPlan) variant naming it.
+//! The predictors a replay can consult: none, a frozen database asked
+//! once per site, or the online learner. A new predictor is one
+//! [`Predict`] impl here and one [`ReplayPlan`](crate::ReplayPlan)
+//! variant naming it.
 
 use crate::arena::ArenaAllocator;
 use crate::live::{LiveObj, LiveTable};
-use crate::replay::{pct, Corrupt};
+use crate::replay::{missing, pct, Corrupt, ReplayStreamError};
 use lifepred_adaptive::{EpochConfig, LearnerStats, OnlineLearner};
+use lifepred_core::{SiteConfig, SiteExtractor, SiteId, SiteKey};
 use lifepred_obs::EpochSample;
+use lifepred_trace::{AllocationRecord, RecordSource};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
+
+/// A replay step's `T`, or why the replay stops.
+pub(crate) type Fallible<T, E> = Result<T, ReplayStreamError<E>>;
 
 /// Where the replay loop gets each allocation's lifetime prediction,
 /// and what learns from the lifetimes the loop then observes. `H` is
-/// the heap the predictor works with.
-pub(crate) trait Predict<H> {
+/// the heap the predictor works with, `E` the trace's error type.
+pub(crate) trait Predict<H, E> {
     /// The verdict for object `record`, about to be allocated with
     /// `size` bytes — is it short-lived? — and the
     /// [`tag`](LiveObj::tag) its live-table entry carries.
-    fn on_alloc(&mut self, record: usize, size: u32) -> Result<(bool, u32), Corrupt>;
+    fn on_alloc(&mut self, record: usize, size: u32) -> Fallible<(bool, u32), E>;
     /// That allocation was placed, in the arena area or outside it, and
     /// entered `live`.
     fn placed(&mut self, _size: u32, _in_arena: bool, _live: &mut LiveTable) {}
@@ -38,22 +44,65 @@ pub(crate) trait Predict<H> {
 /// The predictor of the non-predicting allocators.
 pub(crate) struct NoPrediction;
 
-impl<H> Predict<H> for NoPrediction {
-    fn on_alloc(&mut self, _record: usize, _size: u32) -> Result<(bool, u32), Corrupt> {
+impl<H, E> Predict<H, E> for NoPrediction {
+    fn on_alloc(&mut self, _record: usize, _size: u32) -> Fallible<(bool, u32), E> {
         Ok((false, 0))
     }
 }
 
-/// The frozen per-object bitmap of an offline-trained database.
-impl<H> Predict<H> for &[bool] {
-    fn on_alloc(&mut self, record: usize, _size: u32) -> Result<(bool, u32), Corrupt> {
-        let short = self.get(record).copied().ok_or_else(|| {
-            Corrupt(format!(
-                "object {record} has no prediction ({} known)",
-                self.len()
-            ))
-        })?;
-        Ok((short, 0))
+/// A frozen verdict per allocation: `self(record)` says whether object
+/// `record` is short-lived.
+impl<H, E, F: FnMut(usize) -> Fallible<bool, E>> Predict<H, E> for F {
+    fn on_alloc(&mut self, record: usize, _size: u32) -> Fallible<(bool, u32), E> {
+        Ok((self(record)?, 0))
+    }
+}
+
+/// The records walk in lock step with the events: every allocation is
+/// of the next record in birth order, so each takes one record's dense
+/// [`SiteId`]. Nothing it holds is sized by the records.
+pub(crate) struct SiteCursor<'t, R> {
+    records: R,
+    extractor: SiteExtractor<'t>,
+}
+
+impl<'t, R, B, E> SiteCursor<'t, R>
+where
+    R: Iterator<Item = Result<B, E>>,
+    B: Borrow<AllocationRecord>,
+{
+    pub(crate) fn new(source: RecordSource<'t, R>, sites: SiteConfig) -> Self {
+        let extractor = SiteExtractor::from_chains(source.chains, sites);
+        SiteCursor {
+            records: source.records,
+            extractor,
+        }
+    }
+
+    /// The site of object `record`, the next record of the walk; an
+    /// error past the last record names the `what` it lacks.
+    pub(crate) fn next(&mut self, record: usize, what: &str) -> Fallible<SiteId, E> {
+        match self.records.next() {
+            Some(Ok(next)) => Ok(self.extractor.site_id(next.borrow())),
+            Some(Err(e)) => Err(ReplayStreamError::Source(e)),
+            None => Err(missing(record, what, record)),
+        }
+    }
+
+    /// Whether object `record` is short-lived, by its site's entry in
+    /// `verdicts` (indexed by site id): `predicts` fills that in from
+    /// the site's key on its first record only.
+    pub(crate) fn verdict(
+        &mut self,
+        record: usize,
+        verdicts: &mut Vec<bool>,
+        predicts: impl FnOnce(&SiteKey) -> bool,
+    ) -> Fallible<bool, E> {
+        let site = self.next(record, "prediction")?.0 as usize;
+        if site == verdicts.len() {
+            verdicts.push(predicts(&self.extractor.key(SiteId(site as u32))));
+        }
+        Ok(verdicts[site])
     }
 }
 
@@ -66,9 +115,10 @@ const ROW_MASK: u32 = REPORTED - 1;
 
 /// The self-training predictor of [`ReplayPlan::ArenaOnline`]: the
 /// learner, plus the aging queue that, with the live table's entries,
-/// turns the event stream into the lifetimes it learns from.
-pub(crate) struct Online<'a> {
-    sites: &'a [u64],
+/// turns the event stream into the lifetimes it learns from. `sites`
+/// gives each allocation's dense site id, which is its learner row.
+pub(crate) struct Online<F> {
+    sites: F,
     learner: OnlineLearner,
     epoch: EpochConfig,
     /// Predicted objects in birth order; the front is always the oldest,
@@ -80,8 +130,8 @@ pub(crate) struct Online<'a> {
     live_arena_bytes: u64,
 }
 
-impl<'a> Online<'a> {
-    pub(crate) fn new(sites: &'a [u64], epoch: EpochConfig) -> Online<'a> {
+impl<F> Online<F> {
+    pub(crate) fn new(sites: F, epoch: EpochConfig) -> Online<F> {
         Online {
             sites,
             learner: OnlineLearner::new(epoch),
@@ -93,23 +143,20 @@ impl<'a> Online<'a> {
     }
 }
 
-impl Predict<ArenaAllocator> for Online<'_> {
-    fn on_alloc(&mut self, record: usize, size: u32) -> Result<(bool, u32), Corrupt> {
-        let key = *self.sites.get(record).ok_or_else(|| {
-            Corrupt(format!(
-                "object {record} has no site fingerprint ({} known)",
-                self.sites.len()
-            ))
-        })?;
-        // The one hash this object costs: its free and a pin report
-        // hand the row back.
-        let row = self.learner.site_row(key);
+impl<E, F> Predict<ArenaAllocator, E> for Online<F>
+where
+    F: FnMut(usize) -> Fallible<u32, E>,
+{
+    fn on_alloc(&mut self, record: usize, size: u32) -> Fallible<(bool, u32), E> {
+        // The object's free and a pin report hand the row back.
+        let row = (self.sites)(record)?;
         if row > ROW_MASK {
             return Err(Corrupt(format!(
                 "object {record} is at allocation site {row}; at most {ROW_MASK} sites are supported"
-            )));
+            ))
+            .into());
         }
-        let predicted = self.learner.record_alloc_at(row, u64::from(size));
+        let predicted = self.learner.record_alloc(row, u64::from(size));
         if predicted {
             self.aging.push_back(record);
         }
@@ -135,7 +182,7 @@ impl Predict<ArenaAllocator> for Online<'_> {
             self.aging.pop_front();
             obj.tag |= REPORTED;
             self.learner
-                .note_pinned_at(obj.tag & ROW_MASK, u64::from(obj.size));
+                .note_pinned(obj.tag & ROW_MASK, u64::from(obj.size));
         }
     }
 
@@ -146,7 +193,7 @@ impl Predict<ArenaAllocator> for Online<'_> {
         // A pinning misprediction was already reported by the aging
         // scan; don't count its free a second time.
         let counts_as_misprediction = dead.tag & (PREDICTED | REPORTED) == PREDICTED;
-        self.learner.record_free_at(
+        self.learner.record_free(
             dead.tag & ROW_MASK,
             u64::from(dead.size),
             dead.birth,

@@ -6,8 +6,8 @@
 //! [`TraceSource`] (an in-memory [`Trace`](lifepred_trace::Trace), a
 //! mapped `.lpt` file) and runs its event batches through the one loop,
 //! `drive`, with the backend a [`ReplayPlan`] names. A predicting plan
-//! names its database (or, online, its site keying), and the per-object
-//! inputs `replay` derives from it never leave this module. A new
+//! names its database (or, online, its site keying), and `replay` reads
+//! each allocation's site off the records as the events reach it. A new
 //! allocator is one `SimHeap` impl, a new predictor one `Predict` impl;
 //! watching a replay (`Some(obs)`) swaps the loop's `Observe` parameter
 //! and nothing else, so observed and unobserved replays return
@@ -20,10 +20,10 @@ use crate::firstfit::FirstFit;
 use crate::index::IndexStats;
 use crate::live::{LiveObj, LiveTable};
 use crate::obs::{ObsCtx, Observe, ReplayObs, Unobserved};
-use crate::predict::{NoPrediction, Online, Predict};
+use crate::predict::{NoPrediction, Online, Predict, SiteCursor};
 use crate::Addr;
 use lifepred_adaptive::{EpochConfig, LearnerStats};
-use lifepred_core::{map_sites, ShortLivedSet, SiteConfig, SiteKey};
+use lifepred_core::{ShortLivedSet, SiteConfig};
 use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk, TraceSource, POOLED_CHUNK_EVENTS};
 use std::fmt;
 
@@ -97,6 +97,12 @@ impl<E> From<Corrupt> for ReplayStreamError<E> {
     fn from(corrupt: Corrupt) -> Self {
         ReplayStreamError::Corrupt(corrupt.0)
     }
+}
+
+/// Object `record` is allocated with no `what` behind it: there are
+/// only `known`.
+pub(crate) fn missing<E>(record: usize, what: &str, known: usize) -> ReplayStreamError<E> {
+    ReplayStreamError::Corrupt(format!("object {record} has no {what} ({known} known)"))
 }
 
 /// Results of replaying one trace through one allocator — the raw
@@ -238,15 +244,16 @@ pub(crate) type Replayed = (ReplayReport, Option<LearnerStats>);
 /// `lifepred_sim_*` metrics of `obs` — including, for
 /// [`ReplayPlan::ArenaOnline`], one `lifepred_sim_epochs` timeline
 /// sample per learner epoch tick; the returned report is the same
-/// either way. A predicting plan first walks the records once, for one
-/// prediction (1 B) or site fingerprint (8 B) per object.
+/// either way. A predicting plan reads one record per allocation, in
+/// lock step with the events, and keeps its state per site.
 ///
 /// # Errors
 ///
-/// [`ReplayStreamError::Source`] if the input fails (the batches before
-/// the failure are replayed first); [`ReplayStreamError::Corrupt`] on an
-/// allocation out of birth order, a free of an object that is not live,
-/// or an allocation with no record behind it.
+/// [`ReplayStreamError::Source`] if the events or the records fail (the
+/// events before the failure are replayed first);
+/// [`ReplayStreamError::Corrupt`] on an allocation out of birth order, a
+/// free of an object that is not live, or an allocation with no record
+/// behind it.
 pub fn replay<T: TraceSource>(
     input: &T,
     plan: &ReplayPlan<'_>,
@@ -263,23 +270,23 @@ pub fn replay<T: TraceSource>(
             run(meta, input.events(), "bsd", heap, NoPrediction, obs)
         }
         ReplayPlan::Arena { db, arena } => {
-            let predicted = input
-                .record_source()
-                .and_then(|records| map_sites(records, *db.config(), |site| db.predicts(site)))
-                .map_err(ReplayStreamError::Source)?;
+            let records = input.record_source().map_err(ReplayStreamError::Source)?;
+            let mut sites = SiteCursor::new(records, *db.config());
+            let mut verdicts = Vec::new();
+            let predicts =
+                move |record| sites.verdict(record, &mut verdicts, |site| db.predicts(site));
             let heap = ArenaAllocator::new(arena);
-            run(meta, input.events(), "arena", heap, &predicted[..], obs)
+            run(meta, input.events(), "arena", heap, predicts, obs)
         }
         ReplayPlan::ArenaOnline {
             sites,
             epoch,
             arena,
         } => {
-            let fingerprints = input
-                .record_source()
-                .and_then(|records| map_sites(records, sites, SiteKey::fingerprint))
-                .map_err(ReplayStreamError::Source)?;
-            let online = Online::new(&fingerprints, epoch);
+            let records = input.record_source().map_err(ReplayStreamError::Source)?;
+            let mut sites = SiteCursor::new(records, sites);
+            let site_id = move |record| sites.next(record, "site fingerprint").map(|site| site.0);
+            let online = Online::new(site_id, epoch);
             let heap = ArenaAllocator::new(arena);
             run(meta, input.events(), "arena-online", heap, online, obs)
         }
@@ -289,7 +296,7 @@ pub fn replay<T: TraceSource>(
 /// The engine: replays the batches of `source` through `heap`, asking
 /// `predictor`, for a report naming `allocator`; `meta` is the traced
 /// program's name and function calls.
-pub(crate) fn run<S: ChunkSource, H: SimHeap, P: Predict<H>>(
+pub(crate) fn run<S: ChunkSource, H: SimHeap, P: Predict<H, S::Error>>(
     meta: (&str, u64),
     source: S,
     allocator: &str,
@@ -316,7 +323,7 @@ fn drive<S, H, P, O>(
 where
     S: ChunkSource,
     H: SimHeap,
-    P: Predict<H>,
+    P: Predict<H, S::Error>,
     O: Observe,
 {
     let mut live = LiveTable::default();
@@ -390,7 +397,7 @@ where
 mod tests {
     use super::*;
     use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-    use lifepred_trace::{Trace, TraceSession};
+    use lifepred_trace::{AllocationRecord, RecordSource, Trace, TraceSession};
 
     /// A fallible [`ChunkSource`] double: hands out scripted batches,
     /// then fails if the script ends in an error.
@@ -419,6 +426,32 @@ mod tests {
     }
 
     const ALLOC_0: ChunkEvent = ChunkEvent::Alloc { record: 0, size: 8 };
+
+    type Sites<'t> = SiteCursor<'t, std::vec::IntoIter<Result<&'t AllocationRecord, &'static str>>>;
+
+    /// A records walk over `trace`'s chains that yields no record.
+    fn no_records(trace: &Trace) -> Sites<'_> {
+        let source = RecordSource {
+            name: trace.name(),
+            chains: trace.chains(),
+            end_clock: trace.end_clock(),
+            records: Vec::new().into_iter(),
+        };
+        SiteCursor::new(source, SiteConfig::default())
+    }
+
+    /// The predictors of both predicting plans over `sites`.
+    fn frozen_over<'t>(mut sites: Sites<'t>) -> impl Predict<ArenaAllocator, &'static str> + 't {
+        let mut verdicts = Vec::new();
+        move |record| sites.verdict(record, &mut verdicts, |_| true)
+    }
+
+    fn online_over<'t>(mut sites: Sites<'t>) -> impl Predict<ArenaAllocator, &'static str> + 't {
+        Online::new(
+            move |record| sites.next(record, "site").map(|site| site.0),
+            EpochConfig::default(),
+        )
+    }
 
     /// Mostly short-lived allocations from one site plus a set of
     /// long-lived allocations from another.
@@ -705,7 +738,11 @@ mod tests {
         }
     }
 
-    fn corrupt<H: SimHeap, P: Predict<H>>(events: Vec<ChunkEvent>, heap: H, predictor: P) {
+    fn corrupt<H: SimHeap, P: Predict<H, &'static str>>(
+        events: Vec<ChunkEvent>,
+        heap: H,
+        predictor: P,
+    ) {
         let result = run(
             ("", 0),
             scripted(vec![Ok(events)]),
@@ -737,11 +774,31 @@ mod tests {
             ChunkEvent::Free { record: 0 },
         ];
         corrupt(double_free, FirstFit::new(), NoPrediction);
-        // An allocation with no prediction / fingerprint behind it.
+        // An allocation with no record behind it.
+        let t = workload();
         let arena = || ArenaAllocator::new(ArenaConfig::default());
-        corrupt(vec![ALLOC_0], arena(), &[][..]);
-        let online = Online::new(&[], EpochConfig::default());
-        corrupt(vec![ALLOC_0], arena(), online);
+        corrupt(vec![ALLOC_0], arena(), frozen_over(no_records(&t)));
+        corrupt(vec![ALLOC_0], arena(), online_over(no_records(&t)));
+    }
+
+    #[test]
+    fn a_site_cursor_asks_once_per_site() {
+        let t = workload();
+        let mut sites = SiteCursor::new((&t).into(), SiteConfig::default());
+        let (mut asked, mut verdicts) = (Vec::new(), Vec::new());
+        for record in 0..t.records().len() {
+            let verdict = sites.verdict(record, &mut verdicts, |site| {
+                asked.push(site.clone());
+                asked.len() > 1
+            });
+            assert!(verdict.is_ok());
+        }
+        // Long 128-byte objects and short 48- and 16-byte ones, each
+        // site asked about on its first record only.
+        assert_eq!(asked.len(), 3, "{asked:?}");
+        assert_eq!(verdicts, [false, true, true]);
+        let past_the_end: Result<_, ReplayStreamError<_>> = sites.next(t.records().len(), "");
+        assert!(matches!(past_the_end, Err(ReplayStreamError::Corrupt(_))));
     }
 
     #[test]

@@ -60,8 +60,8 @@ const SECTIONS: [(u8, &str); 5] = [
 const MIN_RECORD_BYTES: usize = 6;
 
 /// How far a sequential pass reads past the last mapped page it
-/// released before it releases again.
-const RELEASE_WINDOW: usize = 4 << 20;
+/// released before it releases again (a predicting replay runs two).
+const RELEASE_WINDOW: usize = 1 << 20;
 
 /// Where one section's payload lies in the file, and the CRC stored
 /// after it.

@@ -7,8 +7,8 @@
 
 use super::parser::{Expr, Lvalue, Pattern, Program, Stmt};
 use crate::regexlite::Regex;
+use crate::HashMap;
 use lifepred_trace::{TraceSession, Traced};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A traced, shared string.
@@ -52,10 +52,10 @@ impl<'s> Interp<'s> {
     pub fn new(session: &'s TraceSession) -> Self {
         Interp {
             session,
-            globals: HashMap::new(),
-            arrays: HashMap::new(),
+            globals: HashMap::default(),
+            arrays: HashMap::default(),
             fields: vec![Value::Uninit],
-            regex_cache: HashMap::new(),
+            regex_cache: HashMap::default(),
             output: String::new(),
             next_flag: false,
         }
@@ -457,7 +457,7 @@ impl<'s> Interp<'s> {
                     _ => s.split_whitespace().map(str::to_owned).collect(),
                 };
                 let n = parts.len();
-                self.arrays.insert(arr_name.clone(), HashMap::new());
+                self.arrays.insert(arr_name.clone(), HashMap::default());
                 for (i, p) in parts.into_iter().enumerate() {
                     let v = Value::Str(self.mkstr(p));
                     self.array_insert(arr_name, (i + 1).to_string(), v);

@@ -2,9 +2,9 @@
 
 use super::graphics::{rasterize, Matrix, Path};
 use super::scanner::PsToken;
+use crate::HashMap;
 use lifepred_trace::{TraceSession, Traced};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A traced PostScript composite: the allocation node plus payload.
@@ -108,7 +108,7 @@ impl<'s> PsInterp<'s> {
             gstate: GState::default(),
             gstack: Vec::new(),
             path: Path::new(),
-            glyph_cache: HashMap::new(),
+            glyph_cache: HashMap::default(),
             page_spans: Vec::new(),
             page_advances: Vec::new(),
             stats: PageStats::default(),
@@ -773,7 +773,7 @@ fn alloc_dict(session: &TraceSession, capacity: usize) -> Rc<Composite<HashMap<S
     let node = session.traced((), (capacity.max(4) * 16) as u32);
     Rc::new(Composite {
         node,
-        body: RefCell::new(HashMap::new()),
+        body: RefCell::new(HashMap::default()),
     })
 }
 

@@ -59,6 +59,11 @@ pub mod regexlite;
 pub mod server;
 
 use lifepred_trace::{SharedRegistry, Trace, TraceSession};
+use std::hash::{BuildHasherDefault, DefaultHasher};
+
+/// `std`'s map with a fixed-key SipHash: one drop order, so one
+/// recording. Its keys come from the workloads' own generated inputs.
+type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// A traced program with a fixed set of generated inputs. `Send`, so a
 /// batch of workloads can be handed to worker threads.

@@ -6,8 +6,8 @@
 
 use super::parser::{PExpr, PStmt};
 use crate::regexlite::Regex;
+use crate::HashMap;
 use lifepred_trace::{TraceSession, Traced};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A traced shared string (an "SV").
@@ -51,10 +51,10 @@ impl<'s> PerlInterp<'s> {
     pub fn new(session: &'s TraceSession, input: &str) -> Self {
         PerlInterp {
             session,
-            scalars: HashMap::new(),
-            arrays: HashMap::new(),
-            hashes: HashMap::new(),
-            regex_cache: HashMap::new(),
+            scalars: HashMap::default(),
+            arrays: HashMap::default(),
+            hashes: HashMap::default(),
+            regex_cache: HashMap::default(),
             input: input.lines().map(str::to_owned).collect(),
             input_pos: 0,
             output: String::new(),

@@ -94,8 +94,8 @@ fn every_workload_decodes_to_what_was_recorded() {
 }
 
 /// The reader releases mapped pages behind each sequential pass every
-/// 4 MiB (`RELEASE_WINDOW` in `tracefile/src/mapped.rs`).
-const RELEASE_WINDOW: u64 = 4 << 20;
+/// 1 MiB (`RELEASE_WINDOW` in `tracefile/src/mapped.rs`).
+const RELEASE_WINDOW: u64 = 1 << 20;
 
 /// [`events_of`] as a stream, for traces too large to hold twice:
 /// births in record order, each preceded by the deaths due before it.

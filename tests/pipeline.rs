@@ -7,6 +7,7 @@ use lifepred::core::{
 use lifepred::heap::{replay, ArenaConfig, ReplayPlan, ReplayReport};
 use lifepred::trace::{shared_registry, Trace};
 use lifepred::workloads::{all_workloads, by_name, record};
+use lifepred_tracefile::trace_to_vec;
 
 fn quick_pair(name: &str) -> (Trace, Trace) {
     let w = by_name(name).expect("workload exists");
@@ -73,16 +74,23 @@ fn self_prediction_never_errs() {
     }
 }
 
+/// Two recordings of one input encode to the same `.lpt` bytes: every
+/// record field (free order at one clock instant included), the event
+/// stream, the chains and the registry.
 #[test]
 fn traces_are_deterministic() {
-    let (a1, _) = quick_pair("espresso");
-    let (a2, _) = quick_pair("espresso");
-    assert_eq!(a1.stats(), a2.stats());
-    assert_eq!(a1.records().len(), a2.records().len());
-    for (r1, r2) in a1.records().iter().zip(a2.records()) {
-        assert_eq!(r1.size, r2.size);
-        assert_eq!(r1.birth_clock, r2.birth_clock);
-        assert_eq!(r1.death_clock, r2.death_clock);
+    let workloads = all_workloads();
+    assert!(workloads.len() >= 6, "the suite lost a program");
+    for w in workloads {
+        let encoded = || {
+            let trace = record(w.as_ref(), 0, shared_registry());
+            trace_to_vec(&trace).expect("encode")
+        };
+        assert!(
+            encoded() == encoded(),
+            "{}: two recordings differ",
+            w.name()
+        );
     }
 }
 
