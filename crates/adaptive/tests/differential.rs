@@ -97,10 +97,7 @@ struct Kept {
 }
 
 proptest! {
-    // 96 cases, or as many as `PROPTEST_CASES` names (CI's deep run).
-    #![proptest_config(ProptestConfig::with_cases(
-        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(96)
-    ))]
+    #![proptest_config(ProptestConfig::with_default_cases(96))]
 
     #[test]
     fn learner_matches_the_scan_all_oracle(config in config(), ops in vec(op(), 1..400)) {

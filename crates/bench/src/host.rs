@@ -9,6 +9,8 @@
 //! `"unknown"` rather than failing: a bench run must never be blocked
 //! by metadata.
 
+use lifepred_obs::json::escape;
+
 /// What we know about the machine a bench ran on.
 #[derive(Debug, Clone)]
 pub struct BenchHost {
@@ -39,8 +41,8 @@ impl BenchHost {
         format!(
             "\"cores\": {}, \"kernel\": \"{}\", \"rustc\": \"{}\"",
             self.cores,
-            json_escape(&self.kernel),
-            json_escape(&self.rustc)
+            escape(&self.kernel),
+            escape(&self.rustc)
         )
     }
 }
@@ -72,23 +74,6 @@ fn command_first_line(cmd: &str, args: &[&str]) -> Option<String> {
     (!line.is_empty()).then(|| line.to_owned())
 }
 
-/// Minimal JSON string escaping for metadata values (quotes,
-/// backslashes, control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +103,14 @@ mod tests {
 
     #[test]
     fn escaping_covers_controls() {
-        assert_eq!(json_escape("a\tb"), "a\\u0009b");
-        assert_eq!(json_escape("plain"), "plain");
+        let host = BenchHost {
+            cores: 1,
+            kernel: "a\tb".to_owned(),
+            rustc: "plain".to_owned(),
+        };
+        assert_eq!(
+            host.json_fields(),
+            "\"cores\": 1, \"kernel\": \"a\\tb\", \"rustc\": \"plain\""
+        );
     }
 }

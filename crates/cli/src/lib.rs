@@ -1,31 +1,16 @@
 //! Implementation of the `lifepred` command-line tool.
 //!
-//! The binary wires the workspace together end to end:
+//! The binary wires the workspace together end to end: it records
+//! workloads as `.lpt` traces ([`lifepred_tracefile`]), trains
+//! predictors on them and simulates allocators with them, reruns the
+//! paper's analyses, runs workloads on [`lifepred_galloc`]'s allocator
+//! for real, and sweeps design-space grids ([`lifepred_sweep`]).
 //!
-//! * `record` runs an instrumented workload and persists the trace as
-//!   an `.lpt` file ([`lifepred_tracefile`]);
-//! * `gen` streams a synthetic `server` trace of any size straight to
-//!   an `.lpt` file;
-//! * `inspect` prints an `.lpt` header (and, on request, verifies the
-//!   whole file) in constant memory;
-//! * `train` profiles one or more traces and saves the short-lived
-//!   site database as JSON;
-//! * `simulate` streams a trace through an allocator model, consulting
-//!   a saved predictor, optionally dumping the run's metric registry
-//!   as JSON (`--metrics-out`);
-//! * `stats` renders a saved metrics dump as Prometheus text or JSON;
-//! * `report` reruns the paper's prediction-quality analysis (online
-//!   columns sourced from the metric registry);
-//! * `native` activates [`lifepred_galloc`]'s `LifepredGlobal` (the
-//!   binary's `#[global_allocator]`) and runs workloads through it for
-//!   real — every allocation the workload makes is served by the
-//!   size-class allocator, and its counters are reported afterwards;
-//! * `sweep` expands a declarative grid spec into the paper's
-//!   design-space evaluation ([`lifepred_sweep`]), caching every cell
-//!   so re-runs and resumes recompute only what changed.
-//!
-//! Everything routes through [`run`], which writes to a caller-provided
-//! sink so integration tests can capture output.
+//! Each command is one row of the argument table, `COMMANDS`: its
+//! usage, what it does, its options and the function that runs it.
+//! Everything routes through [`run`], which parses a command line by
+//! its row, renders `--help` from the rows, and writes to a
+//! caller-provided sink so integration tests can capture output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,76 +34,6 @@ use lifepred_workloads::{all_workloads, by_name, record as record_workload, Work
 use std::fmt::Display;
 use std::io::Write;
 
-const USAGE: &str = "\
-lifepred — trace, train and simulate lifetime-predicting allocation
-
-USAGE:
-    lifepred record --workload <name> [--input <n>]... -o <file.lpt>
-    lifepred gen --events <n[k|m|g]> -o <file.lpt> [--seed <n>] [--force]
-    lifepred inspect <file.lpt> [--functions] [--chains] [--verify]
-                     [--sections] [--head <n>]
-    lifepred train <file.lpt>... -o <pred.json> [--policy <p>] [--rounding <n>] [--threshold <bytes>]
-    lifepred simulate <file.lpt>... --predictor <pred.json|online> [--allocator <a>]
-                      [--policy <p>] [--rounding <n>] [--threshold <bytes>]
-                      [--epoch <bytes>] [--requalify <k>] [--metrics-out <m.json>]
-                      [--jobs <n>]
-    lifepred stats <m.json> [--format <prometheus|json>]
-    lifepred report [--workload <name>]... [--policy <p>] [--jobs <n>]
-    lifepred report --drag [--workload <name>]... [--threshold <bytes>] [--jobs <n>]
-    lifepred native [<workload>]... [--metrics-out <m.json>]
-    lifepred sweep run|resume|render --spec <grid.json> [--store <dir>]
-                      [--jobs <n>] [--format <table|csv|json>] [--out <file>]
-    lifepred sweep diff <before.json> <after.json>
-
-OPTIONS:
-    --workload <name>     one of: cfrac, espresso, gawk, ghost, perl, server
-    --input <n>           input index (record; repeatable, default 0);
-                          with several inputs, -o must contain {} which
-                          is replaced by the input index
-    -o, --output <file>   output path
-    --policy <p>          site policy: complete (default), len-N, cce, size-only
-    --rounding <n>        size rounding in bytes (default 4)
-    --threshold <bytes>   short-lived threshold (default 32768)
-    --predictor <file>    trained predictor JSON (from `lifepred train`),
-                          or the literal `online` to train in-place while
-                          simulating (arena allocator only)
-    --allocator <a>       arena (default), first-fit or bsd
-    --epoch <bytes>       online: epoch length (default 2x threshold)
-    --requalify <k>       online: clean epochs a demoted site must show
-                          before re-qualifying (default 3)
-    --metrics-out <file>  simulate: dump the run's metric registry
-                          (counters, histograms, epoch timeline) as JSON;
-                          with several traces, per-run registries are
-                          merged into one dump
-    --force               simulate/native: allow --metrics-out to
-                          overwrite an existing file
-    --jobs <n>            simulate/report/sweep: worker threads
-                          for independent runs (default 1)
-    --format <f>          stats: prometheus (default) or json;
-                          sweep: table (default), csv or json
-    --events <n[k|m|g]>   gen: events to target (k/m/g = 10^3/10^6/10^9);
-                          the synthetic server run lands within a few
-                          percent of this
-    --seed <n>            gen: simulation seed (default 1)
-    --functions           inspect: list the function registry
-    --chains              inspect: list the interned call chains
-    --verify              inspect: check all five section CRCs at open,
-                          then decode every record and every event
-    --sections            inspect: list section framing and sizes only
-                          (maps the file; decodes no events)
-    --head <n>            inspect: print the first n events (maps the
-                          file; decodes only what it prints)
-    --spec <grid.json>    sweep: declarative grid spec (schema
-                          lifepred-sweep-v1; see DESIGN.md section 13)
-    --store <dir>         sweep: content-addressed result cache
-                          directory (default sweep-cache)
-    --out <file>          sweep: write the rendered report to a file
-                          instead of stdout
-    --drag                report: per-arena liveness timelines and object
-                          drag (bytes between last touch and free) instead
-                          of prediction quality
-";
-
 /// Entry point shared by the binary and the integration tests.
 ///
 /// `args` excludes the program name. All regular output goes to `out`;
@@ -129,88 +44,374 @@ OPTIONS:
 /// Returns a message describing the first bad argument, I/O failure or
 /// malformed input file.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        None | Some("--help" | "-h" | "help") => write_out(out, USAGE),
-        Some(name) => match COMMANDS.iter().find(|(n, _)| *n == name) {
-            Some((_, command)) => command(&args[1..], out),
-            None => Err(format!("unknown command {name:?} (try `lifepred --help`)")),
-        },
+    let name = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h" | "help") => return write_out(out, usage()),
+        Some(name) => name,
+    };
+    let rows = COMMANDS.iter().filter(|c| c.name() == name);
+    if let Some(row) = rows.clone().find(|c| c.verbs().next().is_none()) {
+        return (row.run)(&parse(row, "", &args[1..])?, out);
+    }
+    let verb = args.get(1).map_or("", String::as_str);
+    if let Some(row) = rows.clone().find(|c| c.verbs().any(|v| v == verb)) {
+        return (row.run)(&parse(row, verb, &args[2..])?, out);
+    }
+    let verbs: Vec<&str> = rows.flat_map(Command::verbs).collect();
+    if verbs.is_empty() {
+        return Err(format!("unknown command {name:?} (try `lifepred --help`)"));
+    }
+    let verbs = verbs.join("|");
+    Err(format!("{name}: expected a subcommand ({verbs})"))
+}
+
+// ---------------------------------------------------------------------
+// The argument table
+// ---------------------------------------------------------------------
+
+/// One row of the argument table: a command, what it accepts and the
+/// function that runs it. [`parse`] reads a command line by its row,
+/// and `--help` is rendered from the rows.
+struct Command {
+    /// The usage line after `lifepred`: the command, its subcommand
+    /// words (`run|resume`), then its positionals: each `<file>` is
+    /// required, and a last `<file>...` or `[<file>]...` takes any
+    /// number more.
+    usage: &'static str,
+    /// What the command does, in a line of help.
+    about: &'static str,
+    opts: &'static [Opt],
+    run: fn(&Args<'_>, &mut dyn Write) -> Result<(), String>,
+}
+
+impl Command {
+    fn name(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or_default()
+    }
+
+    fn verbs(&self) -> impl Iterator<Item = &'static str> {
+        let word = self.usage.split(' ').nth(1).unwrap_or_default();
+        word.split('|')
+            .filter(|v| !v.is_empty() && !v.starts_with(['<', '[']))
     }
 }
 
-/// A subcommand: its arguments (after the name) and the output sink.
-type Command = fn(&[String], &mut dyn Write) -> Result<(), String>;
+/// How often an option may be given. An option whose spec names no
+/// value is a flag, and a flag given a value is refused.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Optional,
+    Required,
+    /// Any number of times; the values are kept in order.
+    Repeated,
+    /// Any number of times, but no value twice, as text or as a number
+    /// (`1`, `01`).
+    Distinct,
+}
+use Kind::{Distinct, Optional, Repeated, Required};
 
-/// Every subcommand [`run`] dispatches, in the order USAGE lists them.
-const COMMANDS: &[(&str, Command)] = &[
-    ("record", cmd_record),
-    ("gen", cmd_gen),
-    ("inspect", cmd_inspect),
-    ("train", cmd_train),
-    ("simulate", cmd_simulate),
-    ("stats", cmd_stats),
-    ("report", cmd_report),
-    ("native", cmd_native),
-    ("sweep", cmd_sweep),
+/// When an option is used: with (or without) another option, or with
+/// it given one value (`--drag`, `--predictor online`). An option
+/// given where the run would ignore it is refused.
+#[derive(Clone, Copy)]
+enum Scope {
+    Always,
+    Only(&'static str),
+    Not(&'static str),
+}
+
+#[derive(Clone, Copy)]
+struct Opt {
+    /// As help spells it: `--force`, `--seed <n>`, `-o, --output <file>`.
+    spec: &'static str,
+    kind: Kind,
+    scope: Scope,
+    help: &'static str,
+}
+
+const fn opt(spec: &'static str, kind: Kind, help: &'static str) -> Opt {
+    Opt {
+        spec,
+        kind,
+        scope: Scope::Always,
+        help,
+    }
+}
+
+impl Opt {
+    /// The spec's alias (`-o`), long name (`--output`) and value
+    /// (`<file>`; empty for a flag).
+    fn parts(&self) -> (Option<&'static str>, &'static str, &'static str) {
+        let (alias, rest) = match self.spec.split_once(", ") {
+            Some((alias, rest)) => (Some(alias), rest),
+            None => (None, self.spec),
+        };
+        let (long, value) = rest.split_once(' ').unwrap_or((rest, ""));
+        (alias, long, value)
+    }
+
+    /// The option as a usage line shows it: `-o <file>`, `[--force]`,
+    /// `[--input <n>]...`.
+    fn usage(&self) -> String {
+        let (alias, long, value) = self.parts();
+        let form = format!("{} {value}", alias.unwrap_or(long));
+        let form = form.trim_end();
+        match self.kind {
+            Required => form.to_owned(),
+            Optional => format!("[{form}]"),
+            Repeated | Distinct => format!("[{form}]..."),
+        }
+    }
+}
+
+const ONLINE: Scope = Scope::Only("--predictor online");
+const DRAG: &str = "--drag";
+#[rustfmt::skip]
+const POLICY: Opt = opt("--policy <p>", Optional, "site policy: complete (default), len-N, cce or size-only");
+#[rustfmt::skip]
+const ROUNDING: Opt = opt("--rounding <n>", Optional, "size rounding in bytes (default 4)");
+#[rustfmt::skip]
+const THRESHOLD: Opt = opt("--threshold <bytes>", Optional, "short-lived threshold (default 32768)");
+const JOBS: Opt = opt("--jobs <n>", Optional, "worker threads (default 1)");
+#[rustfmt::skip]
+const FORCE: Opt = opt("--force", Optional, "let --metrics-out overwrite an existing file");
+
+/// Every command [`run`] dispatches, in the order `--help` lists them.
+/// Laid out by hand, one option a line.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { usage: "record", run: cmd_record, opts: &[
+        opt("--workload <name>", Required, "cfrac, espresso, gawk, ghost, perl or server"),
+        opt("--input <n>", Distinct,
+            "input index (default 0); with several, a {} in -o stands for each index"),
+        opt("-o, --output <file.lpt>", Required, "output path"),
+    ], about: "run a paper workload under the tracer and save each input's trace" },
+    Command { usage: "gen", run: cmd_gen, opts: &[
+        opt("--events <n[k|m|g]>", Required, "events to target (k/m/g = 10^3/10^6/10^9); \
+             the synthetic server run lands within a few percent of it"),
+        opt("-o, --output <file.lpt>", Required, "output path"),
+        opt("--seed <n>", Optional, "simulation seed (default 1)"),
+        opt("--force", Optional, "overwrite an existing output file"),
+    ], about: "stream a synthetic server trace of any size straight to a file" },
+    Command { usage: "inspect <file.lpt>", run: cmd_inspect, opts: &[
+        opt("--functions", Optional, "list the function registry"),
+        opt("--chains", Optional, "list the interned call chains"),
+        opt("--verify", Optional,
+            "check all five section CRCs at open, then decode every record and event"),
+        opt("--sections", Optional, "list section framing and sizes (decodes no events)"),
+        opt("--head <n>", Optional, "print the first n events (decodes only those)"),
+    ], about: "print a trace's header in constant memory; each flag adds a view" },
+    Command { usage: "train <file.lpt>...", run: cmd_train, opts: &[
+        opt("-o, --output <pred.json>", Required, "output path"),
+        POLICY,
+        ROUNDING,
+        THRESHOLD,
+    ], about: "profile traces and save the short-lived site database as JSON" },
+    Command { usage: "simulate <file.lpt>...", run: cmd_simulate, opts: &[
+        opt("--predictor <pred.json|online>", Optional, "trained predictor (from `lifepred \
+             train`), or `online` to train in place while simulating; the arena allocator \
+             needs one"),
+        opt("--allocator <a>", Optional, "arena (default), first-fit or bsd"),
+        Opt { scope: ONLINE, ..POLICY },
+        Opt { scope: ONLINE, ..ROUNDING },
+        Opt { scope: ONLINE, ..THRESHOLD },
+        Opt { scope: ONLINE, ..opt("--epoch <bytes>", Optional, "epoch length (default 2x threshold)") },
+        Opt { scope: ONLINE, ..opt("--requalify <k>", Optional,
+            "clean epochs a demoted site must show before re-qualifying (default 3)") },
+        opt("--metrics-out <m.json>", Optional, "dump the metric registry (counters, \
+             histograms, epoch timeline) as JSON; several traces' registries merge into one"),
+        FORCE,
+        JOBS,
+    ], about: "stream traces through an allocator model that consults a predictor" },
+    Command { usage: "stats <m.json>", run: cmd_stats, opts: &[
+        opt("--format <prometheus|json>", Optional, "output format (default prometheus)"),
+    ], about: "render a saved metrics dump as Prometheus text or JSON" },
+    Command { usage: "report", run: cmd_report, opts: &[
+        opt("--workload <name>", Repeated,
+            "cfrac, espresso, gawk, ghost, perl or server (default: all)"),
+        Opt { scope: Scope::Not(DRAG), ..POLICY },
+        opt("--drag", Optional, "per-arena liveness timelines and object drag (bytes held \
+             between last touch and free) instead of prediction quality"),
+        Opt { scope: Scope::Only(DRAG), ..THRESHOLD },
+        JOBS,
+    ], about: "rerun the paper's prediction-quality analysis, or the drag analysis" },
+    Command { usage: "native [<workload>]...", run: cmd_native, opts: &[
+        opt("--metrics-out <m.json>", Optional, "dump the allocator's counters as JSON"),
+        FORCE,
+    ], about: "run workloads on the binary's own allocator, LifepredGlobal, and \
+             print its counters" },
+    Command { usage: "sweep run|resume|render", run: cmd_sweep, opts: &[
+        opt("--spec <grid.json>", Required,
+            "declarative grid spec (schema lifepred-sweep-v1; DESIGN.md section 13)"),
+        opt("--store <dir>", Optional, "result cache directory (default sweep-cache)"),
+        JOBS,
+        opt("--format <table|csv|json>", Optional, "report format (default table)"),
+        opt("-o, --out <file>", Optional, "write the report to a file, not stdout"),
+    ], about: "run a design-space grid, resume it after a kill, or re-render it \
+             from its cache" },
+    Command { usage: "sweep diff <before.json> <after.json>", run: sweep_diff, opts: &[],
+              about: "compare two saved JSON sweep reports cell by cell" },
 ];
 
-// ---------------------------------------------------------------------
-// Argument scanning
-// ---------------------------------------------------------------------
-
-/// One parsed argument: an option (with the value still pending unless
-/// attached via `=`) or a positional.
-enum Arg<'a> {
-    Opt(&'a str, Option<&'a str>),
-    Positional(&'a str),
+/// A command line parsed by its row: every option known, given as its
+/// [`Kind`] allows, and used by this run.
+struct Args<'a> {
+    row: &'static Command,
+    /// The subcommand word; empty for a command without subcommands.
+    verb: &'a str,
+    /// The values given to each of `row.opts`, in command-line order;
+    /// a flag's value is empty.
+    values: Vec<Vec<&'a str>>,
+    positionals: Vec<&'a str>,
 }
 
-struct Scanner<'a> {
-    args: &'a [String],
-    i: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Scanner { args, i: 0 }
+impl<'a> Args<'a> {
+    /// Every value given to `long` (`--seed`); panics if the row lacks it.
+    fn values(&self, long: &str) -> impl Iterator<Item = &'a str> + '_ {
+        let index = self.row.opts.iter().position(|o| o.parts().1 == long);
+        let index = index.unwrap_or_else(|| panic!("{}: no {long} in its row", self.row.usage));
+        self.values[index].iter().copied()
     }
 
-    fn next(&mut self) -> Option<Arg<'a>> {
-        let raw = self.args.get(self.i)?;
-        self.i += 1;
-        if let Some(rest) = raw.strip_prefix("--") {
-            match rest.split_once('=') {
-                Some((name, value)) => Some(Arg::Opt(name, Some(value))),
-                None => Some(Arg::Opt(rest, None)),
+    fn value(&self, long: &str) -> Option<&'a str> {
+        self.values(long).next()
+    }
+
+    fn num<T: std::str::FromStr<Err: Display>>(&self, long: &str) -> Result<Option<T>, String> {
+        self.value(long).map(|v| parse_num(long, v)).transpose()
+    }
+
+    fn policy(&self) -> Result<Option<SitePolicy>, String> {
+        self.value("--policy").map(parse_policy).transpose()
+    }
+
+    /// Whether a [`Scope`] condition holds for this run.
+    fn holds(&self, when: &str) -> bool {
+        let (long, want) = when.split_once(' ').unwrap_or((when, ""));
+        self.values(long).any(|v| want.is_empty() || v == want)
+    }
+}
+
+/// Parses `argv`, the arguments after the command's words, by `row`.
+/// Refused: an unknown option, a flag given a value, an option given
+/// more often than its [`Kind`] allows, a missing or surplus
+/// positional, a missing required option, and an option given out of
+/// its [`Scope`].
+fn parse<'a>(row: &'static Command, verb: &'a str, argv: &'a [String]) -> Result<Args<'a>, String> {
+    let label = format!("{} {verb}", row.name()).trim_end().to_owned();
+    let positionals = row.usage.find(['<', '[']).map_or("", |i| &row.usage[i..]);
+    let required = positionals.matches('<').count() - positionals.matches("[<").count();
+    let mut args = Args {
+        row,
+        verb,
+        values: vec![Vec::new(); row.opts.len()],
+        positionals: Vec::new(),
+    };
+    let mut rest = argv.iter();
+    while let Some(raw) = rest.next() {
+        if raw.len() < 2 || !raw.starts_with('-') {
+            if args.positionals.len() == required && !positionals.ends_with("...") {
+                return Err(format!("{label}: unexpected argument {raw:?}"));
             }
-        } else if raw.len() > 1 && raw.starts_with('-') {
-            Some(Arg::Opt(&raw[1..], None))
-        } else {
-            Some(Arg::Positional(raw))
+            args.positionals.push(raw);
+            continue;
         }
-    }
-
-    /// The value of the option just returned: attached (`--x=v`) or the
-    /// following argument.
-    fn value(&mut self, name: &str, attached: Option<&'a str>) -> Result<&'a str, String> {
-        if let Some(v) = attached {
-            return Ok(v);
+        let (key, attached) = match raw.split_once('=') {
+            Some((key, value)) => (key, Some(value)),
+            None => (raw.as_str(), None),
+        };
+        let found = row.opts.iter().zip(&mut args.values).find(|(o, _)| {
+            let (alias, long, _) = o.parts();
+            long == key || alias == Some(key)
+        });
+        let Some((opt, seen)) = found else {
+            return Err(format!("{label}: unknown option {key}"));
+        };
+        let (_, long, placeholder) = opt.parts();
+        let value = match (placeholder, attached) {
+            ("", None) => "",
+            ("", Some(_)) => return Err(format!("{label}: {long} takes no value")),
+            (_, Some(value)) => value,
+            (_, None) => rest
+                .next()
+                .ok_or_else(|| format!("{label}: {long} needs a value"))?,
+        };
+        let repeated = match opt.kind {
+            Optional | Required => !seen.is_empty(),
+            Repeated => false,
+            Distinct => seen
+                .iter()
+                .any(|s| *s == value || s.parse::<u64>().is_ok_and(|n| value.parse() == Ok(n))),
+        };
+        if repeated {
+            let given = format!("{long} {value}");
+            return Err(format!("{label}: {} is repeated", given.trim_end()));
         }
-        let v = self
-            .args
-            .get(self.i)
-            .ok_or_else(|| format!("option --{name} needs a value"))?;
-        self.i += 1;
-        Ok(v)
+        seen.push(value);
     }
+    if args.positionals.len() < required {
+        return Err(format!("{label}: expected {positionals}"));
+    }
+    for (opt, seen) in row.opts.iter().zip(&args.values) {
+        let (_, long, _) = opt.parts();
+        let given = !seen.is_empty();
+        let why = match opt.scope {
+            _ if !given && opt.kind == Required => format!("{} is required", opt.usage()),
+            Scope::Only(w) if given && !args.holds(w) => format!("{long} is only used by {w}"),
+            Scope::Not(w) if given && args.holds(w) => format!("{long} is not used by {w}"),
+            _ => continue,
+        };
+        return Err(format!("{label}: {why}"));
+    }
+    Ok(args)
 }
 
-fn parse_num<T: std::str::FromStr>(name: &str, text: &str) -> Result<T, String>
-where
-    T::Err: Display,
-{
+/// `--help`: each row's usage line, then one entry per option.
+fn usage() -> String {
+    let mut text = "lifepred — trace, train and simulate lifetime-predicting allocation\n\n\
+                    USAGE:\n"
+        .to_owned();
+    for row in COMMANDS {
+        let words: Vec<String> = row.opts.iter().map(Opt::usage).collect();
+        let lead = format!("\n    lifepred {}", row.usage);
+        let indent = 14 + row.name().len();
+        text.push_str(&wrap(lead, words.iter().map(String::as_str), indent));
+        text.push_str(&wrap(" ".repeat(6), row.about.split_whitespace(), 6));
+        for opt in row.opts {
+            let help = match opt.scope {
+                Scope::Always => opt.help.to_owned(),
+                Scope::Only(when) => format!("{}; only with {when}", opt.help),
+                Scope::Not(when) => format!("{}; not with {when}", opt.help),
+            };
+            let lead = match opt.spec.len() {
+                0..=24 => format!("{:8}{:<26}", "", opt.spec),
+                _ => format!("{:8}{}\n{:34}", "", opt.spec, ""),
+            };
+            text.push_str(&wrap(lead, help.split_whitespace(), 34));
+        }
+    }
+    text
+}
+
+/// Appends `words` to `text` one space apart, starting a new line,
+/// indented by `indent`, before a word that would pass column 80.
+fn wrap<'w>(mut text: String, words: impl IntoIterator<Item = &'w str>, indent: usize) -> String {
+    for word in words {
+        let col = text.len() - text.rfind('\n').map_or(0, |i| i + 1);
+        if col + 1 + word.len() > 80 && !text.ends_with(' ') {
+            text.push('\n');
+            text.push_str(&" ".repeat(indent));
+        } else if !text.ends_with(' ') {
+            text.push(' ');
+        }
+        text.push_str(word);
+    }
+    text + "\n"
+}
+
+/// Parses the value given to the option `long` (`--seed`).
+fn parse_num<T: std::str::FromStr<Err: Display>>(long: &str, text: &str) -> Result<T, String> {
     text.parse()
-        .map_err(|e| format!("bad value for --{name} ({e})"))
+        .map_err(|e| format!("bad value for {long} ({e})"))
 }
 
 fn parse_policy(text: &str) -> Result<SitePolicy, String> {
@@ -227,9 +428,11 @@ fn file_err(path: &str, e: impl Display) -> String {
     format!("{path}: {e}")
 }
 
-/// Maps a [`run`] error message to a process exit code: usage and
-/// configuration errors (messages starting with `usage:`) exit 2,
-/// everything else exits 1.
+/// Maps a [`run`] error message to a process exit code: 2 for a
+/// message starting with `usage:`, 1 for any other. No [`run`] message
+/// starts with `usage:`, so every `lifepred` error exits 1; the
+/// benchmark's child process (`benchmark/src/child.rs`) links this
+/// function and words its own argument errors that way.
 #[must_use]
 pub fn exit_code(err: &str) -> u8 {
     if err.starts_with("usage:") {
@@ -243,26 +446,14 @@ pub fn exit_code(err: &str) -> u8 {
 // record
 // ---------------------------------------------------------------------
 
-fn cmd_record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut workload = None;
-    let mut inputs: Vec<usize> = Vec::new();
-    let mut output = None;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("workload", v) => workload = Some(s.value("workload", v)?.to_owned()),
-            Arg::Opt("input", v) => match parse_num("input", s.value("input", v)?)? {
-                i if inputs.contains(&i) => return Err(format!("record: --input {i} is repeated")),
-                i => inputs.push(i),
-            },
-            Arg::Opt("o" | "output", v) => output = Some(s.value("output", v)?.to_owned()),
-            Arg::Opt(o, _) => return Err(format!("record: unknown option --{o}")),
-            Arg::Positional(p) => return Err(format!("record: unexpected argument {p:?}")),
-        }
-    }
-    let name = workload.ok_or("record: --workload is required")?;
-    let output = output.ok_or("record: -o is required")?;
-    let w = workload_named(&name)?;
+fn cmd_record(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let name = args.value("--workload").unwrap_or_default();
+    let output = args.value("--output").unwrap_or_default();
+    let mut inputs = args
+        .values("--input")
+        .map(|v| parse_num::<usize>("--input", v))
+        .collect::<Result<Vec<_>, _>>()?;
+    let w = workload_named(name)?;
     if inputs.is_empty() {
         inputs.push(0);
     }
@@ -315,7 +506,7 @@ fn parse_events(text: &str) -> Result<u64, String> {
         Some(b'g' | b'G') => (&text[..text.len() - 1], 1_000_000_000),
         _ => (text, 1),
     };
-    let n: u64 = parse_num("events", digits)?;
+    let n: u64 = parse_num("--events", digits)?;
     n.checked_mul(scale)
         .filter(|&n| n > 0)
         .ok_or_else(|| format!("bad value for --events ({text:?})"))
@@ -330,40 +521,26 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kib * 1024)
 }
 
-fn cmd_gen(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut events = None;
-    let mut seed = 1u64;
-    let mut output = None;
-    let mut force = false;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("events", v) => events = Some(parse_events(s.value("events", v)?)?),
-            Arg::Opt("seed", v) => seed = parse_num("seed", s.value("seed", v)?)?,
-            Arg::Opt("o" | "output", v) => output = Some(s.value("output", v)?.to_owned()),
-            Arg::Opt("force", _) => force = true,
-            Arg::Opt(o, _) => return Err(format!("gen: unknown option --{o}")),
-            Arg::Positional(p) => return Err(format!("gen: unexpected argument {p:?}")),
-        }
-    }
-    let events = events.ok_or("gen: --events is required")?;
-    let output = output.ok_or("gen: -o is required")?;
-    guard_overwrite(&output, force)?;
+fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let events = parse_events(args.value("--events").unwrap_or_default())?;
+    let seed = args.num("--seed")?.unwrap_or(1);
+    let output = args.value("--output").unwrap_or_default();
+    guard_overwrite(output, args.value("--force").is_some())?;
     let config = SimConfig::for_events(events, seed);
-    let file = std::fs::File::create(&output).map_err(|e| file_err(&output, e))?;
+    let file = std::fs::File::create(output).map_err(|e| file_err(output, e))?;
     let sink = std::io::BufWriter::with_capacity(1 << 20, file);
     let started = std::time::Instant::now();
     let (summary, sink) = match generate_lpt(&config, sink) {
         Ok(done) => done,
         Err(e) => {
             // Don't leave a half-written trace behind.
-            std::fs::remove_file(&output).ok();
-            return Err(file_err(&output, e));
+            std::fs::remove_file(output).ok();
+            return Err(file_err(output, e));
         }
     };
     let elapsed = started.elapsed();
     drop(sink);
-    let file_bytes = std::fs::metadata(&output).map(|m| m.len()).unwrap_or(0);
+    let file_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
     let mut text = format!(
         "{output}: {} events, {} objects ({} immortal), {} bytes allocated\n\
          file:           {} bytes ({:.2} bytes/event)\n\
@@ -391,36 +568,18 @@ fn cmd_gen(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 // inspect
 // ---------------------------------------------------------------------
 
-fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut path = None;
-    let mut functions = false;
-    let mut chains = false;
-    let mut verify = false;
-    let mut sections = false;
-    let mut head: Option<u64> = None;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("functions", _) => functions = true,
-            Arg::Opt("chains", _) => chains = true,
-            Arg::Opt("verify", _) => verify = true,
-            Arg::Opt("sections", _) => sections = true,
-            Arg::Opt("head", v) => head = Some(parse_num("head", s.value("head", v)?)?),
-            Arg::Opt(o, _) => return Err(format!("inspect: unknown option --{o}")),
-            Arg::Positional(p) if path.is_none() => path = Some(p.to_owned()),
-            Arg::Positional(p) => return Err(format!("inspect: unexpected argument {p:?}")),
-        }
-    }
-    let path = path.ok_or("inspect: a trace file is required")?;
+fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let path = args.positionals[0];
+    let verify = args.value("--verify").is_some();
     // Every view but `--verify` reads header sections and framing (and
     // at most a prefix of the events): skip the bulk CRC of the two
     // large sections unless the user asked for it.
     let mapped = if verify {
-        MappedTrace::open(&path)
+        MappedTrace::open(path)
     } else {
-        MappedTrace::open_unverified(&path)
+        MappedTrace::open_unverified(path)
     }
-    .map_err(|e| file_err(&path, e))?;
+    .map_err(|e| file_err(path, e))?;
     let stats = mapped.stats();
     let mut text = format!(
         "program:         {}\n\
@@ -447,7 +606,7 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         mapped.end_clock(),
         mapped.end_seq(),
     );
-    if functions {
+    if args.value("--functions").is_some() {
         text.push_str("\nfunctions:\n");
         for name in mapped.registry().names() {
             text.push_str("  ");
@@ -455,7 +614,7 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             text.push('\n');
         }
     }
-    if chains {
+    if args.value("--chains").is_some() {
         text.push_str("\ncall chains:\n");
         for (_, chain) in mapped.chain_table().iter() {
             let rendered: Vec<&str> = chain
@@ -474,7 +633,7 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         }
     }
     write_out(out, &text)?;
-    if sections {
+    if args.value("--sections").is_some() {
         let mut text = format!(
             "\nsections ({}, {} file bytes):\n",
             if mapped.is_mapped() { "mmap" } else { "heap" },
@@ -494,7 +653,7 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         }
         write_out(out, &text)?;
     }
-    if let Some(head) = head {
+    if let Some(head) = args.num::<u64>("--head")? {
         use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk};
         let mut text = format!("\nevents (first {head} of {}):\n", mapped.event_count());
         let mut source = mapped.events();
@@ -503,7 +662,7 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         'outer: while seq < head
             && source
                 .next_chunk(&mut chunk)
-                .map_err(|e| file_err(&path, e))?
+                .map_err(|e| file_err(path, e))?
         {
             for event in chunk.events() {
                 if seq == head {
@@ -525,8 +684,8 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     if verify {
         use lifepred_trace::{ChunkSource, EventChunk, POOLED_CHUNK_EVENTS};
         let mut n_records = 0u64;
-        for r in mapped.records().map_err(|e| file_err(&path, e))? {
-            r.map_err(|e| file_err(&path, e))?;
+        for r in mapped.records().map_err(|e| file_err(path, e))? {
+            r.map_err(|e| file_err(path, e))?;
             n_records += 1;
         }
         let mut source = mapped.events();
@@ -534,7 +693,7 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         let mut n_events = 0u64;
         while source
             .next_chunk(&mut chunk)
-            .map_err(|e| file_err(&path, e))?
+            .map_err(|e| file_err(path, e))?
         {
             n_events += chunk.len() as u64;
         }
@@ -550,37 +709,18 @@ fn cmd_inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 // train
 // ---------------------------------------------------------------------
 
-fn cmd_train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut paths: Vec<String> = Vec::new();
-    let mut output = None;
-    let mut policy = SitePolicy::Complete;
-    let mut rounding = 4u32;
-    let mut threshold = DEFAULT_THRESHOLD;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("o" | "output", v) => output = Some(s.value("output", v)?.to_owned()),
-            Arg::Opt("policy", v) => policy = parse_policy(s.value("policy", v)?)?,
-            Arg::Opt("rounding", v) => rounding = parse_num("rounding", s.value("rounding", v)?)?,
-            Arg::Opt("threshold", v) => {
-                threshold = parse_num("threshold", s.value("threshold", v)?)?;
-            }
-            Arg::Opt(o, _) => return Err(format!("train: unknown option --{o}")),
-            Arg::Positional(p) => paths.push(p.to_owned()),
-        }
-    }
-    if paths.is_empty() {
-        return Err("train: at least one trace file is required".to_owned());
-    }
-    let output = output.ok_or("train: -o is required")?;
+fn cmd_train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let output = args.value("--output").unwrap_or_default();
+    let policy = args.policy()?.unwrap_or(SitePolicy::Complete);
+    let threshold = args.num("--threshold")?.unwrap_or(DEFAULT_THRESHOLD);
     let config = SiteConfig {
         policy,
-        size_rounding: rounding,
+        size_rounding: args.num("--rounding")?.unwrap_or(4),
     };
     // Each file is profiled straight off its verified mapping; nothing
     // is written until every file has streamed through.
     let mut profile = Profile::new(&config, threshold);
-    for path in &paths {
+    for &path in &args.positionals {
         let mapped = MappedTrace::open(path).map_err(|e| file_err(path, e))?;
         profile = mapped
             .record_source()
@@ -594,7 +734,7 @@ fn cmd_train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             ..TrainConfig::default()
         },
     );
-    std::fs::write(&output, db.to_json()).map_err(|e| file_err(&output, e))?;
+    std::fs::write(output, db.to_json()).map_err(|e| file_err(output, e))?;
     write_out(
         out,
         format!(
@@ -612,83 +752,30 @@ fn cmd_train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 // simulate
 // ---------------------------------------------------------------------
 
-fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut paths: Vec<String> = Vec::new();
-    let mut predictor = None;
-    let mut allocator = "arena".to_owned();
-    let mut policy = None;
-    let mut rounding = None;
-    let mut threshold = None;
-    let mut epoch_bytes = None;
-    let mut requalify = None;
-    let mut metrics_out: Option<String> = None;
-    let mut force = false;
-    let mut jobs = 1usize;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("predictor", v) => predictor = Some(s.value("predictor", v)?.to_owned()),
-            Arg::Opt("allocator", v) => allocator = s.value("allocator", v)?.to_owned(),
-            Arg::Opt("policy", v) => policy = Some(parse_policy(s.value("policy", v)?)?),
-            Arg::Opt("rounding", v) => {
-                rounding = Some(parse_num("rounding", s.value("rounding", v)?)?);
-            }
-            Arg::Opt("threshold", v) => {
-                threshold = Some(parse_num("threshold", s.value("threshold", v)?)?);
-            }
-            Arg::Opt("epoch", v) => epoch_bytes = Some(parse_num("epoch", s.value("epoch", v)?)?),
-            Arg::Opt("requalify", v) => {
-                requalify = Some(parse_num("requalify", s.value("requalify", v)?)?);
-            }
-            Arg::Opt("metrics-out", v) => {
-                metrics_out = Some(s.value("metrics-out", v)?.to_owned());
-            }
-            Arg::Opt("force", _) => force = true,
-            Arg::Opt("jobs", v) => jobs = parse_num("jobs", s.value("jobs", v)?)?,
-            Arg::Opt(o, _) => return Err(format!("simulate: unknown option --{o}")),
-            Arg::Positional(p) => paths.push(p.to_owned()),
-        }
-    }
-    if paths.is_empty() {
-        return Err("simulate: at least one trace file is required".to_owned());
-    }
-    // A trained predictor carries its own site policy, rounding and
-    // threshold, and the baselines predict nothing: the learner's knobs
-    // would be silently ignored, so they are refused.
-    if predictor.as_deref() != Some("online") {
-        let given = [
-            ("policy", policy.is_some()),
-            ("rounding", rounding.is_some()),
-            ("threshold", threshold.is_some()),
-            ("epoch", epoch_bytes.is_some()),
-            ("requalify", requalify.is_some()),
-        ];
-        if let Some((flag, _)) = given.iter().find(|(_, set)| *set) {
-            return Err(format!(
-                "simulate: --{flag} is only used by --predictor online"
-            ));
-        }
-    }
+fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let metrics_out = args.value("--metrics-out");
+    let force = args.value("--force").is_some();
     // Resolved once, then shared read-only by every parallel job.
     let db;
     let arena = ArenaConfig::default();
-    let plan = match (allocator.as_str(), predictor.as_deref()) {
+    let allocator = args.value("--allocator").unwrap_or("arena");
+    let plan = match (allocator, args.value("--predictor")) {
         (other, Some("online")) if other != "arena" => {
             return Err("simulate: --predictor online requires the arena allocator".to_owned());
         }
         ("arena", Some("online")) => {
-            let threshold = threshold.unwrap_or(DEFAULT_THRESHOLD);
+            let threshold = args.num("--threshold")?.unwrap_or(DEFAULT_THRESHOLD);
             let epoch = EpochConfig {
                 threshold,
-                epoch_bytes: epoch_bytes.unwrap_or(2 * threshold),
-                requalify_epochs: requalify.unwrap_or(3),
+                epoch_bytes: args.num("--epoch")?.unwrap_or(2 * threshold),
+                requalify_epochs: args.num("--requalify")?.unwrap_or(3),
                 ..EpochConfig::default()
             };
             epoch.validate().map_err(|e| format!("simulate: {e}"))?;
             ReplayPlan::ArenaOnline {
                 sites: SiteConfig {
-                    policy: policy.unwrap_or(SitePolicy::Complete),
-                    size_rounding: rounding.unwrap_or(4),
+                    policy: args.policy()?.unwrap_or(SitePolicy::Complete),
+                    size_rounding: args.num("--rounding")?.unwrap_or(4),
                 },
                 epoch,
                 arena,
@@ -713,20 +800,21 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     };
     // Refuse a doomed run up front: if the metrics dump would clobber
     // an existing file, say so before spending time simulating.
-    if let Some(path) = metrics_out.as_deref() {
+    if let Some(path) = metrics_out {
         guard_overwrite(path, force)?;
     }
     // Fan the traces over the worker pool; results come back in input
     // order, so the printed reports match a sequential run exactly.
     let want_metrics = metrics_out.is_some();
-    let outcomes = run_jobs(paths, jobs, |_, path| {
-        simulate_file(&path, &plan, want_metrics)
+    let jobs = args.num("--jobs")?.unwrap_or(1);
+    let outcomes = run_jobs(args.positionals.clone(), jobs, |_, path| {
+        simulate_file(path, &plan, want_metrics)
     });
     let mut results = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
         results.push(outcome?);
     }
-    if let Some(path) = metrics_out.as_deref() {
+    if let Some(path) = metrics_out {
         let mut merged = Snapshot::default();
         for r in &results {
             if let Some(snap) = &r.metrics {
@@ -790,22 +878,11 @@ fn write_metrics(
 // stats
 // ---------------------------------------------------------------------
 
-fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut path = None;
-    let mut format = "prometheus".to_owned();
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("format", v) => format = s.value("format", v)?.to_owned(),
-            Arg::Opt(o, _) => return Err(format!("stats: unknown option --{o}")),
-            Arg::Positional(p) if path.is_none() => path = Some(p.to_owned()),
-            Arg::Positional(p) => return Err(format!("stats: unexpected argument {p:?}")),
-        }
-    }
-    let path = path.ok_or("stats: a metrics file (from simulate --metrics-out) is required")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| file_err(&path, e))?;
-    let snapshot = Snapshot::from_json(&text).map_err(|e| file_err(&path, e))?;
-    match format.as_str() {
+fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let path = args.positionals[0];
+    let text = std::fs::read_to_string(path).map_err(|e| file_err(path, e))?;
+    let snapshot = Snapshot::from_json(&text).map_err(|e| file_err(path, e))?;
+    match args.value("--format").unwrap_or("prometheus") {
         "prometheus" | "prom" => write_out(out, snapshot.to_prometheus()),
         "json" => write_out(out, snapshot.to_json()),
         other => Err(format!(
@@ -1053,39 +1130,14 @@ fn report_drag(
     )
 }
 
-fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut names: Vec<String> = Vec::new();
-    let mut policy = None;
-    let mut jobs = 1usize;
-    let mut drag = false;
-    let mut threshold = None;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("workload", v) => names.push(s.value("workload", v)?.to_owned()),
-            Arg::Opt("policy", v) => policy = Some(parse_policy(s.value("policy", v)?)?),
-            Arg::Opt("jobs", v) => jobs = parse_num("jobs", s.value("jobs", v)?)?,
-            Arg::Opt("drag", _) => drag = true,
-            Arg::Opt("threshold", v) => {
-                threshold = Some(parse_num("threshold", s.value("threshold", v)?)?);
-            }
-            Arg::Opt(o, _) => return Err(format!("report: unknown option --{o}")),
-            Arg::Positional(p) => return Err(format!("report: unexpected argument {p:?}")),
-        }
+fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let workloads = resolve_workloads(&args.values("--workload").collect::<Vec<_>>())?;
+    let jobs = args.num("--jobs")?.unwrap_or(1);
+    if args.value("--drag").is_some() {
+        let threshold = args.num("--threshold")?.unwrap_or(DEFAULT_THRESHOLD);
+        return report_drag(workloads, threshold, jobs, out);
     }
-    // Each flag belongs to one of the two reports; given to the other,
-    // it would be silently ignored, so it is refused.
-    if drag && policy.is_some() {
-        return Err("report: --policy is not used by --drag".to_owned());
-    }
-    if !drag && threshold.is_some() {
-        return Err("report: --threshold is only used by --drag".to_owned());
-    }
-    let workloads = resolve_workloads(&names)?;
-    if drag {
-        return report_drag(workloads, threshold.unwrap_or(DEFAULT_THRESHOLD), jobs, out);
-    }
-    let policy = policy.unwrap_or(SitePolicy::Complete);
+    let policy = args.policy()?.unwrap_or(SitePolicy::Complete);
     let config = SiteConfig {
         policy,
         ..SiteConfig::default()
@@ -1122,7 +1174,7 @@ fn workload_named(name: &str) -> Result<Box<dyn Workload>, String> {
 /// Resolves workload names into the suite's workloads, defaulting to
 /// all of them when none are named. Commands resolve before doing any
 /// work, so a typo in the last name fails the run up front.
-fn resolve_workloads(names: &[String]) -> Result<Vec<Box<dyn Workload>>, String> {
+fn resolve_workloads(names: &[&str]) -> Result<Vec<Box<dyn Workload>>, String> {
     if names.is_empty() {
         return Ok(all_workloads());
     }
@@ -1133,25 +1185,13 @@ fn resolve_workloads(names: &[String]) -> Result<Vec<Box<dyn Workload>>, String>
 /// [`lifepred_galloc::LifepredGlobal`]: the traced programs allocate
 /// through the size-class allocator for real, and its counters tell
 /// the story afterwards.
-fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut names: Vec<String> = Vec::new();
-    let mut metrics_out: Option<String> = None;
-    let mut force = false;
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("metrics-out", v) => {
-                metrics_out = Some(s.value("metrics-out", v)?.to_owned());
-            }
-            Arg::Opt("force", _) => force = true,
-            Arg::Opt(o, _) => return Err(format!("native: unknown option --{o}")),
-            Arg::Positional(p) => names.push(p.to_owned()),
-        }
-    }
-    if let Some(path) = metrics_out.as_deref() {
+fn cmd_native(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let metrics_out = args.value("--metrics-out");
+    let force = args.value("--force").is_some();
+    if let Some(path) = metrics_out {
         guard_overwrite(path, force)?;
     }
-    let workloads = resolve_workloads(&names)?;
+    let workloads = resolve_workloads(&args.positionals)?;
     lifepred_galloc::activate().map_err(|e| format!("native: {e}"))?;
     let mut rows = Vec::new();
     for w in &workloads {
@@ -1205,7 +1245,7 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             stats.fallback_exhausted,
         ),
     )?;
-    if let Some(path) = metrics_out.as_deref() {
+    if let Some(path) = metrics_out {
         let registry = Registry::new();
         stats.export(&registry);
         write_metrics(out, path, &registry.snapshot(), force)?;
@@ -1225,38 +1265,12 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// * `resume` is the same execution after a kill — only dirty cells
 ///   recompute, and the summary says how much the cache answered;
 /// * `render` re-renders a fully-cached grid (instant when warm).
-fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let verb = match args.first().map(String::as_str) {
-        Some(v @ ("run" | "resume" | "render")) => v,
-        Some("diff") => return sweep_diff(&args[1..], out),
-        Some(other) => {
-            return Err(format!(
-                "sweep: unknown subcommand {other:?} (expected run, resume, render or diff)"
-            ))
-        }
-        None => return Err("sweep: a subcommand is required (run, resume, render or diff)".into()),
-    };
-    let mut spec_path: Option<String> = None;
-    let mut store_dir = "sweep-cache".to_owned();
-    let mut jobs = 1usize;
-    let mut format = "table".to_owned();
-    let mut out_path: Option<String> = None;
-    let mut s = Scanner::new(&args[1..]);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt("spec", v) => spec_path = Some(s.value("spec", v)?.to_owned()),
-            Arg::Opt("store", v) => store_dir = s.value("store", v)?.to_owned(),
-            Arg::Opt("jobs", v) => jobs = parse_num("jobs", s.value("jobs", v)?)?,
-            Arg::Opt("format", v) => format = s.value("format", v)?.to_owned(),
-            Arg::Opt("o" | "out", v) => out_path = Some(s.value("out", v)?.to_owned()),
-            Arg::Opt(o, _) => return Err(format!("sweep {verb}: unknown option --{o}")),
-            Arg::Positional(p) => return Err(format!("sweep {verb}: unexpected argument {p:?}")),
-        }
-    }
-    let spec_path = spec_path.ok_or("sweep: --spec is required")?;
-    let text = std::fs::read_to_string(&spec_path).map_err(|e| file_err(&spec_path, e))?;
-    let spec = GridSpec::from_json(&text).map_err(|e| file_err(&spec_path, e))?;
-    let store = ResultStore::open(&store_dir).map_err(|e| file_err(&store_dir, e))?;
+fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let spec_path = args.value("--spec").unwrap_or_default();
+    let store_dir = args.value("--store").unwrap_or("sweep-cache");
+    let text = std::fs::read_to_string(spec_path).map_err(|e| file_err(spec_path, e))?;
+    let spec = GridSpec::from_json(&text).map_err(|e| file_err(spec_path, e))?;
+    let store = ResultStore::open(store_dir).map_err(|e| file_err(store_dir, e))?;
     // SIGTERM/ctrl-c cancels between cells: everything finished so far
     // is already in the cache, so `sweep resume` picks up the rest.
     let cancel = CancelFlag::new();
@@ -1265,6 +1279,7 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let progress = |done: usize, total: usize| {
         eprintln!("sweep: computed {done}/{total} cells");
     };
+    let jobs = args.num("--jobs")?.unwrap_or(1);
     let outcome = run_sweep(&spec, &store, jobs, &cancel, Some(&progress))
         .map_err(|e| format!("sweep: {e}"))?;
 
@@ -1289,7 +1304,7 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         return Err(format!("sweep: {} cell(s) failed", st.errors));
     }
 
-    let rendered = match format.as_str() {
+    let rendered = match args.value("--format").unwrap_or("table") {
         "table" => render_table(&outcome),
         "csv" => render_csv(&outcome),
         "json" => render_json(&outcome),
@@ -1299,7 +1314,7 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             ))
         }
     };
-    match out_path.as_deref() {
+    match args.value("--out") {
         Some(path) => {
             std::fs::write(path, &rendered).map_err(|e| file_err(path, e))?;
             write_out(out, format!("report:         {path}\n"))?;
@@ -1309,26 +1324,16 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     write_out(
         out,
         format!(
-            "{verb}: {} cells ({} unique), {} cached, {} computed\n",
-            st.cells, st.unique, st.cache_hits, st.computed
+            "{}: {} cells ({} unique), {} cached, {} computed\n",
+            args.verb, st.cells, st.unique, st.cache_hits, st.computed
         ),
     )
 }
 
 /// `lifepred sweep diff <before.json> <after.json>` — compares two
 /// saved JSON reports (from `sweep run --format json --out ...`).
-fn sweep_diff(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut paths: Vec<String> = Vec::new();
-    let mut s = Scanner::new(args);
-    while let Some(arg) = s.next() {
-        match arg {
-            Arg::Opt(o, _) => return Err(format!("sweep diff: unknown option --{o}")),
-            Arg::Positional(p) => paths.push(p.to_owned()),
-        }
-    }
-    let [before, after] = paths.as_slice() else {
-        return Err("sweep diff: exactly two report files are required".to_owned());
-    };
+fn sweep_diff(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let (before, after) = (args.positionals[0], args.positionals[1]);
     let a = std::fs::read_to_string(before).map_err(|e| file_err(before, e))?;
     let b = std::fs::read_to_string(after).map_err(|e| file_err(after, e))?;
     write_out(out, diff_reports(&a, &b)?)
@@ -1338,13 +1343,14 @@ fn sweep_diff(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// USAGE names exactly the commands `run` dispatches, in the same
-    /// order, and each named command is reached: a bogus flag is that
-    /// command's error, never `unknown command`.
+    /// `--help` names exactly the commands `run` dispatches, in the
+    /// same order, and each named command is reached: a bogus flag is
+    /// that command's error, never `unknown command`.
     #[test]
     fn usage_and_dispatch_agree() {
+        let help = usage();
         let mut listed: Vec<&str> = Vec::new();
-        for line in USAGE.lines() {
+        for line in help.lines() {
             if let Some(rest) = line.strip_prefix("    lifepred ") {
                 let name = rest.split_whitespace().next().unwrap_or_default();
                 if !listed.contains(&name) {
@@ -1352,12 +1358,43 @@ mod tests {
                 }
             }
         }
-        let dispatched: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        let mut dispatched: Vec<&str> = COMMANDS.iter().map(Command::name).collect();
+        dispatched.dedup();
         assert_eq!(listed, dispatched);
         for name in listed {
             let args = [name.to_owned(), "--no-such-flag".to_owned()];
             let err = run(&args, &mut Vec::new()).expect_err(name);
             assert!(!err.starts_with("unknown command"), "{name}: {err}");
         }
+    }
+
+    /// Each row parses by what it declares: long names are unique, an
+    /// alias is one dash and a letter, a flag is optional, a scope
+    /// names an option of the same row, and help fits 80 columns.
+    #[test]
+    fn every_row_is_well_formed() {
+        for row in COMMANDS {
+            let longs: Vec<&str> = row.opts.iter().map(|o| o.parts().1).collect();
+            for (i, opt) in row.opts.iter().enumerate() {
+                let (alias, long, value) = opt.parts();
+                let at = format!("{}: {}", row.usage, opt.spec);
+                assert!(
+                    long.starts_with("--") && !longs[..i].contains(&long),
+                    "{at}"
+                );
+                assert!(
+                    alias.is_none_or(|a| a.len() == 2 && a.starts_with('-')),
+                    "{at}"
+                );
+                assert!(value.is_empty() || value.starts_with('<'), "{at}");
+                assert!(!value.is_empty() || opt.kind == Optional, "{at}");
+                if let Scope::Only(when) | Scope::Not(when) = opt.scope {
+                    let other = when.split(' ').next().unwrap_or_default();
+                    assert!(longs.contains(&other), "{at}: {when}");
+                }
+            }
+        }
+        let help = usage();
+        assert!(help.lines().all(|l| l.chars().count() <= 80), "{help}");
     }
 }

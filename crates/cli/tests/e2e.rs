@@ -1259,6 +1259,53 @@ fn argument_errors_are_reported() {
     assert!(usage.contains("lifepred"));
 }
 
+/// Every command line is read by one table: a flag given a value and a
+/// single-valued option given twice are refused, not misread, and
+/// `--help` shows every option a command takes.
+#[test]
+fn flags_are_read_by_their_row_or_refused() {
+    let dir = Scratch::new("arg-table");
+    let trace = dir.path("t.lpt");
+    run(&["gen", "--events", "2k", "-o", &trace]).expect("gen");
+    let before = std::fs::read(&trace).expect("trace");
+    assert_eq!(
+        run(&["gen", "--events", "3k", "-o", &trace, "--force=no"]).expect_err("--force=no"),
+        "gen: --force takes no value"
+    );
+    assert_eq!(std::fs::read(&trace).expect("trace"), before, "file kept");
+    assert_eq!(
+        run(&["inspect", &trace, "--verify=false"]).expect_err("--verify=false"),
+        "inspect: --verify takes no value"
+    );
+    let x = dir.path("x.lpt");
+    assert_eq!(
+        run(&[
+            "record",
+            "--workload",
+            "cfrac",
+            "--workload",
+            "gawk",
+            "-o",
+            &x
+        ])
+        .expect_err("two workloads"),
+        "record: --workload gawk is repeated"
+    );
+    assert!(!std::path::Path::new(&x).exists(), "nothing recorded");
+    let help = run(&["--help"]).expect("help");
+    for command in ["gen", "simulate", "native"] {
+        let usage = help
+            .split("\n\n")
+            .find(|block| {
+                block
+                    .trim_start()
+                    .starts_with(&format!("lifepred {command} "))
+            })
+            .unwrap_or_else(|| panic!("no usage for {command} in\n{help}"));
+        assert!(usage.contains("[--force]"), "{usage}");
+    }
+}
+
 /// Every JSON input refuses nesting too deep for the recursive parser
 /// with a typed message. Only the real binary shows it: a stack
 /// overflow aborts the process, test harness included.

@@ -304,7 +304,13 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
+        // 6 cases; `PROPTEST_CASES` deepens them to at most 128, since
+        // a case costs about 20 ms in release and CI's deep heap run
+        // (2048) would spend 40 s here. Under Miri, whose
+        // `PROPTEST_CASES` caps every property at 8, it stays at 6.
+        #![proptest_config(ProptestConfig::with_cases(
+            ProptestConfig::with_default_cases(6).cases.min(if cfg!(miri) { 6 } else { 128 })
+        ))]
 
         /// Over scripts of more than `RING` births with long-lived
         /// objects, the ring and its survivors return the same address

@@ -125,7 +125,7 @@ fn assert_traces_equal(a: &Trace, b: &Trace) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_default_cases(32))]
 
     /// Trace → bytes → Trace is the identity, for any trace.
     #[test]

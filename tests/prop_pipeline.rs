@@ -76,7 +76,7 @@ fn run_synthetic(spec: &[SyntheticSite]) -> Trace {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_default_cases(48))]
 
     /// Self prediction with the all-short rule never mispredicts, on
     /// any trace.
