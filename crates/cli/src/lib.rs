@@ -101,13 +101,11 @@ impl Command {
 enum Kind {
     Optional,
     Required,
-    /// Any number of times; the values are kept in order.
-    Repeated,
     /// Any number of times, but no value twice, as text or as a number
     /// (`1`, `01`).
     Distinct,
 }
-use Kind::{Distinct, Optional, Repeated, Required};
+use Kind::{Distinct, Optional, Required};
 
 /// When an option is used: with (or without) another option, or with
 /// it given one value (`--drag`, `--predictor online`). An option
@@ -158,7 +156,7 @@ impl Opt {
         match self.kind {
             Required => form.to_owned(),
             Optional => format!("[{form}]"),
-            Repeated | Distinct => format!("[{form}]..."),
+            Distinct => format!("[{form}]..."),
         }
     }
 }
@@ -226,7 +224,7 @@ const COMMANDS: &[Command] = &[
         opt("--format <prometheus|json>", Optional, "output format (default prometheus)"),
     ], about: "render a saved metrics dump as Prometheus text or JSON" },
     Command { usage: "report", run: cmd_report, opts: &[
-        opt("--workload <name>", Repeated,
+        opt("--workload <name>", Distinct,
             "cfrac, espresso, gawk, ghost, perl or server (default: all)"),
         Opt { scope: Scope::Not(DRAG), ..POLICY },
         opt("--drag", Optional, "per-arena liveness timelines and object drag (bytes held \
@@ -337,7 +335,6 @@ fn parse<'a>(row: &'static Command, verb: &'a str, argv: &'a [String]) -> Result
         };
         let repeated = match opt.kind {
             Optional | Required => !seen.is_empty(),
-            Repeated => false,
             Distinct => seen
                 .iter()
                 .any(|s| *s == value || s.parse::<u64>().is_ok_and(|n| value.parse() == Ok(n))),
@@ -1173,10 +1170,15 @@ fn workload_named(name: &str) -> Result<Box<dyn Workload>, String> {
 
 /// Resolves workload names into the suite's workloads, defaulting to
 /// all of them when none are named. Commands resolve before doing any
-/// work, so a typo in the last name fails the run up front.
+/// work, so a typo or a repeat in the last name fails the run up front.
 fn resolve_workloads(names: &[&str]) -> Result<Vec<Box<dyn Workload>>, String> {
     if names.is_empty() {
         return Ok(all_workloads());
+    }
+    for (i, name) in names.iter().enumerate() {
+        if names[..i].contains(name) {
+            return Err(format!("workload {name:?} is repeated"));
+        }
     }
     names.iter().map(|n| workload_named(n)).collect()
 }

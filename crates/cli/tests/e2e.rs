@@ -582,6 +582,29 @@ fn unknown_workloads_are_refused_up_front_with_the_known_list() {
     }
 }
 
+/// A workload named twice is refused before any runs, instead of
+/// running twice and printing two identical rows.
+#[test]
+fn repeated_workloads_are_refused_up_front() {
+    let names = ["--workload", "cfrac", "--workload", "cfrac"];
+    for (args, want) in [
+        (
+            [&["report"][..], &names].concat(),
+            "report: --workload cfrac is repeated",
+        ),
+        (
+            [&["report", "--drag"][..], &names].concat(),
+            "report: --workload cfrac is repeated",
+        ),
+        (
+            vec!["native", "cfrac", "gawk", "cfrac"],
+            "workload \"cfrac\" is repeated",
+        ),
+    ] {
+        assert_eq!(run(&args).expect_err("repeated workload"), want, "{args:?}");
+    }
+}
+
 #[test]
 fn corrupted_and_missing_files_error_cleanly() {
     let dir = Scratch::new("corrupt");

@@ -73,19 +73,18 @@ struct SessionSink<'a> {
 }
 
 impl AllocSink for SessionSink<'_> {
+    type Token = u64;
     fn alloc(&mut self, site: Site, size: u32) -> Result<u64, TraceFileError> {
         // Re-enter the site's chain so the recorded trace carries the
         // same call chains the synthetic writer interns statically.
-        let mut guards: Vec<_> = site
+        let guards: Vec<_> = site
             .frames()
             .iter()
             .map(|name| self.session.enter(name))
             .collect();
         let id = self.session.alloc(size);
         // Guards must drop innermost first; a Vec drops front-to-back.
-        while let Some(guard) = guards.pop() {
-            drop(guard);
-        }
+        guards.into_iter().rev().for_each(drop);
         Ok(id.index())
     }
 
@@ -100,6 +99,7 @@ mod tests {
     use super::*;
     use crate::record;
     use lifepred_trace::shared_registry;
+    use lifepred_tracefile::{MappedTrace, TraceMap};
 
     #[test]
     fn recorded_server_traces_have_the_expected_shape() {
@@ -138,11 +138,20 @@ mod tests {
         run_sim(&config, &mut sink).expect("session run");
         let recorded = session.finish();
 
-        let (summary, _) =
+        let (summary, sink) =
             synth::generate_lpt(&config, std::io::Cursor::new(Vec::new())).expect("synth run");
         assert_eq!(recorded.records().len() as u64, summary.objects);
         assert_eq!(recorded.end_seq(), summary.events);
         assert_eq!(recorded.stats().total_bytes, summary.total_bytes);
         assert_eq!(recorded.stats().max_live_bytes, summary.max_live_bytes);
+
+        // The census's maxima as the file's meta section carries them.
+        let mapped = MappedTrace::from_map(TraceMap::from_vec(sink.into_inner())).expect("open");
+        let (want, got) = (recorded.stats(), mapped.stats());
+        assert_eq!(got.total_objects, want.total_objects);
+        assert_eq!(got.total_bytes, want.total_bytes);
+        assert_eq!(got.max_live_bytes, want.max_live_bytes);
+        assert_eq!(got.max_live_objects, want.max_live_objects);
+        assert!(got.max_live_objects > 1, "{got:?}");
     }
 }

@@ -10,26 +10,32 @@
 //! every pass. The simulation therefore keeps all of its state in
 //! index-addressed `Vec`s (never iterating a hash map) and draws
 //! randomness from its own splitmix64 generator rather than an
-//! external crate whose stream might shift under us.
+//! external crate whose stream might shift under us. `run_sim` is
+//! generic over its `AllocSink`, so each pass is compiled with its
+//! sink's calls inlined.
 
 use lifepred_tracefile::TraceFileError;
 
 /// Where the simulation's allocations land.
 ///
-/// Tokens are birth indices: the `n`-th successful [`alloc`]
-/// (zero-based) must return `n`, which is how the event stream's
-/// birth-order back-references are produced for free. Errors are
-/// [`TraceFileError`] so streaming sinks can propagate I/O failures;
-/// in-memory sinks never fail.
+/// A token is the sink's own handle for a live object, handed back to
+/// its [`free`]: the census's carries the object's size and birth
+/// clock, so that free needs no lookup. Only the records and events
+/// passes (and the session) use birth indices: the `n`-th [`alloc`]
+/// (zero-based) returns `n`, which is how the event stream's
+/// birth-order back-references come for free. Errors are
+/// [`TraceFileError`] so streaming sinks can propagate I/O failures.
 ///
 /// [`alloc`]: AllocSink::alloc
+/// [`free`]: AllocSink::free
 pub(crate) trait AllocSink {
-    /// Records an allocation of `size` bytes at `site`; returns the
-    /// object's birth index.
-    fn alloc(&mut self, site: Site, size: u32) -> Result<u64, TraceFileError>;
+    /// The handle [`alloc`](AllocSink::alloc) returns for an object.
+    type Token: Copy + Default;
+    /// Records an allocation of `size` bytes at `site`.
+    fn alloc(&mut self, site: Site, size: u32) -> Result<Self::Token, TraceFileError>;
 
     /// Records the death of a previously allocated object.
-    fn free(&mut self, token: u64) -> Result<(), TraceFileError>;
+    fn free(&mut self, token: Self::Token) -> Result<(), TraceFileError>;
 }
 
 /// The allocation sites of the server, each with a fixed call chain.
@@ -158,10 +164,9 @@ impl Rng {
 }
 
 /// A live session: its object token plus its cache-entry tokens.
-#[derive(Debug)]
-struct Session {
-    object: u64,
-    entries: [u64; SESSION_ENTRIES],
+struct Session<T> {
+    object: T,
+    entries: [T; SESSION_ENTRIES],
 }
 
 /// Runs the serving simulation, feeding every allocation and free to
@@ -170,7 +175,10 @@ struct Session {
 /// # Errors
 ///
 /// Only errors surfaced by the sink (I/O on the streaming paths).
-pub(crate) fn run_sim(config: &SimConfig, sink: &mut dyn AllocSink) -> Result<(), TraceFileError> {
+pub(crate) fn run_sim<S: AllocSink>(
+    config: &SimConfig,
+    sink: &mut S,
+) -> Result<(), TraceFileError> {
     let mut rng = Rng(config.seed ^ 0x5eed_5eed_5eed_5eed);
     let connections = config.connections.max(1);
     let sessions = config.sessions.max(1);
@@ -181,14 +189,14 @@ pub(crate) fn run_sim(config: &SimConfig, sink: &mut dyn AllocSink) -> Result<()
     // Per-connection read buffers live until teardown, growing by
     // doubling when a request outgrows them.
     let mut conn_caps: Vec<u32> = Vec::with_capacity(connections);
-    let mut conn_bufs: Vec<u64> = Vec::with_capacity(connections);
+    let mut conn_bufs = Vec::with_capacity(connections);
     for _ in 0..connections {
         conn_caps.push(CONN_BUF_MIN);
         conn_bufs.push(sink.alloc(Site::ConnBuf, CONN_BUF_MIN)?);
     }
 
-    let mut slots: Vec<Option<Session>> = (0..sessions).map(|_| None).collect();
-    let mut log_batch: Vec<u64> = Vec::with_capacity(LOG_BATCH);
+    let mut slots: Vec<Option<Session<S::Token>>> = (0..sessions).map(|_| None).collect();
+    let mut log_batch = Vec::with_capacity(LOG_BATCH);
 
     for request in 0..config.requests {
         // Bimodal request size: mostly small, a heavy tail of larges.
@@ -198,18 +206,13 @@ pub(crate) fn run_sim(config: &SimConfig, sink: &mut dyn AllocSink) -> Result<()
             2_048 + rng.below(u64::from(CONN_BUF_MAX / 4)) as u32
         };
 
-        // Grow the connection's read buffer if the request outgrew it.
+        // Grow the connection's read buffer if the request outgrew it:
+        // capacities double from CONN_BUF_MIN, so the new one is the
+        // request's next power of two (requests stay under the cap).
         let conn = rng.below(connections as u64) as usize;
         if conn_caps[conn] < request_bytes {
-            let mut cap = conn_caps[conn];
-            while cap < request_bytes {
-                cap = (cap * 2).min(CONN_BUF_MAX);
-                if cap == CONN_BUF_MAX {
-                    break;
-                }
-            }
             sink.free(conn_bufs[conn])?;
-            conn_caps[conn] = cap.max(request_bytes);
+            conn_caps[conn] = request_bytes.next_power_of_two().min(CONN_BUF_MAX);
             conn_bufs[conn] = sink.alloc(Site::ConnBuf, conn_caps[conn])?;
         }
 
@@ -235,7 +238,7 @@ pub(crate) fn run_sim(config: &SimConfig, sink: &mut dyn AllocSink) -> Result<()
         }
         if slots[slot].is_none() {
             let object = sink.alloc(Site::SessionObj, 256 + rng.below(256) as u32)?;
-            let mut entries = [0u64; SESSION_ENTRIES];
+            let mut entries = [S::Token::default(); SESSION_ENTRIES];
             for entry in &mut entries {
                 *entry = sink.alloc(Site::SessionEntry, 48 + rng.below(80) as u32)?;
             }
@@ -245,7 +248,7 @@ pub(crate) fn run_sim(config: &SimConfig, sink: &mut dyn AllocSink) -> Result<()
         // Slab-shaped burst: a batch job allocates a run of uniform
         // objects and frees them together, FIFO.
         if request % BURST_EVERY == 0 {
-            let mut slab = [0u64; BURST_OBJECTS];
+            let mut slab = [S::Token::default(); BURST_OBJECTS];
             for obj in &mut slab {
                 *obj = sink.alloc(Site::SlabBurst, 48)?;
             }
@@ -298,6 +301,8 @@ mod tests {
     }
 
     impl AllocSink for Counter {
+        type Token = u64;
+
         fn alloc(&mut self, _site: Site, size: u32) -> Result<u64, TraceFileError> {
             assert!(size > 0);
             let token = self.births;
@@ -325,6 +330,7 @@ mod tests {
         let mut log_b = Vec::new();
         struct Recorder<'a>(&'a mut Vec<(bool, u64, u32)>, u64);
         impl AllocSink for Recorder<'_> {
+            type Token = u64;
             fn alloc(&mut self, site: Site, size: u32) -> Result<u64, TraceFileError> {
                 self.0.push((true, site as u64, size));
                 self.1 += 1;

@@ -9,14 +9,14 @@
 //! 1. **census** — count objects/events, track live maxima, and fill
 //!    a compact death table (absolute death seq as `u32`, death-clock
 //!    delta as `u32` with a hash-map overflow for the long-lived
-//!    tail);
+//!    tail), its token carrying each object's size and birth clock;
 //! 2. **records** — re-run, emitting one
 //!    [`AllocationRecord`] per birth with its death looked up in the
 //!    table;
 //! 3. **events** — re-run, emitting the alloc/free event stream.
 //!
-//! Peak memory is the death table: 8 bytes per object, about a tenth
-//! of the file being written. Everything else is streamed through
+//! Peak memory is the death table alone: 8 bytes per object, about a
+//! tenth of the file being written. Everything else is streamed through
 //! [`StreamTraceWriter`]'s 64 KiB scratch buffer.
 
 use super::sim::{run_sim, AllocSink, SimConfig, Site, SITES};
@@ -44,6 +44,8 @@ pub struct SynthSummary {
 }
 
 /// The census pass: sizes the trace and learns every object's death.
+/// The live object count is `births - frees`.
+#[derive(Default)]
 struct Census {
     births: u64,
     frees: u64,
@@ -54,67 +56,62 @@ struct Census {
     /// meaning "see `delta_overflow`".
     death_delta: Vec<u32>,
     delta_overflow: HashMap<u64, u64>,
-    /// Live objects only: token → (size, birth clock).
-    live: HashMap<u64, (u32, u64)>,
     live_bytes: u64,
     max_live_bytes: u64,
     max_live_objects: u64,
 }
 
 impl Census {
-    fn new() -> Census {
-        Census {
-            births: 0,
-            frees: 0,
-            clock: 0,
-            death_seq: Vec::new(),
-            death_delta: Vec::new(),
-            delta_overflow: HashMap::new(),
-            live: HashMap::new(),
-            live_bytes: 0,
-            max_live_bytes: 0,
-            max_live_objects: 0,
-        }
-    }
-
     fn seq(&self) -> u64 {
         self.births + self.frees
     }
 }
 
+/// The census's token: what its free needs to know about the object.
+#[derive(Clone, Copy, Default)]
+struct Born {
+    index: u32,
+    size: u32,
+    birth_clock: u64,
+}
+
 impl AllocSink for Census {
-    fn alloc(&mut self, _site: Site, size: u32) -> Result<u64, TraceFileError> {
+    type Token = Born;
+    fn alloc(&mut self, _site: Site, size: u32) -> Result<Born, TraceFileError> {
         if self.seq() + 1 >= u64::from(u32::MAX) {
             return Err(TraceFileError::Malformed {
                 section: "events",
                 detail: "synthetic trace exceeds the u32 death-table seq limit".to_owned(),
             });
         }
-        let token = self.births;
+        // Births never pass seq, which the check above keeps in u32.
+        let born = Born {
+            index: self.births as u32,
+            size,
+            birth_clock: self.clock,
+        };
         self.births += 1;
         self.death_seq.push(IMMORTAL);
         self.death_delta.push(0);
-        self.live.insert(token, (size, self.clock));
         self.clock += u64::from(size);
         self.live_bytes += u64::from(size);
         self.max_live_bytes = self.max_live_bytes.max(self.live_bytes);
-        self.max_live_objects = self.max_live_objects.max(self.live.len() as u64);
-        Ok(token)
+        self.max_live_objects = self.max_live_objects.max(self.births - self.frees);
+        Ok(born)
     }
 
-    fn free(&mut self, token: u64) -> Result<(), TraceFileError> {
-        let (size, birth_clock) = self.live.remove(&token).expect("sim frees live tokens");
+    fn free(&mut self, born: Born) -> Result<(), TraceFileError> {
         let seq = self.seq();
         self.frees += 1;
-        self.live_bytes -= u64::from(size);
-        let index = usize::try_from(token).expect("birth index fits usize");
+        self.live_bytes -= u64::from(born.size);
+        let index = born.index as usize;
         self.death_seq[index] = seq as u32;
-        let delta = self.clock - birth_clock;
+        let delta = self.clock - born.birth_clock;
         match u32::try_from(delta) {
             Ok(d) if d != u32::MAX => self.death_delta[index] = d,
             _ => {
                 self.death_delta[index] = u32::MAX;
-                self.delta_overflow.insert(token, delta);
+                self.delta_overflow.insert(u64::from(born.index), delta);
             }
         }
         Ok(())
@@ -132,6 +129,7 @@ struct RecordPass<'a, W: Write + Seek> {
 }
 
 impl<W: Write + Seek> AllocSink for RecordPass<'_, W> {
+    type Token = u64;
     fn alloc(&mut self, site: Site, size: u32) -> Result<u64, TraceFileError> {
         let token = self.births;
         let seq = self.births + self.frees;
@@ -176,11 +174,11 @@ struct EventPass<'a, W: Write + Seek> {
 }
 
 impl<W: Write + Seek> AllocSink for EventPass<'_, W> {
+    type Token = u64;
     fn alloc(&mut self, _site: Site, size: u32) -> Result<u64, TraceFileError> {
         self.writer.write_alloc(size)?;
-        let token = self.births;
         self.births += 1;
-        Ok(token)
+        Ok(self.births - 1)
     }
 
     fn free(&mut self, token: u64) -> Result<(), TraceFileError> {
@@ -219,9 +217,8 @@ pub fn generate_lpt<W: Write + Seek>(
     config: &SimConfig,
     sink: W,
 ) -> Result<(SynthSummary, W), TraceFileError> {
-    let mut census = Census::new();
+    let mut census = Census::default();
     run_sim(config, &mut census)?;
-    debug_assert!(census.live.len() as u64 == census.births - census.frees);
 
     let (registry, chains, chain_of) = intern_sites();
     let stats = TraceStats {
@@ -317,5 +314,28 @@ mod tests {
         let (summary, _) = generate_lpt(&config, Cursor::new(Vec::new())).expect("generate");
         let err = summary.events.abs_diff(100_000) as f64 / 100_000.0;
         assert!(err < 0.2, "{} events for a 100k target", summary.events);
+    }
+
+    /// Pins the bytes `gen` writes: a change that alters every
+    /// generated file the same way still changes these digests. Not a
+    /// CRC-32 of the file: every section ends with its payload's own
+    /// CRC-32, which leaves a CRC register at a fixed residue, so a
+    /// whole-file CRC-32 misses any same-length change inside a section.
+    #[test]
+    fn generated_bytes_are_pinned() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        for (seed, want) in [
+            (1, 0x8a69_b3a0_9d21_d4d7),
+            (2, 0xadd8_2885_09d7_bee9),
+            (3, 0xe803_4905_e866_d072),
+        ] {
+            let config = SimConfig::for_events(100_000, seed);
+            let (_, sink) = generate_lpt(&config, Cursor::new(Vec::new())).expect("generate");
+            assert_eq!(fnv1a(sink.get_ref()), want, "seed {seed}");
+        }
     }
 }
