@@ -45,25 +45,6 @@ impl Default for EpochConfig {
 }
 
 impl EpochConfig {
-    /// Builds the configuration a CLI flag set or a sweep-grid cell
-    /// describes: the short-lived `threshold` plus an optional epoch
-    /// override. `None` (or an explicit `0`) selects the paper's
-    /// default epoch of twice the threshold; every other knob keeps
-    /// its [`Default`]. The result still needs
-    /// [`validate`](EpochConfig::validate) if the inputs are
-    /// untrusted.
-    pub fn for_threshold(threshold: u64, epoch_bytes: Option<u64>) -> EpochConfig {
-        let epoch_bytes = match epoch_bytes {
-            Some(e) if e > 0 => e,
-            _ => threshold.saturating_mul(2),
-        };
-        EpochConfig {
-            threshold,
-            epoch_bytes,
-            ..EpochConfig::default()
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors

@@ -8,8 +8,8 @@
 //! and exact per-object lifetime tracking (a birth-clock table the
 //! bare replay does not keep). This is the build `lifepred` runs.
 //!
-//! A self-timed harness (criterion adds nothing here — we want two
-//! directly comparable ops/sec numbers) times the two configurations
+//! A self-timed harness (we want two directly comparable ops/sec
+//! numbers) times the two configurations
 //! back to back within every round, reports the median of the paired
 //! per-round overhead ratios, and writes `results/BENCH_obs.json` at
 //! the workspace root so the overhead is a recorded measurement, not
@@ -21,9 +21,9 @@
 //! `results/BENCH_obs.json` untouched — only full runs update the
 //! trajectory).
 
+use lifepred_bench::simulate_file;
 use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred_heap::{ArenaConfig, ReplayPlan};
-use lifepred_sweep::simulate_file;
 use lifepred_trace::{Trace, TraceSession};
 use lifepred_tracefile::save_trace;
 use std::path::Path;

@@ -14,7 +14,7 @@
 //! 2. **simulate** — the end-to-end `lifepred simulate` pipeline
 //!    ([`simulate_file`]: one [`replay`] — records → one prediction per
 //!    object, events → chunked arena replay) over several copies of a trace, fanned out with
-//!    [`lifepred_sweep::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
+//!    [`lifepred_bench::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
 //!    here is bounded by the host's core count, which is recorded in
 //!    the output.
 //! 3. **server** — `lifepred gen` streams a synthetic server trace
@@ -55,12 +55,12 @@
 mod linear;
 
 use lifepred_adaptive::EpochConfig;
+use lifepred_bench::{run_jobs, simulate_file};
 use lifepred_core::{
     evaluate_profile, train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, TrainConfig,
     DEFAULT_THRESHOLD,
 };
 use lifepred_heap::{replay, Addr, ArenaConfig, FirstFit, ReplayPlan};
-use lifepred_sweep::{run_jobs, simulate_file};
 use lifepred_trace::{
     shared_registry, ChunkSource, EventChunk, EventKind, Trace, TraceChunks, TraceSession,
     POOLED_CHUNK_EVENTS,
@@ -527,7 +527,7 @@ fn main() {
     let simulate_once = || simulate_file(sim_path, &plan, false).expect("simulate");
     simulate_once();
     let sweep = |jobs: usize| {
-        let reports = lifepred_sweep::run_jobs(vec![(); SIM_TRACES], jobs, |_, ()| simulate_once());
+        let reports = run_jobs(vec![(); SIM_TRACES], jobs, |_, ()| simulate_once());
         assert_eq!(reports.len(), SIM_TRACES);
     };
     let (t_jobs1, t_jobs2, s2) = paired_speedup(SIM_ROUNDS, || sweep(1), || sweep(2));

@@ -7,9 +7,8 @@
 //! embarrassingly parallel: no job reads another's state. [`run_jobs`]
 //! exploits exactly that shape with scoped threads pulling from a
 //! shared work queue, so a `lifepred simulate --jobs N` or `lifepred
-//! report` run — and each of a sweep's two phases, trainings then
-//! cells — scales with cores while every individual simulation stays
-//! deterministic. It is the workspace's one thread pool.
+//! report` run scales with cores while every individual simulation
+//! stays deterministic. It is the workspace's one thread pool.
 //!
 //! Results come back **in input order**, whatever order the workers
 //! finished in, so callers see output identical to a sequential run.

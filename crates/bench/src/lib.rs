@@ -6,13 +6,21 @@
 //! with a training and a (larger) test input each. [`build_suite`]
 //! produces the trace pairs; the binaries derive profiles, train
 //! predictors, replay allocator simulations and print the rows.
+//!
+//! It also holds the two pieces the CLI and the benches share:
+//! [`simulate_file`], the one file-level simulation behind `lifepred
+//! simulate`, and [`run_jobs`], the workspace's one thread pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod driver;
 mod host;
+mod sim;
 
+pub use driver::run_jobs;
 pub use host::BenchHost;
+pub use sim::{simulate_file, SimOutput};
 
 use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_core::{

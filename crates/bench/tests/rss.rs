@@ -10,8 +10,8 @@
 
 #![cfg(target_os = "linux")]
 
+use lifepred_bench::simulate_file;
 use lifepred_heap::ReplayPlan;
-use lifepred_sweep::simulate_file;
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use std::fs::File;

@@ -3,8 +3,8 @@
 //! The binary wires the workspace together end to end: it records
 //! workloads as `.lpt` traces ([`lifepred_tracefile`]), trains
 //! predictors on them and simulates allocators with them, reruns the
-//! paper's analyses, runs workloads on [`lifepred_galloc`]'s allocator
-//! for real, and sweeps design-space grids ([`lifepred_sweep`]).
+//! paper's analyses, and runs workloads on [`lifepred_galloc`]'s
+//! allocator for real.
 //!
 //! Each command is one row of the argument table, `COMMANDS`: its
 //! usage, what it does, its options and the function that runs it.
@@ -16,16 +16,12 @@
 #![warn(missing_docs)]
 
 use lifepred_adaptive::{EpochConfig, LearnerStats};
-use lifepred_bench::format_table;
+use lifepred_bench::{format_table, run_jobs, simulate_file};
 use lifepred_core::{
     train, Profile, ShortLivedSet, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD,
 };
 use lifepred_heap::{ArenaConfig, ReplayPlan, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
-use lifepred_sweep::{
-    diff_reports, install_shutdown_handlers, render_csv, render_json, render_table, run_jobs,
-    run_sweep, simulate_file, CancelFlag, GridSpec, ResultStore,
-};
 use lifepred_trace::{shared_registry, AllocationRecord, TraceSource};
 use lifepred_tracefile::{save_trace, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
@@ -48,20 +44,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         None | Some("--help" | "-h" | "help") => return write_out(out, usage()),
         Some(name) => name,
     };
-    let rows = COMMANDS.iter().filter(|c| c.name() == name);
-    if let Some(row) = rows.clone().find(|c| c.verbs().next().is_none()) {
-        return (row.run)(&parse(row, "", &args[1..])?, out);
+    match COMMANDS.iter().find(|c| c.name() == name) {
+        Some(row) => (row.run)(&parse(row, &args[1..])?, out),
+        None => Err(format!("unknown command {name:?} (try `lifepred --help`)")),
     }
-    let verb = args.get(1).map_or("", String::as_str);
-    if let Some(row) = rows.clone().find(|c| c.verbs().any(|v| v == verb)) {
-        return (row.run)(&parse(row, verb, &args[2..])?, out);
-    }
-    let verbs: Vec<&str> = rows.flat_map(Command::verbs).collect();
-    if verbs.is_empty() {
-        return Err(format!("unknown command {name:?} (try `lifepred --help`)"));
-    }
-    let verbs = verbs.join("|");
-    Err(format!("{name}: expected a subcommand ({verbs})"))
 }
 
 // ---------------------------------------------------------------------
@@ -72,10 +58,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// function that runs it. [`parse`] reads a command line by its row,
 /// and `--help` is rendered from the rows.
 struct Command {
-    /// The usage line after `lifepred`: the command, its subcommand
-    /// words (`run|resume`), then its positionals: each `<file>` is
-    /// required, and a last `<file>...` or `[<file>]...` takes any
-    /// number more.
+    /// The usage line after `lifepred`: the command, then its
+    /// positionals: each `<file>` is required, and a last `<file>...`
+    /// or `[<file>]...` takes any number more.
     usage: &'static str,
     /// What the command does, in a line of help.
     about: &'static str,
@@ -86,12 +71,6 @@ struct Command {
 impl Command {
     fn name(&self) -> &'static str {
         self.usage.split(' ').next().unwrap_or_default()
-    }
-
-    fn verbs(&self) -> impl Iterator<Item = &'static str> {
-        let word = self.usage.split(' ').nth(1).unwrap_or_default();
-        word.split('|')
-            .filter(|v| !v.is_empty() && !v.starts_with(['<', '[']))
     }
 }
 
@@ -237,25 +216,12 @@ const COMMANDS: &[Command] = &[
         FORCE,
     ], about: "run workloads on the binary's own allocator, LifepredGlobal, and \
              print its counters" },
-    Command { usage: "sweep run|resume|render", run: cmd_sweep, opts: &[
-        opt("--spec <grid.json>", Required,
-            "declarative grid spec (schema lifepred-sweep-v1; DESIGN.md section 13)"),
-        opt("--store <dir>", Optional, "result cache directory (default sweep-cache)"),
-        JOBS,
-        opt("--format <table|csv|json>", Optional, "report format (default table)"),
-        opt("-o, --out <file>", Optional, "write the report to a file, not stdout"),
-    ], about: "run a design-space grid, resume it after a kill, or re-render it \
-             from its cache" },
-    Command { usage: "sweep diff <before.json> <after.json>", run: sweep_diff, opts: &[],
-              about: "compare two saved JSON sweep reports cell by cell" },
 ];
 
 /// A command line parsed by its row: every option known, given as its
 /// [`Kind`] allows, and used by this run.
 struct Args<'a> {
     row: &'static Command,
-    /// The subcommand word; empty for a command without subcommands.
-    verb: &'a str,
     /// The values given to each of `row.opts`, in command-line order;
     /// a flag's value is empty.
     values: Vec<Vec<&'a str>>,
@@ -289,18 +255,17 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Parses `argv`, the arguments after the command's words, by `row`.
+/// Parses `argv`, the arguments after the command's name, by `row`.
 /// Refused: an unknown option, a flag given a value, an option given
 /// more often than its [`Kind`] allows, a missing or surplus
 /// positional, a missing required option, and an option given out of
 /// its [`Scope`].
-fn parse<'a>(row: &'static Command, verb: &'a str, argv: &'a [String]) -> Result<Args<'a>, String> {
-    let label = format!("{} {verb}", row.name()).trim_end().to_owned();
+fn parse<'a>(row: &'static Command, argv: &'a [String]) -> Result<Args<'a>, String> {
+    let label = row.name();
     let positionals = row.usage.find(['<', '[']).map_or("", |i| &row.usage[i..]);
     let required = positionals.matches('<').count() - positionals.matches("[<").count();
     let mut args = Args {
         row,
-        verb,
         values: vec![Vec::new(); row.opts.len()],
         positionals: Vec::new(),
     };
@@ -1255,92 +1220,6 @@ fn cmd_native(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// sweep
-// ---------------------------------------------------------------------
-
-/// Runs (or resumes, or re-renders) a design-space sweep. The three
-/// verbs share one engine — the content-addressed cache is what makes
-/// them differ in practice:
-///
-/// * `run` executes the grid, computing whatever the cache lacks;
-/// * `resume` is the same execution after a kill — only dirty cells
-///   recompute, and the summary says how much the cache answered;
-/// * `render` re-renders a fully-cached grid (instant when warm).
-fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let spec_path = args.value("--spec").unwrap_or_default();
-    let store_dir = args.value("--store").unwrap_or("sweep-cache");
-    let text = std::fs::read_to_string(spec_path).map_err(|e| file_err(spec_path, e))?;
-    let spec = GridSpec::from_json(&text).map_err(|e| file_err(spec_path, e))?;
-    let store = ResultStore::open(store_dir).map_err(|e| file_err(store_dir, e))?;
-    // SIGTERM/ctrl-c cancels between cells: everything finished so far
-    // is already in the cache, so `sweep resume` picks up the rest.
-    let cancel = CancelFlag::new();
-    install_shutdown_handlers(&cancel);
-    // Progress goes to stderr so table/CSV/JSON on stdout stay clean.
-    let progress = |done: usize, total: usize| {
-        eprintln!("sweep: computed {done}/{total} cells");
-    };
-    let jobs = args.num("--jobs")?.unwrap_or(1);
-    let outcome = run_sweep(&spec, &store, jobs, &cancel, Some(&progress))
-        .map_err(|e| format!("sweep: {e}"))?;
-
-    let st = &outcome.stats;
-    if st.cancelled {
-        return Err(format!(
-            "sweep: cancelled after {} computed cell(s); finished cells are cached — \
-             rerun `lifepred sweep resume` to pick up the remaining {}",
-            st.computed,
-            st.unique - st.cache_hits - st.computed
-        ));
-    }
-    if st.errors > 0 {
-        for o in &outcome.outcomes {
-            if let Some(err) = &o.error {
-                write_out(
-                    out,
-                    format!("error: {}: {err}\n", o.cell.canonical_string()),
-                )?;
-            }
-        }
-        return Err(format!("sweep: {} cell(s) failed", st.errors));
-    }
-
-    let rendered = match args.value("--format").unwrap_or("table") {
-        "table" => render_table(&outcome),
-        "csv" => render_csv(&outcome),
-        "json" => render_json(&outcome),
-        other => {
-            return Err(format!(
-                "unknown format {other:?} (expected table, csv or json)"
-            ))
-        }
-    };
-    match args.value("--out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| file_err(path, e))?;
-            write_out(out, format!("report:         {path}\n"))?;
-        }
-        None => write_out(out, &rendered)?,
-    }
-    write_out(
-        out,
-        format!(
-            "{}: {} cells ({} unique), {} cached, {} computed\n",
-            args.verb, st.cells, st.unique, st.cache_hits, st.computed
-        ),
-    )
-}
-
-/// `lifepred sweep diff <before.json> <after.json>` — compares two
-/// saved JSON reports (from `sweep run --format json --out ...`).
-fn sweep_diff(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let (before, after) = (args.positionals[0], args.positionals[1]);
-    let a = std::fs::read_to_string(before).map_err(|e| file_err(before, e))?;
-    let b = std::fs::read_to_string(after).map_err(|e| file_err(after, e))?;
-    write_out(out, diff_reports(&a, &b)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1351,17 +1230,11 @@ mod tests {
     #[test]
     fn usage_and_dispatch_agree() {
         let help = usage();
-        let mut listed: Vec<&str> = Vec::new();
-        for line in help.lines() {
-            if let Some(rest) = line.strip_prefix("    lifepred ") {
-                let name = rest.split_whitespace().next().unwrap_or_default();
-                if !listed.contains(&name) {
-                    listed.push(name);
-                }
-            }
-        }
-        let mut dispatched: Vec<&str> = COMMANDS.iter().map(Command::name).collect();
-        dispatched.dedup();
+        let listed: Vec<&str> = (help.lines())
+            .filter_map(|line| line.strip_prefix("    lifepred "))
+            .map(|rest| rest.split_whitespace().next().unwrap_or_default())
+            .collect();
+        let dispatched: Vec<&str> = COMMANDS.iter().map(Command::name).collect();
         assert_eq!(listed, dispatched);
         for name in listed {
             let args = [name.to_owned(), "--no-such-flag".to_owned()];

@@ -934,6 +934,103 @@ fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
     }
 }
 
+/// Writes `trace` through `StreamTraceWriter`, so every checksum is
+/// valid, with the size of its `n`th allocation event (record size
+/// `size`) replaced by `resize(n, size)`.
+fn write_resized(path: &str, trace: &Trace, resize: impl Fn(usize, u32) -> u32) {
+    use lifepred_tracefile::{StreamMeta, StreamTraceWriter};
+    let meta = StreamMeta {
+        name: trace.name(),
+        stats: *trace.stats(),
+        end_clock: trace.end_clock(),
+        end_seq: trace.end_seq(),
+    };
+    let file = std::fs::File::create(path).expect("create");
+    let mut w =
+        StreamTraceWriter::new(file, &meta, trace.registry(), trace.chains()).expect("writer");
+    w.begin_records(trace.records().len() as u64)
+        .expect("records");
+    for r in trace.records() {
+        w.write_record(r).expect("record");
+    }
+    w.end_records().expect("records end");
+    let events = trace.events();
+    w.begin_events(events.len() as u64).expect("events");
+    let mut allocs = 0;
+    for e in &events {
+        match e.kind {
+            EventKind::Alloc => {
+                allocs += 1;
+                w.write_alloc(resize(allocs - 1, trace.records()[e.record].size))
+            }
+            EventKind::Free => w.write_free(e.record as u64),
+        }
+        .expect("event");
+    }
+    w.end_events().expect("events end");
+    w.finish().expect("finish");
+}
+
+/// CRC-valid traces whose allocation events disagree with their records
+/// in size: every second one says 50x its record's size, or one says
+/// `u32::MAX` bytes. No checksum sees it, but then the events allocate
+/// more bytes than the header's total, so every replay refuses the file
+/// at end of stream and `simulate` exits 1 instead of printing wrong
+/// `bytes:` lines.
+#[test]
+fn events_that_disagree_with_the_header_totals_are_corrupt() {
+    use std::process::Command;
+    let dir = Scratch::new("meta-totals");
+    let cfrac = by_name("cfrac").expect("workload");
+    let trace = record(cfrac.as_ref(), 0, shared_registry());
+    let inflated = dir.path("inflated.lpt");
+    write_resized(&inflated, &trace, |n, size| match n % 2 {
+        1 => 50 * size,
+        _ => size,
+    });
+    let huge = dir.path("huge.lpt");
+    write_resized(
+        &huge,
+        &trace,
+        |n, size| if n == 7 { u32::MAX } else { size },
+    );
+
+    let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
+    let arena = ArenaConfig::default();
+    let online = ReplayPlan::ArenaOnline {
+        sites: SiteConfig::default(),
+        epoch: lifepred_adaptive::EpochConfig::default(),
+        arena,
+    };
+    let plans = [
+        ReplayPlan::FirstFit,
+        ReplayPlan::Bsd,
+        ReplayPlan::Arena { db: &db, arena },
+        online,
+    ];
+    for path in [&inflated, &huge] {
+        let mapped = MappedTrace::open(path).expect("the file passes its checksums");
+        for plan in &plans {
+            let result = replay(&mapped, plan, None);
+            assert!(
+                matches!(result, Err(ReplayStreamError::Corrupt(_))),
+                "{path}: {plan:?}: {result:?}"
+            );
+        }
+        for allocator in ["first-fit", "bsd"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_lifepred"))
+                .args(["simulate", path, "--allocator", allocator])
+                .output()
+                .expect("spawn lifepred");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{path} {allocator}: {err}");
+            let prefix = format!("lifepred: {path}: invalid event stream: the events allocate ");
+            assert!(err.starts_with(&prefix), "{err}");
+            assert!(err.contains("but the header says"), "{err}");
+        }
+    }
+}
+
 /// The predicting replays read each allocation's record as the events
 /// reach it, so a records section that fails partway fails the replay
 /// there: with the source's error, not a panic and not `Corrupt`.
@@ -1030,176 +1127,6 @@ fn metrics_out_refuses_overwrite_without_force() {
 }
 
 #[test]
-fn sweep_run_resume_render_and_diff() {
-    let dir = Scratch::new("sweep");
-    let trace = dir.path("cfrac.lpt");
-    let spec = dir.path("grid.json");
-    let store = dir.path("store");
-    run(&["record", "--workload", "cfrac", "-o", &trace]).expect("record");
-    std::fs::write(
-        &spec,
-        format!(
-            r#"{{"schema": "lifepred-sweep-v1", "name": "cli-grid",
-                "traces": [{trace:?}],
-                "backends": ["offline", "firstfit"],
-                "thresholds": [16384, 32768]}}"#
-        ),
-    )
-    .expect("write spec");
-
-    // Cold run: 4 cells, but first-fit ignores the threshold axis so
-    // only 3 unique executions happen.
-    let out = run(&["sweep", "run", "--spec", &spec, "--store", &store]).expect("cold run");
-    assert!(out.contains("backend=offline"), "table output: {out}");
-    assert!(out.contains("backend=firstfit"), "table output: {out}");
-    assert!(
-        out.contains("run: 4 cells (3 unique), 0 cached, 3 computed"),
-        "summary: {out}"
-    );
-
-    // Resume answers everything from the cache.
-    let out = run(&["sweep", "resume", "--spec", &spec, "--store", &store]).expect("resume");
-    assert!(
-        out.contains("resume: 4 cells (3 unique), 3 cached, 0 computed"),
-        "summary: {out}"
-    );
-
-    // Render to CSV and JSON files; identical JSON reports diff clean.
-    let csv = dir.path("report.csv");
-    run(&[
-        "sweep", "render", "--spec", &spec, "--store", &store, "--format", "csv", "--out", &csv,
-    ])
-    .expect("render csv");
-    let csv_text = std::fs::read_to_string(&csv).expect("csv written");
-    assert!(
-        csv_text.lines().count() >= 5,
-        "header + 4 cells: {csv_text}"
-    );
-
-    let a = dir.path("a.json");
-    let b = dir.path("b.json");
-    for path in [&a, &b] {
-        run(&[
-            "sweep", "render", "--spec", &spec, "--store", &store, "--format", "json", "--out",
-            path,
-        ])
-        .expect("render json");
-    }
-    let out = run(&["sweep", "diff", &a, &b]).expect("diff");
-    assert!(out.contains("no differences"), "diff: {out}");
-
-    // Argument and input errors surface cleanly.
-    assert!(run(&["sweep"]).is_err(), "subcommand required");
-    assert!(run(&["sweep", "frob"]).is_err(), "unknown subcommand");
-    assert!(
-        run(&["sweep", "run", "--store", &store]).is_err(),
-        "--spec required"
-    );
-    assert!(run(&["sweep", "run", "--spec", &spec, "--store", &store, "--format", "xml"]).is_err());
-    assert!(run(&["sweep", "diff", &a]).is_err(), "diff needs two files");
-    let junk = dir.path("junk.json");
-    std::fs::write(&junk, "{not json").expect("write");
-    assert!(run(&["sweep", "run", "--spec", &junk, "--store", &store]).is_err());
-    assert!(run(&["sweep", "diff", &a, &junk]).is_err());
-    let err = run(&["serve"]).expect_err("serve is gone");
-    assert!(err.starts_with("unknown command \"serve\""), "{err}");
-}
-
-/// SIGTERM delivered to a real `sweep run` process cancels it between
-/// cells: it exits 1 and points at `sweep resume`, which then answers
-/// the finished cells from the cache and renders the same table as an
-/// uninterrupted run.
-#[cfg(unix)]
-#[test]
-fn sweep_run_cancels_on_sigterm_and_resumes_identically() {
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
-    let dir = Scratch::new("sigterm");
-    let trace = dir.path("gen.lpt");
-    let spec = dir.path("grid.json");
-    let store = dir.path("store");
-    // Big enough that the nine cells still queued when the signal is
-    // sent take about ten seconds in a debug build (a third of a second
-    // in release), far longer than spawning `kill`: the child cannot
-    // finish the grid before SIGTERM lands.
-    run(&["gen", "--events", "200k", "-o", &trace]).expect("gen");
-    // 4 offline + 4 online + first-fit + bsd = 10 unique cells.
-    std::fs::write(
-        &spec,
-        format!(
-            r#"{{"schema": "lifepred-sweep-v1", "name": "sigterm-grid",
-                "traces": [{trace:?}],
-                "backends": ["offline", "online", "firstfit", "bsd"],
-                "thresholds": [8192, 16384, 32768, 65536]}}"#
-        ),
-    )
-    .expect("write spec");
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_lifepred"))
-        .args([
-            "sweep", "run", "--jobs", "1", "--spec", &spec, "--store", &store,
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lifepred");
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = stderr.read_line(&mut line).expect("read stderr");
-        assert!(n > 0, "sweep exited before computing a cell");
-        if line.starts_with("sweep: computed 1/") {
-            break;
-        }
-    }
-    let killed = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("spawn kill");
-    assert!(killed.success());
-    let mut rest = String::new();
-    std::io::Read::read_to_string(&mut stderr, &mut rest).expect("drain stderr");
-    let status = child.wait().expect("wait");
-    assert_eq!(status.code(), Some(1), "{rest}");
-    assert!(rest.contains("cancelled after"), "{rest}");
-    assert!(rest.contains("rerun `lifepred sweep resume`"), "{rest}");
-
-    let resumed = dir.path("resumed.txt");
-    // The table is the same at any --jobs; two workers halve the wait.
-    let out = run(&[
-        "sweep", "resume", "--jobs", "2", "--spec", &spec, "--store", &store, "--out", &resumed,
-    ])
-    .expect("resume");
-    let cached: usize = out
-        .split(", ")
-        .find_map(|part| part.strip_suffix(" cached"))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no cached count: {out}"));
-    assert!(cached > 0, "{out}");
-
-    let fresh = dir.path("fresh.txt");
-    let fresh_store = dir.path("fresh-store");
-    run(&[
-        "sweep",
-        "run",
-        "--jobs",
-        "2",
-        "--spec",
-        &spec,
-        "--store",
-        &fresh_store,
-        "--out",
-        &fresh,
-    ])
-    .expect("uninterrupted run");
-    assert_eq!(
-        std::fs::read(&resumed).expect("resumed table"),
-        std::fs::read(&fresh).expect("fresh table")
-    );
-}
-
-#[test]
 fn argument_errors_are_reported() {
     assert!(run(&["frobnicate"]).is_err());
     assert!(run(&["record"]).is_err(), "missing --workload");
@@ -1236,6 +1163,12 @@ fn argument_errors_are_reported() {
         run(&["trace", "cfrac"]).expect_err("no trace command"),
         "unknown command \"trace\" (try `lifepred --help`)"
     );
+    for gone in ["serve", "sweep"] {
+        assert_eq!(
+            run(&[gone, "run"]).expect_err(gone),
+            format!("unknown command {gone:?} (try `lifepred --help`)")
+        );
+    }
     // Flags a run would silently ignore are refused, before any file is
     // read. A trained predictor carries its own policy, rounding and
     // threshold; the baselines take no learner knobs at all.
@@ -1337,11 +1270,9 @@ fn deeply_nested_json_is_refused_not_a_stack_overflow() {
     let dir = Scratch::new("deep-json");
     let deep = dir.path("deep.json");
     std::fs::write(&deep, "[".repeat(200_000)).expect("write");
-    let store = dir.path("store");
     for args in [
         vec!["stats", &deep],
-        vec!["sweep", "run", "--spec", &deep, "--store", &store],
-        vec!["sweep", "diff", &deep, &deep],
+        vec!["simulate", "t.lpt", "--predictor", &deep],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_lifepred"))
             .args(&args)

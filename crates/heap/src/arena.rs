@@ -51,30 +51,6 @@ impl ArenaConfig {
             .checked_mul(u64::from(self.arena_size))
             .expect("arena geometry overflows u64")
     }
-
-    /// Parses a `COUNTxSIZE` geometry string (e.g. `16x4096`) — the
-    /// spelling grid specs and CLI flags use. Both numbers must be
-    /// positive; whitespace is not accepted.
-    pub fn parse(text: &str) -> Option<ArenaConfig> {
-        let (count, size) = text.split_once('x')?;
-        let arena_count: usize = count.parse().ok().filter(|&n| n > 0)?;
-        let arena_size: u32 = size.parse().ok().filter(|&n| n > 0)?;
-        let config = ArenaConfig {
-            arena_count,
-            arena_size,
-        };
-        // Reject geometries `total_bytes` would panic on.
-        (arena_count as u64).checked_mul(u64::from(arena_size))?;
-        Some(config)
-    }
-}
-
-impl std::fmt::Display for ArenaConfig {
-    /// Renders the geometry in the same `COUNTxSIZE` form
-    /// [`ArenaConfig::parse`] accepts.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}x{}", self.arena_count, self.arena_size)
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]

@@ -252,15 +252,17 @@ pub(crate) type Replayed = (ReplayReport, Option<LearnerStats>);
 /// [`ReplayStreamError::Source`] if the events or the records fail (the
 /// events before the failure are replayed first);
 /// [`ReplayStreamError::Corrupt`] on an allocation out of birth order, a
-/// free of an object that is not live, or an allocation with no record
-/// behind it.
+/// free of an object that is not live, an allocation with no record
+/// behind it, or events whose object and byte totals are not the
+/// header's.
 pub fn replay<T: TraceSource>(
     input: &T,
     plan: &ReplayPlan<'_>,
     obs: Option<&ReplayObs<'_>>,
 ) -> Result<Replayed, ReplayStreamError<T::Error>> {
-    let meta = (input.name(), input.function_calls());
-    match *plan {
+    let stats = input.stats();
+    let meta = (input.name(), stats.function_calls);
+    let replayed = match *plan {
         ReplayPlan::FirstFit => {
             let heap = FirstFit::new();
             run(meta, input.events(), "first-fit", heap, NoPrediction, obs)
@@ -290,7 +292,16 @@ pub fn replay<T: TraceSource>(
             let heap = ArenaAllocator::new(arena);
             run(meta, input.events(), "arena-online", heap, online, obs)
         }
+    }?;
+    let report = &replayed.0;
+    let replayed_totals = (report.total_allocs, report.total_bytes);
+    if replayed_totals != (stats.total_objects, stats.total_bytes) {
+        return Err(ReplayStreamError::Corrupt(format!(
+            "the events allocate {} objects of {} bytes, but the header says {} of {}",
+            report.total_allocs, report.total_bytes, stats.total_objects, stats.total_bytes
+        )));
     }
+    Ok(replayed)
 }
 
 /// The engine: replays the batches of `source` through `heap`, asking

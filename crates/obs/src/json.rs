@@ -5,8 +5,7 @@
 //! JSON surface everything else builds on: a recursive-descent
 //! [`parse`] into a [`Value`] tree, and [`escape`] for writers. It is
 //! the workspace's one JSON reader: behind
-//! [`Snapshot::from_json`](crate::Snapshot::from_json), the sweep
-//! engine's grid specs, result store and report diff, and the trained
+//! [`Snapshot::from_json`](crate::Snapshot::from_json) and the trained
 //! predictor files of `lifepred-core`.
 //!
 //! The dialect is deliberately small: objects, arrays, strings with

@@ -241,8 +241,7 @@ impl Snapshot {
     }
 
     /// Folds `other` into `self`, name by name — how the parallel
-    /// simulation driver and the sweep engine combine per-job
-    /// registries into one dump.
+    /// simulation driver combines per-job registries into one dump.
     ///
     /// Counters and gauges **add** (a merged gauge is therefore a sum
     /// across jobs — the right reading for the `lifepred_learner_*`

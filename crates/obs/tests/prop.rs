@@ -127,8 +127,8 @@ proptest! {
         prop_assert_eq!(merged, oracle);
     }
 
-    /// Folding per-job snapshots with [`Snapshot::merge`] — the sweep
-    /// engine's and parallel driver's combine step — equals a serial
+    /// Folding per-job snapshots with [`Snapshot::merge`] — the
+    /// parallel driver's combine step — equals a serial
     /// oracle that saw every job's activity, for any mix of disjoint
     /// and overlapping metric names across counters, gauges and
     /// histograms.

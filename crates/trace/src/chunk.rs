@@ -23,6 +23,7 @@
 use crate::events::EventKind;
 use crate::record::{AllocationRecord, RecordSource, TraceRecords};
 use crate::session::Trace;
+use crate::stats::TraceStats;
 use std::borrow::Borrow;
 use std::convert::Infallible;
 
@@ -245,8 +246,9 @@ pub trait TraceSource {
 
     /// The traced program's name.
     fn name(&self) -> &str;
-    /// Function calls in the traced execution.
-    fn function_calls(&self) -> u64;
+    /// The header's statistics: totals and maxima of the traced run,
+    /// which a full walk of the events must reproduce.
+    fn stats(&self) -> &TraceStats;
     /// A fresh pass over the event stream.
     fn events(&self) -> Self::Events<'_>;
     /// A fresh pass over the records; fails if the walk cannot start.
@@ -263,8 +265,8 @@ impl TraceSource for Trace {
         Trace::name(self)
     }
 
-    fn function_calls(&self) -> u64 {
-        self.stats().function_calls
+    fn stats(&self) -> &TraceStats {
+        Trace::stats(self)
     }
 
     fn events(&self) -> TraceChunks {

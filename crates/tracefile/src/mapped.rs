@@ -781,8 +781,8 @@ impl TraceSource for MappedTrace {
         &self.name
     }
 
-    fn function_calls(&self) -> u64 {
-        self.stats.function_calls
+    fn stats(&self) -> &TraceStats {
+        &self.stats
     }
 
     fn events(&self) -> MappedEvents<'_> {
