@@ -20,11 +20,11 @@
 //! 3. **server** — `lifepred gen` streams a synthetic server trace
 //!    (10⁷ events on full runs); the file is verified once up front
 //!    (recorded as `verify_once_secs`), then [`MappedTrace`] decodes it
-//!    zero-copy out of the verified mapping and the first-fit allocator
-//!    replays it end to end. At this size the trace no longer fits any
-//!    cache. Decode has one implementation, so nothing races it here;
-//!    the frozen benchmark's `tracefile.*` layer metrics are its
-//!    yardstick.
+//!    zero-copy out of the verified mapping and the first-fit and BSD
+//!    allocators each replay it end to end. At this size the trace no
+//!    longer fits any cache. Decode has one implementation, so nothing
+//!    races it here; the frozen benchmark's `tracefile.*` layer metrics
+//!    are its yardstick.
 //! 4. **arena** — where an arena replay's time goes: the 10⁶-event
 //!    `lifepred gen --seed 2` trace replayed through
 //!    [`ReplayPlan::Arena`] with its self-trained database (the records
@@ -555,15 +555,19 @@ fn main() {
     let t_scale_mapped = median_time(rounds(SCALE_ROUNDS), || {
         assert_eq!(file_mapped_events_unverified(&scale_path), scale_events);
     });
-    // End-to-end server row: first-fit replay straight off the mapping
-    // (the file was verified once above, so the replay opens
+    // End-to-end server rows: first-fit and BSD replays straight off the
+    // mapping (the file was verified once above, so the replay opens
     // unverified, same as the decode rounds).
-    // The replay is ~30x slower than decode, so 3 rounds bound the run.
-    let t_server = median_time(3, || {
-        let mapped = MappedTrace::open_unverified(&scale_path).expect("mapped open");
-        let report = replay(&mapped, &ReplayPlan::FirstFit, None).expect("server replay");
-        std::hint::black_box(report);
-    });
+    // A replay is ~10-30x slower than decode, so 3 rounds bound the run.
+    let server_replay = |plan: ReplayPlan<'static>| {
+        median_time(3, || {
+            let mapped = MappedTrace::open_unverified(&scale_path).expect("mapped open");
+            let report = replay(&mapped, &plan, None).expect("server replay");
+            std::hint::black_box(report);
+        })
+    };
+    let t_server = server_replay(ReplayPlan::FirstFit);
+    let t_server_bsd = server_replay(ReplayPlan::Bsd);
     std::fs::remove_file(&scale_path).ok();
 
     // --- arena: the general heap's share of an arena replay ----------
@@ -636,7 +640,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-replay-v6\",\n  \
+           \"schema\": \"lifepred-bench-replay-v7\",\n  \
            \"smoke\": {smoke},\n  \
            {host_fields},\n  \
            \"firstfit\": {{\n    \
@@ -663,7 +667,8 @@ fn main() {
              \"gen_events_per_sec\": {gen_rate:.0},\n    \
              \"verify_once_secs\": {verify_secs:.4},\n    \
              \"mapped_events_per_sec\": {scale_mapped_rate:.0},\n    \
-             \"replay_events_per_sec\": {server_rate:.0}\n  \
+             \"replay_events_per_sec\": {server_rate:.0},\n    \
+             \"bsd_replay_events_per_sec\": {server_bsd_rate:.0}\n  \
            }},\n  \
            \"arena\": {{\n    \
              \"events\": {arena_events},\n    \
@@ -684,6 +689,7 @@ fn main() {
         gen_rate = scale_events as f64 / gen_secs,
         scale_mapped_rate = scale_events as f64 / t_scale_mapped,
         server_rate = scale_events as f64 / t_server,
+        server_bsd_rate = scale_events as f64 / t_server_bsd,
         arena_rate = arena_events as f64 / t_arena,
         general_rate = general_events as f64 / t_general,
         recording_share = recording / serial,
@@ -701,10 +707,11 @@ fn main() {
     println!(
         "server:   {scale_events} events generated at {:.1}M events/s ({scale_file_bytes} file \
          bytes); verified once in {verify_secs:.3}s; decode {:.1}M events/s mapped; first-fit \
-         replay {:.1}M events/s",
+         replay {:.1}M events/s, bsd {:.1}M events/s",
         scale_events as f64 / gen_secs / 1e6,
         scale_events as f64 / t_scale_mapped / 1e6,
         scale_events as f64 / t_server / 1e6,
+        scale_events as f64 / t_server_bsd / 1e6,
     );
     println!(
         "arena:    {arena_events} events replayed in {:.1} ms with the self-trained bitmap; \

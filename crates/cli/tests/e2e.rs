@@ -1031,6 +1031,60 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
     }
 }
 
+/// A CRC-valid trace whose first allocation event swaps sizes with the
+/// first one of another size: the header totals still hold, so only a
+/// replay that reads each allocation's record beside its event can
+/// tell. Both predicting plans do, and refuse the file with the object,
+/// and `simulate --predictor online` exits 1; first-fit and BSD read no
+/// records and replay it.
+#[test]
+fn events_that_disagree_with_their_records_in_size_are_corrupt() {
+    use std::process::Command;
+    let dir = Scratch::new("size-swap");
+    let cfrac = by_name("cfrac").expect("workload");
+    let trace = record(cfrac.as_ref(), 0, shared_registry());
+    let sizes: Vec<u32> = trace.records().iter().map(|r| r.size).collect();
+    let other = (sizes.iter())
+        .position(|&size| size != sizes[0])
+        .expect("cfrac allocates more than one size");
+    let swapped = dir.path("swapped.lpt");
+    write_resized(&swapped, &trace, |n, size| match n {
+        0 => sizes[other],
+        n if n == other => sizes[0],
+        _ => size,
+    });
+
+    let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
+    let arena = ArenaConfig::default();
+    let online = ReplayPlan::ArenaOnline {
+        sites: SiteConfig::default(),
+        epoch: lifepred_adaptive::EpochConfig::default(),
+        arena,
+    };
+    let mapped = MappedTrace::open(&swapped).expect("the file passes its checksums");
+    let detail = format!(
+        "object 0: the event allocates {} bytes, its record says {}",
+        sizes[other], sizes[0]
+    );
+    for plan in [ReplayPlan::Arena { db: &db, arena }, online] {
+        match replay(&mapped, &plan, None) {
+            Err(ReplayStreamError::Corrupt(got)) => assert_eq!(got, detail, "{plan:?}"),
+            other => panic!("{plan:?}: {other:?}"),
+        }
+    }
+    for plan in [ReplayPlan::FirstFit, ReplayPlan::Bsd] {
+        assert!(replay(&mapped, &plan, None).is_ok(), "{plan:?}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_lifepred"))
+        .args(["simulate", &swapped, "--predictor", "online"])
+        .output()
+        .expect("spawn lifepred");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let expected = format!("lifepred: {swapped}: invalid event stream: {detail}");
+    assert!(err.starts_with(&expected), "{err}");
+}
+
 /// The predicting replays read each allocation's record as the events
 /// reach it, so a records section that fails partway fails the replay
 /// there: with the source's error, not a panic and not `Corrupt`.

@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod evaluate;
+pub mod hash;
 mod lifetimes;
 mod persist;
 mod profile;

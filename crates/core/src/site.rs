@@ -1,5 +1,6 @@
 //! Allocation-site identity: what the predictor keys on.
 
+use crate::hash::IntMap;
 use lifepred_trace::{AllocationRecord, ChainId, ChainTable, FnId};
 use std::collections::HashMap;
 use std::fmt;
@@ -242,7 +243,7 @@ pub struct SiteExtractor<'t> {
     latest: Vec<Option<(u32, SiteId)>>,
     /// Each site's template and rounded size, indexed by `SiteId`.
     sites: Vec<(u32, u32)>,
-    ids: HashMap<(u32, u32), SiteId>,
+    ids: IntMap<u64, SiteId>,
 }
 
 impl<'t> SiteExtractor<'t> {
@@ -258,7 +259,7 @@ impl<'t> SiteExtractor<'t> {
             template_of: vec![None; chains.len()],
             latest: vec![None; chains.len()],
             sites: Vec::new(),
-            ids: HashMap::new(),
+            ids: IntMap::default(),
         }
     }
 
@@ -271,7 +272,8 @@ impl<'t> SiteExtractor<'t> {
             return id;
         }
         let site = (self.template(record.chain), size);
-        let id = *self.ids.entry(site).or_insert_with(|| {
+        let key = u64::from(site.0) << 32 | u64::from(size);
+        let id = *self.ids.entry(key).or_insert_with(|| {
             self.sites.push(site);
             SiteId(u32::try_from(self.sites.len() - 1).expect("more than u32::MAX sites"))
         });

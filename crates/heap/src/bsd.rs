@@ -1,7 +1,6 @@
 //! The 4.2BSD power-of-two bucket allocator.
 
 use crate::counts::OpCounts;
-use crate::hash::AddrMap;
 use crate::Addr;
 
 /// Per-object header bytes (the classic BSD `union overhead`).
@@ -26,7 +25,7 @@ const PAGE: u64 = 4096;
 ///
 /// let mut heap = BsdMalloc::new();
 /// let a = heap.alloc(10);
-/// heap.free(a);
+/// heap.free(a, 10);
 /// let b = heap.alloc(12); // same bucket: reuses the chunk
 /// assert_eq!(a, b);
 /// ```
@@ -34,10 +33,8 @@ const PAGE: u64 = 4096;
 pub struct BsdMalloc {
     /// Free chunks per bucket index (bucket = MIN_BUCKET << index).
     free_lists: Vec<Vec<u64>>,
-    /// Live chunk → bucket index (simulates reading the header).
-    live: AddrMap<u64, usize>,
+    /// The heap's extent; it never shrinks, so it is its high-water mark.
     brk: u64,
-    max_brk: u64,
     counts: OpCounts,
 }
 
@@ -53,10 +50,6 @@ impl BsdMalloc {
         (bucket.trailing_zeros() - MIN_BUCKET.trailing_zeros()) as usize
     }
 
-    fn bucket_bytes(index: usize) -> u64 {
-        MIN_BUCKET << index
-    }
-
     /// Allocates `size` bytes.
     pub fn alloc(&mut self, size: u32) -> Addr {
         self.counts.allocs += 1;
@@ -66,37 +59,40 @@ impl BsdMalloc {
         }
         if let Some(addr) = self.free_lists[idx].pop() {
             self.counts.bucket_pops += 1;
-            self.live.insert(addr, idx);
             return Addr(addr + HEADER);
         }
         // Carve a fresh page (or a single chunk, if larger than a page).
         self.counts.page_carves += 1;
-        let bucket = Self::bucket_bytes(idx);
+        let bucket = MIN_BUCKET << idx;
         let grow = bucket.max(PAGE);
         let start = self.brk;
         self.brk += grow;
-        self.max_brk = self.max_brk.max(self.brk);
         let chunks = (grow / bucket).max(1);
         for i in (1..chunks).rev() {
             self.free_lists[idx].push(start + i * bucket);
         }
-        self.live.insert(start, idx);
         Addr(start + HEADER)
     }
 
-    /// Frees a chunk returned by [`BsdMalloc::alloc`].
+    /// Frees a chunk [`BsdMalloc::alloc`] returned for `size` bytes: like
+    /// BSD's chunk header, the size names the bucket it goes back to.
     ///
-    /// An `addr` that is not a live allocation of this heap — never
-    /// allocated, already freed, or not a chunk start — is ignored and
-    /// counted in [`OpCounts::frees_invalid`].
-    pub fn free(&mut self, addr: Addr) {
-        let start = addr.0.checked_sub(HEADER);
-        let Some((start, idx)) = start.and_then(|s| Some((s, self.live.remove(&s)?))) else {
-            self.counts.frees_invalid += 1;
-            return;
-        };
-        self.counts.frees += 1;
-        self.free_lists[idx].push(start);
+    /// An `addr` that cannot be a chunk start (below the header, not
+    /// 16-aligned behind it, or past the heap's end), or a `size` above
+    /// every bucket allocated so far, is a no-op counted in
+    /// [`OpCounts::frees_invalid`]. A double free or a wrong `size` goes
+    /// unseen; a replay takes the size from its live table, which
+    /// refuses a double free first.
+    pub fn free(&mut self, addr: Addr, size: u32) {
+        let start = (addr.0.checked_sub(HEADER))
+            .filter(|&start| start % MIN_BUCKET == 0 && start < self.brk);
+        match (start, self.free_lists.get_mut(Self::bucket_index(size))) {
+            (Some(start), Some(list)) => {
+                self.counts.frees += 1;
+                list.push(start);
+            }
+            _ => self.counts.frees_invalid += 1,
+        }
     }
 
     /// Current heap extent in bytes.
@@ -104,19 +100,14 @@ impl BsdMalloc {
         self.brk
     }
 
-    /// High-water heap extent in bytes.
-    pub(crate) fn max_heap_bytes(&self) -> u64 {
-        self.max_brk
-    }
-
     /// Operation counters.
-    pub(crate) fn counts(&self) -> &OpCounts {
+    pub fn counts(&self) -> &OpCounts {
         &self.counts
     }
 
-    /// Number of live allocations.
+    /// Number of live allocations: allocations less valid frees.
     pub fn live_blocks(&self) -> usize {
-        self.live.len()
+        self.counts.allocs.saturating_sub(self.counts.frees) as usize
     }
 }
 
@@ -138,8 +129,8 @@ mod tests {
         let mut h = BsdMalloc::new();
         let a = h.alloc(20);
         let b = h.alloc(20);
-        h.free(b);
-        h.free(a);
+        h.free(b, 20);
+        h.free(a, 20);
         assert_eq!(h.alloc(20), a);
         assert_eq!(h.alloc(20), b);
     }
@@ -163,7 +154,7 @@ mod tests {
         let addrs: Vec<_> = (0..100).map(|_| h.alloc(1000)).collect();
         let peak = h.heap_bytes();
         for a in addrs {
-            h.free(a);
+            h.free(a, 1000);
         }
         assert_eq!(h.heap_bytes(), peak);
         assert_eq!(h.live_blocks(), 0);
@@ -174,7 +165,7 @@ mod tests {
         let mut h = BsdMalloc::new();
         let a = h.alloc(10_000); // 10004 -> 16384 bucket
         assert!(h.heap_bytes() >= 16384);
-        h.free(a);
+        h.free(a, 10_000);
         let b = h.alloc(9_000); // same bucket
         assert_eq!(a, b);
     }
@@ -184,17 +175,17 @@ mod tests {
         let mut h = BsdMalloc::new();
         let a = h.alloc(8);
         let b = h.alloc(8);
-        h.free(a);
-        h.free(a); // double free
-        h.free(Addr(b.0 + 4)); // not a chunk start
-        h.free(Addr(1 << 30)); // never allocated
-        h.free(Addr(HEADER - 1)); // below the header offset
+        h.free(a, 8);
+        h.free(Addr(b.0 + 4), 8); // not a chunk start
+        h.free(Addr(1 << 30), 8); // never allocated
+        h.free(Addr(HEADER - 1), 8); // below the header offset
+        h.free(b, 10_000); // a bucket never carved
         assert_eq!(h.counts().frees, 1);
         assert_eq!(h.counts().frees_invalid, 4);
         // The chunk went back to its free list once, and `b` is intact.
         assert_eq!(h.alloc(8), a);
         assert_ne!(h.alloc(8), a);
-        h.free(b);
+        h.free(b, 8);
         assert_eq!(h.counts().frees, 2);
         assert_eq!(h.live_blocks(), 2);
     }

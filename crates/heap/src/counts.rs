@@ -9,9 +9,9 @@ pub struct OpCounts {
     pub allocs: u64,
     /// Deallocation requests served.
     pub frees: u64,
-    /// Deallocation requests ignored because the address was not a
-    /// live allocation (never allocated, already free, or mid-block) —
-    /// a corrupted trace cannot poison the heap structures.
+    /// Deallocation requests ignored because the address cannot be a
+    /// live allocation (never allocated or mid-block) — a corrupted
+    /// trace cannot poison the heap structures. Double frees are the replay's to refuse.
     pub frees_invalid: u64,
     /// Free-list blocks examined during first-fit searches.
     pub search_steps: u64,

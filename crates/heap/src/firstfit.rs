@@ -9,9 +9,9 @@
 //! equivalent by `tests/differential.rs`).
 
 use crate::counts::OpCounts;
-use crate::hash::AddrMap;
 use crate::index::{Found, FreeTree, IndexStats};
 use crate::Addr;
+use lifepred_core::hash::IntMap;
 
 /// Per-object header bytes (size + status word, boundary tag style).
 pub const HEADER: u64 = 8;
@@ -68,7 +68,7 @@ pub struct FirstFit {
     /// `[base, brk)`, and no two of them touch.
     free: FreeTree,
     /// The allocated blocks: start address → block size.
-    allocated: AddrMap<u64, u64>,
+    allocated: IntMap<u64, u64>,
     base: u64,
     brk: u64,
     max_brk: u64,
@@ -97,7 +97,7 @@ impl FirstFit {
     pub(crate) fn with_base(base: u64) -> Self {
         FirstFit {
             free: FreeTree::new(),
-            allocated: AddrMap::default(),
+            allocated: IntMap::default(),
             base,
             brk: base,
             max_brk: base,

@@ -96,9 +96,9 @@ pub fn replay_arena_online(
 pub fn prediction_bitmap(trace: &Trace, db: &ShortLivedSet) -> Vec<bool> {
     let mut sites = SiteCursor::new(trace.into(), *db.config());
     let mut verdicts = Vec::new();
-    let mut predicts = |record| sites.verdict(record, &mut verdicts, |site| db.predicts(site));
-    let bitmap: Result<_, ReplayStreamError<Infallible>> =
-        (0..trace.records().len()).map(&mut predicts).collect();
+    let bitmap: Result<_, ReplayStreamError<Infallible>> = (trace.records().iter().enumerate())
+        .map(|(record, r)| sites.verdict(record, r.size, &mut verdicts, |site| db.predicts(site)))
+        .collect();
     bitmap.expect("every index of a trace's records has a record")
 }
 
@@ -140,7 +140,7 @@ pub fn replay_arena_chunks<S: ChunkSource>(
     predicted: &[bool],
     &ReplayConfig { arena }: &ReplayConfig,
 ) -> Result<ReplayReport, ReplayStreamError<S::Error>> {
-    let predicts = |record| {
+    let predicts = |record, _size: u32| {
         let short = predicted.get(record).copied();
         short.ok_or_else(|| missing(record, "prediction", predicted.len()))
     };
@@ -159,7 +159,7 @@ pub fn replay_arena_online_chunks<S: ChunkSource>(
     &ReplayConfig { arena }: &ReplayConfig,
 ) -> Result<OnlineReplayReport, ReplayStreamError<S::Error>> {
     let mut ids = HashMap::new();
-    let site_id = |record: usize| {
+    let site_id = |record: usize, _size: u32| {
         let fingerprint =
             (sites.get(record)).ok_or_else(|| missing(record, "site fingerprint", sites.len()))?;
         let next = ids.len() as u32;

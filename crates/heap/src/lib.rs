@@ -8,7 +8,7 @@
 //!   pointer, splitting and immediate coalescing, grown in 8 KB pages
 //!   (the paper's baseline and the arena allocator's general heap);
 //! * [`BsdMalloc`]: the 4.2BSD power-of-two bucket allocator (the CPU
-//!   baseline of Table 9);
+//!   baseline of Table 9), whose `free` is handed the object's size;
 //! * [`ArenaAllocator`]: Hanson-style short-lived arenas (16 × 4 KB by
 //!   default) driven by a trained
 //!   [`ShortLivedSet`](lifepred_core::ShortLivedSet), falling back to
@@ -21,7 +21,8 @@
 //! mapped trace file, any [`TraceSource`](lifepred_trace::TraceSource)
 //! — through the allocator a [`ReplayPlan`] names, the plan naming the
 //! trained database (or the online learner's site keying) a predicting
-//! allocator consults. Optionally recording `lifepred_sim_*` metrics
+//! allocator consults; it refuses a double free before any heap sees
+//! it. Optionally recording `lifepred_sim_*` metrics
 //! into a [`ReplayObs`], it produces the numbers behind Tables 7 and 8;
 //! the cost functions ([`firstfit_costs`], [`bsd_costs`],
 //! [`arena_costs`]) convert operation counts into the per-operation
@@ -52,7 +53,6 @@ mod counts;
 mod firstfit;
 #[doc(hidden)]
 pub mod frozen;
-mod hash;
 mod index;
 mod live;
 mod obs;

@@ -50,11 +50,11 @@ impl<H, E> Predict<H, E> for NoPrediction {
     }
 }
 
-/// A frozen verdict per allocation: `self(record)` says whether object
-/// `record` is short-lived.
-impl<H, E, F: FnMut(usize) -> Fallible<bool, E>> Predict<H, E> for F {
-    fn on_alloc(&mut self, record: usize, _size: u32) -> Fallible<(bool, u32), E> {
-        Ok((self(record)?, 0))
+/// A frozen verdict per allocation: `self(record, size)` says whether
+/// object `record`, of `size` bytes, is short-lived.
+impl<H, E, F: FnMut(usize, u32) -> Fallible<bool, E>> Predict<H, E> for F {
+    fn on_alloc(&mut self, record: usize, size: u32) -> Fallible<(bool, u32), E> {
+        Ok((self(record, size)?, 0))
     }
 }
 
@@ -79,26 +79,31 @@ where
         }
     }
 
-    /// The site of object `record`, the next record of the walk; an
-    /// error past the last record names the `what` it lacks.
-    pub(crate) fn next(&mut self, record: usize, what: &str) -> Fallible<SiteId, E> {
+    /// The site of object `record`, the next record of the walk, which
+    /// its allocation event says is `size` bytes.
+    pub(crate) fn next(&mut self, record: usize, size: u32) -> Fallible<SiteId, E> {
         match self.records.next() {
-            Some(Ok(next)) => Ok(self.extractor.site_id(next.borrow())),
+            Some(Ok(r)) if r.borrow().size == size => Ok(self.extractor.site_id(r.borrow())),
+            Some(Ok(r)) => Err(ReplayStreamError::Corrupt(format!(
+                "object {record}: the event allocates {size} bytes, its record says {}",
+                r.borrow().size
+            ))),
             Some(Err(e)) => Err(ReplayStreamError::Source(e)),
-            None => Err(missing(record, what, record)),
+            None => Err(missing(record, "record", record)),
         }
     }
 
-    /// Whether object `record` is short-lived, by its site's entry in
-    /// `verdicts` (indexed by site id): `predicts` fills that in from
-    /// the site's key on its first record only.
+    /// Whether object `record`, of `size` bytes, is short-lived, by its
+    /// site's entry in `verdicts` (indexed by site id): `predicts` fills
+    /// that in from the site's key on its first record only.
     pub(crate) fn verdict(
         &mut self,
         record: usize,
+        size: u32,
         verdicts: &mut Vec<bool>,
         predicts: impl FnOnce(&SiteKey) -> bool,
     ) -> Fallible<bool, E> {
-        let site = self.next(record, "prediction")?.0 as usize;
+        let site = self.next(record, size)?.0 as usize;
         if site == verdicts.len() {
             verdicts.push(predicts(&self.extractor.key(SiteId(site as u32))));
         }
@@ -145,11 +150,11 @@ impl<F> Online<F> {
 
 impl<E, F> Predict<ArenaAllocator, E> for Online<F>
 where
-    F: FnMut(usize) -> Fallible<u32, E>,
+    F: FnMut(usize, u32) -> Fallible<u32, E>,
 {
     fn on_alloc(&mut self, record: usize, size: u32) -> Fallible<(bool, u32), E> {
         // The object's free and a pin report hand the row back.
-        let row = (self.sites)(record)?;
+        let row = (self.sites)(record, size)?;
         if row > ROW_MASK {
             return Err(Corrupt(format!(
                 "object {record} is at allocation site {row}; at most {ROW_MASK} sites are supported"

@@ -166,8 +166,8 @@ pub(crate) trait SimHeap {
     /// Allocates `size` bytes. `short` is the predictor's verdict; the
     /// non-predicting allocators ignore it.
     fn place(&mut self, size: u32, short: bool) -> Addr;
-    /// Frees a live allocation.
-    fn release(&mut self, addr: Addr);
+    /// Frees a live allocation of `size` bytes (the live table refuses a double free).
+    fn release(&mut self, addr: Addr, size: u32);
     /// Whether `addr` lies in an arena area.
     fn in_arena(&self, _addr: Addr) -> bool {
         false
@@ -185,7 +185,7 @@ impl SimHeap for FirstFit {
     fn place(&mut self, size: u32, _short: bool) -> Addr {
         self.alloc(size)
     }
-    fn release(&mut self, addr: Addr) {
+    fn release(&mut self, addr: Addr, _size: u32) {
         self.free(addr);
     }
     fn high_water_bytes(&self) -> u64 {
@@ -203,11 +203,11 @@ impl SimHeap for BsdMalloc {
     fn place(&mut self, size: u32, _short: bool) -> Addr {
         self.alloc(size)
     }
-    fn release(&mut self, addr: Addr) {
-        self.free(addr);
+    fn release(&mut self, addr: Addr, size: u32) {
+        self.free(addr, size);
     }
     fn high_water_bytes(&self) -> u64 {
-        self.max_heap_bytes()
+        self.heap_bytes()
     }
     fn op_counts(&self) -> OpCounts {
         *self.counts()
@@ -218,7 +218,7 @@ impl SimHeap for ArenaAllocator {
     fn place(&mut self, size: u32, short: bool) -> Addr {
         self.alloc(size, short)
     }
-    fn release(&mut self, addr: Addr) {
+    fn release(&mut self, addr: Addr, _size: u32) {
         self.free(addr);
     }
     fn in_arena(&self, addr: Addr) -> bool {
@@ -275,8 +275,9 @@ pub fn replay<T: TraceSource>(
             let records = input.record_source().map_err(ReplayStreamError::Source)?;
             let mut sites = SiteCursor::new(records, *db.config());
             let mut verdicts = Vec::new();
-            let predicts =
-                move |record| sites.verdict(record, &mut verdicts, |site| db.predicts(site));
+            let predicts = move |record, size| {
+                sites.verdict(record, size, &mut verdicts, |site| db.predicts(site))
+            };
             let heap = ArenaAllocator::new(arena);
             run(meta, input.events(), "arena", heap, predicts, obs)
         }
@@ -287,7 +288,7 @@ pub fn replay<T: TraceSource>(
         } => {
             let records = input.record_source().map_err(ReplayStreamError::Source)?;
             let mut sites = SiteCursor::new(records, sites);
-            let site_id = move |record| sites.next(record, "site fingerprint").map(|site| site.0);
+            let site_id = move |record, size| sites.next(record, size).map(|site| site.0);
             let online = Online::new(site_id, epoch);
             let heap = ArenaAllocator::new(arena);
             run(meta, input.events(), "arena-online", heap, online, obs)
@@ -379,7 +380,7 @@ where
                 }
                 ChunkEvent::Free { record } => {
                     let dead = live.died(record)?;
-                    heap.release(dead.addr);
+                    heap.release(dead.addr, dead.size);
                     predictor.on_free(&dead, heap.in_arena(dead.addr));
                     observer.on_free(&dead, stamp);
                 }
@@ -454,12 +455,12 @@ mod tests {
     /// The predictors of both predicting plans over `sites`.
     fn frozen_over<'t>(mut sites: Sites<'t>) -> impl Predict<ArenaAllocator, &'static str> + 't {
         let mut verdicts = Vec::new();
-        move |record| sites.verdict(record, &mut verdicts, |_| true)
+        move |record, size| sites.verdict(record, size, &mut verdicts, |_| true)
     }
 
     fn online_over<'t>(mut sites: Sites<'t>) -> impl Predict<ArenaAllocator, &'static str> + 't {
         Online::new(
-            move |record| sites.next(record, "site").map(|site| site.0),
+            move |record, size| sites.next(record, size).map(|site| site.0),
             EpochConfig::default(),
         )
     }
@@ -784,7 +785,9 @@ mod tests {
             ChunkEvent::Free { record: 0 },
             ChunkEvent::Free { record: 0 },
         ];
-        corrupt(double_free, FirstFit::new(), NoPrediction);
+        corrupt(double_free.clone(), FirstFit::new(), NoPrediction);
+        // BSD keeps no per-chunk state: the live table is what refuses it.
+        corrupt(double_free, BsdMalloc::new(), NoPrediction);
         // An allocation with no record behind it.
         let t = workload();
         let arena = || ArenaAllocator::new(ArenaConfig::default());
@@ -798,7 +801,8 @@ mod tests {
         let mut sites = SiteCursor::new((&t).into(), SiteConfig::default());
         let (mut asked, mut verdicts) = (Vec::new(), Vec::new());
         for record in 0..t.records().len() {
-            let verdict = sites.verdict(record, &mut verdicts, |site| {
+            let size = t.records()[record].size;
+            let verdict = sites.verdict(record, size, &mut verdicts, |site| {
                 asked.push(site.clone());
                 asked.len() > 1
             });
@@ -808,7 +812,7 @@ mod tests {
         // site asked about on its first record only.
         assert_eq!(asked.len(), 3, "{asked:?}");
         assert_eq!(verdicts, [false, true, true]);
-        let past_the_end: Result<_, ReplayStreamError<_>> = sites.next(t.records().len(), "");
+        let past_the_end: Result<_, ReplayStreamError<_>> = sites.next(t.records().len(), 8);
         assert!(matches!(past_the_end, Err(ReplayStreamError::Corrupt(_))));
     }
 

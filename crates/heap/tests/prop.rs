@@ -68,18 +68,18 @@ proptest! {
     #[test]
     fn bsd_unique_live_chunks(script in ops()) {
         let mut heap = BsdMalloc::new();
-        let mut live: Vec<Addr> = Vec::new();
+        let mut live: Vec<(Addr, u32)> = Vec::new();
         let mut max_seen = 0;
         for op in script {
             match op {
                 Op::Alloc(size) => {
                     let a = heap.alloc(size);
-                    prop_assert!(!live.contains(&a), "chunk {a} handed out twice");
-                    live.push(a);
+                    prop_assert!(live.iter().all(|&(b, _)| b != a), "chunk {a} handed out twice");
+                    live.push((a, size));
                 }
                 Op::Free(i) if !live.is_empty() => {
-                    let addr = live.swap_remove(i % live.len());
-                    heap.free(addr);
+                    let (addr, size) = live.swap_remove(i % live.len());
+                    heap.free(addr, size);
                 }
                 Op::Free(_) => {}
             }
