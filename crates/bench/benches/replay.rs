@@ -83,8 +83,12 @@ const KEEPERS: usize = 6_000;
 /// Churn allocations walking the lattice.
 const CHURN: usize = 8_000;
 
-/// Trace images fanned out by the simulate-scaling section.
-const SIM_TRACES: usize = 4;
+/// Trace images fanned out by the simulate-scaling section: enough for
+/// one `--jobs 1` sweep to take at least 0.25 s on the 2-core host that
+/// recorded `BENCH_replay.json` (16 took 0.22–0.32 s there, and 4 took
+/// 0.04–0.09 s, so one scheduling hiccup could decide `speedup_jobs2`
+/// and the CI gate).
+const SIM_TRACES: usize = 20;
 
 /// Paired rounds for the firstfit comparison (each round replays the
 /// full quadratic linear scan, so fewer rounds keep the run bounded).

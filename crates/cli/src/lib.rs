@@ -173,7 +173,8 @@ const COMMANDS: &[Command] = &[
         opt("--functions", Optional, "list the function registry"),
         opt("--chains", Optional, "list the interned call chains"),
         opt("--verify", Optional,
-            "check all five section CRCs at open, then decode every record and event"),
+            "check all five section CRCs at open, then walk records and events in lockstep: \
+             every event must agree with its record, and the totals with the header"),
         opt("--sections", Optional, "list section framing and sizes (decodes no events)"),
         opt("--head <n>", Optional, "print the first n events (decodes only those)"),
     ], about: "print a trace's header in constant memory; each flag adds a view" },
@@ -644,24 +645,15 @@ fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         write_out(out, &text)?;
     }
     if verify {
-        use lifepred_trace::{ChunkSource, EventChunk, POOLED_CHUNK_EVENTS};
-        let mut n_records = 0u64;
-        for r in mapped.records().map_err(|e| file_err(path, e))? {
-            r.map_err(|e| file_err(path, e))?;
-            n_records += 1;
-        }
-        let mut source = mapped.events();
-        let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
-        let mut n_events = 0u64;
-        while source
-            .next_chunk(&mut chunk)
-            .map_err(|e| file_err(path, e))?
-        {
-            n_events += chunk.len() as u64;
-        }
+        mapped.verify().map_err(|e| file_err(path, e))?;
         write_out(
             out,
-            format!("\nverified: {n_records} records, {n_events} events, all checksums good\n"),
+            format!(
+                "\nverified: {} records, {} events, all checksums good, \
+                 events agree with records and header\n",
+                mapped.record_count(),
+                mapped.event_count()
+            ),
         )?;
     }
     Ok(())

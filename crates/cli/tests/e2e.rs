@@ -667,16 +667,16 @@ end clock/seq:   131 / 4
     } else {
         "heap"
     };
-    // 117 file bytes: the records and events lengths are the writer's
-    // five-byte padded varints (24 and 10 would fit one byte each).
+    // 113 file bytes: the records and events lengths are the writer's
+    // five-byte padded varints (24 and 6 would fit one byte each).
     let sections = format!(
         "
-sections ({backing}, 117 file bytes):
+sections ({backing}, 113 file bytes):
   meta                 19 bytes
   functions            11 bytes             2 entries
   chains                7 bytes             3 entries
   records              24 bytes             3 entries
-  events               10 bytes             4 entries
+  events                6 bytes             4 entries
 "
     );
     let blocks = [
@@ -697,7 +697,8 @@ events (first 3 of 4):
         ),
         (
             "--verify",
-            "\nverified: 3 records, 4 events, all checksums good\n",
+            "\nverified: 3 records, 4 events, all checksums good, \
+             events agree with records and header\n",
         ),
     ];
     for mask in 0..1u32 << blocks.len() {
@@ -971,12 +972,33 @@ fn write_resized(path: &str, trace: &Trace, resize: impl Fn(usize, u32) -> u32) 
     w.finish().expect("finish");
 }
 
+/// Checks that `inspect <path> --verify` exits 1 and that `load_trace`
+/// returns a typed error, both with the lockstep walk's message, which
+/// must start with `want`.
+fn refused_by_the_walk(path: &str, want: &str) {
+    use lifepred_tracefile::TraceFileError;
+    let err = load_trace(path).expect_err("a trace whose sections disagree");
+    assert!(
+        matches!(err, TraceFileError::Malformed { .. }),
+        "{path}: {err}"
+    );
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lifepred"))
+        .args(["inspect", path, "--verify"])
+        .output()
+        .expect("spawn lifepred");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{path}: {stderr}");
+    assert_eq!(stderr, format!("lifepred: {path}: {err}\n"));
+    assert!(err.to_string().starts_with(want), "{path}: {err}");
+}
+
 /// CRC-valid traces whose allocation events disagree with their records
 /// in size: every second one says 50x its record's size, or one says
 /// `u32::MAX` bytes. No checksum sees it, but then the events allocate
 /// more bytes than the header's total, so every replay refuses the file
 /// at end of stream and `simulate` exits 1 instead of printing wrong
-/// `bytes:` lines.
+/// `bytes:` lines. `inspect --verify` and `load_trace` refuse it at the
+/// first allocation that disagrees with its record.
 #[test]
 fn events_that_disagree_with_the_header_totals_are_corrupt() {
     use std::process::Command;
@@ -1008,7 +1030,13 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
         ReplayPlan::Arena { db: &db, arena },
         online,
     ];
-    for path in [&inflated, &huge] {
+    let size_of = |object: usize| trace.records()[object].size;
+    for (path, object, said) in [(&inflated, 1, 50 * size_of(1)), (&huge, 7, u32::MAX)] {
+        let event = trace.records()[object].birth_seq;
+        let want = format!(
+            "malformed events section: event {event} allocates object {object}: {said} bytes"
+        );
+        refused_by_the_walk(path, &want);
         let mapped = MappedTrace::open(path).expect("the file passes its checksums");
         for plan in &plans {
             let result = replay(&mapped, plan, None);
@@ -1033,10 +1061,12 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
 
 /// A CRC-valid trace whose first allocation event swaps sizes with the
 /// first one of another size: the header totals still hold, so only a
-/// replay that reads each allocation's record beside its event can
+/// reader that reads each allocation's record beside its event can
 /// tell. Both predicting plans do, and refuse the file with the object,
-/// and `simulate --predictor online` exits 1; first-fit and BSD read no
-/// records and replay it.
+/// and `simulate --predictor online` exits 1. First-fit and BSD read no
+/// records and replay it: `inspect --verify` is the way to check such a
+/// file before a non-predicting replay, and it refuses it, as does
+/// `load_trace`.
 #[test]
 fn events_that_disagree_with_their_records_in_size_are_corrupt() {
     use std::process::Command;
@@ -1083,6 +1113,67 @@ fn events_that_disagree_with_their_records_in_size_are_corrupt() {
     assert_eq!(out.status.code(), Some(1), "{err}");
     let expected = format!("lifepred: {swapped}: invalid event stream: {detail}");
     assert!(err.starts_with(&expected), "{err}");
+    let want = format!(
+        "malformed events section: event 0 allocates object 0: {} bytes at clock 0, \
+         its record says {} bytes at seq 0, clock 0",
+        sizes[other], sizes[0]
+    );
+    refused_by_the_walk(&swapped, &want);
+}
+
+/// A CRC-valid trace whose first record's birth-seq field says 1, not
+/// 0: every record is then born, and dies, one event later than the
+/// events say. Sizes, sites and totals all hold, so no replay can tell,
+/// and all four replay it; `inspect --verify` and `load_trace` refuse
+/// it at the first allocation.
+#[test]
+fn records_whose_birth_seqs_are_off_by_one_are_corrupt() {
+    let dir = Scratch::new("seq-shift");
+    let good = dir.path("good.lpt");
+    run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
+    let mut bytes = std::fs::read(&good).expect("read");
+    let records = records_payload(&bytes);
+    // Skip the count and record 0's size, chain and clock delta: the
+    // next varint is its birth seq, stored verbatim.
+    let mut pos = records.start;
+    for _ in 0..4 {
+        while bytes[pos] & 0x80 != 0 {
+            pos += 1;
+        }
+        pos += 1;
+    }
+    assert_eq!(bytes[pos], 0, "record 0 is born at seq 0");
+    bytes[pos] = 1;
+    let mut crc = lifepred_tracefile::Crc32::new();
+    crc.update(&bytes[records.clone()]);
+    bytes[records.end..records.end + 4].copy_from_slice(&crc.finish().to_le_bytes());
+    let shifted = dir.path("shifted.lpt");
+    std::fs::write(&shifted, &bytes).expect("write");
+
+    let mapped = MappedTrace::open(&shifted).expect("the file passes its checksums");
+    let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
+    let arena = ArenaConfig::default();
+    let online = ReplayPlan::ArenaOnline {
+        sites: SiteConfig::default(),
+        epoch: lifepred_adaptive::EpochConfig::default(),
+        arena,
+    };
+    let plans = [
+        ReplayPlan::FirstFit,
+        ReplayPlan::Bsd,
+        ReplayPlan::Arena { db: &db, arena },
+        online,
+    ];
+    for plan in &plans {
+        assert!(replay(&mapped, plan, None).is_ok(), "{plan:?}");
+    }
+    let size = mapped.records().expect("records").next().expect("a record");
+    let size = size.expect("record 0 decodes").size;
+    let want = format!(
+        "malformed events section: event 0 allocates object 0: {size} bytes at clock 0, \
+         its record says {size} bytes at seq 1, clock 0"
+    );
+    refused_by_the_walk(&shifted, &want);
 }
 
 /// The predicting replays read each allocation's record as the events

@@ -30,8 +30,6 @@ pub enum TraceFileError {
         /// The checksum computed over the payload actually read.
         computed: u32,
     },
-    /// A section required by the format is absent.
-    MissingSection(&'static str),
     /// The bytes parse but violate a format invariant.
     Malformed {
         /// Which section the inconsistency was found in.
@@ -58,9 +56,11 @@ impl fmt::Display for TraceFileError {
             TraceFileError::BadMagic(m) => {
                 write!(f, "not a .lpt trace file (magic {m:02x?})")
             }
-            TraceFileError::UnsupportedVersion(v) => {
-                write!(f, "unsupported .lpt format version {v}")
-            }
+            TraceFileError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported .lpt format version {v} (this reader reads version {})",
+                crate::format::VERSION
+            ),
             TraceFileError::Truncated { section } => {
                 write!(f, "truncated trace file while reading {section}")
             }
@@ -72,9 +72,6 @@ impl fmt::Display for TraceFileError {
                 f,
                 "checksum mismatch in {section} section: stored {stored:#010x}, computed {computed:#010x}"
             ),
-            TraceFileError::MissingSection(section) => {
-                write!(f, "missing required {section} section")
-            }
             TraceFileError::Malformed { section, detail } => {
                 write!(f, "malformed {section} section: {detail}")
             }
@@ -115,7 +112,6 @@ mod tests {
                 },
                 "checksum",
             ),
-            (TraceFileError::MissingSection("meta"), "meta"),
             (
                 TraceFileError::malformed("chains", "bad frame id"),
                 "bad frame id",

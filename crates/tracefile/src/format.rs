@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! magic      [0x89, b'L', b'P', b'T']
-//! version    u16
-//! sections   u16 (always 5 in versions 1 and 2)
+//! version    u16 (3; the reader refuses every other)
+//! sections   u16 (always 5)
 //! 5 x section:
 //!   id          u8
 //!   payload_len varint
@@ -21,16 +21,13 @@
 /// mistake a trace for text, then the format name.
 pub(crate) const MAGIC: [u8; 4] = [0x89, b'L', b'P', b'T'];
 
-/// Current format version, the one the writer produces. Version 2
-/// appends per-record first/last-reference clocks (for liveness/drag
-/// analysis) to the records section; the reader still accepts
-/// version-1 files, whose records decode with `None` reference clocks.
-pub(crate) const VERSION: u16 = 2;
+/// The format version, the only one the writer produces and the reader
+/// accepts. Version 3 stores each event as one key varint; versions 1
+/// and 2 also stored a per-event sequence delta that was always 0
+/// (and version 1 records had no reference clocks).
+pub(crate) const VERSION: u16 = 3;
 
-/// Oldest version the reader accepts.
-pub(crate) const VERSION_MIN: u16 = 1;
-
-/// Number of sections a file carries (both versions).
+/// Number of sections a file carries.
 pub(crate) const SECTION_COUNT: u16 = 5;
 
 /// Program name, end clock/seq and aggregate statistics.
@@ -45,5 +42,5 @@ pub(crate) const SECTION_CHAINS: u8 = 3;
 /// Per-object allocation records, in birth order, delta-encoded.
 pub(crate) const SECTION_RECORDS: u8 = 4;
 
-/// The interleaved alloc/free event stream, delta-encoded.
+/// The interleaved alloc/free event stream, one key per event.
 pub(crate) const SECTION_EVENTS: u8 = 5;

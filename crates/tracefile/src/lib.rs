@@ -13,9 +13,11 @@
 //! An `.lpt` file is a magic + version header followed by five
 //! CRC32-protected sections: meta, functions, chains, records and
 //! events (see [`format`](crate) internals and `DESIGN.md`). Scalars
-//! are LEB128 varints; records and events are delta-encoded against
-//! their predecessors, so the steady-state cost of an allocation is a
-//! few bytes.
+//! are LEB128 varints; records are delta-encoded against their
+//! predecessors, and an event is one key varint (the size of an
+//! allocation, or how many allocations back a freed object was born),
+//! so the steady-state cost of an allocation is a few bytes. The
+//! format is at version 3, and the reader reads version 3 only.
 //!
 //! # Reading
 //!
@@ -31,9 +33,11 @@
 //!   heap simulators without ever materializing the trace;
 //! * [`MappedTrace::records`] streams allocation records one at a time
 //!   ([`MappedRecords`]) — enough to train a predictor;
-//! * [`load_trace`] / [`trace_from_bytes`] collect the records,
-//!   cross-check the event stream against them and rebuild a full
-//!   in-memory [`Trace`].
+//! * [`MappedTrace::verify`] walks records and events in lockstep, in
+//!   memory bounded by the live objects, and checks that they agree
+//!   with each other and with the meta section (`inspect --verify`);
+//! * [`load_trace`] / [`trace_from_bytes`] collect the records as that
+//!   same walk reads them and rebuild a full in-memory [`Trace`].
 //!
 //! Corrupted or truncated input is always reported as a
 //! [`TraceFileError`]; no input sequence panics the reader.
@@ -96,8 +100,7 @@ pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<(), TraceFile
 }
 
 /// Loads, validates and rebuilds the trace stored at `path`: every
-/// check of [`MappedTrace::open`], then the events section must be
-/// exactly the stream the records imply.
+/// check of [`MappedTrace::open`], then [`MappedTrace::verify`]'s walk.
 pub fn load_trace(path: impl AsRef<Path>) -> Result<Trace, TraceFileError> {
     MappedTrace::open(path)?.into_trace()
 }
@@ -240,35 +243,23 @@ mod tests {
         assert!(matches!(err, TraceFileError::BadMagic(_)), "{err}");
     }
 
+    /// The writer stamps version 3, and the reader reads nothing else:
+    /// a v2 header is refused, typed, saying what this reader reads.
     #[test]
-    fn unsupported_version_is_reported() {
+    fn a_version2_file_is_unsupported() {
         let trace = TraceSession::new("v").finish();
         let mut bytes = trace_to_vec(&trace).expect("encode");
-        bytes[4] = 0xff;
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 3);
+        bytes[4] = 2;
         let err = trace_from_bytes(&bytes).unwrap_err();
         assert!(
-            matches!(err, TraceFileError::UnsupportedVersion(_)),
+            matches!(err, TraceFileError::UnsupportedVersion(2)),
             "{err}"
         );
-    }
-
-    #[test]
-    fn version2_roundtrip_preserves_ref_clocks() {
-        let s = TraceSession::new("touched");
-        let a = s.alloc(10);
-        s.touch(a, 2); // first touch at clock 10
-        let b = s.alloc(30); // clock 40
-        s.touch(a, 1); // last touch at clock 40
-        s.free(a);
-        let _ = b; // immortal, never touched
-        let trace = s.finish();
-        let bytes = trace_to_vec(&trace).expect("encode");
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 2);
-        let loaded = trace_from_bytes(&bytes).expect("decode");
-        assert_eq!(loaded.records()[0].first_ref_clock, Some(10));
-        assert_eq!(loaded.records()[0].last_ref_clock, Some(40));
-        assert_eq!(loaded.records()[1].first_ref_clock, None);
-        assert_eq!(loaded.records(), trace.records());
+        assert_eq!(
+            err.to_string(),
+            "unsupported .lpt format version 2 (this reader reads version 3)"
+        );
     }
 
     #[test]

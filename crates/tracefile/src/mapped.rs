@@ -17,12 +17,15 @@
 //! [`RELEASE_WINDOW`] bytes, so a trace's resident footprint is a few
 //! windows, not the file.
 //!
-//! Integrity is checked in two layers. Framing, the trailer and the
+//! Integrity is checked in three layers. Framing, the trailer and the
 //! CRCs are checked up front at open; structural checks (id ranges,
 //! clock/seq overflow, free back-references, count-vs-payload
-//! agreement) run per entry as it is decoded. Every read is bounded by
-//! its section's payload, so no input panics, slices out of bounds or
-//! sizes an allocation by a count the file merely claims.
+//! agreement) run per entry as it is decoded; and
+//! [`MappedTrace::verify`] walks records and events in lockstep, so a
+//! trace whose sections are each well-formed but tell different
+//! stories is refused too. Every read is bounded by its section's
+//! payload, so no input panics, slices out of bounds or sizes an
+//! allocation by a count the file merely claims.
 //! [`MappedTrace::open_unverified`] skips only the bulk CRC of the two
 //! large sections: [`MappedTrace::records`] then checks the records CRC
 //! itself before yielding anything, and [`MappedTrace::events`] decodes
@@ -33,13 +36,15 @@ use crate::crc32::Crc32;
 use crate::error::TraceFileError;
 use crate::format::{
     MAGIC, SECTION_CHAINS, SECTION_COUNT, SECTION_EVENTS, SECTION_FUNCTIONS, SECTION_META,
-    SECTION_RECORDS, VERSION, VERSION_MIN,
+    SECTION_RECORDS, VERSION,
 };
 use crate::map::TraceMap;
 use lifepred_trace::{
-    AllocationRecord, ChainId, ChainTable, ChunkSource, EventChunk, FnId, FunctionRegistry,
-    ObjectId, RecordSource, Trace, TraceSource, TraceStats,
+    AllocationRecord, ChainId, ChainTable, ChunkEvent, ChunkSource, EventChunk, FnId,
+    FunctionRegistry, ObjectId, RecordSource, Trace, TraceSource, TraceStats, POOLED_CHUNK_EVENTS,
 };
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::path::Path;
 
@@ -55,9 +60,9 @@ const SECTIONS: [(u8, &str); 5] = [
     (SECTION_EVENTS, "events"),
 ];
 
-/// A v1 record is six varints, a v2 record seven: no payload holds
-/// more records than a sixth of its bytes.
-const MIN_RECORD_BYTES: usize = 6;
+/// A record is at least seven varints: no payload holds more records
+/// than a seventh of its bytes.
+const MIN_RECORD_BYTES: usize = 7;
 
 /// How far a sequential pass reads past the last mapped page it
 /// released before it releases again (a predicting replay runs two).
@@ -166,9 +171,9 @@ impl<'a> Cursor<'a> {
 }
 
 /// Checks the file header, then walks the five section frames (id,
-/// length, payload, stored CRC) and the trailer. Returns the format
-/// version and each section's extent; no payload byte is read.
-fn frame(bytes: &[u8]) -> Result<(u16, [Section; 5]), TraceFileError> {
+/// length, payload, stored CRC) and the trailer. Returns each
+/// section's extent; no payload byte is read.
+fn frame(bytes: &[u8]) -> Result<[Section; 5], TraceFileError> {
     let truncated = |section| TraceFileError::Truncated { section };
     let magic = bytes.get(..4).ok_or(truncated("header"))?;
     if magic != MAGIC {
@@ -178,14 +183,14 @@ fn frame(bytes: &[u8]) -> Result<(u16, [Section; 5]), TraceFileError> {
     }
     let rest = bytes.get(4..HEADER_BYTES).ok_or(truncated("header"))?;
     let version = u16::from_le_bytes([rest[0], rest[1]]);
-    if !(VERSION_MIN..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(TraceFileError::UnsupportedVersion(version));
     }
     let declared = u16::from_le_bytes([rest[2], rest[3]]);
     if declared != SECTION_COUNT {
         return Err(TraceFileError::malformed(
             "header",
-            format!("version {version} carries {SECTION_COUNT} sections, header says {declared}"),
+            format!("version {VERSION} carries {SECTION_COUNT} sections, header says {declared}"),
         ));
     }
 
@@ -227,7 +232,7 @@ fn frame(bytes: &[u8]) -> Result<(u16, [Section; 5]), TraceFileError> {
             "trailing data after the final section",
         ));
     }
-    Ok((version, sections))
+    Ok(sections)
 }
 
 /// A fully-framed `.lpt` image: header sections parsed and verified,
@@ -237,7 +242,6 @@ fn frame(bytes: &[u8]) -> Result<(u16, [Section; 5]), TraceFileError> {
 #[derive(Debug)]
 pub struct MappedTrace {
     map: TraceMap,
-    version: u16,
     name: String,
     stats: TraceStats,
     end_clock: u64,
@@ -285,7 +289,7 @@ impl MappedTrace {
     /// The one parser of the header sections.
     pub(crate) fn build(map: TraceMap, verify: bool) -> Result<MappedTrace, TraceFileError> {
         let bytes = map.as_bytes();
-        let (version, framed) = frame(bytes)?;
+        let framed = frame(bytes)?;
         let [meta, functions, chains, records, events] = &framed;
         // The header sections are always checked; the two large ones
         // unless the caller vouches for them.
@@ -400,7 +404,6 @@ impl MappedTrace {
         let [_, _, _, records, _] = framed;
         Ok(MappedTrace {
             map,
-            version,
             name,
             stats,
             end_clock,
@@ -492,7 +495,6 @@ impl MappedTrace {
             trail: Trail::new(&self.map, self.records_body.start),
             remaining: self.record_count,
             chain_count: self.chains.len() as u64,
-            version: self.version,
             next_index: 0,
             prev_clock: 0,
             prev_seq: None,
@@ -507,7 +509,7 @@ impl MappedTrace {
     /// structural checks still run per event.
     pub fn events(&self) -> MappedEvents<'_> {
         MappedEvents {
-            cur: self.events_cursor(),
+            cur: Cursor::new("events", &self.map.as_bytes()[self.events_body.clone()]),
             trail: Trail::new(&self.map, self.events_body.start),
             remaining: self.event_count,
             allocs: 0,
@@ -515,21 +517,114 @@ impl MappedTrace {
         }
     }
 
-    fn events_cursor(&self) -> Cursor<'_> {
-        Cursor::new("events", &self.map.as_bytes()[self.events_body.clone()])
+    /// Checks that the records and the events tell one story, in one
+    /// lockstep walk whose memory is the live objects, not the trace:
+    /// each allocation event's size, seq and byte clock must be its
+    /// record's size, birth seq and birth clock; each free's seq and
+    /// clock must be the freed record's death seq and death clock; and
+    /// at the end the record and event counts, end seq, end clock and
+    /// object and byte totals must be the meta section's. An event's
+    /// seq is its index and the byte clock the sum of the sizes
+    /// allocated before it. Every structural check of
+    /// [`records`](Self::records) and [`events`](Self::events) runs on
+    /// the way.
+    ///
+    /// # Errors
+    ///
+    /// The first disagreement, as [`TraceFileError::Malformed`], or the
+    /// error either section's decoder reports.
+    pub fn verify(&self) -> Result<(), TraceFileError> {
+        self.walk(drop)
     }
 
-    /// Rebuilds the full in-memory [`Trace`]: collects the records,
-    /// then cross-validates the events section against them.
+    /// [`verify`](Self::verify)'s walk, handing each record to `each`
+    /// in birth order.
+    fn walk(&self, mut each: impl FnMut(AllocationRecord)) -> Result<(), TraceFileError> {
+        let bad = |detail: String| TraceFileError::malformed("events", detail);
+        let (mut records, mut events) = (self.records()?, self.events());
+        let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
+        // (seq, clock, object) of each death the records promise,
+        // soonest first.
+        let mut deaths: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+        let (mut seq, mut clock, mut allocs) = (0u64, 0u64, 0u64);
+        while events.next_chunk(&mut chunk)? {
+            for event in chunk.events() {
+                let due = deaths.peek().map(|&Reverse(d)| d).filter(|d| d.0 <= seq);
+                let expected = || match due {
+                    Some((at, when, dying)) => {
+                        format!("object {dying} dies at seq {at}, clock {when}")
+                    }
+                    None => "no object dies there".to_owned(),
+                };
+                match event {
+                    ChunkEvent::Alloc { record, size } if due.is_none() => {
+                        let r = records.next().transpose()?.ok_or_else(|| {
+                            bad(format!(
+                                "event {seq} allocates object {record}, past the last record"
+                            ))
+                        })?;
+                        if (r.size, r.birth_seq, r.birth_clock) != (size, seq, clock) {
+                            return Err(bad(format!(
+                                "event {seq} allocates object {record}: {size} bytes at clock \
+                                 {clock}, its record says {} bytes at seq {}, clock {}",
+                                r.size, r.birth_seq, r.birth_clock
+                            )));
+                        }
+                        if let (Some(at), Some(when)) = (r.death_seq, r.death_clock) {
+                            deaths.push(Reverse((at, when, record)));
+                        }
+                        clock = (clock.checked_add(u64::from(size)))
+                            .ok_or_else(|| bad(format!("event {seq} overflows the byte clock")))?;
+                        allocs += 1;
+                        each(r);
+                    }
+                    ChunkEvent::Free { record } if due == Some((seq, clock, record)) => {
+                        deaths.pop();
+                    }
+                    ChunkEvent::Alloc { record, .. } => {
+                        let detail = format!("event {seq} allocates object {record}, but ");
+                        return Err(bad(detail + &expected()));
+                    }
+                    ChunkEvent::Free { record } => {
+                        let detail =
+                            format!("event {seq} frees object {record} at clock {clock}, but ");
+                        return Err(bad(detail + &expected()));
+                    }
+                }
+                seq += 1;
+            }
+        }
+        if let Some(&Reverse((at, _, dying))) = deaths.peek() {
+            return Err(bad(format!(
+                "object {dying} dies at seq {at}, past the last event"
+            )));
+        }
+        if let Some(r) = records.next().transpose()? {
+            let detail = format!("record {} is never allocated", r.object.index());
+            return Err(TraceFileError::malformed("records", detail));
+        }
+        let totals = [
+            ("end seq", seq, self.end_seq),
+            ("end clock", clock, self.end_clock),
+            ("total objects", allocs, self.stats.total_objects),
+            ("total bytes", clock, self.stats.total_bytes),
+        ];
+        for (what, walked, said) in totals {
+            if walked != said {
+                let detail = format!("the events give {what} {walked}, the header says {said}");
+                return Err(TraceFileError::malformed("meta", detail));
+            }
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the full in-memory [`Trace`], collecting the records as
+    /// [`verify`](Self::verify)'s walk reads them.
     pub(crate) fn into_trace(self) -> Result<Trace, TraceFileError> {
         // The iterator's lower bound is capped by the payload's size,
         // so a lying count cannot force a large reservation.
-        let stream = self.records()?;
-        let mut records = Vec::with_capacity(stream.size_hint().0);
-        for record in stream {
-            records.push(record?);
-        }
-        check_events(self.events_cursor(), self.event_count, &records)?;
+        let mut records = Vec::with_capacity(self.records()?.size_hint().0);
+        self.walk(|r| records.push(r))?;
         Ok(Trace::from_parts(
             self.name,
             self.registry,
@@ -540,59 +635,6 @@ impl MappedTrace {
             self.end_seq,
         ))
     }
-}
-
-/// The scalar, seq-reconstructing walk over an events payload: checks
-/// that the stream is exactly the one `records` implies (`birth_seq`
-/// and `size` per allocation, `death_seq` per free, `events == records
-/// + deaths`). Besides [`decode_event`](batch::decode_event) this is
-/// the only code that knows the event encoding, kept on purpose as the
-/// batch decoder's reference: a `Trace` it accepted has
-/// [`Trace::events`] equal to what the section encodes.
-fn check_events(
-    mut cur: Cursor<'_>,
-    count: u64,
-    records: &[AllocationRecord],
-) -> Result<(), TraceFileError> {
-    let bad = |detail: &str| TraceFileError::malformed("events", detail);
-    let deaths = records.iter().filter(|r| r.death_seq.is_some()).count();
-    if count != (records.len() + deaths) as u64 {
-        return Err(bad(&format!(
-            "{count} events for {} records with {deaths} deaths",
-            records.len()
-        )));
-    }
-    let mut prev_seq = None::<u64>;
-    let mut allocs = 0usize;
-    for _ in 0..count {
-        let field = cur.varint()?;
-        let seq = match prev_seq {
-            None => Some(field),
-            Some(prev) => prev.checked_add(1).and_then(|s| s.checked_add(field)),
-        }
-        .ok_or_else(|| bad("event seq overflows"))?;
-        prev_seq = Some(seq);
-        let key = cur.varint()?;
-        let agrees = if key & 1 == 0 {
-            let size = u32::try_from(key >> 1).map_err(|_| bad("event size exceeds u32"))?;
-            let record = records
-                .get(allocs)
-                .ok_or_else(|| bad("too many allocations"))?;
-            allocs += 1;
-            record.birth_seq == seq && record.size == size
-        } else {
-            let back = usize::try_from(key >> 1).unwrap_or(usize::MAX);
-            let record = allocs
-                .checked_sub(1)
-                .and_then(|last| last.checked_sub(back))
-                .ok_or_else(|| bad("free references an object never allocated"))?;
-            records[record].death_seq == Some(seq)
-        };
-        if !agrees {
-            return Err(bad("event stream disagrees with records"));
-        }
-    }
-    cur.finish()
 }
 
 /// The mapped pages a sequential reader has left behind, released one
@@ -643,7 +685,6 @@ pub struct MappedRecords<'a> {
     /// Records left per the declared count; zeroed to fuse.
     remaining: u64,
     chain_count: u64,
-    version: u16,
     next_index: u64,
     prev_clock: u64,
     prev_seq: Option<u64>,
@@ -688,10 +729,7 @@ impl MappedRecords<'_> {
             (Some(dc), Some(ds))
         };
         let refs = cur.varint()?;
-        // Version 1 predates reference clocks; its records decode with
-        // `None` so old traces stay loadable (they just carry no
-        // liveness signal for `report --drag`).
-        let first_code = if self.version >= 2 { cur.varint()? } else { 0 };
+        let first_code = cur.varint()?;
         let (first_ref_clock, last_ref_clock) = if first_code == 0 {
             (None, None)
         } else {
@@ -743,7 +781,7 @@ impl Iterator for MappedRecords<'_> {
     }
 
     /// The lower bound is what a well-formed payload yields —
-    /// `min(declared, bytes left / 6)` — so one `with_capacity` suffices
+    /// `min(declared, bytes left / 7)` — so one `with_capacity` suffices
     /// and is sized by bytes present, never by the declared count alone.
     /// (A malformed payload ends earlier, with its one `Err`.)
     fn size_hint(&self) -> (usize, Option<usize>) {

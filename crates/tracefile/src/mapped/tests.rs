@@ -1,8 +1,8 @@
 //! Tests of the one reader: ground truth on well-formed images, and
 //! hostile input (truncations, bit flips, lying lengths and counts,
-//! every structural violation) on two small fixtures — a v2 image from
-//! the writer (five-byte padded large-section lengths) and a hand-built
-//! v1 image.
+//! every structural violation, sections that disagree) on two small
+//! fixtures — an image from the writer (five-byte padded large-section
+//! lengths) and a hand-built one (one-byte lengths).
 
 use super::*;
 use crate::crc32::crc32;
@@ -98,9 +98,9 @@ fn varints(values: &[u64]) -> Vec<u8> {
 }
 
 /// Frames five raw payloads into an image, lengths and CRCs honest.
-fn image(version: u16, payloads: &[Vec<u8>; 5]) -> Vec<u8> {
+fn image(payloads: &[Vec<u8>; 5]) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&SECTION_COUNT.to_le_bytes());
     for ((id, _), payload) in SECTIONS.into_iter().zip(payloads) {
         out.push(id);
@@ -113,30 +113,25 @@ fn image(version: u16, payloads: &[Vec<u8>; 5]) -> Vec<u8> {
 
 /// Payloads of a tiny well-formed trace: one function, one chain, an
 /// 8-byte object born at seq 0 and freed at seq 2, and an immortal
-/// 4-byte object born at seq 1. `version` picks the record layout.
-fn tiny(version: u16) -> [Vec<u8>; 5] {
+/// 4-byte object born at seq 1, at clock 8.
+fn tiny() -> [Vec<u8>; 5] {
     // Name, end clock, end seq, then the eight stats counters.
     let meta = [&b"\x01t"[..], &varints(&[12, 3, 12, 2, 12, 2, 0, 0, 5, 0])].concat();
     let functions = b"\x01\x01f".to_vec();
     let chains = varints(&[1, 1, 0]);
     // Count, then per record: size, chain, clock delta, seq field,
-    // death code (+ death clock delta), refs, and in v2 a first-ref
-    // code (v1 records end at the ref count).
-    let v2: &[u64] = if version >= 2 { &[0] } else { &[] };
-    let records = [&[2, 8, 0, 0, 0, 2, 12, 5][..], v2, &[4, 0, 8, 0, 0, 0], v2].concat();
-    // Count, then (seq field, key): alloc 8, alloc 4, free one back.
-    let events = varints(&[3, 0, 8 << 1, 0, 4 << 1, 0, (1 << 1) | 1]);
-    [meta, functions, chains, varints(&records), events]
+    // death code (+ death clock delta), refs, first-ref code.
+    let records = varints(&[2, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 0, 0, 0, 0]);
+    // Count, then one key per event: alloc 8, alloc 4, free one back.
+    let events = varints(&[3, 8 << 1, 4 << 1, (1 << 1) | 1]);
+    [meta, functions, chains, records, events]
 }
 
 /// The two fixtures every hostile sweep runs over.
 fn fixtures() -> [(&'static str, Vec<u8>); 2] {
     [
-        (
-            "writer v2",
-            trace_to_vec(&sample_trace(12)).expect("encode"),
-        ),
-        ("hand-built v1", image(1, &tiny(1))),
+        ("writer", trace_to_vec(&sample_trace(12)).expect("encode")),
+        ("hand-built", image(&tiny())),
     ]
 }
 
@@ -164,23 +159,10 @@ fn header_records_and_events_are_the_recorded_traces_own() {
 }
 
 #[test]
-fn version1_files_decode_with_no_ref_clocks() {
-    let mapped = open(&image(1, &tiny(1))).expect("open v1");
-    assert_eq!(mapped.version, 1);
-    let loaded = mapped.into_trace().expect("decode v1");
-    let r = &loaded.records()[0];
-    assert_eq!((r.size, r.refs, r.death_seq), (8, 5, Some(2)));
-    assert_eq!((r.first_ref_clock, r.last_ref_clock), (None, None));
-    // The same payloads under a v2 header are one first-ref code short.
-    assert!(trace_from_bytes(&image(2, &tiny(1))).is_err());
-    trace_from_bytes(&image(2, &tiny(2))).expect("decode v2");
-}
-
-#[test]
 fn header_and_sections_are_exposed() {
     let bytes = trace_to_vec(&sample_trace(500)).expect("encode");
+    assert_eq!(bytes[4..6], VERSION.to_le_bytes());
     let mapped = open(&bytes).expect("open");
-    assert_eq!(mapped.version, 2);
     assert!(mapped.verified && !mapped.is_mapped());
     assert_eq!(mapped.file_len(), bytes.len());
     let sections = mapped.sections();
@@ -207,10 +189,13 @@ fn header_and_sections_are_exposed() {
 /// A forged record count reserves by bytes present, then fails typed.
 #[test]
 fn a_forged_record_count_cannot_size_a_reservation() {
-    let mut parts = tiny(2);
-    let three = varints(&[4, 0, 0, 0, 0, 0, 0].repeat(3));
+    let mut parts = tiny();
+    // Three immortal empty objects, allocated by the first three of
+    // four events: the fourth reaches past the last record.
+    let three = varints(&[0; 7].repeat(3));
     parts[3] = [varints(&[u64::MAX]), three.clone()].concat();
-    let bytes = image(2, &parts);
+    parts[4] = varints(&[4, 0, 0, 0, 0]);
+    let bytes = image(&parts);
     let mapped = open(&bytes).expect("the count is under an honest CRC");
     assert_eq!(mapped.record_count(), u64::MAX);
     let mut records = mapped.records().expect("records");
@@ -260,7 +245,7 @@ fn every_truncation_is_an_error() {
 #[test]
 fn every_single_bit_flip_is_an_error() {
     for (name, bytes) in fixtures() {
-        let (_, framed) = frame(&bytes).expect(name);
+        let framed = frame(&bytes).expect(name);
         let records = framed[3].payload.start..framed[3].payload.end + 4;
         assert!(drain_unverified(&bytes, name));
         for at in 0..bytes.len() {
@@ -286,8 +271,7 @@ fn every_single_bit_flip_is_an_error() {
 #[test]
 fn section_length_lies_are_errors() {
     let bytes = fixtures()[0].1.clone();
-    let (_, framed) = frame(&bytes).expect("frame");
-    let [_, _, chains, records, events] = framed;
+    let [_, _, chains, records, events] = frame(&bytes).expect("frame");
     // The writer's five-byte padded length field.
     let len_at = chains.payload.end + 4 + 1;
     let body_at = records.payload.start;
@@ -326,8 +310,8 @@ fn section_length_lies_are_errors() {
 /// Every framing check, by the error it reports.
 #[test]
 fn framing_violations_are_named() {
-    let good = image(2, &tiny(2));
-    let (_, framed) = frame(&good).expect("frame");
+    let good = image(&tiny());
+    let framed = frame(&good).expect("frame");
     let patch = |at: usize, byte: u8| [&good[..at], &[byte], &good[at + 1..]].concat();
     let chains_id_at = framed[2].payload.start - 2;
     let events_len_at = framed[4].payload.start - 1;
@@ -336,10 +320,13 @@ fn framing_violations_are_named() {
             b"not a trace file".to_vec(),
             "not a .lpt trace file (magic [6e, 6f, 74, 20])",
         ),
-        (patch(4, 3), "unsupported .lpt format version 3"),
+        (
+            patch(4, 2),
+            "unsupported .lpt format version 2 (this reader reads version 3)",
+        ),
         (
             patch(6, 4),
-            "malformed header section: version 2 carries 5 sections, header says 4",
+            "malformed header section: version 3 carries 5 sections, header says 4",
         ),
         (
             patch(chains_id_at, 9),
@@ -369,13 +356,17 @@ fn structural_violations_are_named() {
     const M: u64 = u64::MAX;
     let v = varints;
     let poke = |part: usize, at: usize, byte: u8| {
-        let mut payload = tiny(2)[part].clone();
+        let mut payload = tiny()[part].clone();
         payload[at] = byte;
         payload
     };
-    let one_more = |part: usize| [&tiny(2)[part][..], &[0]].concat();
+    let one_more = |part: usize| [&tiny()[part][..], &[0]].concat();
     let overlong = [&b"\x01t"[..], &[0x80; 11]].concat();
-    let clock = v(&[2, 8, 0, 1, 0, 0, 0, 0, 4, 0, M, 0, 0, 0, 0]);
+    // Record 1 is born at clock 8, so only a later record's clock can
+    // overflow: the walk reaches record 2 after the last event.
+    let clock = v(&[
+        3, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 0, 0, 0, 0, 4, 0, M, 0, 0, 0, 0,
+    ]);
     let seq = v(&[2, 8, 0, 0, 0, 0, 0, 0, 4, 0, 0, M, 0, 0, 0]);
     // (section, its payload, the detail the damage is reported with)
     let cases: [(usize, Vec<u8>, &str); 25] = [
@@ -409,7 +400,7 @@ fn structural_violations_are_named() {
             "record 0 size exceeds u32",
         ),
         (3, poke(3, 2, 1), "record 0 references chain 1, table has 1"),
-        (3, clock, "record 1 birth clock overflows"),
+        (3, clock, "record 2 birth clock overflows"),
         (3, seq, "record 1 birth seq overflows"),
         (
             3,
@@ -435,54 +426,118 @@ fn structural_violations_are_named() {
         (3, one_more(3), "1 unread bytes at end of section"),
         (
             4,
-            v(&[3, 0, 16, 0, 3, 0, 8]),
+            v(&[3, 16, 3, 8]),
             "free references an object never allocated",
         ),
-        (4, v(&[3, 0, 1 << 33, 0, 8, 0, 3]), "event size exceeds u32"),
+        (4, v(&[3, 1 << 33, 8, 3]), "event size exceeds u32"),
         (4, one_more(4), "1 unread bytes at end of section"),
     ];
     for (part, payload, detail) in cases {
-        let mut parts = tiny(2);
+        let mut parts = tiny();
         parts[part] = payload;
         // Found by whichever layer reads the section: the open, the
         // records stream, the event chunks or the loader's walk.
         let want = format!("malformed {} section: {detail}", SECTIONS[part].1);
-        assert_eq!(errors(&image(2, &parts)), [want.as_str(); 3]);
+        assert_eq!(errors(&image(&parts)), [want.as_str(); 3]);
     }
     // A section that declares no entries must hold no bytes either.
     for part in [3, 4] {
-        let mut parts = tiny(2);
+        let mut parts = tiny();
         parts[part] = v(&[0, 0]);
-        let err = drain(&open(&image(2, &parts)).expect("open")).unwrap_err();
+        let err = drain(&open(&image(&parts)).expect("open")).unwrap_err();
         let section = SECTIONS[part].1;
         let want = format!("malformed {section} section: 1 unread bytes at end of section");
         assert_eq!(err.to_string(), want);
     }
 }
 
-/// `load_trace`'s cross-validation: an events section that is
-/// well-formed on its own but is not the stream the records imply.
+/// The lockstep walk of `verify` and `load_trace`: sections that are
+/// each well-formed on their own, but not one story.
 #[test]
-fn events_that_disagree_with_the_records_are_rejected() {
-    let disagrees = "event stream disagrees with records";
-    // Count, then seq field and key per event: even keys allocate
-    // `key >> 1` bytes, key 3 frees the object born one allocation back.
-    let cases: [(&[u64], &str); 7] = [
-        (&[3, 0, 18, 0, 8, 0, 3], disagrees), // an allocation's size
-        (&[3, 1, 16, 0, 8, 0, 3], disagrees), // an allocation's seq
-        (&[3, 0, 16, 0, 8, 1, 3], disagrees), // a free's seq
-        (&[3, 0, 16, 0, 8, 0, 1], disagrees), // the freed object
-        (&[2, 0, 16, 0, 8], "2 events for 2 records with 1 deaths"),
-        (&[3, 0, 16, 0, 8, 0, 8], "too many allocations"),
-        (&[3, 0, 16, u64::MAX, 8, 0, 3], "event seq overflows"),
+fn records_events_and_meta_that_disagree_are_rejected() {
+    let named = |part: usize, values: &[u64]| match part {
+        0 => (0, [&b"\x01t"[..], &varints(values)].concat()),
+        _ => (part, varints(values)),
+    };
+    // tiny(): object 0 (8 bytes) is born at seq 0, clock 0 and dies at
+    // seq 2, clock 12; object 1 (4 bytes) is born at seq 1, clock 8.
+    let cases = [
+        (
+            named(4, &[3, 18, 8, 3]),
+            "events section: event 0 allocates object 0: 9 bytes at clock 0, \
+             its record says 8 bytes at seq 0, clock 0",
+        ),
+        (
+            named(3, &[2, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 1, 0, 0, 0]),
+            "events section: event 1 allocates object 1: 4 bytes at clock 8, \
+             its record says 4 bytes at seq 2, clock 8",
+        ),
+        (
+            named(3, &[2, 8, 0, 0, 0, 2, 11, 5, 0, 4, 0, 8, 0, 0, 0, 0]),
+            "events section: event 2 frees object 0 at clock 12, \
+             but object 0 dies at seq 2, clock 11",
+        ),
+        (
+            named(4, &[3, 16, 8, 1]),
+            "events section: event 2 frees object 1 at clock 12, \
+             but object 0 dies at seq 2, clock 12",
+        ),
+        (
+            named(4, &[3, 16, 1, 8]),
+            "events section: event 1 frees object 0 at clock 8, but no object dies there",
+        ),
+        (
+            named(4, &[4, 16, 8, 8, 3]),
+            "events section: event 2 allocates object 2, but object 0 dies at seq 2, clock 12",
+        ),
+        (
+            named(4, &[4, 16, 8, 3, 8]),
+            "events section: event 3 allocates object 2, past the last record",
+        ),
+        (
+            named(4, &[2, 16, 8]),
+            "events section: object 0 dies at seq 2, past the last event",
+        ),
+        (
+            named(
+                3,
+                &[
+                    3, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 0, 0, 0, 0, 4, 0, 4, 0, 0, 0, 0,
+                ],
+            ),
+            "records section: record 2 is never allocated",
+        ),
+        (
+            named(0, &[12, 4, 12, 2, 12, 2, 0, 0, 5, 0]),
+            "meta section: the events give end seq 3, the header says 4",
+        ),
+        (
+            named(0, &[13, 3, 12, 2, 12, 2, 0, 0, 5, 0]),
+            "meta section: the events give end clock 12, the header says 13",
+        ),
+        (
+            named(0, &[12, 3, 12, 3, 12, 2, 0, 0, 5, 0]),
+            "meta section: the events give total objects 2, the header says 3",
+        ),
+        (
+            named(0, &[12, 3, 11, 2, 12, 2, 0, 0, 5, 0]),
+            "meta section: the events give total bytes 12, the header says 11",
+        ),
     ];
-    for (events, detail) in cases {
-        let mut parts = tiny(2);
-        parts[4] = varints(events);
-        // The mapped reader has no quarrel with the section itself.
-        let mapped = open(&image(2, &parts)).expect("open");
-        drain(&mapped).expect("a well-formed event stream");
-        let err = mapped.into_trace().expect_err(detail).to_string();
-        assert_eq!(err, format!("malformed events section: {detail}"));
+    let consistent = open(&image(&tiny())).expect("open");
+    consistent.verify().expect("tiny() is one story");
+    for ((part, payload), detail) in cases {
+        let mut parts = tiny();
+        parts[part] = payload;
+        let bytes = image(&parts);
+        // The sections have no quarrel with themselves.
+        let mapped = open(&bytes).expect("open");
+        drain(&mapped).expect("well-formed sections");
+        let want = format!("malformed {detail}");
+        assert_eq!(mapped.verify().expect_err(detail).to_string(), want);
+        assert_eq!(
+            trace_from_bytes(&bytes).expect_err(detail).to_string(),
+            want
+        );
     }
 }

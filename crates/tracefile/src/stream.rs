@@ -29,16 +29,18 @@
 //!   increase), a death code (`0` = immortal, else
 //!   `death_seq - birth_seq`), the death-clock delta
 //!   (`death_clock - birth_clock`, present only when dead), the
-//!   reference count, and (version 2) a first-ref code (`0` = never
-//!   referenced, else `first_ref_clock - birth_clock + 1`) followed —
-//!   only when referenced — by `last_ref_clock - first_ref_clock`.
-//! * **events** — count, then per event: the seq delta (same scheme as
-//!   birth seqs; the writer numbers events densely from 0, so it always
-//!   writes `0`) and a key varint. An even key is an allocation of
-//!   `key >> 1` bytes for the next record in birth order; an odd key
-//!   frees the object allocated `key >> 1` allocations ago (a
-//!   back-reference, so recently-born objects — the common case —
-//!   encode in one byte).
+//!   reference count, and a first-ref code (`0` = never referenced,
+//!   else `first_ref_clock - birth_clock + 1`) followed — only when
+//!   referenced — by `last_ref_clock - first_ref_clock`.
+//! * **events** — count, then one key varint per event. An even key is
+//!   an allocation of `key >> 1` bytes for the next record in birth
+//!   order; an odd key frees the object allocated `key >> 1`
+//!   allocations ago (a back-reference, so recently-born objects — the
+//!   common case — encode in one byte). An event's seq is its index
+//!   and the byte clock is the sum of the sizes allocated before it, so
+//!   neither is stored: the reader's lockstep walk
+//!   ([`MappedTrace::verify`](crate::MappedTrace::verify)) derives both
+//!   and checks them against the records and the meta section.
 
 use crate::crc32::Crc32;
 use crate::error::TraceFileError;
@@ -313,10 +315,8 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
         Ok(self.sink)
     }
 
-    /// Appends one event's seq delta and `key`.
+    /// Appends one event's `key`.
     fn write_event(&mut self, key: u64) -> Result<(), TraceFileError> {
-        // Seqs are consecutive from 0, so every seq delta is 0.
-        write_varint(&mut self.scratch, 0);
         write_varint(&mut self.scratch, key);
         self.maybe_flush()
     }

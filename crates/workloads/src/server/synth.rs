@@ -329,9 +329,9 @@ mod tests {
             })
         };
         for (seed, want) in [
-            (1, 0x8a69_b3a0_9d21_d4d7),
-            (2, 0xadd8_2885_09d7_bee9),
-            (3, 0xe803_4905_e866_d072),
+            (1, 0xe741_f68a_f2d1_770b),
+            (2, 0xbdd3_a09e_fdb5_613f),
+            (3, 0x30ef_a326_6a36_3eee),
         ] {
             let config = SimConfig::for_events(100_000, seed);
             let (_, sink) = generate_lpt(&config, Cursor::new(Vec::new())).expect("generate");

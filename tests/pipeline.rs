@@ -89,12 +89,12 @@ fn traces_are_deterministic() {
         })
     };
     let pinned = [
-        ("cfrac", [0x8073_93b1_62c8_acc2, 0x5e35_679a_57e9_42f5]),
-        ("espresso", [0x28b3_ce29_6d68_7e54, 0xc66f_d1de_ffd9_eb45]),
-        ("gawk", [0x6731_7b8b_893a_ce37, 0x0fa1_b688_8032_b9ca]),
-        ("ghost", [0x5ce3_f691_c948_4e37, 0xf515_260d_85a4_42e4]),
-        ("perl", [0x9538_ca18_8896_9f8d, 0xf80f_f42e_4448_48a7]),
-        ("server", [0x72ed_93e8_1042_181b, 0xdf4c_c4b0_61ae_0a1a]),
+        ("cfrac", [0x663e_37b9_115e_d08b, 0x80b6_e988_a184_8860]),
+        ("espresso", [0x69b5_e960_d5e2_ee2a, 0x3fe1_c244_126b_f10e]),
+        ("gawk", [0x85a0_d8c3_5f07_0a6c, 0x0efb_140c_cfa6_6ba9]),
+        ("ghost", [0xa516_00ab_e3e1_a36b, 0x5ff5_0dd7_820e_1c76]),
+        ("perl", [0x7e51_5763_a69e_d8b6, 0x1fec_2725_be95_26b6]),
+        ("server", [0x8fb5_36d3_2b36_d0da, 0xfd13_7ffa_b16a_d54f]),
     ];
     let workloads = all_workloads();
     let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
