@@ -286,20 +286,37 @@ mod tests {
     use super::*;
     use std::io::Write;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("lpt-map-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tempdir");
-        dir.join(name)
+    /// A file path in a directory of the test's own, which is removed
+    /// with everything in it when the value drops, pass or fail.
+    struct TempFile {
+        dir: std::path::PathBuf,
+        path: std::path::PathBuf,
+    }
+
+    impl TempFile {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("lpt-map-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("tempdir");
+            let path = dir.join(name);
+            TempFile { dir, path }
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
     }
 
     #[test]
     fn maps_a_file_and_reads_it_back() {
-        let path = temp_path("mapped.bin");
+        let file = TempFile::new("mapped.bin");
+        let path = &file.path;
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        File::create(&path)
+        File::create(path)
             .and_then(|mut f| f.write_all(&data))
             .expect("write");
-        let map = TraceMap::open(&path).expect("open");
+        let map = TraceMap::open(path).expect("open");
         assert_eq!(map.len(), data.len());
         assert_eq!(map.as_bytes(), &data[..]);
         if cfg!(all(
@@ -309,18 +326,17 @@ mod tests {
         {
             assert!(map.is_mapped(), "expected the mmap path on this platform");
         }
-        drop(map);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn released_pages_read_back_the_same_bytes() {
-        let path = temp_path("released.bin");
+        let file = TempFile::new("released.bin");
+        let path = &file.path;
         let data: Vec<u8> = (0..1_000_000u32).map(|i| (i % 253) as u8).collect();
-        File::create(&path)
+        File::create(path)
             .and_then(|mut f| f.write_all(&data))
             .expect("write");
-        let map = TraceMap::open(&path).expect("open");
+        let map = TraceMap::open(path).expect("open");
         let bytes = map.as_bytes();
         assert_eq!(bytes, &data[..]);
         let (ahead, behind) = (300_000, 200_000);
@@ -329,19 +345,17 @@ mod tests {
         map.release(999_999..usize::MAX);
         assert_eq!(bytes, &data[..], "re-faulted pages hold the file's bytes");
         TraceMap::from_vec(data.clone()).release(0..data.len());
-        drop(map);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_files_use_the_heap_path() {
-        let path = temp_path("empty.bin");
-        File::create(&path).expect("create");
-        let map = TraceMap::open(&path).expect("open");
+        let file = TempFile::new("empty.bin");
+        let path = &file.path;
+        File::create(path).expect("create");
+        let map = TraceMap::open(path).expect("open");
         assert_eq!(map.len(), 0);
         assert!(!map.is_mapped());
         assert_eq!(map.as_bytes(), b"");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -354,16 +368,16 @@ mod tests {
 
     #[test]
     fn maps_are_sendable() {
-        let path = temp_path("sendable.bin");
-        File::create(&path)
+        let file = TempFile::new("sendable.bin");
+        let path = &file.path;
+        File::create(path)
             .and_then(|mut f| f.write_all(b"cross-thread bytes"))
             .expect("write");
-        let map = TraceMap::open(&path).expect("open");
+        let map = TraceMap::open(path).expect("open");
         let sum =
             std::thread::spawn(move || map.as_bytes().iter().map(|&b| u64::from(b)).sum::<u64>())
                 .join()
                 .expect("thread");
         assert!(sum > 0);
-        std::fs::remove_file(&path).ok();
     }
 }
