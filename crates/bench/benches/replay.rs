@@ -62,7 +62,7 @@ use lifepred_core::{
 };
 use lifepred_heap::{replay, Addr, ArenaConfig, FirstFit, ReplayPlan};
 use lifepred_trace::{
-    shared_registry, ChunkSource, EventChunk, EventKind, Trace, TraceChunks, TraceSession,
+    shared_registry, ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, TraceSession,
     POOLED_CHUNK_EVENTS,
 };
 use lifepred_tracefile::{load_trace, trace_to_vec, MappedTrace};
@@ -233,14 +233,11 @@ const SAME_CLASS_HOLES: (u32, u32) = (8192, 4096);
 fn replay_linear(trace: &Trace) -> (u64, u64) {
     let mut heap = LinearFirstFit::new();
     let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-    for event in trace.events() {
-        match event.kind {
-            EventKind::Alloc => {
-                let size = trace.records()[event.record].size;
-                slots[event.record] = Some(heap.alloc(size));
-            }
-            EventKind::Free => {
-                if let Some(addr) = slots[event.record].take() {
+    for event in TraceChunks::new(trace).events() {
+        match event {
+            ChunkEvent::Alloc { record, size } => slots[record] = Some(heap.alloc(size)),
+            ChunkEvent::Free { record } => {
+                if let Some(addr) = slots[record].take() {
                     heap.free(addr);
                 }
             }
@@ -253,14 +250,11 @@ fn replay_linear(trace: &Trace) -> (u64, u64) {
 fn replay_indexed(trace: &Trace) -> (u64, u64) {
     let mut heap = FirstFit::new();
     let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-    for event in trace.events() {
-        match event.kind {
-            EventKind::Alloc => {
-                let size = trace.records()[event.record].size;
-                slots[event.record] = Some(heap.alloc(size));
-            }
-            EventKind::Free => {
-                if let Some(addr) = slots[event.record].take() {
+    for event in TraceChunks::new(trace).events() {
+        match event {
+            ChunkEvent::Alloc { record, size } => slots[record] = Some(heap.alloc(size)),
+            ChunkEvent::Free { record } => {
+                if let Some(addr) = slots[record].take() {
                     heap.free(addr);
                 }
             }
@@ -295,13 +289,15 @@ fn unpredicted_copy(trace: &Trace, db: &ShortLivedSet) -> Trace {
         .map(|record| db.predicts(&sites.site_of(record)))
         .collect();
     let mut ids = vec![None; records.len()];
-    for event in trace.events() {
-        if predicted[event.record] {
-            continue;
-        }
-        match event.kind {
-            EventKind::Alloc => ids[event.record] = Some(s.alloc(records[event.record].size)),
-            EventKind::Free => s.free(ids[event.record].take().expect("freed once")),
+    for event in TraceChunks::new(trace).events() {
+        match event {
+            ChunkEvent::Alloc { record, size } if !predicted[record] => {
+                ids[record] = Some(s.alloc(size));
+            }
+            ChunkEvent::Free { record } if !predicted[record] => {
+                s.free(ids[record].take().expect("freed once"));
+            }
+            _ => {}
         }
     }
     drop(guard);
@@ -501,7 +497,7 @@ fn main() {
                 std::hint::black_box(replay_indexed(&frag));
             },
         );
-        let events = frag.events().len();
+        let events = TraceChunks::new(&frag).events().len();
         let (linear_rate, indexed_rate) = (events as f64 / t_linear, events as f64 / t_indexed);
         (events, linear_rate, indexed_rate, speedup)
     };
@@ -514,7 +510,7 @@ fn main() {
     // is 4 ms of work, and gating on it would measure thread start-up,
     // not scaling.
     let sim_trace = workload(PAIRS);
-    let sim_events = sim_trace.events().len() as u64;
+    let sim_events = TraceChunks::new(&sim_trace).events().len() as u64;
     let sim_file = temp_path("simulate");
     std::fs::write(
         &sim_file,
@@ -589,7 +585,8 @@ fn main() {
         &TrainConfig::default(),
     );
     let general = unpredicted_copy(&arena_trace, &arena_db);
-    let (arena_events, general_events) = (arena_trace.events().len(), general.events().len());
+    let count = |t: &Trace| TraceChunks::new(t).events().len();
+    let (arena_events, general_events) = (count(&arena_trace), count(&general));
     let arena_plan = ReplayPlan::Arena {
         db: &arena_db,
         arena: ArenaConfig::default(),

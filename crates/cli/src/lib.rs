@@ -200,9 +200,6 @@ const COMMANDS: &[Command] = &[
         FORCE,
         JOBS,
     ], about: "stream traces through an allocator model that consults a predictor" },
-    Command { usage: "stats <m.json>", run: cmd_stats, opts: &[
-        opt("--format <prometheus|json>", Optional, "output format (default prometheus)"),
-    ], about: "render a saved metrics dump as Prometheus text or JSON" },
     Command { usage: "report", run: cmd_report, opts: &[
         opt("--workload <name>", Distinct,
             "cfrac, espresso, gawk, ghost, perl or server (default: all)"),
@@ -828,23 +825,6 @@ fn write_metrics(
     )
 }
 
-// ---------------------------------------------------------------------
-// stats
-// ---------------------------------------------------------------------
-
-fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let path = args.positionals[0];
-    let text = std::fs::read_to_string(path).map_err(|e| file_err(path, e))?;
-    let snapshot = Snapshot::from_json(&text).map_err(|e| file_err(path, e))?;
-    match args.value("--format").unwrap_or("prometheus") {
-        "prometheus" | "prom" => write_out(out, snapshot.to_prometheus()),
-        "json" => write_out(out, snapshot.to_json()),
-        other => Err(format!(
-            "unknown format {other:?} (expected prometheus or json)"
-        )),
-    }
-}
-
 fn write_report(out: &mut dyn Write, r: &ReplayReport) -> Result<(), String> {
     write_out(
         out,
@@ -920,22 +900,6 @@ fn report_row(w: &dyn Workload, config: &SiteConfig) -> Vec<String> {
     // the online columns answer "start blind on the test input and
     // learn while it runs".
     let (_, learner) = lifepred_bench::analyze_online(&test, config, &EpochConfig::default());
-    // The online columns go through the metric registry: the
-    // learner's counters are exported as `lifepred_learner_*`
-    // gauges and read back from the snapshot, so the table renders
-    // exactly what `simulate --metrics-out` would persist.
-    let registry = Registry::new();
-    learner.export(&registry);
-    let snap = registry.snapshot();
-    let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
-    let ratio_pct = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            100.0 * num as f64 / den as f64
-        }
-    };
-    let total_bytes = gauge("lifepred_learner_total_bytes");
     vec![
         name.to_owned(),
         a.self_report.total_sites.to_string(),
@@ -945,15 +909,9 @@ fn report_row(w: &dyn Workload, config: &SiteConfig) -> Vec<String> {
         format!("{:.2}", a.self_report.error_bytes_pct),
         format!("{:.1}", a.true_report.predicted_short_bytes_pct),
         format!("{:.2}", a.true_report.error_bytes_pct),
-        format!(
-            "{:.1}",
-            ratio_pct(gauge("lifepred_learner_predicted_bytes"), total_bytes)
-        ),
-        format!(
-            "{:.2}",
-            ratio_pct(gauge("lifepred_learner_error_bytes"), total_bytes)
-        ),
-        gauge("lifepred_learner_epochs").to_string(),
+        format!("{:.1}", learner.coverage_byte_pct()),
+        format!("{:.2}", learner.error_byte_pct()),
+        learner.epochs.to_string(),
     ]
 }
 

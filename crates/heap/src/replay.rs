@@ -700,12 +700,10 @@ mod tests {
             .expect("lifetimes");
         assert_eq!(lifetimes.count, observed.total_allocs);
         // The 4000 short-lived objects die within a few hundred bytes;
-        // the 20 keepers live across the whole 2000-iteration churn.
-        assert!(
-            lifetimes.quantile(0.5) < 4096,
-            "{}",
-            lifetimes.quantile(0.5)
-        );
+        // the 20 keepers live across the whole 2000-iteration churn. The
+        // median lies in bucket 12 or below: under 4096 bytes.
+        let under_4k: u64 = lifetimes.buckets[..=12].iter().sum();
+        assert!(2 * under_4k >= lifetimes.count, "{lifetimes:?}");
         assert!(lifetimes.max > 100_000, "{}", lifetimes.max);
         // Offline replays have no epochs.
         let timeline = snap.timeline("lifepred_sim_epochs").expect("timeline");

@@ -15,7 +15,7 @@
 mod map_bsd;
 
 use lifepred_heap::{Addr, BsdMalloc};
-use lifepred_trace::{shared_registry, EventKind, Trace};
+use lifepred_trace::{shared_registry, ChunkEvent, Trace, TraceChunks};
 use lifepred_workloads::{all_workloads, record};
 use map_bsd::MapBsdMalloc;
 use proptest::prelude::*;
@@ -68,13 +68,12 @@ fn all_workload_traces_replay_identically() {
         let trace: Trace = record(w.as_ref(), 0, shared_registry());
         let mut step = Lockstep::default();
         let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-        for event in trace.events() {
-            let size = trace.records()[event.record].size;
-            match event.kind {
-                EventKind::Alloc => slots[event.record] = Some(step.alloc(size)),
-                EventKind::Free => {
-                    let addr = slots[event.record].take().expect("freed before alloc");
-                    step.free(addr, size);
+        for event in TraceChunks::new(&trace).events() {
+            match event {
+                ChunkEvent::Alloc { record, size } => slots[record] = Some(step.alloc(size)),
+                ChunkEvent::Free { record } => {
+                    let addr = slots[record].take().expect("freed before alloc");
+                    step.free(addr, trace.records()[record].size);
                 }
             }
         }

@@ -14,7 +14,7 @@
 mod linear;
 
 use lifepred_heap::{Addr, FirstFit};
-use lifepred_trace::{shared_registry, EventKind, Trace};
+use lifepred_trace::{shared_registry, ChunkEvent, Trace, TraceChunks};
 use lifepred_workloads::{all_workloads, record};
 use linear::LinearFirstFit;
 use proptest::prelude::*;
@@ -79,14 +79,11 @@ impl Lockstep {
 fn diff_replay(trace: &Trace) {
     let mut step = Lockstep::new();
     let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-    for event in trace.events() {
-        match event.kind {
-            EventKind::Alloc => {
-                let size = trace.records()[event.record].size;
-                slots[event.record] = Some(step.alloc(size));
-            }
-            EventKind::Free => {
-                let addr = slots[event.record].take().expect("freed before alloc");
+    for event in TraceChunks::new(trace).events() {
+        match event {
+            ChunkEvent::Alloc { record, size } => slots[record] = Some(step.alloc(size)),
+            ChunkEvent::Free { record } => {
+                let addr = slots[record].take().expect("freed before alloc");
                 step.free(addr);
             }
         }

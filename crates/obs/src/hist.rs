@@ -24,19 +24,6 @@ pub(crate) fn bucket_of(v: u64) -> usize {
     }
 }
 
-/// The inclusive upper bound of bucket `i`, or `None` for the overflow
-/// bucket (Prometheus `+Inf`).
-pub(crate) fn bucket_le(i: usize) -> Option<u64> {
-    if i + 1 >= HIST_BUCKETS {
-        None
-    } else if i == 0 {
-        // Bucket 0 covers exactly {0}.
-        Some(0)
-    } else {
-        Some((1u64 << i) - 1)
-    }
-}
-
 /// A log2 histogram: what producers record into, and what renders and
 /// persists.
 ///
@@ -52,7 +39,7 @@ pub(crate) fn bucket_le(i: usize) -> Option<u64> {
 /// assert_eq!(h.count, 5);
 /// assert_eq!(h.sum, 311);
 /// assert_eq!(h.max, 300);
-/// assert!(h.quantile(0.5) >= 5);
+/// assert_eq!(h.buckets[3], 2); // 5 twice, in [4, 8)
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -116,25 +103,6 @@ impl HistogramSnapshot {
             *b += o;
         }
     }
-
-    /// An upper bound for the `q`-quantile (0 ≤ q ≤ 1): the inclusive
-    /// upper bound of the bucket holding that rank, clamped to the
-    /// observed maximum. Resolution is the bucket width (a factor of
-    /// two), which is all a fixed-bucket histogram can promise.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return bucket_le(i).unwrap_or(u64::MAX).min(self.max);
-            }
-        }
-        self.max
-    }
 }
 
 #[cfg(test)]
@@ -153,24 +121,6 @@ mod tests {
         assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
     }
 
-    #[test]
-    fn bucket_bounds_cover_their_values() {
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 100, 4096, 1 << 40] {
-            let i = bucket_of(v);
-            if let Some(le) = bucket_le(i) {
-                assert!(v <= le, "value {v} above bucket {i} bound {le}");
-            }
-            if i > 1 {
-                let below = bucket_le(i - 1).expect("interior bucket");
-                assert!(v > below, "value {v} not above bucket {}'s bound", i - 1);
-            }
-        }
-        assert_eq!(bucket_le(0), Some(0));
-        assert_eq!(bucket_le(1), Some(1));
-        assert_eq!(bucket_le(2), Some(3));
-        assert_eq!(bucket_le(HIST_BUCKETS - 1), None);
-    }
-
     fn of(values: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
         let mut h = HistogramSnapshot::empty();
         for v in values {
@@ -185,13 +135,5 @@ mod tests {
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 5050);
         assert_eq!(s.max, 100);
-    }
-
-    #[test]
-    fn quantiles_walk_the_buckets() {
-        let s = of(std::iter::repeat_n(8, 90).chain(std::iter::repeat_n(100_000, 10)));
-        assert!(s.quantile(0.5) < 16, "median {}", s.quantile(0.5));
-        assert!(s.quantile(0.99) >= 65536, "p99 {}", s.quantile(0.99));
-        assert_eq!(s.quantile(1.0), 100_000);
     }
 }

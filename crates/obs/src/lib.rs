@@ -18,9 +18,9 @@
 //!   demotions and mispredictions; a timeline keeps the newest
 //!   [`DEFAULT_TIMELINE_CAPACITY`].
 //! - [`Snapshot`] — what [`Registry::snapshot`] returns: it renders to
-//!   JSON ([`Snapshot::to_json`], parse it back with
-//!   [`Snapshot::from_json`]) or Prometheus text
-//!   ([`Snapshot::to_prometheus`]).
+//!   JSON ([`Snapshot::to_json`], what `simulate --metrics-out` writes:
+//!   the one metrics artifact), and [`Snapshot::from_json`] parses it
+//!   back.
 //!
 //! # Naming convention
 //!
@@ -35,7 +35,7 @@
 //!
 //! Counters end in `_total`; histograms name their unit
 //! (`..._bytes`, `..._ns`); gauges name the level they report. The
-//! golden-file tests in this crate pin the rendered schema.
+//! golden-file test in this crate pins the rendered schema.
 //!
 //! The crate is deliberately dependency-free: every other workspace
 //! crate links it, so it can never pull the allocator crates back in.

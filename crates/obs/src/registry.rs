@@ -8,8 +8,8 @@
 //! gauge, [`Registry::absorb`] a histogram, [`Registry::push`] epoch
 //! samples onto a timeline. Every call takes the lock, so nothing
 //! publishes per event. Exporters call [`Registry::snapshot`] to get a
-//! plain [`Snapshot`] that renders to JSON or Prometheus text (see the
-//! crate root docs for the naming convention).
+//! plain [`Snapshot`] that renders to JSON (see the crate root docs for
+//! the naming convention).
 //!
 //! Names are validated eagerly and kind mismatches panic: both are
 //! programmer errors on compile-time string constants, and failing
@@ -63,9 +63,8 @@ impl Metric {
     }
 }
 
-/// Whether `name` is a valid metric name: `[a-z_][a-z0-9_]*`, the
-/// intersection of Prometheus's metric-name grammar and what reads
-/// naturally in JSON keys.
+/// Whether `name` is a valid metric name: `[a-z_][a-z0-9_]*`, which
+/// reads naturally in JSON keys.
 pub(crate) fn valid_name(name: &str) -> bool {
     let mut chars = name.chars();
     let Some(first) = chars.next() else {
@@ -188,8 +187,8 @@ impl Registry {
 
 /// A plain point-in-time dump of a registry: sorted name/value pairs
 /// per metric kind. This is the unit of persistence — JSON written by
-/// `simulate --metrics-out` is a rendered `Snapshot`, and `lifepred
-/// stats` parses one back (see [`Snapshot::from_json`]).
+/// `simulate --metrics-out` is a rendered `Snapshot`, and
+/// [`Snapshot::from_json`] parses one back.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter totals, sorted by name.

@@ -1,11 +1,11 @@
-//! Snapshot rendering: JSON document and Prometheus text exposition.
+//! Snapshot rendering: the JSON document, and its parser.
 //!
-//! Both renderers are deterministic — the snapshot's name-sorted
-//! vectors drive iteration order, floats use Rust's shortest-roundtrip
+//! The renderer is deterministic — the snapshot's name-sorted vectors
+//! drive iteration order, floats use Rust's shortest-roundtrip
 //! `Display`, and histogram buckets serialize sparsely (index →
 //! count) so a 64-bucket histogram with three occupied buckets costs
-//! three entries. Determinism is load-bearing: the golden-file tests
-//! diff these strings byte-for-byte to pin the metric schema.
+//! three entries. Determinism is load-bearing: the golden-file test
+//! diffs this string byte-for-byte to pin the metric schema.
 //!
 //! The crate stays dependency-free, so the JSON emitter is hand-rolled
 //! (same style as `lifepred-core`'s persistence layer) and
@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use crate::hist::{bucket_le, HistogramSnapshot, HIST_BUCKETS};
+use crate::hist::{HistogramSnapshot, HIST_BUCKETS};
 use crate::json::{parse, ParseError, Value};
 use crate::registry::Snapshot;
 use crate::timeline::EpochSample;
@@ -24,7 +24,7 @@ use crate::timeline::EpochSample;
 /// Schema tag written into every JSON document.
 pub(crate) const JSON_SCHEMA: &str = "lifepred-metrics-v1";
 
-/// Formats an `f64` for JSON/Prometheus: shortest roundtrip form,
+/// Formats an `f64` for JSON: shortest roundtrip form,
 /// never NaN/inf (clamped to 0, which no percentage field can
 /// legitimately produce as a lie).
 fn fmt_f64(v: f64) -> String {
@@ -76,130 +76,47 @@ fn push_hist_json(out: &mut String, h: &HistogramSnapshot) {
     out.push_str("}}");
 }
 
+/// Writes one `"section": {...}` object of [`Snapshot::to_json`]: an
+/// entry a line, each value written by `value`.
+fn push_section<T>(
+    out: &mut String,
+    section: &str,
+    entries: &[(String, T)],
+    value: impl Fn(&mut String, &T),
+) {
+    let _ = write!(out, "  \"{section}\": {{");
+    for (i, (name, v)) in entries.iter().enumerate() {
+        let sep = if i == 0 { "\n" } else { ",\n" };
+        let _ = write!(out, "{sep}    \"{name}\": ");
+        value(out, v);
+    }
+    out.push_str(if entries.is_empty() { "}" } else { "\n  }" });
+}
+
 impl Snapshot {
     /// Renders the snapshot as a self-describing JSON document (the
     /// `simulate --metrics-out` format).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{JSON_SCHEMA}\",");
-        out.push_str("  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{name}\": {v}");
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{name}\": {v}");
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{name}\": ");
-            push_hist_json(&mut out, h);
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"timelines\": {");
-        for (i, (name, samples)) in self.timelines.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{name}\": [");
+        let _ = writeln!(out, "{{\n  \"schema\": \"{JSON_SCHEMA}\",");
+        let number = |out: &mut String, v: &u64| {
+            let _ = write!(out, "{v}");
+        };
+        push_section(&mut out, "counters", &self.counters, number);
+        out.push_str(",\n");
+        push_section(&mut out, "gauges", &self.gauges, number);
+        out.push_str(",\n");
+        push_section(&mut out, "histograms", &self.histograms, push_hist_json);
+        out.push_str(",\n");
+        push_section(&mut out, "timelines", &self.timelines, |out, samples| {
+            out.push('[');
             for (j, s) in samples.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                push_sample_json(&mut out, "      ", s);
+                out.push_str(if j == 0 { "\n" } else { ",\n" });
+                push_sample_json(out, "      ", s);
             }
             out.push_str(if samples.is_empty() { "]" } else { "\n    ]" });
-        }
-        out.push_str(if self.timelines.is_empty() {
-            "}\n"
-        } else {
-            "\n  }\n"
         });
-        out.push_str("}\n");
-        out
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (the `lifepred stats` default). Histogram buckets are emitted
-    /// cumulatively with power-of-two `le` bounds, trimmed after the
-    /// last occupied bucket; timelines, which have no Prometheus
-    /// analogue, export their latest sample as untyped per-field
-    /// series plus a retained-sample count.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let last = h
-                .buckets
-                .iter()
-                .rposition(|&b| b != 0)
-                .map_or(0, |i| (i + 1).min(HIST_BUCKETS - 1));
-            let mut cum = 0u64;
-            for (i, &b) in h.buckets.iter().enumerate().take(last + 1) {
-                cum += b;
-                match bucket_le(i) {
-                    Some(le) => {
-                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
-                    }
-                    None => break,
-                }
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{name}_sum {}", h.sum);
-            let _ = writeln!(out, "{name}_count {}", h.count);
-        }
-        for (name, samples) in &self.timelines {
-            let _ = writeln!(
-                out,
-                "# lifepred epoch timeline `{name}`: latest sample as gauges"
-            );
-            let _ = writeln!(out, "{name}_samples {}", samples.len());
-            let Some(s) = samples.last() else { continue };
-            let _ = writeln!(out, "{name}_last_epoch {}", s.epoch);
-            let _ = writeln!(out, "{name}_last_clock_bytes {}", s.clock_bytes);
-            let _ = writeln!(out, "{name}_last_generation {}", s.generation);
-            let _ = writeln!(out, "{name}_last_short_sites {}", s.short_sites);
-            let _ = writeln!(out, "{name}_last_sites {}", s.sites);
-            let _ = writeln!(out, "{name}_last_live_bytes {}", s.live_bytes);
-            let _ = writeln!(out, "{name}_last_max_heap_bytes {}", s.max_heap_bytes);
-            let _ = writeln!(
-                out,
-                "{name}_last_utilization_pct {}",
-                fmt_f64(s.utilization_pct)
-            );
-            let _ = writeln!(
-                out,
-                "{name}_last_fragmentation_pct {}",
-                fmt_f64(s.fragmentation_pct)
-            );
-            let _ = writeln!(out, "{name}_last_mispredictions {}", s.mispredictions);
-            let _ = writeln!(out, "{name}_last_demotions {}", s.demotions);
-        }
+        out.push_str("\n}\n");
         out
     }
 
@@ -390,24 +307,6 @@ mod tests {
     fn malformed_json_reports_position() {
         let err = Snapshot::from_json("{\"counters\": {").unwrap_err();
         assert!(err.to_string().contains("at byte"), "{err}");
-    }
-
-    #[test]
-    fn prometheus_renders_all_kinds() {
-        let text = demo_snapshot().to_prometheus();
-        assert!(text.contains("# TYPE sim_allocs_total counter"));
-        assert!(text.contains("sim_allocs_total 5"));
-        assert!(text.contains("# TYPE live_bytes gauge"));
-        assert!(text.contains("live_bytes 96"));
-        assert!(text.contains("# TYPE object_size_bytes histogram"));
-        // 8,8,16 ≤ 255; cumulative bucket counts.
-        assert!(text.contains("object_size_bytes_bucket{le=\"15\"} 2"));
-        assert!(text.contains("object_size_bytes_bucket{le=\"31\"} 3"));
-        assert!(text.contains("object_size_bytes_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("object_size_bytes_sum 332"));
-        assert!(text.contains("object_size_bytes_count 4"));
-        assert!(text.contains("epochs_samples 1"));
-        assert!(text.contains("epochs_last_utilization_pct 75.5"));
     }
 
     #[test]

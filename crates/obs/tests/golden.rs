@@ -5,10 +5,10 @@
 //! (`lifepred-heap`), the `lifepred_galloc_*` global-allocator set
 //! (`lifepred-galloc`), and the `lifepred_learner_*` gauges
 //! (`lifepred-adaptive`) — with fixed
-//! values, rendered to JSON and Prometheus text and diffed against
-//! `tests/golden/metrics.{json,prom}`. Renaming a metric, changing a
-//! kind, or perturbing either renderer's output is a schema change and
-//! must show up as a golden diff.
+//! values, rendered to JSON and diffed against
+//! `tests/golden/metrics.json`. Renaming a metric, changing a kind, or
+//! perturbing the renderer's output is a schema change and must show
+//! up as a golden diff.
 //!
 //! To bless an intentional change:
 //!
@@ -152,14 +152,6 @@ fn check(file: &str, rendered: &str) {
 #[test]
 fn json_rendering_is_pinned() {
     check("metrics.json", &canonical_registry().snapshot().to_json());
-}
-
-#[test]
-fn prometheus_rendering_is_pinned() {
-    check(
-        "metrics.prom",
-        &canonical_registry().snapshot().to_prometheus(),
-    );
 }
 
 #[test]

@@ -58,10 +58,16 @@ impl<const MARKERS: usize> P2Histogram<MARKERS> {
     pub fn new() -> Self {
         let cells = MARKERS.saturating_sub(1);
         assert!(cells >= 2, "histogram needs at least 2 cells, got {cells}");
+        P2Histogram::starting_at(Self::ranks())
+    }
+
+    /// Markers whose desired positions start at `np` instead of the
+    /// equiprobable ranks: [`P2Quantile`](crate::P2Quantile)'s core.
+    pub(crate) fn starting_at(np: [f64; MARKERS]) -> Self {
         P2Histogram {
             q: [0.0; MARKERS],
             n: Self::ranks(),
-            np: Self::ranks(),
+            np,
             count: 0,
         }
     }
@@ -78,6 +84,16 @@ impl<const MARKERS: usize> P2Histogram<MARKERS> {
 
     /// Feeds one observation into the histogram.
     pub fn observe(&mut self, x: f64) {
+        // Desired position of marker i after n observations is
+        // 1 + i * (n - 1) / cells; increment is i / cells.
+        let cells = (MARKERS - 1) as f64;
+        self.observe_stepping(x, |i| i as f64 / cells);
+    }
+
+    /// The P² update: feeds `x` in, advancing marker `i`'s desired
+    /// position by `dn(i)`, and moves each interior marker that has
+    /// drifted a whole rank from where it should be.
+    pub(crate) fn observe_stepping(&mut self, x: f64, dn: impl Fn(usize) -> f64) {
         if self.count < MARKERS {
             self.n[self.count] = x;
             self.count += 1;
@@ -113,11 +129,8 @@ impl<const MARKERS: usize> P2Histogram<MARKERS> {
         for n in self.n.iter_mut().skip(k + 1) {
             *n += 1.0;
         }
-        // Desired position of marker i after n observations is
-        // 1 + i * (n - 1) / cells; increment is i / cells.
-        let cells = last as f64;
         for (i, np) in self.np.iter_mut().enumerate() {
-            *np += i as f64 / cells;
+            *np += dn(i);
         }
 
         // Adjust interior markers.

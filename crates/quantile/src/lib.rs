@@ -4,10 +4,12 @@
 //! Chlamtac (CACM 1985), which the paper uses to summarize the lifetime
 //! distribution of every allocation site in constant space:
 //!
-//! * [`P2Quantile`] tracks a single quantile `p` with five markers.
 //! * [`P2Histogram`] tracks a whole equiprobable-cell histogram
 //!   (`MARKERS` markers, held inline), from which any quantile can be
 //!   read — this is the "quantile histogram" of the paper's Table 3.
+//!   Its update is the crate's one implementation of P².
+//! * [`P2Quantile`] tracks a single quantile `p`: five markers on that
+//!   same update, with Jain & Chlamtac's desired positions for `p`.
 //! * [`ExactQuantiles`] is a store-everything oracle used by tests and
 //!   by experiments that want to quantify the P² approximation error
 //!   (the paper itself notes GHOST's 75% quantile is over-approximated).

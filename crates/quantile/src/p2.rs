@@ -1,12 +1,17 @@
 //! The classic five-marker P² estimator for a single quantile.
 
+use crate::P2Histogram;
+
 /// Estimates a single quantile of a stream using the P² algorithm.
 ///
 /// The estimator keeps five *markers*: the minimum, the maximum, the
 /// target quantile and two intermediate quantiles. Marker heights are
 /// adjusted with a piecewise-parabolic (hence "P²") interpolation as
 /// observations arrive, so the estimate uses O(1) space regardless of
-/// stream length.
+/// stream length. The update is [`P2Histogram`]'s: only the desired
+/// marker positions differ, starting at Jain & Chlamtac's
+/// `1, 1+2p, 1+4p, 3+2p, 5` and stepping by `0, p/2, p, (1+p)/2, 1`,
+/// so `P2Quantile::new(0.5)` is exactly [`P2Histogram::quartiles`].
 ///
 /// # Examples
 ///
@@ -22,17 +27,9 @@
 #[derive(Debug, Clone)]
 pub struct P2Quantile {
     p: f64,
-    /// Marker heights.
-    q: [f64; 5],
-    /// Marker positions (1-based observation counts).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
+    markers: P2Histogram<5>,
     /// Desired position increments.
     dn: [f64; 5],
-    count: usize,
-    /// First five observations, collected before the markers start.
-    init: [f64; 5],
 }
 
 impl P2Quantile {
@@ -45,76 +42,25 @@ impl P2Quantile {
         assert!(p > 0.0 && p < 1.0, "quantile must be in (0, 1), got {p}");
         P2Quantile {
             p,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
+            markers: P2Histogram::starting_at([
+                1.0,
+                1.0 + 2.0 * p,
+                1.0 + 4.0 * p,
+                3.0 + 2.0 * p,
+                5.0,
+            ]),
             dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            init: [0.0; 5],
         }
     }
 
     /// Number of observations seen so far.
     pub fn count(&self) -> usize {
-        self.count
+        self.markers.count()
     }
 
     /// Feeds one observation into the estimator.
     pub fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            self.init[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.init
-                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-                self.q = self.init;
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell containing x and clamp extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            // q[k] <= x < q[k + 1]
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.q[i] && x < self.q[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for n in self.n.iter_mut().skip(k + 1) {
-            *n += 1.0;
-        }
-        for (np, dn) in self.np.iter_mut().zip(self.dn) {
-            *np += dn;
-        }
-
-        // Adjust interior markers if needed.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            let right_gap = self.n[i + 1] - self.n[i];
-            let left_gap = self.n[i - 1] - self.n[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let d = d.signum();
-                let qp = parabolic(d, &self.q, &self.n, i);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
-                } else {
-                    linear(d, &self.q, &self.n, i)
-                };
-                self.n[i] += d;
-            }
-        }
+        self.markers.observe_stepping(x, |i| self.dn[i]);
     }
 
     /// Current estimate of the tracked quantile.
@@ -122,30 +68,11 @@ impl P2Quantile {
     /// With fewer than five observations the estimate is read from the
     /// sorted prefix; with zero observations it is `0.0`.
     pub fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
+        if self.count() < 5 {
+            return self.markers.quantile(self.p);
         }
-        if self.count < 5 {
-            let mut v = self.init[..self.count].to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-            let idx = ((self.count as f64 - 1.0) * self.p).round() as usize;
-            return v[idx.min(self.count - 1)];
-        }
-        self.q[2]
+        self.markers.markers()[2]
     }
-}
-
-/// Piecewise-parabolic marker height prediction (formula from the paper).
-fn parabolic(d: f64, q: &[f64; 5], n: &[f64; 5], i: usize) -> f64 {
-    q[i] + d / (n[i + 1] - n[i - 1])
-        * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-}
-
-/// Linear fallback when the parabolic prediction is out of order.
-fn linear(d: f64, q: &[f64; 5], n: &[f64; 5], i: usize) -> f64 {
-    let j = if d > 0.0 { i + 1 } else { i - 1 };
-    q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
 }
 
 #[cfg(test)]
@@ -206,6 +133,46 @@ mod tests {
             q.observe(42.0);
         }
         assert_eq!(q.estimate(), 42.0);
+    }
+
+    /// The estimates of the pinned stream: `k`, then the `to_bits()` of
+    /// the 0.75 and the 0.95 estimate after observation `k`.
+    const PINNED: &str = include_str!("../tests/golden/p2_bits.txt");
+
+    /// A fixed heavy-tailed stream, `1 / (u + 0.001)` for `u` uniform in
+    /// `[0, 1)`: plain IEEE arithmetic, so its bits are the same on
+    /// every target.
+    fn pinned_stream() -> impl Iterator<Item = f64> {
+        let mut s: u64 = 0x9E37_79B9_7F4A_7C15;
+        (0..100_000).map(move |_| {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let u = (s >> 11) as f64 / (1u64 << 53) as f64;
+            1.0 / (u + 1e-3)
+        })
+    }
+
+    /// The estimates are bit-for-bit those of the standalone five-marker
+    /// estimator this type replaced, after the first ten observations
+    /// and every thousandth.
+    #[test]
+    fn estimates_are_pinned_bit_for_bit() {
+        let mut pinned = PINNED.lines().filter(|l| !l.starts_with('#'));
+        let (mut q75, mut q95) = (P2Quantile::new(0.75), P2Quantile::new(0.95));
+        for (k, x) in (1..).zip(pinned_stream()) {
+            q75.observe(x);
+            q95.observe(x);
+            if k <= 10 || k % 1000 == 0 {
+                let got = format!(
+                    "{k} {:016x} {:016x}",
+                    q75.estimate().to_bits(),
+                    q95.estimate().to_bits()
+                );
+                assert_eq!(Some(got.as_str()), pinned.next(), "after {k} observations");
+            }
+        }
+        assert_eq!(pinned.next(), None, "every pinned line was checked");
     }
 
     #[test]

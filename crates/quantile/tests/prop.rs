@@ -22,6 +22,18 @@ proptest! {
             "estimate {} vs truth {}", q.estimate(), truth);
     }
 
+    /// The median estimator and the quartile histogram are one P²
+    /// update: they agree bit for bit after every observation.
+    #[test]
+    fn median_estimator_is_the_quartile_histogram(xs in proptest::collection::vec(0.0f64..1e9, 1..500)) {
+        let (mut q, mut h) = (P2Quantile::new(0.5), P2Histogram::quartiles());
+        for &x in &xs {
+            q.observe(x);
+            h.observe(x);
+            prop_assert_eq!(q.estimate().to_bits(), h.quantile(0.5).to_bits());
+        }
+    }
+
     /// Histogram extremes are always exact, and markers are sorted.
     #[test]
     fn histogram_invariants(xs in proptest::collection::vec(0.0f64..1e9, 1..500)) {

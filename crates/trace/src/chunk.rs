@@ -20,7 +20,6 @@
 //! `.lpt` sections directly into chunks without ever constructing
 //! per-event values.
 
-use crate::events::EventKind;
 use crate::record::{AllocationRecord, RecordSource, TraceRecords};
 use crate::session::Trace;
 use crate::stats::TraceStats;
@@ -142,14 +141,21 @@ impl EventChunk {
 
     /// Iterates the batched events in order.
     pub fn events(&self) -> impl Iterator<Item = ChunkEvent> + '_ {
-        self.tags.iter().zip(&self.sizes).map(|(&tag, &size)| {
-            let record = (tag >> 1) as usize;
-            if tag & 1 == 0 {
-                ChunkEvent::Alloc { record, size }
-            } else {
-                ChunkEvent::Free { record }
-            }
-        })
+        self.tags
+            .iter()
+            .zip(&self.sizes)
+            .map(|(&tag, &size)| decode(tag, size))
+    }
+}
+
+/// One packed event as its [`ChunkEvent`].
+#[inline]
+fn decode(tag: u64, size: u32) -> ChunkEvent {
+    let record = (tag >> 1) as usize;
+    if tag & 1 == 0 {
+        ChunkEvent::Alloc { record, size }
+    } else {
+        ChunkEvent::Free { record }
     }
 }
 
@@ -172,11 +178,28 @@ pub trait ChunkSource {
     fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, Self::Error>;
 }
 
-/// Batches a materialized [`Trace`]'s event stream.
+/// A materialized [`Trace`]'s event stream: the one in-memory form of
+/// it.
 ///
-/// The interleaved stream is computed once at construction; each
-/// [`ChunkSource::next_chunk`] call then copies a [`CHUNK_EVENTS`]-sized
-/// window into the caller's chunk.
+/// The interleaved stream is packed once at construction, 12 bytes an
+/// event. Each [`ChunkSource::next_chunk`] call then copies the next
+/// window into the caller's chunk; [`TraceChunks::events`] reads the
+/// events not yet handed out one at a time.
+///
+/// # Examples
+///
+/// ```
+/// use lifepred_trace::{ChunkEvent, TraceChunks, TraceSession};
+///
+/// let session = TraceSession::new("demo");
+/// let obj = session.alloc(24);
+/// session.free(obj);
+/// let events: Vec<ChunkEvent> = TraceChunks::new(&session.finish()).events().collect();
+/// assert_eq!(
+///     events,
+///     [ChunkEvent::Alloc { record: 0, size: 24 }, ChunkEvent::Free { record: 0 }]
+/// );
+/// ```
 #[derive(Debug, Clone)]
 pub struct TraceChunks {
     /// Pre-packed `(record << 1) | is_free` tags in program order.
@@ -193,18 +216,26 @@ impl TraceChunks {
         let records = trace.records();
         let n = trace.event_count();
         let (mut tags, mut sizes) = (vec![0; n], vec![0; n]);
-        trace.place_events(|at, _, record, kind| match kind {
-            EventKind::Alloc => {
-                tags[at] = (record as u64) << 1;
-                sizes[at] = records[record].size;
+        trace.place_events(|at, tag| {
+            tags[at] = tag;
+            if tag & 1 == 0 {
+                sizes[at] = records[(tag >> 1) as usize].size;
             }
-            EventKind::Free => tags[at] = ((record as u64) << 1) | 1,
         });
         TraceChunks {
             tags,
             sizes,
             pos: 0,
         }
+    }
+
+    /// The events not yet handed out by [`ChunkSource::next_chunk`], in
+    /// order, decoded as [`EventChunk::events`] decodes them.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = ChunkEvent> + '_ {
+        let (tags, sizes) = (&self.tags[self.pos..], &self.sizes[self.pos..]);
+        tags.iter()
+            .zip(sizes)
+            .map(|(&tag, &size)| decode(tag, size))
     }
 }
 
@@ -332,17 +363,7 @@ mod tests {
         }
         assert!(chunk.is_empty(), "final refill leaves the chunk empty");
 
-        let want: Vec<ChunkEvent> = t
-            .events()
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Alloc => ChunkEvent::Alloc {
-                    record: e.record,
-                    size: t.records()[e.record].size,
-                },
-                EventKind::Free => ChunkEvent::Free { record: e.record },
-            })
-            .collect();
+        let want: Vec<ChunkEvent> = TraceChunks::new(&t).events().collect();
         assert_eq!(got, want);
         assert_eq!(got.len(), 20_000);
     }

@@ -1,93 +1,46 @@
-//! Replay event streams: the interleaved alloc/free sequence of a trace.
+//! Program order: where each allocation and free of a trace falls in
+//! its interleaved event stream, which [`TraceChunks`] packs.
+//!
+//! [`TraceChunks`]: crate::TraceChunks
 
-use crate::record::ObjectId;
 use crate::session::Trace;
 
-/// What happened at one point in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// An object was allocated.
-    Alloc,
-    /// An object was deallocated.
-    Free,
-}
-
-/// One allocation or deallocation event, in trace order.
-///
-/// `record` indexes into [`Trace::records`]; the record carries the
-/// size and call-chain needed by the heap simulators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Global sequence number of the event.
-    pub seq: u64,
-    /// Allocation or deallocation.
-    pub kind: EventKind,
-    /// Index of the associated record in [`Trace::records`].
-    pub record: usize,
-    /// The object involved.
-    pub object: ObjectId,
-}
-
 impl Trace {
-    /// The interleaved alloc/free event stream, in program order.
-    ///
-    /// Heap simulators replay this stream to reproduce exactly the
-    /// sequence of demands the traced program placed on its allocator.
-    pub fn events(&self) -> Vec<Event> {
-        let records = self.records();
-        let blank = Event {
-            seq: 0,
-            kind: EventKind::Alloc,
-            record: 0,
-            object: ObjectId(0),
-        };
-        let mut events = vec![blank; self.event_count()];
-        self.place_events(|at, seq, record, kind| {
-            let object = records[record].object;
-            events[at] = Event {
-                seq,
-                kind,
-                record,
-                object,
-            };
-        });
-        events
-    }
-
     /// Allocations plus frees.
     pub(crate) fn event_count(&self) -> usize {
         let frees = self.records().iter().filter(|r| r.death_seq.is_some());
         self.records().len() + frees.count()
     }
 
-    /// Calls `place(at, seq, record, kind)` once per event, where `at`
-    /// is the event's index in program order. [`TraceSession`] and the
-    /// `.lpt` reader number events densely from 0, so `at` is the
-    /// event's `seq` and the stream is built in O(n); a trace whose seqs
-    /// are not `0..n` is sorted by `seq` instead.
+    /// Calls `place(at, tag)` once per event, where `at` is the event's
+    /// index in program order and `tag` its packed
+    /// `(record << 1) | is_free` word. [`TraceSession`] and the `.lpt`
+    /// reader number events densely from 0, so `at` is the event's seq
+    /// and the stream is built in O(n); a trace whose seqs are not
+    /// `0..n` is sorted by seq instead.
     ///
     /// [`TraceSession`]: crate::TraceSession
-    pub(crate) fn place_events(&self, mut place: impl FnMut(usize, u64, usize, EventKind)) {
+    pub(crate) fn place_events(&self, mut place: impl FnMut(usize, u64)) {
         let n = self.event_count();
         let events = || {
-            let records = self.records().iter().enumerate();
+            let records = (0u64..).zip(self.records());
             records.flat_map(|(i, r)| {
-                let free = r.death_seq.map(|seq| (seq, i, EventKind::Free));
-                std::iter::once((r.birth_seq, i, EventKind::Alloc)).chain(free)
+                let free = r.death_seq.map(|seq| (seq, (i << 1) | 1));
+                std::iter::once((r.birth_seq, i << 1)).chain(free)
             })
         };
         let mut seen = vec![false; n];
-        let dense = events().all(|(seq, ..)| {
+        let dense = events().all(|(seq, _)| {
             let slot = usize::try_from(seq).ok().and_then(|at| seen.get_mut(at));
             slot.is_some_and(|seen| !std::mem::replace(seen, true))
         });
         if dense {
-            events().for_each(|(seq, record, kind)| place(seq as usize, seq, record, kind));
+            events().for_each(|(seq, tag)| place(seq as usize, tag));
         } else {
             let mut sorted: Vec<_> = events().collect();
-            sorted.sort_unstable_by_key(|&(seq, ..)| seq);
-            for (at, (seq, record, kind)) in sorted.into_iter().enumerate() {
-                place(at, seq, record, kind);
+            sorted.sort_unstable_by_key(|&(seq, _)| seq);
+            for (at, (_, tag)) in sorted.into_iter().enumerate() {
+                place(at, tag);
             }
         }
     }
@@ -96,7 +49,16 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{ChunkEvent, TraceChunks};
     use crate::session::TraceSession;
+
+    /// The seq the records give event `e`.
+    fn seq_of(t: &Trace, e: ChunkEvent) -> Option<u64> {
+        match e {
+            ChunkEvent::Alloc { record, .. } => Some(t.records()[record].birth_seq),
+            ChunkEvent::Free { record } => t.records()[record].death_seq,
+        }
+    }
 
     #[test]
     fn events_interleave_in_program_order() {
@@ -108,35 +70,35 @@ mod tests {
         s.free(c); // seq 4
         s.free(b); // seq 5
         let t = s.finish();
-        let ev = t.events();
-        let kinds: Vec<EventKind> = ev.iter().map(|e| e.kind).collect();
-        use EventKind::*;
-        assert_eq!(kinds, vec![Alloc, Alloc, Free, Alloc, Free, Free]);
-        assert_eq!(ev[2].object, t.records()[0].object);
+        let ev: Vec<ChunkEvent> = TraceChunks::new(&t).events().collect();
+        let frees: Vec<bool> = ev
+            .iter()
+            .map(|e| matches!(e, ChunkEvent::Free { .. }))
+            .collect();
+        assert_eq!(frees, vec![false, false, true, false, true, true]);
+        assert_eq!(ev[2], ChunkEvent::Free { record: 0 });
         // Sequence numbers are dense and ordered.
-        for (i, e) in ev.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
+        for (i, &e) in (0u64..).zip(&ev) {
+            assert_eq!(seq_of(&t, e), Some(i));
         }
     }
 
     /// The stream as the seq sort builds it: the oracle for the dense
     /// placement.
-    fn sorted_events(t: &Trace) -> Vec<(u64, EventKind, usize)> {
+    fn sorted_events(t: &Trace) -> Vec<ChunkEvent> {
         let mut events: Vec<_> = (t.records().iter().enumerate())
-            .flat_map(|(i, r)| {
-                let free = r.death_seq.map(|seq| (seq, EventKind::Free, i));
-                std::iter::once((r.birth_seq, EventKind::Alloc, i)).chain(free)
+            .flat_map(|(record, r)| {
+                let free = r.death_seq.map(|seq| (seq, ChunkEvent::Free { record }));
+                let size = r.size;
+                std::iter::once((r.birth_seq, ChunkEvent::Alloc { record, size })).chain(free)
             })
             .collect();
         events.sort_unstable_by_key(|e| e.0);
-        events
+        events.into_iter().map(|(_, e)| e).collect()
     }
 
-    fn stream(t: &Trace) -> Vec<(u64, EventKind, usize)> {
-        t.events()
-            .iter()
-            .map(|e| (e.seq, e.kind, e.record))
-            .collect()
+    fn stream(t: &Trace) -> Vec<ChunkEvent> {
+        TraceChunks::new(t).events().collect()
     }
 
     #[test]
@@ -166,7 +128,7 @@ mod tests {
             t.end_seq() + 1000,
         );
         assert_eq!(stream(&gapped), sorted_events(&gapped));
-        assert_eq!(gapped.events().len(), t.events().len());
+        assert_eq!(stream(&gapped).len(), stream(&t).len());
     }
 
     #[test]
@@ -176,8 +138,9 @@ mod tests {
         let b = s.alloc(8);
         s.free(b);
         let t = s.finish();
-        let ev = t.events();
+        let ev = stream(&t);
         assert_eq!(ev.len(), 3);
-        assert_eq!(ev.iter().filter(|e| e.kind == EventKind::Free).count(), 1);
+        let frees = ev.iter().filter(|e| matches!(e, ChunkEvent::Free { .. }));
+        assert_eq!(frees.count(), 1);
     }
 }

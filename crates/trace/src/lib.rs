@@ -11,7 +11,10 @@
 //!
 //! The finished [`Trace`] is the unit of exchange for the rest of the
 //! system: the predictor trains on traces, and the heap simulators
-//! replay their event streams.
+//! replay their event streams. An event stream has one in-memory form,
+//! [`ChunkEvent`]s: packed in batches of [`EventChunk`]s, or one at a
+//! time from [`TraceChunks`] (an in-memory trace) and the `.lpt`
+//! reader's decoder.
 //!
 //! # Examples
 //!
@@ -49,7 +52,6 @@ pub use chunk::{
     ChunkEvent, ChunkSource, EventChunk, TraceChunks, TraceSource, CHUNK_EVENTS,
     POOLED_CHUNK_EVENTS,
 };
-pub use events::{Event, EventKind};
 pub use record::{AllocationRecord, ObjectId, RecordSource};
 pub use registry::{shared_registry, FnId, FunctionRegistry, SharedRegistry};
 pub use session::{CallGuard, Trace, TraceSession, Traced};

@@ -1,7 +1,9 @@
 //! Property tests over random session scripts: the tracer's clocks,
 //! stats and event streams must stay consistent for any program shape.
 
-use lifepred_trace::{shared_registry, ChainTable, EventKind, FnId, ObjectId, TraceSession};
+use lifepred_trace::{
+    shared_registry, ChainTable, ChunkEvent, FnId, ObjectId, TraceChunks, TraceSession,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -181,26 +183,25 @@ proptest! {
     #[test]
     fn event_stream_well_formed(script in actions()) {
         let (trace, freed) = run(&script);
-        let events = trace.events();
-        let allocs = events.iter().filter(|e| e.kind == EventKind::Alloc).count();
-        let frees = events.iter().filter(|e| e.kind == EventKind::Free).count();
-        prop_assert_eq!(allocs, trace.records().len());
+        let events: Vec<ChunkEvent> = TraceChunks::new(&trace).events().collect();
+        let frees = events.iter().filter(|e| matches!(e, ChunkEvent::Free { .. })).count();
+        prop_assert_eq!(events.len() - frees, trace.records().len());
         prop_assert_eq!(frees, freed);
         let mut born = std::collections::HashSet::new();
         let mut last_seq = None;
-        for e in &events {
-            if let Some(prev) = last_seq {
-                prop_assert!(e.seq > prev, "events out of order");
-            }
-            last_seq = Some(e.seq);
-            match e.kind {
-                EventKind::Alloc => {
-                    prop_assert!(born.insert(e.record), "double alloc");
+        for &e in &events {
+            let seq = match e {
+                ChunkEvent::Alloc { record, .. } => {
+                    prop_assert!(born.insert(record), "double alloc");
+                    Some(trace.records()[record].birth_seq)
                 }
-                EventKind::Free => {
-                    prop_assert!(born.contains(&e.record), "free before alloc");
+                ChunkEvent::Free { record } => {
+                    prop_assert!(born.contains(&record), "free before alloc");
+                    trace.records()[record].death_seq
                 }
-            }
+            };
+            prop_assert!(seq > last_seq, "events out of order");
+            last_seq = seq;
         }
     }
 
@@ -212,15 +213,14 @@ proptest! {
         let mut live_objects = 0u64;
         let mut seen_max_bytes = 0u64;
         let mut seen_max_objects = 0u64;
-        for e in trace.events() {
-            let r = &trace.records()[e.record];
-            match e.kind {
-                EventKind::Alloc => {
-                    live_bytes += u64::from(r.size);
+        for e in TraceChunks::new(&trace).events() {
+            match e {
+                ChunkEvent::Alloc { size, .. } => {
+                    live_bytes += u64::from(size);
                     live_objects += 1;
                 }
-                EventKind::Free => {
-                    live_bytes -= u64::from(r.size);
+                ChunkEvent::Free { record } => {
+                    live_bytes -= u64::from(trace.records()[record].size);
                     live_objects -= 1;
                 }
             }

@@ -503,7 +503,7 @@ impl MappedTrace {
 
     /// The zero-copy batch event source: decodes straight from the
     /// mapped events payload into the caller's
-    /// [`EventChunk`](lifepred_trace::EventChunk)s with the SWAR
+    /// [`EventChunk`]s with the SWAR
     /// varint decoder. The section CRC was already verified at open
     /// (unless [`open_unverified`](Self::open_unverified) was used);
     /// structural checks still run per event.

@@ -50,7 +50,7 @@ use crate::format::{
 };
 use crate::varint::write_varint;
 use lifepred_trace::{
-    AllocationRecord, ChainTable, EventKind, FunctionRegistry, Trace, TraceStats,
+    AllocationRecord, ChainTable, ChunkEvent, FunctionRegistry, Trace, TraceChunks, TraceStats,
 };
 use std::io::{Seek, SeekFrom, Write};
 
@@ -413,7 +413,7 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
 }
 
 /// Writes the complete `.lpt` image of `trace` into `sink`: the header
-/// sections, every record, then every event of [`Trace::events`].
+/// sections, every record, then every event of its [`TraceChunks`].
 ///
 /// # Errors
 ///
@@ -433,18 +433,23 @@ pub(crate) fn write_trace<W: Write + Seek>(trace: &Trace, sink: W) -> Result<W, 
         w.write_record(r)?;
     }
     w.end_records()?;
-    let events = trace.events();
-    w.begin_events(events.len() as u64)?;
-    for (i, e) in events.iter().enumerate() {
-        if e.seq != i as u64 {
+    let (records, chunks) = (trace.records(), TraceChunks::new(trace));
+    w.begin_events(chunks.events().len() as u64)?;
+    for (i, event) in (0u64..).zip(chunks.events()) {
+        // The seq the event's record gives it; a freed record has a death.
+        let seq = match event {
+            ChunkEvent::Alloc { record, .. } => records[record].birth_seq,
+            ChunkEvent::Free { record } => records[record].death_seq.unwrap_or(u64::MAX),
+        };
+        if seq != i {
             return Err(TraceFileError::malformed(
                 "events",
-                format!("event seq {} is not its index {i}", e.seq),
+                format!("event seq {seq} is not its index {i}"),
             ));
         }
-        match e.kind {
-            EventKind::Alloc => w.write_alloc(trace.records()[e.record].size)?,
-            EventKind::Free => w.write_free(e.record as u64)?,
+        match event {
+            ChunkEvent::Alloc { size, .. } => w.write_alloc(size)?,
+            ChunkEvent::Free { record } => w.write_free(record as u64)?,
         }
     }
     w.end_events()?;
@@ -574,7 +579,7 @@ mod tests {
         let bytes = trace_to_vec(&trace).expect("encode");
         let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes)).expect("mapped open");
         assert_eq!(mapped.record_count(), trace.records().len() as u64);
-        assert_eq!(mapped.event_count(), trace.events().len() as u64);
+        assert_eq!(mapped.event_count(), trace.end_seq());
         let decoded: Vec<_> = mapped
             .records()
             .expect("records")

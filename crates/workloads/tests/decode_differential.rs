@@ -3,7 +3,7 @@
 //!
 //! For each of the six workload families the recorded [`Trace`] is
 //! serialized once and read back through [`MappedTrace`]: the chunked
-//! event stream must equal [`Trace::events`] of the recorded trace at
+//! event stream must equal the recorded trace's [`TraceChunks`] at
 //! every chunk capacity, and [`load_trace`] / [`trace_from_bytes`] must
 //! return the recorded records and stats; a streamed synthetic trace
 //! large enough that the reader releases mapped pages behind every pass
@@ -12,7 +12,7 @@
 //! the mapped and heap-fallback flavors of [`TraceMap`] are covered.
 
 use lifepred_trace::{
-    ChunkEvent, ChunkSource, EventChunk, EventKind, Trace, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
+    ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
 };
 use lifepred_tracefile::{load_trace, trace_from_bytes, trace_to_vec, MappedTrace, TraceMap};
 use lifepred_workloads::{all_workloads, record};
@@ -22,14 +22,7 @@ use std::path::PathBuf;
 
 /// The event stream `trace` stands for, as a chunk source yields it.
 fn events_of(trace: &Trace) -> Vec<ChunkEvent> {
-    let events = trace.events().into_iter().map(|e| match e.kind {
-        EventKind::Alloc => ChunkEvent::Alloc {
-            record: e.record,
-            size: trace.records()[e.record].size,
-        },
-        EventKind::Free => ChunkEvent::Free { record: e.record },
-    });
-    events.collect()
+    TraceChunks::new(trace).events().collect()
 }
 
 fn drain(mapped: &MappedTrace, chunk_capacity: usize) -> Vec<ChunkEvent> {

@@ -1,19 +1,22 @@
 //! The in-memory event stream is built by placing each event at its
 //! `seq`, without a sort. On every workload it must equal the stream a
-//! sort by `seq` gives, both as [`Trace::events`] and as the batches
-//! [`TraceChunks`] hands the replay loop.
+//! sort by `seq` gives, both as [`TraceChunks::events`] reads it and
+//! as the batches [`TraceChunks`] hands the replay loop.
 
-use lifepred_trace::{
-    shared_registry, ChunkEvent, ChunkSource, EventChunk, EventKind, Trace, TraceChunks,
-};
+use lifepred_trace::{shared_registry, ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks};
 use lifepred_workloads::{all_workloads, record};
 
-/// The oracle: every alloc and free of `trace`, sorted by `seq`.
-fn sorted_events(trace: &Trace) -> Vec<(u64, EventKind, usize)> {
+/// The oracle: every alloc and free of `trace` with its `seq`, sorted
+/// by `seq`.
+fn sorted_events(trace: &Trace) -> Vec<(u64, ChunkEvent)> {
     let mut events: Vec<_> = (trace.records().iter().enumerate())
-        .flat_map(|(i, r)| {
-            let free = r.death_seq.map(|seq| (seq, EventKind::Free, i));
-            std::iter::once((r.birth_seq, EventKind::Alloc, i)).chain(free)
+        .flat_map(|(record, r)| {
+            let free = r.death_seq.map(|seq| (seq, ChunkEvent::Free { record }));
+            let alloc = ChunkEvent::Alloc {
+                record,
+                size: r.size,
+            };
+            std::iter::once((r.birth_seq, alloc)).chain(free)
         })
         .collect();
     events.sort_unstable_by_key(|e| e.0);
@@ -33,25 +36,14 @@ fn chunk_events(trace: &Trace) -> Vec<ChunkEvent> {
 fn every_workload_streams_its_events_in_seq_order() {
     for w in all_workloads() {
         let trace = record(w.as_ref(), 0, shared_registry());
-        let oracle = sorted_events(&trace);
-        let events: Vec<_> = (trace.events().iter())
-            .map(|e| (e.seq, e.kind, e.record))
-            .collect();
-        assert_eq!(events, oracle, "{}: Trace::events", w.name());
+        let (seqs, oracle): (Vec<u64>, Vec<ChunkEvent>) = sorted_events(&trace).into_iter().unzip();
         assert!(
-            (trace.events().iter()).all(|e| e.object == trace.records()[e.record].object),
-            "{}: event objects",
+            (0u64..).zip(&seqs).all(|(i, &seq)| seq == i),
+            "{}: event seqs are their indices",
             w.name()
         );
-        let chunked: Vec<_> = (oracle.iter())
-            .map(|&(_, kind, record)| match kind {
-                EventKind::Alloc => ChunkEvent::Alloc {
-                    record,
-                    size: trace.records()[record].size,
-                },
-                EventKind::Free => ChunkEvent::Free { record },
-            })
-            .collect();
-        assert_eq!(chunk_events(&trace), chunked, "{}: TraceChunks", w.name());
+        let events: Vec<_> = TraceChunks::new(&trace).events().collect();
+        assert_eq!(events, oracle, "{}: TraceChunks::events", w.name());
+        assert_eq!(chunk_events(&trace), oracle, "{}: TraceChunks", w.name());
     }
 }

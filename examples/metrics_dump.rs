@@ -1,6 +1,6 @@
 //! The unified telemetry layer end to end: one registry collects an
 //! observed online trace replay *and* the live global allocator, then
-//! the merged snapshot is dumped as JSON and Prometheus text.
+//! the merged snapshot is dumped as JSON.
 //!
 //! Run with `cargo run --release --example metrics_dump`.
 
@@ -55,10 +55,7 @@ fn main() {
     });
     lifepred::galloc::stats().export(&registry);
 
-    // --- 3. One snapshot, both renderings. ------------------------------
-    let snap = registry.snapshot();
+    // --- 3. One snapshot, as `simulate --metrics-out` writes it. --------
     println!("=== JSON (lifepred-metrics-v1) ===");
-    println!("{}", snap.to_json());
-    println!("=== Prometheus text exposition ===");
-    print!("{}", snap.to_prometheus());
+    print!("{}", registry.snapshot().to_json());
 }
