@@ -36,8 +36,9 @@
 //! 5. **tables** — where a `lifepred report` run's time goes: per paper
 //!    program, its train and test recordings, the two
 //!    [`Profile::build`]s, training and evaluating both databases, and
-//!    the online replay of the test trace (`TraceChunks::new`, the
-//!    packing that replay starts with, also timed alone), timed one stage at a time,
+//!    the online replay of the test trace (which reads the events in the
+//!    order the session recorded them: nothing is packed first), timed
+//!    one stage at a time,
 //!    with the test recording's calling-context tree nodes beside its chain count;
 //!    their serial sum (of per-stage medians) is printed beside the
 //!    median wall time of the same per-program work fanned out on two
@@ -305,7 +306,7 @@ fn unpredicted_copy(trace: &Trace, db: &ShortLivedSet) -> Trace {
 }
 
 /// A replay of `trace` under `plan`, the whole of [`replay`]: records
-/// walk (for a predicting plan), event packing and the loop.
+/// walk (for a predicting plan) and the loop.
 fn in_memory_replay<'a>(trace: &'a Trace, plan: ReplayPlan<'a>) -> impl FnMut() + 'a {
     move || {
         std::hint::black_box(replay(trace, &plan, None).expect("in-memory replay"));
@@ -375,11 +376,8 @@ struct TableStages {
     profile: f64,
     /// Training both databases and evaluating both on the test trace.
     train_evaluate: f64,
-    /// `TraceChunks::new` over the test trace, timed alone; the online
-    /// replay packs its own copy.
-    online_stream: f64,
-    /// The online replay: packing, the lock-step site lookups and the
-    /// learner in the loop.
+    /// The online replay: the lock-step site lookups and the learner in
+    /// the loop.
     online_replay: f64,
     /// Calling-context tree nodes of the test recording.
     context_nodes: usize,
@@ -393,7 +391,7 @@ impl TableStages {
     }
 
     fn total(&self) -> f64 {
-        self.record() + self.profile + self.train_evaluate + self.online_stream + self.online_replay
+        self.record() + self.profile + self.train_evaluate + self.online_replay
     }
 
     /// The stage-by-stage median of `runs`.
@@ -408,7 +406,6 @@ impl TableStages {
             record_test: median(|s| s.record_test),
             profile: median(|s| s.profile),
             train_evaluate: median(|s| s.train_evaluate),
-            online_stream: median(|s| s.online_stream),
             online_replay: median(|s| s.online_replay),
             context_nodes: runs[0].context_nodes,
             chains: runs[0].chains,
@@ -446,8 +443,6 @@ fn table_stages(w: &dyn Workload) -> TableStages {
         evaluate_profile(&true_db, &self_profile),
     ));
     split(&mut stages.train_evaluate);
-    std::hint::black_box(TraceChunks::new(&test));
-    split(&mut stages.online_stream);
     let plan = ReplayPlan::ArenaOnline {
         sites: config,
         epoch: EpochConfig::default(),
@@ -624,13 +619,12 @@ fn main() {
             format!(
                 "      \"{name}\": {{\"record_train_secs\": {:.5}, \"record_test_secs\": {:.5}, \
                  \"profile_secs\": {:.5}, \"train_evaluate_secs\": {:.5}, \
-                 \"online_stream_secs\": {:.5}, \"online_replay_secs\": {:.5}, \
+                 \"online_replay_secs\": {:.5}, \
                  \"context_nodes\": {}, \"chains\": {}}}",
                 s.record_train,
                 s.record_test,
                 s.profile,
                 s.train_evaluate,
-                s.online_stream,
                 s.online_replay,
                 s.context_nodes,
                 s.chains,
@@ -641,7 +635,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-replay-v7\",\n  \
+           \"schema\": \"lifepred-bench-replay-v8\",\n  \
            \"smoke\": {smoke},\n  \
            {host_fields},\n  \
            \"firstfit\": {{\n    \
@@ -724,12 +718,11 @@ fn main() {
     for (name, s) in &stages {
         println!(
             "tables:   {name:<8} record {:.1}+{:.1} ms, profile {:.1} ms, train+evaluate {:.2} ms, \
-             online stream {:.1} ms + replay {:.1} ms; {} context nodes, {} chains",
+             online replay {:.1} ms; {} context nodes, {} chains",
             s.record_train * 1e3,
             s.record_test * 1e3,
             s.profile * 1e3,
             s.train_evaluate * 1e3,
-            s.online_stream * 1e3,
             s.online_replay * 1e3,
             s.context_nodes,
             s.chains,

@@ -647,15 +647,15 @@ end clock/seq:   131 / 4
     } else {
         "heap"
     };
-    // 113 file bytes: the records and events lengths are the writer's
-    // five-byte padded varints (24 and 6 would fit one byte each).
+    // 103 file bytes: the records and events lengths are the writer's
+    // five-byte padded varints (17 and 6 would fit one byte each).
     let sections = format!(
         "
-sections ({backing}, 113 file bytes):
-  meta                 19 bytes
+sections ({backing}, 103 file bytes):
+  meta                 16 bytes
   functions            11 bytes             2 entries
   chains                7 bytes             3 entries
-  records              24 bytes             3 entries
+  records              17 bytes             3 entries
   events                6 bytes             4 entries
 "
     );
@@ -839,21 +839,16 @@ fn write_two_allocation_trace(path: &str, records: u64) {
             max_live_objects: 1,
             ..Default::default()
         },
-        end_clock: 16,
-        end_seq: 4,
     };
     let file = std::fs::File::create(path).expect("create");
     let mut w = StreamTraceWriter::new(file, &meta, &registry, &chains).expect("writer");
     w.begin_records(records).expect("records");
     for i in 0..records {
         w.write_record(&lifepred_trace::AllocationRecord {
-            object: lifepred_trace::ObjectId::from_index(i),
             size: 8,
             chain,
             birth_clock: 8 * i,
             death_clock: Some(8 * i + 8),
-            birth_seq: 2 * i,
-            death_seq: Some(2 * i + 1),
             refs: 0,
             first_ref_clock: None,
             last_ref_clock: None,
@@ -923,8 +918,6 @@ fn write_resized(path: &str, trace: &Trace, resize: impl Fn(usize, u32) -> u32) 
     let meta = StreamMeta {
         name: trace.name(),
         stats: *trace.stats(),
-        end_clock: trace.end_clock(),
-        end_seq: trace.end_seq(),
     };
     let file = std::fs::File::create(path).expect("create");
     let mut w =
@@ -1013,7 +1006,10 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
     ];
     let size_of = |object: usize| trace.records()[object].size;
     for (path, object, said) in [(&inflated, 1, 50 * size_of(1)), (&huge, 7, u32::MAX)] {
-        let event = trace.records()[object].birth_seq;
+        let event = TraceChunks::new(&trace)
+            .events()
+            .position(|e| matches!(e, ChunkEvent::Alloc { record, .. } if record == object))
+            .expect("the object is allocated");
         let want = format!(
             "malformed events section: event {event} allocates object {object}: {said} bytes"
         );
@@ -1095,43 +1091,51 @@ fn events_that_disagree_with_their_records_in_size_are_corrupt() {
     let expected = format!("lifepred: {swapped}: invalid event stream: {detail}");
     assert!(err.starts_with(&expected), "{err}");
     let want = format!(
-        "malformed events section: event 0 allocates object 0: {} bytes at clock 0, \
-         its record says {} bytes at seq 0, clock 0",
+        "malformed events section: event 0 allocates object 0: {} bytes, its record says {}",
         sizes[other], sizes[0]
     );
     refused_by_the_walk(&swapped, &want);
 }
 
-/// A CRC-valid trace whose first record's birth-seq field says 1, not
-/// 0: every record is then born, and dies, one event later than the
-/// events say. Sizes, sites and totals all hold, so no replay can tell,
-/// and all four replay it; `inspect --verify` and `load_trace` refuse
-/// it at the first allocation.
+/// A CRC-valid trace whose first record's lifetime code is one more
+/// than recorded: object 0 is then promised a death one byte later than
+/// the event that frees it. Sizes, sites and totals all hold and no
+/// replay reads a death clock, so all four replay it and return what
+/// they return for the recorded file; `inspect --verify` and
+/// `load_trace` refuse it at the free.
 #[test]
-fn records_whose_birth_seqs_are_off_by_one_are_corrupt() {
-    let dir = Scratch::new("seq-shift");
+fn records_whose_lifetimes_are_off_by_one_are_corrupt() {
+    let dir = Scratch::new("lifetime-shift");
     let good = dir.path("good.lpt");
     run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
     let mut bytes = std::fs::read(&good).expect("read");
     let records = records_payload(&bytes);
-    // Skip the count and record 0's size, chain and clock delta: the
-    // next varint is its birth seq, stored verbatim.
+    // Skip the count and record 0's size and chain: the next varint is
+    // its lifetime code.
     let mut pos = records.start;
-    for _ in 0..4 {
+    for _ in 0..3 {
         while bytes[pos] & 0x80 != 0 {
             pos += 1;
         }
         pos += 1;
     }
-    assert_eq!(bytes[pos], 0, "record 0 is born at seq 0");
-    bytes[pos] = 1;
+    // Its first byte holds the code's lowest seven bits, so adding 1
+    // to it adds 1 to the code while they do not carry.
+    let low = bytes[pos];
+    assert!(low != 0, "record 0 is mortal");
+    assert!(low & 0x7f != 0x7f, "the increment does not carry");
+    bytes[pos] = low + 1;
     let mut crc = lifepred_tracefile::Crc32::new();
     crc.update(&bytes[records.clone()]);
     bytes[records.end..records.end + 4].copy_from_slice(&crc.finish().to_le_bytes());
     let shifted = dir.path("shifted.lpt");
     std::fs::write(&shifted, &bytes).expect("write");
 
-    let mapped = MappedTrace::open(&shifted).expect("the file passes its checksums");
+    let (recorded, mapped) = (
+        MappedTrace::open(&good).expect("open"),
+        MappedTrace::open(&shifted),
+    );
+    let mapped = mapped.expect("the file passes its checksums");
     let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
     let arena = ArenaConfig::default();
     let online = ReplayPlan::ArenaOnline {
@@ -1146,13 +1150,26 @@ fn records_whose_birth_seqs_are_off_by_one_are_corrupt() {
         online,
     ];
     for plan in &plans {
-        assert!(replay(&mapped, plan, None).is_ok(), "{plan:?}");
+        let want = replay(&recorded, plan, None).expect("the recorded file replays");
+        assert_eq!(
+            replay(&mapped, plan, None).expect("replays"),
+            want,
+            "{plan:?}"
+        );
     }
-    let size = mapped.records().expect("records").next().expect("a record");
-    let size = size.expect("record 0 decodes").size;
+    let record = mapped.records().expect("records").next().expect("a record");
+    let death = record
+        .expect("record 0 decodes")
+        .death_clock
+        .expect("mortal");
+    let loaded = load_trace(&good).expect("load");
+    let free = (TraceChunks::new(&loaded).events())
+        .position(|e| e == ChunkEvent::Free { record: 0 })
+        .expect("object 0 is freed");
     let want = format!(
-        "malformed events section: event 0 allocates object 0: {size} bytes at clock 0, \
-         its record says {size} bytes at seq 1, clock 0"
+        "malformed events section: event {free} frees object 0 at clock {}, \
+         its record says it dies at clock {death}",
+        death - 1
     );
     refused_by_the_walk(&shifted, &want);
 }

@@ -181,10 +181,11 @@ pub trait ChunkSource {
 /// A materialized [`Trace`]'s event stream: the one in-memory form of
 /// it.
 ///
-/// The interleaved stream is packed once at construction, 12 bytes an
-/// event. Each [`ChunkSource::next_chunk`] call then copies the next
-/// window into the caller's chunk; [`TraceChunks::events`] reads the
-/// events not yet handed out one at a time.
+/// It borrows the program-order tags the trace was recorded with. Each
+/// [`ChunkSource::next_chunk`] call copies the next window into the
+/// caller's chunk, with each allocation's size read from its record;
+/// [`TraceChunks::events`] reads the events not yet handed out one at a
+/// time.
 ///
 /// # Examples
 ///
@@ -201,30 +202,21 @@ pub trait ChunkSource {
 /// );
 /// ```
 #[derive(Debug, Clone)]
-pub struct TraceChunks {
-    /// Pre-packed `(record << 1) | is_free` tags in program order.
-    tags: Vec<u64>,
-    /// Sizes parallel to `tags` (`0` for frees).
-    sizes: Vec<u32>,
+pub struct TraceChunks<'a> {
+    /// `(record << 1) | is_free` tags in program order.
+    tags: &'a [u64],
+    /// The records the tags index: where allocation sizes are read.
+    records: &'a [AllocationRecord],
     /// Next unconsumed index into `tags`.
     pos: usize,
 }
 
-impl TraceChunks {
+impl<'a> TraceChunks<'a> {
     /// Prepares the batched event stream of `trace`.
-    pub fn new(trace: &Trace) -> TraceChunks {
-        let records = trace.records();
-        let n = trace.event_count();
-        let (mut tags, mut sizes) = (vec![0; n], vec![0; n]);
-        trace.place_events(|at, tag| {
-            tags[at] = tag;
-            if tag & 1 == 0 {
-                sizes[at] = records[(tag >> 1) as usize].size;
-            }
-        });
+    pub fn new(trace: &'a Trace) -> TraceChunks<'a> {
         TraceChunks {
-            tags,
-            sizes,
+            tags: trace.event_tags(),
+            records: trace.records(),
             pos: 0,
         }
     }
@@ -232,14 +224,22 @@ impl TraceChunks {
     /// The events not yet handed out by [`ChunkSource::next_chunk`], in
     /// order, decoded as [`EventChunk::events`] decodes them.
     pub fn events(&self) -> impl ExactSizeIterator<Item = ChunkEvent> + '_ {
-        let (tags, sizes) = (&self.tags[self.pos..], &self.sizes[self.pos..]);
-        tags.iter()
-            .zip(sizes)
-            .map(|(&tag, &size)| decode(tag, size))
+        (self.tags[self.pos..].iter()).map(|&tag| decode(tag, self.size(tag)))
+    }
+
+    /// The size an event's chunk entry carries: its record's for an
+    /// allocation, `0` for a free.
+    #[inline]
+    fn size(&self, tag: u64) -> u32 {
+        if tag & 1 == 0 {
+            self.records[(tag >> 1) as usize].size
+        } else {
+            0
+        }
     }
 }
 
-impl ChunkSource for TraceChunks {
+impl ChunkSource for TraceChunks<'_> {
     type Error = Infallible;
 
     fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, Infallible> {
@@ -248,8 +248,9 @@ impl ChunkSource for TraceChunks {
         if self.pos == end {
             return Ok(false);
         }
-        chunk.tags.extend_from_slice(&self.tags[self.pos..end]);
-        chunk.sizes.extend_from_slice(&self.sizes[self.pos..end]);
+        let window = &self.tags[self.pos..end];
+        chunk.tags.extend_from_slice(window);
+        chunk.sizes.extend(window.iter().map(|&tag| self.size(tag)));
         self.pos = end;
         Ok(true)
     }
@@ -290,7 +291,7 @@ impl TraceSource for Trace {
     type Error = Infallible;
     type Record<'a> = &'a AllocationRecord;
     type Records<'a> = TraceRecords<'a>;
-    type Events<'a> = TraceChunks;
+    type Events<'a> = TraceChunks<'a>;
 
     fn name(&self) -> &str {
         Trace::name(self)
@@ -300,7 +301,7 @@ impl TraceSource for Trace {
         Trace::stats(self)
     }
 
-    fn events(&self) -> TraceChunks {
+    fn events(&self) -> TraceChunks<'_> {
         TraceChunks::new(self)
     }
 
@@ -394,6 +395,39 @@ mod tests {
             total += chunk.len();
         }
         assert_eq!(total, 12_000);
+    }
+
+    #[test]
+    fn events_interleave_in_program_order() {
+        let s = TraceSession::new("t");
+        let a = s.alloc(1);
+        let b = s.alloc(2);
+        s.free(a);
+        let c = s.alloc(3);
+        s.free(c);
+        s.free(b);
+        let t = s.finish();
+        let ev: Vec<ChunkEvent> = TraceChunks::new(&t).events().collect();
+        let frees: Vec<bool> = ev
+            .iter()
+            .map(|e| matches!(e, ChunkEvent::Free { .. }))
+            .collect();
+        assert_eq!(frees, vec![false, false, true, false, true, true]);
+        assert_eq!(ev[2], ChunkEvent::Free { record: 0 });
+        assert_eq!(ev[3], ChunkEvent::Alloc { record: 2, size: 3 });
+    }
+
+    #[test]
+    fn immortal_objects_emit_no_free() {
+        let s = TraceSession::new("t");
+        s.alloc(8);
+        let b = s.alloc(8);
+        s.free(b);
+        let t = s.finish();
+        let ev: Vec<ChunkEvent> = TraceChunks::new(&t).events().collect();
+        assert_eq!(ev.len(), 3);
+        let frees = ev.iter().filter(|e| matches!(e, ChunkEvent::Free { .. }));
+        assert_eq!(frees.count(), 1);
     }
 
     #[test]

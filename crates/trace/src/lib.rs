@@ -41,7 +41,6 @@
 
 mod chain;
 mod chunk;
-mod events;
 mod record;
 mod registry;
 mod session;

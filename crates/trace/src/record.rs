@@ -5,7 +5,8 @@ use crate::session::Trace;
 use std::convert::Infallible;
 use std::fmt;
 
-/// Identity of a traced heap object, unique within one session.
+/// A recording session's handle on a traced heap object: its birth
+/// index among the session's records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub(crate) u64);
 
@@ -15,8 +16,8 @@ impl ObjectId {
         self.0
     }
 
-    /// Rebuilds an id from [`ObjectId::index`], e.g. when
-    /// deserializing a trace. Only meaningful against the same trace.
+    /// Rebuilds an id from [`ObjectId::index`], e.g. from a token a
+    /// simulation kept. Only meaningful against the same session.
     pub fn from_index(index: u64) -> ObjectId {
         ObjectId(index)
     }
@@ -31,12 +32,11 @@ impl fmt::Display for ObjectId {
 /// Everything the tracer learned about one heap object.
 ///
 /// Clocks are measured in **bytes allocated so far** — the paper's time
-/// measure — and sequence numbers give the exact interleaving of
-/// allocation and deallocation events for replay.
+/// measure. A record's identity is its birth index among a trace's
+/// records, and where its birth and death fall among the other events
+/// is the trace's event stream's to say, not the record's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocationRecord {
-    /// The object's identity.
-    pub object: ObjectId,
     /// Requested size in bytes.
     pub size: u32,
     /// The complete raw call-chain at birth.
@@ -45,10 +45,6 @@ pub struct AllocationRecord {
     pub birth_clock: u64,
     /// Byte clock at deallocation; `None` if never freed.
     pub death_clock: Option<u64>,
-    /// Global event sequence number of the allocation.
-    pub birth_seq: u64,
-    /// Global event sequence number of the deallocation, if any.
-    pub death_seq: Option<u64>,
     /// Heap references made to this object over its life.
     pub refs: u64,
     /// Byte clock at the first recorded reference; `None` if the
@@ -132,13 +128,10 @@ mod tests {
 
     fn record(birth: u64, death: Option<u64>, size: u32) -> AllocationRecord {
         AllocationRecord {
-            object: ObjectId(0),
             size,
             chain: ChainId(0),
             birth_clock: birth,
             death_clock: death,
-            birth_seq: 0,
-            death_seq: death.map(|_| 1),
             refs: 0,
             first_ref_clock: None,
             last_ref_clock: None,

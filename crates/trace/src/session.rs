@@ -69,8 +69,9 @@ struct Inner {
     cur: NodeId,
     chains: ChainTable,
     records: Vec<AllocationRecord>,
+    /// `(record << 1) | is_free` per event, in program order.
+    events: Vec<u64>,
     clock: u64,
-    seq: u64,
     live_bytes: u64,
     live_objects: u64,
     stats: TraceStats,
@@ -137,8 +138,8 @@ impl TraceSession {
                 cur: ROOT,
                 chains: ChainTable::new(),
                 records: Vec::new(),
+                events: Vec::new(),
                 clock: 0,
-                seq: 0,
                 live_bytes: 0,
                 live_objects: 0,
                 stats: TraceStats::default(),
@@ -195,19 +196,16 @@ impl TraceSession {
         };
         let object = ObjectId(inner.records.len() as u64);
         let record = AllocationRecord {
-            object,
             size,
             chain,
             birth_clock: inner.clock,
             death_clock: None,
-            birth_seq: inner.seq,
-            death_seq: None,
             refs: 0,
             first_ref_clock: None,
             last_ref_clock: None,
         };
         inner.records.push(record);
-        inner.seq += 1;
+        inner.events.push(object.0 << 1);
         inner.clock += u64::from(size);
         inner.live_bytes += u64::from(size);
         inner.live_objects += 1;
@@ -235,13 +233,12 @@ impl TraceSession {
         if inner.finished {
             return;
         }
-        let (clock, seq) = (inner.clock, inner.seq);
+        let clock = inner.clock;
         let record = &mut inner.records[object.0 as usize];
         assert!(record.death_clock.is_none(), "double free of {object}");
         record.death_clock = Some(clock);
-        record.death_seq = Some(seq);
         let size = u64::from(record.size);
-        inner.seq += 1;
+        inner.events.push((object.0 << 1) | 1);
         inner.live_bytes -= size;
         inner.live_objects -= 1;
     }
@@ -310,9 +307,8 @@ impl TraceSession {
             registry: self.registry.borrow().clone(),
             chains: std::mem::take(&mut inner.chains),
             records: std::mem::take(&mut inner.records),
+            events: std::mem::take(&mut inner.events),
             stats: inner.stats,
-            end_clock: inner.clock,
-            end_seq: inner.seq,
         }
     }
 }
@@ -452,37 +448,39 @@ pub struct Trace {
     registry: FunctionRegistry,
     chains: ChainTable,
     records: Vec<AllocationRecord>,
+    /// `(record << 1) | is_free` per event, in program order.
+    events: Vec<u64>,
     stats: TraceStats,
-    end_clock: u64,
-    end_seq: u64,
 }
 
 impl Trace {
     /// Reassembles a trace from its parts, e.g. when loading one from
-    /// disk. The inverse of reading a trace's accessors.
+    /// disk. `events` is the program-order event stream, one
+    /// `(record << 1) | is_free` tag per event, record being a
+    /// birth-order index into `records`.
     ///
     /// Callers must uphold the session invariants: records are in
-    /// birth order, `records[i].object.index() == i`, every chain id
-    /// resolves in `chains`, and every frame id resolves in
-    /// `registry`. Deserializers validate these before calling.
-    #[allow(clippy::too_many_arguments)]
+    /// birth order and each born at the sum of the earlier ones'
+    /// sizes; the events allocate the records in that order and free
+    /// each mortal record once, after its birth, at its death clock;
+    /// every chain id resolves in `chains`, and every frame id
+    /// resolves in `registry`. Deserializers validate these before
+    /// calling.
     pub fn from_parts(
         name: String,
         registry: FunctionRegistry,
         chains: ChainTable,
         records: Vec<AllocationRecord>,
+        events: Vec<u64>,
         stats: TraceStats,
-        end_clock: u64,
-        end_seq: u64,
     ) -> Trace {
         Trace {
             name,
             registry,
             chains,
             records,
+            events,
             stats,
-            end_clock,
-            end_seq,
         }
     }
 
@@ -516,14 +514,20 @@ impl Trace {
         &self.stats
     }
 
-    /// Byte clock at end of trace (== `stats().total_bytes`).
+    /// Byte clock at end of trace: `stats().total_bytes`.
     pub fn end_clock(&self) -> u64 {
-        self.end_clock
+        self.stats.total_bytes
     }
 
-    /// Event sequence count at end of trace.
+    /// Events in the trace: allocations plus frees.
     pub fn end_seq(&self) -> u64 {
-        self.end_seq
+        self.events.len() as u64
+    }
+
+    /// The program-order event tags [`TraceChunks`](crate::TraceChunks)
+    /// reads.
+    pub(crate) fn event_tags(&self) -> &[u64] {
+        &self.events
     }
 }
 
@@ -619,7 +623,7 @@ mod tests {
             assert_eq!(&**w, "hello");
         }
         let t = s.finish();
-        assert_eq!(t.records()[0].death_seq, Some(1));
+        assert_eq!(t.event_tags(), [0, 1]);
         assert_eq!(t.records()[0].refs, 2);
     }
 

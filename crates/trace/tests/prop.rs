@@ -177,9 +177,9 @@ proptest! {
         }
     }
 
-    /// The event stream has one alloc per record, one free per freed
-    /// record, in strictly increasing sequence order, and every free
-    /// follows its alloc.
+    /// The event stream has one alloc per record, in birth order and at
+    /// its birth clock, and one free per freed record, after its alloc
+    /// and at its death clock.
     #[test]
     fn event_stream_well_formed(script in actions()) {
         let (trace, freed) = run(&script);
@@ -187,21 +187,21 @@ proptest! {
         let frees = events.iter().filter(|e| matches!(e, ChunkEvent::Free { .. })).count();
         prop_assert_eq!(events.len() - frees, trace.records().len());
         prop_assert_eq!(frees, freed);
-        let mut born = std::collections::HashSet::new();
-        let mut last_seq = None;
+        let (mut born, mut clock, mut dead) = (0, 0u64, HashSet::new());
         for &e in &events {
-            let seq = match e {
-                ChunkEvent::Alloc { record, .. } => {
-                    prop_assert!(born.insert(record), "double alloc");
-                    Some(trace.records()[record].birth_seq)
+            match e {
+                ChunkEvent::Alloc { record, size } => {
+                    prop_assert_eq!(record, born, "allocs out of birth order");
+                    prop_assert_eq!(trace.records()[record].birth_clock, clock);
+                    born += 1;
+                    clock += u64::from(size);
                 }
                 ChunkEvent::Free { record } => {
-                    prop_assert!(born.contains(&record), "free before alloc");
-                    trace.records()[record].death_seq
+                    prop_assert!(record < born, "free before alloc");
+                    prop_assert!(dead.insert(record), "double free");
+                    prop_assert_eq!(trace.records()[record].death_clock, Some(clock));
                 }
-            };
-            prop_assert!(seq > last_seq, "events out of order");
-            last_seq = seq;
+            }
         }
     }
 

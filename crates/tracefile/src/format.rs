@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic      [0x89, b'L', b'P', b'T']
-//! version    u16 (3; the reader refuses every other)
+//! version    u16 (4; the reader refuses every other)
 //! sections   u16 (always 5)
 //! 5 x section:
 //!   id          u8
@@ -22,15 +22,17 @@
 pub(crate) const MAGIC: [u8; 4] = [0x89, b'L', b'P', b'T'];
 
 /// The format version, the only one the writer produces and the reader
-/// accepts. Version 3 stores each event as one key varint; versions 1
-/// and 2 also stored a per-event sequence delta that was always 0
+/// accepts. Version 4 stores program order once, in the events: a
+/// record has no birth or death seq and no birth clock, and the meta
+/// section no end clock or end seq. Version 3 stored all four; versions
+/// 1 and 2 also stored a per-event sequence delta that was always 0
 /// (and version 1 records had no reference clocks).
-pub(crate) const VERSION: u16 = 3;
+pub(crate) const VERSION: u16 = 4;
 
 /// Number of sections a file carries.
 pub(crate) const SECTION_COUNT: u16 = 5;
 
-/// Program name, end clock/seq and aggregate statistics.
+/// Program name and aggregate statistics.
 pub(crate) const SECTION_META: u8 = 1;
 
 /// The function-name registry, in `FnId` order.
@@ -39,7 +41,7 @@ pub(crate) const SECTION_FUNCTIONS: u8 = 2;
 /// The call-chain table, in `ChainId` order.
 pub(crate) const SECTION_CHAINS: u8 = 3;
 
-/// Per-object allocation records, in birth order, delta-encoded.
+/// Per-object allocation records, in birth order.
 pub(crate) const SECTION_RECORDS: u8 = 4;
 
 /// The interleaved alloc/free event stream, one key per event.

@@ -13,11 +13,13 @@
 //! An `.lpt` file is a magic + version header followed by five
 //! CRC32-protected sections: meta, functions, chains, records and
 //! events (see [`format`](crate) internals and `DESIGN.md`). Scalars
-//! are LEB128 varints; records are delta-encoded against their
-//! predecessors, and an event is one key varint (the size of an
-//! allocation, or how many allocations back a freed object was born),
-//! so the steady-state cost of an allocation is a few bytes. The
-//! format is at version 3, and the reader reads version 3 only.
+//! are LEB128 varints. Program order is stored once, in the events: an
+//! event is one key varint (the size of an allocation, or how many
+//! allocations back a freed object was born), and a record stores its
+//! size, chain, lifetime, references and touch clocks, but no seq and
+//! no birth clock (the sum of the earlier records' sizes). The
+//! steady-state cost of an allocation is a few bytes. The format is at
+//! version 4, and the reader reads version 4 only.
 //!
 //! # Reading
 //!
@@ -34,10 +36,12 @@
 //! * [`MappedTrace::records`] streams allocation records one at a time
 //!   ([`MappedRecords`]) — enough to train a predictor;
 //! * [`MappedTrace::verify`] walks records and events in lockstep, in
-//!   memory bounded by the live objects, and checks that they agree
-//!   with each other and with the meta section (`inspect --verify`);
-//! * [`load_trace`] / [`trace_from_bytes`] collect the records as that
-//!   same walk reads them and rebuild a full in-memory [`Trace`].
+//!   memory bounded by the live objects, and checks that the facts they
+//!   both store (sizes, death clocks, totals) agree with each other and
+//!   with the meta section (`inspect --verify`);
+//! * [`load_trace`] / [`trace_from_bytes`] collect the records and the
+//!   events as that same walk reads them and rebuild a full in-memory
+//!   [`Trace`].
 //!
 //! Corrupted or truncated input is always reported as a
 //! [`TraceFileError`]; no input sequence panics the reader.
@@ -93,10 +97,10 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// I/O failures, or [`TraceFileError::Malformed`] if `trace` violates
-/// the invariants documented on
-/// [`Trace::from_parts`](lifepred_trace::Trace::from_parts) or its
-/// event seqs are not `0, 1, 2, …`.
+/// I/O failures, or [`TraceFileError::Malformed`] if a record of
+/// `trace` violates an invariant documented on
+/// [`Trace::from_parts`](lifepred_trace::Trace::from_parts) that
+/// [`StreamTraceWriter`] checks.
 pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<(), TraceFileError> {
     stream::write_trace(trace, BufWriter::new(File::create(path)?)).map(drop)
 }
@@ -212,55 +216,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The writer numbers events itself, so a trace whose event seqs
-    /// skip a value cannot be written as it is.
-    #[test]
-    fn an_event_seq_gap_is_refused() {
-        let s = TraceSession::new("gap");
-        let id = s.alloc(8);
-        s.free(id);
-        let t = s.finish();
-        let mut records = t.records().to_vec();
-        records[0].death_seq = Some(2);
-        let gap = Trace::from_parts(
-            t.name().to_owned(),
-            t.registry().clone(),
-            t.chains().clone(),
-            records,
-            *t.stats(),
-            t.end_clock(),
-            3,
-        );
-        let err = trace_to_vec(&gap).unwrap_err();
-        assert!(matches!(err, TraceFileError::Malformed { .. }), "{err}");
-        assert_eq!(
-            err.to_string(),
-            "malformed events section: event seq 2 is not its index 1"
-        );
-    }
-
     #[test]
     fn bad_magic_is_reported() {
         let err = trace_from_bytes(b"not a trace file").unwrap_err();
         assert!(matches!(err, TraceFileError::BadMagic(_)), "{err}");
     }
 
-    /// The writer stamps version 3, and the reader reads nothing else:
-    /// a v2 header is refused, typed, saying what this reader reads.
+    /// The writer stamps version 4, and the reader reads nothing else:
+    /// a v3 header is refused, typed, saying what this reader reads.
     #[test]
-    fn a_version2_file_is_unsupported() {
+    fn a_version3_file_is_unsupported() {
         let trace = TraceSession::new("v").finish();
         let mut bytes = trace_to_vec(&trace).expect("encode");
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 3);
-        bytes[4] = 2;
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 4);
+        bytes[4] = 3;
         let err = trace_from_bytes(&bytes).unwrap_err();
         assert!(
-            matches!(err, TraceFileError::UnsupportedVersion(2)),
+            matches!(err, TraceFileError::UnsupportedVersion(3)),
             "{err}"
         );
         assert_eq!(
             err.to_string(),
-            "unsupported .lpt format version 2 (this reader reads version 3)"
+            "unsupported .lpt format version 3 (this reader reads version 4)"
         );
     }
 

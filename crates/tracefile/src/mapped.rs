@@ -19,11 +19,11 @@
 //!
 //! Integrity is checked in three layers. Framing, the trailer and the
 //! CRCs are checked up front at open; structural checks (id ranges,
-//! clock/seq overflow, free back-references, count-vs-payload
-//! agreement) run per entry as it is decoded; and
-//! [`MappedTrace::verify`] walks records and events in lockstep, so a
-//! trace whose sections are each well-formed but tell different
-//! stories is refused too. Every read is bounded by its section's
+//! clock overflow, free back-references, count-vs-payload agreement)
+//! run per entry as it is decoded; and [`MappedTrace::verify`] walks
+//! records and events in lockstep, so a trace whose sections are each
+//! well-formed but disagree on a fact both store (a size, a death
+//! clock, a total) is refused too. Every read is bounded by its section's
 //! payload, so no input panics, slices out of bounds or sizes an
 //! allocation by a count the file merely claims.
 //! [`MappedTrace::open_unverified`] skips only the bulk CRC of the two
@@ -41,10 +41,9 @@ use crate::format::{
 use crate::map::TraceMap;
 use lifepred_trace::{
     AllocationRecord, ChainId, ChainTable, ChunkEvent, ChunkSource, EventChunk, FnId,
-    FunctionRegistry, ObjectId, RecordSource, Trace, TraceSource, TraceStats, POOLED_CHUNK_EVENTS,
+    FunctionRegistry, RecordSource, Trace, TraceSource, TraceStats, POOLED_CHUNK_EVENTS,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
 
@@ -60,9 +59,9 @@ const SECTIONS: [(u8, &str); 5] = [
     (SECTION_EVENTS, "events"),
 ];
 
-/// A record is at least seven varints: no payload holds more records
-/// than a seventh of its bytes.
-const MIN_RECORD_BYTES: usize = 7;
+/// A record is at least five varints: no payload holds more records
+/// than a fifth of its bytes.
+const MIN_RECORD_BYTES: usize = 5;
 
 /// How far a sequential pass reads past the last mapped page it
 /// released before it releases again (a predicting replay runs two).
@@ -244,8 +243,6 @@ pub struct MappedTrace {
     map: TraceMap,
     name: String,
     stats: TraceStats,
-    end_clock: u64,
-    end_seq: u64,
     registry: FunctionRegistry,
     chains: ChainTable,
     sections: [SectionInfo; 5],
@@ -304,8 +301,6 @@ impl MappedTrace {
         let name = std::str::from_utf8(cur.bytes(name_len)?)
             .map_err(|_| TraceFileError::malformed("meta", "program name is not UTF-8"))?
             .to_owned();
-        let end_clock = cur.varint()?;
-        let end_seq = cur.varint()?;
         let mut counters = [0u64; 8];
         for slot in &mut counters {
             *slot = cur.varint()?;
@@ -406,8 +401,6 @@ impl MappedTrace {
             map,
             name,
             stats,
-            end_clock,
-            end_seq,
             registry,
             chains: table,
             sections,
@@ -430,14 +423,14 @@ impl MappedTrace {
         &self.stats
     }
 
-    /// Byte clock at end of trace.
+    /// Byte clock at end of trace: the meta section's total bytes.
     pub fn end_clock(&self) -> u64 {
-        self.end_clock
+        self.stats.total_bytes
     }
 
-    /// Event sequence count at end of trace.
+    /// Events in the trace: the events section's declared count.
     pub fn end_seq(&self) -> u64 {
-        self.end_seq
+        self.event_count
     }
 
     /// The function registry, rebuilt from the functions section.
@@ -496,8 +489,7 @@ impl MappedTrace {
             remaining: self.record_count,
             chain_count: self.chains.len() as u64,
             next_index: 0,
-            prev_clock: 0,
-            prev_seq: None,
+            clock: 0,
         })
     }
 
@@ -519,13 +511,12 @@ impl MappedTrace {
 
     /// Checks that the records and the events tell one story, in one
     /// lockstep walk whose memory is the live objects, not the trace:
-    /// each allocation event's size, seq and byte clock must be its
-    /// record's size, birth seq and birth clock; each free's seq and
-    /// clock must be the freed record's death seq and death clock; and
-    /// at the end the record and event counts, end seq, end clock and
-    /// object and byte totals must be the meta section's. An event's
-    /// seq is its index and the byte clock the sum of the sizes
-    /// allocated before it. Every structural check of
+    /// each allocation event's size must be its record's; each free
+    /// must come at the byte clock its record promised, and only for a
+    /// live mortal object; every promised death must come and every
+    /// record be allocated; and at the end the object and byte totals
+    /// must be the meta section's. The byte clock is the sum of the
+    /// sizes allocated before an event. Every structural check of
     /// [`records`](Self::records) and [`events`](Self::events) runs on
     /// the way.
     ///
@@ -534,78 +525,76 @@ impl MappedTrace {
     /// The first disagreement, as [`TraceFileError::Malformed`], or the
     /// error either section's decoder reports.
     pub fn verify(&self) -> Result<(), TraceFileError> {
-        self.walk(drop)
+        self.walk(|_, _| ())
     }
 
-    /// [`verify`](Self::verify)'s walk, handing each record to `each`
-    /// in birth order.
-    fn walk(&self, mut each: impl FnMut(AllocationRecord)) -> Result<(), TraceFileError> {
+    /// [`verify`](Self::verify)'s walk, handing `each` every event in
+    /// program order, an allocation with its record.
+    fn walk(
+        &self,
+        mut each: impl FnMut(ChunkEvent, Option<AllocationRecord>),
+    ) -> Result<(), TraceFileError> {
         let bad = |detail: String| TraceFileError::malformed("events", detail);
         let (mut records, mut events) = (self.records()?, self.events());
         let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
-        // (seq, clock, object) of each death the records promise,
-        // soonest first.
-        let mut deaths: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let (mut seq, mut clock, mut allocs) = (0u64, 0u64, 0u64);
+        // The death clock each live mortal object's record promises.
+        let mut deaths: HashMap<usize, u64> = HashMap::new();
+        let (mut n, mut clock, mut allocs) = (0u64, 0u64, 0u64);
         while events.next_chunk(&mut chunk)? {
             for event in chunk.events() {
-                let due = deaths.peek().map(|&Reverse(d)| d).filter(|d| d.0 <= seq);
-                let expected = || match due {
-                    Some((at, when, dying)) => {
-                        format!("object {dying} dies at seq {at}, clock {when}")
-                    }
-                    None => "no object dies there".to_owned(),
-                };
-                match event {
-                    ChunkEvent::Alloc { record, size } if due.is_none() => {
+                let record = match event {
+                    ChunkEvent::Alloc { record, size } => {
                         let r = records.next().transpose()?.ok_or_else(|| {
                             bad(format!(
-                                "event {seq} allocates object {record}, past the last record"
+                                "event {n} allocates object {record}, past the last record"
                             ))
                         })?;
-                        if (r.size, r.birth_seq, r.birth_clock) != (size, seq, clock) {
+                        if r.size != size {
                             return Err(bad(format!(
-                                "event {seq} allocates object {record}: {size} bytes at clock \
-                                 {clock}, its record says {} bytes at seq {}, clock {}",
-                                r.size, r.birth_seq, r.birth_clock
+                                "event {n} allocates object {record}: {size} bytes, \
+                                 its record says {}",
+                                r.size
                             )));
                         }
-                        if let (Some(at), Some(when)) = (r.death_seq, r.death_clock) {
-                            deaths.push(Reverse((at, when, record)));
+                        if let Some(death) = r.death_clock {
+                            deaths.insert(record, death);
                         }
-                        clock = (clock.checked_add(u64::from(size)))
-                            .ok_or_else(|| bad(format!("event {seq} overflows the byte clock")))?;
+                        // The sizes agree so far, so this is the sum the
+                        // records decoder checked for overflow.
+                        clock += u64::from(size);
                         allocs += 1;
-                        each(r);
+                        Some(r)
                     }
-                    ChunkEvent::Free { record } if due == Some((seq, clock, record)) => {
-                        deaths.pop();
-                    }
-                    ChunkEvent::Alloc { record, .. } => {
-                        let detail = format!("event {seq} allocates object {record}, but ");
-                        return Err(bad(detail + &expected()));
-                    }
-                    ChunkEvent::Free { record } => {
-                        let detail =
-                            format!("event {seq} frees object {record} at clock {clock}, but ");
-                        return Err(bad(detail + &expected()));
-                    }
-                }
-                seq += 1;
+                    ChunkEvent::Free { record } => match deaths.remove(&record) {
+                        Some(death) if death == clock => None,
+                        Some(death) => {
+                            return Err(bad(format!(
+                                "event {n} frees object {record} at clock {clock}, \
+                                 its record says it dies at clock {death}"
+                            )))
+                        }
+                        None => {
+                            return Err(bad(format!(
+                                "event {n} frees object {record}, \
+                                 but its record promises no death to come"
+                            )))
+                        }
+                    },
+                };
+                each(event, record);
+                n += 1;
             }
         }
-        if let Some(&Reverse((at, _, dying))) = deaths.peek() {
+        if let Some((dying, at)) = deaths.into_iter().min() {
             return Err(bad(format!(
-                "object {dying} dies at seq {at}, past the last event"
+                "object {dying} dies at clock {at}, past the last event"
             )));
         }
-        if let Some(r) = records.next().transpose()? {
-            let detail = format!("record {} is never allocated", r.object.index());
+        if records.next().transpose()?.is_some() {
+            let detail = format!("record {allocs} is never allocated");
             return Err(TraceFileError::malformed("records", detail));
         }
         let totals = [
-            ("end seq", seq, self.end_seq),
-            ("end clock", clock, self.end_clock),
             ("total objects", allocs, self.stats.total_objects),
             ("total bytes", clock, self.stats.total_bytes),
         ];
@@ -618,21 +607,28 @@ impl MappedTrace {
         Ok(())
     }
 
-    /// Rebuilds the full in-memory [`Trace`], collecting the records as
-    /// [`verify`](Self::verify)'s walk reads them.
+    /// Rebuilds the full in-memory [`Trace`], collecting the records
+    /// and the events as [`verify`](Self::verify)'s walk reads them.
     pub(crate) fn into_trace(self) -> Result<Trace, TraceFileError> {
-        // The iterator's lower bound is capped by the payload's size,
+        // The iterators' lower bounds are capped by the payloads' sizes,
         // so a lying count cannot force a large reservation.
         let mut records = Vec::with_capacity(self.records()?.size_hint().0);
-        self.walk(|r| records.push(r))?;
+        let mut events =
+            Vec::with_capacity(self.event_count.min(self.events_body.len() as u64) as usize);
+        self.walk(|event, record| {
+            events.push(match event {
+                ChunkEvent::Alloc { record, .. } => (record as u64) << 1,
+                ChunkEvent::Free { record } => ((record as u64) << 1) | 1,
+            });
+            records.extend(record);
+        })?;
         Ok(Trace::from_parts(
             self.name,
             self.registry,
             self.chains,
             records,
+            events,
             self.stats,
-            self.end_clock,
-            self.end_seq,
         ))
     }
 }
@@ -686,12 +682,13 @@ pub struct MappedRecords<'a> {
     remaining: u64,
     chain_count: u64,
     next_index: u64,
-    prev_clock: u64,
-    prev_seq: Option<u64>,
+    /// Sizes of the records decoded so far: the next one's birth clock.
+    clock: u64,
 }
 
 impl MappedRecords<'_> {
-    /// The one record decoder: delta-decodes the next record.
+    /// The one record decoder: decodes the next record, born at the
+    /// sum of the earlier ones' sizes.
     fn decode(&mut self) -> Result<AllocationRecord, TraceFileError> {
         let cur = &mut self.cur;
         let i = self.next_index;
@@ -705,28 +702,15 @@ impl MappedRecords<'_> {
                 self.chain_count
             )));
         }
-        let clock_delta = cur.varint()?;
-        let birth_clock = self
-            .prev_clock
-            .checked_add(clock_delta)
-            .ok_or_else(|| bad(format!("record {i} birth clock overflows")))?;
-        let seq_field = cur.varint()?;
-        let birth_seq = match self.prev_seq {
-            None => Some(seq_field),
-            Some(prev) => prev.checked_add(1).and_then(|s| s.checked_add(seq_field)),
-        }
-        .ok_or_else(|| bad(format!("record {i} birth seq overflows")))?;
-        let death_code = cur.varint()?;
-        let (death_clock, death_seq) = if death_code == 0 {
-            (None, None)
-        } else {
-            let ds = birth_seq
-                .checked_add(death_code)
-                .ok_or_else(|| bad(format!("record {i} death seq overflows")))?;
-            let dc = birth_clock
-                .checked_add(cur.varint()?)
-                .ok_or_else(|| bad(format!("record {i} death clock overflows")))?;
-            (Some(dc), Some(ds))
+        let birth_clock = self.clock;
+        let end = (birth_clock.checked_add(u64::from(size)))
+            .ok_or_else(|| bad(format!("record {i} overflows the byte clock")))?;
+        let death_clock = match cur.varint()? {
+            0 => None,
+            code => Some(
+                end.checked_add(code - 1)
+                    .ok_or_else(|| bad(format!("record {i} death clock overflows")))?,
+            ),
         };
         let refs = cur.varint()?;
         let first_code = cur.varint()?;
@@ -741,17 +725,13 @@ impl MappedRecords<'_> {
                 .ok_or_else(|| bad(format!("record {i} last ref clock overflows")))?;
             (Some(first), Some(last))
         };
-        self.prev_clock = birth_clock;
-        self.prev_seq = Some(birth_seq);
+        self.clock = end;
         self.next_index += 1;
         Ok(AllocationRecord {
-            object: ObjectId::from_index(i),
             size,
             chain: ChainId::from_index(chain as u32),
             birth_clock,
             death_clock,
-            birth_seq,
-            death_seq,
             refs,
             first_ref_clock,
             last_ref_clock,
@@ -781,7 +761,7 @@ impl Iterator for MappedRecords<'_> {
     }
 
     /// The lower bound is what a well-formed payload yields —
-    /// `min(declared, bytes left / 7)` — so one `with_capacity` suffices
+    /// `min(declared, bytes left / 5)` — so one `with_capacity` suffices
     /// and is sized by bytes present, never by the declared count alone.
     /// (A malformed payload ends earlier, with its one `Err`.)
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -831,7 +811,7 @@ impl TraceSource for MappedTrace {
         Ok(RecordSource {
             name: &self.name,
             chains: &self.chains,
-            end_clock: self.end_clock,
+            end_clock: self.end_clock(),
             records: self.records()?,
         })
     }

@@ -105,16 +105,16 @@ fn image(payloads: &[Vec<u8>; 5]) -> Vec<u8> {
 }
 
 /// Payloads of a tiny well-formed trace: one function, one chain, an
-/// 8-byte object born at seq 0 and freed at seq 2, and an immortal
-/// 4-byte object born at seq 1, at clock 8.
+/// 8-byte object born at clock 0 and freed at clock 12 by the third
+/// event, and an immortal 4-byte object born at clock 8.
 fn tiny() -> [Vec<u8>; 5] {
-    // Name, end clock, end seq, then the eight stats counters.
-    let meta = [&b"\x01t"[..], &varints(&[12, 3, 12, 2, 12, 2, 0, 0, 5, 0])].concat();
+    // Name, then the eight stats counters.
+    let meta = [&b"\x01t"[..], &varints(&[12, 2, 12, 2, 0, 0, 5, 0])].concat();
     let functions = b"\x01\x01f".to_vec();
     let chains = varints(&[1, 1, 0]);
-    // Count, then per record: size, chain, clock delta, seq field,
-    // death code (+ death clock delta), refs, first-ref code.
-    let records = varints(&[2, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 0, 0, 0, 0]);
+    // Count, then per record: size, chain, lifetime code (death clock
+    // - birth clock - size + 1), refs, first-ref code.
+    let records = varints(&[2, 8, 0, 5, 5, 0, 4, 0, 0, 0, 0]);
     // Count, then one key per event: alloc 8, alloc 4, free one back.
     let events = varints(&[3, 8 << 1, 4 << 1, (1 << 1) | 1]);
     [meta, functions, chains, records, events]
@@ -185,7 +185,7 @@ fn a_forged_record_count_cannot_size_a_reservation() {
     let mut parts = tiny();
     // Three immortal empty objects, allocated by the first three of
     // four events: the fourth reaches past the last record.
-    let three = varints(&[0; 7].repeat(3));
+    let three = varints(&[0; 5].repeat(3));
     parts[3] = [varints(&[u64::MAX]), three.clone()].concat();
     parts[4] = varints(&[4, 0, 0, 0, 0]);
     let bytes = image(&parts);
@@ -315,11 +315,11 @@ fn framing_violations_are_named() {
         ),
         (
             patch(4, 2),
-            "unsupported .lpt format version 2 (this reader reads version 3)",
+            "unsupported .lpt format version 2 (this reader reads version 4)",
         ),
         (
             patch(6, 4),
-            "malformed header section: version 3 carries 5 sections, header says 4",
+            "malformed header section: version 4 carries 5 sections, header says 4",
         ),
         (
             patch(chains_id_at, 9),
@@ -355,14 +355,8 @@ fn structural_violations_are_named() {
     };
     let one_more = |part: usize| [&tiny()[part][..], &[0]].concat();
     let overlong = [&b"\x01t"[..], &[0x80; 11]].concat();
-    // Record 1 is born at clock 8, so only a later record's clock can
-    // overflow: the walk reaches record 2 after the last event.
-    let clock = v(&[
-        3, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 0, 0, 0, 0, 4, 0, M, 0, 0, 0, 0,
-    ]);
-    let seq = v(&[2, 8, 0, 0, 0, 0, 0, 0, 4, 0, 0, M, 0, 0, 0]);
     // (section, its payload, the detail the damage is reported with)
-    let cases: [(usize, Vec<u8>, &str); 25] = [
+    let cases: [(usize, Vec<u8>, &str); 22] = [
         (0, poke(0, 1, 0xff), "program name is not UTF-8"),
         (0, poke(0, 0, 0x7f), "value runs past the section payload"),
         (0, one_more(0), "1 unread bytes at end of section"),
@@ -387,32 +381,18 @@ fn structural_violations_are_named() {
         ),
         (2, v(&[1 << 32]), "chain count exceeds u32"),
         (2, v(&[1, M]), "value runs past the section payload"),
-        (
-            3,
-            v(&[1, 1 << 32, 0, 0, 0, 0, 0, 0]),
-            "record 0 size exceeds u32",
-        ),
+        (3, v(&[1, 1 << 32, 0, 0, 0, 0]), "record 0 size exceeds u32"),
         (3, poke(3, 2, 1), "record 0 references chain 1, table has 1"),
-        (3, clock, "record 2 birth clock overflows"),
-        (3, seq, "record 1 birth seq overflows"),
+        (3, v(&[1, 8, 0, M, 0, 0]), "record 0 death clock overflows"),
+        // Record 1 is born at clock 8.
         (
             3,
-            v(&[1, 8, 0, 0, 1, M, 0, 0, 0]),
-            "record 0 death seq overflows",
+            v(&[2, 8, 0, 0, 0, 0, 4, 0, 0, 0, M, 0]),
+            "record 1 first ref clock overflows",
         ),
         (
             3,
-            v(&[1, 8, 0, 1, 0, 1, M, 0, 0]),
-            "record 0 death clock overflows",
-        ),
-        (
-            3,
-            v(&[1, 8, 0, 2, 0, 0, 0, M, 0]),
-            "record 0 first ref clock overflows",
-        ),
-        (
-            3,
-            v(&[1, 8, 0, 1, 0, 0, 0, 1, M]),
+            v(&[1, 8, 0, 0, 0, 2, M]),
             "record 0 last ref clock overflows",
         ),
         (3, poke(3, 0, 3), "value runs past the section payload"),
@@ -445,43 +425,34 @@ fn structural_violations_are_named() {
 }
 
 /// The lockstep walk of `verify` and `load_trace`: sections that are
-/// each well-formed on their own, but not one story.
+/// each well-formed on their own, but disagree on a fact that two of
+/// them store.
 #[test]
 fn records_events_and_meta_that_disagree_are_rejected() {
     let named = |part: usize, values: &[u64]| match part {
         0 => (0, [&b"\x01t"[..], &varints(values)].concat()),
         _ => (part, varints(values)),
     };
-    // tiny(): object 0 (8 bytes) is born at seq 0, clock 0 and dies at
-    // seq 2, clock 12; object 1 (4 bytes) is born at seq 1, clock 8.
+    // tiny(): object 0 (8 bytes) is born at clock 0 and dies at clock
+    // 12, freed by event 2; object 1 (4 bytes) is born at clock 8 and
+    // never dies.
     let cases = [
         (
             named(4, &[3, 18, 8, 3]),
-            "events section: event 0 allocates object 0: 9 bytes at clock 0, \
-             its record says 8 bytes at seq 0, clock 0",
+            "events section: event 0 allocates object 0: 9 bytes, its record says 8",
         ),
         (
-            named(3, &[2, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 1, 0, 0, 0]),
-            "events section: event 1 allocates object 1: 4 bytes at clock 8, \
-             its record says 4 bytes at seq 2, clock 8",
-        ),
-        (
-            named(3, &[2, 8, 0, 0, 0, 2, 11, 5, 0, 4, 0, 8, 0, 0, 0, 0]),
+            named(3, &[2, 8, 0, 4, 5, 0, 4, 0, 0, 0, 0]),
             "events section: event 2 frees object 0 at clock 12, \
-             but object 0 dies at seq 2, clock 11",
+             its record says it dies at clock 11",
         ),
         (
             named(4, &[3, 16, 8, 1]),
-            "events section: event 2 frees object 1 at clock 12, \
-             but object 0 dies at seq 2, clock 12",
+            "events section: event 2 frees object 1, but its record promises no death to come",
         ),
         (
-            named(4, &[3, 16, 1, 8]),
-            "events section: event 1 frees object 0 at clock 8, but no object dies there",
-        ),
-        (
-            named(4, &[4, 16, 8, 8, 3]),
-            "events section: event 2 allocates object 2, but object 0 dies at seq 2, clock 12",
+            named(4, &[4, 16, 8, 3, 3]),
+            "events section: event 3 frees object 0, but its record promises no death to come",
         ),
         (
             named(4, &[4, 16, 8, 3, 8]),
@@ -489,31 +460,18 @@ fn records_events_and_meta_that_disagree_are_rejected() {
         ),
         (
             named(4, &[2, 16, 8]),
-            "events section: object 0 dies at seq 2, past the last event",
+            "events section: object 0 dies at clock 12, past the last event",
         ),
         (
-            named(
-                3,
-                &[
-                    3, 8, 0, 0, 0, 2, 12, 5, 0, 4, 0, 8, 0, 0, 0, 0, 4, 0, 4, 0, 0, 0, 0,
-                ],
-            ),
+            named(3, &[3, 8, 0, 5, 5, 0, 4, 0, 0, 0, 0, 4, 0, 0, 0, 0]),
             "records section: record 2 is never allocated",
         ),
         (
-            named(0, &[12, 4, 12, 2, 12, 2, 0, 0, 5, 0]),
-            "meta section: the events give end seq 3, the header says 4",
-        ),
-        (
-            named(0, &[13, 3, 12, 2, 12, 2, 0, 0, 5, 0]),
-            "meta section: the events give end clock 12, the header says 13",
-        ),
-        (
-            named(0, &[12, 3, 12, 3, 12, 2, 0, 0, 5, 0]),
+            named(0, &[12, 3, 12, 2, 0, 0, 5, 0]),
             "meta section: the events give total objects 2, the header says 3",
         ),
         (
-            named(0, &[12, 3, 11, 2, 12, 2, 0, 0, 5, 0]),
+            named(0, &[11, 2, 12, 2, 0, 0, 5, 0]),
             "meta section: the events give total bytes 12, the header says 11",
         ),
     ];

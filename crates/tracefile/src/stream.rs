@@ -16,22 +16,24 @@
 //!
 //! Payload encodings (every integer a LEB128 varint unless noted):
 //!
-//! * **meta** — name length + UTF-8 name bytes, end clock, end seq,
-//!   then the eight [`TraceStats`] counters in declaration order.
+//! * **meta** — name length + UTF-8 name bytes, then the eight
+//!   [`TraceStats`] counters in declaration order. The end clock is
+//!   `total_bytes` and the end seq the event count, so neither is
+//!   stored again.
 //! * **functions** — count, then per function: name length + bytes, in
 //!   `FnId` order.
 //! * **chains** — count, then per chain: frame count + frame ids
 //!   (outermost first), in `ChainId` order.
 //! * **records** — count, then per record in birth order: size, chain
-//!   id, birth-clock delta from the previous record (clocks are
-//!   non-decreasing), birth-seq delta (the first record stores its seq
-//!   verbatim; later ones store `seq - prev - 1`, as seqs strictly
-//!   increase), a death code (`0` = immortal, else
-//!   `death_seq - birth_seq`), the death-clock delta
-//!   (`death_clock - birth_clock`, present only when dead), the
-//!   reference count, and a first-ref code (`0` = never referenced,
-//!   else `first_ref_clock - birth_clock + 1`) followed — only when
-//!   referenced — by `last_ref_clock - first_ref_clock`.
+//!   id, a lifetime code (`0` = immortal, else
+//!   `death_clock - birth_clock - size + 1`, so no record can die
+//!   before its own bytes are allocated), the reference count, and a
+//!   first-ref code (`0` = never referenced, else
+//!   `first_ref_clock - birth_clock + 1`) followed — only when
+//!   referenced — by `last_ref_clock - first_ref_clock`. A record's
+//!   birth clock is not stored: it is the sum of the earlier records'
+//!   sizes. Where a birth or a death falls among the other events is
+//!   the events section's to say, and it says it once.
 //! * **events** — count, then one key varint per event. An even key is
 //!   an allocation of `key >> 1` bytes for the next record in birth
 //!   order; an odd key frees the object allocated `key >> 1`
@@ -39,8 +41,10 @@
 //!   common case — encode in one byte). An event's seq is its index
 //!   and the byte clock is the sum of the sizes allocated before it, so
 //!   neither is stored: the reader's lockstep walk
-//!   ([`MappedTrace::verify`](crate::MappedTrace::verify)) derives both
-//!   and checks them against the records and the meta section.
+//!   ([`MappedTrace::verify`](crate::MappedTrace::verify)) derives the
+//!   clock and checks each allocation's size against its record, each
+//!   free against the death clock its record promised, and the totals
+//!   against the meta section.
 
 use crate::crc32::Crc32;
 use crate::error::TraceFileError;
@@ -68,10 +72,6 @@ pub struct StreamMeta<'a> {
     pub name: &'a str,
     /// Aggregate statistics (totals and maxima over the whole trace).
     pub stats: TraceStats,
-    /// Byte clock at end of trace.
-    pub end_clock: u64,
-    /// Event sequence count at end of trace.
-    pub end_seq: u64,
 }
 
 /// Book-keeping for the large section currently being streamed.
@@ -103,10 +103,10 @@ enum Stage {
 /// [`begin_events`](Self::begin_events) → [`write_alloc`](Self::write_alloc)/
 /// [`write_free`](Self::write_free)× → [`end_events`](Self::end_events) →
 /// [`finish`](Self::finish). Counts are checked against the declared
-/// totals, records against the invariants documented on
-/// [`Trace::from_parts`], and events carry implicit consecutive
-/// sequence numbers starting at 0 — the numbering a `TraceSession`
-/// gives them and the natural one for generated traces.
+/// totals and records against the invariants documented on
+/// [`Trace::from_parts`] that a record can break alone: a known chain,
+/// a birth clock that is the sum of the earlier records' sizes, and no
+/// death or reference before the record's birth.
 ///
 /// # Examples
 ///
@@ -122,17 +122,13 @@ enum Stage {
 ///     name: "streamed",
 ///     stats: TraceStats { total_bytes: 8, total_objects: 1, max_live_bytes: 8,
 ///                         max_live_objects: 1, ..TraceStats::default() },
-///     end_clock: 8,
-///     end_seq: 2,
 /// };
 /// let sink = std::io::Cursor::new(Vec::new());
 /// let mut w = StreamTraceWriter::new(sink, &meta, &registry, &chains).unwrap();
 /// w.begin_records(1).unwrap();
 /// # let record = lifepred_trace::AllocationRecord {
-/// #     object: lifepred_trace::ObjectId::from_index(0), size: 8,
-/// #     chain: chains.intern(&[main]), birth_clock: 0, death_clock: Some(8),
-/// #     birth_seq: 0, death_seq: Some(1), refs: 0,
-/// #     first_ref_clock: None, last_ref_clock: None };
+/// #     size: 8, chain: chains.intern(&[main]), birth_clock: 0,
+/// #     death_clock: Some(8), refs: 0, first_ref_clock: None, last_ref_clock: None };
 /// w.write_record(&record).unwrap();
 /// w.end_records().unwrap();
 /// w.begin_events(2).unwrap();
@@ -150,10 +146,8 @@ pub struct StreamTraceWriter<W: Write + Seek> {
     stage: Stage,
     /// Entries in the chain table: every record's chain id is below it.
     chain_count: u64,
-    /// Birth clock of the previous record (0 before the first).
-    prev_clock: u64,
-    /// Birth seq of the previous record.
-    prev_seq: Option<u64>,
+    /// Sizes of the records written so far: the next one's birth clock.
+    clock: u64,
     /// Allocation events written so far: the next birth-order index.
     allocs: u64,
 }
@@ -184,8 +178,7 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
             open: None,
             stage: Stage::Records,
             chain_count: chains.len() as u64,
-            prev_clock: 0,
-            prev_seq: None,
+            clock: 0,
             allocs: 0,
         })
     }
@@ -202,38 +195,23 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
             section: "records",
             detail,
         };
-        if r.object.index() != i {
-            return Err(bad(format!("record {i} carries object id {}", r.object)));
-        }
         if u64::from(r.chain.index()) >= self.chain_count {
             return Err(bad(format!("record {i} references unknown chain")));
         }
-        let clock_delta = r
-            .birth_clock
-            .checked_sub(self.prev_clock)
-            .ok_or_else(|| bad(format!("record {i} birth clock decreases")))?;
-        let seq_delta = match self.prev_seq {
-            None => r.birth_seq,
-            Some(p) => p
-                .checked_add(1)
-                .and_then(|q| r.birth_seq.checked_sub(q))
-                .ok_or_else(|| bad(format!("record {i} birth seq does not increase")))?,
-        };
-        // (death code, death-clock delta); the code is never 0.
-        let death = match (r.death_seq, r.death_clock) {
-            (None, None) => None,
-            (Some(ds), Some(dc)) => Some((
-                ds.checked_sub(r.birth_seq)
-                    .filter(|&c| c > 0)
-                    .ok_or_else(|| bad(format!("record {i} dies before it is born")))?,
-                dc.checked_sub(r.birth_clock)
-                    .ok_or_else(|| bad(format!("record {i} death clock precedes birth")))?,
-            )),
-            _ => {
-                return Err(bad(format!(
-                    "record {i} has mismatched death clock and seq"
-                )))
-            }
+        if r.birth_clock != self.clock {
+            return Err(bad(format!(
+                "record {i} is born at clock {}, after {} bytes of records",
+                r.birth_clock, self.clock
+            )));
+        }
+        let end = (self.clock.checked_add(u64::from(r.size)))
+            .ok_or_else(|| bad(format!("record {i} overflows the byte clock")))?;
+        // The code is never 0 for a mortal record.
+        let lifetime = match r.death_clock {
+            None => 0,
+            Some(death) => (death.checked_sub(end))
+                .and_then(|d| d.checked_add(1))
+                .ok_or_else(|| bad(format!("record {i} dies before its bytes are allocated")))?,
         };
         // (first-ref code, last-ref delta); the code is never 0.
         let touched = match (r.first_ref_clock, r.last_ref_clock) {
@@ -255,13 +233,10 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
         let out = &mut self.scratch;
         write_varint(out, u64::from(r.size));
         write_varint(out, u64::from(r.chain.index()));
-        write_varint(out, clock_delta);
-        write_varint(out, seq_delta);
-        write_coded_pair(out, death);
+        write_varint(out, lifetime);
         write_varint(out, r.refs);
         write_coded_pair(out, touched);
-        self.prev_clock = r.birth_clock;
-        self.prev_seq = Some(r.birth_seq);
+        self.clock = end;
         self.maybe_flush()
     }
 
@@ -276,23 +251,22 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
     }
 
     /// Appends an allocation of `size` bytes for the next record in
-    /// birth order, at the next sequence number.
+    /// birth order.
     pub fn write_alloc(&mut self, size: u32) -> Result<(), TraceFileError> {
         self.entry("events", Stage::Events)?;
         self.allocs += 1;
         self.write_event(u64::from(size) << 1)
     }
 
-    /// Appends a free of birth-order record `record` at the next
-    /// sequence number.
+    /// Appends a free of birth-order record `record`.
     pub fn write_free(&mut self, record: u64) -> Result<(), TraceFileError> {
-        let seq = self.entry("events", Stage::Events)?;
+        let event = self.entry("events", Stage::Events)?;
         let back = self
             .allocs
             .checked_sub(record)
             .and_then(|n| n.checked_sub(1))
             .ok_or_else(|| {
-                TraceFileError::malformed("events", format!("free before alloc at seq {seq}"))
+                TraceFileError::malformed("events", format!("free before alloc at event {event}"))
             })?;
         self.write_event((back << 1) | 1)
     }
@@ -346,8 +320,7 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
     }
 
     /// Checks ordering and charges one entry against the declaration.
-    /// Returns the entry's index in its section — for an event, its
-    /// sequence number.
+    /// Returns the entry's index in its section.
     fn entry(&mut self, section: &'static str, want: Stage) -> Result<u64, TraceFileError> {
         if self.stage != want {
             return Err(out_of_order(section));
@@ -417,15 +390,12 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
 ///
 /// # Errors
 ///
-/// I/O failures, or [`TraceFileError::Malformed`] if `trace` violates
-/// the invariants documented on [`Trace::from_parts`] or its event
-/// seqs are not `0, 1, 2, …` (as a `TraceSession` numbers them).
+/// I/O failures, or [`TraceFileError::Malformed`] if a record breaks
+/// an invariant [`StreamTraceWriter`] checks.
 pub(crate) fn write_trace<W: Write + Seek>(trace: &Trace, sink: W) -> Result<W, TraceFileError> {
     let meta = StreamMeta {
         name: trace.name(),
         stats: *trace.stats(),
-        end_clock: trace.end_clock(),
-        end_seq: trace.end_seq(),
     };
     let mut w = StreamTraceWriter::new(sink, &meta, trace.registry(), trace.chains())?;
     w.begin_records(trace.records().len() as u64)?;
@@ -433,20 +403,9 @@ pub(crate) fn write_trace<W: Write + Seek>(trace: &Trace, sink: W) -> Result<W, 
         w.write_record(r)?;
     }
     w.end_records()?;
-    let (records, chunks) = (trace.records(), TraceChunks::new(trace));
+    let chunks = TraceChunks::new(trace);
     w.begin_events(chunks.events().len() as u64)?;
-    for (i, event) in (0u64..).zip(chunks.events()) {
-        // The seq the event's record gives it; a freed record has a death.
-        let seq = match event {
-            ChunkEvent::Alloc { record, .. } => records[record].birth_seq,
-            ChunkEvent::Free { record } => records[record].death_seq.unwrap_or(u64::MAX),
-        };
-        if seq != i {
-            return Err(TraceFileError::malformed(
-                "events",
-                format!("event seq {seq} is not its index {i}"),
-            ));
-        }
+    for event in chunks.events() {
         match event {
             ChunkEvent::Alloc { size, .. } => w.write_alloc(size)?,
             ChunkEvent::Free { record } => w.write_free(record as u64)?,
@@ -472,8 +431,6 @@ fn encode_meta(meta: &StreamMeta<'_>) -> Vec<u8> {
     let name = meta.name.as_bytes();
     write_varint(&mut out, name.len() as u64);
     out.extend_from_slice(name);
-    write_varint(&mut out, meta.end_clock);
-    write_varint(&mut out, meta.end_seq);
     let s = &meta.stats;
     for v in [
         s.total_bytes,
@@ -594,8 +551,6 @@ mod tests {
         let meta = StreamMeta {
             name: "bad-counts",
             stats: *trace.stats(),
-            end_clock: trace.end_clock(),
-            end_seq: trace.end_seq(),
         };
         let mut w = StreamTraceWriter::new(
             Cursor::new(Vec::new()),
@@ -622,14 +577,56 @@ mod tests {
         assert!(w.end_records().is_err());
     }
 
+    /// A record's birth clock is not stored, so the writer refuses one
+    /// the reader would not derive, and a death it could not encode.
+    #[test]
+    fn records_off_the_running_clock_are_refused() {
+        let trace = sample_trace(3);
+        let meta = StreamMeta {
+            name: "clock",
+            stats: *trace.stats(),
+        };
+        let (first, second) = (&trace.records()[0], &trace.records()[1]);
+        let early = lifepred_trace::AllocationRecord {
+            birth_clock: second.birth_clock - 1,
+            ..second.clone()
+        };
+        let stillborn = lifepred_trace::AllocationRecord {
+            death_clock: Some(second.birth_clock + u64::from(second.size) - 1),
+            ..second.clone()
+        };
+        let cases = [
+            (
+                early,
+                format!(
+                    "malformed records section: record 1 is born at clock {}, \
+                     after {} bytes of records",
+                    second.birth_clock - 1,
+                    first.size
+                ),
+            ),
+            (
+                stillborn,
+                "malformed records section: record 1 dies before its bytes are allocated"
+                    .to_owned(),
+            ),
+        ];
+        for (record, want) in cases {
+            let sink = Cursor::new(Vec::new());
+            let mut w =
+                StreamTraceWriter::new(sink, &meta, trace.registry(), trace.chains()).unwrap();
+            w.begin_records(2).expect("begin");
+            w.write_record(first).expect("record 0");
+            assert_eq!(w.write_record(&record).unwrap_err().to_string(), want);
+        }
+    }
+
     #[test]
     fn call_order_is_enforced() {
         let trace = sample_trace(3);
         let meta = StreamMeta {
             name: "order",
             stats: *trace.stats(),
-            end_clock: trace.end_clock(),
-            end_seq: trace.end_seq(),
         };
         let mut w = StreamTraceWriter::new(
             Cursor::new(Vec::new()),

@@ -59,8 +59,16 @@ impl Workload for Server {
             sessions: 256,
             seed: 0xbeef + input as u64,
         };
+        config.record(session);
+    }
+}
+
+impl SimConfig {
+    /// Runs the simulation into `session`: the recording face of the
+    /// run [`synth::generate_lpt`] streams to a file, event for event.
+    pub fn record(&self, session: &TraceSession) {
         let mut sink = SessionSink { session };
-        run_sim(&config, &mut sink).expect("session sinks never fail");
+        run_sim(self, &mut sink).expect("session sinks never fail");
     }
 }
 
@@ -134,8 +142,7 @@ mod tests {
             seed: 0xbeef,
         };
         let session = lifepred_trace::TraceSession::new("server:parity");
-        let mut sink = SessionSink { session: &session };
-        run_sim(&config, &mut sink).expect("session run");
+        config.record(&session);
         let recorded = session.finish();
 
         let (summary, sink) =

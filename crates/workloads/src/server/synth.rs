@@ -3,30 +3,33 @@
 //! [`generate_lpt`] turns a [`SimConfig`]-shaped run into a trace file
 //! of (close to) a requested event count without ever holding the
 //! trace in memory. The `.lpt` records section stores each object's
-//! death, which is only known when the simulation frees it — so the
+//! lifetime, which is only known when the simulation frees it — so the
 //! deterministic simulation is simply run three times:
 //!
 //! 1. **census** — count objects/events, track live maxima, and fill
-//!    a compact death table (absolute death seq as `u32`, death-clock
-//!    delta as `u32` with a hash-map overflow for the long-lived
-//!    tail), its token carrying each object's size and birth clock;
+//!    a compact lifetime table (the record's lifetime code as `u32`,
+//!    with a hash-map overflow for the long-lived tail), its token
+//!    carrying each object's birth index, size and birth clock;
 //! 2. **records** — re-run, emitting one
 //!    [`AllocationRecord`] per birth with its death looked up in the
 //!    table;
 //! 3. **events** — re-run, emitting the alloc/free event stream.
 //!
-//! Peak memory is the death table alone: 8 bytes per object, about a
-//! tenth of the file being written. Everything else is streamed through
-//! [`StreamTraceWriter`]'s 64 KiB scratch buffer.
+//! Peak memory is the lifetime table alone: 4 bytes per object, where
+//! the file being written takes about 9. Everything else is streamed
+//! through [`StreamTraceWriter`]'s 64 KiB scratch buffer.
 
 use super::sim::{run_sim, AllocSink, SimConfig, Site, SITES};
-use lifepred_trace::{AllocationRecord, ChainTable, FunctionRegistry, ObjectId, TraceStats};
+use lifepred_trace::{AllocationRecord, ChainTable, FunctionRegistry, TraceStats};
 use lifepred_tracefile::{StreamMeta, StreamTraceWriter, TraceFileError};
 use std::collections::HashMap;
 use std::io::{Seek, Write};
 
-/// Death seq sentinel: the object is never freed.
-const IMMORTAL: u32 = u32::MAX;
+/// Lifetime code of an object never freed (the `.lpt` record's own).
+const IMMORTAL: u32 = 0;
+
+/// Lifetime code meaning "see the overflow map".
+const OVERFLOW: u32 = u32::MAX;
 
 /// What [`generate_lpt`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,19 +53,18 @@ struct Census {
     births: u64,
     frees: u64,
     clock: u64,
-    /// Death event seq per birth index ([`IMMORTAL`] when leaked).
-    death_seq: Vec<u32>,
-    /// `death_clock - birth_clock` per birth index, `u32::MAX`
-    /// meaning "see `delta_overflow`".
-    death_delta: Vec<u32>,
-    delta_overflow: HashMap<u64, u64>,
+    /// Lifetime code per birth index: [`IMMORTAL`], `death_clock -
+    /// birth_clock - size + 1`, or [`OVERFLOW`] for a code in
+    /// `overflow`.
+    lifetime: Vec<u32>,
+    overflow: HashMap<u32, u64>,
     live_bytes: u64,
     max_live_bytes: u64,
     max_live_objects: u64,
 }
 
 impl Census {
-    fn seq(&self) -> u64 {
+    fn events(&self) -> u64 {
         self.births + self.frees
     }
 }
@@ -78,21 +80,17 @@ struct Born {
 impl AllocSink for Census {
     type Token = Born;
     fn alloc(&mut self, _site: Site, size: u32) -> Result<Born, TraceFileError> {
-        if self.seq() + 1 >= u64::from(u32::MAX) {
-            return Err(TraceFileError::Malformed {
-                section: "events",
-                detail: "synthetic trace exceeds the u32 death-table seq limit".to_owned(),
-            });
-        }
-        // Births never pass seq, which the check above keeps in u32.
+        let index = u32::try_from(self.births).map_err(|_| TraceFileError::Malformed {
+            section: "records",
+            detail: "synthetic trace exceeds the u32 lifetime-table birth limit".to_owned(),
+        })?;
         let born = Born {
-            index: self.births as u32,
+            index,
             size,
             birth_clock: self.clock,
         };
         self.births += 1;
-        self.death_seq.push(IMMORTAL);
-        self.death_delta.push(0);
+        self.lifetime.push(IMMORTAL);
         self.clock += u64::from(size);
         self.live_bytes += u64::from(size);
         self.max_live_bytes = self.max_live_bytes.max(self.live_bytes);
@@ -101,19 +99,16 @@ impl AllocSink for Census {
     }
 
     fn free(&mut self, born: Born) -> Result<(), TraceFileError> {
-        let seq = self.seq();
         self.frees += 1;
         self.live_bytes -= u64::from(born.size);
-        let index = born.index as usize;
-        self.death_seq[index] = seq as u32;
-        let delta = self.clock - born.birth_clock;
-        match u32::try_from(delta) {
-            Ok(d) if d != u32::MAX => self.death_delta[index] = d,
+        let code = self.clock - born.birth_clock - u64::from(born.size) + 1;
+        self.lifetime[born.index as usize] = match u32::try_from(code) {
+            Ok(code) if code != OVERFLOW => code,
             _ => {
-                self.death_delta[index] = u32::MAX;
-                self.delta_overflow.insert(u64::from(born.index), delta);
+                self.overflow.insert(born.index, code);
+                OVERFLOW
             }
-        }
+        };
         Ok(())
     }
 }
@@ -123,46 +118,35 @@ struct RecordPass<'a, W: Write + Seek> {
     writer: &'a mut StreamTraceWriter<W>,
     census: &'a Census,
     chain_of: &'a [lifepred_trace::ChainId],
-    births: u64,
-    frees: u64,
+    births: u32,
     clock: u64,
 }
 
 impl<W: Write + Seek> AllocSink for RecordPass<'_, W> {
-    type Token = u64;
-    fn alloc(&mut self, site: Site, size: u32) -> Result<u64, TraceFileError> {
-        let token = self.births;
-        let seq = self.births + self.frees;
-        let index = usize::try_from(token).expect("birth index fits usize");
-        let death_seq = self.census.death_seq[index];
-        let (death_seq, death_clock) = if death_seq == IMMORTAL {
-            (None, None)
-        } else {
-            let delta = match self.census.death_delta[index] {
-                u32::MAX => self.census.delta_overflow[&token],
-                d => u64::from(d),
-            };
-            (Some(u64::from(death_seq)), Some(self.clock + delta))
+    type Token = ();
+    fn alloc(&mut self, site: Site, size: u32) -> Result<(), TraceFileError> {
+        let index = self.births;
+        let end = self.clock + u64::from(size);
+        let death_clock = match self.census.lifetime[index as usize] {
+            IMMORTAL => None,
+            OVERFLOW => Some(end + self.census.overflow[&index] - 1),
+            code => Some(end + u64::from(code) - 1),
         };
         self.writer.write_record(&AllocationRecord {
-            object: ObjectId::from_index(token),
             size,
             chain: self.chain_of[site as usize],
             birth_clock: self.clock,
             death_clock,
-            birth_seq: seq,
-            death_seq,
             refs: 0,
             first_ref_clock: None,
             last_ref_clock: None,
         })?;
         self.births += 1;
-        self.clock += u64::from(size);
-        Ok(token)
+        self.clock = end;
+        Ok(())
     }
 
-    fn free(&mut self, _token: u64) -> Result<(), TraceFileError> {
-        self.frees += 1;
+    fn free(&mut self, _token: ()) -> Result<(), TraceFileError> {
         Ok(())
     }
 }
@@ -207,12 +191,12 @@ fn intern_sites() -> (FunctionRegistry, ChainTable, Vec<lifepred_trace::ChainId>
 
 /// Streams a synthetic server trace shaped by `config` into `sink`.
 ///
-/// Peak memory is ~8 bytes per object regardless of file size.
+/// Peak memory is ~4 bytes per object regardless of file size.
 ///
 /// # Errors
 ///
 /// I/O errors from `sink`, or a run so long it overflows the `u32`
-/// death table (≥ 2³²−1 events).
+/// birth index of the lifetime table (more than 2³² objects).
 pub fn generate_lpt<W: Write + Seek>(
     config: &SimConfig,
     sink: W,
@@ -228,13 +212,8 @@ pub fn generate_lpt<W: Write + Seek>(
         max_live_objects: census.max_live_objects,
         ..TraceStats::default()
     };
-    let name = format!("server:synth-{}ev-seed{}", census.seq(), config.seed);
-    let meta = StreamMeta {
-        name: &name,
-        stats,
-        end_clock: census.clock,
-        end_seq: census.seq(),
-    };
+    let name = format!("server:synth-{}ev-seed{}", census.events(), config.seed);
+    let meta = StreamMeta { name: &name, stats };
     let mut writer = StreamTraceWriter::new(sink, &meta, &registry, &chains)?;
 
     writer.begin_records(census.births)?;
@@ -243,13 +222,12 @@ pub fn generate_lpt<W: Write + Seek>(
         census: &census,
         chain_of: &chain_of,
         births: 0,
-        frees: 0,
         clock: 0,
     };
     run_sim(config, &mut records)?;
     writer.end_records()?;
 
-    writer.begin_events(census.seq())?;
+    writer.begin_events(census.events())?;
     let mut events = EventPass {
         writer: &mut writer,
         births: 0,
@@ -258,7 +236,7 @@ pub fn generate_lpt<W: Write + Seek>(
     writer.end_events()?;
 
     let summary = SynthSummary {
-        events: census.seq(),
+        events: census.events(),
         objects: census.births,
         total_bytes: census.clock,
         immortal: census.births - census.frees,
@@ -329,9 +307,9 @@ mod tests {
             })
         };
         for (seed, want) in [
-            (1, 0xe741_f68a_f2d1_770b),
-            (2, 0xbdd3_a09e_fdb5_613f),
-            (3, 0x30ef_a326_6a36_3eee),
+            (1, 0xb859_d951_a379_3771),
+            (2, 0x66d3_fbb7_7974_9560),
+            (3, 0xd1dc_92a9_52b6_e9de),
         ] {
             let config = SimConfig::for_events(100_000, seed);
             let (_, sink) = generate_lpt(&config, Cursor::new(Vec::new())).expect("generate");

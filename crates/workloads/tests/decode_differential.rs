@@ -7,17 +7,17 @@
 //! every chunk capacity, and [`load_trace`] / [`trace_from_bytes`] must
 //! return the recorded records and stats; a streamed synthetic trace
 //! large enough that the reader releases mapped pages behind every pass
-//! must decode to what `load_trace` makes of it. The CI `decode` job
+//! must decode to what a recording of the same simulation holds. The
+//! CI `decode` job
 //! runs this suite twice, with and without `LIFEPRED_NO_MMAP=1`, so both
 //! the mapped and heap-fallback flavors of [`TraceMap`] are covered.
 
 use lifepred_trace::{
-    ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, CHUNK_EVENTS, POOLED_CHUNK_EVENTS,
+    ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, TraceSession, CHUNK_EVENTS,
+    POOLED_CHUNK_EVENTS,
 };
 use lifepred_tracefile::{load_trace, trace_from_bytes, trace_to_vec, MappedTrace, TraceMap};
 use lifepred_workloads::{all_workloads, record};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::PathBuf;
 
 /// The event stream `trace` stands for, as a chunk source yields it.
@@ -90,32 +90,6 @@ fn every_workload_decodes_to_what_was_recorded() {
 /// 1 MiB (`RELEASE_WINDOW` in `tracefile/src/mapped.rs`).
 const RELEASE_WINDOW: u64 = 1 << 20;
 
-/// [`events_of`] as a stream, for traces too large to hold twice:
-/// births in record order, each preceded by the deaths due before it.
-fn events_in_order(trace: &Trace) -> impl Iterator<Item = ChunkEvent> + '_ {
-    let records = trace.records();
-    let mut deaths = BinaryHeap::new();
-    let mut next = 0;
-    std::iter::from_fn(move || {
-        let birth_seq = records.get(next).map(|r| r.birth_seq);
-        if let Some(&Reverse((death_seq, record))) = deaths.peek() {
-            if birth_seq.is_none_or(|birth| death_seq < birth) {
-                deaths.pop();
-                return Some(ChunkEvent::Free { record });
-            }
-        }
-        let born = records.get(next)?;
-        if let Some(death_seq) = born.death_seq {
-            deaths.push(Reverse((death_seq, next)));
-        }
-        next += 1;
-        Some(ChunkEvent::Alloc {
-            record: next - 1,
-            size: born.size,
-        })
-    })
-}
-
 /// Drains `mapped` at `capacity`, comparing event for event against
 /// `expected`; returns the event count.
 fn drain_equals(
@@ -145,25 +119,27 @@ fn drain_equals(
 }
 
 /// The streamed synthetic server file is never a [`Trace`] in memory,
-/// so its ground truth is `load_trace`: events rebuilt from the records
-/// section, which the loader's scalar walk has checked, event for
-/// event, against the independently encoded events section. Its records
-/// and events sections each span at least three release windows, so
-/// every pass below reads pages the open's CRC pass released, and the
-/// second drain and the records walk re-fault pages the passes before
-/// them released.
+/// so its ground truth is the simulation's other face: the same
+/// [`SimConfig`](lifepred_workloads::server::sim::SimConfig) recorded
+/// into a [`TraceSession`], which shares no code with the file's
+/// writer or reader. Its records and events sections each span at
+/// least three release windows, so every pass below reads pages the
+/// open's CRC pass released, and the second drain and the records walk
+/// re-fault pages the passes before them released.
 #[test]
-fn a_streamed_synthetic_trace_file_decodes_to_its_loaded_events() {
+fn a_streamed_synthetic_trace_file_decodes_to_its_recorded_events() {
     use lifepred_workloads::server::sim::SimConfig;
     use lifepred_workloads::server::synth::generate_lpt;
 
+    let config = SimConfig::for_events(4_200_000, 0x5e4e);
     let path = temp_path("synth");
     let sink = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
-    let (summary, sink) =
-        generate_lpt(&SimConfig::for_events(4_200_000, 0x5e4e), sink).expect("generate");
+    let (summary, sink) = generate_lpt(&config, sink).expect("generate");
     sink.into_inner().expect("flush");
 
-    let loaded = load_trace(&path).expect("load");
+    let session = TraceSession::new("server:recorded");
+    config.record(&session);
+    let recorded = session.finish();
     let mapped = MappedTrace::open(&path).expect("mapped open");
     for section in &mapped.sections()[3..] {
         assert!(
@@ -173,15 +149,35 @@ fn a_streamed_synthetic_trace_file_decodes_to_its_loaded_events() {
         );
     }
     for capacity in [POOLED_CHUNK_EVENTS, 3] {
-        let drained = drain_equals(&mapped, capacity, events_in_order(&loaded));
+        let drained = drain_equals(&mapped, capacity, TraceChunks::new(&recorded).events());
         assert_eq!(drained, summary.events);
     }
+    // Both faces intern the same call chains, each in its own order:
+    // compare a record's chain by its function names.
+    let names = |registry: &lifepred_trace::FunctionRegistry, chain: &lifepred_trace::CallChain| {
+        let frames = chain.frames().iter();
+        frames
+            .map(|&f| registry.name(f).expect("interned").to_owned())
+            .collect::<Vec<_>>()
+    };
+    let chain_of: Vec<_> = (mapped.chain_table().iter())
+        .map(|(_, chain)| {
+            let want = names(mapped.registry(), chain);
+            let found = recorded
+                .chains()
+                .iter()
+                .find(|(_, c)| names(recorded.registry(), c) == want);
+            found.expect("a recorded chain").0
+        })
+        .collect();
     let mut walked = 0;
-    for (record, expected) in mapped.records().expect("records").zip(loaded.records()) {
-        assert_eq!(&record.expect("record"), expected, "record {walked}");
+    for (record, expected) in mapped.records().expect("records").zip(recorded.records()) {
+        let mut record = record.expect("record");
+        record.chain = chain_of[record.chain.index() as usize];
+        assert_eq!(&record, expected, "record {walked}");
         walked += 1;
     }
-    assert_eq!(walked, loaded.records().len());
+    assert_eq!(walked, recorded.records().len());
     assert_eq!(walked as u64, summary.objects);
     drop(mapped);
     std::fs::remove_file(&path).ok();

@@ -89,12 +89,12 @@ fn traces_are_deterministic() {
         })
     };
     let pinned = [
-        ("cfrac", [0x663e_37b9_115e_d08b, 0x80b6_e988_a184_8860]),
-        ("espresso", [0x69b5_e960_d5e2_ee2a, 0x3fe1_c244_126b_f10e]),
-        ("gawk", [0x85a0_d8c3_5f07_0a6c, 0x0efb_140c_cfa6_6ba9]),
-        ("ghost", [0xa516_00ab_e3e1_a36b, 0x5ff5_0dd7_820e_1c76]),
-        ("perl", [0x7e51_5763_a69e_d8b6, 0x1fec_2725_be95_26b6]),
-        ("server", [0x8fb5_36d3_2b36_d0da, 0xfd13_7ffa_b16a_d54f]),
+        ("cfrac", [0xcb00_3401_11df_866f, 0x1d2f_6242_6a7f_196e]),
+        ("espresso", [0x9057_e955_bf38_af1b, 0x3172_b0e0_b94c_5538]),
+        ("gawk", [0x8cc7_58b1_5980_0a1e, 0x313a_197d_d80b_15aa]),
+        ("ghost", [0x2e58_134c_2540_efcd, 0x0fa0_9846_1ce4_9add]),
+        ("perl", [0x7539_5238_c2a4_26f5, 0xbeae_cf6d_8f11_6ab9]),
+        ("server", [0xf574_60ab_61f1_29a8, 0xa59e_fd3f_9d3d_51bb]),
     ];
     let workloads = all_workloads();
     let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
