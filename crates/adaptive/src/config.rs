@@ -6,7 +6,7 @@
 /// clock advances by the object size at every allocation, so a
 /// "32 KB lifetime" means the program allocated 32 KB elsewhere while
 /// the object was live.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochConfig {
     /// Short-lived threshold in bytes of allocation (the paper's
     /// 32 KB). An object whose lifetime reaches this is long-lived.
@@ -16,19 +16,10 @@ pub struct EpochConfig {
     /// mirroring the paper's "arena area is twice the age of the
     /// objects predicted short-lived".
     pub epoch_bytes: u64,
-    /// Clean (active, no long lifetime) epochs a fresh site must show
-    /// before it is first predicted short-lived.
-    pub promote_epochs: u32,
     /// Clean epochs a *demoted* site must show before it re-qualifies —
-    /// the hysteresis `K`. Idle epochs do not count.
+    /// the hysteresis `K`. Idle epochs do not count. (A fresh site needs
+    /// one.)
     pub requalify_epochs: u32,
-    /// Minimum frees observed in an epoch for it to count as clean
-    /// evidence (an epoch with fewer frees is ignored, not dirty).
-    pub min_epoch_frees: u64,
-    /// The lifetime quantile tracked per site with a P² estimator and
-    /// required to sit under [`EpochConfig::threshold`] at promotion
-    /// time (once at least five observations exist).
-    pub tail_quantile: f64,
 }
 
 impl Default for EpochConfig {
@@ -36,10 +27,7 @@ impl Default for EpochConfig {
         EpochConfig {
             threshold: 32 * 1024,
             epoch_bytes: 64 * 1024,
-            promote_epochs: 1,
             requalify_epochs: 3,
-            min_epoch_frees: 1,
-            tail_quantile: 0.95,
         }
     }
 }
@@ -49,8 +37,7 @@ impl EpochConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message when a field is zero or the quantile is out of
-    /// `(0, 1)`.
+    /// Returns a message when a field is zero.
     pub fn validate(&self) -> Result<(), String> {
         if self.threshold == 0 {
             return Err("threshold must be positive".to_owned());
@@ -60,12 +47,6 @@ impl EpochConfig {
         }
         if self.requalify_epochs == 0 {
             return Err("requalify_epochs must be at least 1".to_owned());
-        }
-        if !(self.tail_quantile > 0.0 && self.tail_quantile < 1.0) {
-            return Err(format!(
-                "tail_quantile must be in (0, 1), got {}",
-                self.tail_quantile
-            ));
         }
         Ok(())
     }
@@ -97,7 +78,6 @@ mod tests {
         c.requalify_epochs = 0;
         assert!(c.validate().is_err());
         c.requalify_epochs = 1;
-        c.tail_quantile = 1.0;
-        assert!(c.validate().is_err());
+        assert!(c.validate().is_ok());
     }
 }

@@ -1,7 +1,6 @@
 //! The single-threaded online epoch learner.
 
 use crate::config::EpochConfig;
-use lifepred_quantile::P2Quantile;
 
 /// Counters describing the learner's behaviour so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -87,37 +86,25 @@ fn pct(num: u64, den: u64) -> f64 {
 /// Where a site currently sits in the promotion/demotion cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Gathering evidence; not predicted.
+    /// Gathering evidence; not predicted. One clean epoch promotes.
     Observing,
     /// Predicted short-lived.
     Short,
-    /// Was predicted and mispredicted; must re-qualify.
-    Demoted,
+    /// Was predicted and mispredicted; must re-qualify. Holds the
+    /// consecutive clean active epochs since the demotion or the last
+    /// dirty epoch.
+    Demoted(u32),
 }
 
+/// One site's row: its phase and this epoch's activity.
 #[derive(Debug)]
 struct SiteEntry {
     phase: Phase,
-    /// Consecutive clean active epochs in the current streak.
-    clean_run: u32,
-    /// P² estimate of the configured lifetime tail quantile over the
-    /// current clean streak (reset on dirty epochs and demotions).
-    tail: P2Quantile,
-    /// This epoch's activity.
-    epoch_frees: u64,
-    epoch_long: u64,
-}
-
-impl SiteEntry {
-    fn new(quantile: f64) -> Self {
-        SiteEntry {
-            phase: Phase::Observing,
-            clean_run: 0,
-            tail: P2Quantile::new(quantile),
-            epoch_frees: 0,
-            epoch_long: 0,
-        }
-    }
+    /// On the learner's active list for this epoch: it freed an object
+    /// or was reported pinned.
+    listed: bool,
+    /// A lifetime at or past the threshold was seen this epoch.
+    dirty: bool,
 }
 
 /// The online self-correcting lifetime predictor.
@@ -176,15 +163,12 @@ pub struct OnlineLearner {
 
 /// Adds activity to `entry`'s current epoch, listing `row` for the
 /// next epoch roll if it was idle until now.
-fn note_activity(entry: &mut SiteEntry, active: &mut Vec<u32>, row: u32, frees: u64, long: u64) {
-    if frees == 0 && long == 0 {
-        return;
-    }
-    if entry.epoch_frees == 0 && entry.epoch_long == 0 {
+fn note_activity(entry: &mut SiteEntry, active: &mut Vec<u32>, row: u32, long: bool) {
+    if !entry.listed {
+        entry.listed = true;
         active.push(row);
     }
-    entry.epoch_frees += frees;
-    entry.epoch_long += long;
+    entry.dirty |= long;
 }
 
 impl OnlineLearner {
@@ -247,7 +231,11 @@ impl OnlineLearner {
     fn row(&mut self, site: u32) -> usize {
         let row = site as usize;
         if row == self.rows.len() {
-            self.rows.push(SiteEntry::new(self.config.tail_quantile));
+            self.rows.push(SiteEntry {
+                phase: Phase::Observing,
+                listed: false,
+                dirty: false,
+            });
         }
         assert!(
             row < self.rows.len(),
@@ -283,9 +271,7 @@ impl OnlineLearner {
         let long = lifetime >= self.config.threshold;
         self.stats.total_frees += 1;
         let row = self.row(site);
-        let entry = &mut self.rows[row];
-        note_activity(entry, &mut self.active, site, 1, u64::from(long));
-        entry.tail.observe(lifetime as f64);
+        note_activity(&mut self.rows[row], &mut self.active, site, long);
         if long {
             self.stats.long_frees += 1;
             if predicted {
@@ -304,7 +290,7 @@ impl OnlineLearner {
         self.stats.mispredictions += 1;
         self.stats.error_bytes += size;
         let row = self.row(site);
-        note_activity(&mut self.rows[row], &mut self.active, site, 0, 1);
+        note_activity(&mut self.rows[row], &mut self.active, site, true);
         self.demote_if_short(site);
     }
 
@@ -328,9 +314,7 @@ impl OnlineLearner {
     fn demote_if_short(&mut self, row: u32) {
         let entry = &mut self.rows[row as usize];
         if entry.phase == Phase::Short {
-            entry.phase = Phase::Demoted;
-            entry.clean_run = 0;
-            entry.tail = P2Quantile::new(self.config.tail_quantile);
+            entry.phase = Phase::Demoted(0);
             self.stats.short_sites -= 1;
             self.stats.demotions += 1;
             self.generation += 1;
@@ -341,47 +325,43 @@ impl OnlineLearner {
     /// active this epoch; an idle site's state does not change at a
     /// roll, so it is not visited.
     fn end_epoch(&mut self) {
-        let cfg = self.config;
+        let requalify = self.config.requalify_epochs;
         for &row in &self.active {
             let entry = &mut self.rows[row as usize];
             // Holds unless a row was listed twice (its first visit
-            // cleared it) or listed without activity.
-            debug_assert!(entry.epoch_frees > 0 || entry.epoch_long > 0);
+            // cleared it).
+            debug_assert!(entry.listed);
             #[cfg(test)]
             {
                 self.row_visits += 1;
             }
-            if entry.epoch_long > 0 {
+            entry.listed = false;
+            let promote = if std::mem::take(&mut entry.dirty) {
                 // Dirty epoch: the streak restarts. Every call that
                 // reports a long lifetime demotes a Short site on the
                 // spot, so none is left to demote here.
                 debug_assert!(entry.phase != Phase::Short);
-                entry.clean_run = 0;
-                entry.tail = P2Quantile::new(cfg.tail_quantile);
-            } else if entry.epoch_frees >= cfg.min_epoch_frees {
-                // Clean epoch: every free died short.
-                entry.clean_run = entry.clean_run.saturating_add(1);
-                let tail_ok =
-                    entry.tail.count() < 5 || entry.tail.estimate() < cfg.threshold as f64;
-                let needed = match entry.phase {
-                    Phase::Observing => Some(cfg.promote_epochs),
-                    Phase::Demoted => Some(cfg.requalify_epochs),
-                    Phase::Short => None,
-                };
-                if let Some(needed) = needed {
-                    if entry.clean_run >= needed && tail_ok {
-                        entry.phase = Phase::Short;
-                        entry.clean_run = 0;
-                        self.stats.short_sites += 1;
-                        self.stats.promotions += 1;
-                        self.generation += 1;
-                    }
+                if let Phase::Demoted(clean_run) = &mut entry.phase {
+                    *clean_run = 0;
                 }
+                false
+            } else {
+                // Clean epoch: every free died short.
+                match &mut entry.phase {
+                    Phase::Observing => true,
+                    Phase::Demoted(clean_run) => {
+                        *clean_run += 1;
+                        *clean_run >= requalify
+                    }
+                    Phase::Short => false,
+                }
+            };
+            if promote {
+                entry.phase = Phase::Short;
+                self.stats.short_sites += 1;
+                self.stats.promotions += 1;
+                self.generation += 1;
             }
-            // else: a trickle under min_epoch_frees — no evidence
-            // either way.
-            entry.epoch_frees = 0;
-            entry.epoch_long = 0;
         }
         self.active.clear();
         self.stats.epochs += 1;
@@ -404,10 +384,7 @@ mod tests {
         EpochConfig {
             threshold: 1024,
             epoch_bytes: 2048,
-            promote_epochs: 1,
             requalify_epochs: 3,
-            min_epoch_frees: 1,
-            tail_quantile: 0.95,
         }
     }
 
@@ -553,20 +530,13 @@ mod tests {
     }
 
     #[test]
-    fn trickle_epochs_are_no_evidence() {
-        let cfg = EpochConfig {
-            min_epoch_frees: 8,
-            ..tiny()
-        };
-        let mut l = OnlineLearner::new(cfg);
-        // One free per epoch: under min_epoch_frees, never promoted.
-        for _ in 0..16 {
-            let birth = l.clock();
-            let p = l.record_alloc(0, 64);
-            l.record_free(0, 64, birth, p);
-            l.roll_epoch();
-        }
-        assert!(!l.predicts(0));
+    fn one_free_makes_a_clean_epoch() {
+        let mut l = OnlineLearner::new(tiny());
+        let birth = l.clock();
+        let p = l.record_alloc(0, 64);
+        l.record_free(0, 64, birth, p);
+        l.roll_epoch();
+        assert!(l.predicts(0));
     }
 
     /// The cost model, pinned without a stopwatch: an epoch roll

@@ -4,13 +4,14 @@
 //! Barrett & Zorn train their predictor offline and freeze it. This
 //! crate trains *while the program runs*, in epochs on the byte clock:
 //!
-//! 1. Per-site streaming lifetime statistics — free counts, long-free
-//!    counts and a P² tail-quantile estimate
-//!    ([`lifepred_quantile::P2Quantile`]) over the current clean
-//!    streak.
+//! 1. Per-site state of the current epoch only: whether the site was
+//!    active (freed an object or was reported pinned) and whether any
+//!    lifetime reached the threshold.
 //! 2. The paper's *all-short* rule applied **per epoch**: a site is
-//!    promoted to predicted-short only after `promote_epochs` active
-//!    epochs in which every free died under the threshold.
+//!    promoted to predicted-short after one active epoch in which
+//!    every free died under the threshold. Every lifetime since the
+//!    site's last dirty epoch is then under the threshold, so no
+//!    further summary of them (a P² tail estimate, say) could refuse.
 //! 3. A **misprediction feedback loop**: a predicted-short object that
 //!    outlives the threshold — observed at free time, or reported via
 //!    [`OnlineLearner::note_pinned`] while still live (it pins an

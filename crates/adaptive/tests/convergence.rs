@@ -8,10 +8,7 @@ fn cfg() -> EpochConfig {
     EpochConfig {
         threshold: 1024,
         epoch_bytes: 2048,
-        promote_epochs: 1,
         requalify_epochs: 3,
-        min_epoch_frees: 1,
-        tail_quantile: 0.95,
     }
 }
 
@@ -56,9 +53,9 @@ fn drifting_site_converges_within_documented_bounds() {
     assert_eq!(l.stats().mispredictions, 0);
 
     // Phase 2: behaviour flips to short-lived. Promotion must happen
-    // once the site shows `promote_epochs` clean epochs — bound it by
-    // promote_epochs + 2 epochs of slack for the phase boundary (the
-    // flip lands mid-epoch and the last long free dirties that epoch).
+    // once the site shows one clean epoch — bound it by 1 + 2 epochs
+    // of slack for the phase boundary (the flip lands mid-epoch and
+    // the last long free dirties that epoch).
     let flip_epoch = l.epochs();
     let mut promoted_at = None;
     for _ in 0..100_000 {
@@ -70,10 +67,9 @@ fn drifting_site_converges_within_documented_bounds() {
     }
     let promoted_at = promoted_at.expect("short-lived site must be promoted");
     assert!(
-        promoted_at - flip_epoch <= u64::from(cfg.promote_epochs) + 2,
-        "promotion took {} epochs (bound {})",
-        promoted_at - flip_epoch,
-        cfg.promote_epochs + 2
+        promoted_at - flip_epoch <= 3,
+        "promotion took {} epochs (bound 3)",
+        promoted_at - flip_epoch
     );
 
     // Phase 3: behaviour flips back to long-lived. Demotion is

@@ -59,15 +59,10 @@ fn op() -> impl Strategy<Value = Op> {
 }
 
 fn config() -> impl Strategy<Value = EpochConfig> {
-    (1u32..3, 1u32..4, 1u64..4).prop_map(|(promote_epochs, requalify_epochs, min_epoch_frees)| {
-        EpochConfig {
-            threshold: 1024,
-            epoch_bytes: 2048,
-            promote_epochs,
-            requalify_epochs,
-            min_epoch_frees,
-            tail_quantile: 0.95,
-        }
+    (1u32..4).prop_map(|requalify_epochs| EpochConfig {
+        threshold: 1024,
+        epoch_bytes: 2048,
+        requalify_epochs,
     })
 }
 

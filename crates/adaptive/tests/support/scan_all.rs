@@ -4,6 +4,12 @@
 //! sites — the scan-everything behaviour the dense-row learner must
 //! reproduce output for output.
 //!
+//! It also keeps the promotion rule the learner had before it dropped
+//! its per-site P² state: a P² tail gate at the 0.95 quantile, a
+//! minimum of one free for an epoch to count, and one clean epoch to
+//! promote a fresh site. The gate is asserted to pass every time it is
+//! evaluated, which is what lets the learner do without it.
+//!
 //! Shared by path (`#[path = ...]`) with the root `replay_paths` and
 //! the CLI `e2e` suites, so it names its dependencies by their crate
 //! names and nothing else.
@@ -14,6 +20,13 @@
 use lifepred_adaptive::{EpochConfig, LearnerStats};
 use lifepred_quantile::P2Quantile;
 use std::collections::{HashMap, VecDeque};
+
+/// The lifetime quantile the P² gate tracks per site.
+const TAIL_QUANTILE: f64 = 0.95;
+/// Frees an epoch needs to count as clean evidence.
+const MIN_EPOCH_FREES: u64 = 1;
+/// Clean epochs a fresh site needs before it is first promoted.
+const PROMOTE_EPOCHS: u32 = 1;
 
 /// Where a site currently sits in the promotion/demotion cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +44,8 @@ struct SiteEntry {
     phase: Phase,
     /// Consecutive clean active epochs in the current streak.
     clean_run: u32,
-    /// P² estimate of the configured lifetime tail quantile over the
-    /// current clean streak (reset on dirty epochs and demotions).
+    /// P² estimate of the lifetime tail quantile over the current
+    /// clean streak (reset on dirty epochs and demotions).
     tail: P2Quantile,
     /// This epoch's activity.
     epoch_frees: u64,
@@ -40,11 +53,11 @@ struct SiteEntry {
 }
 
 impl SiteEntry {
-    fn new(quantile: f64) -> Self {
+    fn new() -> Self {
         SiteEntry {
             phase: Phase::Observing,
             clean_run: 0,
-            tail: P2Quantile::new(quantile),
+            tail: P2Quantile::new(TAIL_QUANTILE),
             epoch_frees: 0,
             epoch_long: 0,
         }
@@ -126,11 +139,7 @@ impl ScanAllLearner {
     pub fn record_alloc(&mut self, key: u64, size: u64) -> bool {
         self.clock += size;
         self.roll_due();
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
+        let entry = self.sites.entry(key).or_insert_with(SiteEntry::new);
         let predicted = entry.phase == Phase::Short;
         self.stats.total_allocs += 1;
         self.stats.total_bytes += size;
@@ -154,11 +163,7 @@ impl ScanAllLearner {
         if long {
             self.stats.long_frees += 1;
         }
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
+        let entry = self.sites.entry(key).or_insert_with(SiteEntry::new);
         entry.epoch_frees += 1;
         entry.tail.observe(lifetime as f64);
         if long {
@@ -168,7 +173,7 @@ impl ScanAllLearner {
                 self.stats.error_bytes += size;
             }
             if entry.phase == Phase::Short {
-                Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
+                Self::demote(entry, &mut self.stats, &mut self.generation);
             }
         }
     }
@@ -179,14 +184,10 @@ impl ScanAllLearner {
     pub fn note_pinned(&mut self, key: u64, size: u64) {
         self.stats.mispredictions += 1;
         self.stats.error_bytes += size;
-        let quantile = self.config.tail_quantile;
-        let entry = self
-            .sites
-            .entry(key)
-            .or_insert_with(|| SiteEntry::new(quantile));
+        let entry = self.sites.entry(key).or_insert_with(SiteEntry::new);
         entry.epoch_long += 1;
         if entry.phase == Phase::Short {
-            Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
+            Self::demote(entry, &mut self.stats, &mut self.generation);
         }
     }
 
@@ -204,17 +205,12 @@ impl ScanAllLearner {
         }
     }
 
-    fn demote(
-        entry: &mut SiteEntry,
-        quantile: f64,
-        stats: &mut LearnerStats,
-        generation: &mut u64,
-    ) {
+    fn demote(entry: &mut SiteEntry, stats: &mut LearnerStats, generation: &mut u64) {
         entry.phase = Phase::Demoted;
         entry.clean_run = 0;
         // The streak evidence restarts: the site must prove itself
         // again on fresh observations.
-        entry.tail = P2Quantile::new(quantile);
+        entry.tail = P2Quantile::new(TAIL_QUANTILE);
         stats.demotions += 1;
         *generation += 1;
     }
@@ -230,19 +226,29 @@ impl ScanAllLearner {
                     // Short site was already demoted on the spot; this
                     // also catches batched feedback.)
                     entry.clean_run = 0;
-                    entry.tail = P2Quantile::new(cfg.tail_quantile);
+                    entry.tail = P2Quantile::new(TAIL_QUANTILE);
                     if entry.phase == Phase::Short {
                         entry.phase = Phase::Demoted;
                         self.stats.demotions += 1;
                         self.generation += 1;
                     }
-                } else if entry.epoch_frees >= cfg.min_epoch_frees {
+                } else if entry.epoch_frees >= MIN_EPOCH_FREES {
                     // Clean epoch: every free died short.
                     entry.clean_run = entry.clean_run.saturating_add(1);
                     let tail_ok =
                         entry.tail.count() < 5 || entry.tail.estimate() < cfg.threshold as f64;
+                    // Every lifetime the tail saw since its last reset
+                    // (a dirty epoch or a demotion) is under the
+                    // threshold, and a P² estimate never exceeds the
+                    // largest observation.
+                    assert!(
+                        tail_ok,
+                        "the P² tail gate refused a clean epoch: estimate {} of {} observations",
+                        entry.tail.estimate(),
+                        entry.tail.count()
+                    );
                     let needed = match entry.phase {
-                        Phase::Observing => Some(cfg.promote_epochs),
+                        Phase::Observing => Some(PROMOTE_EPOCHS),
                         Phase::Demoted => Some(cfg.requalify_epochs),
                         Phase::Short => None,
                     };
@@ -255,7 +261,7 @@ impl ScanAllLearner {
                         }
                     }
                 }
-                // else: a trickle under min_epoch_frees — no evidence
+                // else: a trickle under MIN_EPOCH_FREES — no evidence
                 // either way.
             }
             entry.epoch_frees = 0;

@@ -720,7 +720,6 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 threshold,
                 epoch_bytes: args.num("--epoch")?.unwrap_or(2 * threshold),
                 requalify_epochs: args.num("--requalify")?.unwrap_or(3),
-                ..EpochConfig::default()
             };
             epoch.validate().map_err(|e| format!("simulate: {e}"))?;
             ReplayPlan::ArenaOnline {

@@ -10,8 +10,10 @@
 //!    size-only policy is selected.
 //! 2. [`Profile::build`] scans a training [`Trace`](lifepred_trace::Trace)
 //!    (or [`Profile::absorb`] any streamed records source) and
-//!    accumulates per-site lifetime statistics, including a P²
-//!    quantile histogram per site.
+//!    accumulates per-site lifetime statistics: object and byte counts,
+//!    short-lived bytes, references and the exact maximum lifetime —
+//!    all the rule below reads. (P² summarises lifetimes only for
+//!    Table 3, program-wide, in [`LifetimeDistribution`].)
 //! 3. [`train`] applies the paper's *all-short* rule — a site enters
 //!    the short-lived database only if **every** object it allocated
 //!    lived less than the threshold (32 KB by default) — producing a

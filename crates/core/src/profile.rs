@@ -2,13 +2,13 @@
 
 use crate::pct;
 use crate::site::{SiteConfig, SiteExtractor, SiteId, SiteKey};
-use lifepred_quantile::P2Histogram;
 use lifepred_trace::{AllocationRecord, RecordSource, Trace};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
-/// Lifetime statistics accumulated for one allocation site.
-#[derive(Debug, Clone)]
+/// Lifetime statistics accumulated for one allocation site: sums and
+/// a maximum, so the order records arrive in cannot change them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Objects allocated at this site.
     pub objects: u64,
@@ -17,30 +17,13 @@ pub struct SiteStats {
     /// Largest lifetime observed (exact, so the all-short training
     /// rule is exact, not approximate).
     pub max_lifetime: u64,
-    /// Objects that lived less than the profile threshold.
-    pub short_objects: u64,
-    /// Bytes of such objects.
+    /// Bytes of objects that lived less than the profile threshold.
     pub short_bytes: u64,
     /// Heap references to objects from this site.
     pub refs: u64,
-    /// P² quantile histogram of per-object lifetimes at this site —
-    /// the structure the paper keeps per site.
-    pub histogram: P2Histogram,
 }
 
 impl SiteStats {
-    fn new() -> Self {
-        SiteStats {
-            objects: 0,
-            bytes: 0,
-            max_lifetime: 0,
-            short_objects: 0,
-            short_bytes: 0,
-            refs: 0,
-            histogram: P2Histogram::quartiles(),
-        }
-    }
-
     /// Returns `true` if every object observed at this site was
     /// short-lived under `threshold` — the paper's admission rule.
     pub(crate) fn all_short(&self, threshold: u64) -> bool {
@@ -86,7 +69,7 @@ impl Profile {
     /// Scans `trace` and accumulates per-site statistics.
     ///
     /// `threshold` is the short-lived cutoff in bytes (the paper uses
-    /// 32 KB); it determines the `short_*` counters and must match the
+    /// 32 KB); it determines `short_bytes` and must match the
     /// threshold later passed to training.
     pub fn build(trace: &Trace, config: &SiteConfig, threshold: u64) -> Profile {
         Profile::build_many([trace], config, threshold)
@@ -153,7 +136,7 @@ impl Profile {
             let id = extractor.site_id(record);
             if id.0 as usize == table.len() {
                 let key = extractor.key(id);
-                table.push(self.sites.remove(&key).unwrap_or_else(SiteStats::new));
+                table.push(self.sites.remove(&key).unwrap_or_default());
             }
             let stats = &mut table[id.0 as usize];
             let lifetime = record.lifetime(source.end_clock);
@@ -162,9 +145,7 @@ impl Profile {
             stats.bytes += size;
             stats.max_lifetime = stats.max_lifetime.max(lifetime);
             stats.refs += record.refs;
-            stats.histogram.observe(lifetime as f64);
             if lifetime < self.threshold {
-                stats.short_objects += 1;
                 stats.short_bytes += size;
             }
         }
@@ -278,7 +259,7 @@ mod tests {
             .map(|(_, s)| s)
             .expect("short site present");
         assert!(short_site.all_short(DEFAULT_THRESHOLD));
-        assert_eq!(short_site.short_objects, 100);
+        assert_eq!(short_site.short_bytes, short_site.bytes);
 
         let long_site = p
             .sites()
@@ -338,7 +319,6 @@ mod tests {
             assert_eq!(m.objects, a.objects + b.objects);
             assert_eq!(m.short_bytes, a.short_bytes + b.short_bytes);
             assert_eq!(m.max_lifetime, a.max_lifetime.max(b.max_lifetime));
-            assert_eq!(m.histogram.count() as u64, m.objects);
         }
     }
 

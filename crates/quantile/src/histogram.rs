@@ -2,13 +2,15 @@
 
 /// An equiprobable-cell quantile histogram maintained in constant space.
 ///
-/// This is the "quantile histogram" the paper attaches to every
-/// allocation site: `MARKERS - 1` equiprobable cells are delimited by
+/// This is the "quantile histogram" of the paper's Table 3 (the paper
+/// keeps one per allocation site; here `lifepred_core`'s
+/// `LifetimeDistribution` keeps one per program, and nothing else
+/// does): `MARKERS - 1` equiprobable cells are delimited by
 /// `MARKERS` markers whose heights approximate the `i / (MARKERS - 1)`
 /// quantiles of the observation stream. Any quantile can then be read
 /// with [`P2Histogram::quantile`] by interpolating between markers. The
 /// marker count is part of the type, so the whole state lives inline:
-/// one histogram per site costs no heap allocation. The default, five
+/// a histogram costs no heap allocation. The default, five
 /// markers, is [`P2Histogram::quartiles`].
 ///
 /// # Examples

@@ -1,8 +1,11 @@
 //! Dynamic quantile estimation without storing observations.
 //!
 //! This crate implements the P² ("P-square") algorithm of Jain and
-//! Chlamtac (CACM 1985), which the paper uses to summarize the lifetime
-//! distribution of every allocation site in constant space:
+//! Chlamtac (CACM 1985), which the paper uses to summarize lifetime
+//! distributions in constant space. The paper keeps one per allocation
+//! site, but its prediction rule reads only each site's maximum
+//! lifetime, so here the one reader is Table 3's program-wide
+//! distribution (`lifepred_core::LifetimeDistribution`):
 //!
 //! * [`P2Histogram`] tracks a whole equiprobable-cell histogram
 //!   (`MARKERS` markers, held inline), from which any quantile can be
@@ -10,6 +13,8 @@
 //!   Its update is the crate's one implementation of P².
 //! * [`P2Quantile`] tracks a single quantile `p`: five markers on that
 //!   same update, with Jain & Chlamtac's desired positions for `p`.
+//!   No production code reads one; it is kept for the benchmark's
+//!   P² update timing and the online learner's test oracle.
 //! * [`ExactQuantiles`] is a store-everything oracle used by tests and
 //!   by experiments that want to quantify the P² approximation error
 //!   (the paper itself notes GHOST's 75% quantile is over-approximated).

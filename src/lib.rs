@@ -8,7 +8,8 @@
 //! * [`trace`] — allocation tracing (shadow call-stacks, byte-clock
 //!   lifetimes, replayable event streams);
 //! * [`quantile`] — the P² constant-space quantile histograms the
-//!   paper uses to summarize per-site lifetime distributions;
+//!   paper uses to summarize lifetime distributions (read here by
+//!   Table 3's program-wide quartiles);
 //! * [`core`] — the paper's contribution: allocation-site extraction
 //!   (complete chains, length-N sub-chains, call-chain encryption,
 //!   size-only), profiling, the all-short training rule, and
@@ -25,8 +26,8 @@
 //!   size-class heap (no lifetime prediction: EXPERIMENTS.md measures
 //!   why);
 //! * [`obs`] — the metrics layer every simulator and allocator
-//!   reports through (counters, histograms, epoch timelines, JSON and
-//!   Prometheus renderings).
+//!   reports through (counters, gauges, histograms and epoch
+//!   timelines, rendered as JSON).
 //!
 //! # Quickstart
 //!

@@ -90,7 +90,7 @@ fn traces_are_deterministic() {
     };
     let pinned = [
         ("cfrac", [0xcb00_3401_11df_866f, 0x1d2f_6242_6a7f_196e]),
-        ("espresso", [0x9057_e955_bf38_af1b, 0x3172_b0e0_b94c_5538]),
+        ("espresso", [0xb669_55b0_153b_cb86, 0x0c69_5335_993b_3755]),
         ("gawk", [0x8cc7_58b1_5980_0a1e, 0x313a_197d_d80b_15aa]),
         ("ghost", [0x2e58_134c_2540_efcd, 0x0fa0_9846_1ce4_9add]),
         ("perl", [0x7539_5238_c2a4_26f5, 0xbeae_cf6d_8f11_6ab9]),
