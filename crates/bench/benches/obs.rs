@@ -24,7 +24,7 @@
 use lifepred_bench::simulate_file;
 use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred_heap::{ArenaConfig, ReplayPlan};
-use lifepred_trace::{Trace, TraceChunks, TraceSession};
+use lifepred_trace::{Trace, TraceSession};
 use lifepred_tracefile::save_trace;
 use std::path::Path;
 use std::time::Instant;
@@ -125,7 +125,7 @@ fn main() {
         &Profile::build(&trace, &SiteConfig::default(), DEFAULT_THRESHOLD),
         &TrainConfig::default(),
     );
-    let n_events = TraceChunks::new(&trace).events().len() as u64;
+    let n_events = trace.end_seq();
     let lpt = std::env::temp_dir().join(format!("lifepred-bench-obs-{}.lpt", std::process::id()));
     save_trace(&lpt, &trace).expect("write trace");
     let lpt_path = lpt.to_str().expect("utf-8 temp path");

@@ -63,8 +63,7 @@ use lifepred_core::{
 };
 use lifepred_heap::{replay, Addr, ArenaConfig, FirstFit, ReplayPlan};
 use lifepred_trace::{
-    shared_registry, ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, TraceSession,
-    POOLED_CHUNK_EVENTS,
+    shared_registry, ChunkEvent, ChunkSource, EventChunk, Trace, TraceSession, POOLED_CHUNK_EVENTS,
 };
 use lifepred_tracefile::{load_trace, trace_to_vec, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
@@ -234,7 +233,7 @@ const SAME_CLASS_HOLES: (u32, u32) = (8192, 4096);
 fn replay_linear(trace: &Trace) -> (u64, u64) {
     let mut heap = LinearFirstFit::new();
     let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-    for event in TraceChunks::new(trace).events() {
+    for event in trace.events() {
         match event {
             ChunkEvent::Alloc { record, size } => slots[record] = Some(heap.alloc(size)),
             ChunkEvent::Free { record } => {
@@ -251,7 +250,7 @@ fn replay_linear(trace: &Trace) -> (u64, u64) {
 fn replay_indexed(trace: &Trace) -> (u64, u64) {
     let mut heap = FirstFit::new();
     let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-    for event in TraceChunks::new(trace).events() {
+    for event in trace.events() {
         match event {
             ChunkEvent::Alloc { record, size } => slots[record] = Some(heap.alloc(size)),
             ChunkEvent::Free { record } => {
@@ -290,7 +289,7 @@ fn unpredicted_copy(trace: &Trace, db: &ShortLivedSet) -> Trace {
         .map(|record| db.predicts(&sites.site_of(record)))
         .collect();
     let mut ids = vec![None; records.len()];
-    for event in TraceChunks::new(trace).events() {
+    for event in trace.events() {
         match event {
             ChunkEvent::Alloc { record, size } if !predicted[record] => {
                 ids[record] = Some(s.alloc(size));
@@ -492,7 +491,7 @@ fn main() {
                 std::hint::black_box(replay_indexed(&frag));
             },
         );
-        let events = TraceChunks::new(&frag).events().len();
+        let events = frag.end_seq() as usize;
         let (linear_rate, indexed_rate) = (events as f64 / t_linear, events as f64 / t_indexed);
         (events, linear_rate, indexed_rate, speedup)
     };
@@ -505,7 +504,7 @@ fn main() {
     // is 4 ms of work, and gating on it would measure thread start-up,
     // not scaling.
     let sim_trace = workload(PAIRS);
-    let sim_events = TraceChunks::new(&sim_trace).events().len() as u64;
+    let sim_events = sim_trace.end_seq();
     let sim_file = temp_path("simulate");
     std::fs::write(
         &sim_file,
@@ -580,7 +579,7 @@ fn main() {
         &TrainConfig::default(),
     );
     let general = unpredicted_copy(&arena_trace, &arena_db);
-    let count = |t: &Trace| TraceChunks::new(t).events().len();
+    let count = |t: &Trace| t.end_seq() as usize;
     let (arena_events, general_events) = (count(&arena_trace), count(&general));
     let arena_plan = ReplayPlan::Arena {
         db: &arena_db,

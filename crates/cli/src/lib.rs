@@ -615,7 +615,7 @@ fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
     if let Some(head) = args.num::<u64>("--head")? {
         use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk};
-        let mut text = format!("\nevents (first {head} of {}):\n", mapped.event_count());
+        let mut text = format!("\nevents (first {head} of {}):\n", mapped.end_seq());
         let mut source = mapped.events();
         let mut chunk = EventChunk::new();
         let mut seq = 0u64;
@@ -649,7 +649,7 @@ fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 "\nverified: {} records, {} events, all checksums good, \
                  events agree with records and header\n",
                 mapped.record_count(),
-                mapped.event_count()
+                mapped.end_seq()
             ),
         )?;
     }

@@ -7,7 +7,7 @@ mod scan_all;
 
 use lifepred_core::{ShortLivedSet, SiteConfig, SiteExtractor};
 use lifepred_heap::{replay, ArenaConfig, ReplayPlan, ReplayReport, ReplayStreamError};
-use lifepred_trace::{shared_registry, ChunkEvent, Trace, TraceChunks, POOLED_CHUNK_EVENTS};
+use lifepred_trace::{shared_registry, ChunkEvent, Trace, POOLED_CHUNK_EVENTS};
 use lifepred_tracefile::{load_trace, MappedTrace};
 use lifepred_workloads::{by_name, record};
 use std::path::PathBuf;
@@ -310,7 +310,7 @@ fn simulate_metrics_out_dumps_the_registry() {
     );
     // An observed replay times every event.
     let loaded = load_trace(&trace).expect("load trace");
-    let events = TraceChunks::new(&loaded).events().len() as u64;
+    let events = loaded.end_seq();
     assert_eq!(
         snap.histogram("lifepred_sim_event_ns").map(|h| h.count),
         Some(events),
@@ -383,7 +383,7 @@ fn observed_online_timeline_is_the_scan_all_oracles() {
     let loaded = load_trace(&trace).expect("load");
     let mut sites = SiteExtractor::from_chains(loaded.chains(), SiteConfig::default());
     let mut oracle = scan_all::ScanAllReplay::new(lifepred_adaptive::EpochConfig::default());
-    for event in TraceChunks::new(&loaded).events() {
+    for event in loaded.events() {
         match event {
             ChunkEvent::Alloc { record, size } => {
                 let site = sites.site_of(&loaded.records()[record]);
@@ -928,11 +928,9 @@ fn write_resized(path: &str, trace: &Trace, resize: impl Fn(usize, u32) -> u32) 
         w.write_record(r).expect("record");
     }
     w.end_records().expect("records end");
-    let chunks = TraceChunks::new(trace);
-    w.begin_events(chunks.events().len() as u64)
-        .expect("events");
+    w.begin_events(trace.end_seq()).expect("events");
     let mut allocs = 0;
-    for e in chunks.events() {
+    for e in trace.events() {
         match e {
             ChunkEvent::Alloc { size, .. } => {
                 allocs += 1;
@@ -1006,8 +1004,7 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
     ];
     let size_of = |object: usize| trace.records()[object].size;
     for (path, object, said) in [(&inflated, 1, 50 * size_of(1)), (&huge, 7, u32::MAX)] {
-        let event = TraceChunks::new(&trace)
-            .events()
+        let event = (trace.events().into_iter())
             .position(|e| matches!(e, ChunkEvent::Alloc { record, .. } if record == object))
             .expect("the object is allocated");
         let want = format!(
@@ -1163,7 +1160,7 @@ fn records_whose_lifetimes_are_off_by_one_are_corrupt() {
         .death_clock
         .expect("mortal");
     let loaded = load_trace(&good).expect("load");
-    let free = (TraceChunks::new(&loaded).events())
+    let free = (loaded.events().into_iter())
         .position(|e| e == ChunkEvent::Free { record: 0 })
         .expect("object 0 is freed");
     let want = format!(

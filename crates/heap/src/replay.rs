@@ -427,12 +427,7 @@ mod tests {
             let Some(batch) = self.0.next() else {
                 return Ok(false);
             };
-            for event in batch? {
-                match event {
-                    ChunkEvent::Alloc { record, size } => chunk.push_alloc(record as u64, size),
-                    ChunkEvent::Free { record } => chunk.push_free(record as u64),
-                }
-            }
+            batch?.into_iter().for_each(|event| chunk.push(event));
             Ok(true)
         }
     }

@@ -15,7 +15,7 @@
 mod map_bsd;
 
 use lifepred_heap::{Addr, BsdMalloc};
-use lifepred_trace::{shared_registry, ChunkEvent, Trace, TraceChunks};
+use lifepred_trace::{shared_registry, ChunkEvent, Trace};
 use lifepred_workloads::{all_workloads, record};
 use map_bsd::MapBsdMalloc;
 use proptest::prelude::*;
@@ -68,7 +68,7 @@ fn all_workload_traces_replay_identically() {
         let trace: Trace = record(w.as_ref(), 0, shared_registry());
         let mut step = Lockstep::default();
         let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-        for event in TraceChunks::new(&trace).events() {
+        for event in trace.events() {
             match event {
                 ChunkEvent::Alloc { record, size } => slots[record] = Some(step.alloc(size)),
                 ChunkEvent::Free { record } => {

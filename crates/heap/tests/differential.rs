@@ -14,7 +14,7 @@
 mod linear;
 
 use lifepred_heap::{Addr, FirstFit};
-use lifepred_trace::{shared_registry, ChunkEvent, Trace, TraceChunks};
+use lifepred_trace::{shared_registry, ChunkEvent, Trace};
 use lifepred_workloads::{all_workloads, record};
 use linear::LinearFirstFit;
 use proptest::prelude::*;
@@ -79,7 +79,7 @@ impl Lockstep {
 fn diff_replay(trace: &Trace) {
     let mut step = Lockstep::new();
     let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-    for event in TraceChunks::new(trace).events() {
+    for event in trace.events() {
         match event {
             ChunkEvent::Alloc { record, size } => slots[record] = Some(step.alloc(size)),
             ChunkEvent::Free { record } => {

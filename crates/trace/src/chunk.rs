@@ -3,10 +3,13 @@
 //! Replaying a trace event-by-event pays per-record dispatch: an enum
 //! construction, a `Result` wrap and an iterator-adaptor call for every
 //! allocation and free. [`EventChunk`] amortizes all of that by
-//! materializing events in batches of [`CHUNK_EVENTS`] into two flat,
-//! reusable vectors (a packed tag word and a parallel size array); a
-//! [`ChunkSource`] refills the same chunk over and over, so steady-state
-//! replay performs no per-event allocation at all.
+//! materializing events in batches of [`POOLED_CHUNK_EVENTS`] into two
+//! flat, reusable vectors (a packed tag word and a parallel size array);
+//! a [`ChunkSource`] refills the same chunk over and over, so
+//! steady-state replay performs no per-event allocation at all. Every
+//! source fills chunks with the one key decoder,
+//! [`EventKeys`](crate::EventKeys), from a [`Trace`]'s `.lpt` keys or a
+//! mapped file's.
 //!
 //! The batch encoding is deliberately minimal:
 //!
@@ -14,28 +17,18 @@
 //!   shifted up one bit, with the low bit distinguishing frees;
 //! * `sizes[i]` — the requested byte size for allocations, `0` for
 //!   frees.
-//!
-//! Producers exist for both ends of the pipeline: [`TraceChunks`]
-//! batches an in-memory [`Trace`], and `lifepred-tracefile` decodes
-//! `.lpt` sections directly into chunks without ever constructing
-//! per-event values.
 
+use crate::keys::TraceEvents;
 use crate::record::{AllocationRecord, RecordSource, TraceRecords};
 use crate::session::Trace;
 use crate::stats::TraceStats;
 use std::borrow::Borrow;
 use std::convert::Infallible;
 
-/// Events per chunk. 4096 events is ~48 KB of chunk storage — well
-/// inside L2 — while keeping refill overhead (one virtual-ish call per
-/// chunk) far below one part in a thousand.
-pub const CHUNK_EVENTS: usize = 4096;
-
-/// Events per chunk for long-lived, pooled replay loops. 16384 events
-/// is ~192 KB of chunk storage — still L2-resident on current parts —
-/// and quarters the per-refill overhead (source dispatch,
-/// loop restart) relative to [`CHUNK_EVENTS`]. Drivers that keep one
-/// chunk alive for a whole replay should size it with this.
+/// Events per chunk. 16384 events is ~192 KB of chunk storage — still
+/// L2-resident on current parts — while keeping refill overhead (source
+/// dispatch, loop restart) far below one part in a thousand. Every
+/// replay loop keeps one chunk of this size alive for a whole replay.
 pub const POOLED_CHUNK_EVENTS: usize = 16 * 1024;
 
 /// One decoded event, borrowed out of an [`EventChunk`].
@@ -63,8 +56,8 @@ pub enum ChunkEvent {
 /// use lifepred_trace::{ChunkEvent, EventChunk};
 ///
 /// let mut chunk = EventChunk::new();
-/// chunk.push_alloc(0, 64);
-/// chunk.push_free(0);
+/// chunk.push(ChunkEvent::Alloc { record: 0, size: 64 });
+/// chunk.push(ChunkEvent::Free { record: 0 });
 /// let events: Vec<ChunkEvent> = chunk.events().collect();
 /// assert_eq!(events[0], ChunkEvent::Alloc { record: 0, size: 64 });
 /// assert_eq!(events[1], ChunkEvent::Free { record: 0 });
@@ -86,16 +79,15 @@ impl Default for EventChunk {
 }
 
 impl EventChunk {
-    /// An empty chunk with room for [`CHUNK_EVENTS`] events.
+    /// An empty chunk with room for [`POOLED_CHUNK_EVENTS`] events.
     pub fn new() -> EventChunk {
-        EventChunk::with_capacity(CHUNK_EVENTS)
+        EventChunk::with_capacity(POOLED_CHUNK_EVENTS)
     }
 
     /// An empty chunk with room for `capacity` events.
     ///
     /// The capacity doubles as the chunk's [`target`](Self::target):
-    /// sources fill up to it per refill, so a chunk built with
-    /// [`POOLED_CHUNK_EVENTS`] batches 4× more per source call.
+    /// sources fill up to it per refill.
     pub fn with_capacity(capacity: usize) -> EventChunk {
         let target = capacity.max(1);
         EventChunk {
@@ -127,16 +119,15 @@ impl EventChunk {
         self.tags.is_empty()
     }
 
-    /// Appends an allocation of `size` bytes for record `record`.
-    pub fn push_alloc(&mut self, record: u64, size: u32) {
-        self.tags.push(record << 1);
+    /// Appends `event`.
+    #[inline]
+    pub fn push(&mut self, event: ChunkEvent) {
+        let (tag, size) = match event {
+            ChunkEvent::Alloc { record, size } => ((record as u64) << 1, size),
+            ChunkEvent::Free { record } => (((record as u64) << 1) | 1, 0),
+        };
+        self.tags.push(tag);
         self.sizes.push(size);
-    }
-
-    /// Appends a free of record `record`.
-    pub fn push_free(&mut self, record: u64) {
-        self.tags.push((record << 1) | 1);
-        self.sizes.push(0);
     }
 
     /// Iterates the batched events in order.
@@ -178,84 +169,6 @@ pub trait ChunkSource {
     fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, Self::Error>;
 }
 
-/// A materialized [`Trace`]'s event stream: the one in-memory form of
-/// it.
-///
-/// It borrows the program-order tags the trace was recorded with. Each
-/// [`ChunkSource::next_chunk`] call copies the next window into the
-/// caller's chunk, with each allocation's size read from its record;
-/// [`TraceChunks::events`] reads the events not yet handed out one at a
-/// time.
-///
-/// # Examples
-///
-/// ```
-/// use lifepred_trace::{ChunkEvent, TraceChunks, TraceSession};
-///
-/// let session = TraceSession::new("demo");
-/// let obj = session.alloc(24);
-/// session.free(obj);
-/// let events: Vec<ChunkEvent> = TraceChunks::new(&session.finish()).events().collect();
-/// assert_eq!(
-///     events,
-///     [ChunkEvent::Alloc { record: 0, size: 24 }, ChunkEvent::Free { record: 0 }]
-/// );
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceChunks<'a> {
-    /// `(record << 1) | is_free` tags in program order.
-    tags: &'a [u64],
-    /// The records the tags index: where allocation sizes are read.
-    records: &'a [AllocationRecord],
-    /// Next unconsumed index into `tags`.
-    pos: usize,
-}
-
-impl<'a> TraceChunks<'a> {
-    /// Prepares the batched event stream of `trace`.
-    pub fn new(trace: &'a Trace) -> TraceChunks<'a> {
-        TraceChunks {
-            tags: trace.event_tags(),
-            records: trace.records(),
-            pos: 0,
-        }
-    }
-
-    /// The events not yet handed out by [`ChunkSource::next_chunk`], in
-    /// order, decoded as [`EventChunk::events`] decodes them.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = ChunkEvent> + '_ {
-        (self.tags[self.pos..].iter()).map(|&tag| decode(tag, self.size(tag)))
-    }
-
-    /// The size an event's chunk entry carries: its record's for an
-    /// allocation, `0` for a free.
-    #[inline]
-    fn size(&self, tag: u64) -> u32 {
-        if tag & 1 == 0 {
-            self.records[(tag >> 1) as usize].size
-        } else {
-            0
-        }
-    }
-}
-
-impl ChunkSource for TraceChunks<'_> {
-    type Error = Infallible;
-
-    fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, Infallible> {
-        chunk.clear();
-        let end = (self.pos + chunk.target()).min(self.tags.len());
-        if self.pos == end {
-            return Ok(false);
-        }
-        let window = &self.tags[self.pos..end];
-        chunk.tags.extend_from_slice(window);
-        chunk.sizes.extend(window.iter().map(|&tag| self.size(tag)));
-        self.pos = end;
-        Ok(true)
-    }
-}
-
 /// A whole trace, wherever it lives: what a replay reads of it. The
 /// event batches drive the simulated heap; the records, walked once in
 /// birth order, give each allocation its site. A [`Trace`] cannot fail;
@@ -291,7 +204,7 @@ impl TraceSource for Trace {
     type Error = Infallible;
     type Record<'a> = &'a AllocationRecord;
     type Records<'a> = TraceRecords<'a>;
-    type Events<'a> = TraceChunks<'a>;
+    type Events<'a> = TraceEvents<'a>;
 
     fn name(&self) -> &str {
         Trace::name(self)
@@ -301,8 +214,8 @@ impl TraceSource for Trace {
         Trace::stats(self)
     }
 
-    fn events(&self) -> TraceChunks<'_> {
-        TraceChunks::new(self)
+    fn events(&self) -> TraceEvents<'_> {
+        Trace::events(self)
     }
 
     fn record_source(&self) -> Result<RecordSource<'_, TraceRecords<'_>>, Infallible> {
@@ -318,9 +231,12 @@ mod tests {
     #[test]
     fn chunk_roundtrips_events() {
         let mut c = EventChunk::new();
-        c.push_alloc(7, 640);
-        c.push_free(7);
-        c.push_alloc(8, 1);
+        c.push(ChunkEvent::Alloc {
+            record: 7,
+            size: 640,
+        });
+        c.push(ChunkEvent::Free { record: 7 });
+        c.push(ChunkEvent::Alloc { record: 8, size: 1 });
         assert_eq!(c.len(), 3);
         let got: Vec<ChunkEvent> = c.events().collect();
         assert_eq!(
@@ -339,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_chunks_match_the_event_stream() {
+    fn chunks_match_the_event_stream() {
         let s = TraceSession::new("chunks");
         let mut held = Vec::new();
         for i in 0..10_000u32 {
@@ -355,26 +271,24 @@ mod tests {
         }
         let t = s.finish();
 
-        let mut src = TraceChunks::new(&t);
-        let mut chunk = EventChunk::new();
+        let mut src = t.events();
+        let mut chunk = EventChunk::with_capacity(4096);
         let mut got = Vec::new();
         while src.next_chunk(&mut chunk).unwrap() {
-            assert!(chunk.len() <= CHUNK_EVENTS);
+            assert!(chunk.len() <= 4096);
             got.extend(chunk.events());
         }
         assert!(chunk.is_empty(), "final refill leaves the chunk empty");
 
-        let want: Vec<ChunkEvent> = TraceChunks::new(&t).events().collect();
+        let want: Vec<ChunkEvent> = t.events().into_iter().collect();
         assert_eq!(got, want);
         assert_eq!(got.len(), 20_000);
     }
 
     #[test]
     fn capacity_sets_the_refill_target() {
-        assert_eq!(EventChunk::new().target(), CHUNK_EVENTS);
-        assert_eq!(EventChunk::default().target(), CHUNK_EVENTS);
-        let big = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
-        assert_eq!(big.target(), POOLED_CHUNK_EVENTS);
+        assert_eq!(EventChunk::new().target(), POOLED_CHUNK_EVENTS);
+        assert_eq!(EventChunk::default().target(), POOLED_CHUNK_EVENTS);
         // Degenerate capacities still make progress one event at a time.
         assert_eq!(EventChunk::with_capacity(0).target(), 1);
 
@@ -387,7 +301,7 @@ mod tests {
             s.free(id);
         }
         let t = s.finish();
-        let mut src = TraceChunks::new(&t);
+        let mut src = t.events();
         let mut chunk = EventChunk::with_capacity(512);
         let mut total = 0usize;
         while src.next_chunk(&mut chunk).unwrap() {
@@ -407,7 +321,7 @@ mod tests {
         s.free(c);
         s.free(b);
         let t = s.finish();
-        let ev: Vec<ChunkEvent> = TraceChunks::new(&t).events().collect();
+        let ev: Vec<ChunkEvent> = t.events().into_iter().collect();
         let frees: Vec<bool> = ev
             .iter()
             .map(|e| matches!(e, ChunkEvent::Free { .. }))
@@ -424,7 +338,7 @@ mod tests {
         let b = s.alloc(8);
         s.free(b);
         let t = s.finish();
-        let ev: Vec<ChunkEvent> = TraceChunks::new(&t).events().collect();
+        let ev: Vec<ChunkEvent> = t.events().into_iter().collect();
         assert_eq!(ev.len(), 3);
         let frees = ev.iter().filter(|e| matches!(e, ChunkEvent::Free { .. }));
         assert_eq!(frees.count(), 1);
@@ -433,7 +347,7 @@ mod tests {
     #[test]
     fn empty_trace_yields_no_chunks() {
         let t = TraceSession::new("empty").finish();
-        let mut src = TraceChunks::new(&t);
+        let mut src = t.events();
         let mut chunk = EventChunk::new();
         assert!(!src.next_chunk(&mut chunk).unwrap());
         assert!(!src.next_chunk(&mut chunk).unwrap());

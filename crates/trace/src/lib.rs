@@ -11,10 +11,10 @@
 //!
 //! The finished [`Trace`] is the unit of exchange for the rest of the
 //! system: the predictor trains on traces, and the heap simulators
-//! replay their event streams. An event stream has one in-memory form,
-//! [`ChunkEvent`]s: packed in batches of [`EventChunk`]s, or one at a
-//! time from [`TraceChunks`] (an in-memory trace) and the `.lpt`
-//! reader's decoder.
+//! replay their event streams. An event stream has one encoding from
+//! recording to replay, the `.lpt` event key ([`keys`]), and one
+//! decoder, [`EventKeys`], that reads keys in memory or mapped into
+//! [`ChunkEvent`]s, in [`EventChunk`] batches or one at a time.
 //!
 //! # Examples
 //!
@@ -41,16 +41,16 @@
 
 mod chain;
 mod chunk;
+pub mod keys;
 mod record;
 mod registry;
 mod session;
 mod stats;
+pub mod varint;
 
 pub use chain::{eliminate_cycles, CallChain, ChainId, ChainTable};
-pub use chunk::{
-    ChunkEvent, ChunkSource, EventChunk, TraceChunks, TraceSource, CHUNK_EVENTS,
-    POOLED_CHUNK_EVENTS,
-};
+pub use chunk::{ChunkEvent, ChunkSource, EventChunk, TraceSource, POOLED_CHUNK_EVENTS};
+pub use keys::{EventKeys, KeyError, TraceEvents};
 pub use record::{AllocationRecord, ObjectId, RecordSource};
 pub use registry::{shared_registry, FnId, FunctionRegistry, SharedRegistry};
 pub use session::{CallGuard, Trace, TraceSession, Traced};

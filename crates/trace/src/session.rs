@@ -16,6 +16,7 @@
 //! a recorded trace does not depend on the tree.
 
 use crate::chain::{CallChain, ChainId, ChainTable};
+use crate::keys::{self, EventKeys, TraceEvents};
 use crate::record::{AllocationRecord, ObjectId};
 use crate::registry::{FnId, FunctionRegistry, SharedRegistry};
 use crate::stats::TraceStats;
@@ -69,8 +70,8 @@ struct Inner {
     cur: NodeId,
     chains: ChainTable,
     records: Vec<AllocationRecord>,
-    /// `(record << 1) | is_free` per event, in program order.
-    events: Vec<u64>,
+    /// The `.lpt` key of every event, in program order.
+    events: Vec<u8>,
     clock: u64,
     live_bytes: u64,
     live_objects: u64,
@@ -205,7 +206,7 @@ impl TraceSession {
             last_ref_clock: None,
         };
         inner.records.push(record);
-        inner.events.push(object.0 << 1);
+        keys::encode_alloc(&mut inner.events, size);
         inner.clock += u64::from(size);
         inner.live_bytes += u64::from(size);
         inner.live_objects += 1;
@@ -233,12 +234,12 @@ impl TraceSession {
         if inner.finished {
             return;
         }
-        let clock = inner.clock;
+        let (clock, allocs) = (inner.clock, inner.records.len() as u64);
         let record = &mut inner.records[object.0 as usize];
         assert!(record.death_clock.is_none(), "double free of {object}");
         record.death_clock = Some(clock);
         let size = u64::from(record.size);
-        inner.events.push((object.0 << 1) | 1);
+        keys::encode_free(&mut inner.events, allocs, object.0).expect("a live object");
         inner.live_bytes -= size;
         inner.live_objects -= 1;
     }
@@ -308,6 +309,8 @@ impl TraceSession {
             chains: std::mem::take(&mut inner.chains),
             records: std::mem::take(&mut inner.records),
             events: std::mem::take(&mut inner.events),
+            // An allocation per object and a free per dead one.
+            event_count: 2 * inner.stats.total_objects - inner.live_objects,
             stats: inner.stats,
         }
     }
@@ -448,30 +451,32 @@ pub struct Trace {
     registry: FunctionRegistry,
     chains: ChainTable,
     records: Vec<AllocationRecord>,
-    /// `(record << 1) | is_free` per event, in program order.
-    events: Vec<u64>,
+    /// The `.lpt` key of every event, in program order.
+    events: Vec<u8>,
+    event_count: u64,
     stats: TraceStats,
 }
 
 impl Trace {
     /// Reassembles a trace from its parts, e.g. when loading one from
-    /// disk. `events` is the program-order event stream, one
-    /// `(record << 1) | is_free` tag per event, record being a
-    /// birth-order index into `records`.
+    /// disk. `events` is the program-order event stream as the
+    /// payload of an `.lpt` events section: `event_count` keys in the
+    /// one encoding of [`keys`].
     ///
     /// Callers must uphold the session invariants: records are in
     /// birth order and each born at the sum of the earlier ones'
-    /// sizes; the events allocate the records in that order and free
-    /// each mortal record once, after its birth, at its death clock;
-    /// every chain id resolves in `chains`, and every frame id
-    /// resolves in `registry`. Deserializers validate these before
-    /// calling.
+    /// sizes; the keys decode, allocate the records in that order at
+    /// their sizes, and free each mortal record once, after its birth,
+    /// at its death clock; every chain id resolves in `chains`, and
+    /// every frame id resolves in `registry`. Deserializers validate
+    /// these before calling.
     pub fn from_parts(
         name: String,
         registry: FunctionRegistry,
         chains: ChainTable,
         records: Vec<AllocationRecord>,
-        events: Vec<u64>,
+        events: Vec<u8>,
+        event_count: u64,
         stats: TraceStats,
     ) -> Trace {
         Trace {
@@ -480,6 +485,7 @@ impl Trace {
             chains,
             records,
             events,
+            event_count,
             stats,
         }
     }
@@ -521,13 +527,19 @@ impl Trace {
 
     /// Events in the trace: allocations plus frees.
     pub fn end_seq(&self) -> u64 {
-        self.events.len() as u64
+        self.event_count
     }
 
-    /// The program-order event tags [`TraceChunks`](crate::TraceChunks)
-    /// reads.
-    pub(crate) fn event_tags(&self) -> &[u64] {
+    /// The events' keys in program order, byte for byte the payload of
+    /// the trace's `.lpt` events section.
+    pub fn event_keys(&self) -> &[u8] {
         &self.events
+    }
+
+    /// The events in program order, decoded from
+    /// [`event_keys`](Self::event_keys).
+    pub fn events(&self) -> TraceEvents<'_> {
+        TraceEvents(EventKeys::new(&self.events, self.event_count))
     }
 }
 
@@ -623,7 +635,7 @@ mod tests {
             assert_eq!(&**w, "hello");
         }
         let t = s.finish();
-        assert_eq!(t.event_tags(), [0, 1]);
+        assert_eq!(t.event_keys(), [12, 1]);
         assert_eq!(t.records()[0].refs, 2);
     }
 

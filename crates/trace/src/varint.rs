@@ -1,49 +1,53 @@
-//! Branch-reduced varint + event batch decoding over in-memory bytes.
+//! LEB128 varints, the scalar encoding of `.lpt` and of recorded event
+//! keys: seven payload bits per byte, the high bit a continuation.
 //!
-//! Every varint [`MappedTrace`](crate::MappedTrace) reads — framing,
-//! header sections, records, events — goes through [`take_varint`].
-//! The decoder is SWAR (SIMD-within-a-register): one unaligned 8-byte
-//! little-endian load covers every encoding the events section
-//! produces in practice, the terminator byte is found with a single
-//! `trailing_zeros` on the inverted continuation-bit mask, and the
-//! payload bits are compacted with three shift/mask steps instead of a
-//! data-dependent byte loop. Encodings of nine or ten bytes — and the
-//! last few bytes of a buffer, where an 8-byte load would run off the
-//! end — fall back to the scalar loop, which mirrors the test oracle
-//! `varint::read_varint`'s validation byte for byte: at most
-//! [`MAX_VARINT_LEN`] bytes, the tenth byte may only carry the single
-//! remaining bit, and non-canonical zero padding is accepted.
-//!
-//! [`decode_event`] is the batch decoder of one chunk event — a single
-//! key varint — with the structural checks replay depends on (size
-//! bounds, allocation-count overflow, free back-references).
+//! Every varint a reader decodes goes through [`take_varint`], a SWAR
+//! decoder: one unaligned 8-byte load covers every encoding the events
+//! produce in practice, the terminator is one `trailing_zeros` on the
+//! inverted continuation bits, and three shift/mask steps compact the
+//! payload. Nine- and ten-byte encodings and buffer tails fall back to a
+//! scalar loop that validates byte for byte as the test oracle
+//! `read_varint` does: at most [`MAX_VARINT_LEN`] bytes, a tenth byte
+//! carrying only the one remaining bit, and zero padding accepted.
 
-use crate::error::TraceFileError;
-use crate::varint::MAX_VARINT_LEN;
-use lifepred_trace::EventChunk;
+use std::fmt;
+
+/// Longest legal encoding of a `u64` (ceil(64 / 7) bytes).
+pub const MAX_VARINT_LEN: usize = 10;
 
 /// The continuation bit of every byte lane.
 const CONT: u64 = 0x8080_8080_8080_8080;
 
 /// How decoding a varint from a buffer can fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum VarintErr {
+pub enum VarintErr {
     /// The buffer ran out before the terminating byte.
     OutOfBytes,
     /// Over-long or overflowing encoding.
     Invalid,
 }
 
-impl VarintErr {
-    /// The error for a varint read inside `section`'s payload.
-    pub(crate) fn into_error(self, section: &'static str) -> TraceFileError {
-        TraceFileError::malformed(
-            section,
-            match self {
-                VarintErr::OutOfBytes => "value runs past the section payload",
-                VarintErr::Invalid => "invalid varint",
-            },
-        )
+impl fmt::Display for VarintErr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            VarintErr::OutOfBytes => "value runs past the section payload",
+            VarintErr::Invalid => "invalid varint",
+        })
+    }
+}
+
+/// Appends the LEB128 encoding of `value` to `out`. `#[inline]`, so the
+/// session's and the `.lpt` writer's per-event calls inline it.
+#[inline]
+pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
     }
 }
 
@@ -66,7 +70,7 @@ fn fold(word: u64, n: usize) -> u64 {
 }
 
 /// Scalar decode, byte for byte the same validation as
-/// `varint::read_varint`. Used for buffer tails and 9–10-byte
+/// `read_varint`. Used for buffer tails and 9–10-byte
 /// encodings.
 #[inline]
 fn take_varint_scalar(buf: &[u8], pos: &mut usize) -> Result<u64, VarintErr> {
@@ -108,15 +112,15 @@ fn take_varint_long(buf: &[u8], pos: &mut usize, lo: u64) -> Result<u64, VarintE
 }
 
 /// Decodes one LEB128 varint from `buf` starting at `*pos`, advancing
-/// `*pos` past it. Accepts exactly the encodings
-/// `varint::read_varint` accepts (including non-canonical
-/// zero padding) and rejects exactly the ones it rejects.
+/// `*pos` past it. Accepts exactly the encodings `read_varint` accepts
+/// (including non-canonical zero padding) and rejects exactly the ones
+/// it rejects.
 ///
 /// `#[inline(always)]`: the event loop runs it once per event, and with
 /// a plain `#[inline]` the mapped event decode of a 10⁷-event trace ran
 /// ≈ 20 % slower.
 #[inline(always)]
-pub(crate) fn take_varint(buf: &[u8], pos: &mut usize) -> Result<u64, VarintErr> {
+pub fn take_varint(buf: &[u8], pos: &mut usize) -> Result<u64, VarintErr> {
     let Some(window) = buf.get(*pos..*pos + 8) else {
         return take_varint_scalar(buf, pos);
     };
@@ -130,40 +134,31 @@ pub(crate) fn take_varint(buf: &[u8], pos: &mut usize) -> Result<u64, VarintErr>
     take_varint_long(buf, pos, fold(word, 8))
 }
 
-/// Decodes one event (its key varint) from `buf` at `*pos` into
-/// `chunk`, maintaining the running allocation count that free
-/// back-references resolve against.
-#[inline]
-pub(crate) fn decode_event(
-    buf: &[u8],
-    pos: &mut usize,
-    allocs: &mut u64,
-    chunk: &mut EventChunk,
-) -> Result<(), TraceFileError> {
-    let bad = |detail: &str| TraceFileError::malformed("events", detail);
-    let key = take_varint(buf, pos).map_err(|e| e.into_error("events"))?;
-    if key & 1 == 0 {
-        let size = u32::try_from(key >> 1).map_err(|_| bad("event size exceeds u32"))?;
-        let record = *allocs;
-        *allocs = allocs
-            .checked_add(1)
-            .ok_or_else(|| bad("allocation count overflows"))?;
-        chunk.push_alloc(record, size);
-    } else {
-        let back = key >> 1;
-        let record = allocs
-            .checked_sub(1)
-            .and_then(|last| last.checked_sub(back))
-            .ok_or_else(|| bad("free references an object never allocated"))?;
-        chunk.push_free(record);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::varint::{read_varint, write_varint};
+
+    /// Decodes one LEB128 integer via a byte source — the byte-at-a-time
+    /// oracle the property tests hold [`take_varint`] to.
+    ///
+    /// Returns `None` when the encoding is over-long or overflows 64 bits;
+    /// byte-source errors propagate as `Err`.
+    fn read_varint<E>(mut next_byte: impl FnMut() -> Result<u8, E>) -> Result<Option<u64>, E> {
+        let mut value: u64 = 0;
+        for i in 0..MAX_VARINT_LEN {
+            let byte = next_byte()?;
+            let payload = u64::from(byte & 0x7f);
+            // The tenth byte may only contribute the single remaining bit.
+            if i == MAX_VARINT_LEN - 1 && payload > 1 {
+                return Ok(None);
+            }
+            value |= payload << (7 * i);
+            if byte & 0x80 == 0 {
+                return Ok(Some(value));
+            }
+        }
+        Ok(None)
+    }
 
     /// The streaming decoder as an oracle over a slice: returns the
     /// value and consumed length, or `None` for invalid/truncated.
@@ -271,6 +266,60 @@ mod tests {
         let mut pos = 3;
         assert_eq!(take_varint(&buf, &mut pos).ok(), Some(9_999_999));
         assert_eq!(pos, value_end);
+    }
+
+    fn roundtrip(v: u64) -> u64 {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, v);
+        assert!(buf.len() <= MAX_VARINT_LEN);
+        let mut it = buf.iter().copied();
+        read_varint(|| it.next().ok_or(()))
+            .unwrap()
+            .expect("valid encoding")
+    }
+
+    #[test]
+    fn roundtrips_representative_values() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            129,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(roundtrip(v), v);
+        }
+    }
+
+    #[test]
+    fn single_byte_for_small_values() {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 127);
+        assert_eq!(buf.len(), 1);
+    }
+
+    #[test]
+    fn rejects_overlong_encodings() {
+        // Eleven continuation bytes can never be a valid u64.
+        let bytes = [0x80u8; 11];
+        let mut it = bytes.iter().copied();
+        assert_eq!(read_varint(|| it.next().ok_or(())).unwrap(), None);
+        // Ten bytes whose last byte has too many payload bits overflow.
+        let mut overflow = vec![0xffu8; 9];
+        overflow.push(0x02);
+        let mut it = overflow.iter().copied();
+        assert_eq!(read_varint(|| it.next().ok_or(())).unwrap(), None);
+    }
+
+    #[test]
+    fn propagates_source_errors() {
+        let mut it = [0x80u8].iter().copied();
+        assert!(read_varint(|| it.next().ok_or("eof")).is_err());
     }
 
     mod prop {

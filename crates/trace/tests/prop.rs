@@ -1,9 +1,7 @@
 //! Property tests over random session scripts: the tracer's clocks,
 //! stats and event streams must stay consistent for any program shape.
 
-use lifepred_trace::{
-    shared_registry, ChainTable, ChunkEvent, FnId, ObjectId, TraceChunks, TraceSession,
-};
+use lifepred_trace::{shared_registry, ChainTable, ChunkEvent, FnId, ObjectId, TraceSession};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -183,7 +181,7 @@ proptest! {
     #[test]
     fn event_stream_well_formed(script in actions()) {
         let (trace, freed) = run(&script);
-        let events: Vec<ChunkEvent> = TraceChunks::new(&trace).events().collect();
+        let events: Vec<ChunkEvent> = trace.events().into_iter().collect();
         let frees = events.iter().filter(|e| matches!(e, ChunkEvent::Free { .. })).count();
         prop_assert_eq!(events.len() - frees, trace.records().len());
         prop_assert_eq!(frees, freed);
@@ -213,7 +211,7 @@ proptest! {
         let mut live_objects = 0u64;
         let mut seen_max_bytes = 0u64;
         let mut seen_max_objects = 0u64;
-        for e in TraceChunks::new(&trace).events() {
+        for e in trace.events() {
             match e {
                 ChunkEvent::Alloc { size, .. } => {
                     live_bytes += u64::from(size);

@@ -40,11 +40,13 @@ pub enum TraceFileError {
 }
 
 impl TraceFileError {
-    /// Convenience constructor for [`TraceFileError::Malformed`].
-    pub(crate) fn malformed(section: &'static str, detail: impl Into<String>) -> Self {
+    /// Convenience constructor for [`TraceFileError::Malformed`]. Cold,
+    /// so the decode loops inline only their happy path.
+    #[cold]
+    pub(crate) fn malformed(section: &'static str, detail: impl fmt::Display) -> Self {
         TraceFileError::Malformed {
             section,
-            detail: detail.into(),
+            detail: detail.to_string(),
         }
     }
 }

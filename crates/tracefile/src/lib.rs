@@ -19,7 +19,9 @@
 //! size, chain, lifetime, references and touch clocks, but no seq and
 //! no birth clock (the sum of the earlier records' sizes). The
 //! steady-state cost of an allocation is a few bytes. The format is at
-//! version 4, and the reader reads version 4 only.
+//! version 4, and the reader reads version 4 only. The key is the one
+//! encoding of an event stream ([`lifepred_trace::keys`]): a saved
+//! [`Trace`]'s events section is the payload its session recorded.
 //!
 //! # Reading
 //!
@@ -31,17 +33,17 @@
 //!
 //! * [`MappedTrace::events`] decodes the event stream in
 //!   structure-of-arrays batches ([`MappedEvents`], a
-//!   [`ChunkSource`](lifepred_trace::ChunkSource)) — what drives the
-//!   heap simulators without ever materializing the trace;
+//!   [`ChunkSource`](lifepred_trace::ChunkSource)) with the one key
+//!   decoder — what drives the heap simulators without ever
+//!   materializing the trace;
 //! * [`MappedTrace::records`] streams allocation records one at a time
 //!   ([`MappedRecords`]) — enough to train a predictor;
 //! * [`MappedTrace::verify`] walks records and events in lockstep, in
 //!   memory bounded by the live objects, and checks that the facts they
 //!   both store (sizes, death clocks, totals) agree with each other and
 //!   with the meta section (`inspect --verify`);
-//! * [`load_trace`] / [`trace_from_bytes`] collect the records and the
-//!   events as that same walk reads them and rebuild a full in-memory
-//!   [`Trace`].
+//! * [`load_trace`] / [`trace_from_bytes`] collect the records as that
+//!   same walk reads them and rebuild a full in-memory [`Trace`].
 //!
 //! Corrupted or truncated input is always reported as a
 //! [`TraceFileError`]; no input sequence panics the reader.
@@ -73,14 +75,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod crc32;
 mod error;
 mod format;
 mod map;
 mod mapped;
 mod stream;
-mod varint;
 
 pub use crc32::Crc32;
 pub use error::TraceFileError;

@@ -7,10 +7,11 @@
 //! remembers where the two large ones live. The decode
 //! loops — [`MappedEvents`] for the event stream, [`MappedRecords`] for
 //! the allocation records — then read *borrowed* sub-slices of the
-//! mapping. The borrow is what makes this safe: every slice carries the
-//! `MappedTrace`'s lifetime, so the mapping cannot be unmapped while a
-//! decoder can still read it (see `map.rs` for the mapping's own safety
-//! argument).
+//! mapping ([`MappedEvents`] is the one key decoder, [`EventKeys`], plus
+//! page release). The borrow is what makes this safe: every slice
+//! carries the `MappedTrace`'s lifetime, so the mapping cannot be
+//! unmapped while a decoder can still read it (see `map.rs` for the
+//! mapping's own safety argument).
 //!
 //! Every sequential pass — each CRC pass and both decode loops — hands
 //! the mapped pages behind it back to the kernel every
@@ -31,7 +32,6 @@
 //! itself before yielding anything, and [`MappedTrace::events`] decodes
 //! unchecked bytes under the structural checks alone.
 
-use crate::batch;
 use crate::crc32::Crc32;
 use crate::error::TraceFileError;
 use crate::format::{
@@ -39,8 +39,9 @@ use crate::format::{
     SECTION_RECORDS, VERSION,
 };
 use crate::map::TraceMap;
+use lifepred_trace::varint::{take_varint, VarintErr};
 use lifepred_trace::{
-    AllocationRecord, ChainId, ChainTable, ChunkEvent, ChunkSource, EventChunk, FnId,
+    AllocationRecord, ChainId, ChainTable, ChunkEvent, ChunkSource, EventChunk, EventKeys, FnId,
     FunctionRegistry, RecordSource, Trace, TraceSource, TraceStats, POOLED_CHUNK_EVENTS,
 };
 use std::collections::HashMap;
@@ -134,7 +135,7 @@ impl<'a> Cursor<'a> {
 
     #[inline]
     fn varint(&mut self) -> Result<u64, TraceFileError> {
-        batch::take_varint(self.buf, &mut self.pos).map_err(|e| e.into_error(self.section))
+        take_varint(self.buf, &mut self.pos).map_err(|e| TraceFileError::malformed(self.section, e))
     }
 
     fn bytes(&mut self, len: u64) -> Result<&'a [u8], TraceFileError> {
@@ -142,7 +143,7 @@ impl<'a> Cursor<'a> {
             .ok()
             .and_then(|len| self.pos.checked_add(len))
             .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| batch::VarintErr::OutOfBytes.into_error(self.section))?;
+            .ok_or_else(|| TraceFileError::malformed(self.section, VarintErr::OutOfBytes))?;
         let bytes = &self.buf[self.pos..end];
         self.pos = end;
         Ok(bytes)
@@ -206,11 +207,9 @@ fn frame(bytes: &[u8]) -> Result<[Section; 5], TraceFileError> {
         pos += 1;
         // A length varint may be non-canonical: the stream writer
         // patches five-byte zero-padded ones.
-        let len = batch::take_varint(bytes, &mut pos).map_err(|e| match e {
-            batch::VarintErr::OutOfBytes => truncated(name),
-            batch::VarintErr::Invalid => {
-                TraceFileError::malformed(name, "invalid section length varint")
-            }
+        let len = take_varint(bytes, &mut pos).map_err(|e| match e {
+            VarintErr::OutOfBytes => truncated(name),
+            VarintErr::Invalid => TraceFileError::malformed(name, "invalid section length varint"),
         })?;
         // The payload and its four CRC bytes must lie inside the file.
         let rest = &bytes[pos..];
@@ -448,11 +447,6 @@ impl MappedTrace {
         self.record_count
     }
 
-    /// Declared number of events.
-    pub fn event_count(&self) -> u64 {
-        self.event_count
-    }
-
     /// Total file size in bytes.
     pub fn file_len(&self) -> usize {
         self.map.len()
@@ -494,18 +488,15 @@ impl MappedTrace {
     }
 
     /// The zero-copy batch event source: decodes straight from the
-    /// mapped events payload into the caller's
-    /// [`EventChunk`]s with the SWAR
-    /// varint decoder. The section CRC was already verified at open
-    /// (unless [`open_unverified`](Self::open_unverified) was used);
-    /// structural checks still run per event.
+    /// mapped events payload into the caller's [`EventChunk`]s with the
+    /// one key decoder, [`EventKeys`]. The section CRC was already
+    /// verified at open (unless [`open_unverified`](Self::open_unverified)
+    /// was used); structural checks still run per event.
     pub fn events(&self) -> MappedEvents<'_> {
+        let keys = &self.map.as_bytes()[self.events_body.clone()];
         MappedEvents {
-            cur: Cursor::new("events", &self.map.as_bytes()[self.events_body.clone()]),
+            keys: EventKeys::new(keys, self.event_count),
             trail: Trail::new(&self.map, self.events_body.start),
-            remaining: self.event_count,
-            allocs: 0,
-            done: false,
         }
     }
 
@@ -525,15 +516,12 @@ impl MappedTrace {
     /// The first disagreement, as [`TraceFileError::Malformed`], or the
     /// error either section's decoder reports.
     pub fn verify(&self) -> Result<(), TraceFileError> {
-        self.walk(|_, _| ())
+        self.walk(drop)
     }
 
-    /// [`verify`](Self::verify)'s walk, handing `each` every event in
-    /// program order, an allocation with its record.
-    fn walk(
-        &self,
-        mut each: impl FnMut(ChunkEvent, Option<AllocationRecord>),
-    ) -> Result<(), TraceFileError> {
+    /// [`verify`](Self::verify)'s walk, handing `each` every record as
+    /// its allocation is walked.
+    fn walk(&self, mut each: impl FnMut(AllocationRecord)) -> Result<(), TraceFileError> {
         let bad = |detail: String| TraceFileError::malformed("events", detail);
         let (mut records, mut events) = (self.records()?, self.events());
         let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
@@ -542,7 +530,7 @@ impl MappedTrace {
         let (mut n, mut clock, mut allocs) = (0u64, 0u64, 0u64);
         while events.next_chunk(&mut chunk)? {
             for event in chunk.events() {
-                let record = match event {
+                match event {
                     ChunkEvent::Alloc { record, size } => {
                         let r = records.next().transpose()?.ok_or_else(|| {
                             bad(format!(
@@ -563,10 +551,10 @@ impl MappedTrace {
                         // records decoder checked for overflow.
                         clock += u64::from(size);
                         allocs += 1;
-                        Some(r)
+                        each(r);
                     }
                     ChunkEvent::Free { record } => match deaths.remove(&record) {
-                        Some(death) if death == clock => None,
+                        Some(death) if death == clock => {}
                         Some(death) => {
                             return Err(bad(format!(
                                 "event {n} frees object {record} at clock {clock}, \
@@ -580,8 +568,7 @@ impl MappedTrace {
                             )))
                         }
                     },
-                };
-                each(event, record);
+                }
                 n += 1;
             }
         }
@@ -607,27 +594,22 @@ impl MappedTrace {
         Ok(())
     }
 
-    /// Rebuilds the full in-memory [`Trace`], collecting the records
-    /// and the events as [`verify`](Self::verify)'s walk reads them.
+    /// Rebuilds the full in-memory [`Trace`], collecting the records as
+    /// [`verify`](Self::verify)'s walk reads them; the trace keeps the
+    /// verified events section's keys as they are.
     pub(crate) fn into_trace(self) -> Result<Trace, TraceFileError> {
-        // The iterators' lower bounds are capped by the payloads' sizes,
-        // so a lying count cannot force a large reservation.
+        // The iterator's lower bound is capped by the payload's size, so
+        // a lying count cannot force a large reservation.
         let mut records = Vec::with_capacity(self.records()?.size_hint().0);
-        let mut events =
-            Vec::with_capacity(self.event_count.min(self.events_body.len() as u64) as usize);
-        self.walk(|event, record| {
-            events.push(match event {
-                ChunkEvent::Alloc { record, .. } => (record as u64) << 1,
-                ChunkEvent::Free { record } => ((record as u64) << 1) | 1,
-            });
-            records.extend(record);
-        })?;
+        self.walk(|record| records.push(record))?;
+        let events = self.map.as_bytes()[self.events_body.clone()].to_vec();
         Ok(Trace::from_parts(
             self.name,
             self.registry,
             self.chains,
             records,
             events,
+            self.event_count,
             self.stats,
         ))
     }
@@ -771,20 +753,13 @@ impl Iterator for MappedRecords<'_> {
     }
 }
 
-/// Borrowed [`ChunkSource`] over a [`MappedTrace`]'s events payload.
-///
-/// After the final chunk, or after any error, the source fuses:
-/// further calls return `Ok(false)`.
+/// Borrowed [`ChunkSource`] over a [`MappedTrace`]'s events payload:
+/// [`EventKeys`], releasing the pages it has read and reporting its
+/// errors as [`TraceFileError`]s. Fused after its last chunk or an error.
 #[derive(Debug)]
 pub struct MappedEvents<'a> {
-    /// Events payload, past the count varint.
-    cur: Cursor<'a>,
+    keys: EventKeys<'a>,
     trail: Trail<'a>,
-    remaining: u64,
-    /// Allocation events decoded so far — the base free back-references
-    /// resolve against.
-    allocs: u64,
-    done: bool,
 }
 
 /// A mapped trace read straight off the verified mapping; its records
@@ -821,36 +796,13 @@ impl ChunkSource for MappedEvents<'_> {
     type Error = TraceFileError;
 
     fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, TraceFileError> {
-        chunk.clear();
-        if self.done {
-            return Ok(false);
+        let more = (self.keys.fill(chunk)).map_err(|e| TraceFileError::malformed("events", e))?;
+        if more {
+            self.trail.behind(self.keys.pos());
+        } else {
+            self.trail.release_to(self.keys.pos());
         }
-        // Hoist the cursor and allocation count into locals: each
-        // decode_event pushes exactly one event, so the chunk fill is a
-        // counted loop with no per-event field round-trips.
-        let n = (chunk.target() as u64).min(self.remaining);
-        let mut pos = self.cur.pos;
-        let mut allocs = self.allocs;
-        for _ in 0..n {
-            if let Err(e) = batch::decode_event(self.cur.buf, &mut pos, &mut allocs, chunk) {
-                self.done = true;
-                chunk.clear();
-                return Err(e);
-            }
-        }
-        self.cur.pos = pos;
-        self.allocs = allocs;
-        self.remaining -= n;
-        self.trail.behind(pos);
-        if self.remaining == 0 {
-            self.done = true;
-            self.trail.release_to(pos);
-            if let Err(e) = self.cur.finish() {
-                chunk.clear();
-                return Err(e);
-            }
-        }
-        Ok(!chunk.is_empty())
+        Ok(more)
     }
 }
 

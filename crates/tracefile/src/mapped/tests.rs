@@ -6,9 +6,9 @@
 
 use super::*;
 use crate::crc32::crc32;
-use crate::varint::write_varint;
 use crate::{trace_from_bytes, trace_to_vec};
-use lifepred_trace::{ChunkEvent, TraceChunks, TraceSession};
+use lifepred_trace::varint::write_varint;
+use lifepred_trace::TraceSession;
 
 /// Nested and recursive chains, interleaved frees, touched and
 /// untouched objects, and one immortal.
@@ -79,7 +79,7 @@ fn errors(bytes: &[u8]) -> [String; 3] {
 
 /// What the events section of `trace`'s image must decode to.
 fn expected_events(trace: &Trace) -> Vec<ChunkEvent> {
-    TraceChunks::new(trace).events().collect()
+    trace.events().into_iter().collect()
 }
 
 fn varints(values: &[u64]) -> Vec<u8> {
@@ -141,13 +141,17 @@ fn header_records_and_events_are_the_recorded_traces_own() {
         assert_eq!(records.size_hint().0, trace.records().len());
         let records: Vec<_> = records.collect::<Result<_, _>>().expect("decode");
         assert_eq!(records, trace.records());
+        // One encoding: the section holds the keys the session recorded.
+        let keys = &mapped.map.as_bytes()[mapped.events_body.clone()];
+        assert_eq!(keys, trace.event_keys());
         let expected = expected_events(&trace);
         for capacity in [3, lifepred_trace::POOLED_CHUNK_EVENTS] {
             assert_eq!(drain_events(&mapped, capacity).expect("decode"), expected);
         }
         let loaded = mapped.into_trace().expect("load");
         assert_eq!(loaded.records(), trace.records());
-        assert_eq!(expected_events(&loaded), expected);
+        assert_eq!(loaded.event_keys(), trace.event_keys());
+        assert_eq!(loaded.end_seq(), trace.end_seq());
     }
 }
 
@@ -168,7 +172,7 @@ fn header_and_sections_are_exposed() {
         Some(mapped.registry().len() as u64),
         Some(mapped.chain_table().len() as u64),
         Some(mapped.record_count()),
-        Some(mapped.event_count()),
+        Some(mapped.end_seq()),
     ];
     assert_eq!(sections.map(|s| s.entries), entries);
     // 8 header bytes + 5 x (id + crc) + three one-byte lengths + the
@@ -176,7 +180,7 @@ fn header_and_sections_are_exposed() {
     // bytes account for the rest of the file.
     let payload_total: u64 = sections.iter().map(|s| s.payload_bytes).sum();
     assert_eq!(bytes.len() as u64 - payload_total, 8 + 5 * 5 + 3 + 2 * 5);
-    assert_eq!(mapped.event_count(), mapped.stats().total_objects * 2 - 1);
+    assert_eq!(mapped.end_seq(), mapped.stats().total_objects * 2 - 1);
 }
 
 /// A forged record count reserves by bytes present, then fails typed.

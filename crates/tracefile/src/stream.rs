@@ -6,7 +6,8 @@
 //! 10⁸-event records and events payloads alone would be gigabytes, and
 //! [`write_trace`] drives it from an in-memory [`Trace`] for
 //! [`save_trace`](crate::save_trace) and
-//! [`trace_to_vec`](crate::trace_to_vec). The format puts a section's
+//! [`trace_to_vec`](crate::trace_to_vec), copying the trace's event keys
+//! as its session recorded them. The format puts a section's
 //! length *before* its payload, so for each large section the writer
 //! reserves a fixed five-byte zero-padded varint (a non-canonical
 //! encoding the reader accepts, covering payloads up to 32 GiB), streams
@@ -34,11 +35,10 @@
 //!   birth clock is not stored: it is the sum of the earlier records'
 //!   sizes. Where a birth or a death falls among the other events is
 //!   the events section's to say, and it says it once.
-//! * **events** — count, then one key varint per event. An even key is
-//!   an allocation of `key >> 1` bytes for the next record in birth
-//!   order; an odd key frees the object allocated `key >> 1`
-//!   allocations ago (a back-reference, so recently-born objects — the
-//!   common case — encode in one byte). An event's seq is its index
+//! * **events** — count, then one key varint per event
+//!   ([`lifepred_trace::keys`]: an even key allocates `key >> 1` bytes
+//!   for the next record in birth order, an odd key frees the object
+//!   allocated `key >> 1` allocations ago). An event's seq is its index
 //!   and the byte clock is the sum of the sizes allocated before it, so
 //!   neither is stored: the reader's lockstep walk
 //!   ([`MappedTrace::verify`](crate::MappedTrace::verify)) derives the
@@ -52,10 +52,9 @@ use crate::format::{
     MAGIC, SECTION_CHAINS, SECTION_COUNT, SECTION_EVENTS, SECTION_FUNCTIONS, SECTION_META,
     SECTION_RECORDS, VERSION,
 };
-use crate::varint::write_varint;
-use lifepred_trace::{
-    AllocationRecord, ChainTable, ChunkEvent, FunctionRegistry, Trace, TraceChunks, TraceStats,
-};
+use lifepred_trace::keys::{encode_alloc, encode_free};
+use lifepred_trace::varint::{write_varint, MAX_VARINT_LEN};
+use lifepred_trace::{AllocationRecord, ChainTable, FunctionRegistry, Trace, TraceStats};
 use std::io::{Seek, SeekFrom, Write};
 
 /// Payload bytes buffered before one bulk CRC update + write.
@@ -191,10 +190,7 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
     /// Appends the next allocation record (strict birth order).
     pub fn write_record(&mut self, r: &AllocationRecord) -> Result<(), TraceFileError> {
         let i = self.entry("records", Stage::Records)?;
-        let bad = |detail: String| TraceFileError::Malformed {
-            section: "records",
-            detail,
-        };
+        let bad = |detail: String| TraceFileError::malformed("records", detail);
         if u64::from(r.chain.index()) >= self.chain_count {
             return Err(bad(format!("record {i} references unknown chain")));
         }
@@ -255,20 +251,17 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
     pub fn write_alloc(&mut self, size: u32) -> Result<(), TraceFileError> {
         self.entry("events", Stage::Events)?;
         self.allocs += 1;
-        self.write_event(u64::from(size) << 1)
+        encode_alloc(&mut self.scratch, size);
+        self.maybe_flush()
     }
 
     /// Appends a free of birth-order record `record`.
     pub fn write_free(&mut self, record: u64) -> Result<(), TraceFileError> {
         let event = self.entry("events", Stage::Events)?;
-        let back = self
-            .allocs
-            .checked_sub(record)
-            .and_then(|n| n.checked_sub(1))
-            .ok_or_else(|| {
-                TraceFileError::malformed("events", format!("free before alloc at event {event}"))
-            })?;
-        self.write_event((back << 1) | 1)
+        encode_free(&mut self.scratch, self.allocs, record).ok_or_else(|| {
+            TraceFileError::malformed("events", format!("free before alloc at event {event}"))
+        })?;
+        self.maybe_flush()
     }
 
     /// Closes the events section, patching its length and CRC.
@@ -287,12 +280,6 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
         }
         self.sink.flush()?;
         Ok(self.sink)
-    }
-
-    /// Appends one event's `key`.
-    fn write_event(&mut self, key: u64) -> Result<(), TraceFileError> {
-        write_varint(&mut self.scratch, key);
-        self.maybe_flush()
     }
 
     fn begin(&mut self, want: Stage, id: u8, count: u64) -> Result<(), TraceFileError> {
@@ -386,7 +373,7 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
 }
 
 /// Writes the complete `.lpt` image of `trace` into `sink`: the header
-/// sections, every record, then every event of its [`TraceChunks`].
+/// sections, every record, then the trace's event keys as they are.
 ///
 /// # Errors
 ///
@@ -403,14 +390,10 @@ pub(crate) fn write_trace<W: Write + Seek>(trace: &Trace, sink: W) -> Result<W, 
         w.write_record(r)?;
     }
     w.end_records()?;
-    let chunks = TraceChunks::new(trace);
-    w.begin_events(chunks.events().len() as u64)?;
-    for event in chunks.events() {
-        match event {
-            ChunkEvent::Alloc { size, .. } => w.write_alloc(size)?,
-            ChunkEvent::Free { record } => w.write_free(record as u64)?,
-        }
-    }
+    // The keys are the section's payload as the session recorded it.
+    w.begin_events(trace.end_seq())?;
+    w.scratch.extend_from_slice(trace.event_keys());
+    w.open.as_mut().expect("the events section is open").seen = trace.end_seq();
     w.end_events()?;
     w.finish()
 }
@@ -494,7 +477,7 @@ fn out_of_order(section: &'static str) -> TraceFileError {
 /// Writes one fully-buffered section (id + length + payload + CRC).
 fn write_section<W: Write>(sink: &mut W, id: u8, payload: &[u8]) -> Result<(), TraceFileError> {
     sink.write_all(&[id])?;
-    let mut len = Vec::with_capacity(crate::varint::MAX_VARINT_LEN);
+    let mut len = Vec::with_capacity(MAX_VARINT_LEN);
     write_varint(&mut len, payload.len() as u64);
     sink.write_all(&len)?;
     sink.write_all(payload)?;
@@ -536,7 +519,7 @@ mod tests {
         let bytes = trace_to_vec(&trace).expect("encode");
         let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes)).expect("mapped open");
         assert_eq!(mapped.record_count(), trace.records().len() as u64);
-        assert_eq!(mapped.event_count(), trace.end_seq());
+        assert_eq!(mapped.end_seq(), trace.end_seq());
         let decoded: Vec<_> = mapped
             .records()
             .expect("records")
@@ -651,7 +634,7 @@ mod tests {
         let max = MAX_SECTION_BYTES - 1;
         let bytes = padded_len(max);
         let mut pos = 0;
-        let decoded = crate::batch::take_varint(&bytes, &mut pos).ok();
+        let decoded = lifepred_trace::varint::take_varint(&bytes, &mut pos).ok();
         assert_eq!(decoded, Some(max));
         assert_eq!(pos, 5);
     }

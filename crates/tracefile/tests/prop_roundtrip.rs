@@ -2,7 +2,7 @@
 //! arbitrary traces, and damaged bytes always surface as errors —
 //! never as panics or silently wrong traces.
 
-use lifepred_trace::{ObjectId, Trace, TraceChunks, TraceSession};
+use lifepred_trace::{ObjectId, Trace, TraceSession};
 use lifepred_tracefile::{trace_from_bytes, trace_to_vec};
 use proptest::prelude::*;
 
@@ -111,9 +111,7 @@ fn assert_traces_equal(a: &Trace, b: &Trace) {
     assert_eq!(a.end_clock(), b.end_clock());
     assert_eq!(a.end_seq(), b.end_seq());
     assert_eq!(a.records(), b.records());
-    assert!(TraceChunks::new(a)
-        .events()
-        .eq(TraceChunks::new(b).events()));
+    assert_eq!(a.event_keys(), b.event_keys());
     let (ra, rb) = (a.registry(), b.registry());
     assert_eq!(
         ra.names().collect::<Vec<_>>(),

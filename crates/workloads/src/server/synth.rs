@@ -283,7 +283,7 @@ mod tests {
         let mapped =
             MappedTrace::from_map(TraceMap::from_vec(sink.into_inner())).expect("mapped open");
         assert_eq!(mapped.record_count(), summary.objects);
-        assert_eq!(mapped.event_count(), summary.events);
+        assert_eq!(mapped.end_seq(), summary.events);
     }
 
     #[test]

@@ -1,40 +1,21 @@
-//! Ground truth for the `.lpt` reader: what it decodes is what was
-//! recorded.
+//! What the `.lpt` writer and reader keep of a recording.
 //!
-//! For each of the six workload families the recorded [`Trace`] is
-//! serialized once and read back through [`MappedTrace`]: the chunked
-//! event stream must equal the recorded trace's [`TraceChunks`] at
-//! every chunk capacity, and [`load_trace`] / [`trace_from_bytes`] must
-//! return the recorded records and stats; a streamed synthetic trace
-//! large enough that the reader releases mapped pages behind every pass
-//! must decode to what a recording of the same simulation holds. The
-//! CI `decode` job
-//! runs this suite twice, with and without `LIFEPRED_NO_MMAP=1`, so both
-//! the mapped and heap-fallback flavors of [`TraceMap`] are covered.
+//! A recorded [`Trace`]'s events are `.lpt` keys, so its image's events
+//! section must be that payload byte for byte, and [`load_trace`] /
+//! [`trace_from_bytes`] must keep it, with the recorded records and
+//! stats; whether the keys tell the records' story is checked by
+//! `event_stream.rs`, over the saved files too. A streamed synthetic
+//! trace large enough that the reader releases mapped pages behind
+//! every pass must decode to what a recording of the same simulation
+//! holds. The CI `decode` job runs this suite twice, with and without
+//! `LIFEPRED_NO_MMAP=1`, so both the mapped and heap-fallback flavors
+//! of [`TraceMap`] are covered.
 
-use lifepred_trace::{
-    ChunkEvent, ChunkSource, EventChunk, Trace, TraceChunks, TraceSession, CHUNK_EVENTS,
-    POOLED_CHUNK_EVENTS,
-};
+use lifepred_trace::varint::write_varint;
+use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk, TraceSession, POOLED_CHUNK_EVENTS};
 use lifepred_tracefile::{load_trace, trace_from_bytes, trace_to_vec, MappedTrace, TraceMap};
 use lifepred_workloads::{all_workloads, record};
 use std::path::PathBuf;
-
-/// The event stream `trace` stands for, as a chunk source yields it.
-fn events_of(trace: &Trace) -> Vec<ChunkEvent> {
-    TraceChunks::new(trace).events().collect()
-}
-
-fn drain(mapped: &MappedTrace, chunk_capacity: usize) -> Vec<ChunkEvent> {
-    let mut source = mapped.events();
-    let mut chunk = EventChunk::with_capacity(chunk_capacity);
-    let mut events = Vec::new();
-    while source.next_chunk(&mut chunk).expect("chunk") {
-        assert!(chunk.len() <= chunk.target());
-        events.extend(chunk.events());
-    }
-    events
-}
 
 /// A per-test temp path: a real file, so `TraceMap::open` exercises
 /// the mmap syscall path (or its heap fallback under LIFEPRED_NO_MMAP).
@@ -42,47 +23,52 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lifepred-diff-{tag}-{}.lpt", std::process::id()))
 }
 
+/// One encoding from recording to file, on all twelve recordings (six
+/// programs, two inputs each).
 #[test]
-fn every_workload_decodes_to_what_was_recorded() {
+fn every_recording_is_saved_and_loaded_in_the_encoding_it_was_recorded_in() {
     for workload in all_workloads() {
-        let name = workload.name();
-        let trace = record(workload.as_ref(), 0, lifepred_trace::shared_registry());
-        let bytes = trace_to_vec(&trace).expect("encode");
-        let expected = events_of(&trace);
-        assert_eq!(expected.len() as u64, trace.end_seq(), "{name}");
+        for input in 0..workload.inputs().len() {
+            let trace = record(workload.as_ref(), input, lifepred_trace::shared_registry());
+            let name = format!("{}:{input}", workload.name());
+            let bytes = trace_to_vec(&trace).expect("encode");
+            // The events section comes last: its count and keys, then
+            // its CRC.
+            let mut section = Vec::new();
+            write_varint(&mut section, trace.end_seq());
+            section.extend_from_slice(trace.event_keys());
+            assert!(bytes[..bytes.len() - 4].ends_with(&section), "{name}");
 
-        let path = temp_path(name);
-        std::fs::write(&path, &bytes).expect("write temp trace");
-        for (flavor, mapped) in [
-            ("file", MappedTrace::open(&path).expect("open")),
-            (
-                "image",
-                MappedTrace::from_map(TraceMap::from_vec(bytes.clone())).expect("open"),
-            ),
-        ] {
-            for capacity in [3, CHUNK_EVENTS, POOLED_CHUNK_EVENTS] {
-                assert_eq!(
-                    drain(&mapped, capacity),
-                    expected,
-                    "{name}: {flavor} events at chunk capacity {capacity}"
-                );
+            let path = temp_path(&name.replace(':', "-"));
+            std::fs::write(&path, &bytes).expect("write temp trace");
+            for (flavor, mapped) in [
+                ("file", MappedTrace::open(&path).expect("open")),
+                (
+                    "image",
+                    MappedTrace::from_map(TraceMap::from_vec(bytes.clone())).expect("open"),
+                ),
+            ] {
+                let events = mapped.sections()[4];
+                assert_eq!(events.payload_bytes, section.len() as u64, "{name}");
+                let records: Vec<_> = mapped
+                    .records()
+                    .expect("records")
+                    .collect::<Result<_, _>>()
+                    .expect("decode");
+                assert_eq!(records, trace.records(), "{name}: {flavor} records");
             }
-            let records: Vec<_> = mapped
-                .records()
-                .expect("records")
-                .collect::<Result<_, _>>()
-                .expect("decode");
-            assert_eq!(records, trace.records(), "{name}: {flavor} records");
+            for loaded in [
+                load_trace(&path).expect("load"),
+                trace_from_bytes(&bytes).expect("decode"),
+            ] {
+                assert_eq!(loaded.event_keys(), trace.event_keys(), "{name}");
+                assert_eq!(loaded.end_seq(), trace.end_seq(), "{name}");
+                assert_eq!(loaded.records(), trace.records(), "{name}");
+                assert_eq!(loaded.stats(), trace.stats(), "{name}");
+                assert_eq!(loaded.name(), trace.name(), "{name}");
+            }
+            std::fs::remove_file(&path).ok();
         }
-        for loaded in [
-            load_trace(&path).expect("load"),
-            trace_from_bytes(&bytes).expect("decode"),
-        ] {
-            assert_eq!(loaded.records(), trace.records(), "{name}");
-            assert_eq!(loaded.stats(), trace.stats(), "{name}");
-            assert_eq!(loaded.name(), trace.name(), "{name}");
-        }
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -121,8 +107,8 @@ fn drain_equals(
 /// The streamed synthetic server file is never a [`Trace`] in memory,
 /// so its ground truth is the simulation's other face: the same
 /// [`SimConfig`](lifepred_workloads::server::sim::SimConfig) recorded
-/// into a [`TraceSession`], which shares no code with the file's
-/// writer or reader. Its records and events sections each span at
+/// into a [`TraceSession`], which shares only the key encoding with
+/// `gen`'s census pass and its writer. Its records and events sections each span at
 /// least three release windows, so every pass below reads pages the
 /// open's CRC pass released, and the second drain and the records walk
 /// re-fault pages the passes before them released.
@@ -149,7 +135,7 @@ fn a_streamed_synthetic_trace_file_decodes_to_its_recorded_events() {
         );
     }
     for capacity in [POOLED_CHUNK_EVENTS, 3] {
-        let drained = drain_equals(&mapped, capacity, TraceChunks::new(&recorded).events());
+        let drained = drain_equals(&mapped, capacity, recorded.events().into_iter());
         assert_eq!(drained, summary.events);
     }
     // Both faces intern the same call chains, each in its own order:

@@ -22,7 +22,7 @@ use lifepred::heap::frozen::{
 };
 use lifepred::heap::{replay, ArenaConfig, ReplayObs, ReplayPlan, ReplayReport};
 use lifepred::obs::{Registry, Snapshot};
-use lifepred::trace::{shared_registry, ChunkEvent, Trace, TraceChunks, TraceSource};
+use lifepred::trace::{shared_registry, ChunkEvent, Trace, TraceSource};
 use lifepred::workloads::{all_workloads, record};
 use lifepred_tracefile::{trace_to_vec, MappedTrace, TraceMap};
 
@@ -122,7 +122,7 @@ fn every_backend_replays_identically_watched_or_not() {
             let learner = learner.expect("an online replay has a learner");
             let mut extractor = SiteExtractor::from_chains(trace.chains(), sites);
             let mut oracle = scan_all::ScanAllReplay::new(epoch);
-            for event in TraceChunks::new(&trace).events() {
+            for event in trace.events() {
                 match event {
                     ChunkEvent::Alloc { record, size } => {
                         let site = extractor.site_of(&trace.records()[record]);
