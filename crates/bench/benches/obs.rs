@@ -1,6 +1,6 @@
 //! Overhead of the observability layer on the `simulate` pipeline:
 //! `simulate_file`, the function `lifepred simulate --predictor
-//! db.json` runs per trace (one `replay`: the records walk for each
+//! db.json` runs per trace (one `replay`: the chain column for each
 //! object's prediction, then events → arena replay), with vs without `--metrics-out` recording. Per-event
 //! metrics batch into plain local fields and publish once at end of
 //! stream, so the added per-event cost is two clock reads for the

@@ -12,7 +12,7 @@
 //!    any timing, so the speedup is measured between *provably
 //!    equivalent* implementations.
 //! 2. **simulate** — the end-to-end `lifepred simulate` pipeline
-//!    ([`simulate_file`]: one [`replay`] — records → one prediction per
+//!    ([`simulate_file`]: one [`replay`] — chain ids → one prediction per
 //!    object, events → chunked arena replay) over several copies of a trace, fanned out with
 //!    [`lifepred_bench::run_jobs`] at `--jobs` 1, 2 and 4. Speedup
 //!    here is bounded by the host's core count, which is recorded in
@@ -27,8 +27,8 @@
 //!    are its yardstick.
 //! 4. **arena** — where an arena replay's time goes: the 10⁶-event
 //!    `lifepred gen --seed 2` trace replayed through
-//!    [`ReplayPlan::Arena`] with its self-trained database (the records
-//!    walk for its predictions included), against
+//!    [`ReplayPlan::Arena`] with its self-trained database (the chain
+//!    column read for its predictions included), against
 //!    [`ReplayPlan::FirstFit`] over a copy that keeps only the objects
 //!    the database leaves unpredicted (re-recorded in birth order). The copy is what the arena allocator's general heap sees,
 //!    bar the arena overflows, so the time ratio bounds the general

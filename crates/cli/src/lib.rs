@@ -22,7 +22,7 @@ use lifepred_core::{
 };
 use lifepred_heap::{ArenaConfig, ReplayPlan, ReplayReport};
 use lifepred_obs::{Registry, Snapshot};
-use lifepred_trace::{shared_registry, AllocationRecord, TraceSource};
+use lifepred_trace::{shared_registry, AllocationRecord};
 use lifepred_tracefile::{save_trace, MappedTrace};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
@@ -173,8 +173,9 @@ const COMMANDS: &[Command] = &[
         opt("--functions", Optional, "list the function registry"),
         opt("--chains", Optional, "list the interned call chains"),
         opt("--verify", Optional,
-            "check all five section CRCs at open, then walk records and events in lockstep: \
-             every event must agree with its record, and the totals with the header"),
+            "check all six section CRCs at open, then walk the events and both columns: \
+             no free of a dead object, one chain id and touch entry per object, and the \
+             header's totals, max live bytes and objects and heap refs as the walk derives them"),
         opt("--sections", Optional, "list section framing and sizes (decodes no events)"),
         opt("--head <n>", Optional, "print the first n events (decodes only those)"),
     ], about: "print a trace's header in constant memory; each flag adds a view" },
@@ -646,8 +647,9 @@ fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         write_out(
             out,
             format!(
-                "\nverified: {} records, {} events, all checksums good, \
-                 events agree with records and header\n",
+                "\nverified: {} objects, {} events, all checksums good, no free of a dead \
+                 object, one chain id and touch entry per object; the header's totals, \
+                 max live bytes and objects and heap refs are the walk's\n",
                 mapped.record_count(),
                 mapped.end_seq()
             ),
@@ -673,10 +675,7 @@ fn cmd_train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let mut profile = Profile::new(&config, threshold);
     for &path in &args.positionals {
         let mapped = MappedTrace::open(path).map_err(|e| file_err(path, e))?;
-        profile = mapped
-            .record_source()
-            .and_then(|records| profile.absorb(records))
-            .map_err(|e| file_err(path, e))?;
+        profile = profile.absorb(&mapped).map_err(|e| file_err(path, e))?;
     }
     let db = train(
         &profile,

@@ -7,7 +7,7 @@ mod scan_all;
 
 use lifepred_core::{ShortLivedSet, SiteConfig, SiteExtractor};
 use lifepred_heap::{replay, ArenaConfig, ReplayPlan, ReplayReport, ReplayStreamError};
-use lifepred_trace::{shared_registry, ChunkEvent, Trace, POOLED_CHUNK_EVENTS};
+use lifepred_trace::{shared_registry, ChunkEvent, Trace, TraceSource, POOLED_CHUNK_EVENTS};
 use lifepred_tracefile::{load_trace, MappedTrace};
 use lifepred_workloads::{by_name, record};
 use std::path::PathBuf;
@@ -647,15 +647,17 @@ end clock/seq:   131 / 4
     } else {
         "heap"
     };
-    // 103 file bytes: the records and events lengths are the writer's
-    // five-byte padded varints (17 and 6 would fit one byte each).
+    // 106 file bytes: the chain ids, touches and events lengths are the
+    // writer's five-byte padded varints (4, 6 and 6 would fit one byte
+    // each).
     let sections = format!(
         "
-sections ({backing}, 103 file bytes):
+sections ({backing}, 106 file bytes):
   meta                 16 bytes
   functions            11 bytes             2 entries
   chains                7 bytes             3 entries
-  records              17 bytes             3 entries
+  chain ids             4 bytes             3 entries
+  touches               6 bytes             3 entries
   events                6 bytes             4 entries
 "
     );
@@ -677,8 +679,9 @@ events (first 3 of 4):
         ),
         (
             "--verify",
-            "\nverified: 3 records, 4 events, all checksums good, \
-             events agree with records and header\n",
+            "\nverified: 3 objects, 4 events, all checksums good, no free of a dead \
+             object, one chain id and touch entry per object; the header's totals, \
+             max live bytes and objects and heap refs are the walk's\n",
         ),
     ];
     for mask in 0..1u32 << blocks.len() {
@@ -705,7 +708,7 @@ fn inspect_reports_truncation_and_verifies_on_request() {
     let good = dir.path("good.lpt");
     run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
     let bytes = std::fs::read(&good).expect("read");
-    let records = records_payload(&bytes);
+    let records = section_payload(&bytes, CHAIN_IDS);
 
     let truncated = dir.path("truncated.lpt");
     for cut in [3, 7, records.start - 1, records.start + 5, bytes.len() - 1] {
@@ -730,18 +733,22 @@ fn inspect_reports_truncation_and_verifies_on_request() {
     );
     let err = run(&["inspect", &flipped, "--verify"]).expect_err("--verify pays for the CRCs");
     assert!(
-        err.contains("flipped.lpt: checksum mismatch in records section"),
+        err.contains("flipped.lpt: checksum mismatch in chain ids section"),
         "{err}"
     );
 }
 
-/// Byte range of the records section's payload in an `.lpt` image
-/// (its CRC is the four bytes after): 8 header bytes, then per section
-/// an id byte, a LEB128 payload length, the payload and a CRC.
-fn records_payload(bytes: &[u8]) -> std::ops::Range<usize> {
+/// The chain ids, touches and events sections' ids.
+const CHAIN_IDS: u8 = 4;
+const TOUCHES: u8 = 5;
+
+/// Byte range of section `id`'s payload in an `.lpt` image (its CRC is
+/// the four bytes after): 8 header bytes, then per section an id byte,
+/// a LEB128 payload length, the payload and a CRC.
+fn section_payload(bytes: &[u8], id: u8) -> std::ops::Range<usize> {
     let mut pos = 8;
-    for id in 1..=4 {
-        assert_eq!(bytes[pos], id);
+    for at in 1..=id {
+        assert_eq!(bytes[pos], at);
         pos += 1;
         let (mut len, mut shift) = (0usize, 0);
         loop {
@@ -753,7 +760,7 @@ fn records_payload(bytes: &[u8]) -> std::ops::Range<usize> {
                 break;
             }
         }
-        if id == 4 {
+        if at == id {
             return pos..pos + len;
         }
         pos += len + 4;
@@ -761,20 +768,67 @@ fn records_payload(bytes: &[u8]) -> std::ops::Range<usize> {
     unreachable!()
 }
 
+/// `bytes` with section `id`'s payload replaced by `payload`, framed
+/// with an honest length and CRC.
+fn with_section(bytes: &[u8], id: u8, payload: &[u8]) -> Vec<u8> {
+    let old = section_payload(bytes, id);
+    // The length varint ends where the payload starts.
+    let mut len_at = old.start - 1;
+    while bytes[len_at - 1] & 0x80 != 0 {
+        len_at -= 1;
+    }
+    let mut out = bytes[..len_at].to_vec();
+    let mut len = payload.len();
+    while len >= 0x80 {
+        out.push(len as u8 | 0x80);
+        len >>= 7;
+    }
+    out.push(len as u8);
+    out.extend_from_slice(payload);
+    let mut crc = lifepred_tracefile::Crc32::new();
+    crc.update(payload);
+    out.extend_from_slice(&crc.finish().to_le_bytes());
+    out.extend_from_slice(&bytes[old.end + 4..]);
+    out
+}
+
+/// Every LEB128 varint of `payload`.
+fn varints_of(payload: &[u8]) -> Vec<u64> {
+    let (mut out, mut value, mut shift) = (Vec::new(), 0u64, 0);
+    for &b in payload {
+        value |= u64::from(b & 0x7f) << shift;
+        shift += 7;
+        if b & 0x80 == 0 {
+            out.push(value);
+            (value, shift) = (0, 0);
+        }
+    }
+    out
+}
+
+/// `values` as LEB128 varints.
+fn varints(values: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &v in values {
+        lifepred_trace::varint::write_varint(&mut out, v);
+    }
+    out
+}
+
 /// `train` profiles each file straight off its mapping, so a damaged
-/// records section is found by `MappedTrace::open` or, where the CRC
-/// still matches, by the records stream itself — not by `load_trace`.
+/// chain ids section is found by `MappedTrace::open` or, where the CRC
+/// still matches, by the profile's walk itself — not by `load_trace`.
 /// Either way it must be reported as `path: reason` with exit code 1,
 /// for the second file of `train a.lpt b.lpt` too, and `-o` must not
 /// appear, not even partially.
 #[test]
-fn train_on_a_damaged_records_section_names_the_file_and_writes_nothing() {
+fn train_on_a_damaged_chain_ids_section_names_the_file_and_writes_nothing() {
     use std::process::Command;
     let dir = Scratch::new("train-hostile");
     let good = dir.path("good.lpt");
     run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
     let bytes = std::fs::read(&good).expect("read");
-    let records = records_payload(&bytes);
+    let records = section_payload(&bytes, CHAIN_IDS);
     let mid = records.start + records.len() / 2;
 
     let flipped = dir.path("flipped.lpt");
@@ -785,8 +839,8 @@ fn train_on_a_damaged_records_section_names_the_file_and_writes_nothing() {
     let truncated = dir.path("truncated.lpt");
     std::fs::write(&truncated, &bytes[..mid]).expect("write");
 
-    // One record more promised than present, under a matching CRC:
-    // the file opens, and the stream fails after the last real record.
+    // One entry more promised than present, under a matching CRC: the
+    // file opens, and the column fails after its last real entry.
     let recounted = dir.path("recounted.lpt");
     let mut damaged = bytes.clone();
     assert_ne!(damaged[records.start] & 0x7f, 0x7f, "count + 1 carries");
@@ -821,10 +875,10 @@ fn train_on_a_damaged_records_section_names_the_file_and_writes_nothing() {
     assert!(std::path::Path::new(&pred).exists());
 }
 
-/// Writes a CRC-valid trace of `records` 8-byte records (record `i`
-/// born at clock `8 i`, dead 8 bytes later) whose events allocate and
-/// free two objects: alloc, free 0, alloc, free 1.
-fn write_two_allocation_trace(path: &str, records: u64) {
+/// Writes a CRC-valid trace whose events allocate and free two 8-byte
+/// objects (alloc, free 0, alloc, free 1), with `objects` entries in
+/// each column.
+fn write_two_allocation_trace(path: &str, objects: u64) {
     use lifepred_tracefile::{StreamMeta, StreamTraceWriter};
     let mut registry = lifepred_trace::FunctionRegistry::new();
     let main = registry.intern("main");
@@ -834,7 +888,7 @@ fn write_two_allocation_trace(path: &str, records: u64) {
         name: "short",
         stats: lifepred_trace::TraceStats {
             total_bytes: 16,
-            total_objects: records,
+            total_objects: 2,
             max_live_bytes: 8,
             max_live_objects: 1,
             ..Default::default()
@@ -842,20 +896,15 @@ fn write_two_allocation_trace(path: &str, records: u64) {
     };
     let file = std::fs::File::create(path).expect("create");
     let mut w = StreamTraceWriter::new(file, &meta, &registry, &chains).expect("writer");
-    w.begin_records(records).expect("records");
-    for i in 0..records {
-        w.write_record(&lifepred_trace::AllocationRecord {
-            size: 8,
-            chain,
-            birth_clock: 8 * i,
-            death_clock: Some(8 * i + 8),
-            refs: 0,
-            first_ref_clock: None,
-            last_ref_clock: None,
-        })
-        .expect("record");
+    w.begin_chain_ids(objects).expect("chain ids");
+    for _ in 0..objects {
+        w.write_chain_id(chain).expect("chain id");
     }
-    w.end_records().expect("records end");
+    w.begin_touches(objects).expect("touches");
+    for _ in 0..objects {
+        w.write_touch(lifepred_trace::Touch::default())
+            .expect("touch");
+    }
     w.begin_events(4).expect("events");
     for (i, event) in [Some(8), None, Some(8), None].into_iter().enumerate() {
         match event {
@@ -864,18 +913,17 @@ fn write_two_allocation_trace(path: &str, records: u64) {
         }
         .expect("event");
     }
-    w.end_events().expect("events end");
     w.finish().expect("finish");
 }
 
 /// A CRC-valid trace whose events allocate one object more than its
-/// records section holds: the predicting replays find the allocation
-/// with no record behind it and refuse the file; `simulate` names it
-/// and exits 1.
+/// chain column holds: the predicting replays find the allocation with
+/// no chain id behind it and refuse the file; `simulate` names it and
+/// exits 1.
 #[test]
-fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
+fn an_allocation_past_the_last_chain_id_is_corrupt_not_a_panic() {
     use std::process::Command;
-    let dir = Scratch::new("past-records");
+    let dir = Scratch::new("past-chain-ids");
     let short = dir.path("short.lpt");
     write_two_allocation_trace(&short, 1);
 
@@ -908,26 +956,39 @@ fn an_allocation_past_the_last_record_is_corrupt_not_a_panic() {
         assert!(err.contains("invalid event stream"), "{err}");
         assert!(!err.contains("panicked"), "{err}");
     }
+    refused_by_the_walk(
+        &short,
+        "malformed chain ids section: event 2 allocates object 1, past the last entry",
+    );
 }
 
 /// Writes `trace` through `StreamTraceWriter`, so every checksum is
-/// valid, with the size of its `n`th allocation event (record size
-/// `size`) replaced by `resize(n, size)`.
-fn write_resized(path: &str, trace: &Trace, resize: impl Fn(usize, u32) -> u32) {
+/// valid, with the header `stats` and the size of its `n`th allocation
+/// event replaced by `resize(n, size)`.
+fn write_resized(
+    path: &str,
+    trace: &Trace,
+    stats: lifepred_trace::TraceStats,
+    resize: impl Fn(usize, u32) -> u32,
+) {
     use lifepred_tracefile::{StreamMeta, StreamTraceWriter};
     let meta = StreamMeta {
         name: trace.name(),
-        stats: *trace.stats(),
+        stats,
     };
     let file = std::fs::File::create(path).expect("create");
     let mut w =
         StreamTraceWriter::new(file, &meta, trace.registry(), trace.chains()).expect("writer");
-    w.begin_records(trace.records().len() as u64)
-        .expect("records");
+    let objects = trace.records().len() as u64;
+    w.begin_chain_ids(objects).expect("chain ids");
     for r in trace.records() {
-        w.write_record(r).expect("record");
+        w.write_chain_id(r.chain).expect("chain id");
     }
-    w.end_records().expect("records end");
+    w.begin_touches(objects).expect("touches");
+    for r in trace.records() {
+        let touch = lifepred_trace::Touch::of(r).expect("a recorded touch");
+        w.write_touch(touch).expect("touch");
+    }
     w.begin_events(trace.end_seq()).expect("events");
     let mut allocs = 0;
     for e in trace.events() {
@@ -940,16 +1001,15 @@ fn write_resized(path: &str, trace: &Trace, resize: impl Fn(usize, u32) -> u32) 
         }
         .expect("event");
     }
-    w.end_events().expect("events end");
     w.finish().expect("finish");
 }
 
 /// Checks that `inspect <path> --verify` exits 1 and that `load_trace`
-/// returns a typed error, both with the lockstep walk's message, which
-/// must start with `want`.
+/// returns a typed error, both with the walk's message, which must
+/// start with `want`.
 fn refused_by_the_walk(path: &str, want: &str) {
     use lifepred_tracefile::TraceFileError;
-    let err = load_trace(path).expect_err("a trace whose sections disagree");
+    let err = load_trace(path).expect_err("a trace that is not one story");
     assert!(
         matches!(err, TraceFileError::Malformed { .. }),
         "{path}: {err}"
@@ -964,13 +1024,12 @@ fn refused_by_the_walk(path: &str, want: &str) {
     assert!(err.to_string().starts_with(want), "{path}: {err}");
 }
 
-/// CRC-valid traces whose allocation events disagree with their records
-/// in size: every second one says 50x its record's size, or one says
-/// `u32::MAX` bytes. No checksum sees it, but then the events allocate
-/// more bytes than the header's total, so every replay refuses the file
-/// at end of stream and `simulate` exits 1 instead of printing wrong
-/// `bytes:` lines. `inspect --verify` and `load_trace` refuse it at the
-/// first allocation that disagrees with its record.
+/// CRC-valid traces whose allocation events are resized: every second
+/// one 50x, or one to `u32::MAX` bytes. No checksum sees it, but then
+/// the events allocate more bytes than the header's total, so every
+/// replay refuses the file at end of stream and `simulate` exits 1
+/// instead of printing wrong `bytes:` lines. `inspect --verify` and
+/// `load_trace` refuse it by the same total.
 #[test]
 fn events_that_disagree_with_the_header_totals_are_corrupt() {
     use std::process::Command;
@@ -978,7 +1037,8 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
     let cfrac = by_name("cfrac").expect("workload");
     let trace = record(cfrac.as_ref(), 0, shared_registry());
     let inflated = dir.path("inflated.lpt");
-    write_resized(&inflated, &trace, |n, size| match n % 2 {
+    let stats = *trace.stats();
+    write_resized(&inflated, &trace, stats, |n, size| match n % 2 {
         1 => 50 * size,
         _ => size,
     });
@@ -986,7 +1046,14 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
     write_resized(
         &huge,
         &trace,
-        |n, size| if n == 7 { u32::MAX } else { size },
+        stats,
+        |n, size| {
+            if n == 7 {
+                u32::MAX
+            } else {
+                size
+            }
+        },
     );
 
     let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
@@ -1002,15 +1069,9 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
         ReplayPlan::Arena { db: &db, arena },
         online,
     ];
-    let size_of = |object: usize| trace.records()[object].size;
-    for (path, object, said) in [(&inflated, 1, 50 * size_of(1)), (&huge, 7, u32::MAX)] {
-        let event = (trace.events().into_iter())
-            .position(|e| matches!(e, ChunkEvent::Alloc { record, .. } if record == object))
-            .expect("the object is allocated");
-        let want = format!(
-            "malformed events section: event {event} allocates object {object}: {said} bytes"
-        );
-        refused_by_the_walk(path, &want);
+    for path in [&inflated, &huge] {
+        let want = "malformed meta section: the walk gives total bytes ";
+        refused_by_the_walk(path, want);
         let mapped = MappedTrace::open(path).expect("the file passes its checksums");
         for plan in &plans {
             let result = replay(&mapped, plan, None);
@@ -1033,17 +1094,78 @@ fn events_that_disagree_with_the_header_totals_are_corrupt() {
     }
 }
 
-/// A CRC-valid trace whose first allocation event swaps sizes with the
-/// first one of another size: the header totals still hold, so only a
-/// reader that reads each allocation's record beside its event can
-/// tell. Both predicting plans do, and refuse the file with the object,
-/// and `simulate --predictor online` exits 1. First-fit and BSD read no
-/// records and replay it: `inspect --verify` is the way to check such a
-/// file before a non-predicting replay, and it refuses it, as does
-/// `load_trace`.
+/// What an independent reader makes of a file's sections, object by
+/// object: each allocation's size from its event key, its birth from
+/// the sizes before it, its death from its free, its chain and touch
+/// from the columns' entries in birth order.
+fn rebuilt(mapped: &MappedTrace) -> Vec<lifepred_trace::AllocationRecord> {
+    use lifepred_trace::{AllocationRecord, ChunkSource, EventChunk};
+    let chain_ids: Vec<_> = (mapped.chain_ids().expect("chain ids"))
+        .collect::<Result<_, _>>()
+        .expect("chain ids decode");
+    let touches: Vec<_> = (mapped.touches().expect("touches"))
+        .collect::<Result<_, _>>()
+        .expect("touches decode");
+    let (mut records, mut clock) = (Vec::<AllocationRecord>::new(), 0u64);
+    let (mut events, mut chunk) = (mapped.events(), EventChunk::new());
+    while events.next_chunk(&mut chunk).expect("events decode") {
+        for event in chunk.events() {
+            match event {
+                ChunkEvent::Alloc { record, size } => {
+                    let touch = touches[record];
+                    let first = clock + touch.first;
+                    let touched = touch.refs > 0;
+                    records.push(AllocationRecord {
+                        size,
+                        chain: chain_ids[record],
+                        birth_clock: clock,
+                        death_clock: None,
+                        refs: touch.refs,
+                        first_ref_clock: touched.then_some(first),
+                        last_ref_clock: touched.then_some(first + touch.span),
+                    });
+                    clock += u64::from(size);
+                }
+                ChunkEvent::Free { record } => records[record].death_clock = Some(clock),
+            }
+        }
+    }
+    records
+}
+
+/// Each fact is stored once: an object's size and death are its event
+/// keys', and its chain and touch clocks are one column entry each, so
+/// the sections of a recorded file rebuild the session's records
+/// exactly, read object by object beside the events, and `load_trace`
+/// rebuilds the same.
 #[test]
-fn events_that_disagree_with_their_records_in_size_are_corrupt() {
-    use std::process::Command;
+fn every_fact_is_stored_once_and_rebuilt_from_the_events() {
+    let dir = Scratch::new("stored-once");
+    let path = dir.path("cfrac.lpt");
+    let cfrac = by_name("cfrac").expect("workload");
+    let trace = record(cfrac.as_ref(), 0, shared_registry());
+    lifepred_tracefile::save_trace(&path, &trace).expect("save");
+    let mapped = MappedTrace::open(&path).expect("open");
+    assert!(trace.records().iter().any(|r| r.refs > 0), "cfrac touches");
+    assert_eq!(rebuilt(&mapped), trace.records());
+    let loaded = load_trace(&path).expect("load");
+    assert_eq!(loaded.records(), trace.records());
+    let objects = Some(trace.records().len() as u64);
+    let sections = mapped.sections();
+    assert_eq!(
+        (sections[3].entries, sections[4].entries),
+        (objects, objects)
+    );
+}
+
+/// A CRC-valid trace whose first allocation event swaps sizes with the
+/// first one of another size, its header's maxima recomputed. Each
+/// size is stored once, so this is another trace, not a disagreement:
+/// `inspect --verify` and `load_trace` accept it, every replay reads the
+/// swapped sizes — the predicting ones keyed by them too — and all four
+/// return what they return for the loaded trace.
+#[test]
+fn a_size_swap_is_another_trace_that_every_reader_reads_alike() {
     let dir = Scratch::new("size-swap");
     let cfrac = by_name("cfrac").expect("workload");
     let trace = record(cfrac.as_ref(), 0, shared_registry());
@@ -1051,88 +1173,33 @@ fn events_that_disagree_with_their_records_in_size_are_corrupt() {
     let other = (sizes.iter())
         .position(|&size| size != sizes[0])
         .expect("cfrac allocates more than one size");
-    let swapped = dir.path("swapped.lpt");
-    write_resized(&swapped, &trace, |n, size| match n {
+    let swap = |n: usize, size: u32| match n {
         0 => sizes[other],
         n if n == other => sizes[0],
         _ => size,
-    });
-
-    let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
-    let arena = ArenaConfig::default();
-    let online = ReplayPlan::ArenaOnline {
-        sites: SiteConfig::default(),
-        epoch: lifepred_adaptive::EpochConfig::default(),
-        arena,
     };
-    let mapped = MappedTrace::open(&swapped).expect("the file passes its checksums");
-    let detail = format!(
-        "object 0: the event allocates {} bytes, its record says {}",
-        sizes[other], sizes[0]
-    );
-    for plan in [ReplayPlan::Arena { db: &db, arena }, online] {
-        match replay(&mapped, &plan, None) {
-            Err(ReplayStreamError::Corrupt(got)) => assert_eq!(got, detail, "{plan:?}"),
-            other => panic!("{plan:?}: {other:?}"),
+    // The swapped trace's live maxima, by a walk of its own.
+    let mut stats = *trace.stats();
+    let (mut live_bytes, mut max) = (0u64, 0u64);
+    for event in trace.events() {
+        match event {
+            ChunkEvent::Alloc { record, size } => {
+                live_bytes += u64::from(swap(record, size));
+                max = max.max(live_bytes);
+            }
+            ChunkEvent::Free { record } => live_bytes -= u64::from(swap(record, sizes[record])),
         }
     }
-    for plan in [ReplayPlan::FirstFit, ReplayPlan::Bsd] {
-        assert!(replay(&mapped, &plan, None).is_ok(), "{plan:?}");
-    }
-    let out = Command::new(env!("CARGO_BIN_EXE_lifepred"))
-        .args(["simulate", &swapped, "--predictor", "online"])
-        .output()
-        .expect("spawn lifepred");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    let expected = format!("lifepred: {swapped}: invalid event stream: {detail}");
-    assert!(err.starts_with(&expected), "{err}");
-    let want = format!(
-        "malformed events section: event 0 allocates object 0: {} bytes, its record says {}",
-        sizes[other], sizes[0]
-    );
-    refused_by_the_walk(&swapped, &want);
-}
+    stats.max_live_bytes = max;
+    let swapped = dir.path("swapped.lpt");
+    write_resized(&swapped, &trace, stats, swap);
 
-/// A CRC-valid trace whose first record's lifetime code is one more
-/// than recorded: object 0 is then promised a death one byte later than
-/// the event that frees it. Sizes, sites and totals all hold and no
-/// replay reads a death clock, so all four replay it and return what
-/// they return for the recorded file; `inspect --verify` and
-/// `load_trace` refuse it at the free.
-#[test]
-fn records_whose_lifetimes_are_off_by_one_are_corrupt() {
-    let dir = Scratch::new("lifetime-shift");
-    let good = dir.path("good.lpt");
-    run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
-    let mut bytes = std::fs::read(&good).expect("read");
-    let records = records_payload(&bytes);
-    // Skip the count and record 0's size and chain: the next varint is
-    // its lifetime code.
-    let mut pos = records.start;
-    for _ in 0..3 {
-        while bytes[pos] & 0x80 != 0 {
-            pos += 1;
-        }
-        pos += 1;
-    }
-    // Its first byte holds the code's lowest seven bits, so adding 1
-    // to it adds 1 to the code while they do not carry.
-    let low = bytes[pos];
-    assert!(low != 0, "record 0 is mortal");
-    assert!(low & 0x7f != 0x7f, "the increment does not carry");
-    bytes[pos] = low + 1;
-    let mut crc = lifepred_tracefile::Crc32::new();
-    crc.update(&bytes[records.clone()]);
-    bytes[records.end..records.end + 4].copy_from_slice(&crc.finish().to_le_bytes());
-    let shifted = dir.path("shifted.lpt");
-    std::fs::write(&shifted, &bytes).expect("write");
-
-    let (recorded, mapped) = (
-        MappedTrace::open(&good).expect("open"),
-        MappedTrace::open(&shifted),
-    );
-    let mapped = mapped.expect("the file passes its checksums");
+    run(&["inspect", &swapped, "--verify"]).expect("one story");
+    let loaded = load_trace(&swapped).expect("load");
+    let mapped = MappedTrace::open(&swapped).expect("open");
+    assert_eq!(rebuilt(&mapped), loaded.records());
+    assert_eq!(loaded.records()[0].size, sizes[other]);
+    assert_eq!(loaded.records()[other].size, sizes[0]);
     let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
     let arena = ArenaConfig::default();
     let online = ReplayPlan::ArenaOnline {
@@ -1147,52 +1214,106 @@ fn records_whose_lifetimes_are_off_by_one_are_corrupt() {
         online,
     ];
     for plan in &plans {
-        let want = replay(&recorded, plan, None).expect("the recorded file replays");
-        assert_eq!(
-            replay(&mapped, plan, None).expect("replays"),
-            want,
-            "{plan:?}"
-        );
+        let from_file = replay(&mapped, plan, None).expect("the file replays");
+        let in_memory = replay(&loaded, plan, None).expect("the loaded trace replays");
+        assert_eq!(from_file, in_memory, "{plan:?}");
     }
-    let record = mapped.records().expect("records").next().expect("a record");
-    let death = record
-        .expect("record 0 decodes")
-        .death_clock
-        .expect("mortal");
-    let loaded = load_trace(&good).expect("load");
-    let free = (loaded.events().into_iter())
-        .position(|e| e == ChunkEvent::Free { record: 0 })
-        .expect("object 0 is freed");
-    let want = format!(
-        "malformed events section: event {free} frees object 0 at clock {}, \
-         its record says it dies at clock {death}",
-        death - 1
-    );
-    refused_by_the_walk(&shifted, &want);
 }
 
-/// The predicting replays read each allocation's record as the events
-/// reach it, so a records section that fails partway fails the replay
-/// there: with the source's error, not a panic and not `Corrupt`.
+/// What a v5 file can still get wrong that no checksum sees: a column
+/// with an entry more or fewer than the allocations, a chain id past the
+/// chain table, touch clocks past the byte clock's range. `inspect
+/// --verify` and `load_trace` refuse each.
 #[test]
-fn a_records_section_failing_partway_fails_the_replay_with_its_error() {
-    let dir = Scratch::new("records-partway");
+fn columns_that_do_not_fit_the_events_are_refused_by_the_walk() {
+    let dir = Scratch::new("columns");
+    let good = dir.path("good.lpt");
+    run(&["record", "--workload", "cfrac", "-o", &good]).expect("record");
+    let bytes = std::fs::read(&good).expect("read");
+    let mapped = MappedTrace::open(&good).expect("open");
+    let (objects, table) = (mapped.record_count(), mapped.chain_table().len() as u64);
+    let column = |id| varints_of(&bytes[section_payload(&bytes, id)]);
+    let (chain_ids, touches) = (column(CHAIN_IDS), column(TOUCHES));
+    assert_eq!(chain_ids[0], objects);
+    // One more entry, or one fewer (object 0's, `entry_len` varints),
+    // with the count to match.
+    let longer = |values: &[u64], entry: &[u64]| [&[values[0] + 1], &values[1..], entry].concat();
+    let shorter =
+        |values: &[u64], entry_len: usize| [&[values[0] - 1], &values[1 + entry_len..]].concat();
+    // Object 0 is touched: its touch entry is three varints.
+    assert!(touches[1] > 0, "object 0 is touched");
+    // The last object's allocation finds no entry when one is dropped.
+    let last_object = objects as usize - 1;
+    let loaded = load_trace(&good).expect("load");
+    let event = (loaded.events().into_iter())
+        .position(|e| matches!(e, ChunkEvent::Alloc { record, .. } if record == last_object))
+        .expect("the last object is allocated");
+    let last = format!("event {event} allocates object {last_object}, past the last entry");
+    let mut out_of_range = chain_ids.clone();
+    out_of_range[1] = table;
+    // Object 0's first reference lands past the byte clock's range.
+    let mut overflowing = touches.clone();
+    (overflowing[2], overflowing[3]) = (u64::MAX, 1);
+    let cases = [
+        (
+            CHAIN_IDS,
+            longer(&chain_ids, &[0]),
+            format!("malformed chain ids section: more entries than the {objects} allocations"),
+        ),
+        (
+            CHAIN_IDS,
+            shorter(&chain_ids, 1),
+            format!("malformed chain ids section: {last}"),
+        ),
+        (
+            TOUCHES,
+            longer(&touches, &[0]),
+            format!("malformed touches section: more entries than the {objects} allocations"),
+        ),
+        (
+            TOUCHES,
+            shorter(&touches, 3),
+            format!("malformed touches section: {last}"),
+        ),
+        (
+            CHAIN_IDS,
+            out_of_range,
+            format!(
+                "malformed chain ids section: object 0 references chain {table}, table has {table}"
+            ),
+        ),
+        (
+            TOUCHES,
+            overflowing,
+            "malformed touches section: object 0's clocks overflow".to_owned(),
+        ),
+    ];
+    let path = dir.path("damaged.lpt");
+    for (id, values, want) in cases {
+        std::fs::write(&path, with_section(&bytes, id, &varints(&values))).expect("write");
+        MappedTrace::open(&path).expect("the file passes its checksums");
+        refused_by_the_walk(&path, &want);
+    }
+}
+
+/// The predicting replays read each allocation's chain id as the events
+/// reach it, so a chain column failing partway fails the replay there:
+/// with the source's error, not a panic and not `Corrupt`.
+#[test]
+fn a_chain_column_failing_partway_fails_the_replay_with_its_error() {
+    let dir = Scratch::new("chain-ids-partway");
     let path = dir.path("two.lpt");
     write_two_allocation_trace(&path, 2);
-    let mut bytes = std::fs::read(&path).expect("read");
-    let records = records_payload(&bytes);
-    // The last byte of record 1 now continues a varint past the end of
-    // the payload; the CRC is recomputed to match.
-    bytes[records.end - 1] |= 0x80;
-    let mut crc = lifepred_tracefile::Crc32::new();
-    crc.update(&bytes[records.clone()]);
-    bytes[records.end..records.end + 4].copy_from_slice(&crc.finish().to_le_bytes());
-    std::fs::write(&path, &bytes).expect("write");
+    let bytes = std::fs::read(&path).expect("read");
+    // The last entry now continues a varint past the end of the payload.
+    let mut payload = bytes[section_payload(&bytes, CHAIN_IDS)].to_vec();
+    *payload.last_mut().expect("an entry") |= 0x80;
+    std::fs::write(&path, with_section(&bytes, CHAIN_IDS, &payload)).expect("write");
 
     let mapped = MappedTrace::open_unverified(&path).expect("framing and header are intact");
-    let mut walk = mapped.records().expect("the records CRC matches");
-    assert!(matches!(walk.next(), Some(Ok(_))), "record 0 decodes");
-    assert!(matches!(walk.next(), Some(Err(_))), "record 1 does not");
+    let mut chain_ids = mapped.chain_ids().expect("the chain ids CRC matches");
+    assert!(matches!(chain_ids.next(), Some(Ok(_))), "entry 0 decodes");
+    assert!(matches!(chain_ids.next(), Some(Err(_))), "entry 1 does not");
     let db = ShortLivedSet::empty(SiteConfig::default(), 32 * 1024);
     let arena = ArenaConfig::default();
     let online = ReplayPlan::ArenaOnline {
@@ -1203,9 +1324,9 @@ fn a_records_section_failing_partway_fails_the_replay_with_its_error() {
     for plan in [ReplayPlan::Arena { db: &db, arena }, online] {
         match replay(&mapped, &plan, None) {
             Err(ReplayStreamError::Source(e)) => {
-                assert!(e.to_string().contains("records"), "{plan:?}: {e}")
+                assert!(e.to_string().contains("chain ids"), "{plan:?}: {e}")
             }
-            other => panic!("{plan:?}: expected the records' error, got {other:?}"),
+            other => panic!("{plan:?}: expected the column's error, got {other:?}"),
         }
     }
 }

@@ -2,12 +2,11 @@
 
 use crate::pct;
 use crate::site::{SiteConfig, SiteExtractor, SiteId, SiteKey};
-use lifepred_trace::{AllocationRecord, RecordSource, Trace};
-use std::borrow::Borrow;
+use lifepred_trace::{walk, AllocationRecord, Live, Trace, TraceSource, Visit};
 use std::collections::HashMap;
 
 /// Lifetime statistics accumulated for one allocation site: sums and
-/// a maximum, so the order records arrive in cannot change them.
+/// a maximum, so the order objects arrive in cannot change them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Objects allocated at this site.
@@ -93,7 +92,7 @@ impl Profile {
     ) -> Profile {
         let mut profile = Profile::new(config, threshold);
         for trace in traces {
-            profile = profile.absorb(trace.into()).unwrap_or_else(|e| match e {});
+            profile = profile.absorb(trace).unwrap_or_else(|e| match e {});
         }
         assert!(profile.traces > 0, "build_many needs at least one trace");
         profile
@@ -110,47 +109,32 @@ impl Profile {
         }
     }
 
-    /// Accumulates one trace's records. A site an earlier trace already
-    /// reached continues its statistics (site *keys* cross traces; the
-    /// walk's dense ids do not). The program name becomes the absorbed
-    /// names joined with `+`.
+    /// Accumulates one trace in one [`walk`]: each object is counted at
+    /// its birth, and its lifetime at its free or, if never freed, the
+    /// end clock. A site an earlier trace reached continues its
+    /// statistics (site *keys* cross traces; dense ids do not). The
+    /// program name becomes the absorbed names joined with `+`.
     ///
     /// # Errors
     ///
-    /// The first error `source.records` yields; the half-updated
-    /// profile is dropped with it.
-    pub fn absorb<R: Borrow<AllocationRecord>, E>(
-        mut self,
-        source: RecordSource<'_, impl Iterator<Item = Result<R, E>>>,
-    ) -> Result<Profile, E> {
+    /// The first error the walk reports; the half-updated profile is
+    /// dropped with it.
+    pub fn absorb<T: TraceSource>(mut self, source: &T) -> Result<Profile, T::Error> {
         if self.traces > 0 {
             self.program.push('+');
         }
-        self.program.push_str(source.name);
+        self.program.push_str(source.name());
         self.traces += 1;
-        let mut extractor = SiteExtractor::from_chains(source.chains, self.config);
-        let mut table: Vec<SiteStats> = Vec::new();
-        for record in source.records {
-            let record = record?;
-            let record = record.borrow();
-            let id = extractor.site_id(record);
-            if id.0 as usize == table.len() {
-                let key = extractor.key(id);
-                table.push(self.sites.remove(&key).unwrap_or_default());
-            }
-            let stats = &mut table[id.0 as usize];
-            let lifetime = record.lifetime(source.end_clock);
-            let size = u64::from(record.size);
-            stats.objects += 1;
-            stats.bytes += size;
-            stats.max_lifetime = stats.max_lifetime.max(lifetime);
-            stats.refs += record.refs;
-            if lifetime < self.threshold {
-                stats.short_bytes += size;
-            }
-        }
-        let keys = (0..).map(|id| extractor.key(SiteId(id)));
-        self.sites.extend(keys.zip(table));
+        let mut sites = Sites {
+            extractor: SiteExtractor::from_chains(source.chains(), self.config),
+            table: Vec::new(),
+            merged: std::mem::take(&mut self.sites),
+            threshold: self.threshold,
+            end_clock: source.stats().total_bytes,
+        };
+        walk(source, &mut sites)?;
+        let keys = (0..).map(|id| sites.extractor.key(SiteId(id)));
+        self.sites = keys.zip(sites.table).chain(sites.merged).collect();
         Ok(self)
     }
 
@@ -194,6 +178,44 @@ impl Profile {
     pub fn actual_short_bytes_pct(&self) -> f64 {
         let short = self.sites.values().map(|s| s.short_bytes).sum();
         pct(short, self.total_bytes())
+    }
+}
+
+/// [`Profile::absorb`]'s walk: statistics per dense site id, each
+/// object's live entry tagged with its site. A site met again is taken
+/// out of the profile's sites so far, `merged`.
+struct Sites<'t> {
+    extractor: SiteExtractor<'t>,
+    table: Vec<SiteStats>,
+    merged: HashMap<SiteKey, SiteStats>,
+    threshold: u64,
+    end_clock: u64,
+}
+
+impl Visit for Sites<'_> {
+    fn born(&mut self, _record: usize, r: &AllocationRecord) -> u32 {
+        let id = self.extractor.site_id(r);
+        if id.0 as usize == self.table.len() {
+            let key = self.extractor.key(id);
+            self.table
+                .push(self.merged.remove(&key).unwrap_or_default());
+        }
+        let stats = &mut self.table[id.0 as usize];
+        stats.objects += 1;
+        stats.bytes += u64::from(r.size);
+        stats.refs += r.refs;
+        id.0
+    }
+
+    fn died(&mut self, _record: usize, obj: Live, death: Option<u64>) {
+        let stats = &mut self.table[obj.tag as usize];
+        let lifetime = death
+            .unwrap_or(self.end_clock)
+            .saturating_sub(obj.birth_clock);
+        stats.max_lifetime = stats.max_lifetime.max(lifetime);
+        if lifetime < self.threshold {
+            stats.short_bytes += u64::from(obj.size);
+        }
     }
 }
 

@@ -102,13 +102,15 @@ impl SiteConfig {
         }
     }
 
-    /// Applies this configuration's size rounding.
+    /// Applies this configuration's size rounding. A size within one
+    /// granule of `u32::MAX` has no rounded size in range and keeps
+    /// `u32::MAX`.
     pub(crate) fn round_size(&self, size: u32) -> u32 {
         if self.size_rounding <= 1 {
             return size;
         }
         let r = self.size_rounding;
-        size.div_ceil(r) * r
+        size.div_ceil(r).saturating_mul(r)
     }
 }
 
@@ -266,12 +268,18 @@ impl<'t> SiteExtractor<'t> {
     /// The site of one allocation record. A site not seen before gets
     /// the next id, so a table indexed by id grows by pushing.
     pub fn site_id(&mut self, record: &AllocationRecord) -> SiteId {
-        let size = self.config.round_size(record.size);
-        let chain = record.chain.index() as usize;
+        self.site_at(record.chain, record.size)
+    }
+
+    /// The site of an allocation of `size` bytes at chain `id`, as
+    /// [`site_id`](Self::site_id) numbers it.
+    pub fn site_at(&mut self, id: ChainId, size: u32) -> SiteId {
+        let size = self.config.round_size(size);
+        let chain = id.index() as usize;
         if let Some((_, id)) = self.latest[chain].filter(|&(latest, _)| latest == size) {
             return id;
         }
-        let site = (self.template(record.chain), size);
+        let site = (self.template(id), size);
         let key = u64::from(site.0) << 32 | u64::from(size);
         let id = *self.ids.entry(key).or_insert_with(|| {
             self.sites.push(site);
@@ -366,6 +374,9 @@ mod tests {
         assert_eq!(cfg.round_size(8), 8);
         assert_eq!(cfg.round_size(1), 4);
         assert_eq!(cfg.round_size(0), 0);
+        // An event may say any u32 size; none rounds past the range.
+        assert_eq!(cfg.round_size(u32::MAX - 4), u32::MAX - 3);
+        assert_eq!(cfg.round_size(u32::MAX), u32::MAX);
         let none = SiteConfig {
             size_rounding: 1,
             ..cfg

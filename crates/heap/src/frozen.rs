@@ -94,7 +94,8 @@ pub fn replay_arena_online(
 /// `db`'s verdict for each record of `trace`, in birth order, asking
 /// `db` once per site; `layers.rs:491`.
 pub fn prediction_bitmap(trace: &Trace, db: &ShortLivedSet) -> Vec<bool> {
-    let mut sites = SiteCursor::new(trace.into(), *db.config());
+    let chain_ids = trace.records().iter().map(|r| Ok(r.chain));
+    let mut sites = SiteCursor::new(trace.chains(), chain_ids, *db.config());
     let mut verdicts = Vec::new();
     let bitmap: Result<_, ReplayStreamError<Infallible>> = (trace.records().iter().enumerate())
         .map(|(record, r)| sites.verdict(record, r.size, &mut verdicts, |site| db.predicts(site)))

@@ -9,8 +9,7 @@ use crate::replay::{missing, pct, Corrupt, ReplayStreamError};
 use lifepred_adaptive::{EpochConfig, LearnerStats, OnlineLearner};
 use lifepred_core::{SiteConfig, SiteExtractor, SiteId, SiteKey};
 use lifepred_obs::EpochSample;
-use lifepred_trace::{AllocationRecord, RecordSource};
-use std::borrow::Borrow;
+use lifepred_trace::{ChainId, ChainTable};
 use std::collections::VecDeque;
 
 /// A replay step's `T`, or why the replay stops.
@@ -58,38 +57,32 @@ impl<H, E, F: FnMut(usize, u32) -> Fallible<bool, E>> Predict<H, E> for F {
     }
 }
 
-/// The records walk in lock step with the events: every allocation is
-/// of the next record in birth order, so each takes one record's dense
-/// [`SiteId`]. Nothing it holds is sized by the records.
-pub(crate) struct SiteCursor<'t, R> {
-    records: R,
+/// The chain column in lock step with the events: each allocation takes
+/// the next chain id and, with its size, one dense [`SiteId`]. Nothing
+/// it holds is sized by the objects.
+pub(crate) struct SiteCursor<'t, I> {
+    chain_ids: I,
     extractor: SiteExtractor<'t>,
 }
 
-impl<'t, R, B, E> SiteCursor<'t, R>
+impl<'t, I, E> SiteCursor<'t, I>
 where
-    R: Iterator<Item = Result<B, E>>,
-    B: Borrow<AllocationRecord>,
+    I: Iterator<Item = Result<ChainId, E>>,
 {
-    pub(crate) fn new(source: RecordSource<'t, R>, sites: SiteConfig) -> Self {
-        let extractor = SiteExtractor::from_chains(source.chains, sites);
+    pub(crate) fn new(chains: &'t ChainTable, chain_ids: I, sites: SiteConfig) -> Self {
         SiteCursor {
-            records: source.records,
-            extractor,
+            chain_ids,
+            extractor: SiteExtractor::from_chains(chains, sites),
         }
     }
 
-    /// The site of object `record`, the next record of the walk, which
-    /// its allocation event says is `size` bytes.
+    /// The site of object `record`, the next entry of the chain column,
+    /// which its allocation event says is `size` bytes.
     pub(crate) fn next(&mut self, record: usize, size: u32) -> Fallible<SiteId, E> {
-        match self.records.next() {
-            Some(Ok(r)) if r.borrow().size == size => Ok(self.extractor.site_id(r.borrow())),
-            Some(Ok(r)) => Err(ReplayStreamError::Corrupt(format!(
-                "object {record}: the event allocates {size} bytes, its record says {}",
-                r.borrow().size
-            ))),
+        match self.chain_ids.next() {
+            Some(Ok(chain)) => Ok(self.extractor.site_at(chain, size)),
             Some(Err(e)) => Err(ReplayStreamError::Source(e)),
-            None => Err(missing(record, "record", record)),
+            None => Err(missing(record, "chain id", record)),
         }
     }
 

@@ -7,7 +7,7 @@
 //! mapped `.lpt` file) and runs its event batches through the one loop,
 //! `drive`, with the backend a [`ReplayPlan`] names. A predicting plan
 //! names its database (or, online, its site keying), and `replay` reads
-//! each allocation's site off the records as the events reach it. A new
+//! each allocation's chain id beside it. A new
 //! allocator is one `SimHeap` impl, a new predictor one `Predict` impl;
 //! watching a replay (`Some(obs)`) swaps the loop's `Observe` parameter
 //! and nothing else, so observed and unobserved replays return
@@ -244,15 +244,15 @@ pub(crate) type Replayed = (ReplayReport, Option<LearnerStats>);
 /// `lifepred_sim_*` metrics of `obs` — including, for
 /// [`ReplayPlan::ArenaOnline`], one `lifepred_sim_epochs` timeline
 /// sample per learner epoch tick; the returned report is the same
-/// either way. A predicting plan reads one record per allocation, in
+/// either way. A predicting plan reads one chain id per allocation, in
 /// lock step with the events, and keeps its state per site.
 ///
 /// # Errors
 ///
-/// [`ReplayStreamError::Source`] if the events or the records fail (the
-/// events before the failure are replayed first);
+/// [`ReplayStreamError::Source`] if the events or the chain column fail
+/// (the events before the failure are replayed first);
 /// [`ReplayStreamError::Corrupt`] on an allocation out of birth order, a
-/// free of an object that is not live, an allocation with no record
+/// free of an object that is not live, an allocation with no chain id
 /// behind it, or events whose object and byte totals are not the
 /// header's.
 pub fn replay<T: TraceSource>(
@@ -272,8 +272,8 @@ pub fn replay<T: TraceSource>(
             run(meta, input.events(), "bsd", heap, NoPrediction, obs)
         }
         ReplayPlan::Arena { db, arena } => {
-            let records = input.record_source().map_err(ReplayStreamError::Source)?;
-            let mut sites = SiteCursor::new(records, *db.config());
+            let chain_ids = input.chain_ids().map_err(ReplayStreamError::Source)?;
+            let mut sites = SiteCursor::new(input.chains(), chain_ids, *db.config());
             let mut verdicts = Vec::new();
             let predicts = move |record, size| {
                 sites.verdict(record, size, &mut verdicts, |site| db.predicts(site))
@@ -286,8 +286,8 @@ pub fn replay<T: TraceSource>(
             epoch,
             arena,
         } => {
-            let records = input.record_source().map_err(ReplayStreamError::Source)?;
-            let mut sites = SiteCursor::new(records, sites);
+            let chain_ids = input.chain_ids().map_err(ReplayStreamError::Source)?;
+            let mut sites = SiteCursor::new(input.chains(), chain_ids, sites);
             let site_id = move |record, size| sites.next(record, size).map(|site| site.0);
             let online = Online::new(site_id, epoch);
             let heap = ArenaAllocator::new(arena);
@@ -409,7 +409,7 @@ where
 mod tests {
     use super::*;
     use lifepred_core::{train, Profile, SiteConfig, TrainConfig, DEFAULT_THRESHOLD};
-    use lifepred_trace::{AllocationRecord, RecordSource, Trace, TraceSession};
+    use lifepred_trace::{ChainId, Trace, TraceSession};
 
     /// A fallible [`ChunkSource`] double: hands out scripted batches,
     /// then fails if the script ends in an error.
@@ -434,17 +434,15 @@ mod tests {
 
     const ALLOC_0: ChunkEvent = ChunkEvent::Alloc { record: 0, size: 8 };
 
-    type Sites<'t> = SiteCursor<'t, std::vec::IntoIter<Result<&'t AllocationRecord, &'static str>>>;
+    type Sites<'t> = SiteCursor<'t, std::vec::IntoIter<Result<ChainId, &'static str>>>;
 
-    /// A records walk over `trace`'s chains that yields no record.
-    fn no_records(trace: &Trace) -> Sites<'_> {
-        let source = RecordSource {
-            name: trace.name(),
-            chains: trace.chains(),
-            end_clock: trace.end_clock(),
-            records: Vec::new().into_iter(),
-        };
-        SiteCursor::new(source, SiteConfig::default())
+    /// A chain column over `trace`'s chains that holds no entry.
+    fn no_chain_ids(trace: &Trace) -> Sites<'_> {
+        SiteCursor::new(
+            trace.chains(),
+            Vec::new().into_iter(),
+            SiteConfig::default(),
+        )
     }
 
     /// The predictors of both predicting plans over `sites`.
@@ -781,17 +779,18 @@ mod tests {
         corrupt(double_free.clone(), FirstFit::new(), NoPrediction);
         // BSD keeps no per-chunk state: the live table is what refuses it.
         corrupt(double_free, BsdMalloc::new(), NoPrediction);
-        // An allocation with no record behind it.
+        // An allocation with no chain id behind it.
         let t = workload();
         let arena = || ArenaAllocator::new(ArenaConfig::default());
-        corrupt(vec![ALLOC_0], arena(), frozen_over(no_records(&t)));
-        corrupt(vec![ALLOC_0], arena(), online_over(no_records(&t)));
+        corrupt(vec![ALLOC_0], arena(), frozen_over(no_chain_ids(&t)));
+        corrupt(vec![ALLOC_0], arena(), online_over(no_chain_ids(&t)));
     }
 
     #[test]
     fn a_site_cursor_asks_once_per_site() {
         let t = workload();
-        let mut sites = SiteCursor::new((&t).into(), SiteConfig::default());
+        let chain_ids = t.records().iter().map(|r| Ok::<_, &str>(r.chain));
+        let mut sites = SiteCursor::new(t.chains(), chain_ids, SiteConfig::default());
         let (mut asked, mut verdicts) = (Vec::new(), Vec::new());
         for record in 0..t.records().len() {
             let size = t.records()[record].size;
@@ -802,7 +801,7 @@ mod tests {
             assert!(verdict.is_ok());
         }
         // Long 128-byte objects and short 48- and 16-byte ones, each
-        // site asked about on its first record only.
+        // site asked about on its first object only.
         assert_eq!(asked.len(), 3, "{asked:?}");
         assert_eq!(verdicts, [false, true, true]);
         let past_the_end: Result<_, ReplayStreamError<_>> = sites.next(t.records().len(), 8);

@@ -8,7 +8,7 @@
 //! a [`ChunkSource`] refills the same chunk over and over, so
 //! steady-state replay performs no per-event allocation at all. Every
 //! source fills chunks with the one key decoder,
-//! [`EventKeys`](crate::EventKeys), from a [`Trace`]'s `.lpt` keys or a
+//! [`EventKeys`](crate::EventKeys), from a [`Trace`](crate::Trace)'s `.lpt` keys or a
 //! mapped file's.
 //!
 //! The batch encoding is deliberately minimal:
@@ -17,13 +17,6 @@
 //!   shifted up one bit, with the low bit distinguishing frees;
 //! * `sizes[i]` — the requested byte size for allocations, `0` for
 //!   frees.
-
-use crate::keys::TraceEvents;
-use crate::record::{AllocationRecord, RecordSource, TraceRecords};
-use crate::session::Trace;
-use crate::stats::TraceStats;
-use std::borrow::Borrow;
-use std::convert::Infallible;
 
 /// Events per chunk. 16384 events is ~192 KB of chunk storage — still
 /// L2-resident on current parts — while keeping refill overhead (source
@@ -157,7 +150,7 @@ fn decode(tag: u64, size: u32) -> ChunkEvent {
 /// Sources are not required to fill chunks completely — only the final
 /// `false` marks the end.
 pub trait ChunkSource {
-    /// Why the source can fail (use [`Infallible`] for in-memory
+    /// Why the source can fail (use [`Infallible`](std::convert::Infallible) for in-memory
     /// sources).
     type Error;
 
@@ -167,60 +160,6 @@ pub trait ChunkSource {
     ///
     /// Decode or I/O failures of the underlying stream.
     fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, Self::Error>;
-}
-
-/// A whole trace, wherever it lives: what a replay reads of it. The
-/// event batches drive the simulated heap; the records, walked once in
-/// birth order, give each allocation its site. A [`Trace`] cannot fail;
-/// a trace-file reader fails with its decode error.
-pub trait TraceSource {
-    /// Why reading the trace can fail ([`Infallible`] in memory).
-    type Error;
-    /// One allocation record as the records walk yields it.
-    type Record<'a>: Borrow<AllocationRecord>
-    where
-        Self: 'a;
-    /// The records walk, in birth order.
-    type Records<'a>: Iterator<Item = Result<Self::Record<'a>, Self::Error>>
-    where
-        Self: 'a;
-    /// The event batches, in program order.
-    type Events<'a>: ChunkSource<Error = Self::Error>
-    where
-        Self: 'a;
-
-    /// The traced program's name.
-    fn name(&self) -> &str;
-    /// The header's statistics: totals and maxima of the traced run,
-    /// which a full walk of the events must reproduce.
-    fn stats(&self) -> &TraceStats;
-    /// A fresh pass over the event stream.
-    fn events(&self) -> Self::Events<'_>;
-    /// A fresh pass over the records; fails if the walk cannot start.
-    fn record_source(&self) -> Result<RecordSource<'_, Self::Records<'_>>, Self::Error>;
-}
-
-impl TraceSource for Trace {
-    type Error = Infallible;
-    type Record<'a> = &'a AllocationRecord;
-    type Records<'a> = TraceRecords<'a>;
-    type Events<'a> = TraceEvents<'a>;
-
-    fn name(&self) -> &str {
-        Trace::name(self)
-    }
-
-    fn stats(&self) -> &TraceStats {
-        Trace::stats(self)
-    }
-
-    fn events(&self) -> TraceEvents<'_> {
-        Trace::events(self)
-    }
-
-    fn record_source(&self) -> Result<RecordSource<'_, TraceRecords<'_>>, Infallible> {
-        Ok(self.into())
-    }
 }
 
 #[cfg(test)]

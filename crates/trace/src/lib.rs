@@ -45,13 +45,15 @@ pub mod keys;
 mod record;
 mod registry;
 mod session;
+mod source;
 mod stats;
 pub mod varint;
 
 pub use chain::{eliminate_cycles, CallChain, ChainId, ChainTable};
-pub use chunk::{ChunkEvent, ChunkSource, EventChunk, TraceSource, POOLED_CHUNK_EVENTS};
+pub use chunk::{ChunkEvent, ChunkSource, EventChunk, POOLED_CHUNK_EVENTS};
 pub use keys::{EventKeys, KeyError, TraceEvents};
-pub use record::{AllocationRecord, ObjectId, RecordSource};
+pub use record::{AllocationRecord, ObjectId};
 pub use registry::{shared_registry, FnId, FunctionRegistry, SharedRegistry};
 pub use session::{CallGuard, Trace, TraceSession, Traced};
+pub use source::{walk, Live, Touch, TraceSource, Visit};
 pub use stats::TraceStats;

@@ -466,10 +466,11 @@ impl Trace {
     /// Callers must uphold the session invariants: records are in
     /// birth order and each born at the sum of the earlier ones'
     /// sizes; the keys decode, allocate the records in that order at
-    /// their sizes, and free each mortal record once, after its birth,
-    /// at its death clock; every chain id resolves in `chains`, and
-    /// every frame id resolves in `registry`. Deserializers validate
-    /// these before calling.
+    /// their sizes, and free each mortal record once, at its death
+    /// clock; a record has reference clocks exactly when it has
+    /// references (see [`Touch::of`](crate::Touch::of)); every chain id
+    /// resolves in `chains`, every frame id in `registry`.
+    /// Deserializers validate these before calling.
     pub fn from_parts(
         name: String,
         registry: FunctionRegistry,

@@ -10,40 +10,35 @@
 //!
 //! # Format
 //!
-//! An `.lpt` file is a magic + version header followed by five
-//! CRC32-protected sections: meta, functions, chains, records and
-//! events (see [`format`](crate) internals and `DESIGN.md`). Scalars
-//! are LEB128 varints. Program order is stored once, in the events: an
-//! event is one key varint (the size of an allocation, or how many
-//! allocations back a freed object was born), and a record stores its
-//! size, chain, lifetime, references and touch clocks, but no seq and
-//! no birth clock (the sum of the earlier records' sizes). The
-//! steady-state cost of an allocation is a few bytes. The format is at
-//! version 4, and the reader reads version 4 only. The key is the one
-//! encoding of an event stream ([`lifepred_trace::keys`]): a saved
-//! [`Trace`]'s events section is the payload its session recorded.
+//! A magic + version header (version 5, the only one read), then six
+//! CRC32-protected sections: meta, functions, chains, chain ids, touches
+//! and events (see `stream.rs` and `DESIGN.md`). Scalars are LEB128
+//! varints, and each fact is stored once. An event is one key
+//! ([`lifepred_trace::keys`]): an allocation's size, or how many
+//! allocations back a freed object was born, so sizes, births, deaths
+//! and program order are the events' alone. Two columns hold the rest,
+//! one entry per allocation in birth order: its chain id and its touch
+//! entry. A saved [`Trace`]'s events section is the payload its session
+//! recorded.
 //!
 //! # Reading
 //!
-//! There is one reader, [`MappedTrace`], and one thing it decodes: a
-//! `&[u8]` image of the whole file (an `mmap`, or a heap copy — see
-//! [`TraceMap`]). [`MappedTrace::open`] checks the framing and all five
-//! section CRCs once, in bulk, and parses the header sections; after
-//! that
+//! There is one reader, [`MappedTrace`], over a `&[u8]` image of the
+//! whole file (an `mmap`, or a heap copy — see [`TraceMap`]).
+//! [`MappedTrace::open`] checks the framing and all six section CRCs
+//! once, in bulk, and parses the header sections; then
 //!
-//! * [`MappedTrace::events`] decodes the event stream in
-//!   structure-of-arrays batches ([`MappedEvents`], a
-//!   [`ChunkSource`](lifepred_trace::ChunkSource)) with the one key
-//!   decoder — what drives the heap simulators without ever
-//!   materializing the trace;
-//! * [`MappedTrace::records`] streams allocation records one at a time
-//!   ([`MappedRecords`]) — enough to train a predictor;
-//! * [`MappedTrace::verify`] walks records and events in lockstep, in
-//!   memory bounded by the live objects, and checks that the facts they
-//!   both store (sizes, death clocks, totals) agree with each other and
-//!   with the meta section (`inspect --verify`);
-//! * [`load_trace`] / [`trace_from_bytes`] collect the records as that
-//!   same walk reads them and rebuild a full in-memory [`Trace`].
+//! * [`MappedTrace::events`] decodes the events in batches
+//!   ([`MappedEvents`], a [`ChunkSource`](lifepred_trace::ChunkSource))
+//!   for the heap simulators, and, as a
+//!   [`TraceSource`](lifepred_trace::TraceSource), it streams the two
+//!   columns ([`MappedChainIds`], [`MappedTouches`]) beside them;
+//! * [`MappedTrace::verify`] runs the one [`walk`](lifepred_trace::walk)
+//!   of the events and both columns, in memory bounded by the live
+//!   objects, and checks the header's totals, maxima and heap references
+//!   against it (`inspect --verify`);
+//! * [`load_trace`] / [`trace_from_bytes`] rebuild every record in that
+//!   same walk and return a full in-memory [`Trace`].
 //!
 //! Corrupted or truncated input is always reported as a
 //! [`TraceFileError`]; no input sequence panics the reader.
@@ -85,7 +80,9 @@ mod stream;
 pub use crc32::Crc32;
 pub use error::TraceFileError;
 pub use map::TraceMap;
-pub use mapped::{MappedEvents, MappedRecords, MappedTrace, SectionInfo};
+pub use mapped::{
+    MappedChainIds, MappedColumn, MappedEvents, MappedTouches, MappedTrace, SectionInfo,
+};
 pub use stream::{StreamMeta, StreamTraceWriter};
 
 use lifepred_trace::Trace;
@@ -127,7 +124,7 @@ pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, TraceFileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifepred_trace::{ChunkSource, EventChunk, TraceSession};
+    use lifepred_trace::{ChunkSource, EventChunk, TraceSession, TraceSource};
 
     /// A trace exercising every feature: nested chains, recursion,
     /// interleaved frees, immortal objects, refs and work.
@@ -205,8 +202,9 @@ mod tests {
             MappedTrace::open_unverified(&path),
         ] {
             let mapped = mapped.expect("open");
-            let records: Result<Vec<_>, _> = mapped.records().expect("records").collect();
-            assert_eq!(records.expect("decode"), trace.records());
+            let chain_ids: Result<Vec<_>, _> = mapped.chain_ids().expect("chain ids").collect();
+            let recorded: Vec<_> = trace.records().iter().map(|r| r.chain).collect();
+            assert_eq!(chain_ids.expect("decode"), recorded);
             let (mut source, mut chunk, mut events) = (mapped.events(), EventChunk::new(), 0);
             while source.next_chunk(&mut chunk).expect("chunk") {
                 events += chunk.len() as u64;
@@ -222,22 +220,22 @@ mod tests {
         assert!(matches!(err, TraceFileError::BadMagic(_)), "{err}");
     }
 
-    /// The writer stamps version 4, and the reader reads nothing else:
-    /// a v3 header is refused, typed, saying what this reader reads.
+    /// The writer stamps version 5, and the reader reads nothing else:
+    /// a v4 header is refused, typed, saying what this reader reads.
     #[test]
-    fn a_version3_file_is_unsupported() {
+    fn a_version4_file_is_unsupported() {
         let trace = TraceSession::new("v").finish();
         let mut bytes = trace_to_vec(&trace).expect("encode");
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 4);
-        bytes[4] = 3;
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 5);
+        bytes[4] = 4;
         let err = trace_from_bytes(&bytes).unwrap_err();
         assert!(
-            matches!(err, TraceFileError::UnsupportedVersion(3)),
+            matches!(err, TraceFileError::UnsupportedVersion(4)),
             "{err}"
         );
         assert_eq!(
             err.to_string(),
-            "unsupported .lpt format version 3 (this reader reads version 4)"
+            "unsupported .lpt format version 4 (this reader reads version 5)"
         );
     }
 

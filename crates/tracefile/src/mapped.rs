@@ -1,68 +1,44 @@
 //! The `.lpt` reader: one slice decoder over a [`TraceMap`].
 //!
-//! An `.lpt` image is only ever decoded from a checked `&[u8]`.
-//! [`MappedTrace::open`] frames the five sections once (ids, lengths,
+//! [`MappedTrace::open`] frames the six sections once (ids, lengths,
 //! trailer), verifies every section checksum with one bulk CRC pass
-//! each, parses the three small sections (meta, functions, chains) and
-//! remembers where the two large ones live. The decode
-//! loops — [`MappedEvents`] for the event stream, [`MappedRecords`] for
-//! the allocation records — then read *borrowed* sub-slices of the
-//! mapping ([`MappedEvents`] is the one key decoder, [`EventKeys`], plus
-//! page release). The borrow is what makes this safe: every slice
-//! carries the `MappedTrace`'s lifetime, so the mapping cannot be
-//! unmapped while a decoder can still read it (see `map.rs` for the
-//! mapping's own safety argument).
+//! each, parses the three small sections and remembers where the three
+//! large ones live. The decode loops — [`MappedEvents`] (the one key
+//! decoder, [`EventKeys`], plus page release) and the two columns'
+//! [`MappedColumn`]s — read *borrowed* sub-slices of the mapping, so the
+//! borrow checker keeps the mapping alive while a decoder can read it
+//! (see `map.rs` for the mapping's own safety argument). Every
+//! sequential pass hands the mapped pages behind it back to the kernel
+//! every [`RELEASE_WINDOW`] bytes, so a trace's resident footprint is a
+//! few windows, not the file.
 //!
-//! Every sequential pass — each CRC pass and both decode loops — hands
-//! the mapped pages behind it back to the kernel every
-//! [`RELEASE_WINDOW`] bytes, so a trace's resident footprint is a few
-//! windows, not the file.
-//!
-//! Integrity is checked in three layers. Framing, the trailer and the
-//! CRCs are checked up front at open; structural checks (id ranges,
-//! clock overflow, free back-references, count-vs-payload agreement)
-//! run per entry as it is decoded; and [`MappedTrace::verify`] walks
-//! records and events in lockstep, so a trace whose sections are each
-//! well-formed but disagree on a fact both store (a size, a death
-//! clock, a total) is refused too. Every read is bounded by its section's
-//! payload, so no input panics, slices out of bounds or sizes an
-//! allocation by a count the file merely claims.
-//! [`MappedTrace::open_unverified`] skips only the bulk CRC of the two
-//! large sections: [`MappedTrace::records`] then checks the records CRC
+//! Integrity is checked in three layers: framing, trailer and CRCs at
+//! open; structural checks (id ranges, free back-references,
+//! count-vs-payload agreement) per entry as it is decoded; and
+//! [`MappedTrace::verify`]'s [`walk`], which refuses sections that are
+//! each well-formed but do not tell one story (a double free, a column
+//! an entry off the allocations) or a header number the walk does not
+//! derive. Every read is bounded by its section's payload, so no input
+//! panics, slices out of bounds or sizes an allocation by a count the
+//! file merely claims. [`MappedTrace::open_unverified`] skips only the
+//! bulk CRC of the three large sections: a column then checks its CRC
 //! itself before yielding anything, and [`MappedTrace::events`] decodes
 //! unchecked bytes under the structural checks alone.
 
 use crate::crc32::Crc32;
 use crate::error::TraceFileError;
-use crate::format::{
-    MAGIC, SECTION_CHAINS, SECTION_COUNT, SECTION_EVENTS, SECTION_FUNCTIONS, SECTION_META,
-    SECTION_RECORDS, VERSION,
-};
+use crate::format::{CHAIN_IDS, EVENTS, MAGIC, SECTIONS, SECTION_COUNT, TOUCHES, VERSION};
 use crate::map::TraceMap;
 use lifepred_trace::varint::{take_varint, VarintErr};
 use lifepred_trace::{
-    AllocationRecord, ChainId, ChainTable, ChunkEvent, ChunkSource, EventChunk, EventKeys, FnId,
-    FunctionRegistry, RecordSource, Trace, TraceSource, TraceStats, POOLED_CHUNK_EVENTS,
+    walk, AllocationRecord, ChainId, ChainTable, ChunkSource, EventChunk, EventKeys, FnId,
+    FunctionRegistry, Live, Touch, Trace, TraceSource, TraceStats, Visit,
 };
-use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
 
 /// Fixed header size: magic + version + section count.
 const HEADER_BYTES: usize = 8;
-
-/// The sections in file order: id byte and the name errors report.
-const SECTIONS: [(u8, &str); 5] = [
-    (SECTION_META, "meta"),
-    (SECTION_FUNCTIONS, "functions"),
-    (SECTION_CHAINS, "chains"),
-    (SECTION_RECORDS, "records"),
-    (SECTION_EVENTS, "events"),
-];
-
-/// A record is at least five varints: no payload holds more records
-/// than a fifth of its bytes.
-const MIN_RECORD_BYTES: usize = 5;
 
 /// How far a sequential pass reads past the last mapped page it
 /// released before it releases again (a predicting replay runs two).
@@ -104,13 +80,13 @@ impl Section {
 /// multi-gigabyte trace without decoding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionInfo {
-    /// Section name (`"meta"`, `"functions"`, `"chains"`, `"records"`,
-    /// `"events"`).
+    /// Section name (`"meta"`, `"functions"`, `"chains"`, `"chain
+    /// ids"`, `"touches"`, `"events"`).
     pub name: &'static str,
     /// Payload length in bytes (excluding framing and CRC).
     pub payload_bytes: u64,
-    /// Entry count for the counted sections (functions, chains,
-    /// records, events); `None` for meta.
+    /// Entry count for the counted sections (all but meta); `None` for
+    /// meta.
     pub entries: Option<u64>,
 }
 
@@ -170,10 +146,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Checks the file header, then walks the five section frames (id,
+/// Checks the file header, then walks the six section frames (id,
 /// length, payload, stored CRC) and the trailer. Returns each
 /// section's extent; no payload byte is read.
-fn frame(bytes: &[u8]) -> Result<[Section; 5], TraceFileError> {
+fn frame(bytes: &[u8]) -> Result<[Section; 6], TraceFileError> {
     let truncated = |section| TraceFileError::Truncated { section };
     let magic = bytes.get(..4).ok_or(truncated("header"))?;
     if magic != MAGIC {
@@ -195,8 +171,9 @@ fn frame(bytes: &[u8]) -> Result<[Section; 5], TraceFileError> {
     }
 
     let mut pos = HEADER_BYTES;
-    let mut sections: [Section; 5] = Default::default();
-    for ((expected_id, name), section) in SECTIONS.into_iter().zip(&mut sections) {
+    let mut sections: [Section; 6] = Default::default();
+    for ((i, name), section) in SECTIONS.into_iter().enumerate().zip(&mut sections) {
+        let expected_id = i as u8 + 1;
         let id = *bytes.get(pos).ok_or(truncated(name))?;
         if id != expected_id {
             return Err(TraceFileError::malformed(
@@ -234,7 +211,7 @@ fn frame(bytes: &[u8]) -> Result<[Section; 5], TraceFileError> {
 }
 
 /// A fully-framed `.lpt` image: header sections parsed and verified,
-/// the two large sections located and (unless opened with
+/// the three large sections located and (unless opened with
 /// [`MappedTrace::open_unverified`]) CRC-checked, their bodies borrowed
 /// straight from the underlying [`TraceMap`].
 #[derive(Debug)]
@@ -244,21 +221,20 @@ pub struct MappedTrace {
     stats: TraceStats,
     registry: FunctionRegistry,
     chains: ChainTable,
-    sections: [SectionInfo; 5],
-    /// The records section's extent, for the CRC check an unverified
-    /// trace still owes before its records are read.
-    records: Section,
-    record_count: u64,
-    event_count: u64,
-    /// The records and the events, past their sections' count varints.
-    records_body: Range<usize>,
-    events_body: Range<usize>,
+    sections: [SectionInfo; 6],
+    /// The chain ids, touches and events sections' extents, for the CRC
+    /// check an unverified trace still owes before a column is read.
+    large: [Section; 3],
+    /// Their declared entry counts.
+    counts: [u64; 3],
+    /// Their entries, past the count varints.
+    bodies: [Range<usize>; 3],
     verified: bool,
 }
 
 impl MappedTrace {
     /// Opens and fully verifies the `.lpt` file at `path`: framing,
-    /// trailer, all five section CRCs (one bulk pass per section) and
+    /// trailer, all six section CRCs (one bulk pass per section) and
     /// the structure of the three header sections.
     ///
     /// # Errors
@@ -270,7 +246,7 @@ impl MappedTrace {
     }
 
     /// Opens the file checking framing and the three header sections
-    /// but *not* the records/events checksums — the fast path for
+    /// but *not* the three large sections' checksums — the fast path for
     /// `inspect`, which wants counts and a peek at the stream without
     /// paging in gigabytes of payload.
     pub fn open_unverified(path: impl AsRef<Path>) -> Result<MappedTrace, TraceFileError> {
@@ -286,10 +262,10 @@ impl MappedTrace {
     pub(crate) fn build(map: TraceMap, verify: bool) -> Result<MappedTrace, TraceFileError> {
         let bytes = map.as_bytes();
         let framed = frame(bytes)?;
-        let [meta, functions, chains, records, events] = &framed;
+        let [meta, functions, chains, ..] = &framed;
         // The header sections are always checked; the two large ones
         // unless the caller vouches for them.
-        for (i, (section, (_, name))) in framed.iter().zip(SECTIONS).enumerate() {
+        for (i, (section, name)) in framed.iter().zip(SECTIONS).enumerate() {
             if i < 3 || verify {
                 section.verify(&map, name)?;
             }
@@ -375,27 +351,23 @@ impl MappedTrace {
         }
         cur.finish()?;
 
-        // Entry counts live at the head of the two large payloads.
-        let mut cur = Cursor::new("records", &bytes[records.payload.clone()]);
-        let record_count = cur.varint()?;
-        let records_body = records.payload.start + cur.pos..records.payload.end;
-        let mut cur = Cursor::new("events", &bytes[events.payload.clone()]);
-        let event_count = cur.varint()?;
-        let events_body = events.payload.start + cur.pos..events.payload.end;
+        // Entry counts live at the head of the three large payloads.
+        let payload_bytes = framed.clone().map(|s| s.payload.len() as u64);
+        let [_, _, _, large @ ..] = framed;
+        let mut counts = [0; 3];
+        let mut bodies: [Range<usize>; 3] = Default::default();
+        for (i, section) in large.iter().enumerate() {
+            let mut cur = Cursor::new(SECTIONS[3 + i], &bytes[section.payload.clone()]);
+            counts[i] = cur.varint()?;
+            bodies[i] = section.payload.start + cur.pos..section.payload.end;
+        }
 
-        let entries = [
-            None,
-            Some(fn_count),
-            Some(chain_count),
-            Some(record_count),
-            Some(event_count),
-        ];
+        let entries = [[None, Some(fn_count), Some(chain_count)], counts.map(Some)].concat();
         let sections = std::array::from_fn(|i| SectionInfo {
-            name: SECTIONS[i].1,
-            payload_bytes: framed[i].payload.len() as u64,
+            name: SECTIONS[i],
+            payload_bytes: payload_bytes[i],
             entries: entries[i],
         });
-        let [_, _, _, records, _] = framed;
         Ok(MappedTrace {
             map,
             name,
@@ -403,11 +375,9 @@ impl MappedTrace {
             registry,
             chains: table,
             sections,
-            records,
-            record_count,
-            event_count,
-            records_body,
-            events_body,
+            large,
+            counts,
+            bodies,
             verified: verify,
         })
     }
@@ -429,7 +399,7 @@ impl MappedTrace {
 
     /// Events in the trace: the events section's declared count.
     pub fn end_seq(&self) -> u64 {
-        self.event_count
+        self.counts[EVENTS]
     }
 
     /// The function registry, rebuilt from the functions section.
@@ -442,9 +412,9 @@ impl MappedTrace {
         &self.chains
     }
 
-    /// Declared number of allocation records.
+    /// Declared number of allocations: the chain column's entry count.
     pub fn record_count(&self) -> u64 {
-        self.record_count
+        self.counts[CHAIN_IDS]
     }
 
     /// Total file size in bytes.
@@ -459,159 +429,128 @@ impl MappedTrace {
     }
 
     /// Per-section framing and counts, in file order.
-    pub fn sections(&self) -> [SectionInfo; 5] {
+    pub fn sections(&self) -> [SectionInfo; 6] {
         self.sections
     }
 
-    /// Streams the records section from the mapping, one
-    /// [`AllocationRecord`] at a time, under the per-record structural
-    /// checks. The section CRC was verified at open; a trace from
-    /// [`open_unverified`](Self::open_unverified) verifies it here, on
-    /// every call, so no record is ever yielded from an unchecked
-    /// section.
-    ///
-    /// # Errors
-    ///
-    /// A records checksum mismatch (unverified traces only).
-    pub fn records(&self) -> Result<MappedRecords<'_>, TraceFileError> {
+    /// Large section `which`'s entries, decoded by `decode`; its CRC is
+    /// checked here, on every call, if the trace was opened unverified,
+    /// so no entry is ever yielded from an unchecked section.
+    fn column<T>(
+        &self,
+        which: usize,
+        decode: Decode<T>,
+    ) -> Result<MappedColumn<'_, T>, TraceFileError> {
+        let name = SECTIONS[3 + which];
         if !self.verified {
-            self.records.verify(&self.map, "records")?;
+            self.large[which].verify(&self.map, name)?;
         }
-        Ok(MappedRecords {
-            cur: Cursor::new("records", &self.map.as_bytes()[self.records_body.clone()]),
-            trail: Trail::new(&self.map, self.records_body.start),
-            remaining: self.record_count,
-            chain_count: self.chains.len() as u64,
+        let body = self.bodies[which].clone();
+        Ok(MappedColumn {
+            trail: Trail::new(&self.map, body.start),
+            cur: Cursor::new(name, &self.map.as_bytes()[body]),
+            remaining: self.counts[which],
             next_index: 0,
-            clock: 0,
+            chain_count: self.chains.len() as u64,
+            decode,
         })
     }
 
-    /// The zero-copy batch event source: decodes straight from the
-    /// mapped events payload into the caller's [`EventChunk`]s with the
-    /// one key decoder, [`EventKeys`]. The section CRC was already
-    /// verified at open (unless [`open_unverified`](Self::open_unverified)
-    /// was used); structural checks still run per event.
+    /// The events, decoded straight off the mapping into the caller's
+    /// [`EventChunk`]s by the one key decoder, [`EventKeys`], under the
+    /// structural checks (and the CRC, unless opened unverified).
     pub fn events(&self) -> MappedEvents<'_> {
-        let keys = &self.map.as_bytes()[self.events_body.clone()];
+        let keys = &self.map.as_bytes()[self.bodies[EVENTS].clone()];
         MappedEvents {
-            keys: EventKeys::new(keys, self.event_count),
-            trail: Trail::new(&self.map, self.events_body.start),
+            keys: EventKeys::new(keys, self.counts[EVENTS]),
+            trail: Trail::new(&self.map, self.bodies[EVENTS].start),
         }
     }
 
-    /// Checks that the records and the events tell one story, in one
-    /// lockstep walk whose memory is the live objects, not the trace:
-    /// each allocation event's size must be its record's; each free
-    /// must come at the byte clock its record promised, and only for a
-    /// live mortal object; every promised death must come and every
-    /// record be allocated; and at the end the object and byte totals
-    /// must be the meta section's. The byte clock is the sum of the
-    /// sizes allocated before an event. Every structural check of
-    /// [`records`](Self::records) and [`events`](Self::events) runs on
-    /// the way.
+    /// Checks, in the one [`walk`], that the events and both columns tell
+    /// one story (every free of a live object, one column entry per
+    /// allocation) and that the header's totals, live maxima and heap
+    /// refs are the walk's.
     ///
     /// # Errors
     ///
-    /// The first disagreement, as [`TraceFileError::Malformed`], or the
-    /// error either section's decoder reports.
+    /// The first a decoder or the walk refuses.
     pub fn verify(&self) -> Result<(), TraceFileError> {
-        self.walk(drop)
+        self.walk_checked(&mut ())
     }
 
-    /// [`verify`](Self::verify)'s walk, handing `each` every record as
-    /// its allocation is walked.
-    fn walk(&self, mut each: impl FnMut(AllocationRecord)) -> Result<(), TraceFileError> {
-        let bad = |detail: String| TraceFileError::malformed("events", detail);
-        let (mut records, mut events) = (self.records()?, self.events());
-        let mut chunk = EventChunk::with_capacity(POOLED_CHUNK_EVENTS);
-        // The death clock each live mortal object's record promises.
-        let mut deaths: HashMap<usize, u64> = HashMap::new();
-        let (mut n, mut clock, mut allocs) = (0u64, 0u64, 0u64);
-        while events.next_chunk(&mut chunk)? {
-            for event in chunk.events() {
-                match event {
-                    ChunkEvent::Alloc { record, size } => {
-                        let r = records.next().transpose()?.ok_or_else(|| {
-                            bad(format!(
-                                "event {n} allocates object {record}, past the last record"
-                            ))
-                        })?;
-                        if r.size != size {
-                            return Err(bad(format!(
-                                "event {n} allocates object {record}: {size} bytes, \
-                                 its record says {}",
-                                r.size
-                            )));
-                        }
-                        if let Some(death) = r.death_clock {
-                            deaths.insert(record, death);
-                        }
-                        // The sizes agree so far, so this is the sum the
-                        // records decoder checked for overflow.
-                        clock += u64::from(size);
-                        allocs += 1;
-                        each(r);
-                    }
-                    ChunkEvent::Free { record } => match deaths.remove(&record) {
-                        Some(death) if death == clock => {}
-                        Some(death) => {
-                            return Err(bad(format!(
-                                "event {n} frees object {record} at clock {clock}, \
-                                 its record says it dies at clock {death}"
-                            )))
-                        }
-                        None => {
-                            return Err(bad(format!(
-                                "event {n} frees object {record}, \
-                                 but its record promises no death to come"
-                            )))
-                        }
-                    },
-                }
-                n += 1;
-            }
-        }
-        if let Some((dying, at)) = deaths.into_iter().min() {
-            return Err(bad(format!(
-                "object {dying} dies at clock {at}, past the last event"
-            )));
-        }
-        if records.next().transpose()?.is_some() {
-            let detail = format!("record {allocs} is never allocated");
-            return Err(TraceFileError::malformed("records", detail));
-        }
-        let totals = [
-            ("total objects", allocs, self.stats.total_objects),
-            ("total bytes", clock, self.stats.total_bytes),
-        ];
-        for (what, walked, said) in totals {
+    /// [`verify`](Self::verify), handing `visit` each birth and death.
+    fn walk_checked(&self, visit: &mut impl Visit) -> Result<(), TraceFileError> {
+        let (w, h) = (walk(self, visit)?, &self.stats);
+        for (what, walked, said) in [
+            ("total objects", w.total_objects, h.total_objects),
+            ("total bytes", w.total_bytes, h.total_bytes),
+            ("max live bytes", w.max_live_bytes, h.max_live_bytes),
+            ("max live objects", w.max_live_objects, h.max_live_objects),
+            ("heap refs", w.heap_refs, h.heap_refs),
+        ] {
             if walked != said {
-                let detail = format!("the events give {what} {walked}, the header says {said}");
+                let detail = format!("the walk gives {what} {walked}, the header says {said}");
                 return Err(TraceFileError::malformed("meta", detail));
             }
         }
         Ok(())
     }
 
-    /// Rebuilds the full in-memory [`Trace`], collecting the records as
-    /// [`verify`](Self::verify)'s walk reads them; the trace keeps the
-    /// verified events section's keys as they are.
+    /// Every allocation's [`AllocationRecord`], rebuilt by
+    /// [`verify`](Self::verify)'s walk.
+    fn load(&self) -> Result<Vec<AllocationRecord>, TraceFileError> {
+        /// Keeps every record, and stamps its death when its free comes.
+        struct Loader(Vec<AllocationRecord>);
+        impl Visit for Loader {
+            fn born(&mut self, _record: usize, r: &AllocationRecord) -> u32 {
+                self.0.push(r.clone());
+                0
+            }
+            fn died(&mut self, record: usize, _obj: Live, death: Option<u64>) {
+                self.0[record].death_clock = death;
+            }
+        }
+        // The column's lower bound is capped by its payload's size, so a
+        // lying count cannot force a large reservation.
+        let mut loader = Loader(Vec::with_capacity(self.chain_ids()?.size_hint().0));
+        self.walk_checked(&mut loader)?;
+        Ok(loader.0)
+    }
+
+    /// Rebuilds the full in-memory [`Trace`]: [`load`](Self::load)'s
+    /// records, and the events section's keys as they are.
     pub(crate) fn into_trace(self) -> Result<Trace, TraceFileError> {
-        // The iterator's lower bound is capped by the payload's size, so
-        // a lying count cannot force a large reservation.
-        let mut records = Vec::with_capacity(self.records()?.size_hint().0);
-        self.walk(|record| records.push(record))?;
-        let events = self.map.as_bytes()[self.events_body.clone()].to_vec();
+        let records = self.load()?;
+        let events = self.map.as_bytes()[self.bodies[EVENTS].clone()].to_vec();
         Ok(Trace::from_parts(
             self.name,
             self.registry,
             self.chains,
             records,
             events,
-            self.event_count,
+            self.counts[EVENTS],
             self.stats,
         ))
+    }
+
+    /// [`load`](Self::load)'s records as a stream, for the frozen
+    /// benchmark alone (`benchmark/src/layers.rs` lines 263 and 278); CI's
+    /// "Replay fence" fails on any other use.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`verify`](Self::verify) refuses, or a large section's
+    /// checksum mismatch in an unverified trace.
+    #[doc(hidden)]
+    pub fn records(
+        &self,
+    ) -> Result<impl Iterator<Item = Result<AllocationRecord, TraceFileError>>, TraceFileError>
+    {
+        if !self.verified {
+            self.large[EVENTS].verify(&self.map, "events")?;
+        }
+        Ok(self.load()?.into_iter().map(Ok))
     }
 }
 
@@ -651,104 +590,84 @@ impl<'a> Trail<'a> {
     }
 }
 
-/// Borrowed iterator over a [`MappedTrace`]'s records section, from
-/// [`MappedTrace::records`]. Yields `Err` at most once (a structural
-/// violation, a count the payload does not hold, or bytes left over
-/// after the last record) and is fused afterwards.
+/// How a column decodes entry `index`, given the chain table's length.
+type Decode<T> = for<'a> fn(&mut Cursor<'a>, u64, u64) -> Result<T, TraceFileError>;
+
+/// A borrowed iterator over one of a [`MappedTrace`]'s columns. Yields
+/// `Err` at most once (a structural violation, a count the payload does
+/// not hold, or bytes left after the last entry), then is fused.
 #[derive(Debug)]
-pub struct MappedRecords<'a> {
-    /// Records payload, past the count varint.
+pub struct MappedColumn<'a, T> {
     cur: Cursor<'a>,
     trail: Trail<'a>,
-    /// Records left per the declared count; zeroed to fuse.
+    /// Entries left per the declared count; zeroed to fuse.
     remaining: u64,
-    chain_count: u64,
     next_index: u64,
-    /// Sizes of the records decoded so far: the next one's birth clock.
-    clock: u64,
+    chain_count: u64,
+    decode: Decode<T>,
 }
 
-impl MappedRecords<'_> {
-    /// The one record decoder: decodes the next record, born at the
-    /// sum of the earlier ones' sizes.
-    fn decode(&mut self) -> Result<AllocationRecord, TraceFileError> {
-        let cur = &mut self.cur;
-        let i = self.next_index;
-        let bad = |detail: String| TraceFileError::malformed("records", detail);
-        let size = cur.varint()?;
-        let size = u32::try_from(size).map_err(|_| bad(format!("record {i} size exceeds u32")))?;
-        let chain = cur.varint()?;
-        if chain >= self.chain_count {
-            return Err(bad(format!(
-                "record {i} references chain {chain}, table has {}",
-                self.chain_count
-            )));
-        }
-        let birth_clock = self.clock;
-        let end = (birth_clock.checked_add(u64::from(size)))
-            .ok_or_else(|| bad(format!("record {i} overflows the byte clock")))?;
-        let death_clock = match cur.varint()? {
-            0 => None,
-            code => Some(
-                end.checked_add(code - 1)
-                    .ok_or_else(|| bad(format!("record {i} death clock overflows")))?,
-            ),
-        };
-        let refs = cur.varint()?;
-        let first_code = cur.varint()?;
-        let (first_ref_clock, last_ref_clock) = if first_code == 0 {
-            (None, None)
-        } else {
-            let first = birth_clock
-                .checked_add(first_code - 1)
-                .ok_or_else(|| bad(format!("record {i} first ref clock overflows")))?;
-            let last = first
-                .checked_add(cur.varint()?)
-                .ok_or_else(|| bad(format!("record {i} last ref clock overflows")))?;
-            (Some(first), Some(last))
-        };
-        self.clock = end;
-        self.next_index += 1;
-        Ok(AllocationRecord {
-            size,
-            chain: ChainId::from_index(chain as u32),
-            birth_clock,
-            death_clock,
-            refs,
-            first_ref_clock,
-            last_ref_clock,
-        })
+/// The chain column: each allocation's chain id, checked against the
+/// chain table.
+pub type MappedChainIds<'a> = MappedColumn<'a, ChainId>;
+
+/// The touch column: each allocation's [`Touch`].
+pub type MappedTouches<'a> = MappedColumn<'a, Touch>;
+
+fn decode_chain_id(
+    cur: &mut Cursor<'_>,
+    i: u64,
+    chain_count: u64,
+) -> Result<ChainId, TraceFileError> {
+    match cur.varint()? {
+        // Below the table's length, which is at most `u32::MAX`.
+        chain if chain < chain_count => Ok(ChainId::from_index(chain as u32)),
+        chain => Err(TraceFileError::malformed(
+            "chain ids",
+            format!("object {i} references chain {chain}, table has {chain_count}"),
+        )),
     }
 }
 
-impl Iterator for MappedRecords<'_> {
-    type Item = Result<AllocationRecord, TraceFileError>;
+fn decode_touch(cur: &mut Cursor<'_>, _: u64, _: u64) -> Result<Touch, TraceFileError> {
+    let refs = cur.varint()?;
+    if refs == 0 {
+        return Ok(Touch::default());
+    }
+    let first = cur.varint()?;
+    let span = cur.varint()?;
+    Ok(Touch { refs, first, span })
+}
 
+impl<T> Iterator for MappedColumn<'_, T> {
+    type Item = Result<T, TraceFileError>;
+
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
-            // Bytes left over after the last record are reported once.
+            // Bytes left over after the last entry are reported once.
             let leftover = self.cur.finish().err();
             self.cur.skip_rest();
             self.trail.release_to(self.cur.pos);
             return leftover.map(Err);
         }
         self.remaining -= 1;
-        let record = self.decode();
-        if record.is_err() {
+        let entry = (self.decode)(&mut self.cur, self.next_index, self.chain_count);
+        self.next_index += 1;
+        if entry.is_err() {
             self.remaining = 0;
             self.cur.skip_rest();
         }
         self.trail.behind(self.cur.pos);
-        Some(record)
+        Some(entry)
     }
 
-    /// The lower bound is what a well-formed payload yields —
-    /// `min(declared, bytes left / 5)` — so one `with_capacity` suffices
-    /// and is sized by bytes present, never by the declared count alone.
-    /// (A malformed payload ends earlier, with its one `Err`.)
+    /// The lower bound is what a well-formed payload yields — every
+    /// entry takes a byte, so `min(declared, bytes left)` — so one
+    /// `with_capacity` suffices and is sized by bytes present, never by
+    /// the declared count alone.
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let by_bytes = (self.cur.left() / MIN_RECORD_BYTES) as u64;
-        let n = self.remaining.min(by_bytes) as usize;
+        let n = self.remaining.min(self.cur.left() as u64) as usize;
         (n, n.checked_add(1))
     }
 }
@@ -762,33 +681,34 @@ pub struct MappedEvents<'a> {
     trail: Trail<'a>,
 }
 
-/// A mapped trace read straight off the verified mapping; its records
-/// stream fails as [`MappedTrace::records`] does.
+/// A mapped trace read straight off the mapping: the columns and the
+/// events borrow it, page release and all.
 impl TraceSource for MappedTrace {
     type Error = TraceFileError;
-    type Record<'a> = AllocationRecord;
-    type Records<'a> = MappedRecords<'a>;
     type Events<'a> = MappedEvents<'a>;
+    type ChainIds<'a> = MappedChainIds<'a>;
+    type Touches<'a> = MappedTouches<'a>;
 
     fn name(&self) -> &str {
         &self.name
     }
-
     fn stats(&self) -> &TraceStats {
         &self.stats
     }
-
+    fn chains(&self) -> &ChainTable {
+        &self.chains
+    }
     fn events(&self) -> MappedEvents<'_> {
         MappedTrace::events(self)
     }
-
-    fn record_source(&self) -> Result<RecordSource<'_, MappedRecords<'_>>, TraceFileError> {
-        Ok(RecordSource {
-            name: &self.name,
-            chains: &self.chains,
-            end_clock: self.end_clock(),
-            records: self.records()?,
-        })
+    fn chain_ids(&self) -> Result<MappedChainIds<'_>, TraceFileError> {
+        self.column(CHAIN_IDS, decode_chain_id)
+    }
+    fn touches(&self) -> Result<MappedTouches<'_>, TraceFileError> {
+        self.column(TOUCHES, decode_touch)
+    }
+    fn malformed(&self, section: &'static str, detail: String) -> TraceFileError {
+        TraceFileError::malformed(section, detail)
     }
 }
 

@@ -1,14 +1,14 @@
 //! Tests of the one reader: ground truth on well-formed images, and
 //! hostile input (truncations, bit flips, lying lengths and counts,
-//! every structural violation, sections that disagree) on two small
-//! fixtures — an image from the writer (five-byte padded large-section
-//! lengths) and a hand-built one (one-byte lengths).
+//! every structural violation, sections that do not tell one story) on
+//! two small fixtures — an image from the writer (five-byte padded
+//! large-section lengths) and a hand-built one (one-byte lengths).
 
 use super::*;
 use crate::crc32::crc32;
 use crate::{trace_from_bytes, trace_to_vec};
 use lifepred_trace::varint::write_varint;
-use lifepred_trace::TraceSession;
+use lifepred_trace::{ChunkEvent, TraceSession};
 
 /// Nested and recursive chains, interleaved frees, touched and
 /// untouched objects, and one immortal.
@@ -60,9 +60,10 @@ fn drain_events(mapped: &MappedTrace, capacity: usize) -> Result<Vec<ChunkEvent>
     Ok(events)
 }
 
-/// Decodes both large sections to the end.
+/// Decodes the three large sections to the end.
 fn drain(mapped: &MappedTrace) -> Result<(), TraceFileError> {
-    mapped.records()?.try_for_each(|r| r.map(drop))?;
+    mapped.chain_ids()?.try_for_each(|c| c.map(drop))?;
+    mapped.touches()?.try_for_each(|t| t.map(drop))?;
     drain_events(mapped, 2).map(drop)
 }
 
@@ -90,12 +91,12 @@ fn varints(values: &[u64]) -> Vec<u8> {
     out
 }
 
-/// Frames five raw payloads into an image, lengths and CRCs honest.
-fn image(payloads: &[Vec<u8>; 5]) -> Vec<u8> {
+/// Frames six raw payloads into an image, lengths and CRCs honest.
+fn image(payloads: &[Vec<u8>; 6]) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&SECTION_COUNT.to_le_bytes());
-    for ((id, _), payload) in SECTIONS.into_iter().zip(payloads) {
+    for (id, payload) in (1..).zip(payloads) {
         out.push(id);
         write_varint(&mut out, payload.len() as u64);
         out.extend_from_slice(payload);
@@ -105,19 +106,22 @@ fn image(payloads: &[Vec<u8>; 5]) -> Vec<u8> {
 }
 
 /// Payloads of a tiny well-formed trace: one function, one chain, an
-/// 8-byte object born at clock 0 and freed at clock 12 by the third
-/// event, and an immortal 4-byte object born at clock 8.
-fn tiny() -> [Vec<u8>; 5] {
+/// 8-byte object born at clock 0, referenced 5 times between clocks 8
+/// and 12 and freed at clock 12 by the third event, and an untouched
+/// immortal 4-byte object born at clock 8.
+fn tiny() -> [Vec<u8>; 6] {
     // Name, then the eight stats counters.
     let meta = [&b"\x01t"[..], &varints(&[12, 2, 12, 2, 0, 0, 5, 0])].concat();
     let functions = b"\x01\x01f".to_vec();
     let chains = varints(&[1, 1, 0]);
-    // Count, then per record: size, chain, lifetime code (death clock
-    // - birth clock - size + 1), refs, first-ref code.
-    let records = varints(&[2, 8, 0, 5, 5, 0, 4, 0, 0, 0, 0]);
+    // Count, then one chain id per object.
+    let chain_ids = varints(&[2, 0, 0]);
+    // Count, then per object: refs and, when there are any, the bytes
+    // from its birth to its first reference and from that to its last.
+    let touches = varints(&[2, 5, 8, 4, 0]);
     // Count, then one key per event: alloc 8, alloc 4, free one back.
     let events = varints(&[3, 8 << 1, 4 << 1, (1 << 1) | 1]);
-    [meta, functions, chains, records, events]
+    [meta, functions, chains, chain_ids, touches, events]
 }
 
 /// The two fixtures every hostile sweep runs over.
@@ -129,7 +133,7 @@ fn fixtures() -> [(&'static str, Vec<u8>); 2] {
 }
 
 #[test]
-fn header_records_and_events_are_the_recorded_traces_own() {
+fn header_columns_and_events_are_the_recorded_traces_own() {
     let empty = TraceSession::new("empty").finish();
     for trace in [sample_trace(20_000), empty] {
         let mapped = open(&trace_to_vec(&trace).expect("encode")).expect("open");
@@ -137,17 +141,27 @@ fn header_records_and_events_are_the_recorded_traces_own() {
         assert_eq!(mapped.stats(), trace.stats());
         assert_eq!(mapped.registry().len(), trace.registry().len());
         assert_eq!(mapped.chain_table().len(), trace.chains().len());
-        let records = mapped.records().expect("records");
-        assert_eq!(records.size_hint().0, trace.records().len());
-        let records: Vec<_> = records.collect::<Result<_, _>>().expect("decode");
-        assert_eq!(records, trace.records());
+        let chain_ids = mapped.chain_ids().expect("chain ids");
+        assert_eq!(chain_ids.size_hint().0, trace.records().len());
+        let chain_ids: Vec<_> = chain_ids.collect::<Result<_, _>>().expect("decode");
+        let touches: Vec<_> = (mapped.touches().expect("touches"))
+            .collect::<Result<_, _>>()
+            .expect("decode");
+        for (i, r) in trace.records().iter().enumerate() {
+            assert_eq!(chain_ids[i], r.chain);
+            assert_eq!(Some(touches[i]), Touch::of(r));
+        }
         // One encoding: the section holds the keys the session recorded.
-        let keys = &mapped.map.as_bytes()[mapped.events_body.clone()];
+        let keys = &mapped.map.as_bytes()[mapped.bodies[EVENTS].clone()];
         assert_eq!(keys, trace.event_keys());
         let expected = expected_events(&trace);
         for capacity in [3, lifepred_trace::POOLED_CHUNK_EVENTS] {
             assert_eq!(drain_events(&mapped, capacity).expect("decode"), expected);
         }
+        let records: Vec<_> = (mapped.records().expect("records"))
+            .collect::<Result<_, _>>()
+            .expect("rebuild");
+        assert_eq!(records, trace.records());
         let loaded = mapped.into_trace().expect("load");
         assert_eq!(loaded.records(), trace.records());
         assert_eq!(loaded.event_keys(), trace.event_keys());
@@ -165,62 +179,72 @@ fn header_and_sections_are_exposed() {
     let sections = mapped.sections();
     assert_eq!(
         sections.map(|s| s.name),
-        ["meta", "functions", "chains", "records", "events"]
+        [
+            "meta",
+            "functions",
+            "chains",
+            "chain ids",
+            "touches",
+            "events"
+        ]
     );
     let entries = [
         None,
         Some(mapped.registry().len() as u64),
         Some(mapped.chain_table().len() as u64),
         Some(mapped.record_count()),
+        Some(mapped.record_count()),
         Some(mapped.end_seq()),
     ];
     assert_eq!(sections.map(|s| s.entries), entries);
-    // 8 header bytes + 5 x (id + crc) + three one-byte lengths + the
-    // two large sections' five-byte padded lengths of framing; payload
+    // 8 header bytes + 6 x (id + crc) + three one-byte lengths + the
+    // three large sections' five-byte padded lengths of framing; payload
     // bytes account for the rest of the file.
     let payload_total: u64 = sections.iter().map(|s| s.payload_bytes).sum();
-    assert_eq!(bytes.len() as u64 - payload_total, 8 + 5 * 5 + 3 + 2 * 5);
+    assert_eq!(bytes.len() as u64 - payload_total, 8 + 6 * 5 + 3 + 3 * 5);
     assert_eq!(mapped.end_seq(), mapped.stats().total_objects * 2 - 1);
 }
 
-/// A forged record count reserves by bytes present, then fails typed.
+/// A forged column count reserves by bytes present, then fails typed.
 #[test]
-fn a_forged_record_count_cannot_size_a_reservation() {
+fn a_forged_column_count_cannot_size_a_reservation() {
     let mut parts = tiny();
-    // Three immortal empty objects, allocated by the first three of
-    // four events: the fourth reaches past the last record.
-    let three = varints(&[0; 5].repeat(3));
-    parts[3] = [varints(&[u64::MAX]), three.clone()].concat();
+    // Three empty objects, allocated by the first three of four events:
+    // the fourth reaches past the chain column's last entry.
+    parts[3] = varints(&[u64::MAX, 0, 0, 0]);
     parts[4] = varints(&[4, 0, 0, 0, 0]);
+    parts[5] = varints(&[4, 0, 0, 0, 0]);
     let bytes = image(&parts);
     let mapped = open(&bytes).expect("the count is under an honest CRC");
     assert_eq!(mapped.record_count(), u64::MAX);
-    let mut records = mapped.records().expect("records");
-    assert_eq!(records.size_hint(), (3, Some(4)));
-    assert!(records.size_hint().0 <= three.len() / MIN_RECORD_BYTES);
-    assert!(records.by_ref().take(3).all(|r| r.is_ok()));
-    let err = records.next().expect("a fourth item").expect_err("typed");
-    let want = "malformed records section: value runs past the section payload";
+    let mut chain_ids = mapped.chain_ids().expect("chain ids");
+    assert_eq!(chain_ids.size_hint(), (3, Some(4)));
+    assert!(chain_ids.by_ref().take(3).all(|c| c.is_ok()));
+    let err = chain_ids.next().expect("a fourth item").expect_err("typed");
+    let want = "malformed chain ids section: value runs past the section payload";
     assert_eq!(err.to_string(), want);
-    assert!(records.next().is_none(), "fused after the error");
-    assert_eq!(records.size_hint().0, 0);
+    assert!(chain_ids.next().is_none(), "fused after the error");
+    assert_eq!(chain_ids.size_hint().0, 0);
     assert_eq!(trace_from_bytes(&bytes).unwrap_err().to_string(), want);
 }
 
 /// Reads everything `open_unverified` lets a caller read: typed errors
 /// or a completed decode, never a panic or a reservation the bytes
-/// cannot back. Returns whether the records stream was handed out.
+/// cannot back. Returns whether both columns were handed out.
 fn drain_unverified(bytes: &[u8], what: &str) -> bool {
     let Ok(mapped) = open_unverified(bytes) else {
         return false;
     };
     let _ = drain_events(&mapped, 5);
-    let Ok(records) = mapped.records() else {
+    let (Ok(chain_ids), Ok(touches)) = (mapped.chain_ids(), mapped.touches()) else {
         return false;
     };
-    let bound = bytes.len() / MIN_RECORD_BYTES;
-    assert!(records.size_hint().0 <= bound, "{what}");
-    assert!(records.count() <= bound + 1, "{what}");
+    // Every entry takes a byte.
+    let bound = bytes.len();
+    assert!(chain_ids.size_hint().0 <= bound, "{what}");
+    assert!(touches.size_hint().0 <= bound, "{what}");
+    assert!(chain_ids.count() <= bound + 1, "{what}");
+    assert!(touches.count() <= bound + 1, "{what}");
     true
 }
 
@@ -243,7 +267,7 @@ fn every_truncation_is_an_error() {
 fn every_single_bit_flip_is_an_error() {
     for (name, bytes) in fixtures() {
         let framed = frame(&bytes).expect(name);
-        let records = framed[3].payload.start..framed[3].payload.end + 4;
+        let columns = framed[3].payload.start..framed[4].payload.end + 4;
         assert!(drain_unverified(&bytes, name));
         for at in 0..bytes.len() {
             for bit in 0..8 {
@@ -253,13 +277,13 @@ fn every_single_bit_flip_is_an_error() {
                 let err = open(&damaged).expect_err(&what).to_string();
                 // A payload bit is the CRC's to find, and found at open.
                 if let Some(hit) = framed.iter().position(|s| s.payload.contains(&at)) {
-                    let want = format!("checksum mismatch in {} section", SECTIONS[hit].1);
+                    let want = format!("checksum mismatch in {} section", SECTIONS[hit]);
                     assert!(err.starts_with(&want), "{what}: {err}");
                 }
                 assert!(trace_from_bytes(&damaged).is_err(), "{what} loaded");
-                // No record out of a section whose CRC does not match.
+                // No entry out of a section whose CRC does not match.
                 let yielded = drain_unverified(&damaged, &what);
-                assert!(!(yielded && records.contains(&at)), "{what}");
+                assert!(!(yielded && columns.contains(&at)), "{what}");
             }
         }
     }
@@ -268,10 +292,10 @@ fn every_single_bit_flip_is_an_error() {
 #[test]
 fn section_length_lies_are_errors() {
     let bytes = fixtures()[0].1.clone();
-    let [_, _, chains, records, events] = frame(&bytes).expect("frame");
+    let [_, _, chains, chain_ids, _, events] = frame(&bytes).expect("frame");
     // The writer's five-byte padded length field.
     let len_at = chains.payload.end + 4 + 1;
-    let body_at = records.payload.start;
+    let body_at = chain_ids.payload.start;
     assert_eq!(len_at + 5, body_at);
     let with_len = |field: &[u8]| [&bytes[..len_at], field, &bytes[body_at..]].concat();
     let padded = |len: usize| {
@@ -279,22 +303,22 @@ fn section_length_lies_are_errors() {
         field[4] = (len >> 28) as u8;
         field
     };
-    let len = records.payload.len();
+    let len = chain_ids.payload.len();
     assert_eq!(with_len(&padded(len)), bytes);
     let fifth_continues = [&padded(len)[..4], &[0x80]].concat();
     let cut = |section: &str| format!("truncated trace file while reading {section}");
-    let next_id = "malformed events section: expected section id 5, found ".to_owned();
+    let next_id = "malformed touches section: expected section id 5, found ".to_owned();
     let cases = [
-        // Swallowing the events section leaves none to frame.
-        (padded(events.payload.end - body_at), cut("events")),
+        // Swallowing the sections after it leaves none to frame.
+        (padded(events.payload.end - body_at), cut("touches")),
         (padded(len - 1), next_id.clone()),
         (padded(len + 1), next_id),
-        (fifth_continues, cut("records")),
-        (padded(bytes.len()), cut("records")),
-        (varints(&[u64::MAX - 2]), cut("records")),
+        (fifth_continues, cut("chain ids")),
+        (padded(bytes.len()), cut("chain ids")),
+        (varints(&[u64::MAX - 2]), cut("chain ids")),
         (
             vec![0x80; 11],
-            "malformed records section: invalid section length varint".to_owned(),
+            "malformed chain ids section: invalid section length varint".to_owned(),
         ),
     ];
     for (field, want) in cases {
@@ -311,7 +335,7 @@ fn framing_violations_are_named() {
     let framed = frame(&good).expect("frame");
     let patch = |at: usize, byte: u8| [&good[..at], &[byte], &good[at + 1..]].concat();
     let chains_id_at = framed[2].payload.start - 2;
-    let events_len_at = framed[4].payload.start - 1;
+    let events_len_at = framed[5].payload.start - 1;
     let cases = [
         (
             b"not a trace file".to_vec(),
@@ -319,11 +343,11 @@ fn framing_violations_are_named() {
         ),
         (
             patch(4, 2),
-            "unsupported .lpt format version 2 (this reader reads version 4)",
+            "unsupported .lpt format version 2 (this reader reads version 5)",
         ),
         (
             patch(6, 4),
-            "malformed header section: version 4 carries 5 sections, header says 4",
+            "malformed header section: version 5 carries 6 sections, header says 4",
         ),
         (
             patch(chains_id_at, 9),
@@ -339,7 +363,7 @@ fn framing_violations_are_named() {
         ),
         (
             good[..framed[3].payload.start + 2].to_vec(),
-            "truncated trace file while reading records",
+            "truncated trace file while reading chain ids",
         ),
     ];
     for (bytes, want) in cases {
@@ -360,7 +384,7 @@ fn structural_violations_are_named() {
     let one_more = |part: usize| [&tiny()[part][..], &[0]].concat();
     let overlong = [&b"\x01t"[..], &[0x80; 11]].concat();
     // (section, its payload, the detail the damage is reported with)
-    let cases: [(usize, Vec<u8>, &str); 22] = [
+    let cases: [(usize, Vec<u8>, &str); 20] = [
         (0, poke(0, 1, 0xff), "program name is not UTF-8"),
         (0, poke(0, 0, 0x7f), "value runs past the section payload"),
         (0, one_more(0), "1 unread bytes at end of section"),
@@ -385,114 +409,153 @@ fn structural_violations_are_named() {
         ),
         (2, v(&[1 << 32]), "chain count exceeds u32"),
         (2, v(&[1, M]), "value runs past the section payload"),
-        (3, v(&[1, 1 << 32, 0, 0, 0, 0]), "record 0 size exceeds u32"),
-        (3, poke(3, 2, 1), "record 0 references chain 1, table has 1"),
-        (3, v(&[1, 8, 0, M, 0, 0]), "record 0 death clock overflows"),
-        // Record 1 is born at clock 8.
-        (
-            3,
-            v(&[2, 8, 0, 0, 0, 0, 4, 0, 0, 0, M, 0]),
-            "record 1 first ref clock overflows",
-        ),
-        (
-            3,
-            v(&[1, 8, 0, 0, 0, 2, M]),
-            "record 0 last ref clock overflows",
-        ),
+        (3, poke(3, 1, 1), "object 0 references chain 1, table has 1"),
         (3, poke(3, 0, 3), "value runs past the section payload"),
         (3, one_more(3), "1 unread bytes at end of section"),
+        (4, poke(4, 0, 3), "value runs past the section payload"),
+        (4, one_more(4), "1 unread bytes at end of section"),
         (
-            4,
+            5,
             v(&[3, 16, 3, 8]),
             "free references an object never allocated",
         ),
-        (4, v(&[3, 1 << 33, 8, 3]), "event size exceeds u32"),
-        (4, one_more(4), "1 unread bytes at end of section"),
+        (5, v(&[3, 1 << 33, 8, 3]), "event size exceeds u32"),
+        (5, one_more(5), "1 unread bytes at end of section"),
     ];
     for (part, payload, detail) in cases {
         let mut parts = tiny();
         parts[part] = payload;
-        // Found by whichever layer reads the section: the open, the
-        // records stream, the event chunks or the loader's walk.
-        let want = format!("malformed {} section: {detail}", SECTIONS[part].1);
+        // Found by whichever layer reads the section: the open, a
+        // column, the event chunks or the loader's walk.
+        let want = format!("malformed {} section: {detail}", SECTIONS[part]);
         assert_eq!(errors(&image(&parts)), [want.as_str(); 3]);
     }
     // A section that declares no entries must hold no bytes either.
-    for part in [3, 4] {
+    for part in [3, 4, 5] {
         let mut parts = tiny();
         parts[part] = v(&[0, 0]);
         let err = drain(&open(&image(&parts)).expect("open")).unwrap_err();
-        let section = SECTIONS[part].1;
+        let section = SECTIONS[part];
         let want = format!("malformed {section} section: 1 unread bytes at end of section");
         assert_eq!(err.to_string(), want);
     }
 }
 
-/// The lockstep walk of `verify` and `load_trace`: sections that are
-/// each well-formed on their own, but disagree on a fact that two of
-/// them store.
+/// The payloads of `tiny()` with section `part` replaced by `values`
+/// (the meta section keeps its name).
+fn tiny_with(part: usize, values: &[u64]) -> [Vec<u8>; 6] {
+    let mut parts = tiny();
+    parts[part] = match part {
+        0 => [&b"\x01t"[..], &varints(values)].concat(),
+        _ => varints(values),
+    };
+    parts
+}
+
+/// `parts` open, and then the walk of `verify` and `load_trace` refuses
+/// them, each with `malformed {detail}`.
+fn refused_by_the_walk(parts: &[Vec<u8>; 6], detail: &str) {
+    let bytes = image(parts);
+    let mapped = open(&bytes).expect("open");
+    let want = format!("malformed {detail}");
+    assert_eq!(mapped.verify().expect_err(detail).to_string(), want);
+    assert_eq!(
+        trace_from_bytes(&bytes).expect_err(detail).to_string(),
+        want
+    );
+}
+
+/// The walk of `verify` and `load_trace`: sections that are each
+/// well-formed on their own, but do not tell one story, or tell one
+/// the header does not.
 #[test]
 fn records_events_and_meta_that_disagree_are_rejected() {
-    let named = |part: usize, values: &[u64]| match part {
-        0 => (0, [&b"\x01t"[..], &varints(values)].concat()),
-        _ => (part, varints(values)),
-    };
     // tiny(): object 0 (8 bytes) is born at clock 0 and dies at clock
     // 12, freed by event 2; object 1 (4 bytes) is born at clock 8 and
-    // never dies.
+    // never dies. Both are live at clock 12, and object 0 has 5 refs.
     let cases = [
         (
-            named(4, &[3, 18, 8, 3]),
-            "events section: event 0 allocates object 0: 9 bytes, its record says 8",
+            tiny_with(5, &[4, 16, 8, 3, 3]),
+            "events section: event 3 frees object 0, which is not live",
         ),
         (
-            named(3, &[2, 8, 0, 4, 5, 0, 4, 0, 0, 0, 0]),
-            "events section: event 2 frees object 0 at clock 12, \
-             its record says it dies at clock 11",
+            tiny_with(5, &[4, 16, 8, 3, 8]),
+            "chain ids section: event 3 allocates object 2, past the last entry",
         ),
         (
-            named(4, &[3, 16, 8, 1]),
-            "events section: event 2 frees object 1, but its record promises no death to come",
+            tiny_with(3, &[3, 0, 0, 0]),
+            "chain ids section: more entries than the 2 allocations",
         ),
         (
-            named(4, &[4, 16, 8, 3, 3]),
-            "events section: event 3 frees object 0, but its record promises no death to come",
+            tiny_with(4, &[3, 5, 8, 4, 0, 0]),
+            "touches section: more entries than the 2 allocations",
         ),
         (
-            named(4, &[4, 16, 8, 3, 8]),
-            "events section: event 3 allocates object 2, past the last record",
+            tiny_with(0, &[12, 3, 12, 2, 0, 0, 5, 0]),
+            "meta section: the walk gives total objects 2, the header says 3",
         ),
         (
-            named(4, &[2, 16, 8]),
-            "events section: object 0 dies at clock 12, past the last event",
+            tiny_with(0, &[11, 2, 12, 2, 0, 0, 5, 0]),
+            "meta section: the walk gives total bytes 12, the header says 11",
         ),
         (
-            named(3, &[3, 8, 0, 5, 5, 0, 4, 0, 0, 0, 0, 4, 0, 0, 0, 0]),
-            "records section: record 2 is never allocated",
+            tiny_with(0, &[12, 2, 120, 2, 0, 0, 5, 0]),
+            "meta section: the walk gives max live bytes 12, the header says 120",
         ),
         (
-            named(0, &[12, 3, 12, 2, 0, 0, 5, 0]),
-            "meta section: the events give total objects 2, the header says 3",
+            tiny_with(0, &[12, 2, 12, 20, 0, 0, 5, 0]),
+            "meta section: the walk gives max live objects 2, the header says 20",
         ),
         (
-            named(0, &[11, 2, 12, 2, 0, 0, 5, 0]),
-            "meta section: the events give total bytes 12, the header says 11",
+            tiny_with(0, &[12, 2, 12, 2, 0, 0, 12_350, 0]),
+            "meta section: the walk gives heap refs 5, the header says 12350",
+        ),
+        // A size swap or a lifetime one off has no second copy to
+        // disagree with: it is another trace, whose totals the header
+        // does not give.
+        (
+            tiny_with(5, &[3, 18, 8, 3]),
+            "meta section: the walk gives total bytes 13, the header says 12",
         ),
     ];
     let consistent = open(&image(&tiny())).expect("open");
     consistent.verify().expect("tiny() is one story");
-    for ((part, payload), detail) in cases {
-        let mut parts = tiny();
-        parts[part] = payload;
-        let bytes = image(&parts);
+    for (parts, detail) in cases {
         // The sections have no quarrel with themselves.
-        let mapped = open(&bytes).expect("open");
-        drain(&mapped).expect("well-formed sections");
-        let want = format!("malformed {detail}");
-        assert_eq!(mapped.verify().expect_err(detail).to_string(), want);
-        assert_eq!(
-            trace_from_bytes(&bytes).expect_err(detail).to_string(),
-            want
-        );
+        drain(&open(&image(&parts)).expect("open")).expect("well-formed sections");
+        refused_by_the_walk(&parts, detail);
+    }
+}
+
+/// What a v5 image can still get wrong that no single section's decoder
+/// sees: a column an entry short, an entry past the chain table, a
+/// touch whose clocks leave the byte clock's range.
+#[test]
+fn columns_that_do_not_fit_the_events_are_refused_by_the_walk() {
+    const M: u64 = u64::MAX;
+    let cases = [
+        (
+            tiny_with(3, &[1, 0]),
+            "chain ids section: event 1 allocates object 1, past the last entry",
+        ),
+        (
+            tiny_with(4, &[1, 5, 8, 4]),
+            "touches section: event 1 allocates object 1, past the last entry",
+        ),
+        (
+            tiny_with(3, &[2, 0, 1]),
+            "chain ids section: object 1 references chain 1, table has 1",
+        ),
+        (
+            tiny_with(4, &[2, 5, M, 4, 0]),
+            "touches section: object 0's clocks overflow",
+        ),
+        (
+            tiny_with(4, &[2, 5, 8, M, 0]),
+            "touches section: object 0's clocks overflow",
+        ),
+    ];
+    for (parts, detail) in cases {
+        refused_by_the_walk(&parts, detail);
     }
 }

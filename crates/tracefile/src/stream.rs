@@ -1,60 +1,45 @@
 //! Writing `.lpt` files: the one encoder.
 //!
 //! [`StreamTraceWriter`] writes the three small sections eagerly and
-//! streams the two large ones, so nothing has to be materialized to be
-//! written: `lifepred gen` drives it straight from a simulation whose
-//! 10⁸-event records and events payloads alone would be gigabytes, and
-//! [`write_trace`] drives it from an in-memory [`Trace`] for
+//! streams the three large ones, so nothing has to be materialized to
+//! be written: `lifepred gen` drives it straight from a simulation, and
+//! [`write_trace`] from an in-memory [`Trace`] for
 //! [`save_trace`](crate::save_trace) and
 //! [`trace_to_vec`](crate::trace_to_vec), copying the trace's event keys
-//! as its session recorded them. The format puts a section's
-//! length *before* its payload, so for each large section the writer
-//! reserves a fixed five-byte zero-padded varint (a non-canonical
-//! encoding the reader accepts, covering payloads up to 32 GiB), streams
-//! the payload while accumulating its CRC, and then seeks back to patch
-//! the real length — one seek per large section, everything else a
-//! forward write through the caller's buffered sink.
+//! as its session recorded them. A section's length comes *before* its
+//! payload, so for each large section the writer reserves a five-byte
+//! zero-padded varint (non-canonical, which the reader accepts; up to
+//! 32 GiB), streams the payload while accumulating its CRC, and seeks
+//! back once to patch the real length.
 //!
-//! Payload encodings (every integer a LEB128 varint unless noted):
+//! Payload encodings (every integer a LEB128 varint). Each fact is
+//! stored once; a clock is the byte clock, the sum of the sizes
+//! allocated before it.
 //!
 //! * **meta** — name length + UTF-8 name bytes, then the eight
-//!   [`TraceStats`] counters in declaration order. The end clock is
-//!   `total_bytes` and the end seq the event count, so neither is
-//!   stored again.
+//!   [`TraceStats`] counters in declaration order (the end clock is
+//!   `total_bytes`, the end seq the event count).
 //! * **functions** — count, then per function: name length + bytes, in
 //!   `FnId` order.
 //! * **chains** — count, then per chain: frame count + frame ids
 //!   (outermost first), in `ChainId` order.
-//! * **records** — count, then per record in birth order: size, chain
-//!   id, a lifetime code (`0` = immortal, else
-//!   `death_clock - birth_clock - size + 1`, so no record can die
-//!   before its own bytes are allocated), the reference count, and a
-//!   first-ref code (`0` = never referenced, else
-//!   `first_ref_clock - birth_clock + 1`) followed — only when
-//!   referenced — by `last_ref_clock - first_ref_clock`. A record's
-//!   birth clock is not stored: it is the sum of the earlier records'
-//!   sizes. Where a birth or a death falls among the other events is
-//!   the events section's to say, and it says it once.
-//! * **events** — count, then one key varint per event
-//!   ([`lifepred_trace::keys`]: an even key allocates `key >> 1` bytes
-//!   for the next record in birth order, an odd key frees the object
-//!   allocated `key >> 1` allocations ago). An event's seq is its index
-//!   and the byte clock is the sum of the sizes allocated before it, so
-//!   neither is stored: the reader's lockstep walk
-//!   ([`MappedTrace::verify`](crate::MappedTrace::verify)) derives the
-//!   clock and checks each allocation's size against its record, each
-//!   free against the death clock its record promised, and the totals
-//!   against the meta section.
+//! * **chain ids** — count, then each allocation's chain id, in birth
+//!   order.
+//! * **touches** — count, then per allocation in birth order: its
+//!   reference count and, only when that is not 0, the bytes from its
+//!   birth to its first reference and from there to its last ([`Touch`]).
+//! * **events** — count, then one key per event
+//!   ([`lifepred_trace::keys`]): an even key allocates `key >> 1` bytes
+//!   for the next object in birth order, an odd key frees the object
+//!   allocated `key >> 1` allocations ago. So an object's size, birth
+//!   and death, and every seq, are the events' alone.
 
 use crate::crc32::Crc32;
 use crate::error::TraceFileError;
-use crate::format::{
-    MAGIC, SECTION_CHAINS, SECTION_COUNT, SECTION_EVENTS, SECTION_FUNCTIONS, SECTION_META,
-    SECTION_RECORDS, VERSION,
-};
+use crate::format::{CHAIN_IDS, EVENTS, MAGIC, SECTIONS, SECTION_COUNT, TOUCHES, VERSION};
 use lifepred_trace::keys::{encode_alloc, encode_free};
 use lifepred_trace::varint::{write_varint, MAX_VARINT_LEN};
-use lifepred_trace::{AllocationRecord, ChainTable, FunctionRegistry, Trace, TraceStats};
+use lifepred_trace::{ChainId, ChainTable, FunctionRegistry, Touch, Trace, TraceStats};
 use std::io::{Seek, SeekFrom, Write};
 
 /// Payload bytes buffered before one bulk CRC update + write.
@@ -87,36 +72,27 @@ struct OpenSection {
     seen: u64,
 }
 
-/// Which part of the file comes next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    Records,
-    Events,
-    Finish,
-}
-
 /// The `.lpt` writer.
 ///
-/// Call order is enforced: [`begin_records`](Self::begin_records) →
-/// [`write_record`](Self::write_record)× → [`end_records`](Self::end_records) →
+/// Call order is enforced: [`begin_chain_ids`](Self::begin_chain_ids) →
+/// [`write_chain_id`](Self::write_chain_id)× →
+/// [`begin_touches`](Self::begin_touches) → [`write_touch`](Self::write_touch)× →
 /// [`begin_events`](Self::begin_events) → [`write_alloc`](Self::write_alloc)/
-/// [`write_free`](Self::write_free)× → [`end_events`](Self::end_events) →
-/// [`finish`](Self::finish). Counts are checked against the declared
-/// totals and records against the invariants documented on
-/// [`Trace::from_parts`] that a record can break alone: a known chain,
-/// a birth clock that is the sum of the earlier records' sizes, and no
-/// death or reference before the record's birth.
+/// [`write_free`](Self::write_free)× → [`finish`](Self::finish); each
+/// `begin` and `finish` closes the section before. Counts are checked
+/// against the declared totals, and every chain id against the chain
+/// table.
 ///
 /// # Examples
 ///
 /// ```
-/// use lifepred_trace::{ChainTable, FunctionRegistry, TraceStats};
+/// use lifepred_trace::{ChainTable, FunctionRegistry, Touch, TraceStats};
 /// use lifepred_tracefile::{trace_from_bytes, StreamMeta, StreamTraceWriter};
 ///
 /// let mut registry = FunctionRegistry::new();
 /// let main = registry.intern("main");
 /// let mut chains = ChainTable::new();
-/// chains.intern(&[main]);
+/// let chain = chains.intern(&[main]);
 /// let meta = StreamMeta {
 ///     name: "streamed",
 ///     stats: TraceStats { total_bytes: 8, total_objects: 1, max_live_bytes: 8,
@@ -124,16 +100,13 @@ enum Stage {
 /// };
 /// let sink = std::io::Cursor::new(Vec::new());
 /// let mut w = StreamTraceWriter::new(sink, &meta, &registry, &chains).unwrap();
-/// w.begin_records(1).unwrap();
-/// # let record = lifepred_trace::AllocationRecord {
-/// #     size: 8, chain: chains.intern(&[main]), birth_clock: 0,
-/// #     death_clock: Some(8), refs: 0, first_ref_clock: None, last_ref_clock: None };
-/// w.write_record(&record).unwrap();
-/// w.end_records().unwrap();
+/// w.begin_chain_ids(1).unwrap();
+/// w.write_chain_id(chain).unwrap();
+/// w.begin_touches(1).unwrap();
+/// w.write_touch(Touch::default()).unwrap();
 /// w.begin_events(2).unwrap();
 /// w.write_alloc(8).unwrap();
 /// w.write_free(0).unwrap();
-/// w.end_events().unwrap();
 /// let bytes = w.finish().unwrap().into_inner();
 /// assert_eq!(trace_from_bytes(&bytes).unwrap().records().len(), 1);
 /// ```
@@ -142,18 +115,17 @@ pub struct StreamTraceWriter<W: Write + Seek> {
     sink: W,
     scratch: Vec<u8>,
     open: Option<OpenSection>,
-    stage: Stage,
-    /// Entries in the chain table: every record's chain id is below it.
+    /// The large section to begin next (by index from the first).
+    stage: usize,
+    /// Entries in the chain table: every chain id is below it.
     chain_count: u64,
-    /// Sizes of the records written so far: the next one's birth clock.
-    clock: u64,
     /// Allocation events written so far: the next birth-order index.
     allocs: u64,
 }
 
 impl<W: Write + Seek> StreamTraceWriter<W> {
     /// Writes the header and the three small sections eagerly, leaving
-    /// the writer ready for [`begin_records`](Self::begin_records).
+    /// the writer ready for [`begin_chain_ids`](Self::begin_chain_ids).
     ///
     /// # Errors
     ///
@@ -167,130 +139,101 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
         sink.write_all(&MAGIC)?;
         sink.write_all(&VERSION.to_le_bytes())?;
         sink.write_all(&SECTION_COUNT.to_le_bytes())?;
-        write_section(&mut sink, SECTION_META, &encode_meta(meta))?;
-        write_section(&mut sink, SECTION_FUNCTIONS, &encode_functions(registry))?;
+        // Ids 1 to 3: meta, functions, chains.
+        write_section(&mut sink, 1, &encode_meta(meta))?;
+        write_section(&mut sink, 2, &encode_functions(registry))?;
         let chains_payload = encode_chains(chains, registry.len() as u64)?;
-        write_section(&mut sink, SECTION_CHAINS, &chains_payload)?;
+        write_section(&mut sink, 3, &chains_payload)?;
         Ok(StreamTraceWriter {
             sink,
             scratch: Vec::with_capacity(FLUSH_BYTES + 64),
             open: None,
-            stage: Stage::Records,
+            stage: CHAIN_IDS,
             chain_count: chains.len() as u64,
-            clock: 0,
             allocs: 0,
         })
     }
 
-    /// Opens the records section, declaring its record count.
-    pub fn begin_records(&mut self, count: u64) -> Result<(), TraceFileError> {
-        self.begin(Stage::Records, SECTION_RECORDS, count)
+    /// Opens the chain column, declaring its entry count.
+    pub fn begin_chain_ids(&mut self, count: u64) -> Result<(), TraceFileError> {
+        self.begin(CHAIN_IDS, count)
     }
 
-    /// Appends the next allocation record (strict birth order).
-    pub fn write_record(&mut self, r: &AllocationRecord) -> Result<(), TraceFileError> {
-        let i = self.entry("records", Stage::Records)?;
-        let bad = |detail: String| TraceFileError::malformed("records", detail);
-        if u64::from(r.chain.index()) >= self.chain_count {
-            return Err(bad(format!("record {i} references unknown chain")));
+    /// Appends the chain id of the next allocation in birth order.
+    pub fn write_chain_id(&mut self, chain: ChainId) -> Result<(), TraceFileError> {
+        let i = self.entry(CHAIN_IDS)?;
+        if u64::from(chain.index()) >= self.chain_count {
+            let detail = format!("object {i} references unknown chain {}", chain.index());
+            return Err(TraceFileError::malformed("chain ids", detail));
         }
-        if r.birth_clock != self.clock {
-            return Err(bad(format!(
-                "record {i} is born at clock {}, after {} bytes of records",
-                r.birth_clock, self.clock
-            )));
-        }
-        let end = (self.clock.checked_add(u64::from(r.size)))
-            .ok_or_else(|| bad(format!("record {i} overflows the byte clock")))?;
-        // The code is never 0 for a mortal record.
-        let lifetime = match r.death_clock {
-            None => 0,
-            Some(death) => (death.checked_sub(end))
-                .and_then(|d| d.checked_add(1))
-                .ok_or_else(|| bad(format!("record {i} dies before its bytes are allocated")))?,
-        };
-        // (first-ref code, last-ref delta); the code is never 0.
-        let touched = match (r.first_ref_clock, r.last_ref_clock) {
-            (None, None) => None,
-            (Some(first), Some(last)) => Some((
-                first
-                    .checked_sub(r.birth_clock)
-                    .and_then(|d| d.checked_add(1))
-                    .ok_or_else(|| bad(format!("record {i} first ref precedes birth")))?,
-                last.checked_sub(first)
-                    .ok_or_else(|| bad(format!("record {i} last ref precedes first ref")))?,
-            )),
-            _ => {
-                return Err(bad(format!(
-                    "record {i} has mismatched first/last ref clocks"
-                )))
-            }
-        };
-        let out = &mut self.scratch;
-        write_varint(out, u64::from(r.size));
-        write_varint(out, u64::from(r.chain.index()));
-        write_varint(out, lifetime);
-        write_varint(out, r.refs);
-        write_coded_pair(out, touched);
-        self.clock = end;
+        write_varint(&mut self.scratch, u64::from(chain.index()));
         self.maybe_flush()
     }
 
-    /// Closes the records section, patching its length and CRC.
-    pub fn end_records(&mut self) -> Result<(), TraceFileError> {
-        self.end("records", Stage::Records, Stage::Events)
+    /// Closes the chain column and opens the touch column, declaring its
+    /// entry count.
+    pub fn begin_touches(&mut self, count: u64) -> Result<(), TraceFileError> {
+        self.begin(TOUCHES, count)
     }
 
-    /// Opens the events section, declaring its event count.
+    /// Appends the touch entry of the next allocation in birth order.
+    pub fn write_touch(&mut self, touch: Touch) -> Result<(), TraceFileError> {
+        self.entry(TOUCHES)?;
+        write_varint(&mut self.scratch, touch.refs);
+        if touch.refs > 0 {
+            write_varint(&mut self.scratch, touch.first);
+            write_varint(&mut self.scratch, touch.span);
+        }
+        self.maybe_flush()
+    }
+
+    /// Closes the touch column and opens the events section, declaring
+    /// its event count.
     pub fn begin_events(&mut self, count: u64) -> Result<(), TraceFileError> {
-        self.begin(Stage::Events, SECTION_EVENTS, count)
+        self.begin(EVENTS, count)
     }
 
-    /// Appends an allocation of `size` bytes for the next record in
+    /// Appends an allocation of `size` bytes for the next object in
     /// birth order.
     pub fn write_alloc(&mut self, size: u32) -> Result<(), TraceFileError> {
-        self.entry("events", Stage::Events)?;
+        self.entry(EVENTS)?;
         self.allocs += 1;
         encode_alloc(&mut self.scratch, size);
         self.maybe_flush()
     }
 
-    /// Appends a free of birth-order record `record`.
+    /// Appends a free of birth-order object `record`.
     pub fn write_free(&mut self, record: u64) -> Result<(), TraceFileError> {
-        let event = self.entry("events", Stage::Events)?;
+        let event = self.entry(EVENTS)?;
         encode_free(&mut self.scratch, self.allocs, record).ok_or_else(|| {
             TraceFileError::malformed("events", format!("free before alloc at event {event}"))
         })?;
         self.maybe_flush()
     }
 
-    /// Closes the events section, patching its length and CRC.
-    pub fn end_events(&mut self) -> Result<(), TraceFileError> {
-        self.end("events", Stage::Events, Stage::Finish)
-    }
-
-    /// Flushes and returns the sink. Errors if either large section
-    /// was never written.
+    /// Closes the events section, then flushes and returns the sink.
+    /// Errors if a large section was never written.
     pub fn finish(mut self) -> Result<W, TraceFileError> {
-        if self.stage != Stage::Finish {
+        if self.stage <= EVENTS {
             return Err(TraceFileError::malformed(
                 "trailer",
-                "stream writer finished before both large sections were written",
+                "stream writer finished before every large section was written",
             ));
         }
+        self.end()?;
         self.sink.flush()?;
         Ok(self.sink)
     }
 
-    fn begin(&mut self, want: Stage, id: u8, count: u64) -> Result<(), TraceFileError> {
-        let section = if id == SECTION_RECORDS {
-            "records"
-        } else {
-            "events"
-        };
-        if self.stage != want || self.open.is_some() {
+    fn begin(&mut self, want: usize, count: u64) -> Result<(), TraceFileError> {
+        let (id, section) = (want as u8 + 4, SECTIONS[3 + want]);
+        if self.stage != want {
             return Err(out_of_order(section));
         }
+        if want > CHAIN_IDS {
+            self.end()?;
+        }
+        self.stage += 1;
         self.sink.write_all(&[id])?;
         let len_at = self.sink.stream_position()?;
         // Five-byte zero-padded placeholder, patched in `end`.
@@ -308,11 +251,11 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
 
     /// Checks ordering and charges one entry against the declaration.
     /// Returns the entry's index in its section.
-    fn entry(&mut self, section: &'static str, want: Stage) -> Result<u64, TraceFileError> {
-        if self.stage != want {
-            return Err(out_of_order(section));
-        }
-        let open = self.open.as_mut().ok_or_else(|| out_of_order(section))?;
+    fn entry(&mut self, want: usize) -> Result<u64, TraceFileError> {
+        let section = SECTIONS[3 + want];
+        let open = (self.open.as_mut())
+            .filter(|_| self.stage == want + 1)
+            .ok_or_else(|| out_of_order(section))?;
         if open.seen == open.declared {
             return Err(TraceFileError::malformed(
                 section,
@@ -339,17 +282,11 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
         Ok(())
     }
 
-    fn end(
-        &mut self,
-        section: &'static str,
-        want: Stage,
-        next: Stage,
-    ) -> Result<(), TraceFileError> {
-        if self.stage != want || self.open.is_none() {
-            return Err(out_of_order(section));
-        }
+    /// Closes the open section, patching its length and CRC.
+    fn end(&mut self) -> Result<(), TraceFileError> {
         self.flush_scratch()?;
-        let open = self.open.take().expect("checked above");
+        let open = self.open.take().expect("a section is open");
+        let section = SECTIONS[2 + self.stage];
         if open.seen != open.declared {
             return Err(TraceFileError::malformed(
                 section,
@@ -367,46 +304,40 @@ impl<W: Write + Seek> StreamTraceWriter<W> {
         self.sink.seek(SeekFrom::Start(open.len_at))?;
         self.sink.write_all(&padded_len(open.written))?;
         self.sink.seek(SeekFrom::Start(after))?;
-        self.stage = next;
         Ok(())
     }
 }
 
 /// Writes the complete `.lpt` image of `trace` into `sink`: the header
-/// sections, every record, then the trace's event keys as they are.
+/// sections, each record's chain id and touch entry, then the trace's
+/// event keys as they are.
 ///
 /// # Errors
 ///
-/// I/O failures, or [`TraceFileError::Malformed`] if a record breaks
-/// an invariant [`StreamTraceWriter`] checks.
+/// I/O failures, or [`TraceFileError::Malformed`] if a record names an
+/// unknown chain or its reference clocks disagree with its count.
 pub(crate) fn write_trace<W: Write + Seek>(trace: &Trace, sink: W) -> Result<W, TraceFileError> {
     let meta = StreamMeta {
         name: trace.name(),
         stats: *trace.stats(),
     };
     let mut w = StreamTraceWriter::new(sink, &meta, trace.registry(), trace.chains())?;
-    w.begin_records(trace.records().len() as u64)?;
-    for r in trace.records() {
-        w.write_record(r)?;
+    let records = trace.records();
+    w.begin_chain_ids(records.len() as u64)?;
+    for r in records {
+        w.write_chain_id(r.chain)?;
     }
-    w.end_records()?;
+    w.begin_touches(records.len() as u64)?;
+    for (i, r) in records.iter().enumerate() {
+        let detail = || format!("object {i}'s reference count and clocks make no touch entry");
+        let touch = Touch::of(r).ok_or_else(|| TraceFileError::malformed("touches", detail()))?;
+        w.write_touch(touch)?;
+    }
     // The keys are the section's payload as the session recorded it.
     w.begin_events(trace.end_seq())?;
     w.scratch.extend_from_slice(trace.event_keys());
     w.open.as_mut().expect("the events section is open").seen = trace.end_seq();
-    w.end_events()?;
     w.finish()
-}
-
-/// Writes `0`, or the two varints of a pair whose first is never 0.
-fn write_coded_pair(out: &mut Vec<u8>, pair: Option<(u64, u64)>) {
-    match pair {
-        None => write_varint(out, 0),
-        Some((code, delta)) => {
-            write_varint(out, code);
-            write_varint(out, delta);
-        }
-    }
 }
 
 fn encode_meta(meta: &StreamMeta<'_>) -> Vec<u8> {
@@ -489,10 +420,10 @@ fn write_section<W: Write>(sink: &mut W, id: u8, payload: &[u8]) -> Result<(), T
 mod tests {
     use super::*;
     use crate::{trace_to_vec, MappedTrace, TraceMap};
-    use lifepred_trace::TraceSession;
+    use lifepred_trace::{AllocationRecord, TraceSession, TraceSource};
     use std::io::Cursor;
 
-    fn sample_trace(objects: u32) -> lifepred_trace::Trace {
+    fn sample_trace(objects: u32) -> Trace {
         let s = TraceSession::new("stream-sample");
         let mut held = Vec::new();
         {
@@ -520,110 +451,108 @@ mod tests {
         let mapped = MappedTrace::from_map(TraceMap::from_vec(bytes)).expect("mapped open");
         assert_eq!(mapped.record_count(), trace.records().len() as u64);
         assert_eq!(mapped.end_seq(), trace.end_seq());
-        let decoded: Vec<_> = mapped
-            .records()
-            .expect("records")
+        let chain_ids: Vec<_> = (mapped.chain_ids().expect("chain ids"))
             .collect::<Result<_, _>>()
             .expect("decode");
-        assert_eq!(decoded, trace.records());
+        let recorded: Vec<_> = trace.records().iter().map(|r| r.chain).collect();
+        assert_eq!(chain_ids, recorded);
+    }
+
+    fn writer(trace: &Trace) -> StreamTraceWriter<Cursor<Vec<u8>>> {
+        let meta = StreamMeta {
+            name: "writer",
+            stats: *trace.stats(),
+        };
+        let sink = Cursor::new(Vec::new());
+        StreamTraceWriter::new(sink, &meta, trace.registry(), trace.chains()).expect("header")
     }
 
     #[test]
     fn count_mismatches_are_rejected() {
         let trace = sample_trace(10);
-        let meta = StreamMeta {
-            name: "bad-counts",
-            stats: *trace.stats(),
-        };
-        let mut w = StreamTraceWriter::new(
-            Cursor::new(Vec::new()),
-            &meta,
-            trace.registry(),
-            trace.chains(),
-        )
-        .expect("header");
-        w.begin_records(1).expect("begin");
-        w.write_record(&trace.records()[0]).expect("first");
-        let err = w.write_record(&trace.records()[1]).unwrap_err();
-        assert!(matches!(err, TraceFileError::Malformed { .. }), "{err}");
+        let chain = trace.records()[0].chain;
+        let mut w = writer(&trace);
+        w.begin_chain_ids(1).expect("begin");
+        w.write_chain_id(chain).expect("first");
+        let err = w.write_chain_id(chain).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed chain ids section: more entries than the declared 1"
+        );
 
-        // Under-writing fails at end_records.
-        let mut w = StreamTraceWriter::new(
-            Cursor::new(Vec::new()),
-            &meta,
-            trace.registry(),
-            trace.chains(),
-        )
-        .expect("header");
-        w.begin_records(5).expect("begin");
-        w.write_record(&trace.records()[0]).expect("first");
-        assert!(w.end_records().is_err());
+        // Under-writing fails as the section closes.
+        let mut w = writer(&trace);
+        w.begin_chain_ids(5).expect("begin");
+        w.write_chain_id(chain).expect("first");
+        let err = w.begin_touches(0).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed chain ids section: 1 entries written, 5 declared"
+        );
     }
 
-    /// A record's birth clock is not stored, so the writer refuses one
-    /// the reader would not derive, and a death it could not encode.
+    /// What the writer refuses of a record: an unknown chain, and
+    /// reference clocks that do not go with its count or its birth.
     #[test]
-    fn records_off_the_running_clock_are_refused() {
+    fn records_the_columns_cannot_hold_are_refused() {
+        let mut w = writer(&sample_trace(3));
+        w.begin_chain_ids(1).expect("begin");
+        let err = w.write_chain_id(ChainId::from_index(7)).unwrap_err();
+        let want = "malformed chain ids section: object 0 references unknown chain 7";
+        assert_eq!(err.to_string(), want);
+
         let trace = sample_trace(3);
-        let meta = StreamMeta {
-            name: "clock",
-            stats: *trace.stats(),
-        };
-        let (first, second) = (&trace.records()[0], &trace.records()[1]);
-        let early = lifepred_trace::AllocationRecord {
-            birth_clock: second.birth_clock - 1,
+        let second = &trace.records()[1];
+        let touched = |refs, first, last| AllocationRecord {
+            refs,
+            first_ref_clock: first,
+            last_ref_clock: last,
             ..second.clone()
         };
-        let stillborn = lifepred_trace::AllocationRecord {
-            death_clock: Some(second.birth_clock + u64::from(second.size) - 1),
-            ..second.clone()
-        };
+        let birth = second.birth_clock;
         let cases = [
-            (
-                early,
-                format!(
-                    "malformed records section: record 1 is born at clock {}, \
-                     after {} bytes of records",
-                    second.birth_clock - 1,
-                    first.size
-                ),
-            ),
-            (
-                stillborn,
-                "malformed records section: record 1 dies before its bytes are allocated"
-                    .to_owned(),
-            ),
+            touched(1, None, None),
+            touched(0, Some(birth), Some(birth)),
+            touched(1, Some(birth - 1), Some(birth)),
+            touched(1, Some(birth + 2), Some(birth + 1)),
         ];
-        for (record, want) in cases {
-            let sink = Cursor::new(Vec::new());
-            let mut w =
-                StreamTraceWriter::new(sink, &meta, trace.registry(), trace.chains()).unwrap();
-            w.begin_records(2).expect("begin");
-            w.write_record(first).expect("record 0");
-            assert_eq!(w.write_record(&record).unwrap_err().to_string(), want);
+        for record in cases {
+            let mut records = trace.records().to_vec();
+            records[1] = record;
+            let bad = Trace::from_parts(
+                trace.name().to_owned(),
+                trace.registry().clone(),
+                trace.chains().clone(),
+                records,
+                trace.event_keys().to_vec(),
+                trace.end_seq(),
+                *trace.stats(),
+            );
+            let err = trace_to_vec(&bad).unwrap_err();
+            let want = "malformed touches section: \
+                        object 1's reference count and clocks make no touch entry";
+            assert_eq!(err.to_string(), want);
         }
     }
 
     #[test]
     fn call_order_is_enforced() {
         let trace = sample_trace(3);
-        let meta = StreamMeta {
-            name: "order",
-            stats: *trace.stats(),
-        };
-        let mut w = StreamTraceWriter::new(
-            Cursor::new(Vec::new()),
-            &meta,
-            trace.registry(),
-            trace.chains(),
-        )
-        .expect("header");
-        assert!(w.write_alloc(8).is_err(), "alloc before records");
-        assert!(w.begin_events(0).is_err(), "events before records");
-        assert!(w.end_records().is_err(), "end before begin");
-        w.begin_records(0).expect("begin records");
-        assert!(w.begin_records(0).is_err(), "double begin");
-        w.end_records().expect("end records");
+        let mut w = writer(&trace);
+        assert!(w.write_alloc(8).is_err(), "alloc before the columns");
+        assert!(w.begin_events(0).is_err(), "events before the columns");
+        assert!(w.begin_touches(0).is_err(), "touches before chain ids");
+        assert!(
+            w.write_chain_id(ChainId::from_index(0)).is_err(),
+            "entry before begin"
+        );
+        w.begin_chain_ids(0).expect("begin chain ids");
+        assert!(w.begin_chain_ids(0).is_err(), "double begin");
+        assert!(
+            w.write_touch(Touch::default()).is_err(),
+            "touch in chain ids"
+        );
+        w.begin_touches(0).expect("begin touches");
         let err = w.finish().unwrap_err();
         assert!(matches!(err, TraceFileError::Malformed { .. }), "{err}");
     }

@@ -180,7 +180,7 @@ proptest! {
     fn garbage_with_valid_header_never_panics(
         bytes in proptest::collection::vec((0u16..256).prop_map(|x| x as u8), 0..512),
     ) {
-        let mut framed = vec![0x89, b'L', b'P', b'T', 4, 0, 5, 0];
+        let mut framed = vec![0x89, b'L', b'P', b'T', 5, 0, 6, 0];
         framed.extend_from_slice(&bytes);
         let _ = trace_from_bytes(&framed);
     }

@@ -19,11 +19,10 @@ use lifepred_tracefile::TraceFileError;
 /// Where the simulation's allocations land.
 ///
 /// A token is the sink's own handle for a live object, handed back to
-/// its [`free`]: the census's carries the object's size and birth
-/// clock, so that free needs no lookup. Only the records and events
-/// passes (and the session) use birth indices: the `n`-th [`alloc`]
-/// (zero-based) returns `n`, which is how the event stream's
-/// birth-order back-references come for free. Errors are
+/// its [`free`]: the census's is the object's size, so that free needs
+/// no lookup. Only the events pass (and the session) use birth indices:
+/// the `n`-th [`alloc`] (zero-based) returns `n`, which is how the event
+/// stream's birth-order back-references come for free. Errors are
 /// [`TraceFileError`] so streaming sinks can propagate I/O failures.
 ///
 /// [`alloc`]: AllocSink::alloc

@@ -2,41 +2,24 @@
 //!
 //! [`generate_lpt`] turns a [`SimConfig`]-shaped run into a trace file
 //! of (close to) a requested event count without ever holding the
-//! trace in memory. The `.lpt` records section stores each object's
-//! lifetime, which is only known when the simulation frees it — so the
-//! deterministic simulation is simply run three times:
-//!
-//! 1. **census** — count objects/events, track live maxima, and fill
-//!    a compact lifetime table (the record's lifetime code as `u32`,
-//!    with a hash-map overflow for the long-lived tail), its token
-//!    carrying each object's birth index, size and birth clock;
-//! 2. **records** — re-run, emitting one
-//!    [`AllocationRecord`] per birth with its death looked up in the
-//!    table;
-//! 3. **events** — re-run, emitting the alloc/free event stream.
-//!
-//! Peak memory is the lifetime table alone: 4 bytes per object, where
-//! the file being written takes about 9. Everything else is streamed
-//! through [`StreamTraceWriter`]'s 64 KiB scratch buffer.
+//! trace in memory. The deterministic simulation runs once per thing to
+//! write: a **census** (counts, clock and live maxima for the header),
+//! the **chain ids** of its births, and its **events**. The touch column
+//! needs no run: the simulation references nothing, so every entry is 0.
+//! No pass keeps per-object state beyond the simulation's own live
+//! objects; the rest streams through [`StreamTraceWriter`].
 
 use super::sim::{run_sim, AllocSink, SimConfig, Site, SITES};
-use lifepred_trace::{AllocationRecord, ChainTable, FunctionRegistry, TraceStats};
+use lifepred_trace::{ChainId, ChainTable, FunctionRegistry, Touch, TraceStats};
 use lifepred_tracefile::{StreamMeta, StreamTraceWriter, TraceFileError};
-use std::collections::HashMap;
 use std::io::{Seek, Write};
-
-/// Lifetime code of an object never freed (the `.lpt` record's own).
-const IMMORTAL: u32 = 0;
-
-/// Lifetime code meaning "see the overflow map".
-const OVERFLOW: u32 = u32::MAX;
 
 /// What [`generate_lpt`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynthSummary {
     /// Alloc + free events in the events section.
     pub events: u64,
-    /// Allocation records (= objects = allocs).
+    /// Allocations (= objects = entries per column).
     pub objects: u64,
     /// Total bytes allocated over the run (= final clock).
     pub total_bytes: u64,
@@ -46,18 +29,13 @@ pub struct SynthSummary {
     pub max_live_bytes: u64,
 }
 
-/// The census pass: sizes the trace and learns every object's death.
-/// The live object count is `births - frees`.
+/// The census pass: sizes the trace and its header. The live object
+/// count is `births - frees`; a token is its object's size.
 #[derive(Default)]
 struct Census {
     births: u64,
     frees: u64,
     clock: u64,
-    /// Lifetime code per birth index: [`IMMORTAL`], `death_clock -
-    /// birth_clock - size + 1`, or [`OVERFLOW`] for a code in
-    /// `overflow`.
-    lifetime: Vec<u32>,
-    overflow: HashMap<u32, u64>,
     live_bytes: u64,
     max_live_bytes: u64,
     max_live_objects: u64,
@@ -69,81 +47,34 @@ impl Census {
     }
 }
 
-/// The census's token: what its free needs to know about the object.
-#[derive(Clone, Copy, Default)]
-struct Born {
-    index: u32,
-    size: u32,
-    birth_clock: u64,
-}
-
 impl AllocSink for Census {
-    type Token = Born;
-    fn alloc(&mut self, _site: Site, size: u32) -> Result<Born, TraceFileError> {
-        let index = u32::try_from(self.births).map_err(|_| TraceFileError::Malformed {
-            section: "records",
-            detail: "synthetic trace exceeds the u32 lifetime-table birth limit".to_owned(),
-        })?;
-        let born = Born {
-            index,
-            size,
-            birth_clock: self.clock,
-        };
+    type Token = u32;
+    fn alloc(&mut self, _site: Site, size: u32) -> Result<u32, TraceFileError> {
         self.births += 1;
-        self.lifetime.push(IMMORTAL);
         self.clock += u64::from(size);
         self.live_bytes += u64::from(size);
         self.max_live_bytes = self.max_live_bytes.max(self.live_bytes);
         self.max_live_objects = self.max_live_objects.max(self.births - self.frees);
-        Ok(born)
+        Ok(size)
     }
 
-    fn free(&mut self, born: Born) -> Result<(), TraceFileError> {
+    fn free(&mut self, size: u32) -> Result<(), TraceFileError> {
         self.frees += 1;
-        self.live_bytes -= u64::from(born.size);
-        let code = self.clock - born.birth_clock - u64::from(born.size) + 1;
-        self.lifetime[born.index as usize] = match u32::try_from(code) {
-            Ok(code) if code != OVERFLOW => code,
-            _ => {
-                self.overflow.insert(born.index, code);
-                OVERFLOW
-            }
-        };
+        self.live_bytes -= u64::from(size);
         Ok(())
     }
 }
 
-/// The records pass: re-runs the sim, writing one record per birth.
-struct RecordPass<'a, W: Write + Seek> {
+/// The chain ids pass: re-runs the sim, writing each birth's chain id.
+struct ChainPass<'a, W: Write + Seek> {
     writer: &'a mut StreamTraceWriter<W>,
-    census: &'a Census,
-    chain_of: &'a [lifepred_trace::ChainId],
-    births: u32,
-    clock: u64,
+    chain_of: &'a [ChainId],
 }
 
-impl<W: Write + Seek> AllocSink for RecordPass<'_, W> {
+impl<W: Write + Seek> AllocSink for ChainPass<'_, W> {
     type Token = ();
-    fn alloc(&mut self, site: Site, size: u32) -> Result<(), TraceFileError> {
-        let index = self.births;
-        let end = self.clock + u64::from(size);
-        let death_clock = match self.census.lifetime[index as usize] {
-            IMMORTAL => None,
-            OVERFLOW => Some(end + self.census.overflow[&index] - 1),
-            code => Some(end + u64::from(code) - 1),
-        };
-        self.writer.write_record(&AllocationRecord {
-            size,
-            chain: self.chain_of[site as usize],
-            birth_clock: self.clock,
-            death_clock,
-            refs: 0,
-            first_ref_clock: None,
-            last_ref_clock: None,
-        })?;
-        self.births += 1;
-        self.clock = end;
-        Ok(())
+    fn alloc(&mut self, site: Site, _size: u32) -> Result<(), TraceFileError> {
+        self.writer.write_chain_id(self.chain_of[site as usize])
     }
 
     fn free(&mut self, _token: ()) -> Result<(), TraceFileError> {
@@ -172,7 +103,7 @@ impl<W: Write + Seek> AllocSink for EventPass<'_, W> {
 
 /// Interns the server's call chains, returning `(registry, chains,
 /// chain id per [`SITES`] index)`.
-fn intern_sites() -> (FunctionRegistry, ChainTable, Vec<lifepred_trace::ChainId>) {
+fn intern_sites() -> (FunctionRegistry, ChainTable, Vec<ChainId>) {
     let mut registry = FunctionRegistry::new();
     let mut chains = ChainTable::new();
     let chain_of = SITES
@@ -191,12 +122,12 @@ fn intern_sites() -> (FunctionRegistry, ChainTable, Vec<lifepred_trace::ChainId>
 
 /// Streams a synthetic server trace shaped by `config` into `sink`.
 ///
-/// Peak memory is ~4 bytes per object regardless of file size.
+/// Peak memory is the simulation's live objects, whatever the file's
+/// size.
 ///
 /// # Errors
 ///
-/// I/O errors from `sink`, or a run so long it overflows the `u32`
-/// birth index of the lifetime table (more than 2³² objects).
+/// I/O errors from `sink`.
 pub fn generate_lpt<W: Write + Seek>(
     config: &SimConfig,
     sink: W,
@@ -216,16 +147,17 @@ pub fn generate_lpt<W: Write + Seek>(
     let meta = StreamMeta { name: &name, stats };
     let mut writer = StreamTraceWriter::new(sink, &meta, &registry, &chains)?;
 
-    writer.begin_records(census.births)?;
-    let mut records = RecordPass {
+    writer.begin_chain_ids(census.births)?;
+    let mut chain_ids = ChainPass {
         writer: &mut writer,
-        census: &census,
         chain_of: &chain_of,
-        births: 0,
-        clock: 0,
     };
-    run_sim(config, &mut records)?;
-    writer.end_records()?;
+    run_sim(config, &mut chain_ids)?;
+
+    writer.begin_touches(census.births)?;
+    for _ in 0..census.births {
+        writer.write_touch(Touch::default())?;
+    }
 
     writer.begin_events(census.events())?;
     let mut events = EventPass {
@@ -233,7 +165,6 @@ pub fn generate_lpt<W: Write + Seek>(
         births: 0,
     };
     run_sim(config, &mut events)?;
-    writer.end_events()?;
 
     let summary = SynthSummary {
         events: census.events(),
@@ -307,9 +238,9 @@ mod tests {
             })
         };
         for (seed, want) in [
-            (1, 0xb859_d951_a379_3771),
-            (2, 0x66d3_fbb7_7974_9560),
-            (3, 0xd1dc_92a9_52b6_e9de),
+            (1, 0x16e8_85a2_4d54_0538),
+            (2, 0xcfd9_dc00_cae2_06d1),
+            (3, 0x7455_15ed_21c5_96bf),
         ] {
             let config = SimConfig::for_events(100_000, seed);
             let (_, sink) = generate_lpt(&config, Cursor::new(Vec::new())).expect("generate");

@@ -2,9 +2,10 @@
 //!
 //! A recorded [`Trace`]'s events are `.lpt` keys, so its image's events
 //! section must be that payload byte for byte, and [`load_trace`] /
-//! [`trace_from_bytes`] must keep it, with the recorded records and
-//! stats; whether the keys tell the records' story is checked by
-//! `event_stream.rs`, over the saved files too. A streamed synthetic
+//! [`trace_from_bytes`] must keep it, and rebuild the recorded records
+//! and stats from it and the two columns; whether the keys tell the
+//! records' story is checked by `event_stream.rs`, over the saved files
+//! too. A streamed synthetic
 //! trace large enough that the reader releases mapped pages behind
 //! every pass must decode to what a recording of the same simulation
 //! holds. The CI `decode` job runs this suite twice, with and without
@@ -12,7 +13,10 @@
 //! of [`TraceMap`] are covered.
 
 use lifepred_trace::varint::write_varint;
-use lifepred_trace::{ChunkEvent, ChunkSource, EventChunk, TraceSession, POOLED_CHUNK_EVENTS};
+use lifepred_trace::{
+    walk, ChunkEvent, ChunkSource, EventChunk, Live, TraceSession, TraceSource, Visit,
+    POOLED_CHUNK_EVENTS,
+};
 use lifepred_tracefile::{load_trace, trace_from_bytes, trace_to_vec, MappedTrace, TraceMap};
 use lifepred_workloads::{all_workloads, record};
 use std::path::PathBuf;
@@ -48,14 +52,13 @@ fn every_recording_is_saved_and_loaded_in_the_encoding_it_was_recorded_in() {
                     MappedTrace::from_map(TraceMap::from_vec(bytes.clone())).expect("open"),
                 ),
             ] {
-                let events = mapped.sections()[4];
+                let events = mapped.sections()[5];
                 assert_eq!(events.payload_bytes, section.len() as u64, "{name}");
-                let records: Vec<_> = mapped
-                    .records()
-                    .expect("records")
+                let chain_ids: Vec<_> = (mapped.chain_ids().expect("chain ids"))
                     .collect::<Result<_, _>>()
                     .expect("decode");
-                assert_eq!(records, trace.records(), "{name}: {flavor} records");
+                let recorded: Vec<_> = trace.records().iter().map(|r| r.chain).collect();
+                assert_eq!(chain_ids, recorded, "{name}: {flavor} chain ids");
             }
             for loaded in [
                 load_trace(&path).expect("load"),
@@ -108,16 +111,16 @@ fn drain_equals(
 /// so its ground truth is the simulation's other face: the same
 /// [`SimConfig`](lifepred_workloads::server::sim::SimConfig) recorded
 /// into a [`TraceSession`], which shares only the key encoding with
-/// `gen`'s census pass and its writer. Its records and events sections each span at
-/// least three release windows, so every pass below reads pages the
-/// open's CRC pass released, and the second drain and the records walk
-/// re-fault pages the passes before them released.
+/// `gen`'s census pass and its writer. Its two columns and its events
+/// section each span at least three release windows, so every pass
+/// below reads pages the open's CRC pass released, and the second drain
+/// and the walk re-fault pages the passes before them released.
 #[test]
 fn a_streamed_synthetic_trace_file_decodes_to_its_recorded_events() {
     use lifepred_workloads::server::sim::SimConfig;
     use lifepred_workloads::server::synth::generate_lpt;
 
-    let config = SimConfig::for_events(4_200_000, 0x5e4e);
+    let config = SimConfig::for_events(5_000_000, 0x5e4e);
     let path = temp_path("synth");
     let sink = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
     let (summary, sink) = generate_lpt(&config, sink).expect("generate");
@@ -156,15 +159,51 @@ fn a_streamed_synthetic_trace_file_decodes_to_its_recorded_events() {
             found.expect("a recorded chain").0
         })
         .collect();
-    let mut walked = 0;
-    for (record, expected) in mapped.records().expect("records").zip(recorded.records()) {
-        let mut record = record.expect("record");
-        record.chain = chain_of[record.chain.index() as usize];
-        assert_eq!(&record, expected, "record {walked}");
-        walked += 1;
+    // The walk rebuilds each record beside the events, in memory bounded
+    // by the live objects: its birth, chain and touch at its allocation,
+    // its death at its free.
+    struct Compare<'a> {
+        recorded: &'a [lifepred_trace::AllocationRecord],
+        chain_of: Vec<lifepred_trace::ChainId>,
     }
-    assert_eq!(walked, recorded.records().len());
-    assert_eq!(walked as u64, summary.objects);
+    impl Visit for Compare<'_> {
+        fn born(&mut self, record: usize, r: &lifepred_trace::AllocationRecord) -> u32 {
+            let expected = &self.recorded[record];
+            let chain = self.chain_of[r.chain.index() as usize];
+            let death_clock = expected.death_clock;
+            assert_eq!(
+                &lifepred_trace::AllocationRecord {
+                    chain,
+                    death_clock,
+                    ..r.clone()
+                },
+                expected,
+                "record {record}"
+            );
+            0
+        }
+        fn died(&mut self, record: usize, _obj: Live, death: Option<u64>) {
+            assert_eq!(self.recorded[record].death_clock, death, "{record}");
+        }
+    }
+    let recorded_records = recorded.records();
+    let derived = walk(
+        &mapped,
+        &mut Compare {
+            recorded: recorded_records,
+            chain_of,
+        },
+    )
+    .expect("walk");
+    // What the walk derives is the session's; `gen` counts no calls.
+    let session_stats = lifepred_trace::TraceStats {
+        instructions: 0,
+        function_calls: 0,
+        ..*recorded.stats()
+    };
+    assert_eq!(derived, session_stats);
+    assert_eq!(derived, *mapped.stats());
+    assert_eq!(derived.total_objects, summary.objects);
     drop(mapped);
     std::fs::remove_file(&path).ok();
 }

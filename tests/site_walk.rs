@@ -1,16 +1,15 @@
-//! Differential tests of the memoised records walk: dense site ids,
+//! Differential tests of the memoised site walk: dense site ids,
 //! profiles streamed off a mapped trace file, and `evaluate`, each
 //! against the per-record `SiteKey` computation they replaced.
 
 use lifepred::core::{
     evaluate, train, PredictionReport, Profile, ShortLivedSet, SiteConfig, SiteExtractor, SiteId,
-    SiteKey, TrainConfig, DEFAULT_THRESHOLD,
+    SiteKey, SiteStats, TrainConfig, DEFAULT_THRESHOLD,
 };
-use lifepred::trace::{shared_registry, RecordSource, Trace, TraceSource};
+use lifepred::trace::{shared_registry, Trace};
 use lifepred::workloads::{all_workloads, record};
 use lifepred_tracefile::{load_trace, save_trace, MappedTrace};
 use std::collections::{HashMap, HashSet};
-use std::convert::Infallible;
 use std::sync::OnceLock;
 
 fn configs() -> [SiteConfig; 4] {
@@ -72,7 +71,7 @@ fn a_profile_streamed_off_the_mapping_equals_one_built_from_the_loaded_trace() {
         let loaded = load_trace(&path).expect("load");
         for config in configs() {
             let streamed = Profile::new(&config, DEFAULT_THRESHOLD)
-                .absorb(mapped.record_source().expect("records"))
+                .absorb(&mapped)
                 .expect("stream");
             let built = Profile::build(&loaded, &config, DEFAULT_THRESHOLD);
             assert_eq!(streamed.program(), built.program());
@@ -85,29 +84,31 @@ fn a_profile_streamed_off_the_mapping_equals_one_built_from_the_loaded_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A profile keeps sums and a maximum per site, so the order records
-/// arrive in cannot change it: the records absorbed in reverse give
-/// the sites and counters birth order gives.
+/// A profile keeps sums and a maximum per site, so the order objects
+/// arrive in cannot change it: the profile's walk, which counts each
+/// lifetime at the object's free (and the survivors' at the end, in no
+/// order), gives the sites and counters of the records taken in
+/// reverse birth order, each keyed and counted whole.
 #[test]
 fn record_order_does_not_change_a_profile() {
     for (name, trace, _) in suite() {
         for config in configs() {
-            let birth_order = Profile::build(trace, &config, DEFAULT_THRESHOLD);
-            let reversed = Profile::new(&config, DEFAULT_THRESHOLD)
-                .absorb(RecordSource {
-                    name: trace.name(),
-                    chains: trace.chains(),
-                    end_clock: trace.end_clock(),
-                    records: trace.records().iter().rev().map(Ok::<_, Infallible>),
-                })
-                .unwrap_or_else(|e| match e {});
-            assert!(birth_order.total_sites() > 0, "{name}");
-            assert_eq!(
-                reversed.sites(),
-                birth_order.sites(),
-                "{name} {}",
-                config.policy
-            );
+            let walked = Profile::build(trace, &config, DEFAULT_THRESHOLD);
+            let mut extractor = SiteExtractor::from_chains(trace.chains(), config);
+            let mut reversed: HashMap<SiteKey, SiteStats> = HashMap::new();
+            for r in trace.records().iter().rev() {
+                let stats = reversed.entry(extractor.site_of(r)).or_default();
+                let lifetime = r.lifetime(trace.end_clock());
+                stats.objects += 1;
+                stats.bytes += u64::from(r.size);
+                stats.max_lifetime = stats.max_lifetime.max(lifetime);
+                stats.refs += r.refs;
+                if lifetime < DEFAULT_THRESHOLD {
+                    stats.short_bytes += u64::from(r.size);
+                }
+            }
+            assert!(walked.total_sites() > 0, "{name}");
+            assert_eq!(walked.sites(), &reversed, "{name} {}", config.policy);
         }
     }
 }
